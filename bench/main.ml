@@ -120,8 +120,10 @@ let run_bechamel () =
 
 (* One measured configuration of one figure workload. The "/baseline"
    vs "/pipelined" pairs at 8 cores are the PR's ablation: identical
-   machine, knobs at 1/1/1 vs 8/8/8. *)
+   machine, knobs at 1/1/1 vs 8/8/8. Each case builds its workload
+   instance per run, with the overload counters when it has them. *)
 let json_cases quick =
+  let plain wname () = (bench wname, None) in
   let case ?(window = 1) ?(batch = 1) ?(extent = 1) name wname ncores =
     let config =
       {
@@ -135,10 +137,10 @@ let json_cases quick =
            event stream, and ring recording roughly halves wall-clock
            simulation throughput. *)
         trace_enabled = true;
-        trace_ring = false;
+        trace_cap = 0;
       }
     in
-    (name, wname, ncores, None, config)
+    (name, wname, ncores, None, config, plain wname)
   in
   let figure_cases =
     if quick then
@@ -160,11 +162,14 @@ let json_cases quick =
   (* Overload-control soak (PR 6): open-loop arrivals past saturation of
      a single dedicated server core, every control-plane knob on. The
      row's p99_cycles regression-gates graceful degradation. *)
-  let overload_case name ncores =
+  let overload_case ?placement name ncores =
+    let module O = Hare_workloads.Overload in
+    let p = O.preset (Driver.default_config ~ncores) in
     let config =
       {
-        (Driver.default_config ~ncores) with
-        Config.placement = Config.Split 1;
+        p.O.config with
+        Config.placement =
+          Option.value placement ~default:p.O.config.Config.placement;
         trace_enabled = true;
         (* PR 9: sample the control-plane gauges on a 20k-cycle grid
            and retain the 32 slowest span trees per class, so this row
@@ -172,21 +177,13 @@ let json_cases quick =
            host-side only — the gated cycle counts are unchanged. *)
         trace_retain = 32;
         metrics_interval = 20_000;
-        rpc_deadline = 60_000;
-        rpc_retries = 6;
-        rpc_deadline_max = 240_000;
-        deadline_propagation = true;
-        mailbox_capacity = 24;
-        retry_budget = 12;
-        breaker_threshold = 6;
-        breaker_cooldown = 150_000;
-        shed_watermark = 8;
       }
     in
-    (* Many more workers than app cores: arrivals keep landing while
-       earlier requests are still queued, so the server queue actually
-       builds depth and the watermark/credit/deadline machinery engages. *)
-    (name, "overload", ncores, Some (3 * ncores), config)
+    let instance () =
+      let spec, c = O.make ~period:p.O.period () in
+      (spec, Some c)
+    in
+    (name, "overload", ncores, Some p.O.workers, config, instance)
   in
   (* Saturation-knee sweep (PR 9): the open-loop overload workload at
      each machine size, one file server per 8 cores, the metrics
@@ -194,29 +191,10 @@ let json_cases quick =
      knee — the first window whose p99 latency leaves the flat regime —
      reported per machine size as "knee_cycles". *)
   let knee_case ncores =
-    let config =
-      {
-        (Driver.default_config ~ncores) with
-        Config.placement = Config.Split (max 1 (ncores / 8));
-        trace_enabled = true;
-        trace_retain = 32;
-        metrics_interval = 20_000;
-        rpc_deadline = 60_000;
-        rpc_retries = 6;
-        rpc_deadline_max = 240_000;
-        deadline_propagation = true;
-        mailbox_capacity = 24;
-        retry_budget = 12;
-        breaker_threshold = 6;
-        breaker_cooldown = 150_000;
-        shed_watermark = 8;
-      }
-    in
-    ( Printf.sprintf "overload@%d/knee" ncores,
-      "overload",
-      ncores,
-      Some (3 * ncores),
-      config )
+    overload_case
+      ~placement:(Config.Split (max 1 (ncores / 8)))
+      (Printf.sprintf "overload@%d/knee" ncores)
+      ncores
   in
   let knee_cases =
     if quick then [ knee_case 64 ]
@@ -234,7 +212,12 @@ let json_cases quick =
         Config.placement = Config.Split (ncores / 8);
       }
     in
-    (Printf.sprintf "%s@%d/scale" wname ncores, wname, ncores, None, config)
+    ( Printf.sprintf "%s@%d/scale" wname ncores,
+      wname,
+      ncores,
+      None,
+      config,
+      plain wname )
   in
   let scale_cases =
     if quick then [ scale_case "creates" 64 ]
@@ -258,7 +241,8 @@ let json_cases quick =
       wname,
       ncores,
       None,
-      config )
+      config,
+      plain wname )
   in
   let sharded_cases =
     if quick then [ sharded_case "creates" 64 8 ]
@@ -281,14 +265,10 @@ let run_json ~quick ~out () =
   let cases = json_cases quick in
   let rows =
     List.map
-      (fun (name, wname, ncores, nprocs, config) ->
-        if wname = "overload" then begin
-          Hare_workloads.Overload.reset ();
-          (* ~2x the single server core's service rate at 24 workers *)
-          Hare_workloads.Overload.period := 30_000
-        end;
+      (fun (name, wname, ncores, nprocs, config, instance) ->
+        let spec, counters = instance () in
         let t0 = Unix.gettimeofday () in
-        let r = HD.run ~config ?nprocs (bench wname) in
+        let r = HD.run ~config ?nprocs spec in
         let wall = Unix.gettimeofday () -. t0 in
         let cycles =
           r.Driver.elapsed
@@ -296,13 +276,13 @@ let run_json ~quick ~out () =
           *. 1e6
         in
         Printf.printf "%-22s %12.0f cycles  %6.2fs wall\n%!" name cycles wall;
-        (name, wname, ncores, config, r, cycles, wall))
+        (name, wname, ncores, config, r, counters, cycles, wall))
       cases
   in
   (* The ablation summary the acceptance criterion asks for. *)
   let find n =
     List.find_map
-      (fun (name, _, _, _, _, cy, _) -> if name = n then Some cy else None)
+      (fun (name, _, _, _, _, _, cy, _) -> if name = n then Some cy else None)
       rows
   in
   List.iter
@@ -332,7 +312,7 @@ let run_json ~quick ~out () =
   add "  \"quick\": %b,\n" quick;
   add "  \"workloads\": [\n";
   List.iteri
-    (fun i (name, wname, ncores, config, (r : Driver.result), cycles, wall) ->
+    (fun i (name, wname, ncores, config, (r : Driver.result), counters, cycles, wall) ->
       add "    {\n";
       add "      \"name\": \"%s\",\n" name;
       add "      \"workload\": \"%s\",\n" wname;
@@ -365,24 +345,24 @@ let run_json ~quick ~out () =
            r.Driver.latencies;
          add " },\n"
        end);
-      (if wname = "overload" then begin
-         let module O = Hare_workloads.Overload in
-         let rb = r.Driver.robust in
-         add
-           "      \"overload\": { \"sent\": %d, \"ok\": %d, \"shed\": %d, \
-            \"fast_fail\": %d, \"skipped\": %d, \"retries\": %d, \
-            \"giveups\": %d, \"shed_load\": %d, \"shed_expired\": %d, \
-            \"flow_blocks\": %d, \"budget_denied\": %d, \"breaker_opens\": \
-            %d, \"breaker_half_opens\": %d, \"breaker_closes\": %d },\n"
-           !O.sent !O.ok !O.shed !O.fast_fail !O.skipped
-           rb.Hare_stats.Robust.retries rb.Hare_stats.Robust.giveups
-           rb.Hare_stats.Robust.shed_load rb.Hare_stats.Robust.shed_expired
-           rb.Hare_stats.Robust.flow_blocks
-           rb.Hare_stats.Robust.budget_denied
-           rb.Hare_stats.Robust.breaker_opens
-           rb.Hare_stats.Robust.breaker_half_opens
-           rb.Hare_stats.Robust.breaker_closes
-       end);
+      (match counters with
+      | None -> ()
+      | Some (c : Hare_workloads.Overload.counters) ->
+          let rb = r.Driver.robust in
+          add
+            "      \"overload\": { \"sent\": %d, \"ok\": %d, \"shed\": %d, \
+             \"fast_fail\": %d, \"skipped\": %d, \"retries\": %d, \
+             \"giveups\": %d, \"shed_load\": %d, \"shed_expired\": %d, \
+             \"flow_blocks\": %d, \"budget_denied\": %d, \"breaker_opens\": \
+             %d, \"breaker_half_opens\": %d, \"breaker_closes\": %d },\n"
+            c.sent c.ok c.shed c.fast_fail c.skipped
+            rb.Hare_stats.Robust.retries rb.Hare_stats.Robust.giveups
+            rb.Hare_stats.Robust.shed_load rb.Hare_stats.Robust.shed_expired
+            rb.Hare_stats.Robust.flow_blocks
+            rb.Hare_stats.Robust.budget_denied
+            rb.Hare_stats.Robust.breaker_opens
+            rb.Hare_stats.Robust.breaker_half_opens
+            rb.Hare_stats.Robust.breaker_closes);
       add "      \"simulated_seconds\": %.9f,\n" r.Driver.elapsed;
       add "      \"wall_clock_s\": %.6f,\n" wall;
       (* Host-side engine throughput: how fast the simulator chewed

@@ -2,31 +2,42 @@
 
    Examples:
      hare_cli list
-     hare_cli bench creates --cores 8 --world linux
-     hare_cli bench "build linux" --cores 16 --scale 2
+     hare_cli run creates --cores 8 --world linux
+     hare_cli run fsstress --cores 4 --plan "crash:2@1000000+300000" --robust
+     hare_cli run all --cores 4 --check
      hare_cli fig 6 --quick
-     hare_cli fig all
 *)
 
 open Cmdliner
+open Term.Syntax
 module Config = Hare_config.Config
 module Figures = Hare_experiments.Figures
 module Driver = Hare_experiments.Driver
 module World = Hare_experiments.World
+module Spec = Hare_workloads.Spec
+module O = Hare_workloads.Overload
+module Machine = Hare.Machine
+module Trace = Hare_trace.Trace
+module Metrics = Hare_metrics.Metrics
+module Knee = Hare_metrics.Knee
+module Blame = Hare_metrics.Blame
+module Sanity = Hare_stats.Sanity
+module Check = Hare_check.Check
+module Table = Hare_stats.Table
 module HD = Driver.Make (World.Hare_w)
-module LD = Driver.Make (World.Linux_w)
 
 (* ---------- shared options ---------------------------------------------- *)
 
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let int_opt ?(docv = "N") name doc =
+  Arg.(value & opt (some int) None & info [ name ] ~docv ~doc)
+
+let file_opt name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
 let cores_arg =
   Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.")
-
-let nprocs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "nprocs" ] ~docv:"N"
-        ~doc:"Worker processes (default: one per application core).")
 
 let scale_arg =
   Arg.(
@@ -36,151 +47,820 @@ let scale_arg =
           "Workload scale multiplier (1 = fast default; larger approaches \
            paper-size runs).")
 
-let world_arg =
-  Arg.(
-    value
-    & opt (enum [ ("hare", `Hare); ("linux", `Linux); ("unfs", `Unfs) ]) `Hare
-    & info [ "world" ] ~docv:"WORLD"
-        ~doc:"System under test: hare, linux (tmpfs baseline), unfs.")
+let seed_arg =
+  int_opt ~docv:"S" "seed"
+    "Seed of the run's random choices: the simulation RNG (default: the \
+     configuration's), or under $(b,explore) the pct/rand schedule (default \
+     1). Same seed => identical output."
 
-let split_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "split" ] ~docv:"S"
-        ~doc:"Dedicate $(docv) cores to file servers (default: timeshare).")
+(* ---------- run: one boot -> run -> report pipeline ---------------------- *)
 
-let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+(* A config flag is a transformer over the configuration; unset flags
+   leave the defaults (Driver.default_config plus the workload's preset)
+   alone. *)
+let knob arg set =
+  let+ v = arg in
+  fun c -> Option.fold ~none:c ~some:(set c) v
 
-let no_dist = flag "no-dist" "Disable directory distribution."
+let switch name doc set =
+  let+ on = flag name doc in
+  fun c -> if on then set c else c
 
-let no_bcast = flag "no-broadcast" "Disable directory broadcast."
+let compose ts =
+  List.fold_left
+    (fun acc t ->
+      let+ f = acc and+ g = t in
+      fun c -> g (f c))
+    (Term.const Fun.id) ts
 
-let no_direct = flag "no-direct" "Disable direct buffer-cache access."
+let tune_t =
+  let int_knob ?docv name doc set = knob (int_opt ?docv name doc) set in
+  let shard =
+    let+ servers =
+      int_opt ~docv:"S" "shard"
+        "Consistent-hash placement: $(docv) file-server homes on a \
+         rendezvous ring (extension; overrides --split)."
+    and+ vnodes =
+      Arg.(
+        value & opt int 32
+        & info [ "vnodes" ] ~docv:"V"
+            ~doc:"Hash points per server on the placement ring (with --shard).")
+    and+ plan =
+      Arg.(
+        value & opt string ""
+        & info [ "shard-plan" ] ~docv:"PLAN"
+            ~doc:
+              "Ring-membership plan (with --shard): 'add@CYCLES' activates a \
+               spare server, 'remove:SID@CYCLES' drains one; ';'-separated.")
+    in
+    fun c ->
+      match servers with
+      | Some servers ->
+          {
+            c with
+            Config.placement = Config.Sharded { servers; vnodes };
+            shard_plan = plan;
+          }
+      | None -> { c with Config.shard_plan = plan }
+  in
+  compose
+    [
+      int_knob ~docv:"S" "split"
+        "Dedicate $(docv) cores to file servers (default: timeshare)."
+        (fun c s -> { c with Config.placement = Config.Split s });
+      shard;
+      switch "no-dist" "Disable directory distribution." (fun c ->
+          { c with Config.dir_distribution = false });
+      switch "no-broadcast" "Disable directory broadcast." (fun c ->
+          { c with Config.dir_broadcast = false });
+      switch "no-direct" "Disable direct buffer-cache access." (fun c ->
+          { c with Config.direct_access = false });
+      switch "no-dircache" "Disable the directory cache." (fun c ->
+          { c with Config.dir_cache = false });
+      switch "no-affinity" "Disable creation affinity." (fun c ->
+          { c with Config.creation_affinity = false });
+      int_knob ~docv:"W" "width"
+        "Distribute each directory over only $(docv) servers (extension, \
+         paper §6)."
+        (fun c w -> { c with Config.dist_width = Some w });
+      switch "steal" "Enable block stealing between servers (extension, §3.2)."
+        (fun c -> { c with Config.block_stealing = true });
+      int_knob "retries" "RPC attempts before giving up with EIO." (fun c n ->
+          { c with Config.rpc_retries = n });
+      switch "strict-broadcast"
+        "Fail broadcasts with EIO instead of returning partial results."
+        (fun c -> { c with Config.partial_broadcast = false });
+      knob seed_arg (fun c s -> { c with Config.seed = Int64.of_int s });
+      int_knob ~docv:"W" "window" "rpc_window (1 = synchronous)." (fun c n ->
+          { c with Config.rpc_window = n });
+      int_knob ~docv:"B" "batch" "batch_max (1 = one request per wakeup)."
+        (fun c n -> { c with Config.batch_max = n });
+      int_knob ~docv:"E" "extent" "alloc_extent (1 = block-at-a-time)."
+        (fun c n -> { c with Config.alloc_extent = n });
+      int_knob "dircache-capacity" "Bound the client dircache (0 = unbounded)."
+        (fun c n -> { c with Config.dircache_capacity = n });
+      int_knob ~docv:"CYCLES" "deadline-max"
+        "Ceiling on the backed-off retry deadline." (fun c n ->
+          { c with Config.rpc_deadline_max = n });
+      int_knob "capacity"
+        "Server mailbox capacity; senders without a credit park until a \
+         slot frees (0 = unbounded)."
+        (fun c n -> { c with Config.mailbox_capacity = n });
+      int_knob "retry-budget"
+        "Per-server retry budget; an empty bucket turns timeouts into \
+         immediate give-ups (0 = unlimited)."
+        (fun c n -> { c with Config.retry_budget = n });
+      int_knob "breaker"
+        "Consecutive give-ups that open a per-server circuit breaker (0 = \
+         disabled)."
+        (fun c n -> { c with Config.breaker_threshold = n });
+      int_knob ~docv:"CYCLES" "cooldown"
+        "How long an open breaker fast-fails before probing." (fun c n ->
+          { c with Config.breaker_cooldown = n });
+      int_knob "watermark"
+        "Server queue depth above which background (then data) requests are \
+         shed with EBUSY (0 = disabled)."
+        (fun c n -> { c with Config.shed_watermark = n });
+      int_knob "trace-cap"
+        "Trace ring-buffer capacity in events (with --trace); the oldest \
+         events are dropped (and counted) beyond it. 0 = no span ring: the \
+         export is a clean metadata-only artifact."
+        (fun c n -> { c with Config.trace_cap = n });
+      int_knob ~docv:"K" "retain"
+        "Keep the complete span trees of the $(docv) slowest ops per latency \
+         class, for --blame."
+        (fun c k -> { c with Config.trace_retain = k });
+    ]
 
-let no_dcache = flag "no-dircache" "Disable the directory cache."
+type setup = {
+  cores : int;
+  nprocs : int option;
+  scale : int;
+  world : [ `Hare | `Linux | `Unfs ];
+  preset : bool;
+  period : int option;
+  plan : string;
+  tune : Config.t -> Config.t;  (** every config flag *)
+}
 
-let no_affinity = flag "no-affinity" "Disable creation affinity."
-
-let width_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "width" ] ~docv:"W"
-        ~doc:
-          "Distribute each directory over only $(docv) servers (extension,            paper §6).")
-
-let steal =
-  flag "steal" "Enable block stealing between servers (extension, §3.2)."
-
-let shard_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shard" ] ~docv:"S"
-        ~doc:
-          "Consistent-hash placement: $(docv) file-server homes on a \
-           rendezvous ring (extension; overrides --split).")
-
-let vnodes_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "vnodes" ] ~docv:"V"
-        ~doc:"Hash points per server on the placement ring (with --shard).")
-
-let shard_plan_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "shard-plan" ] ~docv:"PLAN"
-        ~doc:
-          "Ring-membership plan (with --shard): 'add@CYCLES' activates a \
-           spare server, 'remove:SID@CYCLES' drains one; ';'-separated.")
-
-let mk_config ?(shard = None) ?(vnodes = 32) ?(shard_plan = "") cores split nd
-    nb ndir ndc na width st =
-  let c = Driver.default_config ~ncores:cores in
-  let c =
-    match (shard, split) with
-    | Some s, _ ->
+let setup_t =
+  let+ cores = cores_arg
+  and+ nprocs =
+    int_opt "nprocs"
+      "Worker processes (default: one per application core, or the \
+       workload's preset)."
+  and+ scale = scale_arg
+  and+ world =
+    Arg.(
+      value
+      & opt (enum [ ("hare", `Hare); ("linux", `Linux); ("unfs", `Unfs) ]) `Hare
+      & info [ "world" ] ~docv:"WORLD"
+          ~doc:"System under test: hare, linux (tmpfs baseline), unfs.")
+  and+ no_preset =
+    flag "no-preset"
+      "Run on the plain default machine, ignoring the workload's preset \
+       (overload's: one server core, the control plane open, 3x cores \
+       workers at a 30,000-cycle period)."
+  and+ period =
+    int_opt ~docv:"CYCLES" "period"
+      "Mean inter-arrival gap per overload worker; smaller means a hotter \
+       offered load."
+  and+ plan =
+    Arg.(
+      value & opt string ""
+      & info [ "plan" ] ~docv:"SPEC"
+          ~doc:
+            "Fault plan, e.g. \
+             'drop:fs:0.05;dup:fs1:0.02;crash:1@200000+150000'. Empty runs \
+             fault-free.")
+  and+ deadline =
+    int_opt ~docv:"CYCLES" "deadline"
+      "First-attempt RPC deadline; 0 disables retries. A fault plan arms \
+       25000 when the configuration has none."
+  and+ tune = tune_t in
+  let tune c =
+    let c = Driver.with_fault_plan plan (tune c) in
+    match deadline with
+    | Some d ->
         {
           c with
-          Config.placement = Config.Sharded { servers = s; vnodes };
-          shard_plan;
+          Config.rpc_deadline = d;
+          deadline_propagation = c.Config.deadline_propagation && d > 0;
         }
-    | None, Some s -> { c with Config.placement = Config.Split s }
-    | None, None -> c
+    | None -> c
+  in
+  { cores; nprocs; scale; world; preset = not no_preset; period; plan; tune }
+
+type reports = {
+  robust : bool;
+  perf : bool;
+  trace : string option;
+  strict : bool;
+  profile : bool;
+  metrics : int option;
+  blame : bool;
+  series : string option;
+  check : bool;
+  ring : bool;
+  verbose : bool;
+}
+
+let reports_t =
+  let+ robust =
+    flag "robust"
+      "Print the robustness counters and per-class latency percentiles (and \
+       the overload workload's goodput)."
+  and+ perf =
+    flag "perf"
+      "Print the pipelining perf counters (window depth, batch histogram, \
+       lease hit rate)."
+  and+ trace =
+    file_opt "trace"
+      "Export the span trace as Perfetto-compatible (Chrome trace-event) \
+       JSON: one track per core plus a DRAM track, with counter tracks."
+  and+ strict =
+    flag "strict" "Exit 1 when any trace events were dropped by ring rotation."
+  and+ profile =
+    flag "profile"
+      "Print where the cycles went, per opcode: compute, send, queue-wait, \
+       dispatch, cache and DRAM buckets that sum exactly to each op's cycles."
+  and+ metrics =
+    int_opt ~docv:"CYCLES" "metrics"
+      "Sample the telemetry gauges every $(docv) simulated cycles; print the \
+       gauge table and the latency knee (mirrored as counter tracks in \
+       --trace)."
+  and+ blame =
+    flag "blame"
+      "Print the per-class tail-latency blame report and the slowest op's \
+       critical path (needs --retain)."
+  and+ series =
+    file_opt "series"
+      "Dump the raw per-gauge time series as JSON (with --metrics)."
+  and+ check =
+    flag "check"
+      "Run under the coherence sanitizer, beside an unchecked twin run whose \
+       clock must match. Exit 1: violations; 2: the checker perturbed the \
+       simulation."
+  and+ ring =
+    flag "ring"
+      "Dump the placement ring (with --shard): per-server homes, \
+       inode/dentry counts, load, the vnode layout, migration counters."
+  and+ verbose =
+    flag "verbose"
+      "Also print the system-call mix (and, with --check, the checker's \
+       event counters)."
   in
   {
-    c with
-    Config.dir_distribution = not nd;
-    dir_broadcast = not nb;
-    direct_access = not ndir;
-    dir_cache = not ndc;
-    creation_affinity = not na;
-    dist_width = width;
-    block_stealing = st;
+    robust;
+    perf;
+    trace;
+    strict;
+    profile;
+    metrics;
+    blame;
+    series;
+    check;
+    ring;
+    verbose;
   }
 
-(* ---------- bench command ----------------------------------------------- *)
+let hare_only r =
+  r.robust || r.perf || r.trace <> None || r.profile || r.metrics <> None
+  || r.blame || r.check || r.ring
 
-let run_bench name cores nprocs scale world split shard vnodes shard_plan nd nb
-    ndir ndc na width st verbose =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec ->
-      let config =
-        mk_config ~shard ~vnodes ~shard_plan cores split nd nb ndir ndc na
-          width st
+(* The configuration of one workload's run: defaults, the workload's
+   preset, the config flags, then what the reports need. [fresh] makes
+   a workload instance — with its own overload counters — per run. *)
+let instance s r (spec : Spec.t) =
+  let base = Driver.default_config ~ncores:s.cores in
+  let overload = spec.Spec.name = O.spec.Spec.name in
+  let preset = if s.preset && overload then Some (O.preset base) else None in
+  let c = s.tune (match preset with Some p -> p.O.config | None -> base) in
+  let c =
+    {
+      c with
+      Config.metrics_interval =
+        Option.value r.metrics ~default:c.Config.metrics_interval;
+      check_enabled = c.Config.check_enabled || r.check;
+      trace_cap = (if r.trace = None then 0 else c.Config.trace_cap);
+    }
+  in
+  let c =
+    {
+      c with
+      Config.trace_enabled =
+        c.Config.trace_enabled || r.robust || r.profile || r.trace <> None
+        || c.Config.metrics_interval > 0
+        || c.Config.trace_retain > 0;
+    }
+  in
+  let nprocs =
+    match (s.nprocs, preset) with
+    | Some n, _ | None, Some { O.workers = n; _ } -> Some n
+    | None, None -> None
+  in
+  let fresh () =
+    if overload then
+      let period =
+        match (s.period, preset) with
+        | Some p, _ | None, Some { O.period = p; _ } -> p
+        | None, None -> O.default_period
       in
-      let t0 = Unix.gettimeofday () in
-      let result =
-        match world with
-        | `Hare -> HD.run ~config ?nprocs ~scale spec
-        | `Linux -> LD.run ~config ?nprocs ~scale spec
-        | `Unfs -> HD.run ~config:(World.unfs_config config) ?nprocs ~scale spec
-      in
-      let wall = Unix.gettimeofday () -. t0 in
+      let spec, counters = O.make ~period () in
+      (spec, Some (counters, period))
+    else (spec, None)
+  in
+  (c, nprocs, fresh)
+
+(* What would make this run meaningless, as a one-line error. *)
+let problem r (c : Config.t) =
+  let sharded =
+    match c.Config.placement with Config.Sharded _ -> true | _ -> false
+  in
+  match Config.validate c with
+  | Error msg -> Some ("bad configuration: " ^ msg)
+  | Ok () when r.blame && c.Config.trace_retain = 0 ->
+      Some "--blame needs --retain K > 0"
+  | Ok () when r.ring && not sharded -> Some "--ring needs --shard"
+  | Ok () when r.series <> None && c.Config.metrics_interval = 0 ->
+      Some "--series needs --metrics N"
+  | Ok () -> None
+
+(* Run [spec] once and print the bench line for its timed region:
+   throughput, plus the simulator engine's host-side cost. *)
+let run_timed (type w) (module W : World.WORLD with type world = w) ~config
+    ?nprocs ~scale ~verbose (spec : Spec.t) =
+  let module D = Driver.Make (W) in
+  let t0 = ref 0.0 and t1 = ref 0.0 in
+  let ops0 = ref (Hare_stats.Opcount.create ()) in
+  let wall0 = Unix.gettimeofday () in
+  let w, failures =
+    D.exec ~config ?nprocs ~scale spec
+      ~on_start:(fun w ->
+        ops0 := Hare_stats.Opcount.snapshot (W.syscalls w);
+        t0 := W.seconds w)
+      ~after:(fun w _ ~failures:_ -> t1 := W.seconds w)
+  in
+  let wall = Unix.gettimeofday () -. wall0 in
+  let nprocs =
+    match nprocs with
+    | Some n -> n
+    | None -> List.length (Config.app_cores config)
+  in
+  let ops = spec.Spec.ops ~nprocs ~scale in
+  let elapsed = !t1 -. !t0 in
+  Printf.printf
+    "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
+    spec.Spec.name W.name nprocs ops elapsed
+    (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
+  let es = W.engine_stats w in
+  if es.World.es_events > 0 then
+    Printf.printf
+      "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
+       host-side)\n"
+      es.World.es_events es.World.es_peak_fibers wall
+      (if wall > 0.0 then float_of_int ops /. wall else 0.0);
+  if verbose then begin
+    print_endline "system-call mix:";
+    Format.printf "%a@." Hare_stats.Opcount.pp
+      (Hare_stats.Opcount.diff ~since:!ops0 (W.syscalls w))
+  end;
+  if failures > 0 then
+    Printf.eprintf "error: %s: %d worker(s) failed\n%!" spec.Spec.name failures;
+  (w, if failures > 0 then 1 else 0)
+
+(* ---------- reports: each reads the finished machine (whole run) -------- *)
+
+let counter_table headers rows =
+  Table.print ~headers (List.map (fun (k, v) -> [ k; string_of_int v ]) rows)
+
+let report_robust ~plan ~overload name m =
+  Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n" name plan
+    (Machine.seconds m) (Machine.total_rpcs m);
+  Option.iter
+    (fun ((c : O.counters), period) ->
+      let secs = Machine.seconds m in
       Printf.printf
-        "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
-        result.Driver.bench result.Driver.world result.Driver.nprocs
-        result.Driver.ops result.Driver.elapsed result.Driver.throughput;
-      let es = result.Driver.engine in
-      if es.World.es_events > 0 then
+        "  mean period %d cycles: sent %d | ok %d | shed %d | fast-fail %d | \
+         skipped %d\n"
+        period c.O.sent c.O.ok c.O.shed c.O.fast_fail c.O.skipped;
+      if secs > 0. && c.O.sent > 0 then
         Printf.printf
-          "engine: %d events, peak %d live fibers, %.2fs wall (%.0f \
-           sim_ops/s host-side)\n"
-          es.World.es_events es.World.es_peak_fibers wall
-          (if wall > 0.0 then float_of_int result.Driver.ops /. wall else 0.0);
-      if verbose then begin
-        print_endline "system-call mix:";
-        Format.printf "%a@." Hare_stats.Opcount.pp result.Driver.syscalls
-      end;
-      0
+          "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
+          (float_of_int c.O.ok /. secs)
+          (float_of_int c.O.sent /. secs)
+          (100. *. float_of_int c.O.ok /. float_of_int c.O.sent))
+    overload;
+  counter_table [ "robustness counter"; "count" ]
+    (Hare_stats.Robust.to_list (Machine.robustness m));
+  (match Option.map Driver.latencies_of_trace (Machine.trace m) with
+  | None | Some [] -> ()
+  | Some dists ->
+      Table.print
+        ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
+        (List.map
+           (fun (cls, (d : Hare_stats.Latency.dist)) ->
+             cls :: string_of_int d.Hare_stats.Latency.n
+             :: List.map Int64.to_string
+                  Hare_stats.Latency.[ d.p50; d.p95; d.p99; d.lmax ])
+           dists));
+  0
 
-let bench_cmd =
-  let name_arg =
+let report_perf (c : Config.t) name m =
+  Printf.printf
+    "%s: window=%d batch=%d extent=%d: %.0f simulated cycles, %d RPCs\n" name
+    c.Config.rpc_window c.Config.batch_max c.Config.alloc_extent
+    (Machine.seconds m
+    *. float_of_int c.Config.costs.Hare_config.Costs.cycles_per_us
+    *. 1e6)
+    (Machine.total_rpcs m);
+  let perf = Machine.perf m in
+  counter_table [ "perf counter"; "value" ] (Hare_stats.Perf.to_list perf);
+  Format.printf "batch-size histogram: %a@." Hare_stats.Perf.pp_hist perf;
+  Format.printf "mean batch %.2f, lease hit rate %.2f@."
+    (Hare_stats.Perf.mean_batch perf)
+    (Hare_stats.Perf.lease_hit_rate perf);
+  Printf.printf "dircache evictions: %d\n"
+    (Array.fold_left
+       (fun n c ->
+         n + Hare_client.Dircache.evictions (Hare_client.Client.dircache c))
+       0 (Machine.clients m));
+  0
+
+(* Dropped ring events mean the export is missing the oldest spans:
+   shout on stderr so a truncated artifact is never mistaken for a
+   complete one, and fail outright under --strict. *)
+let report_trace ~strict ~out name m tr =
+  Out_channel.with_open_bin out (fun oc ->
+      Out_channel.output_string oc (Trace.to_chrome_json tr));
+  Printf.printf
+    "%s: %.6f simulated seconds; %d events on %d tracks (%d dropped) -> %s\n"
+    name (Machine.seconds m)
+    (List.length (Trace.events tr))
+    (List.length (Trace.tracks tr))
+    (Trace.dropped tr) out;
+  print_endline
+    (if Trace.ring_enabled tr then
+       "open in https://ui.perfetto.dev or chrome://tracing"
+     else "span ring empty by request (--trace-cap 0): metadata-only export");
+  let d = Trace.dropped tr in
+  if d = 0 then 0
+  else begin
+    Printf.eprintf
+      "WARNING: %d trace event(s) dropped by ring rotation — this export is \
+       incomplete (raise --trace-cap)\n"
+      d;
+    if strict then begin
+      prerr_endline "--strict: failing on dropped events";
+      1
+    end
+    else 0
+  end
+
+let report_profile name m tr =
+  let rows = Trace.profile tr in
+  let per_bucket = Array.make Trace.nbuckets 0L in
+  let grand =
+    List.fold_left
+      (fun acc (r : Trace.row) ->
+        Array.iteri
+          (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c)
+          r.Trace.r_buckets;
+        Int64.add acc r.Trace.r_total)
+      0L rows
+  in
+  let cells total buckets =
+    Int64.to_string total :: Array.to_list (Array.map Int64.to_string buckets)
+  in
+  Printf.printf "%s: %.6f simulated seconds, %Ld attributed cycles\n" name
+    (Machine.seconds m) grand;
+  Table.print
+    ~headers:([ "op"; "count"; "cycles" ] @ Trace.bucket_names)
+    (List.map
+       (fun (r : Trace.row) ->
+         r.Trace.r_op :: string_of_int r.Trace.r_count
+         :: cells r.Trace.r_total r.Trace.r_buckets)
+       rows
+    @ [ "TOTAL" :: "" :: cells grand per_bucket ]);
+  let unattributed =
+    Int64.sub grand (Array.fold_left Int64.add 0L per_bucket)
+  in
+  Printf.printf "unattributed cycles: %Ld (of %Ld)\n" unattributed grand;
+  if unattributed <> 0L then 1 else 0
+
+(* Raw time series as JSON: one [stamp, value] pair array per gauge, on
+   the sampling grid. *)
+let series_json mt =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  add "{\n  \"schema\": \"hare-metrics/1\",\n";
+  add "  \"interval\": %d,\n" (Metrics.interval mt);
+  add "  \"samples\": %d,\n" (Metrics.samples mt);
+  add "  \"dropped\": %d,\n" (Metrics.dropped mt);
+  add "  \"series\": {\n";
+  let series = Metrics.series mt in
+  List.iteri
+    (fun i (gname, points) ->
+      add "    \"%s\": [ %s ]%s\n" gname
+        (String.concat ", "
+           (List.map (fun (ts, v) -> Printf.sprintf "[%d, %d]" ts v) points))
+        (if i < List.length series - 1 then "," else ""))
+    series;
+  add "  }\n}\n";
+  Buffer.contents buf
+
+let report_metrics ~series name m mt =
+  Printf.printf
+    "%s: %.6f simulated seconds; %d gauges sampled every %d cycles (%d \
+     samples, %d overwritten)\n"
+    name (Machine.seconds m) (Metrics.ngauges mt) (Metrics.interval mt)
+    (Metrics.samples mt) (Metrics.dropped mt);
+  Table.print
+    ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
+    (List.map
+       (fun (g : Metrics.summary) ->
+         [
+           g.Metrics.s_name;
+           string_of_int g.Metrics.s_n;
+           string_of_int g.Metrics.s_min;
+           string_of_int g.Metrics.s_max;
+           Printf.sprintf "%.1f" g.Metrics.s_mean;
+           string_of_int g.Metrics.s_last;
+         ])
+       (Metrics.summaries mt));
+  Option.iter
+    (fun tr ->
+      let spans =
+        List.map
+          (fun (_, t0, dur) -> (Int64.to_int t0, Int64.to_int dur))
+          (Trace.root_spans tr)
+      in
+      match Knee.detect ~window:(8 * Metrics.interval mt) spans with
+      | Some k ->
+          Printf.printf
+            "knee: p99 left the flat regime at cycle %d (window %d: %Ld -> %Ld \
+             cycles over %d judged windows)\n"
+            k.Knee.k_at k.Knee.k_window k.Knee.k_before k.Knee.k_after
+            k.Knee.k_windows
+      | None -> print_endline "knee: none (p99 stayed flat)")
+    (Machine.trace m);
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (series_json mt));
+      Printf.printf "wrote %s\n" file)
+    series;
+  0
+
+let report_blame tr =
+  (match Blame.of_trace tr with
+  | [] ->
+      print_endline
+        "blame: nothing retained (is the run long enough for --retain?)"
+  | reports -> (
+      print_newline ();
+      Table.print
+        ~headers:
+          [ "class"; "n"; "p99"; "bucket"; "srv"; "qdepth mean/max";
+            "worst op"; "worst cycles" ]
+        (List.map
+           (fun (b : Blame.t) ->
+             [
+               b.Blame.b_class;
+               string_of_int b.Blame.b_n;
+               Int64.to_string b.Blame.b_p99;
+               Printf.sprintf "%s (%.0f%%)" b.Blame.b_bucket
+                 (100. *. b.Blame.b_bucket_share);
+               (if b.Blame.b_srv < 0 then "-"
+                else
+                  Printf.sprintf "fs%d (%.0f%%)" b.Blame.b_srv
+                    (100. *. b.Blame.b_srv_share));
+               (if b.Blame.b_qdepth_max < 0 then "-"
+                else
+                  Printf.sprintf "%.1f/%d" b.Blame.b_qdepth_mean
+                    b.Blame.b_qdepth_max);
+               b.Blame.b_worst_op;
+               string_of_int b.Blame.b_worst_dur;
+             ])
+           reports);
+      (* Critical path of the slowest retained op overall: the exact
+         bucket decomposition of its cycles. *)
+      match Trace.retained tr with
+      | [] -> ()
+      | worst :: _ ->
+          Printf.printf "\ncritical path of slowest op (%s, %d cycles):\n"
+            worst.Trace.rt_op worst.Trace.rt_dur;
+          List.iter
+            (fun (bucket, cy) ->
+              Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
+                (100. *. float_of_int cy
+                /. float_of_int (max 1 worst.Trace.rt_dur)))
+            (Blame.critical_path worst)));
+  0
+
+(* Which physical server hosts which logical homes (and how much state),
+   plus the migration counters a membership plan produced. *)
+let report_ring m place =
+  let module Place = Hare_place.Place in
+  let module Server = Hare_server.Server in
+  Printf.printf
+    "ring: %d logical homes x %d vnodes over %d physical servers (epoch %d)\n"
+    (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
+    (Place.epoch place);
+  Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
+    (Machine.seconds m) (Machine.imbalance m);
+  let loads = Machine.server_loads m in
+  Table.print
+    ~headers:
+      [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops"; "peak-q"; "in";
+        "out"; "bounced" ]
+    (Array.to_list (Machine.servers m)
+    |> List.map (fun s ->
+           let sid = Server.sid s in
+           let ops, peak =
+             List.fold_left
+               (fun acc (i, o, q) -> if i = sid then (o, q) else acc)
+               (0, 0) loads
+           in
+           [
+             Printf.sprintf "fs%d" sid;
+             (if Place.active place sid then "active" else "retired");
+             String.concat "," (List.map string_of_int (Server.hosted_homes s));
+           ]
+           @ List.map string_of_int
+               [
+                 Server.inode_count s; Server.dentry_count s; ops; peak;
+                 Server.homes_migrated_in s; Server.homes_migrated_out s;
+                 Server.moved_rejects s;
+               ]));
+  print_newline ();
+  (* Vnode layout: each home's current route and its rendezvous weight
+     there (the argmax over the active servers' points). *)
+  Table.print
+    ~headers:[ "home"; "srv"; "weight" ]
+    (List.init (Place.nhomes place) (fun h ->
+         let srv = Place.phys place h in
+         [
+           string_of_int h;
+           Printf.sprintf "fs%d" srv;
+           Printf.sprintf "%08x"
+             (Place.weight place ~home:h ~srv land 0xffffffff);
+         ]));
+  Printf.printf
+    "\nmigrations: %d moved, %d aborted; clients chased %d EMOVED bounce(s)\n"
+    (Place.migrations place) (Place.aborted place)
+    (Machine.total_moved_retries m);
+  0
+
+(* The sanitizer verdict accumulates over every workload of the run and
+   is printed once at the end. *)
+type verdict = {
+  total : Sanity.t;
+  mutable recorded : Check.violation list;
+  mutable perturbed : bool;
+}
+
+(* The check contract: the checked run's clock must match an unchecked
+   twin's cycle for cycle, else the checker perturbed the simulation. *)
+let report_check verdict ~twin name m =
+  if Machine.now twin <> Machine.now m then begin
+    verdict.perturbed <- true;
+    Printf.printf "%s: PERTURBED: %Ld cycles unchecked vs %Ld checked\n" name
+      (Machine.now twin) (Machine.now m)
+  end
+  else
+    Printf.printf
+      "%s: %.6f simulated seconds, clock identical with checking on\n" name
+      (Machine.seconds m);
+  Option.iter
+    (fun chk ->
+      Sanity.merge ~into:verdict.total (Check.stats chk);
+      verdict.recorded <- verdict.recorded @ Check.violations chk)
+    (Machine.check m)
+
+let print_verdict ~verbose v =
+  counter_table [ "rule"; "violations" ] (Sanity.violations v.total);
+  if verbose then
+    counter_table [ "checker counter"; "value" ] (Sanity.to_list v.total);
+  List.iteri
+    (fun i x -> if i < 20 then Format.printf "%a@." Check.pp_violation x)
+    v.recorded;
+  let n = List.length v.recorded in
+  if n > 20 then Printf.printf "... and %d more\n" (n - 20);
+  if v.perturbed then begin
+    print_endline "FAIL: the sanitizer perturbed the simulation";
+    2
+  end
+  else if Sanity.total_violations v.total > 0 then begin
+    print_endline "FAIL: coherence/protocol violations detected";
+    1
+  end
+  else begin
+    print_endline "OK: no violations, zero perturbation";
+    0
+  end
+
+(* One workload through the pipeline; the exit code is the worst of the
+   worker outcome and every requested report's. *)
+let run_one s r verdict (spec : Spec.t) =
+  let config, nprocs, fresh = instance s r spec in
+  match problem r config with
+  | Some msg ->
+      prerr_endline msg;
+      1
+  | None -> (
+      let scale = s.scale and verbose = r.verbose in
+      let spec, overload = fresh () in
+      match s.world with
+      | `Linux ->
+          snd
+            (run_timed (module World.Linux_w) ~config ?nprocs ~scale ~verbose
+               spec)
+      | `Unfs ->
+          snd
+            (run_timed (module World.Hare_w) ~config:(World.unfs_config config)
+               ?nprocs ~scale ~verbose spec)
+      | `Hare ->
+          let m, rc =
+            run_timed (module World.Hare_w) ~config ?nprocs ~scale ~verbose spec
+          in
+          let name = spec.Spec.name in
+          let traced f () =
+            match Machine.trace m with Some tr -> f tr | None -> 0
+          in
+          (* Reports print in this order; each is a thunk so it runs only
+             when requested. *)
+          let reports =
+            [
+              (r.robust, fun () -> report_robust ~plan:s.plan ~overload name m);
+              (r.perf, fun () -> report_perf config name m);
+              ( r.trace <> None,
+                traced
+                  (report_trace ~strict:r.strict
+                     ~out:(Option.value r.trace ~default:"")
+                     name m) );
+              (r.profile, traced (report_profile name m));
+              ( config.Config.metrics_interval > 0,
+                fun () ->
+                  Option.fold ~none:0
+                    ~some:(report_metrics ~series:r.series name m)
+                    (Machine.metrics m) );
+              (r.blame, traced report_blame);
+              ( r.ring,
+                fun () ->
+                  Option.fold ~none:0 ~some:(report_ring m) (Machine.place m) );
+            ]
+          in
+          let rc =
+            List.fold_left
+              (fun rc (wanted, report) ->
+                if wanted then max rc (report ()) else rc)
+              rc reports
+          in
+          if r.check then begin
+            let twin, _ =
+              HD.exec
+                ~config:{ config with Config.check_enabled = false }
+                ?nprocs ~scale (fst (fresh ()))
+            in
+            report_check verdict ~twin name m
+          end;
+          rc)
+
+let run_cmd =
+  let bench_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
+      & info [] ~docv:"BENCH"
+          ~doc:"Benchmark name (see `hare_cli list`), or 'all'.")
   in
-  let verbose = flag "verbose" "Also print the system-call mix." in
+  let go name s r =
+    let specs =
+      if name = "all" then Some Hare_workloads.All.specs
+      else
+        List.find_opt
+          (fun (sp : Spec.t) -> sp.Spec.name = name)
+          Hare_workloads.All.specs
+        |> Option.map (fun sp -> [ sp ])
+    in
+    let refuse msg =
+      prerr_endline msg;
+      1
+    in
+    match (specs, Hare_fault.Plan.parse s.plan) with
+    | None, _ ->
+        refuse (Printf.sprintf "unknown benchmark %S; try `hare_cli list`" name)
+    | _, Error msg -> refuse ("bad --plan: " ^ msg)
+    | Some _, Ok _ when s.world <> `Hare && hare_only r ->
+        refuse "the report flags need --world hare"
+    | Some (_ :: _ :: _), Ok _ when r.trace <> None || r.series <> None ->
+        refuse "--trace and --series write one file: name a single benchmark"
+    | Some specs, Ok _ ->
+        let verdict =
+          { total = Sanity.create (); recorded = []; perturbed = false }
+        in
+        let rc =
+          List.fold_left
+            (fun rc spec -> max rc (run_one s r verdict spec))
+            0 specs
+        in
+        if r.check then max rc (print_verdict ~verbose:r.verbose verdict)
+        else rc
+  in
   Cmd.v
-    (Cmd.info "bench"
+    (Cmd.info "run"
        ~doc:
-         "Run one benchmark and print its throughput, plus the simulator \
-          engine's host-side cost (events executed, peak live fibers, wall \
-          clock). Machines up to 512 cores are practical, e.g. $(b,bench \
-          creates --cores 512 --split 64); $(b,bench/main.exe -- --json) \
-          emits the full 64-512-core engine-scalability sweep \
-          (sim_ops_per_sec, sim_events_per_sec, peak_live_fibers per row).")
-    Term.(
-      const run_bench $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ world_arg $ split_arg $ shard_arg $ vnodes_arg $ shard_plan_arg
-      $ no_dist $ no_bcast $ no_direct $ no_dcache $ no_affinity $ width_arg
-      $ steal $ verbose)
+         "Run one benchmark (or all of them) and print its throughput and the \
+          simulator engine's host-side cost, plus any requested reports. \
+          Config flags set up the machine over the default configuration and \
+          the workload's preset; report flags compose. Every report covers \
+          the whole run (setup included); the throughput line covers the \
+          timed region. Machines up to 512 cores are practical, e.g. \
+          $(b,run creates --cores 512 --split 64). Exit 0: clean; 1: a \
+          failed worker, a report failure, violations or bad arguments; 2: \
+          the sanitizer perturbed the simulation.")
+    Term.(const go $ bench_arg $ setup_t $ reports_t)
 
 (* ---------- fig command ------------------------------------------------- *)
 
@@ -189,28 +869,33 @@ let run_fig which quick scale =
     let base = if quick then Figures.quick else Figures.default in
     { base with Figures.scale }
   in
-  (match which with
-  | "4" -> Figures.print_fig4 ()
-  | "5" -> Figures.print_fig5 opts
-  | "6" -> Figures.print_fig6 opts
-  | "7" -> Figures.print_fig7 opts
-  | "8" -> Figures.print_fig8 opts
-  | "9" | "10" | "11" | "12" | "13" | "14" -> Figures.print_techniques opts
-  | "15" -> Figures.print_fig15 opts
-  | "micro" -> Figures.print_micro opts
-  | "ext" | "extensions" -> Figures.print_extensions opts
-  | "all" -> Figures.print_all opts
+  let print f =
+    f ();
+    0
+  in
+  match which with
+  | "4" -> print Figures.print_fig4
+  | "5" -> print (fun () -> Figures.print_fig5 opts)
+  | "6" -> print (fun () -> Figures.print_fig6 opts)
+  | "7" -> print (fun () -> Figures.print_fig7 opts)
+  | "8" -> print (fun () -> Figures.print_fig8 opts)
+  | "9" | "10" | "11" | "12" | "13" | "14" ->
+      print (fun () -> Figures.print_techniques opts)
+  | "15" -> print (fun () -> Figures.print_fig15 opts)
+  | "micro" -> print (fun () -> Figures.print_micro opts)
+  | "ext" | "extensions" -> print (fun () -> Figures.print_extensions opts)
+  | "all" -> print (fun () -> Figures.print_all opts)
   | other ->
-      Printf.eprintf "unknown figure %S (use 4-15, micro, all)\n" other;
-      exit 1);
-  0
+      Printf.eprintf "unknown figure %S (use 4-15, micro, ext, all)\n" other;
+      1
 
 let fig_cmd =
   let which =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIG" ~doc:"Figure number (4-15), 'micro', 'ext', or 'all'.")
+      & info [] ~docv:"FIG"
+          ~doc:"Figure number (4-15), 'micro', 'ext', or 'all'.")
   in
   let quick =
     flag "quick" "Use small machine sizes (8 cores) for a fast run."
@@ -242,20 +927,20 @@ let shell_help =
 
 let run_shell cores =
   let module Posix = Hare.Posix in
-  let config = mk_config cores None false false false false false None false in
-  let m = Hare.Machine.boot config in
-  Hare.Machine.register_program m "shell-worker" (fun p args ->
+  let m = Machine.boot (Driver.default_config ~ncores:cores) in
+  Machine.register_program m "shell-worker" (fun p args ->
       let id = match args with a :: _ -> a | [] -> "?" in
       let fd =
         Posix.openf p
-          (Printf.sprintf "/shell/worker-%s-core%d" id p.Hare_proc.Process.core_id)
+          (Printf.sprintf "/shell/worker-%s-core%d" id
+             p.Hare_proc.Process.core_id)
           Hare_proto.Types.flags_w
       in
       ignore (Posix.write p fd ("written by worker " ^ id));
       Posix.close p fd;
       0);
   let init, _console =
-    Hare.Machine.spawn_init m ~name:"shell" (fun p _ ->
+    Machine.spawn_init m ~name:"shell" (fun p _ ->
         print_string shell_help;
         let quit = ref false in
         while not !quit do
@@ -277,8 +962,7 @@ let run_shell cores =
                     let dir = match words with [ _; d ] -> d | _ -> "." in
                     List.iter
                       (fun (e : Hare_proto.Wire.entry) ->
-                        Printf.printf "%s%s
-" e.Hare_proto.Wire.e_name
+                        Printf.printf "%s%s\n" e.Hare_proto.Wire.e_name
                           (if e.Hare_proto.Wire.e_ftype = Hare_proto.Types.Dir
                            then "/"
                            else ""))
@@ -302,8 +986,7 @@ let run_shell cores =
                 | [ "mv"; a; b ] -> Posix.rename p a b
                 | [ "stat"; path ] ->
                     let a = Posix.stat p path in
-                    Printf.printf "ino=%d:%d type=%s size=%d dist=%b
-"
+                    Printf.printf "ino=%d:%d type=%s size=%d dist=%b\n"
                       a.Hare_proto.Types.a_ino.Hare_proto.Types.server
                       a.Hare_proto.Types.a_ino.Hare_proto.Types.ino
                       (match a.Hare_proto.Types.a_ftype with
@@ -321,23 +1004,20 @@ let run_shell cores =
                     in
                     List.iter
                       (fun pid ->
-                        Printf.printf "pid %d -> exit %d
-" pid
+                        Printf.printf "pid %d -> exit %d\n" pid
                           (Posix.waitpid p pid))
                       pids
                 | [ "time" ] ->
-                    Printf.printf "%.3f simulated ms
-"
-                      (Hare.Machine.seconds m *. 1000.0)
+                    Printf.printf "%.3f simulated ms\n"
+                      (Machine.seconds m *. 1000.0)
                 | _ -> print_endline "unknown command; try 'help'"
               with Hare_proto.Errno.Error (e, ctx) ->
-                Printf.printf "error: %s (%s)
-" (Hare_proto.Errno.to_string e)
+                Printf.printf "error: %s (%s)\n" (Hare_proto.Errno.to_string e)
                   ctx)
         done;
         0)
   in
-  Hare.Machine.run m;
+  Machine.run m;
   ignore init;
   0
 
@@ -349,1400 +1029,31 @@ let shell_cmd =
           commands from stdin; try 'help').")
     Term.(const run_shell $ cores_arg)
 
-(* ---------- faults command ---------------------------------------------- *)
-
-(* Run a workload on Hare under a fault plan and report the robustness
-   counters: what the injector did to the messages, and what the retry
-   and crash-recovery machinery did about it. *)
-let run_faults name plan deadline retries seed cores nprocs scale strict =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec -> (
-      match Hare_fault.Plan.parse plan with
-      | Error msg ->
-          Printf.eprintf "bad --plan: %s\n" msg;
-          1
-      | Ok _ ->
-          let module Machine = Hare.Machine in
-          let module Posix = Hare.Posix in
-          let module Api = Hare_api.Api in
-          (* Wire faults only bite tagged (retryable) requests, so a plan
-             without an armed deadline would silently no-op; conversely an
-             armed deadline with no plan still times out the slowest RPCs.
-             Default to off when fault-free and a sane deadline otherwise. *)
-          let deadline =
-            match deadline with
-            | Some d -> d
-            | None -> if plan = "" then 0 else 25_000
-          in
-          if plan <> "" && deadline <= 0 then (
-            Printf.eprintf
-              "a fault plan needs --deadline > 0: without timeouts clients \
-               never retry a dropped message\n";
-            exit 1);
-          let config =
-            {
-              (Driver.default_config ~ncores:cores) with
-              Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-              fault_plan = plan;
-              rpc_deadline = deadline;
-              rpc_retries = retries;
-              partial_broadcast = not strict;
-              seed = Int64.of_int seed;
-            }
-          in
-          let m = Machine.boot config in
-          let api = World.Hare_w.api m in
-          let nprocs =
-            match nprocs with
-            | Some n -> n
-            | None -> List.length (Config.app_cores config)
-          in
-          List.iter
-            (fun (prog, body) -> api.Api.register_program prog body)
-            (spec.Hare_workloads.Spec.programs api);
-          api.Api.register_program "bench-worker" (fun p args ->
-              let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-              spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-              0);
-          let init, _ =
-            Machine.spawn_init m
-              ~name:("faults-" ^ spec.Hare_workloads.Spec.name)
-              (fun p _ ->
-                spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                let workers =
-                  match spec.Hare_workloads.Spec.mode with
-                  | Hare_workloads.Spec.Workers -> nprocs
-                  | Hare_workloads.Spec.Make -> 1
-                in
-                let pids =
-                  List.init workers (fun i ->
-                      Posix.spawn p ~prog:"bench-worker"
-                        ~args:[ string_of_int i ])
-                in
-                List.fold_left
-                  (fun acc pid ->
-                    if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                  0 pids)
-          in
-          Machine.run m;
-          let failed =
-            match Machine.exit_status m init with
-            | Some 0 -> false
-            | Some n ->
-                Printf.printf "%d worker(s) failed (gave up under faults)\n" n;
-                true
-            | None ->
-                print_endline "init never finished";
-                true
-          in
-          Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n"
-            spec.Hare_workloads.Spec.name plan (Machine.seconds m)
-            (Machine.total_rpcs m);
-          let robust = Machine.robustness m in
-          Hare_stats.Table.print
-            ~headers:[ "robustness counter"; "count" ]
-            (List.map
-               (fun (k, v) -> [ k; string_of_int v ])
-               (Hare_stats.Robust.to_list robust));
-          if failed then 1 else 0)
-
-let faults_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan, e.g. \
-             'drop:fs:0.05;dup:fs1:0.02;crash:1@200000+150000'. Empty \
-             runs fault-free.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:
-            "First-attempt RPC deadline in cycles; 0 disables retries. \
-             Defaults to 0 without a plan, 25000 with one.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed; same seed + plan => identical faults.")
-  in
-  let strict =
-    flag "strict-broadcast"
-      "Fail broadcasts with EIO instead of returning partial results."
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:
-         "Run one benchmark on Hare under a deterministic fault plan and \
-          print the robustness counters.")
-    Term.(
-      const run_faults $ name_arg $ plan_arg $ deadline_arg $ retries_arg
-      $ seed_arg $ cores_arg $ nprocs_arg $ scale_arg $ strict)
-
-(* ---------- overload command -------------------------------------------- *)
-
-(* Drive the open-loop overload workload with the flow-control, load-shed,
-   retry-budget and circuit-breaker knobs open, and report how gracefully
-   the machine degrades: goodput vs. offered load, shed / fast-fail
-   counts, breaker transitions, and per-class latency percentiles from
-   the trace spans. Optionally runs under the coherence sanitizer and a
-   fault plan (a server crash is what trips the breakers). *)
-let run_overload cores split nprocs scale period deadline retries deadline_max
-    capacity budget breaker cooldown watermark seed plan check =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
-  let module Check = Hare_check.Check in
-  let module Sanity = Hare_stats.Sanity in
-  let module O = Hare_workloads.Overload in
-  match Hare_fault.Plan.parse plan with
-  | Error msg ->
-      Printf.eprintf "bad --plan: %s\n" msg;
-      1
-  | Ok _ ->
-      let spec = O.spec in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          placement = Config.Split split;
-          trace_enabled = true;
-          check_enabled = check;
-          fault_plan = plan;
-          rpc_deadline = deadline;
-          rpc_retries = retries;
-          rpc_deadline_max = deadline_max;
-          deadline_propagation = deadline > 0;
-          mailbox_capacity = capacity;
-          retry_budget = budget;
-          breaker_threshold = breaker;
-          breaker_cooldown = cooldown;
-          shed_watermark = watermark;
-          seed = Int64.of_int seed;
-        }
-      in
-      (* Open-loop saturation needs more synchronous workers than app
-         cores: each worker has at most one request outstanding. *)
-      let nprocs = match nprocs with Some n -> n | None -> 3 * cores in
-      O.reset ();
-      O.period := period;
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m ~name:"overload" (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let pids =
-              List.init nprocs (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      let failed =
-        match Machine.exit_status m init with
-        | Some 0 -> false
-        | Some n ->
-            Printf.printf "%d worker(s) failed\n" n;
-            true
-        | None ->
-            print_endline "init never finished";
-            true
-      in
-      let secs = Machine.seconds m in
-      Printf.printf
-        "overload: %d cores (%d server), %d workers, mean period %d cycles, \
-         %.6f simulated seconds\n"
-        cores split nprocs period secs;
-      Printf.printf "  sent %d | ok %d | shed %d | fast-fail %d | skipped %d\n"
-        !O.sent !O.ok !O.shed !O.fast_fail !O.skipped;
-      if secs > 0. && !O.sent > 0 then
-        Printf.printf
-          "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
-          (float_of_int !O.ok /. secs)
-          (float_of_int !O.sent /. secs)
-          (100. *. float_of_int !O.ok /. float_of_int !O.sent);
-      let robust = Machine.robustness m in
-      Hare_stats.Table.print
-        ~headers:[ "robustness counter"; "count" ]
-        (List.map
-           (fun (k, v) -> [ k; string_of_int v ])
-           (Hare_stats.Robust.to_list robust));
-      (match Machine.trace m with
-      | None -> ()
-      | Some tr -> (
-          match Driver.latencies_of_trace tr with
-          | [] -> ()
-          | dists ->
-              Hare_stats.Table.print
-                ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
-                (List.map
-                   (fun (cls, d) ->
-                     [
-                       cls;
-                       string_of_int d.Hare_stats.Latency.n;
-                       Int64.to_string d.Hare_stats.Latency.p50;
-                       Int64.to_string d.Hare_stats.Latency.p95;
-                       Int64.to_string d.Hare_stats.Latency.p99;
-                       Int64.to_string d.Hare_stats.Latency.lmax;
-                     ])
-                   dists)));
-      let violations =
-        match Machine.check m with
-        | None -> 0
-        | Some chk ->
-            let stats = Check.stats chk in
-            Hare_stats.Table.print
-              ~headers:[ "rule"; "violations" ]
-              (List.map
-                 (fun (k, v) -> [ k; string_of_int v ])
-                 (Sanity.violations stats));
-            let shown = ref 0 in
-            List.iter
-              (fun v ->
-                if !shown < 20 then begin
-                  Format.printf "%a@." Check.pp_violation v;
-                  incr shown
-                end)
-              (Check.violations chk);
-            Sanity.total_violations stats
-      in
-      if violations > 0 then begin
-        print_endline "FAIL: coherence/protocol violations under overload";
-        1
-      end
-      else if failed then 1
-      else 0
-
-let overload_cmd =
-  let split_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "split" ] ~docv:"S"
-          ~doc:"Cores dedicated to file servers (the bottleneck).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 30_000
-      & info [ "period" ] ~docv:"CYCLES"
-          ~doc:
-            "Mean inter-arrival gap per worker; smaller means a hotter \
-             offered load.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 60_000
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:"First-attempt RPC deadline; 0 disables retries.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let deadline_max_arg =
-    Arg.(
-      value & opt int 240_000
-      & info [ "deadline-max" ] ~docv:"CYCLES"
-          ~doc:"Ceiling on the backed-off retry deadline.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:
-            "Server mailbox capacity; senders without a credit park until \
-             a slot frees (0 = unbounded).")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "budget" ] ~docv:"N"
-          ~doc:
-            "Per-server retry budget; an empty bucket turns timeouts into \
-             immediate give-ups (0 = unlimited).")
-  in
-  let breaker_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "breaker" ] ~docv:"N"
-          ~doc:
-            "Consecutive give-ups that open a per-server circuit breaker \
-             (0 = disabled).")
-  in
-  let cooldown_arg =
-    Arg.(
-      value & opt int 150_000
-      & info [ "cooldown" ] ~docv:"CYCLES"
-          ~doc:"How long an open breaker fast-fails before probing.")
-  in
-  let watermark_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "watermark" ] ~docv:"N"
-          ~doc:
-            "Server queue depth above which background (then data) \
-             requests are shed with EBUSY (0 = disabled).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed; arrivals are deterministic per seed.")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan, e.g. 'crash:0@2000000+500000' — a server crash \
-             under load is what trips the circuit breakers.")
-  in
-  let check = flag "check" "Also run the coherence sanitizer." in
-  Cmd.v
-    (Cmd.info "overload"
-       ~doc:
-         "Drive the open-loop overload workload past saturation with the \
-          flow-control, shedding, retry-budget and circuit-breaker knobs \
-          open; print goodput, shed/fast-fail counts, breaker transitions \
-          and per-class latency percentiles.")
-    Term.(
-      const run_overload $ cores_arg $ split_arg $ nprocs_arg $ scale_arg
-      $ period_arg $ deadline_arg $ retries_arg $ deadline_max_arg
-      $ capacity_arg $ budget_arg $ breaker_arg $ cooldown_arg $ watermark_arg
-      $ seed_arg $ plan_arg $ check)
-
-(* ---------- perf command ------------------------------------------------ *)
-
-(* Run a workload with the pipelining/batching/extent knobs set from the
-   command line and print the Perf counters: window high-water mark,
-   batch-size histogram, extent-lease hit rate (PR 2). *)
-let run_perf name cores nprocs scale window batch extent dcap =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          rpc_window = window;
-          batch_max = batch;
-          alloc_extent = extent;
-          dircache_capacity = dcap;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("perf-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      let cycles =
-        Machine.seconds m
-        *. float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us
-        *. 1e6
-      in
-      Printf.printf
-        "%s: window=%d batch=%d extent=%d: %.0f simulated cycles, %d RPCs\n"
-        spec.Hare_workloads.Spec.name window batch extent cycles
-        (Machine.total_rpcs m);
-      let perf = Machine.perf m in
-      Hare_stats.Table.print
-        ~headers:[ "perf counter"; "value" ]
-        (List.map
-           (fun (k, v) -> [ k; string_of_int v ])
-           (Hare_stats.Perf.to_list perf));
-      Format.printf "batch-size histogram: %a@." Hare_stats.Perf.pp_hist perf;
-      Format.printf "mean batch %.2f, lease hit rate %.2f@."
-        (Hare_stats.Perf.mean_batch perf)
-        (Hare_stats.Perf.lease_hit_rate perf);
-      let evictions =
-        Array.fold_left
-          (fun n c ->
-            n + Hare_client.Dircache.evictions (Hare_client.Client.dircache c))
-          0 (Machine.clients m)
-      in
-      Printf.printf "dircache evictions: %d\n" evictions;
-      0
-
-let perf_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "window" ] ~docv:"W" ~doc:"rpc_window (1 = synchronous).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~docv:"B" ~doc:"batch_max (1 = one request per wakeup).")
-  in
-  let extent_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "extent" ] ~docv:"E" ~doc:"alloc_extent (1 = block-at-a-time).")
-  in
-  let dcap_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "dircache-capacity" ] ~docv:"N"
-          ~doc:"Bound the client dircache (0 = unbounded).")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Run one benchmark with the PR 2 pipelining knobs and print the \
-          perf counters (window depth, batch histogram, lease hit rate).")
-    Term.(
-      const run_perf $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ window_arg $ batch_arg $ extent_arg $ dcap_arg)
-
-(* ---------- trace / profile commands ------------------------------------ *)
-
-module Trace = Hare_trace.Trace
-
-(* Boot a machine with tracing on, run the whole workload (setup
-   included), and hand back the machine. Shared by `trace` (span export)
-   and `profile` (cycle attribution). *)
-let run_traced ?(metrics = 0) name cores nprocs scale cap seed =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      Error 1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          trace_enabled = true;
-          trace_cap = cap;
-          metrics_interval = metrics;
-          seed = Int64.of_int seed;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("trace-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      Ok (spec, m)
-
-let cap_arg =
-  Arg.(
-    value & opt int 65536
-    & info [ "trace-cap" ] ~docv:"N"
-        ~doc:
-          "Trace ring-buffer capacity in events; the oldest events are \
-           dropped (and counted) beyond it. 0 = no span ring: the export \
-           is a clean metadata-only artifact (never fails --strict).")
-
-let seed_arg' =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~docv:"S"
-        ~doc:"Simulation seed; same seed => byte-identical trace.")
-
-(* Dropped ring events mean the export (or profile) is missing the
-   oldest spans: shout on stderr so a truncated artifact is never
-   mistaken for a complete one, and fail outright under --strict. *)
-let dropped_verdict ~strict ~what tr =
-  let d = Trace.dropped tr in
-  if d = 0 then 0
-  else begin
-    Printf.eprintf
-      "WARNING: %d trace event(s) dropped by ring rotation — this %s is \
-       incomplete (raise --trace-cap)\n"
-      d what;
-    if strict then begin
-      Printf.eprintf "--strict: failing on dropped events\n";
-      1
-    end
-    else 0
-  end
-
-let strict_arg =
-  flag "strict" "Exit 1 when any trace events were dropped by ring rotation."
-
-let run_trace name out cores nprocs scale cap metrics seed strict =
-  match run_traced ~metrics name cores nprocs scale cap seed with
-  | Error rc -> rc
-  | Ok (spec, m) -> (
-      match Hare.Machine.trace m with
-      | None ->
-          prerr_endline "internal error: trace sink missing";
-          1
-      | Some tr ->
-          let json = Trace.to_chrome_json tr in
-          Out_channel.with_open_bin out (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf
-            "%s: %.6f simulated seconds; %d events on %d tracks (%d \
-             dropped) -> %s\n"
-            spec.Hare_workloads.Spec.name (Hare.Machine.seconds m)
-            (List.length (Trace.events tr))
-            (List.length (Trace.tracks tr))
-            (Trace.dropped tr) out;
-          if not (Trace.ring_enabled tr) then
-            print_endline
-              "span ring empty by request (--trace-cap 0): metadata-only \
-               export"
-          else
-            print_endline
-              "open in https://ui.perfetto.dev or chrome://tracing";
-          dropped_verdict ~strict ~what:"export" tr)
-
-let trace_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "trace.json"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Where to write the Chrome trace-event JSON.")
-  in
-  let metrics_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics" ] ~docv:"CYCLES"
-          ~doc:
-            "Also sample the telemetry gauges every $(docv) simulated \
-             cycles, mirrored as Perfetto counter tracks (metric:*) in \
-             the export (0 = off).")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one benchmark with span tracing on and export a \
-          Perfetto-compatible (Chrome trace-event) JSON file: one track \
-          per core plus a DRAM track, with counter tracks for CPU \
-          busy, mailbox depth, cache misses and DRAM traffic (and, with \
-          $(b,--metrics), the telemetry gauges).")
-    Term.(
-      const run_trace $ name_arg $ out_arg $ cores_arg $ nprocs_arg
-      $ scale_arg $ cap_arg $ metrics_arg $ seed_arg' $ strict_arg)
-
-let run_profile name cores nprocs scale cap seed strict =
-  match run_traced name cores nprocs scale cap seed with
-  | Error rc -> rc
-  | Ok (spec, m) -> (
-      match Hare.Machine.trace m with
-      | None ->
-          prerr_endline "internal error: trace sink missing";
-          1
-      | Some tr ->
-          let rows = Trace.profile tr in
-          let grand = ref 0L in
-          let per_bucket = Array.make Trace.nbuckets 0L in
-          List.iter
-            (fun (r : Trace.row) ->
-              grand := Int64.add !grand r.Trace.r_total;
-              Array.iteri
-                (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c)
-                r.Trace.r_buckets)
-            rows;
-          Printf.printf "%s: %.6f simulated seconds, %Ld attributed cycles\n"
-            spec.Hare_workloads.Spec.name (Hare.Machine.seconds m) !grand;
-          Hare_stats.Table.print
-            ~headers:
-              ([ "op"; "count"; "cycles" ] @ Trace.bucket_names)
-            (List.map
-               (fun (r : Trace.row) ->
-                 [ r.Trace.r_op; string_of_int r.Trace.r_count;
-                   Int64.to_string r.Trace.r_total ]
-                 @ Array.to_list (Array.map Int64.to_string r.Trace.r_buckets))
-               rows
-            @ [
-                [ "TOTAL"; ""; Int64.to_string !grand ]
-                @ Array.to_list (Array.map Int64.to_string per_bucket);
-              ]);
-          let bucket_sum =
-            Array.fold_left Int64.add 0L per_bucket
-          in
-          Printf.printf "unattributed cycles: %Ld (of %Ld)\n"
-            (Int64.sub !grand bucket_sum)
-            !grand;
-          let drop_rc = dropped_verdict ~strict ~what:"profile" tr in
-          if Int64.sub !grand bucket_sum <> 0L then 1 else drop_rc)
-
-let profile_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run one benchmark with span tracing on and print where the \
-          cycles went, per opcode: compute, send, queue-wait, dispatch, \
-          cache and DRAM buckets that sum exactly to each op's elapsed \
-          cycles.")
-    Term.(
-      const run_profile $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ cap_arg $ seed_arg' $ strict_arg)
-
-(* ---------- metrics command --------------------------------------------- *)
-
-module Metrics = Hare_metrics.Metrics
-module Knee = Hare_metrics.Knee
-module Blame = Hare_metrics.Blame
-
-(* Run one benchmark with the PR 9 telemetry on — the gauge sampler on a
-   fixed simulated-cycle grid plus tail-based span retention — and
-   report the time series (per-gauge summary table, optional raw JSON
-   dump), the saturation knee, and with --blame the per-class
-   tail-latency forensics. *)
-let run_metrics name cores split nprocs scale interval retain cap blame out
-    seed =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      if interval <= 0 then begin
-        Printf.eprintf "--interval must be positive\n";
-        exit 1
-      end;
-      let config =
-        let c = Driver.default_config ~ncores:cores in
-        let c =
-          match split with
-          | Some s -> { c with Config.placement = Config.Split s }
-          | None -> c
-        in
-        {
-          c with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          trace_enabled = true;
-          trace_cap = cap;
-          trace_retain = retain;
-          metrics_interval = interval;
-          seed = Int64.of_int seed;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("metrics-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      match Machine.metrics m with
-      | None ->
-          prerr_endline "internal error: metrics registry missing";
-          1
-      | Some mt ->
-          Printf.printf
-            "%s: %.6f simulated seconds; %d gauges sampled every %d cycles \
-             (%d samples, %d overwritten)\n"
-            spec.Hare_workloads.Spec.name (Machine.seconds m)
-            (Metrics.ngauges mt) (Metrics.interval mt) (Metrics.samples mt)
-            (Metrics.dropped mt);
-          Hare_stats.Table.print
-            ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
-            (List.map
-               (fun (g : Metrics.summary) ->
-                 [
-                   g.Metrics.s_name;
-                   string_of_int g.Metrics.s_n;
-                   string_of_int g.Metrics.s_min;
-                   string_of_int g.Metrics.s_max;
-                   Printf.sprintf "%.1f" g.Metrics.s_mean;
-                   string_of_int g.Metrics.s_last;
-                 ])
-               (Metrics.summaries mt));
-          (match Machine.trace m with
-          | Some tr -> (
-              let spans =
-                List.map
-                  (fun (_, t0, dur) -> (Int64.to_int t0, Int64.to_int dur))
-                  (Trace.root_spans tr)
-              in
-              match Knee.detect ~window:(8 * interval) spans with
-              | Some k ->
-                  Printf.printf
-                    "knee: p99 left the flat regime at cycle %d (window %d: \
-                     %Ld -> %Ld cycles over %d judged windows)\n"
-                    k.Knee.k_at k.Knee.k_window k.Knee.k_before k.Knee.k_after
-                    k.Knee.k_windows
-              | None -> print_endline "knee: none (p99 stayed flat)")
-          | None -> ());
-          (if blame then
-             match Machine.trace m with
-             | None -> ()
-             | Some tr -> (
-                 match Blame.of_trace tr with
-                 | [] ->
-                     print_endline
-                       "blame: nothing retained (is --retain positive and \
-                        the run long enough?)"
-                 | reports ->
-                     print_newline ();
-                     Hare_stats.Table.print
-                       ~headers:
-                         [ "class"; "n"; "p99"; "bucket"; "srv";
-                           "qdepth mean/max"; "worst op"; "worst cycles" ]
-                       (List.map
-                          (fun (b : Blame.t) ->
-                            [
-                              b.Blame.b_class;
-                              string_of_int b.Blame.b_n;
-                              Int64.to_string b.Blame.b_p99;
-                              Printf.sprintf "%s (%.0f%%)" b.Blame.b_bucket
-                                (100. *. b.Blame.b_bucket_share);
-                              (if b.Blame.b_srv < 0 then "-"
-                               else
-                                 Printf.sprintf "fs%d (%.0f%%)" b.Blame.b_srv
-                                   (100. *. b.Blame.b_srv_share));
-                              (if b.Blame.b_qdepth_max < 0 then "-"
-                               else
-                                 Printf.sprintf "%.1f/%d"
-                                   b.Blame.b_qdepth_mean b.Blame.b_qdepth_max);
-                              b.Blame.b_worst_op;
-                              string_of_int b.Blame.b_worst_dur;
-                            ])
-                          reports);
-                     (* Critical path of the slowest retained op overall:
-                        the exact bucket decomposition of its cycles. *)
-                     match Trace.retained tr with
-                     | [] -> ()
-                     | worst :: _ ->
-                         Printf.printf
-                           "\ncritical path of slowest op (%s, %d cycles):\n"
-                           worst.Trace.rt_op worst.Trace.rt_dur;
-                         List.iter
-                           (fun (bucket, cy) ->
-                             Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
-                               (100. *. float_of_int cy
-                               /. float_of_int (max 1 worst.Trace.rt_dur)))
-                           (Blame.critical_path worst)));
-          (match out with
-          | None -> ()
-          | Some file ->
-              (* Raw time series as JSON: one [stamp, value] pair array
-                 per gauge, on the sampling grid. *)
-              let buf = Buffer.create 4096 in
-              let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-              add "{\n";
-              add "  \"schema\": \"hare-metrics/1\",\n";
-              add "  \"interval\": %d,\n" (Metrics.interval mt);
-              add "  \"samples\": %d,\n" (Metrics.samples mt);
-              add "  \"dropped\": %d,\n" (Metrics.dropped mt);
-              add "  \"series\": {\n";
-              let series = Metrics.series mt in
-              List.iteri
-                (fun i (gname, points) ->
-                  add "    \"%s\": [ " gname;
-                  List.iteri
-                    (fun j (ts, v) ->
-                      add "%s[%d, %d]" (if j > 0 then ", " else "") ts v)
-                    points;
-                  add " ]%s\n"
-                    (if i < List.length series - 1 then "," else ""))
-                series;
-              add "  }\n";
-              add "}\n";
-              Out_channel.with_open_bin file (fun oc ->
-                  Out_channel.output_string oc (Buffer.contents buf));
-              Printf.printf "wrote %s\n" file);
-          0
-
-let metrics_cmd =
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 string "overload"
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark name (see `hare_cli list`; default: overload).")
-  in
-  let interval_arg =
-    Arg.(
-      value & opt int 20_000
-      & info [ "interval" ] ~docv:"CYCLES"
-          ~doc:"Sampling grid in simulated cycles.")
-  in
-  let retain_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "retain" ] ~docv:"K"
-          ~doc:
-            "Keep the complete span trees of the $(docv) slowest ops per \
-             latency class for the blame report (0 = off).")
-  in
-  let blame_flag =
-    flag "blame"
-      "Print the per-class tail-latency blame report (dominant bucket, \
-       dominant server, queue depth at admission) and the slowest op's \
-       critical path."
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also dump the raw per-gauge time series as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run one benchmark with continuous time-series telemetry: gauges \
-          (queue depths, credits, breakers, sheds, retries, cache hit \
-          rate, live fibers, load imbalance) sampled on a simulated-cycle \
-          grid, the saturation knee of the latency series, and with \
-          $(b,--blame) the tail-latency forensics from retained span \
-          trees. Sampling is zero-perturbation: the simulated clock is \
-          bit-identical with telemetry on or off.")
-    Term.(
-      const run_metrics $ name_arg $ cores_arg $ split_arg $ nprocs_arg
-      $ scale_arg $ interval_arg $ retain_arg $ cap_arg $ blame_flag $ out_arg
-      $ seed_arg')
-
-(* ---------- check command ----------------------------------------------- *)
-
-(* Run workloads under the coherence sanitizer. Each workload runs twice
-   — checker off, then checker on with the same seed — so the
-   zero-perturbation contract is verified on every invocation: the two
-   simulated clocks must be bit-identical. Exit code contract: 0 = all
-   runs clean; 1 = the sanitizer recorded violations; 2 = the checker
-   itself perturbed the simulation (a sanitizer bug). *)
-let run_check name plan deadline retries seed cores nprocs scale window batch
-    extent verbose =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
-  let module Check = Hare_check.Check in
-  let module Sanity = Hare_stats.Sanity in
-  let specs =
-    if name = "all" then Some Hare_workloads.All.specs
-    else
-      match Hare_workloads.All.find name with
-      | spec -> Some [ spec ]
-      | exception Not_found -> None
-  in
-  match specs with
-  | None ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | Some specs -> (
-      match Hare_fault.Plan.parse plan with
-      | Error msg ->
-          Printf.eprintf "bad --plan: %s\n" msg;
-          1
-      | Ok _ ->
-          let deadline =
-            match deadline with
-            | Some d -> d
-            | None -> if plan = "" then 0 else 25_000
-          in
-          if plan <> "" && deadline <= 0 then (
-            Printf.eprintf
-              "a fault plan needs --deadline > 0: without timeouts clients \
-               never retry a dropped message\n";
-            exit 1);
-          let run_one (spec : Hare_workloads.Spec.t) ~enabled =
-            let config =
-              {
-                (Driver.default_config ~ncores:cores) with
-                Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-                fault_plan = plan;
-                rpc_deadline = deadline;
-                rpc_retries = retries;
-                rpc_window = window;
-                batch_max = batch;
-                alloc_extent = extent;
-                check_enabled = enabled;
-                seed = Int64.of_int seed;
-              }
-            in
-            let m = Machine.boot config in
-            let api = World.Hare_w.api m in
-            let nprocs =
-              match nprocs with
-              | Some n -> n
-              | None -> List.length (Config.app_cores config)
-            in
-            List.iter
-              (fun (prog, body) -> api.Api.register_program prog body)
-              (spec.Hare_workloads.Spec.programs api);
-            api.Api.register_program "bench-worker" (fun p args ->
-                let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-                spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-                0);
-            let init, _ =
-              Machine.spawn_init m
-                ~name:("check-" ^ spec.Hare_workloads.Spec.name)
-                (fun p _ ->
-                  spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                  let workers =
-                    match spec.Hare_workloads.Spec.mode with
-                    | Hare_workloads.Spec.Workers -> nprocs
-                    | Hare_workloads.Spec.Make -> 1
-                  in
-                  let pids =
-                    List.init workers (fun i ->
-                        Posix.spawn p ~prog:"bench-worker"
-                          ~args:[ string_of_int i ])
-                  in
-                  List.fold_left
-                    (fun acc pid ->
-                      if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                    0 pids)
-            in
-            Machine.run m;
-            (m, Machine.exit_status m init)
-          in
-          let total = Sanity.create () in
-          let perturbed = ref false in
-          let recorded = ref [] in
-          List.iter
-            (fun (spec : Hare_workloads.Spec.t) ->
-              let wname = spec.Hare_workloads.Spec.name in
-              let off, _ = run_one spec ~enabled:false in
-              let on, status = run_one spec ~enabled:true in
-              (match status with
-              | Some 0 -> ()
-              | Some n -> Printf.printf "%s: %d worker(s) failed\n" wname n
-              | None -> Printf.printf "%s: init never finished\n" wname);
-              if Machine.now off <> Machine.now on then begin
-                perturbed := true;
-                Printf.printf
-                  "%s: PERTURBED: %Ld cycles unchecked vs %Ld checked\n" wname
-                  (Machine.now off) (Machine.now on)
-              end
-              else
-                Printf.printf
-                  "%s: %.6f simulated seconds, clock identical with checking \
-                   on\n"
-                  wname (Machine.seconds on);
-              match Machine.check on with
-              | None -> ()
-              | Some chk ->
-                  Sanity.merge ~into:total (Check.stats chk);
-                  recorded := !recorded @ Check.violations chk)
-            specs;
-          Hare_stats.Table.print
-            ~headers:[ "rule"; "violations" ]
-            (List.map
-               (fun (k, v) -> [ k; string_of_int v ])
-               (Sanity.violations total));
-          if verbose then
-            Hare_stats.Table.print
-              ~headers:[ "checker counter"; "value" ]
-              (List.map
-                 (fun (k, v) -> [ k; string_of_int v ])
-                 (Sanity.to_list total));
-          let shown = ref 0 in
-          List.iter
-            (fun v ->
-              if !shown < 20 then begin
-                Format.printf "%a@." Check.pp_violation v;
-                incr shown
-              end)
-            !recorded;
-          if List.length !recorded > 20 then
-            Printf.printf "... and %d more\n" (List.length !recorded - 20);
-          if !perturbed then begin
-            print_endline "FAIL: the sanitizer perturbed the simulation";
-            2
-          end
-          else if Sanity.total_violations total > 0 then begin
-            print_endline "FAIL: coherence/protocol violations detected";
-            1
-          end
-          else begin
-            print_endline "OK: no violations, zero perturbation";
-            0
-          end)
-
-let check_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark name (see `hare_cli list`), or 'all'.")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan to check under, e.g. \
-             'drop:fs:0.05;crash:1@200000+150000'. Empty runs fault-free.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:
-            "First-attempt RPC deadline in cycles; defaults to 0 without a \
-             plan, 25000 with one.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed (both runs of each pair share it).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "window" ] ~docv:"W" ~doc:"rpc_window (1 = synchronous).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"batch_max (1 = one request per wakeup).")
-  in
-  let extent_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "extent" ] ~docv:"E" ~doc:"alloc_extent (1 = block-at-a-time).")
-  in
-  let verbose = flag "verbose" "Also print the checker's event counters." in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Run benchmarks under the coherence sanitizer: vector-clock race \
-          detection over the simulated caches plus Hare protocol lint \
-          rules. Each workload runs twice (checker off/on) to prove the \
-          checker is zero-perturbation. Exit 0: clean; 1: violations; 2: \
-          the checker perturbed the simulation.")
-    Term.(
-      const run_check $ name_arg $ plan_arg $ deadline_arg $ retries_arg
-      $ seed_arg $ cores_arg $ nprocs_arg $ scale_arg $ window_arg $ batch_arg
-      $ extent_arg $ verbose)
-
-(* ---------- list command ------------------------------------------------ *)
-
-(* ---------- shard command ----------------------------------------------- *)
-
-(* Run a workload on a Sharded machine and dump the placement ring: which
-   physical server hosts which logical homes (and how much state), plus
-   the migration counters a membership plan produced. *)
-let run_shard name cores servers vnodes plan nprocs scale seed check =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
-  let module Place = Hare_place.Place in
-  let module Server = Hare_server.Server in
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec -> (
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.placement = Config.Sharded { servers; vnodes };
-          shard_plan = plan;
-          exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          check_enabled = check;
-          seed = Int64.of_int seed;
-        }
-      in
-      match Config.validate config with
-      | Error msg ->
-          Printf.eprintf "bad configuration: %s\n" msg;
-          1
-      | Ok () ->
-          let m = Machine.boot config in
-          let api = World.Hare_w.api m in
-          let nprocs =
-            match nprocs with
-            | Some n -> n
-            | None -> List.length (Config.app_cores config)
-          in
-          List.iter
-            (fun (prog, body) -> api.Api.register_program prog body)
-            (spec.Hare_workloads.Spec.programs api);
-          api.Api.register_program "bench-worker" (fun p args ->
-              let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-              spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-              0);
-          let init, _ =
-            Machine.spawn_init m
-              ~name:("shard-" ^ spec.Hare_workloads.Spec.name)
-              (fun p _ ->
-                spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                let workers =
-                  match spec.Hare_workloads.Spec.mode with
-                  | Hare_workloads.Spec.Workers -> nprocs
-                  | Hare_workloads.Spec.Make -> 1
-                in
-                let pids =
-                  List.init workers (fun i ->
-                      Posix.spawn p ~prog:"bench-worker"
-                        ~args:[ string_of_int i ])
-                in
-                List.fold_left
-                  (fun acc pid ->
-                    if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                  0 pids)
-          in
-          Machine.run m;
-          (match Machine.exit_status m init with
-          | Some 0 -> ()
-          | Some n -> Printf.printf "%d worker(s) failed\n" n
-          | None -> print_endline "init never finished");
-          let place =
-            match Machine.place m with
-            | Some p -> p
-            | None -> assert false
-          in
-          Printf.printf
-            "ring: %d logical homes x %d vnodes over %d physical servers \
-             (epoch %d)\n"
-            (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
-            (Place.epoch place);
-          Printf.printf
-            "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
-            (Machine.seconds m) (Machine.imbalance m);
-          let loads = Machine.server_loads m in
-          Hare_stats.Table.print
-            ~headers:
-              [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops";
-                "peak-q"; "in"; "out"; "bounced" ]
-            (Array.to_list (Machine.servers m)
-            |> List.map (fun s ->
-                   let sid = Server.sid s in
-                   let ops, peak =
-                     match List.assoc_opt sid
-                             (List.map (fun (i, o, q) -> (i, (o, q))) loads)
-                     with
-                     | Some (o, q) -> (o, q)
-                     | None -> (0, 0)
-                   in
-                   [
-                     Printf.sprintf "fs%d" sid;
-                     (if Place.active place sid then "active" else "retired");
-                     String.concat ","
-                       (List.map string_of_int (Server.hosted_homes s));
-                     string_of_int (Server.inode_count s);
-                     string_of_int (Server.dentry_count s);
-                     string_of_int ops;
-                     string_of_int peak;
-                     string_of_int (Server.homes_migrated_in s);
-                     string_of_int (Server.homes_migrated_out s);
-                     string_of_int (Server.moved_rejects s);
-                   ]));
-          print_newline ();
-          (* Vnode layout: each home's current route and its rendezvous
-             weight there (the argmax over the active servers' points). *)
-          Hare_stats.Table.print
-            ~headers:[ "home"; "srv"; "weight" ]
-            (List.init (Place.nhomes place) (fun h ->
-                 let srv = Place.phys place h in
-                 [
-                   string_of_int h;
-                   Printf.sprintf "fs%d" srv;
-                   Printf.sprintf "%08x"
-                     (Place.weight place ~home:h ~srv land 0xffffffff);
-                 ]));
-          Printf.printf
-            "\nmigrations: %d moved, %d aborted; clients chased %d EMOVED \
-             bounce(s)\n"
-            (Place.migrations place) (Place.aborted place)
-            (Machine.total_moved_retries m);
-          (match Machine.check m with
-          | None -> 0
-          | Some chk ->
-              let total =
-                Hare_stats.Sanity.total_violations
-                  (Hare_check.Check.stats chk)
-              in
-              if total > 0 then begin
-                Printf.printf "sanitizer: %d violation(s)\n" total;
-                1
-              end
-              else begin
-                print_endline "sanitizer: clean";
-                0
-              end))
-
-let shard_cmd =
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 string "creates"
-      & info [] ~docv:"BENCH" ~doc:"Benchmark to drive the ring (default: creates).")
-  in
-  let servers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "servers" ] ~docv:"S" ~doc:"Logical file-server homes.")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"PLAN"
-          ~doc:
-            "Ring-membership plan: 'add@CYCLES' activates a spare physical \
-             server, 'remove:SID@CYCLES' drains one; ';'-separated.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
-  in
-  let check_flag = flag "check" "Run with the coherence sanitizer attached." in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Run a benchmark under consistent-hash (Sharded) placement and dump \
-          the ring: per-server home ownership, inode/dentry counts, load and \
-          queue depth, the vnode layout, and migration counters. With \
-          $(b,--plan), servers are added/removed mid-run and whole homes \
-          migrate live between physical servers.")
-    Term.(
-      const run_shard $ name_arg $ cores_arg $ servers_arg $ vnodes_arg
-      $ plan_arg $ nprocs_arg $ scale_arg $ seed_arg $ check_flag)
-
 (* ---------- explore: systematic schedule exploration --------------------- *)
 
 let run_explore list_only scenario strategy seed budget mutate replay =
   let module R = Hare_explore.Runner in
   let module S = Hare_explore.Scenario in
+  let bad_args msg =
+    Printf.eprintf "%s (hare_cli explore --list shows the choices)\n" msg;
+    2
+  in
+  let strategy =
+    match (replay, strategy) with
+    | Some csv, _ -> (
+        let ordinals =
+          List.filter (( <> ) "") (String.split_on_char ',' csv)
+        in
+        match List.filter_map int_of_string_opt ordinals with
+        | choices when List.length choices = List.length ordinals ->
+            Ok (R.Replay choices)
+        | _ -> Error ("bad --replay " ^ csv ^ ": expected choice ordinals"))
+    | None, "dpor" -> Ok R.Dpor
+    | None, "pct" -> Ok (R.Pct (Option.value seed ~default:1))
+    | None, "rand" -> Ok (R.Rand (Option.value seed ~default:1))
+    | None, "det" -> Ok R.Deterministic
+    | None, s -> Error ("unknown strategy " ^ s ^ " (dpor, pct, rand, det)")
+  in
   if list_only then begin
     print_endline "scenarios:";
     List.iter
@@ -1753,69 +1064,43 @@ let run_explore list_only scenario strategy seed budget mutate replay =
     0
   end
   else
-    match S.find scenario with
+    match (S.find scenario, strategy, mutate) with
     | exception Not_found ->
-        Printf.eprintf
-          "unknown scenario %S (hare_cli explore --list shows them)\n" scenario;
-        2
-    | sc -> (
-        match mutate with
-        | Some m when not (List.mem m S.mutations) ->
-            Printf.eprintf
-              "unknown mutation %S (hare_cli explore --list shows them)\n" m;
-            2
-        | _ ->
-            let strategy =
-              match replay with
-              | Some csv ->
-                  R.Replay
-                    (String.split_on_char ',' csv
-                    |> List.filter (fun s -> s <> "")
-                    |> List.map int_of_string)
-              | None -> (
-                  match strategy with
-                  | "dpor" -> R.Dpor
-                  | "pct" -> R.Pct seed
-                  | "rand" -> R.Rand seed
-                  | "det" -> R.Deterministic
-                  | s ->
-                      raise
-                        (Invalid_argument
-                           ("unknown strategy " ^ s
-                          ^ " (dpor, pct, rand, det)")))
-            in
-            let st = R.explore ~scenario:sc ?mutate ~strategy ~budget () in
-            Printf.printf
-              "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth \
-               %d, %d sleep-set prune(s)%s\n"
-              sc.S.sc_name (R.strategy_name strategy)
-              (match mutate with Some m -> " mutate=" ^ m | None -> "")
-              st.R.schedules st.R.choice_points st.R.max_depth
-              st.R.sleep_blocked
-              (if st.R.complete then ", exhaustive" else "");
-            List.iter
-              (fun (v : R.violation) ->
-                Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
-                Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
-                  sc.S.sc_name
-                  (match mutate with Some m -> " --mutate " ^ m | None -> "")
-                  (match v.R.v_choices with
-                  | [] -> "0"
-                  | cs -> String.concat "," (List.map string_of_int cs)))
-              st.R.violations;
-            if st.R.violations = [] then begin
-              print_endline "no violations";
-              0
-            end
-            else 1)
+        bad_args (Printf.sprintf "unknown scenario %S" scenario)
+    | _, Error msg, _ -> bad_args msg
+    | _, _, Some m when not (List.mem m S.mutations) ->
+        bad_args (Printf.sprintf "unknown mutation %S" m)
+    | sc, Ok strategy, _ ->
+        let st = R.explore ~scenario:sc ?mutate ~strategy ~budget () in
+        Printf.printf
+          "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth %d, %d \
+           sleep-set prune(s)%s\n"
+          sc.S.sc_name (R.strategy_name strategy)
+          (match mutate with Some m -> " mutate=" ^ m | None -> "")
+          st.R.schedules st.R.choice_points st.R.max_depth st.R.sleep_blocked
+          (if st.R.complete then ", exhaustive" else "");
+        List.iter
+          (fun (v : R.violation) ->
+            Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
+            Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
+              sc.S.sc_name
+              (match mutate with Some m -> " --mutate " ^ m | None -> "")
+              (match v.R.v_choices with
+              | [] -> "0"
+              | cs -> String.concat "," (List.map string_of_int cs)))
+          st.R.violations;
+        if st.R.violations = [] then begin
+          print_endline "no violations";
+          0
+        end
+        else 1
 
 let explore_cmd =
   let scenario_arg =
     Arg.(
       value
       & pos 0 string "collide"
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Exploration scenario (see $(b,--list)).")
+      & info [] ~docv:"SCENARIO" ~doc:"Exploration scenario (see $(b,--list)).")
   in
   let strategy_arg =
     Arg.(
@@ -1826,16 +1111,10 @@ let explore_cmd =
              $(b,pct) (seeded random priorities), $(b,rand) (seeded uniform), \
              $(b,det) (the engine's deterministic order; one run).")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N" ~doc:"Seed for pct/rand strategies.")
-  in
   let budget_arg =
     Arg.(
       value & opt int 500
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Maximum executions before giving up.")
+      & info [ "budget" ] ~docv:"N" ~doc:"Maximum executions before giving up.")
   in
   let mutate_arg =
     Arg.(
@@ -1865,14 +1144,16 @@ let explore_cmd =
       const run_explore $ list_flag $ scenario_arg $ strategy_arg $ seed_arg
       $ budget_arg $ mutate_arg $ replay_arg)
 
+(* ---------- list command ------------------------------------------------ *)
+
 let run_list () =
   List.iter
-    (fun (s : Hare_workloads.Spec.t) ->
-      Printf.printf "%-14s (%s placement%s)\n" s.Hare_workloads.Spec.name
-        (match s.Hare_workloads.Spec.exec_policy with
+    (fun (s : Spec.t) ->
+      Printf.printf "%-14s (%s placement%s)\n" s.Spec.name
+        (match s.Spec.exec_policy with
         | Config.Random_placement -> "random"
         | Config.Round_robin -> "round-robin")
-        (if s.Hare_workloads.Spec.uses_dist then ", distributed dirs" else ""))
+        (if s.Spec.uses_dist then ", distributed dirs" else ""))
     Hare_workloads.All.specs;
   0
 
@@ -1887,10 +1168,6 @@ let main =
        ~doc:
          "Hare, a file system for non-cache-coherent multicores, in \
           simulation: benchmarks and paper-figure reproduction.")
-    [
-      bench_cmd; fig_cmd; faults_cmd; overload_cmd; perf_cmd; trace_cmd;
-      profile_cmd; metrics_cmd; check_cmd; shard_cmd; explore_cmd; list_cmd;
-      shell_cmd;
-    ]
+    [ run_cmd; fig_cmd; explore_cmd; list_cmd; shell_cmd ]
 
 let () = exit (Cmd.eval' main)

@@ -153,16 +153,15 @@ type t = {
   trace_cap : int;
       (** trace ring-buffer capacity in events; when full, the oldest
           event is dropped and a dropped-events counter incremented.
-          0 = an empty span ring: profile-only tracing, exports are
-          cleanly metadata-only (same as [trace_ring = false]). *)
+          0 = no span ring: {e profile-only} tracing — the per-opcode
+          cycle-bucket attribution is still maintained but no events are
+          retained, roughly halving the host-side cost of a traced run,
+          and exports are cleanly metadata-only. Either way the
+          simulated clock is untouched. *)
   trace_ring : bool;
-      (** record individual events (spans, instants, counters) in the
-          ring for Perfetto export; on by default. When off, tracing is
-          {e profile-only}: the per-opcode cycle-bucket attribution is
-          still maintained but no events are retained, roughly halving
-          the host-side cost of a traced run. Benchmark runs that only
-          consume the profile use this mode. Either way the simulated
-          clock is untouched. *)
+      (** [false] is a synonym for [trace_cap = 0]: [Machine.boot] maps
+          it to an empty ring. Kept only because [perfbench/runner.ml]
+          sets it; new code should set [trace_cap]. On by default. *)
   trace_retain : int;
       (** {e extension} (PR 9): tail-based span retention — keep the
           complete span trees (bucket vector, admission server, queue

@@ -37,7 +37,8 @@ let boot (config : Config.t) =
      it never charges simulated cycles. *)
   if config.trace_enabled then begin
     let tr =
-      Hare_trace.Trace.create ~ring:config.trace_ring ~cap:config.trace_cap
+      Hare_trace.Trace.create
+        ~cap:(if config.trace_ring then config.trace_cap else 0)
         ~retain:config.trace_retain ()
     in
     for i = 0 to ncores - 1 do

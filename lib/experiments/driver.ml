@@ -34,7 +34,7 @@ type result = {
 }
 
 (* Per-class latency distributions of the root syscall spans that began
-   at or after [since] (cycles). Shared with hare_cli's overload report.
+   at or after [since] (cycles). Shared with hare_cli's robustness report.
    Reads the trace's root-span log, not the event ring: the log is
    recorded even in profile-only mode and never loses samples to ring
    overwrite; only completed requests contribute. *)
@@ -68,17 +68,22 @@ let default_config ~ncores =
     (* 512 MiB of (lazily materialized) buffer cache: big enough that no
        per-server partition empties even when creation affinity clusters
        a whole tree's inodes on one server (the paper's 2 GiB never
-       fills; block stealing is unimplemented, as in the prototype). *)
+       fills, so the optional block stealing, [Config.block_stealing],
+       stays off as in the prototype). *)
     buffer_cache_blocks = 131072;
     pcache_lines = 4096;
   }
 
+let with_fault_plan plan (c : Config.t) =
+  (* Wire faults only bite tagged (retryable) requests: a plan on a
+     machine without a deadline would never retry a dropped message. *)
+  if plan <> "" && c.Config.rpc_deadline = 0 then
+    { c with Config.fault_plan = plan; rpc_deadline = 25_000 }
+  else { c with Config.fault_plan = plan }
+
 module Make (W : World.WORLD) = struct
-  let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
-      (spec : Spec.t) =
-    let config =
-      match config with Some c -> c | None -> default_config ~ncores:4
-    in
+  let exec ?nprocs ?(scale = 1) ?(null_explorer = false) ?(on_start = ignore)
+      ?(after = fun _ _ ~failures:_ -> ()) ~config (spec : Spec.t) =
     let config = { config with Config.exec_policy = spec.Spec.exec_policy } in
     let nprocs =
       match nprocs with
@@ -108,23 +113,13 @@ module Make (W : World.WORLD) = struct
         let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
         spec.Spec.worker api p ~idx ~nprocs ~scale;
         0);
-    let t0 = ref 0.0 and t1 = ref 0.0 in
-    let ops_before = ref (Hare_stats.Opcount.create ()) in
+    let workers =
+      match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
+    in
     let init =
       W.spawn_init w ~name:("bench-" ^ spec.Spec.name) (fun p ->
           spec.Spec.setup api p ~nprocs ~scale;
-          ops_before := Hare_stats.Opcount.snapshot (W.syscalls w);
-          (* The timed region reports only its own activity: perf
-             counters and the cycle-attribution profile restart here;
-             setup's spans stay in the trace ring for inspection. *)
-          W.reset_perf w;
-          (match W.trace w with
-          | Some tr -> Hare_trace.Trace.reset_profile tr
-          | None -> ());
-          t0 := W.seconds w;
-          let workers =
-            match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
-          in
+          on_start w;
           let pids =
             List.init workers (fun i ->
                 api.Api.spawn p ~prog:"bench-worker"
@@ -136,16 +131,42 @@ module Make (W : World.WORLD) = struct
                 if api.Api.waitpid p pid <> 0 then acc + 1 else acc)
               0 pids
           in
-          t1 := W.seconds w;
+          after w p ~failures;
           failures)
     in
     W.run w;
-    (match W.exit_status w init with
-    | Some 0 -> ()
-    | Some n ->
-        failwith
-          (Printf.sprintf "%s on %s: %d worker(s) failed" spec.Spec.name W.name n)
-    | None -> failwith (spec.Spec.name ^ ": init never finished"));
+    (w, Option.value (W.exit_status w init) ~default:workers)
+
+  let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
+      (spec : Spec.t) =
+    let config =
+      match config with Some c -> c | None -> default_config ~ncores:4
+    in
+    let nprocs =
+      match nprocs with
+      | Some n -> n
+      | None -> List.length (Config.app_cores config)
+    in
+    let t0 = ref 0.0 and t1 = ref 0.0 in
+    let ops_before = ref (Hare_stats.Opcount.create ()) in
+    let w, failures =
+      exec ~nprocs ~scale ~null_explorer ~config spec
+        ~on_start:(fun w ->
+          ops_before := Hare_stats.Opcount.snapshot (W.syscalls w);
+          (* The timed region reports only its own activity: perf
+             counters and the cycle-attribution profile restart here;
+             setup's spans stay in the trace ring for inspection. *)
+          W.reset_perf w;
+          (match W.trace w with
+          | Some tr -> Hare_trace.Trace.reset_profile tr
+          | None -> ());
+          t0 := W.seconds w)
+        ~after:(fun w _ ~failures:_ -> t1 := W.seconds w)
+    in
+    if failures > 0 then
+      failwith
+        (Printf.sprintf "%s on %s: %d worker(s) failed" spec.Spec.name W.name
+           failures);
     let elapsed = !t1 -. !t0 in
     let ops = spec.Spec.ops ~nprocs ~scale in
     (* Start of the timed region on the cycle clock the spans carry. *)

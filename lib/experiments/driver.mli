@@ -61,10 +61,38 @@ val latencies_of_trace :
 
 val default_config : ncores:int -> Hare_config.Config.t
 (** The experiments' standard configuration: [ncores] cores, a scaled
-    64 MiB buffer cache (the paper's 2 GiB would dominate host memory),
+    512 MiB buffer cache (the paper's 2 GiB would dominate host memory),
     everything else as {!Hare_config.Config.default}. *)
 
+val with_fault_plan : string -> Hare_config.Config.t -> Hare_config.Config.t
+(** [with_fault_plan plan c] sets [c]'s fault plan and, when the plan is
+    non-empty and [c] has no RPC deadline, arms a 25,000-cycle one so
+    clients retry what the plan drops. *)
+
 module Make (W : World.WORLD) : sig
+  val exec :
+    ?nprocs:int ->
+    ?scale:int ->
+    ?null_explorer:bool ->
+    ?on_start:(W.world -> unit) ->
+    ?after:(W.world -> W.proc -> failures:int -> unit) ->
+    config:Hare_config.Config.t ->
+    Hare_workloads.Spec.t ->
+    W.world * int
+  (** [exec ~config spec] runs the workload loop once — boot, register
+      the helper programs and [bench-worker], spawn init, setup, spawn
+      the workers, reap them — and returns the finished world with the
+      number of workers that exited nonzero (all of them if init never
+      finished). It never raises on worker failure. [on_start] runs in
+      init between setup and the first worker spawn (the start of the
+      timed region); [after] runs in init once every worker is reaped.
+      [nprocs] defaults to the number of application cores; the
+      benchmark's exec-placement policy overrides the configuration's.
+      [null_explorer] (default false) attaches an always-ordinal-0
+      schedule explorer to the engine: the run must stay bit-identical
+      to an unexplored one — the golden-clock test's zero-perturbation
+      proof. *)
+
   val run :
     ?config:Hare_config.Config.t ->
     ?nprocs:int ->
@@ -72,11 +100,8 @@ module Make (W : World.WORLD) : sig
     ?null_explorer:bool ->
     Hare_workloads.Spec.t ->
     result
-  (** [run spec] executes the benchmark. [nprocs] defaults to the number
-      of application cores; the benchmark's exec-placement policy
-      overrides the configuration's. [null_explorer] (default false)
-      attaches an always-ordinal-0 schedule explorer to the engine: the
-      run must stay bit-identical to an unexplored one — the golden-clock
-      test's zero-perturbation proof. Raises [Failure] if any worker
-      exits nonzero. *)
+  (** [run spec] executes the benchmark through {!exec} (default
+      [config]: {!default_config} at 4 cores) and measures its timed
+      region: perf counters and the cycle profile restart at its start.
+      Raises [Failure] if any worker exits nonzero. *)
 end

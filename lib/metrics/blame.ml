@@ -5,7 +5,7 @@
    class p99 and say what made them slow — the dominant cycle bucket,
    the dominant server (by blocked-wait cycles granted, falling back to
    admission counts), and the queue depth their first RPC met at
-   admission. Pure arithmetic; surfaced by `hare_cli metrics --blame`
+   admission. Pure arithmetic; surfaced by `hare_cli run --blame`
    and bench --json. *)
 
 module Trace = Hare_trace.Trace

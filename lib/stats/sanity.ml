@@ -1,6 +1,6 @@
 (* Sanitizer counters: one mutable record per checker, merged machine-wide
    for reporting. The first block of fields are protocol violations (any
-   nonzero value fails a `hare_cli check` run); the rest are informational
+   nonzero value fails a `hare_cli run --check`); the rest are informational
    observability counters that let tests cross-check the shadow state
    against the real caches. *)
 

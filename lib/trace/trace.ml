@@ -167,27 +167,24 @@ type t = {
   retained_tbl : (string, rstore) Hashtbl.t;
 }
 
-let create ?(ring = true) ?(retain = 0) ~cap () =
+let create ?(retain = 0) ~cap () =
   if cap < 0 then invalid_arg "Trace.create: cap must be non-negative";
   if retain < 0 then invalid_arg "Trace.create: retain must be non-negative";
-  (* cap 0 = an empty span ring by request: identical to [~ring:false]
-     (profile-only), so exports are cleanly metadata-only instead of a
-     validation failure. *)
-  let ring = ring && cap > 0 in
-  let rcap = if ring then cap else 0 in
+  (* cap 0 = no span ring: profile-only, so exports are cleanly
+     metadata-only instead of a validation failure. *)
   {
     cap;
-    ring;
-    e_kind = Bytes.make rcap k_counter;
-    e_name = Array.make rcap "";
-    e_cat = Array.make rcap "";
-    e_track = Array.make rcap 0;
-    e_t0 = Array.make rcap 0;
-    e_t1 = Array.make rcap 0;
-    e_id = Array.make rcap 0;
-    e_parent = Array.make rcap 0;
-    e_value = Array.make rcap 0;
-    e_args = Array.make rcap [];
+    ring = cap > 0;
+    e_kind = Bytes.make cap k_counter;
+    e_name = Array.make cap "";
+    e_cat = Array.make cap "";
+    e_track = Array.make cap 0;
+    e_t0 = Array.make cap 0;
+    e_t1 = Array.make cap 0;
+    e_id = Array.make cap 0;
+    e_parent = Array.make cap 0;
+    e_value = Array.make cap 0;
+    e_args = Array.make cap [];
     head = 0;
     len = 0;
     dropped = 0;

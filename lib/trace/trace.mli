@@ -67,11 +67,10 @@ type event =
     }
   | Counter of { name : string; track : int; ts : int64; value : int }
 
-val create : ?ring:bool -> ?retain:int -> cap:int -> unit -> t
+val create : ?retain:int -> cap:int -> unit -> t
 (** [create ~cap ()] makes a sink whose ring holds at most [cap] events.
-    [cap] must be non-negative; [cap = 0] is an empty span ring and
-    behaves exactly like [~ring:false]. With [~ring:false] the sink is
-    profile-only:
+    [cap] must be non-negative; with [cap = 0] there is no ring and the
+    sink is profile-only:
     attribution (contexts, buckets, the per-opcode profile) runs as
     usual, but {!instant}, {!counter} and span emission become no-ops
     and {!events} is always empty — about half the host-side overhead,

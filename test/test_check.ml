@@ -6,9 +6,6 @@
    invalidation) must each be caught by the named rule. *)
 
 open Test_util
-module Api = Hare_api.Api
-module World = Hare_experiments.World
-module Spec = Hare_workloads.Spec
 module Check = Hare_check.Check
 module Sanity = Hare_stats.Sanity
 module Opcount = Hare_stats.Opcount
@@ -16,37 +13,6 @@ module Client = Hare_client.Client
 module Dircache = Hare_client.Dircache
 module Server = Hare_server.Server
 module Pcache = Hare_mem.Pcache
-
-(* Boot a machine from [config], run one paper workload to completion
-   (setup + workers), and return the machine for inspection. *)
-let run_workload ?(wname = "creates") config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find wname in
-  let nprocs = List.length (Config.app_cores config) in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"check-test" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "workers ok" (Some 0) (Machine.exit_status m init);
-  m
 
 let checked_config ?(ncores = 4) ?(enabled = true) ?(window = 1) ?(batch = 1)
     ?(extent = 1) ?pcache_lines ?plan () =
@@ -67,8 +33,7 @@ let checked_config ?(ncores = 4) ?(enabled = true) ?(window = 1) ?(batch = 1)
   in
   match plan with
   | None -> c
-  | Some p ->
-      { c with Config.fault_plan = p; rpc_deadline = 25_000; rpc_retries = 12 }
+  | Some p -> Hare_experiments.Driver.with_fault_plan p c
 
 (* Everything externally observable about a run, for checking-is-inert
    comparisons. *)

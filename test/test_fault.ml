@@ -8,11 +8,8 @@ open Test_util
 module Types = Hare_proto.Types
 module Errno = Hare_proto.Errno
 module Wire = Hare_proto.Wire
-module Api = Hare_api.Api
-module World = Hare_experiments.World
 module Robust = Hare_stats.Robust
 module Plan = Hare_fault.Plan
-module Spec = Hare_workloads.Spec
 
 (* ---------- plan parsing ------------------------------------------------ *)
 
@@ -80,35 +77,14 @@ let rec snapshot p path acc =
    robustness counters, the final simulated time and the machine for
    post-mortem counter inspection. *)
 let run_fsstress config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find "fsstress" in
-  let nprocs = List.length (Config.app_cores config) in
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
   let tree = ref [] in
-  let init, _ =
-    Machine.spawn_init m ~name:"soak" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        let bad = List.filter (fun pid -> Posix.waitpid p pid <> 0) pids in
-        if bad <> [] then List.length bad
-        else begin
-          tree := List.rev (snapshot p "/" []);
-          0
-        end)
+  let after _ p ~failures =
+    if failures = 0 then tree := List.rev (snapshot p "/" [])
   in
-  let probes0 = Hare_sim.Engine.probe_count (Machine.engine m) in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "soak workers all ok" (Some 0)
-    (Machine.exit_status m init);
+  (* Boot-time probe count of this configuration, from an identical
+     machine: the run's own boot happens inside the driver. *)
+  let probes0 = Hare_sim.Engine.probe_count (Machine.engine (Machine.boot config)) in
+  let m = run_workload ~wname:"fsstress" ~after config in
   (* Crashed servers unwatch their queue-depth probes and restarts
      rewatch them; every fault plan here restarts, so the registry must
      end exactly where it began (no leaked or lost probe slots). *)

@@ -7,9 +7,6 @@
    Latency percentile helpers must be exact (and loud) on tiny inputs. *)
 
 open Test_util
-module Api = Hare_api.Api
-module World = Hare_experiments.World
-module Spec = Hare_workloads.Spec
 module Trace = Hare_trace.Trace
 module Opcount = Hare_stats.Opcount
 module Latency = Hare_stats.Latency
@@ -17,37 +14,6 @@ module Metrics = Hare_metrics.Metrics
 module Knee = Hare_metrics.Knee
 module Blame = Hare_metrics.Blame
 module Place = Hare_place.Place
-
-(* Boot a machine from [config], run one paper workload to completion
-   (setup + workers), and return the machine for inspection. *)
-let run_workload ?(wname = "creates") config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find wname in
-  let nprocs = List.length (Config.app_cores config) in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"metrics-test" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "workers ok" (Some 0) (Machine.exit_status m init);
-  m
 
 (* [metered] turns on the full PR 9 surface — sampler, trace sink, tail
    retention — which is exactly what must be inert. *)
@@ -65,8 +31,7 @@ let base_config ?(metered = false) ?plan () =
   in
   match plan with
   | None -> c
-  | Some p ->
-      { c with Config.fault_plan = p; rpc_deadline = 25_000; rpc_retries = 12 }
+  | Some p -> Hare_experiments.Driver.with_fault_plan p c
 
 let sharded_config ?(metered = false) () =
   let c =

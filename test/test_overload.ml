@@ -7,8 +7,6 @@
 open Hare_sim
 module Config = Hare_config.Config
 module Machine = Hare.Machine
-module Posix = Hare.Posix
-module Api = Hare_api.Api
 module Robust = Hare_stats.Robust
 module Latency = Hare_stats.Latency
 module O = Hare_workloads.Overload
@@ -187,52 +185,18 @@ let test_latency_classes () =
 
 (* ---------- end-to-end helpers ------------------------------------------ *)
 
-(* Boot a machine, run the overload workload on it the way hare_cli and
-   bench do, and return the machine for inspection. *)
+(* Run the overload workload through the driver loop, the way hare_cli
+   and bench do; return the machine and the run's own counters. *)
 let run_overload_machine ?(nprocs = 24) ?(period = 30_000) config =
-  O.reset ();
-  O.period := period;
-  let m = Machine.boot config in
-  let api = Hare_experiments.World.Hare_w.api m in
-  let spec = O.spec in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Hare_workloads.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-      spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"overload-test" (fun p _ ->
-        spec.Hare_workloads.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  Machine.run m;
-  Alcotest.(check (option int)) "workers all exited 0" (Some 0)
-    (Machine.exit_status m init);
-  m
+  let spec, counters = O.make ~period () in
+  let m, failures = Test_util.HD.exec ~config ~nprocs spec in
+  Alcotest.(check int) "workers all exited 0" 0 failures;
+  (m, counters)
 
+(* The control-plane preset at 8 cores, traced for the latency report. *)
 let overload_config () =
-  {
-    (Test_util.small_config ~ncores:8 ~placement:(Config.Split 1) ()) with
-    Config.exec_policy = Config.Round_robin;
-    trace_enabled = true;
-    rpc_deadline = 60_000;
-    rpc_retries = 6;
-    rpc_deadline_max = 240_000;
-    deadline_propagation = true;
-    mailbox_capacity = 24;
-    retry_budget = 12;
-    breaker_threshold = 6;
-    breaker_cooldown = 150_000;
-    shed_watermark = 8;
-  }
+  let p = O.preset (Test_util.small_config ~ncores:8 ()) in
+  { p.O.config with Config.trace_enabled = true }
 
 (* ---------- seeded determinism ------------------------------------------ *)
 
@@ -248,7 +212,7 @@ let test_backoff_deterministic_per_seed () =
     }
   in
   let run () =
-    let m = run_overload_machine config in
+    let m, _ = run_overload_machine config in
     (Machine.now m, Robust.to_list (Machine.robustness m))
   in
   let clock1, robust1 = run () in
@@ -286,12 +250,7 @@ let test_knobs_on_but_idle_is_bit_identical () =
       shed_watermark = 4096;
     }
   in
-  let run config =
-    O.reset ();
-    O.period := 30_000;
-    let m = run_overload_machine ~nprocs:3 config in
-    m
-  in
+  let run config = fst (run_overload_machine ~nprocs:3 config) in
   let off = run base in
   let on = run idle_knobs in
   Alcotest.(check int64) "identical clock with idle knobs" (Machine.now off)
@@ -311,14 +270,14 @@ let test_graceful_degradation_at_saturation () =
      doing useful work (goodput > 0), account for every request, shed
      the excess with EBUSY rather than collapse, and keep tail latency
      of admitted requests bounded by the deadline machinery. *)
-  let m = run_overload_machine (overload_config ()) in
+  let m, c = run_overload_machine (overload_config ()) in
   let r = Machine.robustness m in
-  Alcotest.(check bool) "sent something" true (!O.sent > 0);
-  Alcotest.(check int) "every request accounted for" !O.sent
-    (!O.ok + !O.shed + !O.fast_fail + !O.skipped);
-  Alcotest.(check bool) "goodput survives overload" true (!O.ok > 0);
-  Alcotest.(check bool) "excess load was shed" true (!O.shed > 0);
-  Alcotest.(check int) "workload sheds = server load sheds" !O.shed
+  Alcotest.(check bool) "sent something" true (c.O.sent > 0);
+  Alcotest.(check int) "every request accounted for" c.O.sent
+    (c.O.ok + c.O.shed + c.O.fast_fail + c.O.skipped);
+  Alcotest.(check bool) "goodput survives overload" true (c.O.ok > 0);
+  Alcotest.(check bool) "excess load was shed" true (c.O.shed > 0);
+  Alcotest.(check int) "workload sheds = server load sheds" c.O.shed
     r.Robust.shed_load;
   Alcotest.(check bool) "no unexplained giveups" true
     (r.Robust.giveups <= r.Robust.timeouts);
@@ -344,7 +303,7 @@ let test_crash_trips_breakers () =
       seed = 1L;
     }
   in
-  let m = run_overload_machine config in
+  let m, c = run_overload_machine config in
   let r = Machine.robustness m in
   Alcotest.(check int) "one crash" 1 r.Robust.crashes;
   Alcotest.(check int) "one restart" 1 r.Robust.restarts;
@@ -355,7 +314,7 @@ let test_crash_trips_breakers () =
     (r.Robust.breaker_closes > 0);
   Alcotest.(check bool) "open breakers fast-failed callers" true
     (r.Robust.fast_fails > 0);
-  Alcotest.(check bool) "the run still made progress" true (!O.ok > 0)
+  Alcotest.(check bool) "the run still made progress" true (c.O.ok > 0)
 
 let suites =
   [

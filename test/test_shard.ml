@@ -6,9 +6,6 @@
    sanitizer-clean. *)
 
 open Test_util
-module Api = Hare_api.Api
-module World = Hare_experiments.World
-module Spec = Hare_workloads.Spec
 module Place = Hare_place.Place
 module Check = Hare_check.Check
 module Sanity = Hare_stats.Sanity
@@ -31,48 +28,17 @@ let sharded_config ?(ncores = 8) ?(servers = 2) ?(vnodes = 32) ?(plan = "")
   in
   match fault with
   | None -> c
-  | Some f ->
-      { c with Config.fault_plan = f; rpc_deadline = 25_000; rpc_retries = 12 }
+  | Some f -> Hare_experiments.Driver.with_fault_plan f c
 
-(* Boot [config], run one paper workload to completion, optionally
-   snapshot the final tree (canonical sorted path list, see
-   [Test_fault.snapshot]); return the machine and the tree. *)
-let run_workload ?(wname = "creates") ?(snap = false) ?nprocs config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find wname in
-  let nprocs =
-    match nprocs with
-    | Some n -> n
-    | None -> List.length (Config.app_cores config)
-  in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
+(* Run one paper workload to completion, optionally snapshotting the
+   final tree (canonical sorted path list, see [Test_fault.snapshot]);
+   return the machine and the tree. *)
+let run_workload ?wname ?(snap = false) ?nprocs config =
   let tree = ref [] in
-  let init, _ =
-    Machine.spawn_init m ~name:"shard-test" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        let bad =
-          List.fold_left
-            (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-            0 pids
-        in
-        if bad = 0 && snap then tree := List.rev (Test_fault.snapshot p "/" []);
-        bad)
+  let after _ p ~failures =
+    if failures = 0 && snap then tree := List.rev (Test_fault.snapshot p "/" [])
   in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "workers ok" (Some 0) (Machine.exit_status m init);
+  let m = run_workload ?wname ?nprocs ~after config in
   (m, !tree)
 
 let ring m =

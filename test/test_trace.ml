@@ -5,9 +5,6 @@
    cycles, with nothing left over. *)
 
 open Test_util
-module Api = Hare_api.Api
-module World = Hare_experiments.World
-module Spec = Hare_workloads.Spec
 module Trace = Hare_trace.Trace
 module Perf = Hare_stats.Perf
 module Opcount = Hare_stats.Opcount
@@ -19,37 +16,6 @@ let contains ~needle hay =
     i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
   in
   scan 0
-
-(* Boot a machine from [config], run one paper workload to completion
-   (setup + workers), and return the machine for inspection. *)
-let run_workload ?(wname = "creates") config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find wname in
-  let nprocs = List.length (Config.app_cores config) in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"trace-test" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "workers ok" (Some 0) (Machine.exit_status m init);
-  m
 
 let traced_config ?(cap = 65536) ?(enabled = true) ?(window = 1) ?plan () =
   let c =
@@ -63,8 +29,7 @@ let traced_config ?(cap = 65536) ?(enabled = true) ?(window = 1) ?plan () =
   in
   match plan with
   | None -> c
-  | Some p ->
-      { c with Config.fault_plan = p; rpc_deadline = 25_000; rpc_retries = 12 }
+  | Some p -> Hare_experiments.Driver.with_fault_plan p c
 
 (* Everything externally observable about a run, for tracing-is-inert
    comparisons. *)

@@ -25,6 +25,19 @@ let run ?(config = small_config ()) ?(expect_status = 0) body =
   | None -> Alcotest.fail "init never exited");
   m
 
+module HD = Hare_experiments.Driver.Make (Hare_experiments.World.Hare_w)
+
+(* Run one paper workload to completion through the driver's workload
+   loop (setup + workers); propagate any in-fiber exception, assert that
+   every worker exited 0, and return the machine. [after] runs in init
+   once the workers are reaped. *)
+let run_workload ?(wname = "creates") ?nprocs ?after config =
+  match HD.exec ~config ?nprocs ?after (Hare_workloads.All.find wname) with
+  | m, failures ->
+      Alcotest.(check int) "workers ok" 0 failures;
+      m
+  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e
+
 let errno : Hare_proto.Errno.t Alcotest.testable =
   Alcotest.testable Hare_proto.Errno.pp ( = )
 

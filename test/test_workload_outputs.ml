@@ -7,7 +7,6 @@ module Spec = Hare_workloads.Spec
 module Api = Hare_api.Api
 module Driver = Hare_experiments.Driver
 module World = Hare_experiments.World
-module Config = Hare_config.Config
 module Types = Hare_proto.Types
 
 let config = Driver.default_config ~ncores:4
@@ -15,40 +14,17 @@ let config = Driver.default_config ~ncores:4
 (* a world-polymorphic verification body *)
 type verifier = { f : 'w. 'w Api.t -> 'w -> int }
 
-(* Run spec's setup + workers like the driver, then run [verify] in the
-   same init process and return its exit status. *)
+(* Run spec's setup + workers through the driver loop, then run [verify]
+   in the same init process and check its exit status. *)
 let run_and_verify (spec : Spec.t) ~nprocs (verify : verifier) =
-  let m = Hare.Machine.boot { config with Config.exec_policy = spec.Spec.exec_policy } in
-  let api = World.Hare_w.api m in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init =
-    World.Hare_w.spawn_init m ~name:"verify" (fun p ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let workers =
-          match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
-        in
-        let pids =
-          List.init workers (fun i ->
-              api.Api.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        let failed =
-          List.fold_left
-            (fun acc pid -> if api.Api.waitpid p pid <> 0 then acc + 1 else acc)
-            0 pids
-        in
-        if failed > 0 then 90 + failed else verify.f api p)
+  let status = ref (-1) in
+  let after m p ~failures =
+    if failures = 0 then status := verify.f (World.Hare_w.api m) p
   in
-  (match World.Hare_w.run m with
-  | () -> ()
+  (match Test_util.HD.exec ~config ~nprocs ~after spec with
+  | _, failures -> Alcotest.(check int) "workers ok" 0 failures
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "verification" (Some 0)
-    (World.Hare_w.exit_status m init)
+  Alcotest.(check int) "verification" 0 !status
 
 let ls api p dir = api.Api.readdir p dir
 
