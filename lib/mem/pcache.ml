@@ -2,20 +2,6 @@ open Hare_sim
 module Trace = Hare_trace.Trace
 module Check = Hare_check.Check
 
-(* A cached line. [prev]/[next] form an intrusive LRU list through a
-   per-cache sentinel — no [option] boxing on the hottest pointer
-   updates. [key] is mutable so an evicted line's record and 64-byte
-   buffer are recycled for the incoming line: at steady state (cache at
-   capacity, the common case for the writes workload) the per-line miss
-   path allocates nothing. *)
-type line = {
-  mutable key : int; (* block * lines_per_block + line index; -1 = none *)
-  data : Bytes.t; (* Layout.line_size bytes *)
-  mutable dirty : bool;
-  mutable prev : line;
-  mutable next : line;
-}
-
 type stats = {
   hits : int;
   misses : int;
@@ -24,10 +10,27 @@ type stats = {
   invalidated : int;
 }
 
-(* Filler for empty hash-table value slots; never linked or read. *)
-let rec dummy_line =
-  { key = -1; data = Bytes.empty; dirty = false; prev = dummy_line;
-    next = dummy_line }
+let lpb = Layout.lines_per_block
+
+(* Block directory: block number -> frame. A frame is an [int array] of
+   [lpb + 1] cells: cell [line] holds the slot caching that line of the
+   block (0 = not cached), cell [lpb] the number of resident lines. An
+   access looks its block's frame up once instead of hashing every line;
+   invalidation and write-back walk one frame. *)
+let count_cell = lpb
+
+(* The frame of every block with no cached line. It is all zeroes and is
+   never written: only frames from [frame_for] are. *)
+let no_frame = Array.make (lpb + 1) 0
+
+(* Two-level radix table: the top level covers [Dram.nblocks] in leaves
+   of [leaf_size] frames, allocated on first use so an idle cache costs
+   one small array. *)
+let leaf_bits = 9
+
+let leaf_size = 1 lsl leaf_bits
+
+let no_leaf : int array array = [||]
 
 type t = {
   dram : Dram.t;
@@ -35,28 +38,34 @@ type t = {
   costs : Hare_config.Costs.t;
   block_socket : int -> int;
   capacity : int;
-  (* Open-addressed hash table, line keys -> lines. Parallel arrays with
-     linear probing replace the previous [Hashtbl]: lookups are
-     allocation-free (no [Some], no bucket cells) and the steady-state
-     write path — evict + insert per line — touches two flat arrays. *)
-  mutable tkeys : int array; (* -1 empty, -2 tombstone *)
-  mutable tvals : line array;
-  mutable tmask : int; (* Array.length tkeys - 1 (power of two) *)
-  mutable tcount : int;
-  mutable ttombs : int;
-  lru : line; (* sentinel: [lru.next] = MRU, [lru.prev] = victim *)
+  dir : int array array array;
+  (* Frames whose count dropped to 0, reused so that a steady-state miss
+     allocates nothing. *)
+  mutable pool : int array array;
+  mutable npool : int;
+  (* Line slots, indexed 1..capacity. Slot 0 is the sentinel of the
+     intrusive LRU list: [next.(0)] is the MRU slot, [prev.(0)] the
+     victim. The arrays grow with use up to [capacity + 1]. *)
+  mutable key : int array; (* block * lpb + line of the cached line *)
+  mutable dirty : bool array;
+  mutable prev : int array;
+  mutable next : int array;
+  (* Line data: slot [s] lives in chunk [(s - 1) / lpb]. A chunk holds
+     [lpb] lines (the last one fewer, never past [capacity]) and is
+     allocated when its first slot is handed out. *)
+  chunks : Bytes.t array;
+  mutable fresh : int; (* slots handed out so far *)
+  mutable free_slot : int; (* slots freed by invalidation, linked by [next]; 0 = none *)
+  mutable resident : int;
+  (* Cycles of the access in progress, split for [charge]. *)
+  mutable cache_cy : int;
+  mutable dram_cy : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable writebacks : int;
   mutable invalidated : int;
 }
-
-let empty_slot = -1
-
-let tomb_slot = -2
-
-let initial_slots = 64
 
 let create ?block_socket dram ~core ~costs ~capacity_lines =
   if capacity_lines <= 0 then invalid_arg "Pcache.create: empty capacity";
@@ -65,21 +74,26 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     | Some f -> f
     | None -> fun (_ : int) -> Core_res.socket core
   in
-  let rec lru =
-    { key = -1; data = Bytes.empty; dirty = false; prev = lru; next = lru }
-  in
+  let slots = min (capacity_lines + 1) (lpb + 1) in
   {
     dram;
     core;
     costs;
     block_socket;
     capacity = capacity_lines;
-    tkeys = Array.make initial_slots empty_slot;
-    tvals = Array.make initial_slots dummy_line;
-    tmask = initial_slots - 1;
-    tcount = 0;
-    ttombs = 0;
-    lru;
+    dir = Array.make ((Dram.nblocks dram + leaf_size - 1) / leaf_size) no_leaf;
+    pool = [||];
+    npool = 0;
+    key = Array.make slots (-1);
+    dirty = Array.make slots false;
+    prev = Array.make slots 0;
+    next = Array.make slots 0;
+    chunks = Array.make ((capacity_lines + lpb - 1) / lpb) Bytes.empty;
+    fresh = 0;
+    free_slot = 0;
+    resident = 0;
+    cache_cy = 0;
+    dram_cy = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -98,72 +112,6 @@ let cid t = Core_res.id t.core
 (* Footprint hook for the schedule explorer: the currently executing
    event touched DRAM line [key]. No-op unless an explorer is attached. *)
 let note_line t key = Engine.note_line (Core_res.engine t.core) key
-
-(* --- open-addressed table -------------------------------------------- *)
-
-(* Multiplicative spread of the (sequential) line keys; [land] with a
-   positive mask keeps the slot non-negative even on overflow. *)
-let[@inline] slot_of t key = (key * 0x2545F491) land t.tmask
-
-(* Slot index of [key], or -1. *)
-let tab_find t key =
-  let keys = t.tkeys and mask = t.tmask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i
-    else if k = empty_slot then -1
-    else go ((i + 1) land mask)
-  in
-  go (slot_of t key)
-
-let tab_place t key l =
-  let keys = t.tkeys and mask = t.tmask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = empty_slot then begin
-      Array.unsafe_set keys i key;
-      Array.unsafe_set t.tvals i l;
-      t.tcount <- t.tcount + 1
-    end
-    else if k = tomb_slot then begin
-      Array.unsafe_set keys i key;
-      Array.unsafe_set t.tvals i l;
-      t.tcount <- t.tcount + 1;
-      t.ttombs <- t.ttombs - 1
-    end
-    else go ((i + 1) land mask)
-  in
-  go (slot_of t key)
-
-let tab_rehash t =
-  let old_keys = t.tkeys and old_vals = t.tvals in
-  let old_size = Array.length old_keys in
-  (* Grow only when live entries crowd the table; a rehash triggered by
-     tombstones alone reuses the same size (churn from evictions). *)
-  let size = if t.tcount * 2 >= old_size then old_size * 2 else old_size in
-  t.tkeys <- Array.make size empty_slot;
-  t.tvals <- Array.make size dummy_line;
-  t.tmask <- size - 1;
-  t.tcount <- 0;
-  t.ttombs <- 0;
-  for i = 0 to old_size - 1 do
-    let k = Array.unsafe_get old_keys i in
-    if k >= 0 then tab_place t k (Array.unsafe_get old_vals i)
-  done
-
-(* Insert a key known to be absent. *)
-let tab_insert t key l =
-  if (t.tcount + t.ttombs) * 4 >= Array.length t.tkeys * 3 then tab_rehash t;
-  tab_place t key l
-
-let tab_delete t key =
-  let i = tab_find t key in
-  if i >= 0 then begin
-    t.tkeys.(i) <- tomb_slot;
-    t.tvals.(i) <- dummy_line;
-    t.tcount <- t.tcount - 1;
-    t.ttombs <- t.ttombs + 1
-  end
 
 (* Decompose the upcoming compute charge into cache vs. DRAM cycles and
    publish cumulative miss/write-back counters when they moved. *)
@@ -190,9 +138,13 @@ let stats t =
     invalidated = t.invalidated;
   }
 
-let resident_lines t = t.tcount
+let resident_lines t = t.resident
 
-let key_of ~block ~line = (block * Layout.lines_per_block) + line
+let key_of ~block ~line = (block * lpb) + line
+
+let block_of_key key = key / lpb
+
+let line_of_key key = key mod lpb
 
 (* DRAM transfer cost for one line of [block], NUMA-aware. *)
 let dram_cost t block =
@@ -200,138 +152,238 @@ let dram_cost t block =
     t.costs.dram_line + t.costs.dram_cross_socket_line
   else t.costs.dram_line
 
-let block_of_key key = key / Layout.lines_per_block
+(* --- block directory -------------------------------------------------- *)
 
-let line_of_key key = key mod Layout.lines_per_block
+let find_frame t block =
+  let i = block lsr leaf_bits in
+  if i >= Array.length t.dir then no_frame
+  else
+    let leaf = Array.unsafe_get t.dir i in
+    if leaf == no_leaf then no_frame
+    else Array.unsafe_get leaf (block land (leaf_size - 1))
 
-(* --- intrusive LRU list (sentinel-linked) ----------------------------- *)
-
-let[@inline] unlink l =
-  l.prev.next <- l.next;
-  l.next.prev <- l.prev
-
-let[@inline] push_front t l =
-  let s = t.lru in
-  l.next <- s.next;
-  l.prev <- s;
-  s.next.prev <- l;
-  s.next <- l
-
-let[@inline] touch t l =
-  if t.lru.next != l then begin
-    unlink l;
-    push_front t l
+(* The frame of [block], taken from the pool if it has none. Only called
+   after [Dram] accepted [block], so the block is in range. *)
+let frame_for t block =
+  let f = find_frame t block in
+  if f != no_frame then f
+  else begin
+    let i = block lsr leaf_bits in
+    if t.dir.(i) == no_leaf then t.dir.(i) <- Array.make leaf_size no_frame;
+    let f =
+      if t.npool > 0 then begin
+        t.npool <- t.npool - 1;
+        t.pool.(t.npool)
+      end
+      else Array.make (lpb + 1) 0
+    in
+    t.dir.(i).(block land (leaf_size - 1)) <- f;
+    f
   end
 
-let flush_line t l =
-  if l.dirty then begin
-    note_line t l.key;
-    Dram.write_line t.dram ~block:(block_of_key l.key)
-      ~line:(line_of_key l.key) ~src:l.data ~src_off:0;
-    l.dirty <- false;
+let release_frame t block f =
+  t.dir.(block lsr leaf_bits).(block land (leaf_size - 1)) <- no_frame;
+  if t.npool = Array.length t.pool then begin
+    let pool = Array.make (max 16 (2 * t.npool)) no_frame in
+    Array.blit t.pool 0 pool 0 t.npool;
+    t.pool <- pool
+  end;
+  t.pool.(t.npool) <- f;
+  t.npool <- t.npool + 1
+
+(* Forget that slot [s] caches its line; an emptied frame is released. *)
+let unmap t s =
+  let k = t.key.(s) in
+  let block = block_of_key k in
+  let f = find_frame t block in
+  f.(line_of_key k) <- 0;
+  let n = f.(count_cell) - 1 in
+  f.(count_cell) <- n;
+  if n = 0 then release_frame t block f
+
+(* --- line slots ------------------------------------------------------- *)
+
+let[@inline] chunk t s = Array.unsafe_get t.chunks ((s - 1) / lpb)
+
+let[@inline] data_off s = (s - 1) mod lpb * Layout.line_size
+
+let grow_slots t =
+  let n = min (t.capacity + 1) (2 * Array.length t.key) in
+  let grow a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  t.key <- grow t.key (-1);
+  t.dirty <- grow t.dirty false;
+  t.prev <- grow t.prev 0;
+  t.next <- grow t.next 0
+
+(* A slot for a new resident line while below capacity. *)
+let new_slot t =
+  if t.free_slot <> 0 then begin
+    let s = t.free_slot in
+    t.free_slot <- t.next.(s);
+    s
+  end
+  else begin
+    let s = t.fresh + 1 in
+    t.fresh <- s;
+    if s >= Array.length t.key then grow_slots t;
+    if (s - 1) mod lpb = 0 then
+      t.chunks.((s - 1) / lpb) <-
+        Bytes.create (min lpb (t.capacity - s + 1) * Layout.line_size);
+    s
+  end
+
+(* --- intrusive LRU list (sentinel slot 0) ------------------------------ *)
+
+let[@inline] unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  t.next.(p) <- n;
+  t.prev.(n) <- p
+
+let[@inline] push_front t s =
+  let n = t.next.(0) in
+  t.next.(s) <- n;
+  t.prev.(s) <- 0;
+  t.prev.(n) <- s;
+  t.next.(0) <- s
+
+let[@inline] touch t s =
+  if t.next.(0) <> s then begin
+    unlink t s;
+    push_front t s
+  end
+
+let flush_line t s =
+  if t.dirty.(s) then begin
+    let k = t.key.(s) in
+    note_line t k;
+    Dram.write_line t.dram ~block:(block_of_key k) ~line:(line_of_key k)
+      ~src:(chunk t s) ~src_off:(data_off s);
+    t.dirty.(s) <- false;
     t.writebacks <- t.writebacks + 1;
     (match checker t with
-    | Some chk -> Check.cache_writeback chk ~core:(cid t) ~key:l.key
+    | Some chk -> Check.cache_writeback chk ~core:(cid t) ~key:k
     | None -> ());
     true
   end
   else false
 
-let drop_line t l =
-  unlink l;
-  tab_delete t l.key
-
-(* Fetch-or-miss one line; returns (line, cache cycles, DRAM cycles). *)
-let ensure_line t ~block ~line =
-  let key = key_of ~block ~line in
-  let i = tab_find t key in
-  if i >= 0 then begin
-    let l = Array.unsafe_get t.tvals i in
-    touch t l;
-    t.hits <- t.hits + 1;
-    (l, t.costs.cache_hit_line, 0)
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    if t.tcount >= t.capacity then begin
-      (* At capacity: evict the LRU victim and recycle its record and
-         buffer for the incoming line — the steady-state miss allocates
-         nothing. Hook order matches the historic evict-then-fill path:
-         write-back, drop, eviction count, evict hook. *)
-      let victim = t.lru.prev in
-      let evict_cost =
-        if flush_line t victim then dram_cost t (block_of_key victim.key)
-        else 0
-      in
-      tab_delete t victim.key;
+(* Miss on [line] of [block]: at capacity, evict the LRU victim (written
+   back if dirty) and reuse its slot; fill the slot from DRAM. Returns
+   the slot and adds the cycles to the access's accumulators. Hook order
+   matches the historic evict-then-fill path: write-back, drop, eviction
+   count, evict hook, DRAM read. *)
+let fill t ~block ~line =
+  t.misses <- t.misses + 1;
+  let s =
+    if t.resident >= t.capacity then begin
+      let v = t.prev.(0) in
+      let vk = t.key.(v) in
+      if flush_line t v then
+        t.dram_cy <- t.dram_cy + dram_cost t (block_of_key vk);
+      unmap t v;
       t.evictions <- t.evictions + 1;
       (match checker t with
-      | Some chk -> Check.cache_evict chk ~core:(cid t) ~key:victim.key
+      | Some chk -> Check.cache_evict chk ~core:(cid t) ~key:vk
       | None -> ());
-      victim.key <- key;
-      victim.dirty <- false;
-      Dram.read_line t.dram ~block ~line ~dst:victim.data ~dst_off:0;
-      tab_insert t key victim;
-      touch t victim;
-      (victim, t.costs.cache_hit_line, evict_cost + dram_cost t block)
+      touch t v;
+      v
     end
     else begin
-      let data = Bytes.create Layout.line_size in
-      Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:0;
-      let l =
-        { key; data; dirty = false; prev = dummy_line; next = dummy_line }
-      in
-      tab_insert t key l;
-      push_front t l;
-      (l, t.costs.cache_hit_line, dram_cost t block)
+      let s = new_slot t in
+      t.resident <- t.resident + 1;
+      push_front t s;
+      s
     end
-  end
+  in
+  t.key.(s) <- key_of ~block ~line;
+  t.dirty.(s) <- false;
+  Dram.read_line t.dram ~block ~line ~dst:(chunk t s) ~dst_off:(data_off s);
+  let f = frame_for t block in
+  f.(line) <- s;
+  f.(count_cell) <- f.(count_cell) + 1;
+  t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
+  t.dram_cy <- t.dram_cy + dram_cost t block;
+  s
 
 let check_range ~off ~len =
   if len <= 0 then invalid_arg "Pcache: empty range";
   if off < 0 || off + len > Layout.block_size then
     invalid_arg "Pcache: range escapes block"
 
-let access t ~block ~off ~len ~write ~(per_line : line -> unit) =
+(* One access to bytes [off, off + len) of [block], copying to or from
+   [buf] at [buf_off]. Coherent accesses model a MESI machine by keeping
+   DRAM authoritative: every write goes through to DRAM, every read
+   refetches the line. A resident (hit) line then moves at near-cache
+   speed, with a small write-through/snoop overhead instead of a DRAM
+   round trip; only misses pay the full transfer. *)
+let access t ~block ~off ~len ~write ~coherent buf buf_off =
   check_range ~off ~len;
   let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
-  let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
-    let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
+  t.cache_cy <- 0;
+  t.dram_cy <- 0;
+  (* The victim of a miss may be the last line of this very block, which
+     releases its frame: refetch the frame after every miss. *)
+  let frame = ref (find_frame t block) in
+  for line = off / Layout.line_size to (off + len - 1) / Layout.line_size do
+    let s = !frame.(line) in
+    let hit = s <> 0 in
+    let s =
+      if hit then begin
+        touch t s;
+        t.hits <- t.hits + 1;
+        t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
+        if coherent then t.dram_cy <- t.dram_cy + (t.costs.dram_line / 8);
+        s
+      end
+      else begin
+        let s = fill t ~block ~line in
+        frame := find_frame t block;
+        s
+      end
+    in
+    let k = key_of ~block ~line in
+    note_line t k;
     (match checker t with
+    | Some chk when coherent ->
+        Check.coherent_access chk ~core:(cid t) ~key:k ~write ~filled:(not hit)
     | Some chk ->
-        Check.cache_access chk ~core:(cid t) ~key:l.key ~write
-          ~filled:(t.misses > m0)
+        Check.cache_access chk ~core:(cid t) ~key:k ~write ~filled:(not hit)
     | None -> ());
-    cache := !cache + cc;
-    dram := !dram + dc;
-    per_line l
+    let data = chunk t s and doff = data_off s in
+    let line_start = line * Layout.line_size in
+    let from = max off line_start in
+    let n = min (off + len) (line_start + Layout.line_size) - from in
+    if write then begin
+      Bytes.blit buf (buf_off + from - off) data (doff + from - line_start) n;
+      if coherent then
+        Dram.write_line t.dram ~block ~line ~src:data ~src_off:doff;
+      t.dirty.(s) <- not coherent
+    end
+    else begin
+      if coherent then begin
+        Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:doff;
+        t.dirty.(s) <- false
+      end;
+      Bytes.blit data (doff + from - line_start) buf (buf_off + from - off) n
+    end
   done;
-  charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0
+  charge t ~cache:t.cache_cy ~dram:t.dram_cy ~miss0 ~wb0
 
 let read t ~block ~off ~len ~dst ~dst_off =
-  let per_line l =
-    let line = line_of_key l.key in
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit l.data (from - line_start) dst (dst_off + from - off) (upto - from)
-  in
-  access t ~block ~off ~len ~write:false ~per_line
+  access t ~block ~off ~len ~write:false ~coherent:false dst dst_off
 
 let write t ~block ~off ~len ~src ~src_off =
-  let per_line l =
-    let line = line_of_key l.key in
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit src (src_off + from - off) l.data (from - line_start) (upto - from);
-    l.dirty <- true
-  in
-  access t ~block ~off ~len ~write:true ~per_line
+  access t ~block ~off ~len ~write:true ~coherent:false src src_off
+
+let read_coherent t ~block ~off ~len ~dst ~dst_off =
+  access t ~block ~off ~len ~write:false ~coherent:true dst dst_off
+
+let write_coherent t ~block ~off ~len ~src ~src_off =
+  access t ~block ~off ~len ~write:true ~coherent:true src src_off
 
 let read_string t ~block ~off ~len =
   let dst = Bytes.create len in
@@ -342,102 +394,42 @@ let write_string t ~block ~off s =
   write t ~block ~off ~len:(String.length s) ~src:(Bytes.unsafe_of_string s)
     ~src_off:0
 
-let lines_of_block t block =
-  (* Collect first: callbacks mutate the LRU list. *)
-  let acc = ref [] in
-  for line = 0 to Layout.lines_per_block - 1 do
-    let i = tab_find t (key_of ~block ~line) in
-    if i >= 0 then acc := t.tvals.(i) :: !acc
-  done;
-  !acc
+(* Both walk the block's lines from the highest index down. *)
 
 let invalidate_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in
-  let lines = lines_of_block t block in
-  List.iter
-    (fun l ->
-      note_line t l.key;
-      (match checker t with
-      | Some chk ->
-          Check.cache_invalidate chk ~core:(cid t) ~key:l.key ~dirty:l.dirty
-      | None -> ());
-      drop_line t l;
-      t.invalidated <- t.invalidated + 1)
-    lines;
-  charge t ~cache:(List.length lines * t.costs.invalidate_line) ~dram:0 ~miss0
-    ~wb0
+  let f = find_frame t block in
+  let n = f.(count_cell) in
+  if n > 0 then begin
+    for line = lpb - 1 downto 0 do
+      let s = f.(line) in
+      if s <> 0 then begin
+        let k = key_of ~block ~line in
+        note_line t k;
+        (match checker t with
+        | Some chk ->
+            Check.cache_invalidate chk ~core:(cid t) ~key:k ~dirty:t.dirty.(s)
+        | None -> ());
+        unlink t s;
+        f.(line) <- 0;
+        t.next.(s) <- t.free_slot;
+        t.free_slot <- s;
+        t.resident <- t.resident - 1;
+        t.invalidated <- t.invalidated + 1
+      end
+    done;
+    f.(count_cell) <- 0;
+    release_frame t block f
+  end;
+  charge t ~cache:(n * t.costs.invalidate_line) ~dram:0 ~miss0 ~wb0
 
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in
-  let lines = lines_of_block t block in
-  let cost = ref 0 in
-  List.iter
-    (fun l -> if flush_line t l then cost := !cost + dram_cost t block)
-    lines;
-  charge t ~cache:0 ~dram:!cost ~miss0 ~wb0
-
-(* Coherent accessors: model an MESI machine by keeping DRAM authoritative
-   — every write goes through to DRAM, every read refetches the line.
-   Costs: a resident (hit) line moves at near-cache speed (the hardware
-   satisfies it from cache / posted write-backs); only misses pay the
-   full DRAM transfer. *)
-
-let coherent_line_cost t ~cc ~dc =
-  (* [cc]/[dc] is the ensure_line cost split: hit or miss+fill. Resident
-     lines add a small write-through/snoop overhead instead of a DRAM
-     round trip. *)
-  if dc = 0 then (t.costs.cache_hit_line, t.costs.dram_line / 8) else (cc, dc)
-
-let read_coherent t ~block ~off ~len ~dst ~dst_off =
-  check_range ~off ~len;
-  let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
-  let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
-    let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
-    (match checker t with
-    | Some chk ->
-        Check.coherent_access chk ~core:(cid t) ~key:l.key ~write:false
-          ~filled:(t.misses > m0)
-    | None -> ());
-    (* Refresh from DRAM: another (coherent) core may have written. *)
-    Dram.read_line t.dram ~block ~line ~dst:l.data ~dst_off:0;
-    l.dirty <- false;
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit l.data (from - line_start) dst (dst_off + from - off) (upto - from);
-    let cc, dc = coherent_line_cost t ~cc ~dc in
-    cache := !cache + cc;
-    dram := !dram + dc
-  done;
-  charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0
-
-let write_coherent t ~block ~off ~len ~src ~src_off =
-  check_range ~off ~len;
-  let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
-  let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
-    let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
-    (match checker t with
-    | Some chk ->
-        Check.coherent_access chk ~core:(cid t) ~key:l.key ~write:true
-          ~filled:(t.misses > m0)
-    | None -> ());
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit src (src_off + from - off) l.data (from - line_start) (upto - from);
-    (* Write-through: immediately visible to all cores. *)
-    Dram.write_line t.dram ~block ~line ~src:l.data ~src_off:0;
-    l.dirty <- false;
-    let cc, dc = coherent_line_cost t ~cc ~dc in
-    cache := !cache + cc;
-    dram := !dram + dc
-  done;
-  charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0
+  let f = find_frame t block in
+  let flushed = ref 0 in
+  if f != no_frame then
+    for line = lpb - 1 downto 0 do
+      let s = f.(line) in
+      if s <> 0 && flush_line t s then incr flushed
+    done;
+  charge t ~cache:0 ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0

@@ -10,7 +10,23 @@
     necessary}: tests that omit it observe stale data, exactly as on the
     paper's target machines.
 
-    All operations charge cycle costs to the owning core. *)
+    All operations charge cycle costs to the owning core: each call sums
+    its cache and DRAM cycles and pays them in one [Core_res.compute].
+
+    {b Order contract.} The schedule explorer, the coherence sanitizer
+    and the DRAM traffic counters observe the calls below, so their order
+    is part of the model and must not change with the implementation:
+    - an access visits its lines in ascending order. For each line it
+      first brings the line in, then calls [Engine.note_line] and the
+      [Check] access hook, then moves the bytes;
+    - a miss counts the miss, then at capacity evicts the least recently
+      used line (write-back of a dirty victim: [Engine.note_line],
+      [Dram.write_line], [Check.cache_writeback]; then the eviction count
+      and [Check.cache_evict]), then fills the line with [Dram.read_line];
+    - {!invalidate_block} and {!writeback_block} visit the block's
+      resident lines from the highest index down.
+
+    Recency is kept per line, not per block. *)
 
 type t
 

@@ -167,6 +167,349 @@ let test_pcache_cross_line_ranges () =
       let back = Pcache.read_string p ~block:0 ~off:50 ~len:300 in
       Alcotest.(check string) "spans lines" data back)
 
+(* ---------- differential test against a line-keyed reference ------------ *)
+
+(* The reference keeps what the private cache used to be: one record per
+   cached line in an MRU-first list, looked up by line key. It computes
+   the cycles each call should charge from the same cost table. *)
+module Ref = struct
+  type line = { key : int; data : Bytes.t; mutable dirty : bool }
+
+  type t = {
+    dram : Dram.t;
+    capacity : int;
+    socket_of : int -> int; (* the core is on socket 0 *)
+    mutable lru : line list; (* MRU first *)
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable writebacks : int;
+    mutable invalidated : int;
+  }
+
+  let create dram ~capacity ~socket_of =
+    { dram; capacity; socket_of; lru = []; hits = 0; misses = 0;
+      evictions = 0; writebacks = 0; invalidated = 0 }
+
+  let lpb = Layout.lines_per_block
+
+  let dram_cost t block =
+    if t.socket_of block <> 0 then
+      costs.dram_line + costs.dram_cross_socket_line
+    else costs.dram_line
+
+  let flush t l =
+    if l.dirty then begin
+      Dram.write_line t.dram ~block:(l.key / lpb) ~line:(l.key mod lpb)
+        ~src:l.data ~src_off:0;
+      l.dirty <- false;
+      t.writebacks <- t.writebacks + 1;
+      dram_cost t (l.key / lpb)
+    end
+    else 0
+
+  (* The line and the cycles of bringing it in: (line, hit, cycles). *)
+  let ensure t ~block ~line =
+    let key = (block * lpb) + line in
+    match List.find_opt (fun l -> l.key = key) t.lru with
+    | Some l ->
+        t.lru <- l :: List.filter (fun m -> m != l) t.lru;
+        t.hits <- t.hits + 1;
+        (l, true, costs.cache_hit_line)
+    | None ->
+        t.misses <- t.misses + 1;
+        let evict =
+          if List.length t.lru >= t.capacity then begin
+            let victim = List.nth t.lru (List.length t.lru - 1) in
+            let c = flush t victim in
+            t.lru <- List.filter (fun m -> m != victim) t.lru;
+            t.evictions <- t.evictions + 1;
+            c
+          end
+          else 0
+        in
+        let l = { key; data = Bytes.create Layout.line_size; dirty = false } in
+        Dram.read_line t.dram ~block ~line ~dst:l.data ~dst_off:0;
+        t.lru <- l :: t.lru;
+        (l, false, costs.cache_hit_line + evict + dram_cost t block)
+
+  let access t ~block ~off ~len ~write ~coherent buf =
+    let first, last = Layout.lines_touched ~off ~len in
+    let cycles = ref 0 in
+    for line = first to last do
+      let l, hit, c = ensure t ~block ~line in
+      cycles := !cycles + c;
+      if coherent && hit then cycles := !cycles + (costs.dram_line / 8);
+      let start = line * Layout.line_size in
+      let from = max off start in
+      let n = min (off + len) (start + Layout.line_size) - from in
+      if write then begin
+        Bytes.blit buf (from - off) l.data (from - start) n;
+        if coherent then Dram.write_line t.dram ~block ~line ~src:l.data ~src_off:0;
+        l.dirty <- not coherent
+      end
+      else begin
+        if coherent then begin
+          Dram.read_line t.dram ~block ~line ~dst:l.data ~dst_off:0;
+          l.dirty <- false
+        end;
+        Bytes.blit l.data (from - start) buf (from - off) n
+      end
+    done;
+    !cycles
+
+  let of_block t block = List.filter (fun l -> l.key / lpb = block) t.lru
+
+  let invalidate_block t block =
+    let lines = of_block t block in
+    t.lru <- List.filter (fun l -> l.key / lpb <> block) t.lru;
+    t.invalidated <- t.invalidated + List.length lines;
+    List.length lines * costs.invalidate_line
+
+  let writeback_block t block =
+    List.fold_left (fun acc l -> acc + flush t l) 0 (of_block t block)
+
+  let stats t =
+    { Pcache.hits = t.hits; misses = t.misses; evictions = t.evictions;
+      writebacks = t.writebacks; invalidated = t.invalidated }
+end
+
+type pc_op =
+  | Access of { block : int; off : int; len : int; write : bool;
+                coherent : bool; fill : char }
+  | Invalidate of int
+  | Writeback of int
+
+let pp_pc_op = function
+  | Access { block; off; len; write; coherent; fill } ->
+      Printf.sprintf "%s%s b%d [%d,+%d) %C"
+        (if write then "write" else "read")
+        (if coherent then "_coherent" else "") block off len fill
+  | Invalidate b -> Printf.sprintf "invalidate_block %d" b
+  | Writeback b -> Printf.sprintf "writeback_block %d" b
+
+let pc_op_gen ~nblocks =
+  let open QCheck.Gen in
+  let block = int_bound (nblocks - 1) in
+  (* Small ranges, whole blocks (64 lines: evictions inside one access)
+     and anything in between. *)
+  let range =
+    oneof
+      [
+        map2 (fun off len -> (off, min len (Layout.block_size - off)))
+          (int_bound (Layout.block_size - 1)) (int_range 1 200);
+        return (0, Layout.block_size);
+        int_bound (Layout.block_size - 1) >>= fun off ->
+        map (fun len -> (off, len)) (int_range 1 (Layout.block_size - off));
+      ]
+  in
+  let access =
+    map3
+      (fun block (off, len) (write, coherent, fill) ->
+        Access { block; off; len; write; coherent; fill })
+      block range
+      (triple bool (frequencyl [ (4, false); (1, true) ]) (char_range 'a' 'z'))
+  in
+  frequency
+    [
+      (6, access);
+      (1, map (fun b -> Invalidate b) block);
+      (1, map (fun b -> Writeback b) block);
+    ]
+
+let pc_case_gen =
+  let open QCheck.Gen in
+  oneofl [ 1; 3; 63; 64; 65; 200 ] >>= fun capacity ->
+  int_range 2 6 >>= fun nblocks ->
+  map (fun ops -> (capacity, nblocks, ops))
+    (list_size (int_range 1 80) (pc_op_gen ~nblocks))
+
+let pc_case =
+  QCheck.make pc_case_gen ~print:(fun (capacity, nblocks, ops) ->
+      Printf.sprintf "capacity %d, %d blocks:\n  %s" capacity nblocks
+        (String.concat "\n  " (List.map pp_pc_op ops)))
+
+(* Odd blocks live on the other socket, so the NUMA surcharge is part of
+   every comparison. *)
+let socket_of b = b land 1
+
+let prop_pcache_matches_reference =
+  QCheck.Test.make ~name:"pcache matches line-keyed reference" ~count:300
+    pc_case (fun (capacity, nblocks, ops) ->
+      let failures = ref [] in
+      let fail fmt =
+        Printf.ksprintf (fun m -> failures := m :: !failures) fmt
+      in
+      with_engine (fun e ->
+          let d = Dram.create ~nblocks and rd = Dram.create ~nblocks in
+          let p =
+            Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
+              ~block_socket:socket_of
+          in
+          let r = Ref.create rd ~capacity ~socket_of in
+          List.iteri
+            (fun i op ->
+              let t0 = Engine.now e in
+              let want_cycles, got_bytes, want_bytes =
+                match op with
+                | Access { block; off; len; write; coherent; fill } ->
+                    let buf = Bytes.make len fill and rbuf = Bytes.make len fill in
+                    (match (write, coherent) with
+                    | false, false -> Pcache.read p ~block ~off ~len ~dst:buf ~dst_off:0
+                    | true, false -> Pcache.write p ~block ~off ~len ~src:buf ~src_off:0
+                    | false, true ->
+                        Pcache.read_coherent p ~block ~off ~len ~dst:buf ~dst_off:0
+                    | true, true ->
+                        Pcache.write_coherent p ~block ~off ~len ~src:buf ~src_off:0);
+                    let c = Ref.access r ~block ~off ~len ~write ~coherent rbuf in
+                    (c, Bytes.to_string buf, Bytes.to_string rbuf)
+                | Invalidate b ->
+                    Pcache.invalidate_block p b;
+                    (Ref.invalidate_block r b, "", "")
+                | Writeback b ->
+                    Pcache.writeback_block p b;
+                    (Ref.writeback_block r b, "", "")
+              in
+              let got_cycles = Int64.to_int (Int64.sub (Engine.now e) t0) in
+              if got_cycles <> want_cycles then
+                fail "op %d: charged %d cycles, reference %d" i got_cycles
+                  want_cycles;
+              if got_bytes <> want_bytes then fail "op %d: bytes differ" i;
+              if Pcache.stats p <> Ref.stats r then fail "op %d: stats differ" i;
+              if Pcache.resident_lines p <> List.length r.Ref.lru then
+                fail "op %d: %d resident lines, reference %d" i
+                  (Pcache.resident_lines p) (List.length r.Ref.lru);
+              for b = 0 to nblocks - 1 do
+                let img dram =
+                  Dram.unsafe_read dram ~block:b ~off:0 ~len:Layout.block_size
+                in
+                if img d <> img rd then fail "op %d: DRAM block %d differs" i b
+              done)
+            ops);
+      match List.rev !failures with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_report m)
+
+(* ---------- edge cases of the block directory ----------------------------- *)
+
+let pattern block line = Char.chr (Char.code 'A' + (((block * 7) + line) mod 26))
+
+let block_image block =
+  String.init Layout.block_size (fun i -> pattern block (i / Layout.line_size))
+
+let check_stats msg (want : Pcache.stats) p =
+  let st = Pcache.stats p in
+  Alcotest.(check (list int)) msg
+    [ want.hits; want.misses; want.evictions; want.writebacks; want.invalidated ]
+    [ st.hits; st.misses; st.evictions; st.writebacks; st.invalidated ]
+
+(* Capacity 1 and 3: every miss past the first few evicts a line of the
+   block being written; at capacity 1 the block's frame empties and is
+   taken again inside the same access. *)
+let test_pcache_victim_in_same_block () =
+  List.iter
+    (fun cap ->
+      with_engine (fun e ->
+          let d = Dram.create ~nblocks:2 in
+          let p = mk_pcache ~capacity:cap e 0 d in
+          let lpb = Layout.lines_per_block in
+          Pcache.write_string p ~block:0 ~off:0 (block_image 0);
+          let evicted = lpb - cap in
+          check_stats (Printf.sprintf "cap %d write" cap)
+            { hits = 0; misses = lpb; evictions = evicted; writebacks = evicted;
+              invalidated = 0 }
+            p;
+          Alcotest.(check int) "resident" cap (Pcache.resident_lines p);
+          Alcotest.(check string) "evicted lines reached DRAM"
+            (String.sub (block_image 0) 0 (evicted * Layout.line_size))
+            (Dram.unsafe_read d ~block:0 ~off:0 ~len:(evicted * Layout.line_size));
+          Alcotest.(check string) "read back" (block_image 0)
+            (Pcache.read_string p ~block:0 ~off:0 ~len:Layout.block_size);
+          Alcotest.(check string) "all of it in DRAM now" (block_image 0)
+            (Dram.unsafe_read d ~block:0 ~off:0 ~len:Layout.block_size)))
+    [ 1; 3 ]
+
+(* Invalidation frees every slot and the frame; a later block reuses the
+   slots without evicting, and the invalidated block reuses a frame. *)
+let test_pcache_reuse_after_invalidate () =
+  with_engine (fun e ->
+      let lpb = Layout.lines_per_block in
+      let d = Dram.create ~nblocks:4 in
+      let p = mk_pcache ~capacity:lpb e 0 d in
+      Pcache.write_string p ~block:0 ~off:0 (block_image 0);
+      Pcache.invalidate_block p 0;
+      Alcotest.(check int) "nothing resident" 0 (Pcache.resident_lines p);
+      Pcache.write_string p ~block:1 ~off:0 (block_image 1);
+      check_stats "freed slots reused, nothing evicted"
+        { hits = 0; misses = 2 * lpb; evictions = 0; writebacks = 0;
+          invalidated = lpb }
+        p;
+      Alcotest.(check string) "block 1 cached" (block_image 1)
+        (Pcache.read_string p ~block:1 ~off:0 ~len:Layout.block_size);
+      Alcotest.(check string) "block 0 dirty data discarded"
+        (String.make Layout.block_size '\000')
+        (Pcache.read_string p ~block:0 ~off:0 ~len:Layout.block_size);
+      Alcotest.(check string) "block 1 written back on eviction" (block_image 1)
+        (Dram.unsafe_read d ~block:1 ~off:0 ~len:Layout.block_size);
+      Pcache.invalidate_block p 0;
+      Pcache.write_string p ~block:2 ~off:64 "frame";
+      Alcotest.(check string) "fresh block after reuse" "frame"
+        (Pcache.read_string p ~block:2 ~off:64 ~len:5);
+      Alcotest.(check int) "one line resident" 1 (Pcache.resident_lines p))
+
+(* Block 1 shares a directory leaf with a cached block; block 600 sits in
+   a leaf never touched. *)
+let test_pcache_uncached_block_ops () =
+  with_engine (fun e ->
+      let d = Dram.create ~nblocks:1024 in
+      let p = mk_pcache e 0 d in
+      Pcache.write_string p ~block:0 ~off:0 "dirty";
+      let before = Pcache.stats p in
+      List.iter
+        (fun block ->
+          List.iter
+            (fun (name, op) ->
+              let t0 = Engine.now e in
+              op p block;
+              Alcotest.(check int64)
+                (Printf.sprintf "%s %d charges nothing" name block)
+                0L
+                (Int64.sub (Engine.now e) t0))
+            [ ("invalidate", Pcache.invalidate_block);
+              ("writeback", Pcache.writeback_block) ])
+        [ 1; 600 ];
+      check_stats "stats unchanged" before p;
+      Alcotest.(check int) "resident" 1 (Pcache.resident_lines p))
+
+(* At capacity, a 64-line write whose every line misses and evicts a
+   dirty victim allocates no more than a 1-line one: the per-line path
+   (eviction, write-back, frame release and reuse, fill) is allocation
+   free and both pay one compute charge. *)
+let test_pcache_miss_path_allocation () =
+  with_engine (fun e ->
+      let lpb = Layout.lines_per_block in
+      let d = Dram.create ~nblocks:16 in
+      let p = mk_pcache ~capacity:(2 * lpb) e 0 d in
+      let src = Bytes.make Layout.block_size 'w' in
+      let write block len = Pcache.write p ~block ~off:0 ~len ~src ~src_off:0 in
+      (* Warm up: grow the slots, the directory leaf and the frame pool. *)
+      for block = 0 to 7 do
+        write block Layout.block_size
+      done;
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let st0 = Pcache.stats p in
+      let many = words (fun () -> write 8 Layout.block_size) in
+      let one = words (fun () -> write 9 Layout.line_size) in
+      let st = Pcache.stats p in
+      Alcotest.(check int) "every line a dirty miss" (lpb + 1)
+        (st.writebacks - st0.writebacks);
+      if many > one then
+        Alcotest.failf "64-line miss allocated %.0f words, 1-line %.0f" many one)
+
 let test_layout_lines_touched () =
   Alcotest.(check (pair int int)) "one line" (0, 0) (Layout.lines_touched ~off:0 ~len:64);
   Alcotest.(check (pair int int)) "straddle" (0, 1) (Layout.lines_touched ~off:63 ~len:2);
@@ -197,6 +540,12 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "numa penalty" `Quick test_pcache_numa_cost;
         tc "coherent mode" `Quick test_pcache_coherent_sees_remote_writes;
         tc "cross-line ranges" `Quick test_pcache_cross_line_ranges;
+        tc "victim in the accessed block" `Quick test_pcache_victim_in_same_block;
+        tc "slot and frame reuse after invalidate" `Quick
+          test_pcache_reuse_after_invalidate;
+        tc "uncached block ops are free" `Quick test_pcache_uncached_block_ops;
+        tc "miss path allocation-free" `Quick test_pcache_miss_path_allocation;
+        QCheck_alcotest.to_alcotest prop_pcache_matches_reference;
       ] );
     ("mem.layout", [ tc "lines touched" `Quick test_layout_lines_touched ]);
   ]
