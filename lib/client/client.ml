@@ -2,9 +2,6 @@ open Hare_sim
 open Hare_proto
 open Hare_proto.Types
 
-let src = Logs.Src.create "hare.client" ~doc:"Hare client library"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 module Trace = Hare_trace.Trace
 module Check = Hare_check.Check
 
@@ -29,64 +26,6 @@ let block_line_keys block acc =
   in
   go 0 acc
 
-(* Retry state, present only when [rpc_deadline > 0]: requests carry a
-   (client, seq) idempotency tag, time out, and are resent with bounded
-   exponential backoff. The RNG is dedicated to backoff jitter so that
-   injected faults never perturb a workload's own random stream. *)
-type retry = {
-  rt_base : int;  (** first-attempt deadline, in cycles *)
-  rt_max : int;  (** attempts before giving up with [EIO] *)
-  rt_cap : int;  (** ceiling on per-attempt deadline growth *)
-  rt_rng : Rng.t;
-  mutable rt_seq : int;
-  mutable rt_ack : int;
-      (* completed low-water mark: every seq <= rt_ack has a final
-         outcome (reply in hand or given up) and will never be resent.
-         Rides outgoing metas so servers can bound their dedup tables. *)
-  rt_done : (int, unit) Hashtbl.t;
-      (* completed seqs above the low-water mark, waiting for the gap
-         below them (a still-inflight deferred request) to close *)
-}
-
-(* Record that [seq]'s outcome is final. The low-water mark only
-   advances contiguously: a deferred request still in flight below a
-   completed one pins the ack until it too resolves, because its tag
-   could still be retransmitted at await time. *)
-let note_done rt seq =
-  if seq > rt.rt_ack then begin
-    Hashtbl.replace rt.rt_done seq ();
-    while Hashtbl.mem rt.rt_done (rt.rt_ack + 1) do
-      Hashtbl.remove rt.rt_done (rt.rt_ack + 1);
-      rt.rt_ack <- rt.rt_ack + 1
-    done
-  end
-
-(* Per-server circuit breaker (PR 6): consecutive give-ups trip it open,
-   and while open every retryable RPC to that server fast-fails with
-   [EIO] instead of burning a full timeout ladder. After the cooldown a
-   single probe is admitted (half-open); its fate decides whether the
-   breaker closes or re-opens. Inert unless [breaker_threshold > 0]. *)
-type breaker_state = Br_closed | Br_open of int64 | Br_half_open
-
-type breaker = {
-  mutable br_state : breaker_state;
-  mutable br_fails : int;  (* consecutive give-ups while closed *)
-}
-
-(* A deferred RPC: sent, not yet awaited (rpc_window > 1). The
-   (client, seq) tag is allocated at send time, so the retransmissions
-   issued at await time are deduplicated against the original copy. *)
-type pending = {
-  pd_srv : int;
-  pd_req : Wire.fs_req;
-  pd_meta : Hare_msg.Rpc.meta option;
-  pd_future : Wire.fs_resp Ivar.t;
-  pd_what : string;
-  pd_ino : Types.ino option;
-      (* the inode the request mutates, for per-inode ordering barriers *)
-  pd_span : int; (* trace span the request carried; 0 = untraced *)
-}
-
 type t = {
   engine : Engine.t;
   config : Hare_config.Config.t;
@@ -94,70 +33,32 @@ type t = {
   cid : int;
   core : Core_res.t;
   pcache : Hare_mem.Pcache.t;
-  (* [servers] is indexed by PHYSICAL server id; everything above this
-     layer (inode placement, dentry hashing, ino.server) speaks LOGICAL
-     home ids, which are stable forever. [place] maps home -> physical
-     endpoint; absent under static placements (identity). *)
-  servers : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t array;
-  place : Hare_place.Place.t option;
+  tp : Transport.t;  (* every RPC of this client goes through it *)
   nhomes : int;  (* the hashing space: logical server count *)
   server_sockets : int array;
   local_server : int;
   root_dist : bool;
   dircache : Dircache.t;
   syscalls : Hare_stats.Opcount.t;
-  retry : retry option;
   robust : Hare_stats.Robust.t;
   perf : Hare_stats.Perf.t;
-  window_cap : int;
-  window : pending Queue.t;
   extent : int;
-  mutable rpc_count : int;
-  mutable moved_retries : int;  (* EMOVED bounces chased to the new owner *)
-  (* overload control (PR 6); all inert at the default knob settings *)
-  breakers : breaker array;  (* one per physical server *)
-  budget_tokens : int array;  (* retry tokens left, per physical server *)
-  budget_successes : int array;  (* successes since last refill *)
-  mutable open_breakers : int;
-      (* breakers currently in [Br_open], maintained at every transition
-         so the metrics gauge is an O(1) read, not an O(nservers) scan *)
 }
 
 let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
     ~local_server ~root_dist ~inval_port ?place () =
-  let costs = config.Hare_config.Config.costs in
-  let retry =
-    if config.Hare_config.Config.rpc_deadline > 0 then
-      Some
-        {
-          rt_base = config.Hare_config.Config.rpc_deadline;
-          rt_max = config.Hare_config.Config.rpc_retries;
-          rt_cap =
-            (* The legacy implicit ceiling (64x the base deadline) unless
-               an explicit [rpc_deadline_max] caps backoff growth. *)
-            (if config.Hare_config.Config.rpc_deadline_max > 0 then
-               config.Hare_config.Config.rpc_deadline_max
-             else config.Hare_config.Config.rpc_deadline * 64);
-          rt_rng =
-            Rng.create
-              ~seed:
-                (Int64.add config.Hare_config.Config.seed
-                   (Int64.of_int ((cid * 2654435761) + 0x5e7)));
-          rt_seq = 0;
-          rt_ack = 0;
-          rt_done = Hashtbl.create 16;
-        }
-    else None
-  in
+  let robust = Hare_stats.Robust.create () in
+  let perf = Hare_stats.Perf.create () in
   {
     engine;
     config;
-    costs;
+    costs = config.Hare_config.Config.costs;
     cid;
     core;
     pcache;
-    servers;
-    place;
+    tp =
+      Transport.create ~engine ~config ~cid ~core ~servers ?place ~robust ~perf
+        ();
     nhomes =
       (match place with
       | Some p -> Hare_place.Place.nhomes p
@@ -170,21 +71,9 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
         ~capacity:config.Hare_config.Config.dircache_capacity
         ~port:inval_port ();
     syscalls = Hare_stats.Opcount.create ();
-    retry;
-    robust = Hare_stats.Robust.create ();
-    perf = Hare_stats.Perf.create ();
-    window_cap = config.Hare_config.Config.rpc_window;
-    window = Queue.create ();
+    robust;
+    perf;
     extent = config.Hare_config.Config.alloc_extent;
-    rpc_count = 0;
-    moved_retries = 0;
-    breakers =
-      Array.init (Array.length servers) (fun _ ->
-          { br_state = Br_closed; br_fails = 0 });
-    budget_tokens =
-      Array.make (Array.length servers) config.Hare_config.Config.retry_budget;
-    budget_successes = Array.make (Array.length servers) 0;
-    open_breakers = 0;
   }
 
 let cid t = t.cid
@@ -197,32 +86,24 @@ let dircache t = t.dircache
 
 let syscalls t = t.syscalls
 
-let rpc_count t = t.rpc_count
+let rpc_count t = Transport.rpc_count t.tp
 
-let moved_retries t = t.moved_retries
+let moved_retries t = Transport.moved_retries t.tp
 
 let robust t = t.robust
 
 let perf t = t.perf
 
-let open_breakers t = t.open_breakers
+let open_breakers t = Transport.open_breakers t.tp
+
+let trip_breaker t srv = Transport.trip_breaker t.tp srv
+
+let drain_window t = Transport.drain_window t.tp
 
 (* The hashing space: placement decisions (dentry_server, shard_servers,
    choose_inode_server) distribute over logical homes, never physical
    servers, so where things live is independent of ring membership. *)
 let nservers t = t.nhomes
-
-(* Logical home -> physical endpoint index, re-read at every send so a
-   rebalance takes effect on the next RPC. *)
-let phys t srv =
-  match t.place with Some p -> Hare_place.Place.phys p srv | None -> srv
-
-(* Fixed pause before chasing an EMOVED bounce: long enough to let the
-   coordinator's Install_shard land at the new owner, short enough to be
-   invisible next to a timeout ladder. *)
-let moved_backoff = 200
-
-let moved_cap = 1000
 
 (* Effective distribution width: the whole machine (the paper), or the
    configured subset size (§6 extension). *)
@@ -239,21 +120,6 @@ let syscall t name =
 let sink t = Engine.sink t.engine
 
 let checker t = Engine.checker t.engine
-
-(* Admission annotation for tail retention (PR 9): stamp the current
-   root span with the physical server this RPC is headed to and the
-   queue depth it meets at admission. The trace freezes the first
-   stamp; later stamps only update the last-server hint used for
-   blocked-wait attribution. Skipped entirely unless retention is on,
-   so plain traced runs pay no extra host cost per send. *)
-let note_send t ep =
-  match sink t with
-  | Some tr when Trace.retain_enabled tr ->
-      Trace.note_send tr
-        ~fid:(Engine.current_fid t.engine)
-        ~srv:ep
-        ~depth:(Hare_msg.Rpc.pending t.servers.(ep))
-  | _ -> ()
 
 (* Wrap a public syscall body in a root trace span on this client's core
    track. The close folds any bucket-uncovered wall time into Queue, so
@@ -278,464 +144,12 @@ let traced t op f =
             raise e
       end)
 
-(* ---------- RPC helpers ------------------------------------------------ *)
+(* ---------- RPCs ------------------------------------------------------- *)
 
-(* Requests that are safe to retransmit under the (client, seq) dedup
-   protocol. Pipe I/O is excluded because a parked pipe read or write
-   may legitimately wait forever (there is no deadline to distinguish a
-   slow peer from a dead server), as is the rmdir lock, which parks
-   until the previous holder commits. *)
-let retryable (req : Wire.fs_req) =
-  match req with
-  | Wire.Pipe_read _ | Wire.Pipe_write _ | Wire.Rmdir_lock _ -> false
-  | _ -> true
-
-(* ---------- overload control: breakers and retry budgets --------------- *)
-
-let breaker_enabled t = t.config.Hare_config.Config.breaker_threshold > 0
-
-let breaker_instant t name srv =
-  match sink t with
-  | Some tr ->
-      Trace.instant tr ~name ~track:(Core_res.id t.core)
-        ~ts:(Engine.now t.engine)
-        ~args:[ ("server", string_of_int srv) ]
-        ()
-  | None -> ()
-
-(* Admission decision for a retryable RPC to [srv]: [true] = send it.
-   An open breaker fast-fails callers until its cooldown elapses, then
-   admits exactly one probe (half-open); further calls keep fast-failing
-   until the probe's fate resolves the state. *)
-let breaker_admit t srv =
-  (not (breaker_enabled t))
-  ||
-  let br = t.breakers.(srv) in
-  match br.br_state with
-  | Br_closed -> true
-  | Br_half_open -> false (* a probe is already in flight *)
-  | Br_open until ->
-      if Engine.now t.engine >= until then begin
-        br.br_state <- Br_half_open;
-        t.open_breakers <- t.open_breakers - 1;
-        t.robust.Hare_stats.Robust.breaker_half_opens <-
-          t.robust.Hare_stats.Robust.breaker_half_opens + 1;
-        breaker_instant t "breaker-half-open" srv;
-        true
-      end
-      else false
-
-(* Any delivered reply — even a server-side errno — proves the server is
-   alive, so it counts as breaker success. *)
-let breaker_success t srv =
-  if breaker_enabled t then begin
-    let br = t.breakers.(srv) in
-    (match br.br_state with
-    | Br_half_open ->
-        t.robust.Hare_stats.Robust.breaker_closes <-
-          t.robust.Hare_stats.Robust.breaker_closes + 1;
-        breaker_instant t "breaker-close" srv
-    | Br_open _ -> t.open_breakers <- t.open_breakers - 1
-    | Br_closed -> ());
-    br.br_state <- Br_closed;
-    br.br_fails <- 0
-  end
-
-(* Called when an RPC exhausts its retries (or its retry budget): a
-   give-up is the breaker's failure unit, not a single timeout. *)
-let breaker_failure t srv =
-  if breaker_enabled t then begin
-    let br = t.breakers.(srv) in
-    let open_now () =
-      br.br_state <-
-        Br_open
-          (Int64.add (Engine.now t.engine)
-             (Int64.of_int t.config.Hare_config.Config.breaker_cooldown));
-      br.br_fails <- 0;
-      (* only reached from Br_closed / Br_half_open, so this is a new
-         open, never a re-count *)
-      t.open_breakers <- t.open_breakers + 1;
-      t.robust.Hare_stats.Robust.breaker_opens <-
-        t.robust.Hare_stats.Robust.breaker_opens + 1;
-      breaker_instant t "breaker-open" srv
-    in
-    match br.br_state with
-    | Br_half_open -> open_now () (* the probe failed: back to open *)
-    | Br_closed ->
-        br.br_fails <- br.br_fails + 1;
-        if br.br_fails >= t.config.Hare_config.Config.breaker_threshold then
-          open_now ()
-    | Br_open _ -> ()
-  end
-
-(* Test hook: force [srv]'s breaker open right now, as if its give-up
-   threshold had just been crossed. Lets a test pit an in-flight EMOVED
-   chase against a breaker-open destination without scripting the
-   timeouts a real open would need. No-op when breakers are disabled or
-   the breaker is already open. *)
-let trip_breaker t srv =
-  if breaker_enabled t then begin
-    let br = t.breakers.(srv) in
-    match br.br_state with
-    | Br_open _ -> ()
-    | Br_closed | Br_half_open ->
-        br.br_state <-
-          Br_open
-            (Int64.add (Engine.now t.engine)
-               (Int64.of_int t.config.Hare_config.Config.breaker_cooldown));
-        br.br_fails <- 0;
-        t.open_breakers <- t.open_breakers + 1;
-        t.robust.Hare_stats.Robust.breaker_opens <-
-          t.robust.Hare_stats.Robust.breaker_opens + 1;
-        breaker_instant t "breaker-open" srv
-  end
-
-let fast_fail t srv req =
-  t.robust.Hare_stats.Robust.fast_fails <-
-    t.robust.Hare_stats.Robust.fast_fails + 1;
-  (match sink t with
-  | Some tr ->
-      Trace.instant tr ~name:"fast-fail" ~track:(Core_res.id t.core)
-        ~ts:(Engine.now t.engine)
-        ~args:[ ("op", Wire.req_name req); ("server", string_of_int srv) ]
-        ()
-  | None -> ());
-  Error Errno.EIO
-
-(* One retransmission costs one token; an empty bucket converts the
-   retry into an immediate give-up, so a dead or drowning server cannot
-   consume unbounded retry capacity. Successes refill the bucket slowly
-   (one token per ten), keeping the steady-state retry rate a small
-   fraction of goodput. *)
-let budget_take t srv =
-  let cap = t.config.Hare_config.Config.retry_budget in
-  if cap = 0 then true
-  else if t.budget_tokens.(srv) > 0 then begin
-    t.budget_tokens.(srv) <- t.budget_tokens.(srv) - 1;
-    true
-  end
-  else begin
-    t.robust.Hare_stats.Robust.budget_denied <-
-      t.robust.Hare_stats.Robust.budget_denied + 1;
-    false
-  end
-
-let budget_note_success t srv =
-  let cap = t.config.Hare_config.Config.retry_budget in
-  if cap > 0 then begin
-    t.budget_successes.(srv) <- t.budget_successes.(srv) + 1;
-    if t.budget_successes.(srv) mod 10 = 0 && t.budget_tokens.(srv) < cap then
-      t.budget_tokens.(srv) <- t.budget_tokens.(srv) + 1
-  end
-
-let note_success t srv =
-  breaker_success t srv;
-  budget_note_success t srv
-
-(* Absolute deadline to ride the request envelope: the server drops the
-   copy unserved if it is still queued past this instant. 0 = none. *)
-let propagated_deadline t deadline =
-  if t.config.Hare_config.Config.deadline_propagation then
-    Int64.add (Engine.now t.engine) (Int64.of_int deadline)
-  else 0L
-
-(* Pause before chasing an EMOVED bounce to the shard's new owner. *)
-let moved_wait t req =
-  t.moved_retries <- t.moved_retries + 1;
-  (match sink t with
-  | Some tr ->
-      Trace.on_wait tr
-        ~fid:(Engine.current_fid t.engine)
-        ~cycles:moved_backoff;
-      Trace.instant tr ~name:"rpc-moved" ~track:(Core_res.id t.core)
-        ~ts:(Engine.now t.engine)
-        ~args:[ ("op", Wire.req_name req) ]
-        ()
-  | None -> ());
-  Engine.sleep_cycles moved_backoff
-
-let rpc_result t ?payload_lines srv req =
-  t.rpc_count <- t.rpc_count + 1;
-  match t.retry with
-  | Some rt when retryable req ->
-      if not (breaker_admit t (phys t srv)) then fast_fail t (phys t srv) req
-      else begin
-      (* One sequence number for every attempt of this call: the server
-         deduplicates retransmissions, so the operation takes effect
-         exactly once no matter how many copies arrive. Attempts re-read
-         the ring route, so a retry lands at the shard's current owner
-         under the same tag. *)
-      rt.rt_seq <- rt.rt_seq + 1;
-      let meta =
-        { Hare_msg.Rpc.m_client = t.cid; m_seq = rt.rt_seq; m_ack = rt.rt_ack }
-      in
-      let rec attempt ~moved n deadline =
-        let ep = phys t srv in
-        note_send t ep;
-        match
-          Hare_msg.Rpc.call_deadline t.servers.(ep) ~engine:t.engine
-            ~from:t.core ?payload_lines ~meta
-            ~deadline:(Int64.of_int deadline)
-            ~abs_deadline:(propagated_deadline t deadline)
-            ~prio:(Wire.req_prio req) req
-        with
-        | Ok (Error Errno.EMOVED) ->
-            (* The home migrated between our route read and the server's
-               ownership check. Nothing executed and nothing was recorded
-               under our tag, so resend — same tag — after the route
-               settles. Bounces are not failures: they do not count
-               against the attempt ladder or the breaker. *)
-            if moved >= moved_cap then Error Errno.EIO
-            else begin
-              t.rpc_count <- t.rpc_count + 1;
-              moved_wait t req;
-              attempt ~moved:(moved + 1) n deadline
-            end
-        | Ok resp ->
-            note_success t ep;
-            resp
-        | Error `Timeout ->
-            t.robust.Hare_stats.Robust.timeouts <-
-              t.robust.Hare_stats.Robust.timeouts + 1;
-            if n + 1 >= rt.rt_max || not (budget_take t ep) then begin
-              t.robust.Hare_stats.Robust.giveups <-
-                t.robust.Hare_stats.Robust.giveups + 1;
-              breaker_failure t ep;
-              Error Errno.EIO
-            end
-            else begin
-              t.robust.Hare_stats.Robust.retries <-
-                t.robust.Hare_stats.Robust.retries + 1;
-              t.rpc_count <- t.rpc_count + 1;
-              (* Jittered backoff: desynchronizes clients hammering a
-                 recovering server. *)
-              let back = 1 + Rng.int rt.rt_rng (max 2 (deadline / 4)) in
-              (match sink t with
-              | Some tr ->
-                  Trace.on_wait tr
-                    ~fid:(Engine.current_fid t.engine)
-                    ~cycles:back;
-                  Trace.instant tr ~name:"rpc-retry" ~track:(Core_res.id t.core)
-                    ~ts:(Engine.now t.engine)
-                    ~args:[ ("op", Wire.req_name req) ]
-                    ()
-              | None -> ());
-              Engine.sleep_cycles back;
-              attempt ~moved (n + 1) (min (deadline * 2) rt.rt_cap)
-            end
-      in
-      let resp = attempt ~moved:0 0 rt.rt_base in
-      (* Whatever [resp] is — success, bounce cap, or give-up — this tag
-         is finished: no further copy will ever be sent. *)
-      note_done rt meta.Hare_msg.Rpc.m_seq;
-      resp
-      end
-  | _ ->
-      (* Reliable path (no fault plan): sends are exactly-once, so an
-         EMOVED bounce is simply re-sent to the re-resolved owner. *)
-      let rec go moved =
-        let ep = phys t srv in
-        note_send t ep;
-        match
-          Hare_msg.Rpc.call t.servers.(ep) ~from:t.core ?payload_lines req
-        with
-        | Error Errno.EMOVED when t.place <> None && moved < moved_cap ->
-            t.rpc_count <- t.rpc_count + 1;
-            moved_wait t req;
-            go (moved + 1)
-        | resp -> resp
-      in
-      go 0
-
-let rpc t ?payload_lines srv req =
-  match rpc_result t ?payload_lines srv req with
+let rpc t srv req =
+  match Transport.call t.tp srv req with
   | Ok payload -> payload
   | Error e -> Errno.raise_errno e (Wire.req_name req)
-
-(* ---------- pipelined RPCs (rpc_window > 1) ---------------------------- *)
-
-(* Allocate the idempotency tag for a request that will be awaited later.
-   The tag is fixed at send time so the server dedups the original copy
-   against any retransmission issued when the future is finally awaited. *)
-let alloc_meta t req =
-  match t.retry with
-  | Some rt when retryable req ->
-      rt.rt_seq <- rt.rt_seq + 1;
-      Some
-        { Hare_msg.Rpc.m_client = t.cid; m_seq = rt.rt_seq; m_ack = rt.rt_ack }
-  | _ -> None
-
-(* Await a deferred request, applying the same deadline/backoff/dedup
-   discipline as [rpc_result]. The original future may already hold the
-   reply; retransmissions re-send the tagged request and wait on a fresh
-   future (the server's dedup table replays the reply to every copy). *)
-let await_pending_once t (pd : pending) =
-  if Ivar.is_filled pd.pd_future then begin
-    (* The reply landed while this client was still computing: consuming
-       it is a poll of a ready slot, not a blocking receive — no
-       notification/wakeup path, just the copy. The server's cycles
-       overlapped our own compute, so the breakdown recorded for the
-       span is discarded (elapsed 0). *)
-    (match sink t with
-    | Some tr ->
-        let fid = Engine.current_fid t.engine in
-        Trace.on_blocked tr ~fid ~span:pd.pd_span ~elapsed:0;
-        Trace.set_pending tr ~fid [ (Trace.Send, t.costs.recv_ready) ]
-    | None -> ());
-    Core_res.compute t.core t.costs.recv_ready;
-    Hare_msg.Rpc.note_reply ~from:t.core pd.pd_future;
-    Ivar.read pd.pd_future
-  end
-  else
-  match (pd.pd_meta, t.retry) with
-  | Some meta, Some rt ->
-      let rec attempt n deadline future span =
-        match
-          Hare_msg.Rpc.await_deadline ~engine:t.engine ~from:t.core
-            ~costs:t.costs ~deadline:(Int64.of_int deadline) ~span future
-        with
-        | Ok resp ->
-            note_success t (phys t pd.pd_srv);
-            resp
-        | Error `Timeout ->
-            t.robust.Hare_stats.Robust.timeouts <-
-              t.robust.Hare_stats.Robust.timeouts + 1;
-            if n + 1 >= rt.rt_max || not (budget_take t (phys t pd.pd_srv))
-            then begin
-              t.robust.Hare_stats.Robust.giveups <-
-                t.robust.Hare_stats.Robust.giveups + 1;
-              breaker_failure t (phys t pd.pd_srv);
-              Error Errno.EIO
-            end
-            else begin
-              t.robust.Hare_stats.Robust.retries <-
-                t.robust.Hare_stats.Robust.retries + 1;
-              t.rpc_count <- t.rpc_count + 1;
-              let back = 1 + Rng.int rt.rt_rng (max 2 (deadline / 4)) in
-              (match sink t with
-              | Some tr ->
-                  Trace.on_wait tr
-                    ~fid:(Engine.current_fid t.engine)
-                    ~cycles:back
-              | None -> ());
-              Engine.sleep_cycles back;
-              let next_deadline = min (deadline * 2) rt.rt_cap in
-              let ep = phys t pd.pd_srv in
-              note_send t ep;
-              let future, span =
-                Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core ~meta
-                  ~abs_deadline:(propagated_deadline t next_deadline)
-                  ~prio:(Wire.req_prio pd.pd_req) pd.pd_req
-              in
-              attempt (n + 1) next_deadline future span
-            end
-      in
-      attempt 0 rt.rt_base pd.pd_future pd.pd_span
-  | _ ->
-      Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span:pd.pd_span
-        pd.pd_future
-
-(* Await a deferred request, chasing [EMOVED] bounces: re-send (same tag,
-   so dedup still holds) to the re-resolved owner and await again. *)
-let await_pending t (pd : pending) =
-  let rec go moved pd =
-    match await_pending_once t pd with
-    | Error Errno.EMOVED when t.place <> None && moved < moved_cap ->
-        t.rpc_count <- t.rpc_count + 1;
-        moved_wait t pd.pd_req;
-        let ep = phys t pd.pd_srv in
-        note_send t ep;
-        let future, span =
-          Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core
-            ?meta:pd.pd_meta ~prio:(Wire.req_prio pd.pd_req) pd.pd_req
-        in
-        go (moved + 1) { pd with pd_future = future; pd_span = span }
-    | resp -> resp
-  in
-  let resp = go 0 pd in
-  (* The deferred tag's outcome is final — it leaves the window and is
-     never resent, so the ack low-water mark may advance over it. *)
-  (match (pd.pd_meta, t.retry) with
-  | Some m, Some rt -> note_done rt m.Hare_msg.Rpc.m_seq
-  | _ -> ());
-  resp
-
-(* True when [e] means the token is stale and recovery should be tried:
-   only under a fault plan, never in a fault-free run. *)
-let stale_token t e = e = Errno.EBADF && t.retry <> None
-
-(* Observe (and discard) the oldest deferred reply. Failures of a
-   deferred close/unlink cannot be raised at the syscall that issued
-   them — that syscall already returned — so they surface as a counter
-   and a log line, like an asynchronous close. *)
-let await_oldest t =
-  match Queue.take_opt t.window with
-  | None -> ()
-  | Some pd -> (
-      match await_pending t pd with
-      | Ok _ -> ()
-      | Error e when stale_token t e ->
-          (* The server crashed and forgot the token/inode; the restart
-             already reclaimed whatever the deferred op would have. *)
-          ()
-      | Error e ->
-          t.perf.Hare_stats.Perf.deferred_errors <-
-            t.perf.Hare_stats.Perf.deferred_errors + 1;
-          Log.debug (fun m ->
-              m "client %d: deferred %s failed (%s)" t.cid pd.pd_what
-                (Errno.to_string e)))
-
-(* Syscall boundaries with external visibility (fsync, process teardown,
-   fork) wait for every in-flight deferred request. *)
-let drain_window t =
-  while not (Queue.is_empty t.window) do
-    await_oldest t
-  done
-
-(* Issue [req] through the pipelining window: send now, observe the
-   reply when the window fills or at the next drain point. Returns
-   [None] when deferred, [Some result] when the window is disabled
-   (rpc_window = 1) and the call completed synchronously — callers that
-   get [None] must tolerate never seeing the response. Only used for
-   requests whose success payload nobody reads: [Close_fd] of regular
-   files and [Unlink_ino]. Pipe closes are never deferred: a reader
-   blocked on a pipe must see the writer's close (EOF) promptly. *)
-let rpc_deferred t srv ~what ?ino req =
-  if t.window_cap <= 1 then Some (rpc_result t srv req)
-  else begin
-    while Queue.length t.window >= t.window_cap do
-      await_oldest t
-    done;
-    t.rpc_count <- t.rpc_count + 1;
-    let meta = alloc_meta t req in
-    let ep = phys t srv in
-    note_send t ep;
-    let future, span =
-      Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core ?meta
-        ~prio:(Wire.req_prio req) req
-    in
-    Queue.push
-      { pd_srv = srv; pd_req = req; pd_meta = meta; pd_future = future;
-        pd_what = what; pd_ino = ino; pd_span = span }
-      t.window;
-    t.perf.Hare_stats.Perf.deferred <- t.perf.Hare_stats.Perf.deferred + 1;
-    Hare_stats.Perf.note_window t.perf (Queue.length t.window);
-    None
-  end
-
-(* Per-inode ordering barrier. Atomic delivery keeps same-server
-   requests FIFO, but a retransmission (fault plans only) re-sends an
-   unacked deferred request arbitrarily late — possibly after a later
-   request touching the same inode, e.g. a retried [Close_fd] landing
-   its stale [size] after a reopen appended data. Before re-opening an
-   inode, wait out any deferred request that mutates it. *)
-let drain_ino t ino =
-  let touches () =
-    Queue.fold (fun acc pd -> acc || pd.pd_ino = Some ino) false t.window
-  in
-  while touches () do
-    await_oldest t
-  done
 
 (* A crashed server forgets its descriptor table; the first post-restart
    use of a token answers [EBADF]. Recover by re-opening the inode —
@@ -743,9 +157,9 @@ let drain_ino t ino =
    descriptor. A server-owned shared offset died with the server, so the
    descriptor falls back to a local offset at zero. *)
 let recover_token t (fs : Fdtable.file_state) =
-  drain_ino t fs.Fdtable.f_ino;
+  Transport.drain_ino t.tp fs.Fdtable.f_ino;
   match
-    rpc_result t fs.Fdtable.f_ino.server
+    Transport.call t.tp fs.Fdtable.f_ino.server
       (Wire.Open_inode { ino = fs.Fdtable.f_ino; trunc = false; client = t.cid })
   with
   | Ok (Wire.P_open oi) ->
@@ -781,82 +195,6 @@ let recover_token t (fs : Fdtable.file_state) =
       | Fdtable.Local _ -> ())
   | Ok _ | Error _ ->
       Errno.raise_errno Errno.EBADF "descriptor lost in server crash"
-
-(* Fan a request out to a set of servers: overlapped when directory
-   broadcast is enabled (§3.6.2), one-at-a-time otherwise. Under a fault
-   plan the fan-out degrades to sequential so every leg gets the full
-   timeout/retry treatment — unless the pipelining window is enabled, in
-   which case up to [rpc_window] legs fly at once, each keeping its own
-   idempotency tag and deadline/retry loop. *)
-let multicast t ids (mk : int -> Wire.fs_req) =
-  if t.config.Hare_config.Config.dir_broadcast && t.retry = None then begin
-    (* Overlapped reliable legs: an [EMOVED] bounce on one leg is settled
-       by re-sending that leg alone to the re-resolved owner. *)
-    let rec settle moved srv req resp =
-      match resp with
-      | Error Errno.EMOVED when t.place <> None && moved < moved_cap ->
-          t.rpc_count <- t.rpc_count + 1;
-          moved_wait t req;
-          let ep = phys t srv in
-          note_send t ep;
-          let future, span =
-            Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core req
-          in
-          settle (moved + 1) srv req
-            (Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span future)
-      | resp -> resp
-    in
-    let futures =
-      List.map
-        (fun srv ->
-          t.rpc_count <- t.rpc_count + 1;
-          let req = mk srv in
-          let ep = phys t srv in
-          note_send t ep;
-          let future, span =
-            Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core req
-          in
-          (srv, req, future, span))
-        ids
-    in
-    List.map
-      (fun (srv, req, future, span) ->
-        settle 0 srv req
-          (Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span future))
-      futures
-  end
-  else if t.config.Hare_config.Config.dir_broadcast && t.window_cap > 1 then begin
-    let results = Array.make (List.length ids) (Error Errno.EIO) in
-    let inflight = Queue.create () in
-    let land_one () =
-      let i, pd = Queue.pop inflight in
-      results.(i) <- await_pending t pd
-    in
-    List.iteri
-      (fun i srv ->
-        if Queue.length inflight >= t.window_cap then land_one ();
-        let req = mk srv in
-        t.rpc_count <- t.rpc_count + 1;
-        let meta = alloc_meta t req in
-        let ep = phys t srv in
-        note_send t ep;
-        let future, span =
-          Hare_msg.Rpc.call_async_sp t.servers.(ep) ~from:t.core ?meta
-            ~prio:(Wire.req_prio req) req
-        in
-        Queue.push
-          ( i,
-            { pd_srv = srv; pd_req = req; pd_meta = meta; pd_future = future;
-              pd_what = "broadcast"; pd_ino = None; pd_span = span } )
-          inflight;
-        Hare_stats.Perf.note_window t.perf (Queue.length inflight))
-      ids;
-    while not (Queue.is_empty inflight) do
-      land_one ()
-    done;
-    Array.to_list results
-  end
-  else List.map (fun srv -> rpc_result t srv (mk srv)) ids
 
 (* ---------- path resolution -------------------------------------------- *)
 
@@ -970,7 +308,7 @@ let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.ent
 let open_existing t (flags : open_flags) (target : ino) =
   (* Ordering barrier: a still-deferred close of this very inode could
      be retransmitted after this open's writes and revert the size. *)
-  drain_ino t target;
+  Transport.drain_ino t.tp target;
   match
     rpc t target.server
       (Wire.Open_inode { ino = target; trunc = flags.trunc; client = t.cid })
@@ -1015,7 +353,7 @@ let create_file t (dir : dirref) name (flags : open_flags) =
     with
     | Wire.P_open_ino { oi; ino } -> (
         match
-          rpc_result t entry_srv
+          Transport.call t.tp entry_srv
             (Wire.Add_map
                {
                  dir = dir.d_ino;
@@ -1041,10 +379,10 @@ let create_file t (dir : dirref) name (flags : open_flags) =
               | Some (Error e) -> Errno.raise_errno e name
             in
             must
-              (rpc_deferred t ino.server ~what:"rollback-close" ~ino
+              (Transport.defer t.tp ino.server ~what:"rollback-close" ~ino
                  (Wire.Close_fd { token = oi.token; size = None }));
             must
-              (rpc_deferred t ino.server ~what:"rollback-unlink" ~ino
+              (Transport.defer t.tp ino.server ~what:"rollback-unlink" ~ino
                  (Wire.Unlink_ino { ino }));
             if err <> Errno.EEXIST then Errno.raise_errno err name
             else if flags.excl then Errno.raise_errno Errno.EEXIST name
@@ -1189,8 +527,6 @@ let direct_write t (fs : Fdtable.file_state) ~off data =
   fs.f_wrote <- true;
   len
 
-let payload_of data = (String.length data / 64) + 1
-
 let rec file_read t (fs : Fdtable.file_state) ~len =
   match fs.f_pos with
   | Fdtable.Local off when direct_mode t ->
@@ -1199,20 +535,20 @@ let rec file_read t (fs : Fdtable.file_state) ~len =
       data
   | Fdtable.Local off -> (
       match
-        rpc_result t fs.f_ino.server
+        Transport.call t.tp fs.f_ino.server
           (Wire.Read_fd { token = fs.f_token; off = Some off; len })
       with
       | Ok (Wire.P_read { data; _ }) ->
           fs.f_pos <- Fdtable.Local (off + String.length data);
           data
       | Ok _ -> assert false
-      | Error e when stale_token t e ->
+      | Error e when Transport.stale_token t.tp e ->
           recover_token t fs;
           file_read t fs ~len
       | Error e -> Errno.raise_errno e "read")
   | Fdtable.Shared -> (
       match
-        rpc_result t fs.f_ino.server
+        Transport.call t.tp fs.f_ino.server
           (Wire.Read_fd { token = fs.f_token; off = None; len })
       with
       | Ok (Wire.P_read { data; now_local }) ->
@@ -1221,7 +557,7 @@ let rec file_read t (fs : Fdtable.file_state) ~len =
           | None -> ());
           data
       | Ok _ -> assert false
-      | Error e when stale_token t e ->
+      | Error e when Transport.stale_token t.tp e ->
           (* The shared offset died with the server; recovery demotes the
              descriptor to a local offset at zero and the read reruns
              from there. *)
@@ -1240,8 +576,7 @@ let rec file_write t (fs : Fdtable.file_state) data =
       end
       else begin
         match
-          rpc_result t fs.f_ino.server
-            ~payload_lines:(payload_of data)
+          Transport.call t.tp fs.f_ino.server
             (Wire.Write_fd { token = fs.f_token; off = Some off; data })
         with
         | Ok (Wire.P_write { written; size; _ }) ->
@@ -1250,15 +585,14 @@ let rec file_write t (fs : Fdtable.file_state) data =
             fs.f_pos <- Fdtable.Local (off + written);
             written
         | Ok _ -> assert false
-        | Error e when stale_token t e ->
+        | Error e when Transport.stale_token t.tp e ->
             recover_token t fs;
             file_write t fs data
         | Error e -> Errno.raise_errno e "write"
       end
   | Fdtable.Shared -> (
       match
-        rpc_result t fs.f_ino.server
-          ~payload_lines:(payload_of data)
+        Transport.call t.tp fs.f_ino.server
           (Wire.Write_fd { token = fs.f_token; off = None; data })
       with
       | Ok (Wire.P_write { written; size; now_local }) ->
@@ -1269,7 +603,7 @@ let rec file_write t (fs : Fdtable.file_state) data =
           | None -> ());
           written
       | Ok _ -> assert false
-      | Error e when stale_token t e ->
+      | Error e when Transport.stale_token t.tp e ->
           recover_token t fs;
           file_write t fs data
       | Error e -> Errno.raise_errno e "write")
@@ -1299,7 +633,6 @@ let write t fdt fd data =
       else
         match
           rpc t p.p_ino.server
-            ~payload_lines:(payload_of data)
             (Wire.Pipe_write { token = p.p_token; data })
         with
         | Wire.P_write { written; _ } -> written
@@ -1320,12 +653,12 @@ let rec seek_file t (fs : Fdtable.file_state) ~pos whence =
       target
   | Fdtable.Shared -> (
       match
-        rpc_result t fs.f_ino.server
+        Transport.call t.tp fs.f_ino.server
           (Wire.Lseek_fd { token = fs.f_token; pos; whence })
       with
       | Ok (Wire.P_lseek target) -> target
       | Ok _ -> assert false
-      | Error e when stale_token t e ->
+      | Error e when Transport.stale_token t.tp e ->
           recover_token t fs;
           seek_file t fs ~pos whence
       | Error e -> Errno.raise_errno e "lseek")
@@ -1343,11 +676,11 @@ let lseek t fdt fd ~pos whence =
 (* Push our size view to the server (after a direct-mode writeback). *)
 let rec update_size t (fs : Fdtable.file_state) =
   match
-    rpc_result t fs.Fdtable.f_ino.server
+    Transport.call t.tp fs.Fdtable.f_ino.server
       (Wire.Update_size { token = fs.f_token; size = fs.f_size })
   with
   | Ok _ -> ()
-  | Error e when stale_token t e ->
+  | Error e when Transport.stale_token t.tp e ->
       recover_token t fs;
       update_size t fs
   | Error e -> Errno.raise_errno e "update_size"
@@ -1368,21 +701,21 @@ let release_desc t (entry : Fdtable.entry) =
          window it is deferred: per-server FIFO delivery means any later
          request to the same server is processed after it. *)
       (match
-         rpc_deferred t fs.f_ino.server ~what:"close" ~ino:fs.f_ino
+         Transport.defer t.tp fs.f_ino.server ~what:"close" ~ino:fs.f_ino
            (Wire.Close_fd { token = fs.f_token; size })
        with
       | None | Some (Ok _) -> ()
-      | Some (Error e) when stale_token t e ->
+      | Some (Error e) when Transport.stale_token t.tp e ->
           (* The crash already closed the descriptor for us. *)
           ()
       | Some (Error e) -> Errno.raise_errno e "close")
   | Fdtable.Pipe p -> (
       match
-        rpc_result t p.p_ino.server
+        Transport.call t.tp p.p_ino.server
           (Wire.Close_fd { token = p.p_token; size = None })
       with
       | Ok _ -> ()
-      | Error e when stale_token t e -> ()
+      | Error e when Transport.stale_token t.tp e -> ()
       | Error e -> Errno.raise_errno e "close")
   | Fdtable.Console _ -> ()
 
@@ -1537,7 +870,7 @@ let unlink t ~cwd path =
       (* The entry is gone (the visible effect); dropping the link count
          is independent, so it rides the window. *)
       (match
-         rpc_deferred t target.server ~what:"unlink" ~ino:target
+         Transport.defer t.tp target.server ~what:"unlink" ~ino:target
            (Wire.Unlink_ino { ino = target })
        with
       | None | Some (Ok _) -> ()
@@ -1571,7 +904,7 @@ let mkdir t ~cwd ?(dist = false) path =
   with
   | Wire.P_created_ino ino -> (
       match
-        rpc_result t entry_srv
+        Transport.call t.tp entry_srv
           (Wire.Add_map
              {
                dir = dir.d_ino;
@@ -1609,7 +942,7 @@ let rmdir t ~cwd path =
        recreated; its entry is not ours to remove *)
     (let esrv = entry_server t dir name in
      match
-       rpc_result t esrv
+       Transport.call t.tp esrv
          (Wire.Rm_map
             {
               dir = dir.d_ino;
@@ -1627,7 +960,7 @@ let rmdir t ~cwd path =
   (* Phase 0: serialize concurrent rmdirs at the home server (§3.3). The
      lock reply arrives only once we hold it; ENOENT means the directory
      vanished while we waited. *)
-  (match rpc_result t home (Wire.Rmdir_lock { dir = target }) with
+  (match Transport.call t.tp home (Wire.Rmdir_lock { dir = target }) with
   | Ok _ -> ()
   | Error err -> Errno.raise_errno err name);
   let servers_involved =
@@ -1636,7 +969,7 @@ let rmdir t ~cwd path =
   (* Phase 1: ask every involved server to mark-for-deletion; succeeds
      only on empty shards. *)
   let prepare_results =
-    multicast t servers_involved (fun srv ->
+    Transport.multicast t.tp servers_involved (fun srv ->
         Wire.Rmdir_prepare { dir = target; home = srv })
   in
   let all_ok = List.for_all Result.is_ok prepare_results in
@@ -1644,7 +977,7 @@ let rmdir t ~cwd path =
     (* Unlink the directory's own entry from its parent, then commit. *)
     let srv = entry_server t dir name in
     (match
-       rpc_result t srv
+       Transport.call t.tp srv
          (Wire.Rm_map
             {
               dir = dir.d_ino;
@@ -1657,16 +990,18 @@ let rmdir t ~cwd path =
     | Ok _ -> Dircache.remove t.dircache ~dir:dir.d_ino ~name
     | Error _ -> ());
     ignore
-      (multicast t servers_involved (fun srv ->
+      (Transport.multicast t.tp servers_involved (fun srv ->
            Wire.Rmdir_commit { dir = target; client = t.cid; home = srv }))
     (* The commit at the home server destroys the lock with the inode. *)
   end
   else begin
     List.iter
       (fun srv ->
-        ignore (rpc_result t srv (Wire.Rmdir_abort { dir = target; home = srv })))
+        ignore
+          (Transport.call t.tp srv
+             (Wire.Rmdir_abort { dir = target; home = srv })))
       servers_involved;
-    ignore (rpc_result t home (Wire.Rmdir_unlock { dir = target }));
+    ignore (Transport.call t.tp home (Wire.Rmdir_unlock { dir = target }));
     (* Distinguish "a shard holds entries" from "a shard's server is
        unreachable": the latter must not masquerade as ENOTEMPTY. *)
     let hard =
@@ -1685,7 +1020,7 @@ let readdir t ~cwd path =
   let dir = resolve_dir t comps in
   if dir.d_dist then begin
     let results =
-      multicast t (shard_servers t dir.d_ino) (fun srv ->
+      Transport.multicast t.tp (shard_servers t dir.d_ino) (fun srv ->
           Wire.Readdir_shard { dir = dir.d_ino; home = srv })
     in
     List.concat_map
@@ -1753,12 +1088,12 @@ let rename t ~cwd oldp newp =
       match replaced with
       | Some victim when victim <> target ->
           ignore
-            (rpc_deferred t victim.server ~what:"rename-victim" ~ino:victim
-               (Wire.Unlink_ino { ino = victim }))
+            (Transport.defer t.tp victim.server ~what:"rename-victim"
+               ~ino:victim (Wire.Unlink_ino { ino = victim }))
       | _ -> ()
     in
     match
-      rpc_result t osrv
+      Transport.call t.tp osrv
         (Wire.Rm_map
            {
              dir = odir.d_ino;
@@ -1775,7 +1110,7 @@ let rename t ~cwd oldp newp =
         (* lost the race for the old name: undo our half *)
         Dircache.remove t.dircache ~dir:ndir.d_ino ~name:nname;
         ignore
-          (rpc_result t nsrv
+          (Transport.call t.tp nsrv
              (Wire.Rm_map
                 {
                   dir = ndir.d_ino;

@@ -7,6 +7,8 @@
     parallel directory broadcast, message coalescing and creation
     affinity. Process-level calls (fork/exec/wait) live in the [Hare]
     facade; they use {!fork_fds}/{!export_fds}/{!import_fds} from here.
+    Every RPC goes through this client's {!Transport} (retries,
+    breakers, the deferral window, [EMOVED] chases).
 
     All calls must run inside a simulation fiber pinned to this client's
     core, and raise {!Hare_proto.Errno.Error} on failure. *)
@@ -49,6 +51,7 @@ val syscalls : t -> Hare_stats.Opcount.t
 (** POSIX-call mix issued through this client (Figure 5). *)
 
 val rpc_count : t -> int
+(** Request copies sent: first copies, retries and [EMOVED] chases. *)
 
 val moved_retries : t -> int
 (** Requests re-sent after an [EMOVED] bounce (shard migration races). *)
@@ -66,7 +69,7 @@ val trip_breaker : t -> int -> unit
     server [sid] open right now (cooldown from the current instant), as
     if its give-up threshold had just been crossed — counted in
     [open_breakers] and the robust counters like a real open. A test
-    hook: lets a test race an in-flight EMOVED chase against a
+    hook: lets a test pit an EMOVED chase or a deferred send against a
     breaker-open destination without scripting real timeouts. No-op
     when breakers are disabled or the breaker is already open. *)
 

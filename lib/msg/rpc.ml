@@ -11,13 +11,24 @@ type meta = {
          may purge those dedup entries (bounded idempotency memory) *)
 }
 
-type ('req, 'resp) envelope = {
+type ('req, 'resp) request = {
   body : 'req;
-  reply_ivar : 'resp Ivar.t;
+  reply : ?payload_lines:int -> 'resp -> unit;
   meta : meta option;
   span : int; (* requesting trace span; 0 = untraced *)
   deadline : int64; (* absolute expiry on the simulated clock; 0 = none *)
   prio : int; (* shed class: 0 metadata, 1 data, 2 background *)
+}
+
+(* A request on the wire, with the slot its reply fills. The receiver
+   wraps it in a [request], whose reply function fills the slot. *)
+type ('req, 'resp) envelope = {
+  e_body : 'req;
+  e_reply : 'resp Ivar.t;
+  e_meta : meta option;
+  e_span : int;
+  e_deadline : int64;
+  e_prio : int;
 }
 
 type ('req, 'resp) t = {
@@ -45,20 +56,7 @@ let sink core = Engine.sink (Core_res.engine core)
    round trip — these sites fire on every traced RPC. *)
 let fid core = Engine.current_fid (Core_res.engine core)
 
-(* Sanitizer reply edge: the responder stamps the ivar just before
-   filling it ({!reply_fn}); readers join the stamp into their core's
-   clock once the value is in hand. Exposed for the client's deferred
-   fast path, which reads filled ivars without going through {!await}. *)
-let note_reply ~from future =
-  match Engine.checker (Core_res.engine from) with
-  | Some chk -> (
-      match Ivar.stamp future with
-      | Some s -> Check.join chk ~core:(Core_res.id from) s
-      | None -> ())
-  | None -> ()
-
-let call_async_sp t ~from ?payload_lines ?meta ?(abs_deadline = 0L)
-    ?(prio = 0) req =
+let call_async_sp t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
   (* Allocate a span id so the server-side work for this request can be
      tied back to the caller's open syscall span. *)
   let span = match sink from with Some tr -> Trace.next_span tr | None -> 0 in
@@ -67,68 +65,80 @@ let call_async_sp t ~from ?payload_lines ?meta ?(abs_deadline = 0L)
      injector; everything else keeps the atomic-delivery guarantee. *)
   let unreliable = meta <> None in
   Mailbox.send t.mailbox ~from ?payload_lines ~unreliable ~span
-    { body = req; reply_ivar = reply; meta; span; deadline = abs_deadline; prio };
+    {
+      e_body = req;
+      e_reply = reply;
+      e_meta = meta;
+      e_span = span;
+      e_deadline = abs_deadline;
+      e_prio = prio;
+    };
   let depth = Mailbox.pending t.mailbox in
   if depth > t.peak then t.peak <- depth;
   (reply, span)
 
 let call_async t ~from ?payload_lines ?meta req =
-  fst (call_async_sp t ~from ?payload_lines ?meta req)
+  fst (call_async_sp t ~from ?payload_lines ?meta ~abs_deadline:0L ~prio:0 req)
 
-(* Record how long the fiber was parked on the reply and attribute that
-   wait from the server-recorded breakdown for [span] (Trace.on_blocked);
-   then decompose the reply-receive charge as Send. *)
-let await ~from ~costs ?(span = 0) future =
-  let resp =
-    match sink from with
-    | None -> Ivar.read future
-    | Some tr ->
-        let engine = Core_res.engine from in
-        let b0 = Engine.now engine in
-        let resp = Ivar.read future in
-        Trace.on_blocked tr ~fid:(fid from) ~span
-          ~elapsed:(Int64.to_int (Int64.sub (Engine.now engine) b0));
-        Trace.set_pending tr ~fid:(fid from)
-          [ (Trace.Send, costs.Hare_config.Costs.recv) ];
-        resp
-  in
-  note_reply ~from future;
-  Core_res.compute from costs.Hare_config.Costs.recv;
-  resp
+let since engine b0 = Int64.to_int (Int64.sub (Engine.now engine) b0)
 
-let await_deadline ~engine ~from ~costs ~deadline ?(span = 0) future =
+(* The reply is in hand: attribute the cycles the fiber was parked on it
+   since [b0] from the server-recorded breakdown for [span]
+   (Trace.on_blocked), decompose the receive charge [cost] as Send, and
+   charge it. *)
+let received ~engine ~from ~cost ~span ~b0 future =
+  (match sink from with
+  | Some tr ->
+      Trace.on_blocked tr ~fid:(fid from) ~span ~elapsed:(since engine b0);
+      Trace.set_pending tr ~fid:(fid from) [ (Trace.Send, cost) ]
+  | None -> ());
+  (* Sanitizer reply edge: the responder stamped the ivar just before
+     filling it ({!reply_fn}); join the stamp into this core's clock. *)
+  (match (Engine.checker engine, Ivar.stamp future) with
+  | Some chk, Some s -> Check.join chk ~core:(Core_res.id from) s
+  | _ -> ());
+  Core_res.compute from cost
+
+let await ~from ~costs ~span ?(poll = false) future =
+  let engine = Core_res.engine from in
+  let b0 = Engine.now engine in
+  if poll && Ivar.is_filled future then begin
+    (* The reply landed while the caller was still computing: consuming
+       it is a poll of a ready slot, not a blocking receive — no
+       notification/wakeup path, just the copy. The server's cycles
+       overlapped the caller's own compute, so the breakdown recorded
+       for the span is discarded (elapsed 0). *)
+    received ~engine ~from ~cost:costs.Hare_config.Costs.recv_ready ~span ~b0
+      future;
+    Ivar.read future
+  end
+  else begin
+    let resp = Ivar.read future in
+    received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0 future;
+    resp
+  end
+
+let await_deadline ~engine ~from ~costs ~deadline ~span future =
   let b0 = Engine.now engine in
   match Ivar.read_deadline future ~engine ~cycles:deadline with
   | Some resp ->
-      (match sink from with
-      | Some tr ->
-          Trace.on_blocked tr ~fid:(fid from) ~span
-            ~elapsed:(Int64.to_int (Int64.sub (Engine.now engine) b0));
-          Trace.set_pending tr ~fid:(fid from)
-            [ (Trace.Send, costs.Hare_config.Costs.recv) ]
-      | None -> ());
-      note_reply ~from future;
-      Core_res.compute from costs.Hare_config.Costs.recv;
+      received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0
+        future;
       Ok resp
   | None ->
       (match sink from with
       | Some tr ->
           (* Timed out: nothing came back, the whole wait is queueing. *)
           Trace.on_blocked tr ~fid:(fid from) ~span:0
-            ~elapsed:(Int64.to_int (Int64.sub (Engine.now engine) b0))
+            ~elapsed:(since engine b0)
       | None -> ());
       Error `Timeout
 
 let call t ~from ?payload_lines req =
-  let future, span = call_async_sp t ~from ?payload_lines req in
-  await ~from ~costs:t.costs ~span future
-
-let call_deadline t ~engine ~from ?payload_lines ~meta ~deadline
-    ?abs_deadline ?prio req =
   let future, span =
-    call_async_sp t ~from ?payload_lines ~meta ?abs_deadline ?prio req
+    call_async_sp t ~from ?payload_lines ~abs_deadline:0L ~prio:0 req
   in
-  await_deadline ~engine ~from ~costs:t.costs ~deadline ~span future
+  await ~from ~costs:t.costs ~span future
 
 let reply_fn t env ?(payload_lines = 0) resp =
   (* The response is a message from the endpoint's core back to the
@@ -142,60 +152,41 @@ let reply_fn t env ?(payload_lines = 0) resp =
   | Some tr -> Trace.set_pending tr ~fid:(fid owner) [ (Trace.Send, cost) ]
   | None -> ());
   Core_res.compute owner cost;
-  match env.meta with
-  | Some _ when Ivar.is_filled env.reply_ivar ->
+  match env.e_meta with
+  | Some _ when Ivar.is_filled env.e_reply ->
       (* A duplicated copy of a request we already answered; the caller
          has its response, so this fill would be a double-assignment. *)
       ()
   | _ ->
       (match Engine.checker (Core_res.engine owner) with
       | Some chk ->
-          Ivar.set_stamp env.reply_ivar
+          Ivar.set_stamp env.e_reply
             (Check.msg_stamp chk ~core:(Core_res.id owner))
       | None -> ());
-      Ivar.fill env.reply_ivar resp
+      Ivar.fill env.e_reply resp
 
-let recv_full t =
-  let env = Mailbox.recv t.mailbox in
-  ( env.body,
-    (fun ?payload_lines resp -> reply_fn t env ?payload_lines resp),
-    env.meta,
-    env.span,
-    env.deadline,
-    env.prio )
+let request t env =
+  {
+    body = env.e_body;
+    reply = (fun ?payload_lines resp -> reply_fn t env ?payload_lines resp);
+    meta = env.e_meta;
+    span = env.e_span;
+    deadline = env.e_deadline;
+    prio = env.e_prio;
+  }
+
+let recv_full t = request t (Mailbox.recv t.mailbox)
 
 let recv_batch_full t ~max =
-  Mailbox.recv_many t.mailbox ~max
-  |> List.map (fun env ->
-         ( env.body,
-           (fun ?payload_lines resp -> reply_fn t env ?payload_lines resp),
-           env.meta,
-           env.span,
-           env.deadline,
-           env.prio ))
+  List.map (request t) (Mailbox.recv_many t.mailbox ~max)
 
 let charge_recv t = Mailbox.charge_recv t.mailbox
 
 let recv t =
-  let req, reply, _meta, _span, _deadline, _prio = recv_full t in
-  (req, reply)
+  let r = recv_full t in
+  (r.body, r.reply)
 
-let poll t =
-  match Mailbox.poll t.mailbox with
-  | None -> None
-  | Some env ->
-      Some
-        (env.body, fun ?payload_lines resp -> reply_fn t env ?payload_lines resp)
-
-let drain_pending t =
-  Mailbox.drain t.mailbox
-  |> List.map (fun env ->
-         ( env.body,
-           (fun ?payload_lines resp -> reply_fn t env ?payload_lines resp),
-           env.meta,
-           env.span,
-           env.deadline,
-           env.prio ))
+let drain_pending t = List.map (request t) (Mailbox.drain t.mailbox)
 
 let pending t = Mailbox.pending t.mailbox
 

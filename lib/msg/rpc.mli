@@ -9,7 +9,7 @@
     Requests may carry a {!meta} idempotency tag (per-client sequence
     number). Tagged requests are the ones the fault injector may drop,
     duplicate or delay; servers use the tag to deduplicate retries, and
-    {!call_deadline} bounds the wait so a lost message surfaces as
+    {!await_deadline} bounds the wait so a lost message surfaces as
     [Error `Timeout] instead of a hang. *)
 
 type meta = { m_client : int; m_seq : int; m_ack : int }
@@ -18,6 +18,22 @@ type meta = { m_client : int; m_seq : int; m_ack : int }
     tag. [m_ack] is the client's completed low-water mark — every seq at
     or below it has a final client-side outcome and will never be
     retransmitted, so the server can purge those dedup entries. *)
+
+type ('req, 'resp) request = {
+  body : 'req;
+  reply : ?payload_lines:int -> 'resp -> unit;
+      (** Charges the send cost to the endpoint's owner core when
+          invoked; may be stashed and invoked later (how servers park
+          blocking operations — pipe reads, rmdir serialization —
+          without blocking their dispatch loop). Replying to a
+          duplicated copy of an already-answered tagged request is a
+          no-op. *)
+  meta : meta option;  (** idempotency tag *)
+  span : int;  (** the caller's trace span id; 0 = untraced *)
+  deadline : int64;  (** absolute expiry, simulated cycles; 0 = none *)
+  prio : int;  (** shed class: 0 metadata, 1 data, 2 background *)
+}
+(** A received request, as the server side sees it. *)
 
 type ('req, 'resp) t
 
@@ -52,24 +68,6 @@ val call :
   'req ->
   'resp
 
-(** [call_deadline t ~engine ~from ~meta ~deadline req] sends [req] with
-    an idempotency tag and waits at most [deadline] cycles for the reply.
-    A late response still fills the future; it is simply no longer
-    observed by this call. [abs_deadline]/[prio] ride the request
-    envelope (deadline propagation and shed class, PR 6); defaults 0 =
-    never shed, metadata class. *)
-val call_deadline :
-  ('req, 'resp) t ->
-  engine:Hare_sim.Engine.t ->
-  from:Hare_sim.Core_res.t ->
-  ?payload_lines:int ->
-  meta:meta ->
-  deadline:int64 ->
-  ?abs_deadline:int64 ->
-  ?prio:int ->
-  'req ->
-  ('resp, [> `Timeout ]) result
-
 (** [call_async t ~from req] sends [req]; {!await} the returned future.
     [meta], when given, tags the request for dedup and marks it
     unreliable (subject to the fault plan). *)
@@ -85,34 +83,30 @@ val call_async :
     when tracing is off). Pass it to {!await} so the time this fiber
     later spends blocked on the reply is attributed from the server-side
     breakdown recorded for that request. [abs_deadline]/[prio] ride the
-    envelope as in {!call_deadline}. *)
+    envelope (deadline propagation and shed class, PR 6): 0 = never
+    expires, metadata class. *)
 val call_async_sp :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
   ?meta:meta ->
-  ?abs_deadline:int64 ->
-  ?prio:int ->
+  abs_deadline:int64 ->
+  prio:int ->
   'req ->
   'resp Hare_sim.Ivar.t * int
 
-(** [await ~from ~costs future] blocks for the response and charges the
-    receive cost to [from]. [span] (default 0) is the request's trace
-    span id, from {!call_async_sp}. *)
+(** [await ~from ~costs ~span future] blocks for the response and
+    charges the receive cost to [from]. [span] is the request's trace
+    span id, from {!call_async_sp} (0 = untraced). With [poll] (default
+    false) a reply already in hand is taken as a poll of a ready slot:
+    only [recv_ready] is charged, and no blocked time is attributed. *)
 val await :
   from:Hare_sim.Core_res.t ->
   costs:Hare_config.Costs.t ->
-  ?span:int ->
+  span:int ->
+  ?poll:bool ->
   'resp Hare_sim.Ivar.t ->
   'resp
-
-(** [note_reply ~from future] joins the sanitizer happens-before stamp
-    the responder stashed on [future] into [from]'s vector clock. No-op
-    when checking is off or the ivar carries no stamp. {!await} and
-    {!await_deadline} call this internally; it is exposed for callers
-    that read an already-filled future directly (the client's deferred
-    fast path). *)
-val note_reply : from:Hare_sim.Core_res.t -> 'resp Hare_sim.Ivar.t -> unit
 
 (** Deadline-bounded {!await}. *)
 val await_deadline :
@@ -120,29 +114,16 @@ val await_deadline :
   from:Hare_sim.Core_res.t ->
   costs:Hare_config.Costs.t ->
   deadline:int64 ->
-  ?span:int ->
+  span:int ->
   'resp Hare_sim.Ivar.t ->
   ('resp, [> `Timeout ]) result
 
 (** [recv t] (server side) blocks for a request and returns it with its
-    reply function. The reply function charges the send cost to the
-    endpoint's owner core when invoked; it may be stashed and invoked
-    later (how servers park blocking operations — pipe reads, rmdir
-    serialization — without blocking their dispatch loop). Replying to a
-    duplicated copy of an already-answered tagged request is a no-op. *)
+    reply function (see {!request}). *)
 val recv : ('req, 'resp) t -> 'req * (?payload_lines:int -> 'resp -> unit)
 
-(** Like {!recv} but also exposes the request's idempotency tag, trace
-    span id (0 when the caller was untraced), absolute deadline (0 =
-    none) and shed-priority class. *)
-val recv_full :
-  ('req, 'resp) t ->
-  'req
-  * (?payload_lines:int -> 'resp -> unit)
-  * meta option
-  * int
-  * int64
-  * int
+val recv_full : ('req, 'resp) t -> ('req, 'resp) request
+(** Like {!recv}, with the request's tag, span, deadline and class. *)
 
 (** [recv_batch_full t ~max] blocks for the first request, then drains up
     to [max - 1] already-queued requests in arrival order (see
@@ -150,38 +131,16 @@ val recv_full :
     Only the first request's receive cost is charged; pair each later
     request with {!charge_recv} as it is served. [~max:1] is exactly
     {!recv_full}. *)
-val recv_batch_full :
-  ('req, 'resp) t ->
-  max:int ->
-  ('req
-  * (?payload_lines:int -> 'resp -> unit)
-  * meta option
-  * int
-  * int64
-  * int)
-  list
+val recv_batch_full : ('req, 'resp) t -> max:int -> ('req, 'resp) request list
 
 (** [charge_recv t] charges the already-delivered receive cost to the
     endpoint's owner; for the messages of {!recv_batch_full} past the
     first (queued before the wakeup, so no blocking notification). *)
 val charge_recv : ('req, 'resp) t -> unit
 
-(** [poll t] is the non-blocking {!recv}. *)
-val poll :
-  ('req, 'resp) t -> ('req * (?payload_lines:int -> 'resp -> unit)) option
-
 (** [drain_pending t] empties the request queue without charging receive
-    costs, returning each request with its reply function and tag; crash
-    handling uses this to abort everything in flight. *)
-val drain_pending :
-  ('req, 'resp) t ->
-  ('req
-  * (?payload_lines:int -> 'resp -> unit)
-  * meta option
-  * int
-  * int64
-  * int)
-  list
+    costs; crash handling uses this to abort everything in flight. *)
+val drain_pending : ('req, 'resp) t -> ('req, 'resp) request list
 
 val pending : ('req, 'resp) t -> int
 

@@ -60,7 +60,7 @@ let start t =
   let module Trace = Hare_trace.Trace in
   let engine = t.kctx.Process.k_engine in
   let rec loop () =
-    let req, reply, _meta, span, _deadline, _prio =
+    let { Hare_msg.Rpc.body = req; reply; span; _ } =
       Hare_msg.Rpc.recv_full t.endpoint
     in
     let tr_opened =

@@ -107,9 +107,7 @@ type t = {
   faults : Hare_fault.Injector.link option;
   mutable down : bool;
   (* reliable messages that arrived while down; served after restart *)
-  boot_queue :
-    (Wire.fs_req * reply * Hare_msg.Rpc.meta option * int * int64 * int)
-    Queue.t;
+  boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
   dedup : (int, dedup_client) Hashtbl.t;
   robust : Hare_stats.Robust.t;
   (* block stealing (extension) *)
@@ -1275,7 +1273,9 @@ and kick_steal t =
         (Engine.spawn t.engine
            ~name:(Printf.sprintf "steal-%d" t.sid)
            (fun () ->
-             let resp = Hare_msg.Rpc.await ~from:t.core ~costs:t.costs future in
+             let resp =
+               Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span:0 future
+             in
              t.steal_inflight <- false;
              (match resp with
              | Ok (Wire.P_blocks { blocks; _ }) ->
@@ -1536,9 +1536,8 @@ let crash t =
        (reliable, non-retryable) requests get EIO so their callers
        unblock. *)
     List.iter
-      (fun ((_ : Wire.fs_req), reply, meta, (_ : int), (_ : int64), (_ : int))
-           ->
-        match meta with Some _ -> incr aborted | None -> abort reply)
+      (fun (r : _ Hare_msg.Rpc.request) ->
+        match r.meta with Some _ -> incr aborted | None -> abort r.reply)
       (Hare_msg.Rpc.drain_pending t.endpoint);
     (* Parked continuations are volatile: error them all out. *)
     Hashtbl.iter
@@ -1633,8 +1632,8 @@ let restart t =
     let parked = List.of_seq (Queue.to_seq t.boot_queue) in
     Queue.clear t.boot_queue;
     List.iter
-      (fun (req, reply, meta, span, (_ : int64), (_ : int)) ->
-        process ~span t req reply meta)
+      (fun (r : _ Hare_msg.Rpc.request) ->
+        process ~span:r.span t r.body r.reply r.meta)
       parked
   end
 
@@ -1650,11 +1649,12 @@ let start t =
           ()
     | None -> ()
   in
-  let serve ~dispatch (req, reply, meta, span, deadline, prio) =
+  let serve ~dispatch (r : _ Hare_msg.Rpc.request) =
+    let { Hare_msg.Rpc.body = req; reply; meta; span; deadline; prio } = r in
     if t.down then
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)
-      Queue.push (req, reply, meta, span, deadline, prio) t.boot_queue
+      Queue.push r t.boot_queue
     else if
       (* Class shed first: a categorical EBUSY tells the client to back
          off now, whereas an expiry drop costs it a full timeout — so

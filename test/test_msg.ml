@@ -141,8 +141,8 @@ let test_rpc_overlap () =
          let t1 = Engine.now e in
          let f1 = Hare_msg.Rpc.call_async s1 ~from:client_core () in
          let f2 = Hare_msg.Rpc.call_async s2 ~from:client_core () in
-         ignore (Hare_msg.Rpc.await ~from:client_core ~costs f1);
-         ignore (Hare_msg.Rpc.await ~from:client_core ~costs f2);
+         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:0 f1);
+         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:0 f2);
          par_time := Int64.sub (Engine.now e) t1));
   Engine.run e;
   Alcotest.(check bool)

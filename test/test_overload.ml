@@ -228,40 +228,120 @@ let test_knobs_on_but_idle_is_bit_identical () =
   (* With every knob open but nothing pushed past a limit — light load,
      generous watermark/capacity, no faults — the overload machinery
      must not perturb the simulation: the clock matches the knobs-off
-     run cycle for cycle, and every new counter stays zero. *)
-  (* the deadline/retry machinery predates this PR and arms timers of
-     its own; hold it fixed and toggle only the new knobs *)
-  let base =
-    {
-      (Test_util.small_config ~ncores:4 ()) with
-      Config.rpc_deadline = 1_000_000;
-      rpc_retries = 4;
-    }
-  in
-  let idle_knobs =
-    {
-      base with
-      Config.rpc_deadline_max = 8_000_000;
-      deadline_propagation = true;
-      mailbox_capacity = 4096;
-      retry_budget = 64;
-      breaker_threshold = 32;
-      breaker_cooldown = 500_000;
-      shed_watermark = 4096;
-    }
-  in
-  let run config = fst (run_overload_machine ~nprocs:3 config) in
-  let off = run base in
-  let on = run idle_knobs in
-  Alcotest.(check int64) "identical clock with idle knobs" (Machine.now off)
-    (Machine.now on);
-  let r = Machine.robustness on in
-  Alcotest.(check int) "no credit blocks" 0 r.Robust.flow_blocks;
-  Alcotest.(check int) "no expiry sheds" 0 r.Robust.shed_expired;
-  Alcotest.(check int) "no load sheds" 0 r.Robust.shed_load;
-  Alcotest.(check int) "no fast fails" 0 r.Robust.fast_fails;
-  Alcotest.(check int) "no budget denials" 0 r.Robust.budget_denied;
-  Alcotest.(check int) "no breaker opens" 0 r.Robust.breaker_opens
+     run cycle for cycle, and every new counter stays zero. Both with
+     synchronous closes and with closes riding the deferral window,
+     where breakers and budgets see polled replies too. *)
+  List.iter
+    (fun window ->
+      (* the deadline/retry machinery predates this PR and arms timers
+         of its own; hold it fixed and toggle only the new knobs *)
+      let base =
+        {
+          (Test_util.small_config ~ncores:4 ()) with
+          Config.rpc_deadline = 1_000_000;
+          rpc_retries = 4;
+          rpc_window = window;
+        }
+      in
+      let idle_knobs =
+        {
+          base with
+          Config.rpc_deadline_max = 8_000_000;
+          deadline_propagation = true;
+          mailbox_capacity = 4096;
+          retry_budget = 64;
+          breaker_threshold = 32;
+          breaker_cooldown = 500_000;
+          shed_watermark = 4096;
+        }
+      in
+      let run config = fst (run_overload_machine ~nprocs:3 config) in
+      let off = run base in
+      let on = run idle_knobs in
+      let label what = Printf.sprintf "%s (rpc_window %d)" what window in
+      Alcotest.(check int64)
+        (label "identical clock with idle knobs")
+        (Machine.now off) (Machine.now on);
+      let r = Machine.robustness on in
+      Alcotest.(check int) (label "no credit blocks") 0 r.Robust.flow_blocks;
+      Alcotest.(check int) (label "no expiry sheds") 0 r.Robust.shed_expired;
+      Alcotest.(check int) (label "no load sheds") 0 r.Robust.shed_load;
+      Alcotest.(check int) (label "no fast fails") 0 r.Robust.fast_fails;
+      Alcotest.(check int) (label "no budget denials") 0 r.Robust.budget_denied;
+      Alcotest.(check int) (label "no breaker opens") 0 r.Robust.breaker_opens)
+    [ 1; 8 ]
+
+(* ---------- breakers on the deferral window ----------------------------- *)
+
+(* The retry protocol with a breaker that opens on one give-up, and an
+   eight-deep window: a regular file's close is a deferred send. *)
+let window_breaker_config =
+  {
+    (Test_util.small_config ~ncores:4 ()) with
+    Config.rpc_deadline = 1_000_000;
+    rpc_retries = 4;
+    breaker_threshold = 1;
+    breaker_cooldown = 200_000;
+    rpc_window = 8;
+  }
+
+let closes_served m sid =
+  Hare_stats.Opcount.get
+    (Hare_server.Server.ops (Machine.servers m).(sid))
+    (Hare_proto.Wire.req_name
+       (Hare_proto.Wire.Close_fd { token = 0; size = None }))
+
+(* Open a fresh file; return the client of [p]'s core, the descriptor
+   and the physical server homing the file (static placement: the
+   inode's server). *)
+let open_homed m p =
+  let c = (Machine.clients m).(p.Test_util.P.core_id) in
+  let fd = Test_util.Posix.creat p "/f" in
+  let sid = (Test_util.Posix.fstat p fd).Hare_proto.Types.a_ino.server in
+  (c, fd, sid)
+
+let test_deferred_close_passes_breaker () =
+  (* A deferred close to a server whose breaker is open fast-fails
+     exactly like a synchronous one: EIO, and nothing reaches the
+     server. *)
+  ignore
+    (Test_util.run ~config:window_breaker_config (fun m p ->
+         let c, fd, sid = open_homed m p in
+         let served = closes_served m sid in
+         Hare_client.Client.trip_breaker c sid;
+         (match Test_util.Posix.close p fd with
+         | () -> Alcotest.fail "close to an open breaker went out"
+         | exception Hare_proto.Errno.Error (Hare_proto.Errno.EIO, _) -> ());
+         Alcotest.(check int) "one fast-fail" 1
+           (Hare_client.Client.robust c).Robust.fast_fails;
+         Alcotest.(check int) "the server saw no close" served
+           (closes_served m sid);
+         0))
+
+let test_polled_probe_closes_breaker () =
+  (* After the cooldown a deferred close is the half-open probe. Its
+     reply lands while the client is busy elsewhere and is only polled
+     when the window drains — and that poll must still close the
+     breaker, or it would stay half-open (fast-failing everything) for
+     ever. *)
+  ignore
+    (Test_util.run ~config:window_breaker_config (fun m p ->
+         let c, fd, sid = open_homed m p in
+         Hare_client.Client.trip_breaker c sid;
+         let after cycles = Int64.add (Machine.now m) (Int64.of_int cycles) in
+         Test_util.Posix.sleep_until p
+           (after window_breaker_config.Config.breaker_cooldown);
+         Test_util.Posix.close p fd;
+         Test_util.Posix.sleep_until p (after 100_000);
+         Hare_client.Client.drain_window c;
+         let r = Hare_client.Client.robust c in
+         Alcotest.(check int) "the close was the probe" 1
+           r.Robust.breaker_half_opens;
+         Alcotest.(check int) "its polled reply closed the breaker" 1
+           r.Robust.breaker_closes;
+         Alcotest.(check int) "no breaker left open" 0
+           (Hare_client.Client.open_breakers c);
+         0))
 
 (* ---------- graceful degradation ---------------------------------------- *)
 
@@ -342,6 +422,10 @@ let suites =
           test_backoff_deterministic_per_seed;
         Alcotest.test_case "idle knobs are zero-perturbation" `Quick
           test_knobs_on_but_idle_is_bit_identical;
+        Alcotest.test_case "deferred close passes the breaker" `Quick
+          test_deferred_close_passes_breaker;
+        Alcotest.test_case "polled probe closes the breaker" `Quick
+          test_polled_probe_closes_breaker;
         Alcotest.test_case "graceful degradation at saturation" `Quick
           test_graceful_degradation_at_saturation;
         Alcotest.test_case "crash trips breakers" `Quick

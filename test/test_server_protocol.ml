@@ -85,7 +85,7 @@ let test_create_parked_during_mark_abort () =
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "abort");
       (match Rpc.await ~from:rig.client_core
-               ~costs:config.Hare_config.Config.costs parked
+               ~costs:config.Hare_config.Config.costs ~span:0 parked
        with
       | Ok (Wire.P_open_ino _) -> ()
       | Ok _ | Error _ -> Alcotest.fail "parked create should succeed");
@@ -106,7 +106,7 @@ let test_create_parked_during_mark_commit () =
       in
       ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
       match Rpc.await ~from:rig.client_core
-              ~costs:config.Hare_config.Config.costs parked
+              ~costs:config.Hare_config.Config.costs ~span:0 parked
       with
       | Error Errno.ENOENT -> ()
       | Ok _ | Error _ -> Alcotest.fail "parked create must fail with ENOENT")
@@ -128,7 +128,7 @@ let test_rmdir_lock_serializes () =
       ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
       ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
       match Rpc.await ~from:rig.client_core
-              ~costs:config.Hare_config.Config.costs second
+              ~costs:config.Hare_config.Config.costs ~span:0 second
       with
       | Error Errno.ENOENT -> ()
       | Ok _ | Error _ -> Alcotest.fail "loser should see ENOENT")

@@ -385,6 +385,69 @@ let test_moved_chase_bypasses_breaker () =
   Alcotest.(check int) "no request gave up" 0 r.Hare_stats.Robust.giveups;
   assert_clean "moved-vs-breaker" m
 
+(* The deferred twin: under the retry protocol with an eight-deep
+   window, a regular file's close is a deferred send, awaited only when
+   the window drains (here at process exit). Probers open their files
+   before the route flip and close them just after it, so a close whose
+   home moved bounces at the old owner and is chased — under the same
+   tag, along the one attempt ladder — to the new one. Every close must
+   land: no deferred error, no give-up, no descriptor leaked. *)
+let test_moved_chase_deferred_close () =
+  let flip = 1_200_000L in
+  let nfiles = 16 in
+  let config =
+    {
+      (sharded_config ~ncores:21 ~plan:"add@1200000" ~check:true ()) with
+      Config.rpc_deadline = 25_000;
+      rpc_retries = 12;
+      rpc_window = 8;
+    }
+  in
+  let m = Machine.boot config in
+  let path i = Printf.sprintf "/mv/f%d" i in
+  Machine.register_program m "prober" (fun p args ->
+      let i = int_of_string (List.hd args) in
+      (* Staggered opens, as in the stat twin above, so the setup traffic
+         never queues past the RPC deadline. *)
+      Posix.sleep_until p (Int64.of_int (1_000_000 + (5_000 * i)));
+      let fd = Posix.openf p (path i) Hare_proto.Types.flags_r in
+      Posix.sleep_until p (Int64.add flip 50L);
+      Posix.close p fd;
+      0);
+  let init, _ =
+    Machine.spawn_init m ~name:"moved-deferred-close" (fun p _ ->
+        Posix.mkdir p "/mv";
+        for i = 0 to nfiles - 1 do
+          let fd = Posix.openf p (path i) Hare_proto.Types.flags_w in
+          Posix.write_all p fd "payload";
+          Posix.close p fd
+        done;
+        let pids =
+          List.init nfiles (fun i ->
+              Posix.spawn p ~prog:"prober" ~args:[ string_of_int i ])
+        in
+        List.fold_left
+          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
+          0 pids)
+  in
+  (match Machine.run m with
+  | () -> ()
+  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
+  Alcotest.(check (option int)) "every prober exited 0" (Some 0)
+    (Machine.exit_status m init);
+  Alcotest.(check bool) "a home actually moved" true
+    (Place.migrations (ring m) >= 1);
+  let perf = Machine.perf m in
+  Alcotest.(check bool) "the closes were deferred" true
+    (perf.Hare_stats.Perf.deferred >= nfiles);
+  Alcotest.(check int) "every deferred close landed" 0
+    perf.Hare_stats.Perf.deferred_errors;
+  Alcotest.(check bool) "at least one close bounced and chased" true
+    (Machine.total_moved_retries m >= 1);
+  Alcotest.(check int) "no request gave up" 0
+    (Machine.robustness m).Hare_stats.Robust.giveups;
+  assert_clean "moved-deferred-close" m
+
 (* ---------- suites ------------------------------------------------------- *)
 
 let tc = Alcotest.test_case
@@ -411,6 +474,8 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "migration under crash/restart" `Quick test_migrate_under_crash;
         tc "EMOVED chase bypasses an open breaker" `Quick
           test_moved_chase_bypasses_breaker;
+        tc "EMOVED chase of a deferred close" `Quick
+          test_moved_chase_deferred_close;
       ] );
     ( "shard.sanitizer",
       [
