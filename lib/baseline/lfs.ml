@@ -117,8 +117,6 @@ let create ~engine ~config ~cores =
 
 let root t = t.root
 
-let node_ftype n = n.ftype
-
 let size n = n.size
 
 let syscalls t = t.ops

@@ -48,11 +48,6 @@ and lfile = {
   flags : open_flags;
 }
 
-exception Exited of int
-(* raised by workload code to emulate exit(2); caught by process runners *)
-
-let exit_proc (_ : proc) status = raise (Exited status)
-
 let boot config =
   (match Hare_config.Config.validate config with
   | Ok () -> ()
@@ -217,11 +212,7 @@ let api_fork (p : proc) child_body =
     (Engine.spawn p.w.engine
        ~name:(Printf.sprintf "lproc-%d@%d" child.pid child.core_id)
        (fun () ->
-         let status =
-           try child_body child with
-           | Exited n -> n
-           | Errno.Error _ -> 1
-         in
+         let status = try child_body child with Errno.Error _ -> 1 in
          (try close_all child with Errno.Error _ -> ());
          Hashtbl.remove child.w.procs child.pid;
          Bqueue.push parent.child_exits (child.pid, status);
@@ -396,11 +387,7 @@ let spawn_init t ~name body =
   let p = mk_proc t ~core_id:0 ~parent:None ~cwd:"/" ~fdt in
   ignore
     (Engine.spawn t.engine ~name (fun () ->
-         let status =
-           try body p with
-           | Exited n -> n
-           | Errno.Error _ -> 1
-         in
+         let status = try body p with Errno.Error _ -> 1 in
          (try close_all p with Errno.Error _ -> ());
          Hashtbl.remove t.procs p.pid;
          Ivar.fill p.exit_status status));

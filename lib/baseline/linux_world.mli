@@ -29,5 +29,3 @@ val fs : t -> Lfs.t
 
 val syscalls : t -> Hare_stats.Opcount.t
 
-val exit_proc : proc -> int -> 'a
-(** Emulates [exit(2)] from inside a process body. *)

@@ -37,8 +37,6 @@ type rule =
   | Fd_leak  (** process exit with open fds *)
   | Lease_leak  (** process exit holding allocation-lease blocks *)
 
-val rule_name : rule -> string
-
 type violation = { rule : rule; detail : string; time : int64 }
 
 val create : ncores:int -> unit -> t

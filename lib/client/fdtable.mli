@@ -45,8 +45,6 @@ type t
 
 val create : unit -> t
 
-val max_fds : int
-
 (** [alloc t entry] binds the lowest free descriptor number.
     Raises [Errno.Error EMFILE] when the table is full. *)
 val alloc : t -> entry -> int

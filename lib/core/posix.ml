@@ -260,5 +260,3 @@ let kill (p : P.t) pid signal =
   with
   | Ok _ -> ()
   | Error e -> Errno.raise_errno e (string_of_int pid)
-
-let sbrk_noop = ()

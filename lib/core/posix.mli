@@ -112,6 +112,3 @@ val sleep_until : P.t -> int64 -> unit
 
 val print : P.t -> string -> unit
 (** Write to fd 1. *)
-
-val sbrk_noop : unit
-[@@deprecated "memory is not modelled; placeholder for API parity"]

@@ -112,6 +112,7 @@ let print_fig5 opts =
 
 (* ---------- Figure 6: scalability -------------------------------------- *)
 
+(* benchmark -> (cores, speedup vs. 1 core) *)
 let fig6_data opts =
   List.map
     (fun (spec : Spec.t) ->
@@ -151,6 +152,7 @@ let print_fig6 opts =
 
 (* ---------- Figure 7: split vs. timeshare ------------------------------ *)
 
+(* (benchmark, configuration, throughput normalized to timeshare) *)
 let fig7_data opts =
   let n = opts.big in
   List.concat_map
@@ -230,6 +232,9 @@ let print_fig7 opts =
 
 (* ---------- Figure 8: single-core vs. baselines ------------------------ *)
 
+(* (benchmark, hare-timeshare runtime seconds, then throughput normalized
+   to hare-timeshare for: hare timeshare (=1), hare 2-core, linux ramfs,
+   unfs) *)
 let fig8_data opts =
   List.map
     (fun (spec : Spec.t) ->
@@ -302,6 +307,8 @@ let techniques =
     ("Creation affinity", fun c -> { c with Config.creation_affinity = false });
   ]
 
+(* technique -> benchmark -> throughput(enabled)/throughput(disabled), all
+   at [opts.big] cores (Figures 10-14) *)
 let technique_ratios opts =
   let base_cfg = hare_cfg ~ncores:opts.big () in
   let with_results =
@@ -360,6 +367,7 @@ let print_techniques opts =
 
 (* ---------- Figure 15: Hare vs. Linux ---------------------------------- *)
 
+(* (benchmark, hare speedup, linux speedup, hare runtime s, linux runtime s) *)
 let fig15_data opts =
   List.map
     (fun (spec : Spec.t) ->
@@ -438,6 +446,9 @@ let print_micro opts =
 
 let width_benches = [ "creates"; "pfind dense"; "rm dense"; "mailbench" ]
 
+(* §6's "distribute a directory over a subset of cores": benchmark ->
+   (width, throughput normalized to full-width distribution) at
+   [opts.big] cores *)
 let width_sweep opts =
   let widths =
     List.sort_uniq compare

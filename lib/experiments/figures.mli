@@ -33,42 +33,22 @@ val print_fig5 : opts -> unit
 
 (** {1 Figure 6: speedup vs. cores (timeshare)} *)
 
-val fig6_data : opts -> (string * (int * float) list) list
-(** benchmark -> (cores, speedup vs. 1 core). *)
-
 val print_fig6 : opts -> unit
 
 (** {1 Figure 7: split vs. timeshare configurations} *)
-
-val fig7_data :
-  opts -> (string * [ `Timeshare | `Half | `Best of int ] * float) list
-(** (benchmark, configuration, throughput normalized to timeshare). *)
 
 val print_fig7 : opts -> unit
 
 (** {1 Figure 8: single-core throughput vs. the baselines} *)
 
-val fig8_data : opts -> (string * float * float * float * float * float) list
-(** (benchmark, hare-timeshare runtime seconds, then throughput
-    normalized to hare-timeshare for: hare timeshare (=1), hare 2-core,
-    linux ramfs, unfs). *)
-
 val print_fig8 : opts -> unit
 
 (** {1 Figures 9-14: technique ablations} *)
-
-val technique_ratios : opts -> (string * (string * float) list) list
-(** technique -> benchmark -> throughput(enabled)/throughput(disabled),
-    all at [opts.big] cores (Figures 10-14). *)
 
 val print_techniques : opts -> unit
 (** Prints Figures 10-14 and the Figure 9 min/avg/median/max summary. *)
 
 (** {1 Figure 15: Hare vs. Linux at [big] cores} *)
-
-val fig15_data : opts -> (string * float * float * float * float) list
-(** (benchmark, hare speedup, linux speedup, hare runtime s, linux
-    runtime s). *)
 
 val print_fig15 : opts -> unit
 
@@ -80,11 +60,6 @@ val micro_data : opts -> float * float
 val print_micro : opts -> unit
 
 (** {1 Extension experiments (beyond the paper)} *)
-
-val width_sweep : opts -> (string * (int * float) list) list
-(** For §6's "distribute a directory over a subset of cores": benchmark
-    -> (width, throughput normalized to full-width distribution) at
-    [opts.big] cores. *)
 
 val print_extensions : opts -> unit
 (** Prints the width sweep and a block-stealing demonstration. *)

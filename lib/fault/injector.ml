@@ -60,8 +60,6 @@ let link t ~sid =
       Hashtbl.add t.links sid l;
       l
 
-let link_sid l = l.sid
-
 let down l = l.down
 
 let set_down l b = l.down <- b

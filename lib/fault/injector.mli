@@ -29,8 +29,6 @@ val link : t -> sid:int -> link
     the same object); filters the plan's message rules down to those
     matching this server. *)
 
-val link_sid : link -> int
-
 val down : link -> bool
 
 val set_down : link -> bool -> unit

@@ -8,9 +8,6 @@ val line_size : int
 
 val lines_per_block : int
 
-val line_of_offset : int -> int
-(** [line_of_offset off] is the line index within a block containing byte
-    offset [off]. *)
 
 val lines_touched : off:int -> len:int -> int * int
 (** [lines_touched ~off ~len] is the inclusive range [(first, last)] of

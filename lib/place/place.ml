@@ -19,7 +19,6 @@ type t = {
   mutable epoch : int;
   mutable migrations : int;
   mutable aborted : int;
-  mutable moved_replies : int;
 }
 
 let count_adds_ev events =
@@ -39,7 +38,6 @@ let create ~nhomes ~vnodes ~events =
     epoch = 0;
     migrations = 0;
     aborted = 0;
-    moved_replies = 0;
   }
 
 let nhomes t = t.nhomes
@@ -134,10 +132,8 @@ let plan_remove t p =
 let commit t = t.epoch <- t.epoch + 1
 let note_migration t = t.migrations <- t.migrations + 1
 let note_abort t = t.aborted <- t.aborted + 1
-let note_moved_reply t = t.moved_replies <- t.moved_replies + 1
 let migrations t = t.migrations
 let aborted t = t.aborted
-let moved_replies t = t.moved_replies
 
 (* Plan grammar: `add@CYCLES;remove:SID@CYCLES` — same shape as the
    fault plans in [Hare_fault.Plan]. *)

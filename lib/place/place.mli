@@ -37,7 +37,8 @@ val events : t -> event list
 
 val migratory : t -> bool
 (** [true] iff the membership plan is non-empty — the gate for every
-    migration-only code path (key namespacing, ownership checks). *)
+    migration-only code path (home-tagged descriptor tokens, ownership
+    checks, [EMOVED] bounces). *)
 
 val epoch : t -> int
 
@@ -78,16 +79,11 @@ val note_migration : t -> unit
 
 val note_abort : t -> unit
 
-val note_moved_reply : t -> unit
-
 val migrations : t -> int
 (** Homes successfully handed off. *)
 
 val aborted : t -> int
 (** Migrations abandoned (busy shard that never drained). *)
-
-val moved_replies : t -> int
-(** [EMOVED] rejections clients observed and retried. *)
 
 (** {1 Plan parsing} *)
 

@@ -64,8 +64,6 @@ val make :
     registers the process in the core's table, and links it under
     [parent]. *)
 
-val alloc_pid : kctx -> core:int -> Types.pid
-
 val client : t -> Hare_client.Client.t
 
 val core : t -> Hare_sim.Core_res.t
@@ -86,8 +84,4 @@ val deliver_signal : t -> from:Hare_sim.Core_res.t -> int -> unit
 
 val install_handler : t -> signal:int -> (int -> unit) -> unit
 
-val sigkill : int
-
 val sigterm : int
-
-val sigint : int

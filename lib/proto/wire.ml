@@ -210,8 +210,6 @@ let req_prio : fs_req -> int = function
   | Unlink_ino _ | Steal_blocks _ -> 2
   | _ -> 0
 
-let prio_name = function 0 -> "meta" | 1 -> "data" | _ -> "background"
-
 (* Compact request arguments for trace spans: enough to identify the
    object an op touched without dumping payloads. *)
 let req_args req =

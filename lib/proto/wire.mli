@@ -209,5 +209,3 @@ val req_prio : fs_req -> int
 (** Overload priority class: 0 = metadata (never shed), 1 = data,
     2 = background (shed first above the watermark). *)
 
-val prio_name : int -> string
-(** ["meta"], ["data"] or ["background"]. *)

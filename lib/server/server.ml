@@ -29,36 +29,41 @@ type ofd = {
 
 type mark = { parked : (Wire.fs_req * reply) Queue.t }
 
-(* Idempotency memory (volatile): one entry per (client, seq). [Pending]
-   collects reply slots of duplicate copies that arrive while the original
-   is still executing or parked; [Done] caches the response for
-   retransmissions. *)
-type dedup_entry = Pending of reply list ref | Done of Wire.fs_resp
-
-(* Per-client idempotency memory, bounded by the ack low-water mark the
-   client rides on every tagged request: every seq at or below
-   [de_pruned] has a final client-side outcome, can never be
-   retransmitted, and has been evicted. *)
-type dedup_client = {
-  de_tbl : (int, dedup_entry) Hashtbl.t;
-  mutable de_pruned : int;
-}
-
 type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
 
-(* Shard-migration payload: the whole state of one logical home, moved
-   between physical servers by reference (host-side values; the block
-   contents never leave DRAM). Defined as a [Wire.pack] extension because
-   it mentions server-internal types. *)
+(* Everything one logical home owns (§3.1): its inode table, descriptor
+   state, directory-entry shards, invalidation tracking lists and rmdir
+   marks/locks. A server hosts exactly one home, its own, under every
+   static placement; under a shard plan a migration moves whole records
+   between servers. *)
+type home = {
+  hid : int;
+  inodes : (int, Inode.t) Hashtbl.t; (* lid -> inode *)
+  mutable next_lid : int;
+  tokens : (int, ofd) Hashtbl.t;
+  mutable next_token : int;
+  (* directory-entry shards: dir -> name -> dentry *)
+  dirs : (ino, (string, Wire.entry_info) Hashtbl.t) Hashtbl.t;
+  (* invalidation tracking lists: dir -> name -> client set *)
+  tracking : (ino, (string, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
+  marks : (ino, mark) Hashtbl.t;
+  locks : (ino, dirlock) Hashtbl.t;
+  (* tombstones: directories whose removal this home committed. A create
+     can race past the mark window (looked up the parent before the
+     removal, arrived after commit); shard servers cannot check the
+     remote inode, so the tombstone refuses it. Inode ids are never
+     reused, so a tombstone can live forever. *)
+  dead_dirs : (ino, unit) Hashtbl.t;
+}
+
+(* Shard-migration payload: one logical home's record, moved between
+   physical servers by reference (host-side values; the block contents
+   never leave DRAM). Defined as a [Wire.pack] extension because it
+   mentions server-internal types. *)
 type Wire.pack +=
   | Pack of {
-      p_inodes : (int * Inode.t) list; (* lid, record *)
-      p_tokens : (int * ofd) list; (* namespaced token, ofd *)
-      p_dirs : (ino * (string, Wire.entry_info) Hashtbl.t) list; (* dkey *)
-      p_dead : ino list; (* tombstone dkeys *)
+      p_home : home;
       p_blocks : int array; (* buffer-cache ownership to adopt *)
-      p_next_lid : int;
-      p_next_token : int;
       p_dedup : (int * int * Wire.fs_resp) list; (* client, seq, resp *)
     }
 
@@ -73,32 +78,14 @@ type t = {
   blocks : Blocklist.t;
   endpoint : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t;
   (* Consistent-hash sharding: [migratory] is true iff the machine has a
-     ring-membership plan; only then do key namespacing, ownership checks
-     and EMOVED rejections exist. [hosted] is the set of logical homes
-     this physical server currently serves — one home per server (its own
-     id) under every static placement. *)
+     ring-membership plan; only then do token namespacing, ownership
+     checks and EMOVED rejections exist. [homes] holds the logical homes
+     this physical server currently serves. *)
   migratory : bool;
-  hosted : (int, unit) Hashtbl.t;
+  homes : (int, home) Hashtbl.t;
   mutable homes_in : int; (* homes adopted via Install_shard *)
   mutable homes_out : int; (* homes packed via Migrate_out *)
   mutable moved_rejects : int; (* EMOVED replies sent *)
-  (* keyed by [ikey]: the inode's lid, home-namespaced when migratory *)
-  inodes : (int, Inode.t) Hashtbl.t;
-  next_lids : (int, int) Hashtbl.t; (* per-home lid counters *)
-  tokens : (int, ofd) Hashtbl.t;
-  next_tokens : (int, int) Hashtbl.t; (* per-home token counters *)
-  (* directory-entry shards: dkey -> name -> dentry *)
-  dirs : (ino, (string, Wire.entry_info) Hashtbl.t) Hashtbl.t;
-  (* invalidation tracking lists: dkey -> name -> client set *)
-  tracking : (ino, (string, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
-  marks : (ino, mark) Hashtbl.t;
-  locks : (ino, dirlock) Hashtbl.t;
-  (* tombstones: directories whose removal this server committed. A
-     create can race past the mark window (looked up the parent before
-     the removal, arrived after commit); shard servers cannot check the
-     remote inode, so the tombstone refuses it. Inode ids are never
-     reused, so a tombstone can live forever. *)
-  dead_dirs : (ino, unit) Hashtbl.t;
   inval_ports : Wire.inval Hare_msg.Mailbox.t array;
   ops : Hare_stats.Opcount.t;
   perf : Hare_stats.Perf.t;
@@ -108,7 +95,7 @@ type t = {
   mutable down : bool;
   (* reliable messages that arrived while down; served after restart *)
   boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
-  dedup : (int, dedup_client) Hashtbl.t;
+  dedup : reply Dedup.t;
   robust : Hare_stats.Robust.t;
   (* block stealing (extension) *)
   mutable peers : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t array;
@@ -121,6 +108,26 @@ type t = {
 
 let bs = Hare_mem.Layout.block_size
 
+(* Empty [q], returning what it held in order. *)
+let take_all q =
+  let l = List.of_seq (Queue.to_seq q) in
+  Queue.clear q;
+  l
+
+let new_home hid =
+  {
+    hid;
+    inodes = Hashtbl.create 1024;
+    next_lid = 1;
+    tokens = Hashtbl.create 256;
+    next_token = 1;
+    dirs = Hashtbl.create 256;
+    tracking = Hashtbl.create 256;
+    marks = Hashtbl.create 16;
+    locks = Hashtbl.create 16;
+    dead_dirs = Hashtbl.create 16;
+  }
+
 let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     ~inval_ports ?place ?faults () =
   let migratory =
@@ -128,14 +135,14 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     | Some p -> Hare_place.Place.migratory p
     | None -> false
   in
-  let hosted = Hashtbl.create 4 in
+  let homes = Hashtbl.create 4 in
   (* A spare server (physical id beyond the logical home space) boots
      hosting nothing; it acquires homes via Install_shard when its ring
      Add event fires. Everyone else starts as its own home. *)
   (match place with
-  | Some p when migratory ->
-      if sid < Hare_place.Place.nhomes p then Hashtbl.replace hosted sid ()
-  | _ -> Hashtbl.replace hosted sid ());
+  | Some p when migratory && sid >= Hare_place.Place.nhomes p -> ()
+  | _ -> Hashtbl.replace homes sid (new_home sid));
+  let perf = Hare_stats.Perf.create () in
   {
     sid;
     engine;
@@ -154,27 +161,18 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
            else None)
         ?faults ~owner:core ~costs:config.Hare_config.Config.costs ();
     migratory;
-    hosted;
+    homes;
     homes_in = 0;
     homes_out = 0;
     moved_rejects = 0;
-    inodes = Hashtbl.create 1024;
-    next_lids = Hashtbl.create 4;
-    tokens = Hashtbl.create 256;
-    next_tokens = Hashtbl.create 4;
-    dirs = Hashtbl.create 256;
-    tracking = Hashtbl.create 256;
-    marks = Hashtbl.create 16;
-    locks = Hashtbl.create 16;
-    dead_dirs = Hashtbl.create 16;
     inval_ports;
     ops = Hare_stats.Opcount.create ();
-    perf = Hare_stats.Perf.create ();
+    perf;
     invals_sent = 0;
     faults;
     down = false;
     boot_queue = Queue.create ();
-    dedup = Hashtbl.create 16;
+    dedup = Dedup.create ~perf;
     robust = Hare_stats.Robust.create ();
     peers = [||];
     steal_parked = Queue.create ();
@@ -200,9 +198,14 @@ let invals_sent t = t.invals_sent
 
 let available_blocks t = Blocklist.available t.blocks
 
-let inode_count t = Hashtbl.length t.inodes
+let sum_homes t f = Hashtbl.fold (fun _ h n -> n + f h) t.homes 0
 
-let open_tokens t = Hashtbl.length t.tokens
+let inode_count t = sum_homes t (fun h -> Hashtbl.length h.inodes)
+
+let open_tokens t = sum_homes t (fun h -> Hashtbl.length h.tokens)
+
+let dentry_count t =
+  sum_homes t (fun h -> Hashtbl.fold (fun _ s n -> n + Hashtbl.length s) h.dirs 0)
 
 let set_peers t peers = t.peers <- peers
 
@@ -210,38 +213,24 @@ let blocks_stolen t = t.blocks_stolen
 
 let robust t = t.robust
 
-let is_down t = t.down
+(* ---------- logical homes ---------------------------------------------- *)
 
-(* ---------- home namespacing ------------------------------------------- *)
+(* The record of a home hosted here. Requests for homes hosted elsewhere
+   never reach a handler: [process] bounces them with EMOVED. *)
+let home t hid = Hashtbl.find t.homes hid
 
-(* Under a migratory placement several logical homes can share one
-   physical server, so every home-scoped key is namespaced by the home
-   id. With a static ring membership the encodings are the identity:
-   byte-for-byte the tables (and their iteration order) of the
-   pre-sharding code. *)
+let hosts t hid = Hashtbl.mem t.homes hid
 
+(* Descriptor tokens carry their home in the high bits under a shard
+   plan, so tokens minted by different homes never collide when the
+   homes later share a physical server, and the ownership check can read
+   the home off a bare token. Static placements mint plain counters. *)
 let home_shift = 40
-let home_mask = (1 lsl home_shift) - 1
 
-(* inode-table key: the inode's lid, home-qualified when migratory *)
-let ikey t ~home lid = if t.migratory then (home lsl home_shift) lor lid else lid
-
-(* directory-table key: which home's shard of [dir] this is. The real
-   directory ino is recoverable ({!dkey_dir}) for invalidation messages. *)
-let dkey t ~home (dir : ino) =
-  if t.migratory then
-    { server = home; ino = (dir.server lsl home_shift) lor dir.ino }
-  else dir
-
-let dkey_dir t (key : ino) =
-  if t.migratory then
-    { server = key.ino lsr home_shift; ino = key.ino land home_mask }
-  else key
-
-let hosts t h = Hashtbl.mem t.hosted h
+let token_home t token = if t.migratory then token lsr home_shift else t.sid
 
 let hosted_homes t =
-  Hashtbl.fold (fun h () acc -> h :: acc) t.hosted [] |> List.sort compare
+  Hashtbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
 
 let homes_migrated_in t = t.homes_in
 
@@ -257,37 +246,27 @@ let queue_depth t = Hare_msg.Rpc.pending t.endpoint
 
 (* ---------- inode and token helpers ----------------------------------- *)
 
-let alloc_lid t ~home =
-  let lid =
-    match Hashtbl.find_opt t.next_lids home with Some n -> n | None -> 1
-  in
-  Hashtbl.replace t.next_lids home (lid + 1);
+let alloc_lid h =
+  let lid = h.next_lid in
+  h.next_lid <- lid + 1;
   lid
 
-let register_inode t inode =
-  Hashtbl.replace t.inodes
-    (ikey t ~home:inode.Inode.home inode.Inode.lid)
-    inode
-
 let find_inode t (ino : ino) =
-  if not (hosts t ino.server) then None
-  else Hashtbl.find_opt t.inodes (ikey t ~home:ino.server ino.ino)
+  match home t ino.server with
+  | h -> Hashtbl.find_opt h.inodes ino.ino
+  | exception Not_found -> None
 
 let global (inode : Inode.t) =
   { server = inode.Inode.home; ino = inode.Inode.lid }
 
+(* A descriptor lives with its inode's home (the home a token names). *)
 let new_token t (inode : Inode.t) ~pipe_end =
-  let home = inode.Inode.home in
-  let k =
-    match Hashtbl.find_opt t.next_tokens home with Some n -> n | None -> 1
-  in
-  Hashtbl.replace t.next_tokens home (k + 1);
-  (* Namespaced so tokens minted by different homes never collide when
-     the homes later share a physical server; the home is recoverable
-     (token lsr shift) for the ownership check. *)
-  let token = if t.migratory then (home lsl home_shift) lor k else k in
+  let h = home t inode.Inode.home in
+  let k = h.next_token in
+  h.next_token <- k + 1;
+  let token = if t.migratory then (h.hid lsl home_shift) lor k else k in
   let ofd = { token; inode; refcount = 1; shared_offset = None; pipe_end } in
-  Hashtbl.replace t.tokens token ofd;
+  Hashtbl.replace h.tokens token ofd;
   inode.Inode.open_tokens <- inode.Inode.open_tokens + 1;
   ofd
 
@@ -304,7 +283,7 @@ let maybe_release t (inode : Inode.t) =
     if inode.unlinked && inode.nlink <= 0 then begin
       free_blocks t inode.blocks;
       inode.blocks <- [||];
-      Hashtbl.remove t.inodes (ikey t ~home:inode.home inode.lid)
+      Hashtbl.remove (home t inode.home).inodes inode.lid
     end
   end
 
@@ -399,47 +378,38 @@ let write_data t (inode : Inode.t) ~off data =
 
 (* ---------- directory shards and invalidation ------------------------- *)
 
-(* [key] below is always a [dkey]: the caller resolves the request's home
-   once and threads the namespaced key through. *)
-
-let shard t key =
-  match Hashtbl.find_opt t.dirs key with
+let shard h dir =
+  match Hashtbl.find_opt h.dirs dir with
   | Some s -> s
   | None ->
       let s = Hashtbl.create 16 in
-      Hashtbl.replace t.dirs key s;
+      Hashtbl.replace h.dirs dir s;
       s
 
+(* This server's entries for [dir], across every home hosted here. *)
 let shard_entries t dir =
-  let collect s acc =
-    Hashtbl.fold
-      (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
-      s acc
-  in
-  if not t.migratory then
-    match Hashtbl.find_opt t.dirs dir with None -> [] | Some s -> collect s []
-  else
-    (* introspection path: gather this directory's shard across every
-       home hosted here *)
-    Hashtbl.fold
-      (fun key s acc -> if dkey_dir t key = dir then collect s acc else acc)
-      t.dirs []
+  Hashtbl.fold
+    (fun _ h acc ->
+      match Hashtbl.find_opt h.dirs dir with
+      | None -> acc
+      | Some s ->
+          Hashtbl.fold
+            (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
+            s acc)
+    t.homes []
 
-let shard_size t key =
-  match Hashtbl.find_opt t.dirs key with
+let shard_size h dir =
+  match Hashtbl.find_opt h.dirs dir with
   | None -> 0
   | Some s -> Hashtbl.length s
 
-let dentry_count t =
-  Hashtbl.fold (fun _ s n -> n + Hashtbl.length s) t.dirs 0
-
-let track t ~key ~name ~client =
+let track h ~dir ~name ~client =
   let per_dir =
-    match Hashtbl.find_opt t.tracking key with
+    match Hashtbl.find_opt h.tracking dir with
     | Some m -> m
     | None ->
         let m = Hashtbl.create 16 in
-        Hashtbl.replace t.tracking key m;
+        Hashtbl.replace h.tracking dir m;
         m
   in
   let clients =
@@ -452,46 +422,44 @@ let track t ~key ~name ~client =
   in
   Hashtbl.replace clients client ()
 
-(* AFS-style one-shot callbacks (§3.6.1): notify every tracked client but
-   the originator, then forget them — a client re-registers by looking the
-   name up again. Atomic message delivery means the server proceeds as
-   soon as the sends return. *)
-let send_invals t ~key ~dir ~name ~except =
-  match Hashtbl.find_opt t.tracking key with
+(* One AFS-style callback (§3.6.1): tell [client] to drop its cached
+   [dir]/[name]. Atomic message delivery means the server proceeds as
+   soon as the send returns. *)
+let inval t ~dir ~name client =
+  Hare_msg.Mailbox.send t.inval_ports.(client) ~from:t.core
+    (Wire.Inval_entry { i_dir = dir; i_name = name });
+  (* Sanitizer obligation: the client must apply this invalidation before
+     its next dircache hit on the entry (atomic delivery +
+     drain-before-find make that a protocol guarantee, not a timing
+     accident). *)
+  (match Engine.checker (Core_res.engine t.core) with
+  | Some chk ->
+      Check.dircache_sent chk ~client ~server:dir.Types.server
+        ~ino:dir.Types.ino ~name
+  | None -> ());
+  t.invals_sent <- t.invals_sent + 1
+
+(* Callbacks are one-shot: notify every tracked client but the
+   originator, then forget them — a client re-registers by looking the
+   name up again. *)
+let send_invals t h ~dir ~name ~except =
+  match Hashtbl.find_opt h.tracking dir with
   | None -> ()
   | Some per_dir -> (
       match Hashtbl.find_opt per_dir name with
       | None -> ()
       | Some clients ->
           Hashtbl.iter
-            (fun client () ->
-              if client <> except then begin
-                Hare_msg.Mailbox.send t.inval_ports.(client) ~from:t.core
-                  (Wire.Inval_entry { i_dir = dir; i_name = name });
-                (* Sanitizer obligation: the client must apply this
-                   invalidation before its next dircache hit on the
-                   entry (atomic delivery + drain-before-find make that
-                   a protocol guarantee, not a timing accident). *)
-                (match Engine.checker (Core_res.engine t.core) with
-                | Some chk ->
-                    Check.dircache_sent chk ~client ~server:dir.Types.server
-                      ~ino:dir.Types.ino ~name
-                | None -> ());
-                t.invals_sent <- t.invals_sent + 1
-              end)
+            (fun client () -> if client <> except then inval t ~dir ~name client)
             clients;
           Hashtbl.remove per_dir name)
 
 let install_root t ~dist =
   assert (t.sid = root_ino.server);
-  let inode = Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist in
-  register_inode t inode;
-  let cur =
-    match Hashtbl.find_opt t.next_lids root_ino.server with
-    | Some n -> n
-    | None -> 1
-  in
-  Hashtbl.replace t.next_lids root_ino.server (max cur (root_ino.ino + 1))
+  let h = home t t.sid in
+  Hashtbl.replace h.inodes root_ino.ino
+    (Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist);
+  h.next_lid <- max h.next_lid (root_ino.ino + 1)
 
 (* ---------- request handlers ------------------------------------------ *)
 
@@ -547,32 +515,32 @@ let demotion ofd =
       Some off
   | _ -> None
 
-let handle_lookup t ~home ~dir ~name ~client (reply : reply) =
-  let key = dkey t ~home dir in
-  match Hashtbl.find_opt t.dirs key with
+let find_entry h dir name =
+  match Hashtbl.find_opt h.dirs dir with
+  | None -> None
+  | Some s -> Hashtbl.find_opt s name
+
+let handle_lookup h ~dir ~name ~client (reply : reply) =
+  match find_entry h dir name with
   | None -> reply (Error Errno.ENOENT)
-  | Some s -> (
-      match Hashtbl.find_opt s name with
-      | None -> reply (Error Errno.ENOENT)
-      | Some e ->
-          track t ~key ~name ~client;
-          reply (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist })))
+  | Some e ->
+      track h ~dir ~name ~client;
+      reply (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
 
 (* For a centralized directory the entries live with the inode, so we can
    (and must) refuse creations in a directory that no longer exists. For
    distributed directories this server may hold only a shard: the rmdir
    mark protocol delays concurrent creates, and the tombstone catches the
    ones that arrive after the commit. *)
-let dir_alive t ~home (dir : ino) =
-  (not (Hashtbl.mem t.dead_dirs (dkey t ~home dir)))
+let dir_alive t h (dir : ino) =
+  (not (Hashtbl.mem h.dead_dirs dir))
   && ((not (hosts t dir.server)) || find_inode t dir <> None)
 
-let handle_add_map t ~home ~dir ~name ~target ~ftype ~dist ~replace ~client
+let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
     (reply : reply) =
-  if not (dir_alive t ~home dir) then reply (Error Errno.ENOENT)
+  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else
-  let key = dkey t ~home dir in
-  let s = shard t key in
+  let s = shard h dir in
   let entry = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
   match Hashtbl.find_opt s name with
   | Some old ->
@@ -586,34 +554,30 @@ let handle_add_map t ~home ~dir ~name ~target ~ftype ~dist ~replace ~client
         reply (Error Errno.ENOTDIR)
       else begin
         Hashtbl.replace s name entry;
-        send_invals t ~key ~dir ~name ~except:client;
-        track t ~key ~name ~client;
+        send_invals t h ~dir ~name ~except:client;
+        track h ~dir ~name ~client;
         reply (Ok (Wire.P_removed { target = old.t_ino; ftype = old.t_ftype }))
       end
   | None ->
       Hashtbl.replace s name entry;
-      track t ~key ~name ~client;
+      track h ~dir ~name ~client;
       reply (Ok Wire.P_unit)
 
-let handle_rm_map t ~home ~dir ~name ~only_if ~client (reply : reply) =
-  let key = dkey t ~home dir in
-  match Hashtbl.find_opt t.dirs key with
+let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
+  match find_entry h dir name with
   | None -> reply (Error Errno.ENOENT)
-  | Some s -> (
-      match Hashtbl.find_opt s name with
-      | None -> reply (Error Errno.ENOENT)
-      | Some e when
-          (match only_if with Some ino -> e.t_ino <> ino | None -> false) ->
-          (* the entry was re-bound by someone else: not ours to remove *)
-          reply (Error Errno.ENOENT)
-      | Some e ->
-          Hashtbl.remove s name;
-          send_invals t ~key ~dir ~name ~except:client;
-          reply (Ok (Wire.P_removed { target = e.t_ino; ftype = e.t_ftype })))
+  | Some e when (match only_if with Some ino -> e.t_ino <> ino | None -> false)
+    ->
+      (* the entry was re-bound by someone else: not ours to remove *)
+      reply (Error Errno.ENOENT)
+  | Some e ->
+      Hashtbl.remove (shard h dir) name;
+      send_invals t h ~dir ~name ~except:client;
+      reply (Ok (Wire.P_removed { target = e.t_ino; ftype = e.t_ftype }))
 
-let handle_readdir t ~home ~dir (reply : reply) =
+let handle_readdir h ~dir (reply : reply) =
   let entries =
-    match Hashtbl.find_opt t.dirs (dkey t ~home dir) with
+    match Hashtbl.find_opt h.dirs dir with
     | None -> []
     | Some s ->
         Hashtbl.fold
@@ -625,11 +589,10 @@ let handle_readdir t ~home ~dir (reply : reply) =
   let payload_lines = (List.length entries / 2) + 1 in
   reply ~payload_lines (Ok (Wire.P_entries entries))
 
-let handle_create_open t ~home ~dir ~name ~excl ~trunc ~client (reply : reply) =
-  if not (dir_alive t ~home dir) then reply (Error Errno.ENOENT)
+let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
+  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else
-  let key = dkey t ~home dir in
-  let s = shard t key in
+  let s = shard h dir in
   match Hashtbl.find_opt s name with
   | Some e ->
       if excl then reply (Error Errno.EEXIST)
@@ -638,7 +601,7 @@ let handle_create_open t ~home ~dir ~name ~excl ~trunc ~client (reply : reply) =
         match find_inode t e.t_ino with
         | None -> reply (Error Errno.ENOENT)
         | Some inode ->
-            track t ~key ~name ~client;
+            track h ~dir ~name ~client;
             let ofd = do_open t inode ~trunc in
             reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino = e.t_ino }))
       end
@@ -647,49 +610,60 @@ let handle_create_open t ~home ~dir ~name ~excl ~trunc ~client (reply : reply) =
         reply
           (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
   | None ->
-      let inode = Inode.file ~lid:(alloc_lid t ~home) ~home in
-      register_inode t inode;
+      let inode = Inode.file ~lid:(alloc_lid h) ~home:h.hid in
+      Hashtbl.replace h.inodes inode.lid inode;
       let ino = global inode in
       Hashtbl.replace s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
-      track t ~key ~name ~client;
+      track h ~dir ~name ~client;
       let ofd = do_open t inode ~trunc:false in
       reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
 
-let handle_create_inode t ~home ~ftype ~dist ~and_open (reply : reply) =
-  let lid = alloc_lid t ~home in
+let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
+  let lid = alloc_lid h and home = h.hid in
   let inode =
     match (ftype : ftype) with
     | Reg -> Inode.file ~lid ~home
     | Dir -> Inode.dir ~lid ~home ~dist
     | Fifo -> invalid_arg "Create_inode: use Pipe_create for fifos"
   in
-  register_inode t inode;
+  Hashtbl.replace h.inodes lid inode;
   let ino = global inode in
   if and_open && ftype = Reg then
     let ofd = do_open t inode ~trunc:false in
     reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
   else reply (Ok (Wire.P_created_ino ino))
 
-let drop_dir_state t key =
-  Hashtbl.remove t.dirs key;
-  Hashtbl.remove t.tracking key;
-  Hashtbl.remove t.locks key
+let drop_dir_state h dir =
+  Hashtbl.remove h.dirs dir;
+  Hashtbl.remove h.tracking dir;
+  Hashtbl.remove h.locks dir
+
+(* A committed directory removal: rmdirs serialized behind its lock lose
+   (the directory is gone), its per-directory state goes, and a tombstone
+   refuses creates that raced past the mark. *)
+let bury h dir =
+  (match Hashtbl.find_opt h.locks dir with
+  | Some l ->
+      Queue.iter (fun (waiter : reply) -> waiter (Error Errno.ENOENT)) l.lock_waiters;
+      Queue.clear l.lock_waiters
+  | None -> ());
+  drop_dir_state h dir;
+  Hashtbl.replace h.dead_dirs dir ()
 
 (* Coalesced mkdir (§3.6.3): directory inode + parent entry in one
    message, when creation affinity placed both on this server. *)
-let handle_create_dir t ~home ~dir ~name ~dist ~client (reply : reply) =
-  if not (dir_alive t ~home dir) then reply (Error Errno.ENOENT)
+let handle_create_dir t h ~dir ~name ~dist ~client (reply : reply) =
+  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else begin
-    let key = dkey t ~home dir in
-    let s = shard t key in
+    let s = shard h dir in
     match Hashtbl.find_opt s name with
     | Some _ -> reply (Error Errno.EEXIST)
     | None ->
-        let inode = Inode.dir ~lid:(alloc_lid t ~home) ~home ~dist in
-        register_inode t inode;
+        let inode = Inode.dir ~lid:(alloc_lid h) ~home:h.hid ~dist in
+        Hashtbl.replace h.inodes inode.lid inode;
         let ino = global inode in
         Hashtbl.replace s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
-        track t ~key ~name ~client;
+        track h ~dir ~name ~client;
         reply (Ok (Wire.P_created_ino ino))
   end
 
@@ -697,31 +671,25 @@ let handle_create_dir t ~home ~dir ~name ~dist ~client (reply : reply) =
    the emptiness check and removal are one atomic step — no marks, no
    lock phase. The request home is the directory's own home. *)
 let handle_rmdir_local t ~dir (reply : reply) =
-  let home = dir.server in
-  let key = dkey t ~home dir in
   match find_inode t dir with
   | None -> reply (Error Errno.ENOENT)
   | Some inode when inode.Inode.ftype <> Dir -> reply (Error Errno.ENOTDIR)
   | Some _ ->
-      if shard_size t key > 0 then reply (Error Errno.ENOTEMPTY)
+      let h = home t dir.server in
+      if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
       else begin
-        (match Hashtbl.find_opt t.locks key with
-        | Some l ->
-            Queue.iter
-              (fun (waiter : reply) -> waiter (Error Errno.ENOENT))
-              l.lock_waiters;
-            Queue.clear l.lock_waiters
-        | None -> ());
-        drop_dir_state t key;
-        Hashtbl.replace t.dead_dirs key ();
-        Hashtbl.remove t.inodes (ikey t ~home dir.ino);
+        bury h dir;
+        Hashtbl.remove h.inodes dir.ino;
         reply (Ok Wire.P_unit)
       end
 
-let handle_open_inode t ~ino ~trunc (reply : reply) =
+let with_inode t ino (reply : reply) f =
   match find_inode t ino with
   | None -> reply (Error Errno.ENOENT)
-  | Some inode -> (
+  | Some inode -> f inode
+
+let handle_open_inode t ~ino ~trunc (reply : reply) =
+  with_inode t ino reply (fun inode ->
       match inode.ftype with
       | Dir -> reply (Error Errno.EISDIR)
       | Fifo -> reply (Error Errno.EINVAL)
@@ -729,10 +697,16 @@ let handle_open_inode t ~ino ~trunc (reply : reply) =
           let ofd = do_open t inode ~trunc in
           reply (Ok (Wire.P_open (open_info ofd))))
 
-let handle_close t ~token ~size (reply : reply) =
-  match Hashtbl.find_opt t.tokens token with
+(* The descriptor table a token lives in: its home's. *)
+let tokens t token = (home t (token_home t token)).tokens
+
+let with_ofd t token (reply : reply) f =
+  match Hashtbl.find_opt (tokens t token) token with
   | None -> reply (Error Errno.EBADF)
-  | Some ofd ->
+  | Some ofd -> f ofd
+
+let handle_close t ~token ~size (reply : reply) =
+  with_ofd t token reply (fun ofd ->
       (match size with
       | Some s when ofd.inode.ftype = Reg -> ofd.inode.size <- s
       | _ -> ());
@@ -742,17 +716,12 @@ let handle_close t ~token ~size (reply : reply) =
       | Some `W, Some p -> Pipe_state.close_writer p
       | _ -> ());
       if ofd.refcount <= 0 then begin
-        Hashtbl.remove t.tokens token;
+        Hashtbl.remove (tokens t token) token;
         ofd.inode.open_tokens <- ofd.inode.open_tokens - 1;
         reclaim_lease t ofd.inode;
         maybe_release t ofd.inode
       end;
-      reply (Ok Wire.P_unit)
-
-let with_ofd t token (reply : reply) f =
-  match Hashtbl.find_opt t.tokens token with
-  | None -> reply (Error Errno.EBADF)
-  | Some ofd -> f ofd
+      reply (Ok Wire.P_unit))
 
 let effective_offset ofd ~off =
   match off with
@@ -762,41 +731,35 @@ let effective_offset ofd ~off =
       | Some o -> Ok (o, true)
       | None -> Error Errno.EINVAL)
 
-let handle_read t ~token ~off ~len (reply : reply) =
+(* Server-mediated file I/O: [io ofd o advance] moves bytes at offset
+   [o] and reports the count to [advance], which moves a shared offset
+   past them and yields the demotion to piggy-back on the reply. *)
+let file_io t ~token ~off (reply : reply) io =
   with_ofd t token reply (fun ofd ->
       if ofd.pipe_end <> None then reply (Error Errno.EINVAL)
       else
         match effective_offset ofd ~off with
         | Error e -> reply (Error e)
         | Ok (o, shared) ->
-            let data = read_data t ofd.inode ~off:o ~len in
-            let now_local =
-              if shared then begin
-                ofd.shared_offset <- Some (o + String.length data);
-                demotion ofd
-              end
-              else None
-            in
-            let payload_lines = (String.length data / 64) + 1 in
-            reply ~payload_lines (Ok (Wire.P_read { data; now_local })))
+            io ofd o (fun moved ->
+                if shared then begin
+                  ofd.shared_offset <- Some (o + moved);
+                  demotion ofd
+                end
+                else None))
+
+let handle_read t ~token ~off ~len (reply : reply) =
+  file_io t ~token ~off reply (fun ofd o advance ->
+      let data = read_data t ofd.inode ~off:o ~len in
+      let now_local = advance (String.length data) in
+      let payload_lines = (String.length data / 64) + 1 in
+      reply ~payload_lines (Ok (Wire.P_read { data; now_local })))
 
 let handle_write t ~token ~off ~data (reply : reply) =
-  with_ofd t token reply (fun ofd ->
-      if ofd.pipe_end <> None then reply (Error Errno.EINVAL)
-      else
-        match effective_offset ofd ~off with
-        | Error e -> reply (Error e)
-        | Ok (o, shared) ->
-            let written = write_data t ofd.inode ~off:o data in
-            let now_local =
-              if shared then begin
-                ofd.shared_offset <- Some (o + written);
-                demotion ofd
-              end
-              else None
-            in
-            reply
-              (Ok (Wire.P_write { written; size = ofd.inode.size; now_local })))
+  file_io t ~token ~off reply (fun ofd o advance ->
+      let written = write_data t ofd.inode ~off:o data in
+      let now_local = advance written in
+      reply (Ok (Wire.P_write { written; size = ofd.inode.size; now_local })))
 
 let handle_lseek t ~token ~pos ~whence (reply : reply) =
   with_ofd t token reply (fun ofd ->
@@ -818,9 +781,7 @@ let handle_lseek t ~token ~pos ~whence (reply : reply) =
             end)
 
 let handle_alloc t ~ino ~count ~ahead (reply : reply) =
-  match find_inode t ino with
-  | None -> reply (Error Errno.ENOENT)
-  | Some inode ->
+  with_inode t ino reply (fun inode ->
       let want = Array.length inode.blocks + count in
       (* The extent hint is best effort: a partition too dry for the
          read-ahead falls back to the exact need before giving up. *)
@@ -829,32 +790,21 @@ let handle_alloc t ~ino ~count ~ahead (reply : reply) =
          with Out_of_blocks -> ensure_blocks t inode ~size:(want * bs)
        else ensure_blocks t inode ~size:(want * bs));
       reply
-        (Ok (Wire.P_blocks { blocks = Array.copy inode.blocks; bsize = inode.size }))
-
-let handle_get_blocks t ~ino (reply : reply) =
-  match find_inode t ino with
-  | None -> reply (Error Errno.ENOENT)
-  | Some inode ->
-      reply
-        (Ok
-           (Wire.P_blocks
-              { blocks = Array.copy inode.blocks; bsize = inode.size }))
+        (Ok (Wire.P_blocks { blocks = Array.copy inode.blocks; bsize = inode.size })))
 
 let handle_unlink_ino t ~ino (reply : reply) =
-  match find_inode t ino with
-  | None -> reply (Error Errno.ENOENT)
-  | Some inode ->
+  with_inode t ino reply (fun inode ->
       if inode.ftype = Dir then begin
         (* Only mkdir's rollback unlinks a directory inode: it was never
            linked anywhere, so it must have no entries and no users. *)
-        let key = dkey t ~home:ino.server ino in
+        let h = home t ino.server in
         if
-          shard_size t key = 0
+          shard_size h ino = 0
           && inode.open_tokens = 0
           && inode.nlink <= 1
         then begin
-          drop_dir_state t key;
-          Hashtbl.remove t.inodes (ikey t ~home:ino.server ino.ino);
+          drop_dir_state h ino;
+          Hashtbl.remove h.inodes ino.ino;
           reply (Ok Wire.P_unit)
         end
         else reply (Error Errno.EISDIR)
@@ -866,19 +816,17 @@ let handle_unlink_ino t ~ino (reply : reply) =
           maybe_release t inode
         end;
         reply (Ok Wire.P_unit)
-      end
+      end)
 
 (* The first half of rename's link+unlink pair: a dead (or dying) inode
    cannot gain new names. *)
 let handle_link_ino t ~ino (reply : reply) =
-  match find_inode t ino with
-  | None -> reply (Error Errno.ENOENT)
-  | Some inode ->
+  with_inode t ino reply (fun inode ->
       if inode.nlink <= 0 || inode.unlinked then reply (Error Errno.ENOENT)
       else begin
         inode.nlink <- inode.nlink + 1;
         reply (Ok Wire.P_unit)
-      end
+      end)
 
 let handle_inc_fd_ref t ~token ~offset (reply : reply) =
   with_ofd t token reply (fun ofd ->
@@ -894,73 +842,62 @@ let handle_inc_fd_ref t ~token ~offset (reply : reply) =
 
 (* --- three-phase rmdir (§3.3) ----------------------------------------- *)
 
-let dirlock t key =
-  match Hashtbl.find_opt t.locks key with
+(* The lock/unlock phases address the directory's own home. *)
+let dirlock t (dir : ino) =
+  let h = home t dir.server in
+  match Hashtbl.find_opt h.locks dir with
   | Some l -> l
   | None ->
       let l = { held = false; lock_waiters = Queue.create () } in
-      Hashtbl.replace t.locks key l;
+      Hashtbl.replace h.locks dir l;
       l
 
-(* The lock/unlock phases address the directory's own home. *)
+(* ENOENT when the directory was removed while (or before) we asked. *)
 let handle_rmdir_lock t ~dir (reply : reply) =
-  if find_inode t dir = None then
-    (* The directory was removed while (or before) we asked. *)
-    reply (Error Errno.ENOENT)
-  else begin
-    let l = dirlock t (dkey t ~home:dir.server dir) in
-    if l.held then Queue.push reply l.lock_waiters
-    else begin
-      l.held <- true;
-      reply (Ok Wire.P_unit)
-    end
-  end
+  with_inode t dir reply (fun _ ->
+      let l = dirlock t dir in
+      if l.held then Queue.push reply l.lock_waiters
+      else begin
+        l.held <- true;
+        reply (Ok Wire.P_unit)
+      end)
 
 let handle_rmdir_unlock t ~dir (reply : reply) =
-  let l = dirlock t (dkey t ~home:dir.server dir) in
+  let l = dirlock t dir in
   (match Queue.take_opt l.lock_waiters with
   | Some waiter -> waiter (Ok Wire.P_unit) (* lock passes to the next rmdir *)
   | None -> l.held <- false);
   reply (Ok Wire.P_unit)
 
-let handle_rmdir_prepare t ~home ~dir (reply : reply) =
-  let key = dkey t ~home dir in
-  if Hashtbl.mem t.marks key then reply (Error Errno.EBUSY)
-  else if shard_size t key > 0 then reply (Error Errno.ENOTEMPTY)
+let handle_rmdir_prepare h ~dir (reply : reply) =
+  if Hashtbl.mem h.marks dir then reply (Error Errno.EBUSY)
+  else if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
   else begin
-    Hashtbl.replace t.marks key { parked = Queue.create () };
+    Hashtbl.replace h.marks dir { parked = Queue.create () };
     reply (Ok Wire.P_unit)
   end
 
-let handle_rmdir_commit t ~home ~dir (reply : reply) =
-  let key = dkey t ~home dir in
-  (match Hashtbl.find_opt t.marks key with
+let handle_rmdir_commit h ~dir (reply : reply) =
+  (match Hashtbl.find_opt h.marks dir with
   | None -> ()
   | Some m ->
-      Hashtbl.remove t.marks key;
+      Hashtbl.remove h.marks dir;
       (* Creates delayed behind the mark fail: the directory is gone. *)
       Queue.iter
         (fun ((_ : Wire.fs_req), (parked_reply : reply)) ->
           parked_reply (Error Errno.ENOENT))
         m.parked);
-  (* rmdirs serialized behind the lock lose: the directory is gone. *)
-  (match Hashtbl.find_opt t.locks key with
-  | Some l ->
-      Queue.iter (fun (waiter : reply) -> waiter (Error Errno.ENOENT)) l.lock_waiters;
-      Queue.clear l.lock_waiters
-  | None -> ());
-  drop_dir_state t key;
-  Hashtbl.replace t.dead_dirs key ();
-  if dir.server = home then
+  bury h dir;
+  if dir.server = h.hid then
     (* The directory's own home: destroy the inode itself. *)
-    Hashtbl.remove t.inodes (ikey t ~home dir.ino);
+    Hashtbl.remove h.inodes dir.ino;
   reply (Ok Wire.P_unit)
 
 (* --- pipes (§5.2: make's jobserver) ----------------------------------- *)
 
-let handle_pipe_create t ~home (reply : reply) =
-  let inode = Inode.fifo ~lid:(alloc_lid t ~home) ~home ~capacity:65536 in
-  register_inode t inode;
+let handle_pipe_create t h (reply : reply) =
+  let inode = Inode.fifo ~lid:(alloc_lid h) ~home:h.hid ~capacity:65536 in
+  Hashtbl.replace h.inodes inode.lid inode;
   let pipe = Option.get inode.pipe in
   Pipe_state.add_reader pipe;
   Pipe_state.add_writer pipe;
@@ -993,234 +930,96 @@ let handle_pipe_write t ~token ~data (reply : reply) =
 (* ---------- dispatch --------------------------------------------------- *)
 
 (* Creates in a directory marked for deletion are delayed until the
-   two-phase outcome is known (§3.3). The mark lives under the request's
-   home-namespaced key. *)
-let creation_dir t (req : Wire.fs_req) =
+   two-phase outcome is known (§3.3). The mark lives in the request's
+   home. *)
+let creation_mark t (req : Wire.fs_req) =
   match req with
-  | Wire.Add_map { dir; home; _ } | Wire.Create_open { dir; home; _ } ->
-      Some (dkey t ~home dir)
+  | Wire.Add_map { dir; home = hid; _ } | Wire.Create_open { dir; home = hid; _ } ->
+      Hashtbl.find_opt (home t hid).marks dir
   | _ -> None
-
-(* ---------- idempotency memory ----------------------------------------- *)
-
-let dedup_table t client =
-  match Hashtbl.find_opt t.dedup client with
-  | Some m -> m
-  | None ->
-      let m = { de_tbl = Hashtbl.create 64; de_pruned = 0 } in
-      Hashtbl.replace t.dedup client m;
-      m
-
-(* Advance the client's eviction mark to [ack], dropping every entry it
-   covers. A [Pending] below the mark means the client gave up on the
-   request (EIO after the retry budget) while the original is still
-   parked here; its eventual reply fills an ivar nobody reads, and
-   [reply'] will not re-cache it (guarded by [de_pruned]). *)
-let dedup_ack t dc ~ack =
-  if ack > dc.de_pruned then begin
-    for seq = dc.de_pruned + 1 to ack do
-      if Hashtbl.mem dc.de_tbl seq then begin
-        Hashtbl.remove dc.de_tbl seq;
-        t.perf.Hare_stats.Perf.dedup_evicted <-
-          t.perf.Hare_stats.Perf.dedup_evicted + 1
-      end
-    done;
-    dc.de_pruned <- ack
-  end
 
 (* ---------- shard migration (consistent-hash rebalancing) -------------- *)
 
 (* A home with parked continuations cannot be packed: the closures are
    bound to this server's endpoint and would answer from the wrong
-   mailbox after the move. The coordinator backs off and retries. *)
+   mailbox after the move. Parked work is also what keeps a [Pending]
+   dedup entry alive, so a packable home has none. The coordinator backs
+   off and retries. *)
 let home_busy t h =
-  let busy = ref false in
-  Hashtbl.iter
-    (fun (k : ino) (_ : mark) -> if k.server = h then busy := true)
-    t.marks;
-  Hashtbl.iter
-    (fun (k : ino) (l : dirlock) ->
-      if k.server = h && (l.held || not (Queue.is_empty l.lock_waiters)) then
-        busy := true)
-    t.locks;
-  if t.steal_inflight || not (Queue.is_empty t.steal_parked) then busy := true;
-  Hashtbl.iter
-    (fun _ (inode : Inode.t) ->
-      if inode.Inode.home = h then
-        match inode.Inode.pipe with
-        | Some p
-          when Pipe_state.parked_readers p > 0 || Pipe_state.parked_writers p > 0
-          ->
-            busy := true
-        | _ -> ())
-    t.inodes;
-  !busy
+  Hashtbl.length h.marks > 0
+  || t.steal_inflight
+  || (not (Queue.is_empty t.steal_parked))
+  || Hashtbl.fold
+       (fun _ l busy -> busy || l.held || not (Queue.is_empty l.lock_waiters))
+       h.locks false
+  || Hashtbl.fold
+       (fun _ (inode : Inode.t) busy ->
+         busy
+         ||
+         match inode.Inode.pipe with
+         | Some p -> Pipe_state.parked_readers p > 0 || Pipe_state.parked_writers p > 0
+         | None -> false)
+       h.inodes false
 
-(* Pack the whole state of logical home [home] and hand it to the
-   coordinator. The route was flipped before this message was sent, and
-   the mailbox is FIFO, so everything that arrives after it finds the
-   home absent and is bounced with EMOVED. *)
-let handle_migrate_out t ~home (reply : reply) =
-  if not t.migratory then reply (Error Errno.EINVAL)
-  else if not (Hashtbl.mem t.hosted home) then reply (Error Errno.EINVAL)
-  else if home_busy t home then reply (Error Errno.EBUSY)
-  else begin
-    Hashtbl.remove t.hosted home;
-    (* inodes (and with them pipes, sizes, block references) *)
-    let moved = ref [] in
-    Hashtbl.iter
-      (fun k (inode : Inode.t) ->
-        if inode.Inode.home = home then moved := (k, inode) :: !moved)
-      t.inodes;
-    List.iter (fun (k, _) -> Hashtbl.remove t.inodes k) !moved;
-    let p_inodes =
-      List.map (fun ((_ : int), (i : Inode.t)) -> (i.Inode.lid, i)) !moved
-    in
-    (* Buffer-cache ownership follows the inodes; the block bytes stay in
-       DRAM. Flush our private cached lines so the new owner reads
-       current data through its own cache. *)
-    let blocks = ref [] in
-    List.iter
-      (fun ((_ : int), (i : Inode.t)) ->
-        Array.iter (fun b -> blocks := b :: !blocks) i.Inode.blocks;
-        Array.iter (fun b -> blocks := b :: !blocks) i.Inode.orphans)
-      !moved;
-    let p_blocks = Array.of_list !blocks in
-    Array.iter
-      (fun b ->
-        Hare_mem.Pcache.writeback_block t.pcache b;
-        Hare_mem.Pcache.invalidate_block t.pcache b)
-      p_blocks;
-    Blocklist.export t.blocks p_blocks;
-    (* open descriptors: tokens are home-namespaced, so they transplant *)
-    let p_tokens = ref [] in
-    Hashtbl.iter
-      (fun tok (ofd : ofd) ->
-        if ofd.inode.Inode.home = home then p_tokens := (tok, ofd) :: !p_tokens)
-      t.tokens;
-    List.iter (fun (tok, _) -> Hashtbl.remove t.tokens tok) !p_tokens;
-    (* directory shards and tombstones of this home *)
-    let p_dirs = ref [] and p_dead = ref [] in
-    Hashtbl.iter
-      (fun (k : ino) s -> if k.server = home then p_dirs := (k, s) :: !p_dirs)
-      t.dirs;
-    List.iter (fun (k, _) -> Hashtbl.remove t.dirs k) !p_dirs;
-    Hashtbl.iter
-      (fun (k : ino) () -> if k.server = home then p_dead := k :: !p_dead)
-      t.dead_dirs;
-    List.iter (Hashtbl.remove t.dead_dirs) !p_dead;
-    (* Invalidation tracking does not transplant: fire every registered
-       callback now (one-shot semantics — clients re-register at the new
-       owner on their next lookup), so no client can sit on a cached
-       entry this server would have been responsible for invalidating. *)
-    let tracked = ref [] in
-    Hashtbl.iter
-      (fun (k : ino) per_dir ->
-        if k.server = home then tracked := (k, per_dir) :: !tracked)
-      t.tracking;
-    List.iter
-      (fun ((k : ino), per_dir) ->
-        let dir = dkey_dir t k in
+(* Pack logical home [hid] and hand it to the coordinator. The route was
+   flipped before this message was sent, and the mailbox is FIFO, so
+   everything that arrives after it finds the home absent and is bounced
+   with EMOVED. *)
+let handle_migrate_out t ~home:hid (reply : reply) =
+  match Hashtbl.find_opt t.homes hid with
+  | Some h when t.migratory ->
+      if home_busy t h then reply (Error Errno.EBUSY)
+      else begin
+        (* Invalidation tracking does not transplant: fire every
+           registered callback now (one-shot semantics — clients
+           re-register at the new owner on their next lookup), so no
+           client can sit on a cached entry this server would have been
+           responsible for invalidating. *)
         Hashtbl.iter
-          (fun name clients ->
+          (fun dir per_dir ->
             Hashtbl.iter
-              (fun client () ->
-                Hare_msg.Mailbox.send t.inval_ports.(client) ~from:t.core
-                  (Wire.Inval_entry { i_dir = dir; i_name = name });
-                (match Engine.checker (Core_res.engine t.core) with
-                | Some chk ->
-                    Check.dircache_sent chk ~client ~server:dir.Types.server
-                      ~ino:dir.Types.ino ~name
-                | None -> ());
-                t.invals_sent <- t.invals_sent + 1)
-              clients)
-          per_dir;
-        Hashtbl.remove t.tracking k)
-      !tracked;
-    (* idle lock records (not held, no waiters — checked above) *)
-    let lock_keys =
-      Hashtbl.fold
-        (fun (k : ino) _ acc -> if k.server = home then k :: acc else acc)
-        t.locks []
-    in
-    List.iter (Hashtbl.remove t.locks) lock_keys;
-    (* allocation counters *)
-    let take tbl =
-      let v = match Hashtbl.find_opt tbl home with Some n -> n | None -> 1 in
-      Hashtbl.remove tbl home;
-      v
-    in
-    let p_next_lid = take t.next_lids in
-    let p_next_token = take t.next_tokens in
-    (* Completed idempotency entries travel with the shard: a client
-       retrying a request the old owner already executed must replay the
-       cached response at the new owner, not re-execute. (client, seq)
-       is globally unique, so shipping the whole table is safe; pending
-       entries cannot exist for this home — parked work refused the
-       migration above. *)
-    let p_dedup = ref [] in
-    Hashtbl.iter
-      (fun client dc ->
-        Hashtbl.iter
-          (fun seq entry ->
-            match entry with
-            | Done resp -> p_dedup := (client, seq, resp) :: !p_dedup
-            | Pending _ -> ())
-          dc.de_tbl)
-      t.dedup;
-    t.homes_out <- t.homes_out + 1;
-    let items =
-      List.length p_inodes + List.length !p_tokens + List.length !p_dirs
-      + List.length !p_dedup
-    in
-    reply ~payload_lines:(items + 1)
-      (Ok
-         (Wire.P_pack
-            (Pack
-               {
-                 p_inodes;
-                 p_tokens = !p_tokens;
-                 p_dirs = !p_dirs;
-                 p_dead = !p_dead;
-                 p_blocks;
-                 p_next_lid;
-                 p_next_token;
-                 p_dedup = !p_dedup;
-               })))
-  end
-
-let handle_install_shard t ~home ~pack (reply : reply) =
-  if not t.migratory then reply (Error Errno.EINVAL)
-  else
-    match pack with
-    | Pack p ->
-        List.iter
-          (fun (lid, inode) -> Hashtbl.replace t.inodes (ikey t ~home lid) inode)
-          p.p_inodes;
-        Blocklist.adopt_allocated t.blocks p.p_blocks;
-        List.iter
-          (fun (tok, (ofd : ofd)) -> Hashtbl.replace t.tokens tok ofd)
-          p.p_tokens;
-        List.iter (fun (k, s) -> Hashtbl.replace t.dirs k s) p.p_dirs;
-        List.iter (fun k -> Hashtbl.replace t.dead_dirs k ()) p.p_dead;
-        let bump tbl v =
-          let cur =
-            match Hashtbl.find_opt tbl home with Some n -> n | None -> 1
-          in
-          Hashtbl.replace tbl home (max cur v)
+              (fun name clients ->
+                Hashtbl.iter (fun client () -> inval t ~dir ~name client) clients)
+              per_dir)
+          h.tracking;
+        Hashtbl.reset h.tracking;
+        (* Buffer-cache ownership follows the inodes; the block bytes stay
+           in DRAM. Flush our private cached lines so the new owner reads
+           current data through its own cache. *)
+        let p_blocks =
+          Array.concat
+            (Hashtbl.fold (fun _ (i : Inode.t) acc -> i.blocks :: i.orphans :: acc) h.inodes [])
         in
-        bump t.next_lids p.p_next_lid;
-        bump t.next_tokens p.p_next_token;
-        List.iter
-          (fun (client, seq, resp) ->
-            let dc = dedup_table t client in
-            if seq > dc.de_pruned && not (Hashtbl.mem dc.de_tbl seq) then
-              Hashtbl.replace dc.de_tbl seq (Done resp))
-          p.p_dedup;
-        Hashtbl.replace t.hosted home ();
-        t.homes_in <- t.homes_in + 1;
-        reply (Ok Wire.P_unit)
-    | _ -> reply (Error Errno.EINVAL)
+        Array.iter
+          (fun b ->
+            Hare_mem.Pcache.writeback_block t.pcache b;
+            Hare_mem.Pcache.invalidate_block t.pcache b)
+          p_blocks;
+        Blocklist.export t.blocks p_blocks;
+        Hashtbl.remove t.homes hid;
+        t.homes_out <- t.homes_out + 1;
+        (* Completed idempotency entries travel with the shard: a client
+           retrying a request the old owner already executed must replay
+           the cached response at the new owner, not re-execute. *)
+        let p_dedup = Dedup.export t.dedup in
+        let items =
+          Hashtbl.length h.inodes + Hashtbl.length h.tokens
+          + Hashtbl.length h.dirs + List.length p_dedup
+        in
+        reply ~payload_lines:(items + 1)
+          (Ok (Wire.P_pack (Pack { p_home = h; p_blocks; p_dedup })))
+      end
+  | _ -> reply (Error Errno.EINVAL)
+
+let handle_install_shard t ~home:hid ~pack (reply : reply) =
+  match pack with
+  | Pack p when t.migratory ->
+      Blocklist.adopt_allocated t.blocks p.p_blocks;
+      Dedup.import t.dedup p.p_dedup;
+      Hashtbl.replace t.homes hid p.p_home;
+      t.homes_in <- t.homes_in + 1;
+      reply (Ok Wire.P_unit)
+  | _ -> reply (Error Errno.EINVAL)
 
 let handle_steal_blocks t ~count (reply : reply) =
   (* Donate at most half of what is free: stay useful to local files. *)
@@ -1229,11 +1028,9 @@ let handle_steal_blocks t ~count (reply : reply) =
   else reply (Ok (Wire.P_blocks { blocks = give; bsize = 0 }))
 
 let rec handle t (req : Wire.fs_req) (reply : reply) =
-  match creation_dir t req with
-  | Some key when Hashtbl.mem t.marks key ->
-      let m = Hashtbl.find t.marks key in
-      Queue.push (req, reply) m.parked
-  | _ -> (
+  match creation_mark t req with
+  | Some m -> Queue.push (req, reply) m.parked
+  | None -> (
       try dispatch t req reply with Out_of_blocks -> on_enospc t req reply)
 
 (* Block stealing (extension, §3.2): a request that ran out of blocks is
@@ -1254,11 +1051,9 @@ and kick_steal t =
   if (not t.steal_inflight) && not (Queue.is_empty t.steal_parked) then
     if t.steal_failures >= Array.length t.peers - 1 then begin
       t.steal_failures <- 0;
-      let parked = List.of_seq (Queue.to_seq t.steal_parked) in
-      Queue.clear t.steal_parked;
       List.iter
         (fun ((_ : Wire.fs_req), (r : reply)) -> r (Error Errno.ENOSPC))
-        parked
+        (take_all t.steal_parked)
     end
     else begin
       t.steal_inflight <- true;
@@ -1283,28 +1078,28 @@ and kick_steal t =
                  t.blocks_stolen <- t.blocks_stolen + Array.length blocks;
                  Blocklist.adopt t.blocks blocks
              | Ok _ | Error _ -> t.steal_failures <- t.steal_failures + 1);
-             let parked = List.of_seq (Queue.to_seq t.steal_parked) in
-             Queue.clear t.steal_parked;
-             List.iter (fun (preq, prep) -> handle t preq prep) parked;
+             List.iter
+               (fun (preq, prep) -> handle t preq prep)
+               (take_all t.steal_parked);
              kick_steal t))
     end
 
 and dispatch t (req : Wire.fs_req) (reply : reply) =
   match req with
-  | Wire.Lookup { dir; name; client; home } ->
-      handle_lookup t ~home ~dir ~name ~client reply
-  | Wire.Add_map { dir; name; target; ftype; dist; replace; client; home } ->
-      handle_add_map t ~home ~dir ~name ~target ~ftype ~dist ~replace ~client
-        reply
-  | Wire.Rm_map { dir; name; only_if; client; home } ->
-      handle_rm_map t ~home ~dir ~name ~only_if ~client reply
-  | Wire.Readdir_shard { dir; home } -> handle_readdir t ~home ~dir reply
-  | Wire.Create_open { dir; name; excl; trunc; client; home } ->
-      handle_create_open t ~home ~dir ~name ~excl ~trunc ~client reply
-  | Wire.Create_inode { ftype; dist; and_open; home } ->
-      handle_create_inode t ~home ~ftype ~dist ~and_open reply
-  | Wire.Create_dir { dir; name; dist; client; home } ->
-      handle_create_dir t ~home ~dir ~name ~dist ~client reply
+  | Wire.Lookup { dir; name; client; home = hid } ->
+      handle_lookup (home t hid) ~dir ~name ~client reply
+  | Wire.Add_map { dir; name; target; ftype; dist; replace; client; home = hid } ->
+      handle_add_map t (home t hid) ~dir ~name ~target ~ftype ~dist ~replace
+        ~client reply
+  | Wire.Rm_map { dir; name; only_if; client; home = hid } ->
+      handle_rm_map t (home t hid) ~dir ~name ~only_if ~client reply
+  | Wire.Readdir_shard { dir; home = hid } -> handle_readdir (home t hid) ~dir reply
+  | Wire.Create_open { dir; name; excl; trunc; client; home = hid } ->
+      handle_create_open t (home t hid) ~dir ~name ~excl ~trunc ~client reply
+  | Wire.Create_inode { ftype; dist; and_open; home = hid } ->
+      handle_create_inode t (home t hid) ~ftype ~dist ~and_open reply
+  | Wire.Create_dir { dir; name; dist; client; home = hid } ->
+      handle_create_dir t (home t hid) ~dir ~name ~dist ~client reply
   | Wire.Rmdir_local { dir; client = _ } -> handle_rmdir_local t ~dir reply
   | Wire.Open_inode { ino; trunc; client = _ } -> handle_open_inode t ~ino ~trunc reply
   | Wire.Close_fd { token; size } -> handle_close t ~token ~size reply
@@ -1312,19 +1107,18 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Write_fd { token; off; data } -> handle_write t ~token ~off ~data reply
   | Wire.Lseek_fd { token; pos; whence } -> handle_lseek t ~token ~pos ~whence reply
   | Wire.Alloc_blocks { ino; count; ahead } -> handle_alloc t ~ino ~count ~ahead reply
-  | Wire.Get_blocks { ino } -> handle_get_blocks t ~ino reply
+  | Wire.Get_blocks { ino } ->
+      with_inode t ino reply (fun inode ->
+          reply
+            (Ok (Wire.P_blocks { blocks = Array.copy inode.blocks; bsize = inode.size })))
   | Wire.Update_size { token; size } ->
       with_ofd t token reply (fun ofd ->
           if ofd.inode.ftype = Reg then ofd.inode.size <- size;
           reply (Ok Wire.P_unit))
-  | Wire.Get_attr { ino } -> (
-      match find_inode t ino with
-      | None -> reply (Error Errno.ENOENT)
-      | Some inode -> reply (Ok (Wire.P_attr (Inode.attr inode))))
-  | Wire.Truncate { ino; size } -> (
-      match find_inode t ino with
-      | None -> reply (Error Errno.ENOENT)
-      | Some inode ->
+  | Wire.Get_attr { ino } ->
+      with_inode t ino reply (fun inode -> reply (Ok (Wire.P_attr (Inode.attr inode))))
+  | Wire.Truncate { ino; size } ->
+      with_inode t ino reply (fun inode ->
           do_truncate t inode ~size;
           reply (Ok Wire.P_unit))
   | Wire.Unlink_ino { ino } -> handle_unlink_ino t ~ino reply
@@ -1332,21 +1126,23 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Inc_fd_ref { token; offset } -> handle_inc_fd_ref t ~token ~offset reply
   | Wire.Rmdir_lock { dir } -> handle_rmdir_lock t ~dir reply
   | Wire.Rmdir_unlock { dir } -> handle_rmdir_unlock t ~dir reply
-  | Wire.Rmdir_prepare { dir; home } -> handle_rmdir_prepare t ~home ~dir reply
-  | Wire.Rmdir_commit { dir; client = _; home } ->
-      handle_rmdir_commit t ~home ~dir reply
-  | Wire.Rmdir_abort { dir; home } -> (
-      match Hashtbl.find_opt t.marks (dkey t ~home dir) with
+  | Wire.Rmdir_prepare { dir; home = hid } ->
+      handle_rmdir_prepare (home t hid) ~dir reply
+  | Wire.Rmdir_commit { dir; client = _; home = hid } ->
+      handle_rmdir_commit (home t hid) ~dir reply
+  | Wire.Rmdir_abort { dir; home = hid } -> (
+      let h = home t hid in
+      match Hashtbl.find_opt h.marks dir with
       | None -> reply (Ok Wire.P_unit)
       | Some m ->
-          Hashtbl.remove t.marks (dkey t ~home dir);
+          Hashtbl.remove h.marks dir;
           reply (Ok Wire.P_unit);
           (* Replay the creates that were delayed behind the mark. *)
           Queue.iter
             (fun (parked_req, (parked_reply : reply)) ->
               handle t parked_req parked_reply)
             m.parked)
-  | Wire.Pipe_create { home; _ } -> handle_pipe_create t ~home reply
+  | Wire.Pipe_create { home = hid; _ } -> handle_pipe_create t (home t hid) reply
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply
   | Wire.Steal_blocks { count } -> handle_steal_blocks t ~count reply
@@ -1403,20 +1199,11 @@ let execute ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
       close ();
       raise e
 
-(* Sequence numbers are monotonic per client and a client has at most a
-   handful of RPCs outstanding, so cached responses far behind the
-   current sequence can never be asked for again. *)
-let prune_dedup table ~before =
-  Hashtbl.filter_map_inplace
-    (fun seq entry ->
-      match entry with Done _ when seq < before -> None | e -> Some e)
-    table
-
 (* Which logical home a request addresses; -1 for requests with no home
    affinity (block stealing, the migration protocol itself). Entry
    operations carry it explicitly; inode and token operations encode it
    in the target id. *)
-let home_of (req : Wire.fs_req) =
+let req_home t (req : Wire.fs_req) =
   match req with
   | Wire.Lookup { home; _ }
   | Wire.Add_map { home; _ }
@@ -1438,9 +1225,8 @@ let home_of (req : Wire.fs_req) =
   | Wire.Unlink_ino { ino }
   | Wire.Link_ino { ino } ->
       ino.server
-  | Wire.Rmdir_lock { dir } | Wire.Rmdir_unlock { dir } ->
+  | Wire.Rmdir_lock { dir } | Wire.Rmdir_unlock { dir } | Wire.Rmdir_local { dir; _ } ->
       dir.server
-  | Wire.Rmdir_local { dir; _ } -> dir.server
   | Wire.Close_fd { token; _ }
   | Wire.Read_fd { token; _ }
   | Wire.Write_fd { token; _ }
@@ -1449,14 +1235,14 @@ let home_of (req : Wire.fs_req) =
   | Wire.Inc_fd_ref { token; _ }
   | Wire.Pipe_read { token; _ }
   | Wire.Pipe_write { token; _ } ->
-      token lsr home_shift
+      token_home t token
   | Wire.Steal_blocks _ | Wire.Migrate_out _ | Wire.Install_shard _ -> -1
 
 let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
     (meta : Hare_msg.Rpc.meta option) =
   if
     t.migratory
-    && (let h = home_of req in
+    && (let h = req_home t req in
         h >= 0 && not (hosts t h))
   then begin
     (* The addressed home moved away. Bounce with EMOVED *before* any
@@ -1464,7 +1250,6 @@ let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
        this request's outcome (the cached entry would migrate with the
        shard and shadow the real execution), and the retry — same
        idempotency tag, new owner — must be free to execute. *)
-    ignore span;
     t.moved_rejects <- t.moved_rejects + 1;
     Core_res.compute t.core
       (if dispatch then t.costs.server_dispatch else 0);
@@ -1474,40 +1259,24 @@ let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
   match meta with
   | None -> execute ~dispatch ~span t req reply
   | Some m -> (
-      let dc = dedup_table t m.m_client in
-      (* The envelope's ack mark bounds the table: everything at or
-         below it is client-complete and can never be retransmitted. *)
-      dedup_ack t dc ~ack:m.m_ack;
-      match Hashtbl.find_opt dc.de_tbl m.m_seq with
-      | Some (Done resp) ->
+      match Dedup.admit t.dedup m reply with
+      | Replay resp ->
           (* Retransmission of a completed request: replay the cached
              response without re-executing the operation. *)
           t.robust.dedup_hits <- t.robust.dedup_hits + 1;
           Core_res.compute t.core t.costs.server_dispatch;
           reply resp
-      | Some (Pending extras) ->
-          (* The original is still executing (or parked); attach this
-             copy's reply slot to be answered alongside it. *)
-          t.robust.dedup_hits <- t.robust.dedup_hits + 1;
-          extras := reply :: !extras
-      | None ->
-          let extras = ref [] in
-          Hashtbl.replace dc.de_tbl m.m_seq (Pending extras);
-          if Hashtbl.length dc.de_tbl > 256 then
-            prune_dedup dc.de_tbl ~before:(m.m_seq - 128);
-          let once = ref false in
+      | Joined ->
+          (* The original is still executing (or parked); this copy's
+             reply slot is answered alongside it. *)
+          t.robust.dedup_hits <- t.robust.dedup_hits + 1
+      | Fresh p ->
           let reply' ?payload_lines resp =
-            if not !once then begin
-              once := true;
-              (* Skip the cache when the client acked this seq while the
-                 original was parked — the entry would outlive every
-                 possible retransmission. *)
-              if m.m_seq > dc.de_pruned then
-                Hashtbl.replace dc.de_tbl m.m_seq (Done resp);
-              reply ?payload_lines resp;
-              List.iter (fun (r : reply) -> r resp) !extras;
-              extras := []
-            end
+            match Dedup.finish p resp with
+            | None -> ()
+            | Some joined ->
+                reply ?payload_lines resp;
+                List.iter (fun (r : reply) -> r resp) joined
           in
           execute ~dispatch ~span t req reply')
 
@@ -1541,32 +1310,37 @@ let crash t =
       (Hare_msg.Rpc.drain_pending t.endpoint);
     (* Parked continuations are volatile: error them all out. *)
     Hashtbl.iter
-      (fun _ (m : mark) -> Queue.iter (fun (_, r) -> abort r) m.parked)
-      t.marks;
-    Hashtbl.reset t.marks;
-    Hashtbl.iter
-      (fun _ (l : dirlock) -> Queue.iter abort l.lock_waiters)
-      t.locks;
-    Hashtbl.reset t.locks;
-    Queue.iter (fun (_, r) -> abort r) t.steal_parked;
-    Queue.clear t.steal_parked;
+      (fun _ h ->
+        Hashtbl.iter
+          (fun _ (m : mark) -> Queue.iter (fun (_, r) -> abort r) m.parked)
+          h.marks;
+        Hashtbl.reset h.marks;
+        Hashtbl.iter
+          (fun _ (l : dirlock) -> Queue.iter abort l.lock_waiters)
+          h.locks;
+        Hashtbl.reset h.locks)
+      t.homes;
+    List.iter (fun (_, r) -> abort r) (take_all t.steal_parked);
     t.steal_inflight <- false;
     t.steal_failures <- 0;
     Hashtbl.iter
-      (fun _ (inode : Inode.t) ->
-        match inode.Inode.pipe with
-        | Some p -> aborted := !aborted + Pipe_state.abort_parked p
-        | None -> ())
-      t.inodes;
-    (* Volatile tables: descriptors, idempotency memory, invalidation
-       tracking. The DRAM-resident structures (inodes, directory shards,
-       tombstones, block contents) survive. *)
-    Hashtbl.reset t.tokens;
-    Hashtbl.iter
-      (fun _ (inode : Inode.t) -> inode.Inode.open_tokens <- 0)
-      t.inodes;
-    Hashtbl.reset t.dedup;
-    Hashtbl.reset t.tracking;
+      (fun _ h ->
+        Hashtbl.iter
+          (fun _ (inode : Inode.t) ->
+            match inode.Inode.pipe with
+            | Some p -> aborted := !aborted + Pipe_state.abort_parked p
+            | None -> ())
+          h.inodes;
+        (* Volatile tables: descriptors, idempotency memory, invalidation
+           tracking. The DRAM-resident structures (inodes, directory
+           shards, tombstones, block contents) survive. *)
+        Hashtbl.reset h.tokens;
+        Hashtbl.iter
+          (fun _ (inode : Inode.t) -> inode.Inode.open_tokens <- 0)
+          h.inodes;
+        Hashtbl.reset h.tracking)
+      t.homes;
+    Dedup.reset t.dedup;
     (* A dead server's queue depth is meaningless; keep it out of
        deadlock reports (and free the probe slot) until restart. *)
     Hare_msg.Rpc.unwatch t.endpoint;
@@ -1587,32 +1361,27 @@ let restart t =
     (* Every descriptor died with the crash, so orphaned blocks and
        unlinked inodes have no remaining users; the free list becomes
        whatever the surviving inodes do not reference. *)
-    let dead =
-      Hashtbl.fold
-        (fun lid (inode : Inode.t) acc ->
-          inode.Inode.orphans <- [||];
-          if inode.Inode.unlinked && inode.Inode.nlink <= 0 then lid :: acc
-          else acc)
-        t.inodes []
-    in
-    List.iter (Hashtbl.remove t.inodes) dead;
-    (* Extent leases were held on behalf of descriptors that died with
-       the crash: trim every file back to its size so the surplus blocks
-       rejoin the free list below. *)
-    if t.config.Hare_config.Config.alloc_extent > 1 then
-      Hashtbl.iter
-        (fun _ (inode : Inode.t) ->
-          if inode.Inode.ftype = Reg then begin
-            let keep = Inode.blocks_for ~size:inode.Inode.size in
-            if keep < Array.length inode.Inode.blocks then
-              inode.Inode.blocks <- Array.sub inode.Inode.blocks 0 keep
-          end)
-        t.inodes;
     let live = Hashtbl.create 4096 in
+    let extent = t.config.Hare_config.Config.alloc_extent > 1 in
     Hashtbl.iter
-      (fun _ (inode : Inode.t) ->
-        Array.iter (fun b -> Hashtbl.replace live b ()) inode.Inode.blocks)
-      t.inodes;
+      (fun _ h ->
+        Hashtbl.filter_map_inplace
+          (fun _ (inode : Inode.t) ->
+            inode.Inode.orphans <- [||];
+            if inode.Inode.unlinked && inode.Inode.nlink <= 0 then None
+            else begin
+              (* Extent leases were held on behalf of descriptors that
+                 died with the crash: trim every file back to its size so
+                 the surplus blocks rejoin the free list below. *)
+              (if extent && inode.Inode.ftype = Reg then
+                 let keep = Inode.blocks_for ~size:inode.Inode.size in
+                 if keep < Array.length inode.Inode.blocks then
+                   inode.Inode.blocks <- Array.sub inode.Inode.blocks 0 keep);
+              Array.iter (fun b -> Hashtbl.replace live b ()) inode.Inode.blocks;
+              Some inode
+            end)
+          h.inodes)
+      t.homes;
     let reclaimed = Blocklist.rebuild t.blocks ~live in
     t.robust.blocks_rebuilt <- t.robust.blocks_rebuilt + reclaimed;
     t.down <- false;
@@ -1629,12 +1398,10 @@ let restart t =
         t.invals_sent <- t.invals_sent + 1)
       t.inval_ports;
     (* Serve the reliable requests that queued up while we were down. *)
-    let parked = List.of_seq (Queue.to_seq t.boot_queue) in
-    Queue.clear t.boot_queue;
     List.iter
       (fun (r : _ Hare_msg.Rpc.request) ->
         process ~span:r.span t r.body r.reply r.meta)
-      parked
+      (take_all t.boot_queue)
   end
 
 let start t =
@@ -1649,71 +1416,65 @@ let start t =
           ()
     | None -> ()
   in
+  (* Class shed first: a categorical EBUSY tells the client to back off
+     now, whereas an expiry drop costs it a full timeout — so above the
+     watermark the deferrable classes (background first, then data;
+     metadata never) are pushed back even if the copy has also expired.
+     Only fresh copies are shed: the verdict is cached in the dedup table
+     so a duplicate replays its original's outcome (EBUSY included)
+     rather than executing the operation invisibly or being counted as a
+     second shed. *)
+  let sheds m prio =
+    wm > 0 && prio > 0
+    && (let depth = Hare_msg.Rpc.pending t.endpoint in
+        (prio >= 2 && depth > wm) || (prio >= 1 && depth > 2 * wm))
+    && not (Dedup.seen t.dedup m)
+  in
   let serve ~dispatch (r : _ Hare_msg.Rpc.request) =
     let { Hare_msg.Rpc.body = req; reply; meta; span; deadline; prio } = r in
     if t.down then
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)
       Queue.push r t.boot_queue
-    else if
-      (* Class shed first: a categorical EBUSY tells the client to back
-         off now, whereas an expiry drop costs it a full timeout — so
-         above the watermark the deferrable classes (background first,
-         then data; metadata never) are pushed back even if the copy has
-         also expired. The verdict is cached in the dedup table so
-         duplicate copies replay EBUSY rather than executing the
-         operation invisibly. *)
-      wm > 0 && meta <> None && prio > 0
-      && (let depth = Hare_msg.Rpc.pending t.endpoint in
-          (prio >= 2 && depth > wm) || (prio >= 1 && depth > 2 * wm))
-    then begin
-      ignore dispatch;
-      t.robust.shed_load <- t.robust.shed_load + 1;
-      shed_instant "shed-load" req;
-      Core_res.compute t.core t.costs.server_dispatch;
-      (match meta with
-      | Some m ->
-          let dc = dedup_table t m.m_client in
-          dedup_ack t dc ~ack:m.m_ack;
-          Hashtbl.replace dc.de_tbl m.m_seq (Done (Error Errno.EBUSY))
-      | None -> ());
-      reply (Error Errno.EBUSY)
-    end
-    else if deadline > 0L && meta <> None && Engine.now t.engine > deadline
-    then begin
-      (* Already expired: the client's RPC deadline fired before we got
-         here, so a retransmission (with a fresh deadline) is already on
-         its way. Serving this copy would be wasted work — drop it
-         without replying, charging only the envelope examination. *)
-      t.robust.shed_expired <- t.robust.shed_expired + 1;
-      shed_instant "shed-expired" req;
-      Core_res.compute t.core t.costs.server_dispatch
-    end
-    else process ~dispatch ~span t req reply meta
+    else
+      match meta with
+      | Some m when sheds m prio ->
+          t.robust.shed_load <- t.robust.shed_load + 1;
+          shed_instant "shed-load" req;
+          Core_res.compute t.core t.costs.server_dispatch;
+          Dedup.shed t.dedup m;
+          reply (Error Errno.EBUSY)
+      | Some _ when deadline > 0L && Engine.now t.engine > deadline ->
+          (* Already expired: the client's RPC deadline fired before we
+             got here, so a retransmission (with a fresh deadline) is
+             already on its way. Serving this copy would be wasted work —
+             drop it without replying, charging only the envelope
+             examination. *)
+          t.robust.shed_expired <- t.robust.shed_expired + 1;
+          shed_instant "shed-expired" req;
+          Core_res.compute t.core t.costs.server_dispatch
+      | _ -> process ~dispatch ~span t req reply meta
   in
-  let loop () =
-    let rec go () =
-      (* Batch dispatch: drain up to [batch_max] queued requests per
-         wakeup. The receive costs are charged in one compute call, the
-         whole batch shares a single context switch, and the dispatch
-         preamble is paid once per wakeup — each message past the first
-         costs only its operation. [batch_max = 1] is the paper's
-         one-request-per-wakeup loop, cycle for cycle. *)
-      let batch = Hare_msg.Rpc.recv_batch_full t.endpoint ~max:batch_max in
-      Hare_stats.Perf.note_batch t.perf (List.length batch);
-      (match Engine.sink t.engine with
-      | Some tr ->
-          Trace.counter tr ~name:"batch" ~track:(Core_res.id t.core)
-            ~ts:(Engine.now t.engine) ~value:(List.length batch)
-      | None -> ());
-      List.iteri
-        (fun i msg ->
-          if i > 0 then Hare_msg.Rpc.charge_recv t.endpoint;
-          serve ~dispatch:(i = 0) msg)
-        batch;
-      go ()
-    in
-    go ()
+  let rec loop () =
+    (* Batch dispatch: drain up to [batch_max] queued requests per
+       wakeup. The receive costs are charged in one compute call, the
+       whole batch shares a single context switch, and the dispatch
+       preamble is paid once per wakeup — each message past the first
+       costs only its operation. [batch_max = 1] is the paper's
+       one-request-per-wakeup loop, cycle for cycle. *)
+    let batch = Hare_msg.Rpc.recv_batch_full t.endpoint ~max:batch_max in
+    Hare_stats.Perf.note_batch t.perf (List.length batch);
+    (match Engine.sink t.engine with
+    | Some tr ->
+        Trace.counter tr ~name:"batch" ~track:(Core_res.id t.core)
+          ~ts:(Engine.now t.engine) ~value:(List.length batch)
+    | None -> ());
+    List.iteri
+      (fun i msg ->
+        if i > 0 then Hare_msg.Rpc.charge_recv t.endpoint;
+        serve ~dispatch:(i = 0) msg)
+      batch;
+    loop ()
   in
   ignore
     (Engine.spawn t.engine ~daemon:true

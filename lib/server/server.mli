@@ -27,9 +27,11 @@ val create :
   t
 (** [faults] attaches this server's fault-injector link (also routed into
     the request mailbox) so crashes blackhole unreliable traffic.
-    [place] is the consistent-hash ring shared by the whole machine;
-    when its membership plan is non-empty the server namespaces all
-    home-scoped state so whole logical homes can migrate in and out. *)
+    [place] is the consistent-hash ring shared by the whole machine. The
+    server keeps each logical home it hosts in one record — just its own
+    under a static placement; when the membership plan is non-empty
+    whole records migrate in and out, and descriptor tokens carry their
+    home in their high bits. *)
 
 val sid : t -> int
 
@@ -69,8 +71,6 @@ val crash : t -> unit
     directory cache, and serves the reliable requests that queued while
     down. Must be called from within a fiber. *)
 val restart : t -> unit
-
-val is_down : t -> bool
 
 val robust : t -> Hare_stats.Robust.t
 (** Crash/dedup counters for this server. *)

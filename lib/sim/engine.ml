@@ -147,8 +147,6 @@ let set_explorer t ex = t.explore <- Some ex
 
 let clear_explorer t = t.explore <- None
 
-let exploring t = t.explore <> None
-
 let new_object t =
   let o = t.next_obj in
   t.next_obj <- o + 1;
@@ -164,8 +162,6 @@ let note_mailbox t uid =
 
 let note_line t key =
   match t.explore with Some ex -> ex.ex_access (key lsl 1) | None -> ()
-
-let fiber_name f = f.name
 
 let fiber_id f = f.fid
 

@@ -49,7 +49,6 @@ val run_for : t -> int64 -> unit
 (** [run_for t budget] executes events until none remain or simulated time
     would exceed [now t + budget]; remaining events stay queued. *)
 
-val fiber_name : fiber -> string
 val fiber_id : fiber -> int
 
 val live_fibers : t -> int
@@ -169,8 +168,6 @@ type explorer = {
 val set_explorer : t -> explorer -> unit
 val clear_explorer : t -> unit
 
-val exploring : t -> bool
-(** Whether an explorer is attached. *)
 
 val tag_opaque : int
 (** Action tag for events whose effects the footprint hooks cannot see

@@ -17,6 +17,3 @@ let of_list xs =
         median;
         max = arr.(n - 1);
       }
-
-let pp_factor ppf t =
-  Format.fprintf ppf "%.2fx %.2fx %.2fx %.2fx" t.min t.avg t.median t.max

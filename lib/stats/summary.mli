@@ -5,6 +5,3 @@ type t = { min : float; avg : float; median : float; max : float }
 (** [of_list xs] summarizes a non-empty list.
     Raises [Invalid_argument] on an empty list. *)
 val of_list : float list -> t
-
-(** [pp_factor] renders like the paper: ["0.97x 1.93x 1.37x 5.50x"]. *)
-val pp_factor : Format.formatter -> t -> unit

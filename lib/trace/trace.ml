@@ -14,14 +14,6 @@ let bucket_index = function
   | Cache -> 4
   | Dram -> 5
 
-let bucket_name = function
-  | Compute -> "compute"
-  | Send -> "send"
-  | Queue -> "queue"
-  | Dispatch -> "dispatch"
-  | Cache -> "cache"
-  | Dram -> "dram"
-
 let bucket_names = [ "compute"; "send"; "queue"; "dispatch"; "cache"; "dram" ]
 
 type event =
@@ -398,8 +390,6 @@ let on_wait t ~fid ~cycles =
   | None -> ()
 
 let retain_enabled t = t.retain > 0
-
-let retain_k t = t.retain
 
 (* Client hook, called at RPC send time: freeze the admission target and
    queue depth on the first send of the open context, and remember the

@@ -43,8 +43,6 @@ val nbuckets : int
 
 val bucket_index : bucket -> int
 
-val bucket_name : bucket -> string
-
 val bucket_names : string list
 (** Display order, matching {!bucket_index}. *)
 
@@ -154,9 +152,6 @@ val on_blocked : t -> fid:int -> span:int -> elapsed:int -> unit
 
 val retain_enabled : t -> bool
 (** Whether this sink retains slow span trees ([retain > 0]). *)
-
-val retain_k : t -> int
-(** The per-class retention bound given at {!create}. *)
 
 val note_send : t -> fid:int -> srv:int -> depth:int -> unit
 (** Client hook at RPC send time: annotate fiber [fid]'s open context

@@ -13,6 +13,4 @@ type t = {
   ops : nprocs:int -> scale:int -> int;
 }
 
-let nop_setup _api _p ~nprocs:_ ~scale:_ = ()
-
 let no_programs _api = []

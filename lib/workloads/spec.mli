@@ -32,6 +32,4 @@ type t = {
       (** operation count for throughput normalization. *)
 }
 
-val nop_setup : 'p Hare_api.Api.t -> 'p -> nprocs:int -> scale:int -> unit
-
 val no_programs : 'p Hare_api.Api.t -> (string * ('p -> string list -> int)) list

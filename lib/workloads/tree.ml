@@ -128,16 +128,3 @@ let walk (api : 'p Api.t) p ~root =
   go root;
   (!dirs, !files)
 
-let rm_rf (api : 'p Api.t) p ~root =
-  let rec go dir =
-    let entries = api.Api.readdir p dir in
-    List.iter
-      (fun (name, ftype) ->
-        let path = dir ^ "/" ^ name in
-        match (ftype : Types.ftype) with
-        | Types.Dir -> go path
-        | Types.Reg | Types.Fifo -> api.Api.unlink p path)
-      entries;
-    api.Api.rmdir p dir
-  in
-  go root

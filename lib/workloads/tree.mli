@@ -47,10 +47,6 @@ val owner_of_path : string -> parts:int -> int
     stat-ing every entry; returns (dirs visited, files seen). *)
 val walk : 'p Hare_api.Api.t -> 'p -> root:string -> int * int
 
-(** [rm_rf api p ~root] removes the tree rooted at (and including)
-    [root]. *)
-val rm_rf : 'p Hare_api.Api.t -> 'p -> root:string -> unit
-
 (** [file_data n seed] is deterministic printable content. *)
 val file_data : int -> int -> string
 

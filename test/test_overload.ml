@@ -349,29 +349,40 @@ let test_graceful_degradation_at_saturation () =
   (* ~2x overdrive against a single server core: the machine must keep
      doing useful work (goodput > 0), account for every request, shed
      the excess with EBUSY rather than collapse, and keep tail latency
-     of admitted requests bounded by the deadline machinery. *)
-  let m, c = run_overload_machine (overload_config ()) in
-  let r = Machine.robustness m in
-  Alcotest.(check bool) "sent something" true (c.O.sent > 0);
-  Alcotest.(check int) "every request accounted for" c.O.sent
-    (c.O.ok + c.O.shed + c.O.fast_fail + c.O.skipped);
-  Alcotest.(check bool) "goodput survives overload" true (c.O.ok > 0);
-  Alcotest.(check bool) "excess load was shed" true (c.O.shed > 0);
-  Alcotest.(check int) "workload sheds = server load sheds" c.O.shed
-    r.Robust.shed_load;
-  Alcotest.(check bool) "no unexplained giveups" true
-    (r.Robust.giveups <= r.Robust.timeouts);
-  match Machine.trace m with
-  | None -> Alcotest.fail "trace expected"
-  | Some tr ->
-      let dists = Hare_experiments.Driver.latencies_of_trace tr in
-      Alcotest.(check bool) "latency classes present" true (dists <> []);
-      List.iter
-        (fun (cls, d) ->
-          Alcotest.(check bool) (cls ^ " has samples") true (d.Latency.n > 0);
-          Alcotest.(check bool) (cls ^ " p99 ordered") true
-            (d.Latency.p50 <= d.Latency.p99 && d.Latency.p99 <= d.Latency.lmax))
-        dists
+     of admitted requests bounded by the deadline machinery. Also under
+     duplication: only a request's first copy may be shed, so a
+     duplicate replays its original's outcome and the server counts
+     each shed once. *)
+  List.iter
+    (fun plan ->
+      let m, c =
+        run_overload_machine
+          (Hare_experiments.Driver.with_fault_plan plan (overload_config ()))
+      in
+      let r = Machine.robustness m in
+      let check_int what = Alcotest.(check int) (plan ^ ": " ^ what) in
+      let check what = Alcotest.(check bool) (plan ^ ": " ^ what) true in
+      check "sent something" (c.O.sent > 0);
+      check_int "every request accounted for" c.O.sent
+        (c.O.ok + c.O.shed + c.O.fast_fail + c.O.skipped);
+      check "goodput survives overload" (c.O.ok > 0);
+      check "excess load was shed" (c.O.shed > 0);
+      check_int "workload sheds = server load sheds" c.O.shed
+        r.Robust.shed_load;
+      check "no unexplained giveups" (r.Robust.giveups <= r.Robust.timeouts);
+      match Machine.trace m with
+      | None -> Alcotest.fail "trace expected"
+      | Some tr ->
+          let dists = Hare_experiments.Driver.latencies_of_trace tr in
+          check "latency classes present" (dists <> []);
+          List.iter
+            (fun (cls, d) ->
+              check (cls ^ " has samples") (d.Latency.n > 0);
+              check (cls ^ " p99 ordered")
+                (d.Latency.p50 <= d.Latency.p99
+                && d.Latency.p99 <= d.Latency.lmax))
+            dists)
+    [ ""; "dup:fs:0.1" ]
 
 let test_crash_trips_breakers () =
   (* A mid-run server crash under load: breakers must open (fast-fails

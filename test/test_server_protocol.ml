@@ -240,6 +240,113 @@ let test_lookup_tracks_and_invalidates () =
       Alcotest.(check int) "one invalidation" (before + 1)
         (Server.invals_sent rig.server))
 
+(* ---------- shard migration round trip -------------------------------- *)
+
+(* Two standalone servers on one migratory ring: A (sid 0) hosts home 0,
+   B (sid 2, the spare the ring's Add activates) hosts nothing. They
+   share DRAM, each owning half of the blocks, like one machine. *)
+let test_migration_round_trip () =
+  let engine = Engine.create () in
+  let costs = config.Hare_config.Config.costs in
+  let core id = Core_res.create engine ~id ~socket:0 ~ctx_switch:0 in
+  let a_core = core 0 and b_core = core 1 and client_core = core 2 in
+  let dram = Hare_mem.Dram.create ~nblocks:128 in
+  let inval_ports =
+    Array.init 2 (fun i ->
+        Hare_msg.Mailbox.create ~owner:(if i = 0 then a_core else client_core) ~costs ())
+  in
+  let place =
+    Hare_place.Place.create ~nhomes:2 ~vnodes:4
+      ~events:[ Hare_place.Place.Add { at = 1_000_000L } ]
+  in
+  let server ~sid ~core ~blocks_first =
+    let pcache = Hare_mem.Pcache.create dram ~core ~costs ~capacity_lines:256 in
+    let s =
+      Server.create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first
+        ~blocks_count:64 ~inval_ports ~place ()
+    in
+    Server.start s;
+    s
+  in
+  let a = server ~sid:0 ~core:a_core ~blocks_first:0 in
+  let b = server ~sid:2 ~core:b_core ~blocks_first:64 in
+  Server.install_root a ~dist:false;
+  let call s req = Rpc.call (Server.endpoint s) ~from:client_core req in
+  let ok what = function Ok _ -> () | Error _ -> Alcotest.fail what in
+  let create_open name =
+    Wire.Create_open { dir = root; name; excl = false; trunc = false; client = 1; home = 0 }
+  in
+  let snapshot s =
+    (Server.inode_count s, Server.open_tokens s, List.sort compare (Server.shard_entries s root))
+  in
+  let rig = { engine; server = a; client_core; ep = Server.endpoint a } in
+  in_fiber rig (fun () ->
+      (* a file with an open token, holding data *)
+      let token =
+        match call a (create_open "f") with
+        | Ok (Wire.P_open_ino { oi; _ }) -> oi.Wire.token
+        | _ -> Alcotest.fail "create f"
+      in
+      ok "write" (call a (Wire.Write_fd { token; off = Some 0; data = "hello" }));
+      (* a tracked lookup by client 1 *)
+      ok "lookup" (call a (Wire.Lookup { dir = root; name = "f"; client = 1; home = 0 }));
+      (* home 0's shard of a directory whose inode lives at home 1,
+         removed: only the tombstone can refuse a late create *)
+      let remote_dir = { Types.server = 1; ino = 5 } in
+      ok "prepare" (call a (Wire.Rmdir_prepare { dir = remote_dir; home = 0 }));
+      ok "commit" (call a (Wire.Rmdir_commit { dir = remote_dir; client = 1; home = 0 }));
+      (* a completed tagged request *)
+      let meta = { Rpc.m_client = 1; m_seq = 1; m_ack = 0 } in
+      let tagged s =
+        Rpc.await ~from:client_core ~costs ~span:0
+          (Rpc.call_async (Server.endpoint s) ~from:client_core ~meta (create_open "g"))
+      in
+      ok "tagged create" (tagged a);
+      let before = snapshot a in
+      Alcotest.(check int) "no invalidation yet" 0
+        (Hare_msg.Mailbox.pending inval_ports.(1));
+      let pack =
+        match call a (Wire.Migrate_out { home = 0 }) with
+        | Ok (Wire.P_pack pack) -> pack
+        | _ -> Alcotest.fail "migrate out"
+      in
+      ok "install" (call b (Wire.Install_shard { home = 0; pack }));
+      Alcotest.(check bool) "client 1 told to drop f" true
+        (List.mem
+           (Wire.Inval_entry { i_dir = root; i_name = "f" })
+           (Hare_msg.Mailbox.drain inval_ports.(1)));
+      let same what (i, o, e) (i', o', e') =
+        Alcotest.(check int) (what ^ " inodes") i i';
+        Alcotest.(check int) (what ^ " tokens") o o';
+        let flat = List.map (fun (n, (i : Types.ino)) -> (n, (i.server, i.ino))) in
+        Alcotest.(check (list (pair string (pair int int))))
+          (what ^ " entries") (flat e) (flat e')
+      in
+      same "moved to B" before (snapshot b);
+      same "A emptied" (0, 0, []) (snapshot a);
+      (match call a (Wire.Lookup { dir = root; name = "f"; client = 1; home = 0 }) with
+      | Error Errno.EMOVED -> ()
+      | _ -> Alcotest.fail "A must bounce home 0 with EMOVED");
+      (* B replays the tagged request from the migrated dedup entries *)
+      let hits = (Server.robust b).Hare_stats.Robust.dedup_hits in
+      let ops = Hare_stats.Opcount.total (Server.ops b) in
+      ok "replayed create" (tagged b);
+      Alcotest.(check int) "dedup hit" (hits + 1)
+        (Server.robust b).Hare_stats.Robust.dedup_hits;
+      Alcotest.(check int) "not re-executed" ops
+        (Hare_stats.Opcount.total (Server.ops b));
+      (match call b (Wire.Read_fd { token; off = Some 0; len = 5 }) with
+      | Ok (Wire.P_read { data; _ }) ->
+          Alcotest.(check string) "token reads the data" "hello" data
+      | _ -> Alcotest.fail "read through the migrated token");
+      match
+        call b
+          (Wire.Create_open
+             { dir = remote_dir; name = "x"; excl = false; trunc = false; client = 1; home = 0 })
+      with
+      | Error Errno.ENOENT -> ()
+      | _ -> Alcotest.fail "the tombstone must refuse the create")
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -258,4 +365,5 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "lazy demotion reply" `Quick test_shared_offset_demotion_reply;
         tc "tracking + invalidation" `Quick test_lookup_tracks_and_invalidates;
       ] );
+    ("server.migration", [ tc "home round trip" `Quick test_migration_round_trip ]);
   ]
