@@ -8,7 +8,7 @@
    DRAM), which tick the writer so that a write is ordered before
    another core's use only via a real message chain: a freshly ticked
    epoch is strictly above every previously sent snapshot. RPC replies
-   ride the same mechanism via a stamp stashed on the reply ivar.
+   ride the same mechanism, correlated by the request's bus id.
    Everything that happens on one core is totally ordered by the core's
    own component (cores are single-threaded in the simulation), so an
    event's epoch is just [vc.(c).(c)] and "event e on core c' is
@@ -27,6 +27,9 @@
    influence scheduling. All entry points are plain state updates; the
    [now] closure is read-only. The self-tests assert bit-identical clocks
    with the checker on vs. off. *)
+
+module Obs = Hare_sim.Obs
+module Itbl = Hashtbl.Make (Int)
 
 type stamp = int array
 
@@ -75,9 +78,12 @@ type lstate = {
 type t = {
   ncores : int;
   vc : int array array; (* vc.(c) = core c's vector clock *)
-  chans : (int, stamp Queue.t) Hashtbl.t;
-  mutable next_chan : int;
-  lines : (int, lstate) Hashtbl.t;
+  chans : stamp Queue.t Itbl.t; (* mailbox uid -> stamp FIFO *)
+  (* Sent messages whose copies have not all entered a queue yet: bus
+     message id -> (stamp, copies still to enqueue). *)
+  inflight : (stamp * int) Itbl.t;
+  replies : stamp Itbl.t; (* request id -> filled reply's stamp *)
+  lines : lstate Itbl.t;
   (* Outstanding dircache invalidations: the server sent Inval_entry to
      [client] and the protocol owes an application of it before the
      client's next cache hit on that name. *)
@@ -94,17 +100,16 @@ let create ~ncores () =
   {
     ncores;
     vc = Array.init ncores (fun _ -> Array.make ncores 0);
-    chans = Hashtbl.create 64;
-    next_chan = 0;
-    lines = Hashtbl.create 4096;
+    chans = Itbl.create 64;
+    inflight = Itbl.create 64;
+    replies = Itbl.create 64;
+    lines = Itbl.create 4096;
     obligations = Hashtbl.create 64;
     stats = Hare_stats.Sanity.create ();
     violations = [];
     nviol = 0;
     now = (fun () -> 0L);
   }
-
-let set_now t f = t.now <- f
 
 let stats t = t.stats
 
@@ -166,30 +171,42 @@ let join t ~core (s : stamp) =
    epoch counter. *)
 let hb t ~core ~of_core e = e <= t.vc.(core).(of_core)
 
-(* Per-channel stamp queues mirror mailbox FIFOs: a send pushes its stamp
-   in delivery order (after fault drop/dup/delay dice have resolved), a
-   receive pops and joins. Alignment with the real queue is structural —
-   push happens exactly where the message enters the Bqueue. *)
-let new_chan t =
-  let id = t.next_chan in
-  t.next_chan <- id + 1;
-  Hashtbl.replace t.chans id (Queue.create ());
-  id
-
-let chan_push t ~chan (s : stamp) =
-  match Hashtbl.find_opt t.chans chan with
-  | Some q -> Queue.push s q
+(* Per-mailbox stamp queues mirror the real FIFOs: a send snapshots the
+   sender's clock, each copy the fault dice let into the queue pushes
+   that snapshot (a dropped message pushes none, a duplicate two), and
+   each dequeue pops and joins — alignment with the real queue is
+   structural. [copies] counts the copies still to enqueue. *)
+let on_enqueue t ~mid ~uid =
+  match Itbl.find_opt t.inflight mid with
   | None -> ()
+  | Some (s, copies) ->
+      let q =
+        match Itbl.find_opt t.chans uid with
+        | Some q -> q
+        | None ->
+            let q = Queue.create () in
+            Itbl.replace t.chans uid q;
+            q
+      in
+      Queue.push s q;
+      if copies > 1 then Itbl.replace t.inflight mid (s, copies - 1)
+      else Itbl.remove t.inflight mid
 
-let chan_pop t ~chan ~core =
-  match Hashtbl.find_opt t.chans chan with
-  | Some q -> ( match Queue.take_opt q with Some s -> join t ~core s | None -> ())
-  | None -> ()
+(* A reply is an edge from the filler's clock at fill time to the
+   reader. Replies filled after their caller timed out are never read;
+   past the high-water mark the older (smaller-id) half is forgotten. *)
+let on_reply_fill t ~id ~core =
+  Itbl.replace t.replies id (msg_stamp t ~core);
+  if Itbl.length t.replies > 8192 then begin
+    let ids = List.sort compare (List.of_seq (Itbl.to_seq_keys t.replies)) in
+    let cutoff = List.nth ids (List.length ids / 2) in
+    List.iter (fun i -> if i < cutoff then Itbl.remove t.replies i) ids
+  end
 
 (* ---------- shadow line state ----------------------------------------- *)
 
 let line t key =
-  match Hashtbl.find_opt t.lines key with
+  match Itbl.find_opt t.lines key with
   | Some l -> l
   | None ->
       let l =
@@ -200,7 +217,7 @@ let line t key =
           w_epoch = 0;
         }
       in
-      Hashtbl.replace t.lines key l;
+      Itbl.replace t.lines key l;
       t.stats.lines_tracked <- t.stats.lines_tracked + 1;
       l
 
@@ -356,7 +373,7 @@ let lint_open t ~core ~keys =
   let resident =
     List.fold_left
       (fun acc key ->
-        match Hashtbl.find_opt t.lines key with
+        match Itbl.find_opt t.lines key with
         | Some ls when ls.copies.(core) <> None -> acc + 1
         | _ -> acc)
       0 keys
@@ -374,7 +391,7 @@ let lint_flush t ~core ~keys ~what =
   let dirty =
     List.fold_left
       (fun acc key ->
-        match Hashtbl.find_opt t.lines key with
+        match Itbl.find_opt t.lines key with
         | Some ls -> (
             match ls.copies.(core) with
             | Some cp when cp.dirty -> acc + 1
@@ -401,12 +418,6 @@ let lint_exit t ~core ~fds ~leases =
 
 (* ---------- dircache obligation tracking ------------------------------ *)
 
-let dircache_sent t ~client ~server ~ino ~name =
-  Hashtbl.replace t.obligations (client, server, ino, name) ()
-
-let dircache_applied t ~client ~server ~ino ~name =
-  Hashtbl.remove t.obligations (client, server, ino, name)
-
 let dircache_flushed t ~client =
   let stale =
     Hashtbl.fold
@@ -422,6 +433,51 @@ let dircache_hit t ~client ~server ~ino ~name =
          "client %d: dircache hit on (%d/%d, %S) with an undelivered \
           invalidation outstanding"
          client server ino name)
+
+(* ---------- the bus subscriber ---------------------------------------- *)
+
+let on_event t (ev : Obs.event) =
+  match ev with
+  | Msg_send { mid; core; _ } ->
+      Itbl.replace t.inflight mid (msg_stamp t ~core, 1)
+  | Msg_fault { mid; copies } -> (
+      match Itbl.find_opt t.inflight mid with
+      | Some (s, _) when copies > 0 -> Itbl.replace t.inflight mid (s, copies)
+      | _ -> Itbl.remove t.inflight mid)
+  | Msg_enqueue { mid; uid } -> on_enqueue t ~mid ~uid
+  | Msg_dequeue { uid; core } -> (
+      match Itbl.find_opt t.chans uid with
+      | Some q -> ( match Queue.take_opt q with Some s -> join t ~core s | None -> ())
+      | None -> ())
+  | Reply_fill { id; core } -> if id <> 0 then on_reply_fill t ~id ~core
+  | Reply_read { id; core } -> (
+      match Itbl.find_opt t.replies id with
+      | Some s ->
+          Itbl.remove t.replies id;
+          join t ~core s
+      | None -> ())
+  | Cache_access { core; key; write; filled; coherent = false } ->
+      cache_access t ~core ~key ~write ~filled
+  | Cache_access { core; key; write; filled; coherent = true } ->
+      coherent_access t ~core ~key ~write ~filled
+  | Cache_writeback { core; key } -> cache_writeback t ~core ~key
+  | Cache_evict { core; key } -> cache_evict t ~core ~key
+  | Cache_invalidate { core; key; dirty } -> cache_invalidate t ~core ~key ~dirty
+  | Lint_open { core; keys } -> lint_open t ~core ~keys:(keys ())
+  | Lint_flush { core; keys; what } -> lint_flush t ~core ~keys:(keys ()) ~what
+  | Lint_exit { core; fds; leases } -> lint_exit t ~core ~fds ~leases
+  | Dircache { kind = `Sent; client; server; ino; name } ->
+      Hashtbl.replace t.obligations (client, server, ino, name) ()
+  | Dircache { kind = `Applied; client; server; ino; name } ->
+      Hashtbl.remove t.obligations (client, server, ino, name)
+  | Dircache { kind = `Hit; client; server; ino; name } ->
+      dircache_hit t ~client ~server ~ino ~name
+  | Dircache_flushed { client } -> dircache_flushed t ~client
+  | _ -> ()
+
+let attach t bus =
+  t.now <- (fun () -> Int64.of_int (Obs.now bus));
+  Obs.subscribe bus Obs.(msgs lor cache lor lint) (on_event t)
 
 let pp_violation ppf v =
   Fmt.pf ppf "[%Ld] %s: %s" v.time (rule_name v.rule) v.detail

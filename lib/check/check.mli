@@ -14,17 +14,17 @@
     Zero-perturbation invariant: no entry point charges simulated
     cycles, sleeps, or touches the simulation RNG. Running with the
     checker on must leave simulated clocks bit-identical to a
-    checker-off run of the same seed (asserted by test/test_check.ml).
+    checker-off run of the same seed (asserted by test/test_obs.ml).
 
-    This library is a dependency leaf (fmt + hare_stats only): line
-    keys, core ids and channel ids are opaque integers supplied by the
-    callers. *)
+    The checker is a subscriber of the engine's observer bus
+    ({!Hare_sim.Obs}, see {!attach}): line keys, core ids, mailbox uids
+    and message ids are opaque integers carried by the events. *)
 
 type t
 
 type stamp
-(** Snapshot of a sender's vector clock, carried alongside a message or
-    stashed on a reply ivar, and joined into the receiver's clock. *)
+(** Snapshot of a sender's vector clock, queued alongside a message or
+    kept for a reply, and joined into the receiver's clock. *)
 
 type rule =
   | Stale_read  (** read of a cached copy superseded by an ordered-earlier write *)
@@ -41,9 +41,14 @@ type violation = { rule : rule; detail : string; time : int64 }
 
 val create : ncores:int -> unit -> t
 
-val set_now : t -> (unit -> int64) -> unit
-(** Install a read-only clock used only to timestamp recorded
-    violations. *)
+val attach : t -> Hare_sim.Obs.t -> unit
+(** Subscribe to a bus; its clock timestamps recorded violations.
+    Message edges: a [Msg_send] snapshots the sender's clock, every
+    [Msg_enqueue] of that message id queues the snapshot on the
+    mailbox's FIFO (a dropped message queues none, a duplicate two) and
+    every [Msg_dequeue] joins the head into the owner. Reply edges: a
+    [Reply_fill] snapshots the filler, the [Reply_read] with the same
+    request id joins it into the reader. *)
 
 (** {1 Happens-before edges} *)
 
@@ -54,17 +59,6 @@ val msg_stamp : t -> core:int -> stamp
 val join : t -> core:int -> stamp -> unit
 (** Pointwise-max a stamp into [core]'s clock (receive edge). *)
 
-val new_chan : t -> int
-(** Allocate a stamp FIFO mirroring one mailbox's queue. *)
-
-val chan_push : t -> chan:int -> stamp -> unit
-(** Enqueue a stamp in delivery order (call exactly where the real
-    message enters the mailbox queue, after fault dice resolve). *)
-
-val chan_pop : t -> chan:int -> core:int -> unit
-(** Dequeue the next stamp and join it into the receiver. No-op on an
-    empty or unknown channel (defensive). *)
-
 (** {1 Shadow cache events}
 
     [key] is an opaque per-DRAM-line integer (the pcache line key).
@@ -74,56 +68,15 @@ val chan_pop : t -> chan:int -> core:int -> unit
 val cache_access : t -> core:int -> key:int -> write:bool -> filled:bool -> unit
 (** Checked access through a core's private write-back cache. *)
 
-val coherent_access :
-  t -> core:int -> key:int -> write:bool -> filled:bool -> unit
-(** Read-through/write-through access (server shared data paths): the
-    copy is never left dirty; flags a buffered-dirty copy it would
-    silently discard. *)
-
 val cache_writeback : t -> core:int -> key:int -> unit
 (** Dirty line flushed to DRAM; checks for clobbering a newer DRAM
     version, then advances the line's last-writer to this core. *)
 
-val cache_evict : t -> core:int -> key:int -> unit
-(** Clean line dropped by LRU pressure (dirty evictions flush first and
-    report {!cache_writeback} separately). *)
-
-val cache_invalidate : t -> core:int -> key:int -> dirty:bool -> unit
-(** Explicit invalidation; [dirty] counts discarded local writes
-    (informational — close-to-open makes discarding intentional). *)
-
 (** {1 Protocol lint rules} *)
-
-val lint_open : t -> core:int -> keys:int list -> unit
-(** After a direct-mode open's invalidation step: none of the file's
-    lines may remain resident in this core's cache. *)
-
-val lint_flush : t -> core:int -> keys:int list -> what:string -> unit
-(** After the write-back step of close/fsync/truncate ([what] names
-    it): none of the listed lines may remain dirty. *)
 
 val lint_exit : t -> core:int -> fds:int -> leases:int -> unit
 (** At process exit: [fds] open non-console descriptors and [leases]
     unreturned allocation-lease blocks must both be zero. *)
-
-(** {1 Dircache invalidation obligations} *)
-
-val dircache_sent :
-  t -> client:int -> server:int -> ino:int -> name:string -> unit
-(** Server sent [Inval_entry] for [(server/ino, name)] to [client]. *)
-
-val dircache_applied :
-  t -> client:int -> server:int -> ino:int -> name:string -> unit
-(** Client drained and applied the matching invalidation. *)
-
-val dircache_flushed : t -> client:int -> unit
-(** Client flushed its whole dircache ([Inval_all]); clears every
-    obligation owed to it. *)
-
-val dircache_hit :
-  t -> client:int -> server:int -> ino:int -> name:string -> unit
-(** Dircache returned a hit; fires [Dircache_stale] if an obligation
-    for this entry is still outstanding. *)
 
 (** {1 Reporting} *)
 

@@ -2,9 +2,6 @@ open Hare_sim
 open Hare_proto
 open Hare_proto.Types
 
-module Trace = Hare_trace.Trace
-module Check = Hare_check.Check
-
 let bs = Hare_mem.Layout.block_size
 
 (* Blocks needed to back [size] bytes. *)
@@ -117,32 +114,27 @@ let syscall t name =
   Hare_stats.Opcount.incr t.syscalls name;
   Core_res.compute t.core t.costs.syscall_trap
 
-let sink t = Engine.sink t.engine
+let obs t = Engine.obs t.engine
 
-let checker t = Engine.checker t.engine
-
-(* Wrap a public syscall body in a root trace span on this client's core
-   track. The close folds any bucket-uncovered wall time into Queue, so
-   the span's attribution always sums to its elapsed cycles. Nested
-   syscalls (close inside exit teardown) fold into the outer span. *)
+(* Wrap a public syscall body in a root span on this client's core
+   track. Nested syscalls (close inside exit teardown) fold into the
+   outer span. *)
 let traced t op f =
-  match sink t with
-  | None -> f ()
-  | Some tr -> (
-      let fid = Engine.current_fid t.engine in
-      if Trace.ctx_active tr ~fid then f ()
-      else begin
-        ignore
-          (Trace.ctx_open tr ~fid ~op ~track:(Core_res.id t.core) ~parent:0
-             ~now:(Engine.now t.engine) ~args:[]);
-        match f () with
-        | v ->
-            Trace.ctx_close_syscall tr ~fid ~now:(Engine.now t.engine);
-            v
-        | exception e ->
-            Trace.ctx_close_syscall tr ~fid ~now:(Engine.now t.engine);
-            raise e
-      end)
+  let o = obs t in
+  if not (Obs.on o Obs.spans) then f ()
+  else begin
+    let fid = Engine.current_fid t.engine in
+    let close () = Obs.emit o (Span_close { fid; ts = Obs.now o; server = false }) in
+    let track = Core_res.id t.core and args = Obs.no_args and ts = Obs.now o in
+    Obs.emit o (Span_open { fid; op; track; parent = 0; ts; args; pending = [] });
+    match f () with
+    | v ->
+        close ();
+        v
+    | exception e ->
+        close ();
+        raise e
+  end
 
 (* ---------- RPCs ------------------------------------------------------- *)
 
@@ -257,19 +249,19 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
   (* Capture the dirty block set up front: the reset below must happen
      whether or not the (possibly mutation-skipped) write-back ran, and
      the lint needs the keys afterwards. *)
-  let keys =
-    match checker t with
-    | Some _ -> Hashtbl.fold (fun b () acc -> block_line_keys b acc) fs.f_dirty []
-    | None -> []
+  let o = obs t in
+  let blocks =
+    if Obs.on o Obs.lint then Hashtbl.fold (fun b () acc -> b :: acc) fs.f_dirty []
+    else []
   in
   if not !mutate_skip_writeback then
     Hashtbl.iter
       (fun b () -> Hare_mem.Pcache.writeback_block t.pcache b)
       fs.f_dirty;
   Hashtbl.reset fs.f_dirty;
-  match checker t with
-  | Some chk -> Check.lint_flush chk ~core:(Core_res.id t.core) ~keys ~what
-  | None -> ()
+  if Obs.on o Obs.lint then
+    let keys () = List.fold_left (Fun.flip block_line_keys) [] blocks in
+    Obs.emit o (Lint_flush { core = Core_res.id t.core; keys; what })
 
 (* ---------- open -------------------------------------------------------- *)
 
@@ -282,11 +274,10 @@ let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.ent
      directly. *)
   (if direct_mode t then begin
      if not !mutate_skip_open_inval then invalidate_blocks t oi.blocks;
-     match checker t with
-     | Some chk ->
-         let keys = Array.fold_left (fun acc b -> block_line_keys b acc) [] oi.blocks in
-         Check.lint_open chk ~core:(Core_res.id t.core) ~keys
-     | None -> ()
+     let o = obs t in
+     if Obs.on o Obs.lint then
+       let keys () = Array.fold_left (Fun.flip block_line_keys) [] oi.blocks in
+       Obs.emit o (Lint_open { core = Core_res.id t.core; keys })
    end);
   {
     Fdtable.desc =
@@ -430,15 +421,13 @@ let console_write t (c : Wire.console_ref) data =
       Hare_msg.Mailbox.send port ~from:t.core
         ~payload_lines:((String.length data / 64) + 1)
         (Wire.Pm_console_write { data; ack });
-      (match sink t with
-      | Some tr ->
-          let b0 = Engine.now t.engine in
-          Ivar.read ack;
-          Trace.on_blocked tr
-            ~fid:(Engine.current_fid t.engine)
-            ~span:0
-            ~elapsed:(Int64.to_int (Int64.sub (Engine.now t.engine) b0))
-      | None -> Ivar.read ack);
+      let b0 = Engine.now t.engine in
+      Ivar.read ack;
+      let o = obs t in
+      if Obs.on o Obs.spans then begin
+        let cycles = Int64.to_int (Int64.sub (Engine.now t.engine) b0) in
+        Obs.emit o (Wait { fid = Engine.current_fid t.engine; cycles })
+      end;
       String.length data
 
 (* Refresh client-side file state after a shared descriptor migrates back

@@ -1,5 +1,4 @@
 open Hare_proto
-module Check = Hare_check.Check
 
 type key = Types.ino * string
 
@@ -51,10 +50,17 @@ let port t = t.port
 
 let owner_core t = Hare_msg.Mailbox.owner t.port
 
-let checker t =
-  Hare_sim.Engine.checker (Hare_sim.Core_res.engine (owner_core t))
+let obs t = Hare_sim.Engine.obs (Hare_sim.Core_res.engine (owner_core t))
 
 let client_id t = Hare_sim.Core_res.id (owner_core t)
+
+(* Sanitizer obligation tracking: an applied invalidation or a hit. *)
+let note t kind (dir : Types.ino) name =
+  let o = obs t in
+  if Hare_sim.Obs.(on o lint) then
+    Hare_sim.Obs.emit o
+      (Dircache
+         { kind; client = client_id t; server = dir.server; ino = dir.ino; name })
 
 let touch t key (slot : slot) =
   t.tick <- t.tick + 1;
@@ -67,11 +73,7 @@ let rec drain t =
   | Some (Wire.Inval_entry { i_dir; i_name }) ->
       if not !mutate_drop_inval then begin
         Hashtbl.remove t.entries (i_dir, i_name);
-        match checker t with
-        | Some chk ->
-            Check.dircache_applied chk ~client:(client_id t)
-              ~server:i_dir.Types.server ~ino:i_dir.Types.ino ~name:i_name
-        | None -> ()
+        note t `Applied i_dir i_name
       end;
       t.invalidations <- t.invalidations + 1;
       drain t
@@ -80,9 +82,9 @@ let rec drain t =
       Hashtbl.reset t.entries;
       Queue.clear t.order;
       t.flushes <- t.flushes + 1;
-      (match checker t with
-      | Some chk -> Check.dircache_flushed chk ~client:(client_id t)
-      | None -> ());
+      let o = obs t in
+      if Hare_sim.Obs.(on o lint) then
+        Hare_sim.Obs.emit o (Dircache_flushed { client = client_id t });
       drain t
 
 let find t ~dir ~name =
@@ -92,11 +94,7 @@ let find t ~dir ~name =
     match Hashtbl.find_opt t.entries (dir, name) with
     | Some slot ->
         t.hits <- t.hits + 1;
-        (match checker t with
-        | Some chk ->
-            Check.dircache_hit chk ~client:(client_id t)
-              ~server:dir.Types.server ~ino:dir.Types.ino ~name
-        | None -> ());
+        note t `Hit dir name;
         touch t (dir, name) slot;
         Some slot.info
     | None ->

@@ -1,7 +1,6 @@
 open Hare_sim
 open Hare_proto
 module Rpc = Hare_msg.Rpc
-module Trace = Hare_trace.Trace
 module Robust = Hare_stats.Robust
 module Config = Hare_config.Config
 
@@ -30,7 +29,7 @@ type pending = {
   meta : Rpc.meta option;  (* idempotency tag; [None] = reliable send *)
   ep : int;  (* physical server this copy went to; -1 = fast-failed *)
   future : Wire.fs_resp Ivar.t;
-  span : int;  (* trace span the copy carried; 0 = untraced *)
+  span : int;  (* bus request id the copy carried; 0 = unobserved *)
 }
 
 type t = {
@@ -123,20 +122,18 @@ let open_breakers t = t.open_breakers
    (fault plans) [EBADF] means "recover", never in a fault-free run. *)
 let stale_token t e = e = Errno.EBADF && t.base > 0
 
-let sink t = Engine.sink t.engine
+let obs t = Engine.obs t.engine
 
 let instant t name args =
-  match sink t with
-  | Some tr ->
-      Trace.instant tr ~name ~track:(Core_res.id t.core)
-        ~ts:(Engine.now t.engine) ~args ()
-  | None -> ()
+  let o = obs t in
+  if Obs.on o Obs.marks then
+    Obs.emit o (Instant { name; track = Core_res.id t.core; ts = Obs.now o; args })
 
-(* Trace a pause of [cycles] before a resend, then take it. *)
+(* Report a pause of [cycles] before a resend, then take it. *)
 let pause t name req cycles =
-  (match sink t with
-  | Some tr -> Trace.on_wait tr ~fid:(Engine.current_fid t.engine) ~cycles
-  | None -> ());
+  let o = obs t in
+  if Obs.on o Obs.spans then
+    Obs.emit o (Wait { fid = Engine.current_fid t.engine; cycles });
   instant t name [ ("op", Wire.req_name req) ];
   Engine.sleep_cycles cycles
 
@@ -285,17 +282,15 @@ let payload_lines (req : Wire.fs_req) =
 (* Put one copy of [req] on the wire to [home]'s current owner. *)
 let transmit t ~deadline ~meta home req =
   let ep = phys t home in
-  (* Admission annotation for tail retention (PR 9): stamp the current
-     root span with the physical server this copy is headed to and the
-     queue depth it meets at admission. Skipped entirely unless
-     retention is on, so plain traced runs pay no host cost per send. *)
-  (match sink t with
-  | Some tr when Trace.retain_enabled tr ->
-      Trace.note_send tr ~fid:(Engine.current_fid t.engine) ~srv:ep
-        ~depth:(Rpc.pending t.servers.(ep))
-  | _ -> ());
+  (* Admission annotation for tail retention: the physical server
+     this copy is headed to and the queue depth it meets at admission. *)
+  let o = obs t in
+  if Obs.on o Obs.spans then begin
+    let fid = Engine.current_fid t.engine and depth = Rpc.pending t.servers.(ep) in
+    Obs.emit o (Send_target { fid; srv = ep; depth })
+  end;
   let future, span =
-    Rpc.call_async_sp t.servers.(ep) ~from:t.core
+    Rpc.call_async t.servers.(ep) ~from:t.core
       ?payload_lines:(payload_lines req) ?meta
       ~abs_deadline:(propagated t deadline) ~prio:(Wire.req_prio req) req
   in

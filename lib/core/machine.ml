@@ -22,6 +22,8 @@ type t = {
   kctx : Process.kctx;
   injector : Hare_fault.Injector.t option;
   place : Place.t option;
+  trace : Hare_trace.Trace.t option;
+  check : Hare_check.Check.t option;
   metrics : Metrics.t option;
 }
 
@@ -32,29 +34,35 @@ let boot (config : Config.t) =
   let engine = Engine.create ~seed:config.seed () in
   let costs = config.costs in
   let ncores = config.ncores in
-  (* Tracing: the sink is created before any fiber runs, so every span id
-     allocation is part of the deterministic boot order. Host-side only —
-     it never charges simulated cycles. *)
-  if config.trace_enabled then begin
-    let tr =
-      Hare_trace.Trace.create
-        ~cap:(if config.trace_ring then config.trace_cap else 0)
-        ~retain:config.trace_retain ()
-    in
-    for i = 0 to ncores - 1 do
-      Hare_trace.Trace.declare_track tr ~track:i
-        ~name:(Printf.sprintf "core %d" i)
-    done;
-    Hare_trace.Trace.declare_track tr ~track:ncores ~name:"dram";
-    Engine.set_sink engine tr
-  end;
-  (* Sanitizer: attached before any mailbox exists, so every mailbox gets
-     a stamp channel. Host-side only — zero simulated cycles. *)
-  if config.check_enabled then begin
-    let chk = Hare_check.Check.create ~ncores () in
-    Hare_check.Check.set_now chk (fun () -> Engine.now engine);
-    Engine.set_checker engine chk
-  end;
+  let obs = Engine.obs engine in
+  (* Observers subscribe to the engine's bus before any fiber runs or
+     any message is sent, so every request-id allocation is part of the
+     deterministic boot order and every message edge is seen.
+     Host-side only — they never charge simulated cycles. *)
+  let trace =
+    if not config.trace_enabled then None
+    else begin
+      let tr =
+        Hare_trace.Trace.create
+          ~cap:(if config.trace_ring then config.trace_cap else 0)
+          ~retain:config.trace_retain obs
+      in
+      for i = 0 to ncores - 1 do
+        Hare_trace.Trace.declare_track tr ~track:i
+          ~name:(Printf.sprintf "core %d" i)
+      done;
+      Hare_trace.Trace.declare_track tr ~track:ncores ~name:"dram";
+      Some tr
+    end
+  in
+  let check =
+    if not config.check_enabled then None
+    else begin
+      let chk = Hare_check.Check.create ~ncores () in
+      Hare_check.Check.attach chk obs;
+      Some chk
+    end
+  in
   let cores =
     Array.init ncores (fun i ->
         Core_res.create engine ~id:i
@@ -82,11 +90,7 @@ let boot (config : Config.t) =
      partition physically lives on its server's socket (NUMA). *)
   let per_server = max 16 (config.buffer_cache_blocks / nphys) in
   let dram = Hare_mem.Dram.create ~nblocks:(per_server * nphys) in
-  (match Engine.sink engine with
-  | Some tr ->
-      Hare_mem.Dram.set_trace dram ~sink:tr ~track:ncores
-        ~now:(fun () -> Engine.now engine)
-  | None -> ());
+  Hare_mem.Dram.observe dram obs ~track:ncores;
   let server_sockets =
     Array.map (fun c -> Core_res.socket cores.(c)) server_cores
   in
@@ -292,11 +296,12 @@ let boot (config : Config.t) =
       in
       ignore (Engine.spawn engine ~daemon:true ~name:"rebalancer" body)
   | _ -> ());
-  (* Time-series telemetry (PR 9): register the machine's gauges and arm
-     the engine's sampling hook. Every gauge is a cost-free host-side
-     accessor, and the hook runs between events without charging cycles,
-     scheduling events or drawing RNG — metered and unmetered runs of
-     the same seed are bit-identical (asserted in test_metrics). *)
+  (* Time-series telemetry: register the machine's gauges and
+     subscribe the sampler to the bus. Every gauge is a cost-free
+     host-side accessor, and sampling runs between events without
+     charging cycles, scheduling events or drawing RNG — metered and
+     unmetered runs of the same seed are bit-identical (asserted in
+     test_obs). *)
   let metrics =
     if config.metrics_interval = 0 then None
     else begin
@@ -362,16 +367,22 @@ let boot (config : Config.t) =
               end)
             servers;
           if !sum = 0 then 1000 else !mx * 1000 * !n / !sum);
-      (match Engine.sink engine with
-      | Some tr -> Metrics.attach_sink m tr ~track_base:(ncores + 1)
-      | None -> ());
-      Engine.set_sampler engine ~interval:config.metrics_interval (fun now ->
-          Metrics.sample m ~now);
+      (* Gauges become Perfetto counter tracks above the core and DRAM
+         tracks. *)
+      Option.iter
+        (fun tr ->
+          List.iteri
+            (fun i (name, _) ->
+              Hare_trace.Trace.declare_track tr ~track:(ncores + 1 + i)
+                ~name:("metric:" ^ name))
+            (Metrics.series m))
+        trace;
+      Metrics.attach m obs ~track_base:(ncores + 1);
       Some m
     end
   in
   { engine; config; cores; dram; servers; clients; scheds; registry; kctx;
-    injector; place; metrics }
+    injector; place; trace; check; metrics }
 
 let engine t = t.engine
 
@@ -505,9 +516,9 @@ let perf t =
     t.clients;
   acc
 
-let trace t = Engine.sink t.engine
+let trace t = t.trace
 
-let check t = Engine.checker t.engine
+let check t = t.check
 
 let reset_perf t =
   Array.iter (fun s -> Hare_stats.Perf.reset (Server.perf s)) t.servers;

@@ -92,18 +92,16 @@ module Make (W : World.WORLD) = struct
     in
     let w = W.boot config in
     (* Zero-perturbation proof hook: a trivial explorer that always
-       answers ordinal 0 routes every same-cycle tie through the
+       answers ordinal 0, and takes (and drops) the bus events a real
+       explorer observes, routes every same-cycle tie through the
        exploration plumbing yet must leave clocks and opcounts
        bit-identical (the golden-clock test runs both ways). *)
     if null_explorer then
       Option.iter
         (fun eng ->
-          Hare_sim.Engine.set_explorer eng
-            {
-              Hare_sim.Engine.ex_choose = (fun ~time:_ _ -> 0);
-              ex_step = (fun ~time:_ ~seq:_ ~tag:_ -> ());
-              ex_access = ignore;
-            })
+          let module Obs = Hare_sim.Obs in
+          Hare_sim.Engine.set_explorer eng (fun ~time:_ _ -> 0);
+          Obs.subscribe (Hare_sim.Engine.obs eng) Obs.(steps lor msgs lor cache) ignore)
         (W.engine w);
     let api = W.api w in
     List.iter

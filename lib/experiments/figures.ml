@@ -42,7 +42,16 @@ let substrate =
     ("Protocol definitions", [ "lib/proto"; "lib/config" ]);
     ("Baselines (ramfs, UNFS)", [ "lib/baseline" ]);
     ("Workloads + experiments", [ "lib/workloads"; "lib/experiments" ]);
+    ( "Observers (trace, check, metrics, explore)",
+      [ "lib/trace"; "lib/check"; "lib/metrics"; "lib/explore" ] );
+    ("Fault injection", [ "lib/fault" ]);
+    ("Shard placement (consistent hashing)", [ "lib/place" ]);
+    ("Statistics + reporting", [ "lib/stats" ]);
   ]
+
+let fig4_dirs =
+  List.concat_map (fun (_, _, dirs) -> dirs) components
+  @ List.concat_map snd substrate
 
 let print_fig4 () =
   section "Figure 4: SLOC breakdown for Hare components";

@@ -25,6 +25,9 @@ val quick : opts
 
 val print_fig4 : unit -> unit
 
+val fig4_dirs : string list
+(** Every directory the Figure 4 tables count, in table order. *)
+
 (** {1 Figure 5: operation mix per benchmark} *)
 
 val fig5_data : opts -> (string * (string * float) list) list

@@ -2,6 +2,7 @@
    DPOR, and per-run violation judging. See runner.mli. *)
 
 module Engine = Hare_sim.Engine
+module Obs = Hare_sim.Obs
 module Machine = Hare.Machine
 module Check = Hare_check.Check
 
@@ -39,10 +40,10 @@ exception Sleep_blocked
 
 (* Executed-step log entry. The footprint starts from the action tag
    (which mailbox a delivery lands in; which fiber resumes) and grows
-   with every shared object the event touches while running
-   ([ex_access]). Resume targets live in a negative namespace so they
-   can never collide with the engine's encoded access objects, which
-   are all non-negative. *)
+   with every shared object the event touches while running (the bus's
+   mailbox and cache-line events, {!access_of}). Resume targets live in
+   a negative namespace so they can never collide with the encoded
+   access objects, which are all non-negative. *)
 type step = {
   s_seq : int;
   s_time : int;
@@ -50,14 +51,26 @@ type step = {
   mutable s_opaque : bool;
 }
 
+(* Footprint objects live in one int space: mailbox uids map to odd
+   ints, DRAM line keys to even ints, so the two families never
+   collide. A clean eviction touches nothing another core can see. *)
+let mailbox_obj uid = (uid lsl 1) lor 1
+
+let access_of : Obs.event -> int option = function
+  | Msg_enqueue { uid; _ } | Msg_dequeue { uid; _ } -> Some (mailbox_obj uid)
+  | Cache_access { key; _ } | Cache_writeback { key; _ }
+  | Cache_invalidate { key; _ } ->
+      Some (key lsl 1)
+  | _ -> None
+
 let fp_of_tag tag =
   match Engine.tag_kind tag with
   | Engine.Opaque -> (true, [])
   | Engine.Resume fid -> (false, [ -(fid + 1) ])
   | Engine.Deliver uid ->
-      (* Same encoding note_mailbox uses, so a later enqueue into the
-         delivered-to mailbox conflicts with the delivery itself. *)
-      (false, [ (uid lsl 1) lor 1 ])
+      (* A later enqueue into the delivered-to mailbox conflicts with
+         the delivery itself. *)
+      (false, [ mailbox_obj uid ])
 
 let conflict a b =
   a.s_opaque || b.s_opaque
@@ -131,19 +144,25 @@ let run_one ~scenario ~mutate ~pick ~sleep_at () =
     incr nsteps;
     cur := Some st
   in
-  let ex_access o =
-    match !cur with
-    | Some st -> if not (List.mem o st.s_fp) then st.s_fp <- o :: st.s_fp
-    | None -> ()
+  let observe (ev : Obs.event) =
+    match (ev, !cur) with
+    | Step { time; seq; tag }, _ -> ex_step ~time ~seq ~tag
+    | _, Some st -> (
+        match access_of ev with
+        | Some o when not (List.mem o st.s_fp) -> st.s_fp <- o :: st.s_fp
+        | _ -> ())
+    | _, None -> ()
   in
-  Engine.set_explorer eng { Engine.ex_choose; ex_step; ex_access };
+  (* The machine is discarded after this run, so neither hook is
+     detached. *)
+  Obs.subscribe (Engine.obs eng) Obs.(steps lor msgs lor cache) observe;
+  Engine.set_explorer eng ex_choose;
   let outcome =
     match Machine.run m with
     | () -> Ok ()
     | exception Sleep_blocked -> Error `Blocked
     | exception Hare_sim.Engine.Fiber_failure (_, e) -> Error (`Crash e)
   in
-  Engine.clear_explorer eng;
   let choices = List.rev !choices in
   let vio kind detail = { v_kind = kind; v_detail = detail; v_choices = choices } in
   let violations =

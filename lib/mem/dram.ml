@@ -1,11 +1,10 @@
-module Trace = Hare_trace.Trace
-
 type t = {
   nblocks : int;
   pages : Bytes.t option array;
-  (* Trace sink + track + clock source; DRAM itself has no engine, so
-     the machine injects a [now] closure at boot. *)
-  mutable trace : (Trace.t * int * (unit -> int64)) option;
+  (* Observer bus + counter track; DRAM itself has no engine, so the
+     machine hands over the engine's bus at boot. *)
+  mutable obs : Hare_sim.Obs.t;
+  mutable track : int;
   mutable line_reads : int;
   mutable line_writes : int;
 }
@@ -15,31 +14,32 @@ let create ~nblocks =
   {
     nblocks;
     pages = Array.make nblocks None;
-    trace = None;
+    obs = Hare_sim.Obs.create ();
+    track = 0;
     line_reads = 0;
     line_writes = 0;
   }
 
-let set_trace t ~sink ~track ~now = t.trace <- Some (sink, track, now)
+let observe t obs ~track =
+  t.obs <- obs;
+  t.track <- track
 
-(* Sample the cumulative traffic counters every 64th line move so the
-   DRAM track stays readable (and the ring is not flooded). *)
+(* Publish the cumulative traffic counters every 64th line move so the
+   DRAM track stays readable (and the trace ring is not flooded). *)
 let sample_period = 64
+
+let counter t name value =
+  if Hare_sim.Obs.(on t.obs marks) && value mod sample_period = 0 then
+    Hare_sim.Obs.emit t.obs
+      (Counter { name; track = t.track; ts = Hare_sim.Obs.now t.obs; value })
 
 let note_read t =
   t.line_reads <- t.line_reads + 1;
-  match t.trace with
-  | Some (tr, track, now) when t.line_reads mod sample_period = 0 ->
-      Trace.counter tr ~name:"dram-reads" ~track ~ts:(now ()) ~value:t.line_reads
-  | _ -> ()
+  counter t "dram-reads" t.line_reads
 
 let note_write t =
   t.line_writes <- t.line_writes + 1;
-  match t.trace with
-  | Some (tr, track, now) when t.line_writes mod sample_period = 0 ->
-      Trace.counter tr ~name:"dram-writes" ~track ~ts:(now ())
-        ~value:t.line_writes
-  | _ -> ()
+  counter t "dram-writes" t.line_writes
 
 let nblocks t = t.nblocks
 

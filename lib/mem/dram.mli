@@ -11,12 +11,11 @@ val create : nblocks:int -> t
 
 val nblocks : t -> int
 
-val set_trace :
-  t -> sink:Hare_trace.Trace.t -> track:int -> now:(unit -> int64) -> unit
-(** Attach a trace sink: cumulative line-read/-write counters are sampled
-    onto [track] (the machine's dedicated DRAM track) every 64th line
-    move. DRAM has no engine of its own, so the simulated clock is
-    injected as [now]. *)
+val observe : t -> Hare_sim.Obs.t -> track:int -> unit
+(** Publish cumulative line-read/-write counters on the given observer
+    bus, on [track] (the machine's dedicated DRAM track), every 64th
+    line move. DRAM has no engine of its own, so the machine hands it
+    the engine's bus. *)
 
 (** [read_line t ~block ~line ~dst ~dst_off] copies one 64-byte line out. *)
 val read_line : t -> block:int -> line:int -> dst:Bytes.t -> dst_off:int -> unit

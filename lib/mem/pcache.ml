@@ -1,6 +1,4 @@
 open Hare_sim
-module Trace = Hare_trace.Trace
-module Check = Hare_check.Check
 
 type stats = {
   hits : int;
@@ -103,30 +101,26 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
 
 let core t = t.core
 
-let sink t = Engine.sink (Core_res.engine t.core)
-
-let checker t = Engine.checker (Core_res.engine t.core)
+let obs t = Engine.obs (Core_res.engine t.core)
 
 let cid t = Core_res.id t.core
-
-(* Footprint hook for the schedule explorer: the currently executing
-   event touched DRAM line [key]. No-op unless an explorer is attached. *)
-let note_line t key = Engine.note_line (Core_res.engine t.core) key
 
 (* Decompose the upcoming compute charge into cache vs. DRAM cycles and
    publish cumulative miss/write-back counters when they moved. *)
 let charge t ~cache ~dram ~miss0 ~wb0 =
-  (match sink t with
-  | None -> ()
-  | Some tr ->
-      let fid = Engine.current_fid (Core_res.engine t.core) in
-      Trace.set_pending tr ~fid [ (Trace.Cache, cache); (Trace.Dram, dram) ];
-      let now = Engine.now (Core_res.engine t.core) in
-      let track = Core_res.id t.core in
-      if t.misses <> miss0 then
-        Trace.counter tr ~name:"pc-miss" ~track ~ts:now ~value:t.misses;
-      if t.writebacks <> wb0 then
-        Trace.counter tr ~name:"pc-writeback" ~track ~ts:now ~value:t.writebacks);
+  let o = obs t in
+  if Obs.on o Obs.spans then begin
+    let fid = Engine.current_fid (Core_res.engine t.core) in
+    Obs.emit o (Pending { fid; parts = [ (Cache, cache); (Dram, dram) ] })
+  end;
+  if Obs.on o Obs.marks then begin
+    let ts = Obs.now o and track = cid t in
+    if t.misses <> miss0 then
+      Obs.emit o (Counter { name = "pc-miss"; track; ts; value = t.misses });
+    if t.writebacks <> wb0 then
+      Obs.emit o
+        (Counter { name = "pc-writeback"; track; ts; value = t.writebacks })
+  end;
   Core_res.compute t.core (cache + dram)
 
 let stats t =
@@ -259,14 +253,12 @@ let[@inline] touch t s =
 let flush_line t s =
   if t.dirty.(s) then begin
     let k = t.key.(s) in
-    note_line t k;
     Dram.write_line t.dram ~block:(block_of_key k) ~line:(line_of_key k)
       ~src:(chunk t s) ~src_off:(data_off s);
     t.dirty.(s) <- false;
     t.writebacks <- t.writebacks + 1;
-    (match checker t with
-    | Some chk -> Check.cache_writeback chk ~core:(cid t) ~key:k
-    | None -> ());
+    let o = obs t in
+    if Obs.on o Obs.cache then Obs.emit o (Cache_writeback { core = cid t; key = k });
     true
   end
   else false
@@ -286,9 +278,8 @@ let fill t ~block ~line =
         t.dram_cy <- t.dram_cy + dram_cost t (block_of_key vk);
       unmap t v;
       t.evictions <- t.evictions + 1;
-      (match checker t with
-      | Some chk -> Check.cache_evict chk ~core:(cid t) ~key:vk
-      | None -> ());
+      let o = obs t in
+      if Obs.on o Obs.cache then Obs.emit o (Cache_evict { core = cid t; key = vk });
       touch t v;
       v
     end
@@ -346,13 +337,10 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
       end
     in
     let k = key_of ~block ~line in
-    note_line t k;
-    (match checker t with
-    | Some chk when coherent ->
-        Check.coherent_access chk ~core:(cid t) ~key:k ~write ~filled:(not hit)
-    | Some chk ->
-        Check.cache_access chk ~core:(cid t) ~key:k ~write ~filled:(not hit)
-    | None -> ());
+    let o = obs t in
+    if Obs.on o Obs.cache then
+      Obs.emit o
+        (Cache_access { core = cid t; key = k; write; filled = not hit; coherent });
     let data = chunk t s and doff = data_off s in
     let line_start = line * Layout.line_size in
     let from = max off line_start in
@@ -405,11 +393,9 @@ let invalidate_block t block =
       let s = f.(line) in
       if s <> 0 then begin
         let k = key_of ~block ~line in
-        note_line t k;
-        (match checker t with
-        | Some chk ->
-            Check.cache_invalidate chk ~core:(cid t) ~key:k ~dirty:t.dirty.(s)
-        | None -> ());
+        let o = obs t in
+        if Obs.on o Obs.cache then
+          Obs.emit o (Cache_invalidate { core = cid t; key = k; dirty = t.dirty.(s) });
         unlink t s;
         f.(line) <- 0;
         t.next.(s) <- t.free_slot;

@@ -14,15 +14,16 @@
     its cache and DRAM cycles and pays them in one [Core_res.compute].
 
     {b Order contract.} The schedule explorer, the coherence sanitizer
-    and the DRAM traffic counters observe the calls below, so their order
-    is part of the model and must not change with the implementation:
+    and the DRAM traffic counters observe the calls below through the
+    engine's observer bus, so their order is part of the model and must
+    not change with the implementation:
     - an access visits its lines in ascending order. For each line it
-      first brings the line in, then calls [Engine.note_line] and the
-      [Check] access hook, then moves the bytes;
+      first brings the line in, then emits [Cache_access], then moves
+      the bytes;
     - a miss counts the miss, then at capacity evicts the least recently
-      used line (write-back of a dirty victim: [Engine.note_line],
-      [Dram.write_line], [Check.cache_writeback]; then the eviction count
-      and [Check.cache_evict]), then fills the line with [Dram.read_line];
+      used line (write-back of a dirty victim: [Dram.write_line],
+      [Cache_writeback]; then the eviction count and [Cache_evict]), then
+      fills the line with [Dram.read_line];
     - {!invalidate_block} and {!writeback_block} visit the block's
       resident lines from the highest index down.
 

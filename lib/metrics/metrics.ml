@@ -1,12 +1,12 @@
 (* Continuous time-series telemetry (PR 9).
 
    A registry of named gauges — closures reading live machine state —
-   sampled on a fixed simulated-cycle grid by the engine's sampling hook
-   (Engine.set_sampler). Everything here is pure host-side bookkeeping:
-   a sample reads each gauge once and stores the values in fixed-
-   capacity ring buffers; nothing charges cycles, schedules events, or
-   draws from an RNG, so a sampled run is bit-identical to an unsampled
-   one (asserted in test/test_metrics.ml).
+   sampled on a fixed simulated-cycle grid, driven by the observer bus's
+   step events. Everything here is pure host-side bookkeeping: a sample
+   reads each gauge once and stores the values in fixed-capacity ring
+   buffers; nothing charges cycles, schedules events, or draws from an
+   RNG, so a sampled run is bit-identical to an unsampled one (asserted
+   in test/test_obs.ml).
 
    All gauges share one stamp ring: every sample reads every gauge, so
    per-gauge value rings rotate in lockstep with the stamps. When the
@@ -14,13 +14,12 @@
    — the most recent window always survives, matching the trace ring's
    drop-oldest policy. *)
 
-module Trace = Hare_trace.Trace
+module Obs = Hare_sim.Obs
 
 type gauge = {
   g_name : string;
   g_read : unit -> int;
   mutable g_vals : int array;  (* ring of sampled values, [cap] slots *)
-  mutable g_track : int;  (* Perfetto counter track; -1 = no sink *)
 }
 
 type t = {
@@ -33,7 +32,9 @@ type t = {
   mutable len : int;
   mutable dropped : int;  (* samples overwritten by ring rotation *)
   mutable samples : int;  (* samples ever taken *)
-  mutable sink : Trace.t option;
+  mutable bus : Obs.t option;  (* where samples are published as counters *)
+  mutable track_base : int;  (* counter track of gauge 0 *)
+  mutable next_due : int;  (* next grid stamp to sample *)
 }
 
 let create ?(cap = 1024) ~interval () =
@@ -49,7 +50,9 @@ let create ?(cap = 1024) ~interval () =
     len = 0;
     dropped = 0;
     samples = 0;
-    sink = None;
+    bus = None;
+    track_base = 0;
+    next_due = max_int;
   }
 
 let interval t = t.interval
@@ -63,7 +66,7 @@ let dropped t = t.dropped
 let register t ~name read =
   if t.samples > 0 then
     invalid_arg "Metrics.register: gauges must be registered before sampling";
-  let g = { g_name = name; g_read = read; g_vals = Array.make t.cap 0; g_track = -1 } in
+  let g = { g_name = name; g_read = read; g_vals = Array.make t.cap 0 } in
   let n = Array.length t.gauges in
   if t.ngauges = n then begin
     let n' = if n = 0 then 16 else n * 2 in
@@ -73,18 +76,6 @@ let register t ~name read =
   end;
   t.gauges.(t.ngauges) <- g;
   t.ngauges <- t.ngauges + 1
-
-(* Mirror every gauge as a Perfetto counter track in the span trace:
-   samples then also land in the trace ring as "C" (counter) events, one
-   track per gauge starting at [track_base] (above the per-core and DRAM
-   tracks). *)
-let attach_sink t tr ~track_base =
-  t.sink <- Some tr;
-  for i = 0 to t.ngauges - 1 do
-    let g = t.gauges.(i) in
-    g.g_track <- track_base + i;
-    Trace.declare_track tr ~track:g.g_track ~name:("metric:" ^ g.g_name)
-  done
 
 let sample t ~now =
   let i =
@@ -107,12 +98,31 @@ let sample t ~now =
     let g = Array.unsafe_get t.gauges gi in
     let v = g.g_read () in
     Array.unsafe_set g.g_vals i v;
-    match t.sink with
-    | Some tr when g.g_track >= 0 ->
-        Trace.counter tr ~name:g.g_name ~track:g.g_track ~ts:now ~value:v
+    match t.bus with
+    | Some o when Obs.on o Obs.marks ->
+        let track = t.track_base + gi in
+        Obs.emit o (Counter { name = g.g_name; track; ts = Int64.to_int now; value = v })
     | _ -> ()
   done;
   t.samples <- t.samples + 1
+
+(* One sample per engine step that reaches or crosses the grid, stamped
+   at the latest grid point due: a long quiet gap (no events) yields no
+   intermediate samples — the gauges could not have changed while
+   nothing ran. The step event fires before the step's effects land, so
+   a sample at grid stamp g reflects every event strictly before g. *)
+let attach t bus ~track_base =
+  t.bus <- Some bus;
+  t.track_base <- track_base;
+  (* First sample one full interval after attachment (boot state at
+     time zero is all-idle and uninteresting). *)
+  t.next_due <- Obs.now bus + t.interval;
+  Obs.subscribe bus Obs.steps (function
+    | Step { time; _ } when time >= t.next_due ->
+        let stamp = t.next_due + ((time - t.next_due) / t.interval * t.interval) in
+        t.next_due <- stamp + t.interval;
+        sample t ~now:(Int64.of_int stamp)
+    | _ -> ())
 
 (* Chronological (stamp, value) points currently held for gauge [g]. *)
 let points t g =

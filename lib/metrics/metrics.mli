@@ -4,14 +4,14 @@
     (mailbox depths, flow credits, breaker states, shed/retry counters,
     cache hit rates, fiber counts, per-server load, ring imbalance) —
     sampled on a fixed simulated-cycle grid into fixed-capacity ring
-    buffers. The engine drives sampling through its event-loop hook
-    ([Engine.set_sampler]); this module never sees the engine.
+    buffers. Sampling is driven by the observer bus's step events
+    ({!attach}); this module never sees the engine.
 
     The zero-perturbation invariant of PR 4/5 holds here too: sampling
     is pure host-side bookkeeping. A gauge read must not charge cycles,
     schedule events, or draw from an RNG, so runs with and without
     metrics are bit-identical on the simulated clock (asserted in
-    [test_metrics]). *)
+    [test_obs]). *)
 
 type t
 
@@ -26,17 +26,19 @@ val register : t -> name:string -> (unit -> int) -> unit
     {!sample} (boot time), so every gauge has a full value ring;
     registering later raises [Invalid_argument]. *)
 
-val attach_sink : t -> Hare_trace.Trace.t -> track_base:int -> unit
-(** Mirror every registered gauge as a Perfetto counter track named
-    ["metric:<gauge>"] in the given span trace: each subsequent sample
-    also appends one counter event per gauge. Tracks are numbered from
-    [track_base] (callers pass the first id above the per-core and DRAM
-    tracks). *)
+val attach : t -> Hare_sim.Obs.t -> track_base:int -> unit
+(** Subscribe to a bus: the first engine step at or past each multiple
+    of the interval (counted from attachment) takes one sample, stamped
+    at the latest grid point due. Each sample is also published on the
+    bus as one [Counter] per gauge, on tracks numbered from
+    [track_base] in registration order (callers pass the first id above
+    the per-core and DRAM tracks), so an attached trace records them as
+    Perfetto counter tracks. *)
 
 val sample : t -> now:int64 -> unit
 (** Take one sample at stamp [now]: read every gauge into the rings
-    (and the trace sink, when attached). Called by the engine's
-    sampling hook; tests call it directly. *)
+    (and onto the bus, when attached). Called on the sampling grid;
+    tests call it directly. *)
 
 val interval : t -> int
 

@@ -1,6 +1,4 @@
 open Hare_sim
-module Trace = Hare_trace.Trace
-module Check = Hare_check.Check
 
 type 'a t = {
   queue : 'a Bqueue.t;
@@ -8,11 +6,9 @@ type 'a t = {
   costs : Hare_config.Costs.t;
   faults : Hare_fault.Injector.link option;
   name : string option;
-  chan : int;
-      (* sanitizer stamp-FIFO id mirroring [queue]; -1 = checking off *)
   uid : int;
-      (* engine shared-object uid: the schedule explorer's footprint
-         identity for this mailbox (delivery/dequeue conflicts) *)
+      (* engine shared-object uid: this mailbox's identity on the bus
+         (the sanitizer's stamp FIFO, the explorer's footprint) *)
   mutable sent : int;
   mutable received : int;
   mutable flow_blocked : int;
@@ -22,11 +18,6 @@ type 'a t = {
 }
 
 let create ?name ?capacity ?faults ~owner ~costs () =
-  let chan =
-    match Engine.checker (Core_res.engine owner) with
-    | Some chk -> Check.new_chan chk
-    | None -> -1
-  in
   (match capacity with
   | Some c when c <= 0 ->
       invalid_arg "Mailbox.create: capacity must be positive"
@@ -38,7 +29,6 @@ let create ?name ?capacity ?faults ~owner ~costs () =
       costs;
       faults;
       name;
-      chan;
       uid = Engine.new_object (Core_res.engine owner);
       sent = 0;
       received = 0;
@@ -75,80 +65,60 @@ let rewatch t =
             Bqueue.length t.queue)
   | _ -> ()
 
-let sink t = Engine.sink (Core_res.engine t.owner)
+let obs t = Engine.obs (Core_res.engine t.owner)
 
-let checker t = Engine.checker (Core_res.engine t.owner)
-
-(* Join the stamp matching the message just popped from the queue. The
-   stamp FIFO evolves in lockstep with the real queue (pushed exactly
-   where the message enters it), so a plain pop realigns. *)
 let note_recv t =
-  Engine.note_mailbox (Core_res.engine t.owner) t.uid;
-  if t.chan >= 0 then
-    match checker t with
-    | Some chk -> Check.chan_pop chk ~chan:t.chan ~core:(Core_res.id t.owner)
-    | None -> ()
+  let o = obs t in
+  if Obs.on o Obs.msgs then
+    Obs.emit o (Msg_dequeue { uid = t.uid; core = Core_res.id t.owner })
 
 (* Named mailboxes publish their depth as a Perfetto counter track on the
    owner's core whenever it changes. *)
 let depth_counter t =
-  match (sink t, t.name) with
-  | Some tr, Some name ->
-      Trace.counter tr ~name:("mb:" ^ name)
-        ~track:(Core_res.id t.owner)
-        ~ts:(Engine.now (Core_res.engine t.owner))
-        ~value:(Bqueue.length t.queue)
+  let o = obs t in
+  match t.name with
+  | Some name when Obs.on o Obs.marks ->
+      let track = Core_res.id t.owner and value = Bqueue.length t.queue in
+      Obs.emit o (Counter { name = "mb:" ^ name; track; ts = Obs.now o; value })
   | _ -> ()
 
-let fault_instant t verdict ~span =
-  match sink t with
-  | None -> ()
-  | Some tr ->
-      Trace.instant tr ~name:("fault:" ^ verdict)
-        ~track:(Core_res.id t.owner)
-        ~ts:(Engine.now (Core_res.engine t.owner))
-        ~args:(if span <> 0 then [ ("span", string_of_int span) ] else [])
-        ()
+let fault t ~mid ~copies name ~span =
+  let o = obs t in
+  if Obs.on o Obs.msgs then Obs.emit o (Msg_fault { mid; copies });
+  if Obs.on o Obs.marks then begin
+    let args = if span <> 0 then [ ("span", string_of_int span) ] else [] in
+    let track = Core_res.id t.owner in
+    Obs.emit o (Instant { name; track; ts = Obs.now o; args })
+  end
 
 (* Admission (the credit) was secured in {!send}; the enqueue itself
    never blocks, so it is safe inside the fault injector's scheduler
    callbacks, and a duplicate verdict's second copy rides the same
    credit (bounded overshoot, like a retransmission on a real wire). *)
-let enqueue t ?stamp msg =
-  Engine.note_mailbox (Core_res.engine t.owner) t.uid;
+let enqueue t ~mid msg =
   Bqueue.push_overflow t.queue msg;
-  (match stamp with
-  | Some s when t.chan >= 0 -> (
-      match checker t with
-      | Some chk -> Check.chan_push chk ~chan:t.chan s
-      | None -> ())
-  | _ -> ());
   t.sent <- t.sent + 1;
+  let o = obs t in
+  if Obs.on o Obs.msgs then Obs.emit o (Msg_enqueue { mid; uid = t.uid });
   depth_counter t
 
 let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
-  (* Happens-before edge: snapshot the sender's clock now; the snapshot
-     enters the stamp FIFO wherever the fault dice let the message enter
-     the real queue (dropped message = no push, duplicate = two). *)
-  let stamp =
-    if t.chan >= 0 then
-      match checker t with
-      | Some chk -> Some (Check.msg_stamp chk ~core:(Core_res.id from))
-      | None -> None
-    else None
-  in
   let cost = t.costs.send + (payload_lines * t.costs.msg_per_line) in
   let cost =
     if Core_res.socket from <> Core_res.socket t.owner then
       cost + t.costs.send_cross_socket
     else cost
   in
-  (match sink t with
-  | Some tr ->
-      Trace.set_pending tr
-        ~fid:(Engine.current_fid (Core_res.engine from))
-        [ (Trace.Send, cost) ]
-  | None -> ());
+  (* The message's bus id ties the send (the sender's happens-before
+     stamp) to every copy the fault dice let into the queue. *)
+  let o = obs t in
+  let mid = if Obs.on o Obs.msgs then Obs.fresh_msg o else 0 in
+  if Obs.on o Obs.msgs then
+    Obs.emit o (Msg_send { mid; uid = t.uid; core = Core_res.id from });
+  if Obs.on o Obs.spans then begin
+    let fid = Engine.current_fid (Core_res.engine from) in
+    Obs.emit o (Pending { fid; parts = [ (Send, cost) ] })
+  end;
   Core_res.compute from cost;
   (* Credit-based flow control (PR 6): a bounded mailbox admits a
      message only when a queue slot is free. The sender parks here, at
@@ -157,27 +127,22 @@ let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
      enter this branch. *)
   if Bqueue.is_full t.queue then begin
     t.flow_blocked <- t.flow_blocked + 1;
-    (match sink t with
-    | Some tr ->
-        Trace.instant tr ~name:"flow-block" ~track:(Core_res.id from)
-          ~ts:(Engine.now (Core_res.engine from))
-          ~args:
-            (match t.name with
-            | Some n -> [ ("mailbox", n) ]
-            | None -> [])
-          ()
-    | None -> ());
+    if Obs.on o Obs.marks then begin
+      let args = match t.name with Some n -> [ ("mailbox", n) ] | None -> [] in
+      let track = Core_res.id from in
+      Obs.emit o (Instant { name = "flow-block"; track; ts = Obs.now o; args })
+    end;
     Bqueue.wait_not_full t.queue
   end;
   match t.faults with
   | None ->
       (* Atomic delivery: the enqueue happens before send returns. *)
-      enqueue t ?stamp msg
+      enqueue t ~mid msg
   | Some link ->
       let module I = Hare_fault.Injector in
       if I.down link && unreliable then begin
         I.note_blackholed link;
-        fault_instant t "blackhole" ~span
+        fault t ~mid ~copies:0 "fault:blackhole" ~span
       end
       else begin
         let engine = Core_res.engine t.owner in
@@ -189,22 +154,22 @@ let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
           if s > now then Some s else None
         in
         let deliver_at = function
-          | None -> enqueue t ?stamp msg
+          | None -> enqueue t ~mid msg
           | Some time ->
               Engine.schedule_at engine
                 ~tag:(Engine.tag_deliver t.uid)
                 time
-                (fun () -> enqueue t ?stamp msg)
+                (fun () -> enqueue t ~mid msg)
         in
         match I.on_send link ~unreliable with
-        | I.Drop -> fault_instant t "drop" ~span
+        | I.Drop -> fault t ~mid ~copies:0 "fault:drop" ~span
         | I.Deliver -> deliver_at floor
         | I.Duplicate ->
-            fault_instant t "dup" ~span;
+            fault t ~mid ~copies:2 "fault:dup" ~span;
             deliver_at floor;
             deliver_at floor
         | I.Delay extra ->
-            fault_instant t "delay" ~span;
+            fault t ~mid ~copies:1 "fault:delay" ~span;
             let base = match floor with Some s -> s | None -> now in
             deliver_at (Some (Int64.add base extra))
       end

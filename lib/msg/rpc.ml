@@ -1,6 +1,4 @@
 open Hare_sim
-module Trace = Hare_trace.Trace
-module Check = Hare_check.Check
 
 type meta = {
   m_client : int;
@@ -15,7 +13,7 @@ type ('req, 'resp) request = {
   body : 'req;
   reply : ?payload_lines:int -> 'resp -> unit;
   meta : meta option;
-  span : int; (* requesting trace span; 0 = untraced *)
+  span : int; (* request id on the observer bus; 0 = unobserved *)
   deadline : int64; (* absolute expiry on the simulated clock; 0 = none *)
   prio : int; (* shed class: 0 metadata, 1 data, 2 background *)
 }
@@ -50,16 +48,17 @@ let unwatch t = Mailbox.unwatch t.mailbox
 
 let rewatch t = Mailbox.rewatch t.mailbox
 
-let sink core = Engine.sink (Core_res.engine core)
+let obs core = Engine.obs (Core_res.engine core)
 
-(* Trace-path fiber id: an O(1) engine field read, not a [Self] effect
-   round trip — these sites fire on every traced RPC. *)
+(* Observer-path fiber id: an O(1) engine field read, not a [Self]
+   effect round trip — these sites fire on every observed RPC. *)
 let fid core = Engine.current_fid (Core_res.engine core)
 
-let call_async_sp t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
-  (* Allocate a span id so the server-side work for this request can be
-     tied back to the caller's open syscall span. *)
-  let span = match sink from with Some tr -> Trace.next_span tr | None -> 0 in
+let call_async t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
+  (* Allocate a request id so the server-side work (trace) and the
+     reply edge (sanitizer) can be tied back to this call. *)
+  let o = obs from in
+  let span = if Obs.on o Obs.(msgs lor spans) then Obs.fresh_span o else 0 in
   let reply = Ivar.create () in
   (* Only meta-tagged (retryable) requests are fair game for the fault
      injector; everything else keeps the atomic-delivery guarantee. *)
@@ -77,26 +76,21 @@ let call_async_sp t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
   if depth > t.peak then t.peak <- depth;
   (reply, span)
 
-let call_async t ~from ?payload_lines ?meta req =
-  fst (call_async_sp t ~from ?payload_lines ?meta ~abs_deadline:0L ~prio:0 req)
-
 let since engine b0 = Int64.to_int (Int64.sub (Engine.now engine) b0)
 
-(* The reply is in hand: attribute the cycles the fiber was parked on it
-   since [b0] from the server-recorded breakdown for [span]
-   (Trace.on_blocked), decompose the receive charge [cost] as Send, and
-   charge it. *)
-let received ~engine ~from ~cost ~span ~b0 future =
-  (match sink from with
-  | Some tr ->
-      Trace.on_blocked tr ~fid:(fid from) ~span ~elapsed:(since engine b0);
-      Trace.set_pending tr ~fid:(fid from) [ (Trace.Send, cost) ]
-  | None -> ());
-  (* Sanitizer reply edge: the responder stamped the ivar just before
-     filling it ({!reply_fn}); join the stamp into this core's clock. *)
-  (match (Engine.checker engine, Ivar.stamp future) with
-  | Some chk, Some s -> Check.join chk ~core:(Core_res.id from) s
-  | _ -> ());
+(* The reply is in hand: report the cycles the fiber was parked on it
+   since [b0] (the trace attributes them from the server-recorded
+   breakdown; the sanitizer joins the reply's stamp), then charge the
+   receive [cost]. *)
+let received ~engine ~from ~cost ~span ~b0 =
+  let o = Engine.obs engine in
+  if Obs.on o Obs.spans then begin
+    let fid = fid from in
+    Obs.emit o (Blocked { fid; id = span; waited = since engine b0 });
+    Obs.emit o (Pending { fid; parts = [ (Send, cost) ] })
+  end;
+  if Obs.on o Obs.msgs then
+    Obs.emit o (Reply_read { id = span; core = Core_res.id from });
   Core_res.compute from cost
 
 let await ~from ~costs ~span ?(poll = false) future =
@@ -108,13 +102,12 @@ let await ~from ~costs ~span ?(poll = false) future =
        notification/wakeup path, just the copy. The server's cycles
        overlapped the caller's own compute, so the breakdown recorded
        for the span is discarded (elapsed 0). *)
-    received ~engine ~from ~cost:costs.Hare_config.Costs.recv_ready ~span ~b0
-      future;
+    received ~engine ~from ~cost:costs.Hare_config.Costs.recv_ready ~span ~b0;
     Ivar.read future
   end
   else begin
     let resp = Ivar.read future in
-    received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0 future;
+    received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0;
     resp
   end
 
@@ -122,21 +115,18 @@ let await_deadline ~engine ~from ~costs ~deadline ~span future =
   let b0 = Engine.now engine in
   match Ivar.read_deadline future ~engine ~cycles:deadline with
   | Some resp ->
-      received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0
-        future;
+      received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0;
       Ok resp
   | None ->
-      (match sink from with
-      | Some tr ->
-          (* Timed out: nothing came back, the whole wait is queueing. *)
-          Trace.on_blocked tr ~fid:(fid from) ~span:0
-            ~elapsed:(since engine b0)
-      | None -> ());
+      (* Timed out: nothing came back, the whole wait is queueing. *)
+      let o = Engine.obs engine in
+      if Obs.on o Obs.spans then
+        Obs.emit o (Wait { fid = fid from; cycles = since engine b0 });
       Error `Timeout
 
 let call t ~from ?payload_lines req =
   let future, span =
-    call_async_sp t ~from ?payload_lines ~abs_deadline:0L ~prio:0 req
+    call_async t ~from ?payload_lines ~abs_deadline:0L ~prio:0 req
   in
   await ~from ~costs:t.costs ~span future
 
@@ -148,9 +138,9 @@ let reply_fn t env ?(payload_lines = 0) resp =
     t.costs.Hare_config.Costs.send
     + (payload_lines * t.costs.Hare_config.Costs.msg_per_line)
   in
-  (match sink owner with
-  | Some tr -> Trace.set_pending tr ~fid:(fid owner) [ (Trace.Send, cost) ]
-  | None -> ());
+  let o = obs owner in
+  if Obs.on o Obs.spans then
+    Obs.emit o (Pending { fid = fid owner; parts = [ (Send, cost) ] });
   Core_res.compute owner cost;
   match env.e_meta with
   | Some _ when Ivar.is_filled env.e_reply ->
@@ -158,11 +148,8 @@ let reply_fn t env ?(payload_lines = 0) resp =
          has its response, so this fill would be a double-assignment. *)
       ()
   | _ ->
-      (match Engine.checker (Core_res.engine owner) with
-      | Some chk ->
-          Ivar.set_stamp env.e_reply
-            (Check.msg_stamp chk ~core:(Core_res.id owner))
-      | None -> ());
+      if Obs.on o Obs.msgs then
+        Obs.emit o (Reply_fill { id = env.e_span; core = Core_res.id owner });
       Ivar.fill env.e_reply resp
 
 let request t env =

@@ -29,7 +29,7 @@ type ('req, 'resp) request = {
           duplicated copy of an already-answered tagged request is a
           no-op. *)
   meta : meta option;  (** idempotency tag *)
-  span : int;  (** the caller's trace span id; 0 = untraced *)
+  span : int;  (** the request's bus id; 0 = unobserved *)
   deadline : int64;  (** absolute expiry, simulated cycles; 0 = none *)
   prio : int;  (** shed class: 0 metadata, 1 data, 2 background *)
 }
@@ -68,24 +68,15 @@ val call :
   'req ->
   'resp
 
-(** [call_async t ~from req] sends [req]; {!await} the returned future.
-    [meta], when given, tags the request for dedup and marks it
-    unreliable (subject to the fault plan). *)
+(** [call_async t ~from req] sends [req] and returns the reply future
+    with the request's bus id (0 when no observer is attached); pass
+    both to {!await}, so the time this fiber later spends blocked on the
+    reply is attributed from the server-side breakdown and the reply
+    carries its happens-before edge. [meta], when given, tags the
+    request for dedup and marks it unreliable (subject to the fault
+    plan). [abs_deadline]/[prio] ride the envelope (deadline propagation
+    and shed class): 0 = never expires, metadata class. *)
 val call_async :
-  ('req, 'resp) t ->
-  from:Hare_sim.Core_res.t ->
-  ?payload_lines:int ->
-  ?meta:meta ->
-  'req ->
-  'resp Hare_sim.Ivar.t
-
-(** Like {!call_async} but also returns the request's trace span id (0
-    when tracing is off). Pass it to {!await} so the time this fiber
-    later spends blocked on the reply is attributed from the server-side
-    breakdown recorded for that request. [abs_deadline]/[prio] ride the
-    envelope (deadline propagation and shed class, PR 6): 0 = never
-    expires, metadata class. *)
-val call_async_sp :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
@@ -96,8 +87,8 @@ val call_async_sp :
   'resp Hare_sim.Ivar.t * int
 
 (** [await ~from ~costs ~span future] blocks for the response and
-    charges the receive cost to [from]. [span] is the request's trace
-    span id, from {!call_async_sp} (0 = untraced). With [poll] (default
+    charges the receive cost to [from]. [span] is the request's bus id,
+    from {!call_async} (0 = unobserved). With [poll] (default
     false) a reply already in hand is taken as a poll of a ready slot:
     only [recv_ready] is charged, and no blocked time is attributed. *)
 val await :

@@ -98,21 +98,21 @@ let run t ?(on_exit = fun _ -> ()) body =
             descriptors may remain open and no allocation lease may
             still be held — either is a resource leak the servers would
             carry forever. *)
-         (match Engine.checker t.k.k_engine with
-         | Some chk ->
-             let fds = ref 0 and leases = ref 0 in
-             List.iter
-               (fun (e : Hare_client.Fdtable.entry) ->
-                 match e.Hare_client.Fdtable.desc with
-                 | Hare_client.Fdtable.Console _ -> ()
-                 | Hare_client.Fdtable.File fs ->
-                     incr fds;
-                     leases := !leases + fs.Hare_client.Fdtable.f_lease
-                 | Hare_client.Fdtable.Pipe _ -> incr fds)
-               (Hare_client.Fdtable.distinct_entries t.fdt);
-             Hare_check.Check.lint_exit chk ~core:t.core_id ~fds:!fds
-               ~leases:!leases
-         | None -> ());
+         (let o = Engine.obs t.k.k_engine in
+          if Obs.on o Obs.lint then begin
+            let fds = ref 0 and leases = ref 0 in
+            List.iter
+              (fun (e : Hare_client.Fdtable.entry) ->
+                match e.Hare_client.Fdtable.desc with
+                | Hare_client.Fdtable.Console _ -> ()
+                | Hare_client.Fdtable.File fs ->
+                    incr fds;
+                    leases := !leases + fs.Hare_client.Fdtable.f_lease
+                | Hare_client.Fdtable.Pipe _ -> incr fds)
+              (Hare_client.Fdtable.distinct_entries t.fdt);
+            Obs.emit o
+              (Lint_exit { core = t.core_id; fds = !fds; leases = !leases })
+          end);
          Hashtbl.remove t.k.k_proc_tables.(t.core_id) t.pid;
          (match t.parent with
          | Some parent -> Bqueue.push parent.child_exits (t.pid, status)

@@ -57,44 +57,27 @@ let handle_signal t ~pid ~signal reply =
       reply (Ok pid)
 
 let start t =
-  let module Trace = Hare_trace.Trace in
   let engine = t.kctx.Process.k_engine in
+  let o = Engine.obs engine in
   let rec loop () =
     let { Hare_msg.Rpc.body = req; reply; span; _ } =
       Hare_msg.Rpc.recv_full t.endpoint
     in
-    let tr_opened =
-      match Engine.sink engine with
-      | Some tr ->
-          let fid = Engine.current_fid engine in
-          let op =
-            match req with
-            | Wire.S_exec _ -> "sched:exec"
-            | Wire.S_signal _ -> "sched:signal"
-          in
-          if
-            Trace.ctx_open tr ~fid ~op ~track:t.core_id ~parent:span
-              ~now:(Engine.now engine) ~args:[]
-            <> 0
-          then begin
-            Trace.set_pending tr ~fid
-              [ (Trace.Dispatch, t.costs.server_dispatch) ];
-            Some tr
-          end
-          else None
-      | None -> None
-    in
+    let fid = Engine.current_fid engine in
+    if Obs.on o Obs.spans then begin
+      let op =
+        match req with Wire.S_exec _ -> "sched:exec" | Wire.S_signal _ -> "sched:signal"
+      and pending = [ (Obs.Dispatch, t.costs.server_dispatch) ] in
+      let track = t.core_id and args = Obs.no_args and ts = Obs.now o in
+      Obs.emit o (Span_open { fid; op; track; parent = span; ts; args; pending })
+    end;
     Core_res.compute t.core t.costs.server_dispatch;
     (match req with
     | Wire.S_exec { prog; args; env; cwd_path; fds; proxy; rr_next } ->
         handle_exec t ~prog ~args ~env ~cwd_path ~fds ~proxy ~rr_next reply
     | Wire.S_signal { pid; signal } -> handle_signal t ~pid ~signal reply);
-    (match tr_opened with
-    | Some tr ->
-        Trace.ctx_close_server tr
-          ~fid:(Engine.current_fid engine)
-          ~now:(Engine.now engine)
-    | None -> ());
+    if Obs.on o Obs.spans then
+      Obs.emit o (Span_close { fid; ts = Obs.now o; server = true });
     loop ()
   in
   ignore

@@ -5,8 +5,6 @@ open Hare_proto.Types
 let src = Logs.Src.create "hare.server" ~doc:"Hare file server"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-module Trace = Hare_trace.Trace
-module Check = Hare_check.Check
 
 type reply = ?payload_lines:int -> Wire.fs_resp -> unit
 
@@ -422,6 +420,11 @@ let track h ~dir ~name ~client =
   in
   Hashtbl.replace clients client ()
 
+let instant t name args =
+  let o = Engine.obs t.engine in
+  if Obs.on o Obs.marks then
+    Obs.emit o (Instant { name; track = Core_res.id t.core; ts = Obs.now o; args })
+
 (* One AFS-style callback (§3.6.1): tell [client] to drop its cached
    [dir]/[name]. Atomic message delivery means the server proceeds as
    soon as the send returns. *)
@@ -432,11 +435,11 @@ let inval t ~dir ~name client =
      its next dircache hit on the entry (atomic delivery +
      drain-before-find make that a protocol guarantee, not a timing
      accident). *)
-  (match Engine.checker (Core_res.engine t.core) with
-  | Some chk ->
-      Check.dircache_sent chk ~client ~server:dir.Types.server
-        ~ino:dir.Types.ino ~name
-  | None -> ());
+  let o = Engine.obs t.engine in
+  if Obs.on o Obs.lint then begin
+    let server = dir.Types.server and ino = dir.Types.ino in
+    Obs.emit o (Dircache { kind = `Sent; client; server; ino; name })
+  end;
   t.invals_sent <- t.invals_sent + 1
 
 (* Callbacks are one-shot: notify every tracked client but the
@@ -1060,16 +1063,16 @@ and kick_steal t =
       t.steal_victim <- (t.steal_victim + 1) mod Array.length t.peers;
       if t.steal_victim = t.sid then
         t.steal_victim <- (t.steal_victim + 1) mod Array.length t.peers;
-      let future =
+      let future, span =
         Hare_msg.Rpc.call_async t.peers.(t.steal_victim) ~from:t.core
-          (Wire.Steal_blocks { count = 128 })
+          ~abs_deadline:0L ~prio:0 (Wire.Steal_blocks { count = 128 })
       in
       ignore
         (Engine.spawn t.engine
            ~name:(Printf.sprintf "steal-%d" t.sid)
            (fun () ->
              let resp =
-               Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span:0 future
+               Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span future
              in
              t.steal_inflight <- false;
              (match resp with
@@ -1160,34 +1163,19 @@ let execute ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
   Hare_stats.Opcount.incr t.ops (Wire.req_name req);
   let dcost = if dispatch then t.costs.server_dispatch else 0 in
   let ocost = op_cost req in
-  (* Open a server-side span, child of the requesting client's span:
-     its bucket breakdown is recorded for the client's blocked-await. *)
-  let tr_opened =
-    match Engine.sink t.engine with
-    | Some tr ->
-        let fid = Engine.current_fid t.engine in
-        if
-          Trace.ctx_open tr ~fid ~op:(Wire.req_srv_name req)
-            ~track:(Core_res.id t.core) ~parent:span ~now:(Engine.now t.engine)
-            (* Span args only decorate exported events; a profile-only
-               sink drops them, so skip the pretty-printing. *)
-            ~args:(if Trace.ring_enabled tr then Wire.req_args req else [])
-          <> 0
-        then begin
-          Trace.set_pending tr ~fid
-            [ (Trace.Dispatch, dcost); (Trace.Compute, ocost) ];
-          Some tr
-        end
-        else None
-    | None -> None
-  in
+  (* A server-side span, child of the request: its bucket breakdown is
+     recorded for the client's blocked-await. *)
+  let o = Engine.obs t.engine in
+  let fid = Engine.current_fid t.engine in
+  if Obs.on o Obs.spans then begin
+    let op = Wire.req_srv_name req and args () = Wire.req_args req in
+    let pending = [ (Obs.Dispatch, dcost); (Compute, ocost) ] in
+    let track = Core_res.id t.core and ts = Obs.now o in
+    Obs.emit o (Span_open { fid; op; track; parent = span; ts; args; pending })
+  end;
   let close () =
-    match tr_opened with
-    | Some tr ->
-        Trace.ctx_close_server tr
-          ~fid:(Engine.current_fid t.engine)
-          ~now:(Engine.now t.engine)
-    | None -> ()
+    if Obs.on o Obs.spans then
+      Obs.emit o (Span_close { fid; ts = Obs.now o; server = true })
   in
   Core_res.compute t.core (dcost + ocost);
   match handle t req reply with
@@ -1288,13 +1276,7 @@ let crash t =
     | None -> ());
     t.robust.crashes <- t.robust.crashes + 1;
     Log.debug (fun m -> m "server %d crashes at %Ld" t.sid (Engine.now t.engine));
-    (match Engine.sink t.engine with
-    | Some tr ->
-        Trace.instant tr ~name:"crash" ~track:(Core_res.id t.core)
-          ~ts:(Engine.now t.engine)
-          ~args:[ ("server", string_of_int t.sid) ]
-          ()
-    | None -> ());
+    instant t "crash" [ ("server", string_of_int t.sid) ];
     let aborted = ref 0 in
     let abort (reply : reply) =
       incr aborted;
@@ -1351,13 +1333,7 @@ let restart t =
   if t.down then begin
     Log.debug (fun m ->
         m "server %d restarts at %Ld" t.sid (Engine.now t.engine));
-    (match Engine.sink t.engine with
-    | Some tr ->
-        Trace.instant tr ~name:"restart" ~track:(Core_res.id t.core)
-          ~ts:(Engine.now t.engine)
-          ~args:[ ("server", string_of_int t.sid) ]
-          ()
-    | None -> ());
+    instant t "restart" [ ("server", string_of_int t.sid) ];
     (* Every descriptor died with the crash, so orphaned blocks and
        unlinked inodes have no remaining users; the free list becomes
        whatever the surviving inodes do not reference. *)
@@ -1408,13 +1384,8 @@ let start t =
   let batch_max = max 1 t.config.Hare_config.Config.batch_max in
   let wm = t.config.Hare_config.Config.shed_watermark in
   let shed_instant name req =
-    match Engine.sink t.engine with
-    | Some tr ->
-        Trace.instant tr ~name ~track:(Core_res.id t.core)
-          ~ts:(Engine.now t.engine)
-          ~args:[ ("op", Wire.req_name req) ]
-          ()
-    | None -> ()
+    if Obs.on (Engine.obs t.engine) Obs.marks then
+      instant t name [ ("op", Wire.req_name req) ]
   in
   (* Class shed first: a categorical EBUSY tells the client to back off
      now, whereas an expiry drop costs it a full timeout — so above the
@@ -1464,11 +1435,11 @@ let start t =
        one-request-per-wakeup loop, cycle for cycle. *)
     let batch = Hare_msg.Rpc.recv_batch_full t.endpoint ~max:batch_max in
     Hare_stats.Perf.note_batch t.perf (List.length batch);
-    (match Engine.sink t.engine with
-    | Some tr ->
-        Trace.counter tr ~name:"batch" ~track:(Core_res.id t.core)
-          ~ts:(Engine.now t.engine) ~value:(List.length batch)
-    | None -> ());
+    let o = Engine.obs t.engine in
+    if Obs.on o Obs.marks then begin
+      let track = Core_res.id t.core and value = List.length batch in
+      Obs.emit o (Counter { name = "batch"; track; ts = Obs.now o; value })
+    end;
     List.iteri
       (fun i msg ->
         if i > 0 then Hare_msg.Rpc.charge_recv t.endpoint;

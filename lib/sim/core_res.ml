@@ -52,18 +52,10 @@ let compute t cycles =
   t.free_at <- finish;
   t.last_fid <- fid;
   t.busy_cycles <- t.busy_cycles + cost;
-  (match Engine.sink t.engine with
-  | None -> ()
-  | Some tr ->
-      let module Trace = Hare_trace.Trace in
-      Trace.on_compute tr ~fid ~elapsed:(finish - now) ~cost
-        ~switch:(if switching then t.ctx_switch else 0);
-      if switching then
-        Trace.instant tr ~name:"ctx-switch" ~track:t.id
-          ~ts:(Int64.of_int start) ();
-      (* Busy square wave: the core occupies [start, finish). *)
-      Trace.counter tr ~name:"cpu" ~track:t.id ~ts:(Int64.of_int start)
-        ~value:1;
-      Trace.counter tr ~name:"cpu" ~track:t.id ~ts:(Int64.of_int finish)
-        ~value:0);
+  let o = Engine.obs t.engine in
+  if Obs.on o Obs.spans then begin
+    let switch = if switching then t.ctx_switch else 0 in
+    Obs.emit o
+      (Cpu { fid; track = t.id; now; start; finish; cost; switch; switched = switching })
+  end;
   Engine.sleep_cycles (finish - now)

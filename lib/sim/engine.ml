@@ -1,7 +1,3 @@
-let src = Logs.Src.create "hare.sim" ~doc:"Hare discrete-event engine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type fiber = {
   fid : int;
   name : string;
@@ -21,7 +17,6 @@ type t = {
   mutable live : int;
   mutable next_fid : int;
   root_rng : Rng.t;
-  mutable tracing : bool;
   fibers : (int, fiber) Hashtbl.t;
       (* fibers that have not finished, for deadlock reporting; `Done
          fibers are pruned so long open-loop runs do not leak *)
@@ -32,33 +27,12 @@ type t = {
   mutable probes : probe option array; (* compact slots; None = free *)
   mutable nprobes : int; (* upper bound of used slots *)
   mutable probe_free : int list; (* recycled slot indices *)
-  mutable sink : Hare_trace.Trace.t option;
-      (* trace sink; presence doubles as the "tracing enabled" flag *)
-  mutable checker : Hare_check.Check.t option;
-      (* coherence sanitizer; presence doubles as the "check enabled" flag *)
-  (* Time-series sampler (PR 9): a host-side hook the event loop fires
-     when the simulated clock crosses a sampling-grid boundary. Like the
-     sink and the checker it never schedules events, charges cycles, or
-     draws from an RNG — sampled and unsampled runs are bit-identical. *)
-  mutable sampler : (int64 -> unit) option;
-  mutable sample_every : int; (* grid interval in cycles; 0 = off *)
-  mutable sample_next : int; (* next due grid stamp *)
+  obs : Obs.t; (* the observer bus; see obs.mli *)
   (* Schedule explorer (PR 10): when attached, every tie between events
-     due at the same simulated cycle is routed through [ex_choose]
-     instead of the deterministic lowest-seq pop. Like the sink, checker
-     and sampler, an absent explorer leaves the hot path untouched. *)
-  mutable explore : explorer option;
+     due at the same simulated cycle is routed through this chooser
+     instead of the deterministic lowest-seq pop. *)
+  mutable explore : (time:int -> (int * int) array -> int) option;
   mutable next_obj : int; (* shared-object uid allocator (mailboxes) *)
-}
-
-and explorer = {
-  ex_choose : time:int -> (int * int) array -> int;
-      (* pick an index into the [(seq, tag)] candidates (sorted by seq;
-         index 0 = the default deterministic order) *)
-  ex_step : time:int -> seq:int -> tag:int -> unit;
-      (* fired for every executed event, just before it runs *)
-  ex_access : int -> unit;
-      (* a shared object was touched while the current event ran *)
 }
 
 exception Deadlock of string
@@ -74,14 +48,13 @@ type _ Effect.t +=
   | Suspend : (waker -> unit) -> unit Effect.t
 
 let create ?(seed = 1L) () =
-  {
+  let t = {
     time = 0L;
     events = Heap.create ();
     seq = 0;
     live = 0;
     next_fid = 0;
     root_rng = Rng.create ~seed;
-    tracing = false;
     fibers = Hashtbl.create 256;
     peak_fibers = 0;
     spawned = 0;
@@ -90,45 +63,25 @@ let create ?(seed = 1L) () =
     probes = [||];
     nprobes = 0;
     probe_free = [];
-    sink = None;
-    checker = None;
-    sampler = None;
-    sample_every = 0;
-    sample_next = max_int;
+    obs = Obs.create ();
     explore = None;
     next_obj = 0;
-  }
+  } in
+  Obs.set_clock t.obs (fun () -> Int64.to_int t.time);
+  t
 
 let now t = t.time
 
 let rng t = t.root_rng
 
-let trace t = t.tracing
-
-let set_trace t b = t.tracing <- b
-
-let sink t = t.sink
-
-let checker t = t.checker
-
-let set_checker t c = t.checker <- Some c
-
-let set_sink t tr = t.sink <- Some tr
-
-let set_sampler t ~interval f =
-  if interval <= 0 then invalid_arg "Engine.set_sampler: interval must be positive";
-  t.sampler <- Some f;
-  t.sample_every <- interval;
-  (* First sample one full interval after attachment (boot state at time
-     zero is all-idle and uninteresting). *)
-  t.sample_next <- Int64.to_int t.time + interval
+let obs t = t.obs
 
 (* --- schedule exploration (PR 10) ------------------------------------- *)
 
 (* Action tags ride heap entries so the explorer can tell what kind of
    event each same-cycle candidate is. Packed into one non-negative int:
    0 is an opaque event (timer, injector callback — anything whose
-   effects the footprint hooks cannot see), odd tags resume a fiber,
+   effects the bus's footprint events cannot see), odd tags resume a fiber,
    even tags >= 2 deliver into a mailbox. *)
 let tag_opaque = 0
 
@@ -145,23 +98,10 @@ let tag_kind tag =
 
 let set_explorer t ex = t.explore <- Some ex
 
-let clear_explorer t = t.explore <- None
-
 let new_object t =
   let o = t.next_obj in
   t.next_obj <- o + 1;
   o
-
-(* Footprint objects live in one int space: mailbox uids map to odd
-   ints, DRAM line keys to even ints, so the two families never
-   collide. Pure host-side bookkeeping — no cycles, no RNG. *)
-let note_mailbox t uid =
-  match t.explore with
-  | Some ex when uid >= 0 -> ex.ex_access ((uid lsl 1) lor 1)
-  | _ -> ()
-
-let note_line t key =
-  match t.explore with Some ex -> ex.ex_access (key lsl 1) | None -> ()
 
 let fiber_id f = f.fid
 
@@ -205,15 +145,10 @@ let spawn t ?(daemon = false) ~name body =
   let start () =
     fiber.state <- `Runnable;
     t.cur <- Some fiber;
-    if t.tracing then Log.debug (fun m -> m "fiber %s[%d] starts" name fiber.fid);
     let open Effect.Deep in
     match_with body ()
       {
-        retc =
-          (fun () ->
-            finish ();
-            if t.tracing then
-              Log.debug (fun m -> m "fiber %s[%d] done" name fiber.fid));
+        retc = finish;
         exnc =
           (fun exn ->
             finish ();
@@ -333,33 +268,25 @@ let blocked_names t =
   |> List.map (fun f -> Printf.sprintf "%s[%d]" f.name f.fid)
   |> String.concat ", "
 
-let exec_event t time f =
+(* Announce the step before its effects land: the sampler's grid point
+   reflects every event strictly before it, and the explorer's footprint
+   for this step starts empty. *)
+let exec_event t time seq tag f =
   t.time <- Int64.of_int time;
   t.steps <- t.steps + 1;
   (* Plain callbacks (timers) run outside any fiber; fiber starts and
      resumes re-set [cur] themselves before continuing. *)
   t.cur <- None;
-  (* Fire the time-series sampler before the event's effects land, so a
-     sample at grid stamp g reflects the state after every event strictly
-     before g. One sample per step, stamped at the latest due grid point:
-     a long quiet gap (no events) yields no intermediate samples — the
-     gauges could not have changed while nothing ran. Host-side only;
-     the heap, clock, and RNGs are untouched. *)
-  (match t.sampler with
-  | Some sample when time >= t.sample_next ->
-      let k = (time - t.sample_next) / t.sample_every in
-      let stamp = t.sample_next + (k * t.sample_every) in
-      t.sample_next <- stamp + t.sample_every;
-      sample (Int64.of_int stamp)
-  | _ -> ());
+  if Obs.on t.obs Obs.steps then Obs.emit t.obs (Obs.Step { time; seq; tag });
   f ()
 
 let step t =
   match t.explore with
   | None ->
-      let time, _seq, f = Heap.pop_min t.events in
-      exec_event t time f
-  | Some ex ->
+      let tag = if Obs.on t.obs Obs.steps then Heap.min_tag t.events else 0 in
+      let time, seq, f = Heap.pop_min t.events in
+      exec_event t time seq tag f
+  | Some choose ->
       (* Choice point: every event due at the minimum cycle is a
          candidate; the strategy picks which one the "hardware" lands
          first. With a single candidate there is no choice, and index 0
@@ -367,13 +294,12 @@ let step t =
       let cands = Heap.min_entries t.events in
       let idx =
         if Array.length cands > 1 then
-          ex.ex_choose ~time:(Heap.min_time t.events) cands
+          choose ~time:(Heap.min_time t.events) cands
         else 0
       in
       let seq, tag = cands.(idx) in
       let time, _tag, f = Heap.remove_seq t.events seq in
-      ex.ex_step ~time ~seq ~tag;
-      exec_event t time f
+      exec_event t time seq tag f
 
 let check_deadlock t =
   if t.live > 0 then begin
@@ -383,12 +309,7 @@ let check_deadlock t =
       | ds -> "undelivered mailbox messages: " ^ String.concat ", " ds
     in
     let spans =
-      match t.sink with
-      | None -> ""
-      | Some tr -> (
-          match Hare_trace.Trace.recent_spans tr ~per_track:4 with
-          | [] -> ""
-          | lines -> "; recent spans: " ^ String.concat "; " lines)
+      String.concat "" (List.map (( ^ ) "; ") (Obs.diagnostics t.obs))
     in
     raise
       (Deadlock

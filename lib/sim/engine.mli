@@ -18,7 +18,8 @@ type fiber
 
 exception Deadlock of string
 (** Raised by {!run} when no events remain but blocked fibers exist; the
-    payload lists the blocked fibers' names. *)
+    payload lists the blocked fibers' names, the non-zero probe depths
+    and every bus subscriber's diagnostics (the trace's recent spans). *)
 
 exception Fiber_failure of string * exn
 (** Raised by {!run} when a fiber terminates with an uncaught exception;
@@ -106,38 +107,10 @@ val suspend : (waker -> unit) -> unit
     The fiber resumes when (and only when) [waker] is invoked — typically
     stored in a queue by a synchronization primitive. *)
 
-val trace : t -> bool
-val set_trace : t -> bool -> unit
-(** When tracing is on, fiber lifecycle events are logged via [Logs]. *)
-
-val sink : t -> Hare_trace.Trace.t option
-(** The span-trace sink, if one was attached. Instrumentation sites
-    across the stack test this: [None] (the default) means tracing is
-    off and they do nothing. *)
-
-val set_sink : t -> Hare_trace.Trace.t -> unit
-(** Attach a span-trace sink. Recording into the sink never perturbs the
-    simulated clock ({!Hare_trace.Trace}). *)
-
-val checker : t -> Hare_check.Check.t option
-(** The coherence sanitizer, if one was attached. Mirrors the trace
-    sink: hook sites across the stack test this, and [None] (the
-    default) means checking is off and they do nothing. *)
-
-val set_checker : t -> Hare_check.Check.t -> unit
-(** Attach the coherence sanitizer. Checking never perturbs the
-    simulated clock ({!Hare_check.Check}). *)
-
-val set_sampler : t -> interval:int -> (int64 -> unit) -> unit
-(** Attach a time-series sampler: the event loop calls [f stamp] from
-    {e outside} any fiber whenever the simulated clock first reaches or
-    crosses a multiple of [interval] cycles (one call per event-loop
-    step, stamped at the latest grid point due — quiet gaps, during
-    which no state can change, produce no samples). The callback must be
-    pure host-side bookkeeping: it runs between events and must not
-    schedule work, charge cycles, or draw from an RNG, so sampled and
-    unsampled runs of the same seed stay bit-identical. [interval] must
-    be positive. *)
+val obs : t -> Obs.t
+(** The engine's observer bus. The engine emits a [Step] before every
+    event it executes; the rest of the stack emits message, cache, span,
+    counter and lint events. *)
 
 (** {1 Schedule exploration}
 
@@ -151,26 +124,14 @@ val set_sampler : t -> interval:int -> (int64 -> unit) -> unit
     explorer that always answers 0 leaves clocks and opcounts
     untouched. *)
 
-type explorer = {
-  ex_choose : time:int -> (int * int) array -> int;
-      (** [ex_choose ~time cands] picks an index into [cands], the
-          [(seq, tag)] pairs of every event due at cycle [time], sorted
-          by ascending seq. Called only when two or more are due. *)
-  ex_step : time:int -> seq:int -> tag:int -> unit;
-      (** Fired for every executed event just before it runs, choice
-          point or not — the explorer's step log. *)
-  ex_access : int -> unit;
-      (** A shared object (mailbox or DRAM line) was touched while the
-          current event ran; the int is the encoded footprint object
-          ({!note_mailbox} / {!note_line}). *)
-}
-
-val set_explorer : t -> explorer -> unit
-val clear_explorer : t -> unit
-
+val set_explorer : t -> (time:int -> (int * int) array -> int) -> unit
+(** [set_explorer t choose]: [choose ~time cands] picks an index into
+    [cands], the [(seq, tag)] pairs of every event due at cycle [time],
+    sorted by ascending seq. Called only when two or more are due. The
+    explorer observes the steps it caused through {!obs}. *)
 
 val tag_opaque : int
-(** Action tag for events whose effects the footprint hooks cannot see
+(** Action tag for events whose effects the bus's footprint events cannot see
     (timers, fault-injector callbacks). The explorer must treat them as
     conflicting with everything. *)
 
@@ -189,16 +150,6 @@ val tag_kind : int -> tag_kind
 val new_object : t -> int
 (** Allocate a shared-object uid (used by mailboxes at creation).
     Host-side counter only. *)
-
-val note_mailbox : t -> int -> unit
-(** [note_mailbox t uid] records, when an explorer is attached, that the
-    currently executing event touched mailbox [uid] (enqueue or
-    dequeue). No-op otherwise, and for negative uids. *)
-
-val note_line : t -> int -> unit
-(** [note_line t key] records, when an explorer is attached, that the
-    currently executing event touched DRAM line [key] (cache fill,
-    write-back, or invalidate). No-op otherwise. *)
 
 (** {1 Deadlock diagnostics} *)
 

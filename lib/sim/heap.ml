@@ -96,6 +96,10 @@ let min_time h =
   if h.size = 0 then raise Not_found;
   h.times.(0)
 
+let min_tag h =
+  if h.size = 0 then raise Not_found;
+  h.tags.(0)
+
 let peek_min h =
   if h.size = 0 then raise Not_found;
   (h.times.(0), h.seqs.(0), h.values.(0))

@@ -31,6 +31,10 @@ val pop_min : 'a t -> int * int * 'a
 
 (** [peek_min h] returns the minimum element without removing it.
     Raises [Not_found] when the heap is empty. *)
+val min_tag : 'a t -> int
+(** Tag of the entry {!pop_min} would return. Raises [Not_found] if
+    empty. *)
+
 val peek_min : 'a t -> int * int * 'a
 
 (** [min_time h] returns the minimum key's time without any allocation.

@@ -1,16 +1,9 @@
 type 'a t = {
   mutable value : 'a option;
   mutable waiters : Engine.waker list;
-  mutable stamp : Hare_check.Check.stamp option;
-      (* sanitizer happens-before stamp, set by the filler just before
-         [fill] and joined by readers; None when checking is off *)
 }
 
-let create () = { value = None; waiters = []; stamp = None }
-
-let set_stamp t s = t.stamp <- Some s
-
-let stamp t = t.stamp
+let create () = { value = None; waiters = [] }
 
 let fill t v =
   match t.value with

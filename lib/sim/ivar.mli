@@ -26,14 +26,3 @@ val read_deadline : 'a t -> engine:Engine.t -> cycles:int64 -> 'a option
 val peek : 'a t -> 'a option
 
 val is_filled : 'a t -> bool
-
-(** {1 Sanitizer happens-before stamp}
-
-    When the coherence sanitizer is on, the filler stashes a vector-clock
-    stamp here just before {!fill}, and every reader joins it into its
-    core's clock after {!read} returns — making the reply a
-    happens-before edge. Unused ([None]) when checking is off. *)
-
-val set_stamp : 'a t -> Hare_check.Check.stamp -> unit
-
-val stamp : 'a t -> Hare_check.Check.stamp option

@@ -1,8 +1,11 @@
-(* Span tracing + cycle attribution. Pure host-side bookkeeping: nothing
-   here touches the simulated clock, cores, or RNGs — see trace.mli for
-   the zero-perturbation invariant. *)
+(* Span tracing + cycle attribution: a subscriber of the engine's
+   observer bus. Pure host-side bookkeeping: nothing here touches the
+   simulated clock, cores, or RNGs — see trace.mli for the
+   zero-perturbation invariant. *)
 
-type bucket = Compute | Send | Queue | Dispatch | Cache | Dram
+module Obs = Hare_sim.Obs
+
+type bucket = Obs.bucket = Compute | Send | Queue | Dispatch | Cache | Dram
 
 let nbuckets = 6
 
@@ -44,6 +47,7 @@ type event =
    for the next open instead of becoming garbage. *)
 type ctx = {
   mutable c_open : bool;
+  mutable c_depth : int; (* nested opens folded into this one *)
   mutable c_op : string;
   mutable c_track : int;
   mutable c_span : int;
@@ -133,7 +137,7 @@ type t = {
   mutable head : int; (* index of oldest event when full *)
   mutable len : int;
   mutable dropped : int;
-  mutable next_id : int;
+  bus : Obs.t; (* span ids come from the bus's request-id sequence *)
   mutable track_names : (int * string) list; (* reversed declaration order *)
   mutable ctxs : ctx option array; (* fiber id -> open context *)
   (* request span id -> bucket breakdown recorded by the server side,
@@ -159,7 +163,7 @@ type t = {
   retained_tbl : (string, rstore) Hashtbl.t;
 }
 
-let create ?(retain = 0) ~cap () =
+let make ~retain ~cap bus =
   if cap < 0 then invalid_arg "Trace.create: cap must be non-negative";
   if retain < 0 then invalid_arg "Trace.create: retain must be non-negative";
   (* cap 0 = no span ring: profile-only, so exports are cleanly
@@ -180,7 +184,7 @@ let create ?(retain = 0) ~cap () =
     head = 0;
     len = 0;
     dropped = 0;
-    next_id = 0;
+    bus;
     track_names = [];
     ctxs = Array.make 1024 None;
     sd_keys = Array.make 512 0;
@@ -228,10 +232,6 @@ let declare_track t ~track ~name =
     t.track_names <- (track, name) :: t.track_names
 
 let tracks t = List.rev t.track_names
-
-let next_span t =
-  t.next_id <- t.next_id + 1;
-  t.next_id
 
 let dropped t = t.dropped
 
@@ -285,13 +285,13 @@ let events t =
   done;
   !out
 
-let instant t ~name ~track ~ts ?(args = []) () =
+let instant t ~name ~track ~ts args =
   if t.ring then begin
     let i = slot t in
     Bytes.unsafe_set t.e_kind i k_instant;
     Array.unsafe_set t.e_name i name;
     Array.unsafe_set t.e_track i track;
-    Array.unsafe_set t.e_t0 i (Int64.to_int ts);
+    Array.unsafe_set t.e_t0 i ts;
     Array.unsafe_set t.e_args i args
   end
 
@@ -301,32 +301,37 @@ let counter t ~name ~track ~ts ~value =
     Bytes.unsafe_set t.e_kind i k_counter;
     Array.unsafe_set t.e_name i name;
     Array.unsafe_set t.e_track i track;
-    Array.unsafe_set t.e_t0 i (Int64.to_int ts);
+    Array.unsafe_set t.e_t0 i ts;
     Array.unsafe_set t.e_value i value
   end
 
 (* --- attribution contexts ------------------------------------------- *)
 
-let ctx_active t ~fid = ctx_find t fid <> None
-
-let ctx_open t ~fid ~op ~track ~parent ~now ~args =
-  if fid < 0 || ctx_find t fid <> None then 0
-  else begin
-    t.next_id <- t.next_id + 1;
-    let span = t.next_id in
+(* Open a context for fiber [fid] with the given decomposition of its
+   next compute charge. A fiber that already has an open context (one
+   traced syscall calling another, e.g. process-exit close) nests: the
+   inner open and its close fold into the outer span. *)
+let ctx_open t ~fid ~op ~track ~parent ~now ~args ~pending =
+  match ctx_find t fid with
+  | Some c -> c.c_depth <- c.c_depth + 1
+  | None when fid < 0 -> ()
+  | None ->
+    let span = Obs.fresh_span t.bus in
+    let args = if t.ring then args () else [] in
     (* Reuse the parked context from this fiber's last operation when
        there is one; a fresh record is only paid once per fiber. *)
     (match if fid < Array.length t.ctxs then t.ctxs.(fid) else None with
     | Some c ->
         c.c_open <- true;
+        c.c_depth <- 0;
         c.c_op <- op;
         c.c_track <- track;
         c.c_span <- span;
         c.c_parent <- parent;
-        c.c_t0 <- Int64.to_int now;
+        c.c_t0 <- now;
         c.c_args <- args;
         Array.fill c.c_buckets 0 nbuckets 0;
-        c.c_pending <- [];
+        c.c_pending <- pending;
         c.c_srv <- -1;
         c.c_qdepth <- -1;
         c.c_last_srv <- -1;
@@ -336,32 +341,26 @@ let ctx_open t ~fid ~op ~track ~parent ~now ~args =
           (Some
              {
                c_open = true;
+               c_depth = 0;
                c_op = op;
                c_track = track;
                c_span = span;
                c_parent = parent;
-               c_t0 = Int64.to_int now;
+               c_t0 = now;
                c_args = args;
                c_buckets = Array.make nbuckets 0;
-               c_pending = [];
+               c_pending = pending;
                c_srv = -1;
                c_qdepth = -1;
                c_last_srv = -1;
                c_children = [];
-             }));
-    span
-  end
+             }))
 
 let[@inline] charge ctx b cy =
   if cy > 0 then begin
     let i = bucket_index b in
     Array.unsafe_set ctx.c_buckets i (Array.unsafe_get ctx.c_buckets i + cy)
   end
-
-let set_pending t ~fid parts =
-  match ctx_find t fid with
-  | Some ctx -> ctx.c_pending <- parts
-  | None -> ()
 
 let on_compute t ~fid ~elapsed ~cost ~switch =
   match ctx_find t fid with
@@ -383,13 +382,6 @@ let on_compute t ~fid ~elapsed ~cost ~switch =
         ctx.c_pending;
       charge ctx Compute !remaining;
       ctx.c_pending <- []
-
-let on_wait t ~fid ~cycles =
-  match ctx_find t fid with
-  | Some ctx -> charge ctx Queue cycles
-  | None -> ()
-
-let retain_enabled t = t.retain > 0
 
 (* Client hook, called at RPC send time: freeze the admission target and
    queue depth on the first send of the open context, and remember the
@@ -513,26 +505,6 @@ let on_blocked t ~fid ~span ~elapsed =
 
 let bucket_sum buckets = Array.fold_left ( + ) 0 buckets
 
-let close_common t ~fid ~now ~cat k =
-  match ctx_find t fid with
-  | None -> ()
-  | Some ctx ->
-      (* Park the record in its slot for the fiber's next open. *)
-      ctx.c_open <- false;
-      k ctx;
-      if t.ring then begin
-        let i = slot t in
-        Bytes.unsafe_set t.e_kind i k_span;
-        Array.unsafe_set t.e_name i ctx.c_op;
-        Array.unsafe_set t.e_cat i cat;
-        Array.unsafe_set t.e_track i ctx.c_track;
-        Array.unsafe_set t.e_t0 i ctx.c_t0;
-        Array.unsafe_set t.e_t1 i (Int64.to_int now);
-        Array.unsafe_set t.e_id i ctx.c_span;
-        Array.unsafe_set t.e_parent i ctx.c_parent;
-        Array.unsafe_set t.e_args i ctx.c_args
-      end
-
 let profile_add t ctx elapsed =
   let agg =
     match Hashtbl.find_opt t.profile ctx.c_op with
@@ -643,32 +615,70 @@ let retained t =
          | 0 -> compare a.rt_t0 b.rt_t0
          | c -> c)
 
-let ctx_close_syscall t ~fid ~now =
-  close_common t ~fid ~now ~cat:"syscall" (fun ctx ->
-      let elapsed = Int64.to_int now - ctx.c_t0 in
-      (* Uncovered wall time — mailbox waits, reply latency not explained
-         by the server breakdown — is queue-wait. This makes the bucket
-         sum equal elapsed exactly, by construction. *)
+(* Close fiber [fid]'s context (or fold a nested close into it).
+   Uncovered wall time — mailbox waits, reply latency not explained by
+   the server breakdown — is queue-wait, so the bucket sum equals
+   elapsed exactly, by construction. A root syscall span feeds the
+   latency log; a server span leaves its breakdown for the requester's
+   blocked-await. *)
+let ctx_close t ~fid ~now ~server =
+  match ctx_find t fid with
+  | None -> ()
+  | Some ctx when ctx.c_depth > 0 -> ctx.c_depth <- ctx.c_depth - 1
+  | Some ctx ->
+      (* Park the record in its slot for the fiber's next open. *)
+      ctx.c_open <- false;
+      let elapsed = now - ctx.c_t0 in
       charge ctx Queue (elapsed - bucket_sum ctx.c_buckets);
       profile_add t ctx elapsed;
-      if ctx.c_parent = 0 then begin
+      if (not server) && ctx.c_parent = 0 then begin
         lat_push t ctx.c_op ctx.c_t0 elapsed;
         if t.retain > 0 then retain_push t ctx elapsed
-      end)
-
-let ctx_close_server t ~fid ~now =
-  close_common t ~fid ~now ~cat:"server" (fun ctx ->
-      let elapsed = Int64.to_int now - ctx.c_t0 in
-      charge ctx Queue (elapsed - bucket_sum ctx.c_buckets);
-      profile_add t ctx elapsed;
-      if ctx.c_parent <> 0 then begin
+      end;
+      if server && ctx.c_parent <> 0 then begin
         (* Hand the buckets array itself to the server-done table (the
            context is recycled, so it gets a fresh one) rather than
            copying. *)
         sd_put t ctx.c_parent ctx.c_buckets;
         ctx.c_buckets <- Array.make nbuckets 0;
         prune_server_done t
-      end)
+      end;
+      if t.ring then begin
+        let i = slot t in
+        Bytes.unsafe_set t.e_kind i k_span;
+        Array.unsafe_set t.e_name i ctx.c_op;
+        Array.unsafe_set t.e_cat i (if server then "server" else "syscall");
+        Array.unsafe_set t.e_track i ctx.c_track;
+        Array.unsafe_set t.e_t0 i ctx.c_t0;
+        Array.unsafe_set t.e_t1 i now;
+        Array.unsafe_set t.e_id i ctx.c_span;
+        Array.unsafe_set t.e_parent i ctx.c_parent;
+        Array.unsafe_set t.e_args i ctx.c_args
+      end
+
+(* --- the bus subscriber --------------------------------------------- *)
+
+let on_event t (ev : Obs.event) =
+  match ev with
+  | Span_open { fid; op; track; parent; ts; args; pending } ->
+      ctx_open t ~fid ~op ~track ~parent ~now:ts ~args ~pending
+  | Span_close { fid; ts; server } -> ctx_close t ~fid ~now:ts ~server
+  | Pending { fid; parts } -> (
+      match ctx_find t fid with Some c -> c.c_pending <- parts | None -> ())
+  | Blocked { fid; id; waited } -> on_blocked t ~fid ~span:id ~elapsed:waited
+  | Cpu { fid; track; now; start; finish; cost; switch; switched } ->
+      on_compute t ~fid ~elapsed:(finish - now) ~cost ~switch;
+      if switched then instant t ~name:"ctx-switch" ~track ~ts:start [];
+      (* Busy square wave: the core occupies [start, finish). *)
+      counter t ~name:"cpu" ~track ~ts:start ~value:1;
+      counter t ~name:"cpu" ~track ~ts:finish ~value:0
+  | Wait { fid; cycles } -> (
+      match ctx_find t fid with Some c -> charge c Queue cycles | None -> ())
+  | Send_target { fid; srv; depth } ->
+      if t.retain > 0 then note_send t ~fid ~srv ~depth
+  | Counter { name; track; ts; value } -> counter t ~name ~track ~ts ~value
+  | Instant { name; track; ts; args } -> instant t ~name ~track ~ts args
+  | _ -> ()
 
 (* --- consumers ------------------------------------------------------ *)
 
@@ -798,3 +808,11 @@ let recent_spans t ~per_track =
     (fun (track, t0, t1, id, name) ->
       Printf.sprintf "track %d: [%Ld..%Ld] span#%d %s" track t0 t1 id name)
     kept
+
+let create ?(retain = 0) ~cap bus =
+  let t = make ~retain ~cap bus in
+  Obs.subscribe bus Obs.(spans lor marks) (on_event t) ~diagnose:(fun () ->
+      match recent_spans t ~per_track:4 with
+      | [] -> None
+      | lines -> Some ("recent spans: " ^ String.concat "; " lines));
+  t

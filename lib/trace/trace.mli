@@ -1,4 +1,5 @@
-(** End-to-end span tracing and cycle attribution (PR 4).
+(** End-to-end span tracing and cycle attribution: a subscriber
+    of the engine's observer bus ({!Hare_sim.Obs}).
 
     A sink collects three kinds of events on the {e simulated} clock:
     spans (an operation with a begin and an end — a client syscall, a
@@ -11,33 +12,33 @@
     The invariant the whole design serves: recording is pure host-side
     bookkeeping. A sink never charges a core, never sleeps, never draws
     from an RNG — a traced run and an untraced run of the same seed are
-    bit-identical on the simulated clock (asserted by [test_trace]).
+    bit-identical on the simulated clock (asserted by [test_obs]).
 
     {2 Attribution}
 
-    Each traced operation carries a per-fiber {e context} holding six
-    cycle buckets (compute / send / queue-wait / dispatch / cache /
-    DRAM). Charge sites decompose their next [Core_res.compute] with
-    {!set_pending}; the compute hook ({!on_compute}) folds the elapsed
-    core time into the context — the gap between request and start is
-    queue-wait, the context-switch penalty is dispatch, the remaining
-    cost lands in the pending decomposition (default: compute). Time a
-    client spends blocked on an RPC reply is attributed from the
-    server-side context recorded for that request's span id
-    ({!on_blocked}), capped at the observed wait; anything the buckets
-    do not explain is queue-wait, so a closed context's bucket sum
-    equals its elapsed cycles {e exactly} — no unattributed remainder. *)
+    Each traced operation ([Span_open] .. [Span_close]) carries a
+    per-fiber {e context} holding six cycle buckets (compute / send /
+    queue-wait / dispatch / cache / DRAM). Emitters decompose their next
+    [Core_res.compute] with a pending split ([Pending], [Msg_send],
+    [Reply_read]); each [Cpu] charge folds the elapsed core time into
+    the context — the gap between request and start is queue-wait, the
+    context-switch penalty is dispatch, the remaining cost lands in the
+    pending decomposition (default: compute). Time a client spends
+    blocked on an RPC reply ([Reply_read]) is attributed from the
+    server-side context recorded for that request's id, capped at the
+    observed wait; anything the buckets do not explain is queue-wait,
+    so a closed context's bucket sum equals its elapsed cycles
+    {e exactly} — no unattributed remainder. *)
 
 type t
 
-(** Where a cycle went. *)
-type bucket =
-  | Compute  (** syscall traps, server op handlers, process work *)
-  | Send  (** message marshalling + transfer, replies, receive copies *)
-  | Queue  (** core backlog, mailbox wait, blocked-on-reply remainder *)
-  | Dispatch  (** server dispatch preamble + context switches *)
-  | Cache  (** private-cache line touches *)
-  | Dram  (** DRAM line transfers (incl. cross-socket) *)
+type bucket = Hare_sim.Obs.bucket =
+  | Compute
+  | Send
+  | Queue
+  | Dispatch
+  | Cache
+  | Dram  (** Where a cycle went (see {!Hare_sim.Obs.bucket}). *)
 
 val nbuckets : int
 
@@ -65,19 +66,23 @@ type event =
     }
   | Counter of { name : string; track : int; ts : int64; value : int }
 
-val create : ?retain:int -> cap:int -> unit -> t
-(** [create ~cap ()] makes a sink whose ring holds at most [cap] events.
+val create : ?retain:int -> cap:int -> Hare_sim.Obs.t -> t
+(** [create ~cap bus] makes a sink subscribed to [bus] whose ring holds
+    at most [cap] events.
     [cap] must be non-negative; with [cap = 0] there is no ring and the
     sink is profile-only:
     attribution (contexts, buckets, the per-opcode profile) runs as
-    usual, but {!instant}, {!counter} and span emission become no-ops
+    usual, but instants, counters and span emission are not recorded
     and {!events} is always empty — about half the host-side overhead,
     for consumers (benchmarks) that never export the event stream.
     [retain] (default 0 = off) turns on tail-based retention: the
     complete record of the slowest [retain] root spans {e per latency
     class} is kept — bucket vector, admission server, queue depth at
     admission, per-server blocked-wait grants — regardless of ring
-    overwrite; see {!retained}. *)
+    overwrite; see {!retained}. Span ids are drawn from the bus's
+    request-id sequence ({!Hare_sim.Obs.fresh_span}), so a request and
+    the server span serving it share one id space; the sink adds its
+    {!recent_spans} to deadlock reports. *)
 
 val declare_track : t -> track:int -> name:string -> unit
 (** Name a track (one per simulated core, plus auxiliary tracks); the
@@ -86,79 +91,17 @@ val declare_track : t -> track:int -> name:string -> unit
 val tracks : t -> (int * string) list
 (** Declared tracks, in declaration order. *)
 
-val next_span : t -> int
-(** Allocate a fresh span id (rides RPC envelopes so server-side work
-    can be tied back to the request). Ids are positive; 0 means "no
-    span". *)
-
 val dropped : t -> int
 (** Events overwritten because the ring was full. *)
 
 val ring_enabled : t -> bool
-(** Whether this sink retains events (false = profile-only). Charge
-    sites use it to skip building export-only decoration — span args,
-    pretty-printed ids — that a profile-only sink would discard. *)
+(** Whether this sink retains events (false = profile-only: span args
+    are never built). *)
 
 val events : t -> event list
 (** Ring contents, oldest first. *)
 
-val instant :
-  t -> name:string -> track:int -> ts:int64 ->
-  ?args:(string * string) list -> unit -> unit
-
-val counter : t -> name:string -> track:int -> ts:int64 -> value:int -> unit
-
-(** {1 Attribution contexts} *)
-
-val ctx_active : t -> fid:int -> bool
-(** Whether fiber [fid] has an open context (used to avoid nesting when
-    one traced syscall calls another, e.g. process-exit close). *)
-
-val ctx_open :
-  t ->
-  fid:int ->
-  op:string ->
-  track:int ->
-  parent:int ->
-  now:int64 ->
-  args:(string * string) list ->
-  int
-(** Open a context for fiber [fid]; returns the fresh span id. If the
-    fiber already has an open context this is a no-op returning 0. *)
-
-val set_pending : t -> fid:int -> (bucket * int) list -> unit
-(** Decompose fiber [fid]'s {e next} compute charge into buckets; cycles
-    of that charge not covered by the list default to {!Compute}. A
-    no-op when the fiber has no open context. *)
-
-val on_compute :
-  t -> fid:int -> elapsed:int -> cost:int -> switch:int -> unit
-(** Called by the core model before it sleeps: [elapsed] cycles passed
-    for the fiber, of which [cost] (including [switch] context-switch
-    penalty) was charged work and the rest was waiting for the core.
-    Folds everything into the open context (gap as {!Queue}, [switch] as
-    {!Dispatch}, the rest per {!set_pending}). *)
-
-val on_wait : t -> fid:int -> cycles:int -> unit
-(** Pure waiting (retry backoff sleeps) inside an operation: {!Queue}. *)
-
-val on_blocked : t -> fid:int -> span:int -> elapsed:int -> unit
-(** The fiber was blocked [elapsed] cycles awaiting the reply to request
-    [span]. If a server context was recorded for [span], its buckets are
-    granted — capped at [elapsed] — in priority order (dispatch, compute,
-    cache, DRAM, send, queue); the remainder is {!Queue}. *)
-
 (** {1 Tail-based retention (PR 9)} *)
-
-val retain_enabled : t -> bool
-(** Whether this sink retains slow span trees ([retain > 0]). *)
-
-val note_send : t -> fid:int -> srv:int -> depth:int -> unit
-(** Client hook at RPC send time: annotate fiber [fid]'s open context
-    with the physical server targeted and its mailbox depth. The first
-    send of a context freezes the {e admission} pair ([rt_srv],
-    [rt_qdepth]); every send updates the attribution target for the next
-    {!on_blocked} grant. A no-op without an open context. *)
 
 (** A retained span tree: one slow root syscall with its complete
     attribution. [rt_buckets] (indexed by {!bucket_index}) sums to
@@ -180,17 +123,6 @@ type retained = {
 val retained : t -> retained list
 (** The retained (slowest-k per class) span trees since the last
     {!reset_profile}, slowest first. Empty when retention is off. *)
-
-val ctx_close_syscall : t -> fid:int -> now:int64 -> unit
-(** Close fiber [fid]'s context as a root (client-syscall) span: any
-    elapsed cycles the buckets do not cover are added to {!Queue} (so
-    the bucket sum equals elapsed exactly), the per-opcode profile is
-    updated, and the span is emitted. *)
-
-val ctx_close_server : t -> fid:int -> now:int64 -> unit
-(** Close fiber [fid]'s context as a server-side span: the bucket
-    breakdown is recorded under the {e parent} (request) span id for a
-    later {!on_blocked}, and the span is emitted. *)
 
 (** {1 Consumers} *)
 

@@ -155,6 +155,23 @@ let test_ext_width_narrows_fanout () =
 
 let tc = Alcotest.test_case
 
+(* Figure 4 accounts for the whole library: every lib/ directory sits
+   in exactly one row. *)
+let test_fig4_counts_every_lib_dir () =
+  match Hare_stats.Sloc.repo_root () with
+  | None -> Alcotest.fail "cannot locate the repository root"
+  | Some root ->
+      let lib = Filename.concat root "lib" in
+      let on_disk =
+        Sys.readdir lib |> Array.to_list
+        |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+        |> List.map (fun d -> "lib/" ^ d)
+        |> List.sort compare
+      in
+      Alcotest.(check (list string)) "each lib/ directory counted exactly once"
+        on_disk
+        (List.sort compare Figures.fig4_dirs)
+
 let suites : (string * unit Alcotest.test_case list) list =
   [
     ( "figures.shapes",
@@ -171,5 +188,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "micro: rename calibration" `Quick test_micro_calibration;
         tc "fig5: op mixes" `Quick test_fig5_mixes;
         tc "ext: width narrows fan-out" `Quick test_ext_width_narrows_fanout;
+        tc "fig4: every lib directory counted once" `Quick
+          test_fig4_counts_every_lib_dir;
       ] );
   ]

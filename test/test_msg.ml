@@ -139,10 +139,13 @@ let test_rpc_overlap () =
          ignore (Hare_msg.Rpc.call s2 ~from:client_core ());
          seq_time := Int64.sub (Engine.now e) t0;
          let t1 = Engine.now e in
-         let f1 = Hare_msg.Rpc.call_async s1 ~from:client_core () in
-         let f2 = Hare_msg.Rpc.call_async s2 ~from:client_core () in
-         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:0 f1);
-         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:0 f2);
+         let call s =
+           Hare_msg.Rpc.call_async s ~from:client_core ~abs_deadline:0L ~prio:0 ()
+         in
+         let f1, sp1 = call s1 in
+         let f2, sp2 = call s2 in
+         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:sp1 f1);
+         ignore (Hare_msg.Rpc.await ~from:client_core ~costs ~span:sp2 f2);
          par_time := Int64.sub (Engine.now e) t1));
   Engine.run e;
   Alcotest.(check bool)

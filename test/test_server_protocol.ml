@@ -73,8 +73,8 @@ let test_create_parked_during_mark_abort () =
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "prepare");
       (* a create in the marked directory parks... *)
-      let parked =
-        Rpc.call_async rig.ep ~from:rig.client_core
+      let parked, span =
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
           (Wire.Create_open
              { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
       in
@@ -85,7 +85,7 @@ let test_create_parked_during_mark_abort () =
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "abort");
       (match Rpc.await ~from:rig.client_core
-               ~costs:config.Hare_config.Config.costs ~span:0 parked
+               ~costs:config.Hare_config.Config.costs ~span parked
        with
       | Ok (Wire.P_open_ino _) -> ()
       | Ok _ | Error _ -> Alcotest.fail "parked create should succeed");
@@ -99,14 +99,14 @@ let test_create_parked_during_mark_commit () =
       let d = mkdir_raw rig "dir" in
       ignore (call rig (Wire.Rmdir_lock { dir = d }));
       ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
-      let parked =
-        Rpc.call_async rig.ep ~from:rig.client_core
+      let parked, span =
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
           (Wire.Create_open
              { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
       in
       ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
       match Rpc.await ~from:rig.client_core
-              ~costs:config.Hare_config.Config.costs ~span:0 parked
+              ~costs:config.Hare_config.Config.costs ~span parked
       with
       | Error Errno.ENOENT -> ()
       | Ok _ | Error _ -> Alcotest.fail "parked create must fail with ENOENT")
@@ -119,8 +119,9 @@ let test_rmdir_lock_serializes () =
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "first lock");
       (* a competing rmdir waits on the lock *)
-      let second =
-        Rpc.call_async rig.ep ~from:rig.client_core (Wire.Rmdir_lock { dir = d })
+      let second, span =
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
+          (Wire.Rmdir_lock { dir = d })
       in
       Core_res.compute rig.client_core 100_000;
       Alcotest.(check bool) "second lock parked" true (Ivar.peek second = None);
@@ -128,7 +129,7 @@ let test_rmdir_lock_serializes () =
       ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
       ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
       match Rpc.await ~from:rig.client_core
-              ~costs:config.Hare_config.Config.costs ~span:0 second
+              ~costs:config.Hare_config.Config.costs ~span second
       with
       | Error Errno.ENOENT -> ()
       | Ok _ | Error _ -> Alcotest.fail "loser should see ENOENT")
@@ -298,8 +299,11 @@ let test_migration_round_trip () =
       (* a completed tagged request *)
       let meta = { Rpc.m_client = 1; m_seq = 1; m_ack = 0 } in
       let tagged s =
-        Rpc.await ~from:client_core ~costs ~span:0
-          (Rpc.call_async (Server.endpoint s) ~from:client_core ~meta (create_open "g"))
+        let future, span =
+          Rpc.call_async (Server.endpoint s) ~from:client_core ~meta ~abs_deadline:0L
+            ~prio:0 (create_open "g")
+        in
+        Rpc.await ~from:client_core ~costs ~span future
       in
       ok "tagged create" (tagged a);
       let before = snapshot a in
