@@ -348,7 +348,8 @@ let run_json ~quick ~out () =
       (match counters with
       | None -> ()
       | Some (c : Hare_workloads.Overload.counters) ->
-          let rb = r.Driver.robust in
+          let module R = Hare_stats.Robust in
+          let rb = R.get r.Driver.robust in
           add
             "      \"overload\": { \"sent\": %d, \"ok\": %d, \"shed\": %d, \
              \"fast_fail\": %d, \"skipped\": %d, \"retries\": %d, \
@@ -356,13 +357,9 @@ let run_json ~quick ~out () =
              \"flow_blocks\": %d, \"budget_denied\": %d, \"breaker_opens\": \
              %d, \"breaker_half_opens\": %d, \"breaker_closes\": %d },\n"
             c.sent c.ok c.shed c.fast_fail c.skipped
-            rb.Hare_stats.Robust.retries rb.Hare_stats.Robust.giveups
-            rb.Hare_stats.Robust.shed_load rb.Hare_stats.Robust.shed_expired
-            rb.Hare_stats.Robust.flow_blocks
-            rb.Hare_stats.Robust.budget_denied
-            rb.Hare_stats.Robust.breaker_opens
-            rb.Hare_stats.Robust.breaker_half_opens
-            rb.Hare_stats.Robust.breaker_closes);
+            (rb R.retries) (rb R.giveups) (rb R.shed_load) (rb R.shed_expired)
+            (rb R.flow_blocks) (rb R.budget_denied) (rb R.breaker_opens)
+            (rb R.breaker_half_opens) (rb R.breaker_closes));
       add "      \"simulated_seconds\": %.9f,\n" r.Driver.elapsed;
       add "      \"wall_clock_s\": %.6f,\n" wall;
       (* Host-side engine throughput: how fast the simulator chewed

@@ -54,13 +54,3 @@ let read_to_eof api p fd =
   in
   go ();
   Buffer.contents buf
-
-let with_file api p path flags f =
-  let fd = api.openf p path flags in
-  match f p fd with
-  | v ->
-      api.close p fd;
-      v
-  | exception exn ->
-      api.close p fd;
-      raise exn

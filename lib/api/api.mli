@@ -50,5 +50,3 @@ type 'p t = {
 val write_all : 'p t -> 'p -> int -> string -> unit
 
 val read_to_eof : 'p t -> 'p -> int -> string
-
-val with_file : 'p t -> 'p -> string -> Types.open_flags -> ('p -> int -> 'a) -> 'a

@@ -121,7 +121,7 @@ let size n = n.size
 
 let syscalls t = t.ops
 
-let node_attr _t n =
+let node_attr n =
   {
     a_ino = { server = 0; ino = n.id };
     a_ftype = n.ftype;
@@ -414,4 +414,4 @@ let readdir t ~core:c ~cwd path =
 
 let stat t ~core:c ~cwd path =
   syscall t ~core:c "stat" c_stat;
-  node_attr t (resolve t ~core:c ~cwd path)
+  node_attr (resolve t ~core:c ~cwd path)

@@ -21,8 +21,6 @@ val create :
 
 val root : t -> node
 
-val node_attr : t -> node -> Types.attr
-
 (** All operations take the calling core (costs and data movement are
     charged there) and a cwd string for relative paths; they raise
     [Errno.Error] like the real calls. *)

@@ -29,6 +29,7 @@
    with the checker on vs. off. *)
 
 module Obs = Hare_sim.Obs
+module Sanity = Hare_stats.Sanity
 module Itbl = Hashtbl.Make (Int)
 
 type stamp = int array
@@ -88,7 +89,7 @@ type t = {
      [client] and the protocol owes an application of it before the
      client's next cache hit on that name. *)
   obligations : (int * int * int * string, unit) Hashtbl.t;
-  stats : Hare_stats.Sanity.t;
+  stats : Sanity.t;
   mutable violations : violation list; (* newest first, capped *)
   mutable nviol : int;
   mutable now : unit -> int64;
@@ -105,7 +106,7 @@ let create ~ncores () =
     replies = Itbl.create 64;
     lines = Itbl.create 4096;
     obligations = Hashtbl.create 64;
-    stats = Hare_stats.Sanity.create ();
+    stats = Sanity.create ();
     violations = [];
     nviol = 0;
     now = (fun () -> 0L);
@@ -115,22 +116,22 @@ let stats t = t.stats
 
 let violations t = List.rev t.violations
 
-let total_violations t = Hare_stats.Sanity.total_violations t.stats
+let total_violations t = Sanity.total_violations t.stats
 
-let report t = Hare_stats.Sanity.violations t.stats
+let report t = Sanity.violations t.stats
 
 let bump t rule =
   let s = t.stats in
   match rule with
-  | Stale_read -> s.stale_reads <- s.stale_reads + 1
-  | Lost_write -> s.lost_writes <- s.lost_writes + 1
-  | Write_race -> s.write_races <- s.write_races + 1
-  | Missed_writeback -> s.missed_writebacks <- s.missed_writebacks + 1
-  | Open_inval -> s.open_invals <- s.open_invals + 1
-  | Close_writeback -> s.close_writebacks <- s.close_writebacks + 1
-  | Dircache_stale -> s.dircache_stale <- s.dircache_stale + 1
-  | Fd_leak -> s.fd_leaks <- s.fd_leaks + 1
-  | Lease_leak -> s.lease_leaks <- s.lease_leaks + 1
+  | Stale_read -> Sanity.incr s Sanity.stale_reads
+  | Lost_write -> Sanity.incr s Sanity.lost_writes
+  | Write_race -> Sanity.incr s Sanity.write_races
+  | Missed_writeback -> Sanity.incr s Sanity.missed_writebacks
+  | Open_inval -> Sanity.incr s Sanity.open_invals
+  | Close_writeback -> Sanity.incr s Sanity.close_writebacks
+  | Dircache_stale -> Sanity.incr s Sanity.dircache_stale
+  | Fd_leak -> Sanity.incr s Sanity.fd_leaks
+  | Lease_leak -> Sanity.incr s Sanity.lease_leaks
 
 let violate t rule detail =
   bump t rule;
@@ -164,7 +165,7 @@ let join t ~core (s : stamp) =
   for i = 0 to t.ncores - 1 do
     if s.(i) > c.(i) then c.(i) <- s.(i)
   done;
-  t.stats.hb_joins <- t.stats.hb_joins + 1
+  Sanity.incr t.stats Sanity.hb_joins
 
 (* [e <= vc.(core).(of_core)]: has [core] heard about event [e] that
    happened on [of_core]? Events on one core are ordered by its own
@@ -218,7 +219,7 @@ let line t key =
         }
       in
       Itbl.replace t.lines key l;
-      t.stats.lines_tracked <- t.stats.lines_tracked + 1;
+      Sanity.incr t.stats Sanity.lines_tracked;
       l
 
 let fresh_copy ls =
@@ -256,8 +257,8 @@ let check_foreign_dirty t ls ~core ~key ~racy_unordered =
    (re)based on; on a hit we validate the *old* copy the core is reusing. *)
 let cache_access t ~core ~key ~write ~filled =
   let ls = line t key in
-  if filled then t.stats.cache_fills <- t.stats.cache_fills + 1
-  else t.stats.cache_hits <- t.stats.cache_hits + 1;
+  if filled then Sanity.incr t.stats Sanity.cache_fills
+  else Sanity.incr t.stats Sanity.cache_hits;
   let cp_opt = if filled then None else ls.copies.(core) in
   (match cp_opt with
   | Some cp when ls.w_core >= 0 && not (based_on_current ls cp) ->
@@ -297,7 +298,7 @@ let cache_access t ~core ~key ~write ~filled =
    was based on, the flush clobbers that newer data. *)
 let cache_writeback t ~core ~key =
   let ls = line t key in
-  t.stats.cache_writebacks <- t.stats.cache_writebacks + 1;
+  Sanity.incr t.stats Sanity.cache_writebacks;
   (match ls.copies.(core) with
   | Some cp when ls.w_core >= 0 && ls.w_core <> core && not (based_on_current ls cp)
     ->
@@ -328,13 +329,13 @@ let cache_writeback t ~core ~key =
 
 let cache_evict t ~core ~key =
   let ls = line t key in
-  t.stats.cache_evictions <- t.stats.cache_evictions + 1;
+  Sanity.incr t.stats Sanity.cache_evictions;
   ls.copies.(core) <- None
 
 let cache_invalidate t ~core ~key ~dirty =
   let ls = line t key in
-  t.stats.cache_invalidated <- t.stats.cache_invalidated + 1;
-  if dirty then t.stats.dirty_discarded <- t.stats.dirty_discarded + 1;
+  Sanity.incr t.stats Sanity.cache_invalidated;
+  if dirty then Sanity.incr t.stats Sanity.dirty_discarded;
   ls.copies.(core) <- None
 
 (* Coherent (read-through/write-through) access, used by servers for
@@ -342,8 +343,8 @@ let cache_invalidate t ~core ~key ~dirty =
    local write goes straight to DRAM, so the copy is never left dirty. *)
 let coherent_access t ~core ~key ~write ~filled =
   let ls = line t key in
-  if filled then t.stats.cache_fills <- t.stats.cache_fills + 1
-  else t.stats.cache_hits <- t.stats.cache_hits + 1;
+  if filled then Sanity.incr t.stats Sanity.cache_fills
+  else Sanity.incr t.stats Sanity.cache_hits;
   (match ls.copies.(core) with
   | Some cp when cp.dirty ->
       (* A coherent access re-fetches from DRAM, silently discarding any

@@ -1,6 +1,8 @@
 open Hare_sim
 open Hare_proto
 open Hare_proto.Types
+module Robust = Hare_stats.Robust
+module Perf = Hare_stats.Perf
 
 let bs = Hare_mem.Layout.block_size
 
@@ -34,18 +36,17 @@ type t = {
   nhomes : int;  (* the hashing space: logical server count *)
   server_sockets : int array;
   local_server : int;
-  root_dist : bool;
   dircache : Dircache.t;
   syscalls : Hare_stats.Opcount.t;
-  robust : Hare_stats.Robust.t;
-  perf : Hare_stats.Perf.t;
+  robust : Robust.t;
+  perf : Perf.t;
   extent : int;
 }
 
 let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
-    ~local_server ~root_dist ~inval_port ?place () =
-  let robust = Hare_stats.Robust.create () in
-  let perf = Hare_stats.Perf.create () in
+    ~local_server ~inval_port ?place () =
+  let robust = Robust.create () in
+  let perf = Perf.create () in
   {
     engine;
     config;
@@ -62,10 +63,9 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
       | None -> Array.length servers);
     server_sockets;
     local_server;
-    root_dist;
     dircache =
       Dircache.create ~enabled:config.Hare_config.Config.dir_cache
-        ~capacity:config.Hare_config.Config.dircache_capacity
+        ~capacity:config.Hare_config.Config.dircache_capacity ~robust
         ~port:inval_port ();
     syscalls = Hare_stats.Opcount.create ();
     robust;
@@ -155,8 +155,7 @@ let recover_token t (fs : Fdtable.file_state) =
       (Wire.Open_inode { ino = fs.Fdtable.f_ino; trunc = false; client = t.cid })
   with
   | Ok (Wire.P_open oi) ->
-      t.robust.Hare_stats.Robust.tokens_recovered <-
-        t.robust.Hare_stats.Robust.tokens_recovered + 1;
+      Robust.incr t.robust Robust.tokens_recovered;
       fs.Fdtable.f_token <- oi.Wire.token;
       (if t.extent > 1 && t.config.Hare_config.Config.direct_access then begin
          (* The restart reclaimed our extent lease; resync the block list
@@ -192,7 +191,8 @@ let recover_token t (fs : Fdtable.file_state) =
 
 type dirref = { d_ino : ino; d_dist : bool }
 
-let rootref t = { d_ino = root_ino; d_dist = t.root_dist }
+(* The root directory is never distributed. *)
+let root = { d_ino = root_ino; d_dist = false }
 
 let entry_server t (dir : dirref) name =
   Types.dentry_server ~dist:dir.d_dist ~width:(width t)
@@ -222,7 +222,7 @@ let resolve_dir t comps =
       match e.Wire.t_ftype with
       | Dir -> { d_ino = e.Wire.t_ino; d_dist = e.Wire.t_dist }
       | Reg | Fifo -> Errno.raise_errno Errno.ENOTDIR comp)
-    (rootref t) comps
+    root comps
 
 let resolve_parent t ~cwd path =
   let comps = Path.normalize ~cwd path in
@@ -472,8 +472,7 @@ let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
        best-effort — a full server drops it before failing. *)
     let ahead = if t.extent > 1 then t.extent - 1 else 0 in
     if ahead > 0 then
-      t.perf.Hare_stats.Perf.lease_misses <-
-        t.perf.Hare_stats.Perf.lease_misses + 1;
+      Perf.incr t.perf Perf.lease_misses;
     match
       rpc t fs.f_ino.server
         (Wire.Alloc_blocks { ino = fs.f_ino; count = need - have; ahead })
@@ -487,15 +486,13 @@ let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
         let surplus = Array.length blocks - need in
         fs.f_lease <- max 0 surplus;
         if surplus > 0 then
-          t.perf.Hare_stats.Perf.lease_blocks <-
-            t.perf.Hare_stats.Perf.lease_blocks + surplus
+          Perf.add t.perf Perf.lease_blocks surplus
     | _ -> assert false
   end
   else if fs.f_lease > 0 && need > have - fs.f_lease then begin
     (* The file grew into blocks held ahead of need: a lease hit, no RPC. *)
     fs.f_lease <- have - need;
-    t.perf.Hare_stats.Perf.lease_hits <-
-      t.perf.Hare_stats.Perf.lease_hits + 1
+    Perf.incr t.perf Perf.lease_hits
   end
 
 let direct_write t (fs : Fdtable.file_state) ~off data =
@@ -1021,8 +1018,7 @@ let readdir t ~cwd path =
                out). Per configuration: return what the live shards hold,
                or refuse to return a silently truncated listing. *)
             if t.config.Hare_config.Config.partial_broadcast then begin
-              t.robust.Hare_stats.Robust.partial_broadcasts <-
-                t.robust.Hare_stats.Robust.partial_broadcasts + 1;
+              Robust.incr t.robust Robust.partial_broadcasts;
               []
             end
             else Errno.raise_errno e "readdir")

@@ -26,7 +26,6 @@ val create :
   servers:(Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t array ->
   server_sockets:int array ->
   local_server:int ->
-  root_dist:bool ->
   inval_port:Wire.inval Hare_msg.Mailbox.t ->
   ?place:Hare_place.Place.t ->
   unit ->

@@ -25,11 +25,12 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
-  mutable flushes : int;
   mutable evictions : int;
+  robust : Hare_stats.Robust.t;  (* the owning client's; counts flushes *)
 }
 
-let create ~enabled ?(capacity = 0) ~port () =
+let create ~enabled ?(capacity = 0) ?(robust = Hare_stats.Robust.create ())
+    ~port () =
   {
     enabled;
     capacity = max 0 capacity;
@@ -40,8 +41,8 @@ let create ~enabled ?(capacity = 0) ~port () =
     hits = 0;
     misses = 0;
     invalidations = 0;
-    flushes = 0;
     evictions = 0;
+    robust;
   }
 
 let enabled t = t.enabled
@@ -81,7 +82,7 @@ let rec drain t =
       (* A server restarted; conservatively flush everything. *)
       Hashtbl.reset t.entries;
       Queue.clear t.order;
-      t.flushes <- t.flushes + 1;
+      Hare_stats.Robust.(incr t.robust cache_flushes);
       let o = obs t in
       if Hare_sim.Obs.(on o lint) then
         Hare_sim.Obs.emit o (Dircache_flushed { client = client_id t });
@@ -135,7 +136,5 @@ let hits t = t.hits
 let misses t = t.misses
 
 let invalidations t = t.invalidations
-
-let flushes t = t.flushes
 
 let evictions t = t.evictions

@@ -17,11 +17,15 @@ val mutate_drop_inval : bool ref
 val create :
   enabled:bool ->
   ?capacity:int ->
+  ?robust:Hare_stats.Robust.t ->
   port:Hare_proto.Wire.inval Hare_msg.Mailbox.t ->
   unit ->
   t
 (** [capacity] (default 0 = unbounded) bounds the number of cached
-    entries; when full, the least-recently-used entry is evicted. *)
+    entries; when full, the least-recently-used entry is evicted. Each
+    full flush on [Inval_all] (a server restarted) counts as
+    [cache_flushes] in [robust], the owning client's record (default: a
+    private one). *)
 
 val enabled : t -> bool
 
@@ -52,9 +56,6 @@ val hits : t -> int
 val misses : t -> int
 
 val invalidations : t -> int
-
-val flushes : t -> int
-(** Number of full flushes triggered by [Inval_all] (server restarts). *)
 
 val evictions : t -> int
 (** Entries dropped by the capacity bound (0 when unbounded). *)

@@ -2,6 +2,7 @@ open Hare_sim
 open Hare_proto
 module Rpc = Hare_msg.Rpc
 module Robust = Hare_stats.Robust
+module Perf = Hare_stats.Perf
 module Config = Hare_config.Config
 
 let src = Logs.Src.create "hare.client" ~doc:"Hare client library"
@@ -44,7 +45,7 @@ type t = {
   servers : (Wire.fs_req, Wire.fs_resp) Rpc.t array;
   place : Hare_place.Place.t option;
   robust : Robust.t;
-  perf : Hare_stats.Perf.t;
+  perf : Perf.t;
   (* Retry protocol, armed only when [rpc_deadline > 0]: requests carry a
      (client, seq) idempotency tag, time out, and are resent with bounded
      exponential backoff. The RNG is dedicated to backoff jitter so that
@@ -187,7 +188,7 @@ let breaker_admit t srv =
       if Engine.now t.engine >= until then begin
         br.br_state <- Br_half_open;
         t.open_breakers <- t.open_breakers - 1;
-        t.robust.breaker_half_opens <- t.robust.breaker_half_opens + 1;
+        Robust.incr t.robust Robust.breaker_half_opens;
         breaker_instant t "breaker-half-open" srv;
         true
       end
@@ -203,7 +204,7 @@ let breaker_open t srv =
          (Int64.of_int t.config.breaker_cooldown));
   br.br_fails <- 0;
   t.open_breakers <- t.open_breakers + 1;
-  t.robust.breaker_opens <- t.robust.breaker_opens + 1;
+  Robust.incr t.robust Robust.breaker_opens;
   breaker_instant t "breaker-open" srv
 
 (* Called when an RPC exhausts its retries (or its retry budget): a
@@ -237,7 +238,7 @@ let budget_take t srv =
     true
   end
   else begin
-    t.robust.budget_denied <- t.robust.budget_denied + 1;
+    Robust.incr t.robust Robust.budget_denied;
     false
   end
 
@@ -248,7 +249,7 @@ let note_success t srv =
     let br = t.breakers.(srv) in
     (match br.br_state with
     | Br_half_open ->
-        t.robust.breaker_closes <- t.robust.breaker_closes + 1;
+        Robust.incr t.robust Robust.breaker_closes;
         breaker_instant t "breaker-close" srv
     | Br_open _ -> t.open_breakers <- t.open_breakers - 1
     | Br_closed -> ());
@@ -302,7 +303,7 @@ let send t ~deferred home req =
   t.rpc_count <- t.rpc_count + 1;
   let tagged = t.base > 0 && retryable req in
   if tagged && not (breaker_admit t (phys t home)) then begin
-    t.robust.fast_fails <- t.robust.fast_fails + 1;
+    Robust.incr t.robust Robust.fast_fails;
     instant t "fast-fail"
       [ ("op", Wire.req_name req); ("server", string_of_int (phys t home)) ];
     { home; req; meta = None; ep = -1; future = Ivar.create (); span = 0 }
@@ -366,14 +367,14 @@ and delivered t c ~moved n deadline resp =
   | resp -> resp
 
 and timed_out t c ~moved n deadline =
-  t.robust.timeouts <- t.robust.timeouts + 1;
+  Robust.incr t.robust Robust.timeouts;
   if n + 1 >= t.attempts || not (budget_take t c.ep) then begin
-    t.robust.giveups <- t.robust.giveups + 1;
+    Robust.incr t.robust Robust.giveups;
     breaker_failure t c.ep;
     Error Errno.EIO
   end
   else begin
-    t.robust.retries <- t.robust.retries + 1;
+    Robust.incr t.robust Robust.retries;
     t.rpc_count <- t.rpc_count + 1;
     (* Jittered backoff: desynchronizes clients hammering a recovering
        server. *)
@@ -412,7 +413,7 @@ let await_oldest t =
              already reclaimed whatever the deferred op would have. *)
           ()
       | Error e ->
-          t.perf.deferred_errors <- t.perf.deferred_errors + 1;
+          Perf.incr t.perf Perf.deferred_errors;
           Log.debug (fun m ->
               m "client %d: deferred %s failed (%s)" t.cid what
                 (Errno.to_string e)))
@@ -447,8 +448,8 @@ let defer t ~what ?ino home req =
     if c.ep < 0 then Some (Error Errno.EIO)
     else begin
       Queue.push (c, what, ino) t.window;
-      t.perf.deferred <- t.perf.deferred + 1;
-      Hare_stats.Perf.note_window t.perf (Queue.length t.window);
+      Perf.incr t.perf Perf.deferred;
+      Perf.note_window t.perf (Queue.length t.window);
       None
     end
   end
@@ -477,7 +478,7 @@ let multicast t homes mk =
       if Queue.length inflight >= cap then settle ();
       Queue.push (send t ~deferred home (mk home)) inflight;
       if deferred then
-        Hare_stats.Perf.note_window t.perf (Queue.length inflight))
+        Perf.note_window t.perf (Queue.length inflight))
     homes;
   while not (Queue.is_empty inflight) do
     settle ()

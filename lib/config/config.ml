@@ -15,7 +15,6 @@ type t = {
   direct_access : bool;
   dir_cache : bool;
   creation_affinity : bool;
-  root_distributed : bool;
   dist_width : int option;
   block_stealing : bool;
   buffer_cache_blocks : int;
@@ -41,7 +40,6 @@ type t = {
   trace_ring : bool;
   trace_retain : int;
   metrics_interval : int;
-  metrics_cap : int;
   check_enabled : bool;
   seed : int64;
   costs : Costs.t;
@@ -58,7 +56,6 @@ let default =
     direct_access = true;
     dir_cache = true;
     creation_affinity = true;
-    root_distributed = false;
     dist_width = None;
     block_stealing = false;
     (* 2 GB of 4 KiB blocks, as in the paper's setup (§4). *)
@@ -104,7 +101,6 @@ let default =
     (* Time-series telemetry off: no sampler is attached to the event
        loop, so the per-step check reduces to a None match. *)
     metrics_interval = 0;
-    metrics_cap = 1024;
     (* Sanitizer off by default: no checker is attached, so every hook
        site reduces to a None check. *)
     check_enabled = false;
@@ -164,7 +160,6 @@ let validate t =
     Error "trace_retain requires trace_enabled (retention lives in the trace)"
   else if t.metrics_interval < 0 then
     Error "metrics_interval must be non-negative (0 = metrics off)"
-  else if t.metrics_cap <= 0 then Error "metrics_cap must be positive"
   else if
     t.shard_plan <> ""
     && match t.placement with Sharded _ -> false | _ -> true
@@ -242,19 +237,3 @@ let app_cores t =
       List.init (t.ncores - n) (fun i -> n + i)
 
 let socket_of_core t core = core / t.cores_per_socket
-
-let pp_placement ppf = function
-  | Timeshare -> Fmt.string ppf "timeshare"
-  | Split n -> Fmt.pf ppf "split:%d" n
-  | Sharded { servers; vnodes } -> Fmt.pf ppf "sharded:%d/v%d" servers vnodes
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>cores=%d placement=%a policy=%s@,\
-     dist=%b bcast=%b direct=%b dcache=%b affinity=%b seed=%Ld@]"
-    t.ncores pp_placement t.placement
-    (match t.exec_policy with
-    | Random_placement -> "random"
-    | Round_robin -> "round-robin")
-    t.dir_distribution t.dir_broadcast t.direct_access t.dir_cache
-    t.creation_affinity t.seed

@@ -38,9 +38,6 @@ type t = {
   dir_cache : bool;  (** client-side directory lookup cache. *)
   creation_affinity : bool;
       (** place new inodes on a server close to the creating core. *)
-  root_distributed : bool;
-      (** shard the root directory's entries (benchmarks that create in
-          [/] want this; real trees mkdir their own distributed dirs). *)
   dist_width : int option;
       (** {e extension} (§6): distribute each directory over only this
           many servers instead of all of them, so broadcast operations
@@ -178,9 +175,6 @@ type t = {
           [Hare_metrics.Metrics] ring buffers. [0] (default) = no
           sampler attached. Sampling is pure host-side bookkeeping:
           clocks are bit-identical with it on or off. *)
-  metrics_cap : int;
-      (** per-gauge ring capacity, in samples; the oldest samples are
-          overwritten when it fills. *)
   check_enabled : bool;
       (** {e extension}: attach the coherence sanitizer at boot
           ([Hare_check.Check]): vector-clock happens-before race
@@ -219,7 +213,3 @@ val app_cores : t -> int list
 (** Core ids available to applications (and scheduling servers). *)
 
 val socket_of_core : t -> int -> int
-
-val pp_placement : Format.formatter -> placement -> unit
-
-val pp : Format.formatter -> t -> unit

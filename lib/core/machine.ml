@@ -9,6 +9,8 @@ module Process = Hare_proc.Process
 module Program = Hare_proc.Program
 module Place = Hare_place.Place
 module Metrics = Hare_metrics.Metrics
+module Robust = Hare_stats.Robust
+module Perf = Hare_stats.Perf
 
 type t = {
   engine : Engine.t;
@@ -140,8 +142,7 @@ let boot (config : Config.t) =
           ~dram ~blocks_first:(s * per_server) ~blocks_count:per_server
           ~inval_ports ?place ?faults:(fault_link s) ())
   in
-  Server.install_root servers.(Types.root_ino.server)
-    ~dist:(config.root_distributed && config.dir_distribution);
+  Server.install_root servers.(Types.root_ino.server);
   Array.iter Server.start servers;
   (* One daemon fiber per scripted fault event. They must be fibers, not
      bare timer callbacks: crash/restart send replies and invalidations,
@@ -192,7 +193,6 @@ let boot (config : Config.t) =
     Array.init ncores (fun i ->
         Client.create ~engine ~config ~cid:i ~core:cores.(i) ~pcache:pcaches.(i)
           ~servers:endpoints ~server_sockets ~local_server:(local_server_of i)
-          ~root_dist:(config.root_distributed && config.dir_distribution)
           ~inval_port:inval_ports.(i) ?place ())
   in
   let sched_ports =
@@ -306,8 +306,7 @@ let boot (config : Config.t) =
     if config.metrics_interval = 0 then None
     else begin
       let m =
-        Metrics.create ~cap:config.metrics_cap
-          ~interval:config.metrics_interval ()
+        Metrics.create ~interval:config.metrics_interval ()
       in
       Array.iteri
         (fun s srv ->
@@ -326,12 +325,11 @@ let boot (config : Config.t) =
             ~name:(Printf.sprintf "fs%d.shed" s)
             (fun () ->
               let r = Server.robust srv in
-              r.Hare_stats.Robust.shed_load
-              + r.Hare_stats.Robust.shed_expired))
+              Robust.get r Robust.shed_load + Robust.get r Robust.shed_expired))
         servers;
       Metrics.register m ~name:"client.retries" (fun () ->
           Array.fold_left
-            (fun n c -> n + (Client.robust c).Hare_stats.Robust.retries)
+            (fun n c -> n + Robust.get (Client.robust c) Robust.retries)
             0 clients);
       if config.breaker_threshold > 0 then
         Metrics.register m ~name:"breakers.open" (fun () ->
@@ -482,38 +480,32 @@ let total_rpcs t =
 let total_invals t =
   Array.fold_left (fun acc s -> acc + Server.invals_sent s) 0 t.servers
 
+(* Every component's counter records: the fault injector's, each
+   server's and each client's. *)
+let robust_records t =
+  Option.to_list (Option.map Hare_fault.Injector.stats t.injector)
+  @ List.map Server.robust (Array.to_list t.servers)
+  @ List.map Client.robust (Array.to_list t.clients)
+
+let perf_records t =
+  List.map Server.perf (Array.to_list t.servers)
+  @ List.map Client.perf (Array.to_list t.clients)
+
 let robustness t =
-  let acc = Hare_stats.Robust.create () in
-  (match t.injector with
-  | Some inj -> Hare_stats.Robust.merge ~into:acc (Hare_fault.Injector.stats inj)
-  | None -> ());
+  let acc = Robust.create () in
+  List.iter (Robust.merge ~into:acc) (robust_records t);
+  (* Credit-blocked sends are counted at the server endpoint (the mailbox
+     cannot see a Robust record). *)
   Array.iter
-    (fun s -> Hare_stats.Robust.merge ~into:acc (Server.robust s))
+    (fun s ->
+      Robust.add acc Robust.flow_blocks
+        (Hare_msg.Rpc.flow_blocked (Server.endpoint s)))
     t.servers;
-  Array.iter
-    (fun c -> Hare_stats.Robust.merge ~into:acc (Client.robust c))
-    t.clients;
-  (* Dircache flushes are counted at the cache, not in a Robust record;
-     likewise credit-blocked sends are counted at the server endpoint
-     (the mailbox cannot see a Robust record). *)
-  acc.Hare_stats.Robust.cache_flushes <-
-    Array.fold_left
-      (fun n c -> n + Hare_client.Dircache.flushes (Client.dircache c))
-      0 t.clients;
-  acc.Hare_stats.Robust.flow_blocks <-
-    Array.fold_left
-      (fun n s -> n + Hare_msg.Rpc.flow_blocked (Server.endpoint s))
-      0 t.servers;
   acc
 
 let perf t =
-  let acc = Hare_stats.Perf.create () in
-  Array.iter
-    (fun s -> Hare_stats.Perf.merge ~into:acc (Server.perf s))
-    t.servers;
-  Array.iter
-    (fun c -> Hare_stats.Perf.merge ~into:acc (Client.perf c))
-    t.clients;
+  let acc = Perf.create () in
+  List.iter (Perf.merge ~into:acc) (perf_records t);
   acc
 
 let trace t = t.trace
@@ -521,17 +513,13 @@ let trace t = t.trace
 let check t = t.check
 
 let reset_perf t =
-  Array.iter (fun s -> Hare_stats.Perf.reset (Server.perf s)) t.servers;
-  Array.iter (fun c -> Hare_stats.Perf.reset (Client.perf c)) t.clients;
-  (* Robustness counters reset alongside, so a timed region reports only
-     its own sheds/retries/breaker activity. *)
-  Array.iter (fun s -> Hare_stats.Robust.reset (Server.robust s)) t.servers;
-  Array.iter (fun c -> Hare_stats.Robust.reset (Client.robust c)) t.clients;
-  Array.iter (fun s -> Hare_msg.Rpc.reset_flow (Server.endpoint s)) t.servers;
-  Array.iter Server.reset_peak_queue t.servers;
-  match t.injector with
-  | Some inj -> Hare_stats.Robust.reset (Hare_fault.Injector.stats inj)
-  | None -> ()
+  List.iter Robust.reset (robust_records t);
+  List.iter Perf.reset (perf_records t);
+  Array.iter
+    (fun s ->
+      Hare_msg.Rpc.reset_flow (Server.endpoint s);
+      Server.reset_peak_queue s)
+    t.servers
 
 let utilization t =
   let elapsed = Int64.to_float (max 1L (now t)) in

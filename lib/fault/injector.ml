@@ -1,10 +1,11 @@
 open Hare_sim
+module Robust = Hare_stats.Robust
 
 type t = {
   engine : Engine.t;
   rng : Rng.t;
   plan : Plan.t;
-  stats : Hare_stats.Robust.t;
+  stats : Robust.t;
   links : (int, link) Hashtbl.t;
 }
 
@@ -22,7 +23,7 @@ let create ~engine ~seed plan =
     engine;
     rng = Rng.create ~seed;
     plan;
-    stats = Hare_stats.Robust.create ();
+    stats = Robust.create ();
     links = Hashtbl.create 8;
   }
 
@@ -70,8 +71,7 @@ let stall_until l time =
   if time > l.stalled_until then l.stalled_until <- time
 
 let note_blackholed l =
-  l.inj.stats.Hare_stats.Robust.blackholed <-
-    l.inj.stats.Hare_stats.Robust.blackholed + 1
+  Robust.incr l.inj.stats Robust.blackholed
 
 type verdict = Deliver | Drop | Duplicate | Delay of int64
 
@@ -88,16 +88,13 @@ let on_send l ~unreliable =
           if Rng.float l.link_rng < r.prob then
             match r.action with
             | Plan.Drop ->
-                stats.Hare_stats.Robust.drops <-
-                  stats.Hare_stats.Robust.drops + 1;
+                Robust.incr stats Robust.drops;
                 Drop
             | Plan.Duplicate ->
-                stats.Hare_stats.Robust.dups <-
-                  stats.Hare_stats.Robust.dups + 1;
+                Robust.incr stats Robust.dups;
                 Duplicate
             | Plan.Delay max_cycles ->
-                stats.Hare_stats.Robust.delays <-
-                  stats.Hare_stats.Robust.delays + 1;
+                Robust.incr stats Robust.delays;
                 Delay (Int64.of_int (1 + Rng.int l.link_rng max_cycles))
           else roll rest
     in

@@ -12,10 +12,8 @@ type fd_token = int
     descriptor tracking (§3.4). *)
 
 type pid = int
-(** Process ids encode the birth core: [pid = core * pid_stride + seq], so
-    signal routing needs no shared state. *)
-
-val pid_stride : int
+(** Process ids encode the birth core: [pid = core * 1_000_000 + seq],
+    so signal routing needs no shared state. *)
 
 val core_of_pid : pid -> int
 

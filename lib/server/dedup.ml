@@ -1,4 +1,5 @@
 module Wire = Hare_proto.Wire
+module Perf = Hare_stats.Perf
 
 type 'w client = {
   tbl : (int, 'w entry) Hashtbl.t;
@@ -16,7 +17,7 @@ and 'w pending = {
   mutable answered : bool;
 }
 
-type 'w t = { clients : (int, 'w client) Hashtbl.t; perf : Hare_stats.Perf.t }
+type 'w t = { clients : (int, 'w client) Hashtbl.t; perf : Perf.t }
 
 type 'w admission = Fresh of 'w pending | Replay of Wire.fs_resp | Joined
 
@@ -42,8 +43,7 @@ let ack d c ~ack =
     for seq = c.pruned + 1 to ack do
       if Hashtbl.mem c.tbl seq then begin
         Hashtbl.remove c.tbl seq;
-        d.perf.Hare_stats.Perf.dedup_evicted <-
-          d.perf.Hare_stats.Perf.dedup_evicted + 1
+        Perf.incr d.perf Perf.dedup_evicted
       end
     done;
     c.pruned <- ack

@@ -26,7 +26,6 @@ let buffered t = t.buffered
 
 let readers t = t.readers
 
-let writers t = t.writers
 
 let parked_readers t = Queue.length t.parked_readers
 

@@ -14,8 +14,6 @@ val buffered : t -> int
 
 val readers : t -> int
 
-val writers : t -> int
-
 (** [add_reader t] / [add_writer t] register one more share of an end
     (pipe creation, fork, exec transfer). *)
 val add_reader : t -> unit

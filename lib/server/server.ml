@@ -1,6 +1,8 @@
 open Hare_sim
 open Hare_proto
 open Hare_proto.Types
+module Robust = Hare_stats.Robust
+module Perf = Hare_stats.Perf
 
 let src = Logs.Src.create "hare.server" ~doc:"Hare file server"
 
@@ -86,7 +88,7 @@ type t = {
   mutable moved_rejects : int; (* EMOVED replies sent *)
   inval_ports : Wire.inval Hare_msg.Mailbox.t array;
   ops : Hare_stats.Opcount.t;
-  perf : Hare_stats.Perf.t;
+  perf : Perf.t;
   mutable invals_sent : int;
   (* robustness: crash state, idempotency, counters *)
   faults : Hare_fault.Injector.link option;
@@ -94,7 +96,7 @@ type t = {
   (* reliable messages that arrived while down; served after restart *)
   boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
   dedup : reply Dedup.t;
-  robust : Hare_stats.Robust.t;
+  robust : Robust.t;
   (* block stealing (extension) *)
   mutable peers : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t array;
   steal_parked : (Wire.fs_req * reply) Queue.t;
@@ -140,7 +142,7 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
   (match place with
   | Some p when migratory && sid >= Hare_place.Place.nhomes p -> ()
   | _ -> Hashtbl.replace homes sid (new_home sid));
-  let perf = Hare_stats.Perf.create () in
+  let perf = Perf.create () in
   {
     sid;
     engine;
@@ -171,7 +173,7 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     down = false;
     boot_queue = Queue.create ();
     dedup = Dedup.create ~perf;
-    robust = Hare_stats.Robust.create ();
+    robust = Robust.create ();
     peers = [||];
     steal_parked = Queue.create ();
     steal_inflight = false;
@@ -457,11 +459,11 @@ let send_invals t h ~dir ~name ~except =
             clients;
           Hashtbl.remove per_dir name)
 
-let install_root t ~dist =
+let install_root t =
   assert (t.sid = root_ino.server);
   let h = home t t.sid in
   Hashtbl.replace h.inodes root_ino.ino
-    (Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist);
+    (Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist:false);
   h.next_lid <- max h.next_lid (root_ino.ino + 1)
 
 (* ---------- request handlers ------------------------------------------ *)
@@ -1251,13 +1253,13 @@ let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
       | Replay resp ->
           (* Retransmission of a completed request: replay the cached
              response without re-executing the operation. *)
-          t.robust.dedup_hits <- t.robust.dedup_hits + 1;
+          Robust.incr t.robust Robust.dedup_hits;
           Core_res.compute t.core t.costs.server_dispatch;
           reply resp
       | Joined ->
           (* The original is still executing (or parked); this copy's
              reply slot is answered alongside it. *)
-          t.robust.dedup_hits <- t.robust.dedup_hits + 1
+          Robust.incr t.robust Robust.dedup_hits
       | Fresh p ->
           let reply' ?payload_lines resp =
             match Dedup.finish p resp with
@@ -1274,7 +1276,7 @@ let crash t =
     (match t.faults with
     | Some l -> Hare_fault.Injector.set_down l true
     | None -> ());
-    t.robust.crashes <- t.robust.crashes + 1;
+    Robust.incr t.robust Robust.crashes;
     Log.debug (fun m -> m "server %d crashes at %Ld" t.sid (Engine.now t.engine));
     instant t "crash" [ ("server", string_of_int t.sid) ];
     let aborted = ref 0 in
@@ -1326,7 +1328,7 @@ let crash t =
     (* A dead server's queue depth is meaningless; keep it out of
        deadlock reports (and free the probe slot) until restart. *)
     Hare_msg.Rpc.unwatch t.endpoint;
-    t.robust.aborted <- t.robust.aborted + !aborted
+    Robust.add t.robust Robust.aborted !aborted
   end
 
 let restart t =
@@ -1359,13 +1361,13 @@ let restart t =
           h.inodes)
       t.homes;
     let reclaimed = Blocklist.rebuild t.blocks ~live in
-    t.robust.blocks_rebuilt <- t.robust.blocks_rebuilt + reclaimed;
+    Robust.add t.robust Robust.blocks_rebuilt reclaimed;
     t.down <- false;
     Hare_msg.Rpc.rewatch t.endpoint;
     (match t.faults with
     | Some l -> Hare_fault.Injector.set_down l false
     | None -> ());
-    t.robust.restarts <- t.robust.restarts + 1;
+    Robust.incr t.robust Robust.restarts;
     (* Clients cannot tell which of their cached entries this server
        would have invalidated while it was down: make them flush. *)
     Array.iter
@@ -1410,7 +1412,7 @@ let start t =
     else
       match meta with
       | Some m when sheds m prio ->
-          t.robust.shed_load <- t.robust.shed_load + 1;
+          Robust.incr t.robust Robust.shed_load;
           shed_instant "shed-load" req;
           Core_res.compute t.core t.costs.server_dispatch;
           Dedup.shed t.dedup m;
@@ -1421,7 +1423,7 @@ let start t =
              already on its way. Serving this copy would be wasted work —
              drop it without replying, charging only the envelope
              examination. *)
-          t.robust.shed_expired <- t.robust.shed_expired + 1;
+          Robust.incr t.robust Robust.shed_expired;
           shed_instant "shed-expired" req;
           Core_res.compute t.core t.costs.server_dispatch
       | _ -> process ~dispatch ~span t req reply meta
@@ -1434,7 +1436,7 @@ let start t =
        costs only its operation. [batch_max = 1] is the paper's
        one-request-per-wakeup loop, cycle for cycle. *)
     let batch = Hare_msg.Rpc.recv_batch_full t.endpoint ~max:batch_max in
-    Hare_stats.Perf.note_batch t.perf (List.length batch);
+    Perf.note_batch t.perf (List.length batch);
     let o = Engine.obs t.engine in
     if Obs.on o Obs.marks then begin
       let track = Core_res.id t.core and value = List.length batch in

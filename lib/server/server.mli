@@ -42,9 +42,10 @@ val pcache : t -> Hare_mem.Pcache.t
 
 val endpoint : t -> (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.t
 
-(** [install_root t ~dist] creates the root directory inode; call exactly
-    once, on the designated root server, before the simulation starts. *)
-val install_root : t -> dist:bool -> unit
+(** [install_root t] creates the (centralized) root directory inode; call
+    exactly once, on the designated root server, before the simulation
+    starts. *)
+val install_root : t -> unit
 
 (** [start t] spawns the dispatch-loop daemon fiber. *)
 val start : t -> unit

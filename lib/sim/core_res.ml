@@ -32,7 +32,6 @@ let engine t = t.engine
 
 let socket t = t.socket
 
-let free_at t = Int64.of_int t.free_at
 
 let busy_cycles t = Int64.of_int t.busy_cycles
 

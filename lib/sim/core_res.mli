@@ -26,8 +26,6 @@ val socket : t -> int
     within a fiber. *)
 val compute : t -> int -> unit
 
-(** [free_at t] is the simulated time at which all queued work completes. *)
-val free_at : t -> int64
 
 (** Total cycles of work executed on this core (including switch costs). *)
 val busy_cycles : t -> int64

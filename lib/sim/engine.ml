@@ -83,8 +83,6 @@ let obs t = t.obs
    0 is an opaque event (timer, injector callback — anything whose
    effects the bus's footprint events cannot see), odd tags resume a fiber,
    even tags >= 2 deliver into a mailbox. *)
-let tag_opaque = 0
-
 let tag_resume fid = (2 * fid) + 1
 
 let tag_deliver obj = (2 * obj) + 2

@@ -94,7 +94,7 @@ val schedule_at : t -> ?tag:int -> int64 -> (unit -> unit) -> unit
 (** [schedule_at t ?tag time f] runs the callback [f] at absolute simulated
     [time] (which must be [>= now t]). [f] runs outside any fiber and must
     not perform simulation effects; it may wake fibers via wakers. [tag]
-    (default {!tag_opaque}) labels the event for the schedule explorer —
+    (default 0, an opaque event) labels the event for the schedule explorer —
     callers scheduling a mailbox delivery pass {!tag_deliver} so the
     explorer knows the event's footprint family. *)
 
@@ -129,14 +129,6 @@ val set_explorer : t -> (time:int -> (int * int) array -> int) -> unit
     [cands], the [(seq, tag)] pairs of every event due at cycle [time],
     sorted by ascending seq. Called only when two or more are due. The
     explorer observes the steps it caused through {!obs}. *)
-
-val tag_opaque : int
-(** Action tag for events whose effects the bus's footprint events cannot see
-    (timers, fault-injector callbacks). The explorer must treat them as
-    conflicting with everything. *)
-
-val tag_resume : int -> int
-(** [tag_resume fid]: the event resumes (or starts) fiber [fid]. *)
 
 val tag_deliver : int -> int
 (** [tag_deliver uid]: the event delivers into mailbox object [uid]

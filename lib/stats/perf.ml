@@ -1,111 +1,57 @@
-(* Pipelining/batching/extent-allocation counters (PR 2). One instance
-   per client and per server; [merge] folds them into a machine-wide
+(* Pipelining/batching/extent-allocation counters. One instance per
+   client and per server; [merge] folds them into a machine-wide
    aggregate. Everything stays at zero with the paper-faithful knobs
    (window 1, batch 1, extent 1), except [batches]/[batched_msgs], which
    then degenerate to one message per batch. *)
 
-(* Batch-size histogram buckets: sizes 1..hist_buckets-1, with the last
-   bucket collecting everything at or above it. *)
-let hist_buckets = 17
+include Counters.Make ()
 
-type t = {
-  mutable window_hwm : int;  (* peak in-flight deferred RPCs *)
-  mutable deferred : int;  (* RPCs issued with a deferred await *)
-  mutable deferred_errors : int;  (* deferred replies that came back Error *)
-  mutable batches : int;  (* server dispatch wakeups *)
-  mutable batched_msgs : int;  (* requests across all batches *)
-  batch_hist : int array;  (* batch_hist.(n) = batches of size n *)
-  mutable lease_hits : int;  (* block needs met by a held extent lease *)
-  mutable lease_misses : int;  (* block needs that required an Alloc RPC *)
-  mutable lease_blocks : int;  (* blocks allocated ahead of need *)
-  mutable dedup_evicted : int;  (* dedup entries purged under the ack mark *)
-}
+let window_hwm = key ~max:true "window high-water"
+let deferred = key "deferred rpcs"
+let deferred_errors = key "deferred errors"
+let batches = key "server batches"
+let batched_msgs = key "batched requests"
+let lease_hits = key "extent-lease hits"
+let lease_misses = key "extent-lease misses"
+let lease_blocks = key "blocks allocated ahead"
+let dedup_evicted = key "dedup entries evicted"
 
-let create () =
-  {
-    window_hwm = 0;
-    deferred = 0;
-    deferred_errors = 0;
-    batches = 0;
-    batched_msgs = 0;
-    batch_hist = Array.make hist_buckets 0;
-    lease_hits = 0;
-    lease_misses = 0;
-    lease_blocks = 0;
-    dedup_evicted = 0;
-  }
+(* Batch-size histogram: sizes 1..n-1, with the last bucket collecting
+   everything at or above it. *)
+let batch_hist = buckets 17
 
-let reset t =
-  t.window_hwm <- 0;
-  t.deferred <- 0;
-  t.deferred_errors <- 0;
-  t.batches <- 0;
-  t.batched_msgs <- 0;
-  Array.fill t.batch_hist 0 hist_buckets 0;
-  t.lease_hits <- 0;
-  t.lease_misses <- 0;
-  t.lease_blocks <- 0;
-  t.dedup_evicted <- 0
-
-let note_window t depth = if depth > t.window_hwm then t.window_hwm <- depth
+let note_window t depth =
+  let hwm = get t window_hwm in
+  if depth > hwm then add t window_hwm (depth - hwm)
 
 let note_batch t size =
-  t.batches <- t.batches + 1;
-  t.batched_msgs <- t.batched_msgs + size;
-  let bucket = min (max size 0) (hist_buckets - 1) in
-  t.batch_hist.(bucket) <- t.batch_hist.(bucket) + 1
-
-let merge ~into src =
-  into.window_hwm <- max into.window_hwm src.window_hwm;
-  into.deferred <- into.deferred + src.deferred;
-  into.deferred_errors <- into.deferred_errors + src.deferred_errors;
-  into.batches <- into.batches + src.batches;
-  into.batched_msgs <- into.batched_msgs + src.batched_msgs;
-  Array.iteri
-    (fun i n -> into.batch_hist.(i) <- into.batch_hist.(i) + n)
-    src.batch_hist;
-  into.lease_hits <- into.lease_hits + src.lease_hits;
-  into.lease_misses <- into.lease_misses + src.lease_misses;
-  into.lease_blocks <- into.lease_blocks + src.lease_blocks;
-  into.dedup_evicted <- into.dedup_evicted + src.dedup_evicted
+  incr t batches;
+  add t batched_msgs size;
+  let last = Array.length batch_hist - 1 in
+  incr t batch_hist.(min (max size 0) last)
 
 let mean_batch t =
-  if t.batches = 0 then 0.0
-  else float_of_int t.batched_msgs /. float_of_int t.batches
+  if get t batches = 0 then 0.0
+  else float_of_int (get t batched_msgs) /. float_of_int (get t batches)
 
 let lease_hit_rate t =
-  let total = t.lease_hits + t.lease_misses in
-  if total = 0 then 0.0 else float_of_int t.lease_hits /. float_of_int total
-
-let to_list t =
-  [
-    ("window high-water", t.window_hwm);
-    ("deferred rpcs", t.deferred);
-    ("deferred errors", t.deferred_errors);
-    ("server batches", t.batches);
-    ("batched requests", t.batched_msgs);
-    ("extent-lease hits", t.lease_hits);
-    ("extent-lease misses", t.lease_misses);
-    ("blocks allocated ahead", t.lease_blocks);
-    ("dedup entries evicted", t.dedup_evicted);
-  ]
-
-let is_zero t =
-  List.for_all (fun (_, n) -> n = 0) (to_list t)
-  && Array.for_all (fun n -> n = 0) t.batch_hist
+  let hits = get t lease_hits in
+  let total = hits + get t lease_misses in
+  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 let pp_hist ppf t =
-  let nonzero = ref [] in
-  Array.iteri
-    (fun i n -> if i > 0 && n > 0 then nonzero := (i, n) :: !nonzero)
-    t.batch_hist;
-  match List.rev !nonzero with
+  let last = Array.length batch_hist - 1 in
+  let rows =
+    List.init last (fun i -> (i + 1, get t batch_hist.(i + 1)))
+    |> List.filter (fun (_, n) -> n > 0)
+  in
+  match rows with
   | [] -> Format.pp_print_string ppf "empty"
   | rows ->
       Format.pp_print_list
         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
         (fun ppf (size, n) ->
-          if size = hist_buckets - 1 then Format.fprintf ppf ">=%d:%d" size n
+          if size = last then Format.fprintf ppf ">=%d:%d" size n
           else Format.fprintf ppf "%d:%d" size n)
         ppf rows
 
@@ -116,7 +62,8 @@ let pp ppf t =
      batches: %d (%d requests, mean %.2f/batch)@,\
      batch histogram: %a@,\
      extent leases: %d hits / %d misses (%.0f%% hit), %d blocks ahead@]"
-    t.window_hwm t.deferred t.deferred_errors t.batches t.batched_msgs
-    (mean_batch t) pp_hist t t.lease_hits t.lease_misses
+    (get t window_hwm) (get t deferred) (get t deferred_errors) (get t batches)
+    (get t batched_msgs) (mean_batch t) pp_hist t (get t lease_hits)
+    (get t lease_misses)
     (100.0 *. lease_hit_rate t)
-    t.lease_blocks
+    (get t lease_blocks)

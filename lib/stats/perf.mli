@@ -1,41 +1,42 @@
-(** Pipelining / batching / extent-allocation counters (PR 2).
+(** Pipelining / batching / extent-allocation counters.
 
-    One mutable record per client library and per file server; {!merge}
-    folds them into a machine-wide aggregate. With the paper-faithful
-    knobs (window 1, batch 1, extent 1) every counter except the batch
+    One record per client library and per file server; {!merge} folds
+    them into a machine-wide aggregate. With the paper-faithful knobs
+    (window 1, batch 1, extent 1) every counter except the batch
     bookkeeping stays at zero, so tests can assert the machinery is
     inert. *)
 
-val hist_buckets : int
-(** Number of batch-histogram buckets; sizes at or above
-    [hist_buckets - 1] share the last bucket. *)
+include Counters.S
 
-type t = {
-  mutable window_hwm : int;
-      (** peak number of in-flight deferred RPCs observed in a window *)
-  mutable deferred : int;  (** RPCs issued with a deferred await *)
-  mutable deferred_errors : int;
-      (** deferred replies that came back as errors (reported here
-          because the issuing syscall already returned) *)
-  mutable batches : int;  (** server dispatch wakeups *)
-  mutable batched_msgs : int;  (** requests across all batches *)
-  batch_hist : int array;  (** [batch_hist.(n)] = batches of exactly [n] *)
-  mutable lease_hits : int;
-      (** block needs satisfied by a held extent lease, no RPC *)
-  mutable lease_misses : int;  (** block needs that required an Alloc RPC *)
-  mutable lease_blocks : int;  (** blocks allocated ahead of need *)
-  mutable dedup_evicted : int;
-      (** server dedup entries purged under the client's acked low-water
-          mark (PR 10) — hygiene, not loss: an acked tag can never be
-          retransmitted. Zero when requests carry no idempotency tags. *)
-}
+val window_hwm : key
+(** peak number of in-flight deferred RPCs observed in a window; merges
+    with [max] *)
 
-val create : unit -> t
+val deferred : key  (** RPCs issued with a deferred await *)
 
-val reset : t -> unit
-(** Zero every counter (including the histogram). Benchmarks call this
-    between the warm-up and the timed region so each run reports only
-    its own window/batch/lease activity. *)
+val deferred_errors : key
+(** deferred replies that came back as errors (reported here because
+    the issuing syscall already returned) *)
+
+val batches : key  (** server dispatch wakeups *)
+
+val batched_msgs : key  (** requests across all batches *)
+
+val lease_hits : key
+(** block needs satisfied by a held extent lease, no RPC *)
+
+val lease_misses : key  (** block needs that required an Alloc RPC *)
+
+val lease_blocks : key  (** blocks allocated ahead of need *)
+
+val dedup_evicted : key
+(** server dedup entries purged under the client's acked low-water mark
+    — hygiene, not loss: an acked tag can never be retransmitted. Zero
+    when requests carry no idempotency tags. *)
+
+val batch_hist : key array
+(** [batch_hist.(n)] counts batches of exactly [n] requests; the last
+    bucket collects every larger batch. Left out of {!to_list}. *)
 
 val note_window : t -> int -> unit
 (** [note_window t depth] raises the high-water mark to [depth]. *)
@@ -44,19 +45,11 @@ val note_batch : t -> int -> unit
 (** [note_batch t size] records one server wakeup that drained [size]
     requests. *)
 
-val merge : into:t -> t -> unit
-(** Sums counters; the window high-water mark merges with [max]. *)
-
 val mean_batch : t -> float
 
 val lease_hit_rate : t -> float
 (** Fraction of block needs served without an Alloc RPC; [0.] when no
     block was ever needed. *)
-
-val to_list : t -> (string * int) list
-(** Label/value pairs in display order (histogram excluded). *)
-
-val is_zero : t -> bool
 
 val pp_hist : Format.formatter -> t -> unit
 (** Batch-size histogram as "size:count" pairs ("empty" when no batch

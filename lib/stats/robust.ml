@@ -1,138 +1,28 @@
-type t = {
-  mutable drops : int;
-  mutable dups : int;
-  mutable delays : int;
-  mutable blackholed : int;
-  mutable timeouts : int;
-  mutable retries : int;
-  mutable giveups : int;
-  mutable dedup_hits : int;
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable aborted : int;
-  mutable tokens_recovered : int;
-  mutable cache_flushes : int;
-  mutable partial_broadcasts : int;
-  mutable blocks_rebuilt : int;
-  mutable flow_blocks : int;
-  mutable shed_expired : int;
-  mutable shed_load : int;
-  mutable fast_fails : int;
-  mutable budget_denied : int;
-  mutable breaker_opens : int;
-  mutable breaker_half_opens : int;
-  mutable breaker_closes : int;
-}
+include Counters.Make ()
 
-let create () =
-  {
-    drops = 0;
-    dups = 0;
-    delays = 0;
-    blackholed = 0;
-    timeouts = 0;
-    retries = 0;
-    giveups = 0;
-    dedup_hits = 0;
-    crashes = 0;
-    restarts = 0;
-    aborted = 0;
-    tokens_recovered = 0;
-    cache_flushes = 0;
-    partial_broadcasts = 0;
-    blocks_rebuilt = 0;
-    flow_blocks = 0;
-    shed_expired = 0;
-    shed_load = 0;
-    fast_fails = 0;
-    budget_denied = 0;
-    breaker_opens = 0;
-    breaker_half_opens = 0;
-    breaker_closes = 0;
-  }
-
-let merge ~into src =
-  into.drops <- into.drops + src.drops;
-  into.dups <- into.dups + src.dups;
-  into.delays <- into.delays + src.delays;
-  into.blackholed <- into.blackholed + src.blackholed;
-  into.timeouts <- into.timeouts + src.timeouts;
-  into.retries <- into.retries + src.retries;
-  into.giveups <- into.giveups + src.giveups;
-  into.dedup_hits <- into.dedup_hits + src.dedup_hits;
-  into.crashes <- into.crashes + src.crashes;
-  into.restarts <- into.restarts + src.restarts;
-  into.aborted <- into.aborted + src.aborted;
-  into.tokens_recovered <- into.tokens_recovered + src.tokens_recovered;
-  into.cache_flushes <- into.cache_flushes + src.cache_flushes;
-  into.partial_broadcasts <- into.partial_broadcasts + src.partial_broadcasts;
-  into.blocks_rebuilt <- into.blocks_rebuilt + src.blocks_rebuilt;
-  into.flow_blocks <- into.flow_blocks + src.flow_blocks;
-  into.shed_expired <- into.shed_expired + src.shed_expired;
-  into.shed_load <- into.shed_load + src.shed_load;
-  into.fast_fails <- into.fast_fails + src.fast_fails;
-  into.budget_denied <- into.budget_denied + src.budget_denied;
-  into.breaker_opens <- into.breaker_opens + src.breaker_opens;
-  into.breaker_half_opens <- into.breaker_half_opens + src.breaker_half_opens;
-  into.breaker_closes <- into.breaker_closes + src.breaker_closes
-
-let to_list t =
-  [
-    ("msgs dropped", t.drops);
-    ("msgs duplicated", t.dups);
-    ("msgs delayed", t.delays);
-    ("msgs blackholed", t.blackholed);
-    ("rpc timeouts", t.timeouts);
-    ("rpc retries", t.retries);
-    ("rpc giveups", t.giveups);
-    ("dedup hits", t.dedup_hits);
-    ("server crashes", t.crashes);
-    ("server restarts", t.restarts);
-    ("requests aborted", t.aborted);
-    ("tokens recovered", t.tokens_recovered);
-    ("dircache flushes", t.cache_flushes);
-    ("partial broadcasts", t.partial_broadcasts);
-    ("blocks rebuilt", t.blocks_rebuilt);
-    ("sends credit-blocked", t.flow_blocks);
-    ("shed expired", t.shed_expired);
-    ("shed overload", t.shed_load);
-    ("breaker fast-fails", t.fast_fails);
-    ("retry budget denials", t.budget_denied);
-    ("breaker opens", t.breaker_opens);
-    ("breaker half-opens", t.breaker_half_opens);
-    ("breaker closes", t.breaker_closes);
-  ]
-
-(* Per-driver-run hygiene: zero every counter so a timed region reports
-   only its own activity (the [Perf.reset] pattern). *)
-let reset t =
-  t.drops <- 0;
-  t.dups <- 0;
-  t.delays <- 0;
-  t.blackholed <- 0;
-  t.timeouts <- 0;
-  t.retries <- 0;
-  t.giveups <- 0;
-  t.dedup_hits <- 0;
-  t.crashes <- 0;
-  t.restarts <- 0;
-  t.aborted <- 0;
-  t.tokens_recovered <- 0;
-  t.cache_flushes <- 0;
-  t.partial_broadcasts <- 0;
-  t.blocks_rebuilt <- 0;
-  t.flow_blocks <- 0;
-  t.shed_expired <- 0;
-  t.shed_load <- 0;
-  t.fast_fails <- 0;
-  t.budget_denied <- 0;
-  t.breaker_opens <- 0;
-  t.breaker_half_opens <- 0;
-  t.breaker_closes <- 0
-
-let is_zero t = List.for_all (fun (_, n) -> n = 0) (to_list t)
-
-let equal a b = to_list a = to_list b
+let drops = key "msgs dropped"
+let dups = key "msgs duplicated"
+let delays = key "msgs delayed"
+let blackholed = key "msgs blackholed"
+let timeouts = key "rpc timeouts"
+let retries = key "rpc retries"
+let giveups = key "rpc giveups"
+let dedup_hits = key "dedup hits"
+let crashes = key "server crashes"
+let restarts = key "server restarts"
+let aborted = key "requests aborted"
+let tokens_recovered = key "tokens recovered"
+let cache_flushes = key "dircache flushes"
+let partial_broadcasts = key "partial broadcasts"
+let blocks_rebuilt = key "blocks rebuilt"
+let flow_blocks = key "sends credit-blocked"
+let shed_expired = key "shed expired"
+let shed_load = key "shed overload"
+let fast_fails = key "breaker fast-fails"
+let budget_denied = key "retry budget denials"
+let breaker_opens = key "breaker opens"
+let breaker_half_opens = key "breaker half-opens"
+let breaker_closes = key "breaker closes"
 
 let pp ppf t =
   let nonzero = List.filter (fun (_, n) -> n <> 0) (to_list t) in

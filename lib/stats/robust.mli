@@ -1,52 +1,58 @@
 (** Robustness counters.
 
-    One mutable record shared by the fault injector, servers and clients;
-    {!merge} folds per-component instances into a machine-wide aggregate.
-    All counters stay at zero when fault injection is disabled — a cheap
-    way for tests to assert the machinery is inert. *)
+    One record per fault injector, server and client; {!merge} folds them
+    into a machine-wide aggregate. All counters stay at zero when fault
+    injection is disabled — a cheap way for tests to assert the machinery
+    is inert. *)
 
-type t = {
-  mutable drops : int;  (** messages dropped by the injector *)
-  mutable dups : int;  (** messages duplicated by the injector *)
-  mutable delays : int;  (** messages delayed by the injector *)
-  mutable blackholed : int;  (** messages discarded because server down *)
-  mutable timeouts : int;  (** RPC deadline expirations observed *)
-  mutable retries : int;  (** RPC resends after a timeout *)
-  mutable giveups : int;  (** RPCs that exhausted their retry budget *)
-  mutable dedup_hits : int;  (** duplicate requests absorbed by servers *)
-  mutable crashes : int;  (** server crash events *)
-  mutable restarts : int;  (** server restart events *)
-  mutable aborted : int;  (** queued/parked requests errored by a crash *)
-  mutable tokens_recovered : int;  (** fd tokens re-opened after a crash *)
-  mutable cache_flushes : int;  (** dircache full flushes on reconnect *)
-  mutable partial_broadcasts : int;  (** broadcasts that skipped a server *)
-  mutable blocks_rebuilt : int;  (** free blocks recovered on restart *)
-  (* overload control (PR 6); all zero when the knobs are off *)
-  mutable flow_blocks : int;  (** sends that waited for a mailbox credit *)
-  mutable shed_expired : int;  (** requests dropped as already expired *)
-  mutable shed_load : int;  (** requests answered EBUSY above watermark *)
-  mutable fast_fails : int;  (** RPCs fast-failed by an open breaker *)
-  mutable budget_denied : int;  (** retries denied by an empty token bucket *)
-  mutable breaker_opens : int;  (** closed/half-open -> open transitions *)
-  mutable breaker_half_opens : int;  (** open -> half-open (probe admitted) *)
-  mutable breaker_closes : int;  (** half-open -> closed (probe succeeded) *)
-}
+include Counters.S
 
-val create : unit -> t
+val drops : key  (** messages dropped by the injector *)
 
-val reset : t -> unit
-(** Zero every counter, so a timed region reports only its own activity
-    (the [Perf.reset] pattern; called per driver run). *)
+val dups : key  (** messages duplicated by the injector *)
 
-val merge : into:t -> t -> unit
-(** [merge ~into src] adds every counter of [src] into [into]. *)
+val delays : key  (** messages delayed by the injector *)
 
-val to_list : t -> (string * int) list
-(** Label/value pairs in display order. *)
+val blackholed : key  (** messages discarded because server down *)
 
-val is_zero : t -> bool
+val timeouts : key  (** RPC deadline expirations observed *)
 
-val equal : t -> t -> bool
+val retries : key  (** RPC resends after a timeout *)
+
+val giveups : key  (** RPCs that exhausted their retry budget *)
+
+val dedup_hits : key  (** duplicate requests absorbed by servers *)
+
+val crashes : key  (** server crash events *)
+
+val restarts : key  (** server restart events *)
+
+val aborted : key  (** queued/parked requests errored by a crash *)
+
+val tokens_recovered : key  (** fd tokens re-opened after a crash *)
+
+val cache_flushes : key  (** dircache full flushes on reconnect *)
+
+val partial_broadcasts : key  (** broadcasts that skipped a server *)
+
+val blocks_rebuilt : key  (** free blocks recovered on restart *)
+
+(* overload control; all zero when the knobs are off *)
+val flow_blocks : key  (** sends that waited for a mailbox credit *)
+
+val shed_expired : key  (** requests dropped as already expired *)
+
+val shed_load : key  (** requests answered EBUSY above watermark *)
+
+val fast_fails : key  (** RPCs fast-failed by an open breaker *)
+
+val budget_denied : key  (** retries denied by an empty token bucket *)
+
+val breaker_opens : key  (** closed/half-open -> open transitions *)
+
+val breaker_half_opens : key  (** open -> half-open (probe admitted) *)
+
+val breaker_closes : key  (** half-open -> closed (probe succeeded) *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the non-zero counters (or ["no faults"]). *)

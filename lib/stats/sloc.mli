@@ -1,8 +1,5 @@
 (** Source-line counting for the Figure 4 component-size table. *)
 
-val count_file : string -> int
-(** Non-blank source lines of one file; 0 if unreadable. *)
-
 val count_tree : string -> int
 (** Sum over all [.ml]/[.mli] files under a directory (recursively). *)
 

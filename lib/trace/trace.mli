@@ -82,7 +82,7 @@ val create : ?retain:int -> cap:int -> Hare_sim.Obs.t -> t
     overwrite; see {!retained}. Span ids are drawn from the bus's
     request-id sequence ({!Hare_sim.Obs.fresh_span}), so a request and
     the server span serving it share one id space; the sink adds its
-    {!recent_spans} to deadlock reports. *)
+    most recent closed spans to deadlock reports. *)
 
 val declare_track : t -> track:int -> name:string -> unit
 (** Name a track (one per simulated core, plus auxiliary tracks); the
@@ -151,7 +151,3 @@ val to_chrome_json : t -> string
     complete-event per span, instants and counters on their tracks,
     thread-name metadata per declared track, events sorted by timestamp,
     one event per line. Deterministic for a deterministic run. *)
-
-val recent_spans : t -> per_track:int -> string list
-(** The last [per_track] closed spans of each declared track, formatted
-    for deadlock reports (newest last). *)

@@ -41,8 +41,6 @@ val build_dirs : 'p Hare_api.Api.t -> 'p -> root:string -> params -> unit
 val fill_files :
   'p Hare_api.Api.t -> 'p -> root:string -> params -> part:int -> parts:int -> unit
 
-val owner_of_path : string -> parts:int -> int
-
 (** [walk api p ~root] recursively lists [root] (the pfind body),
     stat-ing every entry; returns (dirs visited, files seen). *)
 val walk : 'p Hare_api.Api.t -> 'p -> root:string -> int * int

@@ -60,12 +60,13 @@ let test_workloads_clean () =
       assert_clean wname m;
       let s = sanity m in
       (* The checker actually watched something. *)
-      Alcotest.(check bool) (wname ^ ": joins happened") true (s.hb_joins > 0);
+      Alcotest.(check bool) (wname ^ ": joins happened") true
+        (Sanity.get s Sanity.hb_joins > 0);
       (* Metadata-only workloads move no data blocks, so only the
          data-writing ones are guaranteed shadow-line traffic. *)
       if has_data then
         Alcotest.(check bool) (wname ^ ": lines tracked") true
-          (s.lines_tracked > 0))
+          (Sanity.get s Sanity.lines_tracked > 0))
     [
       ("creates", false);
       ("writes", true);
@@ -126,20 +127,21 @@ let test_pcache_stats_match_shadow () =
   let caches = distinct_pcaches m in
   Alcotest.(check int) "evictions match shadow"
     (sum (fun (st : Pcache.stats) -> st.evictions) caches)
-    s.cache_evictions;
-  Alcotest.(check bool) "LRU actually thrashed" true (s.cache_evictions > 0);
+    (Sanity.get s Sanity.cache_evictions);
+  Alcotest.(check bool) "LRU actually thrashed" true
+    (Sanity.get s Sanity.cache_evictions > 0);
   Alcotest.(check int) "writebacks match shadow"
     (sum (fun (st : Pcache.stats) -> st.writebacks) caches)
-    s.cache_writebacks;
+    (Sanity.get s Sanity.cache_writebacks);
   Alcotest.(check int) "invalidations match shadow"
     (sum (fun (st : Pcache.stats) -> st.invalidated) caches)
-    s.cache_invalidated;
+    (Sanity.get s Sanity.cache_invalidated);
   Alcotest.(check int) "hits match shadow"
     (sum (fun (st : Pcache.stats) -> st.hits) caches)
-    s.cache_hits;
+    (Sanity.get s Sanity.cache_hits);
   Alcotest.(check int) "fills match shadow"
     (sum (fun (st : Pcache.stats) -> st.misses) caches)
-    s.cache_fills;
+    (Sanity.get s Sanity.cache_fills);
   assert_clean "thrash" m
 
 (* ---------- rule-level detection (unit) --------------------------------- *)

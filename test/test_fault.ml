@@ -123,12 +123,13 @@ let lossy_config () =
 let test_message_faults () =
   let tree, r, _, _ = run_fsstress (lossy_config ()) in
   check_tree "lossy" tree;
-  Alcotest.(check bool) "some drops" true (r.Robust.drops > 0);
-  Alcotest.(check bool) "some dups" true (r.Robust.dups > 0);
-  Alcotest.(check bool) "some delays" true (r.Robust.delays > 0);
-  Alcotest.(check bool) "timeouts seen" true (r.Robust.timeouts > 0);
-  Alcotest.(check bool) "retries recovered them" true (r.Robust.retries > 0);
-  Alcotest.(check int) "nobody gave up" 0 r.Robust.giveups
+  Alcotest.(check bool) "some drops" true (Robust.get r Robust.drops > 0);
+  Alcotest.(check bool) "some dups" true (Robust.get r Robust.dups > 0);
+  Alcotest.(check bool) "some delays" true (Robust.get r Robust.delays > 0);
+  Alcotest.(check bool) "timeouts seen" true (Robust.get r Robust.timeouts > 0);
+  Alcotest.(check bool) "retries recovered them" true
+    (Robust.get r Robust.retries > 0);
+  Alcotest.(check int) "nobody gave up" 0 (Robust.get r Robust.giveups)
 
 let test_determinism () =
   (* Same seed, same plan: bit-identical fault sequence, counters and
@@ -149,7 +150,7 @@ let test_dedup_exactly_once () =
   in
   check_tree "dup-everything" tree;
   Alcotest.(check bool) "dedup absorbed the copies" true
-    (r.Robust.dedup_hits > 0)
+    (Robust.get r Robust.dedup_hits > 0)
 
 let test_dedup_bounded () =
   (* The cumulative-ack low-water mark riding every tagged request must
@@ -160,7 +161,7 @@ let test_dedup_bounded () =
      breaking exactly-once (checked by test_dedup_exactly_once). *)
   let _, _, _, m = run_fsstress (soak_config ~deadline:1_000_000 ()) in
   Alcotest.(check bool) "acked dedup entries evicted" true
-    ((Machine.perf m).Hare_stats.Perf.dedup_evicted > 0)
+    (Hare_stats.Perf.(get (Machine.perf m) dedup_evicted) > 0)
 
 let test_crash_recovery () =
   (* Kill a file server mid-run for 300k cycles. Clients must ride it
@@ -171,13 +172,34 @@ let test_crash_recovery () =
       (soak_config ~plan:"crash:2@1000000+300000" ~deadline:25_000 ())
   in
   check_tree "crash-recovery" tree;
-  Alcotest.(check int) "one crash" 1 r.Robust.crashes;
-  Alcotest.(check int) "one restart" 1 r.Robust.restarts;
+  Alcotest.(check int) "one crash" 1 (Robust.get r Robust.crashes);
+  Alcotest.(check int) "one restart" 1 (Robust.get r Robust.restarts);
   Alcotest.(check bool) "retries during the outage" true
-    (r.Robust.retries > 0);
+    (Robust.get r Robust.retries > 0);
   Alcotest.(check bool) "clients flushed dircaches on reconnect" true
-    (r.Robust.cache_flushes > 0);
-  Alcotest.(check int) "nobody gave up" 0 r.Robust.giveups
+    (Robust.get r Robust.cache_flushes > 0);
+  Alcotest.(check int) "nobody gave up" 0 (Robust.get r Robust.giveups)
+
+let test_timed_region_flushes () =
+  (* A crash early in rm's setup: the restarted server makes every
+     client flush its dircache, and rm's setup walks the tree, so each
+     client applies its flush before the timed region. The driver's
+     counters cover the timed region only, so those flushes must be
+     zeroed along with the crash and the restart. (A client applies a
+     flush at its next lookup; under [creates], whose setup makes no
+     lookup, the flushes fall in the timed region and count there.) *)
+  let module D = Hare_experiments.Driver in
+  let module HD = D.Make (Hare_experiments.World.Hare_w) in
+  let config =
+    D.with_fault_plan "crash:1@1000+2000" (D.default_config ~ncores:4)
+  in
+  let r = (HD.run ~config (Hare_workloads.All.find "rm dense")).D.robust in
+  let zero what k =
+    Alcotest.(check int) ("timed region: " ^ what) 0 (Robust.get r k)
+  in
+  zero "no crash" Robust.crashes;
+  zero "no restart" Robust.restarts;
+  zero "no dircache flush" Robust.cache_flushes
 
 (* ---------- targeted cases --------------------------------------------- *)
 
@@ -198,9 +220,10 @@ let test_giveup_is_eio () =
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
   Alcotest.(check (option int)) "init ok" (Some 0) (Machine.exit_status m init);
   let r = Machine.robustness m in
-  Alcotest.(check bool) "gave up at least once" true (r.Robust.giveups > 0);
+  Alcotest.(check bool) "gave up at least once" true
+    (Robust.get r Robust.giveups > 0);
   Alcotest.(check bool) "bounded attempts" true
-    (r.Robust.timeouts <= 3 * (1 + r.Robust.giveups))
+    (Robust.get r Robust.timeouts <= 3 * (1 + Robust.get r Robust.giveups))
 
 (* Shared helper: a distributed directory whose shards span every
    server, then server 1 dies for good before the listing. *)
@@ -235,7 +258,7 @@ let test_readdir_partial () =
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
   Alcotest.(check (option int)) "init ok" (Some 0) (Machine.exit_status m init);
   Alcotest.(check bool) "partial broadcasts counted" true
-    ((Machine.robustness m).Robust.partial_broadcasts > 0)
+    (Robust.get (Machine.robustness m) Robust.partial_broadcasts > 0)
 
 let test_readdir_strict_eio () =
   let m, _ = dead_shard_machine ~partial:false in
@@ -276,7 +299,7 @@ let test_stall_delays_but_delivers () =
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
   Alcotest.(check (option int)) "init ok" (Some 0) (Machine.exit_status m init);
   let r = Machine.robustness m in
-  Alcotest.(check int) "no retries needed" 0 r.Robust.retries
+  Alcotest.(check int) "no retries needed" 0 (Robust.get r Robust.retries)
 
 let tc = Alcotest.test_case
 
@@ -293,6 +316,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "dup everything: exactly-once" `Quick test_dedup_exactly_once;
         tc "ack mark bounds the dedup table" `Quick test_dedup_bounded;
         tc "crash + recovery" `Quick test_crash_recovery;
+        tc "timed region drops setup flushes" `Quick test_timed_region_flushes;
       ] );
     ( "fault.targeted",
       [

@@ -70,7 +70,7 @@ let saw_check m =
   | Some chk ->
       let s = Hare_check.Check.stats chk in
       Alcotest.(check bool) "sanitizer saw message edges" true
-        (s.Hare_stats.Sanity.hb_joins > 0);
+        (Hare_stats.Sanity.(get s hb_joins) > 0);
       Alcotest.(check int) "sanitizer clean" 0
         (Hare_check.Check.total_violations chk)
   | None -> Alcotest.fail "no sanitizer attached"

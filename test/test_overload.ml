@@ -138,26 +138,93 @@ let test_mailbox_recv_many_short_batch () =
            "returns what is queued, not max" [ "x"; "y" ] batch));
   Engine.run e
 
-(* ---------- Robust.reset / Latency math --------------------------------- *)
+(* ---------- counter schemas / Latency math ---------------------------- *)
+
+(* One schema's contract: labels in display order, reset zeroes every
+   key, merge sums every key (or keeps the max for [max] keys), and
+   is_zero/equal agree with to_list, buckets aside. *)
+let check_schema (type k) name
+    (module C : Hare_stats.Counters.S with type key = k) ~labels ~(max : k list)
+    =
+  let chk what = Alcotest.(check bool) (name ^ ": " ^ what) true in
+  let keys = C.keys () in
+  let a = C.create () and b = C.create () in
+  Alcotest.(check (list string))
+    (name ^ ": labels") labels
+    (List.map fst (C.to_list a));
+  chk "fresh is zero" (C.is_zero a);
+  List.iteri
+    (fun i k ->
+      C.add a k (i + 1);
+      C.add b k (10 * (i + 1)))
+    keys;
+  C.merge ~into:a b;
+  List.iteri
+    (fun i k ->
+      let want = if List.mem k max then 10 * (i + 1) else 11 * (i + 1) in
+      Alcotest.(check int) (Printf.sprintf "%s: merge key %d" name i) want
+        (C.get a k))
+    keys;
+  C.reset a;
+  chk "reset zeroes every key" (List.for_all (fun k -> C.get a k = 0) keys);
+  chk "reset is_zero" (C.is_zero a);
+  chk "reset equals fresh" (C.equal a (C.create ()));
+  let shown =
+    List.filter
+      (fun k ->
+        let t = C.create () and u = C.create () in
+        C.incr t k;
+        C.incr u k;
+        chk "one bump is not zero" (not (C.is_zero t));
+        chk "one bump differs from fresh" (not (C.equal t (C.create ())));
+        chk "equal records" (C.equal t u);
+        let nonzero = List.filter (fun (_, n) -> n <> 0) (C.to_list t) in
+        chk "to_list shows at most the bumped key" (List.length nonzero <= 1);
+        nonzero <> [])
+      keys
+  in
+  Alcotest.(check int) (name ^ ": every label has a key") (List.length labels)
+    (List.length shown)
 
 let test_robust_reset () =
-  let r = Robust.create () in
-  (* touch a spread of old and new counters *)
-  r.Robust.drops <- 3;
-  r.Robust.retries <- 5;
-  r.Robust.flow_blocks <- 7;
-  r.Robust.shed_load <- 11;
-  r.Robust.fast_fails <- 2;
-  r.Robust.budget_denied <- 4;
-  r.Robust.breaker_opens <- 1;
-  r.Robust.breaker_half_opens <- 1;
-  r.Robust.breaker_closes <- 1;
-  Alcotest.(check bool) "dirty" false (Robust.is_zero r);
-  Robust.reset r;
-  Alcotest.(check bool) "all zero after reset" true (Robust.is_zero r);
-  List.iter
-    (fun (k, v) -> Alcotest.(check int) k 0 v)
-    (Robust.to_list r)
+  check_schema "robust"
+    (module Robust)
+    ~max:[]
+    ~labels:
+      [ "msgs dropped"; "msgs duplicated"; "msgs delayed"; "msgs blackholed";
+        "rpc timeouts"; "rpc retries"; "rpc giveups"; "dedup hits";
+        "server crashes"; "server restarts"; "requests aborted";
+        "tokens recovered"; "dircache flushes"; "partial broadcasts";
+        "blocks rebuilt"; "sends credit-blocked"; "shed expired";
+        "shed overload"; "breaker fast-fails"; "retry budget denials";
+        "breaker opens"; "breaker half-opens"; "breaker closes" ];
+  let module Perf = Hare_stats.Perf in
+  check_schema "perf"
+    (module Perf)
+    ~max:[ Perf.window_hwm ]
+    ~labels:
+      [ "window high-water"; "deferred rpcs"; "deferred errors";
+        "server batches"; "batched requests"; "extent-lease hits";
+        "extent-lease misses"; "blocks allocated ahead";
+        "dedup entries evicted" ];
+  Alcotest.(check int) "perf: histogram buckets" 17
+    (Array.length Perf.batch_hist);
+  let module Sanity = Hare_stats.Sanity in
+  let rules =
+    [ "stale-read"; "lost-write"; "write-race"; "missed-writeback";
+      "open-inval"; "close-writeback"; "dircache-stale"; "fd-leak";
+      "lease-leak" ]
+  in
+  check_schema "sanity"
+    (module Sanity)
+    ~max:[]
+    ~labels:
+      (rules
+      @ [ "dirty-discarded"; "hb-joins"; "lines-tracked"; "cache-hits";
+          "cache-fills"; "cache-evictions"; "cache-writebacks";
+          "cache-invalidated" ]);
+  Alcotest.(check (list string)) "sanity: violations are the rules" rules
+    (List.map fst (Sanity.violations (Sanity.create ())))
 
 let test_latency_percentiles () =
   let d = Latency.of_durations (List.init 100 (fun i -> Int64.of_int (i + 1))) in
@@ -263,12 +330,18 @@ let test_knobs_on_but_idle_is_bit_identical () =
         (label "identical clock with idle knobs")
         (Machine.now off) (Machine.now on);
       let r = Machine.robustness on in
-      Alcotest.(check int) (label "no credit blocks") 0 r.Robust.flow_blocks;
-      Alcotest.(check int) (label "no expiry sheds") 0 r.Robust.shed_expired;
-      Alcotest.(check int) (label "no load sheds") 0 r.Robust.shed_load;
-      Alcotest.(check int) (label "no fast fails") 0 r.Robust.fast_fails;
-      Alcotest.(check int) (label "no budget denials") 0 r.Robust.budget_denied;
-      Alcotest.(check int) (label "no breaker opens") 0 r.Robust.breaker_opens)
+      Alcotest.(check int) (label "no credit blocks") 0
+        (Robust.get r Robust.flow_blocks);
+      Alcotest.(check int) (label "no expiry sheds") 0
+        (Robust.get r Robust.shed_expired);
+      Alcotest.(check int) (label "no load sheds") 0
+        (Robust.get r Robust.shed_load);
+      Alcotest.(check int) (label "no fast fails") 0
+        (Robust.get r Robust.fast_fails);
+      Alcotest.(check int) (label "no budget denials") 0
+        (Robust.get r Robust.budget_denied);
+      Alcotest.(check int) (label "no breaker opens") 0
+        (Robust.get r Robust.breaker_opens))
     [ 1; 8 ]
 
 (* ---------- breakers on the deferral window ----------------------------- *)
@@ -313,7 +386,7 @@ let test_deferred_close_passes_breaker () =
          | () -> Alcotest.fail "close to an open breaker went out"
          | exception Hare_proto.Errno.Error (Hare_proto.Errno.EIO, _) -> ());
          Alcotest.(check int) "one fast-fail" 1
-           (Hare_client.Client.robust c).Robust.fast_fails;
+           (Robust.get (Hare_client.Client.robust c) Robust.fast_fails);
          Alcotest.(check int) "the server saw no close" served
            (closes_served m sid);
          0))
@@ -336,9 +409,9 @@ let test_polled_probe_closes_breaker () =
          Hare_client.Client.drain_window c;
          let r = Hare_client.Client.robust c in
          Alcotest.(check int) "the close was the probe" 1
-           r.Robust.breaker_half_opens;
+           (Robust.get r Robust.breaker_half_opens);
          Alcotest.(check int) "its polled reply closed the breaker" 1
-           r.Robust.breaker_closes;
+           (Robust.get r Robust.breaker_closes);
          Alcotest.(check int) "no breaker left open" 0
            (Hare_client.Client.open_breakers c);
          0))
@@ -368,8 +441,9 @@ let test_graceful_degradation_at_saturation () =
       check "goodput survives overload" (c.O.ok > 0);
       check "excess load was shed" (c.O.shed > 0);
       check_int "workload sheds = server load sheds" c.O.shed
-        r.Robust.shed_load;
-      check "no unexplained giveups" (r.Robust.giveups <= r.Robust.timeouts);
+        (Robust.get r Robust.shed_load);
+      check "no unexplained giveups"
+        (Robust.get r Robust.giveups <= Robust.get r Robust.timeouts);
       match Machine.trace m with
       | None -> Alcotest.fail "trace expected"
       | Some tr ->
@@ -396,15 +470,16 @@ let test_crash_trips_breakers () =
   in
   let m, c = run_overload_machine config in
   let r = Machine.robustness m in
-  Alcotest.(check int) "one crash" 1 r.Robust.crashes;
-  Alcotest.(check int) "one restart" 1 r.Robust.restarts;
-  Alcotest.(check bool) "breakers opened" true (r.Robust.breaker_opens > 0);
+  Alcotest.(check int) "one crash" 1 (Robust.get r Robust.crashes);
+  Alcotest.(check int) "one restart" 1 (Robust.get r Robust.restarts);
+  Alcotest.(check bool) "breakers opened" true
+    (Robust.get r Robust.breaker_opens > 0);
   Alcotest.(check bool) "probes admitted" true
-    (r.Robust.breaker_half_opens > 0);
+    (Robust.get r Robust.breaker_half_opens > 0);
   Alcotest.(check bool) "breakers closed after recovery" true
-    (r.Robust.breaker_closes > 0);
+    (Robust.get r Robust.breaker_closes > 0);
   Alcotest.(check bool) "open breakers fast-failed callers" true
-    (r.Robust.fast_fails > 0);
+    (Robust.get r Robust.fast_fails > 0);
   Alcotest.(check bool) "the run still made progress" true (c.O.ok > 0)
 
 let suites =

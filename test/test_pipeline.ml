@@ -128,9 +128,10 @@ let test_window_correctness () =
         0)
   in
   let perf = Machine.perf m in
-  Alcotest.(check bool) "closes were deferred" true (perf.Perf.deferred > 0);
+  Alcotest.(check bool) "closes were deferred" true
+    (Perf.get perf Perf.deferred > 0);
   Alcotest.(check bool) "window depth exceeded 1" true
-    (perf.Perf.window_hwm > 1);
+    (Perf.get perf Perf.window_hwm > 1);
   (* Teardown drained everything: every server saw its deferred closes,
      so no descriptor tokens leak. *)
   Array.iter
@@ -186,9 +187,9 @@ let test_batch_histogram () =
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
   Alcotest.(check (option int)) "all ok" (Some 0) (Machine.exit_status m init);
   let perf = Machine.perf m in
-  Alcotest.(check bool) "servers woke up" true (perf.Perf.batches > 0);
+  Alcotest.(check bool) "servers woke up" true (Perf.get perf Perf.batches > 0);
   Alcotest.(check bool) "some wakeups drained several requests" true
-    (perf.Perf.batched_msgs > perf.Perf.batches)
+    (Perf.get perf Perf.batched_msgs > Perf.get perf Perf.batches)
 
 let test_knobs_save_cycles_end_to_end () =
   (* The acceptance ablation in miniature: the figure-5 creates workload
@@ -241,7 +242,8 @@ let test_extent_lease_saves_rpcs () =
     true
     (lease_rpcs < base_rpcs);
   let perf = Machine.perf m8 in
-  Alcotest.(check bool) "lease hits recorded" true (perf.Perf.lease_hits > 0);
+  Alcotest.(check bool) "lease hits recorded" true
+    (Perf.get perf Perf.lease_hits > 0);
   (* Lease reclamation at last close: both machines end up with the same
      number of free blocks — over-allocation never outlives the fd. *)
   let free m =
@@ -292,8 +294,8 @@ let test_fault_soak_pipelined_lossy () =
   let tree, r, _, _ = Test_fault.run_fsstress config in
   Test_fault.check_tree "pipelined-lossy" tree;
   Alcotest.(check bool) "retries happened" true
-    (r.Hare_stats.Robust.retries > 0);
-  Alcotest.(check int) "nobody gave up" 0 r.Hare_stats.Robust.giveups
+    (Hare_stats.Robust.(get r retries) > 0);
+  Alcotest.(check int) "nobody gave up" 0 Hare_stats.Robust.(get r giveups)
 
 let test_fault_soak_pipelined_crash () =
   (* A server crash while extent leases are outstanding: restart must
@@ -305,8 +307,8 @@ let test_fault_soak_pipelined_crash () =
   in
   let tree, r, _, _ = Test_fault.run_fsstress config in
   Test_fault.check_tree "pipelined-crash" tree;
-  Alcotest.(check int) "one crash" 1 r.Hare_stats.Robust.crashes;
-  Alcotest.(check int) "nobody gave up" 0 r.Hare_stats.Robust.giveups
+  Alcotest.(check int) "one crash" 1 Hare_stats.Robust.(get r crashes);
+  Alcotest.(check int) "nobody gave up" 0 Hare_stats.Robust.(get r giveups)
 
 let suites =
   [

@@ -40,7 +40,7 @@ let make_rig () =
     Server.create ~engine ~config ~sid:0 ~core:score ~pcache ~dram
       ~blocks_first:0 ~blocks_count:64 ~inval_ports ()
   in
-  Server.install_root server ~dist:false;
+  Server.install_root server;
   Server.start server;
   { engine; server; client_core; ep = Server.endpoint server }
 
@@ -271,7 +271,7 @@ let test_migration_round_trip () =
   in
   let a = server ~sid:0 ~core:a_core ~blocks_first:0 in
   let b = server ~sid:2 ~core:b_core ~blocks_first:64 in
-  Server.install_root a ~dist:false;
+  Server.install_root a;
   let call s req = Rpc.call (Server.endpoint s) ~from:client_core req in
   let ok what = function Ok _ -> () | Error _ -> Alcotest.fail what in
   let create_open name =
@@ -332,11 +332,11 @@ let test_migration_round_trip () =
       | Error Errno.EMOVED -> ()
       | _ -> Alcotest.fail "A must bounce home 0 with EMOVED");
       (* B replays the tagged request from the migrated dedup entries *)
-      let hits = (Server.robust b).Hare_stats.Robust.dedup_hits in
+      let hits = Hare_stats.Robust.(get (Server.robust b) dedup_hits) in
       let ops = Hare_stats.Opcount.total (Server.ops b) in
       ok "replayed create" (tagged b);
       Alcotest.(check int) "dedup hit" (hits + 1)
-        (Server.robust b).Hare_stats.Robust.dedup_hits;
+        Hare_stats.Robust.(get (Server.robust b) dedup_hits);
       Alcotest.(check int) "not re-executed" ops
         (Hare_stats.Opcount.total (Server.ops b));
       (match call b (Wire.Read_fd { token; off = Some 0; len = 5 }) with

@@ -379,10 +379,10 @@ let test_moved_chase_bypasses_breaker () =
     (Machine.total_moved_retries m >= 1);
   let r = Machine.robustness m in
   Alcotest.(check bool) "the tripped breakers really opened" true
-    (r.Hare_stats.Robust.breaker_opens >= 1);
+    (Hare_stats.Robust.(get r breaker_opens) >= 1);
   Alcotest.(check int) "no chase was fast-failed" 0
-    r.Hare_stats.Robust.fast_fails;
-  Alcotest.(check int) "no request gave up" 0 r.Hare_stats.Robust.giveups;
+    Hare_stats.Robust.(get r fast_fails);
+  Alcotest.(check int) "no request gave up" 0 Hare_stats.Robust.(get r giveups);
   assert_clean "moved-vs-breaker" m
 
 (* The deferred twin: under the retry protocol with an eight-deep
@@ -439,13 +439,13 @@ let test_moved_chase_deferred_close () =
     (Place.migrations (ring m) >= 1);
   let perf = Machine.perf m in
   Alcotest.(check bool) "the closes were deferred" true
-    (perf.Hare_stats.Perf.deferred >= nfiles);
+    (Hare_stats.Perf.(get perf deferred) >= nfiles);
   Alcotest.(check int) "every deferred close landed" 0
-    perf.Hare_stats.Perf.deferred_errors;
+    Hare_stats.Perf.(get perf deferred_errors);
   Alcotest.(check bool) "at least one close bounced and chased" true
     (Machine.total_moved_retries m >= 1);
   Alcotest.(check int) "no request gave up" 0
-    (Machine.robustness m).Hare_stats.Robust.giveups;
+    Hare_stats.Robust.(get (Machine.robustness m) giveups);
   assert_clean "moved-deferred-close" m
 
 (* ---------- suites ------------------------------------------------------- *)

@@ -107,8 +107,8 @@ let test_perf_reset_unit () =
   let p = Perf.create () in
   Perf.note_window p 5;
   Perf.note_batch p 3;
-  p.Perf.deferred <- 7;
-  p.Perf.lease_hits <- 2;
+  Perf.add p Perf.deferred 7;
+  Perf.add p Perf.lease_hits 2;
   Alcotest.(check bool) "counters moved" false (Perf.is_zero p);
   Perf.reset p;
   Alcotest.(check bool) "reset zeroes everything" true (Perf.is_zero p)
