@@ -647,9 +647,9 @@ let report_ring m place =
     "ring: %d logical homes x %d vnodes over %d physical servers (epoch %d)\n"
     (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
     (Place.epoch place);
-  Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
-    (Machine.seconds m) (Machine.imbalance m);
   let loads = Machine.server_loads m in
+  Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
+    (Machine.seconds m) (Driver.imbalance loads);
   Table.print
     ~headers:
       [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops"; "peak-q"; "in";

@@ -141,7 +141,7 @@ let traced t op f =
 let rpc t srv req =
   match Transport.call t.tp srv req with
   | Ok payload -> payload
-  | Error e -> Errno.raise_errno e (Wire.req_name req)
+  | Error e -> Errno.raise_errno e (Wire.info req).name
 
 (* A crashed server forgets its descriptor table; the first post-restart
    use of a token answers [EBADF]. Recover by re-opening the inode —

@@ -135,7 +135,7 @@ let pause t name req cycles =
   let o = obs t in
   if Obs.on o Obs.spans then
     Obs.emit o (Wait { fid = Engine.current_fid t.engine; cycles });
-  instant t name [ ("op", Wire.req_name req) ];
+  instant t name [ ("op", (Wire.info req).name) ];
   Engine.sleep_cycles cycles
 
 (* Logical home -> physical endpoint index, re-read at every send so a
@@ -155,16 +155,6 @@ let note_done t seq =
       t.ack <- t.ack + 1
     done
   end
-
-(* Requests that are safe to retransmit under the (client, seq) dedup
-   protocol. Pipe I/O is excluded because a parked pipe read or write
-   may legitimately wait forever (there is no deadline to distinguish a
-   slow peer from a dead server), as is the rmdir lock, which parks
-   until the previous holder commits. *)
-let retryable (req : Wire.fs_req) =
-  match req with
-  | Wire.Pipe_read _ | Wire.Pipe_write _ | Wire.Rmdir_lock _ -> false
-  | _ -> true
 
 (* ---------- overload control: breakers and retry budgets --------------- *)
 
@@ -293,7 +283,7 @@ let transmit t ~deadline ~meta home req =
   let future, span =
     Rpc.call_async t.servers.(ep) ~from:t.core
       ?payload_lines:(payload_lines req) ?meta
-      ~abs_deadline:(propagated t deadline) ~prio:(Wire.req_prio req) req
+      ~abs_deadline:(propagated t deadline) req
   in
   { home; req; meta; ep; future; span }
 
@@ -301,11 +291,11 @@ let resend t c deadline = transmit t ~deadline ~meta:c.meta c.home c.req
 
 let send t ~deferred home req =
   t.rpc_count <- t.rpc_count + 1;
-  let tagged = t.base > 0 && retryable req in
+  let tagged = t.base > 0 && (Wire.info req).retryable in
   if tagged && not (breaker_admit t (phys t home)) then begin
     Robust.incr t.robust Robust.fast_fails;
     instant t "fast-fail"
-      [ ("op", Wire.req_name req); ("server", string_of_int (phys t home)) ];
+      [ ("op", (Wire.info req).name); ("server", string_of_int (phys t home)) ];
     { home; req; meta = None; ep = -1; future = Ivar.create (); span = 0 }
   end
   else begin

@@ -403,22 +403,6 @@ let server_loads t =
            Hare_stats.Opcount.total (Server.ops s),
            Server.peak_queue s ))
 
-let imbalance t =
-  (* Max/mean served-operation ratio over the servers that did any work
-     (a spare that was added late or drained early still counts once it
-     served anything). *)
-  let loads =
-    List.filter_map
-      (fun (_, ops, _) -> if ops > 0 then Some (float_of_int ops) else None)
-      (server_loads t)
-  in
-  match loads with
-  | [] -> 1.0
-  | l ->
-      let n = float_of_int (List.length l) in
-      let mean = List.fold_left ( +. ) 0.0 l /. n in
-      List.fold_left max 0.0 l /. mean
-
 let total_moved_retries t =
   Array.fold_left (fun acc c -> acc + Client.moved_retries c) 0 t.clients
 

@@ -36,10 +36,6 @@ val server_loads : t -> (int * int * int) list
 (** Per physical server: [(sid, ops served, peak request-queue depth)].
     Ops accumulate since boot; peaks since the last {!reset_perf}. *)
 
-val imbalance : t -> float
-(** Max/mean ratio of served operations over the servers that served
-    anything — 1.0 is a perfectly even ring. *)
-
 val total_moved_retries : t -> int
 (** Client re-sends after an [EMOVED] bounce (shard migration races). *)
 

@@ -33,6 +33,21 @@ type result = {
       (* per-class tail blame reports; empty unless trace_retain > 0 *)
 }
 
+(* Max/mean served-operation ratio over the servers that did any work
+   (a spare that was added late or drained early still counts once it
+   served anything). *)
+let imbalance loads =
+  let served =
+    List.filter_map
+      (fun (_, ops, _) -> if ops > 0 then Some (float_of_int ops) else None)
+      loads
+  in
+  match served with
+  | [] -> 1.0
+  | l ->
+      let mean = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
+      List.fold_left max 0.0 l /. mean
+
 (* Per-class latency distributions of the root syscall spans that began
    at or after [since] (cycles). Shared with hare_cli's robustness report.
    Reads the trace's root-span log, not the event ring: the log is
@@ -201,20 +216,7 @@ module Make (W : World.WORLD) = struct
       robust = W.robustness w;
       engine = W.engine_stats w;
       loads = W.server_loads w;
-      imbalance =
-        (let served =
-           List.filter_map
-             (fun (_, ops, _) ->
-               if ops > 0 then Some (float_of_int ops) else None)
-             (W.server_loads w)
-         in
-         match served with
-         | [] -> 1.0
-         | l ->
-             let mean =
-               List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-             in
-             List.fold_left max 0.0 l /. mean);
+      imbalance = imbalance (W.server_loads w);
       gauges =
         (match W.metrics w with
         | Some m -> Hare_metrics.Metrics.summaries m

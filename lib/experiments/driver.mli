@@ -52,6 +52,11 @@ type result = {
           trees. Empty unless [trace_retain > 0]. *)
 }
 
+val imbalance : (int * int * int) list -> float
+(** Max/mean served-operation ratio over the [(sid, ops, peak)] loads
+    of the servers that served anything; 1.0 is a perfectly even
+    ring. *)
+
 val latencies_of_trace :
   ?since:int64 ->
   Hare_trace.Trace.t ->

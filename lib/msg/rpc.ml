@@ -15,7 +15,6 @@ type ('req, 'resp) request = {
   meta : meta option;
   span : int; (* request id on the observer bus; 0 = unobserved *)
   deadline : int64; (* absolute expiry on the simulated clock; 0 = none *)
-  prio : int; (* shed class: 0 metadata, 1 data, 2 background *)
 }
 
 (* A request on the wire, with the slot its reply fills. The receiver
@@ -26,7 +25,6 @@ type ('req, 'resp) envelope = {
   e_meta : meta option;
   e_span : int;
   e_deadline : int64;
-  e_prio : int;
 }
 
 type ('req, 'resp) t = {
@@ -54,7 +52,7 @@ let obs core = Engine.obs (Core_res.engine core)
    effect round trip — these sites fire on every observed RPC. *)
 let fid core = Engine.current_fid (Core_res.engine core)
 
-let call_async t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
+let call_async t ~from ?payload_lines ?meta ~abs_deadline req =
   (* Allocate a request id so the server-side work (trace) and the
      reply edge (sanitizer) can be tied back to this call. *)
   let o = obs from in
@@ -70,7 +68,6 @@ let call_async t ~from ?payload_lines ?meta ~abs_deadline ~prio req =
       e_meta = meta;
       e_span = span;
       e_deadline = abs_deadline;
-      e_prio = prio;
     };
   let depth = Mailbox.pending t.mailbox in
   if depth > t.peak then t.peak <- depth;
@@ -125,9 +122,7 @@ let await_deadline ~engine ~from ~costs ~deadline ~span future =
       Error `Timeout
 
 let call t ~from ?payload_lines req =
-  let future, span =
-    call_async t ~from ?payload_lines ~abs_deadline:0L ~prio:0 req
-  in
+  let future, span = call_async t ~from ?payload_lines ~abs_deadline:0L req in
   await ~from ~costs:t.costs ~span future
 
 let reply_fn t env ?(payload_lines = 0) resp =
@@ -159,7 +154,6 @@ let request t env =
     meta = env.e_meta;
     span = env.e_span;
     deadline = env.e_deadline;
-    prio = env.e_prio;
   }
 
 let recv_full t = request t (Mailbox.recv t.mailbox)

@@ -31,7 +31,6 @@ type ('req, 'resp) request = {
   meta : meta option;  (** idempotency tag *)
   span : int;  (** the request's bus id; 0 = unobserved *)
   deadline : int64;  (** absolute expiry, simulated cycles; 0 = none *)
-  prio : int;  (** shed class: 0 metadata, 1 data, 2 background *)
 }
 (** A received request, as the server side sees it. *)
 
@@ -74,15 +73,14 @@ val call :
     reply is attributed from the server-side breakdown and the reply
     carries its happens-before edge. [meta], when given, tags the
     request for dedup and marks it unreliable (subject to the fault
-    plan). [abs_deadline]/[prio] ride the envelope (deadline propagation
-    and shed class): 0 = never expires, metadata class. *)
+    plan). [abs_deadline] rides the envelope (deadline propagation):
+    0 = never expires. *)
 val call_async :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
   ?meta:meta ->
   abs_deadline:int64 ->
-  prio:int ->
   'req ->
   'resp Hare_sim.Ivar.t * int
 
@@ -114,7 +112,7 @@ val await_deadline :
 val recv : ('req, 'resp) t -> 'req * (?payload_lines:int -> 'resp -> unit)
 
 val recv_full : ('req, 'resp) t -> ('req, 'resp) request
-(** Like {!recv}, with the request's tag, span, deadline and class. *)
+(** Like {!recv}, with the request's tag, span and deadline. *)
 
 (** [recv_batch_full t ~max] blocks for the first request, then drains up
     to [max - 1] already-queued requests in arrival order (see

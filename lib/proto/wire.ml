@@ -51,7 +51,6 @@ type fs_req =
   | Get_attr of { ino : ino }
   | Truncate of { ino : ino; size : int }
   | Unlink_ino of { ino : ino }
-  | Link_ino of { ino : ino }
   | Inc_fd_ref of { token : fd_token; offset : int option }
   | Rmdir_lock of { dir : ino }
   | Rmdir_unlock of { dir : ino }
@@ -77,11 +76,9 @@ type entry = { e_name : string; e_ino : ino; e_ftype : ftype }
 
 type fs_payload =
   | P_unit
-  | P_ino of ino
   | P_attr of attr
   | P_lookup of { target : ino; ftype : ftype; dist : bool }
   | P_open of open_info
-  | P_create of open_info
   | P_created_ino of ino
   | P_read of { data : string; now_local : int option }
   | P_write of { written : int; size : int; now_local : int option }
@@ -129,86 +126,86 @@ type sched_req =
 
 type sched_resp = (pid, Errno.t) result
 
-let req_name = function
-  | Lookup _ -> "LOOKUP"
-  | Add_map _ -> "ADD_MAP"
-  | Rm_map _ -> "RM_MAP"
-  | Readdir_shard _ -> "READDIR"
-  | Create_open _ -> "CREATE_OPEN"
-  | Create_inode _ -> "CREATE_INODE"
-  | Create_dir _ -> "CREATE_DIR"
-  | Open_inode _ -> "OPEN"
-  | Close_fd _ -> "CLOSE"
-  | Read_fd _ -> "READ"
-  | Write_fd _ -> "WRITE"
-  | Lseek_fd _ -> "LSEEK"
-  | Alloc_blocks _ -> "ALLOC"
-  | Get_blocks _ -> "GET_BLOCKS"
-  | Update_size _ -> "UPDATE_SIZE"
-  | Get_attr _ -> "GETATTR"
-  | Truncate _ -> "TRUNCATE"
-  | Unlink_ino _ -> "UNLINK_INO"
-  | Link_ino _ -> "LINK_INO"
-  | Inc_fd_ref _ -> "INC_FD_REF"
-  | Rmdir_lock _ -> "RMDIR_LOCK"
-  | Rmdir_unlock _ -> "RMDIR_UNLOCK"
-  | Rmdir_prepare _ -> "RMDIR_PREPARE"
-  | Rmdir_commit _ -> "RMDIR_COMMIT"
-  | Rmdir_abort _ -> "RMDIR_ABORT"
-  | Rmdir_local _ -> "RMDIR_LOCAL"
-  | Pipe_create _ -> "PIPE_CREATE"
-  | Pipe_read _ -> "PIPE_READ"
-  | Pipe_write _ -> "PIPE_WRITE"
-  | Steal_blocks _ -> "STEAL_BLOCKS"
-  | Migrate_out _ -> "MIGRATE_OUT"
-  | Install_shard _ -> "INSTALL_SHARD"
+type shed_class = Metadata | Data | Background
 
-(* Span names for server-side trace contexts. Literal per constructor —
-   ["srv:" ^ req_name req] would allocate a fresh string on every traced
-   request. *)
-let req_srv_name = function
-  | Lookup _ -> "srv:LOOKUP"
-  | Add_map _ -> "srv:ADD_MAP"
-  | Rm_map _ -> "srv:RM_MAP"
-  | Readdir_shard _ -> "srv:READDIR"
-  | Create_open _ -> "srv:CREATE_OPEN"
-  | Create_inode _ -> "srv:CREATE_INODE"
-  | Create_dir _ -> "srv:CREATE_DIR"
-  | Open_inode _ -> "srv:OPEN"
-  | Close_fd _ -> "srv:CLOSE"
-  | Read_fd _ -> "srv:READ"
-  | Write_fd _ -> "srv:WRITE"
-  | Lseek_fd _ -> "srv:LSEEK"
-  | Alloc_blocks _ -> "srv:ALLOC"
-  | Get_blocks _ -> "srv:GET_BLOCKS"
-  | Update_size _ -> "srv:UPDATE_SIZE"
-  | Get_attr _ -> "srv:GETATTR"
-  | Truncate _ -> "srv:TRUNCATE"
-  | Unlink_ino _ -> "srv:UNLINK_INO"
-  | Link_ino _ -> "srv:LINK_INO"
-  | Inc_fd_ref _ -> "srv:INC_FD_REF"
-  | Rmdir_lock _ -> "srv:RMDIR_LOCK"
-  | Rmdir_unlock _ -> "srv:RMDIR_UNLOCK"
-  | Rmdir_prepare _ -> "srv:RMDIR_PREPARE"
-  | Rmdir_commit _ -> "srv:RMDIR_COMMIT"
-  | Rmdir_abort _ -> "srv:RMDIR_ABORT"
-  | Rmdir_local _ -> "srv:RMDIR_LOCAL"
-  | Pipe_create _ -> "srv:PIPE_CREATE"
-  | Pipe_read _ -> "srv:PIPE_READ"
-  | Pipe_write _ -> "srv:PIPE_WRITE"
-  | Steal_blocks _ -> "srv:STEAL_BLOCKS"
-  | Migrate_out _ -> "srv:MIGRATE_OUT"
-  | Install_shard _ -> "srv:INSTALL_SHARD"
+type info = {
+  name : string;
+  span : string;
+  shed : shed_class;
+  cost : int;
+  retryable : bool;
+}
 
-(* Overload priority class: metadata RPCs (0) are never shed, data RPCs
-   (1) move bulk bytes, background RPCs (2) are deferrable housekeeping.
-   Rides the RPC envelope so a loaded server can shed by class. *)
-let req_prio : fs_req -> int = function
-  | Read_fd _ | Write_fd _ | Alloc_blocks _ | Get_blocks _ | Update_size _
-  | Pipe_read _ | Pipe_write _ ->
-      1
-  | Unlink_ino _ | Steal_blocks _ -> 2
-  | _ -> 0
+(* The request catalogue. Each arm is a constant record, so a lookup
+   allocates nothing; the span name is spelled out for the same reason
+   (["srv:" ^ name] would build a string per traced request). *)
+let info = function
+  | Lookup _ -> { name = "LOOKUP"; span = "srv:LOOKUP";
+      shed = Metadata; cost = 200; retryable = true }
+  | Add_map _ -> { name = "ADD_MAP"; span = "srv:ADD_MAP";
+      shed = Metadata; cost = 400; retryable = true }
+  | Rm_map _ -> { name = "RM_MAP"; span = "srv:RM_MAP";
+      shed = Metadata; cost = 0; retryable = true }
+  | Readdir_shard _ -> { name = "READDIR"; span = "srv:READDIR";
+      shed = Metadata; cost = 200; retryable = true }
+  | Create_open _ -> { name = "CREATE_OPEN"; span = "srv:CREATE_OPEN";
+      shed = Metadata; cost = 900; retryable = true }
+  | Create_inode _ -> { name = "CREATE_INODE"; span = "srv:CREATE_INODE";
+      shed = Metadata; cost = 500; retryable = true }
+  | Create_dir _ -> { name = "CREATE_DIR"; span = "srv:CREATE_DIR";
+      shed = Metadata; cost = 800; retryable = true }
+  | Open_inode _ -> { name = "OPEN"; span = "srv:OPEN";
+      shed = Metadata; cost = 400; retryable = true }
+  | Close_fd _ -> { name = "CLOSE"; span = "srv:CLOSE";
+      shed = Metadata; cost = 200; retryable = true }
+  | Read_fd _ -> { name = "READ"; span = "srv:READ";
+      shed = Data; cost = 300; retryable = true }
+  | Write_fd _ -> { name = "WRITE"; span = "srv:WRITE";
+      shed = Data; cost = 300; retryable = true }
+  | Lseek_fd _ -> { name = "LSEEK"; span = "srv:LSEEK";
+      shed = Metadata; cost = 100; retryable = true }
+  (* per block: the server charges [max 1 (count + ahead)] times this *)
+  | Alloc_blocks _ -> { name = "ALLOC"; span = "srv:ALLOC";
+      shed = Data; cost = 150; retryable = true }
+  | Get_blocks _ -> { name = "GET_BLOCKS"; span = "srv:GET_BLOCKS";
+      shed = Data; cost = 150; retryable = true }
+  | Update_size _ -> { name = "UPDATE_SIZE"; span = "srv:UPDATE_SIZE";
+      shed = Data; cost = 100; retryable = true }
+  | Get_attr _ -> { name = "GETATTR"; span = "srv:GETATTR";
+      shed = Metadata; cost = 150; retryable = true }
+  | Truncate _ -> { name = "TRUNCATE"; span = "srv:TRUNCATE";
+      shed = Metadata; cost = 300; retryable = true }
+  | Unlink_ino _ -> { name = "UNLINK_INO"; span = "srv:UNLINK_INO";
+      shed = Background; cost = 250; retryable = true }
+  | Inc_fd_ref _ -> { name = "INC_FD_REF"; span = "srv:INC_FD_REF";
+      shed = Metadata; cost = 150; retryable = true }
+  (* not retryable: it parks until the previous holder commits *)
+  | Rmdir_lock _ -> { name = "RMDIR_LOCK"; span = "srv:RMDIR_LOCK";
+      shed = Metadata; cost = 150; retryable = false }
+  | Rmdir_unlock _ -> { name = "RMDIR_UNLOCK"; span = "srv:RMDIR_UNLOCK";
+      shed = Metadata; cost = 150; retryable = true }
+  | Rmdir_prepare _ -> { name = "RMDIR_PREPARE"; span = "srv:RMDIR_PREPARE";
+      shed = Metadata; cost = 250; retryable = true }
+  | Rmdir_commit _ -> { name = "RMDIR_COMMIT"; span = "srv:RMDIR_COMMIT";
+      shed = Metadata; cost = 250; retryable = true }
+  | Rmdir_abort _ -> { name = "RMDIR_ABORT"; span = "srv:RMDIR_ABORT";
+      shed = Metadata; cost = 250; retryable = true }
+  | Rmdir_local _ -> { name = "RMDIR_LOCAL"; span = "srv:RMDIR_LOCAL";
+      shed = Metadata; cost = 400; retryable = true }
+  | Pipe_create _ -> { name = "PIPE_CREATE"; span = "srv:PIPE_CREATE";
+      shed = Metadata; cost = 500; retryable = true }
+  (* not retryable: a parked pipe read or write may legitimately wait
+     forever, and no deadline tells a slow peer from a dead server *)
+  | Pipe_read _ -> { name = "PIPE_READ"; span = "srv:PIPE_READ";
+      shed = Data; cost = 200; retryable = false }
+  | Pipe_write _ -> { name = "PIPE_WRITE"; span = "srv:PIPE_WRITE";
+      shed = Data; cost = 200; retryable = false }
+  | Steal_blocks _ -> { name = "STEAL_BLOCKS"; span = "srv:STEAL_BLOCKS";
+      shed = Background; cost = 300; retryable = true }
+  | Migrate_out _ -> { name = "MIGRATE_OUT"; span = "srv:MIGRATE_OUT";
+      shed = Metadata; cost = 800; retryable = true }
+  | Install_shard _ -> { name = "INSTALL_SHARD"; span = "srv:INSTALL_SHARD";
+      shed = Metadata; cost = 800; retryable = true }
 
 (* Compact request arguments for trace spans: enough to identify the
    object an op touched without dumping payloads. *)
@@ -234,7 +231,6 @@ let req_args req =
   | Get_attr { ino = i } -> ino i
   | Truncate { ino = i; size } -> ino i @ [ ("size", string_of_int size) ]
   | Unlink_ino { ino = i } -> ino i
-  | Link_ino { ino = i } -> ino i
   | Rmdir_lock { dir = d }
   | Rmdir_unlock { dir = d }
   | Rmdir_prepare { dir = d; _ }
@@ -247,17 +243,3 @@ let req_args req =
   | Steal_blocks { count } -> [ ("count", string_of_int count) ]
   | Migrate_out { home } | Install_shard { home; _ } ->
       [ ("home", string_of_int home) ]
-
-let pp_fs_req ppf req =
-  match req with
-  | Lookup { dir; name; _ } ->
-      Format.fprintf ppf "LOOKUP(%a, %s)" pp_ino dir name
-  | Add_map { dir; name; target; _ } ->
-      Format.fprintf ppf "ADD_MAP(%a, %s -> %a)" pp_ino dir name pp_ino target
-  | Rm_map { dir; name; _ } ->
-      Format.fprintf ppf "RM_MAP(%a, %s)" pp_ino dir name
-  | Create_open { dir; name; _ } ->
-      Format.fprintf ppf "CREATE_OPEN(%a, %s)" pp_ino dir name
-  | Open_inode { ino; _ } -> Format.fprintf ppf "OPEN(%a)" pp_ino ino
-  | Readdir_shard { dir; _ } -> Format.fprintf ppf "READDIR(%a)" pp_ino dir
-  | _ -> Format.pp_print_string ppf (req_name req)

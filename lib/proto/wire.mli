@@ -85,10 +85,6 @@ type fs_req =
   | Get_attr of { ino : ino }
   | Truncate of { ino : ino; size : int }
   | Unlink_ino of { ino : ino }
-  | Link_ino of { ino : ino }
-      (** add a link count: the first half of rename's link+unlink pair,
-          protecting the inode from a concurrent unlink of the old
-          name. *)
   | Inc_fd_ref of { token : fd_token; offset : int option }
       (** fork-time share: the client's local offset migrates in. *)
   (* three-phase rmdir *)
@@ -132,11 +128,9 @@ type entry = { e_name : string; e_ino : ino; e_ftype : ftype }
 
 type fs_payload =
   | P_unit
-  | P_ino of ino
   | P_attr of attr
   | P_lookup of { target : ino; ftype : ftype; dist : bool }
   | P_open of open_info
-  | P_create of open_info  (** reply to [Create_open]; token's ino inside. *)
   | P_created_ino of ino  (** reply to [Create_inode]. *)
   | P_read of { data : string; now_local : int option }
       (** [now_local]: lazy demotion — the fd's shared refcount dropped to
@@ -192,20 +186,27 @@ type sched_req =
 
 type sched_resp = (pid, Errno.t) result
 
-val pp_fs_req : Format.formatter -> fs_req -> unit
+(** Overload shed class, read by a loaded server from the request
+    itself: [Metadata] is never shed, [Data] moves bulk bytes and is shed
+    above twice the watermark, [Background] is deferrable housekeeping,
+    shed first (above the watermark). *)
+type shed_class = Metadata | Data | Background
 
-val req_name : fs_req -> string
-(** Short opcode name, for per-operation statistics. *)
+(** The fixed facts of one opcode. *)
+type info = {
+  name : string;  (** wire name, e.g. ["LOOKUP"]: per-op statistics *)
+  span : string;  (** ["srv:" ^ name]: the server-side trace span *)
+  shed : shed_class;
+  cost : int;  (** server compute per request, in cycles *)
+  retryable : bool;
+      (** safe to retransmit under the (client, seq) dedup protocol;
+          retryable requests are the ones tagged and timed out *)
+}
 
-val req_srv_name : fs_req -> string
-(** ["srv:" ^ req_name req] as a literal per constructor (no per-call
-    allocation); names server-side trace spans. *)
+val info : fs_req -> info
+(** The request catalogue: one constant record per opcode, so a lookup
+    allocates nothing. *)
 
 val req_args : fs_req -> (string * string) list
 (** Compact key/value identification of the request's target (inode,
     directory entry, payload length) for trace-span annotation. *)
-
-val req_prio : fs_req -> int
-(** Overload priority class: 0 = metadata (never shed), 1 = data,
-    2 = background (shed first above the watermark). *)
-

@@ -468,38 +468,6 @@ let install_root t =
 
 (* ---------- request handlers ------------------------------------------ *)
 
-let op_cost (req : Wire.fs_req) =
-  match req with
-  | Wire.Lookup _ -> 200
-  | Wire.Add_map _ -> 400
-  | Wire.Rm_map _ -> 0
-  | Wire.Readdir_shard _ -> 200
-  | Wire.Create_open _ -> 900
-  | Wire.Create_inode _ -> 500
-  | Wire.Create_dir _ -> 800
-  | Wire.Open_inode _ -> 400
-  | Wire.Close_fd _ -> 200
-  | Wire.Read_fd _ -> 300
-  | Wire.Write_fd _ -> 300
-  | Wire.Lseek_fd _ -> 100
-  | Wire.Alloc_blocks { count; ahead; _ } -> 150 * max 1 (count + ahead)
-  | Wire.Get_blocks _ -> 150
-  | Wire.Update_size _ -> 100
-  | Wire.Get_attr _ -> 150
-  | Wire.Truncate _ -> 300
-  | Wire.Unlink_ino _ -> 250
-  | Wire.Link_ino _ -> 150
-  | Wire.Inc_fd_ref _ -> 150
-  | Wire.Rmdir_lock _ | Wire.Rmdir_unlock _ -> 150
-  | Wire.Rmdir_prepare _ | Wire.Rmdir_commit _ | Wire.Rmdir_abort _ -> 250
-  | Wire.Rmdir_local _ -> 400
-  | Wire.Pipe_create _ -> 500
-  | Wire.Pipe_read _ -> 200
-  | Wire.Pipe_write _ -> 200
-  | Wire.Steal_blocks _ -> 300
-  | Wire.Migrate_out _ -> 800
-  | Wire.Install_shard _ -> 800
-
 let open_info (ofd : ofd) : Wire.open_info =
   {
     Wire.token = ofd.token;
@@ -823,16 +791,6 @@ let handle_unlink_ino t ~ino (reply : reply) =
         reply (Ok Wire.P_unit)
       end)
 
-(* The first half of rename's link+unlink pair: a dead (or dying) inode
-   cannot gain new names. *)
-let handle_link_ino t ~ino (reply : reply) =
-  with_inode t ino reply (fun inode ->
-      if inode.nlink <= 0 || inode.unlinked then reply (Error Errno.ENOENT)
-      else begin
-        inode.nlink <- inode.nlink + 1;
-        reply (Ok Wire.P_unit)
-      end)
-
 let handle_inc_fd_ref t ~token ~offset (reply : reply) =
   with_ofd t token reply (fun ofd ->
       ofd.refcount <- ofd.refcount + 1;
@@ -1067,7 +1025,7 @@ and kick_steal t =
         t.steal_victim <- (t.steal_victim + 1) mod Array.length t.peers;
       let future, span =
         Hare_msg.Rpc.call_async t.peers.(t.steal_victim) ~from:t.core
-          ~abs_deadline:0L ~prio:0 (Wire.Steal_blocks { count = 128 })
+          ~abs_deadline:0L (Wire.Steal_blocks { count = 128 })
       in
       ignore
         (Engine.spawn t.engine
@@ -1127,7 +1085,6 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
           do_truncate t inode ~size;
           reply (Ok Wire.P_unit))
   | Wire.Unlink_ino { ino } -> handle_unlink_ino t ~ino reply
-  | Wire.Link_ino { ino } -> handle_link_ino t ~ino reply
   | Wire.Inc_fd_ref { token; offset } -> handle_inc_fd_ref t ~token ~offset reply
   | Wire.Rmdir_lock { dir } -> handle_rmdir_lock t ~dir reply
   | Wire.Rmdir_unlock { dir } -> handle_rmdir_unlock t ~dir reply
@@ -1162,15 +1119,21 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
    is charged (PR 2 batch dispatch). *)
 let execute ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
     =
-  Hare_stats.Opcount.incr t.ops (Wire.req_name req);
+  let info = Wire.info req in
+  Hare_stats.Opcount.incr t.ops info.name;
   let dcost = if dispatch then t.costs.server_dispatch else 0 in
-  let ocost = op_cost req in
+  let ocost =
+    match req with
+    (* allocation is charged per block granted, extent lease included *)
+    | Wire.Alloc_blocks { count; ahead; _ } -> info.cost * max 1 (count + ahead)
+    | _ -> info.cost
+  in
   (* A server-side span, child of the request: its bucket breakdown is
      recorded for the client's blocked-await. *)
   let o = Engine.obs t.engine in
   let fid = Engine.current_fid t.engine in
   if Obs.on o Obs.spans then begin
-    let op = Wire.req_srv_name req and args () = Wire.req_args req in
+    let op = info.span and args () = Wire.req_args req in
     let pending = [ (Obs.Dispatch, dcost); (Compute, ocost) ] in
     let track = Core_res.id t.core and ts = Obs.now o in
     Obs.emit o (Span_open { fid; op; track; parent = span; ts; args; pending })
@@ -1212,8 +1175,7 @@ let req_home t (req : Wire.fs_req) =
   | Wire.Get_blocks { ino }
   | Wire.Get_attr { ino }
   | Wire.Truncate { ino; _ }
-  | Wire.Unlink_ino { ino }
-  | Wire.Link_ino { ino } ->
+  | Wire.Unlink_ino { ino } ->
       ino.server
   | Wire.Rmdir_lock { dir } | Wire.Rmdir_unlock { dir } | Wire.Rmdir_local { dir; _ } ->
       dir.server
@@ -1387,7 +1349,7 @@ let start t =
   let wm = t.config.Hare_config.Config.shed_watermark in
   let shed_instant name req =
     if Obs.on (Engine.obs t.engine) Obs.marks then
-      instant t name [ ("op", Wire.req_name req) ]
+      instant t name [ ("op", (Wire.info req).name) ]
   in
   (* Class shed first: a categorical EBUSY tells the client to back off
      now, whereas an expiry drop costs it a full timeout — so above the
@@ -1397,21 +1359,24 @@ let start t =
      so a duplicate replays its original's outcome (EBUSY included)
      rather than executing the operation invisibly or being counted as a
      second shed. *)
-  let sheds m prio =
-    wm > 0 && prio > 0
+  let sheds m req =
+    wm > 0
     && (let depth = Hare_msg.Rpc.pending t.endpoint in
-        (prio >= 2 && depth > wm) || (prio >= 1 && depth > 2 * wm))
+        match (Wire.info req).shed with
+        | Metadata -> false
+        | Data -> depth > 2 * wm
+        | Background -> depth > wm)
     && not (Dedup.seen t.dedup m)
   in
   let serve ~dispatch (r : _ Hare_msg.Rpc.request) =
-    let { Hare_msg.Rpc.body = req; reply; meta; span; deadline; prio } = r in
+    let { Hare_msg.Rpc.body = req; reply; meta; span; deadline } = r in
     if t.down then
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)
       Queue.push r t.boot_queue
     else
       match meta with
-      | Some m when sheds m prio ->
+      | Some m when sheds m req ->
           Robust.incr t.robust Robust.shed_load;
           shed_instant "shed-load" req;
           Core_res.compute t.core t.costs.server_dispatch;

@@ -43,7 +43,6 @@ type waker = unit -> unit
 
 type _ Effect.t +=
   | Self : fiber Effect.t
-  | Sleep : int64 -> unit Effect.t
   | Sleep_cycles : int -> unit Effect.t
   | Suspend : (waker -> unit) -> unit Effect.t
 
@@ -157,20 +156,10 @@ let spawn t ?(daemon = false) ~name body =
             | Self ->
                 Some
                   (fun (k : (a, unit) continuation) -> continue k fiber)
-            | Sleep d ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    if d < 0L then
-                      discontinue k (Invalid_argument "Engine.sleep: negative")
-                    else
-                      schedule_at t ~tag:(tag_resume fiber.fid)
-                        (Int64.add t.time d) (fun () ->
-                          t.cur <- Some fiber;
-                          continue k ()))
             | Sleep_cycles d ->
-                (* Unboxed twin of [Sleep]: an immediate-int payload and
-                   native-int time arithmetic, so the per-compute sleep on
-                   the hot path allocates nothing. *)
+                (* An immediate-int payload and native-int time
+                   arithmetic, so the per-compute sleep on the hot path
+                   allocates nothing. *)
                 Some
                   (fun (k : (a, unit) continuation) ->
                     if d < 0 then
@@ -337,8 +326,8 @@ let run_for t budget =
 
 let self () = Effect.perform Self
 
-let sleep d = Effect.perform (Sleep d)
-
 let sleep_cycles d = Effect.perform (Sleep_cycles d)
+
+let sleep d = sleep_cycles (Int64.to_int d)
 
 let suspend register = Effect.perform (Suspend register)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test of the hare_cli command line: every composition below must
 # exit with its documented code (0 clean, 1 failure or bad arguments,
-# 2 explore bad arguments). Usage: cli_smoke.sh PATH/TO/hare_cli.exe
+# 2 explore bad arguments), and a scripted shell session must print
+# what it wrote. Usage: cli_smoke.sh PATH/TO/hare_cli.exe
 cli=$1
 fail=0
 expect() {
@@ -35,4 +36,16 @@ expect 2 explore collide --strategy foo
 expect 2 explore collide --replay 0,x
 expect 2 explore nosuch
 expect 2 explore collide --mutate nosuch
+# The interactive shell on a scripted stdin: it must exit 0, the first
+# cat must print the file and the cat after the rename must fail with
+# the name of the lookup request.
+out=$(printf 'mkdir /a\nwrite /a/f hello\ncat /a/f\nls /a\nmv /a/f /a/g\ncat /a/f\nspawn 2\ntime\nexit\n' \
+  | "$cli" shell 2>&1)
+rc=$?
+cats=$(printf '%s\n' "$out" | sed 's/^\(hare:[^ ]*> \)*//' \
+  | grep -x -e hello -e 'error: ENOENT (LOOKUP)' | tr '\n' '|')
+if [ "$rc" -ne 0 ] || [ "$cats" != "hello|error: ENOENT (LOOKUP)|" ]; then
+  echo "FAIL: hare_cli shell exited $rc, cat output '$cats'"
+  fail=1
+fi
 exit $fail

@@ -74,33 +74,100 @@ let test_errno_strings () =
       Errno.ECHILD; Errno.ESRCH; Errno.EMFILE; Errno.ENOSYS; Errno.ENOEXEC;
       Errno.EACCES; Errno.EBUSY ]
 
+type Wire.pack += Pack
+
+(* The request catalogue, pinned: every opcode's wire name, span name,
+   shed class, base cost and retry safety, as the paper-faithful clocks
+   and the trace exports were recorded with. *)
 let test_req_names_distinct () =
-  let dummy_ino = Types.root_ino in
-  let reqs =
+  let d = Types.root_ino in
+  let catalogue =
     [
-      Wire.Lookup { dir = dummy_ino; name = "x"; client = 0; home = 0 };
-      Wire.Rm_map { dir = dummy_ino; name = "x"; only_if = None; client = 0; home = 0 };
-      Wire.Readdir_shard { dir = dummy_ino; home = 0 };
-      Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false; home = 0 };
-      Wire.Create_dir { dir = dummy_ino; name = "d"; dist = false; client = 0; home = 0 };
-      Wire.Open_inode { ino = dummy_ino; trunc = false; client = 0 };
-      Wire.Close_fd { token = 1; size = None };
-      Wire.Read_fd { token = 1; off = None; len = 1 };
-      Wire.Write_fd { token = 1; off = None; data = "" };
-      Wire.Rmdir_local { dir = dummy_ino; client = 0 };
-      Wire.Steal_blocks { count = 1 };
-      Wire.Pipe_create { client = 0; home = 0 };
+      (Wire.Lookup { dir = d; name = "x"; client = 0; home = 0 },
+        ("LOOKUP", "srv:LOOKUP", Wire.Metadata, 200, true));
+      (Wire.Add_map
+          { dir = d; name = "x"; target = d; ftype = Types.Reg; dist = false;
+            replace = false; client = 0; home = 0 },
+        ("ADD_MAP", "srv:ADD_MAP", Wire.Metadata, 400, true));
+      (Wire.Rm_map { dir = d; name = "x"; only_if = None; client = 0; home = 0 },
+        ("RM_MAP", "srv:RM_MAP", Wire.Metadata, 0, true));
+      (Wire.Readdir_shard { dir = d; home = 0 },
+        ("READDIR", "srv:READDIR", Wire.Metadata, 200, true));
+      (Wire.Create_open
+          { dir = d; name = "x"; excl = false; trunc = false; client = 0; home = 0 },
+        ("CREATE_OPEN", "srv:CREATE_OPEN", Wire.Metadata, 900, true));
+      (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false; home = 0 },
+        ("CREATE_INODE", "srv:CREATE_INODE", Wire.Metadata, 500, true));
+      (Wire.Create_dir { dir = d; name = "d"; dist = false; client = 0; home = 0 },
+        ("CREATE_DIR", "srv:CREATE_DIR", Wire.Metadata, 800, true));
+      (Wire.Open_inode { ino = d; trunc = false; client = 0 },
+        ("OPEN", "srv:OPEN", Wire.Metadata, 400, true));
+      (Wire.Close_fd { token = 1; size = None },
+        ("CLOSE", "srv:CLOSE", Wire.Metadata, 200, true));
+      (Wire.Read_fd { token = 1; off = None; len = 1 },
+        ("READ", "srv:READ", Wire.Data, 300, true));
+      (Wire.Write_fd { token = 1; off = None; data = "" },
+        ("WRITE", "srv:WRITE", Wire.Data, 300, true));
+      (Wire.Lseek_fd { token = 1; pos = 0; whence = Types.Seek_set },
+        ("LSEEK", "srv:LSEEK", Wire.Metadata, 100, true));
+      (Wire.Alloc_blocks { ino = d; count = 3; ahead = 2 },
+        ("ALLOC", "srv:ALLOC", Wire.Data, 150, true));
+      (Wire.Get_blocks { ino = d },
+        ("GET_BLOCKS", "srv:GET_BLOCKS", Wire.Data, 150, true));
+      (Wire.Update_size { token = 1; size = 0 },
+        ("UPDATE_SIZE", "srv:UPDATE_SIZE", Wire.Data, 100, true));
+      (Wire.Get_attr { ino = d },
+        ("GETATTR", "srv:GETATTR", Wire.Metadata, 150, true));
+      (Wire.Truncate { ino = d; size = 0 },
+        ("TRUNCATE", "srv:TRUNCATE", Wire.Metadata, 300, true));
+      (Wire.Unlink_ino { ino = d },
+        ("UNLINK_INO", "srv:UNLINK_INO", Wire.Background, 250, true));
+      (Wire.Inc_fd_ref { token = 1; offset = None },
+        ("INC_FD_REF", "srv:INC_FD_REF", Wire.Metadata, 150, true));
+      (Wire.Rmdir_lock { dir = d },
+        ("RMDIR_LOCK", "srv:RMDIR_LOCK", Wire.Metadata, 150, false));
+      (Wire.Rmdir_unlock { dir = d },
+        ("RMDIR_UNLOCK", "srv:RMDIR_UNLOCK", Wire.Metadata, 150, true));
+      (Wire.Rmdir_prepare { dir = d; home = 0 },
+        ("RMDIR_PREPARE", "srv:RMDIR_PREPARE", Wire.Metadata, 250, true));
+      (Wire.Rmdir_commit { dir = d; client = 0; home = 0 },
+        ("RMDIR_COMMIT", "srv:RMDIR_COMMIT", Wire.Metadata, 250, true));
+      (Wire.Rmdir_abort { dir = d; home = 0 },
+        ("RMDIR_ABORT", "srv:RMDIR_ABORT", Wire.Metadata, 250, true));
+      (Wire.Rmdir_local { dir = d; client = 0 },
+        ("RMDIR_LOCAL", "srv:RMDIR_LOCAL", Wire.Metadata, 400, true));
+      (Wire.Pipe_create { client = 0; home = 0 },
+        ("PIPE_CREATE", "srv:PIPE_CREATE", Wire.Metadata, 500, true));
+      (Wire.Pipe_read { token = 1; len = 1 },
+        ("PIPE_READ", "srv:PIPE_READ", Wire.Data, 200, false));
+      (Wire.Pipe_write { token = 1; data = "" },
+        ("PIPE_WRITE", "srv:PIPE_WRITE", Wire.Data, 200, false));
+      (Wire.Steal_blocks { count = 1 },
+        ("STEAL_BLOCKS", "srv:STEAL_BLOCKS", Wire.Background, 300, true));
+      (Wire.Migrate_out { home = 0 },
+        ("MIGRATE_OUT", "srv:MIGRATE_OUT", Wire.Metadata, 800, true));
+      (Wire.Install_shard { home = 0; pack = Pack },
+        ("INSTALL_SHARD", "srv:INSTALL_SHARD", Wire.Metadata, 800, true));
     ]
   in
-  let names = List.map Wire.req_name reqs in
+  Alcotest.(check int) "every opcode" 31 (List.length catalogue);
+  List.iter
+    (fun (req, (name, span, shed, cost, retryable)) ->
+      let i = Wire.info req in
+      Alcotest.(check string) "name" name i.Wire.name;
+      Alcotest.(check string) (name ^ " span") span i.span;
+      Alcotest.(check bool) (name ^ " class") true (shed = i.shed);
+      Alcotest.(check int) (name ^ " cost") cost i.cost;
+      Alcotest.(check bool) (name ^ " retryable") retryable i.retryable)
+    catalogue;
+  let names = List.map (fun (_, (n, _, _, _, _)) -> n) catalogue in
   Alcotest.(check int) "all distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
 
 let test_pp_smoke () =
   let s =
-    Format.asprintf "%a / %a / %a" Types.pp_ino Types.root_ino Types.pp_ftype
-      Types.Fifo Wire.pp_fs_req
-      (Wire.Lookup { dir = Types.root_ino; name = "f"; client = 3; home = 0 })
+    Format.asprintf "%a / %a" Types.pp_ino Types.root_ino Types.pp_ftype
+      Types.Fifo
   in
   Alcotest.(check bool) "pp renders" true (String.length s > 5)
 

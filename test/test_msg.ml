@@ -140,7 +140,7 @@ let test_rpc_overlap () =
          seq_time := Int64.sub (Engine.now e) t0;
          let t1 = Engine.now e in
          let call s =
-           Hare_msg.Rpc.call_async s ~from:client_core ~abs_deadline:0L ~prio:0 ()
+           Hare_msg.Rpc.call_async s ~from:client_core ~abs_deadline:0L ()
          in
          let f1, sp1 = call s1 in
          let f2, sp2 = call s2 in

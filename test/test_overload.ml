@@ -246,9 +246,9 @@ let test_latency_classes () =
     (Latency.class_of_op "unlink");
   Alcotest.(check (option string)) "non-syscall" None
     (Latency.class_of_op "server_dispatch");
-  Alcotest.(check int) "wire prio data" 1
-    (Hare_proto.Wire.req_prio
-       (Hare_proto.Wire.Pipe_read { token = 0; len = 1 }))
+  Alcotest.(check bool) "wire class data" true
+    ((Hare_proto.Wire.info (Hare_proto.Wire.Pipe_read { token = 0; len = 1 }))
+       .shed = Hare_proto.Wire.Data)
 
 (* ---------- end-to-end helpers ------------------------------------------ *)
 
@@ -361,8 +361,8 @@ let window_breaker_config =
 let closes_served m sid =
   Hare_stats.Opcount.get
     (Hare_server.Server.ops (Machine.servers m).(sid))
-    (Hare_proto.Wire.req_name
-       (Hare_proto.Wire.Close_fd { token = 0; size = None }))
+    (Hare_proto.Wire.info (Hare_proto.Wire.Close_fd { token = 0; size = None }))
+      .name
 
 (* Open a fresh file; return the client of [p]'s core, the descriptor
    and the physical server homing the file (static placement: the
@@ -482,6 +482,60 @@ let test_crash_trips_breakers () =
     (Robust.get r Robust.fast_fails > 0);
   Alcotest.(check bool) "the run still made progress" true (c.O.ok > 0)
 
+(* ---------- each overload knob moves its counter ------------------------ *)
+
+(* The overload preset at 8 cores, seed 1, under [plan]: [count v] runs
+   it with [knob] set to [v] and returns the run's [counter] total. *)
+let knob_counter ?(plan = "") knob counter v =
+  let config =
+    knob { (overload_config ()) with Config.fault_plan = plan; seed = 1L } v
+  in
+  Robust.get (Machine.robustness (fst (run_overload_machine config))) counter
+
+let crash_plan = "crash:0@2000000+1500000"
+
+let test_knob_mailbox_capacity () =
+  (* The preset's 24 credits never run out; 4 do. *)
+  let count =
+    knob_counter
+      (fun c v -> { c with Config.mailbox_capacity = v })
+      Robust.flow_blocks
+  in
+  let a = count 4 and b = count 0 in
+  Alcotest.(check bool) "capacity 4 blocks senders" true (a > 0);
+  Alcotest.(check int) "unbounded never blocks" 0 b
+
+let test_knob_deadline_propagation () =
+  let count =
+    knob_counter
+      (fun c v -> { c with Config.deadline_propagation = v })
+      Robust.shed_expired
+  in
+  let a = count true and b = count false in
+  Alcotest.(check bool) "propagated deadlines expire copies" true (a > 0);
+  Alcotest.(check int) "no deadline on the envelope, no expiry" 0 b
+
+let test_knob_retry_budget () =
+  let count =
+    knob_counter ~plan:crash_plan
+      (fun c v -> { c with Config.retry_budget = v })
+      Robust.budget_denied
+  in
+  let a = count 12 and b = count 0 in
+  Alcotest.(check bool) "the budget denies retries" true (a > 0);
+  Alcotest.(check int) "no budget, no denials" 0 b
+
+let test_knob_rpc_deadline_max () =
+  (* Through the crash, a per-attempt deadline capped at 4x the base
+     times out more often than the legacy 64x cap. *)
+  let count =
+    knob_counter ~plan:crash_plan
+      (fun c v -> { c with Config.rpc_deadline_max = v })
+      Robust.timeouts
+  in
+  let a = count 240_000 and b = count 0 in
+  Alcotest.(check bool) "the tighter cap times out more" true (a > b)
+
 let suites =
   [
     ( "overload",
@@ -516,5 +570,12 @@ let suites =
           test_graceful_degradation_at_saturation;
         Alcotest.test_case "crash trips breakers" `Quick
           test_crash_trips_breakers;
+        Alcotest.test_case "knob: mailbox capacity" `Quick
+          test_knob_mailbox_capacity;
+        Alcotest.test_case "knob: propagation" `Quick
+          test_knob_deadline_propagation;
+        Alcotest.test_case "knob: retry budget" `Quick test_knob_retry_budget;
+        Alcotest.test_case "knob: rpc deadline max" `Quick
+          test_knob_rpc_deadline_max;
       ] );
   ]

@@ -74,7 +74,7 @@ let test_create_parked_during_mark_abort () =
       | Error _ -> Alcotest.fail "prepare");
       (* a create in the marked directory parks... *)
       let parked, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
           (Wire.Create_open
              { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
       in
@@ -100,7 +100,7 @@ let test_create_parked_during_mark_commit () =
       ignore (call rig (Wire.Rmdir_lock { dir = d }));
       ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
       let parked, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
           (Wire.Create_open
              { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
       in
@@ -120,7 +120,7 @@ let test_rmdir_lock_serializes () =
       | Error _ -> Alcotest.fail "first lock");
       (* a competing rmdir waits on the lock *)
       let second, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L ~prio:0
+        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
           (Wire.Rmdir_lock { dir = d })
       in
       Core_res.compute rig.client_core 100_000;
@@ -301,7 +301,7 @@ let test_migration_round_trip () =
       let tagged s =
         let future, span =
           Rpc.call_async (Server.endpoint s) ~from:client_core ~meta ~abs_deadline:0L
-            ~prio:0 (create_open "g")
+            (create_open "g")
         in
         Rpc.await ~from:client_core ~costs ~span future
       in

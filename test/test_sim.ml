@@ -131,6 +131,11 @@ let test_engine_sleep_order () =
     (Engine.spawn e ~name:"b" (fun () ->
          Engine.sleep 5L;
          log := ("b", Engine.now e) :: !log));
+  ignore
+    (Engine.spawn e ~name:"c" (fun () ->
+         Alcotest.check_raises "negative sleep rejected"
+           (Invalid_argument "Engine.sleep: negative") (fun () ->
+             Engine.sleep (-1L))));
   Engine.run e;
   Alcotest.(check (list (pair string int64)))
     "b fires before a"
