@@ -73,7 +73,7 @@ let call_async t ~from ?payload_lines ?meta ~abs_deadline req =
   if depth > t.peak then t.peak <- depth;
   (reply, span)
 
-let since engine b0 = Int64.to_int (Int64.sub (Engine.now engine) b0)
+let since engine b0 = Engine.now_cycles engine - b0
 
 (* The reply is in hand: report the cycles the fiber was parked on it
    since [b0] (the trace attributes them from the server-recorded
@@ -92,7 +92,7 @@ let received ~engine ~from ~cost ~span ~b0 =
 
 let await ~from ~costs ~span ?(poll = false) future =
   let engine = Core_res.engine from in
-  let b0 = Engine.now engine in
+  let b0 = Engine.now_cycles engine in
   if poll && Ivar.is_filled future then begin
     (* The reply landed while the caller was still computing: consuming
        it is a poll of a ready slot, not a blocking receive — no
@@ -109,7 +109,7 @@ let await ~from ~costs ~span ?(poll = false) future =
   end
 
 let await_deadline ~engine ~from ~costs ~deadline ~span future =
-  let b0 = Engine.now engine in
+  let b0 = Engine.now_cycles engine in
   match Ivar.read_deadline future ~engine ~cycles:deadline with
   | Some resp ->
       received ~engine ~from ~cost:costs.Hare_config.Costs.recv ~span ~b0;

@@ -10,6 +10,16 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type reply = ?payload_lines:int -> Wire.fs_resp -> unit
 
+(* The per-home tables' keys: lids and tokens, names, directories. *)
+module Itbl = Tbl.Int
+module Stbl = Tbl.Str
+
+module Dtbl = Tbl.Make (struct
+  type t = ino
+
+  let equal (a : ino) (b : ino) = a.ino = b.ino && a.server = b.server
+end)
+
 exception Out_of_blocks
 (* Raised when the local buffer-cache partition is dry; the dispatch loop
    turns it into ENOSPC or, with the block-stealing extension enabled,
@@ -38,22 +48,22 @@ type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
    between servers. *)
 type home = {
   hid : int;
-  inodes : (int, Inode.t) Hashtbl.t; (* lid -> inode *)
+  inodes : Inode.t Itbl.t; (* lid -> inode *)
   mutable next_lid : int;
-  tokens : (int, ofd) Hashtbl.t;
+  tokens : ofd Itbl.t;
   mutable next_token : int;
   (* directory-entry shards: dir -> name -> dentry *)
-  dirs : (ino, (string, Wire.entry_info) Hashtbl.t) Hashtbl.t;
+  dirs : Wire.entry_info Stbl.t Dtbl.t;
   (* invalidation tracking lists: dir -> name -> client set *)
-  tracking : (ino, (string, (int, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t;
-  marks : (ino, mark) Hashtbl.t;
-  locks : (ino, dirlock) Hashtbl.t;
+  tracking : unit Itbl.t Stbl.t Dtbl.t;
+  marks : mark Dtbl.t;
+  locks : dirlock Dtbl.t;
   (* tombstones: directories whose removal this home committed. A create
      can race past the mark window (looked up the parent before the
      removal, arrived after commit); shard servers cannot check the
      remote inode, so the tombstone refuses it. Inode ids are never
      reused, so a tombstone can live forever. *)
-  dead_dirs : (ino, unit) Hashtbl.t;
+  dead_dirs : unit Dtbl.t;
 }
 
 (* Shard-migration payload: one logical home's record, moved between
@@ -82,7 +92,7 @@ type t = {
      checks and EMOVED rejections exist. [homes] holds the logical homes
      this physical server currently serves. *)
   migratory : bool;
-  homes : (int, home) Hashtbl.t;
+  homes : home Itbl.t;
   mutable homes_in : int; (* homes adopted via Install_shard *)
   mutable homes_out : int; (* homes packed via Migrate_out *)
   mutable moved_rejects : int; (* EMOVED replies sent *)
@@ -117,15 +127,15 @@ let take_all q =
 let new_home hid =
   {
     hid;
-    inodes = Hashtbl.create 1024;
+    inodes = Itbl.create 1024;
     next_lid = 1;
-    tokens = Hashtbl.create 256;
+    tokens = Itbl.create 256;
     next_token = 1;
-    dirs = Hashtbl.create 256;
-    tracking = Hashtbl.create 256;
-    marks = Hashtbl.create 16;
-    locks = Hashtbl.create 16;
-    dead_dirs = Hashtbl.create 16;
+    dirs = Dtbl.create 256;
+    tracking = Dtbl.create 256;
+    marks = Dtbl.create 16;
+    locks = Dtbl.create 16;
+    dead_dirs = Dtbl.create 16;
   }
 
 let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
@@ -135,13 +145,13 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     | Some p -> Hare_place.Place.migratory p
     | None -> false
   in
-  let homes = Hashtbl.create 4 in
+  let homes = Itbl.create 4 in
   (* A spare server (physical id beyond the logical home space) boots
      hosting nothing; it acquires homes via Install_shard when its ring
      Add event fires. Everyone else starts as its own home. *)
   (match place with
   | Some p when migratory && sid >= Hare_place.Place.nhomes p -> ()
-  | _ -> Hashtbl.replace homes sid (new_home sid));
+  | _ -> Itbl.replace homes sid (new_home sid));
   let perf = Perf.create () in
   {
     sid;
@@ -198,14 +208,14 @@ let invals_sent t = t.invals_sent
 
 let available_blocks t = Blocklist.available t.blocks
 
-let sum_homes t f = Hashtbl.fold (fun _ h n -> n + f h) t.homes 0
+let sum_homes t f = Itbl.fold (fun _ h n -> n + f h) t.homes 0
 
-let inode_count t = sum_homes t (fun h -> Hashtbl.length h.inodes)
+let inode_count t = sum_homes t (fun h -> Itbl.length h.inodes)
 
-let open_tokens t = sum_homes t (fun h -> Hashtbl.length h.tokens)
+let open_tokens t = sum_homes t (fun h -> Itbl.length h.tokens)
 
 let dentry_count t =
-  sum_homes t (fun h -> Hashtbl.fold (fun _ s n -> n + Hashtbl.length s) h.dirs 0)
+  sum_homes t (fun h -> Dtbl.fold (fun _ s n -> n + Stbl.length s) h.dirs 0)
 
 let set_peers t peers = t.peers <- peers
 
@@ -217,9 +227,9 @@ let robust t = t.robust
 
 (* The record of a home hosted here. Requests for homes hosted elsewhere
    never reach a handler: [process] bounces them with EMOVED. *)
-let home t hid = Hashtbl.find t.homes hid
+let home t hid = Itbl.find t.homes hid
 
-let hosts t hid = Hashtbl.mem t.homes hid
+let hosts t hid = Itbl.mem t.homes hid
 
 (* Descriptor tokens carry their home in the high bits under a shard
    plan, so tokens minted by different homes never collide when the
@@ -230,7 +240,7 @@ let home_shift = 40
 let token_home t token = if t.migratory then token lsr home_shift else t.sid
 
 let hosted_homes t =
-  Hashtbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
+  Itbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
 
 let homes_migrated_in t = t.homes_in
 
@@ -253,7 +263,7 @@ let alloc_lid h =
 
 let find_inode t (ino : ino) =
   match home t ino.server with
-  | h -> Hashtbl.find_opt h.inodes ino.ino
+  | h -> Itbl.find_opt h.inodes ino.ino
   | exception Not_found -> None
 
 let global (inode : Inode.t) =
@@ -266,7 +276,7 @@ let new_token t (inode : Inode.t) ~pipe_end =
   h.next_token <- k + 1;
   let token = if t.migratory then (h.hid lsl home_shift) lor k else k in
   let ofd = { token; inode; refcount = 1; shared_offset = None; pipe_end } in
-  Hashtbl.replace h.tokens token ofd;
+  Itbl.replace h.tokens token ofd;
   inode.Inode.open_tokens <- inode.Inode.open_tokens + 1;
   ofd
 
@@ -283,7 +293,7 @@ let maybe_release t (inode : Inode.t) =
     if inode.unlinked && inode.nlink <= 0 then begin
       free_blocks t inode.blocks;
       inode.blocks <- [||];
-      Hashtbl.remove (home t inode.home).inodes inode.lid
+      Itbl.remove (home t inode.home).inodes inode.lid
     end
   end
 
@@ -379,48 +389,48 @@ let write_data t (inode : Inode.t) ~off data =
 (* ---------- directory shards and invalidation ------------------------- *)
 
 let shard h dir =
-  match Hashtbl.find_opt h.dirs dir with
+  match Dtbl.find_opt h.dirs dir with
   | Some s -> s
   | None ->
-      let s = Hashtbl.create 16 in
-      Hashtbl.replace h.dirs dir s;
+      let s = Stbl.create 16 in
+      Dtbl.replace h.dirs dir s;
       s
 
 (* This server's entries for [dir], across every home hosted here. *)
 let shard_entries t dir =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ h acc ->
-      match Hashtbl.find_opt h.dirs dir with
+      match Dtbl.find_opt h.dirs dir with
       | None -> acc
       | Some s ->
-          Hashtbl.fold
+          Stbl.fold
             (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
             s acc)
     t.homes []
 
 let shard_size h dir =
-  match Hashtbl.find_opt h.dirs dir with
+  match Dtbl.find_opt h.dirs dir with
   | None -> 0
-  | Some s -> Hashtbl.length s
+  | Some s -> Stbl.length s
 
 let track h ~dir ~name ~client =
   let per_dir =
-    match Hashtbl.find_opt h.tracking dir with
+    match Dtbl.find_opt h.tracking dir with
     | Some m -> m
     | None ->
-        let m = Hashtbl.create 16 in
-        Hashtbl.replace h.tracking dir m;
+        let m = Stbl.create 16 in
+        Dtbl.replace h.tracking dir m;
         m
   in
   let clients =
-    match Hashtbl.find_opt per_dir name with
+    match Stbl.find_opt per_dir name with
     | Some c -> c
     | None ->
-        let c = Hashtbl.create 4 in
-        Hashtbl.replace per_dir name c;
+        let c = Itbl.create 4 in
+        Stbl.replace per_dir name c;
         c
   in
-  Hashtbl.replace clients client ()
+  Itbl.replace clients client ()
 
 let instant t name args =
   let o = Engine.obs t.engine in
@@ -448,21 +458,21 @@ let inval t ~dir ~name client =
    originator, then forget them — a client re-registers by looking the
    name up again. *)
 let send_invals t h ~dir ~name ~except =
-  match Hashtbl.find_opt h.tracking dir with
+  match Dtbl.find_opt h.tracking dir with
   | None -> ()
   | Some per_dir -> (
-      match Hashtbl.find_opt per_dir name with
+      match Stbl.find_opt per_dir name with
       | None -> ()
       | Some clients ->
-          Hashtbl.iter
+          Itbl.iter
             (fun client () -> if client <> except then inval t ~dir ~name client)
             clients;
-          Hashtbl.remove per_dir name)
+          Stbl.remove per_dir name)
 
 let install_root t =
   assert (t.sid = root_ino.server);
   let h = home t t.sid in
-  Hashtbl.replace h.inodes root_ino.ino
+  Itbl.replace h.inodes root_ino.ino
     (Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist:false);
   h.next_lid <- max h.next_lid (root_ino.ino + 1)
 
@@ -489,9 +499,9 @@ let demotion ofd =
   | _ -> None
 
 let find_entry h dir name =
-  match Hashtbl.find_opt h.dirs dir with
+  match Dtbl.find_opt h.dirs dir with
   | None -> None
-  | Some s -> Hashtbl.find_opt s name
+  | Some s -> Stbl.find_opt s name
 
 let handle_lookup h ~dir ~name ~client (reply : reply) =
   match find_entry h dir name with
@@ -506,7 +516,7 @@ let handle_lookup h ~dir ~name ~client (reply : reply) =
    mark protocol delays concurrent creates, and the tombstone catches the
    ones that arrive after the commit. *)
 let dir_alive t h (dir : ino) =
-  (not (Hashtbl.mem h.dead_dirs dir))
+  (not (Dtbl.mem h.dead_dirs dir))
   && ((not (hosts t dir.server)) || find_inode t dir <> None)
 
 let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
@@ -515,7 +525,7 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
   else
   let s = shard h dir in
   let entry = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
-  match Hashtbl.find_opt s name with
+  match Stbl.find_opt s name with
   | Some old ->
       if not replace then reply (Error Errno.EEXIST)
       else if old.t_ftype = Dir then
@@ -526,13 +536,13 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
         (* POSIX: renaming a directory over an existing file is ENOTDIR. *)
         reply (Error Errno.ENOTDIR)
       else begin
-        Hashtbl.replace s name entry;
+        Stbl.replace s name entry;
         send_invals t h ~dir ~name ~except:client;
         track h ~dir ~name ~client;
         reply (Ok (Wire.P_removed { target = old.t_ino; ftype = old.t_ftype }))
       end
   | None ->
-      Hashtbl.replace s name entry;
+      Stbl.replace s name entry;
       track h ~dir ~name ~client;
       reply (Ok Wire.P_unit)
 
@@ -544,16 +554,16 @@ let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
       (* the entry was re-bound by someone else: not ours to remove *)
       reply (Error Errno.ENOENT)
   | Some e ->
-      Hashtbl.remove (shard h dir) name;
+      Stbl.remove (shard h dir) name;
       send_invals t h ~dir ~name ~except:client;
       reply (Ok (Wire.P_removed { target = e.t_ino; ftype = e.t_ftype }))
 
 let handle_readdir h ~dir (reply : reply) =
   let entries =
-    match Hashtbl.find_opt h.dirs dir with
+    match Dtbl.find_opt h.dirs dir with
     | None -> []
     | Some s ->
-        Hashtbl.fold
+        Stbl.fold
           (fun name (e : Wire.entry_info) acc ->
             { Wire.e_name = name; e_ino = e.t_ino; e_ftype = e.t_ftype } :: acc)
           s []
@@ -566,7 +576,7 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
   if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else
   let s = shard h dir in
-  match Hashtbl.find_opt s name with
+  match Stbl.find_opt s name with
   | Some e ->
       if excl then reply (Error Errno.EEXIST)
       else if e.t_ftype = Dir then reply (Error Errno.EISDIR)
@@ -584,9 +594,9 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
           (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
   | None ->
       let inode = Inode.file ~lid:(alloc_lid h) ~home:h.hid in
-      Hashtbl.replace h.inodes inode.lid inode;
+      Itbl.replace h.inodes inode.lid inode;
       let ino = global inode in
-      Hashtbl.replace s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
+      Stbl.replace s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
       track h ~dir ~name ~client;
       let ofd = do_open t inode ~trunc:false in
       reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
@@ -599,7 +609,7 @@ let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
     | Dir -> Inode.dir ~lid ~home ~dist
     | Fifo -> invalid_arg "Create_inode: use Pipe_create for fifos"
   in
-  Hashtbl.replace h.inodes lid inode;
+  Itbl.replace h.inodes lid inode;
   let ino = global inode in
   if and_open && ftype = Reg then
     let ofd = do_open t inode ~trunc:false in
@@ -607,21 +617,21 @@ let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
   else reply (Ok (Wire.P_created_ino ino))
 
 let drop_dir_state h dir =
-  Hashtbl.remove h.dirs dir;
-  Hashtbl.remove h.tracking dir;
-  Hashtbl.remove h.locks dir
+  Dtbl.remove h.dirs dir;
+  Dtbl.remove h.tracking dir;
+  Dtbl.remove h.locks dir
 
 (* A committed directory removal: rmdirs serialized behind its lock lose
    (the directory is gone), its per-directory state goes, and a tombstone
    refuses creates that raced past the mark. *)
 let bury h dir =
-  (match Hashtbl.find_opt h.locks dir with
+  (match Dtbl.find_opt h.locks dir with
   | Some l ->
       Queue.iter (fun (waiter : reply) -> waiter (Error Errno.ENOENT)) l.lock_waiters;
       Queue.clear l.lock_waiters
   | None -> ());
   drop_dir_state h dir;
-  Hashtbl.replace h.dead_dirs dir ()
+  Dtbl.replace h.dead_dirs dir ()
 
 (* Coalesced mkdir (§3.6.3): directory inode + parent entry in one
    message, when creation affinity placed both on this server. *)
@@ -629,13 +639,13 @@ let handle_create_dir t h ~dir ~name ~dist ~client (reply : reply) =
   if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else begin
     let s = shard h dir in
-    match Hashtbl.find_opt s name with
+    match Stbl.find_opt s name with
     | Some _ -> reply (Error Errno.EEXIST)
     | None ->
         let inode = Inode.dir ~lid:(alloc_lid h) ~home:h.hid ~dist in
-        Hashtbl.replace h.inodes inode.lid inode;
+        Itbl.replace h.inodes inode.lid inode;
         let ino = global inode in
-        Hashtbl.replace s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
+        Stbl.replace s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
         track h ~dir ~name ~client;
         reply (Ok (Wire.P_created_ino ino))
   end
@@ -652,7 +662,7 @@ let handle_rmdir_local t ~dir (reply : reply) =
       if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
       else begin
         bury h dir;
-        Hashtbl.remove h.inodes dir.ino;
+        Itbl.remove h.inodes dir.ino;
         reply (Ok Wire.P_unit)
       end
 
@@ -674,7 +684,7 @@ let handle_open_inode t ~ino ~trunc (reply : reply) =
 let tokens t token = (home t (token_home t token)).tokens
 
 let with_ofd t token (reply : reply) f =
-  match Hashtbl.find_opt (tokens t token) token with
+  match Itbl.find_opt (tokens t token) token with
   | None -> reply (Error Errno.EBADF)
   | Some ofd -> f ofd
 
@@ -689,7 +699,7 @@ let handle_close t ~token ~size (reply : reply) =
       | Some `W, Some p -> Pipe_state.close_writer p
       | _ -> ());
       if ofd.refcount <= 0 then begin
-        Hashtbl.remove (tokens t token) token;
+        Itbl.remove (tokens t token) token;
         ofd.inode.open_tokens <- ofd.inode.open_tokens - 1;
         reclaim_lease t ofd.inode;
         maybe_release t ofd.inode
@@ -777,7 +787,7 @@ let handle_unlink_ino t ~ino (reply : reply) =
           && inode.nlink <= 1
         then begin
           drop_dir_state h ino;
-          Hashtbl.remove h.inodes ino.ino;
+          Itbl.remove h.inodes ino.ino;
           reply (Ok Wire.P_unit)
         end
         else reply (Error Errno.EISDIR)
@@ -808,11 +818,11 @@ let handle_inc_fd_ref t ~token ~offset (reply : reply) =
 (* The lock/unlock phases address the directory's own home. *)
 let dirlock t (dir : ino) =
   let h = home t dir.server in
-  match Hashtbl.find_opt h.locks dir with
+  match Dtbl.find_opt h.locks dir with
   | Some l -> l
   | None ->
       let l = { held = false; lock_waiters = Queue.create () } in
-      Hashtbl.replace h.locks dir l;
+      Dtbl.replace h.locks dir l;
       l
 
 (* ENOENT when the directory was removed while (or before) we asked. *)
@@ -833,18 +843,18 @@ let handle_rmdir_unlock t ~dir (reply : reply) =
   reply (Ok Wire.P_unit)
 
 let handle_rmdir_prepare h ~dir (reply : reply) =
-  if Hashtbl.mem h.marks dir then reply (Error Errno.EBUSY)
+  if Dtbl.mem h.marks dir then reply (Error Errno.EBUSY)
   else if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
   else begin
-    Hashtbl.replace h.marks dir { parked = Queue.create () };
+    Dtbl.replace h.marks dir { parked = Queue.create () };
     reply (Ok Wire.P_unit)
   end
 
 let handle_rmdir_commit h ~dir (reply : reply) =
-  (match Hashtbl.find_opt h.marks dir with
+  (match Dtbl.find_opt h.marks dir with
   | None -> ()
   | Some m ->
-      Hashtbl.remove h.marks dir;
+      Dtbl.remove h.marks dir;
       (* Creates delayed behind the mark fail: the directory is gone. *)
       Queue.iter
         (fun ((_ : Wire.fs_req), (parked_reply : reply)) ->
@@ -853,14 +863,14 @@ let handle_rmdir_commit h ~dir (reply : reply) =
   bury h dir;
   if dir.server = h.hid then
     (* The directory's own home: destroy the inode itself. *)
-    Hashtbl.remove h.inodes dir.ino;
+    Itbl.remove h.inodes dir.ino;
   reply (Ok Wire.P_unit)
 
 (* --- pipes (§5.2: make's jobserver) ----------------------------------- *)
 
 let handle_pipe_create t h (reply : reply) =
   let inode = Inode.fifo ~lid:(alloc_lid h) ~home:h.hid ~capacity:65536 in
-  Hashtbl.replace h.inodes inode.lid inode;
+  Itbl.replace h.inodes inode.lid inode;
   let pipe = Option.get inode.pipe in
   Pipe_state.add_reader pipe;
   Pipe_state.add_writer pipe;
@@ -898,7 +908,7 @@ let handle_pipe_write t ~token ~data (reply : reply) =
 let creation_mark t (req : Wire.fs_req) =
   match req with
   | Wire.Add_map { dir; home = hid; _ } | Wire.Create_open { dir; home = hid; _ } ->
-      Hashtbl.find_opt (home t hid).marks dir
+      Dtbl.find_opt (home t hid).marks dir
   | _ -> None
 
 (* ---------- shard migration (consistent-hash rebalancing) -------------- *)
@@ -909,13 +919,13 @@ let creation_mark t (req : Wire.fs_req) =
    dedup entry alive, so a packable home has none. The coordinator backs
    off and retries. *)
 let home_busy t h =
-  Hashtbl.length h.marks > 0
+  Dtbl.length h.marks > 0
   || t.steal_inflight
   || (not (Queue.is_empty t.steal_parked))
-  || Hashtbl.fold
+  || Dtbl.fold
        (fun _ l busy -> busy || l.held || not (Queue.is_empty l.lock_waiters))
        h.locks false
-  || Hashtbl.fold
+  || Itbl.fold
        (fun _ (inode : Inode.t) busy ->
          busy
          ||
@@ -929,7 +939,7 @@ let home_busy t h =
    everything that arrives after it finds the home absent and is bounced
    with EMOVED. *)
 let handle_migrate_out t ~home:hid (reply : reply) =
-  match Hashtbl.find_opt t.homes hid with
+  match Itbl.find_opt t.homes hid with
   | Some h when t.migratory ->
       if home_busy t h then reply (Error Errno.EBUSY)
       else begin
@@ -938,20 +948,20 @@ let handle_migrate_out t ~home:hid (reply : reply) =
            re-register at the new owner on their next lookup), so no
            client can sit on a cached entry this server would have been
            responsible for invalidating. *)
-        Hashtbl.iter
+        Dtbl.iter
           (fun dir per_dir ->
-            Hashtbl.iter
+            Stbl.iter
               (fun name clients ->
-                Hashtbl.iter (fun client () -> inval t ~dir ~name client) clients)
+                Itbl.iter (fun client () -> inval t ~dir ~name client) clients)
               per_dir)
           h.tracking;
-        Hashtbl.reset h.tracking;
+        Dtbl.reset h.tracking;
         (* Buffer-cache ownership follows the inodes; the block bytes stay
            in DRAM. Flush our private cached lines so the new owner reads
            current data through its own cache. *)
         let p_blocks =
           Array.concat
-            (Hashtbl.fold (fun _ (i : Inode.t) acc -> i.blocks :: i.orphans :: acc) h.inodes [])
+            (Itbl.fold (fun _ (i : Inode.t) acc -> i.blocks :: i.orphans :: acc) h.inodes [])
         in
         Array.iter
           (fun b ->
@@ -959,15 +969,15 @@ let handle_migrate_out t ~home:hid (reply : reply) =
             Hare_mem.Pcache.invalidate_block t.pcache b)
           p_blocks;
         Blocklist.export t.blocks p_blocks;
-        Hashtbl.remove t.homes hid;
+        Itbl.remove t.homes hid;
         t.homes_out <- t.homes_out + 1;
         (* Completed idempotency entries travel with the shard: a client
            retrying a request the old owner already executed must replay
            the cached response at the new owner, not re-execute. *)
         let p_dedup = Dedup.export t.dedup in
         let items =
-          Hashtbl.length h.inodes + Hashtbl.length h.tokens
-          + Hashtbl.length h.dirs + List.length p_dedup
+          Itbl.length h.inodes + Itbl.length h.tokens
+          + Dtbl.length h.dirs + List.length p_dedup
         in
         reply ~payload_lines:(items + 1)
           (Ok (Wire.P_pack (Pack { p_home = h; p_blocks; p_dedup })))
@@ -979,7 +989,7 @@ let handle_install_shard t ~home:hid ~pack (reply : reply) =
   | Pack p when t.migratory ->
       Blocklist.adopt_allocated t.blocks p.p_blocks;
       Dedup.import t.dedup p.p_dedup;
-      Hashtbl.replace t.homes hid p.p_home;
+      Itbl.replace t.homes hid p.p_home;
       t.homes_in <- t.homes_in + 1;
       reply (Ok Wire.P_unit)
   | _ -> reply (Error Errno.EINVAL)
@@ -1094,10 +1104,10 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
       handle_rmdir_commit (home t hid) ~dir reply
   | Wire.Rmdir_abort { dir; home = hid } -> (
       let h = home t hid in
-      match Hashtbl.find_opt h.marks dir with
+      match Dtbl.find_opt h.marks dir with
       | None -> reply (Ok Wire.P_unit)
       | Some m ->
-          Hashtbl.remove h.marks dir;
+          Dtbl.remove h.marks dir;
           reply (Ok Wire.P_unit);
           (* Replay the creates that were delayed behind the mark. *)
           Queue.iter
@@ -1255,23 +1265,23 @@ let crash t =
         match r.meta with Some _ -> incr aborted | None -> abort r.reply)
       (Hare_msg.Rpc.drain_pending t.endpoint);
     (* Parked continuations are volatile: error them all out. *)
-    Hashtbl.iter
+    Itbl.iter
       (fun _ h ->
-        Hashtbl.iter
+        Dtbl.iter
           (fun _ (m : mark) -> Queue.iter (fun (_, r) -> abort r) m.parked)
           h.marks;
-        Hashtbl.reset h.marks;
-        Hashtbl.iter
+        Dtbl.reset h.marks;
+        Dtbl.iter
           (fun _ (l : dirlock) -> Queue.iter abort l.lock_waiters)
           h.locks;
-        Hashtbl.reset h.locks)
+        Dtbl.reset h.locks)
       t.homes;
     List.iter (fun (_, r) -> abort r) (take_all t.steal_parked);
     t.steal_inflight <- false;
     t.steal_failures <- 0;
-    Hashtbl.iter
+    Itbl.iter
       (fun _ h ->
-        Hashtbl.iter
+        Itbl.iter
           (fun _ (inode : Inode.t) ->
             match inode.Inode.pipe with
             | Some p -> aborted := !aborted + Pipe_state.abort_parked p
@@ -1280,11 +1290,11 @@ let crash t =
         (* Volatile tables: descriptors, idempotency memory, invalidation
            tracking. The DRAM-resident structures (inodes, directory
            shards, tombstones, block contents) survive. *)
-        Hashtbl.reset h.tokens;
-        Hashtbl.iter
+        Itbl.reset h.tokens;
+        Itbl.iter
           (fun _ (inode : Inode.t) -> inode.Inode.open_tokens <- 0)
           h.inodes;
-        Hashtbl.reset h.tracking)
+        Dtbl.reset h.tracking)
       t.homes;
     Dedup.reset t.dedup;
     (* A dead server's queue depth is meaningless; keep it out of
@@ -1303,9 +1313,9 @@ let restart t =
        whatever the surviving inodes do not reference. *)
     let live = Hashtbl.create 4096 in
     let extent = t.config.Hare_config.Config.alloc_extent > 1 in
-    Hashtbl.iter
+    Itbl.iter
       (fun _ h ->
-        Hashtbl.filter_map_inplace
+        Itbl.filter_map_inplace
           (fun _ (inode : Inode.t) ->
             inode.Inode.orphans <- [||];
             if inode.Inode.unlinked && inode.Inode.nlink <= 0 then None

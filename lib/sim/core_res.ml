@@ -42,7 +42,7 @@ let compute t cycles =
   (* O(1) engine field read; [Engine.self ()] would pay an effect-handler
      round trip on every charge. *)
   let fid = Engine.current_fid t.engine in
-  let now = Int64.to_int (Engine.now t.engine) in
+  let now = Engine.now_cycles t.engine in
   let start = if t.free_at > now then t.free_at else now in
   let switching = t.last_fid <> fid && t.last_fid <> -1 in
   let cost = if switching then cycles + t.ctx_switch else cycles in

@@ -1,29 +1,19 @@
-type fiber = {
-  fid : int;
-  name : string;
-  daemon : bool;
-  mutable state : [ `Created | `Runnable | `Blocked | `Done ];
-}
-
-(* A registered pending-depth probe. Slots are recycled through a free
-   list so crash/teardown can deregister a mailbox without leaving the
-   registry to scan dead entries forever. *)
-type probe = { p_name : string; p_depth : unit -> int }
+open Effect.Deep
 
 type t = {
-  mutable time : int64;
+  mutable time : int; (* simulated cycles; native int, like the heap keys *)
   events : (unit -> unit) Heap.t;
   mutable seq : int;
   mutable live : int;
   mutable next_fid : int;
   root_rng : Rng.t;
-  fibers : (int, fiber) Hashtbl.t;
+  fibers : fiber Tbl.Int.t;
       (* fibers that have not finished, for deadlock reporting; `Done
          fibers are pruned so long open-loop runs do not leak *)
   mutable peak_fibers : int;
   mutable spawned : int;
   mutable steps : int; (* events executed, for host-throughput metrics *)
-  mutable cur : fiber option; (* fiber currently executing, if any *)
+  mutable cur : int; (* id of the fiber currently executing, or -1 *)
   mutable probes : probe option array; (* compact slots; None = free *)
   mutable nprobes : int; (* upper bound of used slots *)
   mutable probe_free : int list; (* recycled slot indices *)
@@ -34,6 +24,26 @@ type t = {
   mutable explore : (time:int -> (int * int) array -> int) option;
   mutable next_obj : int; (* shared-object uid allocator (mailboxes) *)
 }
+
+(* A fiber owns its parked continuation and the one closure that resumes
+   it, made at spawn: a sleep or a wake pushes [resume] itself onto the
+   event heap, so parking allocates no per-event closure. *)
+and fiber = {
+  fid : int;
+  name : string;
+  daemon : bool;
+  mutable state : [ `Created | `Runnable | `Blocked | `Done ];
+  mutable parked : (unit, unit) continuation;
+  resume : unit -> unit;
+  mutable suspensions : int;
+      (* generation of the current [Suspend]; a waker from an earlier one
+         is stale *)
+}
+
+(* A registered pending-depth probe. Slots are recycled through a free
+   list so crash/teardown can deregister a mailbox without leaving the
+   registry to scan dead entries forever. *)
+and probe = { p_name : string; p_depth : unit -> int }
 
 exception Deadlock of string
 
@@ -46,19 +56,39 @@ type _ Effect.t +=
   | Sleep_cycles : int -> unit Effect.t
   | Suspend : (waker -> unit) -> unit Effect.t
 
+(* The initial content of a fiber's [parked] slot, never resumed: one real
+   continuation, captured once, keeps the slot unboxed — an option would
+   allocate a box on every park. *)
+type _ Effect.t += Placeholder : unit Effect.t
+
+let placeholder : (unit, unit) continuation =
+  let slot : (unit, unit) continuation option ref = ref None in
+  match_with Effect.perform Placeholder
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Placeholder ->
+              Some (fun (k : (a, unit) continuation) -> slot := Some k)
+          | _ -> None);
+    };
+  Option.get !slot
+
 let create ?(seed = 1L) () =
   let t = {
-    time = 0L;
+    time = 0;
     events = Heap.create ();
     seq = 0;
     live = 0;
     next_fid = 0;
     root_rng = Rng.create ~seed;
-    fibers = Hashtbl.create 256;
+    fibers = Tbl.Int.create 256;
     peak_fibers = 0;
     spawned = 0;
     steps = 0;
-    cur = None;
+    cur = -1;
     probes = [||];
     nprobes = 0;
     probe_free = [];
@@ -66,10 +96,12 @@ let create ?(seed = 1L) () =
     explore = None;
     next_obj = 0;
   } in
-  Obs.set_clock t.obs (fun () -> Int64.to_int t.time);
+  Obs.set_clock t.obs (fun () -> t.time);
   t
 
-let now t = t.time
+let now t = Int64.of_int t.time
+
+let now_cycles t = t.time
 
 let rng t = t.root_rng
 
@@ -104,7 +136,7 @@ let fiber_id f = f.fid
 
 let live_fibers t = t.live
 
-let registered_fibers t = Hashtbl.length t.fibers
+let registered_fibers t = Tbl.Int.length t.fibers
 
 let peak_fibers t = t.peak_fibers
 
@@ -116,88 +148,110 @@ let events_executed t = t.steps
    one fiber runs at a time (run-to-completion between effects), so a
    single mutable field — maintained at every resume point — replaces the
    [Self] effect on hot paths like [Core_res.compute]. *)
-let current_fid t = match t.cur with Some f -> f.fid | None -> -1
+let current_fid t = t.cur
+
+let push_event t ~tag time f =
+  t.seq <- t.seq + 1;
+  Heap.push t.events ~tag ~time ~seq:t.seq f
 
 let schedule_at t ?(tag = 0) time f =
-  if time < t.time then
+  if Int64.to_int time < t.time then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %Ld is in the past (now %Ld)"
+      (Printf.sprintf "Engine.schedule_at: time %Ld is in the past (now %d)"
          time t.time);
-  t.seq <- t.seq + 1;
-  Heap.push t.events ~tag ~time:(Int64.to_int time) ~seq:t.seq f
+  push_event t ~tag (Int64.to_int time) f
+
+let resume_fiber t fiber =
+  t.cur <- fiber.fid;
+  continue fiber.parked ()
+
+(* A waker is the one closure each [Suspend] allocates: it must fail if
+   it fires twice, or after its fiber has moved on to a later
+   suspension, so it carries the suspension's generation. *)
+let waker t fiber gen () =
+  if fiber.suspensions <> gen || fiber.state <> `Blocked then
+    failwith (Printf.sprintf "waker for fiber %s invoked twice" fiber.name)
+  else begin
+    fiber.state <- `Runnable;
+    push_event t ~tag:(tag_resume fiber.fid) t.time fiber.resume
+  end
 
 let spawn t ?(daemon = false) ~name body =
-  let fiber = { fid = t.next_fid; name; daemon; state = `Created } in
+  let rec fiber =
+    {
+      fid = t.next_fid;
+      name;
+      daemon;
+      state = `Created;
+      parked = placeholder;
+      resume = (fun () -> resume_fiber t fiber);
+      suspensions = 0;
+    }
+  in
   t.next_fid <- t.next_fid + 1;
   t.spawned <- t.spawned + 1;
   if not daemon then t.live <- t.live + 1;
-  Hashtbl.replace t.fibers fiber.fid fiber;
-  let n = Hashtbl.length t.fibers in
+  Tbl.Int.replace t.fibers fiber.fid fiber;
+  let n = Tbl.Int.length t.fibers in
   if n > t.peak_fibers then t.peak_fibers <- n;
   let finish () =
     fiber.state <- `Done;
-    Hashtbl.remove t.fibers fiber.fid;
+    Tbl.Int.remove t.fibers fiber.fid;
     if not daemon then t.live <- t.live - 1
+  in
+  (* The per-fiber handlers: [effc] only stashes the effect's payload and
+     returns one of these, so a sleep or a suspend allocates no handler
+     closure of its own. *)
+  let sleep_for = ref 0 and register = ref ignore in
+  let park_sleep =
+    Some
+      (fun k ->
+        fiber.parked <- k;
+        push_event t ~tag:(tag_resume fiber.fid) (t.time + !sleep_for)
+          fiber.resume)
+  in
+  let park_suspend =
+    Some
+      (fun k ->
+        fiber.parked <- k;
+        fiber.state <- `Blocked;
+        fiber.suspensions <- fiber.suspensions + 1;
+        let r = !register in
+        register := ignore;
+        r (waker t fiber fiber.suspensions))
+  in
+  let handler =
+    {
+      retc = finish;
+      exnc =
+        (fun exn ->
+          finish ();
+          raise (Fiber_failure (name, exn)));
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Self -> Some (fun (k : (a, unit) continuation) -> continue k fiber)
+          | Sleep_cycles d ->
+              if d < 0 then
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    discontinue k (Invalid_argument "Engine.sleep: negative"))
+              else begin
+                sleep_for := d;
+                park_sleep
+              end
+          | Suspend r ->
+              register := r;
+              park_suspend
+          | _ -> None);
+    }
   in
   let start () =
     fiber.state <- `Runnable;
-    t.cur <- Some fiber;
-    let open Effect.Deep in
-    match_with body ()
-      {
-        retc = finish;
-        exnc =
-          (fun exn ->
-            finish ();
-            raise (Fiber_failure (name, exn)));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Self ->
-                Some
-                  (fun (k : (a, unit) continuation) -> continue k fiber)
-            | Sleep_cycles d ->
-                (* An immediate-int payload and native-int time
-                   arithmetic, so the per-compute sleep on the hot path
-                   allocates nothing. *)
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    if d < 0 then
-                      discontinue k (Invalid_argument "Engine.sleep: negative")
-                    else begin
-                      t.seq <- t.seq + 1;
-                      Heap.push t.events
-                        ~tag:(tag_resume fiber.fid)
-                        ~time:(Int64.to_int t.time + d)
-                        ~seq:t.seq
-                        (fun () ->
-                          t.cur <- Some fiber;
-                          continue k ())
-                    end)
-            | Suspend register ->
-                Some
-                  (fun (k : (a, unit) continuation) ->
-                    fiber.state <- `Blocked;
-                    let fired = ref false in
-                    let waker () =
-                      if !fired then
-                        failwith
-                          (Printf.sprintf "waker for fiber %s invoked twice"
-                             fiber.name)
-                      else begin
-                        fired := true;
-                        fiber.state <- `Runnable;
-                        schedule_at t ~tag:(tag_resume fiber.fid) t.time
-                          (fun () ->
-                            t.cur <- Some fiber;
-                            continue k ())
-                      end
-                    in
-                    register waker)
-            | _ -> None);
-      }
+    t.cur <- fiber.fid;
+    match_with body () handler
   in
-  schedule_at t ~tag:(tag_resume fiber.fid) t.time start;
+  push_event t ~tag:(tag_resume fiber.fid) t.time start;
   fiber
 
 let register_probe t ~name depth =
@@ -247,7 +301,7 @@ let pending_depths t =
   !out
 
 let blocked_names t =
-  Hashtbl.fold
+  Tbl.Int.fold
     (fun _ f acc ->
       if f.state = `Blocked && not f.daemon then f :: acc else acc)
     t.fibers []
@@ -259,33 +313,33 @@ let blocked_names t =
    reflects every event strictly before it, and the explorer's footprint
    for this step starts empty. *)
 let exec_event t time seq tag f =
-  t.time <- Int64.of_int time;
+  t.time <- time;
   t.steps <- t.steps + 1;
   (* Plain callbacks (timers) run outside any fiber; fiber starts and
      resumes re-set [cur] themselves before continuing. *)
-  t.cur <- None;
+  t.cur <- -1;
   if Obs.on t.obs Obs.steps then Obs.emit t.obs (Obs.Step { time; seq; tag });
   f ()
 
 let step t =
+  let h = t.events in
   match t.explore with
   | None ->
-      let tag = if Obs.on t.obs Obs.steps then Heap.min_tag t.events else 0 in
-      let time, seq, f = Heap.pop_min t.events in
-      exec_event t time seq tag f
+      let time = Heap.min_time h and seq = Heap.min_seq h
+      and tag = Heap.min_tag h in
+      exec_event t time seq tag (Heap.pop h)
   | Some choose ->
       (* Choice point: every event due at the minimum cycle is a
          candidate; the strategy picks which one the "hardware" lands
          first. With a single candidate there is no choice, and index 0
          (the lowest seq) reproduces the deterministic order exactly. *)
-      let cands = Heap.min_entries t.events in
+      let cands = Heap.min_entries h in
       let idx =
-        if Array.length cands > 1 then
-          choose ~time:(Heap.min_time t.events) cands
+        if Array.length cands > 1 then choose ~time:(Heap.min_time h) cands
         else 0
       in
       let seq, tag = cands.(idx) in
-      let time, _tag, f = Heap.remove_seq t.events seq in
+      let time, _tag, f = Heap.remove_seq h seq in
       exec_event t time seq tag f
 
 let check_deadlock t =
@@ -310,16 +364,16 @@ let run t =
   done;
   (* The last event may have run (and completed) inside a fiber; nothing
      is executing once the loop exits. *)
-  t.cur <- None;
+  t.cur <- -1;
   check_deadlock t
 
 let run_for t budget =
-  let limit = Int64.to_int (Int64.add t.time budget) in
+  let limit = t.time + Int64.to_int budget in
   let continue_ = ref true in
   while !continue_ && not (Heap.is_empty t.events) do
     if Heap.min_time t.events > limit then continue_ := false else step t
   done;
-  t.cur <- None;
+  t.cur <- -1;
   if Heap.is_empty t.events then check_deadlock t
 
 (* Effects-performing helpers; callable only from inside a fiber. *)

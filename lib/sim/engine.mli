@@ -3,9 +3,10 @@
     Simulated entities (applications, file servers, scheduling servers) run
     as {e fibers}: OCaml functions executed under an effect handler that
     interprets simulation effects — advancing simulated time, suspending on
-    a condition, spawning further fibers. Time is a global 64-bit cycle
-    counter; events scheduled for the same instant run in insertion order,
-    so a given seed always produces the same execution.
+    a condition, spawning further fibers. Time is a global cycle counter,
+    a native int (63-bit) inside the engine and an [int64] at this
+    interface; events scheduled for the same instant run in insertion
+    order, so a given seed always produces the same execution.
 
     Fibers must only perform simulation effects while running under
     {!run}. *)
@@ -31,6 +32,11 @@ val create : ?seed:int64 -> unit -> t
 
 val now : t -> int64
 (** Current simulated time in cycles. *)
+
+val now_cycles : t -> int
+(** {!now} as a native int, the engine's own representation: no [int64]
+    box per read, so per-charge paths ([Core_res.compute], RPC waits)
+    prefer it. *)
 
 val rng : t -> Rng.t
 (** The engine's root RNG (split it rather than sharing it widely). *)
@@ -87,7 +93,9 @@ val sleep : int64 -> unit
 
 val sleep_cycles : int -> unit
 (** [sleep] with a native-int duration. Semantically identical; the
-    immediate-int effect payload makes it allocation-free, so hot paths
+    immediate-int payload boxes no [int64], and the fiber parks its own
+    continuation and pushes its own resume closure, so a sleep allocates
+    only the effect value and its continuation (7 minor words). Hot paths
     ([Core_res.compute]) prefer it. *)
 
 val schedule_at : t -> ?tag:int -> int64 -> (unit -> unit) -> unit
@@ -100,7 +108,9 @@ val schedule_at : t -> ?tag:int -> int64 -> (unit -> unit) -> unit
 
 type waker = unit -> unit
 (** Calling a waker reschedules its suspended fiber at the simulated time
-    of the call. A waker must be invoked at most once. *)
+    of the call. A waker must be invoked at most once: a second call, or
+    a call after the fiber has moved on to a later suspension, raises
+    [Failure "waker for fiber NAME invoked twice"]. *)
 
 val suspend : (waker -> unit) -> unit
 (** [suspend register] parks the current fiber and calls [register waker].

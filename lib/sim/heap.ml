@@ -1,100 +1,158 @@
-(* Binary min-heap over (time, seq) int keys, stored as three parallel
-   flat arrays. Native-int keys keep every comparison and swap unboxed
-   (no per-entry record, no Int64 boxes held live), which matters because
-   the engine pushes and pops one entry per simulated event: at 512 cores
-   the heap is the single hottest data structure in the process. *)
+(* Binary min-heap over (time, seq) int keys. The engine pushes and pops
+   one entry per simulated event, so at 512 cores the heap is the single
+   hottest data structure in the process; every sift step therefore moves
+   only ints.
+
+   Each heap position holds four ints in parallel flat arrays: the key
+   (time, seq), the opaque tag and a value-slot index. Values live in a
+   separate slot array and never move: a push writes its value once into
+   a free slot, and sifting shuffles the slot index instead of the value.
+   The only pointer store per entry is that one write at push time — no
+   [caml_modify] and no float-array check per swap. Freed slots are
+   recycled through a stack. *)
 
 type 'a t = {
-  mutable times : int array;
+  mutable times : int array; (* by heap position *)
   mutable seqs : int array;
   mutable tags : int array;
       (* opaque per-entry label (the engine's action tag); rides along
-         through swaps but never participates in ordering *)
-  mutable values : 'a array;
+         through sifts but never participates in ordering *)
+  mutable slots : int array; (* heap position -> value slot *)
+  mutable values : 'a array; (* by value slot *)
+  mutable free : int array; (* stack of released value slots *)
+  mutable nfree : int;
   mutable size : int;
 }
 
 let create () =
-  { times = [||]; seqs = [||]; tags = [||]; values = [||]; size = 0 }
+  {
+    times = [||];
+    seqs = [||];
+    tags = [||];
+    slots = [||];
+    values = [||];
+    free = [||];
+    nfree = 0;
+    size = 0;
+  }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
-(* Vacated tail slots keep their stale value until overwritten by a later
-   push. The retention is bounded by the heap's high-water mark, and the
-   engine's values are small scheduled-callback closures, so no quadratic
-   or unbounded growth can hide here. *)
+(* A released slot keeps its stale value until a later push reuses it.
+   The retention is bounded by the heap's high-water mark, and the
+   engine's values are per-fiber resume closures and small scheduled
+   callbacks, so no unbounded growth can hide here. *)
 
-let grow h time seq value =
+let grow h value =
   let capacity = Array.length h.times in
   if h.size = capacity then begin
     let capacity' = if capacity = 0 then 64 else capacity * 2 in
-    let times' = Array.make capacity' time in
-    let seqs' = Array.make capacity' seq in
-    let tags' = Array.make capacity' 0 in
-    let values' = Array.make capacity' value in
-    Array.blit h.times 0 times' 0 h.size;
-    Array.blit h.seqs 0 seqs' 0 h.size;
-    Array.blit h.tags 0 tags' 0 h.size;
-    Array.blit h.values 0 values' 0 h.size;
-    h.times <- times';
-    h.seqs <- seqs';
-    h.tags <- tags';
-    h.values <- values'
+    let extend a fill =
+      let a' = Array.make capacity' fill in
+      Array.blit a 0 a' 0 capacity;
+      a'
+    in
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.tags <- extend h.tags 0;
+    h.slots <- extend h.slots 0;
+    h.values <- extend h.values value;
+    h.free <- extend h.free 0
   end
 
-let[@inline] lt h i j =
-  let ti = Array.unsafe_get h.times i and tj = Array.unsafe_get h.times j in
-  ti < tj || (ti = tj && Array.unsafe_get h.seqs i < Array.unsafe_get h.seqs j)
-
-let[@inline] swap h i j =
-  let t = h.times.(i) in
-  h.times.(i) <- h.times.(j);
-  h.times.(j) <- t;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let g = h.tags.(i) in
-  h.tags.(i) <- h.tags.(j);
-  h.tags.(j) <- g;
-  let v = h.values.(i) in
-  h.values.(i) <- h.values.(j);
-  h.values.(j) <- v
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
+(* Slots in use plus released slots is the number ever handed out, so a
+   fresh slot is the next index past both. *)
+let[@inline] take_slot h =
+  if h.nfree > 0 then begin
+    h.nfree <- h.nfree - 1;
+    Array.unsafe_get h.free h.nfree
   end
+  else h.size
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && lt h left !smallest then smallest := left;
-  if right < h.size && lt h right !smallest then smallest := right;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
+let[@inline] release_slot h slot =
+  Array.unsafe_set h.free h.nfree slot;
+  h.nfree <- h.nfree + 1
+
+let[@inline] set h i time seq tag slot =
+  Array.unsafe_set h.times i time;
+  Array.unsafe_set h.seqs i seq;
+  Array.unsafe_set h.tags i tag;
+  Array.unsafe_set h.slots i slot
+
+let[@inline] move h ~src ~dst =
+  set h dst
+    (Array.unsafe_get h.times src)
+    (Array.unsafe_get h.seqs src)
+    (Array.unsafe_get h.tags src)
+    (Array.unsafe_get h.slots src)
+
+(* Is the entry at position [i] ordered before the key (time, seq)? *)
+let[@inline] before h i time seq =
+  let ti = Array.unsafe_get h.times i in
+  ti < time || (ti = time && Array.unsafe_get h.seqs i < seq)
+
+(* Hole-based sifts: the entry being placed is carried in the arguments
+   while the entries it passes move one step into the hole; it is
+   written once, where it lands. *)
+let rec sift_up h i time seq tag slot =
+  let parent = (i - 1) lsr 1 in
+  if i > 0 && not (before h parent time seq) then begin
+    move h ~src:parent ~dst:i;
+    sift_up h parent time seq tag slot
   end
+  else set h i time seq tag slot
+
+let rec sift_down h i time seq tag slot =
+  let left = (2 * i) + 1 in
+  let child =
+    if
+      left + 1 < h.size
+      && before h (left + 1) (Array.unsafe_get h.times left)
+           (Array.unsafe_get h.seqs left)
+    then left + 1
+    else left
+  in
+  if child < h.size && before h child time seq then begin
+    move h ~src:child ~dst:i;
+    sift_down h child time seq tag slot
+  end
+  else set h i time seq tag slot
 
 let push h ?(tag = 0) ~time ~seq value =
   if time < 0 then invalid_arg "Heap.push: negative time";
-  grow h time seq value;
+  grow h value;
+  let slot = take_slot h in
+  Array.unsafe_set h.values slot value;
   let i = h.size in
-  h.times.(i) <- time;
-  h.seqs.(i) <- seq;
-  h.tags.(i) <- tag;
-  h.values.(i) <- value;
-  h.size <- h.size + 1;
-  sift_up h i
+  h.size <- i + 1;
+  sift_up h i time seq tag slot
+
+(* Remove position [i]: release its slot and refill the hole with the
+   last entry, which may violate the heap property in either direction
+   relative to its new neighbourhood. *)
+let remove_at h i =
+  release_slot h (Array.unsafe_get h.slots i);
+  let last = h.size - 1 in
+  h.size <- last;
+  if i < last then begin
+    let time = Array.unsafe_get h.times last
+    and seq = Array.unsafe_get h.seqs last
+    and tag = Array.unsafe_get h.tags last
+    and slot = Array.unsafe_get h.slots last in
+    if i > 0 && not (before h ((i - 1) lsr 1) time seq) then
+      sift_up h i time seq tag slot
+    else sift_down h i time seq tag slot
+  end
 
 let min_time h =
   if h.size = 0 then raise Not_found;
   h.times.(0)
+
+let min_seq h =
+  if h.size = 0 then raise Not_found;
+  h.seqs.(0)
 
 let min_tag h =
   if h.size = 0 then raise Not_found;
@@ -102,27 +160,25 @@ let min_tag h =
 
 let peek_min h =
   if h.size = 0 then raise Not_found;
-  (h.times.(0), h.seqs.(0), h.values.(0))
+  (h.times.(0), h.seqs.(0), h.values.(h.slots.(0)))
+
+let pop h =
+  if h.size = 0 then raise Not_found;
+  let v = Array.unsafe_get h.values (Array.unsafe_get h.slots 0) in
+  remove_at h 0;
+  v
 
 let pop_min h =
   if h.size = 0 then raise Not_found;
-  let time = h.times.(0) and seq = h.seqs.(0) and v = h.values.(0) in
-  let last = h.size - 1 in
-  h.size <- last;
-  if last > 0 then begin
-    h.times.(0) <- h.times.(last);
-    h.seqs.(0) <- h.seqs.(last);
-    h.tags.(0) <- h.tags.(last);
-    h.values.(0) <- h.values.(last);
-    sift_down h 0
-  end;
+  let time = h.times.(0) and seq = h.seqs.(0) in
+  let v = pop h in
   (time, seq, v)
 
 (* --- schedule-exploration support (cold paths) -------------------------
    The model checker needs to see every event due at the minimum time and
    to remove an arbitrary one of them. Both are linear scans: they only
    run when an explorer is attached, on deliberately small configurations,
-   and never on the default pop_min path. *)
+   and never on the default pop path. *)
 
 let min_entries h =
   if h.size = 0 then [||]
@@ -151,17 +207,7 @@ let remove_seq h seq =
   done;
   if !idx < 0 then raise Not_found;
   let i = !idx in
-  let time = h.times.(i) and tag = h.tags.(i) and v = h.values.(i) in
-  let last = h.size - 1 in
-  h.size <- last;
-  if i < last then begin
-    h.times.(i) <- h.times.(last);
-    h.seqs.(i) <- h.seqs.(last);
-    h.tags.(i) <- h.tags.(last);
-    h.values.(i) <- h.values.(last);
-    (* The migrated tail entry may violate the heap property in either
-       direction relative to its new neighbourhood. *)
-    sift_down h i;
-    sift_up h i
-  end;
+  let time = h.times.(i) and tag = h.tags.(i) in
+  let v = h.values.(h.slots.(i)) in
+  remove_at h i;
   (time, tag, v)

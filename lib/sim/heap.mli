@@ -7,8 +7,9 @@
 
     Keys are native ints (63-bit on 64-bit platforms), not int64: simulated
     cycle counts stay far below 2^62, and unboxed keys in flat parallel
-    arrays keep the per-event push/pop — the engine's hottest path — free
-    of allocation. *)
+    arrays keep the per-event push/{!pop} — the engine's hottest path —
+    free of allocation. A value is stored once, at push, in a fixed slot;
+    reordering the heap moves only ints. *)
 
 type 'a t
 
@@ -29,17 +30,27 @@ val push : 'a t -> ?tag:int -> time:int -> seq:int -> 'a -> unit
     key. Raises [Not_found] when the heap is empty. *)
 val pop_min : 'a t -> int * int * 'a
 
+(** [pop h] removes the minimum element and returns its value only,
+    without allocating; read its key first with {!min_time},
+    {!min_seq} and {!min_tag}. Raises [Not_found] when the heap is
+    empty. *)
+val pop : 'a t -> 'a
+
 (** [peek_min h] returns the minimum element without removing it.
     Raises [Not_found] when the heap is empty. *)
-val min_tag : 'a t -> int
-(** Tag of the entry {!pop_min} would return. Raises [Not_found] if
-    empty. *)
-
 val peek_min : 'a t -> int * int * 'a
 
 (** [min_time h] returns the minimum key's time without any allocation.
     Raises [Not_found] when the heap is empty. *)
 val min_time : 'a t -> int
+
+(** Sequence of the entry {!pop} would remove. Raises [Not_found] if
+    empty. *)
+val min_seq : 'a t -> int
+
+(** Tag of the entry {!pop} would remove. Raises [Not_found] if
+    empty. *)
+val min_tag : 'a t -> int
 
 (** {1 Schedule-exploration support}
 

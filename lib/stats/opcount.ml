@@ -1,18 +1,20 @@
-type t = (string, int ref) Hashtbl.t
+module Tbl = Hare_sim.Tbl.Str
 
-let create () = Hashtbl.create 32
+type t = int ref Tbl.t
+
+let create () = Tbl.create 32
 
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t name with
+  match Tbl.find_opt t name with
   | Some r -> r := !r + by
-  | None -> Hashtbl.replace t name (ref by)
+  | None -> Tbl.replace t name (ref by)
 
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+let get t name = match Tbl.find_opt t name with Some r -> !r | None -> 0
 
-let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0
+let total t = Tbl.fold (fun _ r acc -> acc + !r) t 0
 
 let to_list t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
+  Tbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (n1, c1) (n2, c2) ->
          match compare c2 c1 with 0 -> compare n1 n2 | c -> c)
 
@@ -24,7 +26,7 @@ let breakdown t =
     |> List.map (fun (name, c) -> (name, float_of_int c /. float_of_int sum))
 
 let merge ~into src =
-  Hashtbl.iter (fun name r -> incr ~by:!r into name) src
+  Tbl.iter (fun name r -> incr ~by:!r into name) src
 
 let snapshot t =
   let copy = create () in
@@ -33,14 +35,14 @@ let snapshot t =
 
 let diff ~since t =
   let out = create () in
-  Hashtbl.iter
+  Tbl.iter
     (fun name r ->
       let before = get since name in
       if !r - before > 0 then incr ~by:(!r - before) out name)
     t;
   out
 
-let clear t = Hashtbl.reset t
+let clear t = Tbl.reset t
 
 let pp ppf t =
   Format.pp_open_vbox ppf 0;

@@ -233,6 +233,38 @@ let test_unwatch_rewatch () =
            (Engine.probe_count e)));
   Engine.run e
 
+(* Minor-heap words of one RPC round trip — request send, server
+   dispatch, reply, and every engine event in between — averaged over
+   10k calls after a warm-up. *)
+let test_rpc_call_allocation () =
+  let e = Engine.create () in
+  let server_core = Core_res.create e ~id:1 ~socket:0 ~ctx_switch:costs.ctx_switch in
+  let client_core = Core_res.create e ~id:0 ~socket:0 ~ctx_switch:costs.ctx_switch in
+  let ep : (int, int) Hare_msg.Rpc.t =
+    Hare_msg.Rpc.endpoint ~owner:server_core ~costs ()
+  in
+  ignore
+    (Engine.spawn e ~daemon:true ~name:"server" (fun () ->
+         while true do
+           let req, reply = Hare_msg.Rpc.recv ep in
+           reply (req + 1)
+         done));
+  let words = ref nan in
+  ignore
+    (Engine.spawn e ~name:"client" (fun () ->
+         let calls n =
+           for i = 1 to n do
+             ignore (Hare_msg.Rpc.call ep ~from:client_core i : int)
+           done
+         in
+         calls 1_000;
+         let w0 = Gc.minor_words () in
+         calls 10_000;
+         words := (Gc.minor_words () -. w0) /. 10_000.));
+  Engine.run e;
+  if !words > 160. then
+    Alcotest.failf "one Rpc.call round trip allocated %.1f words" !words
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -252,6 +284,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "roundtrip" `Quick test_rpc_roundtrip;
         tc "async overlap" `Quick test_rpc_overlap;
         tc "parked reply" `Quick test_rpc_parked_reply;
+        tc "call allocation" `Quick test_rpc_call_allocation;
       ] );
   ]
 

@@ -276,6 +276,37 @@ let test_dircache_eviction () =
          ignore (Posix.stat p "/e00");
          0))
 
+(* A bounded cache serving only hits must not grow: every hit queues an
+   LRU pair, and only [add] evicts. Compaction must keep the live pairs
+   in order, so the least recently used entry is still the one
+   evicted. *)
+let test_dircache_hits_bounded () =
+  let e = Hare_sim.Engine.create () in
+  let core = Hare_sim.Core_res.create e ~id:0 ~socket:0 ~ctx_switch:0 in
+  let port = Hare_msg.Mailbox.create ~owner:core ~costs:Config.default.costs () in
+  let dc = Dircache.create ~enabled:true ~capacity:4 ~port () in
+  let dir = Types.root_ino in
+  let info = { Hare_proto.Wire.t_ino = dir; t_ftype = Types.Reg; t_dist = false } in
+  let hits n name =
+    for _ = 1 to n do
+      ignore (Dircache.find dc ~dir ~name)
+    done
+  in
+  Dircache.add dc ~dir ~name:"a" info;
+  hits 100 "a";
+  let before = Obj.reachable_words (Obj.repr dc) in
+  hits 100_000 "a";
+  let after = Obj.reachable_words (Obj.repr dc) in
+  if after > before + 64 then
+    Alcotest.failf "100k hits grew the cache from %d to %d words" before after;
+  List.iter (fun name -> Dircache.add dc ~dir ~name info) [ "b"; "c"; "d" ];
+  hits 1_000 "a";
+  Dircache.add dc ~dir ~name:"e" info;
+  Alcotest.(check bool) "hot entry kept" true (Dircache.find dc ~dir ~name:"a" <> None);
+  Alcotest.(check bool) "least recently used evicted" true
+    (Dircache.find dc ~dir ~name:"b" = None);
+  Alcotest.(check int) "one eviction" 1 (Dircache.evictions dc)
+
 (* ---------- PR 1 fault soak with the pipeline wide open ----------------- *)
 
 let pipelined ?(window = 8) ?(batch = 8) ?(extent = 8) config =
@@ -340,7 +371,10 @@ let suites =
           test_extent_lease_saves_rpcs;
       ] );
     ( "pipeline.dircache",
-      [ Alcotest.test_case "bounded lru" `Quick test_dircache_eviction ] );
+      [
+        Alcotest.test_case "bounded lru" `Quick test_dircache_eviction;
+        Alcotest.test_case "hits stay bounded" `Quick test_dircache_hits_bounded;
+      ] );
     ( "pipeline.faults",
       [
         Alcotest.test_case "lossy soak, knobs open" `Quick

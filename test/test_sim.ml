@@ -37,51 +37,122 @@ let test_heap_large () =
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 (* Property test at engine scale: 100k events with clustered timestamps
-   (many ties) must drain in exact (time, seq) order, interleaving pushes
-   and pops the way [run_for] does. A model priority list would be
-   O(n^2); instead exploit that seq is unique and increasing per push, so
-   sorting the recorded (time, seq) pops must reproduce the pop order. *)
+   (many ties) must drain in exact (time, seq) order, interleaving pushes,
+   pops and removals of random live entries the way [run_for] and the
+   schedule explorer do. The model is the ordered set of live
+   (time, seq) pairs: every pop must return its minimum, and
+   [min_entries] must list exactly its entries at the minimum time. The
+   value and tag of every entry are functions of its seq, so a value
+   slot reused wrongly after a removal shows up as a mismatch. *)
+module Live = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
 let test_heap_property_100k () =
   let h = Heap.create () in
   let rng = Rng.create ~seed:11L in
   let n = 100_000 in
+  let tag_of s = s mod 13 in
   let popped = ref [] in
   let seq = ref 0 in
   let pushed = ref 0 in
+  let live = ref Live.empty in
+  (* live seqs, densely packed so a random victim is one index away *)
+  let dense = Array.make n 0 and pos = Array.make n 0 and nlive = ref 0 in
+  let time_of = Array.make n 0 in
+  let forget s =
+    let i = pos.(s) and last = dense.(!nlive - 1) in
+    dense.(i) <- last;
+    pos.(last) <- i;
+    decr nlive;
+    live := Live.remove (time_of.(s), s) !live
+  in
+  let check_popped t s v =
+    let expect = Live.min_elt !live in
+    if (t, s) <> expect then
+      Alcotest.failf "popped (%d, %d), model minimum (%d, %d)" t s (fst expect)
+        (snd expect);
+    Alcotest.(check int) "value is its seq" s v;
+    forget s;
+    popped := (t, s) :: !popped
+  in
+  let check_min_entries () =
+    let expect =
+      match Live.min_elt_opt !live with
+      | None -> []
+      | Some (tmin, _) ->
+          Live.to_seq !live
+          |> Seq.take_while (fun (t, _) -> t = tmin)
+          |> Seq.map (fun (_, s) -> (s, tag_of s))
+          |> List.of_seq
+    in
+    Alcotest.(check (list (pair int int)))
+      "min_entries matches the model" expect
+      (Array.to_list (Heap.min_entries h))
+  in
+  let rounds = ref 0 in
   while !pushed < n do
     (* burst of pushes ... *)
     let burst = 1 + Rng.int rng 8 in
     for _ = 1 to burst do
       if !pushed < n then begin
-        Heap.push h ~time:(Rng.int rng 5000) ~seq:!seq !seq;
+        let t = Rng.int rng 5000 and s = !seq in
+        Heap.push h ~tag:(tag_of s) ~time:t ~seq:s s;
+        time_of.(s) <- t;
+        dense.(!nlive) <- s;
+        pos.(s) <- !nlive;
+        incr nlive;
+        live := Live.add (t, s) !live;
         incr seq;
         incr pushed
       end
     done;
-    (* ... then drain a few, like the engine's pop-schedule-pop loop *)
+    (* ... then drain a few, like the engine's pop-schedule-pop loop,
+       alternating the tuple pop with the allocation-free one ... *)
     let drain = Rng.int rng 4 in
-    for _ = 1 to drain do
+    for i = 1 to drain do
       if not (Heap.is_empty h) then begin
         Alcotest.(check int) "min_time matches peek" (Heap.min_time h)
           (let t, _, _ = Heap.peek_min h in
            t);
-        let t, s, v = Heap.pop_min h in
-        Alcotest.(check int) "value is its seq" s v;
-        popped := (t, s) :: !popped
+        if i land 1 = 0 then begin
+          let t, s, v = Heap.pop_min h in
+          check_popped t s v
+        end
+        else begin
+          let t = Heap.min_time h and s = Heap.min_seq h in
+          Alcotest.(check int) "min_tag" (tag_of s) (Heap.min_tag h);
+          check_popped t s (Heap.pop h)
+        end
       end
-    done
+    done;
+    (* ... and remove a random live entry, as the explorer does *)
+    if !nlive > 0 && Rng.int rng 3 = 0 then begin
+      let s = dense.(Rng.int rng !nlive) in
+      let t, tag, v = Heap.remove_seq h s in
+      Alcotest.(check (triple int int int))
+        "removed entry" (time_of.(s), tag_of s, s) (t, tag, v);
+      forget s
+    end;
+    incr rounds;
+    if !rounds mod 64 = 0 then check_min_entries ()
   done;
+  Alcotest.(check int) "length matches the model" !nlive (Heap.length h);
+  check_min_entries ();
   while not (Heap.is_empty h) do
     let t, s, v = Heap.pop_min h in
-    Alcotest.(check int) "value is its seq" s v;
-    popped := (t, s) :: !popped
+    check_popped t s v
   done;
-  let order = List.rev !popped in
-  Alcotest.(check int) "all drained" n (List.length order);
+  Alcotest.(check bool) "model drained" true (Live.is_empty !live);
+  Alcotest.check_raises "remove_seq on an empty heap" Not_found (fun () ->
+      ignore (Heap.remove_seq h 0));
   (* Interleaved pushes mean pop order need not be globally time-sorted,
      but ties on time must always pop in increasing seq order: if (t, s2)
      pops after (t, s1) with s2 < s1, then s2 was pushed first and sat in
      the heap while s1 popped — contradicting min-heap order. *)
+  let order = List.rev !popped in
   let last_seq_at : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   List.iter
     (fun (t, s) ->
@@ -517,6 +588,56 @@ let test_current_fid_tracking () =
   Engine.run e;
   Alcotest.(check int) "idle engine" (-1) (Engine.current_fid e)
 
+(* A waker fires exactly once: a second call, or a call after its fiber
+   has moved on to a later suspension, fails instead of resuming the
+   fiber out of turn. *)
+let test_waker_invoked_twice () =
+  let e = Engine.create () in
+  let wakers = ref [] in
+  let resumed = ref 0 in
+  let twice = Failure "waker for fiber sleeper invoked twice" in
+  ignore
+    (Engine.spawn e ~name:"sleeper" (fun () ->
+         for _ = 1 to 2 do
+           Engine.suspend (fun w -> wakers := w :: !wakers);
+           incr resumed
+         done));
+  ignore
+    (Engine.spawn e ~name:"waker" (fun () ->
+         let first = List.hd !wakers in
+         first ();
+         Alcotest.check_raises "second call" twice first;
+         Engine.sleep 1L;
+         Alcotest.(check int) "resumed once" 1 !resumed;
+         Alcotest.check_raises "stale waker" twice first;
+         Engine.sleep 1L;
+         Alcotest.(check int) "stale waker did not resume" 1 !resumed;
+         (List.hd !wakers) ()));
+  Engine.run e;
+  Alcotest.(check int) "both suspensions resumed" 2 !resumed
+
+(* A sleep parks the fiber's own continuation and pushes its resume
+   closure made at spawn: no handler or event closure per sleep. The
+   words are averaged over 10k sleeps after a warm-up, and include the
+   engine's own work between them (event pop, resume, handler
+   dispatch). *)
+let test_sleep_allocation () =
+  let e = Engine.create () in
+  let words = ref nan in
+  ignore
+    (Engine.spawn e ~name:"sleeper" (fun () ->
+         for _ = 1 to 1_000 do
+           Engine.sleep_cycles 1
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           Engine.sleep_cycles 1
+         done;
+         words := (Gc.minor_words () -. w0) /. 10_000.));
+  Engine.run e;
+  if !words > 12. then
+    Alcotest.failf "one Engine.sleep_cycles allocated %.1f words" !words
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -546,6 +667,8 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "probe unregister" `Quick test_probe_unregister;
         tc "live fiber accounting" `Quick test_live_fiber_accounting;
         tc "current fid tracking" `Quick test_current_fid_tracking;
+        tc "waker invoked twice" `Quick test_waker_invoked_twice;
+        tc "sleep allocation" `Quick test_sleep_allocation;
       ] );
     ( "sim.ivar",
       [
