@@ -115,8 +115,6 @@ let create ~engine ~config ~cores =
     ops = Hare_stats.Opcount.create ();
   }
 
-let root t = t.root
-
 let size n = n.size
 
 let syscalls t = t.ops

@@ -19,13 +19,9 @@ val create :
   cores:Hare_sim.Core_res.t array ->
   t
 
-val root : t -> node
-
 (** All operations take the calling core (costs and data movement are
     charged there) and a cwd string for relative paths; they raise
     [Errno.Error] like the real calls. *)
-
-val resolve : t -> core:int -> cwd:string -> string -> node
 
 val open_file :
   t -> core:int -> cwd:string -> string -> Types.open_flags -> node

@@ -72,11 +72,7 @@ let boot config =
     rr = 0;
   }
 
-let fs t = t.fs
-
 let run t = Engine.run t.engine
-
-let run_for t budget = Engine.run_for t.engine budget
 
 let seconds t =
   Hare_config.Costs.seconds_of_cycles t.costs (Engine.now t.engine)

@@ -19,13 +19,9 @@ val spawn_init : t -> name:string -> (proc -> int) -> proc * Buffer.t
 
 val run : t -> unit
 
-val run_for : t -> int64 -> unit
-
 val seconds : t -> float
 
 val exit_status : t -> proc -> int option
-
-val fs : t -> Lfs.t
 
 val syscalls : t -> Hare_stats.Opcount.t
 

@@ -73,10 +73,6 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
     extent = config.Hare_config.Config.alloc_extent;
   }
 
-let cid t = t.cid
-
-let core t = t.core
-
 let pcache t = t.pcache
 
 let dircache t = t.dircache
@@ -370,11 +366,10 @@ let create_file t (dir : dirref) name (flags : open_flags) =
               | Some (Error e) -> Errno.raise_errno e name
             in
             must
-              (Transport.defer t.tp ino.server ~what:"rollback-close" ~ino
+              (Transport.defer t.tp ino.server ~ino
                  (Wire.Close_fd { token = oi.token; size = None }));
             must
-              (Transport.defer t.tp ino.server ~what:"rollback-unlink" ~ino
-                 (Wire.Unlink_ino { ino }));
+              (Transport.defer t.tp ino.server ~ino (Wire.Unlink_ino { ino }));
             if err <> Errno.EEXIST then Errno.raise_errno err name
             else if flags.excl then Errno.raise_errno Errno.EEXIST name
             else
@@ -687,7 +682,7 @@ let release_desc t (entry : Fdtable.entry) =
          window it is deferred: per-server FIFO delivery means any later
          request to the same server is processed after it. *)
       (match
-         Transport.defer t.tp fs.f_ino.server ~what:"close" ~ino:fs.f_ino
+         Transport.defer t.tp fs.f_ino.server ~ino:fs.f_ino
            (Wire.Close_fd { token = fs.f_token; size })
        with
       | None | Some (Ok _) -> ()
@@ -856,7 +851,7 @@ let unlink t ~cwd path =
       (* The entry is gone (the visible effect); dropping the link count
          is independent, so it rides the window. *)
       (match
-         Transport.defer t.tp target.server ~what:"unlink" ~ino:target
+         Transport.defer t.tp target.server ~ino:target
            (Wire.Unlink_ino { ino = target })
        with
       | None | Some (Ok _) -> ()
@@ -1073,8 +1068,8 @@ let rename t ~cwd oldp newp =
       match replaced with
       | Some victim when victim <> target ->
           ignore
-            (Transport.defer t.tp victim.server ~what:"rename-victim"
-               ~ino:victim (Wire.Unlink_ino { ino = victim }))
+            (Transport.defer t.tp victim.server ~ino:victim
+               (Wire.Unlink_ino { ino = victim }))
       | _ -> ()
     in
     match

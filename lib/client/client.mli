@@ -37,10 +37,6 @@ val create :
     logical home ids, each send resolving home [->] physical through the
     ring's current route (so a request follows a migrated shard). *)
 
-val cid : t -> int
-
-val core : t -> Hare_sim.Core_res.t
-
 val pcache : t -> Hare_mem.Pcache.t
 (** This client's private cache, for stats cross-checks (tests). *)
 

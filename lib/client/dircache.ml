@@ -53,10 +53,6 @@ let create ~enabled ?(capacity = 0) ?(robust = Hare_stats.Robust.create ())
     robust;
   }
 
-let enabled t = t.enabled
-
-let port t = t.port
-
 let owner_core t = Hare_msg.Mailbox.owner t.port
 
 let obs t = Hare_sim.Engine.obs (Hare_sim.Core_res.engine (owner_core t))

@@ -27,15 +27,6 @@ val create :
     [cache_flushes] in [robust], the owning client's record (default: a
     private one). *)
 
-val enabled : t -> bool
-
-val port : t -> Hare_proto.Wire.inval Hare_msg.Mailbox.t
-
-(** [drain t] processes all pending invalidations. Called internally by
-    {!find}; exposed for the syscall paths that mutate without looking
-    up. *)
-val drain : t -> unit
-
 (** [find t ~dir ~name] drains invalidations, then consults the cache.
     Always [None] when the cache is disabled. *)
 val find :

@@ -5,9 +5,6 @@
     slashes) against the process's working directory before resolution,
     so the wire protocol only ever sees clean component lists. *)
 
-val split : string -> string list
-(** [split "/a//b/./c"] is [["a"; "b"; "c"]]. *)
-
 val normalize : cwd:string -> string -> string list
 (** [normalize ~cwd path] is the component list of [path] resolved
     against absolute directory [cwd]. [".."] at the root stays at the

@@ -5,10 +5,6 @@ module Robust = Hare_stats.Robust
 module Perf = Hare_stats.Perf
 module Config = Hare_config.Config
 
-let src = Logs.Src.create "hare.client" ~doc:"Hare client library"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* Per-server circuit breaker (PR 6): consecutive give-ups trip it open,
    and while open every retryable RPC to that server fast-fails with
    [EIO] instead of burning a full timeout ladder. After the cooldown a
@@ -70,8 +66,8 @@ type t = {
       (* breakers currently in [Br_open], maintained at every transition
          so the metrics gauge is an O(1) read, not an O(nservers) scan *)
   (* the deferral window (rpc_window > 1): sent, not yet awaited, with
-     a label for the error log and the inode the request mutates *)
-  window : (pending * string * Types.ino option) Queue.t;
+     the inode the request mutates *)
+  window : (pending * Types.ino option) Queue.t;
   mutable rpc_count : int;
   mutable moved_retries : int;  (* EMOVED bounces chased to the new owner *)
 }
@@ -390,23 +386,19 @@ let call t home req = await t (send t ~deferred:false home req)
 
 (* Observe (and discard) the oldest deferred reply. Failures of a
    deferred close/unlink cannot be raised at the syscall that issued
-   them — that syscall already returned — so they surface as a counter
-   and a log line, like an asynchronous close. *)
+   them — that syscall already returned — so they surface as a counter,
+   like an asynchronous close. *)
 let await_oldest t =
   match Queue.take_opt t.window with
   | None -> ()
-  | Some (c, what, _) -> (
+  | Some (c, _) -> (
       match await t ~poll:true c with
       | Ok _ -> ()
       | Error e when stale_token t e ->
           (* The server crashed and forgot the token/inode; the restart
              already reclaimed whatever the deferred op would have. *)
           ()
-      | Error e ->
-          Perf.incr t.perf Perf.deferred_errors;
-          Log.debug (fun m ->
-              m "client %d: deferred %s failed (%s)" t.cid what
-                (Errno.to_string e)))
+      | Error _ -> Perf.incr t.perf Perf.deferred_errors)
 
 let drain_window t =
   while not (Queue.is_empty t.window) do
@@ -421,13 +413,13 @@ let drain_window t =
    inode, wait out any deferred request that mutates it. *)
 let drain_ino t ino =
   let touches () =
-    Queue.fold (fun acc (_, _, i) -> acc || i = Some ino) false t.window
+    Queue.fold (fun acc (_, i) -> acc || i = Some ino) false t.window
   in
   while touches () do
     await_oldest t
   done
 
-let defer t ~what ?ino home req =
+let defer t ?ino home req =
   let cap = t.config.rpc_window in
   if cap <= 1 then Some (call t home req)
   else begin
@@ -437,7 +429,7 @@ let defer t ~what ?ino home req =
     let c = send t ~deferred:true home req in
     if c.ep < 0 then Some (Error Errno.EIO)
     else begin
-      Queue.push (c, what, ino) t.window;
+      Queue.push (c, ino) t.window;
       Perf.incr t.perf Perf.deferred;
       Perf.note_window t.perf (Queue.length t.window);
       None

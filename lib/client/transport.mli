@@ -51,11 +51,11 @@ val call : t -> int -> Wire.fs_req -> Wire.fs_resp
 (** Synchronous RPC: {!await} of a non-deferred {!send}. *)
 
 val defer :
-  t -> what:string -> ?ino:Types.ino -> int -> Wire.fs_req ->
+  t -> ?ino:Types.ino -> int -> Wire.fs_req ->
   Wire.fs_resp option
 (** Issue a request whose success payload nobody reads through the
     deferral window: [None] when deferred (its failure is only counted
-    in [perf] and logged as [what]), [Some result] when [rpc_window = 1]
+    in [perf]), [Some result] when [rpc_window = 1]
     made it synchronous or the breaker fast-failed it. A full window
     first awaits its oldest entry. [ino] is the inode the request
     mutates, for {!drain_ino}. *)

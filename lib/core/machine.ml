@@ -409,8 +409,6 @@ let total_moved_retries t =
 let total_moved_rejects t =
   Array.fold_left (fun acc s -> acc + Server.moved_rejects s) 0 t.servers
 
-let dram t = t.dram
-
 let register_program t name body = Program.register t.registry name body
 
 let spawn_init t ?core ?(cwd = "/") ?(args = []) ~name body =

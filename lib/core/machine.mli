@@ -42,8 +42,6 @@ val total_moved_retries : t -> int
 val total_moved_rejects : t -> int
 (** Server-side [EMOVED] bounces issued. *)
 
-val dram : t -> Hare_mem.Dram.t
-
 val register_program : t -> string -> Hare_proc.Program.body -> unit
 
 val spawn_init :

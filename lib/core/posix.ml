@@ -5,10 +5,6 @@ module Client = Hare_client.Client
 module Fdtable = Hare_client.Fdtable
 module Path = Hare_client.Path
 
-let src = Logs.Src.create "hare.posix" ~doc:"Hare POSIX layer"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let client = P.client
 
 let costs (p : P.t) = p.P.k.P.k_config.Hare_config.Config.costs
@@ -89,8 +85,6 @@ let chdir p path =
 let getcwd (p : P.t) = p.P.cwd
 
 (* ---------- processes --------------------------------------------------- *)
-
-let getpid (p : P.t) = p.P.pid
 
 let exit (_ : P.t) status = raise (P.Exited status)
 

@@ -66,8 +66,6 @@ val getcwd : P.t -> string
 
 (** {1 Processes} *)
 
-val getpid : P.t -> Types.pid
-
 val fork : P.t -> (P.t -> int) -> Types.pid
 (** [fork p child] creates a child process {e on the same core} (the
     paper's fork never migrates) running [child]; file descriptors become

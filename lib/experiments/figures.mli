@@ -28,6 +28,11 @@ val print_fig4 : unit -> unit
 val fig4_dirs : string list
 (** Every directory the Figure 4 tables count, in table order. *)
 
+val fig4_modules : string -> (string * string list) list
+(** The source files of [lib/client] and [lib/server] under a repository
+    root, by row of the per-module table: the paper's protocol core
+    first, then one row per extension module. *)
+
 (** {1 Figure 5: operation mix per benchmark} *)
 
 val fig5_data : opts -> (string * (string * float) list) list

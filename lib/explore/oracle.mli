@@ -46,8 +46,6 @@ type event = {
   e_res : int64;  (** response stamp *)
 }
 
-val pp_event : Format.formatter -> event -> unit
-
 val check : event list -> (unit, string) Stdlib.result
 (** [check history] searches for a witness ordering (DFS with
     memoization; histories are tiny). [Ok ()] when one explains every

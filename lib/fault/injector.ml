@@ -29,8 +29,6 @@ let create ~engine ~seed plan =
 
 let stats t = t.stats
 
-let plan t = t.plan
-
 let server_events t =
   List.sort
     (fun a b -> Int64.compare a.Plan.ev_at b.Plan.ev_at)

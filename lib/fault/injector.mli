@@ -19,8 +19,6 @@ val create : engine:Hare_sim.Engine.t -> seed:int64 -> Plan.t -> t
 val stats : t -> Hare_stats.Robust.t
 (** Injector-side counters (drops/dups/delays/blackholes). *)
 
-val plan : t -> Plan.t
-
 val server_events : t -> Plan.server_event list
 (** Crash/stall events sorted by trigger time. *)
 

@@ -10,8 +10,6 @@ type server_event = { ev_sid : int; ev_at : int64; ev_kind : event_kind }
 
 type t = { rules : msg_rule list; events : server_event list }
 
-let empty = { rules = []; events = [] }
-
 let is_empty t = t.rules = [] && t.events = []
 
 let pp_target ppf = function
@@ -30,14 +28,10 @@ let pp_event ppf e =
   | Crash (Some d) -> Format.fprintf ppf "crash:%d@%Ld+%Ld" e.ev_sid e.ev_at d
   | Stall d -> Format.fprintf ppf "stall:%d@%Ld+%Ld" e.ev_sid e.ev_at d
 
-let pp ppf t =
-  let items =
-    List.map (Format.asprintf "%a" pp_rule) t.rules
-    @ List.map (Format.asprintf "%a" pp_event) t.events
-  in
-  Format.pp_print_string ppf (String.concat ";" items)
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  String.concat ";"
+    (List.map (Format.asprintf "%a" pp_rule) t.rules
+    @ List.map (Format.asprintf "%a" pp_event) t.events)
 
 (* --- parsing ---------------------------------------------------------- *)
 

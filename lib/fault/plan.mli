@@ -34,8 +34,6 @@ type server_event = { ev_sid : int; ev_at : int64; ev_kind : event_kind }
 
 type t = { rules : msg_rule list; events : server_event list }
 
-val empty : t
-
 val is_empty : t -> bool
 
 val parse : string -> (t, string) result
@@ -47,5 +45,3 @@ val parse_exn : string -> t
 
 val to_string : t -> string
 (** Canonical spec string; [parse (to_string t)] round-trips. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,6 @@ type 'a t = {
   uid : int;
       (* engine shared-object uid: this mailbox's identity on the bus
          (the sanitizer's stamp FIFO, the explorer's footprint) *)
-  mutable sent : int;
-  mutable received : int;
   mutable flow_blocked : int;
       (* sends that had to wait for a credit (bounded mailbox full) *)
   mutable probe : int;
@@ -30,8 +28,6 @@ let create ?name ?capacity ?faults ~owner ~costs () =
       faults;
       name;
       uid = Engine.new_object (Core_res.engine owner);
-      sent = 0;
-      received = 0;
       flow_blocked = 0;
       probe = -1;
     }
@@ -45,8 +41,6 @@ let create ?name ?capacity ?faults ~owner ~costs () =
   t
 
 let owner t = t.owner
-
-let uid t = t.uid
 
 (* Crashed endpoints stop advertising their depth: a dead server's
    mailbox in a deadlock report is noise, and the engine should not scan
@@ -97,7 +91,6 @@ let fault t ~mid ~copies name ~span =
    credit (bounded overshoot, like a retransmission on a real wire). *)
 let enqueue t ~mid msg =
   Bqueue.push_overflow t.queue msg;
-  t.sent <- t.sent + 1;
   let o = obs t in
   if Obs.on o Obs.msgs then Obs.emit o (Msg_enqueue { mid; uid = t.uid });
   depth_counter t
@@ -177,7 +170,6 @@ let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
 let recv t =
   let msg = Bqueue.pop t.queue in
   note_recv t;
-  t.received <- t.received + 1;
   depth_counter t;
   Core_res.compute t.owner t.costs.recv;
   msg
@@ -193,7 +185,6 @@ let recv t =
 let recv_many t ~max =
   let first = Bqueue.pop t.queue in
   note_recv t;
-  t.received <- t.received + 1;
   let rec extra acc n =
     if n >= max then List.rev acc
     else
@@ -201,7 +192,6 @@ let recv_many t ~max =
       | None -> List.rev acc
       | Some msg ->
           note_recv t;
-          t.received <- t.received + 1;
           extra (msg :: acc) (n + 1)
   in
   let msgs = first :: extra [] 1 in
@@ -219,7 +209,6 @@ let poll t =
   | None -> None
   | Some msg ->
       note_recv t;
-      t.received <- t.received + 1;
       depth_counter t;
       Core_res.compute t.owner t.costs.recv;
       Some msg
@@ -238,10 +227,6 @@ let drain t =
 
 let pending t = Bqueue.length t.queue
 
-let sent t = t.sent
-
 let flow_blocked t = t.flow_blocked
 
 let reset_flow t = t.flow_blocked <- 0
-
-let received t = t.received

@@ -30,10 +30,6 @@ val create :
 
 val owner : 'a t -> Hare_sim.Core_res.t
 
-val uid : 'a t -> int
-(** The engine shared-object uid identifying this mailbox to the
-    schedule explorer's footprint relation. *)
-
 val unwatch : 'a t -> unit
 (** Deregister this mailbox's engine depth probe (no-op if unnamed or
     already unwatched). Called when the owning endpoint crashes so
@@ -96,13 +92,9 @@ val drain : 'a t -> 'a list
 
 val pending : 'a t -> int
 
-val sent : 'a t -> int
-
 val flow_blocked : 'a t -> int
 (** Sends that had to wait for a credit because the bounded queue was
     full; always 0 for unbounded mailboxes. *)
 
 val reset_flow : 'a t -> unit
 (** Zero {!flow_blocked} (per-driver-run stats hygiene). *)
-
-val received : 'a t -> int

@@ -40,8 +40,6 @@ let endpoint ?name ?capacity ?faults ~owner ~costs () =
     peak = 0;
   }
 
-let owner t = Mailbox.owner t.mailbox
-
 let unwatch t = Mailbox.unwatch t.mailbox
 
 let rewatch t = Mailbox.rewatch t.mailbox

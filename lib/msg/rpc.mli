@@ -48,8 +48,6 @@ val endpoint :
     {!Mailbox.create}; a bounded endpoint makes callers wait for a
     queue credit before their request is admitted. *)
 
-val owner : ('req, 'resp) t -> Hare_sim.Core_res.t
-
 val unwatch : ('req, 'resp) t -> unit
 (** Deregister the endpoint's queue-depth probe from the engine (e.g.
     when the owning server crashes — a dead server's queue should not

@@ -180,7 +180,3 @@ let parse_plan s =
 
 let count_adds s =
   match parse_plan s with Ok evs -> count_adds_ev evs | Error _ -> 0
-
-let pp_event ppf = function
-  | Add { at } -> Format.fprintf ppf "add@%Ld" at
-  | Remove { sid; at } -> Format.fprintf ppf "remove:%d@%Ld" sid at

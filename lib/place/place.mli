@@ -94,5 +94,3 @@ val parse_plan : string -> (event list, string) result
 
 val count_adds : string -> int
 (** Adds in a textual plan ([0] if it does not parse). *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -1,10 +1,6 @@
 open Hare_sim
 open Hare_proto
 
-let src = Logs.Src.create "hare.proc" ~doc:"Hare process model"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type kctx = {
   k_engine : Engine.t;
   k_config : Hare_config.Config.t;
@@ -87,10 +83,7 @@ let run t ?(on_exit = fun _ -> ()) body =
          let status =
            try body t with
            | Exited n -> n
-           | Errno.Error (e, ctx) ->
-               Log.debug (fun m ->
-                   m "pid %d dies on %s (%s)" t.pid (Errno.to_string e) ctx);
-               1
+           | Errno.Error _ -> 1
          in
          (try Hare_client.Client.close_all (client t) t.fdt
           with Errno.Error _ -> ());

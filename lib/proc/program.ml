@@ -7,5 +7,3 @@ let create () = Hashtbl.create 32
 let register t name body = Hashtbl.replace t name body
 
 let find t name = Hashtbl.find_opt t name
-
-let names t = Hashtbl.fold (fun n _ acc -> n :: acc) t [] |> List.sort compare

@@ -15,5 +15,3 @@ val create : unit -> t
 val register : t -> string -> body -> unit
 
 val find : t -> string -> body option
-
-val names : t -> string list

@@ -46,10 +46,6 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let raise_errno e ctx = raise (Error (e, ctx))
 
-let get op what = function
-  | Ok v -> v
-  | Error e -> raise_errno e (op ^ " " ^ what)
-
 let () =
   Printexc.register_printer (function
     | Error (e, ctx) -> Some (Printf.sprintf "Errno.Error(%s, %s)" (to_string e) ctx)

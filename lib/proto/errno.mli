@@ -38,6 +38,3 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val raise_errno : t -> string -> 'a
-
-(** [get op what r] unwraps [Ok] or raises {!Error}. *)
-val get : string -> string -> ('a, t) result -> 'a

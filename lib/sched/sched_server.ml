@@ -2,10 +2,6 @@ open Hare_sim
 open Hare_proto
 open Hare_proc
 
-let src = Logs.Src.create "hare.sched" ~doc:"Hare scheduling server"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type t = {
   kctx : Process.kctx;
   registry : Program.t;
@@ -13,7 +9,6 @@ type t = {
   core : Core_res.t;
   costs : Hare_config.Costs.t;
   endpoint : (Wire.sched_req, Wire.sched_resp) Hare_msg.Rpc.t;
-  mutable execs : int;
 }
 
 let create ~kctx ~registry ~core_id ~endpoint () =
@@ -24,16 +19,12 @@ let create ~kctx ~registry ~core_id ~endpoint () =
     core = kctx.Process.k_cores.(core_id);
     costs = kctx.Process.k_config.Hare_config.Config.costs;
     endpoint;
-    execs = 0;
   }
-
-let execs t = t.execs
 
 let handle_exec t ~prog ~args ~env ~cwd_path ~fds ~proxy ~rr_next reply =
   match Program.find t.registry prog with
   | None -> reply (Error Errno.ENOEXEC)
   | Some body ->
-      t.execs <- t.execs + 1;
       (* fork + exec of the image on this core. *)
       Core_res.compute t.core t.costs.spawn_process;
       let client = t.kctx.Process.k_clients.(t.core_id) in

@@ -17,6 +17,3 @@ val create :
   t
 
 val start : t -> unit
-
-val execs : t -> int
-(** Number of exec requests served. *)

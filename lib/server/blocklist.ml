@@ -22,10 +22,6 @@ let create ~first ~count =
     exported = Hashtbl.create 16;
   }
 
-let first t = t.first
-
-let count t = t.count
-
 let available t = Queue.length t.free
 
 let owns t block =
@@ -33,17 +29,15 @@ let owns t block =
   && not (Hashtbl.mem t.exported block))
   || Hashtbl.mem t.adopted block
 
-let alloc t =
-  match Queue.take_opt t.free with
-  | None -> None
-  | Some b ->
-      Hashtbl.replace t.allocated b ();
-      Some b
-
 let alloc_many t n =
   if n < 0 then invalid_arg "Blocklist.alloc_many";
   if Queue.length t.free < n then None
-  else Some (Array.init n (fun _ -> Option.get (alloc t)))
+  else
+    Some
+      (Array.init n (fun _ ->
+           let b = Queue.pop t.free in
+           Hashtbl.replace t.allocated b ();
+           b))
 
 let free t block =
   if not (owns t block) then

@@ -1,22 +1,16 @@
 (** Per-server partition of the shared buffer cache (§3.2).
 
     Each file server owns a contiguous range of DRAM blocks and allocates
-    them to its files; when a server runs out it reports [None] (block
-    stealing between servers is not implemented, as in the paper's
-    prototype). *)
+    them to its files; when a server runs out it reports [None]. Blocks
+    can change hands: {!donate}/{!adopt} move free blocks to a peer
+    (block stealing, {!Steal}), {!export}/{!adopt_allocated} move in-use
+    ones with a migrating home. *)
 
 type t
 
 val create : first:int -> count:int -> t
 
-val first : t -> int
-
-val count : t -> int
-
 val available : t -> int
-
-(** [alloc t] takes one free block. *)
-val alloc : t -> int option
 
 (** [alloc_many t n] takes [n] blocks, all-or-nothing. *)
 val alloc_many : t -> int -> int array option
@@ -24,10 +18,6 @@ val alloc_many : t -> int -> int array option
 val free : t -> int -> unit
 
 val free_many : t -> int array -> unit
-
-(** [owns t block] tests partition membership (including adopted
-    blocks). *)
-val owns : t -> int -> bool
 
 (** [donate t n] removes up to [n] free blocks from this partition so
     another server can adopt them (block stealing, §3.2). *)
@@ -40,8 +30,9 @@ val adopt : t -> int array -> unit
 
 (** [export t blocks] relinquishes in-use blocks to another server
     (shard migration): they leave this partition's allocated set without
-    entering its free list, and in-range exported blocks are excluded
-    from [owns] and from crash [rebuild] until re-adopted. The data
+    entering its free list, and in-range exported blocks no longer
+    belong to this partition, nor count in a crash [rebuild], until
+    re-adopted. The data
     itself never moves — only ownership does. *)
 val export : t -> int array -> unit
 

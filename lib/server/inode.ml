@@ -41,6 +41,19 @@ let blocks_for ~size =
   if size <= 0 then 0
   else ((size - 1) / Hare_mem.Layout.block_size) + 1
 
+let cut t ~keep =
+  let have = Array.length t.blocks in
+  if keep >= have then [||]
+  else begin
+    let rest = Array.sub t.blocks keep (have - keep) in
+    t.blocks <- Array.sub t.blocks 0 keep;
+    rest
+  end
+
+let trim_lease t =
+  if t.ftype = Hare_proto.Types.Reg then cut t ~keep:(blocks_for ~size:t.size)
+  else [||]
+
 let attr t =
   Hare_proto.Types.
     {

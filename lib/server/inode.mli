@@ -35,4 +35,12 @@ val fifo : lid:int -> home:int -> capacity:int -> t
     bytes. *)
 val blocks_for : size:int -> int
 
+(** [cut t ~keep] shortens the block list to its first [keep] blocks
+    and returns the rest (empty when there is no rest). *)
+val cut : t -> keep:int -> int array
+
+(** [trim_lease t] cuts a regular file back to the blocks its size
+    needs, returning the extent lease it held past them. *)
+val trim_lease : t -> int array
+
 val attr : t -> Hare_proto.Types.attr

@@ -22,14 +22,7 @@ let create ~capacity =
     parked_writers = Queue.create ();
   }
 
-let buffered t = t.buffered
-
-let readers t = t.readers
-
-
-let parked_readers t = Queue.length t.parked_readers
-
-let parked_writers t = Queue.length t.parked_writers
+let parked t = Queue.length t.parked_readers + Queue.length t.parked_writers
 
 let take t len =
   let out = Buffer.create (min len t.buffered) in
@@ -107,7 +100,7 @@ let write t data k =
   end
 
 let abort_parked t =
-  let n = Queue.length t.parked_readers + Queue.length t.parked_writers in
+  let n = parked t in
   let readers = List.of_seq (Queue.to_seq t.parked_readers) in
   let writers = List.of_seq (Queue.to_seq t.parked_writers) in
   Queue.clear t.parked_readers;

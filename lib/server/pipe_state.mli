@@ -10,10 +10,6 @@ type t
 
 val create : capacity:int -> t
 
-val buffered : t -> int
-
-val readers : t -> int
-
 (** [add_reader t] / [add_writer t] register one more share of an end
     (pipe creation, fork, exec transfer). *)
 val add_reader : t -> unit
@@ -37,9 +33,8 @@ val read : t -> len:int -> ((string, Hare_proto.Errno.t) result -> unit) -> unit
     atomic (the chunk is never interleaved with another writer's). *)
 val write : t -> string -> ((int, Hare_proto.Errno.t) result -> unit) -> unit
 
-val parked_readers : t -> int
-
-val parked_writers : t -> int
+val parked : t -> int
+(** Reads and writes parked on the pipe. *)
 
 (** [abort_parked t] fails every parked read and write with [EIO] and
     clears both queues (server crash); returns how many were aborted. *)

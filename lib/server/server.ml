@@ -4,67 +4,17 @@ open Hare_proto.Types
 module Robust = Hare_stats.Robust
 module Perf = Hare_stats.Perf
 
-let src = Logs.Src.create "hare.server" ~doc:"Hare file server"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type reply = ?payload_lines:int -> Wire.fs_resp -> unit
-
-(* The per-home tables' keys: lids and tokens, names, directories. *)
+(* Per-home table keys: lids and tokens, names; [Home.Dtbl] keys dirs. *)
 module Itbl = Tbl.Int
 module Stbl = Tbl.Str
-
-module Dtbl = Tbl.Make (struct
-  type t = ino
-
-  let equal (a : ino) (b : ino) = a.ino = b.ino && a.server = b.server
-end)
 
 exception Out_of_blocks
 (* Raised when the local buffer-cache partition is dry; the dispatch loop
    turns it into ENOSPC or, with the block-stealing extension enabled,
    parks the request and steals from a peer (§3.2). *)
 
-(* Server-side open file descriptor state (§3.4): [refcount] counts the
-   processes sharing the descriptor; [shared_offset] is present exactly
-   while the descriptor is in "shared" state (offset lives here, all I/O
-   goes through this server). *)
-type ofd = {
-  token : int;
-  inode : Inode.t;
-  mutable refcount : int;
-  mutable shared_offset : int option;
-  pipe_end : [ `R | `W ] option;
-}
-
-type mark = { parked : (Wire.fs_req * reply) Queue.t }
-
-type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
-
-(* Everything one logical home owns (§3.1): its inode table, descriptor
-   state, directory-entry shards, invalidation tracking lists and rmdir
-   marks/locks. A server hosts exactly one home, its own, under every
-   static placement; under a shard plan a migration moves whole records
-   between servers. *)
-type home = {
-  hid : int;
-  inodes : Inode.t Itbl.t; (* lid -> inode *)
-  mutable next_lid : int;
-  tokens : ofd Itbl.t;
-  mutable next_token : int;
-  (* directory-entry shards: dir -> name -> dentry *)
-  dirs : Wire.entry_info Stbl.t Dtbl.t;
-  (* invalidation tracking lists: dir -> name -> client set *)
-  tracking : unit Itbl.t Stbl.t Dtbl.t;
-  marks : mark Dtbl.t;
-  locks : dirlock Dtbl.t;
-  (* tombstones: directories whose removal this home committed. A create
-     can race past the mark window (looked up the parent before the
-     removal, arrived after commit); shard servers cannot check the
-     remote inode, so the tombstone refuses it. Inode ids are never
-     reused, so a tombstone can live forever. *)
-  dead_dirs : unit Dtbl.t;
-}
+(* The home record and its table operations (entries, tracking lists). *)
+open Home
 
 (* Shard-migration payload: one logical home's record, moved between
    physical servers by reference (host-side values; the block contents
@@ -72,7 +22,7 @@ type home = {
    mentions server-internal types. *)
 type Wire.pack +=
   | Pack of {
-      p_home : home;
+      p_home : Home.t;
       p_blocks : int array; (* buffer-cache ownership to adopt *)
       p_dedup : (int * int * Wire.fs_resp) list; (* client, seq, resp *)
     }
@@ -92,10 +42,9 @@ type t = {
      checks and EMOVED rejections exist. [homes] holds the logical homes
      this physical server currently serves. *)
   migratory : bool;
-  homes : home Itbl.t;
+  homes : Home.t Itbl.t;
   mutable homes_in : int; (* homes adopted via Install_shard *)
   mutable homes_out : int; (* homes packed via Migrate_out *)
-  mutable moved_rejects : int; (* EMOVED replies sent *)
   inval_ports : Wire.inval Hare_msg.Mailbox.t array;
   ops : Hare_stats.Opcount.t;
   perf : Perf.t;
@@ -107,36 +56,12 @@ type t = {
   boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
   dedup : reply Dedup.t;
   robust : Robust.t;
-  (* block stealing (extension) *)
-  mutable peers : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t array;
-  steal_parked : (Wire.fs_req * reply) Queue.t;
-  mutable steal_inflight : bool;
-  mutable steal_victim : int;
-  mutable steal_failures : int;
-  mutable blocks_stolen : int;
+  (* extensions: overload and migration admission, block stealing *)
+  admission : Admission.t;
+  steal : Steal.t;
 }
 
 let bs = Hare_mem.Layout.block_size
-
-(* Empty [q], returning what it held in order. *)
-let take_all q =
-  let l = List.of_seq (Queue.to_seq q) in
-  Queue.clear q;
-  l
-
-let new_home hid =
-  {
-    hid;
-    inodes = Itbl.create 1024;
-    next_lid = 1;
-    tokens = Itbl.create 256;
-    next_token = 1;
-    dirs = Dtbl.create 256;
-    tracking = Dtbl.create 256;
-    marks = Dtbl.create 16;
-    locks = Dtbl.create 16;
-    dead_dirs = Dtbl.create 16;
-  }
 
 let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     ~inval_ports ?place ?faults () =
@@ -151,8 +76,19 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
      Add event fires. Everyone else starts as its own home. *)
   (match place with
   | Some p when migratory && sid >= Hare_place.Place.nhomes p -> ()
-  | _ -> Itbl.replace homes sid (new_home sid));
-  let perf = Perf.create () in
+  | _ -> Itbl.replace homes sid (Home.create sid));
+  let perf = Perf.create () and robust = Robust.create () in
+  let blocks = Blocklist.create ~first:blocks_first ~count:blocks_count in
+  let endpoint =
+    Hare_msg.Rpc.endpoint
+      ~name:(Printf.sprintf "fs%d" sid)
+      ?capacity:
+        (if config.Hare_config.Config.mailbox_capacity > 0 then
+           Some config.Hare_config.Config.mailbox_capacity
+         else None)
+      ?faults ~owner:core ~costs:config.Hare_config.Config.costs ()
+  in
+  let dedup = Dedup.create ~perf in
   {
     sid;
     engine;
@@ -161,20 +97,12 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     core;
     pcache;
     dram;
-    blocks = Blocklist.create ~first:blocks_first ~count:blocks_count;
-    endpoint =
-      Hare_msg.Rpc.endpoint
-        ~name:(Printf.sprintf "fs%d" sid)
-        ?capacity:
-          (if config.Hare_config.Config.mailbox_capacity > 0 then
-             Some config.Hare_config.Config.mailbox_capacity
-           else None)
-        ?faults ~owner:core ~costs:config.Hare_config.Config.costs ();
+    blocks;
+    endpoint;
     migratory;
     homes;
     homes_in = 0;
     homes_out = 0;
-    moved_rejects = 0;
     inval_ports;
     ops = Hare_stats.Opcount.create ();
     perf;
@@ -182,19 +110,15 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     faults;
     down = false;
     boot_queue = Queue.create ();
-    dedup = Dedup.create ~perf;
-    robust = Robust.create ();
-    peers = [||];
-    steal_parked = Queue.create ();
-    steal_inflight = false;
-    steal_victim = sid;
-    steal_failures = 0;
-    blocks_stolen = 0;
+    dedup;
+    robust;
+    admission =
+      Admission.create ~engine ~config ~core ~endpoint ~robust ~dedup ~migratory
+        ~homes;
+    steal = Steal.create ~engine ~config ~sid ~core ~blocks;
   }
 
 let sid t = t.sid
-
-let core t = t.core
 
 let pcache t = t.pcache
 
@@ -217,27 +141,21 @@ let open_tokens t = sum_homes t (fun h -> Itbl.length h.tokens)
 let dentry_count t =
   sum_homes t (fun h -> Dtbl.fold (fun _ s n -> n + Stbl.length s) h.dirs 0)
 
-let set_peers t peers = t.peers <- peers
+let set_peers t peers = Steal.set_peers t.steal peers
 
-let blocks_stolen t = t.blocks_stolen
+let blocks_stolen t = Steal.stolen t.steal
 
 let robust t = t.robust
 
 (* ---------- logical homes ---------------------------------------------- *)
 
 (* The record of a home hosted here. Requests for homes hosted elsewhere
-   never reach a handler: [process] bounces them with EMOVED. *)
+   never reach a handler: admission bounces them with EMOVED. *)
 let home t hid = Itbl.find t.homes hid
 
 let hosts t hid = Itbl.mem t.homes hid
 
-(* Descriptor tokens carry their home in the high bits under a shard
-   plan, so tokens minted by different homes never collide when the
-   homes later share a physical server, and the ownership check can read
-   the home off a bare token. Static placements mint plain counters. *)
-let home_shift = 40
-
-let token_home t token = if t.migratory then token lsr home_shift else t.sid
+let token_home t token = if t.migratory then Home.token_home token else t.sid
 
 let hosted_homes t =
   Itbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
@@ -246,7 +164,7 @@ let homes_migrated_in t = t.homes_in
 
 let homes_migrated_out t = t.homes_out
 
-let moved_rejects t = t.moved_rejects
+let moved_rejects t = Admission.moved_rejects t.admission
 
 let peak_queue t = Hare_msg.Rpc.peak_pending t.endpoint
 
@@ -255,11 +173,6 @@ let reset_peak_queue t = Hare_msg.Rpc.reset_peak t.endpoint
 let queue_depth t = Hare_msg.Rpc.pending t.endpoint
 
 (* ---------- inode and token helpers ----------------------------------- *)
-
-let alloc_lid h =
-  let lid = h.next_lid in
-  h.next_lid <- lid + 1;
-  lid
 
 let find_inode t (ino : ino) =
   match home t ino.server with
@@ -272,9 +185,7 @@ let global (inode : Inode.t) =
 (* A descriptor lives with its inode's home (the home a token names). *)
 let new_token t (inode : Inode.t) ~pipe_end =
   let h = home t inode.Inode.home in
-  let k = h.next_token in
-  h.next_token <- k + 1;
-  let token = if t.migratory then (h.hid lsl home_shift) lor k else k in
+  let token = Home.mint_token h ~migratory:t.migratory in
   let ofd = { token; inode; refcount = 1; shared_offset = None; pipe_end } in
   Itbl.replace h.tokens token ofd;
   inode.Inode.open_tokens <- inode.Inode.open_tokens + 1;
@@ -315,27 +226,17 @@ let ensure_blocks t (inode : Inode.t) ~size =
    token can address them. Inert at the paper-faithful extent of 1, where
    allocation never runs ahead of need. *)
 let reclaim_lease t (inode : Inode.t) =
-  if t.config.Hare_config.Config.alloc_extent > 1 && inode.ftype = Reg then begin
-    let keep = Inode.blocks_for ~size:inode.size in
-    let have = Array.length inode.blocks in
-    if keep < have && inode.open_tokens = 0 then begin
-      let excess = Array.sub inode.blocks keep (have - keep) in
-      inode.blocks <- Array.sub inode.blocks 0 keep;
-      free_blocks t excess
-    end
-  end
+  if t.config.Hare_config.Config.alloc_extent > 1 && inode.open_tokens = 0 then
+    free_blocks t (Inode.trim_lease inode)
 
 let do_truncate t (inode : Inode.t) ~size =
   if size < inode.size then begin
     let keep = Inode.blocks_for ~size in
-    let have = Array.length inode.blocks in
-    if keep < have then begin
-      let excess = Array.sub inode.blocks keep (have - keep) in
-      inode.blocks <- Array.sub inode.blocks 0 keep;
+    let excess = Inode.cut inode ~keep in
+    if Array.length excess > 0 then
       if inode.open_tokens > 0 then
         inode.orphans <- Array.append inode.orphans excess
-      else free_blocks t excess
-    end;
+      else free_blocks t excess;
     (* POSIX: bytes past the new size read back as zero if the file is
        later extended — scrub the kept block's tail. *)
     (if keep > 0 then
@@ -388,14 +289,6 @@ let write_data t (inode : Inode.t) ~off data =
 
 (* ---------- directory shards and invalidation ------------------------- *)
 
-let shard h dir =
-  match Dtbl.find_opt h.dirs dir with
-  | Some s -> s
-  | None ->
-      let s = Stbl.create 16 in
-      Dtbl.replace h.dirs dir s;
-      s
-
 (* This server's entries for [dir], across every home hosted here. *)
 let shard_entries t dir =
   Itbl.fold
@@ -407,30 +300,6 @@ let shard_entries t dir =
             (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
             s acc)
     t.homes []
-
-let shard_size h dir =
-  match Dtbl.find_opt h.dirs dir with
-  | None -> 0
-  | Some s -> Stbl.length s
-
-let track h ~dir ~name ~client =
-  let per_dir =
-    match Dtbl.find_opt h.tracking dir with
-    | Some m -> m
-    | None ->
-        let m = Stbl.create 16 in
-        Dtbl.replace h.tracking dir m;
-        m
-  in
-  let clients =
-    match Stbl.find_opt per_dir name with
-    | Some c -> c
-    | None ->
-        let c = Itbl.create 4 in
-        Stbl.replace per_dir name c;
-        c
-  in
-  Itbl.replace clients client ()
 
 let instant t name args =
   let o = Engine.obs t.engine in
@@ -497,11 +366,6 @@ let demotion ofd =
       ofd.shared_offset <- None;
       Some off
   | _ -> None
-
-let find_entry h dir name =
-  match Dtbl.find_opt h.dirs dir with
-  | None -> None
-  | Some s -> Stbl.find_opt s name
 
 let handle_lookup h ~dir ~name ~client (reply : reply) =
   match find_entry h dir name with
@@ -616,11 +480,6 @@ let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
     reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
   else reply (Ok (Wire.P_created_ino ino))
 
-let drop_dir_state h dir =
-  Dtbl.remove h.dirs dir;
-  Dtbl.remove h.tracking dir;
-  Dtbl.remove h.locks dir
-
 (* A committed directory removal: rmdirs serialized behind its lock lose
    (the directory is gone), its per-directory state goes, and a tombstone
    refuses creates that raced past the mark. *)
@@ -630,7 +489,7 @@ let bury h dir =
       Queue.iter (fun (waiter : reply) -> waiter (Error Errno.ENOENT)) l.lock_waiters;
       Queue.clear l.lock_waiters
   | None -> ());
-  drop_dir_state h dir;
+  drop_dir h dir;
   Dtbl.replace h.dead_dirs dir ()
 
 (* Coalesced mkdir (§3.6.3): directory inode + parent entry in one
@@ -786,7 +645,7 @@ let handle_unlink_ino t ~ino (reply : reply) =
           && inode.open_tokens = 0
           && inode.nlink <= 1
         then begin
-          drop_dir_state h ino;
+          drop_dir h ino;
           Itbl.remove h.inodes ino.ino;
           reply (Ok Wire.P_unit)
         end
@@ -913,35 +772,20 @@ let creation_mark t (req : Wire.fs_req) =
 
 (* ---------- shard migration (consistent-hash rebalancing) -------------- *)
 
-(* A home with parked continuations cannot be packed: the closures are
-   bound to this server's endpoint and would answer from the wrong
-   mailbox after the move. Parked work is also what keeps a [Pending]
-   dedup entry alive, so a packable home has none. The coordinator backs
-   off and retries. *)
-let home_busy t h =
-  Dtbl.length h.marks > 0
-  || t.steal_inflight
-  || (not (Queue.is_empty t.steal_parked))
-  || Dtbl.fold
-       (fun _ l busy -> busy || l.held || not (Queue.is_empty l.lock_waiters))
-       h.locks false
-  || Itbl.fold
-       (fun _ (inode : Inode.t) busy ->
-         busy
-         ||
-         match inode.Inode.pipe with
-         | Some p -> Pipe_state.parked_readers p > 0 || Pipe_state.parked_writers p > 0
-         | None -> false)
-       h.inodes false
-
 (* Pack logical home [hid] and hand it to the coordinator. The route was
    flipped before this message was sent, and the mailbox is FIFO, so
    everything that arrives after it finds the home absent and is bounced
-   with EMOVED. *)
+   with EMOVED.
+
+   A home with parked continuations — its own, or requests parked behind
+   a block steal — cannot be packed: the closures are bound to this
+   server's endpoint and would answer from the wrong mailbox after the
+   move. Parked work is also what keeps a [Pending] dedup entry alive, so
+   a packable home has none. The coordinator backs off and retries. *)
 let handle_migrate_out t ~home:hid (reply : reply) =
   match Itbl.find_opt t.homes hid with
   | Some h when t.migratory ->
-      if home_busy t h then reply (Error Errno.EBUSY)
+      if Home.busy h || Steal.busy t.steal then reply (Error Errno.EBUSY)
       else begin
         (* Invalidation tracking does not transplant: fire every
            registered callback now (one-shot semantics — clients
@@ -994,68 +838,12 @@ let handle_install_shard t ~home:hid ~pack (reply : reply) =
       reply (Ok Wire.P_unit)
   | _ -> reply (Error Errno.EINVAL)
 
-let handle_steal_blocks t ~count (reply : reply) =
-  (* Donate at most half of what is free: stay useful to local files. *)
-  let give = Blocklist.donate t.blocks (min count (Blocklist.available t.blocks / 2)) in
-  if Array.length give = 0 then reply (Error Errno.ENOSPC)
-  else reply (Ok (Wire.P_blocks { blocks = give; bsize = 0 }))
-
 let rec handle t (req : Wire.fs_req) (reply : reply) =
   match creation_mark t req with
   | Some m -> Queue.push (req, reply) m.parked
   | None -> (
-      try dispatch t req reply with Out_of_blocks -> on_enospc t req reply)
-
-(* Block stealing (extension, §3.2): a request that ran out of blocks is
-   parked; we ask peers — one at a time, round-robin — to donate, via a
-   helper fiber so the dispatch loop never blocks. Once every peer has
-   declined since the last success, the parked requests fail for real. *)
-and on_enospc t (req : Wire.fs_req) (reply : reply) =
-  if
-    (not t.config.Hare_config.Config.block_stealing)
-    || Array.length t.peers <= 1
-  then reply (Error Errno.ENOSPC)
-  else begin
-    Queue.push (req, reply) t.steal_parked;
-    kick_steal t
-  end
-
-and kick_steal t =
-  if (not t.steal_inflight) && not (Queue.is_empty t.steal_parked) then
-    if t.steal_failures >= Array.length t.peers - 1 then begin
-      t.steal_failures <- 0;
-      List.iter
-        (fun ((_ : Wire.fs_req), (r : reply)) -> r (Error Errno.ENOSPC))
-        (take_all t.steal_parked)
-    end
-    else begin
-      t.steal_inflight <- true;
-      t.steal_victim <- (t.steal_victim + 1) mod Array.length t.peers;
-      if t.steal_victim = t.sid then
-        t.steal_victim <- (t.steal_victim + 1) mod Array.length t.peers;
-      let future, span =
-        Hare_msg.Rpc.call_async t.peers.(t.steal_victim) ~from:t.core
-          ~abs_deadline:0L (Wire.Steal_blocks { count = 128 })
-      in
-      ignore
-        (Engine.spawn t.engine
-           ~name:(Printf.sprintf "steal-%d" t.sid)
-           (fun () ->
-             let resp =
-               Hare_msg.Rpc.await ~from:t.core ~costs:t.costs ~span future
-             in
-             t.steal_inflight <- false;
-             (match resp with
-             | Ok (Wire.P_blocks { blocks; _ }) ->
-                 t.steal_failures <- 0;
-                 t.blocks_stolen <- t.blocks_stolen + Array.length blocks;
-                 Blocklist.adopt t.blocks blocks
-             | Ok _ | Error _ -> t.steal_failures <- t.steal_failures + 1);
-             List.iter
-               (fun (preq, prep) -> handle t preq prep)
-               (take_all t.steal_parked);
-             kick_steal t))
-    end
+      try dispatch t req reply
+      with Out_of_blocks -> Steal.park t.steal ~retry:(handle t) req reply)
 
 and dispatch t (req : Wire.fs_req) (reply : reply) =
   match req with
@@ -1117,7 +905,7 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Pipe_create { home = hid; _ } -> handle_pipe_create t (home t hid) reply
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply
-  | Wire.Steal_blocks { count } -> handle_steal_blocks t ~count reply
+  | Wire.Steal_blocks { count } -> Steal.donate t.steal ~count reply
   | Wire.Migrate_out { home } -> handle_migrate_out t ~home reply
   | Wire.Install_shard { home; pack } -> handle_install_shard t ~home ~pack reply
 
@@ -1126,9 +914,8 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
 (* [dispatch = false] marks a request handled as part of a drained batch
    after its first message: the per-wakeup dispatch preamble was already
    paid once for the whole batch, so only the operation's marginal cost
-   is charged (PR 2 batch dispatch). *)
-let execute ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
-    =
+   is charged (batch dispatch). *)
+let execute ~dispatch ~span t (req : Wire.fs_req) (reply : reply) =
   let info = Wire.info req in
   Hare_stats.Opcount.incr t.ops info.name;
   let dcost = if dispatch then t.costs.server_dispatch else 0 in
@@ -1162,62 +949,9 @@ let execute ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
       close ();
       raise e
 
-(* Which logical home a request addresses; -1 for requests with no home
-   affinity (block stealing, the migration protocol itself). Entry
-   operations carry it explicitly; inode and token operations encode it
-   in the target id. *)
-let req_home t (req : Wire.fs_req) =
-  match req with
-  | Wire.Lookup { home; _ }
-  | Wire.Add_map { home; _ }
-  | Wire.Rm_map { home; _ }
-  | Wire.Readdir_shard { home; _ }
-  | Wire.Create_open { home; _ }
-  | Wire.Create_inode { home; _ }
-  | Wire.Create_dir { home; _ }
-  | Wire.Rmdir_prepare { home; _ }
-  | Wire.Rmdir_commit { home; _ }
-  | Wire.Rmdir_abort { home; _ }
-  | Wire.Pipe_create { home; _ } ->
-      home
-  | Wire.Open_inode { ino; _ }
-  | Wire.Alloc_blocks { ino; _ }
-  | Wire.Get_blocks { ino }
-  | Wire.Get_attr { ino }
-  | Wire.Truncate { ino; _ }
-  | Wire.Unlink_ino { ino } ->
-      ino.server
-  | Wire.Rmdir_lock { dir } | Wire.Rmdir_unlock { dir } | Wire.Rmdir_local { dir; _ } ->
-      dir.server
-  | Wire.Close_fd { token; _ }
-  | Wire.Read_fd { token; _ }
-  | Wire.Write_fd { token; _ }
-  | Wire.Lseek_fd { token; _ }
-  | Wire.Update_size { token; _ }
-  | Wire.Inc_fd_ref { token; _ }
-  | Wire.Pipe_read { token; _ }
-  | Wire.Pipe_write { token; _ } ->
-      token_home t token
-  | Wire.Steal_blocks _ | Wire.Migrate_out _ | Wire.Install_shard _ -> -1
-
-let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
-    (meta : Hare_msg.Rpc.meta option) =
-  if
-    t.migratory
-    && (let h = req_home t req in
-        h >= 0 && not (hosts t h))
-  then begin
-    (* The addressed home moved away. Bounce with EMOVED *before* any
-       execution or dedup recording: the reject must never be cached as
-       this request's outcome (the cached entry would migrate with the
-       shard and shadow the real execution), and the retry — same
-       idempotency tag, new owner — must be free to execute. *)
-    t.moved_rejects <- t.moved_rejects + 1;
-    Core_res.compute t.core
-      (if dispatch then t.costs.server_dispatch else 0);
-    reply (Error Errno.EMOVED)
-  end
-  else
+(* Execute an admitted request, exactly once per idempotency tag. *)
+let run ~dispatch t (r : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request) =
+  let { Hare_msg.Rpc.body = req; reply; meta; span; _ } = r in
   match meta with
   | None -> execute ~dispatch ~span t req reply
   | Some m -> (
@@ -1245,100 +979,42 @@ let process ?(dispatch = true) ?(span = 0) t (req : Wire.fs_req) (reply : reply)
 let crash t =
   if not t.down then begin
     t.down <- true;
-    (match t.faults with
-    | Some l -> Hare_fault.Injector.set_down l true
-    | None -> ());
+    Option.iter (fun l -> Hare_fault.Injector.set_down l true) t.faults;
     Robust.incr t.robust Robust.crashes;
-    Log.debug (fun m -> m "server %d crashes at %Ld" t.sid (Engine.now t.engine));
     instant t "crash" [ ("server", string_of_int t.sid) ];
-    let aborted = ref 0 in
-    let abort (reply : reply) =
-      incr aborted;
-      reply (Error Errno.EIO)
-    in
     (* In-flight queued requests die with the server. Tagged copies just
        vanish — the client's deadline fires and it retries. Untagged
        (reliable, non-retryable) requests get EIO so their callers
        unblock. *)
-    List.iter
-      (fun (r : _ Hare_msg.Rpc.request) ->
-        match r.meta with Some _ -> incr aborted | None -> abort r.reply)
-      (Hare_msg.Rpc.drain_pending t.endpoint);
-    (* Parked continuations are volatile: error them all out. *)
-    Itbl.iter
-      (fun _ h ->
-        Dtbl.iter
-          (fun _ (m : mark) -> Queue.iter (fun (_, r) -> abort r) m.parked)
-          h.marks;
-        Dtbl.reset h.marks;
-        Dtbl.iter
-          (fun _ (l : dirlock) -> Queue.iter abort l.lock_waiters)
-          h.locks;
-        Dtbl.reset h.locks)
-      t.homes;
-    List.iter (fun (_, r) -> abort r) (take_all t.steal_parked);
-    t.steal_inflight <- false;
-    t.steal_failures <- 0;
-    Itbl.iter
-      (fun _ h ->
-        Itbl.iter
-          (fun _ (inode : Inode.t) ->
-            match inode.Inode.pipe with
-            | Some p -> aborted := !aborted + Pipe_state.abort_parked p
-            | None -> ())
-          h.inodes;
-        (* Volatile tables: descriptors, idempotency memory, invalidation
-           tracking. The DRAM-resident structures (inodes, directory
-           shards, tombstones, block contents) survive. *)
-        Itbl.reset h.tokens;
-        Itbl.iter
-          (fun _ (inode : Inode.t) -> inode.Inode.open_tokens <- 0)
-          h.inodes;
-        Dtbl.reset h.tracking)
-      t.homes;
+    let queued =
+      List.fold_left
+        (fun n (r : _ Hare_msg.Rpc.request) ->
+          if Option.is_none r.meta then r.reply (Error Errno.EIO);
+          n + 1)
+        0
+        (Hare_msg.Rpc.drain_pending t.endpoint)
+    in
+    (* Parked continuations and volatile tables die too; the
+       DRAM-resident structures survive. *)
+    let parked = Home.crash t.homes in
+    let stealing = Steal.abort t.steal in
     Dedup.reset t.dedup;
     (* A dead server's queue depth is meaningless; keep it out of
        deadlock reports (and free the probe slot) until restart. *)
     Hare_msg.Rpc.unwatch t.endpoint;
-    Robust.add t.robust Robust.aborted !aborted
+    Robust.add t.robust Robust.aborted (queued + parked + stealing)
   end
 
 let restart t =
   if t.down then begin
-    Log.debug (fun m ->
-        m "server %d restarts at %Ld" t.sid (Engine.now t.engine));
     instant t "restart" [ ("server", string_of_int t.sid) ];
-    (* Every descriptor died with the crash, so orphaned blocks and
-       unlinked inodes have no remaining users; the free list becomes
-       whatever the surviving inodes do not reference. *)
-    let live = Hashtbl.create 4096 in
+    (* The free list becomes whatever the surviving inodes reference. *)
     let extent = t.config.Hare_config.Config.alloc_extent > 1 in
-    Itbl.iter
-      (fun _ h ->
-        Itbl.filter_map_inplace
-          (fun _ (inode : Inode.t) ->
-            inode.Inode.orphans <- [||];
-            if inode.Inode.unlinked && inode.Inode.nlink <= 0 then None
-            else begin
-              (* Extent leases were held on behalf of descriptors that
-                 died with the crash: trim every file back to its size so
-                 the surplus blocks rejoin the free list below. *)
-              (if extent && inode.Inode.ftype = Reg then
-                 let keep = Inode.blocks_for ~size:inode.Inode.size in
-                 if keep < Array.length inode.Inode.blocks then
-                   inode.Inode.blocks <- Array.sub inode.Inode.blocks 0 keep);
-              Array.iter (fun b -> Hashtbl.replace live b ()) inode.Inode.blocks;
-              Some inode
-            end)
-          h.inodes)
-      t.homes;
-    let reclaimed = Blocklist.rebuild t.blocks ~live in
-    Robust.add t.robust Robust.blocks_rebuilt reclaimed;
+    let live = Home.reclaim t.homes ~extent in
+    Robust.add t.robust Robust.blocks_rebuilt (Blocklist.rebuild t.blocks ~live);
     t.down <- false;
     Hare_msg.Rpc.rewatch t.endpoint;
-    (match t.faults with
-    | Some l -> Hare_fault.Injector.set_down l false
-    | None -> ());
+    Option.iter (fun l -> Hare_fault.Injector.set_down l false) t.faults;
     Robust.incr t.robust Robust.restarts;
     (* Clients cannot tell which of their cached entries this server
        would have invalidated while it was down: make them flush. *)
@@ -1348,60 +1024,19 @@ let restart t =
         t.invals_sent <- t.invals_sent + 1)
       t.inval_ports;
     (* Serve the reliable requests that queued up while we were down. *)
-    List.iter
-      (fun (r : _ Hare_msg.Rpc.request) ->
-        process ~span:r.span t r.body r.reply r.meta)
-      (take_all t.boot_queue)
+    let queued = List.of_seq (Queue.to_seq t.boot_queue) in
+    Queue.clear t.boot_queue;
+    List.iter (fun r -> if Admission.placed t.admission r then run ~dispatch:true t r) queued
   end
 
 let start t =
   let batch_max = max 1 t.config.Hare_config.Config.batch_max in
-  let wm = t.config.Hare_config.Config.shed_watermark in
-  let shed_instant name req =
-    if Obs.on (Engine.obs t.engine) Obs.marks then
-      instant t name [ ("op", (Wire.info req).name) ]
-  in
-  (* Class shed first: a categorical EBUSY tells the client to back off
-     now, whereas an expiry drop costs it a full timeout — so above the
-     watermark the deferrable classes (background first, then data;
-     metadata never) are pushed back even if the copy has also expired.
-     Only fresh copies are shed: the verdict is cached in the dedup table
-     so a duplicate replays its original's outcome (EBUSY included)
-     rather than executing the operation invisibly or being counted as a
-     second shed. *)
-  let sheds m req =
-    wm > 0
-    && (let depth = Hare_msg.Rpc.pending t.endpoint in
-        match (Wire.info req).shed with
-        | Metadata -> false
-        | Data -> depth > 2 * wm
-        | Background -> depth > wm)
-    && not (Dedup.seen t.dedup m)
-  in
   let serve ~dispatch (r : _ Hare_msg.Rpc.request) =
-    let { Hare_msg.Rpc.body = req; reply; meta; span; deadline } = r in
     if t.down then
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)
       Queue.push r t.boot_queue
-    else
-      match meta with
-      | Some m when sheds m req ->
-          Robust.incr t.robust Robust.shed_load;
-          shed_instant "shed-load" req;
-          Core_res.compute t.core t.costs.server_dispatch;
-          Dedup.shed t.dedup m;
-          reply (Error Errno.EBUSY)
-      | Some _ when deadline > 0L && Engine.now t.engine > deadline ->
-          (* Already expired: the client's RPC deadline fired before we
-             got here, so a retransmission (with a fresh deadline) is
-             already on its way. Serving this copy would be wasted work —
-             drop it without replying, charging only the envelope
-             examination. *)
-          Robust.incr t.robust Robust.shed_expired;
-          shed_instant "shed-expired" req;
-          Core_res.compute t.core t.costs.server_dispatch
-      | _ -> process ~dispatch ~span t req reply meta
+    else if Admission.admit t.admission ~dispatch r then run ~dispatch t r
   in
   let rec loop () =
     (* Batch dispatch: drain up to [batch_max] queued requests per

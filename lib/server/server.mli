@@ -35,8 +35,6 @@ val create :
 
 val sid : t -> int
 
-val core : t -> Hare_sim.Core_res.t
-
 val pcache : t -> Hare_mem.Pcache.t
 (** This server's private cache, for stats cross-checks (tests). *)
 

@@ -22,16 +22,6 @@ let float t =
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -20,12 +20,6 @@ val int : t -> int -> int
 (** [float t] returns a uniform float in [\[0, 1)]. *)
 val float : t -> float
 
-(** [bool t] returns a uniform boolean. *)
-val bool : t -> bool
-
 (** [pick t arr] returns a uniformly-chosen element of [arr].
     Raises [Invalid_argument] on an empty array. *)
 val pick : t -> 'a array -> 'a
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

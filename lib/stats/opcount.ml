@@ -42,8 +42,6 @@ let diff ~since t =
     t;
   out
 
-let clear t = Tbl.reset t
-
 let pp ppf t =
   Format.pp_open_vbox ppf 0;
   List.iter

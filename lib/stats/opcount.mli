@@ -31,6 +31,4 @@ val snapshot : t -> t
     snapshotted from the same counter. *)
 val diff : since:t -> t -> t
 
-val clear : t -> unit
-
 val pp : Format.formatter -> t -> unit

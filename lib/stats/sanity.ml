@@ -34,8 +34,3 @@ let violations t =
 
 let total_violations t =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (violations t)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>";
-  List.iter (fun (k, v) -> Fmt.pf ppf "%-18s %d@," k v) (to_list t);
-  Fmt.pf ppf "@]"

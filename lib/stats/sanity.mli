@@ -55,5 +55,3 @@ val violations : t -> (string * int) list
     counters excluded. *)
 
 val total_violations : t -> int
-
-val pp : Format.formatter -> t -> unit

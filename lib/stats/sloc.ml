@@ -14,17 +14,21 @@ let count_file path =
 let is_source name =
   Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
 
-let rec count_tree dir =
+let rec sources dir =
   match Sys.readdir dir with
-  | exception Sys_error _ -> 0
+  | exception Sys_error _ -> []
   | entries ->
-      Array.fold_left
-        (fun acc name ->
+      Array.sort compare entries;
+      List.concat_map
+        (fun name ->
           let path = Filename.concat dir name in
-          if Sys.is_directory path then acc + count_tree path
-          else if is_source name then acc + count_file path
-          else acc)
-        0 entries
+          if Sys.is_directory path then sources path
+          else if is_source name then [ path ]
+          else [])
+        (Array.to_list entries)
+
+let count_tree dir =
+  List.fold_left (fun acc path -> acc + count_file path) 0 (sources dir)
 
 let repo_root () =
   let rec up dir =

@@ -83,34 +83,6 @@ let fill_files (api : 'p Api.t) p ~root params ~part ~parts =
         done)
     (dir_paths params ~root)
 
-let build (api : 'p Api.t) p ~root params =
-  let created = ref [] in
-  let mk_file dir j =
-    let path = Printf.sprintf "%s/f%04d" dir j in
-    let fd = api.Api.openf p path Types.flags_w in
-    ignore (api.Api.write p fd (file_data params.file_bytes j));
-    api.Api.close p fd
-  in
-  (* [spread]: populate one directory and recurse [levels] deeper. *)
-  let rec spread dir level =
-    created := dir :: !created;
-    for j = 0 to params.files_per_level - 1 do
-      mk_file dir j
-    done;
-    if level < params.levels then
-      for d = 0 to params.dirs_per_level - 1 do
-        let sub = Printf.sprintf "%s/d%d" dir d in
-        api.Api.mkdir p ~dist:params.dist sub;
-        spread sub (level + 1)
-      done
-  in
-  for t = 0 to params.top - 1 do
-    let top_dir = Printf.sprintf "%s/top%d" root t in
-    api.Api.mkdir p ~dist:params.dist top_dir;
-    spread top_dir 1
-  done;
-  List.rev !created
-
 let walk (api : 'p Api.t) p ~root =
   let dirs = ref 0 and files = ref 0 in
   let rec go dir =

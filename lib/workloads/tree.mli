@@ -23,12 +23,6 @@ val dense : scale:int -> params
 val sparse : scale:int -> params
 (** 1 top, [6+scale] levels, 2 subdirs per level, 1 file per level. *)
 
-(** [build api p ~root params] creates the tree under existing directory
-    [root]; returns the list of directories created (topological order:
-    parents first). *)
-val build :
-  'p Hare_api.Api.t -> 'p -> root:string -> params -> string list
-
 (** [build_dirs api p ~root params] creates only the directory skeleton
     (parents first). *)
 val build_dirs : 'p Hare_api.Api.t -> 'p -> root:string -> params -> unit

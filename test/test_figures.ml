@@ -172,6 +172,40 @@ let test_fig4_counts_every_lib_dir () =
         on_disk
         (List.sort compare Figures.fig4_dirs)
 
+(* Figure 4's per-module table splits the client and server rows: every
+   source file of lib/client and lib/server sits in exactly one row, each
+   extension row holds its module, and the rows add up to the two
+   component rows. *)
+let test_fig4_modules_partition_protocol () =
+  match Hare_stats.Sloc.repo_root () with
+  | None -> Alcotest.fail "cannot locate the repository root"
+  | Some root ->
+      let rows = Figures.fig4_modules root in
+      let rec sources dir =
+        Sys.readdir dir |> Array.to_list
+        |> List.concat_map (fun name ->
+               let path = Filename.concat dir name in
+               if Sys.is_directory path then sources path
+               else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+               then [ path ]
+               else [])
+      in
+      let on_disk =
+        List.concat_map (fun d -> sources (Filename.concat root d)) [ "lib/client"; "lib/server" ]
+      in
+      Alcotest.(check (list string)) "each source file in exactly one row"
+        (List.sort compare on_disk)
+        (List.sort compare (List.concat_map snd rows));
+      List.iter
+        (fun (name, files) ->
+          Alcotest.(check bool) (name ^ " has sources") true (files <> []))
+        rows;
+      let sloc files = List.fold_left (fun a f -> a + Hare_stats.Sloc.count_file f) 0 files in
+      Alcotest.(check int) "rows sum to Client Library + File System Server"
+        (Hare_stats.Sloc.count_tree (Filename.concat root "lib/client")
+        + Hare_stats.Sloc.count_tree (Filename.concat root "lib/server"))
+        (List.fold_left (fun a (_, files) -> a + sloc files) 0 rows)
+
 let suites : (string * unit Alcotest.test_case list) list =
   [
     ( "figures.shapes",
@@ -190,5 +224,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "ext: width narrows fan-out" `Quick test_ext_width_narrows_fanout;
         tc "fig4: every lib directory counted once" `Quick
           test_fig4_counts_every_lib_dir;
+        tc "fig4: client and server files by module" `Quick
+          test_fig4_modules_partition_protocol;
       ] );
   ]

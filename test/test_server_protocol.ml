@@ -241,37 +241,147 @@ let test_lookup_tracks_and_invalidates () =
       Alcotest.(check int) "one invalidation" (before + 1)
         (Server.invals_sent rig.server))
 
-(* ---------- shard migration round trip -------------------------------- *)
+(* ---------- two servers ---------------------------------------------- *)
 
-(* Two standalone servers on one migratory ring: A (sid 0) hosts home 0,
-   B (sid 2, the spare the ring's Add activates) hosts nothing. They
-   share DRAM, each owning half of the blocks, like one machine. *)
-let test_migration_round_trip () =
+(* Two standalone servers sharing DRAM, each owning [blocks] of it, like
+   one machine: A (sid 0) holds the root and home 0; B is [b_sid], the
+   peer A steals blocks from. *)
+type pair = {
+  p_engine : Engine.t;
+  a : Server.t;
+  b : Server.t;
+  p_client : Core_res.t;
+  p_invals : Wire.inval Hare_msg.Mailbox.t array;
+}
+
+let make_pair ?(config = config) ?place ?(b_sid = 1) ~blocks () =
   let engine = Engine.create () in
   let costs = config.Hare_config.Config.costs in
   let core id = Core_res.create engine ~id ~socket:0 ~ctx_switch:0 in
   let a_core = core 0 and b_core = core 1 and client_core = core 2 in
-  let dram = Hare_mem.Dram.create ~nblocks:128 in
+  let dram = Hare_mem.Dram.create ~nblocks:(2 * blocks) in
   let inval_ports =
     Array.init 2 (fun i ->
         Hare_msg.Mailbox.create ~owner:(if i = 0 then a_core else client_core) ~costs ())
-  in
-  let place =
-    Hare_place.Place.create ~nhomes:2 ~vnodes:4
-      ~events:[ Hare_place.Place.Add { at = 1_000_000L } ]
   in
   let server ~sid ~core ~blocks_first =
     let pcache = Hare_mem.Pcache.create dram ~core ~costs ~capacity_lines:256 in
     let s =
       Server.create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first
-        ~blocks_count:64 ~inval_ports ~place ()
+        ~blocks_count:blocks ~inval_ports ?place ()
     in
     Server.start s;
     s
   in
   let a = server ~sid:0 ~core:a_core ~blocks_first:0 in
-  let b = server ~sid:2 ~core:b_core ~blocks_first:64 in
+  let b = server ~sid:b_sid ~core:b_core ~blocks_first:blocks in
   Server.install_root a;
+  Server.set_peers a [| Server.endpoint a; Server.endpoint b |];
+  { p_engine = engine; a; b; p_client = client_core; p_invals = inval_ports }
+
+let pair_fiber p body =
+  in_fiber
+    { engine = p.p_engine; server = p.a; client_core = p.p_client; ep = Server.endpoint p.a }
+    body
+
+let pair_call p s req = Rpc.call (Server.endpoint s) ~from:p.p_client req
+
+(* Send without waiting: the request may park at the server. *)
+let pair_send p s req =
+  Rpc.call_async (Server.endpoint s) ~from:p.p_client ~abs_deadline:0L req
+
+let pair_await p (future, span) =
+  Rpc.await ~from:p.p_client ~costs:config.Hare_config.Config.costs ~span future
+
+let stealing = { config with Hare_config.Config.block_stealing = true }
+
+let create_inode p =
+  match
+    pair_call p p.a (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false; home = 0 })
+  with
+  | Ok (Wire.P_created_ino ino) -> ino
+  | _ -> Alcotest.fail "create inode"
+
+let alloc ino count = Wire.Alloc_blocks { ino; count; ahead = 0 }
+
+(* A crash of the thief must not orphan its in-flight steal: the helper
+   fiber still owns it, so the next ENOSPC after restart waits on that
+   steal rather than starting a second one. *)
+let test_crash_keeps_inflight_steal () =
+  let p = make_pair ~config:stealing ~blocks:16 () in
+  pair_fiber p (fun () ->
+      Server.crash p.b;
+      let ino = create_inode p in
+      let first = pair_send p p.a (alloc ino 20) in
+      Core_res.compute p.p_client 100_000;
+      Server.crash p.a;
+      (match pair_await p first with
+      | Error Errno.EIO -> ()
+      | _ -> Alcotest.fail "the parked alloc dies with its server");
+      Server.restart p.a;
+      let second = pair_send p p.a (alloc ino 20) in
+      Core_res.compute p.p_client 100_000;
+      Server.restart p.b;
+      (match pair_await p second with
+      | Ok (Wire.P_blocks { blocks; _ }) ->
+          Alcotest.(check int) "alloc served" 20 (Array.length blocks)
+      | _ -> Alcotest.fail "the second alloc succeeds on stolen blocks");
+      Core_res.compute p.p_client 100_000;
+      Alcotest.(check int) "one steal served" 1
+        (Hare_stats.Opcount.get (Server.ops p.b) "STEAL_BLOCKS");
+      Alcotest.(check int) "half of B's free blocks adopted" 8
+        (Server.blocks_stolen p.a))
+
+(* ---------- shard migration ------------------------------------------- *)
+
+(* One migratory ring: A (sid 0) hosts home 0, B (sid 2, the spare the
+   ring's Add activates) hosts nothing. *)
+let ring () =
+  Hare_place.Place.create ~nhomes:2 ~vnodes:4
+    ~events:[ Hare_place.Place.Add { at = 1_000_000L } ]
+
+let migrate_out p = pair_call p p.a (Wire.Migrate_out { home = 0 })
+
+let expect_busy what = function
+  | Error Errno.EBUSY -> ()
+  | _ -> Alcotest.fail (what ^ ": the home must refuse to move")
+
+let expect_packed what = function
+  | Ok (Wire.P_pack _) -> ()
+  | _ -> Alcotest.fail (what ^ ": the home must move")
+
+(* A pending rmdir mark parks creates on this server's endpoint: the
+   home stays put until the mark resolves. *)
+let test_migrate_refuses_marked_home () =
+  let p = make_pair ~place:(ring ()) ~b_sid:2 ~blocks:64 () in
+  pair_fiber p (fun () ->
+      let dir = { Types.server = 1; ino = 5 } in
+      ignore (pair_call p p.a (Wire.Rmdir_prepare { dir; home = 0 }));
+      expect_busy "marked" (migrate_out p);
+      ignore (pair_call p p.a (Wire.Rmdir_abort { dir; home = 0 }));
+      expect_packed "unmarked" (migrate_out p))
+
+(* A request parked behind an in-flight block steal is bound to this
+   server too. *)
+let test_migrate_refuses_during_steal () =
+  let p = make_pair ~config:stealing ~place:(ring ()) ~b_sid:2 ~blocks:16 () in
+  pair_fiber p (fun () ->
+      Server.crash p.b;
+      let ino = create_inode p in
+      let parked = pair_send p p.a (alloc ino 20) in
+      Core_res.compute p.p_client 100_000;
+      expect_busy "stealing" (migrate_out p);
+      Server.restart p.b;
+      (match pair_await p parked with
+      | Ok (Wire.P_blocks _) -> ()
+      | _ -> Alcotest.fail "alloc after the steal");
+      Core_res.compute p.p_client 100_000;
+      expect_packed "steal done" (migrate_out p))
+
+let test_migration_round_trip () =
+  let p = make_pair ~place:(ring ()) ~b_sid:2 ~blocks:64 () in
+  let a = p.a and b = p.b and client_core = p.p_client and inval_ports = p.p_invals in
+  let costs = config.Hare_config.Config.costs in
   let call s req = Rpc.call (Server.endpoint s) ~from:client_core req in
   let ok what = function Ok _ -> () | Error _ -> Alcotest.fail what in
   let create_open name =
@@ -280,8 +390,7 @@ let test_migration_round_trip () =
   let snapshot s =
     (Server.inode_count s, Server.open_tokens s, List.sort compare (Server.shard_entries s root))
   in
-  let rig = { engine; server = a; client_core; ep = Server.endpoint a } in
-  in_fiber rig (fun () ->
+  pair_fiber p (fun () ->
       (* a file with an open token, holding data *)
       let token =
         match call a (create_open "f") with
@@ -369,5 +478,11 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "lazy demotion reply" `Quick test_shared_offset_demotion_reply;
         tc "tracking + invalidation" `Quick test_lookup_tracks_and_invalidates;
       ] );
-    ("server.migration", [ tc "home round trip" `Quick test_migration_round_trip ]);
+    ("server.steal", [ tc "crash keeps the in-flight steal" `Quick test_crash_keeps_inflight_steal ]);
+    ( "server.migration",
+      [
+        tc "home round trip" `Quick test_migration_round_trip;
+        tc "marked home refuses" `Quick test_migrate_refuses_marked_home;
+        tc "steal in flight refuses" `Quick test_migrate_refuses_during_steal;
+      ] );
   ]
