@@ -155,7 +155,7 @@ let alloc_blocks t ~core:c n =
 let free_blocks t blocks = Array.iter (fun b -> Queue.push b t.free) blocks
 
 let ensure_blocks t ~core node ~sz =
-  let need = if sz <= 0 then 0 else ((sz - 1) / bs) + 1 in
+  let need = Hare_mem.Layout.blocks_for sz in
   let have = Array.length node.blocks in
   if need > have then
     node.blocks <- Array.append node.blocks (alloc_blocks t ~core (need - have))
@@ -192,31 +192,20 @@ let copy_out t ~core node ~off ~len =
   if len = 0 then ""
   else begin
     let out = Bytes.create len in
-    let pos = ref 0 in
-    while !pos < len do
-      let foff = off + !pos in
-      let bi = foff / bs and boff = foff mod bs in
-      let n = min (len - !pos) (bs - boff) in
-      Hare_mem.Pcache.read_coherent t.pcaches.(core) ~block:node.blocks.(bi)
-        ~off:boff ~len:n ~dst:out ~dst_off:!pos;
-      pos := !pos + n
-    done;
+    Hare_mem.Layout.iter_range node.blocks ~off ~len
+      (fun pc ~block ~off ~len dst dst_off ->
+        Hare_mem.Pcache.read_coherent pc ~block ~off ~len ~dst ~dst_off)
+      t.pcaches.(core) out;
     Bytes.unsafe_to_string out
   end
 
 let copy_in t ~core node ~off data =
   let len = String.length data in
   ensure_blocks t ~core node ~sz:(off + len);
-  let src = Bytes.unsafe_of_string data in
-  let pos = ref 0 in
-  while !pos < len do
-    let foff = off + !pos in
-    let bi = foff / bs and boff = foff mod bs in
-    let n = min (len - !pos) (bs - boff) in
-    Hare_mem.Pcache.write_coherent t.pcaches.(core) ~block:node.blocks.(bi)
-      ~off:boff ~len:n ~src ~src_off:!pos;
-    pos := !pos + n
-  done;
+  Hare_mem.Layout.iter_range node.blocks ~off ~len
+    (fun pc ~block ~off ~len src src_off ->
+      Hare_mem.Pcache.write_coherent pc ~block ~off ~len ~src ~src_off)
+    t.pcaches.(core) (Bytes.unsafe_of_string data);
   if off + len > node.size then node.size <- off + len;
   len
 
@@ -230,7 +219,7 @@ let maybe_free t node =
 
 let do_truncate t ~core:c node ~sz =
   if sz < node.size then begin
-    let keep = if sz <= 0 then 0 else ((sz - 1) / bs) + 1 in
+    let keep = Hare_mem.Layout.blocks_for sz in
     let have = Array.length node.blocks in
     if keep < have then begin
       free_blocks t (Array.sub node.blocks keep (have - keep));

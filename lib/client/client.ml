@@ -3,11 +3,8 @@ open Hare_proto
 open Hare_proto.Types
 module Robust = Hare_stats.Robust
 module Perf = Hare_stats.Perf
-
-let bs = Hare_mem.Layout.block_size
-
-(* Blocks needed to back [size] bytes. *)
-let blocks_needed size = if size <= 0 then 0 else ((size - 1) / bs) + 1
+module Pcache = Hare_mem.Pcache
+module Layout = Hare_mem.Layout
 
 (* Seeded-mutation hooks for the sanitizer self-tests: deliberately skip
    a close-to-open protocol step so the matching lint rule must fire.
@@ -20,8 +17,8 @@ let mutate_skip_writeback = ref false
    bookkeeping only). *)
 let block_line_keys block acc =
   let rec go line acc =
-    if line >= Hare_mem.Layout.lines_per_block then acc
-    else go (line + 1) (Hare_mem.Pcache.key_of ~block ~line :: acc)
+    if line >= Layout.lines_per_block then acc
+    else go (line + 1) (Pcache.key_of ~block ~line :: acc)
   in
   go 0 acc
 
@@ -31,7 +28,7 @@ type t = {
   costs : Hare_config.Costs.t;
   cid : int;
   core : Core_res.t;
-  pcache : Hare_mem.Pcache.t;
+  pcache : Pcache.t;
   tp : Transport.t;  (* every RPC of this client goes through it *)
   nhomes : int;  (* the hashing space: logical server count *)
   server_sockets : int array;
@@ -105,25 +102,31 @@ let width t =
   | Some w -> max 1 (min w (nservers t))
   | None -> nservers t
 
-(* Every intercepted system call pays the interposition cost (§4). *)
-let syscall t name =
-  Hare_stats.Opcount.incr t.syscalls name;
-  Core_res.compute t.core t.costs.syscall_trap
-
 let obs t = Engine.obs t.engine
 
-(* Wrap a public syscall body in a root span on this client's core
-   track. Nested syscalls (close inside exit teardown) fold into the
-   outer span. *)
-let traced t op f =
+(* Every intercepted system call pays the interposition cost (§4). *)
+let charge_trap t op =
+  Hare_stats.Opcount.incr t.syscalls op;
+  Core_res.compute t.core t.costs.syscall_trap
+
+(* Run a public syscall body in a root span on this client's core track,
+   after the trap ([fork] takes none of its own). Nested syscalls (close
+   inside exit teardown) fold into the outer span. *)
+let syscall ?(trap = true) t op f =
   let o = obs t in
-  if not (Obs.on o Obs.spans) then f ()
+  if not (Obs.on o Obs.spans) then begin
+    if trap then charge_trap t op;
+    f ()
+  end
   else begin
     let fid = Engine.current_fid t.engine in
     let close () = Obs.emit o (Span_close { fid; ts = Obs.now o; server = false }) in
     let track = Core_res.id t.core and args = Obs.no_args and ts = Obs.now o in
     Obs.emit o (Span_open { fid; op; track; parent = 0; ts; args; pending = [] });
-    match f () with
+    match
+      if trap then charge_trap t op;
+      f ()
+    with
     | v ->
         close ();
         v
@@ -134,10 +137,50 @@ let traced t op f =
 
 (* ---------- RPCs ------------------------------------------------------- *)
 
+(* [call] hands the caller the outcome; [rpc] raises a failure, naming
+   the request. *)
+let call t srv req = Transport.call t.tp srv req
+
 let rpc t srv req =
-  match Transport.call t.tp srv req with
+  match call t srv req with
   | Ok payload -> payload
   | Error e -> Errno.raise_errno e (Wire.info req).name
+
+(* The two directory-entry edits, at the entry's shard server [srv];
+   [via] is {!call} or {!rpc}. *)
+let add_map via t srv (dir : ino) name ~target ~ftype ~dist ~replace =
+  via t srv
+    (Wire.Add_map
+       { dir; name; target; ftype; dist; replace; client = t.cid; home = srv })
+
+let rm_map via t srv (dir : ino) name ~only_if =
+  via t srv (Wire.Rm_map { dir; name; only_if; client = t.cid; home = srv })
+
+(* Ordering barrier first: a still-deferred close of this very inode
+   could be retransmitted after this open's writes and revert the size. *)
+let open_inode via t (ino : ino) ~trunc =
+  Transport.drain_ino t.tp ino;
+  via t ino.server (Wire.Open_inode { ino; trunc; client = t.cid })
+
+let direct_mode t = t.config.Hare_config.Config.direct_access
+
+let invalidate_blocks t blocks =
+  Array.iter (fun b -> Pcache.invalidate_block t.pcache b) blocks
+
+(* Adopt the server's block list and size: the lease is what the list
+   holds beyond the size, and the cached lines of [stale] blocks go. *)
+let adopt_blocks t (fs : Fdtable.file_state) blocks size ~stale =
+  fs.f_blocks <- blocks;
+  fs.f_size <- size;
+  fs.f_lease <- Fdtable.lease blocks size;
+  invalidate_blocks t stale
+
+(* The server performed I/O on the file meanwhile: both the block list
+   and our private cache's view of every block may be stale. *)
+let refresh_blocks t (fs : Fdtable.file_state) =
+  match rpc t fs.f_ino.server (Wire.Get_blocks { ino = fs.f_ino }) with
+  | Wire.P_blocks { blocks; bsize } -> adopt_blocks t fs blocks bsize ~stale:blocks
+  | _ -> assert false
 
 (* A crashed server forgets its descriptor table; the first post-restart
    use of a token answers [EBADF]. Recover by re-opening the inode —
@@ -145,43 +188,43 @@ let rpc t srv req =
    descriptor. A server-owned shared offset died with the server, so the
    descriptor falls back to a local offset at zero. *)
 let recover_token t (fs : Fdtable.file_state) =
-  Transport.drain_ino t.tp fs.Fdtable.f_ino;
-  match
-    Transport.call t.tp fs.Fdtable.f_ino.server
-      (Wire.Open_inode { ino = fs.Fdtable.f_ino; trunc = false; client = t.cid })
-  with
+  match open_inode call t fs.f_ino ~trunc:false with
   | Ok (Wire.P_open oi) ->
       Robust.incr t.robust Robust.tokens_recovered;
-      fs.Fdtable.f_token <- oi.Wire.token;
-      (if t.extent > 1 && t.config.Hare_config.Config.direct_access then begin
+      fs.f_token <- oi.token;
+      (if t.extent > 1 && direct_mode t then begin
          (* The restart reclaimed our extent lease; resync the block list
             so we never write into blocks the server already freed, and
             drop dirty marks for blocks we no longer own. *)
-         let prev = fs.Fdtable.f_blocks in
-         fs.Fdtable.f_blocks <- oi.Wire.blocks;
-         fs.Fdtable.f_size <- min fs.Fdtable.f_size oi.Wire.isize;
-         fs.Fdtable.f_lease <-
-           max 0 (Array.length oi.Wire.blocks - blocks_needed oi.Wire.isize);
          let owned = Hashtbl.create 16 in
-         Array.iter (fun b -> Hashtbl.replace owned b ()) oi.Wire.blocks;
+         Array.iter (fun b -> Hashtbl.replace owned b ()) oi.blocks;
          Hashtbl.filter_map_inplace
            (fun b () -> if Hashtbl.mem owned b then Some () else None)
-           fs.Fdtable.f_dirty;
+           fs.f_dirty;
          (* Disowned blocks may still sit (dirty) in our private cache;
             dropping only their dirty marks would let a later LRU
             eviction flush stale lines over whatever the server
             reallocated them to. Invalidate the lines themselves too. *)
-         Array.iter
-           (fun b ->
-             if not (Hashtbl.mem owned b) then
-               Hare_mem.Pcache.invalidate_block t.pcache b)
-           prev
+         let disowned = Seq.filter (fun b -> not (Hashtbl.mem owned b)) in
+         let size = min fs.f_size oi.isize in
+         adopt_blocks t fs oi.blocks oi.isize
+           ~stale:(Array.of_seq (disowned (Array.to_seq fs.f_blocks)));
+         fs.f_size <- size
        end);
-      (match fs.Fdtable.f_pos with
-      | Fdtable.Shared -> fs.Fdtable.f_pos <- Fdtable.Local 0
-      | Fdtable.Local _ -> ())
+      if fs.f_pos = Shared then fs.f_pos <- Local 0
   | Ok _ | Error _ ->
       Errno.raise_errno Errno.EBADF "descriptor lost in server crash"
+
+(* A descriptor RPC, its reply handed to [k]. On a token a crashed server
+   forgot, recover the descriptor and [retry] the whole operation, which
+   may now take the local path. *)
+let fd_rpc t (fs : Fdtable.file_state) req ~retry k =
+  match call t fs.f_ino.server req with
+  | Ok payload -> k payload
+  | Error e when Transport.stale_token t.tp e ->
+      recover_token t fs;
+      retry ()
+  | Error e -> Errno.raise_errno e (Wire.info req).name
 
 (* ---------- path resolution -------------------------------------------- *)
 
@@ -236,11 +279,6 @@ let choose_inode_server t entry_srv =
 
 (* ---------- close-to-open cache actions -------------------------------- *)
 
-let direct_mode t = t.config.Hare_config.Config.direct_access
-
-let invalidate_blocks t blocks =
-  Array.iter (fun b -> Hare_mem.Pcache.invalidate_block t.pcache b) blocks
-
 let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
   (* Capture the dirty block set up front: the reset below must happen
      whether or not the (possibly mutation-skipped) write-back ran, and
@@ -252,7 +290,7 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
   in
   if not !mutate_skip_writeback then
     Hashtbl.iter
-      (fun b () -> Hare_mem.Pcache.writeback_block t.pcache b)
+      (fun b () -> Pcache.writeback_block t.pcache b)
       fs.f_dirty;
   Hashtbl.reset fs.f_dirty;
   if Obs.on o Obs.lint then
@@ -263,7 +301,6 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
 
 let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.entry
     =
-  let start = if flags.append then oi.isize else 0 in
   (* Close-to-open (§3.2): invalidate our private cache's copies of the
      file's blocks, which another core may have rewritten since we last
      saw them. Only needed when we will access the buffer cache
@@ -275,31 +312,17 @@ let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.ent
        let keys () = Array.fold_left (Fun.flip block_line_keys) [] oi.blocks in
        Obs.emit o (Lint_open { core = Core_res.id t.core; keys })
    end);
+  let pos = Fdtable.Local (if flags.append then oi.isize else 0) in
   {
     Fdtable.desc =
       Fdtable.File
-        {
-          f_ino = ino;
-          f_token = oi.token;
-          f_flags = flags;
-          f_pos = Fdtable.Local start;
-          f_blocks = oi.blocks;
-          f_size = oi.isize;
-          f_dirty = Hashtbl.create 8;
-          f_wrote = false;
-          f_lease = max 0 (Array.length oi.blocks - blocks_needed oi.isize);
-        };
+        (Fdtable.file_state ~ino ~token:oi.token ~flags ~pos ~blocks:oi.blocks
+           ~size:oi.isize);
     local_refs = 1;
   }
 
 let open_existing t (flags : open_flags) (target : ino) =
-  (* Ordering barrier: a still-deferred close of this very inode could
-     be retransmitted after this open's writes and revert the size. *)
-  Transport.drain_ino t.tp target;
-  match
-    rpc t target.server
-      (Wire.Open_inode { ino = target; trunc = flags.trunc; client = t.cid })
-  with
+  match open_inode rpc t target ~trunc:flags.trunc with
   | Wire.P_open oi -> (target, oi)
   | _ -> assert false
 
@@ -340,18 +363,8 @@ let create_file t (dir : dirref) name (flags : open_flags) =
     with
     | Wire.P_open_ino { oi; ino } -> (
         match
-          Transport.call t.tp entry_srv
-            (Wire.Add_map
-               {
-                 dir = dir.d_ino;
-                 name;
-                 target = ino;
-                 ftype = Reg;
-                 dist = false;
-                 replace = false;
-                 client = t.cid;
-                 home = entry_srv;
-               })
+          add_map call t entry_srv dir.d_ino name ~target:ino ~ftype:Reg
+            ~dist:false ~replace:false
         with
         | Ok _ ->
             Dircache.add t.dircache ~dir:dir.d_ino ~name
@@ -380,8 +393,7 @@ let create_file t (dir : dirref) name (flags : open_flags) =
   end
 
 let openf t fdt ~cwd path (flags : open_flags) =
-  traced t "open" @@ fun () ->
-  syscall t "open";
+  syscall t "open" @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let ino, oi =
     if flags.creat then
@@ -425,40 +437,20 @@ let console_write t (c : Wire.console_ref) data =
       end;
       String.length data
 
-(* Refresh client-side file state after a shared descriptor migrates back
-   to local mode: the server performed I/O meanwhile, so both the block
-   list and our private cache's view may be stale. *)
-let demote_to_local t (fs : Fdtable.file_state) offset =
-  fs.f_pos <- Fdtable.Local offset;
-  if direct_mode t then begin
-    match rpc t fs.f_ino.server (Wire.Get_blocks { ino = fs.f_ino }) with
-    | Wire.P_blocks { blocks; bsize } ->
-        fs.f_blocks <- blocks;
-        fs.f_size <- bsize;
-        fs.f_lease <- max 0 (Array.length blocks - blocks_needed bsize);
-        invalidate_blocks t blocks
-    | _ -> assert false
-  end
-
 let direct_read t (fs : Fdtable.file_state) ~off ~len =
   let len = max 0 (min len (fs.f_size - off)) in
   if len = 0 then ""
   else begin
     let out = Bytes.create len in
-    let pos = ref 0 in
-    while !pos < len do
-      let foff = off + !pos in
-      let bi = foff / bs and boff = foff mod bs in
-      let n = min (len - !pos) (bs - boff) in
-      Hare_mem.Pcache.read t.pcache ~block:fs.f_blocks.(bi) ~off:boff ~len:n
-        ~dst:out ~dst_off:!pos;
-      pos := !pos + n
-    done;
+    Layout.iter_range fs.f_blocks ~off ~len
+      (fun pc ~block ~off ~len dst dst_off ->
+        Pcache.read pc ~block ~off ~len ~dst ~dst_off)
+      t.pcache out;
     Bytes.unsafe_to_string out
   end
 
 let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
-  let need = blocks_needed size in
+  let need = Layout.blocks_for size in
   let have = Array.length fs.f_blocks in
   if need > have then begin
     (* Extent-granularity allocation: ask for [alloc_extent - 1] blocks
@@ -493,105 +485,73 @@ let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
 let direct_write t (fs : Fdtable.file_state) ~off data =
   let len = String.length data in
   ensure_client_blocks t fs ~size:(off + len);
-  let srcb = Bytes.unsafe_of_string data in
-  let pos = ref 0 in
-  while !pos < len do
-    let foff = off + !pos in
-    let bi = foff / bs and boff = foff mod bs in
-    let n = min (len - !pos) (bs - boff) in
-    Hare_mem.Pcache.write t.pcache ~block:fs.f_blocks.(bi) ~off:boff ~len:n
-      ~src:srcb ~src_off:!pos;
-    Hashtbl.replace fs.f_dirty fs.f_blocks.(bi) ();
-    pos := !pos + n
-  done;
+  Layout.iter_range fs.f_blocks ~off ~len
+    (fun pc ~block ~off ~len src src_off ->
+      Pcache.write pc ~block ~off ~len ~src ~src_off)
+    t.pcache (Bytes.unsafe_of_string data);
+  (* Marked apart from the walk, whose access then closes over nothing:
+     a per-write closure would show in the host's allocation per op. *)
+  if len > 0 then
+    for bi = off / Layout.block_size to (off + len - 1) / Layout.block_size do
+      Hashtbl.replace fs.f_dirty fs.f_blocks.(bi) ()
+    done;
   if off + len > fs.f_size then fs.f_size <- off + len;
   fs.f_wrote <- true;
   len
 
+(* After [n] bytes moved through the server at [off]: a local offset
+   moves past them; a shared one ([off = None]) moved at the server,
+   which may hand it back to us (§3.4). *)
+let advance t (fs : Fdtable.file_state) ~off n now_local =
+  match (off, now_local) with
+  | Some o, _ -> fs.f_pos <- Local (o + n)
+  | None, Some o ->
+      fs.f_pos <- Local o;
+      if direct_mode t then refresh_blocks t fs
+  | None, None -> ()
+
 let rec file_read t (fs : Fdtable.file_state) ~len =
   match fs.f_pos with
-  | Fdtable.Local off when direct_mode t ->
+  | Local off when direct_mode t ->
       let data = direct_read t fs ~off ~len in
-      fs.f_pos <- Fdtable.Local (off + String.length data);
+      fs.f_pos <- Local (off + String.length data);
       data
-  | Fdtable.Local off -> (
-      match
-        Transport.call t.tp fs.f_ino.server
-          (Wire.Read_fd { token = fs.f_token; off = Some off; len })
-      with
-      | Ok (Wire.P_read { data; _ }) ->
-          fs.f_pos <- Fdtable.Local (off + String.length data);
+  | pos ->
+      let off = match pos with Local o -> Some o | Shared -> None in
+      fd_rpc t fs (Wire.Read_fd { token = fs.f_token; off; len })
+        ~retry:(fun () -> file_read t fs ~len)
+      @@ function
+      | Wire.P_read { data; now_local } ->
+          advance t fs ~off (String.length data) now_local;
           data
-      | Ok _ -> assert false
-      | Error e when Transport.stale_token t.tp e ->
-          recover_token t fs;
-          file_read t fs ~len
-      | Error e -> Errno.raise_errno e "read")
-  | Fdtable.Shared -> (
-      match
-        Transport.call t.tp fs.f_ino.server
-          (Wire.Read_fd { token = fs.f_token; off = None; len })
-      with
-      | Ok (Wire.P_read { data; now_local }) ->
-          (match now_local with
-          | Some off -> demote_to_local t fs off
-          | None -> ());
-          data
-      | Ok _ -> assert false
-      | Error e when Transport.stale_token t.tp e ->
-          (* The shared offset died with the server; recovery demotes the
-             descriptor to a local offset at zero and the read reruns
-             from there. *)
-          recover_token t fs;
-          file_read t fs ~len
-      | Error e -> Errno.raise_errno e "read")
+      | _ -> assert false
 
 let rec file_write t (fs : Fdtable.file_state) data =
+  let append = fs.f_flags.append in
   match fs.f_pos with
-  | Fdtable.Local off ->
-      let off = if fs.f_flags.append then fs.f_size else off in
-      if direct_mode t then begin
-        let n = direct_write t fs ~off data in
-        fs.f_pos <- Fdtable.Local (off + n);
-        n
-      end
-      else begin
-        match
-          Transport.call t.tp fs.f_ino.server
-            (Wire.Write_fd { token = fs.f_token; off = Some off; data })
-        with
-        | Ok (Wire.P_write { written; size; _ }) ->
-            fs.f_size <- size;
-            fs.f_wrote <- true;
-            fs.f_pos <- Fdtable.Local (off + written);
-            written
-        | Ok _ -> assert false
-        | Error e when Transport.stale_token t.tp e ->
-            recover_token t fs;
-            file_write t fs data
-        | Error e -> Errno.raise_errno e "write"
-      end
-  | Fdtable.Shared -> (
-      match
-        Transport.call t.tp fs.f_ino.server
-          (Wire.Write_fd { token = fs.f_token; off = None; data })
-      with
-      | Ok (Wire.P_write { written; size; now_local }) ->
+  | Local o when direct_mode t ->
+      let off = if append then fs.f_size else o in
+      let n = direct_write t fs ~off data in
+      fs.f_pos <- Local (off + n);
+      n
+  | pos ->
+      let off =
+        match pos with
+        | Local o -> Some (if append then fs.f_size else o)
+        | Shared -> None
+      in
+      fd_rpc t fs (Wire.Write_fd { token = fs.f_token; off; data; append })
+        ~retry:(fun () -> file_write t fs data)
+      @@ function
+      | Wire.P_write { written; size; now_local } ->
           fs.f_size <- size;
           fs.f_wrote <- true;
-          (match now_local with
-          | Some off -> demote_to_local t fs off
-          | None -> ());
+          advance t fs ~off written now_local;
           written
-      | Ok _ -> assert false
-      | Error e when Transport.stale_token t.tp e ->
-          recover_token t fs;
-          file_write t fs data
-      | Error e -> Errno.raise_errno e "write")
+      | _ -> assert false
 
 let read t fdt fd ~len =
-  traced t "read" @@ fun () ->
-  syscall t "read";
+  syscall t "read" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.File fs -> file_read t fs ~len
@@ -604,8 +564,7 @@ let read t fdt fd ~len =
   | Fdtable.Console _ -> ""
 
 let write t fdt fd data =
-  traced t "write" @@ fun () ->
-  syscall t "write";
+  syscall t "write" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.File fs -> file_write t fs data
@@ -622,7 +581,7 @@ let write t fdt fd data =
 
 let rec seek_file t (fs : Fdtable.file_state) ~pos whence =
   match fs.Fdtable.f_pos with
-  | Fdtable.Local cur ->
+  | Local cur ->
       let target =
         match whence with
         | Seek_set -> pos
@@ -630,23 +589,17 @@ let rec seek_file t (fs : Fdtable.file_state) ~pos whence =
         | Seek_end -> fs.f_size + pos
       in
       if target < 0 then Errno.raise_errno Errno.EINVAL "negative offset";
-      fs.f_pos <- Fdtable.Local target;
+      fs.f_pos <- Local target;
       target
-  | Fdtable.Shared -> (
-      match
-        Transport.call t.tp fs.f_ino.server
-          (Wire.Lseek_fd { token = fs.f_token; pos; whence })
-      with
-      | Ok (Wire.P_lseek target) -> target
-      | Ok _ -> assert false
-      | Error e when Transport.stale_token t.tp e ->
-          recover_token t fs;
-          seek_file t fs ~pos whence
-      | Error e -> Errno.raise_errno e "lseek")
+  | Shared -> (
+      fd_rpc t fs (Wire.Lseek_fd { token = fs.f_token; pos; whence })
+        ~retry:(fun () -> seek_file t fs ~pos whence)
+      @@ function
+      | Wire.P_lseek target -> target
+      | _ -> assert false)
 
 let lseek t fdt fd ~pos whence =
-  traced t "lseek" @@ fun () ->
-  syscall t "lseek";
+  syscall t "lseek" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.Pipe _ | Fdtable.Console _ -> Errno.raise_errno Errno.ESPIPE "lseek"
@@ -656,15 +609,19 @@ let lseek t fdt fd ~pos whence =
 
 (* Push our size view to the server (after a direct-mode writeback). *)
 let rec update_size t (fs : Fdtable.file_state) =
-  match
-    Transport.call t.tp fs.Fdtable.f_ino.server
-      (Wire.Update_size { token = fs.f_token; size = fs.f_size })
-  with
-  | Ok _ -> ()
-  | Error e when Transport.stale_token t.tp e ->
-      recover_token t fs;
-      update_size t fs
-  | Error e -> Errno.raise_errno e "update_size"
+  fd_rpc t fs (Wire.Update_size { token = fs.f_token; size = fs.f_size })
+    ~retry:(fun () -> update_size t fs)
+    ignore
+
+(* Make our direct-mode writes visible through the server: write the
+   dirty blocks back, and report our size view while the offset (and
+   hence the size) is client-owned; for a shared descriptor the server's
+   view is authoritative (§3.4). *)
+let flush t ~what (fs : Fdtable.file_state) =
+  if fs.f_wrote && direct_mode t then begin
+    writeback_dirty ~what t fs;
+    if fs.f_pos <> Shared then update_size t fs
+  end
 
 let release_desc t (entry : Fdtable.entry) =
   match entry.Fdtable.desc with
@@ -675,8 +632,8 @@ let release_desc t (entry : Fdtable.entry) =
          authoritative (§3.4). *)
       let size =
         match fs.f_pos with
-        | Fdtable.Local _ when fs.f_wrote && direct_mode t -> Some fs.f_size
-        | Fdtable.Local _ | Fdtable.Shared -> None
+        | Local _ when fs.f_wrote && direct_mode t -> Some fs.f_size
+        | Local _ | Shared -> None
       in
       (* The close's reply carries nothing the caller needs, so with a
          window it is deferred: per-server FIFO delivery means any later
@@ -691,22 +648,22 @@ let release_desc t (entry : Fdtable.entry) =
           ()
       | Some (Error e) -> Errno.raise_errno e "close")
   | Fdtable.Pipe p -> (
-      match
-        Transport.call t.tp p.p_ino.server
-          (Wire.Close_fd { token = p.p_token; size = None })
-      with
+      match call t p.p_ino.server (Wire.Close_fd { token = p.p_token; size = None }) with
       | Ok _ -> ()
       | Error e when Transport.stale_token t.tp e -> ()
       | Error e -> Errno.raise_errno e "close")
   | Fdtable.Console _ -> ()
 
+(* Drop one of this process's references to [entry]. *)
+let unref t (entry : Fdtable.entry) =
+  entry.local_refs <- entry.local_refs - 1;
+  if entry.local_refs <= 0 then release_desc t entry
+
 let close t fdt fd =
-  traced t "close" @@ fun () ->
-  syscall t "close";
+  syscall t "close" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   Fdtable.remove fdt fd;
-  entry.Fdtable.local_refs <- entry.Fdtable.local_refs - 1;
-  if entry.Fdtable.local_refs <= 0 then release_desc t entry
+  unref t entry
 
 let close_all t fdt =
   (* Process exit: release everything we can; one sick descriptor must
@@ -719,78 +676,56 @@ let close_all t fdt =
   drain_window t
 
 let fsync t fdt fd =
-  traced t "fsync" @@ fun () ->
-  syscall t "fsync";
+  syscall t "fsync" @@ fun () ->
   (* Durability barrier: deferred requests count as outstanding I/O. *)
   drain_window t;
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
-  | Fdtable.File fs ->
-      if fs.f_wrote && direct_mode t then begin
-        writeback_dirty ~what:"fsync" t fs;
-        update_size t fs
-      end
+  | Fdtable.File fs -> flush t ~what:"fsync" fs
   | Fdtable.Pipe _ | Fdtable.Console _ -> ()
 
 let ftruncate t fdt fd ~size =
-  traced t "ftruncate" @@ fun () ->
-  syscall t "ftruncate";
+  syscall t "ftruncate" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.Pipe _ | Fdtable.Console _ -> Errno.raise_errno Errno.EINVAL "ftruncate"
-  | Fdtable.File fs -> (
+  | Fdtable.File fs ->
       (* Surviving bytes must be in DRAM before the server scrubs the
          tail; flush our dirty lines first. *)
-      if fs.f_wrote && direct_mode t then begin
-        writeback_dirty ~what:"ftruncate" t fs;
-        update_size t fs
-      end;
+      flush t ~what:"ftruncate" fs;
       ignore (rpc t fs.f_ino.server (Wire.Truncate { ino = fs.f_ino; size }));
       fs.f_size <- size;
-      if direct_mode t then
-        match rpc t fs.f_ino.server (Wire.Get_blocks { ino = fs.f_ino }) with
-        | Wire.P_blocks { blocks; bsize } ->
-            fs.f_blocks <- blocks;
-            fs.f_size <- bsize;
-            fs.f_lease <- max 0 (Array.length blocks - blocks_needed bsize);
-            invalidate_blocks t blocks
-        | _ -> assert false)
+      if direct_mode t then refresh_blocks t fs
+
+let get_attr t (ino : ino) =
+  match rpc t ino.server (Wire.Get_attr { ino }) with
+  | Wire.P_attr a -> a
+  | _ -> assert false
 
 let fstat t fdt fd =
-  traced t "fstat" @@ fun () ->
-  syscall t "fstat";
-  let entry = Fdtable.find_exn fdt fd in
-  match entry.Fdtable.desc with
-  | Fdtable.File fs -> (
-      match rpc t fs.f_ino.server (Wire.Get_attr { ino = fs.f_ino }) with
-      | Wire.P_attr a -> a
-      | _ -> assert false)
-  | Fdtable.Pipe p -> (
-      match rpc t p.p_ino.server (Wire.Get_attr { ino = p.p_ino }) with
-      | Wire.P_attr a -> a
-      | _ -> assert false)
+  syscall t "fstat" @@ fun () ->
+  match (Fdtable.find_exn fdt fd).Fdtable.desc with
+  | Fdtable.File fs -> get_attr t fs.f_ino
+  | Fdtable.Pipe p -> get_attr t p.p_ino
   | Fdtable.Console _ -> Errno.raise_errno Errno.EINVAL "fstat on console"
 
 (* ---------- dup / pipe -------------------------------------------------- *)
 
 let dup t fdt fd =
-  traced t "dup" @@ fun () ->
-  syscall t "dup";
+  syscall t "dup" @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   entry.Fdtable.local_refs <- entry.Fdtable.local_refs + 1;
   Fdtable.alloc fdt entry
 
 let dup2 t fdt ~src ~dst =
-  traced t "dup2" @@ fun () ->
-  syscall t "dup2";
+  syscall t "dup2" @@ fun () ->
   let entry = Fdtable.find_exn fdt src in
   if src = dst then dst
   else begin
     (match Fdtable.find fdt dst with
     | Some old ->
         Fdtable.remove fdt dst;
-        old.Fdtable.local_refs <- old.Fdtable.local_refs - 1;
-        if old.Fdtable.local_refs <= 0 then release_desc t old
+        unref t old
     | None -> ());
     entry.Fdtable.local_refs <- entry.Fdtable.local_refs + 1;
     Fdtable.alloc_at fdt dst entry;
@@ -798,8 +733,7 @@ let dup2 t fdt ~src ~dst =
   end
 
 let pipe t fdt =
-  traced t "pipe" @@ fun () ->
-  syscall t "pipe";
+  syscall t "pipe" @@ fun () ->
   match
     rpc t t.local_server
       (Wire.Pipe_create { client = t.cid; home = t.local_server })
@@ -820,32 +754,17 @@ let pipe t fdt =
 (* ---------- name-space operations --------------------------------------- *)
 
 let unlink t ~cwd path =
-  traced t "unlink" @@ fun () ->
-  syscall t "unlink";
+  syscall t "unlink" @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let srv = entry_server t dir name in
-  match
-    rpc t srv
-      (Wire.Rm_map
-         { dir = dir.d_ino; name; only_if = None; client = t.cid; home = srv })
-  with
+  match rm_map rpc t srv dir.d_ino name ~only_if:None with
   | Wire.P_removed { target; ftype } ->
       Dircache.remove t.dircache ~dir:dir.d_ino ~name;
       if ftype = Dir then begin
         (* Roll back: directories are removed with rmdir. *)
         ignore
-          (rpc t srv
-             (Wire.Add_map
-                {
-                  dir = dir.d_ino;
-                  name;
-                  target;
-                  ftype;
-                  dist = true;
-                  replace = false;
-                  client = t.cid;
-                  home = srv;
-                }));
+          (add_map rpc t srv dir.d_ino name ~target ~ftype ~dist:true
+             ~replace:false);
         Errno.raise_errno Errno.EISDIR name
       end;
       (* The entry is gone (the visible effect); dropping the link count
@@ -859,8 +778,7 @@ let unlink t ~cwd path =
   | _ -> assert false
 
 let mkdir t ~cwd ?(dist = false) path =
-  traced t "mkdir" @@ fun () ->
-  syscall t "mkdir";
+  syscall t "mkdir" @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let dist = dist && t.config.Hare_config.Config.dir_distribution in
   let entry_srv = entry_server t dir name in
@@ -885,18 +803,8 @@ let mkdir t ~cwd ?(dist = false) path =
   with
   | Wire.P_created_ino ino -> (
       match
-        Transport.call t.tp entry_srv
-          (Wire.Add_map
-             {
-               dir = dir.d_ino;
-               name;
-               target = ino;
-               ftype = Dir;
-               dist;
-               replace = false;
-               client = t.cid;
-               home = entry_srv;
-             })
+        add_map call t entry_srv dir.d_ino name ~target:ino ~ftype:Dir ~dist
+          ~replace:false
       with
       | Ok _ ->
           Dircache.add t.dircache ~dir:dir.d_ino ~name
@@ -907,32 +815,23 @@ let mkdir t ~cwd ?(dist = false) path =
   | _ -> assert false
 
 let rmdir t ~cwd path =
-  traced t "rmdir" @@ fun () ->
-  syscall t "rmdir";
+  syscall t "rmdir" @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let e = lookup_entry t dir name in
   if e.Wire.t_ftype <> Dir then Errno.raise_errno Errno.ENOTDIR name;
   let target = e.Wire.t_ino in
   let home = target.server in
+  (* conditional: a same-named directory may already have been
+     recreated; its entry is not ours to remove *)
+  let unlink_entry () =
+    rm_map call t (entry_server t dir name) dir.d_ino name ~only_if:(Some target)
+  in
   if not e.Wire.t_dist then begin
     (* Centralized directory: the home server holds every entry, so the
        emptiness check and removal coalesce into one atomic message; only
        the parent's entry needs a second RPC. *)
     ignore (rpc t home (Wire.Rmdir_local { dir = target; client = t.cid }));
-    (* conditional: a same-named directory may already have been
-       recreated; its entry is not ours to remove *)
-    (let esrv = entry_server t dir name in
-     match
-       Transport.call t.tp esrv
-         (Wire.Rm_map
-            {
-              dir = dir.d_ino;
-              name;
-              only_if = Some target;
-              client = t.cid;
-              home = esrv;
-            })
-     with
+    (match unlink_entry () with
     | Ok _ | Error Errno.ENOENT -> ()
     | Error err -> Errno.raise_errno err name);
     Dircache.remove t.dircache ~dir:dir.d_ino ~name
@@ -941,7 +840,7 @@ let rmdir t ~cwd path =
   (* Phase 0: serialize concurrent rmdirs at the home server (§3.3). The
      lock reply arrives only once we hold it; ENOENT means the directory
      vanished while we waited. *)
-  (match Transport.call t.tp home (Wire.Rmdir_lock { dir = target }) with
+  (match call t home (Wire.Rmdir_lock { dir = target }) with
   | Ok _ -> ()
   | Error err -> Errno.raise_errno err name);
   let servers_involved =
@@ -956,20 +855,8 @@ let rmdir t ~cwd path =
   let all_ok = List.for_all Result.is_ok prepare_results in
   if all_ok then begin
     (* Unlink the directory's own entry from its parent, then commit. *)
-    let srv = entry_server t dir name in
-    (match
-       Transport.call t.tp srv
-         (Wire.Rm_map
-            {
-              dir = dir.d_ino;
-              name;
-              only_if = Some target;
-              client = t.cid;
-              home = srv;
-            })
-     with
-    | Ok _ -> Dircache.remove t.dircache ~dir:dir.d_ino ~name
-    | Error _ -> ());
+    if Result.is_ok (unlink_entry ()) then
+      Dircache.remove t.dircache ~dir:dir.d_ino ~name;
     ignore
       (Transport.multicast t.tp servers_involved (fun srv ->
            Wire.Rmdir_commit { dir = target; client = t.cid; home = srv }))
@@ -977,12 +864,9 @@ let rmdir t ~cwd path =
   end
   else begin
     List.iter
-      (fun srv ->
-        ignore
-          (Transport.call t.tp srv
-             (Wire.Rmdir_abort { dir = target; home = srv })))
+      (fun srv -> ignore (call t srv (Wire.Rmdir_abort { dir = target; home = srv })))
       servers_involved;
-    ignore (Transport.call t.tp home (Wire.Rmdir_unlock { dir = target }));
+    ignore (call t home (Wire.Rmdir_unlock { dir = target }));
     (* Distinguish "a shard holds entries" from "a shard's server is
        unreachable": the latter must not masquerade as ENOTEMPTY. *)
     let hard =
@@ -995,8 +879,7 @@ let rmdir t ~cwd path =
   end
 
 let readdir t ~cwd path =
-  traced t "readdir" @@ fun () ->
-  syscall t "readdir";
+  syscall t "readdir" @@ fun () ->
   let comps = Path.normalize ~cwd path in
   let dir = resolve_dir t comps in
   if dir.d_dist then begin
@@ -1028,8 +911,7 @@ let readdir t ~cwd path =
     | _ -> assert false
 
 let rename t ~cwd oldp newp =
-  traced t "rename" @@ fun () ->
-  syscall t "rename";
+  syscall t "rename" @@ fun () ->
   let odir, oname = resolve_parent t ~cwd oldp in
   let ndir, nname = resolve_parent t ~cwd newp in
   if odir.d_ino = ndir.d_ino && oname = nname then ()
@@ -1045,25 +927,14 @@ let rename t ~cwd oldp newp =
     let nsrv = entry_server t ndir nname in
     let replaced =
       match
-        rpc t nsrv
-          (Wire.Add_map
-             {
-               dir = ndir.d_ino;
-               name = nname;
-               target;
-               ftype = e.Wire.t_ftype;
-               dist = e.Wire.t_dist;
-               replace = true;
-               client = t.cid;
-               home = nsrv;
-             })
+        add_map rpc t nsrv ndir.d_ino nname ~target ~ftype:e.Wire.t_ftype
+          ~dist:e.Wire.t_dist ~replace:true
       with
       | Wire.P_removed { target = victim; ftype = Reg } -> Some victim
       | Wire.P_removed _ | Wire.P_unit -> None
       | _ -> assert false
     in
     Dircache.add t.dircache ~dir:ndir.d_ino ~name:nname e;
-    let osrv = entry_server t odir oname in
     let unlink_victim () =
       match replaced with
       | Some victim when victim <> target ->
@@ -1072,59 +943,33 @@ let rename t ~cwd oldp newp =
                (Wire.Unlink_ino { ino = victim }))
       | _ -> ()
     in
-    match
-      Transport.call t.tp osrv
-        (Wire.Rm_map
-           {
-             dir = odir.d_ino;
-             name = oname;
-             only_if = Some target;
-             client = t.cid;
-             home = osrv;
-           })
-    with
+    let osrv = entry_server t odir oname in
+    match rm_map call t osrv odir.d_ino oname ~only_if:(Some target) with
     | Ok _ ->
         Dircache.remove t.dircache ~dir:odir.d_ino ~name:oname;
         unlink_victim ()
     | Error Errno.ENOENT ->
         (* lost the race for the old name: undo our half *)
         Dircache.remove t.dircache ~dir:ndir.d_ino ~name:nname;
-        ignore
-          (Transport.call t.tp nsrv
-             (Wire.Rm_map
-                {
-                  dir = ndir.d_ino;
-                  name = nname;
-                  only_if = Some target;
-                  client = t.cid;
-                  home = nsrv;
-                }));
+        ignore (rm_map call t nsrv ndir.d_ino nname ~only_if:(Some target));
         unlink_victim ();
         Errno.raise_errno Errno.ENOENT oname
     | Error err -> Errno.raise_errno err oname
   end
 
 let stat t ~cwd path =
-  traced t "stat" @@ fun () ->
-  syscall t "stat";
-  let comps = Path.normalize ~cwd path in
-  match comps with
-  | [] -> (
-      match rpc t root_ino.server (Wire.Get_attr { ino = root_ino }) with
-      | Wire.P_attr a -> a
-      | _ -> assert false)
-  | _ ->
+  syscall t "stat" @@ fun () ->
+  match Path.normalize ~cwd path with
+  | [] -> get_attr t root_ino
+  | comps ->
       let parent_comps, name = Path.parent_and_name comps in
       let dir = resolve_dir t parent_comps in
-      let e = lookup_entry t dir name in
-      (match rpc t e.Wire.t_ino.server (Wire.Get_attr { ino = e.Wire.t_ino }) with
-      | Wire.P_attr a -> a
-      | _ -> assert false)
+      get_attr t (lookup_entry t dir name).Wire.t_ino
 
 (* ---------- descriptor transfer ----------------------------------------- *)
 
 let fork_fds t fdt =
-  traced t "fork" @@ fun () ->
+  syscall ~trap:false t "fork" @@ fun () ->
   (* The child must not observe server state that a deferred request is
      still about to change; settle the window before sharing. *)
   drain_window t;
@@ -1138,9 +983,7 @@ let fork_fds t fdt =
           match entry.Fdtable.desc with
           | Fdtable.File fs ->
               let offset =
-                match fs.f_pos with
-                | Fdtable.Local o -> Some o
-                | Fdtable.Shared -> None
+                match fs.f_pos with Local o -> Some o | Shared -> None
               in
               (* Synchronous share RPC (§3.4): bump the server refcount
                  and migrate the offset; descriptor I/O now routes through
@@ -1148,23 +991,14 @@ let fork_fds t fdt =
               ignore
                 (rpc t fs.f_ino.server
                    (Wire.Inc_fd_ref { token = fs.f_token; offset }));
-              if fs.f_wrote && direct_mode t then begin
-                (* Make our writes visible before the other process reads
-                   through the server. *)
-                writeback_dirty ~what:"fd-share" t fs;
-                ignore
-                  (rpc t fs.f_ino.server
-                     (Wire.Update_size { token = fs.f_token; size = fs.f_size }))
-              end;
-              fs.f_pos <- Fdtable.Shared;
+              (* Make our writes visible before the other process reads
+                 through the server. *)
+              flush t ~what:"fd-share" fs;
+              fs.f_pos <- Shared;
               {
                 Fdtable.desc =
                   Fdtable.File
-                    {
-                      fs with
-                      f_pos = Fdtable.Shared;
-                      f_dirty = Hashtbl.create 8;
-                    };
+                    { fs with f_pos = Shared; f_dirty = Hashtbl.create 8 };
                 local_refs = 0;
               }
           | Fdtable.Pipe p ->
@@ -1193,15 +1027,7 @@ let export_fds fdt =
         match entry.Fdtable.desc with
         | Fdtable.File fs ->
             Wire.Xfile
-              {
-                ino = fs.f_ino;
-                token = fs.f_token;
-                flags = fs.f_flags;
-                pos =
-                  (match fs.f_pos with
-                  | Fdtable.Local o -> Wire.Xlocal o
-                  | Fdtable.Shared -> Wire.Xshared);
-              }
+              { ino = fs.f_ino; token = fs.f_token; flags = fs.f_flags; pos = fs.f_pos }
         | Fdtable.Pipe p ->
             Wire.Xpipe
               { pipe_ino = p.p_ino; token = p.p_token; write_end = p.p_write }
@@ -1225,35 +1051,9 @@ let import_fds t xfers =
     match x with
     | Wire.Xfile { ino; token; flags; pos } ->
         keyed token (fun () ->
-            let blocks, size =
-              if direct_mode t then begin
-                match rpc t ino.server (Wire.Get_blocks { ino }) with
-                | Wire.P_blocks { blocks; bsize } ->
-                    invalidate_blocks t blocks;
-                    (blocks, bsize)
-                | _ -> assert false
-              end
-              else ([||], 0)
-            in
-            {
-              Fdtable.desc =
-                Fdtable.File
-                  {
-                    f_ino = ino;
-                    f_token = token;
-                    f_flags = flags;
-                    f_pos =
-                      (match pos with
-                      | Wire.Xlocal o -> Fdtable.Local o
-                      | Wire.Xshared -> Fdtable.Shared);
-                    f_blocks = blocks;
-                    f_size = size;
-                    f_dirty = Hashtbl.create 8;
-                    f_wrote = false;
-                    f_lease = max 0 (Array.length blocks - blocks_needed size);
-                  };
-              local_refs = 0;
-            })
+            let fs = Fdtable.file_state ~ino ~token ~flags ~pos ~blocks:[||] ~size:0 in
+            if direct_mode t then refresh_blocks t fs;
+            { Fdtable.desc = Fdtable.File fs; local_refs = 0 })
     | Wire.Xpipe { pipe_ino; token; write_end } ->
         keyed token (fun () ->
             {

@@ -1,5 +1,7 @@
 open Hare_proto
 
+type pos = Wire.xfer_pos = Local of int | Shared
+
 type file_state = {
   f_ino : Types.ino;
   mutable f_token : Types.fd_token;
@@ -12,7 +14,20 @@ type file_state = {
   mutable f_lease : int;
 }
 
-and pos = Local of int | Shared
+let lease blocks size = max 0 (Array.length blocks - Hare_mem.Layout.blocks_for size)
+
+let file_state ~ino ~token ~flags ~pos ~blocks ~size =
+  {
+    f_ino = ino;
+    f_token = token;
+    f_flags = flags;
+    f_pos = pos;
+    f_blocks = blocks;
+    f_size = size;
+    f_dirty = Hashtbl.create 8;
+    f_wrote = false;
+    f_lease = lease blocks size;
+  }
 
 type pipe_state = {
   p_ino : Types.ino;

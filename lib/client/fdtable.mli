@@ -8,6 +8,11 @@
 
 open Hare_proto
 
+(** Where a descriptor's offset lives; an exec snapshot carries it as is. *)
+type pos = Wire.xfer_pos =
+  | Local of int  (** unshared: offset lives here, I/O can be direct. *)
+  | Shared  (** shared with another process: offset lives at the server. *)
+
 (** Client-side view of one open description. *)
 type file_state = {
   f_ino : Types.ino;
@@ -24,9 +29,14 @@ type file_state = {
           extent lease); 0 unless [alloc_extent > 1]. *)
 }
 
-and pos =
-  | Local of int  (** unshared: offset lives here, I/O can be direct. *)
-  | Shared  (** shared with another process: offset lives at the server. *)
+val lease : int array -> int -> int
+(** [lease blocks size]: the trailing blocks of [blocks] beyond what
+    [size] bytes need. *)
+
+val file_state :
+  ino:Types.ino -> token:Types.fd_token -> flags:Types.open_flags ->
+  pos:pos -> blocks:int array -> size:int -> file_state
+(** A fresh, clean description over the server's block list and size. *)
 
 type pipe_state = {
   p_ino : Types.ino;

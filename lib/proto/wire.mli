@@ -74,7 +74,9 @@ type fs_req =
   | Open_inode of { ino : ino; trunc : bool; client : client_id }
   | Close_fd of { token : fd_token; size : int option }
   | Read_fd of { token : fd_token; off : int option; len : int }
-  | Write_fd of { token : fd_token; off : int option; data : string }
+  | Write_fd of { token : fd_token; off : int option; data : string; append : bool }
+      (** [off = None] writes at the shared offset, or at end-of-file when
+          the descriptor was opened [append] (§3.4). *)
   | Lseek_fd of { token : fd_token; pos : int; whence : whence }
   | Alloc_blocks of { ino : ino; count : int; ahead : int }
       (** grow the file by [count] blocks, plus up to [ahead] extra as an
@@ -170,7 +172,7 @@ type xfer_fd =
   | Xpipe of { pipe_ino : ino; token : fd_token; write_end : bool }
   | Xconsole of console_ref
 
-and xfer_pos = Xlocal of int | Xshared
+and xfer_pos = Local of int | Shared
 
 type sched_req =
   | S_exec of {

@@ -37,10 +37,6 @@ let fifo ~lid ~home ~capacity =
   make ~lid ~home ~ftype:Hare_proto.Types.Fifo ~dist:false
     ~pipe:(Some (Pipe_state.create ~capacity))
 
-let blocks_for ~size =
-  if size <= 0 then 0
-  else ((size - 1) / Hare_mem.Layout.block_size) + 1
-
 let cut t ~keep =
   let have = Array.length t.blocks in
   if keep >= have then [||]
@@ -51,7 +47,7 @@ let cut t ~keep =
   end
 
 let trim_lease t =
-  if t.ftype = Hare_proto.Types.Reg then cut t ~keep:(blocks_for ~size:t.size)
+  if t.ftype = Hare_proto.Types.Reg then cut t ~keep:(Hare_mem.Layout.blocks_for t.size)
   else [||]
 
 let attr t =

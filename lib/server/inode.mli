@@ -31,10 +31,6 @@ val dir : lid:int -> home:int -> dist:bool -> t
 
 val fifo : lid:int -> home:int -> capacity:int -> t
 
-(** [blocks_for ~size] is the number of blocks needed to back [size]
-    bytes. *)
-val blocks_for : size:int -> int
-
 (** [cut t ~keep] shortens the block list to its first [keep] blocks
     and returns the rest (empty when there is no rest). *)
 val cut : t -> keep:int -> int array

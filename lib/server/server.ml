@@ -213,7 +213,7 @@ let maybe_release t (inode : Inode.t) =
    so the whole request can be retried after stealing. *)
 let ensure_blocks t (inode : Inode.t) ~size =
   let have = Array.length inode.blocks in
-  let need = Inode.blocks_for ~size in
+  let need = Hare_mem.Layout.blocks_for size in
   if need > have then
     match Blocklist.alloc_many t.blocks (need - have) with
     | None -> raise Out_of_blocks
@@ -231,7 +231,7 @@ let reclaim_lease t (inode : Inode.t) =
 
 let do_truncate t (inode : Inode.t) ~size =
   if size < inode.size then begin
-    let keep = Inode.blocks_for ~size in
+    let keep = Hare_mem.Layout.blocks_for size in
     let excess = Inode.cut inode ~keep in
     if Array.length excess > 0 then
       if inode.open_tokens > 0 then
@@ -259,31 +259,20 @@ let read_data t (inode : Inode.t) ~off ~len =
   if len = 0 then ""
   else begin
     let out = Bytes.create len in
-    let pos = ref 0 in
-    while !pos < len do
-      let foff = off + !pos in
-      let bi = foff / bs and boff = foff mod bs in
-      let n = min (len - !pos) (bs - boff) in
-      Hare_mem.Pcache.read_coherent t.pcache ~block:inode.blocks.(bi)
-        ~off:boff ~len:n ~dst:out ~dst_off:!pos;
-      pos := !pos + n
-    done;
+    Hare_mem.Layout.iter_range inode.blocks ~off ~len
+      (fun pc ~block ~off ~len dst dst_off ->
+        Hare_mem.Pcache.read_coherent pc ~block ~off ~len ~dst ~dst_off)
+      t.pcache out;
     Bytes.unsafe_to_string out
   end
 
 let write_data t (inode : Inode.t) ~off data =
   let len = String.length data in
   ensure_blocks t inode ~size:(off + len);
-  let src = Bytes.unsafe_of_string data in
-  let pos = ref 0 in
-  while !pos < len do
-    let foff = off + !pos in
-    let bi = foff / bs and boff = foff mod bs in
-    let n = min (len - !pos) (bs - boff) in
-    Hare_mem.Pcache.write_coherent t.pcache ~block:inode.blocks.(bi)
-      ~off:boff ~len:n ~src ~src_off:!pos;
-    pos := !pos + n
-  done;
+  Hare_mem.Layout.iter_range inode.blocks ~off ~len
+    (fun pc ~block ~off ~len src src_off ->
+      Hare_mem.Pcache.write_coherent pc ~block ~off ~len ~src ~src_off)
+    t.pcache (Bytes.unsafe_of_string data);
   if off + len > inode.size then inode.size <- off + len;
   len
 
@@ -565,22 +554,25 @@ let handle_close t ~token ~size (reply : reply) =
       end;
       reply (Ok Wire.P_unit))
 
-let effective_offset ofd ~off =
+(* A shared O_APPEND descriptor writes at end-of-file, wherever its
+   shared offset points (§3.4). *)
+let effective_offset ofd ~off ~append =
   match off with
   | Some o -> Ok (o, false)
   | None -> (
       match ofd.shared_offset with
+      | Some _ when append -> Ok (ofd.inode.Inode.size, true)
       | Some o -> Ok (o, true)
       | None -> Error Errno.EINVAL)
 
 (* Server-mediated file I/O: [io ofd o advance] moves bytes at offset
    [o] and reports the count to [advance], which moves a shared offset
    past them and yields the demotion to piggy-back on the reply. *)
-let file_io t ~token ~off (reply : reply) io =
+let file_io t ~token ~off ~append (reply : reply) io =
   with_ofd t token reply (fun ofd ->
       if ofd.pipe_end <> None then reply (Error Errno.EINVAL)
       else
-        match effective_offset ofd ~off with
+        match effective_offset ofd ~off ~append with
         | Error e -> reply (Error e)
         | Ok (o, shared) ->
             io ofd o (fun moved ->
@@ -591,14 +583,14 @@ let file_io t ~token ~off (reply : reply) io =
                 else None))
 
 let handle_read t ~token ~off ~len (reply : reply) =
-  file_io t ~token ~off reply (fun ofd o advance ->
+  file_io t ~token ~off ~append:false reply (fun ofd o advance ->
       let data = read_data t ofd.inode ~off:o ~len in
       let now_local = advance (String.length data) in
       let payload_lines = (String.length data / 64) + 1 in
       reply ~payload_lines (Ok (Wire.P_read { data; now_local })))
 
-let handle_write t ~token ~off ~data (reply : reply) =
-  file_io t ~token ~off reply (fun ofd o advance ->
+let handle_write t ~token ~off ~append ~data (reply : reply) =
+  file_io t ~token ~off ~append reply (fun ofd o advance ->
       let written = write_data t ofd.inode ~off:o data in
       let now_local = advance written in
       reply (Ok (Wire.P_write { written; size = ofd.inode.size; now_local })))
@@ -865,7 +857,8 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Open_inode { ino; trunc; client = _ } -> handle_open_inode t ~ino ~trunc reply
   | Wire.Close_fd { token; size } -> handle_close t ~token ~size reply
   | Wire.Read_fd { token; off; len } -> handle_read t ~token ~off ~len reply
-  | Wire.Write_fd { token; off; data } -> handle_write t ~token ~off ~data reply
+  | Wire.Write_fd { token; off; data; append } ->
+      handle_write t ~token ~off ~append ~data reply
   | Wire.Lseek_fd { token; pos; whence } -> handle_lseek t ~token ~pos ~whence reply
   | Wire.Alloc_blocks { ino; count; ahead } -> handle_alloc t ~ino ~count ~ahead reply
   | Wire.Get_blocks { ino } ->

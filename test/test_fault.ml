@@ -301,6 +301,117 @@ let test_stall_delays_but_delivers () =
   let r = Machine.robustness m in
   Alcotest.(check int) "no retries needed" 0 (Robust.get r Robust.retries)
 
+(* ---------- token recovery ---------------------------------------------- *)
+
+(* A crashed server forgets its descriptor tokens; the first use of one
+   afterwards answers EBADF, and the client re-opens the inode and
+   carries on (the retry protocol must be on for that). Each case runs
+   [body] with a [bounce fd] that crashes and restarts [fd]'s server on
+   the spot, then reads the file back and counts the recoveries. *)
+let recovery ?(direct = true) ?(extent = 1) body =
+  let config =
+    {
+      (soak_config ~deadline:25_000 ()) with
+      Config.direct_access = direct;
+      alloc_extent = extent;
+    }
+  in
+  let got = ref "" in
+  let m =
+    run ~config (fun m p ->
+        let bounce fd =
+          let srv = (Machine.servers m).((Posix.fstat p fd).Types.a_ino.server) in
+          Hare_server.Server.crash srv;
+          Hare_server.Server.restart srv
+        in
+        let fd = Posix.creat p "/f" in
+        body p fd bounce;
+        Posix.close p fd;
+        let fd = Posix.openf p "/f" flags_r in
+        got := Posix.read_all p fd;
+        Posix.close p fd;
+        0)
+  in
+  (!got, m)
+
+let recovered m = Robust.get (Machine.robustness m) Robust.tokens_recovered
+
+let test_recover_local_direct () =
+  let got, m =
+    recovery (fun p fd bounce ->
+        let other = Posix.openf p "/f" flags_r in
+        ignore (Posix.write p fd "abc");
+        bounce fd;
+        (* fsync's Update_size recovers the token and pushes the size *)
+        Posix.fsync p fd;
+        ignore (Posix.write p fd "def");
+        (* the crash already closed this one: close must not fail *)
+        bounce fd;
+        Posix.close p other;
+        Posix.fsync p fd)
+  in
+  Alcotest.(check string) "contents" "abcdef" got;
+  Alcotest.(check int) "tokens recovered" 2 (recovered m)
+
+let test_recover_local_rpc () =
+  let got, m =
+    recovery ~direct:false (fun p fd bounce ->
+        ignore (Posix.write p fd "abc");
+        ignore (Posix.lseek p fd ~pos:1 Types.Seek_set);
+        bounce fd;
+        (* the local offset survives the crash *)
+        Alcotest.(check string) "read" "bc" (Posix.read p fd ~len:8);
+        bounce fd;
+        ignore (Posix.write p fd "def"))
+  in
+  Alcotest.(check string) "contents" "abcdef" got;
+  Alcotest.(check int) "tokens recovered" 2 (recovered m)
+
+(* After a fork the offset lives at the server and dies with it: the
+   recovered descriptor falls back to a local offset at zero. *)
+let test_recover_shared () =
+  List.iter
+    (fun direct ->
+      let what = Printf.sprintf "direct=%b: " direct in
+      let got, m =
+        recovery ~direct (fun p fd bounce ->
+            ignore (Posix.write p fd "0123456789");
+            ignore (Posix.waitpid p (Posix.fork p (fun _child -> 0)));
+            bounce fd;
+            Alcotest.(check string) (what ^ "read from 0") "0123"
+              (Posix.read p fd ~len:4);
+            ignore (Posix.waitpid p (Posix.fork p (fun _child -> 0)));
+            bounce fd;
+            Alcotest.(check int) (what ^ "lseek from 0") 2
+              (Posix.lseek p fd ~pos:2 Types.Seek_cur);
+            ignore (Posix.waitpid p (Posix.fork p (fun _child -> 0)));
+            bounce fd;
+            ignore (Posix.write p fd "ab"))
+      in
+      Alcotest.(check string) (what ^ "write at 0") "ab23456789" got;
+      Alcotest.(check int) (what ^ "tokens recovered") 3 (recovered m))
+    [ true; false ]
+
+let test_recover_extent_lease () =
+  (* The restart reclaims the blocks leased ahead of the size; the
+     recovered descriptor must resync its block list, so growing the
+     file asks the server again instead of writing into freed blocks. *)
+  let page = String.make 5000 'x' in
+  let got, m =
+    recovery ~extent:8 (fun p fd bounce ->
+        ignore (Posix.write p fd page);
+        Posix.fsync p fd;
+        bounce fd;
+        Posix.fsync p fd;
+        ignore (Posix.write p fd page))
+  in
+  let perf = Hare_stats.Perf.get (Machine.perf m) in
+  Alcotest.(check int) "both growths allocate" 2 (perf Hare_stats.Perf.lease_misses);
+  Alcotest.(check int) "no write into a reclaimed lease" 0
+    (perf Hare_stats.Perf.lease_hits);
+  Alcotest.(check string) "contents" (page ^ page) got;
+  Alcotest.(check int) "tokens recovered" 1 (recovered m)
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -324,5 +435,12 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "readdir partial results" `Quick test_readdir_partial;
         tc "readdir strict EIO" `Quick test_readdir_strict_eio;
         tc "stall only delays" `Quick test_stall_delays_but_delivers;
+      ] );
+    ( "fault.recovery",
+      [
+        tc "local direct: fsync, close" `Quick test_recover_local_direct;
+        tc "local over RPC: read, write" `Quick test_recover_local_rpc;
+        tc "shared: read, lseek, write" `Quick test_recover_shared;
+        tc "extent lease resync" `Quick test_recover_extent_lease;
       ] );
   ]

@@ -106,7 +106,7 @@ let test_req_names_distinct () =
         ("CLOSE", "srv:CLOSE", Wire.Metadata, 200, true));
       (Wire.Read_fd { token = 1; off = None; len = 1 },
         ("READ", "srv:READ", Wire.Data, 300, true));
-      (Wire.Write_fd { token = 1; off = None; data = "" },
+      (Wire.Write_fd { token = 1; off = None; data = ""; append = false },
         ("WRITE", "srv:WRITE", Wire.Data, 300, true));
       (Wire.Lseek_fd { token = 1; pos = 0; whence = Types.Seek_set },
         ("LSEEK", "srv:LSEEK", Wire.Metadata, 100, true));

@@ -75,6 +75,66 @@ let test_offset_demotion_after_child_exit () =
          Posix.close p fd;
          0))
 
+(* Write through a descriptor shared with a forked child, then read the
+   file back through a fresh descriptor. *)
+let shared_fd_contents ~direct ~flags body =
+  let config = { (small_config ()) with Config.direct_access = direct } in
+  let got = ref "" in
+  ignore
+    (run ~config (fun _m p ->
+         let fd = Posix.openf p "/shared" flags in
+         body p fd;
+         Posix.close p fd;
+         let fd = Posix.openf p "/shared" flags_r in
+         got := Posix.read_all p fd;
+         Posix.close p fd;
+         0));
+  !got
+
+let test_shared_size_kept () =
+  (* Neither a second fork nor an fsync of an already-shared descriptor
+     may push the parent's stale size view: the server's size is
+     authoritative once the offset is shared (§3.4). *)
+  let second_fork p _fd = ignore (Posix.waitpid p (Posix.fork p (fun _ -> 0))) in
+  List.iter
+    (fun (what, step) ->
+      List.iter
+        (fun direct ->
+          let got =
+            shared_fd_contents ~direct ~flags:Types.flags_w (fun p fd ->
+                ignore (Posix.write p fd "aa");
+                let pid =
+                  Posix.fork p (fun child ->
+                      ignore (Posix.write child fd "bb");
+                      0)
+                in
+                ignore (Posix.waitpid p pid);
+                step p fd)
+          in
+          Alcotest.(check string) (Printf.sprintf "%s, direct=%b" what direct)
+            "aabb" got)
+        [ true; false ])
+    [ ("second fork", second_fork); ("fsync", Posix.fsync) ]
+
+let test_shared_append () =
+  (* O_APPEND on a shared descriptor writes at end-of-file, wherever the
+     shared offset points. *)
+  List.iter
+    (fun direct ->
+      let got =
+        shared_fd_contents ~direct ~flags:Types.flags_a (fun p fd ->
+            ignore (Posix.write p fd "aa");
+            let pid =
+              Posix.fork p (fun child ->
+                  ignore (Posix.lseek child fd ~pos:0 Types.Seek_set);
+                  ignore (Posix.write child fd "bb");
+                  0)
+            in
+            ignore (Posix.waitpid p pid))
+      in
+      Alcotest.(check string) (Printf.sprintf "direct=%b" direct) "aabb" got)
+    [ true; false ]
+
 let test_pipe_basic () =
   ignore
     (run (fun _m p ->
@@ -359,6 +419,8 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "shared write offset" `Quick test_fork_shared_offset;
         tc "shared read offset" `Quick test_fork_shared_read_offset;
         tc "offset demotion" `Quick test_offset_demotion_after_child_exit;
+        tc "shared size kept" `Quick test_shared_size_kept;
+        tc "O_APPEND on a shared fd" `Quick test_shared_append;
       ] );
     ( "proc.pipe",
       [

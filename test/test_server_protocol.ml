@@ -179,7 +179,7 @@ let test_fd_refcount_keeps_unlinked_inode () =
         | Ok (Wire.P_open_ino { oi; ino }) -> (oi.Wire.token, ino)
         | _ -> Alcotest.fail "create"
       in
-      ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "keep" }));
+      ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "keep"; append = false }));
       (* share it, unlink it *)
       ignore (call rig (Wire.Inc_fd_ref { token; offset = Some 0 }));
       ignore (call rig (Wire.Rm_map { dir = root; name = "f"; only_if = None; client = 1; home = 0 }));
@@ -211,7 +211,7 @@ let test_shared_offset_demotion_reply () =
         | Ok (Wire.P_open_ino { oi; _ }) -> oi.Wire.token
         | _ -> Alcotest.fail "create"
       in
-      ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "0123456789" }));
+      ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "0123456789"; append = false }));
       ignore (call rig (Wire.Inc_fd_ref { token; offset = Some 4 }));
       (* refcount 2: reads use the shared offset, no demotion *)
       (match call rig (Wire.Read_fd { token; off = None; len = 2 }) with
@@ -397,7 +397,7 @@ let test_migration_round_trip () =
         | Ok (Wire.P_open_ino { oi; _ }) -> oi.Wire.token
         | _ -> Alcotest.fail "create f"
       in
-      ok "write" (call a (Wire.Write_fd { token; off = Some 0; data = "hello" }));
+      ok "write" (call a (Wire.Write_fd { token; off = Some 0; data = "hello"; append = false }));
       (* a tracked lookup by client 1 *)
       ok "lookup" (call a (Wire.Lookup { dir = root; name = "f"; client = 1; home = 0 }));
       (* home 0's shard of a directory whose inode lives at home 1,
