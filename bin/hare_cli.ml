@@ -647,9 +647,8 @@ let report_ring m place =
     "ring: %d logical homes x %d vnodes over %d physical servers (epoch %d)\n"
     (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
     (Place.epoch place);
-  let loads = Machine.server_loads m in
   Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
-    (Machine.seconds m) (Driver.imbalance loads);
+    (Machine.seconds m) (Driver.imbalance (Machine.server_loads m));
   Table.print
     ~headers:
       [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops"; "peak-q"; "in";
@@ -657,11 +656,6 @@ let report_ring m place =
     (Array.to_list (Machine.servers m)
     |> List.map (fun s ->
            let sid = Server.sid s in
-           let ops, peak =
-             List.fold_left
-               (fun acc (i, o, q) -> if i = sid then (o, q) else acc)
-               (0, 0) loads
-           in
            [
              Printf.sprintf "fs%d" sid;
              (if Place.active place sid then "active" else "retired");
@@ -669,8 +663,9 @@ let report_ring m place =
            ]
            @ List.map string_of_int
                [
-                 Server.inode_count s; Server.dentry_count s; ops; peak;
-                 Server.homes_migrated_in s; Server.homes_migrated_out s;
+                 Server.inode_count s; Server.dentry_count s;
+                 Hare_stats.Opcount.total (Server.ops s); Server.peak_queue s;
+                 Place.moved_in place sid; Place.moved_out place sid;
                  Server.moved_rejects s;
                ]));
   print_newline ();

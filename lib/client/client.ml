@@ -30,7 +30,6 @@ type t = {
   core : Core_res.t;
   pcache : Pcache.t;
   tp : Transport.t;  (* every RPC of this client goes through it *)
-  nhomes : int;  (* the hashing space: logical server count *)
   server_sockets : int array;
   local_server : int;
   dircache : Dircache.t;
@@ -54,10 +53,6 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
     tp =
       Transport.create ~engine ~config ~cid ~core ~servers ?place ~robust ~perf
         ();
-    nhomes =
-      (match place with
-      | Some p -> Hare_place.Place.nhomes p
-      | None -> Array.length servers);
     server_sockets;
     local_server;
     dircache =
@@ -93,7 +88,7 @@ let drain_window t = Transport.drain_window t.tp
 (* The hashing space: placement decisions (dentry_server, shard_servers,
    choose_inode_server) distribute over logical homes, never physical
    servers, so where things live is independent of ring membership. *)
-let nservers t = t.nhomes
+let nservers t = Hare_config.Config.nservers t.config
 
 (* Effective distribution width: the whole machine (the paper), or the
    configured subset size (§6 extension). *)
@@ -186,7 +181,8 @@ let refresh_blocks t (fs : Fdtable.file_state) =
    use of a token answers [EBADF]. Recover by re-opening the inode —
    which survived in DRAM — and patching the new token into the
    descriptor. A server-owned shared offset died with the server, so the
-   descriptor falls back to a local offset at zero. *)
+   descriptor falls back to a local offset at zero. [false]: the inode
+   is gone too (unlinked, and reclaimed by the restart). *)
 let recover_token t (fs : Fdtable.file_state) =
   match open_inode call t fs.f_ino ~trunc:false with
   | Ok (Wire.P_open oi) ->
@@ -211,19 +207,20 @@ let recover_token t (fs : Fdtable.file_state) =
            ~stale:(Array.of_seq (disowned (Array.to_seq fs.f_blocks)));
          fs.f_size <- size
        end);
-      if fs.f_pos = Shared then fs.f_pos <- Local 0
+      if fs.f_pos = Shared then fs.f_pos <- Local 0;
+      true
+  | Error Errno.ENOENT -> false
   | Ok _ | Error _ ->
       Errno.raise_errno Errno.EBADF "descriptor lost in server crash"
 
 (* A descriptor RPC, its reply handed to [k]. On a token a crashed server
    forgot, recover the descriptor and [retry] the whole operation, which
-   may now take the local path. *)
+   may now take the local path; a descriptor whose inode is gone fails
+   with [EBADF]. *)
 let fd_rpc t (fs : Fdtable.file_state) req ~retry k =
   match call t fs.f_ino.server req with
   | Ok payload -> k payload
-  | Error e when Transport.stale_token t.tp e ->
-      recover_token t fs;
-      retry ()
+  | Error e when Transport.stale_token t.tp e && recover_token t fs -> retry ()
   | Error e -> Errno.raise_errno e (Wire.info req).name
 
 (* ---------- path resolution -------------------------------------------- *)
@@ -644,8 +641,13 @@ let release_desc t (entry : Fdtable.entry) =
        with
       | None | Some (Ok _) -> ()
       | Some (Error e) when Transport.stale_token t.tp e ->
-          (* The crash already closed the descriptor for us. *)
-          ()
+          (* The crash closed the descriptor but forgot the size we
+             report: recover a token and close that one with it. An
+             inode the restart reclaimed has no size left to keep. *)
+          if size <> None && recover_token t fs then
+            ignore
+              (rpc t fs.f_ino.server
+                 (Wire.Close_fd { token = fs.f_token; size = Some fs.f_size }))
       | Some (Error e) -> Errno.raise_errno e "close")
   | Fdtable.Pipe p -> (
       match call t p.p_ino.server (Wire.Close_fd { token = p.p_token; size = None }) with

@@ -117,6 +117,33 @@ let v ?ncores ?placement ?exec_policy ?seed () =
   in
   match seed with Some s -> { t with seed = s } | None -> t
 
+let nservers t =
+  match t.placement with
+  | Timeshare -> t.ncores
+  | Split n -> n
+  | Sharded { servers; _ } -> servers
+
+(* Physical server count: logical homes plus the spare servers a shard
+   plan will activate mid-run. Equals [nservers] when the plan is empty,
+   so membership-stable Sharded matches Split exactly. *)
+let physical_servers t =
+  match t.placement with
+  | Timeshare -> t.ncores
+  | Split n -> n
+  | Sharded { servers; _ } ->
+      servers + Hare_place.Place.count_adds t.shard_plan
+
+(* A fault plan must parse and strike only servers that boot. *)
+let check_fault_plan t =
+  let n = physical_servers t in
+  match Hare_fault.Plan.parse t.fault_plan with
+  | Error e -> Error ("bad fault plan: " ^ e)
+  | Ok { events; _ } -> (
+      match List.find_opt (fun (e : Hare_fault.Plan.server_event) -> e.ev_sid >= n) events with
+      | Some e ->
+          Error (Printf.sprintf "fault plan targets fs%d but only %d server(s) exist" e.ev_sid n)
+      | None -> Ok ())
+
 let validate t =
   if t.ncores <= 0 then Error "ncores must be positive"
   else if t.cores_per_socket <= 0 then Error "cores_per_socket must be positive"
@@ -166,12 +193,12 @@ let validate t =
   then Error "a shard plan requires Sharded placement"
   else
     match t.placement with
-    | Timeshare -> Ok ()
+    | Timeshare -> check_fault_plan t
     | Split n ->
         if n <= 0 then Error "split server count must be positive"
         else if n >= t.ncores then
           Error "split must leave at least one application core"
-        else Ok ()
+        else check_fault_plan t
     | Sharded { servers; vnodes } -> (
         if servers <= 0 then Error "sharded server count must be positive"
         else if vnodes <= 0 then
@@ -180,20 +207,13 @@ let validate t =
           match Hare_place.Place.parse_plan t.shard_plan with
           | Error e -> Error e
           | Ok events ->
-              let adds =
-                List.fold_left
-                  (fun n -> function
-                    | Hare_place.Place.Add _ -> n + 1
-                    | Hare_place.Place.Remove _ -> n)
-                  0 events
-              in
               let removes = List.filter_map
                   (function
                     | Hare_place.Place.Remove { sid; _ } -> Some sid
                     | Hare_place.Place.Add _ -> None)
                   events
               in
-              let nphys = servers + adds in
+              let nphys = physical_servers t in
               if nphys >= t.ncores then
                 Error
                   "sharded must leave at least one application core (servers \
@@ -206,23 +226,7 @@ let validate t =
               then Error "shard plan removes the same server twice"
               else if List.length removes >= nphys then
                 Error "shard plan must leave at least one server in the ring"
-              else Ok ())
-
-let nservers t =
-  match t.placement with
-  | Timeshare -> t.ncores
-  | Split n -> n
-  | Sharded { servers; _ } -> servers
-
-(* Physical server count: logical homes plus the spare servers a shard
-   plan will activate mid-run. Equals [nservers] when the plan is empty,
-   so membership-stable Sharded matches Split exactly. *)
-let physical_servers t =
-  match t.placement with
-  | Timeshare -> t.ncores
-  | Split n -> n
-  | Sharded { servers; _ } ->
-      servers + Hare_place.Place.count_adds t.shard_plan
+              else check_fault_plan t)
 
 let server_cores t =
   match t.placement with

@@ -195,7 +195,9 @@ val v : ?ncores:int -> ?placement:placement -> ?exec_policy:exec_policy -> ?seed
 (** [v ()] is {!default} with the given overrides. *)
 
 val validate : t -> (unit, string) result
-(** Check internal consistency (positive sizes, split bounds, ...). *)
+(** Check internal consistency (positive sizes, split bounds, ...),
+    including that the fault plan parses and that each of its crash and
+    stall events names one of the {!physical_servers}. *)
 
 val nservers : t -> int
 (** Number of {e logical} file servers implied by the placement — the

@@ -80,11 +80,8 @@ let boot (config : Config.t) =
   let place =
     match config.placement with
     | Config.Sharded { servers; vnodes } ->
-        let events =
-          match Place.parse_plan config.shard_plan with
-          | Ok evs -> evs
-          | Error msg -> invalid_arg ("Machine.boot: bad shard_plan: " ^ msg)
-        in
+        (* [Config.validate] has checked the plan. *)
+        let events = Result.get_ok (Place.parse_plan config.shard_plan) in
         Some (Place.create ~nhomes:servers ~vnodes ~events)
     | Config.Timeshare | Config.Split _ -> None
   in
@@ -108,28 +105,17 @@ let boot (config : Config.t) =
           ~name:(Printf.sprintf "inval%d" i)
           ~owner:cores.(i) ~costs ())
   in
-  (* Fault injection: parse the plan once at boot; an empty plan means no
-     injector at all, so the fault-free fast paths stay untouched. *)
+  (* Fault injection: the plan, its syntax and server ids checked by
+     [Config.validate]; an empty plan means no injector at all, so the
+     fault-free fast paths stay untouched. *)
   let injector =
-    let plan =
-      match Hare_fault.Plan.parse config.fault_plan with
-      | Ok p -> p
-      | Error msg -> invalid_arg ("Machine.boot: bad fault_plan: " ^ msg)
-    in
+    let plan = Hare_fault.Plan.parse_exn config.fault_plan in
     if Hare_fault.Plan.is_empty plan then None
-    else begin
-      List.iter
-        (fun (ev : Hare_fault.Plan.server_event) ->
-          if ev.ev_sid < 0 || ev.ev_sid >= nphys then
-            invalid_arg
-              (Printf.sprintf "Machine.boot: fault_plan targets fs%d but only %d server(s) exist"
-                 ev.ev_sid nservers))
-        plan.events;
+    else
       Some
         (Hare_fault.Injector.create ~engine
            ~seed:(Int64.add config.seed 0x7a57L)
            plan)
-    end
   in
   let fault_link s =
     Option.map (fun inj -> Hare_fault.Injector.link inj ~sid:s) injector
@@ -140,7 +126,7 @@ let boot (config : Config.t) =
           ~core:cores.(server_cores.(s))
           ~pcache:pcaches.(server_cores.(s))
           ~dram ~blocks_first:(s * per_server) ~blocks_count:per_server
-          ~inval_ports ?place ?faults:(fault_link s) ())
+          ~inval_ports ?faults:(fault_link s) ())
   in
   Server.install_root servers.(Types.root_ino.server);
   Array.iter Server.start servers;
@@ -217,85 +203,9 @@ let boot (config : Config.t) =
           ~endpoint:sched_ports.(i) ())
   in
   Array.iter Hare_sched.Sched_server.start scheds;
-  (* Rebalancing coordinator: one daemon fiber walks the membership plan
-     in time order. For each home to move it flips the ring route FIRST
-     (requests admitted after the old owner packs the shard bounce with
-     [EMOVED] and chase the new route), then hands the shard off with a
-     reliable Migrate_out / Install_shard pair — the fault injector never
-     touches coordinator traffic, so a handed-off shard cannot be lost.
-     A busy shard (parked pipe readers, held rmdir locks, in-flight
-     steals) refuses to pack; the route is restored while it drains and
-     the move retried, bounded, before being abandoned. *)
-  (match place with
-  | Some p when Place.migratory p ->
-      let coord_core = cores.(List.hd (Config.app_cores config)) in
-      let migrate ~home ~dst =
-        let src = Place.phys p home in
-        if src <> dst then begin
-          let rec attempt tries =
-            Place.set_route p ~home ~dst;
-            match
-              Hare_msg.Rpc.call
-                (Server.endpoint servers.(src))
-                ~from:coord_core
-                (Wire.Migrate_out { home })
-            with
-            | Ok (Wire.P_pack pack) -> (
-                match
-                  Hare_msg.Rpc.call
-                    (Server.endpoint servers.(dst))
-                    ~from:coord_core
-                    (Wire.Install_shard { home; pack })
-                with
-                | Ok _ -> Place.note_migration p
-                | Error _ ->
-                    (* The destination refused an install it must accept;
-                       fail loudly rather than lose the shard. *)
-                    failwith "Machine: shard install refused")
-            | Ok _ ->
-                (* A pack reply carries P_pack by construction. *)
-                failwith "Machine: malformed Migrate_out reply"
-            | Error _ when tries > 0 ->
-                (* Busy (or mid-crash): point the route back at the still-
-                   hosting source while the shard drains, then retry. *)
-                Place.set_route p ~home ~dst:src;
-                Engine.sleep_cycles 2_000;
-                attempt (tries - 1)
-            | Error _ ->
-                Place.set_route p ~home ~dst:src;
-                Place.note_abort p
-          in
-          attempt 50
-        end
-      in
-      let ev_at = function Place.Add { at } | Place.Remove { at; _ } -> at in
-      let events =
-        List.stable_sort
-          (fun a b -> Int64.compare (ev_at a) (ev_at b))
-          (Place.events p)
-      in
-      let next_spare = ref (Place.nhomes p) in
-      let body () =
-        List.iter
-          (fun ev ->
-            let lag = Int64.sub (ev_at ev) (Engine.now engine) in
-            if Int64.compare lag 0L > 0 then Engine.sleep lag;
-            (match ev with
-            | Place.Add _ ->
-                let q = !next_spare in
-                incr next_spare;
-                Place.activate p q;
-                List.iter (fun home -> migrate ~home ~dst:q) (Place.plan_add p q)
-            | Place.Remove { sid; _ } ->
-                Place.deactivate p sid;
-                List.iter
-                  (fun (home, dst) -> migrate ~home ~dst)
-                  (Place.plan_remove p sid));
-            Place.commit p)
-          events
-      in
-      ignore (Engine.spawn engine ~daemon:true ~name:"rebalancer" body)
-  | _ -> ());
+  (* Shard migration: the rebalancer walks the ring's membership plan. *)
+  let coordinator = cores.(kctx.Process.k_app_cores.(0)) in
+  Option.iter (Hare_server.Migrate.start engine ~core:coordinator ~servers:endpoints) place;
   (* Time-series telemetry: register the machine's gauges and
      subscribe the sampler to the bus. Every gauge is a cost-free
      host-side accessor, and sampling runs between events without

@@ -60,6 +60,7 @@ let extensions =
     ("Dedup (exactly-once retries)", "lib/server/dedup");
     ("Steal (block stealing)", "lib/server/steal");
     ("Admission (shedding, expiry, EMOVED)", "lib/server/admission");
+    ("Migrate (shard hand-off, rebalancer)", "lib/server/migrate");
     ("Transport (retries, breakers, window)", "lib/client/transport");
   ]
 

@@ -17,7 +17,8 @@ type t = {
   active : bool array; (* ring membership, per physical server *)
   events : event list;
   mutable epoch : int;
-  mutable migrations : int;
+  moved_in : int array; (* homes handed to each physical server *)
+  moved_out : int array; (* homes handed away by each *)
   mutable aborted : int;
 }
 
@@ -36,7 +37,8 @@ let create ~nhomes ~vnodes ~events =
     active = Array.init nphys (fun p -> p < nhomes);
     events;
     epoch = 0;
-    migrations = 0;
+    moved_in = Array.make nphys 0;
+    moved_out = Array.make nphys 0;
     aborted = 0;
   }
 
@@ -44,7 +46,6 @@ let nhomes t = t.nhomes
 let nphys t = t.nphys
 let vnodes t = t.vnodes
 let events t = t.events
-let migratory t = t.events <> []
 let epoch t = t.epoch
 let phys t home = t.route.(home)
 let set_route t ~home ~dst = t.route.(home) <- dst
@@ -130,9 +131,13 @@ let plan_remove t p =
   !moves
 
 let commit t = t.epoch <- t.epoch + 1
-let note_migration t = t.migrations <- t.migrations + 1
+let note_migration t ~src ~dst =
+  t.moved_out.(src) <- t.moved_out.(src) + 1;
+  t.moved_in.(dst) <- t.moved_in.(dst) + 1
 let note_abort t = t.aborted <- t.aborted + 1
-let migrations t = t.migrations
+let migrations t = Array.fold_left ( + ) 0 t.moved_in
+let moved_in t p = t.moved_in.(p)
+let moved_out t p = t.moved_out.(p)
 let aborted t = t.aborted
 
 (* Plan grammar: `add@CYCLES;remove:SID@CYCLES` — same shape as the

@@ -35,11 +35,6 @@ val vnodes : t -> int
 
 val events : t -> event list
 
-val migratory : t -> bool
-(** [true] iff the membership plan is non-empty — the gate for every
-    migration-only code path (home-tagged descriptor tokens, ownership
-    checks, [EMOVED] bounces). *)
-
 val epoch : t -> int
 
 val phys : t -> int -> int
@@ -75,12 +70,17 @@ val commit : t -> unit
 
 (** {1 Counters (host-side, cost-free)} *)
 
-val note_migration : t -> unit
+val note_migration : t -> src:int -> dst:int -> unit
 
 val note_abort : t -> unit
 
 val migrations : t -> int
 (** Homes successfully handed off. *)
+
+val moved_in : t -> int -> int
+(** Homes handed to a physical server; {!moved_out}: handed away. *)
+
+val moved_out : t -> int -> int
 
 val aborted : t -> int
 (** Migrations abandoned (busy shard that never drained). *)

@@ -12,13 +12,12 @@ type t = {
   endpoint : (Wire.fs_req, Wire.fs_resp) Rpc.t;
   robust : Robust.t;
   dedup : Home.reply Dedup.t;
-  migratory : bool;
   homes : Home.t Tbl.Int.t;
   mutable moved_rejects : int;
 }
 
 let create ~engine ~(config : Hare_config.Config.t) ~core ~endpoint ~robust ~dedup
-    ~migratory ~homes =
+    ~homes =
   {
     engine;
     watermark = config.shed_watermark;
@@ -27,14 +26,13 @@ let create ~engine ~(config : Hare_config.Config.t) ~core ~endpoint ~robust ~ded
     endpoint;
     robust;
     dedup;
-    migratory;
     homes;
     moved_rejects = 0;
   }
 
 let moved_rejects t = t.moved_rejects
 
-(* Which logical home a request under a shard plan addresses; -1 for
+(* Which logical home a request addresses; -1 for
    requests with no home affinity (block stealing, the migration protocol
    itself). Entry operations carry it explicitly; inode and token
    operations encode it in the target id. *)
@@ -78,7 +76,7 @@ let req_home (req : Wire.fs_req) =
    shadow the real execution), and the retry — same idempotency tag, new
    owner — must be free to execute. *)
 let moved t ~dispatch (r : _ Rpc.request) =
-  let h = if t.migratory then req_home r.body else -1 in
+  let h = req_home r.body in
   if h < 0 || Tbl.Int.mem t.homes h then false
   else begin
     t.moved_rejects <- t.moved_rejects + 1;

@@ -8,8 +8,8 @@
     expiry drop costs it a full timeout, so a shed wins even over an
     expired copy. A tagged copy whose propagated deadline has passed is
     dropped without a reply: its client already sent a retransmission.
-    Under a shard plan, a request whose home has migrated away is
-    bounced with [EMOVED]. Admitting allocates nothing. *)
+    A request addressed to a home this server does not host (it
+    migrated away) is bounced with [EMOVED]. Admitting allocates nothing. *)
 
 type t
 
@@ -20,7 +20,6 @@ val create :
   endpoint:(Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.t ->
   robust:Hare_stats.Robust.t ->
   dedup:Home.reply Dedup.t ->
-  migratory:bool ->
   homes:Home.t Hare_sim.Tbl.Int.t ->
   t
 (** [homes] is the server's table of hosted homes, read live. Sheds and

@@ -98,22 +98,12 @@ let drop_dir h dir =
 
 let home_shift = 40
 
-let mint_token h ~migratory =
+let mint_token h =
   let k = h.next_token in
   h.next_token <- k + 1;
-  if migratory then (h.hid lsl home_shift) lor k else k
+  (h.hid lsl home_shift) lor k
 
 let token_home token = token lsr home_shift
-
-let busy h =
-  Dtbl.length h.marks > 0
-  || Dtbl.fold
-       (fun _ l busy -> busy || l.held || not (Queue.is_empty l.lock_waiters))
-       h.locks false
-  || Itbl.fold
-       (fun _ (i : Inode.t) busy ->
-         busy || match i.pipe with Some p -> Pipe_state.parked p > 0 | None -> false)
-       h.inodes false
 
 let crash homes =
   let aborted = ref 0 in

@@ -69,20 +69,14 @@ val drop_dir : t -> Hare_proto.Types.ino -> unit
 
 (** {1 Descriptor tokens} *)
 
-val mint_token : t -> migratory:bool -> int
-(** The home's next descriptor token. Under a shard plan ([migratory])
-    a token carries its home in the high bits, so tokens minted by
-    different homes never collide when the homes later share a physical
-    server, and {!token_home} reads the home off a bare token. Static
-    placements mint plain counters. *)
+val mint_token : t -> int
+(** The home's next descriptor token. A token carries its home in the
+    high bits, so tokens minted by different homes never collide when
+    the homes later share a physical server, and {!token_home} reads the
+    home off a bare token. *)
 
 val token_home : int -> int
-(** The home a token minted under a shard plan names. *)
-
-val busy : t -> bool
-(** Whether continuations are parked on the home (rmdir marks and
-    locks, blocked pipe I/O). They are bound to this server's endpoint,
-    so a busy home cannot be packed for migration. *)
+(** The home a token names. *)
 
 (** {1 Crash and restart} *)
 

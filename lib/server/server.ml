@@ -16,17 +16,6 @@ exception Out_of_blocks
 (* The home record and its table operations (entries, tracking lists). *)
 open Home
 
-(* Shard-migration payload: one logical home's record, moved between
-   physical servers by reference (host-side values; the block contents
-   never leave DRAM). Defined as a [Wire.pack] extension because it
-   mentions server-internal types. *)
-type Wire.pack +=
-  | Pack of {
-      p_home : Home.t;
-      p_blocks : int array; (* buffer-cache ownership to adopt *)
-      p_dedup : (int * int * Wire.fs_resp) list; (* client, seq, resp *)
-    }
-
 type t = {
   sid : int;
   engine : Engine.t;
@@ -37,14 +26,8 @@ type t = {
   dram : Hare_mem.Dram.t;
   blocks : Blocklist.t;
   endpoint : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t;
-  (* Consistent-hash sharding: [migratory] is true iff the machine has a
-     ring-membership plan; only then do token namespacing, ownership
-     checks and EMOVED rejections exist. [homes] holds the logical homes
-     this physical server currently serves. *)
-  migratory : bool;
+  (* The logical homes this physical server currently serves. *)
   homes : Home.t Itbl.t;
-  mutable homes_in : int; (* homes adopted via Install_shard *)
-  mutable homes_out : int; (* homes packed via Migrate_out *)
   inval_ports : Wire.inval Hare_msg.Mailbox.t array;
   ops : Hare_stats.Opcount.t;
   perf : Perf.t;
@@ -56,27 +39,21 @@ type t = {
   boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
   dedup : reply Dedup.t;
   robust : Robust.t;
-  (* extensions: overload and migration admission, block stealing *)
+  (* extensions: admission (overload, EMOVED), stealing, migration *)
   admission : Admission.t;
   steal : Steal.t;
+  migrate : Migrate.t;
 }
 
 let bs = Hare_mem.Layout.block_size
 
 let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
-    ~inval_ports ?place ?faults () =
-  let migratory =
-    match place with
-    | Some p -> Hare_place.Place.migratory p
-    | None -> false
-  in
+    ~inval_ports ?faults () =
   let homes = Itbl.create 4 in
   (* A spare server (physical id beyond the logical home space) boots
      hosting nothing; it acquires homes via Install_shard when its ring
      Add event fires. Everyone else starts as its own home. *)
-  (match place with
-  | Some p when migratory && sid >= Hare_place.Place.nhomes p -> ()
-  | _ -> Itbl.replace homes sid (Home.create sid));
+  if sid < Hare_config.Config.nservers config then Itbl.replace homes sid (Home.create sid);
   let perf = Perf.create () and robust = Robust.create () in
   let blocks = Blocklist.create ~first:blocks_first ~count:blocks_count in
   let endpoint =
@@ -99,10 +76,7 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     dram;
     blocks;
     endpoint;
-    migratory;
     homes;
-    homes_in = 0;
-    homes_out = 0;
     inval_ports;
     ops = Hare_stats.Opcount.create ();
     perf;
@@ -113,9 +87,9 @@ let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     dedup;
     robust;
     admission =
-      Admission.create ~engine ~config ~core ~endpoint ~robust ~dedup ~migratory
-        ~homes;
+      Admission.create ~engine ~config ~core ~endpoint ~robust ~dedup ~homes;
     steal = Steal.create ~engine ~config ~sid ~core ~blocks;
+    migrate = Migrate.create ~homes ~pcache ~blocks ~dedup;
   }
 
 let sid t = t.sid
@@ -155,14 +129,8 @@ let home t hid = Itbl.find t.homes hid
 
 let hosts t hid = Itbl.mem t.homes hid
 
-let token_home t token = if t.migratory then Home.token_home token else t.sid
-
 let hosted_homes t =
   Itbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
-
-let homes_migrated_in t = t.homes_in
-
-let homes_migrated_out t = t.homes_out
 
 let moved_rejects t = Admission.moved_rejects t.admission
 
@@ -185,7 +153,7 @@ let global (inode : Inode.t) =
 (* A descriptor lives with its inode's home (the home a token names). *)
 let new_token t (inode : Inode.t) ~pipe_end =
   let h = home t inode.Inode.home in
-  let token = Home.mint_token h ~migratory:t.migratory in
+  let token = Home.mint_token h in
   let ofd = { token; inode; refcount = 1; shared_offset = None; pipe_end } in
   Itbl.replace h.tokens token ofd;
   inode.Inode.open_tokens <- inode.Inode.open_tokens + 1;
@@ -529,7 +497,7 @@ let handle_open_inode t ~ino ~trunc (reply : reply) =
           reply (Ok (Wire.P_open (open_info ofd))))
 
 (* The descriptor table a token lives in: its home's. *)
-let tokens t token = (home t (token_home t token)).tokens
+let tokens t token = (home t (Home.token_home token)).tokens
 
 let with_ofd t token (reply : reply) f =
   match Itbl.find_opt (tokens t token) token with
@@ -762,74 +730,6 @@ let creation_mark t (req : Wire.fs_req) =
       Dtbl.find_opt (home t hid).marks dir
   | _ -> None
 
-(* ---------- shard migration (consistent-hash rebalancing) -------------- *)
-
-(* Pack logical home [hid] and hand it to the coordinator. The route was
-   flipped before this message was sent, and the mailbox is FIFO, so
-   everything that arrives after it finds the home absent and is bounced
-   with EMOVED.
-
-   A home with parked continuations — its own, or requests parked behind
-   a block steal — cannot be packed: the closures are bound to this
-   server's endpoint and would answer from the wrong mailbox after the
-   move. Parked work is also what keeps a [Pending] dedup entry alive, so
-   a packable home has none. The coordinator backs off and retries. *)
-let handle_migrate_out t ~home:hid (reply : reply) =
-  match Itbl.find_opt t.homes hid with
-  | Some h when t.migratory ->
-      if Home.busy h || Steal.busy t.steal then reply (Error Errno.EBUSY)
-      else begin
-        (* Invalidation tracking does not transplant: fire every
-           registered callback now (one-shot semantics — clients
-           re-register at the new owner on their next lookup), so no
-           client can sit on a cached entry this server would have been
-           responsible for invalidating. *)
-        Dtbl.iter
-          (fun dir per_dir ->
-            Stbl.iter
-              (fun name clients ->
-                Itbl.iter (fun client () -> inval t ~dir ~name client) clients)
-              per_dir)
-          h.tracking;
-        Dtbl.reset h.tracking;
-        (* Buffer-cache ownership follows the inodes; the block bytes stay
-           in DRAM. Flush our private cached lines so the new owner reads
-           current data through its own cache. *)
-        let p_blocks =
-          Array.concat
-            (Itbl.fold (fun _ (i : Inode.t) acc -> i.blocks :: i.orphans :: acc) h.inodes [])
-        in
-        Array.iter
-          (fun b ->
-            Hare_mem.Pcache.writeback_block t.pcache b;
-            Hare_mem.Pcache.invalidate_block t.pcache b)
-          p_blocks;
-        Blocklist.export t.blocks p_blocks;
-        Itbl.remove t.homes hid;
-        t.homes_out <- t.homes_out + 1;
-        (* Completed idempotency entries travel with the shard: a client
-           retrying a request the old owner already executed must replay
-           the cached response at the new owner, not re-execute. *)
-        let p_dedup = Dedup.export t.dedup in
-        let items =
-          Itbl.length h.inodes + Itbl.length h.tokens
-          + Dtbl.length h.dirs + List.length p_dedup
-        in
-        reply ~payload_lines:(items + 1)
-          (Ok (Wire.P_pack (Pack { p_home = h; p_blocks; p_dedup })))
-      end
-  | _ -> reply (Error Errno.EINVAL)
-
-let handle_install_shard t ~home:hid ~pack (reply : reply) =
-  match pack with
-  | Pack p when t.migratory ->
-      Blocklist.adopt_allocated t.blocks p.p_blocks;
-      Dedup.import t.dedup p.p_dedup;
-      Itbl.replace t.homes hid p.p_home;
-      t.homes_in <- t.homes_in + 1;
-      reply (Ok Wire.P_unit)
-  | _ -> reply (Error Errno.EINVAL)
-
 let rec handle t (req : Wire.fs_req) (reply : reply) =
   match creation_mark t req with
   | Some m -> Queue.push (req, reply) m.parked
@@ -899,8 +799,9 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply
   | Wire.Steal_blocks { count } -> Steal.donate t.steal ~count reply
-  | Wire.Migrate_out { home } -> handle_migrate_out t ~home reply
-  | Wire.Install_shard { home; pack } -> handle_install_shard t ~home ~pack reply
+  | Wire.Migrate_out { home } ->
+      Migrate.pack t.migrate ~home ~stealing:(Steal.busy t.steal) ~inval:(inval t) reply
+  | Wire.Install_shard { home; pack } -> Migrate.install t.migrate ~home ~pack reply
 
 (* ---------- execution, idempotency, crash/recovery --------------------- *)
 

@@ -21,17 +21,14 @@ val create :
   blocks_first:int ->
   blocks_count:int ->
   inval_ports:Hare_proto.Wire.inval Hare_msg.Mailbox.t array ->
-  ?place:Hare_place.Place.t ->
   ?faults:Hare_fault.Injector.link ->
   unit ->
   t
 (** [faults] attaches this server's fault-injector link (also routed into
-    the request mailbox) so crashes blackhole unreliable traffic.
-    [place] is the consistent-hash ring shared by the whole machine. The
-    server keeps each logical home it hosts in one record — just its own
-    under a static placement; when the membership plan is non-empty
-    whole records migrate in and out, and descriptor tokens carry their
-    home in their high bits. *)
+    the request mailbox) so crashes blackhole unreliable traffic. The
+    server keeps each logical home it hosts in one record: its own, or
+    none on a spare beyond the configuration's logical homes; whole
+    records migrate in and out ({!Migrate}). *)
 
 val sid : t -> int
 
@@ -98,10 +95,6 @@ val dentry_count : t -> int
 val hosted_homes : t -> int list
 (** The logical homes this physical server currently serves, sorted.
     A singleton [[sid]] under every static placement. *)
-
-val homes_migrated_in : t -> int
-
-val homes_migrated_out : t -> int
 
 val moved_rejects : t -> int
 (** Requests bounced with [EMOVED] because their home had migrated away. *)

@@ -24,6 +24,7 @@ expect 0 run writes --cores 2 --trace trace_smoke.json --trace-cap 0 --strict
 expect 1 run nosuch --cores 2
 expect 1 run creates --cores 2 --plan "drop:fs:1.5"
 expect 1 run creates --cores 2 --plan "drop:fs:0.1" --deadline 0
+expect 1 run creates --cores 4 --plan "crash:9@1000+1000"
 expect 1 run creates --cores 2 --trace trace_smoke.json --strict --trace-cap 16
 expect 1 run creates --cores 2 --plan "drop:fs:1.0" --deadline 2000 --retries 2
 expect 1 run creates --cores 2 --world linux --robust

@@ -392,6 +392,18 @@ let test_recover_shared () =
       Alcotest.(check int) (what ^ "tokens recovered") 3 (recovered m))
     [ true; false ]
 
+(* A close is the descriptor's last chance to report the size of its
+   direct-mode writes. The crash already closed the descriptor, but
+   without that size: the close recovers a token to report it on. *)
+let test_recover_close () =
+  let got, m =
+    recovery (fun p fd bounce ->
+        ignore (Posix.write p fd "abc");
+        bounce fd)
+  in
+  Alcotest.(check string) "contents" "abc" got;
+  Alcotest.(check int) "tokens recovered" 1 (recovered m)
+
 let test_recover_extent_lease () =
   (* The restart reclaims the blocks leased ahead of the size; the
      recovered descriptor must resync its block list, so growing the
@@ -441,6 +453,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "local direct: fsync, close" `Quick test_recover_local_direct;
         tc "local over RPC: read, write" `Quick test_recover_local_rpc;
         tc "shared: read, lseek, write" `Quick test_recover_shared;
+        tc "close right after the crash" `Quick test_recover_close;
         tc "extent lease resync" `Quick test_recover_extent_lease;
       ] );
   ]

@@ -254,7 +254,7 @@ type pair = {
   p_invals : Wire.inval Hare_msg.Mailbox.t array;
 }
 
-let make_pair ?(config = config) ?place ?(b_sid = 1) ~blocks () =
+let make_pair ?(config = config) ?(b_sid = 1) ~blocks () =
   let engine = Engine.create () in
   let costs = config.Hare_config.Config.costs in
   let core id = Core_res.create engine ~id ~socket:0 ~ctx_switch:0 in
@@ -268,7 +268,7 @@ let make_pair ?(config = config) ?place ?(b_sid = 1) ~blocks () =
     let pcache = Hare_mem.Pcache.create dram ~core ~costs ~capacity_lines:256 in
     let s =
       Server.create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first
-        ~blocks_count:blocks ~inval_ports ?place ()
+        ~blocks_count:blocks ~inval_ports ()
     in
     Server.start s;
     s
@@ -334,11 +334,8 @@ let test_crash_keeps_inflight_steal () =
 
 (* ---------- shard migration ------------------------------------------- *)
 
-(* One migratory ring: A (sid 0) hosts home 0, B (sid 2, the spare the
-   ring's Add activates) hosts nothing. *)
-let ring () =
-  Hare_place.Place.create ~nhomes:2 ~vnodes:4
-    ~events:[ Hare_place.Place.Add { at = 1_000_000L } ]
+(* A (sid 0) hosts home 0; B (sid 2, a spare beyond the configuration's
+   two homes) hosts nothing until a home is installed on it. *)
 
 let migrate_out p = pair_call p p.a (Wire.Migrate_out { home = 0 })
 
@@ -353,7 +350,7 @@ let expect_packed what = function
 (* A pending rmdir mark parks creates on this server's endpoint: the
    home stays put until the mark resolves. *)
 let test_migrate_refuses_marked_home () =
-  let p = make_pair ~place:(ring ()) ~b_sid:2 ~blocks:64 () in
+  let p = make_pair ~b_sid:2 ~blocks:64 () in
   pair_fiber p (fun () ->
       let dir = { Types.server = 1; ino = 5 } in
       ignore (pair_call p p.a (Wire.Rmdir_prepare { dir; home = 0 }));
@@ -364,7 +361,7 @@ let test_migrate_refuses_marked_home () =
 (* A request parked behind an in-flight block steal is bound to this
    server too. *)
 let test_migrate_refuses_during_steal () =
-  let p = make_pair ~config:stealing ~place:(ring ()) ~b_sid:2 ~blocks:16 () in
+  let p = make_pair ~config:stealing ~b_sid:2 ~blocks:16 () in
   pair_fiber p (fun () ->
       Server.crash p.b;
       let ino = create_inode p in
@@ -379,7 +376,7 @@ let test_migrate_refuses_during_steal () =
       expect_packed "steal done" (migrate_out p))
 
 let test_migration_round_trip () =
-  let p = make_pair ~place:(ring ()) ~b_sid:2 ~blocks:64 () in
+  let p = make_pair ~b_sid:2 ~blocks:64 () in
   let a = p.a and b = p.b and client_core = p.p_client and inval_ports = p.p_invals in
   let costs = config.Hare_config.Config.costs in
   let call s req = Rpc.call (Server.endpoint s) ~from:client_core req in

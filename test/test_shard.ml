@@ -138,8 +138,7 @@ let test_parse_plan () =
 
 let test_place_identity () =
   let p = Place.create ~nhomes:4 ~vnodes:8 ~events:[] in
-  Alcotest.(check bool) "static ring is not migratory" false
-    (Place.migratory p);
+  Alcotest.(check bool) "static ring has no plan" true (Place.events p = []);
   Alcotest.(check int) "no spares" 4 (Place.nphys p);
   Alcotest.(check int) "epoch 0" 0 (Place.epoch p);
   for h = 0 to 3 do
@@ -148,7 +147,7 @@ let test_place_identity () =
 
 let test_place_rebalance () =
   let p = Place.create ~nhomes:8 ~vnodes:16 ~events:[ Place.Add { at = 0L } ] in
-  Alcotest.(check bool) "planned ring is migratory" true (Place.migratory p);
+  Alcotest.(check bool) "planned ring has a plan" true (Place.events p <> []);
   Alcotest.(check int) "one spare booted" 9 (Place.nphys p);
   Alcotest.(check bool) "spare starts idle" false (Place.active p 8);
   Place.activate p 8;
@@ -448,6 +447,47 @@ let test_moved_chase_deferred_close () =
     Hare_stats.Robust.(get (Machine.robustness m) giveups);
   assert_clean "moved-deferred-close" m
 
+(* A home with a parked pipe reader cannot be packed: the coordinator
+   points the route back at the source, backs off and retries, 50 times
+   2,000 cycles apart, then abandons the move. Here the reader stays
+   parked well past that budget, so the drain of fs0 gives up on home 0,
+   which keeps serving from fs0 — the pipe's bytes and a file written
+   after the abort arrive intact. *)
+let test_busy_home_aborts () =
+  let drain = 100_000L in
+  let config = sharded_config ~ncores:4 ~plan:(Printf.sprintf "remove:0@%Ld" drain) () in
+  let m =
+    run ~config (fun _ p ->
+        let rfd, wfd = Posix.pipe p in
+        (* Init runs on the first application core, whose local server —
+           where its pipes live — is home 0. *)
+        Alcotest.(check int) "the pipe lives on the draining home" 0
+          (Posix.fstat p rfd).Hare_proto.Types.a_ino.server;
+        let reader =
+          Posix.fork p (fun c ->
+              Posix.close c wfd;
+              if Posix.read c rfd ~len:8 = "payload" then 0 else 1)
+        in
+        Posix.close p rfd;
+        Posix.sleep_until p (Int64.add drain 1_000_000L);
+        Posix.write_all p wfd "payload";
+        Posix.close p wfd;
+        Alcotest.(check int) "the reader got the bytes" 0 (Posix.waitpid p reader);
+        let fd = Posix.creat p "/after" in
+        Posix.write_all p fd "still served";
+        Posix.close p fd;
+        let fd = Posix.openf p "/after" flags_r in
+        Alcotest.(check string) "file contents" "still served" (Posix.read_all p fd);
+        Posix.close p fd;
+        0)
+  in
+  let p = ring m in
+  Alcotest.(check int) "the move was abandoned" 1 (Place.aborted p);
+  Alcotest.(check int) "nothing moved" 0 (Place.migrations p);
+  Alcotest.(check int) "home 0 routes back to its source" 0 (Place.phys p 0);
+  Alcotest.(check (list int)) "fs0 still hosts home 0" [ 0 ]
+    (Hare_server.Server.hosted_homes (Machine.servers m).(0))
+
 (* ---------- suites ------------------------------------------------------- *)
 
 let tc = Alcotest.test_case
@@ -476,6 +516,7 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_moved_chase_bypasses_breaker;
         tc "EMOVED chase of a deferred close" `Quick
           test_moved_chase_deferred_close;
+        tc "busy home: back-off, then abort" `Quick test_busy_home_aborts;
       ] );
     ( "shard.sanitizer",
       [
