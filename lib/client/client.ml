@@ -36,7 +36,6 @@ type t = {
   syscalls : Hare_stats.Opcount.t;
   robust : Robust.t;
   perf : Perf.t;
-  extent : int;
 }
 
 let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
@@ -62,7 +61,6 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
     syscalls = Hare_stats.Opcount.create ();
     robust;
     perf;
-    extent = config.Hare_config.Config.alloc_extent;
   }
 
 let pcache t = t.pcache
@@ -162,51 +160,28 @@ let direct_mode t = t.config.Hare_config.Config.direct_access
 let invalidate_blocks t blocks =
   Array.iter (fun b -> Pcache.invalidate_block t.pcache b) blocks
 
-(* Adopt the server's block list and size: the lease is what the list
-   holds beyond the size, and the cached lines of [stale] blocks go. *)
-let adopt_blocks t (fs : Fdtable.file_state) blocks size ~stale =
-  fs.f_blocks <- blocks;
-  fs.f_size <- size;
-  fs.f_lease <- Fdtable.lease blocks size;
-  invalidate_blocks t stale
-
 (* The server performed I/O on the file meanwhile: both the block list
    and our private cache's view of every block may be stale. *)
 let refresh_blocks t (fs : Fdtable.file_state) =
   match rpc t fs.f_ino.server (Wire.Get_blocks { ino = fs.f_ino }) with
-  | Wire.P_blocks { blocks; bsize } -> adopt_blocks t fs blocks bsize ~stale:blocks
+  | Wire.P_blocks { blocks; bsize } ->
+      fs.f_blocks <- blocks;
+      fs.f_size <- bsize;
+      invalidate_blocks t blocks
   | _ -> assert false
 
 (* A crashed server forgets its descriptor table; the first post-restart
    use of a token answers [EBADF]. Recover by re-opening the inode —
    which survived in DRAM — and patching the new token into the
    descriptor. A server-owned shared offset died with the server, so the
-   descriptor falls back to a local offset at zero. [false]: the inode
-   is gone too (unlinked, and reclaimed by the restart). *)
+   descriptor falls back to a local offset at zero. The restart kept
+   every block the inode held, so the block list stays valid. [false]:
+   the inode is gone too (unlinked, and reclaimed by the restart). *)
 let recover_token t (fs : Fdtable.file_state) =
   match open_inode call t fs.f_ino ~trunc:false with
   | Ok (Wire.P_open oi) ->
       Robust.incr t.robust Robust.tokens_recovered;
       fs.f_token <- oi.token;
-      (if t.extent > 1 && direct_mode t then begin
-         (* The restart reclaimed our extent lease; resync the block list
-            so we never write into blocks the server already freed, and
-            drop dirty marks for blocks we no longer own. *)
-         let owned = Hashtbl.create 16 in
-         Array.iter (fun b -> Hashtbl.replace owned b ()) oi.blocks;
-         Hashtbl.filter_map_inplace
-           (fun b () -> if Hashtbl.mem owned b then Some () else None)
-           fs.f_dirty;
-         (* Disowned blocks may still sit (dirty) in our private cache;
-            dropping only their dirty marks would let a later LRU
-            eviction flush stale lines over whatever the server
-            reallocated them to. Invalidate the lines themselves too. *)
-         let disowned = Seq.filter (fun b -> not (Hashtbl.mem owned b)) in
-         let size = min fs.f_size oi.isize in
-         adopt_blocks t fs oi.blocks oi.isize
-           ~stale:(Array.of_seq (disowned (Array.to_seq fs.f_blocks)));
-         fs.f_size <- size
-       end);
       if fs.f_pos = Shared then fs.f_pos <- Local 0;
       true
   | Error Errno.ENOENT -> false
@@ -301,9 +276,11 @@ let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.ent
   (* Close-to-open (§3.2): invalidate our private cache's copies of the
      file's blocks, which another core may have rewritten since we last
      saw them. Only needed when we will access the buffer cache
-     directly. *)
+     directly. A dirty line is another descriptor's unflushed write on
+     this core: it goes back to DRAM, not away. *)
   (if direct_mode t then begin
-     if not !mutate_skip_open_inval then invalidate_blocks t oi.blocks;
+     if not !mutate_skip_open_inval then
+       Array.iter (Pcache.evict_block t.pcache) oi.blocks;
      let o = obs t in
      if Obs.on o Obs.lint then
        let keys () = Array.fold_left (Fun.flip block_line_keys) [] oi.blocks in
@@ -454,7 +431,7 @@ let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
        beyond the immediate need, so a sequential writer goes back to
        the server once per extent instead of once per block. The hint is
        best-effort — a full server drops it before failing. *)
-    let ahead = if t.extent > 1 then t.extent - 1 else 0 in
+    let ahead = t.config.Hare_config.Config.alloc_extent - 1 in
     if ahead > 0 then
       Perf.incr t.perf Perf.lease_misses;
     match
@@ -468,16 +445,13 @@ let ensure_client_blocks t (fs : Fdtable.file_state) ~size =
         invalidate_blocks t added;
         fs.f_blocks <- blocks;
         let surplus = Array.length blocks - need in
-        fs.f_lease <- max 0 surplus;
         if surplus > 0 then
           Perf.add t.perf Perf.lease_blocks surplus
     | _ -> assert false
   end
-  else if fs.f_lease > 0 && need > have - fs.f_lease then begin
-    (* The file grew into blocks held ahead of need: a lease hit, no RPC. *)
-    fs.f_lease <- have - need;
+  else if need > Layout.blocks_for fs.f_size then
+    (* The file grew into its lease, blocks held ahead of need: no RPC. *)
     Perf.incr t.perf Perf.lease_hits
-  end
 
 let direct_write t (fs : Fdtable.file_state) ~off data =
   let len = String.length data in
@@ -632,22 +606,24 @@ let release_desc t (entry : Fdtable.entry) =
         | Local _ when fs.f_wrote && direct_mode t -> Some fs.f_size
         | Local _ | Shared -> None
       in
+      (* A crash closed the descriptor but forgot the size we report:
+         recover a token and close that one with it. An inode the
+         restart reclaimed has no size left to keep. *)
+      let reclose () =
+        if size <> None && recover_token t fs then
+          ignore
+            (rpc t fs.f_ino.server
+               (Wire.Close_fd { token = fs.f_token; size = Some fs.f_size }))
+      in
       (* The close's reply carries nothing the caller needs, so with a
          window it is deferred: per-server FIFO delivery means any later
          request to the same server is processed after it. *)
       (match
-         Transport.defer t.tp fs.f_ino.server ~ino:fs.f_ino
+         Transport.defer t.tp fs.f_ino.server ~ino:fs.f_ino ~on_stale:reclose
            (Wire.Close_fd { token = fs.f_token; size })
        with
       | None | Some (Ok _) -> ()
-      | Some (Error e) when Transport.stale_token t.tp e ->
-          (* The crash closed the descriptor but forgot the size we
-             report: recover a token and close that one with it. An
-             inode the restart reclaimed has no size left to keep. *)
-          if size <> None && recover_token t fs then
-            ignore
-              (rpc t fs.f_ino.server
-                 (Wire.Close_fd { token = fs.f_token; size = Some fs.f_size }))
+      | Some (Error e) when Transport.stale_token t.tp e -> reclose ()
       | Some (Error e) -> Errno.raise_errno e "close")
   | Fdtable.Pipe p -> (
       match call t p.p_ino.server (Wire.Close_fd { token = p.p_token; size = None }) with

@@ -11,7 +11,6 @@ type file_state = {
   mutable f_size : int;
   f_dirty : (int, unit) Hashtbl.t;
   mutable f_wrote : bool;
-  mutable f_lease : int;
 }
 
 let lease blocks size = max 0 (Array.length blocks - Hare_mem.Layout.blocks_for size)
@@ -26,7 +25,6 @@ let file_state ~ino ~token ~flags ~pos ~blocks ~size =
     f_size = size;
     f_dirty = Hashtbl.create 8;
     f_wrote = false;
-    f_lease = lease blocks size;
   }
 
 type pipe_state = {

@@ -24,14 +24,12 @@ type file_state = {
   mutable f_size : int;  (** local size view (close-to-open). *)
   f_dirty : (int, unit) Hashtbl.t;  (** blocks to write back on close. *)
   mutable f_wrote : bool;
-  mutable f_lease : int;
-      (** trailing blocks of [f_blocks] allocated ahead of need (the
-          extent lease); 0 unless [alloc_extent > 1]. *)
 }
 
 val lease : int array -> int -> int
 (** [lease blocks size]: the trailing blocks of [blocks] beyond what
-    [size] bytes need. *)
+    [size] bytes need — the extent lease, which a direct writer grows
+    into without an RPC. *)
 
 val file_state :
   ino:Types.ino -> token:Types.fd_token -> flags:Types.open_flags ->

@@ -66,8 +66,8 @@ type t = {
       (* breakers currently in [Br_open], maintained at every transition
          so the metrics gauge is an O(1) read, not an O(nservers) scan *)
   (* the deferral window (rpc_window > 1): sent, not yet awaited, with
-     the inode the request mutates *)
-  window : (pending * Types.ino option) Queue.t;
+     the inode the request mutates and its stale-token step *)
+  window : (pending * Types.ino option * (unit -> unit)) Queue.t;
   mutable rpc_count : int;
   mutable moved_retries : int;  (* EMOVED bounces chased to the new owner *)
 }
@@ -391,13 +391,15 @@ let call t home req = await t (send t ~deferred:false home req)
 let await_oldest t =
   match Queue.take_opt t.window with
   | None -> ()
-  | Some (c, _) -> (
+  | Some (c, _, on_stale) -> (
       match await t ~poll:true c with
       | Ok _ -> ()
-      | Error e when stale_token t e ->
+      | Error e when stale_token t e -> (
           (* The server crashed and forgot the token/inode; the restart
-             already reclaimed whatever the deferred op would have. *)
-          ()
+             already reclaimed whatever the deferred op would have, apart
+             from what [on_stale] still has to report. *)
+          try on_stale ()
+          with Errno.Error _ -> Perf.incr t.perf Perf.deferred_errors)
       | Error _ -> Perf.incr t.perf Perf.deferred_errors)
 
 let drain_window t =
@@ -413,13 +415,13 @@ let drain_window t =
    inode, wait out any deferred request that mutates it. *)
 let drain_ino t ino =
   let touches () =
-    Queue.fold (fun acc (_, i) -> acc || i = Some ino) false t.window
+    Queue.fold (fun acc (_, i, _) -> acc || i = Some ino) false t.window
   in
   while touches () do
     await_oldest t
   done
 
-let defer t ?ino home req =
+let defer t ?ino ?(on_stale = ignore) home req =
   let cap = t.config.rpc_window in
   if cap <= 1 then Some (call t home req)
   else begin
@@ -429,7 +431,7 @@ let defer t ?ino home req =
     let c = send t ~deferred:true home req in
     if c.ep < 0 then Some (Error Errno.EIO)
     else begin
-      Queue.push (c, ino) t.window;
+      Queue.push (c, ino, on_stale) t.window;
       Perf.incr t.perf Perf.deferred;
       Perf.note_window t.perf (Queue.length t.window);
       None

@@ -51,14 +51,17 @@ val call : t -> int -> Wire.fs_req -> Wire.fs_resp
 (** Synchronous RPC: {!await} of a non-deferred {!send}. *)
 
 val defer :
-  t -> ?ino:Types.ino -> int -> Wire.fs_req ->
+  t -> ?ino:Types.ino -> ?on_stale:(unit -> unit) -> int -> Wire.fs_req ->
   Wire.fs_resp option
 (** Issue a request whose success payload nobody reads through the
     deferral window: [None] when deferred (its failure is only counted
     in [perf]), [Some result] when [rpc_window = 1]
     made it synchronous or the breaker fast-failed it. A full window
     first awaits its oldest entry. [ino] is the inode the request
-    mutates, for {!drain_ino}. *)
+    mutates, for {!drain_ino}. A deferred request that fails with a
+    {!stale_token} runs [on_stale] when it is awaited (default: nothing),
+    whose own failure is counted like the request's; a synchronous
+    caller gets the error and runs its own. *)
 
 val drain_window : t -> unit
 (** Await every deferred request. *)

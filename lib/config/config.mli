@@ -133,11 +133,13 @@ type t = {
   alloc_extent : int;
       (** extent-granularity allocation: [Alloc_blocks] asks for up to
           [alloc_extent - 1] blocks of read-ahead beyond the immediate
-          need, and the client holds the surplus as a per-descriptor
-          extent lease, collapsing N per-block RPCs on append-heavy
-          workloads into ~N/extent. Leases are reclaimed on close,
-          truncate and crash-restart. [1] (default) allocates one block
-          per need, as the paper does. *)
+          need. The blocks a file holds past its size are the extent
+          lease: a direct writer grows into them without an RPC,
+          collapsing N per-block RPCs on append-heavy workloads into
+          ~N/extent. The last close and truncate take the lease back. A
+          crash-restart keeps it, and so do later closes of a file whose
+          open descriptors the crash forgot. [1] (default) allocates one
+          block per need, as the paper does. *)
   dircache_capacity : int;
       (** bound on the client directory cache, in entries, with LRU
           eviction past the bound; [0] (default) means unbounded — the

@@ -382,16 +382,18 @@ let write_string t ~block ~off s =
   write t ~block ~off ~len:(String.length s) ~src:(Bytes.unsafe_of_string s)
     ~src_off:0
 
-(* Both walk the block's lines from the highest index down. *)
+(* All three walk the block's lines from the highest index down. *)
 
-let invalidate_block t block =
+let drop_block t block ~writeback =
   let miss0 = t.misses and wb0 = t.writebacks in
   let f = find_frame t block in
   let n = f.(count_cell) in
+  let flushed = ref 0 in
   if n > 0 then begin
     for line = lpb - 1 downto 0 do
       let s = f.(line) in
       if s <> 0 then begin
+        if writeback && flush_line t s then incr flushed;
         let k = key_of ~block ~line in
         let o = obs t in
         if Obs.on o Obs.cache then
@@ -407,7 +409,12 @@ let invalidate_block t block =
     f.(count_cell) <- 0;
     release_frame t block f
   end;
-  charge t ~cache:(n * t.costs.invalidate_line) ~dram:0 ~miss0 ~wb0
+  charge t ~cache:(n * t.costs.invalidate_line)
+    ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0
+
+let invalidate_block t block = drop_block t block ~writeback:false
+
+let evict_block t block = drop_block t block ~writeback:true
 
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in

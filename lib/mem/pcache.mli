@@ -24,8 +24,10 @@
       used line (write-back of a dirty victim: [Dram.write_line],
       [Cache_writeback]; then the eviction count and [Cache_evict]), then
       fills the line with [Dram.read_line];
-    - {!invalidate_block} and {!writeback_block} visit the block's
-      resident lines from the highest index down.
+    - {!invalidate_block}, {!evict_block} and {!writeback_block} visit
+      the block's resident lines from the highest index down; an
+      eviction writes a dirty line back ([Cache_writeback]) before it
+      drops it ([Cache_invalidate]).
 
     Recency is kept per line, not per block. *)
 
@@ -71,8 +73,14 @@ val read_string : t -> block:int -> off:int -> len:int -> string
 val write_string : t -> block:int -> off:int -> string -> unit
 
 (** [invalidate_block t block] drops every cached line of [block],
-    {e discarding} dirty data — non-coherent open-time invalidation. *)
+    {e discarding} dirty data: for a block whose cached lines belong to
+    another file (a block freshly allocated to this one). *)
 val invalidate_block : t -> int -> unit
+
+(** [evict_block t block] is {!invalidate_block} that writes each dirty
+    line back first: close-to-open's open-time invalidation, which must
+    keep another descriptor's unflushed writes on this core. *)
+val evict_block : t -> int -> unit
 
 (** [writeback_block t block] flushes the dirty lines of [block] to DRAM;
     lines stay resident, clean. *)

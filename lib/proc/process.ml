@@ -98,9 +98,9 @@ let run t ?(on_exit = fun _ -> ()) body =
               (fun (e : Hare_client.Fdtable.entry) ->
                 match e.Hare_client.Fdtable.desc with
                 | Hare_client.Fdtable.Console _ -> ()
-                | Hare_client.Fdtable.File fs ->
+                | Hare_client.Fdtable.File { f_blocks; f_size; _ } ->
                     incr fds;
-                    leases := !leases + fs.Hare_client.Fdtable.f_lease
+                    leases := !leases + Hare_client.Fdtable.lease f_blocks f_size
                 | Hare_client.Fdtable.Pipe _ -> incr fds)
               (Hare_client.Fdtable.distinct_entries t.fdt);
             Obs.emit o

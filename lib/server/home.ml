@@ -122,6 +122,7 @@ let crash homes =
           (match inode.pipe with
           | Some p -> aborted := !aborted + Pipe_state.abort_parked p
           | None -> ());
+          inode.keep_lease <- inode.keep_lease || inode.open_tokens > 0;
           inode.open_tokens <- 0)
         h.inodes;
       Itbl.reset h.tokens;
@@ -129,7 +130,7 @@ let crash homes =
     homes;
   !aborted
 
-let reclaim homes ~extent =
+let reclaim homes =
   let live = Hashtbl.create 4096 in
   Itbl.iter
     (fun _ h ->
@@ -138,7 +139,6 @@ let reclaim homes ~extent =
           inode.orphans <- [||];
           if inode.unlinked && inode.nlink <= 0 then None
           else begin
-            if extent then ignore (Inode.trim_lease inode);
             Array.iter (fun b -> Hashtbl.replace live b ()) inode.blocks;
             Some inode
           end)

@@ -84,11 +84,13 @@ val crash : t Hare_sim.Tbl.Int.t -> int
 (** Every hosted home's volatile state dies with the server: parked
     creates, lock waiters and pipe I/O are answered [EIO]; descriptors
     and invalidation tracking are forgotten. Inodes, directory shards,
-    tombstones and block contents are DRAM-resident and survive.
+    tombstones and block contents are DRAM-resident and survive. An
+    inode that had descriptors open is marked [keep_lease]: their
+    clients still write into the blocks they hold past the size.
     Returns how many parked continuations were aborted. *)
 
-val reclaim : t Hare_sim.Tbl.Int.t -> extent:bool -> (int, unit) Hashtbl.t
+val reclaim : t Hare_sim.Tbl.Int.t -> (int, unit) Hashtbl.t
 (** Restart: no descriptor survived the crash, so orphaned blocks and
-    unlinked inodes are dropped and, with extent leases on ([extent]),
-    every file is trimmed back to its size. Returns the blocks the
-    surviving inodes still reference. *)
+    unlinked inodes are dropped. A surviving inode keeps every block it
+    holds, an extent lease past its size included. Returns the blocks
+    the surviving inodes reference. *)

@@ -9,6 +9,7 @@ type t = {
   mutable open_tokens : int;
   mutable unlinked : bool;
   mutable orphans : int array;
+  mutable keep_lease : bool;
   pipe : Pipe_state.t option;
 }
 
@@ -24,6 +25,7 @@ let make ~lid ~home ~ftype ~dist ~pipe =
     open_tokens = 0;
     unlinked = false;
     orphans = [||];
+    keep_lease = false;
     pipe;
   }
 
@@ -45,10 +47,6 @@ let cut t ~keep =
     t.blocks <- Array.sub t.blocks 0 keep;
     rest
   end
-
-let trim_lease t =
-  if t.ftype = Hare_proto.Types.Reg then cut t ~keep:(Hare_mem.Layout.blocks_for t.size)
-  else [||]
 
 let attr t =
   Hare_proto.Types.

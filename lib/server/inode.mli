@@ -22,6 +22,9 @@ type t = {
   mutable open_tokens : int;
   mutable unlinked : bool;
   mutable orphans : int array;  (** truncated blocks awaiting last close. *)
+  mutable keep_lease : bool;
+      (** a crash forgot descriptors open on this file: one may still
+          write into blocks past the size, so no close trims them. *)
   pipe : Pipe_state.t option;
 }
 
@@ -34,9 +37,5 @@ val fifo : lid:int -> home:int -> capacity:int -> t
 (** [cut t ~keep] shortens the block list to its first [keep] blocks
     and returns the rest (empty when there is no rest). *)
 val cut : t -> keep:int -> int array
-
-(** [trim_lease t] cuts a regular file back to the blocks its size
-    needs, returning the extent lease it held past them. *)
-val trim_lease : t -> int array
 
 val attr : t -> Hare_proto.Types.attr

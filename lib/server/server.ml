@@ -191,11 +191,15 @@ let ensure_blocks t (inode : Inode.t) ~size =
 
 (* Extent leases (alloc_extent > 1) die with the last descriptor: blocks
    allocated ahead of the file size return to the free list once no open
-   token can address them. Inert at the paper-faithful extent of 1, where
-   allocation never runs ahead of need. *)
+   token can address them, unless a crash forgot a descriptor that still
+   may. Inert at the paper-faithful extent of 1, where allocation never
+   runs ahead of need. *)
 let reclaim_lease t (inode : Inode.t) =
-  if t.config.Hare_config.Config.alloc_extent > 1 && inode.open_tokens = 0 then
-    free_blocks t (Inode.trim_lease inode)
+  if
+    t.config.Hare_config.Config.alloc_extent > 1
+    && inode.open_tokens = 0 && not inode.keep_lease
+  then
+    free_blocks t (Inode.cut inode ~keep:(Hare_mem.Layout.blocks_for inode.size))
 
 let do_truncate t (inode : Inode.t) ~size =
   if size < inode.size then begin
@@ -903,8 +907,7 @@ let restart t =
   if t.down then begin
     instant t "restart" [ ("server", string_of_int t.sid) ];
     (* The free list becomes whatever the surviving inodes reference. *)
-    let extent = t.config.Hare_config.Config.alloc_extent > 1 in
-    let live = Home.reclaim t.homes ~extent in
+    let live = Home.reclaim t.homes in
     Robust.add t.robust Robust.blocks_rebuilt (Blocklist.rebuild t.blocks ~live);
     t.down <- false;
     Hare_msg.Rpc.rewatch t.endpoint;

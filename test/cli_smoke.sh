@@ -21,6 +21,11 @@ expect 0 run overload --cores 4 --robust --perf --metrics 20000 --retain 8 --bla
 expect 0 run creates --cores 4 --shard 2 --shard-plan "add@100000" --ring --check
 expect 0 run renames --cores 2 --world linux --verbose
 expect 0 run writes --cores 2 --trace trace_smoke.json --trace-cap 0 --strict
+# A crash under extent leases, and one under deferred closes: a direct
+# writer keeps writing into its lease after the restart, and a deferred
+# close still reports its size.
+expect 0 run writes --cores 4 --seed 1 --no-preset --plan "crash:0@300000+200000" --extent 8 --check
+expect 0 run extract --cores 4 --seed 2 --window 8 --plan "crash:0@300000+200000" --check
 expect 1 run nosuch --cores 2
 expect 1 run creates --cores 2 --plan "drop:fs:1.5"
 expect 1 run creates --cores 2 --plan "drop:fs:0.1" --deadline 0

@@ -254,6 +254,27 @@ let test_close_to_open_requires_close () =
          ignore m;
          0))
 
+(* Close-to-open invalidates the file's cached lines at every open, and
+   the core opening the file may hold another descriptor's unflushed
+   writes to it: the open writes them back instead of dropping them. *)
+let test_reopen_keeps_unflushed_writes () =
+  List.iter
+    (fun direct ->
+      let config = { (small_config ()) with Config.direct_access = direct } in
+      ignore
+        (run ~config (fun _m p ->
+             let fd = Posix.creat p "/f" in
+             ignore (Posix.write p fd "abc");
+             Posix.close p (Posix.openf p "/f" flags_r);
+             Posix.close p fd;
+             let fd = Posix.openf p "/f" flags_r in
+             Alcotest.(check string)
+               (Printf.sprintf "direct=%b: contents" direct)
+               "abc" (Posix.read_all p fd);
+             Posix.close p fd;
+             0)))
+    [ true; false ]
+
 let test_fsync_publishes_without_close () =
   let config = small_config ~ncores:4 () in
   let m = Machine.boot config in
@@ -302,5 +323,6 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "direct saves RPCs" `Quick test_direct_mode_fewer_rpcs_than_rpc_mode;
         tc "close-to-open boundary" `Quick test_close_to_open_requires_close;
         tc "fsync publishes" `Quick test_fsync_publishes_without_close;
+        tc "reopen keeps unflushed writes" `Quick test_reopen_keeps_unflushed_writes;
       ] );
   ]
