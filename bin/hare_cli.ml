@@ -353,12 +353,15 @@ let instance s r (spec : Spec.t) =
   (c, nprocs, fresh)
 
 (* What would make this run meaningless, as a one-line error. *)
-let problem r (c : Config.t) =
+let problem s r (c : Config.t) =
   let sharded =
     match c.Config.placement with Config.Sharded _ -> true | _ -> false
   in
   match Config.validate c with
   | Error msg -> Some ("bad configuration: " ^ msg)
+  | Ok () when s.scale < 1 -> Some "--scale must be at least 1"
+  | Ok () when Option.fold ~none:false ~some:(fun n -> n < 1) s.nprocs ->
+      Some "--nprocs must be at least 1"
   | Ok () when r.blame && c.Config.trace_retain = 0 ->
       Some "--blame needs --retain K > 0"
   | Ok () when r.ring && not sharded -> Some "--ring needs --shard"
@@ -739,7 +742,7 @@ let print_verdict ~verbose v =
    worker outcome and every requested report's. *)
 let run_one s r verdict (spec : Spec.t) =
   let config, nprocs, fresh = instance s r spec in
-  match problem r config with
+  match problem s r config with
   | Some msg ->
       prerr_endline msg;
       1

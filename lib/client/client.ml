@@ -26,7 +26,6 @@ type t = {
   engine : Engine.t;
   config : Hare_config.Config.t;
   costs : Hare_config.Costs.t;
-  cid : int;
   core : Core_res.t;
   pcache : Pcache.t;
   tp : Transport.t;  (* every RPC of this client goes through it *)
@@ -46,7 +45,6 @@ let create ~engine ~config ~cid ~core ~pcache ~servers ~server_sockets
     engine;
     config;
     costs = config.Hare_config.Config.costs;
-    cid;
     core;
     pcache;
     tp =
@@ -92,7 +90,7 @@ let nservers t = Hare_config.Config.nservers t.config
    configured subset size (§6 extension). *)
 let width t =
   match t.config.Hare_config.Config.dist_width with
-  | Some w -> max 1 (min w (nservers t))
+  | Some w -> min w (nservers t)
   | None -> nservers t
 
 let obs t = Engine.obs t.engine
@@ -142,18 +140,16 @@ let rpc t srv req =
 (* The two directory-entry edits, at the entry's shard server [srv];
    [via] is {!call} or {!rpc}. *)
 let add_map via t srv (dir : ino) name ~target ~ftype ~dist ~replace =
-  via t srv
-    (Wire.Add_map
-       { dir; name; target; ftype; dist; replace; client = t.cid; home = srv })
+  via t srv (Wire.Add_map { dir; name; target; ftype; dist; replace })
 
 let rm_map via t srv (dir : ino) name ~only_if =
-  via t srv (Wire.Rm_map { dir; name; only_if; client = t.cid; home = srv })
+  via t srv (Wire.Rm_map { dir; name; only_if })
 
 (* Ordering barrier first: a still-deferred close of this very inode
    could be retransmitted after this open's writes and revert the size. *)
 let open_inode via t (ino : ino) ~trunc =
   Transport.drain_ino t.tp ino;
-  via t ino.server (Wire.Open_inode { ino; trunc; client = t.cid })
+  via t ino.server (Wire.Open_inode { ino; trunc })
 
 let direct_mode t = t.config.Hare_config.Config.direct_access
 
@@ -217,9 +213,7 @@ let lookup_entry t (dir : dirref) name : Wire.entry_info =
   | Some e -> e
   | None -> (
       let srv = entry_server t dir name in
-      match
-        rpc t srv (Wire.Lookup { dir = dir.d_ino; name; client = t.cid; home = srv })
-      with
+      match rpc t srv (Wire.Lookup { dir = dir.d_ino; name }) with
       | Wire.P_lookup { target; ftype; dist } ->
           let e = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
           Dircache.add t.dircache ~dir:dir.d_ino ~name e;
@@ -271,6 +265,14 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
 
 (* ---------- open -------------------------------------------------------- *)
 
+(* Sanitizer lint: the open's invalidation must leave none of [block]'s
+   lines cached on this core. *)
+let lint_open t block =
+  let o = obs t in
+  if Obs.on o Obs.lint then
+    let keys () = block_line_keys block [] in
+    Obs.emit o (Lint_open { core = Core_res.id t.core; keys })
+
 let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.entry
     =
   (* Close-to-open (§3.2): invalidate our private cache's copies of the
@@ -278,14 +280,15 @@ let file_entry t ~(flags : open_flags) ~ino ~(oi : Wire.open_info) : Fdtable.ent
      saw them. Only needed when we will access the buffer cache
      directly. A dirty line is another descriptor's unflushed write on
      this core: it goes back to DRAM, not away. *)
-  (if direct_mode t then begin
-     if not !mutate_skip_open_inval then
-       Array.iter (Pcache.evict_block t.pcache) oi.blocks;
-     let o = obs t in
-     if Obs.on o Obs.lint then
-       let keys () = Array.fold_left (Fun.flip block_line_keys) [] oi.blocks in
-       Obs.emit o (Lint_open { core = Core_res.id t.core; keys })
-   end);
+  (if direct_mode t then
+     (* Each block is linted as soon as its lines are dropped, before the
+        drop's charge lets another process on this core refill it. *)
+     let lint = lint_open t in
+     Array.iter
+       (fun b ->
+         if !mutate_skip_open_inval then lint b
+         else Pcache.evict_block t.pcache b ~dropped:lint)
+       oi.blocks);
   let pos = Fdtable.Local (if flags.append then oi.isize else 0) in
   {
     Fdtable.desc =
@@ -308,14 +311,7 @@ let create_file t (dir : dirref) name (flags : open_flags) =
     match
       rpc t entry_srv
         (Wire.Create_open
-           {
-             dir = dir.d_ino;
-             name;
-             excl = flags.excl;
-             trunc = flags.trunc;
-             client = t.cid;
-             home = entry_srv;
-           })
+           { dir = dir.d_ino; name; excl = flags.excl; trunc = flags.trunc })
     with
     | Wire.P_open_ino { oi; ino } ->
         Dircache.add t.dircache ~dir:dir.d_ino ~name
@@ -332,8 +328,7 @@ let create_file t (dir : dirref) name (flags : open_flags) =
   else begin
     match
       rpc t inode_srv
-        (Wire.Create_inode
-           { ftype = Reg; dist = false; and_open = true; home = inode_srv })
+        (Wire.Create_inode { ftype = Reg; dist = false; and_open = true })
     with
     | Wire.P_open_ino { oi; ino } -> (
         match
@@ -712,10 +707,7 @@ let dup2 t fdt ~src ~dst =
 
 let pipe t fdt =
   syscall t "pipe" @@ fun () ->
-  match
-    rpc t t.local_server
-      (Wire.Pipe_create { client = t.cid; home = t.local_server })
-  with
+  match rpc t t.local_server Wire.Pipe_create with
   | Wire.P_pipe { pipe_ino; rd; wr } ->
       let mk token write =
         {
@@ -763,11 +755,7 @@ let mkdir t ~cwd ?(dist = false) path =
   let home_srv = choose_inode_server t entry_srv in
   if home_srv = entry_srv then begin
     (* Coalesced mkdir (§3.6.3): one message creates inode + entry. *)
-    match
-      rpc t entry_srv
-        (Wire.Create_dir
-           { dir = dir.d_ino; name; dist; client = t.cid; home = entry_srv })
-    with
+    match rpc t entry_srv (Wire.Create_dir { dir = dir.d_ino; name; dist }) with
     | Wire.P_created_ino ino ->
         Dircache.add t.dircache ~dir:dir.d_ino ~name
           { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist }
@@ -775,9 +763,7 @@ let mkdir t ~cwd ?(dist = false) path =
   end
   else
   match
-    rpc t home_srv
-      (Wire.Create_inode
-         { ftype = Dir; dist; and_open = false; home = home_srv })
+    rpc t home_srv (Wire.Create_inode { ftype = Dir; dist; and_open = false })
   with
   | Wire.P_created_ino ino -> (
       match
@@ -808,7 +794,7 @@ let rmdir t ~cwd path =
     (* Centralized directory: the home server holds every entry, so the
        emptiness check and removal coalesce into one atomic message; only
        the parent's entry needs a second RPC. *)
-    ignore (rpc t home (Wire.Rmdir_local { dir = target; client = t.cid }));
+    ignore (rpc t home (Wire.Rmdir_local { dir = target }));
     (match unlink_entry () with
     | Ok _ | Error Errno.ENOENT -> ()
     | Error err -> Errno.raise_errno err name);
@@ -827,8 +813,8 @@ let rmdir t ~cwd path =
   (* Phase 1: ask every involved server to mark-for-deletion; succeeds
      only on empty shards. *)
   let prepare_results =
-    Transport.multicast t.tp servers_involved (fun srv ->
-        Wire.Rmdir_prepare { dir = target; home = srv })
+    Transport.multicast t.tp servers_involved
+      (Wire.Rmdir_prepare { dir = target })
   in
   let all_ok = List.for_all Result.is_ok prepare_results in
   if all_ok then begin
@@ -836,13 +822,13 @@ let rmdir t ~cwd path =
     if Result.is_ok (unlink_entry ()) then
       Dircache.remove t.dircache ~dir:dir.d_ino ~name;
     ignore
-      (Transport.multicast t.tp servers_involved (fun srv ->
-           Wire.Rmdir_commit { dir = target; client = t.cid; home = srv }))
+      (Transport.multicast t.tp servers_involved
+         (Wire.Rmdir_commit { dir = target }))
     (* The commit at the home server destroys the lock with the inode. *)
   end
   else begin
     List.iter
-      (fun srv -> ignore (call t srv (Wire.Rmdir_abort { dir = target; home = srv })))
+      (fun srv -> ignore (call t srv (Wire.Rmdir_abort { dir = target })))
       servers_involved;
     ignore (call t home (Wire.Rmdir_unlock { dir = target }));
     (* Distinguish "a shard holds entries" from "a shard's server is
@@ -862,8 +848,8 @@ let readdir t ~cwd path =
   let dir = resolve_dir t comps in
   if dir.d_dist then begin
     let results =
-      Transport.multicast t.tp (shard_servers t dir.d_ino) (fun srv ->
-          Wire.Readdir_shard { dir = dir.d_ino; home = srv })
+      Transport.multicast t.tp (shard_servers t dir.d_ino)
+        (Wire.Readdir_shard { dir = dir.d_ino })
     in
     List.concat_map
       (function
@@ -883,7 +869,7 @@ let readdir t ~cwd path =
   else
     match
       rpc t dir.d_ino.server
-        (Wire.Readdir_shard { dir = dir.d_ino; home = dir.d_ino.server })
+        (Wire.Readdir_shard { dir = dir.d_ino })
     with
     | Wire.P_entries es -> es
     | _ -> assert false

@@ -33,7 +33,6 @@ type t = {
   engine : Engine.t;
   config : Config.t;
   costs : Hare_config.Costs.t;
-  cid : int;
   core : Core_res.t;
   (* [servers] is indexed by PHYSICAL server id; callers speak LOGICAL
      home ids, which are stable forever. [place] maps home -> physical
@@ -79,7 +78,6 @@ let create ~engine ~(config : Config.t) ~cid ~core ~servers ?place ~robust
     engine;
     config;
     costs = config.costs;
-    cid;
     core;
     servers;
     place;
@@ -278,7 +276,7 @@ let transmit t ~deadline ~meta home req =
   end;
   let future, span =
     Rpc.call_async t.servers.(ep) ~from:t.core
-      ?payload_lines:(payload_lines req) ?meta
+      ?payload_lines:(payload_lines req) ?meta ~home
       ~abs_deadline:(propagated t deadline) req
   in
   { home; req; meta; ep; future; span }
@@ -301,7 +299,7 @@ let send t ~deferred home req =
       if not tagged then None
       else begin
         t.seq <- t.seq + 1;
-        Some { Rpc.m_client = t.cid; m_seq = t.seq; m_ack = t.ack }
+        Some { Rpc.m_seq = t.seq; m_ack = t.ack }
       end
     in
     (* A deferred copy's timer starts only at await time, so it carries
@@ -442,7 +440,7 @@ let defer t ?ino ?(on_stale = ignore) home req =
    and sends are reliable (§3.6.2); up to [rpc_window] deferred legs
    under the retry protocol, each with its own tag and ladder; one at a
    time otherwise. *)
-let multicast t homes mk =
+let multicast t homes req =
   let deferred, cap =
     if not t.config.dir_broadcast then (false, 1)
     else if t.base = 0 then (false, max_int)
@@ -460,7 +458,7 @@ let multicast t homes mk =
   List.iter
     (fun home ->
       if Queue.length inflight >= cap then settle ();
-      Queue.push (send t ~deferred home (mk home)) inflight;
+      Queue.push (send t ~deferred home req) inflight;
       if deferred then
         Perf.note_window t.perf (Queue.length inflight))
     homes;

@@ -34,11 +34,12 @@ val create :
     counted in [robust], the deferral window in [perf]. *)
 
 val send : t -> deferred:bool -> int -> Wire.fs_req -> pending
-(** [send t ~deferred home req] counts one RPC, admits a tagged request
-    through the breaker, allocates its tag and sends the first copy. A
-    request an open breaker fast-fails is counted and never sent; its
-    {!await} is [Error EIO]. A [deferred] copy is awaited later, so it
-    carries no propagated deadline. *)
+(** [send t ~deferred home req] addresses [req] to logical home [home]
+    (it rides the envelope and picks the route), counts one RPC, admits
+    a tagged request through the breaker, allocates its tag and sends
+    the first copy. A request an open breaker fast-fails is counted and
+    never sent; its {!await} is [Error EIO]. A [deferred] copy is
+    awaited later, so it carries no propagated deadline. *)
 
 val await : t -> ?poll:bool -> pending -> Wire.fs_resp
 (** Wait for a sent request's final outcome: with [poll] (for deferred
@@ -69,9 +70,8 @@ val drain_window : t -> unit
 val drain_ino : t -> Types.ino -> unit
 (** Await deferred requests, oldest first, until none mutates [ino]. *)
 
-val multicast :
-  t -> int list -> (int -> Wire.fs_req) -> Wire.fs_resp list
-(** [multicast t homes mk] sends [mk home] to each home and returns the
+val multicast : t -> int list -> Wire.fs_req -> Wire.fs_resp list
+(** [multicast t homes req] sends [req] to each home and returns the
     outcomes in order. All legs fly at once under reliable directory
     broadcast, up to [rpc_window] deferred legs under the retry
     protocol, one at a time otherwise. *)

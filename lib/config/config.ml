@@ -174,6 +174,8 @@ let validate t =
     Error
       "retry budgets and circuit breakers require rpc_deadline > 0 (they act \
        on retry decisions)"
+  else if Option.fold ~none:false ~some:(fun w -> w < 1) t.dist_width then
+    Error "dist_width must be at least 1"
   else if t.rpc_window < 1 then Error "rpc_window must be at least 1"
   else if t.batch_max < 1 then Error "batch_max must be at least 1"
   else if t.alloc_extent < 1 then Error "alloc_extent must be at least 1"

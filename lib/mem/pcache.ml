@@ -384,7 +384,7 @@ let write_string t ~block ~off s =
 
 (* All three walk the block's lines from the highest index down. *)
 
-let drop_block t block ~writeback =
+let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
   let f = find_frame t block in
   let n = f.(count_cell) in
@@ -409,12 +409,13 @@ let drop_block t block ~writeback =
     f.(count_cell) <- 0;
     release_frame t block f
   end;
+  dropped block;
   charge t ~cache:(n * t.costs.invalidate_line)
     ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0
 
-let invalidate_block t block = drop_block t block ~writeback:false
+let invalidate_block t block = drop_block t block ~writeback:false ~dropped:ignore
 
-let evict_block t block = drop_block t block ~writeback:true
+let evict_block ~dropped t block = drop_block t block ~writeback:true ~dropped
 
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in

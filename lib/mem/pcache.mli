@@ -79,8 +79,10 @@ val invalidate_block : t -> int -> unit
 
 (** [evict_block t block] is {!invalidate_block} that writes each dirty
     line back first: close-to-open's open-time invalidation, which must
-    keep another descriptor's unflushed writes on this core. *)
-val evict_block : t -> int -> unit
+    keep another descriptor's unflushed writes on this core. [dropped]
+    is called with [block] once its lines are gone, before the charge
+    lets another fiber on the core run. *)
+val evict_block : dropped:(int -> unit) -> t -> int -> unit
 
 (** [writeback_block t block] flushes the dirty lines of [block] to DRAM;
     lines stay resident, clean. *)

@@ -1,7 +1,6 @@
 open Hare_sim
 
 type meta = {
-  m_client : int;
   m_seq : int;
   m_ack : int;
       (* the client's completed low-water mark: every seq <= m_ack has
@@ -9,26 +8,20 @@ type meta = {
          may purge those dedup entries (bounded idempotency memory) *)
 }
 
+(* The sender builds the request as the server will see it, reply
+   function included, so receiving copies nothing. *)
 type ('req, 'resp) request = {
   body : 'req;
   reply : ?payload_lines:int -> 'resp -> unit;
+  home : int; (* the logical home the sender addressed; -1 = none *)
+  sender : int; (* the sending core's id *)
   meta : meta option;
   span : int; (* request id on the observer bus; 0 = unobserved *)
   deadline : int64; (* absolute expiry on the simulated clock; 0 = none *)
 }
 
-(* A request on the wire, with the slot its reply fills. The receiver
-   wraps it in a [request], whose reply function fills the slot. *)
-type ('req, 'resp) envelope = {
-  e_body : 'req;
-  e_reply : 'resp Ivar.t;
-  e_meta : meta option;
-  e_span : int;
-  e_deadline : int64;
-}
-
 type ('req, 'resp) t = {
-  mailbox : ('req, 'resp) envelope Mailbox.t;
+  mailbox : ('req, 'resp) request Mailbox.t;
   costs : Hare_config.Costs.t;
   mutable peak : int; (* deepest queue observed at send time (host-side) *)
 }
@@ -50,26 +43,52 @@ let obs core = Engine.obs (Core_res.engine core)
    effect round trip — these sites fire on every observed RPC. *)
 let fid core = Engine.current_fid (Core_res.engine core)
 
-let call_async t ~from ?payload_lines ?meta ~abs_deadline req =
+(* The response is a message from the endpoint's core back to the
+   caller; the responder pays the send cost. *)
+let reply_fn t ~slot ~tagged ~span ?(payload_lines = 0) resp =
+  let owner = Mailbox.owner t.mailbox in
+  let cost =
+    t.costs.Hare_config.Costs.send
+    + (payload_lines * t.costs.Hare_config.Costs.msg_per_line)
+  in
+  let o = obs owner in
+  if Obs.on o Obs.spans then
+    Obs.emit o (Pending { fid = fid owner; parts = [ (Send, cost) ] });
+  Core_res.compute owner cost;
+  if tagged && Ivar.is_filled slot then
+    (* A duplicated copy of a request we already answered; the caller
+       has its response, so this fill would be a double-assignment. *)
+    ()
+  else begin
+    if Obs.on o Obs.msgs then
+      Obs.emit o (Reply_fill { id = span; core = Core_res.id owner });
+    Ivar.fill slot resp
+  end
+
+let call_async t ~from ?payload_lines ?meta ?(home = -1) ~abs_deadline req =
   (* Allocate a request id so the server-side work (trace) and the
      reply edge (sanitizer) can be tied back to this call. *)
   let o = obs from in
   let span = if Obs.on o Obs.(msgs lor spans) then Obs.fresh_span o else 0 in
-  let reply = Ivar.create () in
+  let slot = Ivar.create () in
   (* Only meta-tagged (retryable) requests are fair game for the fault
      injector; everything else keeps the atomic-delivery guarantee. *)
-  let unreliable = meta <> None in
-  Mailbox.send t.mailbox ~from ?payload_lines ~unreliable ~span
+  let tagged = meta <> None in
+  Mailbox.send t.mailbox ~from ?payload_lines ~unreliable:tagged ~span
     {
-      e_body = req;
-      e_reply = reply;
-      e_meta = meta;
-      e_span = span;
-      e_deadline = abs_deadline;
+      body = req;
+      reply =
+        (fun ?payload_lines resp ->
+          reply_fn t ~slot ~tagged ~span ?payload_lines resp);
+      home;
+      sender = Core_res.id from;
+      meta;
+      span;
+      deadline = abs_deadline;
     };
   let depth = Mailbox.pending t.mailbox in
   if depth > t.peak then t.peak <- depth;
-  (reply, span)
+  (slot, span)
 
 let since engine b0 = Engine.now_cycles engine - b0
 
@@ -119,45 +138,15 @@ let await_deadline ~engine ~from ~costs ~deadline ~span future =
         Obs.emit o (Wait { fid = fid from; cycles = since engine b0 });
       Error `Timeout
 
-let call t ~from ?payload_lines req =
-  let future, span = call_async t ~from ?payload_lines ~abs_deadline:0L req in
+let call t ~from ?payload_lines ?home req =
+  let future, span =
+    call_async t ~from ?payload_lines ?home ~abs_deadline:0L req
+  in
   await ~from ~costs:t.costs ~span future
 
-let reply_fn t env ?(payload_lines = 0) resp =
-  (* The response is a message from the endpoint's core back to the
-     caller; the responder pays the send cost. *)
-  let owner = Mailbox.owner t.mailbox in
-  let cost =
-    t.costs.Hare_config.Costs.send
-    + (payload_lines * t.costs.Hare_config.Costs.msg_per_line)
-  in
-  let o = obs owner in
-  if Obs.on o Obs.spans then
-    Obs.emit o (Pending { fid = fid owner; parts = [ (Send, cost) ] });
-  Core_res.compute owner cost;
-  match env.e_meta with
-  | Some _ when Ivar.is_filled env.e_reply ->
-      (* A duplicated copy of a request we already answered; the caller
-         has its response, so this fill would be a double-assignment. *)
-      ()
-  | _ ->
-      if Obs.on o Obs.msgs then
-        Obs.emit o (Reply_fill { id = env.e_span; core = Core_res.id owner });
-      Ivar.fill env.e_reply resp
+let recv_full t = Mailbox.recv t.mailbox
 
-let request t env =
-  {
-    body = env.e_body;
-    reply = (fun ?payload_lines resp -> reply_fn t env ?payload_lines resp);
-    meta = env.e_meta;
-    span = env.e_span;
-    deadline = env.e_deadline;
-  }
-
-let recv_full t = request t (Mailbox.recv t.mailbox)
-
-let recv_batch_full t ~max =
-  List.map (request t) (Mailbox.recv_many t.mailbox ~max)
+let recv_batch_full t ~max = Mailbox.recv_many t.mailbox ~max
 
 let charge_recv t = Mailbox.charge_recv t.mailbox
 
@@ -165,7 +154,7 @@ let recv t =
   let r = recv_full t in
   (r.body, r.reply)
 
-let drain_pending t = List.map (request t) (Mailbox.drain t.mailbox)
+let drain_pending t = Mailbox.drain t.mailbox
 
 let pending t = Mailbox.pending t.mailbox
 

@@ -6,18 +6,22 @@
     overlap several outstanding RPCs — the mechanism behind directory
     broadcast (§3.6.2).
 
-    Requests may carry a {!meta} idempotency tag (per-client sequence
-    number). Tagged requests are the ones the fault injector may drop,
-    duplicate or delay; servers use the tag to deduplicate retries, and
-    {!await_deadline} bounds the wait so a lost message surfaces as
-    [Error `Timeout] instead of a hang. *)
+    Every request names its sender and, when the receiver serves
+    several logical homes, the home it is addressed to ({!request});
+    payloads do not repeat either. Requests may carry a {!meta}
+    idempotency tag (the sender's sequence number). Tagged requests are
+    the ones the fault injector may drop, duplicate or delay; servers
+    use the tag to deduplicate retries, and {!await_deadline} bounds the
+    wait so a lost message surfaces as [Error `Timeout] instead of a
+    hang. *)
 
-type meta = { m_client : int; m_seq : int; m_ack : int }
-(** Idempotency tag: the sending client's id and its private, monotonic
-    request sequence number. Retries of one logical request reuse one
-    tag. [m_ack] is the client's completed low-water mark — every seq at
-    or below it has a final client-side outcome and will never be
-    retransmitted, so the server can purge those dedup entries. *)
+type meta = { m_seq : int; m_ack : int }
+(** Idempotency tag: the sender's private, monotonic request sequence
+    number; with the request's [sender] it names the request uniquely.
+    Retries of one logical request reuse one tag. [m_ack] is the
+    client's completed low-water mark — every seq at or below it has a
+    final client-side outcome and will never be retransmitted, so the
+    server can purge those dedup entries. *)
 
 type ('req, 'resp) request = {
   body : 'req;
@@ -28,11 +32,17 @@ type ('req, 'resp) request = {
           without blocking their dispatch loop). Replying to a
           duplicated copy of an already-answered tagged request is a
           no-op. *)
+  home : int;
+      (** the logical home the sender addressed, from {!call_async}'s
+          [home]; -1 when the request names none (the receiver serves it
+          whatever homes it hosts) *)
+  sender : int;  (** the sending core's id ({!Hare_sim.Core_res.id}) *)
   meta : meta option;  (** idempotency tag *)
   span : int;  (** the request's bus id; 0 = unobserved *)
   deadline : int64;  (** absolute expiry, simulated cycles; 0 = none *)
 }
-(** A received request, as the server side sees it. *)
+(** A received request, as the server side sees it. The sender builds
+    it whole, so receiving it copies nothing. *)
 
 type ('req, 'resp) t
 
@@ -57,11 +67,13 @@ val rewatch : ('req, 'resp) t -> unit
 (** Re-register the probe dropped by {!unwatch} (server restart).
     No-op if currently watched or the endpoint was never named. *)
 
-(** [call t ~from req] sends [req] and blocks until the response arrives. *)
+(** [call t ~from req] sends [req] and blocks until the response
+    arrives; [home] as for {!call_async}. *)
 val call :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
+  ?home:int ->
   'req ->
   'resp
 
@@ -71,13 +83,15 @@ val call :
     reply is attributed from the server-side breakdown and the reply
     carries its happens-before edge. [meta], when given, tags the
     request for dedup and marks it unreliable (subject to the fault
-    plan). [abs_deadline] rides the envelope (deadline propagation):
-    0 = never expires. *)
+    plan). [home] (default -1) is the logical home the request is
+    addressed to. [abs_deadline] rides the envelope (deadline
+    propagation): 0 = never expires. *)
 val call_async :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
   ?meta:meta ->
+  ?home:int ->
   abs_deadline:int64 ->
   'req ->
   'resp Hare_sim.Ivar.t * int
@@ -110,7 +124,8 @@ val await_deadline :
 val recv : ('req, 'resp) t -> 'req * (?payload_lines:int -> 'resp -> unit)
 
 val recv_full : ('req, 'resp) t -> ('req, 'resp) request
-(** Like {!recv}, with the request's tag, span and deadline. *)
+(** Like {!recv}, with the request's addressing, tag, span and
+    deadline. *)
 
 (** [recv_batch_full t ~max] blocks for the first request, then drains up
     to [max - 1] already-queued requests in arrival order (see

@@ -1,7 +1,5 @@
 type server_id = int
 
-type client_id = int
-
 type fd_token = int
 
 type pid = int

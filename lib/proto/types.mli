@@ -4,9 +4,6 @@
 type server_id = int
 (** File servers are numbered [0 .. nservers-1]. *)
 
-type client_id = int
-(** Client libraries are per-core (Figure 2); the client id is the core id. *)
-
 type fd_token = int
 (** Server-issued handle for an open file: the unit of server-side file
     descriptor tracking (§3.4). *)

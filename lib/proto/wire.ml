@@ -5,42 +5,21 @@ open Types
 type pack = ..
 
 type fs_req =
-  | Lookup of { home : int; dir : ino; name : string; client : client_id }
+  | Lookup of { dir : ino; name : string }
   | Add_map of {
-      home : int;
       dir : ino;
       name : string;
       target : ino;
       ftype : ftype;
       dist : bool;
       replace : bool;
-      client : client_id;
     }
-  | Rm_map of {
-      home : int;
-      dir : ino;
-      name : string;
-      only_if : ino option;
-      client : client_id;
-    }
-  | Readdir_shard of { home : int; dir : ino }
-  | Create_open of {
-      home : int;
-      dir : ino;
-      name : string;
-      excl : bool;
-      trunc : bool;
-      client : client_id;
-    }
-  | Create_inode of { home : int; ftype : ftype; dist : bool; and_open : bool }
-  | Create_dir of {
-      home : int;
-      dir : ino;
-      name : string;
-      dist : bool;
-      client : client_id;
-    }
-  | Open_inode of { ino : ino; trunc : bool; client : client_id }
+  | Rm_map of { dir : ino; name : string; only_if : ino option }
+  | Readdir_shard of { dir : ino }
+  | Create_open of { dir : ino; name : string; excl : bool; trunc : bool }
+  | Create_inode of { ftype : ftype; dist : bool; and_open : bool }
+  | Create_dir of { dir : ino; name : string; dist : bool }
+  | Open_inode of { ino : ino; trunc : bool }
   | Close_fd of { token : fd_token; size : int option }
   | Read_fd of { token : fd_token; off : int option; len : int }
   | Write_fd of { token : fd_token; off : int option; data : string; append : bool }
@@ -54,11 +33,11 @@ type fs_req =
   | Inc_fd_ref of { token : fd_token; offset : int option }
   | Rmdir_lock of { dir : ino }
   | Rmdir_unlock of { dir : ino }
-  | Rmdir_prepare of { home : int; dir : ino }
-  | Rmdir_commit of { home : int; dir : ino; client : client_id }
-  | Rmdir_abort of { home : int; dir : ino }
-  | Rmdir_local of { dir : ino; client : client_id }
-  | Pipe_create of { home : int; client : client_id }
+  | Rmdir_prepare of { dir : ino }
+  | Rmdir_commit of { dir : ino }
+  | Rmdir_abort of { dir : ino }
+  | Rmdir_local of { dir : ino }
+  | Pipe_create
   | Pipe_read of { token : fd_token; len : int }
   | Pipe_write of { token : fd_token; data : string }
   | Steal_blocks of { count : int }
@@ -192,7 +171,7 @@ let info = function
       shed = Metadata; cost = 250; retryable = true }
   | Rmdir_local _ -> { name = "RMDIR_LOCAL"; span = "srv:RMDIR_LOCAL";
       shed = Metadata; cost = 400; retryable = true }
-  | Pipe_create _ -> { name = "PIPE_CREATE"; span = "srv:PIPE_CREATE";
+  | Pipe_create -> { name = "PIPE_CREATE"; span = "srv:PIPE_CREATE";
       shed = Metadata; cost = 500; retryable = true }
   (* not retryable: a parked pipe read or write may legitimately wait
      forever, and no deadline tells a slow peer from a dead server *)
@@ -217,7 +196,7 @@ let req_args req =
   | Lookup { dir = d; name; _ } -> dir d @ [ ("name", name) ]
   | Add_map { dir = d; name; _ } -> dir d @ [ ("name", name) ]
   | Rm_map { dir = d; name; _ } -> dir d @ [ ("name", name) ]
-  | Readdir_shard { dir = d; _ } -> dir d
+  | Readdir_shard { dir = d } -> dir d
   | Create_open { dir = d; name; _ } -> dir d @ [ ("name", name) ]
   | Create_inode _ -> []
   | Create_dir { dir = d; name; _ } -> dir d @ [ ("name", name) ]
@@ -233,11 +212,12 @@ let req_args req =
   | Unlink_ino { ino = i } -> ino i
   | Rmdir_lock { dir = d }
   | Rmdir_unlock { dir = d }
-  | Rmdir_prepare { dir = d; _ }
-  | Rmdir_abort { dir = d; _ } ->
+  | Rmdir_prepare { dir = d }
+  | Rmdir_commit { dir = d }
+  | Rmdir_abort { dir = d }
+  | Rmdir_local { dir = d } ->
       dir d
-  | Rmdir_commit { dir = d; _ } | Rmdir_local { dir = d; _ } -> dir d
-  | Pipe_create _ -> []
+  | Pipe_create -> []
   | Pipe_read { len; _ } -> [ ("len", string_of_int len) ]
   | Pipe_write { data; _ } -> [ ("len", string_of_int (String.length data)) ]
   | Steal_blocks { count } -> [ ("count", string_of_int count) ]

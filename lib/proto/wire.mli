@@ -19,20 +19,24 @@ type pack = ..
     constructor — it references server-internal types — without a
     dependency cycle. *)
 
-(** Requests that address a directory-entry shard or mint an inode carry
-    the {e logical home} ([home]) they are aimed at: under [Sharded]
-    placement several homes can share a physical server (and move between
-    servers mid-run), so the receiving server cannot infer the home from
-    its own id. A server answers [EMOVED] — before execution, before
-    dedup recording — when it does not currently host the request's home;
-    clients then re-resolve the ring route and resend. Inode, token and
-    rmdir-lock requests derive their home from the [ino]/[token]/[dir]
-    field instead. *)
+(** A request names neither the home it is addressed to nor its sender:
+    both ride the RPC envelope ({!Hare_msg.Rpc.request}), stated once.
+    Under [Sharded] placement several logical homes can share a physical
+    server (and move between servers mid-run), so the envelope's home,
+    not the receiving server's id, says which home the request is for.
+    A client addresses a directory-entry operation to the entry's shard
+    home, a creation to the home it places the new inode at, and an
+    inode, descriptor or rmdir-lock request to the home its [ino],
+    [token] or [dir] names. A server answers [EMOVED] — before
+    execution, before dedup recording — when it does not currently host
+    the addressed home; clients then re-resolve the ring route and
+    resend. Client libraries are per-core (Figure 2), so the sending
+    core is the client: entry lookups and edits register it on the
+    entry's tracking list for invalidation callbacks. *)
 type fs_req =
   (* directory-entry (shard) operations *)
-  | Lookup of { home : int; dir : ino; name : string; client : client_id }
+  | Lookup of { dir : ino; name : string }
   | Add_map of {
-      home : int;
       dir : ino;
       name : string;
       target : ino;
@@ -40,38 +44,23 @@ type fs_req =
       dist : bool;  (** target's distribution flag, denormalized into the
                         entry so lookups need one RPC (§3.6.1). *)
       replace : bool;
-      client : client_id;
     }
   | Rm_map of {
-      home : int;
       dir : ino;
       name : string;
       only_if : ino option;
           (** remove only if the entry still points here — rename's
               compensation relies on inode ids never being reused. *)
-      client : client_id;
     }
-  | Readdir_shard of { home : int; dir : ino }
-  | Create_open of {
-      home : int;
-      dir : ino;
-      name : string;
-      excl : bool;
-      trunc : bool;
-      client : client_id;
-    }  (** coalesced create-inode + add-map + open for regular files. *)
+  | Readdir_shard of { dir : ino }
+  | Create_open of { dir : ino; name : string; excl : bool; trunc : bool }
+      (** coalesced create-inode + add-map + open for regular files. *)
   (* inode (home server) operations *)
-  | Create_inode of { home : int; ftype : ftype; dist : bool; and_open : bool }
-  | Create_dir of {
-      home : int;
-      dir : ino;
-      name : string;
-      dist : bool;
-      client : client_id;
-    }
+  | Create_inode of { ftype : ftype; dist : bool; and_open : bool }
+  | Create_dir of { dir : ino; name : string; dist : bool }
       (** coalesced mkdir: inode + entry when both land on one server
           (§3.6.3). *)
-  | Open_inode of { ino : ino; trunc : bool; client : client_id }
+  | Open_inode of { ino : ino; trunc : bool }
   | Close_fd of { token : fd_token; size : int option }
   | Read_fd of { token : fd_token; off : int option; len : int }
   | Write_fd of { token : fd_token; off : int option; data : string; append : bool }
@@ -92,21 +81,22 @@ type fs_req =
   (* three-phase rmdir *)
   | Rmdir_lock of { dir : ino }
   | Rmdir_unlock of { dir : ino }
-  | Rmdir_prepare of { home : int; dir : ino }
-  | Rmdir_commit of { home : int; dir : ino; client : client_id }
-  | Rmdir_abort of { home : int; dir : ino }
-  | Rmdir_local of { dir : ino; client : client_id }
+  | Rmdir_prepare of { dir : ino }
+  | Rmdir_commit of { dir : ino }
+  | Rmdir_abort of { dir : ino }
+  | Rmdir_local of { dir : ino }
       (** coalesced rmdir of a {e centralized} directory: emptiness check
           and inode removal are atomic at the home server, so the
           three-phase protocol is unnecessary. *)
   (* pipes *)
-  | Pipe_create of { home : int; client : client_id }
+  | Pipe_create
   | Pipe_read of { token : fd_token; len : int }
   | Pipe_write of { token : fd_token; data : string }
   | Steal_blocks of { count : int }
       (** server→server ({e extension}, §3.2): ask a peer to donate free
           buffer-cache blocks when this server's partition is dry. *)
-  (* shard migration (coordinator→server, {e extension}) *)
+  (* shard migration (coordinator→server, {e extension}); the home is
+     the operation's subject, not its address *)
   | Migrate_out of { home : int }
       (** pack up logical home [home] and stop hosting it. Replies
           [P_pack] with the home's entire state, or [EBUSY] if the home

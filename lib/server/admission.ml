@@ -32,52 +32,13 @@ let create ~engine ~(config : Hare_config.Config.t) ~core ~endpoint ~robust ~ded
 
 let moved_rejects t = t.moved_rejects
 
-(* Which logical home a request addresses; -1 for
-   requests with no home affinity (block stealing, the migration protocol
-   itself). Entry operations carry it explicitly; inode and token
-   operations encode it in the target id. *)
-let req_home (req : Wire.fs_req) =
-  match req with
-  | Wire.Lookup { home; _ }
-  | Wire.Add_map { home; _ }
-  | Wire.Rm_map { home; _ }
-  | Wire.Readdir_shard { home; _ }
-  | Wire.Create_open { home; _ }
-  | Wire.Create_inode { home; _ }
-  | Wire.Create_dir { home; _ }
-  | Wire.Rmdir_prepare { home; _ }
-  | Wire.Rmdir_commit { home; _ }
-  | Wire.Rmdir_abort { home; _ }
-  | Wire.Pipe_create { home; _ } ->
-      home
-  | Wire.Open_inode { ino; _ }
-  | Wire.Alloc_blocks { ino; _ }
-  | Wire.Get_blocks { ino }
-  | Wire.Get_attr { ino }
-  | Wire.Truncate { ino; _ }
-  | Wire.Unlink_ino { ino } ->
-      ino.server
-  | Wire.Rmdir_lock { dir } | Wire.Rmdir_unlock { dir } | Wire.Rmdir_local { dir; _ } ->
-      dir.server
-  | Wire.Close_fd { token; _ }
-  | Wire.Read_fd { token; _ }
-  | Wire.Write_fd { token; _ }
-  | Wire.Lseek_fd { token; _ }
-  | Wire.Update_size { token; _ }
-  | Wire.Inc_fd_ref { token; _ }
-  | Wire.Pipe_read { token; _ }
-  | Wire.Pipe_write { token; _ } ->
-      Home.token_home token
-  | Wire.Steal_blocks _ | Wire.Migrate_out _ | Wire.Install_shard _ -> -1
-
 (* The addressed home moved away. Bounce with EMOVED *before* any
    execution or dedup recording: the reject must never be cached as this
    request's outcome (the cached entry would migrate with the shard and
    shadow the real execution), and the retry — same idempotency tag, new
    owner — must be free to execute. *)
 let moved t ~dispatch (r : _ Rpc.request) =
-  let h = req_home r.body in
-  if h < 0 || Tbl.Int.mem t.homes h then false
+  if r.home < 0 || Tbl.Int.mem t.homes r.home then false
   else begin
     t.moved_rejects <- t.moved_rejects + 1;
     Core_res.compute t.core (if dispatch then t.dispatch_cost else 0);
@@ -87,14 +48,14 @@ let moved t ~dispatch (r : _ Rpc.request) =
 
 let placed t r = not (moved t ~dispatch:true r)
 
-let sheds t m req =
+let sheds t (r : _ Rpc.request) m =
   t.watermark > 0
   && (let depth = Rpc.pending t.endpoint in
-      match (Wire.info req).shed with
+      match (Wire.info r.body).shed with
       | Metadata -> false
       | Data -> depth > 2 * t.watermark
       | Background -> depth > t.watermark)
-  && not (Dedup.seen t.dedup m)
+  && not (Dedup.seen t.dedup r.sender m)
 
 let refuse t key name req =
   Robust.incr t.robust key;
@@ -107,9 +68,9 @@ let refuse t key name req =
 
 let admit t ~dispatch (r : _ Rpc.request) =
   match r.meta with
-  | Some m when sheds t m r.body ->
+  | Some m when sheds t r m ->
       refuse t Robust.shed_load "shed-load" r.body;
-      Dedup.shed t.dedup m;
+      Dedup.shed t.dedup r.sender m;
       r.reply (Error Errno.EBUSY);
       false
   | Some _ when r.deadline > 0L && Engine.now t.engine > r.deadline ->

@@ -8,8 +8,8 @@
     expiry drop costs it a full timeout, so a shed wins even over an
     expired copy. A tagged copy whose propagated deadline has passed is
     dropped without a reply: its client already sent a retransmission.
-    A request addressed to a home this server does not host (it
-    migrated away) is bounced with [EMOVED]. Admitting allocates nothing. *)
+    A request whose envelope addresses a home this server does not host
+    (it migrated away) is bounced with [EMOVED]. Admitting allocates nothing. *)
 
 type t
 

@@ -58,8 +58,8 @@ let prune c ~before =
       match entry with Done _ when seq < before -> None | e -> Some e)
     c.tbl
 
-let admit d (m : Hare_msg.Rpc.meta) slot =
-  let c = client d m.m_client in
+let admit d sender (m : Hare_msg.Rpc.meta) slot =
+  let c = client d sender in
   ack d c ~ack:m.m_ack;
   match Hashtbl.find_opt c.tbl m.m_seq with
   | Some (Done resp) -> Replay resp
@@ -80,13 +80,13 @@ let finish p resp =
     Some p.joined
   end
 
-let seen d (m : Hare_msg.Rpc.meta) =
-  match Hashtbl.find_opt d.clients m.m_client with
+let seen d sender (m : Hare_msg.Rpc.meta) =
+  match Hashtbl.find_opt d.clients sender with
   | Some c -> Hashtbl.mem c.tbl m.m_seq
   | None -> false
 
-let shed d (m : Hare_msg.Rpc.meta) =
-  let c = client d m.m_client in
+let shed d sender (m : Hare_msg.Rpc.meta) =
+  let c = client d sender in
   ack d c ~ack:m.m_ack;
   Hashtbl.replace c.tbl m.m_seq (Done (Error Hare_proto.Errno.EBUSY))
 

@@ -1,5 +1,6 @@
 (** A file server's idempotency memory (exactly-once under retries): one
-    entry per tagged request [(client, seq)].
+    entry per tagged request [(client, seq)], where the client is the
+    request's sender.
 
     A [Pending] entry collects the reply slots of duplicate copies that
     arrive while the original is still executing or parked; a [Done]
@@ -27,9 +28,10 @@ type 'w admission =
       (** completed earlier: answer with the cached response *)
   | Joined  (** still executing: the copy's slot is answered with it *)
 
-val admit : 'w t -> Hare_msg.Rpc.meta -> 'w -> 'w admission
-(** Apply the copy's ack mark, then look its [(client, seq)] up; a miss
-    records the request as pending. The slot is kept only for [Joined]. *)
+val admit : 'w t -> int -> Hare_msg.Rpc.meta -> 'w -> 'w admission
+(** [admit d client meta slot]: apply the copy's ack mark, then look its
+    [(client, seq)] up; a miss records the request as pending. The slot
+    is kept only for [Joined]. *)
 
 val finish : 'w pending -> Hare_proto.Wire.fs_resp -> 'w list option
 (** The original's first answer: caches it as done — unless the client
@@ -37,11 +39,11 @@ val finish : 'w pending -> Hare_proto.Wire.fs_resp -> 'w list option
     possible retransmission — and returns the joined slots to answer
     with it. [None] once the request was already answered. *)
 
-val seen : 'w t -> Hare_msg.Rpc.meta -> bool
+val seen : 'w t -> int -> Hare_msg.Rpc.meta -> bool
 (** Whether this [(client, seq)] already has an entry, i.e. the copy is a
     duplicate. Pure: creates no per-client state. *)
 
-val shed : 'w t -> Hare_msg.Rpc.meta -> unit
+val shed : 'w t -> int -> Hare_msg.Rpc.meta -> unit
 (** Record an overload shed: duplicates of the copy replay [EBUSY]. *)
 
 val export : 'w t -> (int * int * Hare_proto.Wire.fs_resp) list

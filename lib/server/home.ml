@@ -4,6 +4,8 @@ module Itbl = Tbl.Int
 
 type reply = ?payload_lines:int -> Wire.fs_resp -> unit
 
+type request = (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request
+
 module Dtbl = Tbl.Make (struct
   type t = Hare_proto.Types.ino
 
@@ -18,7 +20,7 @@ type ofd = {
   pipe_end : [ `R | `W ] option;
 }
 
-type mark = { parked : (Wire.fs_req * reply) Queue.t }
+type mark = { parked : request Queue.t }
 
 type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
 
@@ -113,7 +115,9 @@ let crash homes =
   in
   Itbl.iter
     (fun _ h ->
-      Dtbl.iter (fun _ m -> Queue.iter (fun (_, r) -> abort r) m.parked) h.marks;
+      Dtbl.iter
+        (fun _ m -> Queue.iter (fun (r : request) -> abort r.reply) m.parked)
+        h.marks;
       Dtbl.reset h.marks;
       Dtbl.iter (fun _ l -> Queue.iter abort l.lock_waiters) h.locks;
       Dtbl.reset h.locks;

@@ -8,6 +8,10 @@
 type reply = ?payload_lines:int -> Hare_proto.Wire.fs_resp -> unit
 (** A request's reply slot; parked work holds it until it can answer. *)
 
+type request =
+  (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.request
+(** A received request, with the home and sender its envelope names. *)
+
 module Dtbl : Hashtbl.S with type key = Hare_proto.Types.ino
 
 type ofd = {
@@ -21,8 +25,8 @@ type ofd = {
 }
 (** Server-side open file descriptor state (§3.4). *)
 
-type mark = { parked : (Hare_proto.Wire.fs_req * reply) Queue.t }
-(** An rmdir mark: creates delayed until the removal's outcome is known. *)
+type mark = { parked : request Queue.t }
+(** An rmdir mark: the creates it delays, queued whole. *)
 
 type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
 

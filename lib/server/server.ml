@@ -36,7 +36,7 @@ type t = {
   faults : Hare_fault.Injector.link option;
   mutable down : bool;
   (* reliable messages that arrived while down; served after restart *)
-  boot_queue : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request Queue.t;
+  boot_queue : request Queue.t;
   dedup : reply Dedup.t;
   robust : Robust.t;
   (* extensions: admission (overload, EMOVED), stealing, migration *)
@@ -679,10 +679,7 @@ let handle_rmdir_commit h ~dir (reply : reply) =
   | Some m ->
       Dtbl.remove h.marks dir;
       (* Creates delayed behind the mark fail: the directory is gone. *)
-      Queue.iter
-        (fun ((_ : Wire.fs_req), (parked_reply : reply)) ->
-          parked_reply (Error Errno.ENOENT))
-        m.parked);
+      Queue.iter (fun (p : request) -> p.reply (Error Errno.ENOENT)) m.parked);
   bury h dir;
   if dir.server = h.hid then
     (* The directory's own home: destroy the inode itself. *)
@@ -726,39 +723,40 @@ let handle_pipe_write t ~token ~data (reply : reply) =
 (* ---------- dispatch --------------------------------------------------- *)
 
 (* Creates in a directory marked for deletion are delayed until the
-   two-phase outcome is known (§3.3). The mark lives in the request's
+   two-phase outcome is known (§3.3). The mark lives in the addressed
    home. *)
-let creation_mark t (req : Wire.fs_req) =
-  match req with
-  | Wire.Add_map { dir; home = hid; _ } | Wire.Create_open { dir; home = hid; _ } ->
-      Dtbl.find_opt (home t hid).marks dir
+let creation_mark t (r : request) =
+  match r.body with
+  | Wire.Add_map { dir; _ } | Wire.Create_open { dir; _ } ->
+      Dtbl.find_opt (home t r.home).marks dir
   | _ -> None
 
-let rec handle t (req : Wire.fs_req) (reply : reply) =
-  match creation_mark t req with
-  | Some m -> Queue.push (req, reply) m.parked
+let rec handle t (r : request) =
+  match creation_mark t r with
+  | Some m -> Queue.push r m.parked
   | None -> (
-      try dispatch t req reply
-      with Out_of_blocks -> Steal.park t.steal ~retry:(handle t) req reply)
+      try dispatch t r
+      with Out_of_blocks -> Steal.park t.steal ~retry:(handle t) r)
 
-and dispatch t (req : Wire.fs_req) (reply : reply) =
-  match req with
-  | Wire.Lookup { dir; name; client; home = hid } ->
-      handle_lookup (home t hid) ~dir ~name ~client reply
-  | Wire.Add_map { dir; name; target; ftype; dist; replace; client; home = hid } ->
-      handle_add_map t (home t hid) ~dir ~name ~target ~ftype ~dist ~replace
+and dispatch t (r : request) =
+  let reply = r.reply and client = r.sender in
+  match r.body with
+  | Wire.Lookup { dir; name } ->
+      handle_lookup (home t r.home) ~dir ~name ~client reply
+  | Wire.Add_map { dir; name; target; ftype; dist; replace } ->
+      handle_add_map t (home t r.home) ~dir ~name ~target ~ftype ~dist ~replace
         ~client reply
-  | Wire.Rm_map { dir; name; only_if; client; home = hid } ->
-      handle_rm_map t (home t hid) ~dir ~name ~only_if ~client reply
-  | Wire.Readdir_shard { dir; home = hid } -> handle_readdir (home t hid) ~dir reply
-  | Wire.Create_open { dir; name; excl; trunc; client; home = hid } ->
-      handle_create_open t (home t hid) ~dir ~name ~excl ~trunc ~client reply
-  | Wire.Create_inode { ftype; dist; and_open; home = hid } ->
-      handle_create_inode t (home t hid) ~ftype ~dist ~and_open reply
-  | Wire.Create_dir { dir; name; dist; client; home = hid } ->
-      handle_create_dir t (home t hid) ~dir ~name ~dist ~client reply
-  | Wire.Rmdir_local { dir; client = _ } -> handle_rmdir_local t ~dir reply
-  | Wire.Open_inode { ino; trunc; client = _ } -> handle_open_inode t ~ino ~trunc reply
+  | Wire.Rm_map { dir; name; only_if } ->
+      handle_rm_map t (home t r.home) ~dir ~name ~only_if ~client reply
+  | Wire.Readdir_shard { dir } -> handle_readdir (home t r.home) ~dir reply
+  | Wire.Create_open { dir; name; excl; trunc } ->
+      handle_create_open t (home t r.home) ~dir ~name ~excl ~trunc ~client reply
+  | Wire.Create_inode { ftype; dist; and_open } ->
+      handle_create_inode t (home t r.home) ~ftype ~dist ~and_open reply
+  | Wire.Create_dir { dir; name; dist } ->
+      handle_create_dir t (home t r.home) ~dir ~name ~dist ~client reply
+  | Wire.Rmdir_local { dir } -> handle_rmdir_local t ~dir reply
+  | Wire.Open_inode { ino; trunc } -> handle_open_inode t ~ino ~trunc reply
   | Wire.Close_fd { token; size } -> handle_close t ~token ~size reply
   | Wire.Read_fd { token; off; len } -> handle_read t ~token ~off ~len reply
   | Wire.Write_fd { token; off; data; append } ->
@@ -783,23 +781,18 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
   | Wire.Inc_fd_ref { token; offset } -> handle_inc_fd_ref t ~token ~offset reply
   | Wire.Rmdir_lock { dir } -> handle_rmdir_lock t ~dir reply
   | Wire.Rmdir_unlock { dir } -> handle_rmdir_unlock t ~dir reply
-  | Wire.Rmdir_prepare { dir; home = hid } ->
-      handle_rmdir_prepare (home t hid) ~dir reply
-  | Wire.Rmdir_commit { dir; client = _; home = hid } ->
-      handle_rmdir_commit (home t hid) ~dir reply
-  | Wire.Rmdir_abort { dir; home = hid } -> (
-      let h = home t hid in
+  | Wire.Rmdir_prepare { dir } -> handle_rmdir_prepare (home t r.home) ~dir reply
+  | Wire.Rmdir_commit { dir } -> handle_rmdir_commit (home t r.home) ~dir reply
+  | Wire.Rmdir_abort { dir } -> (
+      let h = home t r.home in
       match Dtbl.find_opt h.marks dir with
       | None -> reply (Ok Wire.P_unit)
       | Some m ->
           Dtbl.remove h.marks dir;
           reply (Ok Wire.P_unit);
           (* Replay the creates that were delayed behind the mark. *)
-          Queue.iter
-            (fun (parked_req, (parked_reply : reply)) ->
-              handle t parked_req parked_reply)
-            m.parked)
-  | Wire.Pipe_create { home = hid; _ } -> handle_pipe_create t (home t hid) reply
+          Queue.iter (handle t) m.parked)
+  | Wire.Pipe_create -> handle_pipe_create t (home t r.home) reply
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply
   | Wire.Steal_blocks { count } -> Steal.donate t.steal ~count reply
@@ -813,12 +806,12 @@ and dispatch t (req : Wire.fs_req) (reply : reply) =
    after its first message: the per-wakeup dispatch preamble was already
    paid once for the whole batch, so only the operation's marginal cost
    is charged (batch dispatch). *)
-let execute ~dispatch ~span t (req : Wire.fs_req) (reply : reply) =
-  let info = Wire.info req in
+let execute ~dispatch t (r : request) =
+  let info = Wire.info r.body in
   Hare_stats.Opcount.incr t.ops info.name;
   let dcost = if dispatch then t.costs.server_dispatch else 0 in
   let ocost =
-    match req with
+    match r.body with
     (* allocation is charged per block granted, extent lease included *)
     | Wire.Alloc_blocks { count; ahead; _ } -> info.cost * max 1 (count + ahead)
     | _ -> info.cost
@@ -828,51 +821,50 @@ let execute ~dispatch ~span t (req : Wire.fs_req) (reply : reply) =
   let o = Engine.obs t.engine in
   let fid = Engine.current_fid t.engine in
   if Obs.on o Obs.spans then begin
-    let op = info.span and args () = Wire.req_args req in
+    let op = info.span and args () = Wire.req_args r.body in
     let pending = [ (Obs.Dispatch, dcost); (Compute, ocost) ] in
     let track = Core_res.id t.core and ts = Obs.now o in
-    Obs.emit o (Span_open { fid; op; track; parent = span; ts; args; pending })
+    Obs.emit o (Span_open { fid; op; track; parent = r.span; ts; args; pending })
   end;
   let close () =
     if Obs.on o Obs.spans then
       Obs.emit o (Span_close { fid; ts = Obs.now o; server = true })
   in
   Core_res.compute t.core (dcost + ocost);
-  match handle t req reply with
+  match handle t r with
   | () -> close ()
   | exception Errno.Error (e, _) ->
-      reply (Error e);
+      r.reply (Error e);
       close ()
   | exception e ->
       close ();
       raise e
 
 (* Execute an admitted request, exactly once per idempotency tag. *)
-let run ~dispatch t (r : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.request) =
-  let { Hare_msg.Rpc.body = req; reply; meta; span; _ } = r in
-  match meta with
-  | None -> execute ~dispatch ~span t req reply
+let run ~dispatch t (r : request) =
+  match r.meta with
+  | None -> execute ~dispatch t r
   | Some m -> (
-      match Dedup.admit t.dedup m reply with
+      match Dedup.admit t.dedup r.sender m r.reply with
       | Replay resp ->
           (* Retransmission of a completed request: replay the cached
              response without re-executing the operation. *)
           Robust.incr t.robust Robust.dedup_hits;
           Core_res.compute t.core t.costs.server_dispatch;
-          reply resp
+          r.reply resp
       | Joined ->
           (* The original is still executing (or parked); this copy's
              reply slot is answered alongside it. *)
           Robust.incr t.robust Robust.dedup_hits
       | Fresh p ->
-          let reply' ?payload_lines resp =
+          let reply ?payload_lines resp =
             match Dedup.finish p resp with
             | None -> ()
             | Some joined ->
-                reply ?payload_lines resp;
-                List.iter (fun (r : reply) -> r resp) joined
+                r.reply ?payload_lines resp;
+                List.iter (fun (j : reply) -> j resp) joined
           in
-          execute ~dispatch ~span t req reply')
+          execute ~dispatch t { r with reply })
 
 let crash t =
   if not t.down then begin
@@ -886,7 +878,7 @@ let crash t =
        unblock. *)
     let queued =
       List.fold_left
-        (fun n (r : _ Hare_msg.Rpc.request) ->
+        (fun n (r : request) ->
           if Option.is_none r.meta then r.reply (Error Errno.EIO);
           n + 1)
         0
@@ -928,7 +920,7 @@ let restart t =
 
 let start t =
   let batch_max = max 1 t.config.Hare_config.Config.batch_max in
-  let serve ~dispatch (r : _ Hare_msg.Rpc.request) =
+  let serve ~dispatch (r : request) =
     if t.down then
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)

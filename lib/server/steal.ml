@@ -11,7 +11,7 @@ type t = {
   costs : Hare_config.Costs.t;
   blocks : Blocklist.t;
   mutable peers : (Wire.fs_req, Wire.fs_resp) Rpc.t array;
-  parked : (Wire.fs_req * Home.reply) Queue.t;
+  parked : Home.request Queue.t;
   mutable inflight : bool;
   mutable victim : int;
   mutable failures : int;  (* peers that declined since the last success *)
@@ -50,7 +50,9 @@ let rec kick t ~retry =
   if (not t.inflight) && not (Queue.is_empty t.parked) then
     if t.failures >= Array.length t.peers - 1 then begin
       t.failures <- 0;
-      List.iter (fun (_, (r : Home.reply)) -> r (Error Errno.ENOSPC)) (take_parked t)
+      List.iter
+        (fun (r : Home.request) -> r.reply (Error Errno.ENOSPC))
+        (take_parked t)
     end
     else begin
       t.inflight <- true;
@@ -72,14 +74,14 @@ let rec kick t ~retry =
                  t.stolen <- t.stolen + Array.length blocks;
                  Blocklist.adopt t.blocks blocks
              | Ok _ | Error _ -> t.failures <- t.failures + 1);
-             List.iter (fun (req, reply) -> retry req reply) (take_parked t);
+             List.iter retry (take_parked t);
              kick t ~retry))
     end
 
-let park t ~retry req (reply : Home.reply) =
-  if (not t.enabled) || Array.length t.peers <= 1 then reply (Error Errno.ENOSPC)
+let park t ~retry (r : Home.request) =
+  if (not t.enabled) || Array.length t.peers <= 1 then r.reply (Error Errno.ENOSPC)
   else begin
-    Queue.push (req, reply) t.parked;
+    Queue.push r t.parked;
     kick t ~retry
   end
 
@@ -90,5 +92,5 @@ let donate t ~count (reply : Home.reply) =
 
 let abort t =
   let parked = take_parked t in
-  List.iter (fun (_, (r : Home.reply)) -> r (Error Errno.EIO)) parked;
+  List.iter (fun (r : Home.request) -> r.reply (Error Errno.EIO)) parked;
   List.length parked

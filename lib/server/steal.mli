@@ -22,12 +22,7 @@ val set_peers :
   t -> (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.t array -> unit
 (** Every server's endpoint, indexed by server id. *)
 
-val park :
-  t ->
-  retry:(Hare_proto.Wire.fs_req -> Home.reply -> unit) ->
-  Hare_proto.Wire.fs_req ->
-  Home.reply ->
-  unit
+val park : t -> retry:(Home.request -> unit) -> Home.request -> unit
 (** A request that ran out of blocks: answer [ENOSPC] when stealing is
     off or there is no peer; otherwise park it and start a steal unless
     one is in flight. [retry] re-handles each parked request after a

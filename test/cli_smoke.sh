@@ -26,6 +26,9 @@ expect 0 run writes --cores 2 --trace trace_smoke.json --trace-cap 0 --strict
 # close still reports its size.
 expect 0 run writes --cores 4 --seed 1 --no-preset --plan "crash:0@300000+200000" --extent 8 --check
 expect 0 run extract --cores 4 --seed 2 --window 8 --plan "crash:0@300000+200000" --check
+# The open-time invalidation lint looks at each block before the charge
+# lets another process on the core refill it with current data.
+expect 0 run "build linux" --cores 8 --seed 1 --no-preset --check
 expect 1 run nosuch --cores 2
 expect 1 run creates --cores 2 --plan "drop:fs:1.5"
 expect 1 run creates --cores 2 --plan "drop:fs:0.1" --deadline 0
@@ -37,6 +40,9 @@ expect 1 run creates --cores 2 --blame
 expect 1 run creates --cores 2 --ring
 expect 1 run all --cores 2 --trace trace_smoke.json
 expect 1 run creates --cores 2 --series series_smoke.json
+expect 1 run creates --cores 2 --width 0
+expect 1 run creates --cores 2 --scale 0
+expect 1 run creates --cores 2 --nprocs 0
 expect 1 fig 99
 expect 2 explore collide --strategy foo
 expect 2 explore collide --replay 0,x

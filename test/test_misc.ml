@@ -83,24 +83,23 @@ let test_req_names_distinct () =
   let d = Types.root_ino in
   let catalogue =
     [
-      (Wire.Lookup { dir = d; name = "x"; client = 0; home = 0 },
+      (Wire.Lookup { dir = d; name = "x" },
         ("LOOKUP", "srv:LOOKUP", Wire.Metadata, 200, true));
       (Wire.Add_map
           { dir = d; name = "x"; target = d; ftype = Types.Reg; dist = false;
-            replace = false; client = 0; home = 0 },
+            replace = false },
         ("ADD_MAP", "srv:ADD_MAP", Wire.Metadata, 400, true));
-      (Wire.Rm_map { dir = d; name = "x"; only_if = None; client = 0; home = 0 },
+      (Wire.Rm_map { dir = d; name = "x"; only_if = None },
         ("RM_MAP", "srv:RM_MAP", Wire.Metadata, 0, true));
-      (Wire.Readdir_shard { dir = d; home = 0 },
+      (Wire.Readdir_shard { dir = d },
         ("READDIR", "srv:READDIR", Wire.Metadata, 200, true));
-      (Wire.Create_open
-          { dir = d; name = "x"; excl = false; trunc = false; client = 0; home = 0 },
+      (Wire.Create_open { dir = d; name = "x"; excl = false; trunc = false },
         ("CREATE_OPEN", "srv:CREATE_OPEN", Wire.Metadata, 900, true));
-      (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false; home = 0 },
+      (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false },
         ("CREATE_INODE", "srv:CREATE_INODE", Wire.Metadata, 500, true));
-      (Wire.Create_dir { dir = d; name = "d"; dist = false; client = 0; home = 0 },
+      (Wire.Create_dir { dir = d; name = "d"; dist = false },
         ("CREATE_DIR", "srv:CREATE_DIR", Wire.Metadata, 800, true));
-      (Wire.Open_inode { ino = d; trunc = false; client = 0 },
+      (Wire.Open_inode { ino = d; trunc = false },
         ("OPEN", "srv:OPEN", Wire.Metadata, 400, true));
       (Wire.Close_fd { token = 1; size = None },
         ("CLOSE", "srv:CLOSE", Wire.Metadata, 200, true));
@@ -128,15 +127,15 @@ let test_req_names_distinct () =
         ("RMDIR_LOCK", "srv:RMDIR_LOCK", Wire.Metadata, 150, false));
       (Wire.Rmdir_unlock { dir = d },
         ("RMDIR_UNLOCK", "srv:RMDIR_UNLOCK", Wire.Metadata, 150, true));
-      (Wire.Rmdir_prepare { dir = d; home = 0 },
+      (Wire.Rmdir_prepare { dir = d },
         ("RMDIR_PREPARE", "srv:RMDIR_PREPARE", Wire.Metadata, 250, true));
-      (Wire.Rmdir_commit { dir = d; client = 0; home = 0 },
+      (Wire.Rmdir_commit { dir = d },
         ("RMDIR_COMMIT", "srv:RMDIR_COMMIT", Wire.Metadata, 250, true));
-      (Wire.Rmdir_abort { dir = d; home = 0 },
+      (Wire.Rmdir_abort { dir = d },
         ("RMDIR_ABORT", "srv:RMDIR_ABORT", Wire.Metadata, 250, true));
-      (Wire.Rmdir_local { dir = d; client = 0 },
+      (Wire.Rmdir_local { dir = d },
         ("RMDIR_LOCAL", "srv:RMDIR_LOCAL", Wire.Metadata, 400, true));
-      (Wire.Pipe_create { client = 0; home = 0 },
+      (Wire.Pipe_create,
         ("PIPE_CREATE", "srv:PIPE_CREATE", Wire.Metadata, 500, true));
       (Wire.Pipe_read { token = 1; len = 1 },
         ("PIPE_READ", "srv:PIPE_READ", Wire.Data, 200, false));

@@ -13,11 +13,13 @@ module Rpc = Hare_msg.Rpc
 let config = Test_util.small_config ~ncores:2 ()
 
 (* One server + a client core, no client library: we speak the protocol
-   directly. *)
+   directly. The client core is client 1; the server's own core (id 0)
+   doubles as client 0. *)
 type rig = {
   engine : Engine.t;
   server : Server.t;
   client_core : Core_res.t;
+  client0 : Core_res.t;
   ep : (Wire.fs_req, Wire.fs_resp) Rpc.t;
 }
 
@@ -42,22 +44,29 @@ let make_rig () =
   in
   Server.install_root server;
   Server.start server;
-  { engine; server; client_core; ep = Server.endpoint server }
+  { engine; server; client_core; client0 = score; ep = Server.endpoint server }
 
-let call rig req = Rpc.call rig.ep ~from:rig.client_core req
+(* Every request is addressed to the server's one home, 0. *)
+let call ?from rig req =
+  Rpc.call rig.ep ~from:(Option.value from ~default:rig.client_core) ~home:0 req
 
-let in_fiber rig body =
+let send rig req =
+  Rpc.call_async rig.ep ~from:rig.client_core ~home:0 ~abs_deadline:0L req
+
+let run_fiber engine body =
   let failure = ref None in
   ignore
-    (Engine.spawn rig.engine ~name:"test-client" (fun () ->
+    (Engine.spawn engine ~name:"test-client" (fun () ->
          try body () with exn -> failure := Some exn));
-  Engine.run rig.engine;
+  Engine.run engine;
   match !failure with Some e -> raise e | None -> ()
+
+let in_fiber rig body = run_fiber rig.engine body
 
 let root = Types.root_ino
 
 let mkdir_raw rig name =
-  match call rig (Wire.Create_dir { dir = root; name; dist = false; client = 1; home = 0 }) with
+  match call rig (Wire.Create_dir { dir = root; name; dist = false }) with
   | Ok (Wire.P_created_ino ino) -> ino
   | _ -> Alcotest.fail "mkdir_raw"
 
@@ -69,19 +78,18 @@ let test_create_parked_during_mark_abort () =
       (match call rig (Wire.Rmdir_lock { dir = d }) with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "lock");
-      (match call rig (Wire.Rmdir_prepare { dir = d; home = 0 }) with
+      (match call rig (Wire.Rmdir_prepare { dir = d }) with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "prepare");
       (* a create in the marked directory parks... *)
       let parked, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
-          (Wire.Create_open
-             { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
+        send rig
+          (Wire.Create_open { dir = d; name = "late"; excl = false; trunc = false })
       in
       Core_res.compute rig.client_core 100_000;
       Alcotest.(check bool) "still parked" true (Ivar.peek parked = None);
       (* ...abort releases it and it succeeds *)
-      (match call rig (Wire.Rmdir_abort { dir = d; home = 0 }) with
+      (match call rig (Wire.Rmdir_abort { dir = d }) with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "abort");
       (match Rpc.await ~from:rig.client_core
@@ -98,18 +106,42 @@ let test_create_parked_during_mark_commit () =
   in_fiber rig (fun () ->
       let d = mkdir_raw rig "dir" in
       ignore (call rig (Wire.Rmdir_lock { dir = d }));
-      ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
+      ignore (call rig (Wire.Rmdir_prepare { dir = d }));
       let parked, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
-          (Wire.Create_open
-             { dir = d; name = "late"; excl = false; trunc = false; client = 1; home = 0 })
+        send rig
+          (Wire.Create_open { dir = d; name = "late"; excl = false; trunc = false })
       in
-      ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
+      ignore (call rig (Wire.Rmdir_commit { dir = d }));
       match Rpc.await ~from:rig.client_core
               ~costs:config.Hare_config.Config.costs ~span parked
       with
       | Error Errno.ENOENT -> ()
       | Ok _ | Error _ -> Alcotest.fail "parked create must fail with ENOENT")
+
+(* A parked create replays as it was received: addressed to its own
+   home and sent by client 1, although client 0 sends the abort that
+   releases it. So the create registers client 1 for the entry, and
+   client 0's unlink calls client 1 back. *)
+let test_parked_create_keeps_addressing () =
+  let rig = make_rig () in
+  in_fiber rig (fun () ->
+      let d = mkdir_raw rig "dir" in
+      ignore (call rig (Wire.Rmdir_prepare { dir = d }));
+      let parked, span =
+        send rig (Wire.Create_open { dir = d; name = "late"; excl = false; trunc = false })
+      in
+      Core_res.compute rig.client_core 100_000;
+      ignore (call ~from:rig.client0 rig (Wire.Rmdir_abort { dir = d }));
+      (match Rpc.await ~from:rig.client_core ~costs:config.Hare_config.Config.costs ~span parked with
+      | Ok (Wire.P_open_ino { ino; _ }) ->
+          Alcotest.(check int) "inode in home 0" 0 ino.Types.server
+      | Ok _ | Error _ -> Alcotest.fail "the replayed create should succeed");
+      let before = Server.invals_sent rig.server in
+      (match call ~from:rig.client0 rig (Wire.Rm_map { dir = d; name = "late"; only_if = None }) with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "the entry is in home 0's shard");
+      Alcotest.(check int) "client 1 called back" (before + 1)
+        (Server.invals_sent rig.server))
 
 let test_rmdir_lock_serializes () =
   let rig = make_rig () in
@@ -120,14 +152,13 @@ let test_rmdir_lock_serializes () =
       | Error _ -> Alcotest.fail "first lock");
       (* a competing rmdir waits on the lock *)
       let second, span =
-        Rpc.call_async rig.ep ~from:rig.client_core ~abs_deadline:0L
-          (Wire.Rmdir_lock { dir = d })
+        send rig (Wire.Rmdir_lock { dir = d })
       in
       Core_res.compute rig.client_core 100_000;
       Alcotest.(check bool) "second lock parked" true (Ivar.peek second = None);
       (* winner commits; loser's lock must resolve with ENOENT *)
-      ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
-      ignore (call rig (Wire.Rmdir_commit { dir = d; client = 1; home = 0 }));
+      ignore (call rig (Wire.Rmdir_prepare { dir = d }));
+      ignore (call rig (Wire.Rmdir_commit { dir = d }));
       match Rpc.await ~from:rig.client_core
               ~costs:config.Hare_config.Config.costs ~span second
       with
@@ -141,19 +172,19 @@ let test_prepare_nonempty_refuses () =
       (match
          call rig
            (Wire.Create_open
-              { dir = d; name = "f"; excl = false; trunc = false; client = 1; home = 0 })
+              { dir = d; name = "f"; excl = false; trunc = false })
        with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "create");
       ignore (call rig (Wire.Rmdir_lock { dir = d }));
-      (match call rig (Wire.Rmdir_prepare { dir = d; home = 0 }) with
+      (match call rig (Wire.Rmdir_prepare { dir = d }) with
       | Error Errno.ENOTEMPTY -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare must refuse");
       (* no mark was set: creates proceed immediately *)
       match
         call rig
           (Wire.Create_open
-             { dir = d; name = "g"; excl = false; trunc = false; client = 1; home = 0 })
+             { dir = d; name = "g"; excl = false; trunc = false })
       with
       | Ok _ -> ()
       | Error _ -> Alcotest.fail "create after refused prepare")
@@ -162,8 +193,8 @@ let test_double_prepare_ebusy () =
   let rig = make_rig () in
   in_fiber rig (fun () ->
       let d = mkdir_raw rig "dir" in
-      ignore (call rig (Wire.Rmdir_prepare { dir = d; home = 0 }));
-      match call rig (Wire.Rmdir_prepare { dir = d; home = 0 }) with
+      ignore (call rig (Wire.Rmdir_prepare { dir = d }));
+      match call rig (Wire.Rmdir_prepare { dir = d }) with
       | Error Errno.EBUSY -> ()
       | Ok _ | Error _ -> Alcotest.fail "second prepare must be EBUSY")
 
@@ -174,7 +205,7 @@ let test_fd_refcount_keeps_unlinked_inode () =
         match
           call rig
             (Wire.Create_open
-               { dir = root; name = "f"; excl = true; trunc = false; client = 1; home = 0 })
+               { dir = root; name = "f"; excl = true; trunc = false })
         with
         | Ok (Wire.P_open_ino { oi; ino }) -> (oi.Wire.token, ino)
         | _ -> Alcotest.fail "create"
@@ -182,7 +213,7 @@ let test_fd_refcount_keeps_unlinked_inode () =
       ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "keep"; append = false }));
       (* share it, unlink it *)
       ignore (call rig (Wire.Inc_fd_ref { token; offset = Some 0 }));
-      ignore (call rig (Wire.Rm_map { dir = root; name = "f"; only_if = None; client = 1; home = 0 }));
+      ignore (call rig (Wire.Rm_map { dir = root; name = "f"; only_if = None }));
       ignore (call rig (Wire.Unlink_ino { ino }));
       (* first close: refcount 2 -> 1, inode must survive *)
       ignore (call rig (Wire.Close_fd { token; size = None }));
@@ -206,7 +237,7 @@ let test_shared_offset_demotion_reply () =
         match
           call rig
             (Wire.Create_open
-               { dir = root; name = "f"; excl = true; trunc = false; client = 1; home = 0 })
+               { dir = root; name = "f"; excl = true; trunc = false })
         with
         | Ok (Wire.P_open_ino { oi; _ }) -> oi.Wire.token
         | _ -> Alcotest.fail "create"
@@ -233,11 +264,12 @@ let test_lookup_tracks_and_invalidates () =
       ignore
         (call rig
            (Wire.Create_open
-              { dir = root; name = "f"; excl = true; trunc = false; client = 1; home = 0 }));
+              { dir = root; name = "f"; excl = true; trunc = false }));
       (* the create tracked client 1; an unlink by client 0 must push an
          invalidation to client 1's port *)
       let before = Server.invals_sent rig.server in
-      ignore (call rig (Wire.Rm_map { dir = root; name = "f"; only_if = None; client = 0; home = 0 }));
+      ignore
+        (call ~from:rig.client0 rig (Wire.Rm_map { dir = root; name = "f"; only_if = None }));
       Alcotest.(check int) "one invalidation" (before + 1)
         (Server.invals_sent rig.server))
 
@@ -245,7 +277,8 @@ let test_lookup_tracks_and_invalidates () =
 
 (* Two standalone servers sharing DRAM, each owning [blocks] of it, like
    one machine: A (sid 0) holds the root and home 0; B is [b_sid], the
-   peer A steals blocks from. *)
+   peer A steals blocks from. The client runs on core 1, so it is
+   client 1. *)
 type pair = {
   p_engine : Engine.t;
   a : Server.t;
@@ -258,7 +291,7 @@ let make_pair ?(config = config) ?(b_sid = 1) ~blocks () =
   let engine = Engine.create () in
   let costs = config.Hare_config.Config.costs in
   let core id = Core_res.create engine ~id ~socket:0 ~ctx_switch:0 in
-  let a_core = core 0 and b_core = core 1 and client_core = core 2 in
+  let a_core = core 0 and b_core = core 2 and client_core = core 1 in
   let dram = Hare_mem.Dram.create ~nblocks:(2 * blocks) in
   let inval_ports =
     Array.init 2 (fun i ->
@@ -279,16 +312,14 @@ let make_pair ?(config = config) ?(b_sid = 1) ~blocks () =
   Server.set_peers a [| Server.endpoint a; Server.endpoint b |];
   { p_engine = engine; a; b; p_client = client_core; p_invals = inval_ports }
 
-let pair_fiber p body =
-  in_fiber
-    { engine = p.p_engine; server = p.a; client_core = p.p_client; ep = Server.endpoint p.a }
-    body
+let pair_fiber p body = run_fiber p.p_engine body
 
-let pair_call p s req = Rpc.call (Server.endpoint s) ~from:p.p_client req
+(* Client requests are addressed to home 0. *)
+let pair_call p s req = Rpc.call (Server.endpoint s) ~from:p.p_client ~home:0 req
 
 (* Send without waiting: the request may park at the server. *)
 let pair_send p s req =
-  Rpc.call_async (Server.endpoint s) ~from:p.p_client ~abs_deadline:0L req
+  Rpc.call_async (Server.endpoint s) ~from:p.p_client ~home:0 ~abs_deadline:0L req
 
 let pair_await p (future, span) =
   Rpc.await ~from:p.p_client ~costs:config.Hare_config.Config.costs ~span future
@@ -297,7 +328,7 @@ let stealing = { config with Hare_config.Config.block_stealing = true }
 
 let create_inode p =
   match
-    pair_call p p.a (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false; home = 0 })
+    pair_call p p.a (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false })
   with
   | Ok (Wire.P_created_ino ino) -> ino
   | _ -> Alcotest.fail "create inode"
@@ -337,7 +368,11 @@ let test_crash_keeps_inflight_steal () =
 (* A (sid 0) hosts home 0; B (sid 2, a spare beyond the configuration's
    two homes) hosts nothing until a home is installed on it. *)
 
-let migrate_out p = pair_call p p.a (Wire.Migrate_out { home = 0 })
+(* A migration request names its home as its subject, not its address,
+   as the coordinator sends it. *)
+let migrate p s req = Rpc.call (Server.endpoint s) ~from:p.p_client req
+
+let migrate_out p = migrate p p.a (Wire.Migrate_out { home = 0 })
 
 let expect_busy what = function
   | Error Errno.EBUSY -> ()
@@ -353,9 +388,9 @@ let test_migrate_refuses_marked_home () =
   let p = make_pair ~b_sid:2 ~blocks:64 () in
   pair_fiber p (fun () ->
       let dir = { Types.server = 1; ino = 5 } in
-      ignore (pair_call p p.a (Wire.Rmdir_prepare { dir; home = 0 }));
+      ignore (pair_call p p.a (Wire.Rmdir_prepare { dir }));
       expect_busy "marked" (migrate_out p);
-      ignore (pair_call p p.a (Wire.Rmdir_abort { dir; home = 0 }));
+      ignore (pair_call p p.a (Wire.Rmdir_abort { dir }));
       expect_packed "unmarked" (migrate_out p))
 
 (* A request parked behind an in-flight block steal is bound to this
@@ -379,10 +414,10 @@ let test_migration_round_trip () =
   let p = make_pair ~b_sid:2 ~blocks:64 () in
   let a = p.a and b = p.b and client_core = p.p_client and inval_ports = p.p_invals in
   let costs = config.Hare_config.Config.costs in
-  let call s req = Rpc.call (Server.endpoint s) ~from:client_core req in
+  let call s req = pair_call p s req in
   let ok what = function Ok _ -> () | Error _ -> Alcotest.fail what in
   let create_open name =
-    Wire.Create_open { dir = root; name; excl = false; trunc = false; client = 1; home = 0 }
+    Wire.Create_open { dir = root; name; excl = false; trunc = false }
   in
   let snapshot s =
     (Server.inode_count s, Server.open_tokens s, List.sort compare (Server.shard_entries s root))
@@ -396,17 +431,18 @@ let test_migration_round_trip () =
       in
       ok "write" (call a (Wire.Write_fd { token; off = Some 0; data = "hello"; append = false }));
       (* a tracked lookup by client 1 *)
-      ok "lookup" (call a (Wire.Lookup { dir = root; name = "f"; client = 1; home = 0 }));
+      ok "lookup" (call a (Wire.Lookup { dir = root; name = "f" }));
       (* home 0's shard of a directory whose inode lives at home 1,
          removed: only the tombstone can refuse a late create *)
       let remote_dir = { Types.server = 1; ino = 5 } in
-      ok "prepare" (call a (Wire.Rmdir_prepare { dir = remote_dir; home = 0 }));
-      ok "commit" (call a (Wire.Rmdir_commit { dir = remote_dir; client = 1; home = 0 }));
+      ok "prepare" (call a (Wire.Rmdir_prepare { dir = remote_dir }));
+      ok "commit" (call a (Wire.Rmdir_commit { dir = remote_dir }));
       (* a completed tagged request *)
-      let meta = { Rpc.m_client = 1; m_seq = 1; m_ack = 0 } in
+      let meta = { Rpc.m_seq = 1; m_ack = 0 } in
       let tagged s =
         let future, span =
-          Rpc.call_async (Server.endpoint s) ~from:client_core ~meta ~abs_deadline:0L
+          Rpc.call_async (Server.endpoint s) ~from:client_core ~meta ~home:0
+            ~abs_deadline:0L
             (create_open "g")
         in
         Rpc.await ~from:client_core ~costs ~span future
@@ -416,11 +452,11 @@ let test_migration_round_trip () =
       Alcotest.(check int) "no invalidation yet" 0
         (Hare_msg.Mailbox.pending inval_ports.(1));
       let pack =
-        match call a (Wire.Migrate_out { home = 0 }) with
+        match migrate_out p with
         | Ok (Wire.P_pack pack) -> pack
         | _ -> Alcotest.fail "migrate out"
       in
-      ok "install" (call b (Wire.Install_shard { home = 0; pack }));
+      ok "install" (migrate p b (Wire.Install_shard { home = 0; pack }));
       Alcotest.(check bool) "client 1 told to drop f" true
         (List.mem
            (Wire.Inval_entry { i_dir = root; i_name = "f" })
@@ -434,7 +470,7 @@ let test_migration_round_trip () =
       in
       same "moved to B" before (snapshot b);
       same "A emptied" (0, 0, []) (snapshot a);
-      (match call a (Wire.Lookup { dir = root; name = "f"; client = 1; home = 0 }) with
+      (match call a (Wire.Lookup { dir = root; name = "f" }) with
       | Error Errno.EMOVED -> ()
       | _ -> Alcotest.fail "A must bounce home 0 with EMOVED");
       (* B replays the tagged request from the migrated dedup entries *)
@@ -452,7 +488,7 @@ let test_migration_round_trip () =
       match
         call b
           (Wire.Create_open
-             { dir = remote_dir; name = "x"; excl = false; trunc = false; client = 1; home = 0 })
+             { dir = remote_dir; name = "x"; excl = false; trunc = false })
       with
       | Error Errno.ENOENT -> ()
       | _ -> Alcotest.fail "the tombstone must refuse the create")
@@ -465,6 +501,7 @@ let suites : (string * unit Alcotest.test_case list) list =
       [
         tc "parked create, abort" `Quick test_create_parked_during_mark_abort;
         tc "parked create, commit" `Quick test_create_parked_during_mark_commit;
+        tc "parked create keeps its addressing" `Quick test_parked_create_keeps_addressing;
         tc "lock serializes" `Quick test_rmdir_lock_serializes;
         tc "prepare refuses nonempty" `Quick test_prepare_nonempty_refuses;
         tc "double prepare EBUSY" `Quick test_double_prepare_ebusy;
