@@ -90,7 +90,7 @@ let nservers t = Hare_config.Config.nservers t.config
    configured subset size (§6 extension). *)
 let width t =
   match t.config.Hare_config.Config.dist_width with
-  | Some w -> min w (nservers t)
+  | Some w -> Int.min w (nservers t)
   | None -> nservers t
 
 let obs t = Engine.obs t.engine
@@ -407,7 +407,7 @@ let console_write t (c : Wire.console_ref) data =
       String.length data
 
 let direct_read t (fs : Fdtable.file_state) ~off ~len =
-  let len = max 0 (min len (fs.f_size - off)) in
+  let len = Int.max 0 (Int.min len (fs.f_size - off)) in
   if len = 0 then ""
   else begin
     let out = Bytes.create len in
@@ -808,7 +808,7 @@ let rmdir t ~cwd path =
   | Ok _ -> ()
   | Error err -> Errno.raise_errno err name);
   let servers_involved =
-    List.sort_uniq compare (home :: shard_servers t target)
+    List.sort_uniq Int.compare (home :: shard_servers t target)
   in
   (* Phase 1: ask every involved server to mark-for-deletion; succeeds
      only on empty shards. *)
@@ -878,7 +878,7 @@ let rename t ~cwd oldp newp =
   syscall t "rename" @@ fun () ->
   let odir, oname = resolve_parent t ~cwd oldp in
   let ndir, nname = resolve_parent t ~cwd newp in
-  if odir.d_ino = ndir.d_ino && oname = nname then ()
+  if equal_ino odir.d_ino ndir.d_ino && String.equal oname nname then ()
   else begin
     let e = lookup_entry t odir oname in
     let target = e.Wire.t_ino in
@@ -901,7 +901,7 @@ let rename t ~cwd oldp newp =
     Dircache.add t.dircache ~dir:ndir.d_ino ~name:nname e;
     let unlink_victim () =
       match replaced with
-      | Some victim when victim <> target ->
+      | Some victim when not (equal_ino victim target) ->
           ignore
             (Transport.defer t.tp victim.server ~ino:victim
                (Wire.Unlink_ino { ino = victim }))

@@ -41,7 +41,7 @@ let create ~enabled ?(capacity = 0) ?(robust = Hare_stats.Robust.create ())
     ~port () =
   {
     enabled;
-    capacity = max 0 capacity;
+    capacity = Int.max 0 capacity;
     entries = Entries.create 512;
     order = Queue.create ();
     port;

@@ -13,7 +13,7 @@ type file_state = {
   mutable f_wrote : bool;
 }
 
-let lease blocks size = max 0 (Array.length blocks - Hare_mem.Layout.blocks_for size)
+let lease blocks size = Int.max 0 (Array.length blocks - Hare_mem.Layout.blocks_for size)
 
 let file_state ~ino ~token ~flags ~pos ~blocks ~size =
   {

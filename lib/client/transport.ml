@@ -264,8 +264,9 @@ let payload_lines (req : Wire.fs_req) =
       Some ((String.length data / 64) + 1)
   | _ -> None
 
-(* Put one copy of [req] on the wire to [home]'s current owner. *)
-let transmit t ~deadline ~meta home req =
+(* Put one copy of [req] on the wire to [home]'s current owner; its
+   reply fills [slot] when given. *)
+let transmit t ?slot ~deadline ~meta home req =
   let ep = phys t home in
   (* Admission annotation for tail retention: the physical server
      this copy is headed to and the queue depth it meets at admission. *)
@@ -276,12 +277,17 @@ let transmit t ~deadline ~meta home req =
   end;
   let future, span =
     Rpc.call_async t.servers.(ep) ~from:t.core
-      ?payload_lines:(payload_lines req) ?meta ~home
+      ?payload_lines:(payload_lines req) ?meta ~home ?slot
       ~abs_deadline:(propagated t deadline) req
   in
   { home; req; meta; ep; future; span }
 
-let resend t c deadline = transmit t ~deadline ~meta:c.meta c.home c.req
+(* Another copy of [c]'s request. A timeout's resend shares [c]'s reply
+   slot: the server may still answer an earlier copy, or replay its
+   answer to a duplicate, and either must reach the caller. A bounce's
+   resend needs a fresh slot, since the bounce filled [c]'s. *)
+let resend t ?slot c deadline =
+  transmit t ?slot ~deadline ~meta:c.meta c.home c.req
 
 let send t ~deferred home req =
   t.rpc_count <- t.rpc_count + 1;
@@ -362,9 +368,9 @@ and timed_out t c ~moved n deadline =
     t.rpc_count <- t.rpc_count + 1;
     (* Jittered backoff: desynchronizes clients hammering a recovering
        server. *)
-    pause t "rpc-retry" c.req (1 + Rng.int t.rng (max 2 (deadline / 4)));
-    let deadline = min (deadline * 2) t.cap in
-    attempt t (resend t c deadline) ~moved (n + 1) deadline
+    pause t "rpc-retry" c.req (1 + Rng.int t.rng (Int.max 2 (deadline / 4)));
+    let deadline = Int.min (deadline * 2) t.cap in
+    attempt t (resend t ~slot:c.future c deadline) ~moved (n + 1) deadline
   end
 
 let await t ?poll c =
@@ -413,7 +419,10 @@ let drain_window t =
    inode, wait out any deferred request that mutates it. *)
 let drain_ino t ino =
   let touches () =
-    Queue.fold (fun acc (_, i, _) -> acc || i = Some ino) false t.window
+    Queue.fold
+      (fun acc (_, i, _) ->
+        acc || match i with Some i -> Types.equal_ino i ino | None -> false)
+      false t.window
   in
   while touches () do
     await_oldest t

@@ -87,13 +87,13 @@ let boot (config : Config.t) =
   in
   (* The buffer cache is partitioned evenly among the file servers; each
      partition physically lives on its server's socket (NUMA). *)
-  let per_server = max 16 (config.buffer_cache_blocks / nphys) in
+  let per_server = Int.max 16 (config.buffer_cache_blocks / nphys) in
   let dram = Hare_mem.Dram.create ~nblocks:(per_server * nphys) in
   Hare_mem.Dram.observe dram obs ~track:ncores;
   let server_sockets =
     Array.map (fun c -> Core_res.socket cores.(c)) server_cores
   in
-  let block_socket b = server_sockets.(min (b / per_server) (nphys - 1)) in
+  let block_socket b = server_sockets.(Int.min (b / per_server) (nphys - 1)) in
   let pcaches =
     Array.init ncores (fun i ->
         Hare_mem.Pcache.create ~block_socket dram ~core:cores.(i) ~costs
@@ -227,7 +227,7 @@ let boot (config : Config.t) =
             Metrics.register m
               ~name:(Printf.sprintf "fs%d.credits" s)
               (fun () ->
-                max 0 (config.mailbox_capacity - Server.queue_depth srv));
+                Int.max 0 (config.mailbox_capacity - Server.queue_depth srv));
           Metrics.register m
             ~name:(Printf.sprintf "fs%d.ops" s)
             (fun () -> Hare_stats.Opcount.total (Server.ops srv));
@@ -414,7 +414,7 @@ let reset_perf t =
     t.servers
 
 let utilization t =
-  let elapsed = Int64.to_float (max 1L (now t)) in
+  let elapsed = Int64.to_float (Int64.max 1L (now t)) in
   Array.to_list t.cores
   |> List.map (fun core ->
          ( Core_res.id core,

@@ -29,7 +29,7 @@ let observe t obs ~track =
 let sample_period = 64
 
 let counter t name value =
-  if Hare_sim.Obs.(on t.obs marks) && value mod sample_period = 0 then
+  if value mod sample_period = 0 && Hare_sim.Obs.(on t.obs marks) then
     Hare_sim.Obs.emit t.obs
       (Counter { name; track = t.track; ts = Hare_sim.Obs.now t.obs; value })
 
@@ -58,18 +58,27 @@ let page t block =
       t.pages.(block) <- Some p;
       p
 
+let check_buf buf off =
+  if off < 0 || off > Bytes.length buf - Layout.line_size then
+    invalid_arg "Dram: buffer too short for a line"
+
 let read_line t ~block ~line ~dst ~dst_off =
   check_line t ~block ~line;
+  check_buf dst dst_off;
   note_read t;
   match t.pages.(block) with
   | None -> Bytes.fill dst dst_off Layout.line_size '\000'
-  | Some p -> Bytes.blit p (line * Layout.line_size) dst dst_off Layout.line_size
+  | Some p -> Layout.blit_line p (line * Layout.line_size) dst dst_off
+
+let count_line_read t ~block ~line =
+  check_line t ~block ~line;
+  note_read t
 
 let write_line t ~block ~line ~src ~src_off =
   check_line t ~block ~line;
+  check_buf src src_off;
   note_write t;
-  Bytes.blit src src_off (page t block) (line * Layout.line_size)
-    Layout.line_size
+  Layout.blit_line src src_off (page t block) (line * Layout.line_size)
 
 let zero_block t ~block =
   check_line t ~block ~line:0;

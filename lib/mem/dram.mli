@@ -20,6 +20,11 @@ val observe : t -> Hare_sim.Obs.t -> track:int -> unit
 (** [read_line t ~block ~line ~dst ~dst_off] copies one 64-byte line out. *)
 val read_line : t -> block:int -> line:int -> dst:Bytes.t -> dst_off:int -> unit
 
+(** [count_line_read t ~block ~line] is {!read_line} for a reader that
+    overwrites the whole line before anyone reads it: the read is checked
+    and counted (and published) the same, and no bytes move. *)
+val count_line_read : t -> block:int -> line:int -> unit
+
 (** [write_line t ~block ~line ~src ~src_off] copies one 64-byte line in. *)
 val write_line : t -> block:int -> line:int -> src:Bytes.t -> src_off:int -> unit
 

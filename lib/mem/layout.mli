@@ -8,6 +8,10 @@ val line_size : int
 
 val lines_per_block : int
 
+val blit_line : Bytes.t -> int -> Bytes.t -> int -> unit
+(** [blit_line src src_off dst dst_off] copies one whole line {e without
+    bounds checks}: the caller guarantees both ranges. *)
+
 val blocks_for : int -> int
 (** [blocks_for size] is the number of blocks that back [size] bytes. *)
 

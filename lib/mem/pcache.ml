@@ -8,7 +8,14 @@ type stats = {
   invalidated : int;
 }
 
-let lpb = Layout.lines_per_block
+(* The geometry as literals. Built with -opaque (dune's dev profile), a
+   module sees another's values only at run time, so [Layout]'s would
+   turn the per-line slot arithmetic below into loads and divides. *)
+let line_size = 64
+
+let lpb = 64
+
+let () = assert (line_size = Layout.line_size && lpb = Layout.lines_per_block)
 
 (* Block directory: block number -> frame. A frame is an [int array] of
    [lpb + 1] cells: cell [line] holds the slot caching that line of the
@@ -33,6 +40,9 @@ let no_leaf : int array array = [||]
 type t = {
   dram : Dram.t;
   core : Core_res.t;
+  obs : Obs.t; (* the engine's bus *)
+  cid : int; (* the core's id and socket *)
+  socket : int;
   costs : Hare_config.Costs.t;
   block_socket : int -> int;
   capacity : int;
@@ -72,10 +82,13 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     | Some f -> f
     | None -> fun (_ : int) -> Core_res.socket core
   in
-  let slots = min (capacity_lines + 1) (lpb + 1) in
+  let slots = Int.min (capacity_lines + 1) (lpb + 1) in
   {
     dram;
     core;
+    obs = Engine.obs (Core_res.engine core);
+    cid = Core_res.id core;
+    socket = Core_res.socket core;
     costs;
     block_socket;
     capacity = capacity_lines;
@@ -101,20 +114,16 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
 
 let core t = t.core
 
-let obs t = Engine.obs (Core_res.engine t.core)
-
-let cid t = Core_res.id t.core
-
 (* Decompose the upcoming compute charge into cache vs. DRAM cycles and
    publish cumulative miss/write-back counters when they moved. *)
 let charge t ~cache ~dram ~miss0 ~wb0 =
-  let o = obs t in
+  let o = t.obs in
   if Obs.on o Obs.spans then begin
     let fid = Engine.current_fid (Core_res.engine t.core) in
     Obs.emit o (Pending { fid; parts = [ (Cache, cache); (Dram, dram) ] })
   end;
   if Obs.on o Obs.marks then begin
-    let ts = Obs.now o and track = cid t in
+    let ts = Obs.now o and track = t.cid in
     if t.misses <> miss0 then
       Obs.emit o (Counter { name = "pc-miss"; track; ts; value = t.misses });
     if t.writebacks <> wb0 then
@@ -142,7 +151,7 @@ let line_of_key key = key mod lpb
 
 (* DRAM transfer cost for one line of [block], NUMA-aware. *)
 let dram_cost t block =
-  if t.block_socket block <> Core_res.socket t.core then
+  if t.block_socket block <> t.socket then
     t.costs.dram_line + t.costs.dram_cross_socket_line
   else t.costs.dram_line
 
@@ -178,7 +187,7 @@ let frame_for t block =
 let release_frame t block f =
   t.dir.(block lsr leaf_bits).(block land (leaf_size - 1)) <- no_frame;
   if t.npool = Array.length t.pool then begin
-    let pool = Array.make (max 16 (2 * t.npool)) no_frame in
+    let pool = Array.make (Int.max 16 (2 * t.npool)) no_frame in
     Array.blit t.pool 0 pool 0 t.npool;
     t.pool <- pool
   end;
@@ -199,10 +208,10 @@ let unmap t s =
 
 let[@inline] chunk t s = Array.unsafe_get t.chunks ((s - 1) / lpb)
 
-let[@inline] data_off s = (s - 1) mod lpb * Layout.line_size
+let[@inline] data_off s = (s - 1) mod lpb * line_size
 
 let grow_slots t =
-  let n = min (t.capacity + 1) (2 * Array.length t.key) in
+  let n = Int.min (t.capacity + 1) (2 * Array.length t.key) in
   let grow a fill =
     let b = Array.make n fill in
     Array.blit a 0 b 0 (Array.length a);
@@ -226,7 +235,7 @@ let new_slot t =
     if s >= Array.length t.key then grow_slots t;
     if (s - 1) mod lpb = 0 then
       t.chunks.((s - 1) / lpb) <-
-        Bytes.create (min lpb (t.capacity - s + 1) * Layout.line_size);
+        Bytes.create (Int.min lpb (t.capacity - s + 1) * line_size);
     s
   end
 
@@ -250,36 +259,39 @@ let[@inline] touch t s =
     push_front t s
   end
 
-let flush_line t s =
+(* [observed]: whether the bus wants [Obs.cache] events, looked up once
+   per call of the API. *)
+let flush_line t ~observed s =
   if t.dirty.(s) then begin
     let k = t.key.(s) in
     Dram.write_line t.dram ~block:(block_of_key k) ~line:(line_of_key k)
       ~src:(chunk t s) ~src_off:(data_off s);
     t.dirty.(s) <- false;
     t.writebacks <- t.writebacks + 1;
-    let o = obs t in
-    if Obs.on o Obs.cache then Obs.emit o (Cache_writeback { core = cid t; key = k });
+    if observed then Obs.emit t.obs (Cache_writeback { core = t.cid; key = k });
     true
   end
   else false
 
 (* Miss on [line] of [block]: at capacity, evict the LRU victim (written
    back if dirty) and reuse its slot; fill the slot from DRAM. Returns
-   the slot and adds the cycles to the access's accumulators. Hook order
-   matches the historic evict-then-fill path: write-back, drop, eviction
-   count, evict hook, DRAM read. *)
-let fill t ~block ~line =
+   the slot and adds the cycles to the access's accumulators; [cost] is
+   [block]'s per-line DRAM cost. With [overwrite] the access is about to
+   replace the whole line, so the fill counts the DRAM read without
+   copying bytes the write discards. Hook order matches the historic
+   evict-then-fill path: write-back, drop, eviction count, evict hook,
+   DRAM read. *)
+let fill t ~observed ~block ~line ~cost ~overwrite =
   t.misses <- t.misses + 1;
   let s =
     if t.resident >= t.capacity then begin
       let v = t.prev.(0) in
       let vk = t.key.(v) in
-      if flush_line t v then
+      if flush_line t ~observed v then
         t.dram_cy <- t.dram_cy + dram_cost t (block_of_key vk);
       unmap t v;
       t.evictions <- t.evictions + 1;
-      let o = obs t in
-      if Obs.on o Obs.cache then Obs.emit o (Cache_evict { core = cid t; key = vk });
+      if observed then Obs.emit t.obs (Cache_evict { core = t.cid; key = vk });
       touch t v;
       v
     end
@@ -292,17 +304,18 @@ let fill t ~block ~line =
   in
   t.key.(s) <- key_of ~block ~line;
   t.dirty.(s) <- false;
-  Dram.read_line t.dram ~block ~line ~dst:(chunk t s) ~dst_off:(data_off s);
+  if overwrite then Dram.count_line_read t.dram ~block ~line
+  else Dram.read_line t.dram ~block ~line ~dst:(chunk t s) ~dst_off:(data_off s);
   let f = frame_for t block in
   f.(line) <- s;
   f.(count_cell) <- f.(count_cell) + 1;
   t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
-  t.dram_cy <- t.dram_cy + dram_cost t block;
+  t.dram_cy <- t.dram_cy + cost;
   s
 
 let check_range ~off ~len =
   if len <= 0 then invalid_arg "Pcache: empty range";
-  if off < 0 || off + len > Layout.block_size then
+  if off < 0 || off + len > lpb * line_size then
     invalid_arg "Pcache: range escapes block"
 
 (* One access to bytes [off, off + len) of [block], copying to or from
@@ -310,43 +323,56 @@ let check_range ~off ~len =
    DRAM authoritative: every write goes through to DRAM, every read
    refetches the line. A resident (hit) line then moves at near-cache
    speed, with a small write-through/snoop overhead instead of a DRAM
-   round trip; only misses pay the full transfer. *)
+   round trip; only misses pay the full transfer. This is the hottest
+   host path of the direct-access workloads: what is the same for every
+   line is computed once, [buf] is checked once, and each line's bytes
+   move unchecked. *)
 let access t ~block ~off ~len ~write ~coherent buf buf_off =
   check_range ~off ~len;
+  if buf_off < 0 || buf_off > Bytes.length buf - len then
+    invalid_arg "Pcache: buffer too short";
   let miss0 = t.misses and wb0 = t.writebacks in
   t.cache_cy <- 0;
   t.dram_cy <- 0;
+  let observed = Obs.on t.obs Obs.cache in
+  let hit_cy = t.costs.cache_hit_line in
+  let snoop_cy = if coherent then t.costs.dram_line / 8 else 0 in
+  let line_cy = dram_cost t block in
+  let stop = off + len in
   (* The victim of a miss may be the last line of this very block, which
      releases its frame: refetch the frame after every miss. *)
   let frame = ref (find_frame t block) in
-  for line = off / Layout.line_size to (off + len - 1) / Layout.line_size do
+  for line = off / line_size to (stop - 1) / line_size do
+    let line_start = line * line_size in
+    let from = Int.max off line_start in
+    let n = Int.min stop (line_start + line_size) - from in
     let s = !frame.(line) in
     let hit = s <> 0 in
     let s =
       if hit then begin
         touch t s;
         t.hits <- t.hits + 1;
-        t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
-        if coherent then t.dram_cy <- t.dram_cy + (t.costs.dram_line / 8);
+        t.cache_cy <- t.cache_cy + hit_cy;
+        t.dram_cy <- t.dram_cy + snoop_cy;
         s
       end
       else begin
-        let s = fill t ~block ~line in
+        let overwrite = write && (not coherent) && n = line_size in
+        let s = fill t ~observed ~block ~line ~cost:line_cy ~overwrite in
         frame := find_frame t block;
         s
       end
     in
-    let k = key_of ~block ~line in
-    let o = obs t in
-    if Obs.on o Obs.cache then
-      Obs.emit o
-        (Cache_access { core = cid t; key = k; write; filled = not hit; coherent });
+    if observed then
+      Obs.emit t.obs
+        (Cache_access
+           { core = t.cid; key = key_of ~block ~line; write; filled = not hit;
+             coherent });
     let data = chunk t s and doff = data_off s in
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let n = min (off + len) (line_start + Layout.line_size) - from in
+    let data_at = doff + from - line_start and buf_at = buf_off + from - off in
     if write then begin
-      Bytes.blit buf (buf_off + from - off) data (doff + from - line_start) n;
+      if n = line_size then Layout.blit_line buf buf_at data data_at
+      else Bytes.unsafe_blit buf buf_at data data_at n;
       if coherent then
         Dram.write_line t.dram ~block ~line ~src:data ~src_off:doff;
       t.dirty.(s) <- not coherent
@@ -356,7 +382,8 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
         Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:doff;
         t.dirty.(s) <- false
       end;
-      Bytes.blit data (doff + from - line_start) buf (buf_off + from - off) n
+      if n = line_size then Layout.blit_line data data_at buf buf_at
+      else Bytes.unsafe_blit data data_at buf buf_at n
     end
   done;
   charge t ~cache:t.cache_cy ~dram:t.dram_cy ~miss0 ~wb0
@@ -386,6 +413,7 @@ let write_string t ~block ~off s =
 
 let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
+  let observed = Obs.on t.obs Obs.cache in
   let f = find_frame t block in
   let n = f.(count_cell) in
   let flushed = ref 0 in
@@ -393,11 +421,11 @@ let drop_block t block ~writeback ~dropped =
     for line = lpb - 1 downto 0 do
       let s = f.(line) in
       if s <> 0 then begin
-        if writeback && flush_line t s then incr flushed;
-        let k = key_of ~block ~line in
-        let o = obs t in
-        if Obs.on o Obs.cache then
-          Obs.emit o (Cache_invalidate { core = cid t; key = k; dirty = t.dirty.(s) });
+        if writeback && flush_line t ~observed s then incr flushed;
+        if observed then
+          Obs.emit t.obs
+            (Cache_invalidate
+               { core = t.cid; key = key_of ~block ~line; dirty = t.dirty.(s) });
         unlink t s;
         f.(line) <- 0;
         t.next.(s) <- t.free_slot;
@@ -419,11 +447,12 @@ let evict_block ~dropped t block = drop_block t block ~writeback:true ~dropped
 
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in
+  let observed = Obs.on t.obs Obs.cache in
   let f = find_frame t block in
   let flushed = ref 0 in
   if f != no_frame then
     for line = lpb - 1 downto 0 do
       let s = f.(line) in
-      if s <> 0 && flush_line t s then incr flushed
+      if s <> 0 && flush_line t ~observed s then incr flushed
     done;
   charge t ~cache:0 ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0

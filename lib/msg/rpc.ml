@@ -65,12 +65,13 @@ let reply_fn t ~slot ~tagged ~span ?(payload_lines = 0) resp =
     Ivar.fill slot resp
   end
 
-let call_async t ~from ?payload_lines ?meta ?(home = -1) ~abs_deadline req =
+let call_async t ~from ?payload_lines ?meta ?(home = -1) ?slot ~abs_deadline
+    req =
   (* Allocate a request id so the server-side work (trace) and the
      reply edge (sanitizer) can be tied back to this call. *)
   let o = obs from in
   let span = if Obs.on o Obs.(msgs lor spans) then Obs.fresh_span o else 0 in
-  let slot = Ivar.create () in
+  let slot = match slot with Some s -> s | None -> Ivar.create () in
   (* Only meta-tagged (retryable) requests are fair game for the fault
      injector; everything else keeps the atomic-delivery guarantee. *)
   let tagged = meta <> None in

@@ -85,13 +85,18 @@ val call :
     request for dedup and marks it unreliable (subject to the fault
     plan). [home] (default -1) is the logical home the request is
     addressed to. [abs_deadline] rides the envelope (deadline
-    propagation): 0 = never expires. *)
+    propagation): 0 = never expires. [slot] (default: a fresh one) is
+    the reply future to fill: a retransmission passes its first copy's,
+    so the reply to whichever copy is answered first lands where the
+    caller waits. A tagged request's reply to an already filled slot is
+    dropped. *)
 val call_async :
   ('req, 'resp) t ->
   from:Hare_sim.Core_res.t ->
   ?payload_lines:int ->
   ?meta:meta ->
   ?home:int ->
+  ?slot:'resp Hare_sim.Ivar.t ->
   abs_deadline:int64 ->
   'req ->
   'resp Hare_sim.Ivar.t * int

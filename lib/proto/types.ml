@@ -14,6 +14,8 @@ type ino = { server : server_id; ino : int }
 
 let root_ino = { server = 0; ino = 1 }
 
+let equal_ino a b = a.server = b.server && a.ino = b.ino
+
 let pp_ino ppf t = Format.fprintf ppf "%d:%d" t.server t.ino
 
 type ftype = Reg | Dir | Fifo
@@ -49,19 +51,20 @@ let flags_rw = { rd = true; wr = true; creat = false; excl = false; trunc = fals
 
 let flags_a = { rd = false; wr = true; creat = true; excl = false; trunc = false; append = true }
 
-(* FNV-1a over the directory inode number and the entry name. *)
+(* FNV-1a over the directory inode number and the entry name, in native
+   63-bit ints: the product wraps modulo 2^63 instead of 2^64, which
+   leaves the low 62 bits kept here the same as 64-bit FNV-1a's, and
+   allocates no boxed [Int64] per byte. The offset basis is the 64-bit
+   one's low 63 bits. *)
+let fnv_mix h byte = (h lxor byte) * 0x100000001b3
+
 let hash_name ~dir ~name =
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte =
-    h := Int64.logxor !h (Int64.of_int byte);
-    h := Int64.mul !h 0x100000001b3L
-  in
-  mix (dir.server land 0xff);
-  mix (dir.ino land 0xff);
-  mix ((dir.ino lsr 8) land 0xff);
-  mix ((dir.ino lsr 16) land 0xff);
-  String.iter (fun c -> mix (Char.code c)) name;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+  let h = fnv_mix 0x4bf29ce484222325 (dir.server land 0xff) in
+  let h = fnv_mix h (dir.ino land 0xff) in
+  let h = fnv_mix h ((dir.ino lsr 8) land 0xff) in
+  let h = fnv_mix h ((dir.ino lsr 16) land 0xff) in
+  String.fold_left (fun h c -> fnv_mix h (Char.code c)) h name
+  land 0x3FFFFFFFFFFFFFFF
 
 (* Partial distribution (§6 extension): a distributed directory's shard
    set is [width] servers starting at a per-directory base, so different
@@ -73,7 +76,7 @@ let shard_base ~nservers ~dir = hash_name ~dir ~name:"" mod nservers
 let dentry_server ~dist ~width ~nservers ~dir ~name =
   if not dist then dir.server
   else begin
-    let width = max 1 (min width nservers) in
+    let width = Int.max 1 (Int.min width nservers) in
     let base = shard_base ~nservers ~dir in
     (base + (hash_name ~dir ~name mod width)) mod nservers
   end
@@ -81,7 +84,7 @@ let dentry_server ~dist ~width ~nservers ~dir ~name =
 let shard_servers ~dist ~width ~nservers ~dir =
   if not dist then [ dir.server ]
   else begin
-    let width = max 1 (min width nservers) in
+    let width = Int.max 1 (Int.min width nservers) in
     let base = shard_base ~nservers ~dir in
     List.init width (fun i -> (base + i) mod nservers)
   end

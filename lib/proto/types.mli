@@ -23,6 +23,9 @@ type ino = { server : server_id; ino : int }
 val root_ino : ino
 (** The root directory entry lives at a designated server (§3.1). *)
 
+val equal_ino : ino -> ino -> bool
+(** Field-wise, without a polymorphic compare. *)
+
 val pp_ino : Format.formatter -> ino -> unit
 
 type ftype = Reg | Dir | Fifo
@@ -57,6 +60,14 @@ val flags_rw : open_flags
 
 val flags_a : open_flags
 (** creat + append + write-only. *)
+
+val hash_name : dir:ino -> name:string -> int
+(** 64-bit FNV-1a over [dir]'s server, the low 24 bits of its inode
+    number and [name], truncated to its low 62 bits: the placement hash
+    of directory entries. *)
+
+val shard_base : nservers:int -> dir:ino -> server_id
+(** The first server of a distributed directory's shard set. *)
 
 (** [dentry_server ~dist ~width ~nservers ~dir ~name] is the server
     holding the directory entry [name] of directory [dir]: the

@@ -50,7 +50,7 @@ let free t block =
 let free_many t blocks = Array.iter (free t) blocks
 
 let donate t n =
-  let got = min n (Queue.length t.free) in
+  let got = Int.min n (Queue.length t.free) in
   Array.init got (fun _ ->
       let b = Queue.pop t.free in
       Hashtbl.remove t.adopted b;

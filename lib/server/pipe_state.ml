@@ -25,12 +25,12 @@ let create ~capacity =
 let parked t = Queue.length t.parked_readers + Queue.length t.parked_writers
 
 let take t len =
-  let out = Buffer.create (min len t.buffered) in
-  let remaining = ref (min len t.buffered) in
+  let out = Buffer.create (Int.min len t.buffered) in
+  let remaining = ref (Int.min len t.buffered) in
   while !remaining > 0 do
     let head = Queue.peek t.chunks in
     let avail = String.length head - t.head_off in
-    let n = min avail !remaining in
+    let n = Int.min avail !remaining in
     Buffer.add_substring out head t.head_off n;
     remaining := !remaining - n;
     t.buffered <- t.buffered - n;

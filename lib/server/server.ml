@@ -227,7 +227,7 @@ let do_truncate t (inode : Inode.t) ~size =
 (* ---------- server-mediated file data (shared fds, RPC-mode I/O) ------ *)
 
 let read_data t (inode : Inode.t) ~off ~len =
-  let len = max 0 (min len (inode.size - off)) in
+  let len = Int.max 0 (Int.min len (inode.size - off)) in
   if len = 0 then ""
   else begin
     let out = Bytes.create len in
@@ -304,7 +304,7 @@ let install_root t =
   let h = home t t.sid in
   Itbl.replace h.inodes root_ino.ino
     (Inode.dir ~lid:root_ino.ino ~home:root_ino.server ~dist:false);
-  h.next_lid <- max h.next_lid (root_ino.ino + 1)
+  h.next_lid <- Int.max h.next_lid (root_ino.ino + 1)
 
 (* ---------- request handlers ------------------------------------------ *)
 
@@ -374,8 +374,10 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
 let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
   match find_entry h dir name with
   | None -> reply (Error Errno.ENOENT)
-  | Some e when (match only_if with Some ino -> e.t_ino <> ino | None -> false)
-    ->
+  | Some e
+    when match only_if with
+         | Some ino -> not (equal_ino e.t_ino ino)
+         | None -> false ->
       (* the entry was re-bound by someone else: not ours to remove *)
       reply (Error Errno.ENOENT)
   | Some e ->
@@ -813,7 +815,7 @@ let execute ~dispatch t (r : request) =
   let ocost =
     match r.body with
     (* allocation is charged per block granted, extent lease included *)
-    | Wire.Alloc_blocks { count; ahead; _ } -> info.cost * max 1 (count + ahead)
+    | Wire.Alloc_blocks { count; ahead; _ } -> info.cost * Int.max 1 (count + ahead)
     | _ -> info.cost
   in
   (* A server-side span, child of the request: its bucket breakdown is
@@ -919,7 +921,7 @@ let restart t =
   end
 
 let start t =
-  let batch_max = max 1 t.config.Hare_config.Config.batch_max in
+  let batch_max = Int.max 1 t.config.Hare_config.Config.batch_max in
   let serve ~dispatch (r : request) =
     if t.down then
       (* The process is gone; only reliable sends still land here (the

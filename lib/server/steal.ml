@@ -86,7 +86,7 @@ let park t ~retry (r : Home.request) =
   end
 
 let donate t ~count (reply : Home.reply) =
-  let give = Blocklist.donate t.blocks (min count (Blocklist.available t.blocks / 2)) in
+  let give = Blocklist.donate t.blocks (Int.min count (Blocklist.available t.blocks / 2)) in
   if Array.length give = 0 then reply (Error Errno.ENOSPC)
   else reply (Ok (Wire.P_blocks { blocks = give; bsize = 0 }))
 

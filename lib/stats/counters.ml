@@ -62,7 +62,7 @@ module Make () = struct
     Array.iteri
       (fun i (_, max) ->
         into.(i) <-
-          (if max then Stdlib.max into.(i) src.(i) else into.(i) + src.(i)))
+          (if max then Int.max into.(i) src.(i) else into.(i) + src.(i)))
       (Lazy.force slots)
 
   let to_list t =
@@ -72,5 +72,6 @@ module Make () = struct
 
   let is_zero t = Array.for_all (( = ) 0) t
 
-  let equal (a : t) b = a = b
+  let equal (a : t) b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
 end

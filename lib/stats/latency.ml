@@ -28,7 +28,7 @@ let rank n q =
   if not (q > 0. && q <= 100.) then
     invalid_arg "Latency.rank: percentile must be in (0, 100]";
   let r = int_of_float (ceil (float_of_int n *. q /. 100.)) in
-  max 0 (min (n - 1) (r - 1))
+  Int.max 0 (Int.min (n - 1) (r - 1))
 
 let percentile a q =
   let n = Array.length a in

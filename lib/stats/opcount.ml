@@ -16,7 +16,7 @@ let total t = Tbl.fold (fun _ r acc -> acc + !r) t 0
 let to_list t =
   Tbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (n1, c1) (n2, c2) ->
-         match compare c2 c1 with 0 -> compare n1 n2 | c -> c)
+         match Int.compare c2 c1 with 0 -> String.compare n1 n2 | c -> c)
 
 let breakdown t =
   let sum = total t in

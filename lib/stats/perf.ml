@@ -28,7 +28,7 @@ let note_batch t size =
   incr t batches;
   add t batched_msgs size;
   let last = Array.length batch_hist - 1 in
-  incr t batch_hist.(min (max size 0) last)
+  incr t batch_hist.(Int.min (Int.max size 0) last)
 
 let mean_batch t =
   if get t batches = 0 then 0.0

@@ -9,7 +9,7 @@ let render ~headers rows =
   let widths = Array.make ncols 0 in
   List.iter
     (List.iteri (fun c cell ->
-         widths.(c) <- max widths.(c) (String.length cell)))
+         widths.(c) <- Int.max widths.(c) (String.length cell)))
     all;
   let buf = Buffer.create 1024 in
   let emit_row row =

@@ -29,6 +29,10 @@ expect 0 run extract --cores 4 --seed 2 --window 8 --plan "crash:0@300000+200000
 # The open-time invalidation lint looks at each block before the charge
 # lets another process on the core refill it with current data.
 expect 0 run "build linux" --cores 8 --seed 1 --no-preset --check
+# A retransmission shares its first copy's reply slot, so a late reply
+# to an earlier copy, or the dedup replay a duplicate gets, still
+# reaches the waiting client.
+expect 0 run "build linux" --cores 8 --seed 3 --plan "drop:fs:0.03;dup:fs:0.03"
 expect 1 run nosuch --cores 2
 expect 1 run creates --cores 2 --plan "drop:fs:1.5"
 expect 1 run creates --cores 2 --plan "drop:fs:0.1" --deadline 0

@@ -171,12 +171,15 @@ let test_pcache_cross_line_ranges () =
 
 (* The reference keeps what the private cache used to be: one record per
    cached line in an MRU-first list, looked up by line key. It computes
-   the cycles each call should charge from the same cost table. *)
+   the cycles each call should charge from the same cost table, and
+   emits on its own bus the cache events the order contract of
+   pcache.mli prescribes; its DRAM publishes its counters there too. *)
 module Ref = struct
   type line = { key : int; data : Bytes.t; mutable dirty : bool }
 
   type t = {
     dram : Dram.t;
+    obs : Obs.t;
     capacity : int;
     socket_of : int -> int; (* the core is on socket 0 *)
     mutable lru : line list; (* MRU first *)
@@ -187,8 +190,8 @@ module Ref = struct
     mutable invalidated : int;
   }
 
-  let create dram ~capacity ~socket_of =
-    { dram; capacity; socket_of; lru = []; hits = 0; misses = 0;
+  let create dram ~obs ~capacity ~socket_of =
+    { dram; obs; capacity; socket_of; lru = []; hits = 0; misses = 0;
       evictions = 0; writebacks = 0; invalidated = 0 }
 
   let lpb = Layout.lines_per_block
@@ -204,6 +207,7 @@ module Ref = struct
         ~src:l.data ~src_off:0;
       l.dirty <- false;
       t.writebacks <- t.writebacks + 1;
+      Obs.emit t.obs (Cache_writeback { core = 0; key = l.key });
       dram_cost t (l.key / lpb)
     end
     else 0
@@ -224,6 +228,7 @@ module Ref = struct
             let c = flush t victim in
             t.lru <- List.filter (fun m -> m != victim) t.lru;
             t.evictions <- t.evictions + 1;
+            Obs.emit t.obs (Cache_evict { core = 0; key = victim.key });
             c
           end
           else 0
@@ -240,6 +245,8 @@ module Ref = struct
       let l, hit, c = ensure t ~block ~line in
       cycles := !cycles + c;
       if coherent && hit then cycles := !cycles + (costs.dram_line / 8);
+      Obs.emit t.obs
+        (Cache_access { core = 0; key = l.key; write; filled = not hit; coherent });
       let start = line * Layout.line_size in
       let from = max off start in
       let n = min (off + len) (start + Layout.line_size) - from in
@@ -258,13 +265,25 @@ module Ref = struct
     done;
     !cycles
 
-  let of_block t block = List.filter (fun l -> l.key / lpb = block) t.lru
+  (* The block's cached lines, highest index first. *)
+  let of_block t block =
+    List.filter (fun l -> l.key / lpb = block) t.lru
+    |> List.sort (fun a b -> compare b.key a.key)
 
-  let invalidate_block t block =
+  let drop_block t block ~writeback =
     let lines = of_block t block in
+    let flushed =
+      List.fold_left
+        (fun acc l ->
+          let c = if writeback then flush t l else 0 in
+          Obs.emit t.obs
+            (Cache_invalidate { core = 0; key = l.key; dirty = l.dirty });
+          acc + c)
+        0 lines
+    in
     t.lru <- List.filter (fun l -> l.key / lpb <> block) t.lru;
     t.invalidated <- t.invalidated + List.length lines;
-    List.length lines * costs.invalidate_line
+    (List.length lines * costs.invalidate_line) + flushed
 
   let writeback_block t block =
     List.fold_left (fun acc l -> acc + flush t l) 0 (of_block t block)
@@ -278,6 +297,7 @@ type pc_op =
   | Access of { block : int; off : int; len : int; write : bool;
                 coherent : bool; fill : char }
   | Invalidate of int
+  | Evict of int
   | Writeback of int
 
 let pp_pc_op = function
@@ -286,19 +306,25 @@ let pp_pc_op = function
         (if write then "write" else "read")
         (if coherent then "_coherent" else "") block off len fill
   | Invalidate b -> Printf.sprintf "invalidate_block %d" b
+  | Evict b -> Printf.sprintf "evict_block %d" b
   | Writeback b -> Printf.sprintf "writeback_block %d" b
 
 let pc_op_gen ~nblocks =
   let open QCheck.Gen in
   let block = int_bound (nblocks - 1) in
-  (* Small ranges, whole blocks (64 lines: evictions inside one access)
-     and anything in between. *)
+  (* Small ranges, whole blocks (64 lines: evictions inside one access),
+     whole lines (a write that replaces each line it touches) and
+     anything in between. *)
   let range =
     oneof
       [
         map2 (fun off len -> (off, min len (Layout.block_size - off)))
           (int_bound (Layout.block_size - 1)) (int_range 1 200);
         return (0, Layout.block_size);
+        ( int_bound (Layout.lines_per_block - 1) >>= fun line ->
+          map
+            (fun n -> (line * Layout.line_size, n * Layout.line_size))
+            (int_range 1 (Layout.lines_per_block - line)) );
         int_bound (Layout.block_size - 1) >>= fun off ->
         map (fun len -> (off, len)) (int_range 1 (Layout.block_size - off));
       ]
@@ -314,6 +340,7 @@ let pc_op_gen ~nblocks =
     [
       (6, access);
       (1, map (fun b -> Invalidate b) block);
+      (1, map (fun b -> Evict b) block);
       (1, map (fun b -> Writeback b) block);
     ]
 
@@ -333,6 +360,31 @@ let pc_case =
    every comparison. *)
 let socket_of b = b land 1
 
+(* The cache events and DRAM traffic counters of a bus, in emission
+   order, as text; the counters' timestamps are left out (the
+   reference's bus has no clock). *)
+let record_mem_events obs =
+  let log = ref [] in
+  Obs.subscribe obs Obs.(cache lor marks) (fun ev ->
+      let line =
+        match (ev : Obs.event) with
+        | Cache_access { core; key; write; filled; coherent } ->
+            Some (Printf.sprintf "access %d %d w=%b filled=%b coherent=%b" core
+                    key write filled coherent)
+        | Cache_writeback { core; key } -> Some (Printf.sprintf "writeback %d %d" core key)
+        | Cache_evict { core; key } -> Some (Printf.sprintf "evict %d %d" core key)
+        | Cache_invalidate { core; key; dirty } ->
+            Some (Printf.sprintf "invalidate %d %d dirty=%b" core key dirty)
+        | Counter { name = ("dram-reads" | "dram-writes") as name; track; value; _ } ->
+            Some (Printf.sprintf "%s@%d %d" name track value)
+        | _ -> None
+      in
+      Option.iter (fun l -> log := l :: !log) line);
+  fun () ->
+    let events = List.rev !log in
+    log := [];
+    events
+
 let prop_pcache_matches_reference =
   QCheck.Test.make ~name:"pcache matches line-keyed reference" ~count:300
     pc_case (fun (capacity, nblocks, ops) ->
@@ -342,11 +394,16 @@ let prop_pcache_matches_reference =
       in
       with_engine (fun e ->
           let d = Dram.create ~nblocks and rd = Dram.create ~nblocks in
+          let robs = Obs.create () in
+          Dram.observe d (Engine.obs e) ~track:7;
+          Dram.observe rd robs ~track:7;
+          let got_events = record_mem_events (Engine.obs e) in
+          let want_events = record_mem_events robs in
           let p =
             Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
               ~block_socket:socket_of
           in
-          let r = Ref.create rd ~capacity ~socket_of in
+          let r = Ref.create rd ~obs:robs ~capacity ~socket_of in
           List.iteri
             (fun i op ->
               let t0 = Engine.now e in
@@ -365,7 +422,10 @@ let prop_pcache_matches_reference =
                     (c, Bytes.to_string buf, Bytes.to_string rbuf)
                 | Invalidate b ->
                     Pcache.invalidate_block p b;
-                    (Ref.invalidate_block r b, "", "")
+                    (Ref.drop_block r b ~writeback:false, "", "")
+                | Evict b ->
+                    Pcache.evict_block p b ~dropped:ignore;
+                    (Ref.drop_block r b ~writeback:true, "", "")
                 | Writeback b ->
                     Pcache.writeback_block p b;
                     (Ref.writeback_block r b, "", "")
@@ -379,6 +439,10 @@ let prop_pcache_matches_reference =
               if Pcache.resident_lines p <> List.length r.Ref.lru then
                 fail "op %d: %d resident lines, reference %d" i
                   (Pcache.resident_lines p) (List.length r.Ref.lru);
+              let got = got_events () and want = want_events () in
+              if got <> want then
+                fail "op %d: bus events\n    %s\n  reference\n    %s" i
+                  (String.concat "\n    " got) (String.concat "\n    " want);
               for b = 0 to nblocks - 1 do
                 let img dram =
                   Dram.unsafe_read dram ~block:b ~off:0 ~len:Layout.block_size
@@ -510,6 +574,40 @@ let test_pcache_miss_path_allocation () =
       if many > one then
         Alcotest.failf "64-line miss allocated %.0f words, 1-line %.0f" many one)
 
+(* A user buffer shorter than the range is refused before the access
+   starts: no line is filled or evicted, no counter moves, no cycle is
+   charged and no event is emitted. *)
+let test_pcache_short_buffer () =
+  with_engine (fun e ->
+      let d = Dram.create ~nblocks:2 in
+      let p = mk_pcache ~capacity:1 e 0 d in
+      Pcache.write_string p ~block:0 ~off:0 "dirty";
+      let events = ref 0 in
+      Obs.subscribe (Engine.obs e) Obs.(cache lor marks lor spans) (fun _ ->
+          incr events);
+      let before = Pcache.stats p and t0 = Engine.now e in
+      let buf = Bytes.make 100 'x' in
+      List.iter
+        (fun (name, f) ->
+          match f () with
+          | () -> Alcotest.failf "%s: accepted a short buffer" name
+          | exception Invalid_argument _ -> ())
+        [
+          ("read", fun () -> Pcache.read p ~block:1 ~off:0 ~len:128 ~dst:buf ~dst_off:0);
+          ("write", fun () -> Pcache.write p ~block:1 ~off:0 ~len:128 ~src:buf ~src_off:0);
+          ("write at offset", fun () ->
+              Pcache.write p ~block:1 ~off:0 ~len:64 ~src:buf ~src_off:40);
+          ("negative offset", fun () ->
+              Pcache.read_coherent p ~block:1 ~off:0 ~len:8 ~dst:buf ~dst_off:(-1));
+        ];
+      check_stats "stats unchanged" before p;
+      Alcotest.(check int64) "nothing charged" t0 (Engine.now e);
+      Alcotest.(check int) "no event" 0 !events;
+      Alcotest.(check string) "the dirty line stayed" "dirty"
+        (Pcache.read_string p ~block:0 ~off:0 ~len:5);
+      Alcotest.(check string) "DRAM untouched" (String.make 5 '\000')
+        (Dram.unsafe_read d ~block:0 ~off:0 ~len:5))
+
 let test_layout_lines_touched () =
   Alcotest.(check (pair int int)) "one line" (0, 0) (Layout.lines_touched ~off:0 ~len:64);
   Alcotest.(check (pair int int)) "straddle" (0, 1) (Layout.lines_touched ~off:63 ~len:2);
@@ -545,6 +643,7 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_pcache_reuse_after_invalidate;
         tc "uncached block ops are free" `Quick test_pcache_uncached_block_ops;
         tc "miss path allocation-free" `Quick test_pcache_miss_path_allocation;
+        tc "short buffer refused up front" `Quick test_pcache_short_buffer;
         QCheck_alcotest.to_alcotest prop_pcache_matches_reference;
       ] );
     ("mem.layout", [ tc "lines touched" `Quick test_layout_lines_touched ]);

@@ -65,6 +65,36 @@ let test_pid_encoding () =
     Alcotest.(check int) "core roundtrip" core (Types.core_of_pid pid)
   done
 
+(* Entry placement pinned to values recorded with the 64-bit [Int64]
+   FNV-1a: (dir, name, hash, shard base on 8 servers, entry server at
+   width 8 of 8, width 3 of 8, width 4 of 5). A change to the hash moves
+   every distributed directory's entries, and every simulated clock. *)
+let placement_table =
+  [
+    ({ Types.server = 0; ino = 1 }, "", 323128323731756362, 2, 4, 3, 4);
+    ({ server = 0; ino = 1 }, "a", 342701079017158673, 2, 3, 4, 3);
+    ({ server = 0; ino = 1 }, "etc", 3486949262875940184, 2, 2, 2, 2);
+    ({ server = 3; ino = 42 }, "file_0001", 3822153428872126736, 0, 0, 2, 0);
+    ({ server = 7; ino = 1193046 }, "Makefile", 1085103708118905766, 2, 0, 3, 4);
+    ({ server = 1; ino = 65537 }, "spool/mail", 958785950468081459, 4, 7, 6, 0);
+    ({ server = 255; ino = 16777215 }, "\255\000z", 3996006026459531436, 1, 5, 1, 0);
+  ]
+
+let test_placement_hash_pinned () =
+  List.iter
+    (fun (dir, name, hash, base, w8, w3, w4of5) ->
+      let at width nservers =
+        Types.dentry_server ~dist:true ~width ~nservers ~dir ~name
+      in
+      Alcotest.(check int) ("hash " ^ name) hash (Types.hash_name ~dir ~name);
+      Alcotest.(check int) "shard base" base (Types.shard_base ~nservers:8 ~dir);
+      Alcotest.(check int) "width 8 of 8" w8 (at 8 8);
+      Alcotest.(check int) "width 3 of 8" w3 (at 3 8);
+      Alcotest.(check int) "width 4 of 5" w4of5 (at 4 5);
+      Alcotest.(check int) "centralized" dir.server
+        (Types.dentry_server ~dist:false ~width:8 ~nservers:8 ~dir ~name))
+    placement_table
+
 let test_errno_strings () =
   List.iter
     (fun e ->
@@ -262,6 +292,7 @@ let suites : (string * unit Alcotest.test_case list) list =
     ( "misc.proto",
       [
         tc "pid encoding" `Quick test_pid_encoding;
+        tc "placement hash pinned" `Quick test_placement_hash_pinned;
         tc "errno strings" `Quick test_errno_strings;
         tc "req names distinct" `Quick test_req_names_distinct;
         tc "pp smoke" `Quick test_pp_smoke;
