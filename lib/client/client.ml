@@ -95,9 +95,21 @@ let width t =
 
 let obs t = Engine.obs t.engine
 
+(* The system calls, interned once: counting one bumps an array slot. *)
+module Calls = struct
+  let i = Hare_stats.Opcount.intern
+
+  let open_ = i "open" and read = i "read" and write = i "write"
+  and lseek = i "lseek" and close = i "close" and fsync = i "fsync"
+  and ftruncate = i "ftruncate" and fstat = i "fstat" and dup = i "dup"
+  and dup2 = i "dup2" and pipe = i "pipe" and unlink = i "unlink"
+  and mkdir = i "mkdir" and rmdir = i "rmdir" and readdir = i "readdir"
+  and rename = i "rename" and stat = i "stat" and fork = i "fork"
+end
+
 (* Every intercepted system call pays the interposition cost (§4). *)
 let charge_trap t op =
-  Hare_stats.Opcount.incr t.syscalls op;
+  Hare_stats.Opcount.bump t.syscalls op;
   Core_res.compute t.core t.costs.syscall_trap
 
 (* Run a public syscall body in a root span on this client's core track,
@@ -105,7 +117,7 @@ let charge_trap t op =
    inside exit teardown) fold into the outer span. *)
 let syscall ?(trap = true) t op f =
   let o = obs t in
-  if not (Obs.on o Obs.spans) then begin
+  if o.Obs.wanted land Obs.spans = 0 then begin
     if trap then charge_trap t op;
     f ()
   end
@@ -113,7 +125,9 @@ let syscall ?(trap = true) t op f =
     let fid = Engine.current_fid t.engine in
     let close () = Obs.emit o (Span_close { fid; ts = Obs.now o; server = false }) in
     let track = Core_res.id t.core and args = Obs.no_args and ts = Obs.now o in
-    Obs.emit o (Span_open { fid; op; track; parent = 0; ts; args; pending = [] });
+    let name = Hare_stats.Opcount.name op in
+    Obs.emit o
+      (Span_open { fid; op = name; track; parent = 0; ts; args; pending = [] });
     match
       if trap then charge_trap t op;
       f ()
@@ -251,15 +265,16 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
      the lint needs the keys afterwards. *)
   let o = obs t in
   let blocks =
-    if Obs.on o Obs.lint then Hashtbl.fold (fun b () acc -> b :: acc) fs.f_dirty []
+    if o.Obs.wanted land Obs.lint <> 0 then
+      Tbl.Int.fold (fun b () acc -> b :: acc) fs.f_dirty []
     else []
   in
   if not !mutate_skip_writeback then
-    Hashtbl.iter
+    Tbl.Int.iter
       (fun b () -> Pcache.writeback_block t.pcache b)
       fs.f_dirty;
-  Hashtbl.reset fs.f_dirty;
-  if Obs.on o Obs.lint then
+  Tbl.Int.reset fs.f_dirty;
+  if o.Obs.wanted land Obs.lint <> 0 then
     let keys () = List.fold_left (Fun.flip block_line_keys) [] blocks in
     Obs.emit o (Lint_flush { core = Core_res.id t.core; keys; what })
 
@@ -269,7 +284,7 @@ let writeback_dirty ?(what = "close/fsync") t (fs : Fdtable.file_state) =
    lines cached on this core. *)
 let lint_open t block =
   let o = obs t in
-  if Obs.on o Obs.lint then
+  if o.Obs.wanted land Obs.lint <> 0 then
     let keys () = block_line_keys block [] in
     Obs.emit o (Lint_open { core = Core_res.id t.core; keys })
 
@@ -362,7 +377,7 @@ let create_file t (dir : dirref) name (flags : open_flags) =
   end
 
 let openf t fdt ~cwd path (flags : open_flags) =
-  syscall t "open" @@ fun () ->
+  syscall t Calls.open_ @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let ino, oi =
     if flags.creat then
@@ -400,7 +415,7 @@ let console_write t (c : Wire.console_ref) data =
       let b0 = Engine.now t.engine in
       Ivar.read ack;
       let o = obs t in
-      if Obs.on o Obs.spans then begin
+      if o.Obs.wanted land Obs.spans <> 0 then begin
         let cycles = Int64.to_int (Int64.sub (Engine.now t.engine) b0) in
         Obs.emit o (Wait { fid = Engine.current_fid t.engine; cycles })
       end;
@@ -459,7 +474,7 @@ let direct_write t (fs : Fdtable.file_state) ~off data =
      a per-write closure would show in the host's allocation per op. *)
   if len > 0 then
     for bi = off / Layout.block_size to (off + len - 1) / Layout.block_size do
-      Hashtbl.replace fs.f_dirty fs.f_blocks.(bi) ()
+      Tbl.Int.replace fs.f_dirty fs.f_blocks.(bi) ()
     done;
   if off + len > fs.f_size then fs.f_size <- off + len;
   fs.f_wrote <- true;
@@ -517,7 +532,7 @@ let rec file_write t (fs : Fdtable.file_state) data =
       | _ -> assert false
 
 let read t fdt fd ~len =
-  syscall t "read" @@ fun () ->
+  syscall t Calls.read @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.File fs -> file_read t fs ~len
@@ -530,7 +545,7 @@ let read t fdt fd ~len =
   | Fdtable.Console _ -> ""
 
 let write t fdt fd data =
-  syscall t "write" @@ fun () ->
+  syscall t Calls.write @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.File fs -> file_write t fs data
@@ -565,7 +580,7 @@ let rec seek_file t (fs : Fdtable.file_state) ~pos whence =
       | _ -> assert false)
 
 let lseek t fdt fd ~pos whence =
-  syscall t "lseek" @@ fun () ->
+  syscall t Calls.lseek @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.Pipe _ | Fdtable.Console _ -> Errno.raise_errno Errno.ESPIPE "lseek"
@@ -633,7 +648,7 @@ let unref t (entry : Fdtable.entry) =
   if entry.local_refs <= 0 then release_desc t entry
 
 let close t fdt fd =
-  syscall t "close" @@ fun () ->
+  syscall t Calls.close @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   Fdtable.remove fdt fd;
   unref t entry
@@ -649,7 +664,7 @@ let close_all t fdt =
   drain_window t
 
 let fsync t fdt fd =
-  syscall t "fsync" @@ fun () ->
+  syscall t Calls.fsync @@ fun () ->
   (* Durability barrier: deferred requests count as outstanding I/O. *)
   drain_window t;
   let entry = Fdtable.find_exn fdt fd in
@@ -658,7 +673,7 @@ let fsync t fdt fd =
   | Fdtable.Pipe _ | Fdtable.Console _ -> ()
 
 let ftruncate t fdt fd ~size =
-  syscall t "ftruncate" @@ fun () ->
+  syscall t Calls.ftruncate @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   match entry.Fdtable.desc with
   | Fdtable.Pipe _ | Fdtable.Console _ -> Errno.raise_errno Errno.EINVAL "ftruncate"
@@ -676,7 +691,7 @@ let get_attr t (ino : ino) =
   | _ -> assert false
 
 let fstat t fdt fd =
-  syscall t "fstat" @@ fun () ->
+  syscall t Calls.fstat @@ fun () ->
   match (Fdtable.find_exn fdt fd).Fdtable.desc with
   | Fdtable.File fs -> get_attr t fs.f_ino
   | Fdtable.Pipe p -> get_attr t p.p_ino
@@ -685,13 +700,13 @@ let fstat t fdt fd =
 (* ---------- dup / pipe -------------------------------------------------- *)
 
 let dup t fdt fd =
-  syscall t "dup" @@ fun () ->
+  syscall t Calls.dup @@ fun () ->
   let entry = Fdtable.find_exn fdt fd in
   entry.Fdtable.local_refs <- entry.Fdtable.local_refs + 1;
   Fdtable.alloc fdt entry
 
 let dup2 t fdt ~src ~dst =
-  syscall t "dup2" @@ fun () ->
+  syscall t Calls.dup2 @@ fun () ->
   let entry = Fdtable.find_exn fdt src in
   if src = dst then dst
   else begin
@@ -706,7 +721,7 @@ let dup2 t fdt ~src ~dst =
   end
 
 let pipe t fdt =
-  syscall t "pipe" @@ fun () ->
+  syscall t Calls.pipe @@ fun () ->
   match rpc t t.local_server Wire.Pipe_create with
   | Wire.P_pipe { pipe_ino; rd; wr } ->
       let mk token write =
@@ -724,7 +739,7 @@ let pipe t fdt =
 (* ---------- name-space operations --------------------------------------- *)
 
 let unlink t ~cwd path =
-  syscall t "unlink" @@ fun () ->
+  syscall t Calls.unlink @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let srv = entry_server t dir name in
   match rm_map rpc t srv dir.d_ino name ~only_if:None with
@@ -748,7 +763,7 @@ let unlink t ~cwd path =
   | _ -> assert false
 
 let mkdir t ~cwd ?(dist = false) path =
-  syscall t "mkdir" @@ fun () ->
+  syscall t Calls.mkdir @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let dist = dist && t.config.Hare_config.Config.dir_distribution in
   let entry_srv = entry_server t dir name in
@@ -779,7 +794,7 @@ let mkdir t ~cwd ?(dist = false) path =
   | _ -> assert false
 
 let rmdir t ~cwd path =
-  syscall t "rmdir" @@ fun () ->
+  syscall t Calls.rmdir @@ fun () ->
   let dir, name = resolve_parent t ~cwd path in
   let e = lookup_entry t dir name in
   if e.Wire.t_ftype <> Dir then Errno.raise_errno Errno.ENOTDIR name;
@@ -843,7 +858,7 @@ let rmdir t ~cwd path =
   end
 
 let readdir t ~cwd path =
-  syscall t "readdir" @@ fun () ->
+  syscall t Calls.readdir @@ fun () ->
   let comps = Path.normalize ~cwd path in
   let dir = resolve_dir t comps in
   if dir.d_dist then begin
@@ -875,7 +890,7 @@ let readdir t ~cwd path =
     | _ -> assert false
 
 let rename t ~cwd oldp newp =
-  syscall t "rename" @@ fun () ->
+  syscall t Calls.rename @@ fun () ->
   let odir, oname = resolve_parent t ~cwd oldp in
   let ndir, nname = resolve_parent t ~cwd newp in
   if equal_ino odir.d_ino ndir.d_ino && String.equal oname nname then ()
@@ -922,7 +937,7 @@ let rename t ~cwd oldp newp =
   end
 
 let stat t ~cwd path =
-  syscall t "stat" @@ fun () ->
+  syscall t Calls.stat @@ fun () ->
   match Path.normalize ~cwd path with
   | [] -> get_attr t root_ino
   | comps ->
@@ -933,7 +948,7 @@ let stat t ~cwd path =
 (* ---------- descriptor transfer ----------------------------------------- *)
 
 let fork_fds t fdt =
-  syscall ~trap:false t "fork" @@ fun () ->
+  syscall ~trap:false t Calls.fork @@ fun () ->
   (* The child must not observe server state that a deferred request is
      still about to change; settle the window before sharing. *)
   drain_window t;
@@ -962,7 +977,7 @@ let fork_fds t fdt =
               {
                 Fdtable.desc =
                   Fdtable.File
-                    { fs with f_pos = Shared; f_dirty = Hashtbl.create 8 };
+                    { fs with f_pos = Shared; f_dirty = Tbl.Int.create 8 };
                 local_refs = 0;
               }
           | Fdtable.Pipe p ->

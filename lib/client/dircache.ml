@@ -62,7 +62,7 @@ let client_id t = Hare_sim.Core_res.id (owner_core t)
 (* Sanitizer obligation tracking: an applied invalidation or a hit. *)
 let note t kind (dir : Types.ino) name =
   let o = obs t in
-  if Hare_sim.Obs.(on o lint) then
+  if o.Hare_sim.Obs.wanted land Hare_sim.Obs.lint <> 0 then
     Hare_sim.Obs.emit o
       (Dircache
          { kind; client = client_id t; server = dir.server; ino = dir.ino; name })
@@ -106,7 +106,7 @@ let rec drain t =
       Queue.clear t.order;
       Hare_stats.Robust.(incr t.robust cache_flushes);
       let o = obs t in
-      if Hare_sim.Obs.(on o lint) then
+      if o.Hare_sim.Obs.wanted land Hare_sim.Obs.lint <> 0 then
         Hare_sim.Obs.emit o (Dircache_flushed { client = client_id t });
       drain t
 

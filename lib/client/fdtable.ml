@@ -1,4 +1,5 @@
 open Hare_proto
+module Itbl = Hare_sim.Tbl.Int
 
 type pos = Wire.xfer_pos = Local of int | Shared
 
@@ -9,7 +10,7 @@ type file_state = {
   mutable f_pos : pos;
   mutable f_blocks : int array;
   mutable f_size : int;
-  f_dirty : (int, unit) Hashtbl.t;
+  f_dirty : unit Itbl.t;
   mutable f_wrote : bool;
 }
 
@@ -23,7 +24,7 @@ let file_state ~ino ~token ~flags ~pos ~blocks ~size =
     f_pos = pos;
     f_blocks = blocks;
     f_size = size;
-    f_dirty = Hashtbl.create 8;
+    f_dirty = Itbl.create 8;
     f_wrote = false;
   }
 
@@ -40,18 +41,18 @@ type desc =
 
 type entry = { mutable desc : desc; mutable local_refs : int }
 
-type t = { slots : (int, entry) Hashtbl.t }
+type t = { slots : entry Itbl.t }
 
 let max_fds = 1024
 
-let create () = { slots = Hashtbl.create 16 }
+let create () = { slots = Itbl.create 16 }
 
 let alloc t entry =
   let rec scan fd =
     if fd >= max_fds then Errno.raise_errno Errno.EMFILE "fd table full"
-    else if Hashtbl.mem t.slots fd then scan (fd + 1)
+    else if Itbl.mem t.slots fd then scan (fd + 1)
     else begin
-      Hashtbl.replace t.slots fd entry;
+      Itbl.replace t.slots fd entry;
       fd
     end
   in
@@ -59,27 +60,27 @@ let alloc t entry =
 
 let alloc_at t fd entry =
   if fd < 0 || fd >= max_fds then Errno.raise_errno Errno.EBADF "fd out of range";
-  Hashtbl.replace t.slots fd entry
+  Itbl.replace t.slots fd entry
 
-let find t fd = Hashtbl.find_opt t.slots fd
+let find t fd = Itbl.find_opt t.slots fd
 
 let find_exn t fd =
   match find t fd with
   | Some e -> e
   | None -> Errno.raise_errno Errno.EBADF (string_of_int fd)
 
-let remove t fd = Hashtbl.remove t.slots fd
+let remove t fd = Itbl.remove t.slots fd
 
 let fds t =
-  Hashtbl.fold (fun fd _ acc -> fd :: acc) t.slots [] |> List.sort compare
+  Itbl.fold (fun fd _ acc -> fd :: acc) t.slots [] |> List.sort compare
 
 let bindings t =
-  Hashtbl.fold (fun fd e acc -> (fd, e) :: acc) t.slots []
+  Itbl.fold (fun fd e acc -> (fd, e) :: acc) t.slots []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let distinct_entries t =
   let seen = ref [] in
-  Hashtbl.iter
+  Itbl.iter
     (fun _ e -> if not (List.memq e !seen) then seen := e :: !seen)
     t.slots;
   !seen

@@ -22,7 +22,7 @@ type file_state = {
   mutable f_pos : pos;
   mutable f_blocks : int array;  (** cached block list (direct mode). *)
   mutable f_size : int;  (** local size view (close-to-open). *)
-  f_dirty : (int, unit) Hashtbl.t;  (** blocks to write back on close. *)
+  f_dirty : unit Hare_sim.Tbl.Int.t;  (** blocks to write back on close. *)
   mutable f_wrote : bool;
 }
 

@@ -54,7 +54,7 @@ type t = {
       (* completed low-water mark: every seq <= ack has a final outcome
          (reply in hand or given up) and will never be resent. Rides
          outgoing metas so servers can bound their dedup tables. *)
-  done_seqs : (int, unit) Hashtbl.t;
+  done_seqs : unit Tbl.Int.t;
       (* completed seqs above the low-water mark, waiting for the gap
          below them (a still-inflight deferred request) to close *)
   (* overload control (PR 6); all inert at the default knob settings *)
@@ -96,7 +96,7 @@ let create ~engine ~(config : Config.t) ~cid ~core ~servers ?place ~robust
           (Int64.add config.seed (Int64.of_int ((cid * 2654435761) + 0x5e7)));
     seq = 0;
     ack = 0;
-    done_seqs = Hashtbl.create 16;
+    done_seqs = Tbl.Int.create 16;
     breakers =
       Array.init nsrv (fun _ -> { br_state = Br_closed; br_fails = 0 });
     budget_tokens = Array.make nsrv config.retry_budget;
@@ -121,16 +121,16 @@ let obs t = Engine.obs t.engine
 
 let instant t name args =
   let o = obs t in
-  if Obs.on o Obs.marks then
+  if o.Obs.wanted land Obs.marks <> 0 then
     Obs.emit o (Instant { name; track = Core_res.id t.core; ts = Obs.now o; args })
 
 (* Report a pause of [cycles] before a resend, then take it. *)
 let pause t name req cycles =
   let o = obs t in
-  if Obs.on o Obs.spans then
+  if o.Obs.wanted land Obs.spans <> 0 then
     Obs.emit o (Wait { fid = Engine.current_fid t.engine; cycles });
   instant t name [ ("op", (Wire.info req).name) ];
-  Engine.sleep_cycles cycles
+  Engine.sleep_on t.engine cycles
 
 (* Logical home -> physical endpoint index, re-read at every send so a
    rebalance takes effect on the next copy. *)
@@ -143,9 +143,9 @@ let phys t home =
    could still be retransmitted at await time. *)
 let note_done t seq =
   if seq > t.ack then begin
-    Hashtbl.replace t.done_seqs seq ();
-    while Hashtbl.mem t.done_seqs (t.ack + 1) do
-      Hashtbl.remove t.done_seqs (t.ack + 1);
+    Tbl.Int.replace t.done_seqs seq ();
+    while Tbl.Int.mem t.done_seqs (t.ack + 1) do
+      Tbl.Int.remove t.done_seqs (t.ack + 1);
       t.ack <- t.ack + 1
     done
   end
@@ -271,7 +271,7 @@ let transmit t ?slot ~deadline ~meta home req =
   (* Admission annotation for tail retention: the physical server
      this copy is headed to and the queue depth it meets at admission. *)
   let o = obs t in
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let fid = Engine.current_fid t.engine and depth = Rpc.pending t.servers.(ep) in
     Obs.emit o (Send_target { fid; srv = ep; depth })
   end;

@@ -193,7 +193,7 @@ let boot (config : Config.t) =
       k_sched_ports = sched_ports;
       k_app_cores = Array.of_list (Config.app_cores config);
       k_pid_seq = Array.make ncores 1;
-      k_proc_tables = Array.init ncores (fun _ -> Hashtbl.create 64);
+      k_proc_tables = Array.init ncores (fun _ -> Hare_sim.Tbl.Int.create 64);
     }
   in
   let registry = Program.create () in

@@ -29,7 +29,10 @@ let observe t obs ~track =
 let sample_period = 64
 
 let counter t name value =
-  if value mod sample_period = 0 && Hare_sim.Obs.(on t.obs marks) then
+  if
+    value mod sample_period = 0
+    && t.obs.Hare_sim.Obs.wanted land Hare_sim.Obs.marks <> 0
+  then
     Hare_sim.Obs.emit t.obs
       (Counter { name; track = t.track; ts = Hare_sim.Obs.now t.obs; value })
 

@@ -118,11 +118,11 @@ let core t = t.core
    publish cumulative miss/write-back counters when they moved. *)
 let charge t ~cache ~dram ~miss0 ~wb0 =
   let o = t.obs in
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let fid = Engine.current_fid (Core_res.engine t.core) in
     Obs.emit o (Pending { fid; parts = [ (Cache, cache); (Dram, dram) ] })
   end;
-  if Obs.on o Obs.marks then begin
+  if o.Obs.wanted land Obs.marks <> 0 then begin
     let ts = Obs.now o and track = t.cid in
     if t.misses <> miss0 then
       Obs.emit o (Counter { name = "pc-miss"; track; ts; value = t.misses });
@@ -334,7 +334,7 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
   let miss0 = t.misses and wb0 = t.writebacks in
   t.cache_cy <- 0;
   t.dram_cy <- 0;
-  let observed = Obs.on t.obs Obs.cache in
+  let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let hit_cy = t.costs.cache_hit_line in
   let snoop_cy = if coherent then t.costs.dram_line / 8 else 0 in
   let line_cy = dram_cost t block in
@@ -413,7 +413,7 @@ let write_string t ~block ~off s =
 
 let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
-  let observed = Obs.on t.obs Obs.cache in
+  let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let f = find_frame t block in
   let n = f.(count_cell) in
   let flushed = ref 0 in
@@ -447,7 +447,7 @@ let evict_block ~dropped t block = drop_block t block ~writeback:true ~dropped
 
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in
-  let observed = Obs.on t.obs Obs.cache in
+  let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let f = find_frame t block in
   let flushed = ref 0 in
   if f != no_frame then

@@ -99,7 +99,7 @@ let sample t ~now =
     let v = g.g_read () in
     Array.unsafe_set g.g_vals i v;
     match t.bus with
-    | Some o when Obs.on o Obs.marks ->
+    | Some o when o.Obs.wanted land Obs.marks <> 0 ->
         let track = t.track_base + gi in
         Obs.emit o (Counter { name = g.g_name; track; ts = Int64.to_int now; value = v })
     | _ -> ()

@@ -6,6 +6,8 @@ type 'a t = {
   costs : Hare_config.Costs.t;
   faults : Hare_fault.Injector.link option;
   name : string option;
+  counter : string option; (* ["mb:" ^ name], the depth counter's name *)
+  obs : Obs.t; (* the owner's engine's bus, held so a guard is one load *)
   uid : int;
       (* engine shared-object uid: this mailbox's identity on the bus
          (the sanitizer's stamp FIFO, the explorer's footprint) *)
@@ -27,6 +29,8 @@ let create ?name ?capacity ?faults ~owner ~costs () =
       costs;
       faults;
       name;
+      counter = Option.map (( ^ ) "mb:") name;
+      obs = Engine.obs (Core_res.engine owner);
       uid = Engine.new_object (Core_res.engine owner);
       flow_blocked = 0;
       probe = -1;
@@ -59,27 +63,27 @@ let rewatch t =
             Bqueue.length t.queue)
   | _ -> ()
 
-let obs t = Engine.obs (Core_res.engine t.owner)
+let obs t = t.obs
 
 let note_recv t =
   let o = obs t in
-  if Obs.on o Obs.msgs then
+  if o.Obs.wanted land Obs.msgs <> 0 then
     Obs.emit o (Msg_dequeue { uid = t.uid; core = Core_res.id t.owner })
 
 (* Named mailboxes publish their depth as a Perfetto counter track on the
    owner's core whenever it changes. *)
 let depth_counter t =
   let o = obs t in
-  match t.name with
-  | Some name when Obs.on o Obs.marks ->
+  match t.counter with
+  | Some name when o.Obs.wanted land Obs.marks <> 0 ->
       let track = Core_res.id t.owner and value = Bqueue.length t.queue in
-      Obs.emit o (Counter { name = "mb:" ^ name; track; ts = Obs.now o; value })
+      Obs.emit o (Counter { name; track; ts = Obs.now o; value })
   | _ -> ()
 
 let fault t ~mid ~copies name ~span =
   let o = obs t in
-  if Obs.on o Obs.msgs then Obs.emit o (Msg_fault { mid; copies });
-  if Obs.on o Obs.marks then begin
+  if o.Obs.wanted land Obs.msgs <> 0 then Obs.emit o (Msg_fault { mid; copies });
+  if o.Obs.wanted land Obs.marks <> 0 then begin
     let args = if span <> 0 then [ ("span", string_of_int span) ] else [] in
     let track = Core_res.id t.owner in
     Obs.emit o (Instant { name; track; ts = Obs.now o; args })
@@ -92,7 +96,8 @@ let fault t ~mid ~copies name ~span =
 let enqueue t ~mid msg =
   Bqueue.push_overflow t.queue msg;
   let o = obs t in
-  if Obs.on o Obs.msgs then Obs.emit o (Msg_enqueue { mid; uid = t.uid });
+  if o.Obs.wanted land Obs.msgs <> 0 then
+    Obs.emit o (Msg_enqueue { mid; uid = t.uid });
   depth_counter t
 
 let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
@@ -105,10 +110,10 @@ let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
   (* The message's bus id ties the send (the sender's happens-before
      stamp) to every copy the fault dice let into the queue. *)
   let o = obs t in
-  let mid = if Obs.on o Obs.msgs then Obs.fresh_msg o else 0 in
-  if Obs.on o Obs.msgs then
+  let mid = if o.Obs.wanted land Obs.msgs <> 0 then Obs.fresh_msg o else 0 in
+  if o.Obs.wanted land Obs.msgs <> 0 then
     Obs.emit o (Msg_send { mid; uid = t.uid; core = Core_res.id from });
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let fid = Engine.current_fid (Core_res.engine from) in
     Obs.emit o (Pending { fid; parts = [ (Send, cost) ] })
   end;
@@ -120,7 +125,7 @@ let send t ~from ?(payload_lines = 0) ?(unreliable = false) ?(span = 0) msg =
      enter this branch. *)
   if Bqueue.is_full t.queue then begin
     t.flow_blocked <- t.flow_blocked + 1;
-    if Obs.on o Obs.marks then begin
+    if o.Obs.wanted land Obs.marks <> 0 then begin
       let args = match t.name with Some n -> [ ("mailbox", n) ] | None -> [] in
       let track = Core_res.id from in
       Obs.emit o (Instant { name = "flow-block"; track; ts = Obs.now o; args })

@@ -52,7 +52,7 @@ let reply_fn t ~slot ~tagged ~span ?(payload_lines = 0) resp =
     + (payload_lines * t.costs.Hare_config.Costs.msg_per_line)
   in
   let o = obs owner in
-  if Obs.on o Obs.spans then
+  if o.Obs.wanted land Obs.spans <> 0 then
     Obs.emit o (Pending { fid = fid owner; parts = [ (Send, cost) ] });
   Core_res.compute owner cost;
   if tagged && Ivar.is_filled slot then
@@ -60,7 +60,7 @@ let reply_fn t ~slot ~tagged ~span ?(payload_lines = 0) resp =
        has its response, so this fill would be a double-assignment. *)
     ()
   else begin
-    if Obs.on o Obs.msgs then
+    if o.Obs.wanted land Obs.msgs <> 0 then
       Obs.emit o (Reply_fill { id = span; core = Core_res.id owner });
     Ivar.fill slot resp
   end
@@ -70,7 +70,9 @@ let call_async t ~from ?payload_lines ?meta ?(home = -1) ?slot ~abs_deadline
   (* Allocate a request id so the server-side work (trace) and the
      reply edge (sanitizer) can be tied back to this call. *)
   let o = obs from in
-  let span = if Obs.on o Obs.(msgs lor spans) then Obs.fresh_span o else 0 in
+  let span =
+    if o.Obs.wanted land Obs.(msgs lor spans) <> 0 then Obs.fresh_span o else 0
+  in
   let slot = match slot with Some s -> s | None -> Ivar.create () in
   (* Only meta-tagged (retryable) requests are fair game for the fault
      injector; everything else keeps the atomic-delivery guarantee. *)
@@ -99,12 +101,12 @@ let since engine b0 = Engine.now_cycles engine - b0
    receive [cost]. *)
 let received ~engine ~from ~cost ~span ~b0 =
   let o = Engine.obs engine in
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let fid = fid from in
     Obs.emit o (Blocked { fid; id = span; waited = since engine b0 });
     Obs.emit o (Pending { fid; parts = [ (Send, cost) ] })
   end;
-  if Obs.on o Obs.msgs then
+  if o.Obs.wanted land Obs.msgs <> 0 then
     Obs.emit o (Reply_read { id = span; core = Core_res.id from });
   Core_res.compute from cost
 
@@ -135,7 +137,7 @@ let await_deadline ~engine ~from ~costs ~deadline ~span future =
   | None ->
       (* Timed out: nothing came back, the whole wait is queueing. *)
       let o = Engine.obs engine in
-      if Obs.on o Obs.spans then
+      if o.Obs.wanted land Obs.spans <> 0 then
         Obs.emit o (Wait { fid = fid from; cycles = since engine b0 });
       Error `Timeout
 

@@ -9,7 +9,7 @@ type kctx = {
   k_sched_ports : (Wire.sched_req, Wire.sched_resp) Hare_msg.Rpc.t array;
   k_app_cores : int array;
   k_pid_seq : int array;
-  k_proc_tables : (int, t) Hashtbl.t array;
+  k_proc_tables : t Tbl.Int.t array;
 }
 
 and t = {
@@ -66,7 +66,7 @@ let make ~k ~core ?pid ?parent ~fdt ~cwd ~env ~rr_next () =
       prng = Rng.split (Engine.rng k.k_engine);
     }
   in
-  Hashtbl.replace k.k_proc_tables.(core) pid t;
+  Tbl.Int.replace k.k_proc_tables.(core) pid t;
   (match parent with Some p -> p.children <- t :: p.children | None -> ());
   t
 
@@ -74,7 +74,7 @@ let client t = t.k.k_clients.(t.core_id)
 
 let core t = t.k.k_cores.(t.core_id)
 
-let find k pid = Hashtbl.find_opt k.k_proc_tables.(Types.core_of_pid pid) pid
+let find k pid = Tbl.Int.find_opt k.k_proc_tables.(Types.core_of_pid pid) pid
 
 let run t ?(on_exit = fun _ -> ()) body =
   let name = Printf.sprintf "proc-%d@%d" t.pid t.core_id in
@@ -92,7 +92,7 @@ let run t ?(on_exit = fun _ -> ()) body =
             still be held — either is a resource leak the servers would
             carry forever. *)
          (let o = Engine.obs t.k.k_engine in
-          if Obs.on o Obs.lint then begin
+          if o.Obs.wanted land Obs.lint <> 0 then begin
             let fds = ref 0 and leases = ref 0 in
             List.iter
               (fun (e : Hare_client.Fdtable.entry) ->
@@ -106,7 +106,7 @@ let run t ?(on_exit = fun _ -> ()) body =
             Obs.emit o
               (Lint_exit { core = t.core_id; fds = !fds; leases = !leases })
           end);
-         Hashtbl.remove t.k.k_proc_tables.(t.core_id) t.pid;
+         Tbl.Int.remove t.k.k_proc_tables.(t.core_id) t.pid;
          (match t.parent with
          | Some parent -> Bqueue.push parent.child_exits (t.pid, status)
          | None -> ());

@@ -21,7 +21,7 @@ type kctx = {
       (** per-core scheduling servers. *)
   k_app_cores : int array;  (** cores applications may run on. *)
   k_pid_seq : int array;  (** per-core pid counters. *)
-  k_proc_tables : (int, t) Hashtbl.t array;
+  k_proc_tables : t Hare_sim.Tbl.Int.t array;
       (** per-core pid → process, for local signal delivery. *)
 }
 

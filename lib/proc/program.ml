@@ -1,9 +1,9 @@
 type body = Process.t -> string list -> int
 
-type t = (string, body) Hashtbl.t
+type t = body Hare_sim.Tbl.Str.t
 
-let create () = Hashtbl.create 32
+let create () = Hare_sim.Tbl.Str.create 32
 
-let register t name body = Hashtbl.replace t name body
+let register t name body = Hare_sim.Tbl.Str.replace t name body
 
-let find t name = Hashtbl.find_opt t name
+let find t name = Hare_sim.Tbl.Str.find_opt t name

@@ -108,6 +108,7 @@ type sched_resp = (pid, Errno.t) result
 type shed_class = Metadata | Data | Background
 
 type info = {
+  op : int;
   name : string;
   span : string;
   shed : shed_class;
@@ -119,72 +120,74 @@ type info = {
    allocates nothing; the span name is spelled out for the same reason
    (["srv:" ^ name] would build a string per traced request). *)
 let info = function
-  | Lookup _ -> { name = "LOOKUP"; span = "srv:LOOKUP";
+  | Lookup _ -> { op = 0; name = "LOOKUP"; span = "srv:LOOKUP";
       shed = Metadata; cost = 200; retryable = true }
-  | Add_map _ -> { name = "ADD_MAP"; span = "srv:ADD_MAP";
+  | Add_map _ -> { op = 1; name = "ADD_MAP"; span = "srv:ADD_MAP";
       shed = Metadata; cost = 400; retryable = true }
-  | Rm_map _ -> { name = "RM_MAP"; span = "srv:RM_MAP";
+  | Rm_map _ -> { op = 2; name = "RM_MAP"; span = "srv:RM_MAP";
       shed = Metadata; cost = 0; retryable = true }
-  | Readdir_shard _ -> { name = "READDIR"; span = "srv:READDIR";
+  | Readdir_shard _ -> { op = 3; name = "READDIR"; span = "srv:READDIR";
       shed = Metadata; cost = 200; retryable = true }
-  | Create_open _ -> { name = "CREATE_OPEN"; span = "srv:CREATE_OPEN";
+  | Create_open _ -> { op = 4; name = "CREATE_OPEN"; span = "srv:CREATE_OPEN";
       shed = Metadata; cost = 900; retryable = true }
-  | Create_inode _ -> { name = "CREATE_INODE"; span = "srv:CREATE_INODE";
+  | Create_inode _ -> { op = 5; name = "CREATE_INODE"; span = "srv:CREATE_INODE";
       shed = Metadata; cost = 500; retryable = true }
-  | Create_dir _ -> { name = "CREATE_DIR"; span = "srv:CREATE_DIR";
+  | Create_dir _ -> { op = 6; name = "CREATE_DIR"; span = "srv:CREATE_DIR";
       shed = Metadata; cost = 800; retryable = true }
-  | Open_inode _ -> { name = "OPEN"; span = "srv:OPEN";
+  | Open_inode _ -> { op = 7; name = "OPEN"; span = "srv:OPEN";
       shed = Metadata; cost = 400; retryable = true }
-  | Close_fd _ -> { name = "CLOSE"; span = "srv:CLOSE";
+  | Close_fd _ -> { op = 8; name = "CLOSE"; span = "srv:CLOSE";
       shed = Metadata; cost = 200; retryable = true }
-  | Read_fd _ -> { name = "READ"; span = "srv:READ";
+  | Read_fd _ -> { op = 9; name = "READ"; span = "srv:READ";
       shed = Data; cost = 300; retryable = true }
-  | Write_fd _ -> { name = "WRITE"; span = "srv:WRITE";
+  | Write_fd _ -> { op = 10; name = "WRITE"; span = "srv:WRITE";
       shed = Data; cost = 300; retryable = true }
-  | Lseek_fd _ -> { name = "LSEEK"; span = "srv:LSEEK";
+  | Lseek_fd _ -> { op = 11; name = "LSEEK"; span = "srv:LSEEK";
       shed = Metadata; cost = 100; retryable = true }
   (* per block: the server charges [max 1 (count + ahead)] times this *)
-  | Alloc_blocks _ -> { name = "ALLOC"; span = "srv:ALLOC";
+  | Alloc_blocks _ -> { op = 12; name = "ALLOC"; span = "srv:ALLOC";
       shed = Data; cost = 150; retryable = true }
-  | Get_blocks _ -> { name = "GET_BLOCKS"; span = "srv:GET_BLOCKS";
+  | Get_blocks _ -> { op = 13; name = "GET_BLOCKS"; span = "srv:GET_BLOCKS";
       shed = Data; cost = 150; retryable = true }
-  | Update_size _ -> { name = "UPDATE_SIZE"; span = "srv:UPDATE_SIZE";
+  | Update_size _ -> { op = 14; name = "UPDATE_SIZE"; span = "srv:UPDATE_SIZE";
       shed = Data; cost = 100; retryable = true }
-  | Get_attr _ -> { name = "GETATTR"; span = "srv:GETATTR";
+  | Get_attr _ -> { op = 15; name = "GETATTR"; span = "srv:GETATTR";
       shed = Metadata; cost = 150; retryable = true }
-  | Truncate _ -> { name = "TRUNCATE"; span = "srv:TRUNCATE";
+  | Truncate _ -> { op = 16; name = "TRUNCATE"; span = "srv:TRUNCATE";
       shed = Metadata; cost = 300; retryable = true }
-  | Unlink_ino _ -> { name = "UNLINK_INO"; span = "srv:UNLINK_INO";
+  | Unlink_ino _ -> { op = 17; name = "UNLINK_INO"; span = "srv:UNLINK_INO";
       shed = Background; cost = 250; retryable = true }
-  | Inc_fd_ref _ -> { name = "INC_FD_REF"; span = "srv:INC_FD_REF";
+  | Inc_fd_ref _ -> { op = 18; name = "INC_FD_REF"; span = "srv:INC_FD_REF";
       shed = Metadata; cost = 150; retryable = true }
   (* not retryable: it parks until the previous holder commits *)
-  | Rmdir_lock _ -> { name = "RMDIR_LOCK"; span = "srv:RMDIR_LOCK";
+  | Rmdir_lock _ -> { op = 19; name = "RMDIR_LOCK"; span = "srv:RMDIR_LOCK";
       shed = Metadata; cost = 150; retryable = false }
-  | Rmdir_unlock _ -> { name = "RMDIR_UNLOCK"; span = "srv:RMDIR_UNLOCK";
+  | Rmdir_unlock _ -> { op = 20; name = "RMDIR_UNLOCK"; span = "srv:RMDIR_UNLOCK";
       shed = Metadata; cost = 150; retryable = true }
-  | Rmdir_prepare _ -> { name = "RMDIR_PREPARE"; span = "srv:RMDIR_PREPARE";
+  | Rmdir_prepare _ -> { op = 21; name = "RMDIR_PREPARE"; span = "srv:RMDIR_PREPARE";
       shed = Metadata; cost = 250; retryable = true }
-  | Rmdir_commit _ -> { name = "RMDIR_COMMIT"; span = "srv:RMDIR_COMMIT";
+  | Rmdir_commit _ -> { op = 22; name = "RMDIR_COMMIT"; span = "srv:RMDIR_COMMIT";
       shed = Metadata; cost = 250; retryable = true }
-  | Rmdir_abort _ -> { name = "RMDIR_ABORT"; span = "srv:RMDIR_ABORT";
+  | Rmdir_abort _ -> { op = 23; name = "RMDIR_ABORT"; span = "srv:RMDIR_ABORT";
       shed = Metadata; cost = 250; retryable = true }
-  | Rmdir_local _ -> { name = "RMDIR_LOCAL"; span = "srv:RMDIR_LOCAL";
+  | Rmdir_local _ -> { op = 24; name = "RMDIR_LOCAL"; span = "srv:RMDIR_LOCAL";
       shed = Metadata; cost = 400; retryable = true }
-  | Pipe_create -> { name = "PIPE_CREATE"; span = "srv:PIPE_CREATE";
+  | Pipe_create -> { op = 25; name = "PIPE_CREATE"; span = "srv:PIPE_CREATE";
       shed = Metadata; cost = 500; retryable = true }
   (* not retryable: a parked pipe read or write may legitimately wait
      forever, and no deadline tells a slow peer from a dead server *)
-  | Pipe_read _ -> { name = "PIPE_READ"; span = "srv:PIPE_READ";
+  | Pipe_read _ -> { op = 26; name = "PIPE_READ"; span = "srv:PIPE_READ";
       shed = Data; cost = 200; retryable = false }
-  | Pipe_write _ -> { name = "PIPE_WRITE"; span = "srv:PIPE_WRITE";
+  | Pipe_write _ -> { op = 27; name = "PIPE_WRITE"; span = "srv:PIPE_WRITE";
       shed = Data; cost = 200; retryable = false }
-  | Steal_blocks _ -> { name = "STEAL_BLOCKS"; span = "srv:STEAL_BLOCKS";
+  | Steal_blocks _ -> { op = 28; name = "STEAL_BLOCKS"; span = "srv:STEAL_BLOCKS";
       shed = Background; cost = 300; retryable = true }
-  | Migrate_out _ -> { name = "MIGRATE_OUT"; span = "srv:MIGRATE_OUT";
+  | Migrate_out _ -> { op = 29; name = "MIGRATE_OUT"; span = "srv:MIGRATE_OUT";
       shed = Metadata; cost = 800; retryable = true }
-  | Install_shard _ -> { name = "INSTALL_SHARD"; span = "srv:INSTALL_SHARD";
+  | Install_shard _ -> { op = 30; name = "INSTALL_SHARD"; span = "srv:INSTALL_SHARD";
       shed = Metadata; cost = 800; retryable = true }
+
+let nops = 31
 
 (* Compact request arguments for trace spans: enough to identify the
    object an op touched without dumping payloads. *)

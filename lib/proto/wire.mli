@@ -186,6 +186,9 @@ type shed_class = Metadata | Data | Background
 
 (** The fixed facts of one opcode. *)
 type info = {
+  op : int;
+      (** dense opcode in [0, {!nops}), one per constructor: per-op
+          counters index arrays by it *)
   name : string;  (** wire name, e.g. ["LOOKUP"]: per-op statistics *)
   span : string;  (** ["srv:" ^ name]: the server-side trace span *)
   shed : shed_class;
@@ -198,6 +201,9 @@ type info = {
 val info : fs_req -> info
 (** The request catalogue: one constant record per opcode, so a lookup
     allocates nothing. *)
+
+val nops : int
+(** The number of opcodes. *)
 
 val req_args : fs_req -> (string * string) list
 (** Compact key/value identification of the request's target (inode,

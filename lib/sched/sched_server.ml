@@ -55,7 +55,7 @@ let start t =
       Hare_msg.Rpc.recv_full t.endpoint
     in
     let fid = Engine.current_fid engine in
-    if Obs.on o Obs.spans then begin
+    if o.Obs.wanted land Obs.spans <> 0 then begin
       let op =
         match req with Wire.S_exec _ -> "sched:exec" | Wire.S_signal _ -> "sched:signal"
       and pending = [ (Obs.Dispatch, t.costs.server_dispatch) ] in
@@ -67,7 +67,7 @@ let start t =
     | Wire.S_exec { prog; args; env; cwd_path; fds; proxy; rr_next } ->
         handle_exec t ~prog ~args ~env ~cwd_path ~fds ~proxy ~rr_next reply
     | Wire.S_signal { pid; signal } -> handle_signal t ~pid ~signal reply);
-    if Obs.on o Obs.spans then
+    if o.Obs.wanted land Obs.spans <> 0 then
       Obs.emit o (Span_close { fid; ts = Obs.now o; server = true });
     loop ()
   in

@@ -12,7 +12,7 @@ type t = {
   endpoint : (Wire.fs_req, Wire.fs_resp) Rpc.t;
   robust : Robust.t;
   dedup : Home.reply Dedup.t;
-  homes : Home.t Tbl.Int.t;
+  homes : Home.homes;
   mutable moved_rejects : int;
 }
 
@@ -37,16 +37,18 @@ let moved_rejects t = t.moved_rejects
    request's outcome (the cached entry would migrate with the shard and
    shadow the real execution), and the retry — same idempotency tag, new
    owner — must be free to execute. *)
-let moved t ~dispatch (r : _ Rpc.request) =
-  if r.home < 0 || Tbl.Int.mem t.homes r.home then false
-  else begin
-    t.moved_rejects <- t.moved_rejects + 1;
-    Core_res.compute t.core (if dispatch then t.dispatch_cost else 0);
-    r.reply (Error Errno.EMOVED);
-    true
-  end
+let resolve t ~dispatch (r : _ Rpc.request) =
+  if r.home < 0 then Home.unaddressed
+  else
+    match Home.lookup t.homes r.home with
+    | Some _ as h -> h
+    | None ->
+        t.moved_rejects <- t.moved_rejects + 1;
+        Core_res.compute t.core (if dispatch then t.dispatch_cost else 0);
+        r.reply (Error Errno.EMOVED);
+        None
 
-let placed t r = not (moved t ~dispatch:true r)
+let placed t r = resolve t ~dispatch:true r
 
 let sheds t (r : _ Rpc.request) m =
   t.watermark > 0
@@ -60,7 +62,7 @@ let sheds t (r : _ Rpc.request) m =
 let refuse t key name req =
   Robust.incr t.robust key;
   let o = Engine.obs t.engine in
-  if Obs.on o Obs.marks then begin
+  if o.Obs.wanted land Obs.marks <> 0 then begin
     let args = [ ("op", (Wire.info req).name) ] in
     Obs.emit o (Instant { name; track = Core_res.id t.core; ts = Obs.now o; args })
   end;
@@ -72,8 +74,8 @@ let admit t ~dispatch (r : _ Rpc.request) =
       refuse t Robust.shed_load "shed-load" r.body;
       Dedup.shed t.dedup r.sender m;
       r.reply (Error Errno.EBUSY);
-      false
+      None
   | Some _ when r.deadline > 0L && Engine.now t.engine > r.deadline ->
       refuse t Robust.shed_expired "shed-expired" r.body;
-      false
-  | _ -> not (moved t ~dispatch r)
+      None
+  | _ -> resolve t ~dispatch r

@@ -20,7 +20,7 @@ val create :
   endpoint:(Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.t ->
   robust:Hare_stats.Robust.t ->
   dedup:Home.reply Dedup.t ->
-  homes:Home.t Hare_sim.Tbl.Int.t ->
+  homes:Home.homes ->
   t
 (** [homes] is the server's table of hosted homes, read live. Sheds and
     expiry drops count in [robust]; a shed is recorded in [dedup] so a
@@ -28,14 +28,17 @@ val create :
 
 val admit :
   t -> dispatch:bool -> (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.request ->
-  bool
-(** The dispatch loop's verdict: [true] lets the copy execute; [false]
+  Home.t option
+(** The dispatch loop's verdict: [Some h] lets the copy execute against
+    [h], the record of the home its envelope addresses (resolved here,
+    once; {!Home.unaddressed} for a request that names none); [None]
     means it was refused here, its envelope examination charged. With
     [dispatch = false] (a batch's later copies) an [EMOVED] bounce costs
     nothing, as the batch already paid the dispatch preamble. *)
 
 val placed :
-  t -> (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.request -> bool
+  t -> (Hare_proto.Wire.fs_req, Hare_proto.Wire.fs_resp) Hare_msg.Rpc.request ->
+  Home.t option
 (** Only the [EMOVED] check, for requests that queued while the server
     was down. *)
 

@@ -45,4 +45,4 @@ val adopt_allocated : t -> int array -> unit
     block of the partition not in [live] (the set referenced by surviving
     inodes) becomes free again. Returns the number of previously-allocated
     blocks that were reclaimed. *)
-val rebuild : t -> live:(int, unit) Hashtbl.t -> int
+val rebuild : t -> live:unit Hare_sim.Tbl.Int.t -> int

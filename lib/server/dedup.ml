@@ -1,8 +1,9 @@
 module Wire = Hare_proto.Wire
 module Perf = Hare_stats.Perf
+module Itbl = Hare_sim.Tbl.Int
 
 type 'w client = {
-  tbl : (int, 'w entry) Hashtbl.t;
+  tbl : 'w entry Itbl.t;
   mutable pruned : int;
       (* every seq at or below has a final client-side outcome, can never
          be retransmitted, and has been evicted *)
@@ -17,20 +18,20 @@ and 'w pending = {
   mutable answered : bool;
 }
 
-type 'w t = { clients : (int, 'w client) Hashtbl.t; perf : Perf.t }
+type 'w t = { clients : 'w client Itbl.t; perf : Perf.t }
 
 type 'w admission = Fresh of 'w pending | Replay of Wire.fs_resp | Joined
 
-let create ~perf = { clients = Hashtbl.create 16; perf }
+let create ~perf = { clients = Itbl.create 16; perf }
 
-let reset d = Hashtbl.reset d.clients
+let reset d = Itbl.reset d.clients
 
 let client d id =
-  match Hashtbl.find_opt d.clients id with
+  match Itbl.find_opt d.clients id with
   | Some c -> c
   | None ->
-      let c = { tbl = Hashtbl.create 64; pruned = 0 } in
-      Hashtbl.replace d.clients id c;
+      let c = { tbl = Itbl.create 64; pruned = 0 } in
+      Itbl.replace d.clients id c;
       c
 
 (* Advance the client's eviction mark to [ack], dropping every entry it
@@ -41,8 +42,8 @@ let client d id =
 let ack d c ~ack =
   if ack > c.pruned then begin
     for seq = c.pruned + 1 to ack do
-      if Hashtbl.mem c.tbl seq then begin
-        Hashtbl.remove c.tbl seq;
+      if Itbl.mem c.tbl seq then begin
+        Itbl.remove c.tbl seq;
         Perf.incr d.perf Perf.dedup_evicted
       end
     done;
@@ -53,7 +54,7 @@ let ack d c ~ack =
    handful of RPCs outstanding, so cached responses far behind the
    current sequence can never be asked for again. *)
 let prune c ~before =
-  Hashtbl.filter_map_inplace
+  Itbl.filter_map_inplace
     (fun seq entry ->
       match entry with Done _ when seq < before -> None | e -> Some e)
     c.tbl
@@ -61,39 +62,39 @@ let prune c ~before =
 let admit d sender (m : Hare_msg.Rpc.meta) slot =
   let c = client d sender in
   ack d c ~ack:m.m_ack;
-  match Hashtbl.find_opt c.tbl m.m_seq with
+  match Itbl.find_opt c.tbl m.m_seq with
   | Some (Done resp) -> Replay resp
   | Some (Pending p) ->
       p.joined <- slot :: p.joined;
       Joined
   | None ->
       let p = { owner = c; seq = m.m_seq; joined = []; answered = false } in
-      Hashtbl.replace c.tbl m.m_seq (Pending p);
-      if Hashtbl.length c.tbl > 256 then prune c ~before:(m.m_seq - 128);
+      Itbl.replace c.tbl m.m_seq (Pending p);
+      if Itbl.length c.tbl > 256 then prune c ~before:(m.m_seq - 128);
       Fresh p
 
 let finish p resp =
   if p.answered then None
   else begin
     p.answered <- true;
-    if p.seq > p.owner.pruned then Hashtbl.replace p.owner.tbl p.seq (Done resp);
+    if p.seq > p.owner.pruned then Itbl.replace p.owner.tbl p.seq (Done resp);
     Some p.joined
   end
 
 let seen d sender (m : Hare_msg.Rpc.meta) =
-  match Hashtbl.find_opt d.clients sender with
-  | Some c -> Hashtbl.mem c.tbl m.m_seq
+  match Itbl.find_opt d.clients sender with
+  | Some c -> Itbl.mem c.tbl m.m_seq
   | None -> false
 
 let shed d sender (m : Hare_msg.Rpc.meta) =
   let c = client d sender in
   ack d c ~ack:m.m_ack;
-  Hashtbl.replace c.tbl m.m_seq (Done (Error Hare_proto.Errno.EBUSY))
+  Itbl.replace c.tbl m.m_seq (Done (Error Hare_proto.Errno.EBUSY))
 
 let export d =
-  Hashtbl.fold
+  Itbl.fold
     (fun id c acc ->
-      Hashtbl.fold
+      Itbl.fold
         (fun seq entry acc ->
           match entry with Done resp -> (id, seq, resp) :: acc | Pending _ -> acc)
         c.tbl acc)
@@ -103,6 +104,6 @@ let import d entries =
   List.iter
     (fun (id, seq, resp) ->
       let c = client d id in
-      if seq > c.pruned && not (Hashtbl.mem c.tbl seq) then
-        Hashtbl.replace c.tbl seq (Done resp))
+      if seq > c.pruned && not (Itbl.mem c.tbl seq) then
+        Itbl.replace c.tbl seq (Done resp))
     entries

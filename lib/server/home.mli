@@ -30,14 +30,20 @@ type mark = { parked : request Queue.t }
 
 type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
 
+type shard
+(** One home's entries for one directory, with the readdir reply they
+    make cached until the next change. *)
+
+
 type t = {
   hid : int;
   inodes : Inode.t Hare_sim.Tbl.Int.t;  (** lid -> inode *)
   mutable next_lid : int;
   tokens : ofd Hare_sim.Tbl.Int.t;
   mutable next_token : int;
-  dirs : Hare_proto.Wire.entry_info Hare_sim.Tbl.Str.t Dtbl.t;
-      (** directory-entry shards: dir -> name -> dentry *)
+  dirs : shard Dtbl.t;
+      (** directory-entry shards: dir -> name -> dentry. Nothing
+          observes this table's iteration order, only each shard's. *)
   tracking : unit Hare_sim.Tbl.Int.t Hare_sim.Tbl.Str.t Dtbl.t;
       (** invalidation tracking lists: dir -> name -> client set *)
   marks : mark Dtbl.t;
@@ -52,18 +58,68 @@ type t = {
 
 val create : int -> t
 
+(** {1 The homes a server hosts} *)
+
+type homes = private {
+  table : t Hare_sim.Tbl.Int.t;
+      (** home id -> record; crash, restart and shard listings walk it,
+          in its order *)
+  mutable index : t option array;  (** the same, by home id *)
+}
+(** The homes one physical server hosts. A request's home is resolved
+    through the index: one bounds check and one load, allocating
+    nothing. *)
+
+val homes : unit -> homes
+
+val host : homes -> t -> unit
+
+val unhost : homes -> int -> unit
+
+val lookup : homes -> int -> t option
+(** The record of a hosted home, [None] for any other id. *)
+
+val find : homes -> int -> t
+(** As {!lookup}; raises [Not_found] for a home not hosted. *)
+
+val hosts : homes -> int -> bool
+
+val unaddressed : t option
+(** What admission resolves a request that names no home to (block
+    steals, migration). Its handlers never touch it. *)
+
 val alloc_lid : t -> int
 (** The home's next inode number. *)
 
 (** {1 Directory entries and tracking lists} *)
 
-val shard : t -> Hare_proto.Types.ino -> Hare_proto.Wire.entry_info Hare_sim.Tbl.Str.t
+val shard : t -> Hare_proto.Types.ino -> shard
 (** This home's entries for a directory, created empty on first use. *)
+
+val shard_find : shard -> string -> Hare_proto.Wire.entry_info option
+
+val shard_set : shard -> string -> Hare_proto.Wire.entry_info -> unit
+
+val shard_remove : shard -> string -> unit
+
+val shard_length : shard -> int
+
+val shard_fold :
+  (string -> Hare_proto.Wire.entry_info -> 'a -> 'a) -> shard -> 'a -> 'a
+(** In the entry table's ([Tbl.Str]) order, which readdir replies carry
+    and clients observe. *)
 
 val shard_size : t -> Hare_proto.Types.ino -> int
 
 val find_entry :
   t -> Hare_proto.Types.ino -> string -> Hare_proto.Wire.entry_info option
+
+val readdir : t -> Hare_proto.Types.ino -> reply -> unit
+(** Answer one readdir leg for [dir] with this home's entries, listed as
+    a fold of the shard builds them (the reverse of {!shard_fold}'s
+    order). The listing is built on the first leg after a change and
+    reused until the next; a leg to an empty or unchanged shard costs
+    one table lookup and allocates nothing. *)
 
 val track : t -> dir:Hare_proto.Types.ino -> name:string -> client:int -> unit
 (** Register [client] for an invalidation callback on [dir]/[name]. *)
@@ -84,7 +140,7 @@ val token_home : int -> int
 
 (** {1 Crash and restart} *)
 
-val crash : t Hare_sim.Tbl.Int.t -> int
+val crash : homes -> int
 (** Every hosted home's volatile state dies with the server: parked
     creates, lock waiters and pipe I/O are answered [EIO]; descriptors
     and invalidation tracking are forgotten. Inodes, directory shards,
@@ -93,7 +149,7 @@ val crash : t Hare_sim.Tbl.Int.t -> int
     clients still write into the blocks they hold past the size.
     Returns how many parked continuations were aborted. *)
 
-val reclaim : t Hare_sim.Tbl.Int.t -> (int, unit) Hashtbl.t
+val reclaim : homes -> unit Hare_sim.Tbl.Int.t
 (** Restart: no descriptor survived the crash, so orphaned blocks and
     unlinked inodes are dropped. A surviving inode keeps every block it
     holds, an extent lease past its size included. Returns the blocks

@@ -17,7 +17,7 @@ type Wire.pack +=
     }
 
 type t = {
-  homes : Home.t Itbl.t;
+  homes : Home.homes;
   pcache : Hare_mem.Pcache.t;
   blocks : Blocklist.t;
   dedup : Home.reply Dedup.t;
@@ -47,7 +47,7 @@ let busy (h : Home.t) =
    everything that arrives after it finds the home absent and is bounced
    with EMOVED. *)
 let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
-  match Itbl.find_opt t.homes hid with
+  match Home.lookup t.homes hid with
   | None -> reply (Error Errno.EINVAL)
   | Some h when busy h || stealing -> reply (Error Errno.EBUSY)
   | Some h ->
@@ -77,7 +77,7 @@ let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
           Hare_mem.Pcache.invalidate_block t.pcache b)
         p_blocks;
       Blocklist.export t.blocks p_blocks;
-      Itbl.remove t.homes hid;
+      Home.unhost t.homes hid;
       (* Completed idempotency entries travel with the shard: a client
          retrying a request the old owner already executed must replay
          the cached response at the new owner, not re-execute. *)
@@ -89,12 +89,12 @@ let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
       reply ~payload_lines:(items + 1)
         (Ok (Wire.P_pack (Pack { p_home = h; p_blocks; p_dedup })))
 
-let install t ~home:hid ~pack (reply : Home.reply) =
+let install t ~home:_ ~pack (reply : Home.reply) =
   match pack with
   | Pack p ->
       Blocklist.adopt_allocated t.blocks p.p_blocks;
       Dedup.import t.dedup p.p_dedup;
-      Itbl.replace t.homes hid p.p_home;
+      Home.host t.homes p.p_home;
       reply (Ok Wire.P_unit)
   | _ -> reply (Error Errno.EINVAL)
 

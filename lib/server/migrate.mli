@@ -6,7 +6,7 @@ type t
 (** One server's side of the hand-off. *)
 
 val create :
-  homes:Home.t Hare_sim.Tbl.Int.t ->
+  homes:Home.homes ->
   pcache:Hare_mem.Pcache.t ->
   blocks:Blocklist.t ->
   dedup:Home.reply Dedup.t ->

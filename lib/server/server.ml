@@ -27,7 +27,7 @@ type t = {
   blocks : Blocklist.t;
   endpoint : (Wire.fs_req, Wire.fs_resp) Hare_msg.Rpc.t;
   (* The logical homes this physical server currently serves. *)
-  homes : Home.t Itbl.t;
+  homes : Home.homes;
   inval_ports : Wire.inval Hare_msg.Mailbox.t array;
   ops : Hare_stats.Opcount.t;
   perf : Perf.t;
@@ -49,11 +49,11 @@ let bs = Hare_mem.Layout.block_size
 
 let create ~engine ~config ~sid ~core ~pcache ~dram ~blocks_first ~blocks_count
     ~inval_ports ?faults () =
-  let homes = Itbl.create 4 in
+  let homes = Home.homes () in
   (* A spare server (physical id beyond the logical home space) boots
      hosting nothing; it acquires homes via Install_shard when its ring
      Add event fires. Everyone else starts as its own home. *)
-  if sid < Hare_config.Config.nservers config then Itbl.replace homes sid (Home.create sid);
+  if sid < Hare_config.Config.nservers config then Home.host homes (Home.create sid);
   let perf = Perf.create () and robust = Robust.create () in
   let blocks = Blocklist.create ~first:blocks_first ~count:blocks_count in
   let endpoint =
@@ -106,14 +106,14 @@ let invals_sent t = t.invals_sent
 
 let available_blocks t = Blocklist.available t.blocks
 
-let sum_homes t f = Itbl.fold (fun _ h n -> n + f h) t.homes 0
+let sum_homes t f = Itbl.fold (fun _ h n -> n + f h) t.homes.table 0
 
 let inode_count t = sum_homes t (fun h -> Itbl.length h.inodes)
 
 let open_tokens t = sum_homes t (fun h -> Itbl.length h.tokens)
 
 let dentry_count t =
-  sum_homes t (fun h -> Dtbl.fold (fun _ s n -> n + Stbl.length s) h.dirs 0)
+  sum_homes t (fun h -> Dtbl.fold (fun _ s n -> n + shard_length s) h.dirs 0)
 
 let set_peers t peers = Steal.set_peers t.steal peers
 
@@ -125,12 +125,12 @@ let robust t = t.robust
 
 (* The record of a home hosted here. Requests for homes hosted elsewhere
    never reach a handler: admission bounces them with EMOVED. *)
-let home t hid = Itbl.find t.homes hid
+let home t hid = Home.find t.homes hid
 
-let hosts t hid = Itbl.mem t.homes hid
+let hosts t hid = Home.hosts t.homes hid
 
 let hosted_homes t =
-  Itbl.fold (fun h _ acc -> h :: acc) t.homes [] |> List.sort compare
+  Itbl.fold (fun h _ acc -> h :: acc) t.homes.table [] |> List.sort compare
 
 let moved_rejects t = Admission.moved_rejects t.admission
 
@@ -143,9 +143,9 @@ let queue_depth t = Hare_msg.Rpc.pending t.endpoint
 (* ---------- inode and token helpers ----------------------------------- *)
 
 let find_inode t (ino : ino) =
-  match home t ino.server with
-  | h -> Itbl.find_opt h.inodes ino.ino
-  | exception Not_found -> None
+  match Home.lookup t.homes ino.server with
+  | Some h -> Itbl.find_opt h.inodes ino.ino
+  | None -> None
 
 let global (inode : Inode.t) =
   { server = inode.Inode.home; ino = inode.Inode.lid }
@@ -257,14 +257,14 @@ let shard_entries t dir =
       match Dtbl.find_opt h.dirs dir with
       | None -> acc
       | Some s ->
-          Stbl.fold
+          shard_fold
             (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
             s acc)
-    t.homes []
+    t.homes.table []
 
 let instant t name args =
   let o = Engine.obs t.engine in
-  if Obs.on o Obs.marks then
+  if o.Obs.wanted land Obs.marks <> 0 then
     Obs.emit o (Instant { name; track = Core_res.id t.core; ts = Obs.now o; args })
 
 (* One AFS-style callback (§3.6.1): tell [client] to drop its cached
@@ -278,7 +278,7 @@ let inval t ~dir ~name client =
      drain-before-find make that a protocol guarantee, not a timing
      accident). *)
   let o = Engine.obs t.engine in
-  if Obs.on o Obs.lint then begin
+  if o.Obs.wanted land Obs.lint <> 0 then begin
     let server = dir.Types.server and ino = dir.Types.ino in
     Obs.emit o (Dircache { kind = `Sent; client; server; ino; name })
   end;
@@ -350,7 +350,7 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
   else
   let s = shard h dir in
   let entry = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
-  match Stbl.find_opt s name with
+  match shard_find s name with
   | Some old ->
       if not replace then reply (Error Errno.EEXIST)
       else if old.t_ftype = Dir then
@@ -361,13 +361,13 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
         (* POSIX: renaming a directory over an existing file is ENOTDIR. *)
         reply (Error Errno.ENOTDIR)
       else begin
-        Stbl.replace s name entry;
+        shard_set s name entry;
         send_invals t h ~dir ~name ~except:client;
         track h ~dir ~name ~client;
         reply (Ok (Wire.P_removed { target = old.t_ino; ftype = old.t_ftype }))
       end
   | None ->
-      Stbl.replace s name entry;
+      shard_set s name entry;
       track h ~dir ~name ~client;
       reply (Ok Wire.P_unit)
 
@@ -381,29 +381,15 @@ let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
       (* the entry was re-bound by someone else: not ours to remove *)
       reply (Error Errno.ENOENT)
   | Some e ->
-      Stbl.remove (shard h dir) name;
+      shard_remove (shard h dir) name;
       send_invals t h ~dir ~name ~except:client;
       reply (Ok (Wire.P_removed { target = e.t_ino; ftype = e.t_ftype }))
-
-let handle_readdir h ~dir (reply : reply) =
-  let entries =
-    match Dtbl.find_opt h.dirs dir with
-    | None -> []
-    | Some s ->
-        Stbl.fold
-          (fun name (e : Wire.entry_info) acc ->
-            { Wire.e_name = name; e_ino = e.t_ino; e_ftype = e.t_ftype } :: acc)
-          s []
-  in
-  (* ~32 bytes of payload per entry. *)
-  let payload_lines = (List.length entries / 2) + 1 in
-  reply ~payload_lines (Ok (Wire.P_entries entries))
 
 let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
   if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else
   let s = shard h dir in
-  match Stbl.find_opt s name with
+  match shard_find s name with
   | Some e ->
       if excl then reply (Error Errno.EEXIST)
       else if e.t_ftype = Dir then reply (Error Errno.EISDIR)
@@ -423,7 +409,7 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
       let inode = Inode.file ~lid:(alloc_lid h) ~home:h.hid in
       Itbl.replace h.inodes inode.lid inode;
       let ino = global inode in
-      Stbl.replace s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
+      shard_set s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
       track h ~dir ~name ~client;
       let ofd = do_open t inode ~trunc:false in
       reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
@@ -461,13 +447,13 @@ let handle_create_dir t h ~dir ~name ~dist ~client (reply : reply) =
   if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
   else begin
     let s = shard h dir in
-    match Stbl.find_opt s name with
+    match shard_find s name with
     | Some _ -> reply (Error Errno.EEXIST)
     | None ->
         let inode = Inode.dir ~lid:(alloc_lid h) ~home:h.hid ~dist in
         Itbl.replace h.inodes inode.lid inode;
         let ino = global inode in
-        Stbl.replace s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
+        shard_set s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
         track h ~dir ~name ~client;
         reply (Ok (Wire.P_created_ino ino))
   end
@@ -727,36 +713,42 @@ let handle_pipe_write t ~token ~data (reply : reply) =
 (* Creates in a directory marked for deletion are delayed until the
    two-phase outcome is known (§3.3). The mark lives in the addressed
    home. *)
-let creation_mark t (r : request) =
+let creation_mark h (r : request) =
   match r.body with
   | Wire.Add_map { dir; _ } | Wire.Create_open { dir; _ } ->
-      Dtbl.find_opt (home t r.home).marks dir
+      Dtbl.find_opt h.marks dir
   | _ -> None
 
-let rec handle t (r : request) =
-  match creation_mark t r with
+(* [h] is the record of the home the request addresses, as admission
+   resolved it. *)
+let rec handle t h (r : request) =
+  match creation_mark h r with
   | Some m -> Queue.push r m.parked
   | None -> (
-      try dispatch t r
-      with Out_of_blocks -> Steal.park t.steal ~retry:(handle t) r)
+      try dispatch t h r
+      with Out_of_blocks -> Steal.park t.steal ~retry:(replay t) r)
 
-and dispatch t (r : request) =
+(* A request parked behind a steal is resolved again when it resumes. *)
+and replay t (r : request) =
+  match if r.home < 0 then Home.unaddressed else Home.lookup t.homes r.home with
+  | Some h -> handle t h r
+  | None -> raise Not_found
+
+and dispatch t h (r : request) =
   let reply = r.reply and client = r.sender in
   match r.body with
-  | Wire.Lookup { dir; name } ->
-      handle_lookup (home t r.home) ~dir ~name ~client reply
+  | Wire.Lookup { dir; name } -> handle_lookup h ~dir ~name ~client reply
   | Wire.Add_map { dir; name; target; ftype; dist; replace } ->
-      handle_add_map t (home t r.home) ~dir ~name ~target ~ftype ~dist ~replace
-        ~client reply
+      handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client reply
   | Wire.Rm_map { dir; name; only_if } ->
-      handle_rm_map t (home t r.home) ~dir ~name ~only_if ~client reply
-  | Wire.Readdir_shard { dir } -> handle_readdir (home t r.home) ~dir reply
+      handle_rm_map t h ~dir ~name ~only_if ~client reply
+  | Wire.Readdir_shard { dir } -> Home.readdir h dir reply
   | Wire.Create_open { dir; name; excl; trunc } ->
-      handle_create_open t (home t r.home) ~dir ~name ~excl ~trunc ~client reply
+      handle_create_open t h ~dir ~name ~excl ~trunc ~client reply
   | Wire.Create_inode { ftype; dist; and_open } ->
-      handle_create_inode t (home t r.home) ~ftype ~dist ~and_open reply
+      handle_create_inode t h ~ftype ~dist ~and_open reply
   | Wire.Create_dir { dir; name; dist } ->
-      handle_create_dir t (home t r.home) ~dir ~name ~dist ~client reply
+      handle_create_dir t h ~dir ~name ~dist ~client reply
   | Wire.Rmdir_local { dir } -> handle_rmdir_local t ~dir reply
   | Wire.Open_inode { ino; trunc } -> handle_open_inode t ~ino ~trunc reply
   | Wire.Close_fd { token; size } -> handle_close t ~token ~size reply
@@ -783,18 +775,18 @@ and dispatch t (r : request) =
   | Wire.Inc_fd_ref { token; offset } -> handle_inc_fd_ref t ~token ~offset reply
   | Wire.Rmdir_lock { dir } -> handle_rmdir_lock t ~dir reply
   | Wire.Rmdir_unlock { dir } -> handle_rmdir_unlock t ~dir reply
-  | Wire.Rmdir_prepare { dir } -> handle_rmdir_prepare (home t r.home) ~dir reply
-  | Wire.Rmdir_commit { dir } -> handle_rmdir_commit (home t r.home) ~dir reply
+  | Wire.Rmdir_prepare { dir } -> handle_rmdir_prepare h ~dir reply
+  | Wire.Rmdir_commit { dir } -> handle_rmdir_commit h ~dir reply
   | Wire.Rmdir_abort { dir } -> (
-      let h = home t r.home in
       match Dtbl.find_opt h.marks dir with
       | None -> reply (Ok Wire.P_unit)
       | Some m ->
           Dtbl.remove h.marks dir;
           reply (Ok Wire.P_unit);
-          (* Replay the creates that were delayed behind the mark. *)
-          Queue.iter (handle t) m.parked)
-  | Wire.Pipe_create -> handle_pipe_create t (home t r.home) reply
+          (* Replay the creates that were delayed behind the mark; they
+             address this home, where the mark lives. *)
+          Queue.iter (handle t h) m.parked)
+  | Wire.Pipe_create -> handle_pipe_create t h reply
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply
   | Wire.Steal_blocks { count } -> Steal.donate t.steal ~count reply
@@ -808,9 +800,21 @@ and dispatch t (r : request) =
    after its first message: the per-wakeup dispatch preamble was already
    paid once for the whole batch, so only the operation's marginal cost
    is charged (batch dispatch). *)
-let execute ~dispatch t (r : request) =
+(* Each opcode's counter id, interned on the opcode's first request. *)
+let op_ids = Array.make Wire.nops (-1)
+
+let op_id (info : Wire.info) =
+  let id = Array.unsafe_get op_ids info.op in
+  if id >= 0 then id
+  else begin
+    let id = Hare_stats.Opcount.intern info.name in
+    op_ids.(info.op) <- id;
+    id
+  end
+
+let execute ~dispatch t h (r : request) =
   let info = Wire.info r.body in
-  Hare_stats.Opcount.incr t.ops info.name;
+  Hare_stats.Opcount.bump t.ops (op_id info);
   let dcost = if dispatch then t.costs.server_dispatch else 0 in
   let ocost =
     match r.body with
@@ -822,18 +826,18 @@ let execute ~dispatch t (r : request) =
      recorded for the client's blocked-await. *)
   let o = Engine.obs t.engine in
   let fid = Engine.current_fid t.engine in
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let op = info.span and args () = Wire.req_args r.body in
     let pending = [ (Obs.Dispatch, dcost); (Compute, ocost) ] in
     let track = Core_res.id t.core and ts = Obs.now o in
     Obs.emit o (Span_open { fid; op; track; parent = r.span; ts; args; pending })
   end;
   let close () =
-    if Obs.on o Obs.spans then
+    if o.Obs.wanted land Obs.spans <> 0 then
       Obs.emit o (Span_close { fid; ts = Obs.now o; server = true })
   in
   Core_res.compute t.core (dcost + ocost);
-  match handle t r with
+  match handle t h r with
   | () -> close ()
   | exception Errno.Error (e, _) ->
       r.reply (Error e);
@@ -843,9 +847,9 @@ let execute ~dispatch t (r : request) =
       raise e
 
 (* Execute an admitted request, exactly once per idempotency tag. *)
-let run ~dispatch t (r : request) =
+let run ~dispatch t h (r : request) =
   match r.meta with
-  | None -> execute ~dispatch t r
+  | None -> execute ~dispatch t h r
   | Some m -> (
       match Dedup.admit t.dedup r.sender m r.reply with
       | Replay resp ->
@@ -866,7 +870,7 @@ let run ~dispatch t (r : request) =
                 r.reply ?payload_lines resp;
                 List.iter (fun (j : reply) -> j resp) joined
           in
-          execute ~dispatch t { r with reply })
+          execute ~dispatch t h { r with reply })
 
 let crash t =
   if not t.down then begin
@@ -917,7 +921,12 @@ let restart t =
     (* Serve the reliable requests that queued up while we were down. *)
     let queued = List.of_seq (Queue.to_seq t.boot_queue) in
     Queue.clear t.boot_queue;
-    List.iter (fun r -> if Admission.placed t.admission r then run ~dispatch:true t r) queued
+    List.iter
+      (fun r ->
+        match Admission.placed t.admission r with
+        | Some h -> run ~dispatch:true t h r
+        | None -> ())
+      queued
   end
 
 let start t =
@@ -927,7 +936,10 @@ let start t =
       (* The process is gone; only reliable sends still land here (the
          injector blackholes unreliable ones). Hold them for reboot. *)
       Queue.push r t.boot_queue
-    else if Admission.admit t.admission ~dispatch r then run ~dispatch t r
+    else
+      match Admission.admit t.admission ~dispatch r with
+      | Some h -> run ~dispatch t h r
+      | None -> ()
   in
   let rec loop () =
     (* Batch dispatch: drain up to [batch_max] queued requests per
@@ -939,7 +951,7 @@ let start t =
     let batch = Hare_msg.Rpc.recv_batch_full t.endpoint ~max:batch_max in
     Perf.note_batch t.perf (List.length batch);
     let o = Engine.obs t.engine in
-    if Obs.on o Obs.marks then begin
+    if o.Obs.wanted land Obs.marks <> 0 then begin
       let track = Core_res.id t.core and value = List.length batch in
       Obs.emit o (Counter { name = "batch"; track; ts = Obs.now o; value })
     end;

@@ -52,9 +52,9 @@ let compute t cycles =
   t.last_fid <- fid;
   t.busy_cycles <- t.busy_cycles + cost;
   let o = Engine.obs t.engine in
-  if Obs.on o Obs.spans then begin
+  if o.Obs.wanted land Obs.spans <> 0 then begin
     let switch = if switching then t.ctx_switch else 0 in
     Obs.emit o
       (Cpu { fid; track = t.id; now; start; finish; cost; switch; switched = switching })
   end;
-  Engine.sleep_cycles (finish - now)
+  Engine.sleep_on t.engine (finish - now)

@@ -23,6 +23,17 @@ type t = {
      instead of the deterministic lowest-seq pop. *)
   mutable explore : (time:int -> (int * int) array -> int) option;
   mutable next_obj : int; (* shared-object uid allocator (mailboxes) *)
+  mutable limit : int; (* [run_for]'s horizon; [max_int] under [run] *)
+  (* The resume a fiber's sleep just scheduled, held back from the heap:
+     the loop's next step runs it directly when it is due before every
+     heap entry, and otherwise swaps it in for the heap minimum it runs
+     instead — one sift per sleep, not a push's and a pop's. Set only
+     between a sleep and that step. *)
+  mutable held : bool;
+  mutable held_time : int;
+  mutable held_seq : int;
+  mutable held_tag : int;
+  mutable held_f : unit -> unit;
 }
 
 (* A fiber owns its parked continuation and the one closure that resumes
@@ -95,6 +106,12 @@ let create ?(seed = 1L) () =
     obs = Obs.create ();
     explore = None;
     next_obj = 0;
+    limit = max_int;
+    held = false;
+    held_time = 0;
+    held_seq = 0;
+    held_tag = 0;
+    held_f = ignore;
   } in
   Obs.set_clock t.obs (fun () -> t.time);
   t
@@ -154,6 +171,24 @@ let push_event t ~tag time f =
   t.seq <- t.seq + 1;
   Heap.push t.events ~tag ~time ~seq:t.seq f
 
+(* The held resume goes to the heap whenever something other than the
+   default loop must see every pending event. *)
+let flush t =
+  if t.held then begin
+    t.held <- false;
+    Heap.push t.events ~tag:t.held_tag ~time:t.held_time ~seq:t.held_seq
+      t.held_f
+  end
+
+let hold t ~tag time f =
+  flush t;
+  t.seq <- t.seq + 1;
+  t.held <- true;
+  t.held_time <- time;
+  t.held_seq <- t.seq;
+  t.held_tag <- tag;
+  t.held_f <- f
+
 let schedule_at t ?(tag = 0) time f =
   if Int64.to_int time < t.time then
     invalid_arg
@@ -207,8 +242,7 @@ let spawn t ?(daemon = false) ~name body =
     Some
       (fun k ->
         fiber.parked <- k;
-        push_event t ~tag:(tag_resume fiber.fid) (t.time + !sleep_for)
-          fiber.resume)
+        hold t ~tag:(tag_resume fiber.fid) (t.time + !sleep_for) fiber.resume)
   in
   let park_suspend =
     Some
@@ -318,17 +352,30 @@ let exec_event t time seq tag f =
   (* Plain callbacks (timers) run outside any fiber; fiber starts and
      resumes re-set [cur] themselves before continuing. *)
   t.cur <- -1;
-  if Obs.on t.obs Obs.steps then Obs.emit t.obs (Obs.Step { time; seq; tag });
+  if t.obs.Obs.wanted land Obs.steps <> 0 then
+    Obs.emit t.obs (Obs.Step { time; seq; tag });
   f ()
 
 let step t =
   let h = t.events in
   match t.explore with
+  | None when t.held ->
+      t.held <- false;
+      let time = t.held_time and seq = t.held_seq and tag = t.held_tag in
+      if
+        h.size = 0
+        || (let mt = h.times.(0) in
+            time < mt || (time = mt && seq < h.seqs.(0)))
+      then exec_event t time seq tag t.held_f
+      else
+        let mtime = h.times.(0) and mseq = h.seqs.(0) and mtag = h.tags.(0) in
+        exec_event t mtime mseq mtag
+          (Heap.replace_min h ~time ~seq ~tag t.held_f)
   | None ->
-      let time = Heap.min_time h and seq = Heap.min_seq h
-      and tag = Heap.min_tag h in
+      let time = h.times.(0) and seq = h.seqs.(0) and tag = h.tags.(0) in
       exec_event t time seq tag (Heap.pop h)
   | Some choose ->
+      flush t;
       (* Choice point: every event due at the minimum cycle is a
          candidate; the strategy picks which one the "hardware" lands
          first. With a single candidate there is no choice, and index 0
@@ -358,8 +405,19 @@ let check_deadlock t =
             t.live (blocked_names t) depths spans))
   end
 
+let pending t = t.held || t.events.size > 0
+
+(* Due time of the next step; [pending t] must hold. *)
+let next_time t =
+  let h = t.events in
+  if h.size = 0 then t.held_time
+  else
+    let mt = h.times.(0) in
+    if t.held && t.held_time < mt then t.held_time else mt
+
 let run t =
-  while not (Heap.is_empty t.events) do
+  t.limit <- max_int;
+  while pending t do
     step t
   done;
   (* The last event may have run (and completed) inside a fiber; nothing
@@ -369,10 +427,13 @@ let run t =
 
 let run_for t budget =
   let limit = t.time + Int64.to_int budget in
+  t.limit <- limit;
   let continue_ = ref true in
-  while !continue_ && not (Heap.is_empty t.events) do
-    if Heap.min_time t.events > limit then continue_ := false else step t
+  while !continue_ && pending t do
+    if next_time t > limit then continue_ := false else step t
   done;
+  flush t;
+  t.limit <- max_int;
   t.cur <- -1;
   if Heap.is_empty t.events then check_deadlock t
 
@@ -383,5 +444,28 @@ let self () = Effect.perform Self
 let sleep_cycles d = Effect.perform (Sleep_cycles d)
 
 let sleep d = sleep_cycles (Int64.to_int d)
+
+(* A sleep that wakes strictly before every pending event, within
+   [run_for]'s horizon, is the next step whatever the fiber does: it
+   takes that step in place — consumes the seq, counts the step,
+   announces it — instead of parking. The explorer, whose Step
+   subscriber may raise to abort the run, always sees the parked form. *)
+let sleep_on t d =
+  let wake = t.time + d in
+  if
+    d >= 0 && t.cur >= 0 && t.explore == None && wake <= t.limit
+    && (t.events.size = 0 || wake < t.events.times.(0))
+  then begin
+    let fid = t.cur in
+    t.seq <- t.seq + 1;
+    t.time <- wake;
+    t.steps <- t.steps + 1;
+    if t.obs.Obs.wanted land Obs.steps <> 0 then begin
+      t.cur <- -1;
+      Obs.emit t.obs (Obs.Step { time = wake; seq = t.seq; tag = tag_resume fid });
+      t.cur <- fid
+    end
+  end
+  else sleep_cycles d
 
 let suspend register = Effect.perform (Suspend register)

@@ -98,6 +98,15 @@ val sleep_cycles : int -> unit
     only the effect value and its continuation (7 minor words). Hot paths
     ([Core_res.compute]) prefer it. *)
 
+val sleep_on : t -> int -> unit
+(** [sleep_on t d] is [sleep_cycles d] inside a fiber of [t], without
+    the effect when nothing else can run first: a wake-up due strictly
+    before every pending event (and within {!run_for}'s horizon) takes
+    its step in place — the clock moves, a sequence number and a step
+    are consumed and the [Step] event is emitted, exactly as if the
+    fiber had parked and been resumed. With an explorer attached it
+    always parks. *)
+
 val schedule_at : t -> ?tag:int -> int64 -> (unit -> unit) -> unit
 (** [schedule_at t ?tag time f] runs the callback [f] at absolute simulated
     [time] (which must be [>= now t]). [f] runs outside any fiber and must

@@ -168,6 +168,17 @@ let pop h =
   remove_at h 0;
   v
 
+(* Pop, then push, in one pass: the new entry takes the root and the
+   popped value's slot, then sifts down once. *)
+let replace_min h ~time ~seq ~tag value =
+  if h.size = 0 then raise Not_found;
+  if time < 0 then invalid_arg "Heap.replace_min: negative time";
+  let slot = Array.unsafe_get h.slots 0 in
+  let v = Array.unsafe_get h.values slot in
+  Array.unsafe_set h.values slot value;
+  sift_down h 0 time seq tag slot;
+  v
+
 let pop_min h =
   if h.size = 0 then raise Not_found;
   let time = h.times.(0) and seq = h.seqs.(0) in

@@ -11,7 +11,21 @@
     free of allocation. A value is stored once, at push, in a fixed slot;
     reordering the heap moves only ints. *)
 
-type 'a t
+type 'a t = private {
+  mutable times : int array;  (** keys' times, by heap position *)
+  mutable seqs : int array;  (** keys' sequence numbers *)
+  mutable tags : int array;  (** each entry's tag *)
+  mutable slots : int array;
+  mutable values : 'a array;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable size : int;  (** the number of entries *)
+}
+(** Read-only outside: while [size > 0], position 0 of [times], [seqs]
+    and [tags] is the minimum's key and tag. The engine reads them
+    there, per event, as loads rather than calls (dune's default profile
+    compiles the libraries [-opaque], so no call into another module is
+    inlined); {!min_time} and the rest are the checked equivalents. *)
 
 val create : unit -> 'a t
 
@@ -35,6 +49,12 @@ val pop_min : 'a t -> int * int * 'a
     {!min_seq} and {!min_tag}. Raises [Not_found] when the heap is
     empty. *)
 val pop : 'a t -> 'a
+
+(** [replace_min h ~time ~seq ~tag v] is {!pop} followed by
+    [push h ~tag ~time ~seq v], in one sift instead of two: it returns
+    the removed minimum's value (read its key first, as for {!pop}).
+    Raises [Not_found] when the heap is empty. *)
+val replace_min : 'a t -> time:int -> seq:int -> tag:int -> 'a -> 'a
 
 (** [peek_min h] returns the minimum element without removing it.
     Raises [Not_found] when the heap is empty. *)

@@ -69,50 +69,58 @@ let marks = 16
 
 let lint = 32
 
-type t = {
+type state = {
   mutable subs : (event -> unit) array;
-  mutable wanted : families; (* union of the subscribers' families *)
   mutable diagnosers : (unit -> string option) list;
   mutable clock : unit -> int;
   mutable next_span : int;
   mutable next_msg : int;
 }
 
+type t = {
+  mutable wanted : families; (* union of the subscribers' families *)
+  st : state;
+}
+
 let create () =
   {
-    subs = [||];
     wanted = 0;
-    diagnosers = [];
-    clock = (fun () -> 0);
-    next_span = 0;
-    next_msg = 0;
+    st =
+      {
+        subs = [||];
+        diagnosers = [];
+        clock = (fun () -> 0);
+        next_span = 0;
+        next_msg = 0;
+      };
   }
 
-let[@inline] on t fams = t.wanted land fams <> 0
-
 let emit t ev =
-  let subs = t.subs in
+  let subs = t.st.subs in
   for i = 0 to Array.length subs - 1 do
     (Array.unsafe_get subs i) ev
   done
 
 let subscribe ?diagnose t wants f =
-  t.subs <- Array.append t.subs [| f |];
+  let st = t.st in
+  st.subs <- Array.append st.subs [| f |];
   t.wanted <- t.wanted lor wants;
-  Option.iter (fun d -> t.diagnosers <- t.diagnosers @ [ d ]) diagnose
+  Option.iter (fun d -> st.diagnosers <- st.diagnosers @ [ d ]) diagnose
 
-let diagnostics t = List.filter_map (fun d -> d ()) t.diagnosers
+let diagnostics t = List.filter_map (fun d -> d ()) t.st.diagnosers
 
-let set_clock t f = t.clock <- f
+let set_clock t f = t.st.clock <- f
 
-let now t = t.clock ()
+let now t = t.st.clock ()
 
 let fresh_span t =
-  t.next_span <- t.next_span + 1;
-  t.next_span
+  let st = t.st in
+  st.next_span <- st.next_span + 1;
+  st.next_span
 
 let fresh_msg t =
-  t.next_msg <- t.next_msg + 1;
-  t.next_msg
+  let st = t.st in
+  st.next_msg <- st.next_msg + 1;
+  st.next_msg
 
 let no_args () = []

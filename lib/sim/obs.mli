@@ -4,9 +4,9 @@
     spans and counters the host-side tooling needs (DESIGN.md §1n).
 
     The engine owns one bus ({!Engine.obs}). Each instrumented site
-    emits each event once, guarded so an idle bus costs one branch and
-    no allocation:
-    [if Obs.on o Obs.msgs then Obs.emit o (Msg_enqueue { mid; uid })].
+    emits each event once, guarded so an idle bus costs one load, one
+    test and no allocation:
+    [if o.Obs.wanted land Obs.msgs <> 0 then Obs.emit o (Msg_enqueue { mid; uid })].
     The trace, the sanitizer, the telemetry sampler and the schedule
     explorer subscribe; the protocol stack never names them.
 
@@ -113,12 +113,20 @@ val spans : families
 val marks : families
 val lint : families
 
-type t
+type state
+
+type t = private {
+  mutable wanted : families;
+      (** the union of the subscribers' families: [o.wanted land fams <> 0]
+          is whether any subscriber wants one of [fams] *)
+  st : state;
+}
+(** The family word is a field rather than behind a function because
+    dune's default profile compiles the libraries [-opaque]: a call into
+    another module is never inlined, so a guard that called a function
+    would cost a closure call at every instrumented site. *)
 
 val create : unit -> t
-
-val on : t -> families -> bool
-(** Whether any subscriber wants one of the given families. *)
 
 val emit : t -> event -> unit
 (** Deliver to every subscriber, in subscription order. *)

@@ -4,10 +4,13 @@
 # int, to calls into the C runtime (camlStdlib.min/max ->
 # caml_lessequal/caml_greaterequal, caml_equal, caml_compare, ...).
 # Each costs about ten times Int.max on the simulator's per-line and
-# per-request paths. This fails, naming the function, when any function
-# in the native archives given as arguments makes such a call, apart
-# from the cold functions listed in ALLOW (module-qualified names such
-# as Hare_stats__Table.render, space-separated).
+# per-request paths. The polymorphic Hashtbl's probes (find, find_opt,
+# mem, replace, add, remove) compare keys with caml_compare inside the
+# stdlib; the typed tables of Hare_sim.Tbl keep its hash and bucket
+# order without that call. This fails, naming the function, when any
+# function in the native archives given as arguments makes such a call,
+# apart from the cold functions listed in ALLOW (module-qualified names
+# such as Hare_stats__Table.render, space-separated).
 #
 #   sh no_polycall.sh lib/mem/hare_mem.a ...
 ALLOW=""
@@ -36,7 +39,8 @@ objdump -dr "$@" | awk -v allow=" $ALLOW " '
     sym = $NF
     sub(/[-+]0x[0-9a-f]+$/, "", sym)
     if (sym ~ /^camlStdlib\.(min|max)_[0-9]+$/ ||
-        sym ~ /^caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$/) {
+        sym ~ /^caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)$/ ||
+        sym ~ /^camlStdlib__Hashtbl\.(find|find_opt|mem|replace|add|remove)_[0-9]+$/) {
       sub(/_[0-9]+$/, "", sym)
       if (index(allow, " " fn " ") == 0) {
         print "no_polycall: " fn " calls " sym > "/dev/stderr"

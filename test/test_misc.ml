@@ -109,76 +109,76 @@ type Wire.pack += Pack
 (* The request catalogue, pinned: every opcode's wire name, span name,
    shed class, base cost and retry safety, as the paper-faithful clocks
    and the trace exports were recorded with. *)
-let test_req_names_distinct () =
+let catalogue =
   let d = Types.root_ino in
-  let catalogue =
-    [
-      (Wire.Lookup { dir = d; name = "x" },
-        ("LOOKUP", "srv:LOOKUP", Wire.Metadata, 200, true));
-      (Wire.Add_map
-          { dir = d; name = "x"; target = d; ftype = Types.Reg; dist = false;
-            replace = false },
-        ("ADD_MAP", "srv:ADD_MAP", Wire.Metadata, 400, true));
-      (Wire.Rm_map { dir = d; name = "x"; only_if = None },
-        ("RM_MAP", "srv:RM_MAP", Wire.Metadata, 0, true));
-      (Wire.Readdir_shard { dir = d },
-        ("READDIR", "srv:READDIR", Wire.Metadata, 200, true));
-      (Wire.Create_open { dir = d; name = "x"; excl = false; trunc = false },
-        ("CREATE_OPEN", "srv:CREATE_OPEN", Wire.Metadata, 900, true));
-      (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false },
-        ("CREATE_INODE", "srv:CREATE_INODE", Wire.Metadata, 500, true));
-      (Wire.Create_dir { dir = d; name = "d"; dist = false },
-        ("CREATE_DIR", "srv:CREATE_DIR", Wire.Metadata, 800, true));
-      (Wire.Open_inode { ino = d; trunc = false },
-        ("OPEN", "srv:OPEN", Wire.Metadata, 400, true));
-      (Wire.Close_fd { token = 1; size = None },
-        ("CLOSE", "srv:CLOSE", Wire.Metadata, 200, true));
-      (Wire.Read_fd { token = 1; off = None; len = 1 },
-        ("READ", "srv:READ", Wire.Data, 300, true));
-      (Wire.Write_fd { token = 1; off = None; data = ""; append = false },
-        ("WRITE", "srv:WRITE", Wire.Data, 300, true));
-      (Wire.Lseek_fd { token = 1; pos = 0; whence = Types.Seek_set },
-        ("LSEEK", "srv:LSEEK", Wire.Metadata, 100, true));
-      (Wire.Alloc_blocks { ino = d; count = 3; ahead = 2 },
-        ("ALLOC", "srv:ALLOC", Wire.Data, 150, true));
-      (Wire.Get_blocks { ino = d },
-        ("GET_BLOCKS", "srv:GET_BLOCKS", Wire.Data, 150, true));
-      (Wire.Update_size { token = 1; size = 0 },
-        ("UPDATE_SIZE", "srv:UPDATE_SIZE", Wire.Data, 100, true));
-      (Wire.Get_attr { ino = d },
-        ("GETATTR", "srv:GETATTR", Wire.Metadata, 150, true));
-      (Wire.Truncate { ino = d; size = 0 },
-        ("TRUNCATE", "srv:TRUNCATE", Wire.Metadata, 300, true));
-      (Wire.Unlink_ino { ino = d },
-        ("UNLINK_INO", "srv:UNLINK_INO", Wire.Background, 250, true));
-      (Wire.Inc_fd_ref { token = 1; offset = None },
-        ("INC_FD_REF", "srv:INC_FD_REF", Wire.Metadata, 150, true));
-      (Wire.Rmdir_lock { dir = d },
-        ("RMDIR_LOCK", "srv:RMDIR_LOCK", Wire.Metadata, 150, false));
-      (Wire.Rmdir_unlock { dir = d },
-        ("RMDIR_UNLOCK", "srv:RMDIR_UNLOCK", Wire.Metadata, 150, true));
-      (Wire.Rmdir_prepare { dir = d },
-        ("RMDIR_PREPARE", "srv:RMDIR_PREPARE", Wire.Metadata, 250, true));
-      (Wire.Rmdir_commit { dir = d },
-        ("RMDIR_COMMIT", "srv:RMDIR_COMMIT", Wire.Metadata, 250, true));
-      (Wire.Rmdir_abort { dir = d },
-        ("RMDIR_ABORT", "srv:RMDIR_ABORT", Wire.Metadata, 250, true));
-      (Wire.Rmdir_local { dir = d },
-        ("RMDIR_LOCAL", "srv:RMDIR_LOCAL", Wire.Metadata, 400, true));
-      (Wire.Pipe_create,
-        ("PIPE_CREATE", "srv:PIPE_CREATE", Wire.Metadata, 500, true));
-      (Wire.Pipe_read { token = 1; len = 1 },
-        ("PIPE_READ", "srv:PIPE_READ", Wire.Data, 200, false));
-      (Wire.Pipe_write { token = 1; data = "" },
-        ("PIPE_WRITE", "srv:PIPE_WRITE", Wire.Data, 200, false));
-      (Wire.Steal_blocks { count = 1 },
-        ("STEAL_BLOCKS", "srv:STEAL_BLOCKS", Wire.Background, 300, true));
-      (Wire.Migrate_out { home = 0 },
-        ("MIGRATE_OUT", "srv:MIGRATE_OUT", Wire.Metadata, 800, true));
-      (Wire.Install_shard { home = 0; pack = Pack },
-        ("INSTALL_SHARD", "srv:INSTALL_SHARD", Wire.Metadata, 800, true));
-    ]
-  in
+  [
+    (Wire.Lookup { dir = d; name = "x" },
+      ("LOOKUP", "srv:LOOKUP", Wire.Metadata, 200, true));
+    (Wire.Add_map
+        { dir = d; name = "x"; target = d; ftype = Types.Reg; dist = false;
+          replace = false },
+      ("ADD_MAP", "srv:ADD_MAP", Wire.Metadata, 400, true));
+    (Wire.Rm_map { dir = d; name = "x"; only_if = None },
+      ("RM_MAP", "srv:RM_MAP", Wire.Metadata, 0, true));
+    (Wire.Readdir_shard { dir = d },
+      ("READDIR", "srv:READDIR", Wire.Metadata, 200, true));
+    (Wire.Create_open { dir = d; name = "x"; excl = false; trunc = false },
+      ("CREATE_OPEN", "srv:CREATE_OPEN", Wire.Metadata, 900, true));
+    (Wire.Create_inode { ftype = Types.Reg; dist = false; and_open = false },
+      ("CREATE_INODE", "srv:CREATE_INODE", Wire.Metadata, 500, true));
+    (Wire.Create_dir { dir = d; name = "d"; dist = false },
+      ("CREATE_DIR", "srv:CREATE_DIR", Wire.Metadata, 800, true));
+    (Wire.Open_inode { ino = d; trunc = false },
+      ("OPEN", "srv:OPEN", Wire.Metadata, 400, true));
+    (Wire.Close_fd { token = 1; size = None },
+      ("CLOSE", "srv:CLOSE", Wire.Metadata, 200, true));
+    (Wire.Read_fd { token = 1; off = None; len = 1 },
+      ("READ", "srv:READ", Wire.Data, 300, true));
+    (Wire.Write_fd { token = 1; off = None; data = ""; append = false },
+      ("WRITE", "srv:WRITE", Wire.Data, 300, true));
+    (Wire.Lseek_fd { token = 1; pos = 0; whence = Types.Seek_set },
+      ("LSEEK", "srv:LSEEK", Wire.Metadata, 100, true));
+    (Wire.Alloc_blocks { ino = d; count = 3; ahead = 2 },
+      ("ALLOC", "srv:ALLOC", Wire.Data, 150, true));
+    (Wire.Get_blocks { ino = d },
+      ("GET_BLOCKS", "srv:GET_BLOCKS", Wire.Data, 150, true));
+    (Wire.Update_size { token = 1; size = 0 },
+      ("UPDATE_SIZE", "srv:UPDATE_SIZE", Wire.Data, 100, true));
+    (Wire.Get_attr { ino = d },
+      ("GETATTR", "srv:GETATTR", Wire.Metadata, 150, true));
+    (Wire.Truncate { ino = d; size = 0 },
+      ("TRUNCATE", "srv:TRUNCATE", Wire.Metadata, 300, true));
+    (Wire.Unlink_ino { ino = d },
+      ("UNLINK_INO", "srv:UNLINK_INO", Wire.Background, 250, true));
+    (Wire.Inc_fd_ref { token = 1; offset = None },
+      ("INC_FD_REF", "srv:INC_FD_REF", Wire.Metadata, 150, true));
+    (Wire.Rmdir_lock { dir = d },
+      ("RMDIR_LOCK", "srv:RMDIR_LOCK", Wire.Metadata, 150, false));
+    (Wire.Rmdir_unlock { dir = d },
+      ("RMDIR_UNLOCK", "srv:RMDIR_UNLOCK", Wire.Metadata, 150, true));
+    (Wire.Rmdir_prepare { dir = d },
+      ("RMDIR_PREPARE", "srv:RMDIR_PREPARE", Wire.Metadata, 250, true));
+    (Wire.Rmdir_commit { dir = d },
+      ("RMDIR_COMMIT", "srv:RMDIR_COMMIT", Wire.Metadata, 250, true));
+    (Wire.Rmdir_abort { dir = d },
+      ("RMDIR_ABORT", "srv:RMDIR_ABORT", Wire.Metadata, 250, true));
+    (Wire.Rmdir_local { dir = d },
+      ("RMDIR_LOCAL", "srv:RMDIR_LOCAL", Wire.Metadata, 400, true));
+    (Wire.Pipe_create,
+      ("PIPE_CREATE", "srv:PIPE_CREATE", Wire.Metadata, 500, true));
+    (Wire.Pipe_read { token = 1; len = 1 },
+      ("PIPE_READ", "srv:PIPE_READ", Wire.Data, 200, false));
+    (Wire.Pipe_write { token = 1; data = "" },
+      ("PIPE_WRITE", "srv:PIPE_WRITE", Wire.Data, 200, false));
+    (Wire.Steal_blocks { count = 1 },
+      ("STEAL_BLOCKS", "srv:STEAL_BLOCKS", Wire.Background, 300, true));
+    (Wire.Migrate_out { home = 0 },
+      ("MIGRATE_OUT", "srv:MIGRATE_OUT", Wire.Metadata, 800, true));
+    (Wire.Install_shard { home = 0; pack = Pack },
+      ("INSTALL_SHARD", "srv:INSTALL_SHARD", Wire.Metadata, 800, true));
+  ]
+
+let test_req_names_distinct () =
   Alcotest.(check int) "every opcode" 31 (List.length catalogue);
   List.iter
     (fun (req, (name, span, shed, cost, retryable)) ->
@@ -192,6 +192,50 @@ let test_req_names_distinct () =
   let names = List.map (fun (_, (n, _, _, _, _)) -> n) catalogue in
   Alcotest.(check int) "all distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
+
+(* Per-op counters index arrays by [Wire.info]'s opcode: one per
+   constructor, dense from 0. *)
+let test_opcodes_dense () =
+  Alcotest.(check int) "nops" (List.length catalogue) Wire.nops;
+  Alcotest.(check (list int)) "each of 0 .. nops-1 exactly once"
+    (List.init Wire.nops Fun.id)
+    (List.sort compare
+       (List.map (fun (req, _) -> (Wire.info req).Wire.op) catalogue))
+
+(* Counting by interned id and by name is one counter: the reports see
+   no difference, and ids are shared across counters. *)
+let test_opcount_indexed () =
+  let by_id = Opcount.create () and by_name = Opcount.create () in
+  let lookup = Opcount.intern "LOOKUP" and readdir = Opcount.intern "READDIR" in
+  Alcotest.(check int) "interning is idempotent" lookup (Opcount.intern "LOOKUP");
+  Alcotest.(check string) "name of id" "READDIR" (Opcount.name readdir);
+  for _ = 1 to 3 do Opcount.bump by_id readdir done;
+  Opcount.bump by_id lookup;
+  Opcount.incr ~by:3 by_name "READDIR";
+  Opcount.incr by_name "LOOKUP";
+  let report t = (Opcount.to_list t, Opcount.total t, Opcount.get t "READDIR") in
+  let same = Alcotest.(triple (list (pair string int)) int int) in
+  Alcotest.check same "bump = incr" (report by_name) (report by_id);
+  Alcotest.check same "report"
+    ([ ("READDIR", 3); ("LOOKUP", 1) ], 4, 3)
+    (report by_id);
+  (* a name interned by another counter is not listed here *)
+  ignore (Opcount.intern "UNUSED-IN-THIS-COUNTER");
+  Alcotest.check same "unseen ids unlisted" (report by_name) (report by_id);
+  let since = Opcount.snapshot by_id in
+  Opcount.bump by_id lookup;
+  Opcount.incr by_id "fresh-name";
+  Alcotest.(check (list (pair string int)))
+    "diff"
+    [ ("LOOKUP", 1); ("fresh-name", 1) ]
+    (Opcount.to_list (Opcount.diff ~since by_id));
+  let merged = Opcount.create () in
+  Opcount.merge ~into:merged by_name;
+  Opcount.merge ~into:merged by_id;
+  Alcotest.(check (list (pair string int)))
+    "merge"
+    [ ("READDIR", 6); ("LOOKUP", 3); ("fresh-name", 1) ]
+    (Opcount.to_list merged)
 
 let test_pp_smoke () =
   let s =
@@ -286,6 +330,7 @@ let suites : (string * unit Alcotest.test_case list) list =
       [
         tc "opcount basics" `Quick test_opcount_basics;
         tc "opcount breakdown" `Quick test_opcount_breakdown;
+        tc "opcount indexed" `Quick test_opcount_indexed;
         tc "table render" `Quick test_table_render;
         tc "sloc" `Quick test_sloc_counts_this_repo;
       ] );
@@ -295,6 +340,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "placement hash pinned" `Quick test_placement_hash_pinned;
         tc "errno strings" `Quick test_errno_strings;
         tc "req names distinct" `Quick test_req_names_distinct;
+        tc "opcodes dense" `Quick test_opcodes_dense;
         tc "pp smoke" `Quick test_pp_smoke;
       ] );
     ( "misc.fdtable",

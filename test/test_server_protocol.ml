@@ -493,6 +493,85 @@ let test_migration_round_trip () =
       | Error Errno.ENOENT -> ()
       | _ -> Alcotest.fail "the tombstone must refuse the create")
 
+(* A readdir leg answers from the shard's cached listing, rebuilt on the
+   first read after a change: after any sequence of entry adds, removes,
+   renames and creates, each leg must list exactly what a fresh fold of
+   the shard gives ([Server.shard_entries]), in the same order. *)
+type dir_op =
+  | Add of string * bool  (** [Add_map], [replace] *)
+  | Rm of string
+  | Rename of string * string
+  | Create of string
+  | List
+
+let dir_op_gen =
+  let open QCheck.Gen in
+  let name = map (String.make 1) (char_range 'a' 'h') in
+  frequency
+    [
+      (3, map2 (fun n r -> Add (n, r)) name bool);
+      (2, map (fun n -> Rm n) name);
+      (2, map2 (fun a b -> Rename (a, b)) name name);
+      (2, map (fun n -> Create n) name);
+      (2, return List);
+    ]
+
+let show_dir_op = function
+  | Add (n, r) -> Printf.sprintf "add %s%s" n (if r then "!" else "")
+  | Rm n -> "rm " ^ n
+  | Rename (a, b) -> Printf.sprintf "mv %s %s" a b
+  | Create n -> "create " ^ n
+  | List -> "ls"
+
+let prop_readdir_listing =
+  QCheck.Test.make ~name:"cached readdir listing = fresh fold" ~count:100
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) dir_op_gen)
+       ~print:(fun ops -> String.concat "; " (List.map show_dir_op ops)))
+    (fun ops ->
+      let rig = make_rig () in
+      let next = ref 1000 in
+      let target () =
+        incr next;
+        { Types.server = 0; ino = !next }
+      in
+      let add ?(replace = false) ?(ino = target ()) name =
+        ignore
+          (call rig
+             (Wire.Add_map
+                { dir = root; name; target = ino; ftype = Types.Reg; dist = false;
+                  replace }))
+      in
+      let rm ?only_if name =
+        ignore (call rig (Wire.Rm_map { dir = root; name; only_if }))
+      in
+      let listed () =
+        match call rig (Wire.Readdir_shard { dir = root }) with
+        | Ok (Wire.P_entries es) -> List.map (fun (e : Wire.entry) -> (e.e_name, e.e_ino)) es
+        | _ -> QCheck.Test.fail_report "readdir failed"
+      in
+      let ok = ref true in
+      in_fiber rig (fun () ->
+          List.iter
+            (fun op ->
+              (match op with
+              | Add (n, replace) -> add ~replace n
+              | Rm n -> rm n
+              | Rename (a, b) -> (
+                  match call rig (Wire.Lookup { dir = root; name = a }) with
+                  | Ok (Wire.P_lookup { target; _ }) ->
+                      add ~replace:true ~ino:target b;
+                      if a <> b then rm ~only_if:target a
+                  | _ -> ())
+              | Create n ->
+                  ignore
+                    (call rig
+                       (Wire.Create_open { dir = root; name = n; excl = false; trunc = false }))
+              | List -> ignore (listed ()));
+              if listed () <> Server.shard_entries rig.server root then ok := false)
+            ops);
+      !ok)
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -512,6 +591,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "lazy demotion reply" `Quick test_shared_offset_demotion_reply;
         tc "tracking + invalidation" `Quick test_lookup_tracks_and_invalidates;
       ] );
+    ("server.shards", [ QCheck_alcotest.to_alcotest prop_readdir_listing ]);
     ("server.steal", [ tc "crash keeps the in-flight steal" `Quick test_crash_keeps_inflight_steal ]);
     ( "server.migration",
       [

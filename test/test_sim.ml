@@ -166,6 +166,55 @@ let test_heap_property_100k () =
     (Invalid_argument "Heap.push: negative time") (fun () ->
       Heap.push h ~time:(-1) ~seq:0 0)
 
+(* [replace_min] against the same ordered-set model: pop the minimum and
+   push a new entry in one call, interleaved with plain pushes and pops,
+   as the engine's held sleep does. *)
+let test_heap_replace_min () =
+  let h = Heap.create () in
+  let rng = Rng.create ~seed:5L in
+  let live = ref Live.empty and seq = ref 0 in
+  let fresh t =
+    let s = !seq in
+    incr seq;
+    live := Live.add (t, s) !live;
+    s
+  in
+  let now = ref 0 in
+  for _ = 1 to 20_000 do
+    match Rng.int rng 4 with
+    | 0 | 1 ->
+        let t = !now + Rng.int rng 50 in
+        let s = fresh t in
+        Heap.push h ~tag:(s mod 7) ~time:t ~seq:s s
+    | 2 when not (Heap.is_empty h) ->
+        let ((t, s) as m) = Live.min_elt !live in
+        Alcotest.(check (triple int int int)) "pop" (t, s, s mod 7)
+          (Heap.min_time h, Heap.min_seq h, Heap.min_tag h);
+        Alcotest.(check int) "popped value" s (Heap.pop h);
+        live := Live.remove m !live;
+        now := t
+    | _ when not (Heap.is_empty h) ->
+        let ((t, s) as m) = Live.min_elt !live in
+        Alcotest.(check (triple int int int)) "replaced minimum" (t, s, s mod 7)
+          (Heap.min_time h, Heap.min_seq h, Heap.min_tag h);
+        live := Live.remove m !live;
+        now := t;
+        let t' = !now + Rng.int rng 50 in
+        let s' = fresh t' in
+        Alcotest.(check int) "replaced value" s
+          (Heap.replace_min h ~time:t' ~seq:s' ~tag:(s' mod 7) s')
+    | _ -> ()
+  done;
+  while not (Heap.is_empty h) do
+    let ((t, s) as m) = Live.min_elt !live in
+    Alcotest.(check (pair int int)) "drain" (t, s) (Heap.min_time h, Heap.min_seq h);
+    ignore (Heap.pop h);
+    live := Live.remove m !live
+  done;
+  Alcotest.(check bool) "model drained" true (Live.is_empty !live);
+  Alcotest.check_raises "replace_min on an empty heap" Not_found (fun () ->
+      ignore (Heap.replace_min h ~time:0 ~seq:0 ~tag:0 0))
+
 let test_heap_empty () =
   let h : int Heap.t = Heap.create () in
   Alcotest.check_raises "pop empty" Not_found (fun () ->
@@ -638,6 +687,147 @@ let test_sleep_allocation () =
   if !words > 12. then
     Alcotest.failf "one Engine.sleep_cycles allocated %.1f words" !words
 
+(* The event loop's short cuts — a sleep's resume held back and swapped
+   in for the heap minimum in one sift, and a sleep due strictly before
+   every pending event taken in place without the effect — must run the
+   same events in the same order as the plain heap. A random program of
+   fibers that sleep (both ways), set timers, park and wake each other
+   and spawn children runs three ways: [run]; [run] with an explorer
+   that always picks the lowest seq (which turns both short cuts off and
+   picks each event through [min_entries]/[remove_seq]); and [run_for]
+   in random slices, with and without that explorer. The Step streams
+   (time, seq, tag) and every fiber's observed clock must agree, the
+   stream must be exactly its own sort by (time, seq), and no slice may
+   run a step past its limit. *)
+type action =
+  | Sleep_on of int  (** [Engine.sleep_on] *)
+  | Sleep of int  (** [Engine.sleep_cycles]: always the effect *)
+  | Timer of int  (** [schedule_at] that many cycles ahead *)
+  | Park
+  | Wake
+  | Child of int  (** spawn a fiber that sleeps that long *)
+
+let action_gen =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0; 0; 1; 2; 3; 7; 40 ] in
+  frequency
+    [
+      (5, map (fun d -> Sleep_on d) delay);
+      (2, map (fun d -> Sleep d) delay);
+      (2, map (fun d -> Timer d) delay);
+      (1, return Park);
+      (2, return Wake);
+      (1, map (fun d -> Child d) delay);
+    ]
+
+let program_gen =
+  let open QCheck.Gen in
+  pair
+    (list_size (int_range 1 6) (list_size (int_range 0 14) action_gen))
+    (list_size (int_range 1 8) (int_range 0 30))
+
+let show_action = function
+  | Sleep_on d -> Printf.sprintf "sleep_on %d" d
+  | Sleep d -> Printf.sprintf "sleep %d" d
+  | Timer d -> Printf.sprintf "timer %d" d
+  | Park -> "park"
+  | Wake -> "wake"
+  | Child d -> Printf.sprintf "child %d" d
+
+let run_program ~mode (fibers, slices) =
+  let e = Engine.create () in
+  let steps = ref [] and log = ref [] in
+  Obs.subscribe (Engine.obs e) Obs.steps (function
+    | Obs.Step { time; seq; tag } -> steps := (time, seq, tag) :: !steps
+    | _ -> ());
+  let note who = log := (who, Engine.now_cycles e) :: !log in
+  let parked = Queue.create () in
+  List.iteri
+    (fun i actions ->
+      let name = Printf.sprintf "f%d" i in
+      (* daemons: a fiber left parked at the end is not a deadlock *)
+      ignore
+        (Engine.spawn e ~daemon:true ~name (fun () ->
+             List.iteri
+               (fun j a ->
+                 (match a with
+                 | Sleep_on d -> Engine.sleep_on e d
+                 | Sleep d -> Engine.sleep_cycles d
+                 | Timer d ->
+                     let at = Int64.of_int (Engine.now_cycles e + d) in
+                     Engine.schedule_at e at (fun () -> note (name ^ "/timer"))
+                 | Park -> Engine.suspend (fun w -> Queue.push w parked)
+                 | Wake -> Option.iter (fun w -> w ()) (Queue.take_opt parked)
+                 | Child d ->
+                     let child = Printf.sprintf "%s.%d" name j in
+                     ignore
+                       (Engine.spawn e ~daemon:true ~name:child (fun () ->
+                            Engine.sleep_on e d;
+                            note child)));
+                 note name)
+               actions)))
+    fibers;
+  let explore () = Engine.set_explorer e (fun ~time:_ _ -> 0) in
+  (match mode with
+  | `Run -> Engine.run e
+  | `Explorer ->
+      explore ();
+      Engine.run e
+  | `Slices explorer ->
+      if explorer then explore ();
+      List.iter
+        (fun b ->
+          let limit = Engine.now_cycles e + b in
+          Engine.run_for e (Int64.of_int b);
+          if List.exists (fun (t, _, _) -> t > limit) !steps then
+            QCheck.Test.fail_reportf "a step ran past run_for's limit %d" limit;
+          note "slice")
+        slices;
+      Engine.run e);
+  (List.rev !steps, List.rev !log)
+
+let prop_event_order =
+  QCheck.Test.make ~name:"held and effect-free sleeps keep (time, seq) order"
+    ~count:300
+    (QCheck.make program_gen ~print:(fun (fibers, slices) ->
+         String.concat " | "
+           (List.map (fun f -> String.concat "; " (List.map show_action f)) fibers)
+         ^ " / slices " ^ String.concat "," (List.map string_of_int slices)))
+    (fun prog ->
+      let ((steps, _) as plain) = run_program ~mode:`Run prog in
+      let key (t, s, _) = (t, s) in
+      let sorted =
+        List.sort (fun a b -> compare (key a) (key b)) steps
+      in
+      if steps <> sorted then QCheck.Test.fail_report "steps out of (time, seq) order";
+      if run_program ~mode:`Explorer prog <> plain then
+        QCheck.Test.fail_report "differs from the explorer's pick-lowest run";
+      let ((sliced_steps, _) as sliced) = run_program ~mode:(`Slices false) prog in
+      if sliced_steps <> steps then
+        QCheck.Test.fail_report "differs when run in run_for slices";
+      if run_program ~mode:(`Slices true) prog <> sliced then
+        QCheck.Test.fail_report "slices differ from the explorer's";
+      true)
+
+(* A sleep that is the next event takes its step in place: no effect, no
+   allocation. *)
+let test_sleep_on_in_place () =
+  let e = Engine.create () in
+  let words = ref nan in
+  ignore
+    (Engine.spawn e ~name:"alone" (fun () ->
+         Engine.sleep_on e 1;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           Engine.sleep_on e 3
+         done;
+         words := (Gc.minor_words () -. w0) /. 10_000.));
+  Engine.run e;
+  Alcotest.(check int64) "clock advanced" 30_001L (Engine.now e);
+  Alcotest.(check int) "every sleep a step" 10_002 (Engine.events_executed e);
+  if !words > 0. then
+    Alcotest.failf "an in-place Engine.sleep_on allocated %.1f words" !words
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -648,6 +838,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "large" `Quick test_heap_large;
         tc "empty" `Quick test_heap_empty;
         tc "property 100k" `Quick test_heap_property_100k;
+        tc "replace_min" `Quick test_heap_replace_min;
       ] );
     ( "sim.rng",
       [
@@ -669,6 +860,8 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "current fid tracking" `Quick test_current_fid_tracking;
         tc "waker invoked twice" `Quick test_waker_invoked_twice;
         tc "sleep allocation" `Quick test_sleep_allocation;
+        tc "sleep_on in place" `Quick test_sleep_on_in_place;
+        QCheck_alcotest.to_alcotest prop_event_order;
       ] );
     ( "sim.ivar",
       [
