@@ -364,20 +364,18 @@ let run_json ~quick ~out () =
       add "      \"wall_clock_s\": %.6f,\n" wall;
       (* Host-side engine throughput: how fast the simulator chewed
          through this row (nothing to do with the simulated clock). *)
-      let es = r.Driver.engine in
       add "      \"sim_ops_per_sec\": %.0f,\n"
         (if wall > 0.0 then float_of_int r.Driver.ops /. wall else 0.0);
       add "      \"sim_events_per_sec\": %.0f,\n"
-        (if wall > 0.0 then
-           float_of_int es.World.es_events /. wall
+        (if wall > 0.0 then float_of_int r.Driver.engine_events /. wall
          else 0.0);
-      add "      \"engine_events\": %d,\n" es.World.es_events;
-      add "      \"peak_live_fibers\": %d,\n" es.World.es_peak_fibers;
-      add "      \"spawned_fibers\": %d,\n" es.World.es_spawned;
+      add "      \"engine_events\": %d,\n" r.Driver.engine_events;
+      add "      \"peak_live_fibers\": %d,\n" r.Driver.peak_fibers;
+      add "      \"spawned_fibers\": %d,\n" r.Driver.spawned_fibers;
       (* Per-server load distribution (whole run) and its max/mean
          imbalance — the sharding balance gate. *)
       (if r.Driver.loads <> [] then begin
-         add "      \"imbalance\": %.3f,\n" r.Driver.imbalance;
+         add "      \"imbalance\": %.3f,\n" (Driver.imbalance r.Driver.loads);
          add "      \"server_loads\": [ ";
          List.iteri
            (fun j (sid, ops, peak) ->

@@ -371,46 +371,38 @@ let problem s r (c : Config.t) =
 
 (* Run [spec] once and print the bench line for its timed region:
    throughput, plus the simulator engine's host-side cost. *)
-let run_timed (type w) (module W : World.WORLD with type world = w) ~config
-    ?nprocs ~scale ~verbose (spec : Spec.t) =
+let run_timed (module W : World.WORLD) ~config ?nprocs ~scale ~verbose
+    (spec : Spec.t) =
   let module D = Driver.Make (W) in
-  let t0 = ref 0.0 and t1 = ref 0.0 in
-  let ops0 = ref (Hare_stats.Opcount.create ()) in
   let wall0 = Unix.gettimeofday () in
-  let w, failures =
-    D.exec ~config ?nprocs ~scale spec
-      ~on_start:(fun w ->
-        ops0 := Hare_stats.Opcount.snapshot (W.syscalls w);
-        t0 := W.seconds w)
-      ~after:(fun w _ ~failures:_ -> t1 := W.seconds w)
-  in
+  let t = D.exec ~config ?nprocs ~scale spec in
   let wall = Unix.gettimeofday () -. wall0 in
-  let nprocs =
-    match nprocs with
-    | Some n -> n
-    | None -> List.length (Config.app_cores config)
-  in
-  let ops = spec.Spec.ops ~nprocs ~scale in
-  let elapsed = !t1 -. !t0 in
+  let ops = spec.Spec.ops ~nprocs:t.Driver.procs ~scale in
+  let elapsed = t.Driver.t1 -. t.Driver.t0 in
   Printf.printf
     "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
-    spec.Spec.name W.name nprocs ops elapsed
+    spec.Spec.name W.name t.Driver.procs ops elapsed
     (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-  let es = W.engine_stats w in
-  if es.World.es_events > 0 then
-    Printf.printf
-      "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
-       host-side)\n"
-      es.World.es_events es.World.es_peak_fibers wall
-      (if wall > 0.0 then float_of_int ops /. wall else 0.0);
+  let m = W.machine t.Driver.w in
+  Option.iter
+    (fun m ->
+      let e = Machine.engine m in
+      Printf.printf
+        "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
+         host-side)\n"
+        (Hare_sim.Engine.events_executed e)
+        (Hare_sim.Engine.peak_fibers e)
+        wall
+        (if wall > 0.0 then float_of_int ops /. wall else 0.0))
+    m;
   if verbose then begin
     print_endline "system-call mix:";
-    Format.printf "%a@." Hare_stats.Opcount.pp
-      (Hare_stats.Opcount.diff ~since:!ops0 (W.syscalls w))
+    Format.printf "%a@." Hare_stats.Opcount.pp t.Driver.calls
   end;
+  let failures = t.Driver.failures in
   if failures > 0 then
     Printf.eprintf "error: %s: %d worker(s) failed\n%!" spec.Spec.name failures;
-  (w, if failures > 0 then 1 else 0)
+  (m, if failures > 0 then 1 else 0)
 
 (* ---------- reports: each reads the finished machine (whole run) -------- *)
 
@@ -747,21 +739,18 @@ let run_one s r verdict (spec : Spec.t) =
       prerr_endline msg;
       1
   | None -> (
-      let scale = s.scale and verbose = r.verbose in
       let spec, overload = fresh () in
-      match s.world with
-      | `Linux ->
-          snd
-            (run_timed (module World.Linux_w) ~config ?nprocs ~scale ~verbose
-               spec)
-      | `Unfs ->
-          snd
-            (run_timed (module World.Hare_w) ~config:(World.unfs_config config)
-               ?nprocs ~scale ~verbose spec)
-      | `Hare ->
-          let m, rc =
-            run_timed (module World.Hare_w) ~config ?nprocs ~scale ~verbose spec
-          in
+      let world, run_config =
+        match s.world with
+        | `Linux -> ((module World.Linux_w : World.WORLD), config)
+        | `Unfs -> ((module World.Hare_w), World.unfs_config config)
+        | `Hare -> ((module World.Hare_w), config)
+      in
+      match
+        run_timed world ~config:run_config ?nprocs ~scale:s.scale
+          ~verbose:r.verbose spec
+      with
+      | Some m, rc when s.world = `Hare ->
           let name = spec.Spec.name in
           let traced f () =
             match Machine.trace m with Some tr -> f tr | None -> 0
@@ -796,14 +785,15 @@ let run_one s r verdict (spec : Spec.t) =
               rc reports
           in
           if r.check then begin
-            let twin, _ =
+            let twin =
               HD.exec
                 ~config:{ config with Config.check_enabled = false }
-                ?nprocs ~scale (fst (fresh ()))
+                ?nprocs ~scale:s.scale (fst (fresh ()))
             in
-            report_check verdict ~twin name m
+            report_check verdict ~twin:twin.Driver.w name m
           end;
-          rc)
+          rc
+      | _, rc -> rc)
 
 let run_cmd =
   let bench_arg =

@@ -1,6 +1,20 @@
 module Api = Hare_api.Api
 module Config = Hare_config.Config
 module Spec = Hare_workloads.Spec
+module Machine = Hare.Machine
+module Engine = Hare_sim.Engine
+module Trace = Hare_trace.Trace
+module Opcount = Hare_stats.Opcount
+module Metrics = Hare_metrics.Metrics
+
+type 'w timed = {
+  w : 'w;
+  failures : int;
+  procs : int;
+  t0 : float;
+  t1 : float;
+  calls : Opcount.t;
+}
 
 type result = {
   bench : string;
@@ -10,27 +24,19 @@ type result = {
   elapsed : float;
   ops : int;
   throughput : float;
-  syscalls : Hare_stats.Opcount.t;
-  profile : Hare_trace.Trace.row list;
+  syscalls : Opcount.t;
+  profile : Trace.row list;
   latencies : (string * Hare_stats.Latency.dist) list;
   robust : Hare_stats.Robust.t;
-  engine : World.engine_stats;
-      (* simulator event-loop counters for the whole run (boot + setup +
-         timed region); all zero on the Linux baseline *)
+  engine_events : int;
+  peak_fibers : int;
+  spawned_fibers : int;
   loads : (int * int * int) list;
-      (* per physical server (sid, ops, peak queue); empty on Linux *)
-  imbalance : float;
-  (* telemetry (PR 9); all empty/None unless the config enabled the
-     metrics sampler and/or tail retention *)
-  gauges : Hare_metrics.Metrics.summary list;
-      (* per-gauge time-series summaries, in registration order *)
-  metrics_interval : int;  (* sampling grid, cycles; 0 = metrics off *)
-  metrics_samples : int;  (* samples taken over the whole run *)
+  gauges : Metrics.summary list;
+  metrics_interval : int;
+  metrics_samples : int;
   knee : Hare_metrics.Knee.t option;
-      (* first window of the timed region where the p99 latency slope
-         exceeded the threshold; None when flat or untraced *)
   blame : Hare_metrics.Blame.t list;
-      (* per-class tail blame reports; empty unless trace_retain > 0 *)
 }
 
 (* Max/mean served-operation ratio over the servers that did any work
@@ -54,7 +60,6 @@ let imbalance loads =
    recorded even in profile-only mode and never loses samples to ring
    overwrite; only completed requests contribute. *)
 let latencies_of_trace ?(since = 0L) tr =
-  let module Trace = Hare_trace.Trace in
   let buckets = Hashtbl.create 4 in
   List.iter
     (fun (name, t0, dur) ->
@@ -101,9 +106,7 @@ module Make (W : World.WORLD) = struct
       ?(after = fun _ _ ~failures:_ -> ()) ~config (spec : Spec.t) =
     let config = { config with Config.exec_policy = spec.Spec.exec_policy } in
     let nprocs =
-      match nprocs with
-      | Some n -> n
-      | None -> List.length (Config.app_cores config)
+      Option.value nprocs ~default:(List.length (Config.app_cores config))
     in
     let w = W.boot config in
     (* Zero-perturbation proof hook: a trivial explorer that always
@@ -113,11 +116,12 @@ module Make (W : World.WORLD) = struct
        bit-identical (the golden-clock test runs both ways). *)
     if null_explorer then
       Option.iter
-        (fun eng ->
+        (fun m ->
           let module Obs = Hare_sim.Obs in
-          Hare_sim.Engine.set_explorer eng (fun ~time:_ _ -> 0);
-          Obs.subscribe (Hare_sim.Engine.obs eng) Obs.(steps lor msgs lor cache) ignore)
-        (W.engine w);
+          let eng = Machine.engine m in
+          Engine.set_explorer eng (fun ~time:_ _ -> 0);
+          Obs.subscribe (Engine.obs eng) Obs.(steps lor msgs lor cache) ignore)
+        (W.machine w);
     let api = W.api w in
     List.iter
       (fun (prog, body) -> api.Api.register_program prog body)
@@ -129,9 +133,13 @@ module Make (W : World.WORLD) = struct
     let workers =
       match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
     in
+    let t0 = ref 0.0 and t1 = ref 0.0 in
+    let before = ref (Opcount.create ()) in
     let init =
       W.spawn_init w ~name:("bench-" ^ spec.Spec.name) (fun p ->
           spec.Spec.setup api p ~nprocs ~scale;
+          before := Opcount.snapshot (W.syscalls w);
+          t0 := W.seconds w;
           on_start w;
           let pids =
             List.init workers (fun i ->
@@ -144,55 +152,57 @@ module Make (W : World.WORLD) = struct
                 if api.Api.waitpid p pid <> 0 then acc + 1 else acc)
               0 pids
           in
+          t1 := W.seconds w;
           after w p ~failures;
           failures)
     in
     W.run w;
-    (w, Option.value (W.exit_status w init) ~default:workers)
+    {
+      w;
+      failures = Option.value (W.exit_status w init) ~default:workers;
+      procs = nprocs;
+      t0 = !t0;
+      t1 = !t1;
+      (* the timed region's op mix only: setup excluded (Figure 5) *)
+      calls = Opcount.diff ~since:!before (W.syscalls w);
+    }
 
   let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
       (spec : Spec.t) =
-    let config =
-      match config with Some c -> c | None -> default_config ~ncores:4
-    in
-    let nprocs =
-      match nprocs with
-      | Some n -> n
-      | None -> List.length (Config.app_cores config)
-    in
-    let t0 = ref 0.0 and t1 = ref 0.0 in
-    let ops_before = ref (Hare_stats.Opcount.create ()) in
-    let w, failures =
-      exec ~nprocs ~scale ~null_explorer ~config spec
-        ~on_start:(fun w ->
-          ops_before := Hare_stats.Opcount.snapshot (W.syscalls w);
+    let config = Option.value config ~default:(default_config ~ncores:4) in
+    let t =
+      exec ?nprocs ~scale ~null_explorer ~config spec ~on_start:(fun w ->
           (* The timed region reports only its own activity: perf
              counters and the cycle-attribution profile restart here;
              setup's spans stay in the trace ring for inspection. *)
-          W.reset_perf w;
-          (match W.trace w with
-          | Some tr -> Hare_trace.Trace.reset_profile tr
-          | None -> ());
-          t0 := W.seconds w)
-        ~after:(fun w _ ~failures:_ -> t1 := W.seconds w)
+          Option.iter
+            (fun m ->
+              Machine.reset_perf m;
+              Option.iter Trace.reset_profile (Machine.trace m))
+            (W.machine w))
     in
-    if failures > 0 then
-      failwith
-        (Printf.sprintf "%s on %s: %d worker(s) failed" spec.Spec.name W.name
-           failures);
-    let elapsed = !t1 -. !t0 in
+    if t.failures > 0 then
+      Printf.ksprintf failwith "%s on %s: %d worker(s) failed" spec.Spec.name
+        W.name t.failures;
+    let nprocs = t.procs and elapsed = t.t1 -. t.t0 in
     let ops = spec.Spec.ops ~nprocs ~scale in
     (* Start of the timed region on the cycle clock the spans carry. *)
     let cycles_per_s =
       float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us *. 1e6
     in
-    let since = Int64.of_float ((!t0 *. cycles_per_s) +. 0.5) in
+    let since = Int64.of_float ((t.t0 *. cycles_per_s) +. 0.5) in
     (* Knee window: a handful of sampling grid points when metrics are
        on, a fixed quarter-million cycles otherwise. *)
     let knee_window =
       if config.Config.metrics_interval > 0 then
         8 * config.Config.metrics_interval
       else 250_000
+    in
+    let m = W.machine t.w in
+    let trace = Option.bind m Machine.trace
+    and metrics = Option.bind m Machine.metrics in
+    let engine f =
+      Option.fold ~none:0 ~some:(fun m -> f (Machine.engine m)) m
     in
     {
       bench = spec.Spec.name;
@@ -202,46 +212,28 @@ module Make (W : World.WORLD) = struct
       elapsed;
       ops;
       throughput = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-      (* the timed region's op mix only — setup excluded (Figure 5) *)
-      syscalls = Hare_stats.Opcount.diff ~since:!ops_before (W.syscalls w);
-      profile =
-        (match W.trace w with
-        | Some tr -> Hare_trace.Trace.profile tr
-        | None -> []);
-      latencies =
-        (* Only spans of the timed region. *)
-        (match W.trace w with
-        | Some tr -> latencies_of_trace ~since tr
-        | None -> []);
-      robust = W.robustness w;
-      engine = W.engine_stats w;
-      loads = W.server_loads w;
-      imbalance = imbalance (W.server_loads w);
-      gauges =
-        (match W.metrics w with
-        | Some m -> Hare_metrics.Metrics.summaries m
-        | None -> []);
+      syscalls = t.calls;
+      profile = Option.fold ~none:[] ~some:Trace.profile trace;
+      (* Only spans of the timed region. *)
+      latencies = Option.fold ~none:[] ~some:(latencies_of_trace ~since) trace;
+      robust =
+        Option.fold m ~none:(Hare_stats.Robust.create ())
+          ~some:Machine.robustness;
+      engine_events = engine Engine.events_executed;
+      peak_fibers = engine Engine.peak_fibers;
+      spawned_fibers = engine Engine.spawned_fibers;
+      loads = Option.fold ~none:[] ~some:Machine.server_loads m;
+      gauges = Option.fold ~none:[] ~some:Metrics.summaries metrics;
       metrics_interval = config.Config.metrics_interval;
-      metrics_samples =
-        (match W.metrics w with
-        | Some m -> Hare_metrics.Metrics.samples m
-        | None -> 0);
+      metrics_samples = Option.fold ~none:0 ~some:Metrics.samples metrics;
       knee =
-        (match W.trace w with
-        | Some tr ->
-            let spans =
-              List.filter_map
-                (fun (_, s0, dur) ->
-                  if s0 >= since then
-                    Some (Int64.to_int s0, Int64.to_int dur)
-                  else None)
-                (Hare_trace.Trace.root_spans tr)
-            in
-            Hare_metrics.Knee.detect ~window:knee_window spans
-        | None -> None);
-      blame =
-        (match W.trace w with
-        | Some tr -> Hare_metrics.Blame.of_trace tr
-        | None -> []);
+        Option.bind trace (fun tr ->
+            Hare_metrics.Knee.detect ~window:knee_window
+              (List.filter_map
+                 (fun (_, s0, dur) ->
+                   if s0 >= since then Some (Int64.to_int s0, Int64.to_int dur)
+                   else None)
+                 (Trace.root_spans tr)));
+      blame = Option.fold ~none:[] ~some:Hare_metrics.Blame.of_trace trace;
     }
 end

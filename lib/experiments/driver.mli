@@ -7,6 +7,17 @@
     benchmark processes — and times from after setup to the last worker
     exit. *)
 
+(** One pass of the workload loop, its timed region measured once: the
+    stamps both {!Make.run} and [hare_cli run] report. *)
+type 'w timed = {
+  w : 'w;  (** the finished world *)
+  failures : int;  (** workers that exited nonzero; all if init never did *)
+  procs : int;  (** [?nprocs], else the number of application cores *)
+  t0 : float;  (** simulated seconds at the start of the timed region *)
+  t1 : float;  (** simulated seconds once every worker was reaped *)
+  calls : Hare_stats.Opcount.t;  (** the timed region's system-call mix *)
+}
+
 type result = {
   bench : string;
   world : string;
@@ -15,7 +26,8 @@ type result = {
   elapsed : float;  (** simulated seconds of the timed region. *)
   ops : int;
   throughput : float;  (** ops per simulated second. *)
-  syscalls : Hare_stats.Opcount.t;  (** whole-run op mix. *)
+  syscalls : Hare_stats.Opcount.t;
+      (** The timed region's op mix (setup excluded, as in Figure 5). *)
   profile : Hare_trace.Trace.row list;
       (** Per-opcode cycle attribution of the timed region (sorted by
           total cycles, descending). Empty unless the world was booted
@@ -28,15 +40,17 @@ type result = {
   robust : Hare_stats.Robust.t;
       (** Fault/overload counters of the timed region (reset alongside
           the perf counters; all zero for the Linux baseline). *)
-  engine : World.engine_stats;
-      (** Simulator event-loop counters for the whole run (boot + setup
-          + timed region); all zero on the Linux baseline. *)
+  engine_events : int;
+      (** Engine events, peak live fibers and fibers spawned over the
+          whole run (boot + setup + timed region); 0 on the Linux
+          baseline. *)
+  peak_fibers : int;
+  spawned_fibers : int;
   loads : (int * int * int) list;
-      (** Per physical file server [(sid, ops served, peak queue depth)]
-          over the whole run; empty on the Linux baseline. *)
-  imbalance : float;
-      (** Max/mean served-operation ratio over the servers that served
-          anything (1.0 = perfectly even; 1.0 when [loads] is empty). *)
+      (** Per physical file server [(sid, ops served, peak queue
+          depth)]: ops over the whole run, peak depths since the start
+          of the timed region (its {!Hare.Machine.reset_perf}). Empty
+          on the Linux baseline. *)
   gauges : Hare_metrics.Metrics.summary list;
       (** Per-gauge time-series summaries over the whole run, in
           registration order. Empty unless [metrics_interval > 0]. *)
@@ -83,14 +97,14 @@ module Make (W : World.WORLD) : sig
     ?after:(W.world -> W.proc -> failures:int -> unit) ->
     config:Hare_config.Config.t ->
     Hare_workloads.Spec.t ->
-    W.world * int
+    W.world timed
   (** [exec ~config spec] runs the workload loop once — boot, register
       the helper programs and [bench-worker], spawn init, setup, spawn
       the workers, reap them — and returns the finished world with the
-      number of workers that exited nonzero (all of them if init never
-      finished). It never raises on worker failure. [on_start] runs in
-      init between setup and the first worker spawn (the start of the
-      timed region); [after] runs in init once every worker is reaped.
+      failure count and the timed region's stamps. It never raises on
+      worker failure. [on_start] runs in init between setup and the
+      first worker spawn, once the region's start is stamped; [after]
+      runs in init once every worker is reaped and the end stamped.
       [nprocs] defaults to the number of application cores; the
       benchmark's exec-placement policy overrides the configuration's.
       [null_explorer] (default false) attaches an always-ordinal-0

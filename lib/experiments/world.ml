@@ -2,16 +2,6 @@ module Api = Hare_api.Api
 module Config = Hare_config.Config
 open Hare_proto
 
-(* Host-side simulator-engine counters, for benchmark reporting: how
-   much event-loop work a run cost, independent of the simulated clock.
-   All zero for worlds without a discrete-event engine (the Linux
-   baseline). *)
-type engine_stats = {
-  es_events : int;  (** engine events executed *)
-  es_peak_fibers : int;  (** peak live (registered) fibers *)
-  es_spawned : int;  (** fibers spawned over the whole run *)
-}
-
 module type WORLD = sig
   type world
 
@@ -33,48 +23,20 @@ module type WORLD = sig
 
   val exit_status : world -> proc -> int option
 
-  val trace : world -> Hare_trace.Trace.t option
-  (** The trace sink, when the world was booted with tracing enabled.
-      The Linux baseline never traces. *)
-
-  val metrics : world -> Hare_metrics.Metrics.t option
-  (** The time-series gauge registry, when the world was booted with
-      [metrics_interval > 0]. The Linux baseline never samples. *)
-
-  val reset_perf : world -> unit
-  (** Zero the world's pipelining/batching counters (no-op for worlds
-      without them), so a timed region reports only its own activity. *)
-
-  val robustness : world -> Hare_stats.Robust.t
-  (** Aggregate fault/overload counters (always zero for the Linux
-      baseline, which has neither). *)
-
-  val engine_stats : world -> engine_stats
-  (** Simulator event-loop counters for this run (zero for the Linux
-      baseline). *)
-
-  val engine : world -> Hare_sim.Engine.t option
-  (** The discrete-event engine, for worlds that have one — the schedule
-      explorer attaches here. [None] for the Linux baseline. *)
-
-  val server_loads : world -> (int * int * int) list
-  (** Per physical file server: [(sid, ops served, peak queue depth)] —
-      the load-distribution report behind the sharding imbalance gate.
-      Empty for worlds without file servers (the Linux baseline). *)
+  val machine : world -> Hare.Machine.t option
+  (** [None] for the Linux baseline. *)
 end
 
 module Hare_w = struct
-  module M = Hare.Machine
+  include Hare.Machine
   module Posix = Hare.Posix
   module P = Hare_proc.Process
 
-  type world = M.t
+  type world = t
 
   type proc = P.t
 
   let name = "hare"
-
-  let boot = M.boot
 
   let api (m : world) : proc Api.t =
     {
@@ -103,7 +65,7 @@ module Hare_w = struct
       waitpid = Posix.waitpid;
       wait = Posix.wait;
       kill = Posix.kill;
-      register_program = (fun prog body -> M.register_program m prog body);
+      register_program = (fun prog body -> register_program m prog body);
       compute = Posix.compute;
       random = (fun p bound -> Hare_sim.Rng.int p.P.prng bound);
       print = Posix.print;
@@ -113,74 +75,23 @@ module Hare_w = struct
     }
 
   let spawn_init m ~name body =
-    let proc, _console = M.spawn_init m ~name (fun p _args -> body p) in
-    proc
+    fst (spawn_init m ~name (fun p _args -> body p))
 
-  let run = M.run
+  let syscalls = total_syscalls
 
-  let seconds = M.seconds
-
-  let syscalls = M.total_syscalls
-
-  let exit_status = M.exit_status
-
-  let trace = M.trace
-
-  let metrics = M.metrics
-
-  let reset_perf = M.reset_perf
-
-  let robustness = M.robustness
-
-  let engine_stats m =
-    let e = M.engine m in
-    {
-      es_events = Hare_sim.Engine.events_executed e;
-      es_peak_fibers = Hare_sim.Engine.peak_fibers e;
-      es_spawned = Hare_sim.Engine.spawned_fibers e;
-    }
-
-  let server_loads = M.server_loads
-
-  let engine m = Some (M.engine m)
+  let machine = Option.some
 end
 
 module Linux_w = struct
-  module L = Hare_baseline.Linux_world
+  include Hare_baseline.Linux_world
 
-  type world = L.t
-
-  type proc = L.proc
+  type world = t
 
   let name = "linux"
 
-  let boot = L.boot
+  let spawn_init w ~name body = fst (spawn_init w ~name body)
 
-  let api = L.api
-
-  let spawn_init w ~name body = fst (L.spawn_init w ~name body)
-
-  let run = L.run
-
-  let seconds = L.seconds
-
-  let syscalls = L.syscalls
-
-  let exit_status = L.exit_status
-
-  let trace _ = None
-
-  let metrics _ = None
-
-  let reset_perf _ = ()
-
-  let robustness _ = Hare_stats.Robust.create ()
-
-  let engine_stats _ = { es_events = 0; es_peak_fibers = 0; es_spawned = 0 }
-
-  let server_loads _ = []
-
-  let engine _ = None
+  let machine _ = None
 end
 
 let unfs_config (base : Config.t) =

@@ -2,18 +2,11 @@
 
     A world boots a machine from a {!Hare_config.Config.t} and exposes
     the {!Hare_api.Api.t} surface plus enough control to run an init
-    process and read the simulated clock. Three worlds reproduce the
-    paper's three systems: Hare itself, Linux tmpfs/ramfs, and the
-    UNFS3-style loopback NFS. *)
-
-(** Host-side simulator-engine counters for one run: how much event-loop
-    work the run cost, independent of the simulated clock. All zero for
-    worlds without a discrete-event engine (the Linux baseline). *)
-type engine_stats = {
-  es_events : int;  (** engine events executed *)
-  es_peak_fibers : int;  (** peak live (registered) fibers *)
-  es_spawned : int;  (** fibers spawned over the whole run *)
-}
+    process and read the simulated clock. A world names only what Hare
+    and the Linux baseline both implement, plus {!WORLD.machine}. Two
+    worlds and one configuration reproduce the paper's three systems:
+    Hare itself ({!Hare_w}), Linux tmpfs/ramfs ({!Linux_w}), and the
+    UNFS3-style loopback NFS ({!unfs_config} over {!Hare_w}). *)
 
 module type WORLD = sig
   type world
@@ -36,32 +29,11 @@ module type WORLD = sig
 
   val exit_status : world -> proc -> int option
 
-  val trace : world -> Hare_trace.Trace.t option
-  (** The trace sink, when the world was booted with tracing enabled.
-      Worlds that never trace (the Linux baseline) return [None]. *)
-
-  val metrics : world -> Hare_metrics.Metrics.t option
-  (** The time-series gauge registry, when the world was booted with
-      [metrics_interval > 0]. Worlds without a sampler return [None]. *)
-
-  val reset_perf : world -> unit
-  (** Zero the world's pipelining/batching counters (no-op for worlds
-      without them), so a timed region reports only its own activity. *)
-
-  val robustness : world -> Hare_stats.Robust.t
-  (** Aggregate fault/overload counters (always zero for the Linux
-      baseline, which has neither). *)
-
-  val engine_stats : world -> engine_stats
-  (** Simulator event-loop counters for this run. *)
-
-  val engine : world -> Hare_sim.Engine.t option
-  (** The discrete-event engine, for worlds that have one — the schedule
-      explorer attaches here. [None] for the Linux baseline. *)
-
-  val server_loads : world -> (int * int * int) list
-  (** Per physical file server: [(sid, ops served, peak queue depth)].
-      Empty for worlds without file servers (the Linux baseline). *)
+  val machine : world -> Hare.Machine.t option
+  (** The simulated Hare machine behind the world, whose own accessors
+      give everything only Hare has: the trace, metrics, perf and
+      robustness counters, the engine and the server loads. [None] for
+      the Linux baseline. *)
 end
 
 module Hare_w : WORLD with type world = Hare.Machine.t and type proc = Hare_proc.Process.t

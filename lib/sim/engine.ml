@@ -60,6 +60,14 @@ exception Deadlock of string
 
 exception Fiber_failure of string * exn
 
+let () =
+  Printexc.register_printer (function
+    | Fiber_failure (name, exn) ->
+        Some
+          (Printf.sprintf "Engine.Fiber_failure(%S, %s)" name
+             (Printexc.to_string exn))
+    | _ -> None)
+
 type waker = unit -> unit
 
 type _ Effect.t +=

@@ -24,7 +24,8 @@ exception Deadlock of string
 
 exception Fiber_failure of string * exn
 (** Raised by {!run} when a fiber terminates with an uncaught exception;
-    carries the fiber name and the original exception. *)
+    carries the fiber name and the original exception, and
+    [Printexc.to_string] prints both. *)
 
 val create : ?seed:int64 -> unit -> t
 (** [create ?seed ()] makes a fresh simulation; [seed] (default [1L])

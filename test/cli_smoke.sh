@@ -33,6 +33,16 @@ expect 0 run "build linux" --cores 8 --seed 1 --no-preset --check
 # to an earlier copy, or the dedup replay a duplicate gets, still
 # reaches the waiting client.
 expect 0 run "build linux" --cores 8 --seed 3 --plan "drop:fs:0.03;dup:fs:0.03"
+# Each config flag no line above passes, once, on a small run.
+for flags in --no-dist --no-broadcast --no-dircache --no-affinity --steal \
+  --strict-broadcast "--dircache-capacity 16" \
+  "--deadline-max 100000 --deadline 20000" "--capacity 4" "--cooldown 50000" \
+  "--watermark 8" "--retry-budget 4 --deadline 20000" \
+  "--breaker 3 --deadline 20000" "--world unfs"; do
+  # shellcheck disable=SC2086 # each entry is a list of flags
+  expect 0 run creates --cores 4 $flags
+done
+expect 0 run overload --cores 4 --period 40000
 expect 1 run nosuch --cores 2
 expect 1 run creates --cores 2 --plan "drop:fs:1.5"
 expect 1 run creates --cores 2 --plan "drop:fs:0.1" --deadline 0
@@ -47,6 +57,12 @@ expect 1 run creates --cores 2 --series series_smoke.json
 expect 1 run creates --cores 2 --width 0
 expect 1 run creates --cores 2 --scale 0
 expect 1 run creates --cores 2 --nprocs 0
+# One refused value per validated range (a negative value needs the
+# '=' form: '--capacity -1' is a command-line parse error, exit 124).
+expect 1 run creates --cores 4 --capacity=-1
+expect 1 run creates --cores 4 --window 0
+expect 1 run creates --cores 4 --retry-budget 4
+expect 1 run creates --cores 4 --world unfs --robust
 expect 1 fig 99
 expect 2 explore collide --strategy foo
 expect 2 explore collide --replay 0,x

@@ -119,9 +119,9 @@ let fingerprint m =
 
 let run ?(null_explorer = false) c config =
   match HD.exec ~config ~null_explorer (Hare_workloads.All.find c.c_wname) with
-  | m, failures ->
-      Alcotest.(check int) "workers ok" 0 failures;
-      m
+  | t ->
+      Alcotest.(check int) "workers ok" 0 t.Hare_experiments.Driver.failures;
+      t.Hare_experiments.Driver.w
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e
 
 let test_inert c baseline s () =

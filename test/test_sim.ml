@@ -304,6 +304,20 @@ let test_engine_fiber_failure () =
   | exception Engine.Fiber_failure ("bad", Failure _) -> ()
   | exception _ -> Alcotest.fail "wrong exception"
 
+(* An uncaught fiber failure names the fiber and its inner exception,
+   nested failures and registered printers included. *)
+let test_fiber_failure_printer () =
+  let check want exn =
+    Alcotest.(check string) want want (Printexc.to_string exn)
+  in
+  check {|Engine.Fiber_failure("proc-1@4", Failure("boom"))|}
+    (Engine.Fiber_failure ("proc-1@4", Failure "boom"));
+  check {|Engine.Fiber_failure("a", Engine.Fiber_failure("b", Not_found))|}
+    (Engine.Fiber_failure ("a", Engine.Fiber_failure ("b", Not_found)));
+  check {|Engine.Fiber_failure("c", Errno.Error(EIO, read))|}
+    (Engine.Fiber_failure
+       ("c", Hare_proto.Errno.Error (Hare_proto.Errno.EIO, "read")))
+
 let test_engine_run_for () =
   let e = Engine.create () in
   let hits = ref 0 in
@@ -853,6 +867,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "deadlock detection" `Quick test_engine_deadlock_detection;
         tc "daemons allow exit" `Quick test_engine_daemon_allows_exit;
         tc "fiber failure" `Quick test_engine_fiber_failure;
+        tc "fiber failure printer" `Quick test_fiber_failure_printer;
         tc "run_for budget" `Quick test_engine_run_for;
         tc "deadlock mailbox depths" `Quick test_deadlock_reports_mailbox_depths;
         tc "probe unregister" `Quick test_probe_unregister;

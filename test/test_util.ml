@@ -33,9 +33,9 @@ module HD = Hare_experiments.Driver.Make (Hare_experiments.World.Hare_w)
    once the workers are reaped. *)
 let run_workload ?(wname = "creates") ?nprocs ?after config =
   match HD.exec ~config ?nprocs ?after (Hare_workloads.All.find wname) with
-  | m, failures ->
-      Alcotest.(check int) "workers ok" 0 failures;
-      m
+  | t ->
+      Alcotest.(check int) "workers ok" 0 t.Hare_experiments.Driver.failures;
+      t.Hare_experiments.Driver.w
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e
 
 let errno : Hare_proto.Errno.t Alcotest.testable =

@@ -22,7 +22,7 @@ let run_and_verify (spec : Spec.t) ~nprocs (verify : verifier) =
     if failures = 0 then status := verify.f (World.Hare_w.api m) p
   in
   (match Test_util.HD.exec ~config ~nprocs ~after spec with
-  | _, failures -> Alcotest.(check int) "workers ok" 0 failures
+  | t -> Alcotest.(check int) "workers ok" 0 t.Driver.failures
   | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
   Alcotest.(check int) "verification" 0 !status
 

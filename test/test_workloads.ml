@@ -151,6 +151,67 @@ let golden_with_null_explorer () =
   in
   Alcotest.(check int64) "creates @4 cores under a null explorer" expect cycles
 
+(* The per-world result contract. The Linux baseline has no trace,
+   metrics sampler, file servers or engine counters to report, even
+   when the configuration asks for them. *)
+let linux_result_contract () =
+  let config =
+    {
+      config with
+      Hare_config.Config.trace_enabled = true;
+      metrics_interval = 20_000;
+    }
+  in
+  let r = LinuxD.run ~config (Hare_workloads.All.find "creates") in
+  check_result r;
+  Alcotest.(check bool) "no profile" true (r.Driver.profile = []);
+  Alcotest.(check bool) "no latencies" true (r.Driver.latencies = []);
+  Alcotest.(check bool) "no loads" true (r.Driver.loads = []);
+  Alcotest.(check bool) "no gauges" true (r.Driver.gauges = []);
+  Alcotest.(check bool) "no knee" true (r.Driver.knee = None);
+  Alcotest.(check (list int)) "engine counters" [ 0; 0; 0 ]
+    [ r.Driver.engine_events; r.Driver.peak_fibers; r.Driver.spawned_fibers ];
+  List.iter
+    (fun (name, n) -> Alcotest.(check int) name 0 n)
+    (Hare_stats.Robust.to_list r.Driver.robust)
+
+(* On Hare the result reads the machine's own accessors: a twin run
+   through [exec], with the same reset at the start of the timed region,
+   shows the same engine counters, server loads (peak depths since that
+   reset), robustness counters (the drops setup retried excluded) and
+   timed-region syscall mix. pfind's setup builds the tree it searches,
+   so its counters and one server's peak depth differ from the whole
+   run's. *)
+let hare_result_contract () =
+  let module Machine = Hare.Machine in
+  let module Engine = Hare_sim.Engine in
+  let config =
+    Driver.with_fault_plan "drop:fs:0.02"
+      { config with Hare_config.Config.trace_enabled = true }
+  in
+  let spec = Hare_workloads.All.find "pfind dense" in
+  let r = HareD.run ~config spec in
+  let t = HareD.exec ~config ~on_start:Machine.reset_perf spec in
+  let e = Machine.engine t.Driver.w in
+  Alcotest.(check (list int)) "engine counters"
+    [ Engine.events_executed e; Engine.peak_fibers e; Engine.spawned_fibers e ]
+    [ r.Driver.engine_events; r.Driver.peak_fibers; r.Driver.spawned_fibers ];
+  Alcotest.(check bool) "engine ran" true (r.Driver.engine_events > 0);
+  Alcotest.(check (list (triple int int int)))
+    "loads" (Machine.server_loads t.Driver.w) r.Driver.loads;
+  Alcotest.(check (list (pair string int)))
+    "robustness"
+    (Hare_stats.Robust.to_list (Machine.robustness t.Driver.w))
+    (Hare_stats.Robust.to_list r.Driver.robust);
+  Alcotest.(check (list (pair string int)))
+    "syscalls"
+    (Hare_stats.Opcount.to_list t.Driver.calls)
+    (Hare_stats.Opcount.to_list r.Driver.syscalls);
+  Alcotest.(check (float 0.))
+    "elapsed" (t.Driver.t1 -. t.Driver.t0) r.Driver.elapsed;
+  Alcotest.(check bool) "profile" true (r.Driver.profile <> []);
+  Alcotest.(check bool) "latencies" true (r.Driver.latencies <> [])
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -170,5 +231,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "all techniques off" `Quick dist_off_still_correct;
         tc "golden simulated clocks" `Quick golden_determinism;
         tc "golden clock under null explorer" `Quick golden_with_null_explorer;
+        tc "linux result contract" `Quick linux_result_contract;
+        tc "hare result contract" `Quick hare_result_contract;
       ] );
   ]
