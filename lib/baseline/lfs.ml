@@ -21,7 +21,7 @@ type t = {
   engine : Engine.t;
   costs : Hare_config.Costs.t;
   dram : Hare_mem.Dram.t;
-  free : int Queue.t;
+  free : Hare_mem.Freelist.t;
   alloc_lock : Slock.t;
   block_home : int array;  (* socket that first touched each block *)
   cores : Core_res.t array;
@@ -75,10 +75,7 @@ let create ~engine ~config ~cores =
   let costs = config.Hare_config.Config.costs in
   let nblocks = config.Hare_config.Config.buffer_cache_blocks in
   let dram = Hare_mem.Dram.create ~nblocks in
-  let free = Queue.create () in
-  for b = 0 to nblocks - 1 do
-    Queue.push b free
-  done;
+  let free = Hare_mem.Freelist.create ~first:0 ~count:nblocks in
   let block_home = Array.make nblocks 0 in
   let block_socket b = block_home.(b) in
   let pcaches =
@@ -140,11 +137,11 @@ let alloc_blocks t ~core:c n =
   Slock.acquire t.alloc_lock ~core:(core t c) ~cost:t.costs.linux_lock;
   Core_res.compute (core t c) (100 * n);
   let out =
-    if Queue.length t.free < n then None
+    if Hare_mem.Freelist.length t.free < n then None
     else
       Some
         (Array.init n (fun _ ->
-             let b = Queue.pop t.free in
+             let b = Hare_mem.Freelist.pop t.free in
              t.block_home.(b) <- Core_res.socket (core t c);
              Hare_mem.Dram.zero_block t.dram ~block:b;
              b))
@@ -152,7 +149,7 @@ let alloc_blocks t ~core:c n =
   Slock.release t.alloc_lock;
   match out with None -> Errno.raise_errno Errno.ENOSPC "alloc" | Some a -> a
 
-let free_blocks t blocks = Array.iter (fun b -> Queue.push b t.free) blocks
+let free_blocks t blocks = Array.iter (Hare_mem.Freelist.push t.free) blocks
 
 let ensure_blocks t ~core node ~sz =
   let need = Hare_mem.Layout.blocks_for sz in

@@ -1,6 +1,20 @@
+(* The page table has two levels: a leaf maps [leaf_pages] consecutive
+   blocks to their pages and is allocated on the first write to one of
+   them. Until then the slot holds [no_leaf], shared by every table, and
+   a page never written holds [absent]; both read as zeroes. A machine
+   that touches a few thousand of its half-million blocks keeps a few
+   leaves, not a box per block. *)
+let leaf_bits = 9
+
+let leaf_pages = 1 lsl leaf_bits
+
+let absent = Bytes.create 0
+
+let no_leaf = Array.make leaf_pages absent
+
 type t = {
   nblocks : int;
-  pages : Bytes.t option array;
+  leaves : Bytes.t array array;
   (* Observer bus + counter track; DRAM itself has no engine, so the
      machine hands over the engine's bus at boot. *)
   mutable obs : Hare_sim.Obs.t;
@@ -13,7 +27,7 @@ let create ~nblocks =
   if nblocks <= 0 then invalid_arg "Dram.create: nblocks must be positive";
   {
     nblocks;
-    pages = Array.make nblocks None;
+    leaves = Array.make (((nblocks - 1) lsr leaf_bits) + 1) no_leaf;
     obs = Hare_sim.Obs.create ();
     track = 0;
     line_reads = 0;
@@ -52,14 +66,20 @@ let check_line t ~block ~line =
   if line < 0 || line >= Layout.lines_per_block then
     invalid_arg (Printf.sprintf "Dram: line %d out of range" line)
 
-(* Pages materialize on first write; unwritten blocks read as zeroes. *)
+(* [absent] if [block] was never written; the caller has checked it. *)
+let find t block = t.leaves.(block lsr leaf_bits).(block land (leaf_pages - 1))
+
+(* Leaves and pages materialize on first write. *)
 let page t block =
-  match t.pages.(block) with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make Layout.block_size '\000' in
-      t.pages.(block) <- Some p;
-      p
+  let p = find t block in
+  if p != absent then p
+  else begin
+    let i = block lsr leaf_bits in
+    if t.leaves.(i) == no_leaf then t.leaves.(i) <- Array.make leaf_pages absent;
+    let p = Bytes.make Layout.block_size '\000' in
+    t.leaves.(i).(block land (leaf_pages - 1)) <- p;
+    p
+  end
 
 let check_buf buf off =
   if off < 0 || off > Bytes.length buf - Layout.line_size then
@@ -69,9 +89,9 @@ let read_line t ~block ~line ~dst ~dst_off =
   check_line t ~block ~line;
   check_buf dst dst_off;
   note_read t;
-  match t.pages.(block) with
-  | None -> Bytes.fill dst dst_off Layout.line_size '\000'
-  | Some p -> Layout.blit_line p (line * Layout.line_size) dst dst_off
+  let p = find t block in
+  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
+  else Layout.blit_line p (line * Layout.line_size) dst dst_off
 
 let count_line_read t ~block ~line =
   check_line t ~block ~line;
@@ -85,22 +105,19 @@ let write_line t ~block ~line ~src ~src_off =
 
 let zero_block t ~block =
   check_line t ~block ~line:0;
-  match t.pages.(block) with
-  | None -> ()
-  | Some p -> Bytes.fill p 0 Layout.block_size '\000'
+  let p = find t block in
+  if p != absent then Bytes.fill p 0 Layout.block_size '\000'
 
 let zero_range t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then
     invalid_arg "Dram.zero_range: range escapes block";
   check_line t ~block ~line:0;
-  match t.pages.(block) with
-  | None -> ()
-  | Some p -> Bytes.fill p off len '\000'
+  let p = find t block in
+  if p != absent then Bytes.fill p off len '\000'
 
 let unsafe_read t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then
     invalid_arg "Dram.unsafe_read: range escapes block";
   check_line t ~block ~line:0;
-  match t.pages.(block) with
-  | None -> String.make len '\000'
-  | Some p -> Bytes.sub_string p off len
+  let p = find t block in
+  if p == absent then String.make len '\000' else Bytes.sub_string p off len

@@ -8,6 +8,9 @@
 type t
 
 val create : nblocks:int -> t
+(** [create ~nblocks] costs a word per 512 blocks: a block's page, and
+    the leaf of the page table that holds it, are allocated on the
+    block's first {!write_line}. A block never written reads as zeroes. *)
 
 val nblocks : t -> int
 

@@ -83,7 +83,23 @@ let run t ?(on_exit = fun _ -> ()) body =
          let status =
            try body t with
            | Exited n -> n
-           | Errno.Error _ -> 1
+           | Errno.Error (e, what) ->
+               let o = Engine.obs t.k.k_engine in
+               if o.Obs.wanted land Obs.marks <> 0 then
+                 Obs.emit o
+                   (Instant
+                      {
+                        name = "proc-errno";
+                        track = t.core_id;
+                        ts = Obs.now o;
+                        args =
+                          [
+                            ("pid", string_of_int t.pid);
+                            ("errno", Errno.to_string e);
+                            ("what", what);
+                          ];
+                      });
+               1
          in
          (try Hare_client.Client.close_all (client t) t.fdt
           with Errno.Error _ -> ());

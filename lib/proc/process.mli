@@ -73,7 +73,9 @@ val find : kctx -> Types.pid -> t option
 
 val run : t -> ?on_exit:(int -> unit) -> (t -> int) -> unit
 (** Spawn the process body as a fiber: runs [body t]; on return (or
-    {!Exited}, or an uncaught [Errno.Error] which becomes status 1) it
+    {!Exited}, or an uncaught [Errno.Error] which becomes status 1 and,
+    when a subscriber wants {!Hare_sim.Obs.marks}, a [proc-errno] instant
+    on the process's core track with its pid, errno and operand) it
     closes all fds, deregisters, fills [exit_status], notifies the
     parent's [child_exits] queue, then calls [on_exit]. *)
 

@@ -1,9 +1,10 @@
 module Itbl = Hare_sim.Tbl.Int
+module Freelist = Hare_mem.Freelist
 
 type t = {
   first : int;
   count : int;
-  free : int Queue.t;
+  free : Freelist.t;
   allocated : unit Itbl.t;
   adopted : unit Itbl.t;
   exported : unit Itbl.t;
@@ -11,20 +12,16 @@ type t = {
 
 let create ~first ~count =
   if first < 0 || count <= 0 then invalid_arg "Blocklist.create";
-  let free = Queue.create () in
-  for b = first to first + count - 1 do
-    Queue.push b free
-  done;
   {
     first;
     count;
-    free;
+    free = Freelist.create ~first ~count;
     allocated = Itbl.create 64;
     adopted = Itbl.create 16;
     exported = Itbl.create 16;
   }
 
-let available t = Queue.length t.free
+let available t = Freelist.length t.free
 
 let owns t block =
   (block >= t.first && block < t.first + t.count
@@ -33,11 +30,11 @@ let owns t block =
 
 let alloc_many t n =
   if n < 0 then invalid_arg "Blocklist.alloc_many";
-  if Queue.length t.free < n then None
+  if Freelist.length t.free < n then None
   else
     Some
       (Array.init n (fun _ ->
-           let b = Queue.pop t.free in
+           let b = Freelist.pop t.free in
            Itbl.replace t.allocated b ();
            b))
 
@@ -47,14 +44,14 @@ let free t block =
   if not (Itbl.mem t.allocated block) then
     invalid_arg (Printf.sprintf "Blocklist.free: block %d already free" block);
   Itbl.remove t.allocated block;
-  Queue.push block t.free
+  Freelist.push t.free block
 
 let free_many t blocks = Array.iter (free t) blocks
 
 let donate t n =
-  let got = Int.min n (Queue.length t.free) in
+  let got = Int.min n (Freelist.length t.free) in
   Array.init got (fun _ ->
-      let b = Queue.pop t.free in
+      let b = Freelist.pop t.free in
       Itbl.remove t.adopted b;
       b)
 
@@ -80,7 +77,7 @@ let rebuild t ~live =
   in
   Itbl.reset t.allocated;
   Itbl.reset t.adopted;
-  Queue.clear t.free;
+  Freelist.clear t.free;
   List.iter
     (fun b ->
       Itbl.replace t.adopted b ();
@@ -89,7 +86,7 @@ let rebuild t ~live =
   for b = t.first to t.first + t.count - 1 do
     if Itbl.mem t.exported b then ()
     else if Itbl.mem live b then Itbl.replace t.allocated b ()
-    else Queue.push b t.free
+    else Freelist.push t.free b
   done;
   leaked
 
@@ -97,7 +94,7 @@ let adopt t blocks =
   Array.iter
     (fun b ->
       if not (owns t b) then Itbl.replace t.adopted b ();
-      Queue.push b t.free)
+      Freelist.push t.free b)
     blocks
 
 let export t blocks =

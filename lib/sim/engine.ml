@@ -70,9 +70,16 @@ let () =
 
 type waker = unit -> unit
 
+(* The duration of the sleep being performed. [sleep_cycles] stores it
+   just before performing the constant [Sleep_cycles] (no effect value
+   to allocate), and the handler reads it: the engine's handler is the
+   only one in the simulator, so nothing runs between the store and the
+   read. *)
+let sleep_duration = ref 0
+
 type _ Effect.t +=
   | Self : fiber Effect.t
-  | Sleep_cycles : int -> unit Effect.t
+  | Sleep_cycles : unit Effect.t
   | Suspend : (waker -> unit) -> unit Effect.t
 
 (* The initial content of a fiber's [parked] slot, never resumed: one real
@@ -242,15 +249,16 @@ let spawn t ?(daemon = false) ~name body =
     Tbl.Int.remove t.fibers fiber.fid;
     if not daemon then t.live <- t.live - 1
   in
-  (* The per-fiber handlers: [effc] only stashes the effect's payload and
+  (* The per-fiber handlers: [effc] only stashes a suspend's payload and
      returns one of these, so a sleep or a suspend allocates no handler
      closure of its own. *)
-  let sleep_for = ref 0 and register = ref ignore in
+  let register = ref ignore in
   let park_sleep =
     Some
       (fun k ->
         fiber.parked <- k;
-        hold t ~tag:(tag_resume fiber.fid) (t.time + !sleep_for) fiber.resume)
+        hold t ~tag:(tag_resume fiber.fid) (t.time + !sleep_duration)
+          fiber.resume)
   in
   let park_suspend =
     Some
@@ -273,15 +281,12 @@ let spawn t ?(daemon = false) ~name body =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Self -> Some (fun (k : (a, unit) continuation) -> continue k fiber)
-          | Sleep_cycles d ->
-              if d < 0 then
+          | Sleep_cycles ->
+              if !sleep_duration < 0 then
                 Some
                   (fun (k : (a, unit) continuation) ->
                     discontinue k (Invalid_argument "Engine.sleep: negative"))
-              else begin
-                sleep_for := d;
-                park_sleep
-              end
+              else park_sleep
           | Suspend r ->
               register := r;
               park_suspend
@@ -449,7 +454,9 @@ let run_for t budget =
 
 let self () = Effect.perform Self
 
-let sleep_cycles d = Effect.perform (Sleep_cycles d)
+let sleep_cycles d =
+  sleep_duration := d;
+  Effect.perform Sleep_cycles
 
 let sleep d = sleep_cycles (Int64.to_int d)
 

@@ -617,6 +617,408 @@ let test_layout_lines_touched () =
     (Invalid_argument "Layout.lines_touched: range escapes block") (fun () ->
       ignore (Layout.lines_touched ~off:(Layout.block_size - 1) ~len:2))
 
+(* ---------- the free-block FIFO ------------------------------------------ *)
+
+type fl_op = Push of int | Pop | Clear_refill of int list
+
+let pp_fl_op = function
+  | Push b -> Printf.sprintf "push %d" b
+  | Pop -> "pop"
+  | Clear_refill bs ->
+      Printf.sprintf "clear; push [%s]"
+        (String.concat ";" (List.map string_of_int bs))
+
+let fl_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun b -> Push b) (int_bound 10_000));
+        (5, return Pop);
+        (1, map (fun bs -> Clear_refill bs) (list_size (int_bound 40) (int_bound 10_000)));
+      ]
+  in
+  QCheck.make
+    (triple (int_bound 100) (int_bound 40) (list_size (int_range 1 300) op))
+    ~print:(fun (first, count, ops) ->
+      Printf.sprintf "create ~first:%d ~count:%d:\n  %s" first count
+        (String.concat "\n  " (List.map pp_fl_op ops)))
+
+(* The FIFO hands out what a [Queue] filled with the same range and fed
+   the same pushes does: every pop, every length, across ring wrap-around,
+   growth while wrapped and clear-then-refill. *)
+let prop_freelist_matches_queue =
+  QCheck.Test.make ~name:"freelist matches Queue" ~count:500 fl_case
+    (fun (first, count, ops) ->
+      let f = Freelist.create ~first ~count and q = Queue.create () in
+      for b = first to first + count - 1 do
+        Queue.push b q
+      done;
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push b ->
+              Freelist.push f b;
+              Queue.push b q
+          | Pop -> (
+              match Queue.take_opt q with
+              | Some want ->
+                  let got = Freelist.pop f in
+                  if got <> want then
+                    QCheck.Test.fail_reportf "op %d: popped %d, Queue %d" i got
+                      want
+              | None -> (
+                  match Freelist.pop f with
+                  | b -> QCheck.Test.fail_reportf "op %d: popped %d from empty" i b
+                  | exception Invalid_argument _ -> ()))
+          | Clear_refill bs ->
+              Freelist.clear f;
+              Queue.clear q;
+              List.iter
+                (fun b ->
+                  Freelist.push f b;
+                  Queue.push b q)
+                bs);
+          if Freelist.length f <> Queue.length q then
+            QCheck.Test.fail_reportf "op %d: length %d, Queue %d" i
+              (Freelist.length f) (Queue.length q))
+        ops;
+      true)
+
+(* ---------- the server partition over the FIFO ---------------------------- *)
+
+module Blocklist = Hare_server.Blocklist
+
+(* The partition as it was over an [int Queue.t] filled with its whole
+   range: the reference the FIFO-backed one must match block for block. *)
+module Queue_partition = struct
+  module Itbl = Hare_sim.Tbl.Int
+
+  type t = {
+    first : int;
+    count : int;
+    free : int Queue.t;
+    allocated : unit Itbl.t;
+    adopted : unit Itbl.t;
+    exported : unit Itbl.t;
+  }
+
+  let create ~first ~count =
+    let free = Queue.create () in
+    for b = first to first + count - 1 do
+      Queue.push b free
+    done;
+    {
+      first;
+      count;
+      free;
+      allocated = Itbl.create 64;
+      adopted = Itbl.create 16;
+      exported = Itbl.create 16;
+    }
+
+  let in_range t b = b >= t.first && b < t.first + t.count
+
+  let available t = Queue.length t.free
+
+  let owns t block =
+    (in_range t block && not (Itbl.mem t.exported block))
+    || Itbl.mem t.adopted block
+
+  let alloc_many t n =
+    if Queue.length t.free < n then None
+    else
+      Some
+        (Array.init n (fun _ ->
+             let b = Queue.pop t.free in
+             Itbl.replace t.allocated b ();
+             b))
+
+  let free t block =
+    assert (owns t block && Itbl.mem t.allocated block);
+    Itbl.remove t.allocated block;
+    Queue.push block t.free
+
+  let donate t n =
+    let got = Int.min n (Queue.length t.free) in
+    Array.init got (fun _ ->
+        let b = Queue.pop t.free in
+        Itbl.remove t.adopted b;
+        b)
+
+  let rebuild t ~live =
+    let leaked =
+      Itbl.fold
+        (fun b () n -> if in_range t b && not (Itbl.mem live b) then n + 1 else n)
+        t.allocated 0
+    in
+    let adopted_live =
+      Itbl.fold
+        (fun b () acc -> if Itbl.mem live b then b :: acc else acc)
+        t.adopted []
+    in
+    Itbl.reset t.allocated;
+    Itbl.reset t.adopted;
+    Queue.clear t.free;
+    List.iter
+      (fun b ->
+        Itbl.replace t.adopted b ();
+        Itbl.replace t.allocated b ())
+      adopted_live;
+    for b = t.first to t.first + t.count - 1 do
+      if Itbl.mem t.exported b then ()
+      else if Itbl.mem live b then Itbl.replace t.allocated b ()
+      else Queue.push b t.free
+    done;
+    leaked
+
+  let adopt t blocks =
+    Array.iter
+      (fun b ->
+        if not (owns t b) then Itbl.replace t.adopted b ();
+        Queue.push b t.free)
+      blocks
+
+  let export t blocks =
+    Array.iter
+      (fun b ->
+        Itbl.remove t.allocated b;
+        Itbl.remove t.adopted b;
+        if in_range t b then Itbl.replace t.exported b ())
+      blocks
+
+  let adopt_allocated t blocks =
+    Array.iter
+      (fun b ->
+        Itbl.remove t.exported b;
+        if not (in_range t b) then Itbl.replace t.adopted b ();
+        Itbl.replace t.allocated b ())
+      blocks
+
+  let allocated t =
+    List.sort Int.compare (Itbl.fold (fun b () acc -> b :: acc) t.allocated [])
+end
+
+(* Block choices are indices into the reference's current state (its
+   allocated blocks, the blocks donated or exported so far), so every
+   operation is a legal one. *)
+type bl_op =
+  | Alloc of int
+  | Free of int
+  | Donate of int
+  | Adopt_back of int
+  | Adopt_foreign of int
+  | Export of int * int
+  | Adopt_allocated of int
+  | Rebuild of int
+
+let pp_bl_op = function
+  | Alloc n -> Printf.sprintf "alloc_many %d" n
+  | Free i -> Printf.sprintf "free #%d" i
+  | Donate n -> Printf.sprintf "donate %d" n
+  | Adopt_back n -> Printf.sprintf "adopt %d donated" n
+  | Adopt_foreign n -> Printf.sprintf "adopt %d foreign" n
+  | Export (i, n) -> Printf.sprintf "export %d from #%d" n i
+  | Adopt_allocated n -> Printf.sprintf "adopt_allocated %d exported" n
+  | Rebuild seed -> Printf.sprintf "rebuild (live seed %d)" seed
+
+let bl_case =
+  let open QCheck.Gen in
+  let small = int_bound 6 in
+  let op =
+    frequency
+      [
+        (6, map (fun n -> Alloc n) small);
+        (5, map (fun i -> Free i) (int_bound 1000));
+        (2, map (fun n -> Donate n) small);
+        (2, map (fun n -> Adopt_back n) small);
+        (1, map (fun n -> Adopt_foreign n) small);
+        (2, map2 (fun i n -> Export (i, n)) (int_bound 1000) small);
+        (2, map (fun n -> Adopt_allocated n) small);
+        (1, map (fun s -> Rebuild s) (int_bound 1000));
+      ]
+  in
+  QCheck.make
+    (triple (int_bound 50) (int_range 1 30) (list_size (int_range 1 120) op))
+    ~print:(fun (first, count, ops) ->
+      Printf.sprintf "create ~first:%d ~count:%d:\n  %s" first count
+        (String.concat "\n  " (List.map pp_bl_op ops)))
+
+let take n pool =
+  let rec go n acc = function
+    | b :: rest when n > 0 -> go (n - 1) (b :: acc) rest
+    | rest -> (Array.of_list (List.rev acc), rest)
+  in
+  go n [] pool
+
+let prop_blocklist_matches_queue =
+  QCheck.Test.make ~name:"blocklist matches the Queue partition" ~count:500
+    bl_case (fun (first, count, ops) ->
+      let b = Blocklist.create ~first ~count
+      and r = Queue_partition.create ~first ~count in
+      let donated = ref [] and exported = ref [] and foreign = ref 10_000 in
+      let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+      let same i what got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "op %d: %s gave %s, reference %s" i what got
+            want
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Alloc n ->
+              let show = Option.fold ~none:"None" ~some:ints in
+              same i "alloc_many"
+                (show (Blocklist.alloc_many b n))
+                (show (Queue_partition.alloc_many r n))
+          | Free k -> (
+              match Queue_partition.allocated r with
+              | [] -> ()
+              | live ->
+                  let blk = List.nth live (k mod List.length live) in
+                  Blocklist.free b blk;
+                  Queue_partition.free r blk)
+          | Donate n ->
+              let got = Blocklist.donate b n
+              and want = Queue_partition.donate r n in
+              same i "donate" (ints got) (ints want);
+              donated := !donated @ Array.to_list want
+          | Adopt_back n ->
+              let blocks, rest = take n !donated in
+              donated := rest;
+              Blocklist.adopt b blocks;
+              Queue_partition.adopt r blocks
+          | Adopt_foreign n ->
+              let blocks = Array.init n (fun j -> !foreign + j) in
+              foreign := !foreign + n;
+              Blocklist.adopt b blocks;
+              Queue_partition.adopt r blocks
+          | Export (k, n) ->
+              let live = Queue_partition.allocated r in
+              let len = List.length live in
+              let blocks =
+                if len = 0 then [||]
+                else
+                  Array.of_list
+                    (List.filteri
+                       (fun j _ -> (j - (k mod len) + len) mod len < n)
+                       live)
+              in
+              exported := !exported @ Array.to_list blocks;
+              Blocklist.export b blocks;
+              Queue_partition.export r blocks
+          | Adopt_allocated n ->
+              let blocks, rest = take n !exported in
+              exported := rest;
+              Blocklist.adopt_allocated b blocks;
+              Queue_partition.adopt_allocated r blocks
+          | Rebuild seed ->
+              (* The rebuild frees the in-range blocks donated so far
+                 (the partition does not remember them): a peer may no
+                 longer hand them back. *)
+              donated := [];
+              let live = Hare_sim.Tbl.Int.create 16 in
+              List.iter
+                (fun blk ->
+                  if (blk * 31 + seed) land 3 <> 0 then
+                    Hare_sim.Tbl.Int.replace live blk ())
+                (Queue_partition.allocated r);
+              same i "rebuild"
+                (string_of_int (Blocklist.rebuild b ~live))
+                (string_of_int (Queue_partition.rebuild r ~live)));
+          same i "available"
+            (string_of_int (Blocklist.available b))
+            (string_of_int (Queue_partition.available r)))
+        ops;
+      (* Drain both: the whole free list, in order. *)
+      let n = Queue_partition.available r in
+      let show = Option.fold ~none:"None" ~some:ints in
+      same (List.length ops) "draining alloc_many"
+        (show (Blocklist.alloc_many b n))
+        (show (Queue_partition.alloc_many r n));
+      true)
+
+(* ---------- the lazy page table ------------------------------------------- *)
+
+(* Bytes allocated on either heap while [f] runs (a page goes straight to
+   the major heap). *)
+let allocated_bytes f =
+  let b0 = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. b0
+
+(* A never-written page reads as zeroes through every reader, and
+   clearing it touches nothing: no leaf, no page. *)
+let test_dram_unwritten_reads_zero () =
+  let d = Dram.create ~nblocks:2048 in
+  let dst = Bytes.make Layout.line_size 'x' in
+  Dram.read_line d ~block:1500 ~line:5 ~dst ~dst_off:0;
+  Alcotest.(check string) "read_line" (String.make Layout.line_size '\000')
+    (Bytes.to_string dst);
+  Alcotest.(check string) "unsafe_read" (String.make 100 '\000')
+    (Dram.unsafe_read d ~block:1500 ~off:7 ~len:100);
+  let spent =
+    allocated_bytes (fun () ->
+        for block = 0 to 2047 do
+          Dram.zero_block d ~block;
+          Dram.zero_range d ~block ~off:10 ~len:100;
+          Dram.count_line_read d ~block ~line:3
+        done)
+  in
+  if spent > 256. then
+    Alcotest.failf "clearing unwritten pages allocated %.0f bytes" spent;
+  (* A write in one leaf leaves its neighbours and the other leaves
+     reading as zeroes. *)
+  Dram.write_line d ~block:600 ~line:0 ~src:(Bytes.make Layout.line_size 'w')
+    ~src_off:0;
+  Alcotest.(check string) "same leaf, other page" (String.make 8 '\000')
+    (Dram.unsafe_read d ~block:601 ~off:0 ~len:8);
+  Alcotest.(check string) "other leaf" (String.make 8 '\000')
+    (Dram.unsafe_read d ~block:100 ~off:0 ~len:8);
+  Alcotest.(check string) "same page, other line" (String.make 8 '\000')
+    (Dram.unsafe_read d ~block:600 ~off:Layout.line_size ~len:8)
+
+(* A page, and its leaf, appear on the first write, also in a last leaf
+   that [nblocks] covers only in part; out-of-range blocks still raise. *)
+let test_dram_page_on_first_write () =
+  let d = Dram.create ~nblocks:1000 in
+  let src = Bytes.make Layout.line_size 'p' in
+  let first =
+    allocated_bytes (fun () -> Dram.write_line d ~block:999 ~line:63 ~src ~src_off:0)
+  in
+  if first < float_of_int Layout.block_size then
+    Alcotest.failf "first write allocated only %.0f bytes" first;
+  let again =
+    allocated_bytes (fun () -> Dram.write_line d ~block:999 ~line:0 ~src ~src_off:0)
+  in
+  if again > 64. then
+    Alcotest.failf "second write to the page allocated %.0f bytes" again;
+  let neighbour =
+    allocated_bytes (fun () -> Dram.write_line d ~block:998 ~line:0 ~src ~src_off:0)
+  in
+  if neighbour > float_of_int (Layout.block_size + 64) then
+    Alcotest.failf "a page beside a written one allocated %.0f bytes" neighbour;
+  Alcotest.(check string) "written line" "pppp"
+    (Dram.unsafe_read d ~block:999 ~off:(63 * Layout.line_size) ~len:4);
+  Alcotest.(check string) "rest of the page" (String.make 4 '\000')
+    (Dram.unsafe_read d ~block:999 ~off:Layout.line_size ~len:4);
+  Dram.zero_block d ~block:999;
+  Alcotest.(check string) "zeroed" (String.make 4 '\000')
+    (Dram.unsafe_read d ~block:999 ~off:0 ~len:4);
+  let dst = Bytes.create Layout.line_size in
+  List.iter
+    (fun block ->
+      let msg = Printf.sprintf "Dram: block %d out of range" block in
+      Alcotest.check_raises "read" (Invalid_argument msg) (fun () ->
+          Dram.read_line d ~block ~line:0 ~dst ~dst_off:0);
+      Alcotest.check_raises "write" (Invalid_argument msg) (fun () ->
+          Dram.write_line d ~block ~line:0 ~src ~src_off:0);
+      Alcotest.check_raises "zero_block" (Invalid_argument msg) (fun () ->
+          Dram.zero_block d ~block);
+      Alcotest.check_raises "unsafe_read" (Invalid_argument msg) (fun () ->
+          ignore (Dram.unsafe_read d ~block ~off:0 ~len:1)))
+    [ 1000; 1023; 1024; -1 ]
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -626,6 +1028,13 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "roundtrip" `Quick test_dram_roundtrip;
         tc "zero block" `Quick test_dram_zero;
         tc "bounds" `Quick test_dram_bounds;
+        tc "unwritten pages read as zeroes" `Quick test_dram_unwritten_reads_zero;
+        tc "page on first write" `Quick test_dram_page_on_first_write;
+      ] );
+    ( "mem.freelist",
+      [
+        QCheck_alcotest.to_alcotest prop_freelist_matches_queue;
+        QCheck_alcotest.to_alcotest prop_blocklist_matches_queue;
       ] );
     ( "mem.pcache",
       [

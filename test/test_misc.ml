@@ -324,6 +324,23 @@ let test_round_robin_covers_cores () =
 
 let tc = Alcotest.test_case
 
+(* ---------- boot footprint ------------------------------------------------ *)
+
+(* The default machine's 2 GB buffer cache (524,288 blocks) costs its host
+   only what a run touches: the free lists hold their ranges as two ints
+   and the DRAM page table allocates its leaves on first write. Filled
+   per block, boot grew the live heap by about 2.30M words. *)
+let test_boot_footprint () =
+  Gc.compact ();
+  let w0 = (Gc.stat ()).live_words in
+  let m = Hare.Machine.boot Config.default in
+  Gc.compact ();
+  let grown = (Gc.stat ()).live_words - w0 in
+  ignore (Sys.opaque_identity m);
+  if grown >= 400_000 then
+    Alcotest.failf "Machine.boot Config.default grew the live heap by %d words"
+      grown
+
 let suites : (string * unit Alcotest.test_case list) list =
   [
     ( "misc.stats",
@@ -355,4 +372,5 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "cost conversions" `Quick test_costs_conversions;
       ] );
     ("misc.policy", [ tc "round robin coverage" `Quick test_round_robin_covers_cores ]);
+    ("misc.boot", [ tc "footprint" `Quick test_boot_footprint ]);
   ]

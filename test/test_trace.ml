@@ -149,6 +149,44 @@ let test_deadlock_reports_spans () =
             Alcotest.failf "report lacks %S: %s" needle msg)
         [ "1 fiber(s) blocked"; "proc-"; "stuck=1"; "recent spans"; "close" ]
 
+(* A process body that dies of an uncaught errno exits with status 1 and
+   leaves a [proc-errno] instant, naming the pid, the errno and the
+   operand, on its core's track; a plain non-zero exit leaves none. *)
+let test_errno_exit_instant () =
+  let child = ref 0 in
+  let m =
+    run ~config:(traced_config ()) (fun _m p ->
+        let pid =
+          Posix.fork p (fun _ -> Hare_proto.Errno.raise_errno EIO "probe.o")
+        in
+        child := pid;
+        Alcotest.(check int) "errno exit status" 1 (Posix.waitpid p pid);
+        ignore (Posix.waitpid p (Posix.fork p (fun _ -> 3)));
+        0)
+  in
+  match Machine.trace m with
+  | None -> Alcotest.fail "no sink"
+  | Some tr -> (
+      let instants =
+        List.filter_map
+          (function
+            | Trace.Instant { name = "proc-errno"; track; args; _ } ->
+                Some (track, args)
+            | _ -> None)
+          (Trace.events tr)
+      in
+      match instants with
+      | [ (track, args) ] ->
+          Alcotest.(check int) "core track"
+            (Hare_proto.Types.core_of_pid !child) track;
+          Alcotest.(check (list (pair string string)))
+            "args"
+            [ ("pid", string_of_int !child); ("errno", "EIO"); ("what", "probe.o") ]
+            args;
+          if not (contains ~needle:"proc-errno" (Trace.to_chrome_json tr)) then
+            Alcotest.fail "export lacks the instant"
+      | l -> Alcotest.failf "%d proc-errno instants, want 1" (List.length l))
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -170,5 +208,6 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_perf_reset_machine;
         tc "deadlock report dumps recent spans" `Quick
           test_deadlock_reports_spans;
+        tc "errno exit leaves an instant" `Quick test_errno_exit_instant;
       ] );
   ]
