@@ -377,13 +377,17 @@ let run_timed (module W : World.WORLD) ~config ?nprocs ~scale ~verbose
   let wall0 = Unix.gettimeofday () in
   let t = D.exec ~config ?nprocs ~scale spec in
   let wall = Unix.gettimeofday () -. wall0 in
+  let m = W.machine t.Driver.w in
+  (* A fiber failure ended the run before its timed region did: no
+     bench line, but the caller still writes the reports. *)
+  if Option.is_some t.Driver.crash then (m, 1, t.Driver.crash)
+  else
   let ops = spec.Spec.ops ~nprocs:t.Driver.procs ~scale in
   let elapsed = t.Driver.t1 -. t.Driver.t0 in
   Printf.printf
     "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
     spec.Spec.name W.name t.Driver.procs ops elapsed
     (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-  let m = W.machine t.Driver.w in
   Option.iter
     (fun m ->
       let e = Machine.engine m in
@@ -402,7 +406,7 @@ let run_timed (module W : World.WORLD) ~config ?nprocs ~scale ~verbose
   let failures = t.Driver.failures in
   if failures > 0 then
     Printf.eprintf "error: %s: %d worker(s) failed\n%!" spec.Spec.name failures;
-  (m, if failures > 0 then 1 else 0)
+  (m, (if failures > 0 then 1 else 0), None)
 
 (* ---------- reports: each reads the finished machine (whole run) -------- *)
 
@@ -746,11 +750,15 @@ let run_one s r verdict (spec : Spec.t) =
         | `Unfs -> ((module World.Hare_w), World.unfs_config config)
         | `Hare -> ((module World.Hare_w), config)
       in
+      let reraise =
+        Option.iter (fun (name, e) ->
+            raise (Hare_sim.Engine.Fiber_failure (name, e)))
+      in
       match
         run_timed world ~config:run_config ?nprocs ~scale:s.scale
           ~verbose:r.verbose spec
       with
-      | Some m, rc when s.world = `Hare ->
+      | Some m, rc, crash when s.world = `Hare ->
           let name = spec.Spec.name in
           let traced f () =
             match Machine.trace m with Some tr -> f tr | None -> 0
@@ -784,16 +792,20 @@ let run_one s r verdict (spec : Spec.t) =
                 if wanted then max rc (report ()) else rc)
               rc reports
           in
+          reraise crash;
           if r.check then begin
             let twin =
               HD.exec
                 ~config:{ config with Config.check_enabled = false }
                 ?nprocs ~scale:s.scale (fst (fresh ()))
             in
+            reraise twin.Driver.crash;
             report_check verdict ~twin:twin.Driver.w name m
           end;
           rc
-      | _, rc -> rc)
+      | _, rc, crash ->
+          reraise crash;
+          rc)
 
 let run_cmd =
   let bench_arg =

@@ -23,7 +23,9 @@ type t = {
   dram : Hare_mem.Dram.t;
   free : Hare_mem.Freelist.t;
   alloc_lock : Slock.t;
-  block_home : int array;  (* socket that first touched each block *)
+  block_home : int array ref;
+      (* socket that first touched each block handed out so far: grown
+         to the highest block number, unknown blocks on socket 0 *)
   cores : Core_res.t array;
   pcaches : Hare_mem.Pcache.t array;
   root : node;
@@ -76,8 +78,11 @@ let create ~engine ~config ~cores =
   let nblocks = config.Hare_config.Config.buffer_cache_blocks in
   let dram = Hare_mem.Dram.create ~nblocks in
   let free = Hare_mem.Freelist.create ~first:0 ~count:nblocks in
-  let block_home = Array.make nblocks 0 in
-  let block_socket b = block_home.(b) in
+  let block_home = ref [||] in
+  let block_socket b =
+    let h = !block_home in
+    if b < Array.length h then h.(b) else 0
+  in
   let pcaches =
     Array.map
       (fun core ->
@@ -133,6 +138,15 @@ let syscall t ~core:c name extra =
 
 (* ---------- block allocation (global lock, first-touch NUMA) ---------- *)
 
+let set_home t b socket =
+  let h = !(t.block_home) in
+  if b >= Array.length h then begin
+    let grown = Array.make (Int.max (b + 1) (2 * Array.length h)) 0 in
+    Array.blit h 0 grown 0 (Array.length h);
+    t.block_home := grown
+  end;
+  !(t.block_home).(b) <- socket
+
 let alloc_blocks t ~core:c n =
   Slock.acquire t.alloc_lock ~core:(core t c) ~cost:t.costs.linux_lock;
   Core_res.compute (core t c) (100 * n);
@@ -142,7 +156,7 @@ let alloc_blocks t ~core:c n =
       Some
         (Array.init n (fun _ ->
              let b = Hare_mem.Freelist.pop t.free in
-             t.block_home.(b) <- Core_res.socket (core t c);
+             set_home t b (Core_res.socket (core t c));
              Hare_mem.Dram.zero_block t.dram ~block:b;
              b))
   in
@@ -346,7 +360,11 @@ let rename t ~core:c ~cwd oldp newp =
   syscall t ~core:c "rename" 0;
   let oparent, oname = resolve_parent t ~core:c ~cwd oldp in
   let nparent, nname = resolve_parent t ~core:c ~cwd newp in
-  if oparent == nparent && oname = nname then ()
+  if oparent == nparent && oname = nname then begin
+    (* The old name must exist even when renamed onto itself (POSIX). *)
+    if not (Hashtbl.mem oparent.children oname) then
+      Errno.raise_errno Errno.ENOENT oldp
+  end
   else begin
     (* Lock ordering by inode id, as the kernel does. *)
     let first, second =

@@ -893,9 +893,10 @@ let rename t ~cwd oldp newp =
   syscall t Calls.rename @@ fun () ->
   let odir, oname = resolve_parent t ~cwd oldp in
   let ndir, nname = resolve_parent t ~cwd newp in
+  (* The old name must exist even when renamed onto itself (POSIX). *)
+  let e = lookup_entry t odir oname in
   if equal_ino odir.d_ino ndir.d_ino && String.equal oname nname then ()
   else begin
-    let e = lookup_entry t odir oname in
     let target = e.Wire.t_ino in
     (* The paper's rename: ADD_MAP at the new name's server, then RM_MAP
        at the old name's (§3.3) — two RPCs (§5.3.3). A concurrent unlink

@@ -14,6 +14,7 @@ type 'w timed = {
   t0 : float;
   t1 : float;
   calls : Opcount.t;
+  crash : (string * exn) option;
 }
 
 type result = {
@@ -156,7 +157,11 @@ module Make (W : World.WORLD) = struct
           after w p ~failures;
           failures)
     in
-    W.run w;
+    let crash =
+      match W.run w with
+      | () -> None
+      | exception Engine.Fiber_failure (name, e) -> Some (name, e)
+    in
     {
       w;
       failures = Option.value (W.exit_status w init) ~default:workers;
@@ -165,6 +170,7 @@ module Make (W : World.WORLD) = struct
       t1 = !t1;
       (* the timed region's op mix only: setup excluded (Figure 5) *)
       calls = Opcount.diff ~since:!before (W.syscalls w);
+      crash;
     }
 
   let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
@@ -181,6 +187,9 @@ module Make (W : World.WORLD) = struct
               Option.iter Trace.reset_profile (Machine.trace m))
             (W.machine w))
     in
+    Option.iter
+      (fun (name, e) -> raise (Engine.Fiber_failure (name, e)))
+      t.crash;
     if t.failures > 0 then
       Printf.ksprintf failwith "%s on %s: %d worker(s) failed" spec.Spec.name
         W.name t.failures;

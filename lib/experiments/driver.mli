@@ -16,6 +16,10 @@ type 'w timed = {
   t0 : float;  (** simulated seconds at the start of the timed region *)
   t1 : float;  (** simulated seconds once every worker was reaped *)
   calls : Hare_stats.Opcount.t;  (** the timed region's system-call mix *)
+  crash : (string * exn) option;
+      (** the fiber whose exception ended the run early, and that
+          exception ([Engine.Fiber_failure]'s payload): [w] is then the
+          world as the failure left it *)
 }
 
 type result = {
@@ -102,7 +106,8 @@ module Make (W : World.WORLD) : sig
       the helper programs and [bench-worker], spawn init, setup, spawn
       the workers, reap them — and returns the finished world with the
       failure count and the timed region's stamps. It never raises on
-      worker failure. [on_start] runs in init between setup and the
+      worker failure, nor when a fiber raises: that ends the run, and
+      [crash] carries it. [on_start] runs in init between setup and the
       first worker spawn, once the region's start is stamped; [after]
       runs in init once every worker is reaped and the end stamped.
       [nprocs] defaults to the number of application cores; the
@@ -122,5 +127,6 @@ module Make (W : World.WORLD) : sig
   (** [run spec] executes the benchmark through {!exec} (default
       [config]: {!default_config} at 4 cores) and measures its timed
       region: perf counters and the cycle profile restart at its start.
-      Raises [Failure] if any worker exits nonzero. *)
+      Raises [Failure] if any worker exits nonzero, and
+      [Engine.Fiber_failure] if a fiber raised. *)
 end

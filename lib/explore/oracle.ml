@@ -16,7 +16,7 @@ type result =
   | Ok_handle of int
   | Ok_int of int
   | Ok_data of string
-  | Err of string
+  | Err of Hare_proto.Errno.t
 
 type event = {
   e_client : int;
@@ -41,7 +41,7 @@ let result_str = function
   | Ok_handle h -> Printf.sprintf "h%d" h
   | Ok_int n -> string_of_int n
   | Ok_data d -> Printf.sprintf "%d bytes" (String.length d)
-  | Err e -> e
+  | Err e -> Hare_proto.Errno.to_string e
 
 let pp_event ppf e =
   Format.fprintf ppf "client %d: %s -> %s [%Ld..%Ld]" e.e_client
@@ -57,246 +57,122 @@ let is_acquire = function
   | Open _ | Stat _ -> true
   | Close _ | Write _ | Read _ | Unlink _ | Mkdir _ -> false
 
-(* --- model VFS ------------------------------------------------------ *)
+(* --- handles over the model VFS ------------------------------------- *)
 
 (* Immutable so DFS backtracking is free. Histories hold a handful of
-   ops on a couple of files; assoc lists beat any fancier structure. *)
+   open handles; an assoc list beats any fancier structure. *)
 type state = {
-  files : (string * string) list; (* path -> contents *)
-  dirs : string list;
+  fs : Model.t;
   handles : ((int * int) * (string * int)) list;
       (* (client, handle) -> (path, offset); removed on close *)
 }
-
-let parent_ok st path =
-  match String.rindex_opt path '/' with
-  | None | Some 0 -> true (* root always exists *)
-  | Some i -> List.mem (String.sub path 0 i) st.dirs
 
 (* Apply [ev]'s operation to [st]; return the model's result and the
    next state. The model result is then compared with the recorded
    one. *)
 let apply st ev =
+  let key h = (ev.e_client, h) in
+  let unbind h = List.remove_assoc (key h) st.handles in
+  let bind h path off fs = { fs; handles = (key h, (path, off)) :: unbind h } in
+  let model op k =
+    match Model.apply st.fs op with
+    | Ok (v, fs) -> k v fs
+    | Error e -> (Err e, st)
+  in
+  let via h k =
+    match List.assoc_opt (key h) st.handles with
+    | None -> (Err Hare_proto.Errno.EBADF, st)
+    | Some (path, off) -> k path off
+  in
+  let path_op op = model op (fun _ fs -> (Ok_unit, { st with fs })) in
   match ev.e_op with
-  | Mkdir { path } ->
-      if List.mem path st.dirs || List.mem_assoc path st.files then
-        (Err "EEXIST", st)
-      else if not (parent_ok st path) then (Err "ENOENT", st)
-      else (Ok_unit, { st with dirs = path :: st.dirs })
   | Open { path; create } ->
       (* Handle naming comes from the recorder: a successful real open
          returned [Ok_handle h], and later Close/Write/Read refer to
          that h. When the real open failed, the model binds no handle
          (a model success then mismatches the recorded error, pruning
          this witness). *)
-      let next_h =
-        match ev.e_result with Ok_handle h -> h | _ -> -1
-      in
-      if List.mem_assoc path st.files then
-        ( Ok_handle next_h,
-          {
-            st with
-            handles = ((ev.e_client, next_h), (path, 0)) :: st.handles;
-          } )
-      else if create then
-        if not (parent_ok st path) then (Err "ENOENT", st)
-        else
-          ( Ok_handle next_h,
-            {
-              files = (path, "") :: st.files;
-              dirs = st.dirs;
-              handles = ((ev.e_client, next_h), (path, 0)) :: st.handles;
-            } )
-      else (Err "ENOENT", st)
-  | Close { h } -> (
-      match List.assoc_opt (ev.e_client, h) st.handles with
-      | None -> (Err "EBADF", st)
-      | Some _ ->
-          ( Ok_unit,
-            {
-              st with
-              handles =
-                List.remove_assoc (ev.e_client, h) st.handles;
-            } ))
-  | Write { h; data } -> (
-      match List.assoc_opt (ev.e_client, h) st.handles with
-      | None -> (Err "EBADF", st)
-      | Some (path, off) ->
-          let old =
-            match List.assoc_opt path st.files with Some c -> c | None -> ""
-          in
-          let len = String.length data in
-          let tail_start = off + len in
-          let contents =
-            (* Pad with zero bytes on a sparse write, keep any tail. *)
-            String.concat ""
-              [
-                (if String.length old >= off then String.sub old 0 off
-                 else old ^ String.make (off - String.length old) '\000');
-                data;
-                (if String.length old > tail_start then
-                   String.sub old tail_start (String.length old - tail_start)
-                 else "");
-              ]
-          in
-          ( Ok_int len,
-            {
-              st with
-              files = (path, contents) :: List.remove_assoc path st.files;
-              handles =
-                ((ev.e_client, h), (path, off + len))
-                :: List.remove_assoc (ev.e_client, h) st.handles;
-            } ))
-  | Read { h } -> (
-      match List.assoc_opt (ev.e_client, h) st.handles with
-      | None -> (Err "EBADF", st)
-      | Some (path, off) ->
-          let contents =
-            match List.assoc_opt path st.files with Some c -> c | None -> ""
-          in
-          let data =
-            if off >= String.length contents then ""
-            else String.sub contents off (String.length contents - off)
-          in
-          ( Ok_data data,
-            {
-              st with
-              handles =
-                ((ev.e_client, h), (path, String.length contents))
-                :: List.remove_assoc (ev.e_client, h) st.handles;
-            } ))
-  | Stat { path } ->
-      if List.mem_assoc path st.files || List.mem path st.dirs then
-        (Ok_unit, st)
-      else (Err "ENOENT", st)
-  | Unlink { path } ->
-      if List.mem_assoc path st.files then
-        (Ok_unit, { st with files = List.remove_assoc path st.files })
-      else (Err "ENOENT", st)
-
-let results_match recorded model =
-  match (recorded, model) with
-  | Ok_unit, Ok_unit -> true
-  | Ok_handle a, Ok_handle b -> a = b
-  | Ok_int a, Ok_int b -> a = b
-  | Ok_data a, Ok_data b -> a = b
-  | Err a, Err b -> a = b
-  | _ -> false
+      let h = match ev.e_result with Ok_handle h -> h | _ -> -1 in
+      model (Model.Open { path; create }) (fun _ fs ->
+          (Ok_handle h, bind h path 0 fs))
+  | Close { h } ->
+      via h (fun _ _ -> (Ok_unit, { st with handles = unbind h }))
+  | Write { h; data } ->
+      via h (fun path off ->
+          model (Model.Write { path; off; data }) (fun _ fs ->
+              let n = String.length data in
+              (Ok_int n, bind h path (off + n) fs)))
+  | Read { h } ->
+      via h (fun path off ->
+          model (Model.Read { path; off }) (fun v fs ->
+              let d = match v with Model.Data d -> d | _ -> "" in
+              (Ok_data d, bind h path (off + String.length d) fs)))
+  | Stat { path } -> path_op (Model.Stat path)
+  | Unlink { path } -> path_op (Model.Unlink path)
+  | Mkdir { path } -> path_op (Model.Mkdir path)
 
 (* --- witness search ------------------------------------------------- *)
-
-let state_key st positions =
-  let b = Buffer.create 64 in
-  List.iter (fun p -> Buffer.add_string b (string_of_int p); Buffer.add_char b ',') positions;
-  Buffer.add_char b '|';
-  List.iter
-    (fun (p, c) ->
-      Buffer.add_string b p;
-      Buffer.add_char b '=';
-      Buffer.add_string b (string_of_int (Hashtbl.hash c));
-      Buffer.add_char b ';')
-    (List.sort compare st.files);
-  List.iter (fun d -> Buffer.add_string b d; Buffer.add_char b ';')
-    (List.sort compare st.dirs);
-  List.iter
-    (fun ((c, h), (p, o)) ->
-      Buffer.add_string b (Printf.sprintf "%d.%d:%s@%d;" c h p o))
-    (List.sort compare st.handles);
-  Buffer.contents b
 
 let check history =
   (* Per-client queues in program order (invocation stamps are strictly
      increasing within one client: calls block). *)
-  let clients =
-    List.sort_uniq compare (List.map (fun e -> e.e_client) history)
-  in
   let queues =
-    List.map
-      (fun c ->
-        ( c,
-          Array.of_list
-            (List.sort
-               (fun a b -> Int64.compare a.e_inv b.e_inv)
-               (List.filter (fun e -> e.e_client = c) history)) ))
-      clients
+    List.sort_uniq compare (List.map (fun e -> e.e_client) history)
+    |> List.map (fun c ->
+           List.filter (fun e -> e.e_client = c) history
+           |> List.sort (fun a b -> Int64.compare a.e_inv b.e_inv)
+           |> Array.of_list)
   in
-  (* Real-time edges: acquire [a] needs every cross-client release that
-     responded at or before a's invocation. Represent each event by its
-     (client, index-in-queue) coordinate. *)
-  let releases =
-    List.concat_map
-      (fun (c, q) ->
-        Array.to_list
-          (Array.mapi (fun i e -> ((c, i), e)) q))
-      queues
-    |> List.filter (fun (_, e) -> is_release e.e_op)
-  in
+  (* Real-time edges: acquire [e] needs every cross-client release that
+     responded at or before e's invocation, as (queue, index) pairs. *)
   let needed e =
     if not (is_acquire e.e_op) then []
     else
-      List.filter_map
-        (fun ((c, i), r) ->
-          if c <> e.e_client && Int64.compare r.e_res e.e_inv <= 0 then
-            Some (c, i)
-          else None)
-        releases
+      List.concat
+        (List.mapi
+           (fun qi q ->
+             List.filter_map
+               (fun i ->
+                 let r = q.(i) in
+                 if is_release r.e_op && r.e_client <> e.e_client
+                    && Int64.compare r.e_res e.e_inv <= 0
+                 then Some (qi, i)
+                 else None)
+               (List.init (Array.length q) Fun.id))
+           queues)
   in
+  (* Memoised on each queue's next index and the state, compared whole. *)
   let seen = Hashtbl.create 256 in
-  (* positions: per-client next-index, aligned with [queues] order. *)
-  let rec dfs st positions =
-    let key = state_key st (List.map snd positions) in
-    if Hashtbl.mem seen key then false
-    else begin
-      Hashtbl.add seen key ();
-      let all_done =
-        List.for_all2
-          (fun (_, q) (_, p) -> p >= Array.length q)
-          queues positions
-      in
-      if all_done then true
-      else
-        List.exists
-          (fun (c, q) ->
-            let p = List.assoc c positions in
-            if p >= Array.length q then false
-            else begin
-              let ev = q.(p) in
-              let edges_ok =
-                List.for_all
-                  (fun (rc, ri) ->
-                    (* the release must already be in the witness *)
-                    List.assoc rc positions > ri)
-                  (needed ev)
-              in
-              if not edges_ok then false
-              else begin
-                let model_result, st' = apply st ev in
-                results_match ev.e_result model_result
+  let rec dfs st pos =
+    let key = (pos, Model.bindings st.fs, List.sort compare st.handles) in
+    (not (Hashtbl.mem seen key))
+    && begin
+         Hashtbl.add seen key ();
+         List.for_all2 (fun q p -> p >= Array.length q) queues pos
+         || List.exists
+              (fun (qi, q) ->
+                let p = List.nth pos qi in
+                p < Array.length q
+                &&
+                let ev = q.(p) in
+                (* every needed release must already be in the witness *)
+                List.for_all (fun (rq, ri) -> List.nth pos rq > ri) (needed ev)
+                &&
+                let result, st' = apply st ev in
+                ev.e_result = result
                 && dfs st'
-                     (List.map
-                        (fun (c', p') ->
-                          if c' = c then (c', p' + 1) else (c', p'))
-                        positions)
-              end
-            end)
-          queues
-    end
+                     (List.mapi (fun j p -> if j = qi then p + 1 else p) pos))
+              (List.mapi (fun qi q -> (qi, q)) queues)
+       end
   in
-  let st0 = { files = []; dirs = []; handles = [] } in
-  let positions0 = List.map (fun (c, _) -> (c, 0)) queues in
-  if history = [] || dfs st0 positions0 then Ok ()
-  else begin
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      "no witness ordering explains the recorded history under \
-       close-to-open semantics:\n";
-    List.iter
-      (fun (_, q) ->
-        Array.iter
-          (fun e ->
-            Buffer.add_string b
-              (Format.asprintf "  %a\n" pp_event e))
-          q)
-      queues;
-    Error (Buffer.contents b)
-  end
+  let st0 = { fs = Model.init []; handles = [] } in
+  if history = [] || dfs st0 (List.map (fun _ -> 0) queues) then Ok ()
+  else
+    Error
+      (String.concat ""
+         ("no witness ordering explains the recorded history under \
+           close-to-open semantics:\n"
+         :: List.concat_map
+              (fun q ->
+                Array.to_list (Array.map (Format.asprintf "  %a\n" pp_event) q))
+              queues))

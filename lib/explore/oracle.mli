@@ -3,8 +3,9 @@
     Scenario programs record every POSIX call they issue — operation,
     result, invocation and response stamps on the simulated clock — and
     this module decides post-hoc whether some witness ordering of those
-    calls is explained by a model VFS, under Hare's {e close-to-open}
-    contract (§3.2 of the paper): a witness must respect
+    calls is explained by the model VFS ({!Model}), under Hare's
+    {e close-to-open} contract (§3.2 of the paper): a witness must
+    respect
 
     - each client's program order, and
     - real-time order {e only} from release points (close, unlink,
@@ -36,7 +37,7 @@ type result =
   | Ok_handle of int  (** the client-local handle an open returned *)
   | Ok_int of int  (** bytes written *)
   | Ok_data of string  (** bytes read *)
-  | Err of string  (** errno mnemonic, e.g. "ENOENT" *)
+  | Err of Hare_proto.Errno.t
 
 type event = {
   e_client : int;
@@ -48,8 +49,14 @@ type event = {
 
 val check : event list -> (unit, string) Stdlib.result
 (** [check history] searches for a witness ordering (DFS with
-    memoization; histories are tiny). [Ok ()] when one explains every
-    recorded result against the model VFS; [Error msg] names the
-    violation otherwise. The list may be in any order — per-client
+    memoization on the model state; histories are tiny). Each client's
+    handles name a path and an offset over the {!Model} state: [Write]
+    and [Read] at a handle apply the model's path-level operation at
+    that offset. A handle therefore does not outlive an unlink of its
+    path: a write or read through it afterwards is [ENOENT] in the
+    model, where Hare (an orphan file) and POSIX succeed, so a history
+    that uses a handle past its path's unlink reads as a violation.
+    [Ok ()] when a witness explains every recorded result; [Error msg]
+    names the violation otherwise. The list may be in any order — per-client
     sequencing is recovered from invocation stamps, which are strictly
     increasing within a client (one blocking call at a time). *)

@@ -35,13 +35,49 @@ let config () =
 
 (* --- POSIX-call recorder -------------------------------------------- *)
 
-type rec_ctx = {
+type ctx = {
   m : Machine.t;
   hist : Oracle.event list ref;
   next_h : (int, int) Hashtbl.t; (* client -> next open handle *)
+  fds : (int * int, int) Hashtbl.t; (* (client, handle) -> fd *)
 }
 
-let push ctx client op result t0 =
+(* The one recorder: issue [op]'s call as [client], then record the op
+   with the observed result (or the errno it raised) and both stamps.
+   Handles are client-local open ordinals, assigned here and mirrored
+   by the oracle's model; [flags] applies to an open without create. *)
+let call ctx client p ?(flags = Types.flags_r) op =
+  let t0 = Machine.now ctx.m in
+  let fd h = Hashtbl.find ctx.fds (client, h) in
+  let result =
+    try
+      match op with
+      | Oracle.Open { path; create } ->
+          let fd =
+            if create then Posix.creat p path else Posix.openf p path flags
+          in
+          let h =
+            Option.value (Hashtbl.find_opt ctx.next_h client) ~default:0
+          in
+          Hashtbl.replace ctx.next_h client (h + 1);
+          Hashtbl.replace ctx.fds (client, h) fd;
+          Oracle.Ok_handle h
+      | Close { h } ->
+          Posix.close p (fd h);
+          Ok_unit
+      | Write { h; data } -> Ok_int (Posix.write p (fd h) data)
+      | Read { h } -> Ok_data (Posix.read_all p (fd h))
+      | Stat { path } ->
+          ignore (Posix.stat p path : Types.attr);
+          Ok_unit
+      | Unlink { path } ->
+          Posix.unlink p path;
+          Ok_unit
+      | Mkdir { path } ->
+          Posix.mkdir p path;
+          Ok_unit
+    with Errno.Error (e, _) -> Oracle.Err e
+  in
   ctx.hist :=
     {
       Oracle.e_client = client;
@@ -50,73 +86,28 @@ let push ctx client op result t0 =
       e_inv = t0;
       e_res = Machine.now ctx.m;
     }
-    :: !(ctx.hist)
+    :: !(ctx.hist);
+  result
 
-(* Each wrapper issues the real call, then records the op with the
-   observed result and both stamps. Handles are client-local open
-   ordinals, assigned here and mirrored by the oracle's model. *)
-let r_open ctx client p path ~create ~flags =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Open { path; create } in
-  match if create then Posix.creat p path else Posix.openf p path flags with
-  | fd ->
-      let h =
-        match Hashtbl.find_opt ctx.next_h client with Some h -> h | None -> 0
-      in
-      Hashtbl.replace ctx.next_h client (h + 1);
-      push ctx client op (Oracle.Ok_handle h) t0;
-      Some (fd, h)
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0;
-      None
-
-let r_close ctx client p (fd, h) =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Close { h } in
-  match Posix.close p fd with
-  | () -> push ctx client op Oracle.Ok_unit t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
-
-let r_write ctx client p (fd, h) data =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Write { h; data } in
-  match Posix.write p fd data with
-  | n -> push ctx client op (Oracle.Ok_int n) t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
-
-let r_read_all ctx client p (fd, h) =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Read { h } in
-  match Posix.read_all p fd with
-  | data -> push ctx client op (Oracle.Ok_data data) t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
-
-let r_stat ctx client p path =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Stat { path } in
-  match Posix.stat p path with
-  | (_ : Types.attr) -> push ctx client op Oracle.Ok_unit t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
-
-let r_unlink ctx client p path =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Unlink { path } in
-  match Posix.unlink p path with
-  | () -> push ctx client op Oracle.Ok_unit t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
-
-let r_mkdir ctx client p path =
-  let t0 = Machine.now ctx.m in
-  let op = Oracle.Mkdir { path } in
-  match Posix.mkdir p path with
-  | () -> push ctx client op Oracle.Ok_unit t0
-  | exception Errno.Error (e, _) ->
-      push ctx client op (Oracle.Err (Errno.to_string e)) t0
+(* One open-use-close session on [path]: [`Create d] creates the file
+   and writes [d] (nothing when empty), [`Rewrite d] writes [d] over it
+   in place, [`Read] reads it to the end. *)
+let session ctx client p path use =
+  let create, flags =
+    match use with
+    | `Create _ -> (true, Types.flags_r)
+    | `Rewrite _ -> (false, Types.flags_rw)
+    | `Read -> (false, Types.flags_r)
+  in
+  match call ctx client p ~flags (Oracle.Open { path; create }) with
+  | Oracle.Ok_handle h ->
+      (match use with
+      | `Create "" -> ()
+      | `Create data | `Rewrite data ->
+          ignore (call ctx client p (Oracle.Write { h; data }))
+      | `Read -> ignore (call ctx client p (Oracle.Read { h })));
+      ignore (call ctx client p (Oracle.Close { h }))
+  | _ -> ()
 
 (* Init sits on the first app core and its first round-robin spawn
    lands there too; burn that slot so the next spawn gets a different
@@ -127,187 +118,111 @@ let spawn_remote p ~prog =
   ignore (Posix.waitpid p pid);
   Posix.spawn p ~prog ~args:[]
 
-let boot_ctx () =
-  let m = Machine.boot (config ()) in
-  Machine.register_program m "nop" (fun _ _ -> 0);
-  let ctx = { m; hist = ref []; next_h = Hashtbl.create 4 } in
-  (m, ctx)
-
-(* --- scenarios ------------------------------------------------------ *)
-
-(* Close-to-open handoff: A creates, writes and closes a file; B (a
-   different core) then opens and reads it. Every schedule must hand
-   B the written bytes — the skip_writeback mutation breaks exactly
-   this. *)
-let build_handoff () =
-  let m, ctx = boot_ctx () in
-  Machine.register_program m "b-reader" (fun p _ ->
-      (match r_open ctx 1 p "/h.dat" ~create:false ~flags:Types.flags_r with
-      | Some f ->
-          ignore (r_read_all ctx 1 p f);
-          r_close ctx 1 p f
-      | None -> ());
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"explore-handoff" (fun p _ ->
-        (match r_open ctx 0 p "/h.dat" ~create:true ~flags:Types.flags_rw with
-        | Some f ->
-            ignore (r_write ctx 0 p f (String.make 64 'a'));
-            r_close ctx 0 p f
-        | None -> ());
-        let pid = spawn_remote p ~prog:"b-reader" in
-        Posix.waitpid p pid)
+(* A scenario whose [programs] (each exiting 0) are registered on a
+   fresh machine and whose [main] runs as init; both record through the
+   machine's one recorder context. *)
+let scenario name doc ?(programs = []) main =
+  let build () =
+    let m = Machine.boot (config ()) in
+    Machine.register_program m "nop" (fun _ _ -> 0);
+    let ctx =
+      { m; hist = ref []; next_h = Hashtbl.create 4; fds = Hashtbl.create 4 }
+    in
+    List.iter
+      (fun (prog, body) ->
+        Machine.register_program m prog (fun p _ ->
+            body ctx p;
+            0))
+      programs;
+    let init, _ =
+      Machine.spawn_init m ~name:("explore-" ^ name) (fun p _ -> main ctx p)
+    in
+    { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
   in
-  { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
-
-(* Reopen after a remote rewrite: A writes v1 and closes; B rewrites in
-   place and closes; A (after waiting on B) reopens and rereads — it
-   must see v2. The skip_open_inval mutation leaves A's stale lines
-   resident, so the reread hands back v1. *)
-let build_reopen () =
-  let m, ctx = boot_ctx () in
-  Machine.register_program m "b-rewriter" (fun p _ ->
-      (match r_open ctx 1 p "/r.dat" ~create:false ~flags:Types.flags_rw with
-      | Some f ->
-          ignore (r_write ctx 1 p f (String.make 64 'b'));
-          r_close ctx 1 p f
-      | None -> ());
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"explore-reopen" (fun p _ ->
-        (match r_open ctx 0 p "/r.dat" ~create:true ~flags:Types.flags_rw with
-        | Some f ->
-            ignore (r_write ctx 0 p f (String.make 64 'a'));
-            r_close ctx 0 p f
-        | None -> ());
-        let pid = spawn_remote p ~prog:"b-rewriter" in
-        if Posix.waitpid p pid <> 0 then 1
-        else begin
-          (match
-             r_open ctx 0 p "/r.dat" ~create:false ~flags:Types.flags_r
-           with
-          | Some f ->
-              ignore (r_read_all ctx 0 p f);
-              r_close ctx 0 p f
-          | None -> ());
-          0
-        end)
-  in
-  { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
-
-(* Directory-entry invalidation: A caches a dircache entry for /d/f; B
-   unlinks it; A (after waiting on B) stats again and must see ENOENT.
-   The drop_inval mutation leaves the stale entry, so the stat
-   succeeds against a dead file. *)
-let build_dirrace () =
-  let m, ctx = boot_ctx () in
-  Machine.register_program m "b-unlinker" (fun p _ ->
-      r_unlink ctx 1 p "/d/f";
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"explore-dirrace" (fun p _ ->
-        r_mkdir ctx 0 p "/d";
-        (match r_open ctx 0 p "/d/f" ~create:true ~flags:Types.flags_rw with
-        | Some f -> r_close ctx 0 p f
-        | None -> ());
-        (* Populate this client's dircache (and the server's tracking). *)
-        r_stat ctx 0 p "/d/f";
-        let pid = spawn_remote p ~prog:"b-unlinker" in
-        if Posix.waitpid p pid <> 0 then 1
-        else begin
-          r_stat ctx 0 p "/d/f";
-          0
-        end)
-  in
-  { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
-
-(* Two concurrent readers (no waitpid between them and the setup's
-   close): a genuinely racy schedule tree whose every interleaving is
-   nonetheless correct — the exhaustive-enumeration smoke scenario. *)
-let build_readers () =
-  let m, ctx = boot_ctx () in
-  Machine.register_program m "b-reader" (fun p _ ->
-      (match r_open ctx 1 p "/c.dat" ~create:false ~flags:Types.flags_r with
-      | Some f ->
-          ignore (r_read_all ctx 1 p f);
-          r_close ctx 1 p f
-      | None -> ());
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"explore-readers" (fun p _ ->
-        (match r_open ctx 0 p "/c.dat" ~create:true ~flags:Types.flags_rw with
-        | Some f ->
-            ignore (r_write ctx 0 p f (String.make 32 'c'));
-            r_close ctx 0 p f
-        | None -> ());
-        let pid = spawn_remote p ~prog:"b-reader" in
-        (match r_open ctx 0 p "/c.dat" ~create:false ~flags:Types.flags_r with
-        | Some f ->
-            ignore (r_read_all ctx 0 p f);
-            r_close ctx 0 p f
-        | None -> ());
-        Posix.waitpid p pid)
-  in
-  { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
-
-(* Symmetric collision: two children on different cores pace themselves
-   to a common barrier cycle, then each creates and writes its own file
-   through the shared server. Their requests leave on the same cycle and
-   race into the server's mailbox — genuine same-cycle ties between
-   conflicting deliveries, so the DPOR tree actually branches. Every
-   interleaving is clean (disjoint paths). *)
-let build_collide () =
-  let m, ctx = boot_ctx () in
-  let barrier = 400_000L in
-  let writer name path client =
-    Machine.register_program m name (fun p _ ->
-        Posix.sleep_until p barrier;
-        (match r_open ctx client p path ~create:true ~flags:Types.flags_rw with
-        | Some f ->
-            ignore (r_write ctx client p f (String.make 16 'x'));
-            r_close ctx client p f
-        | None -> ());
-        0)
-  in
-  writer "w-one" "/one" 1;
-  writer "w-two" "/two" 2;
-  let init, _ =
-    Machine.spawn_init m ~name:"explore-collide" (fun p _ ->
-        let a = Posix.spawn p ~prog:"w-one" ~args:[] in
-        let b = Posix.spawn p ~prog:"w-two" ~args:[] in
-        let ra = Posix.waitpid p a in
-        let rb = Posix.waitpid p b in
-        ra + rb)
-  in
-  { b_machine = m; b_init = init; b_history = (fun () -> !(ctx.hist)) }
+  { sc_name = name; sc_doc = doc; sc_build = build }
 
 let all =
   [
-    {
-      sc_name = "handoff";
-      sc_doc = "create/write/close on one core, open/read on another";
-      sc_build = build_handoff;
-    };
-    {
-      sc_name = "reopen";
-      sc_doc = "reopen after a remote in-place rewrite must see v2";
-      sc_build = build_reopen;
-    };
-    {
-      sc_name = "dirrace";
-      sc_doc = "stat after a remote unlink must see ENOENT";
-      sc_build = build_dirrace;
-    };
-    {
-      sc_name = "readers";
-      sc_doc = "two concurrent readers of a closed file (always clean)";
-      sc_build = build_readers;
-    };
-    {
-      sc_name = "collide";
-      sc_doc = "two cores race disjoint creates into one server (clean)";
-      sc_build = build_collide;
-    };
+    (* Close-to-open handoff: A creates, writes and closes a file; B (a
+       different core) then opens and reads it. Every schedule must hand
+       B the written bytes — the skip_writeback mutation breaks exactly
+       this. *)
+    scenario "handoff" "create/write/close on one core, open/read on another"
+      ~programs:[ ("b-reader", fun ctx p -> session ctx 1 p "/h.dat" `Read) ]
+      (fun ctx p ->
+        session ctx 0 p "/h.dat" (`Create (String.make 64 'a'));
+        Posix.waitpid p (spawn_remote p ~prog:"b-reader"));
+    (* Reopen after a remote rewrite: A writes v1 and closes; B rewrites
+       in place and closes; A (after waiting on B) reopens and rereads —
+       it must see v2. The skip_open_inval mutation leaves A's stale
+       lines resident, so the reread hands back v1. *)
+    scenario "reopen" "reopen after a remote in-place rewrite must see v2"
+      ~programs:
+        [
+          ( "b-rewriter",
+            fun ctx p ->
+              session ctx 1 p "/r.dat" (`Rewrite (String.make 64 'b')) );
+        ]
+      (fun ctx p ->
+        session ctx 0 p "/r.dat" (`Create (String.make 64 'a'));
+        if Posix.waitpid p (spawn_remote p ~prog:"b-rewriter") <> 0 then 1
+        else begin
+          session ctx 0 p "/r.dat" `Read;
+          0
+        end);
+    (* Directory-entry invalidation: A caches a dircache entry for /d/f;
+       B unlinks it; A (after waiting on B) stats again and must see
+       ENOENT. The drop_inval mutation leaves the stale entry, so the
+       stat succeeds against a dead file. *)
+    scenario "dirrace" "stat after a remote unlink must see ENOENT"
+      ~programs:
+        [
+          ( "b-unlinker",
+            fun ctx p ->
+              ignore (call ctx 1 p (Oracle.Unlink { path = "/d/f" })) );
+        ]
+      (fun ctx p ->
+        let stat () = ignore (call ctx 0 p (Oracle.Stat { path = "/d/f" })) in
+        ignore (call ctx 0 p (Oracle.Mkdir { path = "/d" }));
+        session ctx 0 p "/d/f" (`Create "");
+        (* Populate this client's dircache (and the server's tracking). *)
+        stat ();
+        if Posix.waitpid p (spawn_remote p ~prog:"b-unlinker") <> 0 then 1
+        else begin
+          stat ();
+          0
+        end);
+    (* Two concurrent readers (no waitpid between them and the setup's
+       close): a genuinely racy schedule tree whose every interleaving
+       is nonetheless correct — the exhaustive-enumeration smoke
+       scenario. *)
+    scenario "readers" "two concurrent readers of a closed file (always clean)"
+      ~programs:[ ("b-reader", fun ctx p -> session ctx 1 p "/c.dat" `Read) ]
+      (fun ctx p ->
+        session ctx 0 p "/c.dat" (`Create (String.make 32 'c'));
+        let pid = spawn_remote p ~prog:"b-reader" in
+        session ctx 0 p "/c.dat" `Read;
+        Posix.waitpid p pid);
+    (* Symmetric collision: two children on different cores pace
+       themselves to a common barrier cycle, then each creates and
+       writes its own file through the shared server. Their requests
+       leave on the same cycle and race into the server's mailbox —
+       genuine same-cycle ties between conflicting deliveries, so the
+       DPOR tree actually branches. Every interleaving is clean
+       (disjoint paths). *)
+    (let writer path client ctx p =
+       Posix.sleep_until p 400_000L;
+       session ctx client p path (`Create (String.make 16 'x'))
+     in
+     scenario "collide"
+       "two cores race disjoint creates into one server (clean)"
+       ~programs:[ ("w-one", writer "/one" 1); ("w-two", writer "/two" 2) ]
+       (fun _ p ->
+         let a = Posix.spawn p ~prog:"w-one" ~args:[] in
+         let b = Posix.spawn p ~prog:"w-two" ~args:[] in
+         let ra = Posix.waitpid p a in
+         let rb = Posix.waitpid p b in
+         ra + rb));
   ]
 
 let find name = List.find (fun sc -> sc.sc_name = name) all

@@ -23,9 +23,10 @@ let create ~first ~count =
 
 let available t = Freelist.length t.free
 
+let in_range t block = block >= t.first && block < t.first + t.count
+
 let owns t block =
-  (block >= t.first && block < t.first + t.count
-  && not (Itbl.mem t.exported block))
+  (in_range t block && not (Itbl.mem t.exported block))
   || Itbl.mem t.adopted block
 
 let alloc_many t n =
@@ -48,11 +49,14 @@ let free t block =
 
 let free_many t blocks = Array.iter (free t) blocks
 
+(* A donated in-range block is marked exported, so a crash [rebuild]
+   leaves it to the peer that now owns it. *)
 let donate t n =
   let got = Int.min n (Freelist.length t.free) in
   Array.init got (fun _ ->
       let b = Freelist.pop t.free in
       Itbl.remove t.adopted b;
+      if in_range t b then Itbl.replace t.exported b ();
       b)
 
 let rebuild t ~live =
@@ -61,8 +65,7 @@ let rebuild t ~live =
   let leaked =
     Itbl.fold
       (fun b () n ->
-        if b >= t.first && b < t.first + t.count && not (Itbl.mem live b)
-        then n + 1
+        if in_range t b && not (Itbl.mem live b) then n + 1
         else n)
       t.allocated 0
   in
@@ -93,7 +96,8 @@ let rebuild t ~live =
 let adopt t blocks =
   Array.iter
     (fun b ->
-      if not (owns t b) then Itbl.replace t.adopted b ();
+      if in_range t b then Itbl.remove t.exported b
+      else Itbl.replace t.adopted b ();
       Freelist.push t.free b)
     blocks
 
@@ -102,15 +106,13 @@ let export t blocks =
     (fun b ->
       Itbl.remove t.allocated b;
       Itbl.remove t.adopted b;
-      if b >= t.first && b < t.first + t.count then
-        Itbl.replace t.exported b ())
+      if in_range t b then Itbl.replace t.exported b ())
     blocks
 
 let adopt_allocated t blocks =
   Array.iter
     (fun b ->
       Itbl.remove t.exported b;
-      if not (b >= t.first && b < t.first + t.count) then
-        Itbl.replace t.adopted b ();
+      if not (in_range t b) then Itbl.replace t.adopted b ();
       Itbl.replace t.allocated b ())
     blocks

@@ -20,12 +20,15 @@ val free : t -> int -> unit
 val free_many : t -> int array -> unit
 
 (** [donate t n] removes up to [n] free blocks from this partition so
-    another server can adopt them (block stealing, §3.2). *)
+    another server can adopt them (block stealing, §3.2). Like
+    {!export}ed ones, donated in-range blocks no longer belong to this
+    partition, nor count in a crash [rebuild], until adopted back. *)
 val donate : t -> int -> int array
 
-(** [adopt t blocks] adds blocks stolen from another partition to this
-    server's free list; they remain addressable (same DRAM), and this
-    server now owns them. *)
+(** [adopt t blocks] adds free blocks to this server's free list: blocks
+    stolen from another partition, which this server now owns (they
+    remain addressable: same DRAM), or its own donated blocks handed
+    back. *)
 val adopt : t -> int array -> unit
 
 (** [export t blocks] relinquishes in-use blocks to another server

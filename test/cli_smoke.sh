@@ -33,6 +33,15 @@ expect 0 run "build linux" --cores 8 --seed 1 --no-preset --check
 # to an earlier copy, or the dedup replay a duplicate gets, still
 # reaches the waiting client.
 expect 0 run "build linux" --cores 8 --seed 3 --plan "drop:fs:0.03;dup:fs:0.03"
+# A run whose workload dies (a cc child's EIO under wire drops, exit
+# 125 from the uncaught fiber failure) still writes its reports: the
+# trace holds the proc-errno instant that explains it.
+rm -f t.json
+expect 125 run "build linux" --cores 8 --plan "drop:fs:0.05" --seed 1 --trace t.json
+if ! grep -q '"proc-errno"' t.json 2>/dev/null; then
+  echo "FAIL: the failed run's trace t.json lacks the proc-errno instant"
+  fail=1
+fi
 # Each config flag no line above passes, once, on a small run.
 for flags in --no-dist --no-broadcast --no-dircache --no-affinity --steal \
   --strict-broadcast "--dircache-capacity 16" \

@@ -5,6 +5,8 @@
    within the CI budget, and each reported violation's choice list
    replays to the same violation. *)
 
+module Errno = Hare_proto.Errno
+module Model = Hare_explore.Model
 module Oracle = Hare_explore.Oracle
 module Runner = Hare_explore.Runner
 module Scenario = Hare_explore.Scenario
@@ -77,9 +79,9 @@ let test_oracle_concurrent_freedom () =
 let test_oracle_model_errors () =
   (* Error results are checked against the model too. *)
   expect_ok "stat of nothing is ENOENT"
-    [ ev 0 (Oracle.Stat { path = "/nope" }) (Oracle.Err "ENOENT") 0L 10L ];
+    [ ev 0 (Oracle.Stat { path = "/nope" }) (Oracle.Err Errno.ENOENT) 0L 10L ];
   expect_ok "close of nothing is EBADF"
-    [ ev 0 (Oracle.Close { h = 9 }) (Oracle.Err "EBADF") 0L 10L ];
+    [ ev 0 (Oracle.Close { h = 9 }) (Oracle.Err Errno.EBADF) 0L 10L ];
   (* A stat invoked after the creating close completed must see the
      file; a recorded ENOENT is a violation. *)
   expect_violation "stat misses a closed create"
@@ -87,8 +89,52 @@ let test_oracle_model_errors () =
       ev 0 (Oracle.Open { path = "/a"; create = true }) (Oracle.Ok_handle 1)
         0L 10L;
       ev 0 (Oracle.Close { h = 1 }) Oracle.Ok_unit 20L 30L;
-      ev 1 (Oracle.Stat { path = "/a" }) (Oracle.Err "ENOENT") 50L 60L;
+      ev 1 (Oracle.Stat { path = "/a" }) (Oracle.Err Errno.ENOENT) 50L 60L;
     ]
+
+(* The corners where the oracle's and the property tests' models used
+   to disagree, pinned on the one model; the first one through the
+   oracle too. *)
+let test_model_corners () =
+  let outcome st op =
+    match Model.apply st op with Ok _ -> "ok" | Error e -> Errno.to_string e
+  in
+  let st =
+    match
+      Model.apply
+        (Model.init [ "/d"; "/d/s"; "/e" ])
+        (Model.Open { path = "/f"; create = true })
+    with
+    | Ok (_, st) -> st
+    | Error _ -> Alcotest.fail "create /f"
+  in
+  List.iter
+    (fun (what, op, want) ->
+      Alcotest.(check string) what want (outcome st op))
+    [
+      ("O_CREAT open of a directory", Model.Open { path = "/d"; create = true },
+       "EISDIR");
+      ("unlink of a directory", Model.Unlink "/d", "EISDIR");
+      ("stat under a file", Model.Stat "/f/x", "ENOTDIR");
+      ("create under a file", Model.Open { path = "/f/x"; create = true },
+       "ENOTDIR");
+      ("mkdir under a file", Model.Mkdir "/f/x", "ENOTDIR");
+      ("create under a missing directory",
+       Model.Open { path = "/x/y"; create = true }, "ENOENT");
+      ("rmdir of a file", Model.Rmdir "/f", "ENOTDIR");
+      ("rmdir of a non-empty directory", Model.Rmdir "/d", "ENOTEMPTY");
+      ("rmdir of an empty directory", Model.Rmdir "/e", "ok");
+    ];
+  let creat_d result =
+    [
+      ev 0 (Oracle.Mkdir { path = "/d" }) Oracle.Ok_unit 0L 10L;
+      ev 0 (Oracle.Open { path = "/d"; create = true }) result 20L 30L;
+    ]
+  in
+  expect_ok "O_CREAT open of a directory is EISDIR"
+    (creat_d (Oracle.Err Errno.EISDIR));
+  expect_violation "O_CREAT open of a directory makes no file"
+    (creat_d (Oracle.Ok_handle 0))
 
 (* ---------- strategies on the live scenarios ---------------------------- *)
 
@@ -240,6 +286,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "close-to-open edge enforced" `Quick test_oracle_close_to_open;
         tc "concurrent ops are free" `Quick test_oracle_concurrent_freedom;
         tc "model errors checked" `Quick test_oracle_model_errors;
+        tc "model corners pinned" `Quick test_model_corners;
       ] );
     ( "explore.strategies",
       [

@@ -690,7 +690,9 @@ let prop_freelist_matches_queue =
 module Blocklist = Hare_server.Blocklist
 
 (* The partition as it was over an [int Queue.t] filled with its whole
-   range: the reference the FIFO-backed one must match block for block. *)
+   range: the reference the FIFO-backed one must match block for block.
+   A donated in-range block stays out of it, as an exported one does,
+   until adopted back. *)
 module Queue_partition = struct
   module Itbl = Hare_sim.Tbl.Int
 
@@ -744,6 +746,7 @@ module Queue_partition = struct
     Array.init got (fun _ ->
         let b = Queue.pop t.free in
         Itbl.remove t.adopted b;
+        if in_range t b then Itbl.replace t.exported b ();
         b)
 
   let rebuild t ~live =
@@ -775,7 +778,8 @@ module Queue_partition = struct
   let adopt t blocks =
     Array.iter
       (fun b ->
-        if not (owns t b) then Itbl.replace t.adopted b ();
+        if in_range t b then Itbl.remove t.exported b
+        else Itbl.replace t.adopted b ();
         Queue.push b t.free)
       blocks
 
@@ -863,13 +867,24 @@ let prop_blocklist_matches_queue =
           QCheck.Test.fail_reportf "op %d: %s gave %s, reference %s" i what got
             want
       in
+      (* The peer holds the donated blocks until it hands them back: none
+         may also be free or allocated here. *)
+      let not_donated i what blocks =
+        Array.iter
+          (fun blk ->
+            if List.mem blk !donated then
+              QCheck.Test.fail_reportf "op %d: %s handed out donated block %d"
+                i what blk)
+          blocks
+      in
       List.iteri
         (fun i op ->
           (match op with
           | Alloc n ->
               let show = Option.fold ~none:"None" ~some:ints in
-              same i "alloc_many"
-                (show (Blocklist.alloc_many b n))
+              let got = Blocklist.alloc_many b n in
+              Option.iter (not_donated i "alloc_many") got;
+              same i "alloc_many" (show got)
                 (show (Queue_partition.alloc_many r n))
           | Free k -> (
               match Queue_partition.allocated r with
@@ -913,10 +928,8 @@ let prop_blocklist_matches_queue =
               Blocklist.adopt_allocated b blocks;
               Queue_partition.adopt_allocated r blocks
           | Rebuild seed ->
-              (* The rebuild frees the in-range blocks donated so far
-                 (the partition does not remember them): a peer may no
-                 longer hand them back. *)
-              donated := [];
+              (* The peer keeps the donated blocks across this rebuild
+                 and may still hand them back. *)
               let live = Hare_sim.Tbl.Int.create 16 in
               List.iter
                 (fun blk ->
@@ -930,11 +943,22 @@ let prop_blocklist_matches_queue =
             (string_of_int (Blocklist.available b))
             (string_of_int (Queue_partition.available r)))
         ops;
-      (* Drain both: the whole free list, in order. *)
+      (* Drain both: the whole free list, in order. No block is owned
+         twice: the drained, the allocated and the donated blocks are
+         disjoint. *)
+      let i = List.length ops in
+      let allocated = Queue_partition.allocated r in
       let n = Queue_partition.available r in
       let show = Option.fold ~none:"None" ~some:ints in
-      same (List.length ops) "draining alloc_many"
-        (show (Blocklist.alloc_many b n))
+      let got = Blocklist.alloc_many b n in
+      Option.iter (not_donated i "draining alloc_many") got;
+      not_donated i "allocated" (Array.of_list allocated);
+      Option.iter
+        (Array.iter (fun blk ->
+             if List.mem blk allocated then
+               QCheck.Test.fail_reportf "block %d both free and allocated" blk))
+        got;
+      same i "draining alloc_many" (show got)
         (show (Queue_partition.alloc_many r n));
       true)
 

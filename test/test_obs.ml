@@ -118,11 +118,9 @@ let fingerprint m =
     Robust.to_list (Machine.robustness m) )
 
 let run ?(null_explorer = false) c config =
-  match HD.exec ~config ~null_explorer (Hare_workloads.All.find c.c_wname) with
-  | t ->
-      Alcotest.(check int) "workers ok" 0 t.Hare_experiments.Driver.failures;
-      t.Hare_experiments.Driver.w
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e
+  (Test_util.exec_ok ~config ~null_explorer
+     (Hare_workloads.All.find c.c_wname))
+    .Hare_experiments.Driver.w
 
 let test_inert c baseline s () =
   let m = run ~null_explorer:s.s_explorer c (s.s_config c.c_config) in

@@ -256,9 +256,7 @@ let test_latency_classes () =
    and bench do; return the machine and the run's own counters. *)
 let run_overload_machine ?(nprocs = 24) ?(period = 30_000) config =
   let spec, counters = O.make ~period () in
-  let t = Test_util.HD.exec ~config ~nprocs spec in
-  Alcotest.(check int) "workers all exited 0" 0
-    t.Hare_experiments.Driver.failures;
+  let t = Test_util.exec_ok ~config ~nprocs spec in
   (t.Hare_experiments.Driver.w, counters)
 
 (* The control-plane preset at 8 cores, traced for the latency report. *)

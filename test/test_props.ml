@@ -1,7 +1,9 @@
 (* Property-based tests (qcheck): core data structures and, most
-   importantly, a model-based test that runs random operation sequences
-   against the full Hare stack and an in-memory reference model and
-   demands identical observable behaviour. *)
+   importantly, differential tests that run random operation sequences
+   against the full Hare stack (in three configurations), the Linux
+   baseline and the shared model VFS ([Hare_explore.Model], the
+   explorer's oracle's model too) and demand the same observable
+   behaviour. *)
 
 module Q = QCheck
 module Types = Hare_proto.Types
@@ -316,22 +318,48 @@ let prop_blocklist_no_duplicates =
         ops;
       !ok)
 
-(* ---------- model-based FS test ----------------------------------------- *)
+(* ---------- differential tests against the model VFS -------------------- *)
 
-type fs_op =
-  | Create of string
-  | Append of string * string
-  | ReadAll of string
-  | Unlink of string
-  | MkdirOp of string * bool
-  | RmdirOp of string
-  | RenameOp of string * string
-  | StatSize of string
-  | Listdir of string
+module Model = Hare_explore.Model
 
 let names = [| "a"; "b"; "c"; "d"; "e" |]
 
 let dirs = [| "/"; "/d1"; "/d2"; "/d1/s" |]
+
+(* One generated step: a model op, or one of two API variants the model
+   does not tell apart. [Append] writes through an O_APPEND descriptor,
+   which also creates a missing file: the model sees an open with create
+   and a write at the file's size. [Dist_mkdir] spreads the new
+   directory's entries over every server, where [Op (Mkdir _)] keeps
+   them on one. *)
+type step = Op of Model.op | Append of string * string | Dist_mkdir of string
+
+let op_str = function
+  | Model.Open { path; create } ->
+      Printf.sprintf "open(%s%s)" path (if create then ", create" else "")
+  | Write { path; off; data } ->
+      Printf.sprintf "write(%s@%d, %d bytes)" path off (String.length data)
+  | Read { path; off } -> Printf.sprintf "read(%s@%d)" path off
+  | Stat p -> Printf.sprintf "stat(%s)" p
+  | Unlink p -> Printf.sprintf "unlink(%s)" p
+  | Mkdir p -> Printf.sprintf "mkdir(%s)" p
+  | Rmdir p -> Printf.sprintf "rmdir(%s)" p
+  | Rename { src; dst } -> Printf.sprintf "rename(%s, %s)" src dst
+  | Readdir p -> Printf.sprintf "readdir(%s)" p
+
+let step_str = function
+  | Op op -> op_str op
+  | Append (p, d) -> Printf.sprintf "append(%s, %d bytes)" p (String.length d)
+  | Dist_mkdir p -> Printf.sprintf "mkdir(%s, dist)" p
+
+let outcome_str = function
+  | Ok Model.Unit -> "ok"
+  | Ok (Int n) -> string_of_int n
+  | Ok (Data d) ->
+      Printf.sprintf "%d bytes #%x" (String.length d) (Hashtbl.hash d)
+  | Ok Is_dir -> "dir"
+  | Ok (Names l) -> "[" ^ String.concat "," l ^ "]"
+  | Error e -> Errno.to_string e
 
 let fs_op_gen =
   let open Q.Gen in
@@ -339,249 +367,169 @@ let fs_op_gen =
   let dir = map (fun i -> dirs.(i)) (int_bound (Array.length dirs - 1)) in
   let path = map2 (fun d n -> Filename.concat d n) dir name in
   let data = string_size ~gen:(char_range 'a' 'z') (int_range 1 2000) in
+  (* Offsets inside the first block, across its end and past any file
+     the sequence grows: overwrites, extensions and holes. *)
+  let off = oneofl [ 0; 0; 700; 4000; 9000 ] in
   frequency
     [
-      (4, map (fun p -> Create p) path);
-      (4, map2 (fun p d -> Append (p, d)) path data);
-      (4, map (fun p -> ReadAll p) path);
-      (2, map (fun p -> Unlink p) path);
-      (2, map2 (fun p dist -> MkdirOp (p, dist)) path bool);
-      (1, map (fun p -> RmdirOp p) path);
-      (2, map2 (fun a b -> RenameOp (a, b)) path path);
-      (2, map (fun p -> StatSize p) path);
-      (2, map (fun d -> Listdir d) dir);
+      (4, map (fun path -> Op (Open { path; create = true })) path);
+      (1, map (fun path -> Op (Open { path; create = false })) path);
+      (4, map3 (fun path off data -> Op (Write { path; off; data })) path off
+            data);
+      (4, map2 (fun p data -> Append (p, data)) path data);
+      (4, map2 (fun path off -> Op (Read { path; off })) path off);
+      (2, map (fun p -> Op (Unlink p)) path);
+      (1, map (fun p -> Op (Mkdir p)) path);
+      (1, map (fun p -> Dist_mkdir p) path);
+      (1, map (fun p -> Op (Rmdir p)) path);
+      (2, map2 (fun src dst -> Op (Rename { src; dst })) path path);
+      (2, map (fun p -> Op (Stat p)) path);
+      (2, map (fun d -> Op (Readdir d)) dir);
     ]
 
 let fs_ops =
   Q.make
-    ~print:(fun ops -> Printf.sprintf "<%d fs ops>" (List.length ops))
+    ~print:(fun ops -> String.concat "; " (List.map step_str ops))
     Q.Gen.(list_size (int_range 1 50) fs_op_gen)
 
-(* Reference model: a map from absolute path to [`File of content] or
-   [`Dir]. Mirrors POSIX semantics for the operation subset above. *)
-module Model = struct
-  type t = (string, [ `File of string | `Dir ]) Hashtbl.t
+(* The model's outcome of a step, and the model state after it. *)
+let expect model step =
+  let apply m op =
+    match Model.apply m op with
+    | Ok (v, next) -> (Ok v, next)
+    | Error e -> (Error e, m)
+  in
+  match step with
+  | Op op -> apply model op
+  | Dist_mkdir path -> apply model (Mkdir path)
+  | Append (path, data) -> (
+      match Model.apply model (Open { path; create = true }) with
+      | Error e -> (Error e, model)
+      | Ok (_, opened) -> (
+          match Model.apply opened (Stat path) with
+          | Ok (Int size, _) -> apply opened (Write { path; off = size; data })
+          | _ -> assert false (* an open succeeded on a regular file *)))
 
-  let create () =
-    let t = Hashtbl.create 16 in
-    Hashtbl.replace t "/" `Dir;
-    List.iter (fun d -> Hashtbl.replace t d `Dir) [ "/d1"; "/d2"; "/d1/s" ];
-    t
-
-  let parent p = match Filename.dirname p with "" -> "/" | d -> d
-
-  let children t dir =
-    Hashtbl.fold
-      (fun p _ acc ->
-        if p <> "/" && parent p = dir && p <> dir then p :: acc else acc)
-      t []
-
-  let exec t op : (string, Errno.t) result =
-    let need_parent p k =
-      match Hashtbl.find_opt t (parent p) with
-      | Some `Dir -> k ()
-      | Some (`File _) -> Error Errno.ENOTDIR
-      | None -> Error Errno.ENOENT
-    in
-    match op with
-    | Create p ->
-        (* O_CREAT without O_TRUNC: an existing file keeps its content *)
-        need_parent p (fun () ->
-            match Hashtbl.find_opt t p with
-            | Some `Dir -> Error Errno.EISDIR
-            | Some (`File _) -> Ok ""
-            | None ->
-                Hashtbl.replace t p (`File "");
-                Ok "")
-    | Append (p, data) ->
-        need_parent p (fun () ->
-            match Hashtbl.find_opt t p with
-            | Some `Dir -> Error Errno.EISDIR
-            | Some (`File old) ->
-                Hashtbl.replace t p (`File (old ^ data));
-                Ok ""
-            | None ->
-                Hashtbl.replace t p (`File data);
-                Ok "")
-    | ReadAll p -> (
-        match Hashtbl.find_opt t p with
-        | Some (`File content) -> Ok content
-        | Some `Dir -> Error Errno.EISDIR
-        | None -> Error Errno.ENOENT)
-    | Unlink p -> (
-        match Hashtbl.find_opt t p with
-        | Some (`File _) ->
-            Hashtbl.remove t p;
-            Ok ""
-        | Some `Dir -> Error Errno.EISDIR
-        | None -> Error Errno.ENOENT)
-    | MkdirOp (p, _) ->
-        need_parent p (fun () ->
-            if Hashtbl.mem t p then Error Errno.EEXIST
-            else begin
-              Hashtbl.replace t p `Dir;
-              Ok ""
-            end)
-    | RmdirOp p -> (
-        match Hashtbl.find_opt t p with
-        | Some `Dir ->
-            if children t p <> [] then Error Errno.ENOTEMPTY
-            else begin
-              Hashtbl.remove t p;
-              Ok ""
-            end
-        | Some (`File _) -> Error Errno.ENOTDIR
-        | None -> Error Errno.ENOENT)
-    | RenameOp (a, b) -> (
-        if a = b then Ok ""
-        else
-          match Hashtbl.find_opt t a with
-          | None -> Error Errno.ENOENT
-          | Some `Dir ->
-              need_parent b (fun () ->
-                  match Hashtbl.find_opt t b with
-                  | Some _ -> Error Errno.EISDIR (* over dir or file: error *)
-                  | None ->
-                      (* move the directory and everything under it *)
-                      let moved =
-                        Hashtbl.fold
-                          (fun p v acc ->
-                            if
-                              p = a
-                              || String.length p > String.length a
-                                 && String.sub p 0 (String.length a + 1) = a ^ "/"
-                            then (p, v) :: acc
-                            else acc)
-                          t []
-                      in
-                      List.iter
-                        (fun (p, v) ->
-                          Hashtbl.remove t p;
-                          let suffix =
-                            String.sub p (String.length a)
-                              (String.length p - String.length a)
-                          in
-                          Hashtbl.replace t (b ^ suffix) v)
-                        moved;
-                      Ok "")
-          | Some (`File content) ->
-              need_parent b (fun () ->
-                  match Hashtbl.find_opt t b with
-                  | Some `Dir -> Error Errno.EISDIR
-                  | Some (`File _) | None ->
-                      Hashtbl.remove t a;
-                      Hashtbl.replace t b (`File content);
-                      Ok ""))
-    | StatSize p -> (
-        match Hashtbl.find_opt t p with
-        | Some (`File content) -> Ok (string_of_int (String.length content))
-        | Some `Dir -> Ok "dir"
-        | None -> Error Errno.ENOENT)
-    | Listdir d -> (
-        match Hashtbl.find_opt t d with
-        | Some `Dir ->
-            Ok
-              (children t d |> List.map Filename.basename |> List.sort compare
-             |> String.concat ",")
-        | Some (`File _) -> Error Errno.ENOTDIR
-        | None -> Error Errno.ENOENT)
-end
-
-(* world-polymorphic execution of a model op through the syscall API *)
-let exec_on_api (api : 'p Hare_api.Api.t) p op : (string, Errno.t) result =
+(* One step through the syscall API of any world: a file operation is
+   one open-use-close session. *)
+let exec_on_api (api : 'p Hare_api.Api.t) p step =
   let module Api = Hare_api.Api in
+  let session path flags ?(off = 0) use =
+    let fd = api.Api.openf p path flags in
+    if off > 0 then ignore (api.Api.lseek p fd ~pos:off Types.Seek_set);
+    let v = use fd in
+    api.Api.close p fd;
+    v
+  in
+  let write path flags ?off data =
+    session path flags ?off (fun fd ->
+        Api.write_all api p fd data;
+        Model.Int (String.length data))
+  in
   try
-    match op with
-    | Create path ->
-        let fd = api.Api.openf p path { Types.flags_w with trunc = false } in
-        api.Api.close p fd;
-        Ok ""
-    | Append (path, data) ->
-        let fd = api.Api.openf p path Types.flags_a in
-        Hare_api.Api.write_all api p fd data;
-        api.Api.close p fd;
-        Ok ""
-    | ReadAll path ->
-        let fd = api.Api.openf p path Types.flags_r in
-        let s = Hare_api.Api.read_to_eof api p fd in
-        api.Api.close p fd;
-        Ok s
-    | Unlink path ->
-        api.Api.unlink p path;
-        Ok ""
-    | MkdirOp (path, dist) ->
-        api.Api.mkdir p ~dist path;
-        Ok ""
-    | RmdirOp path ->
-        api.Api.rmdir p path;
-        Ok ""
-    | RenameOp (a, b) ->
-        api.Api.rename p a b;
-        Ok ""
-    | StatSize path ->
-        let a = api.Api.stat p path in
-        if a.Types.a_ftype = Types.Dir then Ok "dir"
-        else Ok (string_of_int a.Types.a_size)
-    | Listdir d ->
-        Ok
-          (api.Api.readdir p d |> List.map fst |> List.sort compare
-         |> String.concat ",")
+    Ok
+      (match step with
+      | Append (path, data) -> write path Types.flags_a data
+      | Dist_mkdir path ->
+          api.Api.mkdir p ~dist:true path;
+          Model.Unit
+      | Op (Open { path; create }) ->
+          let flags =
+            if create then { Types.flags_w with trunc = false }
+            else Types.flags_r
+          in
+          session path flags (fun _ -> Model.Unit)
+      | Op (Write { path; off; data }) -> write path Types.flags_rw ~off data
+      | Op (Read { path; off }) ->
+          session path Types.flags_r ~off (fun fd ->
+              Model.Data (Api.read_to_eof api p fd))
+      | Op (Stat path) ->
+          let a = api.Api.stat p path in
+          if a.Types.a_ftype = Types.Dir then Model.Is_dir
+          else Model.Int a.Types.a_size
+      | Op (Unlink path) ->
+          api.Api.unlink p path;
+          Unit
+      | Op (Mkdir path) ->
+          api.Api.mkdir p ~dist:false path;
+          Unit
+      | Op (Rmdir path) ->
+          api.Api.rmdir p path;
+          Unit
+      | Op (Rename { src; dst }) ->
+          api.Api.rename p src dst;
+          Unit
+      | Op (Readdir d) ->
+          Names
+            (api.Api.readdir p d |> List.map fst |> List.sort String.compare))
   with Errno.Error (e, _) -> Error e
 
-(* Hare's rename over an existing directory and rmdir-vs-rename races
-   report slightly different codes in rare corners; normalize the error
-   comparison to "failed with the same class". *)
-let same_result (a : (string, Errno.t) result) (b : (string, Errno.t) result) =
+(* The test's tolerance: an error must meet an error, but Hare's rename
+   over an existing directory and rmdir-vs-rename races report slightly
+   different codes in rare corners, so any errno matches any other. *)
+let same_result (a : (Model.value, Errno.t) result) b =
   match (a, b) with
   | Ok x, Ok y -> x = y
   | Error _, Error _ -> true
   | _ -> false
 
-(* run an op sequence against a world and the model, collecting any
-   divergences *)
+(* Run an op sequence against a world and the model, collecting any
+   divergences. *)
 let check_against_model ~boot ~api ~spawn_init ~run ops =
   let w = boot () in
   let api = api w in
-  let ok = ref true in
-  let trace = ref [] in
+  let diverged = ref [] in
+  let initial = [ "/d1"; "/d2"; "/d1/s" ] in
   let _init =
     spawn_init w (fun p ->
-        let model = Model.create () in
-        List.iter
-          (fun d -> api.Hare_api.Api.mkdir p ~dist:false d)
-          [ "/d1"; "/d2"; "/d1/s" ];
-        List.iter
-          (fun op ->
-            let want = Model.exec model op in
-            let got = exec_on_api api p op in
-            if not (same_result want got) then begin
-              ok := false;
-              trace :=
-                Printf.sprintf "want %s, got %s"
-                  (match want with
-                  | Ok s -> "Ok " ^ s
-                  | Error e -> Errno.to_string e)
-                  (match got with
-                  | Ok s -> "Ok " ^ s
-                  | Error e -> Errno.to_string e)
-                :: !trace
-            end)
-          ops;
+        List.iter (fun d -> api.Hare_api.Api.mkdir p ~dist:false d) initial;
+        ignore
+          (List.fold_left
+             (fun model step ->
+               let want, next = expect model step in
+               let got = exec_on_api api p step in
+               if not (same_result want got) then
+                 diverged :=
+                   Printf.sprintf "%s: want %s, got %s" (step_str step)
+                     (outcome_str want)
+                     (outcome_str got)
+                   :: !diverged;
+               next)
+             (Model.init initial) ops);
         0)
   in
   run w;
-  if not !ok then
-    Q.Test.fail_reportf "diverged from model: %s" (String.concat "; " !trace)
+  if !diverged <> [] then
+    Q.Test.fail_reportf "diverged from model: %s"
+      (String.concat "; " (List.rev !diverged))
   else true
 
-let prop_fs_matches_model =
-  Q.Test.make ~name:"hare matches the reference model" ~count:60 fs_ops
+let hare_matches name config =
+  Q.Test.make ~name:(name ^ " matches the reference model") ~count:60 fs_ops
     (check_against_model
-       ~boot:(fun () -> Test_util.Machine.boot (Test_util.small_config ~ncores:3 ()))
+       ~boot:(fun () -> Test_util.Machine.boot config)
        ~api:Hare_experiments.World.Hare_w.api
        ~spawn_init:(fun w body ->
          fst (Test_util.Machine.spawn_init w ~name:"prop" (fun p _ -> body p)))
        ~run:Test_util.Machine.run)
+
+let prop_fs_matches_model =
+  hare_matches "hare" (Test_util.small_config ~ncores:3 ())
+
+let prop_knobs_match_model =
+  hare_matches "hare (knobs open)"
+    {
+      (Test_util.small_config ~ncores:3 ()) with
+      Hare_config.Config.rpc_window = 8;
+      batch_max = 8;
+      alloc_extent = 8;
+    }
+
+let prop_sharded_matches_model =
+  hare_matches "hare (sharded)"
+    (Test_util.small_config ~ncores:4
+       ~placement:(Hare_config.Config.Sharded { servers = 2; vnodes = 32 })
+       ())
 
 let prop_linux_matches_model =
   Q.Test.make ~name:"linux baseline matches the reference model" ~count:60
@@ -611,6 +559,8 @@ let suites : (string * unit Alcotest.test_case list) list =
           prop_pipe_fifo;
           prop_blocklist_no_duplicates;
           prop_fs_matches_model;
+          prop_knobs_match_model;
+          prop_sharded_matches_model;
           prop_linux_matches_model;
         ] );
   ]

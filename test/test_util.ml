@@ -27,16 +27,20 @@ let run ?(config = small_config ()) ?(expect_status = 0) body =
 
 module HD = Hare_experiments.Driver.Make (Hare_experiments.World.Hare_w)
 
+(* [HD.exec] for a run that must succeed: re-raise the exception of a
+   fiber that ended it early, and assert that every worker exited 0. *)
+let exec_ok ?nprocs ?null_explorer ?on_start ?after ~config spec =
+  let t = HD.exec ~config ?nprocs ?null_explorer ?on_start ?after spec in
+  Option.iter (fun (_, e) -> raise e) t.Hare_experiments.Driver.crash;
+  Alcotest.(check int) "workers ok" 0 t.Hare_experiments.Driver.failures;
+  t
+
 (* Run one paper workload to completion through the driver's workload
-   loop (setup + workers); propagate any in-fiber exception, assert that
-   every worker exited 0, and return the machine. [after] runs in init
-   once the workers are reaped. *)
+   loop (setup + workers) with {!exec_ok}, and return the machine.
+   [after] runs in init once the workers are reaped. *)
 let run_workload ?(wname = "creates") ?nprocs ?after config =
-  match HD.exec ~config ?nprocs ?after (Hare_workloads.All.find wname) with
-  | t ->
-      Alcotest.(check int) "workers ok" 0 t.Hare_experiments.Driver.failures;
-      t.Hare_experiments.Driver.w
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e
+  (exec_ok ~config ?nprocs ?after (Hare_workloads.All.find wname))
+    .Hare_experiments.Driver.w
 
 let errno : Hare_proto.Errno.t Alcotest.testable =
   Alcotest.testable Hare_proto.Errno.pp ( = )

@@ -21,9 +21,7 @@ let run_and_verify (spec : Spec.t) ~nprocs (verify : verifier) =
   let after m p ~failures =
     if failures = 0 then status := verify.f (World.Hare_w.api m) p
   in
-  (match Test_util.HD.exec ~config ~nprocs ~after spec with
-  | t -> Alcotest.(check int) "workers ok" 0 t.Driver.failures
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
+  ignore (Test_util.exec_ok ~config ~nprocs ~after spec);
   Alcotest.(check int) "verification" 0 !status
 
 let ls api p dir = api.Api.readdir p dir

@@ -191,7 +191,7 @@ let hare_result_contract () =
   in
   let spec = Hare_workloads.All.find "pfind dense" in
   let r = HareD.run ~config spec in
-  let t = HareD.exec ~config ~on_start:Machine.reset_perf spec in
+  let t = Test_util.exec_ok ~config ~on_start:Machine.reset_perf spec in
   let e = Machine.engine t.Driver.w in
   Alcotest.(check (list int)) "engine counters"
     [ Engine.events_executed e; Engine.peak_fibers e; Engine.spawned_fibers e ]
