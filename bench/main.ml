@@ -8,6 +8,10 @@
      dune exec bench/main.exe -- --quick   # small machines (8 cores)
      dune exec bench/main.exe -- --figures-only | --bechamel-only
      dune exec bench/main.exe -- --json [--quick]   # write BENCH_PR2.json
+
+   --json builds each row as a Hare_stats.Json value and prints it with
+   that module's one printer; bench/check.exe parses the file back,
+   checks its structure and gates it against bench/baseline_quick.json.
 *)
 
 module Figures = Hare_experiments.Figures
@@ -22,13 +26,9 @@ module LD = Driver.Make (World.Linux_w)
 
 let bench name = Hare_workloads.All.find name
 
-let hare_run ?placement ?nprocs ~ncores name =
-  let config =
-    match placement with
-    | Some p -> { (Driver.default_config ~ncores) with Config.placement = p }
-    | None -> Driver.default_config ~ncores
-  in
-  fun () -> ignore (HD.run ~config ?nprocs (bench name))
+let hare_run ?nprocs ~ncores ~tweak name () =
+  let config = tweak (Driver.default_config ~ncores) in
+  ignore (HD.run ~config ?nprocs (bench name))
 
 (* One Bechamel test per figure: each run executes the simulated
    experiment that figure is built from (on a small machine, so a single
@@ -41,42 +41,33 @@ let bechamel_tests () =
         match Hare_stats.Sloc.repo_root () with
         | Some root -> ignore (Hare_stats.Sloc.count_tree (Filename.concat root "lib/msg"))
         | None -> ());
-    t "fig5/opmix-creates" (hare_run ~ncores:2 "creates");
-    t "fig6/scaling-step" (hare_run ~ncores:4 "creates");
-    t "fig7/split-config" (hare_run ~placement:(Config.Split 2) ~ncores:4 "creates");
-    t "fig8/unfs-baseline" (fun () ->
-        let config = World.unfs_config (Driver.default_config ~ncores:2) in
-        ignore (HD.run ~config ~nprocs:1 (bench "creates")));
+    t "fig5/opmix-creates" (hare_run ~ncores:2 ~tweak:Fun.id "creates");
+    t "fig6/scaling-step" (hare_run ~ncores:4 ~tweak:Fun.id "creates");
+    t "fig7/split-config"
+      (hare_run ~ncores:4 ~tweak:(fun c -> Config.{ c with placement = Split 2 })
+         "creates");
+    t "fig8/unfs-baseline"
+      (hare_run ~nprocs:1 ~ncores:2 ~tweak:World.unfs_config "creates");
     t "fig8/linux-baseline" (fun () ->
         ignore (LD.run ~config:(Driver.default_config ~ncores:1) ~nprocs:1 (bench "creates")));
-    t "fig10/dist-ablation" (fun () ->
-        let config =
-          { (Driver.default_config ~ncores:4) with Config.dir_distribution = false }
-        in
-        ignore (HD.run ~config (bench "creates")));
-    t "fig11/bcast-ablation" (fun () ->
-        let config =
-          { (Driver.default_config ~ncores:4) with Config.dir_broadcast = false }
-        in
-        ignore (HD.run ~config (bench "pfind dense")));
-    t "fig12/direct-ablation" (fun () ->
-        let config =
-          { (Driver.default_config ~ncores:4) with Config.direct_access = false }
-        in
-        ignore (HD.run ~config (bench "writes")));
-    t "fig13/dcache-ablation" (fun () ->
-        let config =
-          { (Driver.default_config ~ncores:4) with Config.dir_cache = false }
-        in
-        ignore (HD.run ~config (bench "renames")));
-    t "fig14/affinity-ablation" (fun () ->
-        let config =
-          { (Driver.default_config ~ncores:4) with Config.creation_affinity = false }
-        in
-        ignore (HD.run ~config (bench "punzip")));
+    t "fig10/dist-ablation"
+      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_distribution = false })
+         "creates");
+    t "fig11/bcast-ablation"
+      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_broadcast = false })
+         "pfind dense");
+    t "fig12/direct-ablation"
+      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.direct_access = false })
+         "writes");
+    t "fig13/dcache-ablation"
+      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_cache = false })
+         "renames");
+    t "fig14/affinity-ablation"
+      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.creation_affinity = false })
+         "punzip");
     t "fig15/linux-parallel" (fun () ->
         ignore (LD.run ~config:(Driver.default_config ~ncores:4) (bench "creates")));
-    t "micro/rename-latency" (hare_run ~ncores:1 ~nprocs:1 "renames");
+    t "micro/rename-latency" (hare_run ~ncores:1 ~nprocs:1 ~tweak:Fun.id "renames");
   ]
 
 let run_bechamel () =
@@ -140,6 +131,11 @@ let json_cases quick =
         trace_cap = 0;
       }
     in
+    (name, wname, ncores, None, config, plain wname)
+  in
+  (* An untraced row of [wname] on [placement]. *)
+  let placed name wname ncores placement =
+    let config = { (Driver.default_config ~ncores) with Config.placement } in
     (name, wname, ncores, None, config, plain wname)
   in
   let figure_cases =
@@ -206,18 +202,8 @@ let json_cases quick =
      (sim_ops_per_sec / sim_events_per_sec / peak_live_fibers); the
      simulated-cycle fields regression-gate the usual way. *)
   let scale_case wname ncores =
-    let config =
-      {
-        (Driver.default_config ~ncores) with
-        Config.placement = Config.Split (ncores / 8);
-      }
-    in
-    ( Printf.sprintf "%s@%d/scale" wname ncores,
-      wname,
-      ncores,
-      None,
-      config,
-      plain wname )
+    placed (Printf.sprintf "%s@%d/scale" wname ncores) wname ncores
+      (Config.Split (ncores / 8))
   in
   let scale_cases =
     if quick then [ scale_case "creates" 64 ]
@@ -231,18 +217,8 @@ let json_cases quick =
      throughput should improve monotonically while the per-server load
      stays balanced (each row's "imbalance" is regression-gated). *)
   let sharded_case wname ncores nsrv =
-    let config =
-      {
-        (Driver.default_config ~ncores) with
-        Config.placement = Config.Sharded { servers = nsrv; vnodes = 32 };
-      }
-    in
-    ( Printf.sprintf "%s@%d/sharded%d" wname ncores nsrv,
-      wname,
-      ncores,
-      None,
-      config,
-      plain wname )
+    placed (Printf.sprintf "%s@%d/sharded%d" wname ncores nsrv) wname ncores
+      (Config.Sharded { servers = nsrv; vnodes = 32 })
   in
   let sharded_cases =
     if quick then [ sharded_case "creates" 64 8 ]
@@ -260,6 +236,120 @@ let json_cases quick =
       overload_case "overload@8/open" 8;
     ]
   @ scale_cases @ sharded_cases @ knee_cases
+
+(* One row of the --json output. Printed precision is part of the
+   schema: cycles and host rates are integers, shares three decimals. *)
+let workload_json
+    (name, wname, ncores, config, (r : Driver.result), counters, cycles, wall)
+    =
+  let open Hare_stats.Json in
+  let i64 x = Int (Int64.to_int x) in
+  let obj kvs = Object (List.map (fun (k, v) -> (k, Int v)) kvs) in
+  let unless_empty l kvs = if l = [] then [] else kvs in
+  let per_wall n = decimals 0 (if wall > 0.0 then float_of_int n /. wall else 0.0) in
+  let latency (cls, (d : Hare_stats.Latency.dist)) =
+    let open Hare_stats.Latency in
+    (cls, Object [ ("n", Int d.n); ("p50", i64 d.p50); ("p95", i64 d.p95);
+                   ("p99", i64 d.p99); ("max", i64 d.lmax) ])
+  in
+  let overload (c : Hare_workloads.Overload.counters) =
+    let module R = Hare_stats.Robust in
+    let rb = R.get r.Driver.robust in
+    obj
+      [ ("sent", c.sent); ("ok", c.ok); ("shed", c.shed); ("fast_fail", c.fast_fail);
+        ("skipped", c.skipped); ("retries", rb R.retries); ("giveups", rb R.giveups);
+        ("shed_load", rb R.shed_load); ("shed_expired", rb R.shed_expired);
+        ("flow_blocks", rb R.flow_blocks); ("budget_denied", rb R.budget_denied);
+        ("breaker_opens", rb R.breaker_opens);
+        ("breaker_half_opens", rb R.breaker_half_opens);
+        ("breaker_closes", rb R.breaker_closes) ]
+  in
+  let gauge (g : Metrics.summary) =
+    let open Metrics in
+    Object [ ("gauge", String g.s_name); ("n", Int g.s_n); ("min", Int g.s_min);
+             ("max", Int g.s_max); ("mean", decimals 2 g.s_mean);
+             ("last", Int g.s_last) ]
+  in
+  let blame (b : Blame.t) =
+    let open Blame in
+    Object
+      [ ("class", String b.b_class); ("n", Int b.b_n); ("p99", i64 b.b_p99);
+        ("bucket", String b.b_bucket); ("bucket_share", decimals 3 b.b_bucket_share);
+        ("srv", Int b.b_srv); ("srv_share", decimals 3 b.b_srv_share);
+        ("qdepth_mean", decimals 2 b.b_qdepth_mean);
+        ("qdepth_max", Int b.b_qdepth_max);
+        ("worst_op", String b.b_worst_op); ("worst_dur", Int b.b_worst_dur) ]
+  in
+  (* Per-opcode cycle attribution of the timed region: each row's
+     bucket values sum exactly to its total (hare_cli profile shows
+     the same breakdown interactively). *)
+  let profile (row : Hare_trace.Trace.row) =
+    let open Hare_trace.Trace in
+    Object
+      ([ ("op", String row.r_op); ("count", Int row.r_count);
+         ("cycles", i64 row.r_total) ]
+      @ List.mapi (fun k bname -> (bname, i64 row.r_buckets.(k))) bucket_names)
+  in
+  (* Worst per-class p99 of the timed region: the graceful-degradation
+     gate. Additive key — older baselines simply do not compare it. *)
+  let p99 =
+    List.fold_left
+      (fun acc (_, d) -> max acc d.Hare_stats.Latency.p99)
+      0L r.Driver.latencies
+  in
+  Object
+    ([ ("name", String name); ("workload", String wname); ("ncores", Int ncores);
+       ( "config",
+         Config.(
+           obj [ ("rpc_window", config.rpc_window); ("batch_max", config.batch_max);
+                 ("alloc_extent", config.alloc_extent);
+                 ("cycles_per_us", config.costs.Hare_config.Costs.cycles_per_us) ]) );
+       ("ops", Int r.Driver.ops); ("simulated_cycles", decimals 0 cycles);
+       ("p99_cycles", i64 p99) ]
+    @ unless_empty r.Driver.latencies
+        [ ("latency", Object (List.map latency r.Driver.latencies)) ]
+    @ (match counters with Some c -> [ ("overload", overload c) ] | None -> [])
+    (* Host-side engine throughput: how fast the simulator chewed
+       through this row (nothing to do with the simulated clock). *)
+    @ [ ("simulated_seconds", decimals 9 r.Driver.elapsed);
+        ("wall_clock_s", decimals 6 wall);
+        ("sim_ops_per_sec", per_wall r.Driver.ops);
+        ("sim_events_per_sec", per_wall r.Driver.engine_events);
+        ("engine_events", Int r.Driver.engine_events);
+        ("peak_live_fibers", Int r.Driver.peak_fibers);
+        ("spawned_fibers", Int r.Driver.spawned_fibers) ]
+    (* Per-server load distribution (whole run) and its max/mean
+       imbalance — the sharding balance gate. *)
+    @ unless_empty r.Driver.loads
+        [ ("imbalance", decimals 3 (Driver.imbalance r.Driver.loads));
+          ( "server_loads",
+            Array
+              (List.map
+                 (fun (sid, ops, peak) ->
+                   obj [ ("sid", sid); ("ops", ops); ("peak_queue", peak) ])
+                 r.Driver.loads) ) ]
+    (* Time-series telemetry: sampling grid, sample count and a
+       per-gauge summary, on rows whose config enabled the sampler. *)
+    @ unless_empty r.Driver.gauges
+        [ ( "timeseries",
+            Object [ ("interval", Int r.Driver.metrics_interval);
+                     ("samples", Int r.Driver.metrics_samples);
+                     ("gauges", Array (List.map gauge r.Driver.gauges)) ] ) ]
+    (* Saturation knee of the overload rows: the first window whose
+       p99 left the flat regime. "knee_cycles" is regression-gated
+       (Higher = the machine endures longer before saturating). *)
+    @ (match r.Driver.knee with
+      | Some k when wname = "overload" ->
+          let open Knee in
+          [ ("knee_cycles", Int k.k_at);
+            ( "knee",
+              Object [ ("window", Int k.k_window); ("p99_before", i64 k.k_before);
+                       ("p99_after", i64 k.k_after); ("windows", Int k.k_windows) ] ) ]
+      | _ -> [])
+    (* Per-class tail blame: what made the slowest retained ops
+       slow. Present only when trace_retain > 0. *)
+    @ unless_empty r.Driver.blame [ ("blame", Array (List.map blame r.Driver.blame)) ]
+    @ [ ("profile", Array (List.map profile r.Driver.profile)) ])
 
 let run_json ~quick ~out () =
   let cases = json_cases quick in
@@ -305,156 +395,6 @@ let run_json ~quick ~out () =
             (if b < a && c < b then "  (monotone)" else "  (NOT monotone)")
       | _ -> ())
     [ "creates"; "renames" ];
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"schema\": \"hare-bench-pr2/1\",\n";
-  add "  \"quick\": %b,\n" quick;
-  add "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, wname, ncores, config, (r : Driver.result), counters, cycles, wall) ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" name;
-      add "      \"workload\": \"%s\",\n" wname;
-      add "      \"ncores\": %d,\n" ncores;
-      add "      \"config\": { \"rpc_window\": %d, \"batch_max\": %d, \"alloc_extent\": %d, \"cycles_per_us\": %d },\n"
-        config.Config.rpc_window config.Config.batch_max
-        config.Config.alloc_extent
-        config.Config.costs.Hare_config.Costs.cycles_per_us;
-      add "      \"ops\": %d,\n" r.Driver.ops;
-      add "      \"simulated_cycles\": %.0f,\n" cycles;
-      (* Worst per-class p99 of the timed region: the graceful-degradation
-         gate. Additive key — older baselines simply do not compare it. *)
-      let p99 =
-        List.fold_left
-          (fun acc (_, d) -> max acc d.Hare_stats.Latency.p99)
-          0L r.Driver.latencies
-      in
-      add "      \"p99_cycles\": %Ld,\n" p99;
-      (if r.Driver.latencies <> [] then begin
-         add "      \"latency\": { ";
-         List.iteri
-           (fun j (cls, (d : Hare_stats.Latency.dist)) ->
-             add
-               "%s\"%s\": { \"n\": %d, \"p50\": %Ld, \"p95\": %Ld, \"p99\": \
-                %Ld, \"max\": %Ld }"
-               (if j > 0 then ", " else "")
-               cls d.Hare_stats.Latency.n d.Hare_stats.Latency.p50
-               d.Hare_stats.Latency.p95 d.Hare_stats.Latency.p99
-               d.Hare_stats.Latency.lmax)
-           r.Driver.latencies;
-         add " },\n"
-       end);
-      (match counters with
-      | None -> ()
-      | Some (c : Hare_workloads.Overload.counters) ->
-          let module R = Hare_stats.Robust in
-          let rb = R.get r.Driver.robust in
-          add
-            "      \"overload\": { \"sent\": %d, \"ok\": %d, \"shed\": %d, \
-             \"fast_fail\": %d, \"skipped\": %d, \"retries\": %d, \
-             \"giveups\": %d, \"shed_load\": %d, \"shed_expired\": %d, \
-             \"flow_blocks\": %d, \"budget_denied\": %d, \"breaker_opens\": \
-             %d, \"breaker_half_opens\": %d, \"breaker_closes\": %d },\n"
-            c.sent c.ok c.shed c.fast_fail c.skipped
-            (rb R.retries) (rb R.giveups) (rb R.shed_load) (rb R.shed_expired)
-            (rb R.flow_blocks) (rb R.budget_denied) (rb R.breaker_opens)
-            (rb R.breaker_half_opens) (rb R.breaker_closes));
-      add "      \"simulated_seconds\": %.9f,\n" r.Driver.elapsed;
-      add "      \"wall_clock_s\": %.6f,\n" wall;
-      (* Host-side engine throughput: how fast the simulator chewed
-         through this row (nothing to do with the simulated clock). *)
-      add "      \"sim_ops_per_sec\": %.0f,\n"
-        (if wall > 0.0 then float_of_int r.Driver.ops /. wall else 0.0);
-      add "      \"sim_events_per_sec\": %.0f,\n"
-        (if wall > 0.0 then float_of_int r.Driver.engine_events /. wall
-         else 0.0);
-      add "      \"engine_events\": %d,\n" r.Driver.engine_events;
-      add "      \"peak_live_fibers\": %d,\n" r.Driver.peak_fibers;
-      add "      \"spawned_fibers\": %d,\n" r.Driver.spawned_fibers;
-      (* Per-server load distribution (whole run) and its max/mean
-         imbalance — the sharding balance gate. *)
-      (if r.Driver.loads <> [] then begin
-         add "      \"imbalance\": %.3f,\n" (Driver.imbalance r.Driver.loads);
-         add "      \"server_loads\": [ ";
-         List.iteri
-           (fun j (sid, ops, peak) ->
-             add "%s{ \"sid\": %d, \"ops\": %d, \"peak_queue\": %d }"
-               (if j > 0 then ", " else "")
-               sid ops peak)
-           r.Driver.loads;
-         add " ],\n"
-       end);
-      (* Time-series telemetry (PR 9): sampling grid, sample count and a
-         per-gauge summary. Present only on rows whose config enabled
-         the sampler (metrics_interval > 0). *)
-      (if r.Driver.gauges <> [] then begin
-         add "      \"timeseries\": { \"interval\": %d, \"samples\": %d, \"gauges\": [ "
-           r.Driver.metrics_interval r.Driver.metrics_samples;
-         (* "gauge", not "name": check.exe attributes gated metrics to
-            the most recent "name" field, which must stay the workload
-            row's. *)
-         List.iteri
-           (fun j (g : Metrics.summary) ->
-             add
-               "%s{ \"gauge\": \"%s\", \"n\": %d, \"min\": %d, \"max\": %d, \
-                \"mean\": %.2f, \"last\": %d }"
-               (if j > 0 then ", " else "")
-               g.Metrics.s_name g.Metrics.s_n g.Metrics.s_min g.Metrics.s_max
-               g.Metrics.s_mean g.Metrics.s_last)
-           r.Driver.gauges;
-         add " ] },\n"
-       end);
-      (* Saturation knee of the overload rows: the first window whose
-         p99 left the flat regime. "knee_cycles" is regression-gated
-         (Higher = the machine endures longer before saturating). *)
-      (match r.Driver.knee with
-      | Some k when wname = "overload" ->
-          add "      \"knee_cycles\": %d,\n" k.Knee.k_at;
-          add
-            "      \"knee\": { \"window\": %d, \"p99_before\": %Ld, \
-             \"p99_after\": %Ld, \"windows\": %d },\n"
-            k.Knee.k_window k.Knee.k_before k.Knee.k_after k.Knee.k_windows
-      | _ -> ());
-      (* Per-class tail blame (PR 9): what made the slowest retained ops
-         slow. Present only when trace_retain > 0. *)
-      (if r.Driver.blame <> [] then begin
-         add "      \"blame\": [ ";
-         List.iteri
-           (fun j (b : Blame.t) ->
-             add
-               "%s{ \"class\": \"%s\", \"n\": %d, \"p99\": %Ld, \"bucket\": \
-                \"%s\", \"bucket_share\": %.3f, \"srv\": %d, \"srv_share\": \
-                %.3f, \"qdepth_mean\": %.2f, \"qdepth_max\": %d, \
-                \"worst_op\": \"%s\", \"worst_dur\": %d }"
-               (if j > 0 then ", " else "")
-               b.Blame.b_class b.Blame.b_n b.Blame.b_p99 b.Blame.b_bucket
-               b.Blame.b_bucket_share b.Blame.b_srv b.Blame.b_srv_share
-               b.Blame.b_qdepth_mean b.Blame.b_qdepth_max b.Blame.b_worst_op
-               b.Blame.b_worst_dur)
-           r.Driver.blame;
-         add " ],\n"
-       end);
-      (* Per-opcode cycle attribution of the timed region: each row's
-         bucket values sum exactly to its total (hare_cli profile shows
-         the same breakdown interactively). *)
-      add "      \"profile\": [\n";
-      let nrows = List.length r.Driver.profile in
-      List.iteri
-        (fun j (row : Hare_trace.Trace.row) ->
-          add "        { \"op\": \"%s\", \"count\": %d, \"cycles\": %Ld"
-            row.Hare_trace.Trace.r_op row.Hare_trace.Trace.r_count
-            row.Hare_trace.Trace.r_total;
-          List.iteri
-            (fun k bname ->
-              add ", \"%s\": %Ld" bname row.Hare_trace.Trace.r_buckets.(k))
-            Hare_trace.Trace.bucket_names;
-          add " }%s\n" (if j < nrows - 1 then "," else ""))
-        r.Driver.profile;
-      add "      ]\n";
-      add "    }%s\n" (if i < List.length rows - 1 then "," else ""))
-    rows;
-  add "  ],\n";
   (* Schedule-exploration health (PR 10). Additive top-level object:
      check.exe compares only keys present in the baseline, so older
      baselines simply do not gate it. One exhaustive DPOR enumeration of
@@ -479,25 +419,28 @@ let run_json ~quick ~out () =
     (if clean.R.complete then " (exhaustive)" else "")
     (if detect.R.violations <> [] then "DETECTED" else "MISSED")
     wall;
-  add "  \"explore\": {\n";
-  add "    \"scenario\": \"collide\",\n";
-  add "    \"schedules_explored\": %d,\n" clean.R.schedules;
-  add "    \"choice_points\": %d,\n" clean.R.choice_points;
-  add "    \"sleep_blocked\": %d,\n" clean.R.sleep_blocked;
-  add "    \"exhaustive\": %b,\n" clean.R.complete;
-  add "    \"violations\": %d,\n" (List.length clean.R.violations);
-  add
-    "    \"detection\": { \"scenario\": \"handoff\", \"mutation\": \
-     \"skip_writeback\", \"strategy\": \"%s\", \"schedules\": %d, \
-     \"violations\": %d }\n"
-    (R.strategy_name (R.Pct 7))
-    detect.R.schedules
-    (List.length detect.R.violations);
-  add "  }\n";
-  add "}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let open Hare_stats.Json in
+  let explore =
+    Object
+      [ ("scenario", String "collide"); ("schedules_explored", Int clean.R.schedules);
+        ("choice_points", Int clean.R.choice_points);
+        ("sleep_blocked", Int clean.R.sleep_blocked);
+        ("exhaustive", Bool clean.R.complete);
+        ("violations", Int (List.length clean.R.violations));
+        ( "detection",
+          Object
+            [ ("scenario", String "handoff"); ("mutation", String "skip_writeback");
+              ("strategy", String (R.strategy_name (R.Pct 7)));
+              ("schedules", Int detect.R.schedules);
+              ("violations", Int (List.length detect.R.violations)) ] ) ]
+  in
+  Out_channel.with_open_bin out (fun oc ->
+      Out_channel.output_string oc
+        (to_string
+           (Object
+              [ ("schema", String "hare-bench-pr2/1"); ("quick", Bool quick);
+                ("workloads", Array (List.map workload_json rows));
+                ("explore", explore) ])));
   Printf.printf "wrote %s (%d workloads)\n" out (List.length rows)
 
 let () =

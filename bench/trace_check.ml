@@ -1,105 +1,20 @@
 (* bench/trace_check.exe FILE [--tracks N] [--counters N]
-   bench/trace_check.exe --bench FILE
 
-   Validates a Chrome trace-event JSON file produced by `hare_cli trace`
-   without any JSON library: the exporter writes one event per line, so
-   a line-oriented scanner suffices. Checks:
+   Validates a `hare_cli run --trace` export: one object whose
+   "traceEvents" array holds events with a "ph" phase, non-metadata ones
+   with an integer "tid" and a "ts" that never decreases on its track,
+   counters (ph "C") with a numeric "args"."value". --tracks N wants
+   exactly N thread_name records (a track per core plus DRAM), --counters
+   N at least N counter events. Exit 0 if well-formed, else 1. *)
 
-   - framing: first line is `{"traceEvents":[`, last line is `]}`;
-   - every event line carries a "ph" phase and a "tid";
-   - every non-metadata event carries a "ts", and timestamps are
-     monotonically non-decreasing within each track (tid);
-   - every counter event (ph "C") carries a parseable numeric "value";
-   - with --tracks N: exactly N thread_name metadata records exist
-     (one Perfetto track per core plus the DRAM track);
-   - with --counters N: at least N counter events exist (the metrics
-     sampler's gauge mirror, PR 9).
+module Json = Hare_stats.Json
 
-   With --bench, FILE is a bench --json output instead: the scanner
-   requires at least one workload carrying a well-formed "timeseries"
-   object (interval/samples/gauges) and one carrying a "blame" array
-   (class/bucket fields), and that any "knee_cycles" key is followed by
-   its "knee" detail object.
-
-   Exit 0 when the file is well-formed, 1 with a message otherwise. *)
-
-let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("trace_check: " ^ msg); exit 1) fmt
-
-(* Find `"key":` in [line] and return the character offset just past the
-   colon, skipping spaces. *)
-let find_key line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and len = String.length line in
-  let rec scan i =
-    if i + plen > len then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else scan (i + 1)
-  in
-  scan 0
-
-let int_at line i =
-  let len = String.length line in
-  let j = ref i in
-  if !j < len && line.[!j] = '-' then incr j;
-  let v0 = !j in
-  while !j < len && line.[!j] >= '0' && line.[!j] <= '9' do
-    incr j
-  done;
-  if !j = v0 then None else Some (Int64.of_string (String.sub line i (!j - i)))
-
-(* --bench mode: structural checks on a bench --json file. Substring
-   scans are enough — our own writer emits each object on known lines —
-   but every required key is checked so a silently dropped section
-   fails CI rather than shrinking the artifact. *)
-let check_bench file =
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  let contains pat =
-    let plen = String.length pat and len = String.length s in
-    let rec scan i =
-      i + plen <= len && (String.sub s i plen = pat || scan (i + 1))
-    in
-    scan 0
-  in
-  let count pat =
-    let plen = String.length pat and len = String.length s in
-    let rec scan i acc =
-      if i + plen > len then acc
-      else if String.sub s i plen = pat then scan (i + 1) (acc + 1)
-      else scan (i + 1) acc
-    in
-    scan 0 0
-  in
-  if not (contains "\"schema\": \"hare-bench-pr2/1\"") then
-    fail "%s: not a hare bench JSON (no schema key)" file;
-  if not (contains "\"timeseries\":") then
-    fail "%s: no workload carries a \"timeseries\" object" file;
-  List.iter
-    (fun key ->
-      if not (contains key) then
-        fail "%s: \"timeseries\" object lacks %s" file key)
-    [ "\"interval\":"; "\"samples\":"; "\"gauges\":" ];
-  if not (contains "\"blame\":") then
-    fail "%s: no workload carries a \"blame\" array" file;
-  List.iter
-    (fun key ->
-      if not (contains key) then fail "%s: \"blame\" entries lack %s" file key)
-    [ "\"class\":"; "\"bucket\":"; "\"bucket_share\":"; "\"qdepth_max\":" ];
-  let knees = count "\"knee_cycles\":" and details = count "\"knee\":" in
-  if knees <> details then
-    fail "%s: %d \"knee_cycles\" keys but %d \"knee\" detail objects" file
-      knees details;
-  Printf.printf
-    "trace_check: OK: bench JSON carries timeseries, blame and %d knee(s)\n"
-    knees;
-  exit 0
+let fail fmt =
+  Printf.ksprintf (fun m -> prerr_endline ("trace_check: " ^ m); exit 1) fmt
 
 let () =
   let file, want_tracks, want_counters =
     match Array.to_list Sys.argv with
-    | [ _; "--bench"; f ] -> check_bench f
     | [ _; f ] -> (f, None, None)
     | [ _; f; "--tracks"; n ] -> (f, Some (int_of_string n), None)
     | [ _; f; "--counters"; n ] -> (f, None, Some (int_of_string n))
@@ -107,105 +22,57 @@ let () =
     | [ _; f; "--counters"; c; "--tracks"; n ] ->
         (f, Some (int_of_string n), Some (int_of_string c))
     | _ ->
-        prerr_endline
-          "usage: trace_check.exe FILE [--tracks N] [--counters N]\n\
-          \       trace_check.exe --bench FILE";
+        prerr_endline "usage: trace_check.exe FILE [--tracks N] [--counters N]";
         exit 2
   in
-  let lines =
-    let ic = open_in file in
-    let acc = ref [] in
-    (try
-       while true do
-         acc := input_line ic :: !acc
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev (List.filter (fun l -> String.trim l <> "") !acc)
+  let events =
+    match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+    | Error (off, what) -> fail "%s: byte %d: %s" file off what
+    | Ok doc -> (
+        match Json.member "traceEvents" doc with
+        | Some (Json.Array evs) -> evs
+        | _ -> fail "%s: not an object with a \"traceEvents\" array" file)
   in
-  (match lines with
-  | first :: _ when String.trim first = "{\"traceEvents\":[" -> ()
-  | first :: _ -> fail "bad first line %S" first
-  | [] -> fail "empty file");
-  (match List.rev lines with
-  | last :: _ when String.trim last = "]}" -> ()
-  | last :: _ -> fail "bad last line %S" last
-  | [] -> assert false);
-  let body =
-    match lines with
-    | _ :: rest -> List.filteri (fun i _ -> i < List.length rest - 1) rest
-    | [] -> []
-  in
-  let last_ts : (int64, int64) Hashtbl.t = Hashtbl.create 16 in
-  let events = ref 0 and metas = ref 0 and tracks = ref 0 in
-  let counters = ref 0 in
+  let last_ts : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let nevents = ref 0 and metas = ref 0 and tracks = ref 0 and counters = ref 0 in
   List.iteri
-    (fun i line ->
-      let lineno = i + 2 in
-      let ph =
-        match find_key line "ph" with
-        | Some j when j + 1 < String.length line && line.[j] = '"' ->
-            line.[j + 1]
-        | _ -> fail "line %d: no \"ph\" phase: %s" lineno line
+    (fun i ev ->
+      let field k = Json.member k ev in
+      let int_field k =
+        match field k with
+        | Some (Json.Int v) -> v
+        | _ -> fail "event %d: no integer %S" i k
       in
-      let tid =
-        match find_key line "tid" with
-        | Some j -> (
-            match int_at line j with
-            | Some v -> v
-            | None -> fail "line %d: unparsable tid" lineno)
-        | None ->
-            if ph = 'M' then -1L
-            else fail "line %d: no \"tid\": %s" lineno line
-      in
-      if ph = 'M' then begin
-        incr metas;
-        let pat = "\"thread_name\"" in
-        let has_thread_name =
-          let plen = String.length pat in
-          let rec scan k =
-            k + plen <= String.length line
-            && (String.sub line k plen = pat || scan (k + 1))
-          in
-          scan 0
-        in
-        if has_thread_name then incr tracks
-      end
-      else begin
-        incr events;
-        if ph = 'C' then begin
-          incr counters;
-          match find_key line "value" with
-          | None -> fail "line %d: counter without \"value\": %s" lineno line
-          | Some j -> (
-              match int_at line j with
-              | None -> fail "line %d: unparsable counter value" lineno
-              | Some _ -> ())
-        end;
-        match find_key line "ts" with
-        | None -> fail "line %d: event without \"ts\": %s" lineno line
-        | Some j -> (
-            match int_at line j with
-            | None -> fail "line %d: unparsable ts" lineno
-            | Some ts ->
-                (match Hashtbl.find_opt last_ts tid with
-                | Some prev when ts < prev ->
-                    fail
-                      "line %d: timestamps not monotonic on track %Ld \
-                       (%Ld after %Ld)"
-                      lineno tid ts prev
-                | _ -> ());
-                Hashtbl.replace last_ts tid ts)
-      end)
-    body;
-  (match want_tracks with
-  | Some n when !tracks <> n ->
-      fail "expected %d named tracks, found %d" n !tracks
-  | _ -> ());
-  (match want_counters with
-  | Some n when !counters < n ->
-      fail "expected at least %d counter events, found %d" n !counters
-  | _ -> ());
+      match field "ph" with
+      | Some (Json.String "M") ->
+          incr metas;
+          if field "name" = Some (Json.String "thread_name") then incr tracks
+      | Some (Json.String ph) ->
+          incr nevents;
+          let tid = int_field "tid" and ts = int_field "ts" in
+          if ph = "C" then begin
+            incr counters;
+            match Option.bind (field "args") (Json.member "value") with
+            | Some (Json.Int _ | Json.Float _) -> ()
+            | _ -> fail "event %d: counter without a numeric \"value\"" i
+          end;
+          (match Hashtbl.find_opt last_ts tid with
+          | Some prev when ts < prev ->
+              fail "event %d: timestamps not monotonic on track %d (%d after %d)"
+                i tid ts prev
+          | _ -> ());
+          Hashtbl.replace last_ts tid ts
+      | _ -> fail "event %d: no \"ph\" phase" i)
+    events;
+  Option.iter
+    (fun n ->
+      if !tracks <> n then fail "expected %d named tracks, found %d" n !tracks)
+    want_tracks;
+  Option.iter
+    (fun n ->
+      if !counters < n then
+        fail "expected at least %d counter events, found %d" n !counters)
+    want_counters;
   Printf.printf
     "trace_check: OK: %d events (%d counters), %d metadata records, %d tracks\n"
-    !events !counters !metas !tracks
+    !nevents !counters !metas !tracks

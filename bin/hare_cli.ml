@@ -530,23 +530,19 @@ let report_profile name m tr =
 (* Raw time series as JSON: one [stamp, value] pair array per gauge, on
    the sampling grid. *)
 let series_json mt =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"hare-metrics/1\",\n";
-  add "  \"interval\": %d,\n" (Metrics.interval mt);
-  add "  \"samples\": %d,\n" (Metrics.samples mt);
-  add "  \"dropped\": %d,\n" (Metrics.dropped mt);
-  add "  \"series\": {\n";
-  let series = Metrics.series mt in
-  List.iteri
-    (fun i (gname, points) ->
-      add "    \"%s\": [ %s ]%s\n" gname
-        (String.concat ", "
-           (List.map (fun (ts, v) -> Printf.sprintf "[%d, %d]" ts v) points))
-        (if i < List.length series - 1 then "," else ""))
-    series;
-  add "  }\n}\n";
-  Buffer.contents buf
+  let open Hare_stats.Json in
+  let series (g, points) =
+    (g, Array (List.map (fun (ts, v) -> Array [ Int ts; Int v ]) points))
+  in
+  to_string
+    (Object
+       [
+         ("schema", String "hare-metrics/1");
+         ("interval", Int (Metrics.interval mt));
+         ("samples", Int (Metrics.samples mt));
+         ("dropped", Int (Metrics.dropped mt));
+         ("series", Object (List.map series (Metrics.series mt)));
+       ])
 
 let report_metrics ~series name m mt =
   Printf.printf

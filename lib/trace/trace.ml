@@ -716,73 +716,51 @@ let root_spans t =
   List.init t.lat_len (fun i ->
       (t.lat_ops.(i), Int64.of_int t.lat_t0.(i), Int64.of_int t.lat_dur.(i)))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let args_json args =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-       args)
-
 let event_ts = function
   | Span { t0; _ } -> t0
   | Instant { ts; _ } -> ts
   | Counter { ts; _ } -> ts
 
-let event_json = function
-  | Span { id; parent; name; cat; track; t0; t1; args } ->
-      let dur = Int64.sub t1 t0 in
-      let extra =
-        args_json
-          ((if parent <> 0 then [ ("parent", string_of_int parent) ] else [])
-          @ args)
-      in
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":0,\"tid\":%d,\"id\":%d,\"args\":{%s}}"
-        (json_escape name) (json_escape cat) t0 dur track id extra
-  | Instant { name; track; ts; args } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%Ld,\"pid\":0,\"tid\":%d,\"s\":\"t\",\"args\":{%s}}"
-        (json_escape name) ts track (args_json args)
+let event_json ev =
+  let open Hare_stats.Json in
+  let event name cat ph ts fields =
+    Object
+      ([ ("name", String name); ("cat", String cat); ("ph", String ph);
+         ("ts", Int (Int64.to_int ts)) ]
+      @ fields)
+  in
+  let on track = [ ("pid", Int 0); ("tid", Int track) ] in
+  let args kvs = ("args", Object (List.map (fun (k, v) -> (k, String v)) kvs)) in
+  match ev with
+  | Span { id; parent; name; cat; track; t0; t1; args = a } ->
+      let a = if parent <> 0 then ("parent", string_of_int parent) :: a else a in
+      event name cat "X" t0
+        ((("dur", Int (Int64.to_int (Int64.sub t1 t0))) :: on track)
+        @ [ ("id", Int id); args a ])
+  | Instant { name; track; ts; args = a } ->
+      event name "event" "i" ts (on track @ [ ("s", String "t"); args a ])
   | Counter { name; track; ts; value } ->
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":%Ld,\"pid\":0,\"tid\":%d,\"args\":{\"value\":%d}}"
-        (json_escape name) ts track value
+      event name "counter" "C" ts
+        (on track @ [ ("args", Object [ ("value", Int value) ]) ])
 
 let to_chrome_json t =
+  let open Hare_stats.Json in
+  let meta kind tid name =
+    Object
+      ([ ("name", String kind); ("ph", String "M"); ("pid", Int 0) ]
+      @ tid @ [ ("args", Object [ ("name", String name) ]) ])
+  in
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  Buffer.add_string buf
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"hare\"}}";
-  List.iter
-    (fun (track, name) ->
-      Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           track (json_escape name)))
-    (tracks t);
-  let evs = List.stable_sort (fun a b -> Int64.compare (event_ts a) (event_ts b)) (events t) in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf ",\n";
-      Buffer.add_string buf (event_json ev))
-    evs;
-  Buffer.add_string buf "\n]}\n";
+  stream_objects buf "traceEvents" (fun emit ->
+      emit (meta "process_name" [] "hare");
+      List.iter
+        (fun (track, name) -> emit (meta "thread_name" [ ("tid", Int track) ] name))
+        (tracks t);
+      List.iter
+        (fun ev -> emit (event_json ev))
+        (List.stable_sort
+           (fun a b -> Int64.compare (event_ts a) (event_ts b))
+           (events t)));
   Buffer.contents buf
 
 let recent_spans t ~per_track =

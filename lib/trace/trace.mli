@@ -150,4 +150,5 @@ val to_chrome_json : t -> string
 (** The ring as Chrome trace-event JSON (Perfetto-loadable): one
     complete-event per span, instants and counters on their tracks,
     thread-name metadata per declared track, events sorted by timestamp,
-    one event per line. Deterministic for a deterministic run. *)
+    printed one by one by {!Hare_stats.Json.stream_objects} (one event
+    per line). Deterministic for a deterministic run. *)

@@ -44,7 +44,25 @@ let test_export_byte_identical () =
     (String.length json1 > 16 && String.sub json1 0 16 = "{\"traceEvents\":[");
   Alcotest.(check bool) "chrome framing (tail)" true
     (String.length json1 > 4
-    && String.sub json1 (String.length json1 - 4) 4 = "\n]}\n")
+    && String.sub json1 (String.length json1 - 4) 4 = "\n]}\n");
+  let module Json = Hare_stats.Json in
+  match Json.parse json1 with
+  | Error (off, what) -> Alcotest.failf "export does not parse: byte %d: %s" off what
+  | Ok doc ->
+      let events =
+        match Json.member "traceEvents" doc with
+        | Some (Json.Array evs) -> evs
+        | _ -> Alcotest.fail "no traceEvents array"
+      in
+      List.iter
+        (fun ev ->
+          if Json.member "ph" ev <> Some (Json.String "M") then
+            List.iter
+              (fun k ->
+                if Json.member k ev = None then
+                  Alcotest.failf "event without %S: %s" k (Json.to_string ev))
+              [ "ph"; "tid"; "ts" ])
+        events
 
 (* ---------- bounded ring ------------------------------------------------ *)
 
