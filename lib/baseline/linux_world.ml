@@ -23,9 +23,7 @@ and proc = {
   fdt : (int, entry) Hashtbl.t;
   mutable cwd : string;
   exit_status : int Ivar.t;
-  mutable children : proc list;
-  child_exits : (pid * int) Bqueue.t;
-  mutable reaped : (pid * int) list;
+  children : Hare_proc.Children.t;
   mutable killed : bool;
   prng : Rng.t;
 }
@@ -96,15 +94,13 @@ let mk_proc w ~core_id ~parent ~cwd ~fdt =
       fdt;
       cwd;
       exit_status = Ivar.create ();
-      children = [];
-      child_exits = Bqueue.create ();
-      reaped = [];
+      children = Hare_proc.Children.create ();
       killed = false;
       prng = Rng.split (Engine.rng w.engine);
     }
   in
   Hashtbl.replace w.procs pid p;
-  (match parent with Some par -> par.children <- p :: par.children | None -> ());
+  Option.iter (fun par -> Hare_proc.Children.add par.children pid) parent;
   p
 
 let release_entry (p : proc) (e : entry) =
@@ -211,52 +207,9 @@ let api_fork (p : proc) child_body =
          let status = try child_body child with Errno.Error _ -> 1 in
          (try close_all child with Errno.Error _ -> ());
          Hashtbl.remove child.w.procs child.pid;
-         Bqueue.push parent.child_exits (child.pid, status);
+         Hare_proc.Children.exited parent.children child.pid status;
          Ivar.fill child.exit_status status));
   child.pid
-
-let reap (p : proc) pid =
-  p.children <- List.filter (fun c -> c.pid <> pid) p.children
-
-let api_wait (p : proc) =
-  match p.reaped with
-  | (pid, st) :: rest ->
-      p.reaped <- rest;
-      reap p pid;
-      (pid, st)
-  | [] ->
-      if p.children = [] then Errno.raise_errno Errno.ECHILD "wait";
-      let pid, st = Bqueue.pop p.child_exits in
-      reap p pid;
-      (pid, st)
-
-let api_waitpid (p : proc) pid =
-  let rec scan acc = function
-    | [] -> None
-    | (rp, st) :: rest when rp = pid ->
-        p.reaped <- List.rev_append acc rest;
-        Some st
-    | entry :: rest -> scan (entry :: acc) rest
-  in
-  match scan [] p.reaped with
-  | Some st ->
-      reap p pid;
-      st
-  | None ->
-      if not (List.exists (fun c -> c.pid = pid) p.children) then
-        Errno.raise_errno Errno.ECHILD (string_of_int pid);
-      let rec await () =
-        let rp, st = Bqueue.pop p.child_exits in
-        if rp = pid then begin
-          reap p pid;
-          st
-        end
-        else begin
-          p.reaped <- p.reaped @ [ (rp, st) ];
-          await ()
-        end
-      in
-      await ()
 
 let api t : proc Hare_api.Api.t =
   let fsys = t.fs in
@@ -349,8 +302,8 @@ let api t : proc Hare_api.Api.t =
             | Some body ->
                 Core_res.compute (core child) t.costs.spawn_process;
                 body child args));
-    waitpid = api_waitpid;
-    wait = api_wait;
+    waitpid = (fun p pid -> Hare_proc.Children.waitpid p.children pid);
+    wait = (fun p -> Hare_proc.Children.wait p.children);
     kill =
       (fun p pid _signal ->
         Core_res.compute (core p) t.costs.linux_syscall;

@@ -12,9 +12,13 @@ module Config = Hare_config.Config
    breaker closes or re-opens. Inert unless [breaker_threshold > 0]. *)
 type breaker_state = Br_closed | Br_open of int64 | Br_half_open
 
-type breaker = {
+(* One physical server's overload control: its breaker and its retry
+   budget (inert unless [retry_budget > 0]). *)
+type guard = {
   mutable br_state : breaker_state;
   mutable br_fails : int;  (* consecutive give-ups while closed *)
+  mutable tokens : int;  (* retry tokens left *)
+  mutable successes : int;  (* since the budget's last refill *)
 }
 
 (* One copy of a request on the wire. Resends build a fresh copy that
@@ -58,9 +62,7 @@ type t = {
       (* completed seqs above the low-water mark, waiting for the gap
          below them (a still-inflight deferred request) to close *)
   (* overload control (PR 6); all inert at the default knob settings *)
-  breakers : breaker array;  (* one per physical server *)
-  budget_tokens : int array;  (* retry tokens left, per physical server *)
-  budget_successes : int array;  (* successes since last refill *)
+  guards : guard array;  (* one per physical server *)
   mutable open_breakers : int;
       (* breakers currently in [Br_open], maintained at every transition
          so the metrics gauge is an O(1) read, not an O(nservers) scan *)
@@ -73,7 +75,6 @@ type t = {
 
 let create ~engine ~(config : Config.t) ~cid ~core ~servers ?place ~robust
     ~perf () =
-  let nsrv = Array.length servers in
   {
     engine;
     config;
@@ -97,10 +98,10 @@ let create ~engine ~(config : Config.t) ~cid ~core ~servers ?place ~robust
     seq = 0;
     ack = 0;
     done_seqs = Tbl.Int.create 16;
-    breakers =
-      Array.init nsrv (fun _ -> { br_state = Br_closed; br_fails = 0 });
-    budget_tokens = Array.make nsrv config.retry_budget;
-    budget_successes = Array.make nsrv 0;
+    guards =
+      Array.init (Array.length servers) (fun _ ->
+          let tokens = config.retry_budget in
+          { br_state = Br_closed; br_fails = 0; tokens; successes = 0 });
     open_breakers = 0;
     window = Queue.create ();
     rpc_count = 0;
@@ -164,7 +165,7 @@ let breaker_instant t name srv =
 let breaker_admit t srv =
   (not (breaker_enabled t))
   ||
-  let br = t.breakers.(srv) in
+  let br = t.guards.(srv) in
   match br.br_state with
   | Br_closed -> true
   | Br_half_open -> false (* a probe is already in flight *)
@@ -181,7 +182,7 @@ let breaker_admit t srv =
 (* Open [srv]'s breaker from [Br_closed] or [Br_half_open] — a new open,
    never a re-count. *)
 let breaker_open t srv =
-  let br = t.breakers.(srv) in
+  let br = t.guards.(srv) in
   br.br_state <-
     Br_open
       (Int64.add (Engine.now t.engine)
@@ -195,7 +196,7 @@ let breaker_open t srv =
    give-up is the breaker's failure unit, not a single timeout. *)
 let breaker_failure t srv =
   if breaker_enabled t then begin
-    let br = t.breakers.(srv) in
+    let br = t.guards.(srv) in
     match br.br_state with
     | Br_half_open -> breaker_open t srv (* the probe failed: back to open *)
     | Br_closed ->
@@ -206,7 +207,7 @@ let breaker_failure t srv =
 
 let trip_breaker t srv =
   if breaker_enabled t then
-    match t.breakers.(srv).br_state with
+    match t.guards.(srv).br_state with
     | Br_open _ -> ()
     | Br_closed | Br_half_open -> breaker_open t srv
 
@@ -216,9 +217,10 @@ let trip_breaker t srv =
    (one token per ten), keeping the steady-state retry rate a small
    fraction of goodput. *)
 let budget_take t srv =
+  let g = t.guards.(srv) in
   if t.config.retry_budget = 0 then true
-  else if t.budget_tokens.(srv) > 0 then begin
-    t.budget_tokens.(srv) <- t.budget_tokens.(srv) - 1;
+  else if g.tokens > 0 then begin
+    g.tokens <- g.tokens - 1;
     true
   end
   else begin
@@ -230,21 +232,21 @@ let budget_take t srv =
    alive, so it counts as breaker and budget success. *)
 let note_success t srv =
   if breaker_enabled t then begin
-    let br = t.breakers.(srv) in
-    (match br.br_state with
+    let g = t.guards.(srv) in
+    (match g.br_state with
     | Br_half_open ->
         Robust.incr t.robust Robust.breaker_closes;
         breaker_instant t "breaker-close" srv
     | Br_open _ -> t.open_breakers <- t.open_breakers - 1
     | Br_closed -> ());
-    br.br_state <- Br_closed;
-    br.br_fails <- 0
+    g.br_state <- Br_closed;
+    g.br_fails <- 0
   end;
   let cap = t.config.retry_budget in
   if cap > 0 then begin
-    t.budget_successes.(srv) <- t.budget_successes.(srv) + 1;
-    if t.budget_successes.(srv) mod 10 = 0 && t.budget_tokens.(srv) < cap then
-      t.budget_tokens.(srv) <- t.budget_tokens.(srv) + 1
+    let g = t.guards.(srv) in
+    g.successes <- g.successes + 1;
+    if g.successes mod 10 = 0 && g.tokens < cap then g.tokens <- g.tokens + 1
   end
 
 (* ---------- send / await ------------------------------------------------ *)

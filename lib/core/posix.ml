@@ -201,48 +201,9 @@ let exec (p : P.t) ~prog ~args =
 
 let spawn p ~prog ~args = fork p (fun child -> exec child ~prog ~args)
 
-let reap (p : P.t) pid (_status : int) =
-  p.P.children <- List.filter (fun c -> c.P.pid <> pid) p.P.children
+let wait (p : P.t) = Hare_proc.Children.wait p.P.children
 
-let wait (p : P.t) =
-  match p.P.reaped with
-  | (pid, status) :: rest ->
-      p.P.reaped <- rest;
-      reap p pid status;
-      (pid, status)
-  | [] ->
-      if p.P.children = [] then Errno.raise_errno Errno.ECHILD "wait";
-      let pid, status = Bqueue.pop p.P.child_exits in
-      reap p pid status;
-      (pid, status)
-
-let waitpid (p : P.t) pid =
-  let rec scan_reaped acc = function
-    | [] -> None
-    | (rp, st) :: rest when rp = pid ->
-        p.P.reaped <- List.rev_append acc rest;
-        Some st
-    | entry :: rest -> scan_reaped (entry :: acc) rest
-  in
-  match scan_reaped [] p.P.reaped with
-  | Some status ->
-      reap p pid status;
-      status
-  | None ->
-      if not (List.exists (fun c -> c.P.pid = pid) p.P.children) then
-        Errno.raise_errno Errno.ECHILD (string_of_int pid);
-      let rec await () =
-        let rp, status = Bqueue.pop p.P.child_exits in
-        if rp = pid then begin
-          reap p pid status;
-          status
-        end
-        else begin
-          p.P.reaped <- p.P.reaped @ [ (rp, status) ];
-          await ()
-        end
-      in
-      await ()
+let waitpid (p : P.t) pid = Hare_proc.Children.waitpid p.P.children pid
 
 let kill (p : P.t) pid signal =
   let core = Types.core_of_pid pid in

@@ -21,9 +21,7 @@ and t = {
   mutable env : (string * string) list;
   exit_status : int Ivar.t;
   mutable parent : t option;
-  mutable children : t list;
-  child_exits : (Types.pid * int) Bqueue.t;
-  mutable reaped : (Types.pid * int) list;
+  children : Children.t;
   mutable handlers : (int * (int -> unit)) list;
   mutable killed : bool;
   mutable proxy_port : Wire.proxy_msg Hare_msg.Mailbox.t option;
@@ -56,9 +54,7 @@ let make ~k ~core ?pid ?parent ~fdt ~cwd ~env ~rr_next () =
       env;
       exit_status = Ivar.create ();
       parent;
-      children = [];
-      child_exits = Bqueue.create ();
-      reaped = [];
+      children = Children.create ();
       handlers = [];
       killed = false;
       proxy_port = None;
@@ -67,7 +63,7 @@ let make ~k ~core ?pid ?parent ~fdt ~cwd ~env ~rr_next () =
     }
   in
   Tbl.Int.replace k.k_proc_tables.(core) pid t;
-  (match parent with Some p -> p.children <- t :: p.children | None -> ());
+  Option.iter (fun p -> Children.add p.children pid) parent;
   t
 
 let client t = t.k.k_clients.(t.core_id)
@@ -124,7 +120,7 @@ let run t ?(on_exit = fun _ -> ()) body =
           end);
          Tbl.Int.remove t.k.k_proc_tables.(t.core_id) t.pid;
          (match t.parent with
-         | Some parent -> Bqueue.push parent.child_exits (t.pid, status)
+         | Some parent -> Children.exited parent.children t.pid status
          | None -> ());
          Ivar.fill t.exit_status status;
          on_exit status))

@@ -34,10 +34,7 @@ and t = {
   mutable env : (string * string) list;
   exit_status : int Hare_sim.Ivar.t;
   mutable parent : t option;
-  mutable children : t list;
-  child_exits : (Types.pid * int) Hare_sim.Bqueue.t;
-      (** exit notifications for [wait]; pushed by the child on exit. *)
-  mutable reaped : (Types.pid * int) list;
+  children : Children.t;  (** for [wait]; the child reports its exit. *)
   mutable handlers : (int * (int -> unit)) list;
   mutable killed : bool;
   mutable proxy_port : Wire.proxy_msg Hare_msg.Mailbox.t option;
@@ -77,7 +74,7 @@ val run : t -> ?on_exit:(int -> unit) -> (t -> int) -> unit
     when a subscriber wants {!Hare_sim.Obs.marks}, a [proc-errno] instant
     on the process's core track with its pid, errno and operand) it
     closes all fds, deregisters, fills [exit_status], notifies the
-    parent's [child_exits] queue, then calls [on_exit]. *)
+    parent's {!Children}, then calls [on_exit]. *)
 
 val deliver_signal : t -> from:Hare_sim.Core_res.t -> int -> unit
 (** Local delivery: relays to the remote child if the process is a proxy

@@ -20,17 +20,18 @@ type ofd = {
   pipe_end : [ `R | `W ] option;
 }
 
-type mark = { parked : request Queue.t }
-
-type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
-
-type shard = {
-  entries : Wire.entry_info Tbl.Str.t;
+type dir = {
+  mutable entries : Wire.entry_info Tbl.Str.t;
   (* The readdir reply [entries] make, in [Tbl.Str.fold] order, with its
      payload size; rebuilt on the first read after a change. *)
   mutable fresh : bool;
   mutable lines : int option;
   mutable listing : Wire.fs_resp;
+  mutable clients : unit Itbl.t Tbl.Str.t;
+  mutable mark : request Queue.t option;
+  mutable held : bool;
+  lock_waiters : reply Queue.t;
+  mutable dead : bool;
 }
 
 type t = {
@@ -39,11 +40,7 @@ type t = {
   mutable next_lid : int;
   tokens : ofd Itbl.t;
   mutable next_token : int;
-  dirs : shard Dtbl.t;
-  tracking : unit Itbl.t Tbl.Str.t Dtbl.t;
-  marks : mark Dtbl.t;
-  locks : dirlock Dtbl.t;
-  dead_dirs : unit Dtbl.t;
+  dirs : dir Dtbl.t;
 }
 
 let create hid =
@@ -54,10 +51,6 @@ let create hid =
     tokens = Itbl.create 256;
     next_token = 1;
     dirs = Dtbl.create 256;
-    tracking = Dtbl.create 256;
-    marks = Dtbl.create 16;
-    locks = Dtbl.create 16;
-    dead_dirs = Dtbl.create 16;
   }
 
 type homes = { table : t Itbl.t; mutable index : t option array }
@@ -103,89 +96,102 @@ let empty_lines = payload_lines 0
 
 let empty_listing : Wire.fs_resp = Ok (Wire.P_entries [])
 
-let shard h dir =
-  match Dtbl.find_opt h.dirs dir with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          entries = Tbl.Str.create 16;
-          fresh = true;
-          lines = empty_lines;
-          listing = empty_listing;
-        }
-      in
-      Dtbl.replace h.dirs dir s;
-      s
+(* What a record without a shard holds in place of its tables; nothing
+   is ever added to either. *)
+let no_entries : Wire.entry_info Tbl.Str.t = Tbl.Str.create 1
 
-let shard_find s name = Tbl.Str.find_opt s.entries name
+let no_clients : unit Itbl.t Tbl.Str.t = Tbl.Str.create 1
+
+let bare () =
+  {
+    entries = no_entries;
+    fresh = true;
+    lines = empty_lines;
+    listing = empty_listing;
+    clients = no_clients;
+    mark = None;
+    held = false;
+    lock_waiters = Queue.create ();
+    dead = false;
+  }
+
+let gone = { (bare ()) with dead = true }
+
+let find_dir h dir = match Dtbl.find_opt h.dirs dir with Some d -> d | None -> gone
+
+let directory h dir =
+  match Dtbl.find_opt h.dirs dir with
+  | Some d -> d
+  | None ->
+      let d = bare () in
+      Dtbl.add h.dirs dir d;
+      d
+
+let has_shard d = d.entries != no_entries
+
+let shard h ino =
+  let d = directory h ino in
+  if not (d.dead || has_shard d) then begin
+    d.entries <- Tbl.Str.create 16;
+    d.clients <- Tbl.Str.create 16
+  end;
+  d
+
+let shard_find d name = Tbl.Str.find_opt d.entries name
 
 (* A change drops the cached reply, so a shard nobody lists holds no
    second copy of its entries. *)
-let stale s =
-  s.fresh <- false;
-  s.listing <- empty_listing
+let stale d =
+  d.fresh <- false;
+  d.listing <- empty_listing
 
-let shard_set s name e =
-  Tbl.Str.replace s.entries name e;
-  stale s
+let shard_set d name e =
+  Tbl.Str.replace d.entries name e;
+  stale d
 
-let shard_remove s name =
-  Tbl.Str.remove s.entries name;
-  stale s
+let shard_remove d name =
+  Tbl.Str.remove d.entries name;
+  stale d
 
-let shard_length s = Tbl.Str.length s.entries
+let shard_length d = Tbl.Str.length d.entries
 
-let shard_fold f s acc = Tbl.Str.fold f s.entries acc
-
-let shard_size h dir =
-  match Dtbl.find_opt h.dirs dir with None -> 0 | Some s -> shard_length s
-
-let find_entry h dir name =
-  match Dtbl.find_opt h.dirs dir with
-  | None -> None
-  | Some s -> shard_find s name
+let shard_fold f d acc = Tbl.Str.fold f d.entries acc
 
 let readdir h dir (reply : reply) =
-  match Dtbl.find_opt h.dirs dir with
-  | None -> reply ?payload_lines:empty_lines empty_listing
-  | Some s ->
-      if not s.fresh then begin
-        let entries =
-          shard_fold
-            (fun name (e : Wire.entry_info) acc ->
-              { Wire.e_name = name; e_ino = e.t_ino; e_ftype = e.t_ftype } :: acc)
-            s []
-        in
-        s.lines <- payload_lines (shard_length s);
-        s.listing <- Ok (Wire.P_entries entries);
-        s.fresh <- true
-      end;
-      reply ?payload_lines:s.lines s.listing
+  let d = find_dir h dir in
+  if not d.fresh then begin
+    let entries =
+      shard_fold
+        (fun name (e : Wire.entry_info) acc ->
+          { Wire.e_name = name; e_ino = e.t_ino; e_ftype = e.t_ftype } :: acc)
+        d []
+    in
+    d.lines <- payload_lines (shard_length d);
+    d.listing <- Ok (Wire.P_entries entries);
+    d.fresh <- true
+  end;
+  reply ?payload_lines:d.lines d.listing
 
-let track h ~dir ~name ~client =
-  let per_dir =
-    match Dtbl.find_opt h.tracking dir with
-    | Some m -> m
-    | None ->
-        let m = Tbl.Str.create 16 in
-        Dtbl.replace h.tracking dir m;
-        m
-  in
+let track d ~name ~client =
   let clients =
-    match Tbl.Str.find_opt per_dir name with
+    match Tbl.Str.find_opt d.clients name with
     | Some c -> c
     | None ->
         let c = Itbl.create 4 in
-        Tbl.Str.replace per_dir name c;
+        Tbl.Str.add d.clients name c;
         c
   in
   Itbl.replace clients client ()
 
-let drop_dir h dir =
-  Dtbl.remove h.dirs dir;
-  Dtbl.remove h.tracking dir;
-  Dtbl.remove h.locks dir
+(* [replace] keeps the record's place in the table's order. *)
+let bury h dir =
+  let d = find_dir h dir in
+  let lose (reply : reply) = reply (Error Hare_proto.Errno.ENOENT) in
+  Option.iter (Queue.iter (fun (r : request) -> lose r.reply)) d.mark;
+  Queue.iter lose d.lock_waiters;
+  Dtbl.replace h.dirs dir { (bare ()) with dead = true }
+
+let drop_dir h dir = Dtbl.remove h.dirs dir
 
 let home_shift = 40
 
@@ -205,11 +211,14 @@ let crash hs =
   Itbl.iter
     (fun _ h ->
       Dtbl.iter
-        (fun _ m -> Queue.iter (fun (r : request) -> abort r.reply) m.parked)
-        h.marks;
-      Dtbl.reset h.marks;
-      Dtbl.iter (fun _ l -> Queue.iter abort l.lock_waiters) h.locks;
-      Dtbl.reset h.locks;
+        (fun _ d ->
+          Option.iter (Queue.iter (fun (r : request) -> abort r.reply)) d.mark;
+          d.mark <- None;
+          Queue.iter abort d.lock_waiters;
+          Queue.clear d.lock_waiters;
+          d.held <- false;
+          Tbl.Str.reset d.clients)
+        h.dirs;
       Itbl.iter
         (fun _ (inode : Inode.t) ->
           (match inode.pipe with
@@ -218,8 +227,7 @@ let crash hs =
           inode.keep_lease <- inode.keep_lease || inode.open_tokens > 0;
           inode.open_tokens <- 0)
         h.inodes;
-      Itbl.reset h.tokens;
-      Dtbl.reset h.tracking)
+      Itbl.reset h.tokens)
     hs.table;
   !aborted
 

@@ -1,9 +1,9 @@
 (** One logical home's record (§3.1) and its crash and restart steps.
 
-    A home owns an inode table, descriptor state, directory-entry
-    shards, invalidation tracking lists and rmdir marks/locks. A server
-    hosts exactly one home, its own, under every static placement; under
-    a shard plan a migration moves whole records between servers. *)
+    A home owns an inode table, descriptor state and one record per
+    directory. A server hosts exactly one home, its own, under every
+    static placement; under a shard plan a migration moves whole records
+    between servers. *)
 
 type reply = ?payload_lines:int -> Hare_proto.Wire.fs_resp -> unit
 (** A request's reply slot; parked work holds it until it can answer. *)
@@ -25,15 +25,27 @@ type ofd = {
 }
 (** Server-side open file descriptor state (§3.4). *)
 
-type mark = { parked : request Queue.t }
-(** An rmdir mark: the creates it delays, queued whole. *)
-
-type dirlock = { mutable held : bool; lock_waiters : reply Queue.t }
-
-type shard
-(** One home's entries for one directory, with the readdir reply they
-    make cached until the next change. *)
-
+type dir = {
+  mutable entries : Hare_proto.Wire.entry_info Hare_sim.Tbl.Str.t;
+      (** this home's shard: name -> dentry *)
+  mutable fresh : bool;
+  mutable lines : int option;
+  mutable listing : Hare_proto.Wire.fs_resp;  (** its readdir reply, while [fresh] *)
+  mutable clients : unit Hare_sim.Tbl.Int.t Hare_sim.Tbl.Str.t;
+      (** invalidation tracking lists (§3.6.1): name -> client set *)
+  mutable mark : request Queue.t option;  (** rmdir mark (§3.3): the creates it delays *)
+  mutable held : bool;  (** rmdir lock, at the directory's own home *)
+  lock_waiters : reply Queue.t;
+  mutable dead : bool;
+      (** a tombstone: this home committed the directory's removal. A
+          create can race past the mark window (looked up the parent
+          before the removal, arrived after commit); shard servers
+          cannot check the remote inode, so the tombstone refuses it.
+          Inode ids are never reused, so a tombstone can live forever. *)
+}
+(** Everything one home keeps for one directory. A record made for a
+    mark or a lock, and a tombstone, has no shard: its two tables are
+    shared empty stand-ins, never written. *)
 
 type t = {
   hid : int;
@@ -41,19 +53,9 @@ type t = {
   mutable next_lid : int;
   tokens : ofd Hare_sim.Tbl.Int.t;
   mutable next_token : int;
-  dirs : shard Dtbl.t;
-      (** directory-entry shards: dir -> name -> dentry. Nothing
-          observes this table's iteration order, only each shard's. *)
-  tracking : unit Hare_sim.Tbl.Int.t Hare_sim.Tbl.Str.t Dtbl.t;
-      (** invalidation tracking lists: dir -> name -> client set *)
-  marks : mark Dtbl.t;
-  locks : dirlock Dtbl.t;
-  dead_dirs : unit Dtbl.t;
-      (** tombstones: directories whose removal this home committed. A
-          create can race past the mark window (looked up the parent
-          before the removal, arrived after commit); shard servers
-          cannot check the remote inode, so the tombstone refuses it.
-          Inode ids are never reused, so a tombstone can live forever. *)
+  dirs : dir Dtbl.t;
+      (** dir -> its record. Crash answers parked work, and migration
+          fires tracking callbacks, in this table's iteration order. *)
 }
 
 val create : int -> t
@@ -91,28 +93,35 @@ val unaddressed : t option
 val alloc_lid : t -> int
 (** The home's next inode number. *)
 
-(** {1 Directory entries and tracking lists} *)
+(** {1 Directory records} *)
 
-val shard : t -> Hare_proto.Types.ino -> shard
-(** This home's entries for a directory, created empty on first use. *)
+val directory : t -> Hare_proto.Types.ino -> dir
+(** A directory's record, created bare (no shard) on first use. *)
 
-val shard_find : shard -> string -> Hare_proto.Wire.entry_info option
+val gone : dir
+(** A tombstone kept in no table. *)
 
-val shard_set : shard -> string -> Hare_proto.Wire.entry_info -> unit
+val find_dir : t -> Hare_proto.Types.ino -> dir
+(** A directory's record, or {!gone}: one table lookup, creating nothing. *)
 
-val shard_remove : shard -> string -> unit
+val shard : t -> Hare_proto.Types.ino -> dir
+(** As {!directory}, with the shard's tables made unless the record is a
+    tombstone: the record of a directory about to take an entry. *)
 
-val shard_length : shard -> int
+val has_shard : dir -> bool
+
+val shard_find : dir -> string -> Hare_proto.Wire.entry_info option
+
+val shard_set : dir -> string -> Hare_proto.Wire.entry_info -> unit
+
+val shard_remove : dir -> string -> unit
+
+val shard_length : dir -> int
 
 val shard_fold :
-  (string -> Hare_proto.Wire.entry_info -> 'a -> 'a) -> shard -> 'a -> 'a
+  (string -> Hare_proto.Wire.entry_info -> 'a -> 'a) -> dir -> 'a -> 'a
 (** In the entry table's ([Tbl.Str]) order, which readdir replies carry
     and clients observe. *)
-
-val shard_size : t -> Hare_proto.Types.ino -> int
-
-val find_entry :
-  t -> Hare_proto.Types.ino -> string -> Hare_proto.Wire.entry_info option
 
 val readdir : t -> Hare_proto.Types.ino -> reply -> unit
 (** Answer one readdir leg for [dir] with this home's entries, listed as
@@ -121,11 +130,18 @@ val readdir : t -> Hare_proto.Types.ino -> reply -> unit
     reused until the next; a leg to an empty or unchanged shard costs
     one table lookup and allocates nothing. *)
 
-val track : t -> dir:Hare_proto.Types.ino -> name:string -> client:int -> unit
-(** Register [client] for an invalidation callback on [dir]/[name]. *)
+val track : dir -> name:string -> client:int -> unit
+(** Register [client] for an invalidation callback on the entry [name]
+    of a directory with a shard. *)
+
+val bury : t -> Hare_proto.Types.ino -> unit
+(** Commit a directory's removal: the creates its mark delays, then the
+    rmdirs waiting on its lock, lose with [ENOENT], and a bare tombstone
+    takes the place of its record. *)
 
 val drop_dir : t -> Hare_proto.Types.ino -> unit
-(** Forget a removed directory's entries, tracking lists and lock. *)
+(** Forget a directory's record (mkdir's rollback of a directory no one
+    ever saw). *)
 
 (** {1 Descriptor tokens} *)
 
@@ -142,9 +158,11 @@ val token_home : int -> int
 
 val crash : homes -> int
 (** Every hosted home's volatile state dies with the server: parked
-    creates, lock waiters and pipe I/O are answered [EIO]; descriptors
-    and invalidation tracking are forgotten. Inodes, directory shards,
-    tombstones and block contents are DRAM-resident and survive. An
+    creates, lock waiters and pipe I/O are answered [EIO] (each
+    directory's creates, then its lock waiters, in one walk over
+    [dirs]); descriptors, rmdir locks and invalidation tracking are
+    forgotten. Inodes, directory shards, tombstones and block contents
+    are DRAM-resident and survive. An
     inode that had descriptors open is marked [keep_lease]: their
     clients still write into the blocks they hold past the size.
     Returns how many parked continuations were aborted. *)

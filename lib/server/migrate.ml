@@ -32,11 +32,10 @@ let create ~homes ~pcache ~blocks ~dedup = { homes; pcache; blocks; dedup }
    keeps a [Pending] dedup entry alive, so a packable home has none. The
    coordinator backs off and retries. *)
 let busy (h : Home.t) =
-  Home.Dtbl.length h.marks > 0
-  || Home.Dtbl.fold
-       (fun _ (l : Home.dirlock) busy ->
-         busy || l.held || not (Queue.is_empty l.lock_waiters))
-       h.locks false
+  Home.Dtbl.fold
+    (fun _ (d : Home.dir) busy ->
+      busy || Option.is_some d.mark || d.held || not (Queue.is_empty d.lock_waiters))
+    h.dirs false
   || Itbl.fold
        (fun _ (i : Inode.t) busy ->
          busy || match i.pipe with Some p -> Pipe_state.parked p > 0 | None -> false)
@@ -56,14 +55,15 @@ let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
          re-register at the new owner on their next lookup), so no
          client can sit on a cached entry this server would have been
          responsible for invalidating. *)
+      let shards = ref 0 in
       Home.Dtbl.iter
-        (fun dir per_dir ->
+        (fun dir (d : Home.dir) ->
           Tbl.Str.iter
-            (fun name clients ->
-              Itbl.iter (fun client () -> inval ~dir ~name client) clients)
-            per_dir)
-        h.tracking;
-      Home.Dtbl.reset h.tracking;
+            (fun name -> Itbl.iter (fun client () -> inval ~dir ~name client))
+            d.clients;
+          Tbl.Str.reset d.clients;
+          if Home.has_shard d then incr shards)
+        h.dirs;
       (* Buffer-cache ownership follows the inodes; the block bytes stay
          in DRAM. Flush our private cached lines so the new owner reads
          current data through its own cache. *)
@@ -84,7 +84,7 @@ let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
       let p_dedup = Dedup.export t.dedup in
       let items =
         Itbl.length h.inodes + Itbl.length h.tokens
-        + Home.Dtbl.length h.dirs + List.length p_dedup
+        + !shards + List.length p_dedup
       in
       reply ~payload_lines:(items + 1)
         (Ok (Wire.P_pack (Pack { p_home = h; p_blocks; p_dedup })))

@@ -13,7 +13,7 @@ exception Out_of_blocks
    turns it into ENOSPC or, with the block-stealing extension enabled,
    parks the request and steals from a peer (§3.2). *)
 
-(* The home record and its table operations (entries, tracking lists). *)
+(* The home record and its table operations (directory records). *)
 open Home
 
 type t = {
@@ -254,12 +254,9 @@ let write_data t (inode : Inode.t) ~off data =
 let shard_entries t dir =
   Itbl.fold
     (fun _ h acc ->
-      match Dtbl.find_opt h.dirs dir with
-      | None -> acc
-      | Some s ->
-          shard_fold
-            (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
-            s acc)
+      shard_fold
+        (fun name (e : Wire.entry_info) acc -> (name, e.t_ino) :: acc)
+        (find_dir h dir) acc)
     t.homes.table []
 
 let instant t name args =
@@ -287,17 +284,14 @@ let inval t ~dir ~name client =
 (* Callbacks are one-shot: notify every tracked client but the
    originator, then forget them — a client re-registers by looking the
    name up again. *)
-let send_invals t h ~dir ~name ~except =
-  match Dtbl.find_opt h.tracking dir with
+let send_invals t d ~dir ~name ~except =
+  match Stbl.find_opt d.clients name with
   | None -> ()
-  | Some per_dir -> (
-      match Stbl.find_opt per_dir name with
-      | None -> ()
-      | Some clients ->
-          Itbl.iter
-            (fun client () -> if client <> except then inval t ~dir ~name client)
-            clients;
-          Stbl.remove per_dir name)
+  | Some clients ->
+      Itbl.iter
+        (fun client () -> if client <> except then inval t ~dir ~name client)
+        clients;
+      Stbl.remove d.clients name
 
 let install_root t =
   assert (t.sid = root_ino.server);
@@ -329,26 +323,28 @@ let demotion ofd =
   | _ -> None
 
 let handle_lookup h ~dir ~name ~client (reply : reply) =
-  match find_entry h dir name with
+  let d = find_dir h dir in
+  match shard_find d name with
   | None -> reply (Error Errno.ENOENT)
   | Some e ->
-      track h ~dir ~name ~client;
+      track d ~name ~client;
       reply (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
 
-(* For a centralized directory the entries live with the inode, so we can
-   (and must) refuse creations in a directory that no longer exists. For
-   distributed directories this server may hold only a shard: the rmdir
-   mark protocol delays concurrent creates, and the tombstone catches the
-   ones that arrive after the commit. *)
-let dir_alive t h (dir : ino) =
-  (not (Dtbl.mem h.dead_dirs dir))
-  && ((not (hosts t dir.server)) || find_inode t dir <> None)
+(* The record of [dir] ready to take an entry, or a tombstone when the
+   directory no longer exists. For a centralized directory the entries
+   live with the inode, so we can (and must) refuse creations in a
+   directory whose inode is gone. For distributed directories this server
+   may hold only a shard: the rmdir mark protocol delays concurrent
+   creates, and the tombstone catches the ones that arrive after the
+   commit. A refused create makes no record. *)
+let live_shard t h (dir : ino) =
+  if hosts t dir.server && find_inode t dir = None then Home.gone else shard h dir
 
 let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
     (reply : reply) =
-  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
+  let s = live_shard t h dir in
+  if s.dead then reply (Error Errno.ENOENT)
   else
-  let s = shard h dir in
   let entry = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
   match shard_find s name with
   | Some old ->
@@ -362,17 +358,18 @@ let handle_add_map t h ~dir ~name ~target ~ftype ~dist ~replace ~client
         reply (Error Errno.ENOTDIR)
       else begin
         shard_set s name entry;
-        send_invals t h ~dir ~name ~except:client;
-        track h ~dir ~name ~client;
+        send_invals t s ~dir ~name ~except:client;
+        track s ~name ~client;
         reply (Ok (Wire.P_removed { target = old.t_ino; ftype = old.t_ftype }))
       end
   | None ->
       shard_set s name entry;
-      track h ~dir ~name ~client;
+      track s ~name ~client;
       reply (Ok Wire.P_unit)
 
 let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
-  match find_entry h dir name with
+  let d = find_dir h dir in
+  match shard_find d name with
   | None -> reply (Error Errno.ENOENT)
   | Some e
     when match only_if with
@@ -381,14 +378,14 @@ let handle_rm_map t h ~dir ~name ~only_if ~client (reply : reply) =
       (* the entry was re-bound by someone else: not ours to remove *)
       reply (Error Errno.ENOENT)
   | Some e ->
-      shard_remove (shard h dir) name;
-      send_invals t h ~dir ~name ~except:client;
+      shard_remove d name;
+      send_invals t d ~dir ~name ~except:client;
       reply (Ok (Wire.P_removed { target = e.t_ino; ftype = e.t_ftype }))
 
 let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
-  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
+  let s = live_shard t h dir in
+  if s.dead then reply (Error Errno.ENOENT)
   else
-  let s = shard h dir in
   match shard_find s name with
   | Some e ->
       if excl then reply (Error Errno.EEXIST)
@@ -397,7 +394,7 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
         match find_inode t e.t_ino with
         | None -> reply (Error Errno.ENOENT)
         | Some inode ->
-            track h ~dir ~name ~client;
+            track s ~name ~client;
             let ofd = do_open t inode ~trunc in
             reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino = e.t_ino }))
       end
@@ -410,7 +407,7 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
       Itbl.replace h.inodes inode.lid inode;
       let ino = global inode in
       shard_set s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
-      track h ~dir ~name ~client;
+      track s ~name ~client;
       let ofd = do_open t inode ~trunc:false in
       reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
 
@@ -429,24 +426,12 @@ let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
     reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
   else reply (Ok (Wire.P_created_ino ino))
 
-(* A committed directory removal: rmdirs serialized behind its lock lose
-   (the directory is gone), its per-directory state goes, and a tombstone
-   refuses creates that raced past the mark. *)
-let bury h dir =
-  (match Dtbl.find_opt h.locks dir with
-  | Some l ->
-      Queue.iter (fun (waiter : reply) -> waiter (Error Errno.ENOENT)) l.lock_waiters;
-      Queue.clear l.lock_waiters
-  | None -> ());
-  drop_dir h dir;
-  Dtbl.replace h.dead_dirs dir ()
-
 (* Coalesced mkdir (§3.6.3): directory inode + parent entry in one
    message, when creation affinity placed both on this server. *)
 let handle_create_dir t h ~dir ~name ~dist ~client (reply : reply) =
-  if not (dir_alive t h dir) then reply (Error Errno.ENOENT)
+  let s = live_shard t h dir in
+  if s.dead then reply (Error Errno.ENOENT)
   else begin
-    let s = shard h dir in
     match shard_find s name with
     | Some _ -> reply (Error Errno.EEXIST)
     | None ->
@@ -454,7 +439,7 @@ let handle_create_dir t h ~dir ~name ~dist ~client (reply : reply) =
         Itbl.replace h.inodes inode.lid inode;
         let ino = global inode in
         shard_set s name { Wire.t_ino = ino; t_ftype = Dir; t_dist = dist };
-        track h ~dir ~name ~client;
+        track s ~name ~client;
         reply (Ok (Wire.P_created_ino ino))
   end
 
@@ -467,7 +452,7 @@ let handle_rmdir_local t ~dir (reply : reply) =
   | Some inode when inode.Inode.ftype <> Dir -> reply (Error Errno.ENOTDIR)
   | Some _ ->
       let h = home t dir.server in
-      if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
+      if shard_length (find_dir h dir) > 0 then reply (Error Errno.ENOTEMPTY)
       else begin
         bury h dir;
         Itbl.remove h.inodes dir.ino;
@@ -593,7 +578,7 @@ let handle_unlink_ino t ~ino (reply : reply) =
            linked anywhere, so it must have no entries and no users. *)
         let h = home t ino.server in
         if
-          shard_size h ino = 0
+          shard_length (find_dir h ino) = 0
           && inode.open_tokens = 0
           && inode.nlink <= 1
         then begin
@@ -627,14 +612,7 @@ let handle_inc_fd_ref t ~token ~offset (reply : reply) =
 (* --- three-phase rmdir (§3.3) ----------------------------------------- *)
 
 (* The lock/unlock phases address the directory's own home. *)
-let dirlock t (dir : ino) =
-  let h = home t dir.server in
-  match Dtbl.find_opt h.locks dir with
-  | Some l -> l
-  | None ->
-      let l = { held = false; lock_waiters = Queue.create () } in
-      Dtbl.replace h.locks dir l;
-      l
+let dirlock t (dir : ino) = Home.directory (home t dir.server) dir
 
 (* ENOENT when the directory was removed while (or before) we asked. *)
 let handle_rmdir_lock t ~dir (reply : reply) =
@@ -654,20 +632,15 @@ let handle_rmdir_unlock t ~dir (reply : reply) =
   reply (Ok Wire.P_unit)
 
 let handle_rmdir_prepare h ~dir (reply : reply) =
-  if Dtbl.mem h.marks dir then reply (Error Errno.EBUSY)
-  else if shard_size h dir > 0 then reply (Error Errno.ENOTEMPTY)
+  let d = Home.directory h dir in
+  if Option.is_some d.mark then reply (Error Errno.EBUSY)
+  else if shard_length d > 0 then reply (Error Errno.ENOTEMPTY)
   else begin
-    Dtbl.replace h.marks dir { parked = Queue.create () };
+    d.mark <- Some (Queue.create ());
     reply (Ok Wire.P_unit)
   end
 
 let handle_rmdir_commit h ~dir (reply : reply) =
-  (match Dtbl.find_opt h.marks dir with
-  | None -> ()
-  | Some m ->
-      Dtbl.remove h.marks dir;
-      (* Creates delayed behind the mark fail: the directory is gone. *)
-      Queue.iter (fun (p : request) -> p.reply (Error Errno.ENOENT)) m.parked);
   bury h dir;
   if dir.server = h.hid then
     (* The directory's own home: destroy the inode itself. *)
@@ -715,15 +688,14 @@ let handle_pipe_write t ~token ~data (reply : reply) =
    home. *)
 let creation_mark h (r : request) =
   match r.body with
-  | Wire.Add_map { dir; _ } | Wire.Create_open { dir; _ } ->
-      Dtbl.find_opt h.marks dir
+  | Wire.Add_map { dir; _ } | Wire.Create_open { dir; _ } -> (find_dir h dir).mark
   | _ -> None
 
 (* [h] is the record of the home the request addresses, as admission
    resolved it. *)
 let rec handle t h (r : request) =
   match creation_mark h r with
-  | Some m -> Queue.push r m.parked
+  | Some parked -> Queue.push r parked
   | None -> (
       try dispatch t h r
       with Out_of_blocks -> Steal.park t.steal ~retry:(replay t) r)
@@ -778,14 +750,15 @@ and dispatch t h (r : request) =
   | Wire.Rmdir_prepare { dir } -> handle_rmdir_prepare h ~dir reply
   | Wire.Rmdir_commit { dir } -> handle_rmdir_commit h ~dir reply
   | Wire.Rmdir_abort { dir } -> (
-      match Dtbl.find_opt h.marks dir with
+      let d = find_dir h dir in
+      match d.mark with
       | None -> reply (Ok Wire.P_unit)
-      | Some m ->
-          Dtbl.remove h.marks dir;
+      | Some parked ->
+          d.mark <- None;
           reply (Ok Wire.P_unit);
           (* Replay the creates that were delayed behind the mark; they
              address this home, where the mark lives. *)
-          Queue.iter (handle t h) m.parked)
+          Queue.iter (handle t h) parked)
   | Wire.Pipe_create -> handle_pipe_create t h reply
   | Wire.Pipe_read { token; len } -> handle_pipe_read t ~token ~len reply
   | Wire.Pipe_write { token; data } -> handle_pipe_write t ~token ~data reply

@@ -26,6 +26,9 @@ expect 0 run writes --cores 2 --trace trace_smoke.json --trace-cap 0 --strict
 # close still reports its size.
 expect 0 run writes --cores 4 --seed 1 --no-preset --plan "crash:0@300000+200000" --extent 8 --check
 expect 0 run extract --cores 4 --seed 2 --window 8 --plan "crash:0@300000+200000" --check
+# A crash of the server that has just adopted a migrated home: the
+# crash and restart walk the adopted home's directories.
+expect 0 run "rm dense" --cores 4 --seed 1 --shard 2 --shard-plan "add@200000" --plan "crash:2@400000+100000" --check
 # The open-time invalidation lint looks at each block before the charge
 # lets another process on the core refill it with current data.
 expect 0 run "build linux" --cores 8 --seed 1 --no-preset --check

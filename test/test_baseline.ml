@@ -168,6 +168,58 @@ let test_unfs_config_shape () =
     (c.Config.costs.Hare_config.Costs.send
     > Config.default.Config.costs.Hare_config.Costs.send)
 
+(* One script through a world's [Api.t]: children exiting at 0, 100k and
+   200k cycles; a [waitpid] of the last (the first two exits are popped
+   on the way and kept), a [waitpid] of the middle one (served from the
+   kept exits), [wait] until [ECHILD], then [waitpid] of a reaped and of
+   an unknown pid. It returns what each call gave, children named by
+   their fork order. *)
+let wait_script (type p) (api : p Api.t) (p : p) =
+  let child status cycles =
+    api.Api.fork p (fun c ->
+        api.Api.compute c cycles;
+        status)
+  in
+  let pids = [| child 10 0; child 20 100_000; child 30 200_000 |] in
+  let name pid =
+    match List.find_opt (fun i -> pids.(i) = pid) [ 0; 1; 2 ] with
+    | Some i -> string_of_int i
+    | None -> "?"
+  in
+  let errno f =
+    match f () with
+    | (_ : int) -> "no error"
+    | exception Errno.Error (e, _) -> Errno.to_string e
+  in
+  let last = api.Api.waitpid p pids.(2) in
+  let middle = api.Api.waitpid p pids.(1) in
+  let rec drain acc =
+    match api.Api.wait p with
+    | pid, status -> drain (Printf.sprintf "%s:%d" (name pid) status :: acc)
+    | exception Errno.Error (e, _) -> List.rev (Errno.to_string e :: acc)
+  in
+  let waits = drain [] in
+  [ string_of_int last; string_of_int middle ]
+  @ waits
+  @ [ errno (fun () -> api.Api.waitpid p pids.(1)); errno (fun () -> api.Api.waitpid p 999_999) ]
+
+let test_wait_both_worlds () =
+  let expected = [ "30"; "20"; "0:10"; "ECHILD"; "ECHILD"; "ECHILD" ] in
+  let check (module W : Hare_experiments.World.WORLD) =
+    let w = W.boot config in
+    let got = ref [] in
+    let init =
+      W.spawn_init w ~name:"waiter" (fun p ->
+          got := wait_script (W.api w) p;
+          0)
+    in
+    W.run w;
+    Alcotest.(check (option int)) (W.name ^ " exit status") (Some 0) (W.exit_status w init);
+    Alcotest.(check (list string)) W.name expected !got
+  in
+  check (module Hare_experiments.World.Hare_w);
+  check (module Hare_experiments.World.Linux_w)
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -181,6 +233,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "fork spreads" `Quick test_linux_fork_spreads_cores;
         tc "pipe" `Quick test_linux_pipe;
         tc "unlinked open file" `Quick test_linux_unlinked_open_file;
+        tc "wait and waitpid, both worlds" `Quick test_wait_both_worlds;
       ] );
     ( "baseline.slock",
       [

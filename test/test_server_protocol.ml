@@ -21,6 +21,7 @@ type rig = {
   client_core : Core_res.t;
   client0 : Core_res.t;
   ep : (Wire.fs_req, Wire.fs_resp) Rpc.t;
+  invals : Wire.inval Hare_msg.Mailbox.t array;
 }
 
 let make_rig () =
@@ -44,7 +45,14 @@ let make_rig () =
   in
   Server.install_root server;
   Server.start server;
-  { engine; server; client_core; client0 = score; ep = Server.endpoint server }
+  {
+    engine;
+    server;
+    client_core;
+    client0 = score;
+    ep = Server.endpoint server;
+    invals = inval_ports;
+  }
 
 (* Every request is addressed to the server's one home, 0. *)
 let call ?from rig req =
@@ -272,6 +280,58 @@ let test_lookup_tracks_and_invalidates () =
         (call ~from:rig.client0 rig (Wire.Rm_map { dir = root; name = "f"; only_if = None }));
       Alcotest.(check int) "one invalidation" (before + 1)
         (Server.invals_sent rig.server))
+
+(* A crash's per-directory contract. The parked work dies: a create
+   parked behind an rmdir mark and a waiter on a held rmdir lock get
+   [EIO], and both count as aborted. The DRAM-resident state survives:
+   the shard still lists its entries and a committed tombstone still
+   refuses a late create. Tracking is forgotten: a name client 1 looked
+   up before the crash calls nobody back when it is removed after. *)
+let test_crash_per_directory () =
+  let rig = make_rig () in
+  let costs = config.Hare_config.Config.costs in
+  let await (future, span) = Rpc.await ~from:rig.client_core ~costs ~span future in
+  let expect_eio what = function
+    | Error Errno.EIO -> ()
+    | _ -> Alcotest.fail (what ^ " must die with the server")
+  in
+  let create_open dir name = Wire.Create_open { dir; name; excl = false; trunc = false } in
+  in_fiber rig (fun () ->
+      let d = mkdir_raw rig "d" and marked = mkdir_raw rig "marked" in
+      let locked = mkdir_raw rig "locked" in
+      ignore (call rig (create_open d "x"));
+      ignore (call rig (Wire.Lookup { dir = d; name = "x" }));
+      (* home 0's shard of a directory whose inode lives at home 1: only
+         the tombstone refuses a create after the commit *)
+      let remote = { Types.server = 1; ino = 5 } in
+      ignore (call rig (Wire.Rmdir_prepare { dir = remote }));
+      ignore (call rig (Wire.Rmdir_commit { dir = remote }));
+      ignore (call rig (Wire.Rmdir_prepare { dir = marked }));
+      let parked = send rig (create_open marked "late") in
+      ignore (call rig (Wire.Rmdir_lock { dir = locked }));
+      let waiter = send rig (Wire.Rmdir_lock { dir = locked }) in
+      Core_res.compute rig.client_core 100_000;
+      let aborted () = Hare_stats.Robust.get (Server.robust rig.server) Hare_stats.Robust.aborted in
+      let before = aborted () in
+      Server.crash rig.server;
+      expect_eio "the parked create" (await parked);
+      expect_eio "the lock waiter" (await waiter);
+      Alcotest.(check int) "both aborted" (before + 2) (aborted ());
+      Server.restart rig.server;
+      Core_res.compute rig.client_core 100_000;
+      Alcotest.(check (list string)) "the shard survives" [ "x" ]
+        (List.map fst (Server.shard_entries rig.server d));
+      (match call rig (create_open remote "late") with
+      | Error Errno.ENOENT -> ()
+      | _ -> Alcotest.fail "the tombstone must survive the crash");
+      ignore (Hare_msg.Mailbox.drain rig.invals.(1));
+      let sent = Server.invals_sent rig.server in
+      (match call ~from:rig.client0 rig (Wire.Rm_map { dir = d; name = "x"; only_if = None }) with
+      | Ok (Wire.P_removed _) -> ()
+      | _ -> Alcotest.fail "rm_map after the restart");
+      Alcotest.(check int) "no callback" sent (Server.invals_sent rig.server);
+      Alcotest.(check int) "client 1 told nothing" 0
+        (List.length (Hare_msg.Mailbox.drain rig.invals.(1))))
 
 (* ---------- two servers ---------------------------------------------- *)
 
@@ -585,6 +645,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "prepare refuses nonempty" `Quick test_prepare_nonempty_refuses;
         tc "double prepare EBUSY" `Quick test_double_prepare_ebusy;
       ] );
+    ("server.crash", [ tc "per-directory state" `Quick test_crash_per_directory ]);
     ( "server.fds",
       [
         tc "unlinked inode survives fds" `Quick test_fd_refcount_keeps_unlinked_inode;

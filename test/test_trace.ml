@@ -89,6 +89,35 @@ let test_ring_overflow () =
             (Array.fold_left Int64.add 0L r.Trace.r_buckets))
         (Trace.profile tr)
 
+(* [trace_ring = false] is profile-only whatever the cap: the sink keeps
+   no events and exports only the track names, and its profile rows are
+   those of a [trace_cap = 0] run. The same run with the ring on keeps
+   events, so the setting is told apart. *)
+let test_ring_off () =
+  let sink config =
+    match Machine.trace (run_workload config) with
+    | Some tr -> tr
+    | None -> Alcotest.fail "no sink"
+  in
+  let on = sink (traced_config ()) in
+  let off = sink { (traced_config ()) with Config.trace_ring = false } in
+  let cap0 = sink (traced_config ~cap:0 ()) in
+  Alcotest.(check bool) "ring on keeps events" true
+    (Trace.ring_enabled on && Trace.events on <> []);
+  Alcotest.(check bool) "ring off" false (Trace.ring_enabled off);
+  Alcotest.(check int) "no events" 0 (List.length (Trace.events off));
+  let module Json = Hare_stats.Json in
+  (match Json.parse (Trace.to_chrome_json off) with
+  | Ok doc -> (
+      match Json.member "traceEvents" doc with
+      | Some (Json.Array evs) ->
+          Alcotest.(check bool) "metadata only" true
+            (evs <> [] && List.for_all (fun ev -> Json.member "ph" ev = Some (Json.String "M")) evs)
+      | _ -> Alcotest.fail "no traceEvents array")
+  | Error (pos, what) -> Alcotest.failf "export does not parse: byte %d: %s" pos what);
+  Alcotest.(check bool) "profile rows as with trace_cap = 0" true
+    (Trace.profile off = Trace.profile cap0 && Trace.profile off <> [])
+
 (* ---------- exact attribution ------------------------------------------- *)
 
 let test_profile_exact () =
@@ -215,8 +244,10 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_export_byte_identical;
       ] );
     ( "trace.ring",
-      [ tc "overflow drops oldest, counts, stays coherent" `Quick
-          test_ring_overflow ] );
+      [
+        tc "overflow drops oldest, counts, stays coherent" `Quick test_ring_overflow;
+        tc "trace_ring = false keeps no events" `Quick test_ring_off;
+      ] );
     ( "trace.attribution",
       [ tc "bucket sums equal span totals" `Quick test_profile_exact ] );
     ( "trace.satellites",
