@@ -163,7 +163,13 @@ let alloc_blocks t ~core:c n =
   Slock.release t.alloc_lock;
   match out with None -> Errno.raise_errno Errno.ENOSPC "alloc" | Some a -> a
 
-let free_blocks t blocks = Array.iter (Hare_mem.Freelist.push t.free) blocks
+(* As on Hare, a freed block's page goes back to DRAM. *)
+let free_blocks t blocks =
+  Array.iter
+    (fun b ->
+      Hare_mem.Freelist.push t.free b;
+      Hare_mem.Dram.release t.dram ~block:b)
+    blocks
 
 let ensure_blocks t ~core node ~sz =
   let need = Hare_mem.Layout.blocks_for sz in

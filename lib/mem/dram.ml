@@ -1,9 +1,9 @@
 (* The page table has two levels: a leaf maps [leaf_pages] consecutive
    blocks to their pages and is allocated on the first write to one of
    them. Until then the slot holds [no_leaf], shared by every table, and
-   a page never written holds [absent]; both read as zeroes. A machine
-   that touches a few thousand of its half-million blocks keeps a few
-   leaves, not a box per block. *)
+   a page never written, or released since, holds [absent]; both read
+   as zeroes. A machine keeps a few leaves and the pages of the blocks
+   it holds live, not a box per block ever written. *)
 let leaf_bits = 9
 
 let leaf_pages = 1 lsl leaf_bits
@@ -85,13 +85,22 @@ let check_buf buf off =
   if off < 0 || off > Bytes.length buf - Layout.line_size then
     invalid_arg "Dram: buffer too short for a line"
 
+(* The caller has checked the line and the buffer. *)
+let copy_line t ~block ~line ~dst ~dst_off =
+  let p = find t block in
+  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
+  else Layout.blit_line p (line * Layout.line_size) dst dst_off
+
 let read_line t ~block ~line ~dst ~dst_off =
   check_line t ~block ~line;
   check_buf dst dst_off;
   note_read t;
-  let p = find t block in
-  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
-  else Layout.blit_line p (line * Layout.line_size) dst dst_off
+  copy_line t ~block ~line ~dst ~dst_off
+
+let snoop_line t ~block ~line ~dst ~dst_off =
+  check_line t ~block ~line;
+  check_buf dst dst_off;
+  copy_line t ~block ~line ~dst ~dst_off
 
 let count_line_read t ~block ~line =
   check_line t ~block ~line;
@@ -103,10 +112,13 @@ let write_line t ~block ~line ~src ~src_off =
   note_write t;
   Layout.blit_line src src_off (page t block) (line * Layout.line_size)
 
-let zero_block t ~block =
+(* A released page reads as zeroes again; its leaf stays. *)
+let release t ~block =
   check_line t ~block ~line:0;
-  let p = find t block in
-  if p != absent then Bytes.fill p 0 Layout.block_size '\000'
+  let leaf = t.leaves.(block lsr leaf_bits) in
+  if leaf != no_leaf then leaf.(block land (leaf_pages - 1)) <- absent
+
+let zero_block = release
 
 let zero_range t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then

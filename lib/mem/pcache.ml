@@ -17,16 +17,37 @@ let lpb = 64
 
 let () = assert (line_size = Layout.line_size && lpb = Layout.lines_per_block)
 
-(* Block directory: block number -> frame. A frame is an [int array] of
+(* The per-line bookkeeping is packed in [Bytes.t] cells of 4 bytes (a
+   slot number, a key or an LRU link) or of 1 byte (a dirty flag). The
+   primitives below compile inline even where [Bytes.get_int32_le]
+   would be a call (-opaque). A frame's cells are read and written
+   bounds-checked. [create] checks that every value fits in a cell. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+external unsafe_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+external unsafe_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] cell b i = Int32.to_int (get32 b (i lsl 2))
+
+let[@inline] set_cell b i v = set32 b (i lsl 2) (Int32.of_int v)
+
+let max_cell = 0x7fff_ffff
+
+(* Block directory: block number -> frame. A frame is a [Bytes.t] of
    [lpb + 1] cells: cell [line] holds the slot caching that line of the
    block (0 = not cached), cell [lpb] the number of resident lines. An
    access looks its block's frame up once instead of hashing every line;
    invalidation and write-back walk one frame. *)
 let count_cell = lpb
 
+let frame_bytes = (lpb + 1) * 4
+
 (* The frame of every block with no cached line. It is all zeroes and is
    never written: only frames from [frame_for] are. *)
-let no_frame = Array.make (lpb + 1) 0
+let no_frame = Bytes.make frame_bytes '\000'
 
 (* Two-level radix table: the top level covers [Dram.nblocks] in leaves
    of [leaf_size] frames, allocated on first use so an idle cache costs
@@ -35,7 +56,7 @@ let leaf_bits = 9
 
 let leaf_size = 1 lsl leaf_bits
 
-let no_leaf : int array array = [||]
+let no_leaf : Bytes.t array = [||]
 
 type t = {
   dram : Dram.t;
@@ -46,18 +67,21 @@ type t = {
   costs : Hare_config.Costs.t;
   block_socket : int -> int;
   capacity : int;
-  dir : int array array array;
+  dir : Bytes.t array array;
   (* Frames whose count dropped to 0, reused so that a steady-state miss
      allocates nothing. *)
-  mutable pool : int array array;
+  mutable pool : Bytes.t array;
   mutable npool : int;
-  (* Line slots, indexed 1..capacity. Slot 0 is the sentinel of the
-     intrusive LRU list: [next.(0)] is the MRU slot, [prev.(0)] the
-     victim. The arrays grow with use up to [capacity + 1]. *)
-  mutable key : int array; (* block * lpb + line of the cached line *)
-  mutable dirty : bool array;
-  mutable prev : int array;
-  mutable next : int array;
+  (* Line slots, indexed 1..capacity: a 4-byte cell each in [key], [prev]
+     and [next], a byte in [dirty], [nslots] slots in each. Slot 0 is the
+     sentinel of the intrusive LRU list: [next] cell 0 is the MRU slot,
+     [prev] cell 0 the victim. The cells grow with use up to
+     [capacity + 1]. *)
+  mutable key : Bytes.t; (* block * lpb + line of the cached line *)
+  mutable dirty : Bytes.t; (* '\001' = dirty *)
+  mutable prev : Bytes.t;
+  mutable next : Bytes.t;
+  mutable nslots : int;
   (* Line data: slot [s] lives in chunk [(s - 1) / lpb]. A chunk holds
      [lpb] lines (the last one fewer, never past [capacity]) and is
      allocated when its first slot is handed out. *)
@@ -77,6 +101,10 @@ type t = {
 
 let create ?block_socket dram ~core ~costs ~capacity_lines =
   if capacity_lines <= 0 then invalid_arg "Pcache.create: empty capacity";
+  if capacity_lines > max_cell then
+    invalid_arg "Pcache.create: capacity_lines does not fit in 31 bits";
+  if Dram.nblocks dram > max_cell / lpb then
+    invalid_arg "Pcache.create: DRAM line keys do not fit in 31 bits";
   let block_socket =
     match block_socket with
     | Some f -> f
@@ -95,10 +123,11 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     dir = Array.make ((Dram.nblocks dram + leaf_size - 1) / leaf_size) no_leaf;
     pool = [||];
     npool = 0;
-    key = Array.make slots (-1);
-    dirty = Array.make slots false;
-    prev = Array.make slots 0;
-    next = Array.make slots 0;
+    key = Bytes.make (slots * 4) '\255';
+    dirty = Bytes.make slots '\000';
+    prev = Bytes.make (slots * 4) '\000';
+    next = Bytes.make (slots * 4) '\000';
+    nslots = slots;
     chunks = Array.make ((capacity_lines + lpb - 1) / lpb) Bytes.empty;
     fresh = 0;
     free_slot = 0;
@@ -178,7 +207,7 @@ let frame_for t block =
         t.npool <- t.npool - 1;
         t.pool.(t.npool)
       end
-      else Array.make (lpb + 1) 0
+      else Bytes.make frame_bytes '\000'
     in
     t.dir.(i).(block land (leaf_size - 1)) <- f;
     f
@@ -194,14 +223,37 @@ let release_frame t block f =
   t.pool.(t.npool) <- f;
   t.npool <- t.npool + 1
 
+(* --- slot cells ------------------------------------------------------- *)
+
+(* A slot number is range-checked once, where it enters: read out of a
+   cell ([checked], [link]) or handed out by [new_slot], which grows the
+   slot arrays first. The slot arrays are then read and written
+   unchecked: with the primitives' bounds check on every cell, a
+   whole-block access took about 30% more host time. *)
+let[@inline] checked t s =
+  if s < 0 || s >= t.nslots then
+    raise (Invalid_argument "Pcache: slot out of range");
+  s
+
+let[@inline] slot_cell b s = Int32.to_int (unsafe_get32 b (s lsl 2))
+
+let[@inline] set_slot_cell b s v = unsafe_set32 b (s lsl 2) (Int32.of_int v)
+
+let[@inline] link t b s = checked t (slot_cell b s)
+
+let[@inline] is_dirty t s = Bytes.unsafe_get t.dirty s <> '\000'
+
+let[@inline] set_dirty t s d =
+  Bytes.unsafe_set t.dirty s (if d then '\001' else '\000')
+
 (* Forget that slot [s] caches its line; an emptied frame is released. *)
 let unmap t s =
-  let k = t.key.(s) in
+  let k = slot_cell t.key s in
   let block = block_of_key k in
   let f = find_frame t block in
-  f.(line_of_key k) <- 0;
-  let n = f.(count_cell) - 1 in
-  f.(count_cell) <- n;
+  set_cell f (line_of_key k) 0;
+  let n = cell f count_cell - 1 in
+  set_cell f count_cell n;
   if n = 0 then release_frame t block f
 
 (* --- line slots ------------------------------------------------------- *)
@@ -211,28 +263,29 @@ let[@inline] chunk t s = Array.unsafe_get t.chunks ((s - 1) / lpb)
 let[@inline] data_off s = (s - 1) mod lpb * line_size
 
 let grow_slots t =
-  let n = Int.min (t.capacity + 1) (2 * Array.length t.key) in
-  let grow a fill =
-    let b = Array.make n fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
+  let n = Int.min (t.capacity + 1) (2 * t.nslots) in
+  let grow b ~width fill =
+    let c = Bytes.make (n * width) fill in
+    Bytes.blit b 0 c 0 (Bytes.length b);
+    c
   in
-  t.key <- grow t.key (-1);
-  t.dirty <- grow t.dirty false;
-  t.prev <- grow t.prev 0;
-  t.next <- grow t.next 0
+  t.key <- grow t.key ~width:4 '\255';
+  t.dirty <- grow t.dirty ~width:1 '\000';
+  t.prev <- grow t.prev ~width:4 '\000';
+  t.next <- grow t.next ~width:4 '\000';
+  t.nslots <- n
 
 (* A slot for a new resident line while below capacity. *)
 let new_slot t =
   if t.free_slot <> 0 then begin
     let s = t.free_slot in
-    t.free_slot <- t.next.(s);
+    t.free_slot <- link t t.next s;
     s
   end
   else begin
     let s = t.fresh + 1 in
     t.fresh <- s;
-    if s >= Array.length t.key then grow_slots t;
+    if s >= t.nslots then grow_slots t;
     if (s - 1) mod lpb = 0 then
       t.chunks.((s - 1) / lpb) <-
         Bytes.create (Int.min lpb (t.capacity - s + 1) * line_size);
@@ -242,19 +295,19 @@ let new_slot t =
 (* --- intrusive LRU list (sentinel slot 0) ------------------------------ *)
 
 let[@inline] unlink t s =
-  let p = t.prev.(s) and n = t.next.(s) in
-  t.next.(p) <- n;
-  t.prev.(n) <- p
+  let p = link t t.prev s and n = link t t.next s in
+  set_slot_cell t.next p n;
+  set_slot_cell t.prev n p
 
 let[@inline] push_front t s =
-  let n = t.next.(0) in
-  t.next.(s) <- n;
-  t.prev.(s) <- 0;
-  t.prev.(n) <- s;
-  t.next.(0) <- s
+  let n = link t t.next 0 in
+  set_slot_cell t.next s n;
+  set_slot_cell t.prev s 0;
+  set_slot_cell t.prev n s;
+  set_slot_cell t.next 0 s
 
 let[@inline] touch t s =
-  if t.next.(0) <> s then begin
+  if slot_cell t.next 0 <> s then begin
     unlink t s;
     push_front t s
   end
@@ -262,11 +315,11 @@ let[@inline] touch t s =
 (* [observed]: whether the bus wants [Obs.cache] events, looked up once
    per call of the API. *)
 let flush_line t ~observed s =
-  if t.dirty.(s) then begin
-    let k = t.key.(s) in
+  if is_dirty t s then begin
+    let k = slot_cell t.key s in
     Dram.write_line t.dram ~block:(block_of_key k) ~line:(line_of_key k)
       ~src:(chunk t s) ~src_off:(data_off s);
-    t.dirty.(s) <- false;
+    set_dirty t s false;
     t.writebacks <- t.writebacks + 1;
     if observed then Obs.emit t.obs (Cache_writeback { core = t.cid; key = k });
     true
@@ -285,8 +338,8 @@ let fill t ~observed ~block ~line ~cost ~overwrite =
   t.misses <- t.misses + 1;
   let s =
     if t.resident >= t.capacity then begin
-      let v = t.prev.(0) in
-      let vk = t.key.(v) in
+      let v = link t t.prev 0 in
+      let vk = slot_cell t.key v in
       if flush_line t ~observed v then
         t.dram_cy <- t.dram_cy + dram_cost t (block_of_key vk);
       unmap t v;
@@ -302,13 +355,13 @@ let fill t ~observed ~block ~line ~cost ~overwrite =
       s
     end
   in
-  t.key.(s) <- key_of ~block ~line;
-  t.dirty.(s) <- false;
+  set_slot_cell t.key s (key_of ~block ~line);
+  set_dirty t s false;
   if overwrite then Dram.count_line_read t.dram ~block ~line
   else Dram.read_line t.dram ~block ~line ~dst:(chunk t s) ~dst_off:(data_off s);
   let f = frame_for t block in
-  f.(line) <- s;
-  f.(count_cell) <- f.(count_cell) + 1;
+  set_cell f line s;
+  set_cell f count_cell (cell f count_cell + 1);
   t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
   t.dram_cy <- t.dram_cy + cost;
   s
@@ -346,7 +399,7 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
     let line_start = line * line_size in
     let from = Int.max off line_start in
     let n = Int.min stop (line_start + line_size) - from in
-    let s = !frame.(line) in
+    let s = checked t (cell !frame line) in
     let hit = s <> 0 in
     let s =
       if hit then begin
@@ -371,16 +424,23 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
     let data = chunk t s and doff = data_off s in
     let data_at = doff + from - line_start and buf_at = buf_off + from - off in
     if write then begin
+      (* A coherent partial write merges into the line's current bytes.
+         A clean resident line is only a copy of DRAM, which another
+         core's write or a freed block's zeroing may have changed since:
+         take DRAM's bytes. A dirty one holds this core's newer writes;
+         a miss has just filled the line. *)
+      if coherent && hit && n < line_size && not (is_dirty t s) then
+        Dram.snoop_line t.dram ~block ~line ~dst:data ~dst_off:doff;
       if n = line_size then Layout.blit_line buf buf_at data data_at
       else Bytes.unsafe_blit buf buf_at data data_at n;
       if coherent then
         Dram.write_line t.dram ~block ~line ~src:data ~src_off:doff;
-      t.dirty.(s) <- not coherent
+      set_dirty t s (not coherent)
     end
     else begin
       if coherent then begin
         Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:doff;
-        t.dirty.(s) <- false
+        set_dirty t s false
       end;
       if n = line_size then Layout.blit_line data data_at buf buf_at
       else Bytes.unsafe_blit data data_at buf buf_at n
@@ -415,26 +475,26 @@ let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
   let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let f = find_frame t block in
-  let n = f.(count_cell) in
+  let n = cell f count_cell in
   let flushed = ref 0 in
   if n > 0 then begin
     for line = lpb - 1 downto 0 do
-      let s = f.(line) in
+      let s = checked t (cell f line) in
       if s <> 0 then begin
         if writeback && flush_line t ~observed s then incr flushed;
         if observed then
           Obs.emit t.obs
             (Cache_invalidate
-               { core = t.cid; key = key_of ~block ~line; dirty = t.dirty.(s) });
+               { core = t.cid; key = key_of ~block ~line; dirty = is_dirty t s });
         unlink t s;
-        f.(line) <- 0;
-        t.next.(s) <- t.free_slot;
+        set_cell f line 0;
+        set_slot_cell t.next s t.free_slot;
         t.free_slot <- s;
         t.resident <- t.resident - 1;
         t.invalidated <- t.invalidated + 1
       end
     done;
-    f.(count_cell) <- 0;
+    set_cell f count_cell 0;
     release_frame t block f
   end;
   dropped block;
@@ -452,7 +512,7 @@ let writeback_block t block =
   let flushed = ref 0 in
   if f != no_frame then
     for line = lpb - 1 downto 0 do
-      let s = f.(line) in
+      let s = checked t (cell f line) in
       if s <> 0 && flush_line t ~observed s then incr flushed
     done;
   charge t ~cache:0 ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0

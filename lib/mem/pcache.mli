@@ -91,7 +91,9 @@ val writeback_block : t -> int -> unit
 (** [read_coherent] / [write_coherent] model an access on a machine
     {e with} hardware coherence (used by the Linux/ramfs baseline): data
     always moves to/from DRAM so no staleness is possible, at private-
-    cache hit cost for resident lines. *)
+    cache hit cost for resident lines. A partial write to a clean
+    resident line merges into DRAM's current bytes ([Dram.snoop_line]),
+    not into the core's older copy. *)
 val read_coherent :
   t -> block:int -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 

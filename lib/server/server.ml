@@ -159,7 +159,12 @@ let new_token t (inode : Inode.t) ~pipe_end =
   inode.Inode.open_tokens <- inode.Inode.open_tokens + 1;
   ofd
 
-let free_blocks t blocks = Blocklist.free_many t.blocks blocks
+(* A freed block's bytes are never read again (the next allocation
+   zeroes it), so its DRAM page goes back once the partition took every
+   block. *)
+let free_blocks t blocks =
+  Blocklist.free_many t.blocks blocks;
+  Array.iter (fun b -> Hare_mem.Dram.release t.dram ~block:b) blocks
 
 (* Deferred reuse (§3.2): orphaned and unlinked blocks return to the free
    list only once no descriptor can still address them. *)

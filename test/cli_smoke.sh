@@ -26,6 +26,12 @@ expect 0 run writes --cores 2 --trace trace_smoke.json --trace-cap 0 --strict
 # close still reports its size.
 expect 0 run writes --cores 4 --seed 1 --no-preset --plan "crash:0@300000+200000" --extent 8 --check
 expect 0 run extract --cores 4 --seed 2 --window 8 --plan "crash:0@300000+200000" --check
+# Runs that free blocks and allocate them again, so the servers give
+# freed blocks' DRAM pages back and reuse them: extent leases reclaimed
+# at close, blocks stolen between partitions, and a crash rebuild.
+expect 0 run all --cores 8 --window 8 --batch 8 --extent 8 --check
+expect 0 run all --cores 4 --steal --robust --check
+expect 0 run fsstress --cores 4 --seed 1 --plan "crash:2@1000000+300000" --robust --check
 # A crash of the server that has just adopted a migrated home: the
 # crash and restart walk the adopted home's directories.
 expect 0 run "rm dense" --cores 4 --seed 1 --shard 2 --shard-plan "add@200000" --plan "crash:2@400000+100000" --check

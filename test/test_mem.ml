@@ -158,6 +158,41 @@ let test_pcache_coherent_sees_remote_writes () =
       Pcache.read_coherent b ~block:0 ~off:0 ~len:4 ~dst:buf ~dst_off:0;
       Alcotest.(check string) "coherent read" "ping" (Bytes.to_string buf))
 
+(* Two cores write different bytes of one line coherently: the second
+   write merges into DRAM's line, not into its core's older copy, so
+   neither write is lost. *)
+let test_pcache_coherent_partial_writes_merge () =
+  with_engine (fun e ->
+      let d = Dram.create ~nblocks:2 in
+      let a = mk_pcache e 0 d and b = mk_pcache e 1 d in
+      let buf = Bytes.create 8 in
+      Pcache.read_coherent a ~block:0 ~off:0 ~len:8 ~dst:buf ~dst_off:0;
+      Pcache.write_coherent b ~block:0 ~off:0 ~len:4
+        ~src:(Bytes.of_string "bbbb") ~src_off:0;
+      Pcache.write_coherent a ~block:0 ~off:4 ~len:4
+        ~src:(Bytes.of_string "aaaa") ~src_off:0;
+      Alcotest.(check string) "both writes in DRAM" "bbbbaaaa"
+        (Dram.unsafe_read d ~block:0 ~off:0 ~len:8))
+
+(* A slot number and a line key must fit a 4-byte cell: [create]
+   refuses a capacity or a DRAM whose values would not. *)
+let test_pcache_cells_fit () =
+  with_engine (fun e ->
+      let refused name f =
+        match f () with
+        | (_ : Pcache.t) -> Alcotest.failf "%s: accepted" name
+        | exception Invalid_argument _ -> ()
+      in
+      let small = Dram.create ~nblocks:4 in
+      refused "capacity" (fun () -> mk_pcache ~capacity:(1 lsl 31) e 0 small);
+      let max_blocks = 0x7fff_ffff / Layout.lines_per_block in
+      refused "DRAM" (fun () ->
+          mk_pcache e 0 (Dram.create ~nblocks:(max_blocks + 1)));
+      let p = mk_pcache e 0 (Dram.create ~nblocks:max_blocks) in
+      Pcache.write_string p ~block:(max_blocks - 1) ~off:4032 "last";
+      Alcotest.(check string) "last line of the largest DRAM" "last"
+        (Pcache.read_string p ~block:(max_blocks - 1) ~off:4032 ~len:4))
+
 let test_pcache_cross_line_ranges () =
   with_engine (fun e ->
       let d = Dram.create ~nblocks:2 in
@@ -1043,6 +1078,54 @@ let test_dram_page_on_first_write () =
           ignore (Dram.unsafe_read d ~block ~off:0 ~len:1)))
     [ 1000; 1023; 1024; -1 ]
 
+(* [release] gives a written page back: the block reads as zeroes and
+   the table holds one page fewer. On a page never written, [release]
+   and [zero_block] allocate nothing; a released page comes back on the
+   next write; an out-of-range block raises and changes nothing. *)
+let test_dram_release () =
+  let d = Dram.create ~nblocks:1000 in
+  let src = Bytes.make Layout.line_size 'r' in
+  Dram.write_line d ~block:7 ~line:2 ~src ~src_off:0;
+  Dram.write_line d ~block:8 ~line:0 ~src ~src_off:0;
+  let held () = Obj.reachable_words (Obj.repr d) in
+  let before = held () in
+  Dram.release d ~block:7;
+  let page_words = Layout.block_size / (Sys.word_size / 8) in
+  if before - held () < page_words then
+    Alcotest.failf "release kept the page: %d words before, %d after" before
+      (held ());
+  Alcotest.(check string) "released page reads zeroes"
+    (String.make Layout.block_size '\000')
+    (Dram.unsafe_read d ~block:7 ~off:0 ~len:Layout.block_size);
+  Alcotest.(check string) "the other page kept" "rrrr"
+    (Dram.unsafe_read d ~block:8 ~off:0 ~len:4);
+  let spent =
+    allocated_bytes (fun () ->
+        for block = 0 to 999 do
+          if block <> 8 then begin
+            Dram.release d ~block;
+            Dram.zero_block d ~block
+          end
+        done)
+  in
+  if spent > 256. then
+    Alcotest.failf "releasing unwritten pages allocated %.0f bytes" spent;
+  Dram.write_line d ~block:7 ~line:5 ~src ~src_off:0;
+  Alcotest.(check string) "written again" "rrrr"
+    (Dram.unsafe_read d ~block:7 ~off:(5 * Layout.line_size) ~len:4);
+  Alcotest.(check string) "the old line stays zero" (String.make 4 '\000')
+    (Dram.unsafe_read d ~block:7 ~off:(2 * Layout.line_size) ~len:4);
+  let kept = held () in
+  List.iter
+    (fun block ->
+      let msg = Printf.sprintf "Dram: block %d out of range" block in
+      Alcotest.check_raises "release" (Invalid_argument msg) (fun () ->
+          Dram.release d ~block))
+    [ 1000; 1023; 1024; -1 ];
+  Alcotest.(check int) "out-of-range release changed nothing" kept (held ());
+  Alcotest.(check string) "pages intact" "rrrr"
+    (Dram.unsafe_read d ~block:8 ~off:0 ~len:4)
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -1054,6 +1137,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "bounds" `Quick test_dram_bounds;
         tc "unwritten pages read as zeroes" `Quick test_dram_unwritten_reads_zero;
         tc "page on first write" `Quick test_dram_page_on_first_write;
+        tc "release" `Quick test_dram_release;
       ] );
     ( "mem.freelist",
       [
@@ -1070,6 +1154,9 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "hit cheaper than miss" `Quick test_pcache_costs_hit_vs_miss;
         tc "numa penalty" `Quick test_pcache_numa_cost;
         tc "coherent mode" `Quick test_pcache_coherent_sees_remote_writes;
+        tc "coherent partial writes merge" `Quick
+          test_pcache_coherent_partial_writes_merge;
+        tc "cells fit" `Quick test_pcache_cells_fit;
         tc "cross-line ranges" `Quick test_pcache_cross_line_ranges;
         tc "victim in the accessed block" `Quick test_pcache_victim_in_same_block;
         tc "slot and frame reuse after invalidate" `Quick

@@ -354,6 +354,68 @@ let test_linux_boot_footprint () =
     Alcotest.failf
       "Linux_world.boot Config.default grew the live heap by %d words" grown
 
+(* A server gives a freed block's DRAM page back, so a run's pages
+   follow the blocks its files hold. Creating and unlinking 1,000 files
+   of one block each on the default machine grows the live heap by about
+   87k words, nearly all of it the writer's private cache, now full of
+   their lines. When every page ever written stayed, it grew by about
+   626k words. *)
+let test_unlinked_pages_released () =
+  let grown = ref 0 in
+  ignore
+    (Test_util.run ~config:Config.default (fun _m p ->
+         Gc.compact ();
+         let w0 = (Gc.stat ()).live_words in
+         let data = String.make Hare_mem.Layout.block_size 'u' in
+         for i = 1 to 1000 do
+           let path = Printf.sprintf "/u%d" i in
+           let fd = Hare.Posix.creat p path in
+           ignore (Hare.Posix.write p fd data);
+           Hare.Posix.close p fd;
+           Hare.Posix.unlink p path
+         done;
+         Gc.compact ();
+         grown := (Gc.stat ()).live_words - w0;
+         0));
+  if !grown >= 100_000 then
+    Alcotest.failf "1,000 unlinked files grew the live heap by %d words" !grown
+
+(* A private cache's bookkeeping beside its line data: 13 bytes per line
+   slot (three 4-byte cells and a dirty byte) and a 260-byte frame per
+   cached block. A full default cache of 8,192 lines over 128 blocks
+   holds about 19k words of it. With an int per slot in each of four
+   arrays and an int array per frame, it held about 42k. *)
+let test_pcache_bookkeeping () =
+  let lines = Config.default.Config.pcache_lines in
+  let e = Hare_sim.Engine.create () in
+  let core = Hare_sim.Core_res.create e ~id:0 ~socket:0 ~ctx_switch:0 in
+  let dram = Hare_mem.Dram.create ~nblocks:1024 in
+  let src = Bytes.make Hare_mem.Layout.block_size 'p' in
+  let grown = ref 0 and resident = ref 0 in
+  ignore
+    (Hare_sim.Engine.spawn e ~name:"fill" (fun () ->
+         Gc.compact ();
+         let w0 = (Gc.stat ()).live_words in
+         let pc =
+           Hare_mem.Pcache.create dram ~core ~costs:Config.default.Config.costs
+             ~capacity_lines:lines
+         in
+         for block = 0 to (lines / Hare_mem.Layout.lines_per_block) - 1 do
+           Hare_mem.Pcache.write pc ~block ~off:0 ~len:(Bytes.length src) ~src
+             ~src_off:0
+         done;
+         Gc.compact ();
+         grown := (Gc.stat ()).live_words - w0;
+         resident := Hare_mem.Pcache.resident_lines pc;
+         ignore (Sys.opaque_identity pc)));
+  Hare_sim.Engine.run e;
+  Alcotest.(check int) "cache full" lines !resident;
+  let data = lines * Hare_mem.Layout.line_size / (Sys.word_size / 8) in
+  let bookkeeping = !grown - data in
+  if bookkeeping >= 24_000 then
+    Alcotest.failf "a full %d-line cache keeps %d words besides its line data"
+      lines bookkeeping
+
 let suites : (string * unit Alcotest.test_case list) list =
   [
     ( "misc.stats",
@@ -389,5 +451,8 @@ let suites : (string * unit Alcotest.test_case list) list =
       [
         tc "footprint" `Quick test_boot_footprint;
         tc "linux footprint" `Quick test_linux_boot_footprint;
+        tc "unlinked files give their pages back" `Quick
+          test_unlinked_pages_released;
+        tc "pcache bookkeeping" `Quick test_pcache_bookkeeping;
       ] );
   ]

@@ -140,6 +140,74 @@ let test_utilization_reporting () =
   Alcotest.(check bool) "some core was busy" true
     (List.exists (fun (_, u) -> u > 0.1) util)
 
+(* A freed block comes back on the next allocation, and its old bytes
+   must not: a file grown by [ftruncate] or by a write past its end
+   reads zeroes wherever it was not written. One file server with a
+   16-block partition: the file of 'x' fills the partition, so every
+   later block is one it freed. *)
+let reuse_script (type p) (api : p Hare_api.Api.t) (p : p) =
+  let module Api = Hare_api.Api in
+  let bs = Hare_mem.Layout.block_size in
+  let contents path =
+    let fd = api.Api.openf p path flags_r in
+    let s = Api.read_to_eof api p fd in
+    api.Api.close p fd;
+    s
+  in
+  let fd = api.Api.openf p "/x" flags_w in
+  Api.write_all api p fd (String.make (16 * bs) 'x');
+  api.Api.close p fd;
+  api.Api.unlink p "/x";
+  let size = (3 * bs) + 100 in
+  let fd = api.Api.openf p "/t" flags_w in
+  api.Api.ftruncate p fd ~size;
+  api.Api.close p fd;
+  let fd = api.Api.openf p "/w" flags_w in
+  ignore (api.Api.lseek p fd ~pos:5000 Types.Seek_set);
+  Api.write_all api p fd "abc";
+  api.Api.close p fd;
+  let fd = api.Api.openf p "/s" flags_w in
+  Api.write_all api p fd "hello";
+  api.Api.ftruncate p fd ~size:2;
+  api.Api.ftruncate p fd ~size:bs;
+  ignore (api.Api.lseek p fd ~pos:10_000 Types.Seek_set);
+  Api.write_all api p fd "z";
+  api.Api.close p fd;
+  [ ("/t", contents "/t", String.make size '\000');
+    ("/w", contents "/w", String.make 5000 '\000' ^ "abc");
+    ("/s", contents "/s", "he" ^ String.make (10_000 - 2) '\000' ^ "z") ]
+
+let test_reused_blocks_read_zero () =
+  let config =
+    { (small_config ~ncores:4 ~placement:(Config.Split 1) ()) with
+      Config.buffer_cache_blocks = 16 }
+  in
+  let check (module W : Hare_experiments.World.WORLD) =
+    let w = W.boot config in
+    let got = ref [] in
+    let init =
+      W.spawn_init w ~name:"reuse" (fun p ->
+          got := reuse_script (W.api w) p;
+          0)
+    in
+    W.run w;
+    Alcotest.(check (option int)) (W.name ^ " exit status") (Some 0)
+      (W.exit_status w init);
+    List.iter
+      (fun (path, got, want) ->
+        Alcotest.(check int) (W.name ^ " " ^ path ^ " size") (String.length want)
+          (String.length got);
+        String.iteri
+          (fun i c ->
+            if not (Char.equal c want.[i]) then
+              Alcotest.failf "%s %s: byte %d is %C, not %C" W.name path i c
+                want.[i])
+          got)
+      !got
+  in
+  check (module Hare_experiments.World.Hare_w);
+  check (module Hare_experiments.World.Linux_w)
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -153,5 +221,6 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "env + cwd errors" `Quick test_env_and_cwd;
         tc "env across exec" `Quick test_env_inherited_by_exec;
         tc "utilization" `Quick test_utilization_reporting;
+        tc "reused blocks read as zeroes" `Quick test_reused_blocks_read_zero;
       ] );
   ]
