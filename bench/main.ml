@@ -36,6 +36,10 @@ let hare_run ?nprocs ~ncores ~tweak name () =
 let bechamel_tests () =
   let open Bechamel in
   let t name f = Test.make ~name (Staged.stage f) in
+  (* Figures 10-14: one technique switched off each. *)
+  let ablation label =
+    hare_run ~ncores:4 ~tweak:(List.assoc label Figures.techniques)
+  in
   [
     t "fig4/sloc" (fun () ->
         match Hare_stats.Sloc.repo_root () with
@@ -50,21 +54,11 @@ let bechamel_tests () =
       (hare_run ~nprocs:1 ~ncores:2 ~tweak:World.unfs_config "creates");
     t "fig8/linux-baseline" (fun () ->
         ignore (LD.run ~config:(Driver.default_config ~ncores:1) ~nprocs:1 (bench "creates")));
-    t "fig10/dist-ablation"
-      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_distribution = false })
-         "creates");
-    t "fig11/bcast-ablation"
-      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_broadcast = false })
-         "pfind dense");
-    t "fig12/direct-ablation"
-      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.direct_access = false })
-         "writes");
-    t "fig13/dcache-ablation"
-      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.dir_cache = false })
-         "renames");
-    t "fig14/affinity-ablation"
-      (hare_run ~ncores:4 ~tweak:(fun c -> { c with Config.creation_affinity = false })
-         "punzip");
+    t "fig10/dist-ablation" (ablation "Directory distribution" "creates");
+    t "fig11/bcast-ablation" (ablation "Directory broadcast" "pfind dense");
+    t "fig12/direct-ablation" (ablation "Direct cache access" "writes");
+    t "fig13/dcache-ablation" (ablation "Directory cache" "renames");
+    t "fig14/affinity-ablation" (ablation "Creation affinity" "punzip");
     t "fig15/linux-parallel" (fun () ->
         ignore (LD.run ~config:(Driver.default_config ~ncores:4) (bench "creates")));
     t "micro/rename-latency" (hare_run ~ncores:1 ~nprocs:1 ~tweak:Fun.id "renames");

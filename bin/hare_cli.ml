@@ -57,120 +57,19 @@ let seed_arg =
 
 (* A config flag is a transformer over the configuration; unset flags
    leave the defaults (Driver.default_config plus the workload's preset)
-   alone. *)
-let knob arg set =
-  let+ v = arg in
-  fun c -> Option.fold ~none:c ~some:(set c) v
-
-let switch name doc set =
-  let+ on = flag name doc in
-  fun c -> if on then set c else c
-
-let compose ts =
-  List.fold_left
-    (fun acc t ->
-      let+ f = acc and+ g = t in
-      fun c -> g (f c))
-    (Term.const Fun.id) ts
-
-let tune_t =
-  let int_knob ?docv name doc set = knob (int_opt ?docv name doc) set in
-  let shard =
-    let+ servers =
-      int_opt ~docv:"S" "shard"
-        "Consistent-hash placement: $(docv) file-server homes on a \
-         rendezvous ring (extension; overrides --split)."
-    and+ vnodes =
-      Arg.(
-        value & opt int 32
-        & info [ "vnodes" ] ~docv:"V"
-            ~doc:"Hash points per server on the placement ring (with --shard).")
-    and+ plan =
-      Arg.(
-        value & opt string ""
-        & info [ "shard-plan" ] ~docv:"PLAN"
-            ~doc:
-              "Ring-membership plan (with --shard): 'add@CYCLES' activates a \
-               spare server, 'remove:SID@CYCLES' drains one; ';'-separated.")
-    in
-    fun c ->
-      match servers with
-      | Some servers ->
-          {
-            c with
-            Config.placement = Config.Sharded { servers; vnodes };
-            shard_plan = plan;
-          }
-      | None -> { c with Config.shard_plan = plan }
+   alone. Each row of Config.knobs is one flag, applied after [acc]. *)
+let knob_t acc (k : Config.knob) =
+  let+ before = acc
+  and+ set =
+    match k.Config.setting with
+    | Config.Int { docv; set; _ } ->
+        let+ v = int_opt ~docv k.Config.flag k.Config.doc in
+        fun c -> Option.fold ~none:c ~some:(set c) v
+    | Config.Switch set ->
+        let+ on = flag k.Config.flag k.Config.doc in
+        if on then set else Fun.id
   in
-  compose
-    [
-      int_knob ~docv:"S" "split"
-        "Dedicate $(docv) cores to file servers (default: timeshare)."
-        (fun c s -> { c with Config.placement = Config.Split s });
-      shard;
-      switch "no-dist" "Disable directory distribution." (fun c ->
-          { c with Config.dir_distribution = false });
-      switch "no-broadcast" "Disable directory broadcast." (fun c ->
-          { c with Config.dir_broadcast = false });
-      switch "no-direct" "Disable direct buffer-cache access." (fun c ->
-          { c with Config.direct_access = false });
-      switch "no-dircache" "Disable the directory cache." (fun c ->
-          { c with Config.dir_cache = false });
-      switch "no-affinity" "Disable creation affinity." (fun c ->
-          { c with Config.creation_affinity = false });
-      int_knob ~docv:"W" "width"
-        "Distribute each directory over only $(docv) servers (extension, \
-         paper §6)."
-        (fun c w -> { c with Config.dist_width = Some w });
-      switch "steal" "Enable block stealing between servers (extension, §3.2)."
-        (fun c -> { c with Config.block_stealing = true });
-      int_knob "retries" "RPC attempts before giving up with EIO." (fun c n ->
-          { c with Config.rpc_retries = n });
-      switch "strict-broadcast"
-        "Fail broadcasts with EIO instead of returning partial results."
-        (fun c -> { c with Config.partial_broadcast = false });
-      knob seed_arg (fun c s -> { c with Config.seed = Int64.of_int s });
-      int_knob ~docv:"W" "window" "rpc_window (1 = synchronous)." (fun c n ->
-          { c with Config.rpc_window = n });
-      int_knob ~docv:"B" "batch" "batch_max (1 = one request per wakeup)."
-        (fun c n -> { c with Config.batch_max = n });
-      int_knob ~docv:"E" "extent" "alloc_extent (1 = block-at-a-time)."
-        (fun c n -> { c with Config.alloc_extent = n });
-      int_knob "dircache-capacity" "Bound the client dircache (0 = unbounded)."
-        (fun c n -> { c with Config.dircache_capacity = n });
-      int_knob ~docv:"CYCLES" "deadline-max"
-        "Ceiling on the backed-off retry deadline." (fun c n ->
-          { c with Config.rpc_deadline_max = n });
-      int_knob "capacity"
-        "Server mailbox capacity; senders without a credit park until a \
-         slot frees (0 = unbounded)."
-        (fun c n -> { c with Config.mailbox_capacity = n });
-      int_knob "retry-budget"
-        "Per-server retry budget; an empty bucket turns timeouts into \
-         immediate give-ups (0 = unlimited)."
-        (fun c n -> { c with Config.retry_budget = n });
-      int_knob "breaker"
-        "Consecutive give-ups that open a per-server circuit breaker (0 = \
-         disabled)."
-        (fun c n -> { c with Config.breaker_threshold = n });
-      int_knob ~docv:"CYCLES" "cooldown"
-        "How long an open breaker fast-fails before probing." (fun c n ->
-          { c with Config.breaker_cooldown = n });
-      int_knob "watermark"
-        "Server queue depth above which background (then data) requests are \
-         shed with EBUSY (0 = disabled)."
-        (fun c n -> { c with Config.shed_watermark = n });
-      int_knob "trace-cap"
-        "Trace ring-buffer capacity in events (with --trace); the oldest \
-         events are dropped (and counted) beyond it. 0 = no span ring: the \
-         export is a clean metadata-only artifact."
-        (fun c n -> { c with Config.trace_cap = n });
-      int_knob ~docv:"K" "retain"
-        "Keep the complete span trees of the $(docv) slowest ops per latency \
-         class, for --blame."
-        (fun c k -> { c with Config.trace_retain = k });
-    ]
+  fun c -> set (before c)
 
 type setup = {
   cores : int;
@@ -217,9 +116,39 @@ let setup_t =
     int_opt ~docv:"CYCLES" "deadline"
       "First-attempt RPC deadline; 0 disables retries. A fault plan arms \
        25000 when the configuration has none."
-  and+ tune = tune_t in
+  and+ split =
+    int_opt ~docv:"S" "split"
+      "Dedicate $(docv) cores to file servers (default: timeshare)."
+  and+ servers =
+    int_opt ~docv:"S" "shard"
+      "Consistent-hash placement: $(docv) file-server homes on a \
+       rendezvous ring (extension; overrides --split)."
+  and+ vnodes =
+    Arg.(
+      value & opt int 32
+      & info [ "vnodes" ] ~docv:"V"
+          ~doc:"Hash points per server on the placement ring (with --shard).")
+  and+ shard_plan =
+    Arg.(
+      value & opt string ""
+      & info [ "shard-plan" ] ~docv:"PLAN"
+          ~doc:
+            "Ring-membership plan (with --shard): 'add@CYCLES' activates a \
+             spare server, 'remove:SID@CYCLES' drains one; ';'-separated.")
+  and+ seed = seed_arg
+  and+ knobs = List.fold_left knob_t (Term.const Fun.id) Config.knobs in
+  (* In order: placement and seed, the table's knobs, the fault plan
+     (which arms a deadline when there is none), then --deadline. *)
   let tune c =
-    let c = Driver.with_fault_plan plan (tune c) in
+    let placement =
+      match (servers, split) with
+      | Some servers, _ -> Config.Sharded { servers; vnodes }
+      | None, Some s -> Config.Split s
+      | None, None -> c.Config.placement
+    in
+    let seed = Option.fold ~none:c.Config.seed ~some:Int64.of_int seed in
+    let c = knobs { c with Config.placement; shard_plan; seed } in
+    let c = Driver.with_fault_plan plan c in
     match deadline with
     | Some d ->
         {
@@ -352,13 +281,16 @@ let instance s r (spec : Spec.t) =
   in
   (c, nprocs, fresh)
 
-(* What would make this run meaningless, as a one-line error. *)
-let problem s r (c : Config.t) =
+(* What would make this workload's run meaningless, as a one-line error. *)
+let problem s r (spec : Spec.t) (c : Config.t) =
   let sharded =
     match c.Config.placement with Config.Sharded _ -> true | _ -> false
   in
   match Config.validate c with
-  | Error msg -> Some ("bad configuration: " ^ msg)
+  | Error msg ->
+      let preset = s.preset && spec.Spec.name = O.spec.Spec.name in
+      Some ("bad configuration: " ^ msg
+            ^ if preset then " (under its preset; --no-preset drops it)" else "")
   | Ok () when s.scale < 1 -> Some "--scale must be at least 1"
   | Ok () when Option.fold ~none:false ~some:(fun n -> n < 1) s.nprocs ->
       Some "--nprocs must be at least 1"
@@ -732,76 +664,67 @@ let print_verdict ~verbose v =
 
 (* One workload through the pipeline; the exit code is the worst of the
    worker outcome and every requested report's. *)
-let run_one s r verdict (spec : Spec.t) =
-  let config, nprocs, fresh = instance s r spec in
-  match problem s r config with
-  | Some msg ->
-      prerr_endline msg;
-      1
-  | None -> (
-      let spec, overload = fresh () in
-      let world, run_config =
-        match s.world with
-        | `Linux -> ((module World.Linux_w : World.WORLD), config)
-        | `Unfs -> ((module World.Hare_w), World.unfs_config config)
-        | `Hare -> ((module World.Hare_w), config)
+let run_one s r verdict (config, nprocs, fresh) =
+  let spec, overload = fresh () in
+  let world, run_config =
+    match s.world with
+    | `Linux -> ((module World.Linux_w : World.WORLD), config)
+    | `Unfs -> ((module World.Hare_w), World.unfs_config config)
+    | `Hare -> ((module World.Hare_w), config)
+  in
+  let reraise =
+    Option.iter (fun (name, e) ->
+        raise (Hare_sim.Engine.Fiber_failure (name, e)))
+  in
+  match
+    run_timed world ~config:run_config ?nprocs ~scale:s.scale
+      ~verbose:r.verbose spec
+  with
+  | Some m, rc, crash when s.world = `Hare ->
+      let name = spec.Spec.name in
+      let traced f () = match Machine.trace m with Some tr -> f tr | None -> 0 in
+      (* Reports print in this order; each is a thunk so it runs only
+         when requested. *)
+      let reports =
+        [
+          (r.robust, fun () -> report_robust ~plan:s.plan ~overload name m);
+          (r.perf, fun () -> report_perf config name m);
+          ( r.trace <> None,
+            traced
+              (report_trace ~strict:r.strict
+                 ~out:(Option.value r.trace ~default:"")
+                 name m) );
+          (r.profile, traced (report_profile name m));
+          ( config.Config.metrics_interval > 0,
+            fun () ->
+              Option.fold ~none:0
+                ~some:(report_metrics ~series:r.series name m)
+                (Machine.metrics m) );
+          (r.blame, traced report_blame);
+          ( r.ring,
+            fun () ->
+              Option.fold ~none:0 ~some:(report_ring m) (Machine.place m) );
+        ]
       in
-      let reraise =
-        Option.iter (fun (name, e) ->
-            raise (Hare_sim.Engine.Fiber_failure (name, e)))
+      let rc =
+        List.fold_left
+          (fun rc (wanted, report) -> if wanted then max rc (report ()) else rc)
+          rc reports
       in
-      match
-        run_timed world ~config:run_config ?nprocs ~scale:s.scale
-          ~verbose:r.verbose spec
-      with
-      | Some m, rc, crash when s.world = `Hare ->
-          let name = spec.Spec.name in
-          let traced f () =
-            match Machine.trace m with Some tr -> f tr | None -> 0
-          in
-          (* Reports print in this order; each is a thunk so it runs only
-             when requested. *)
-          let reports =
-            [
-              (r.robust, fun () -> report_robust ~plan:s.plan ~overload name m);
-              (r.perf, fun () -> report_perf config name m);
-              ( r.trace <> None,
-                traced
-                  (report_trace ~strict:r.strict
-                     ~out:(Option.value r.trace ~default:"")
-                     name m) );
-              (r.profile, traced (report_profile name m));
-              ( config.Config.metrics_interval > 0,
-                fun () ->
-                  Option.fold ~none:0
-                    ~some:(report_metrics ~series:r.series name m)
-                    (Machine.metrics m) );
-              (r.blame, traced report_blame);
-              ( r.ring,
-                fun () ->
-                  Option.fold ~none:0 ~some:(report_ring m) (Machine.place m) );
-            ]
-          in
-          let rc =
-            List.fold_left
-              (fun rc (wanted, report) ->
-                if wanted then max rc (report ()) else rc)
-              rc reports
-          in
-          reraise crash;
-          if r.check then begin
-            let twin =
-              HD.exec
-                ~config:{ config with Config.check_enabled = false }
-                ?nprocs ~scale:s.scale (fst (fresh ()))
-            in
-            reraise twin.Driver.crash;
-            report_check verdict ~twin:twin.Driver.w name m
-          end;
-          rc
-      | _, rc, crash ->
-          reraise crash;
-          rc)
+      reraise crash;
+      if r.check then begin
+        let twin =
+          HD.exec
+            ~config:{ config with Config.check_enabled = false }
+            ?nprocs ~scale:s.scale (fst (fresh ()))
+        in
+        reraise twin.Driver.crash;
+        report_check verdict ~twin:twin.Driver.w name m
+      end;
+      rc
+  | _, rc, crash ->
+      reraise crash;
+      rc
 
 let run_cmd =
   let bench_arg =
@@ -814,11 +737,7 @@ let run_cmd =
   let go name s r =
     let specs =
       if name = "all" then Some Hare_workloads.All.specs
-      else
-        List.find_opt
-          (fun (sp : Spec.t) -> sp.Spec.name = name)
-          Hare_workloads.All.specs
-        |> Option.map (fun sp -> [ sp ])
+      else try Some [ Hare_workloads.All.find name ] with Not_found -> None
     in
     let refuse msg =
       prerr_endline msg;
@@ -832,17 +751,26 @@ let run_cmd =
         refuse "the report flags need --world hare"
     | Some (_ :: _ :: _), Ok _ when r.trace <> None || r.series <> None ->
         refuse "--trace and --series write one file: name a single benchmark"
-    | Some specs, Ok _ ->
-        let verdict =
-          { total = Sanity.create (); recorded = []; perturbed = false }
+    | Some specs, Ok _ -> (
+        (* Every workload's configuration is checked before the first
+           one runs. *)
+        let runs = List.map (fun spec -> (spec, instance s r spec)) specs in
+        let refusal ((spec : Spec.t), (c, _, _)) =
+          Option.map (( ^ ) (spec.Spec.name ^ ": ")) (problem s r spec c)
         in
-        let rc =
-          List.fold_left
-            (fun rc spec -> max rc (run_one s r verdict spec))
-            0 specs
-        in
-        if r.check then max rc (print_verdict ~verbose:r.verbose verdict)
-        else rc
+        match List.find_map refusal runs with
+        | Some msg -> refuse msg
+        | None ->
+            let verdict =
+              { total = Sanity.create (); recorded = []; perturbed = false }
+            in
+            let rc =
+              List.fold_left
+                (fun rc (_, run) -> max rc (run_one s r verdict run))
+                0 runs
+            in
+            if r.check then max rc (print_verdict ~verbose:r.verbose verdict)
+            else rc)
   in
   Cmd.v
     (Cmd.info "run"

@@ -13,18 +13,15 @@ module HD = Driver.Make (World.Hare_w)
 let ncores = 8
 
 let variants =
-  [
-    ("all techniques on (baseline)", fun c -> c);
-    ( "no directory distribution",
-      fun c -> { c with Config.dir_distribution = false } );
-    ("no directory broadcast", fun c -> { c with Config.dir_broadcast = false });
-    ("no direct cache access", fun c -> { c with Config.direct_access = false });
-    ("no directory cache", fun c -> { c with Config.dir_cache = false });
-    ("no creation affinity", fun c -> { c with Config.creation_affinity = false });
-    ( "width-2 distribution (ext)",
-      fun c -> { c with Config.dist_width = Some 2 } );
-    ("block stealing on (ext)", fun c -> { c with Config.block_stealing = true });
-  ]
+  (("all techniques on (baseline)", Fun.id)
+   :: List.map
+        (fun (label, off) -> ("no " ^ String.lowercase_ascii label, off))
+        Hare_experiments.Figures.techniques)
+  @ [
+      ( "width-2 distribution (ext)",
+        fun c -> { c with Config.dist_width = Some 2 } );
+      ("block stealing on (ext)", fun c -> { c with Config.block_stealing = true });
+    ]
 
 let () =
   let bench = if Array.length Sys.argv > 1 then Sys.argv.(1) else "creates" in

@@ -16,8 +16,7 @@ let deliverers = 3
 let per_deliverer = 8
 
 let () =
-  let config = Config.v ~ncores:4 () in
-  let config = { config with Config.buffer_cache_blocks = 4096 } in
+  let config = { Config.default with ncores = 4; buffer_cache_blocks = 4096 } in
   let machine = Machine.boot config in
 
   Machine.register_program machine "deliverer" (fun proc args ->

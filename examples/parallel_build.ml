@@ -13,8 +13,7 @@ open Hare_proto.Types
 let nfiles = 12
 
 let () =
-  let config = Config.v ~ncores:8 () in
-  let config = { config with Config.buffer_cache_blocks = 8192 } in
+  let config = { Config.default with ncores = 8; buffer_cache_blocks = 8192 } in
   let machine = Machine.boot config in
 
   (* "cc": takes a jobserver token, reads the source, compiles, writes

@@ -11,8 +11,7 @@ open Hare_proto.Types
 let () =
   (* A small non-cache-coherent machine: 4 cores, a file server per core
      (timeshare placement, like the paper's standard configuration). *)
-  let config = Config.v ~ncores:4 () in
-  let config = { config with Config.buffer_cache_blocks = 4096 } in
+  let config = { Config.default with ncores = 4; buffer_cache_blocks = 4096 } in
   let machine = Machine.boot config in
 
   (* Programs are OCaml functions; exec names them. This one runs on

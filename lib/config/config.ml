@@ -108,15 +108,6 @@ let default =
     costs = Costs.default;
   }
 
-let v ?ncores ?placement ?exec_policy ?seed () =
-  let t = default in
-  let t = match ncores with Some n -> { t with ncores = n } | None -> t in
-  let t = match placement with Some p -> { t with placement = p } | None -> t in
-  let t =
-    match exec_policy with Some p -> { t with exec_policy = p } | None -> t
-  in
-  match seed with Some s -> { t with seed = s } | None -> t
-
 let nservers t =
   match t.placement with
   | Timeshare -> t.ncores
@@ -128,10 +119,8 @@ let nservers t =
    so membership-stable Sharded matches Split exactly. *)
 let physical_servers t =
   match t.placement with
-  | Timeshare -> t.ncores
-  | Split n -> n
-  | Sharded { servers; _ } ->
-      servers + Hare_place.Place.count_adds t.shard_plan
+  | Timeshare | Split _ -> nservers t
+  | Sharded _ -> nservers t + Hare_place.Place.count_adds t.shard_plan
 
 (* A fault plan must parse and strike only servers that boot. *)
 let check_fault_plan t =
@@ -144,29 +133,116 @@ let check_fault_plan t =
           Error (Printf.sprintf "fault plan targets fs%d but only %d server(s) exist" e.ev_sid n)
       | None -> Ok ())
 
+(* ---------- the knob table ------------------------------------------ *)
+
+type bound = Positive | Zero_means of string
+
+type setting =
+  | Int of { docv : string; bound : bound; get : t -> int; set : t -> int -> t }
+  | Switch of (t -> t)
+
+type knob = {
+  field : string;
+  flag : string;
+  doc : string;
+  setting : setting;
+  technique : string option;
+}
+
+let int ?(docv = "N") field flag bound doc get set =
+  { field; flag; doc; setting = Int { docv; bound; get; set }; technique = None }
+
+let switch ?technique field flag doc set =
+  { field; flag; doc; setting = Switch set; technique }
+
+let knobs =
+  [
+    switch ~technique:"Directory distribution" "dir_distribution" "no-dist"
+      "Disable directory distribution." (fun c -> { c with dir_distribution = false });
+    switch ~technique:"Directory broadcast" "dir_broadcast" "no-broadcast"
+      "Disable directory broadcast." (fun c -> { c with dir_broadcast = false });
+    switch ~technique:"Direct cache access" "direct_access" "no-direct"
+      "Disable direct buffer-cache access." (fun c -> { c with direct_access = false });
+    switch ~technique:"Directory cache" "dir_cache" "no-dircache"
+      "Disable the directory cache." (fun c -> { c with dir_cache = false });
+    switch ~technique:"Creation affinity" "creation_affinity" "no-affinity"
+      "Disable creation affinity." (fun c -> { c with creation_affinity = false });
+    (* [None] spans every server, so it always meets the bound. *)
+    int ~docv:"W" "dist_width" "width" Positive
+      "Distribute each directory over only $(docv) servers (extension, paper §6)."
+      (fun c -> Option.value c.dist_width ~default:1)
+      (fun c w -> { c with dist_width = Some w });
+    switch "block_stealing" "steal"
+      "Enable block stealing between servers (extension, §3.2)."
+      (fun c -> { c with block_stealing = true });
+    int "rpc_retries" "retries" Positive "RPC attempts before giving up with EIO."
+      (fun c -> c.rpc_retries) (fun c n -> { c with rpc_retries = n });
+    switch "partial_broadcast" "strict-broadcast"
+      "Fail broadcasts with EIO instead of returning partial results."
+      (fun c -> { c with partial_broadcast = false });
+    int ~docv:"W" "rpc_window" "window" Positive "rpc_window (1 = synchronous)."
+      (fun c -> c.rpc_window) (fun c n -> { c with rpc_window = n });
+    int ~docv:"B" "batch_max" "batch" Positive "batch_max (1 = one request per wakeup)."
+      (fun c -> c.batch_max) (fun c n -> { c with batch_max = n });
+    int ~docv:"E" "alloc_extent" "extent" Positive "alloc_extent (1 = block-at-a-time)."
+      (fun c -> c.alloc_extent) (fun c n -> { c with alloc_extent = n });
+    int "dircache_capacity" "dircache-capacity" (Zero_means "unbounded")
+      "Bound the client dircache (0 = unbounded)."
+      (fun c -> c.dircache_capacity) (fun c n -> { c with dircache_capacity = n });
+    int ~docv:"CYCLES" "rpc_deadline_max" "deadline-max" (Zero_means "64x rpc_deadline")
+      "Ceiling on the backed-off retry deadline."
+      (fun c -> c.rpc_deadline_max) (fun c n -> { c with rpc_deadline_max = n });
+    int "mailbox_capacity" "capacity" (Zero_means "unbounded")
+      "Server mailbox capacity; senders without a credit park until a slot \
+       frees (0 = unbounded)."
+      (fun c -> c.mailbox_capacity) (fun c n -> { c with mailbox_capacity = n });
+    int "retry_budget" "retry-budget" (Zero_means "unlimited")
+      "Per-server retry budget; an empty bucket turns timeouts into \
+       immediate give-ups (0 = unlimited)."
+      (fun c -> c.retry_budget) (fun c n -> { c with retry_budget = n });
+    int "breaker_threshold" "breaker" (Zero_means "breakers off")
+      "Consecutive give-ups that open a per-server circuit breaker (0 = disabled)."
+      (fun c -> c.breaker_threshold) (fun c n -> { c with breaker_threshold = n });
+    int ~docv:"CYCLES" "breaker_cooldown" "cooldown" Positive
+      "How long an open breaker fast-fails before probing."
+      (fun c -> c.breaker_cooldown) (fun c n -> { c with breaker_cooldown = n });
+    int "shed_watermark" "watermark" (Zero_means "shedding off")
+      "Server queue depth above which background (then data) requests are \
+       shed with EBUSY (0 = disabled)."
+      (fun c -> c.shed_watermark) (fun c n -> { c with shed_watermark = n });
+    int "trace_cap" "trace-cap" (Zero_means "empty span ring, profile-only")
+      "Trace ring-buffer capacity in events (with --trace); the oldest \
+       events are dropped (and counted) beyond it. 0 = no span ring: the \
+       export is a clean metadata-only artifact."
+      (fun c -> c.trace_cap) (fun c n -> { c with trace_cap = n });
+    int ~docv:"K" "trace_retain" "retain" (Zero_means "retention off")
+      "Keep the complete span trees of the $(docv) slowest ops per latency \
+       class, for --blame."
+      (fun c -> c.trace_retain) (fun c k -> { c with trace_retain = k });
+  ]
+
+let bound_error t k =
+  match k.setting with
+  | Int { bound = Positive; get; _ } when get t < 1 ->
+      Some (k.field ^ " must be at least 1")
+  | Int { bound = Zero_means zero; get; _ } when get t < 0 ->
+      Some (Printf.sprintf "%s must be non-negative (0 = %s)" k.field zero)
+  | Int _ | Switch _ -> None
+
+(* The table's bounds first, then the fields without a flag and the rules
+   that tie fields together. *)
 let validate t =
-  if t.ncores <= 0 then Error "ncores must be positive"
+  let bound = List.find_map (bound_error t) knobs in
+  if Option.is_some bound then Error (Option.get bound)
+  else if t.ncores <= 0 then Error "ncores must be positive"
   else if t.cores_per_socket <= 0 then Error "cores_per_socket must be positive"
   else if t.buffer_cache_blocks <= 0 then Error "buffer cache must be non-empty"
   else if t.pcache_lines <= 0 then Error "private cache must be non-empty"
   else if t.rpc_deadline < 0 then Error "rpc_deadline must be non-negative"
-  else if t.rpc_retries <= 0 then Error "rpc_retries must be positive"
   else if t.fault_plan <> "" && t.rpc_deadline = 0 then
     Error "a fault plan requires rpc_deadline > 0 (clients must retry)"
-  else if t.mailbox_capacity < 0 then
-    Error "mailbox_capacity must be non-negative (0 = unbounded)"
-  else if t.rpc_deadline_max < 0 then
-    Error "rpc_deadline_max must be non-negative (0 = 64x rpc_deadline)"
   else if t.rpc_deadline_max > 0 && t.rpc_deadline_max < t.rpc_deadline then
     Error "rpc_deadline_max must be at least rpc_deadline"
-  else if t.retry_budget < 0 then
-    Error "retry_budget must be non-negative (0 = unlimited)"
-  else if t.breaker_threshold < 0 then
-    Error "breaker_threshold must be non-negative (0 = breakers off)"
-  else if t.breaker_threshold > 0 && t.breaker_cooldown <= 0 then
-    Error "breaker_cooldown must be positive when breakers are enabled"
-  else if t.shed_watermark < 0 then
-    Error "shed_watermark must be non-negative (0 = shedding off)"
   else if t.deadline_propagation && t.rpc_deadline = 0 then
     Error "deadline_propagation requires rpc_deadline > 0"
   else if (t.retry_budget > 0 || t.breaker_threshold > 0) && t.rpc_deadline = 0
@@ -174,17 +250,6 @@ let validate t =
     Error
       "retry budgets and circuit breakers require rpc_deadline > 0 (they act \
        on retry decisions)"
-  else if Option.fold ~none:false ~some:(fun w -> w < 1) t.dist_width then
-    Error "dist_width must be at least 1"
-  else if t.rpc_window < 1 then Error "rpc_window must be at least 1"
-  else if t.batch_max < 1 then Error "batch_max must be at least 1"
-  else if t.alloc_extent < 1 then Error "alloc_extent must be at least 1"
-  else if t.dircache_capacity < 0 then
-    Error "dircache_capacity must be non-negative (0 = unbounded)"
-  else if t.trace_cap < 0 then
-    Error "trace_cap must be non-negative (0 = empty span ring, profile-only)"
-  else if t.trace_retain < 0 then
-    Error "trace_retain must be non-negative (0 = retention off)"
   else if t.trace_retain > 0 && not t.trace_enabled then
     Error "trace_retain requires trace_enabled (retention lives in the trace)"
   else if t.metrics_interval < 0 then
@@ -230,10 +295,7 @@ let validate t =
                 Error "shard plan must leave at least one server in the ring"
               else check_fault_plan t)
 
-let server_cores t =
-  match t.placement with
-  | Timeshare -> List.init t.ncores Fun.id
-  | Split _ | Sharded _ -> List.init (physical_servers t) Fun.id
+let server_cores t = List.init (physical_servers t) Fun.id
 
 let app_cores t =
   match t.placement with

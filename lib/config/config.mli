@@ -193,13 +193,35 @@ val default : t
     placement, all techniques enabled, 2 GB buffer cache — the paper's
     standard configuration. *)
 
-val v : ?ncores:int -> ?placement:placement -> ?exec_policy:exec_policy -> ?seed:int64 -> unit -> t
-(** [v ()] is {!default} with the given overrides. *)
+(** {2 The knob table}
+
+    One row per [hare_cli run] flag that sets one field: the field, the
+    flag (no dashes), its cmdliner help, and the field's bound or the
+    flag's switch. The CLI, {!validate} and [Figures.techniques] read it. *)
+
+type bound =
+  | Positive  (** "[field] must be at least 1" *)
+  | Zero_means of string  (** "[field] must be non-negative (0 = ...)" *)
+
+type setting =
+  | Int of { docv : string; bound : bound; get : t -> int; set : t -> int -> t }
+  | Switch of (t -> t)
+
+type knob = {
+  field : string;
+  flag : string;
+  doc : string;
+  setting : setting;
+  technique : string option;
+      (** a §3.6 technique's figure label; its switch turns it off *)
+}
+
+val knobs : knob list
 
 val validate : t -> (unit, string) result
-(** Check internal consistency (positive sizes, split bounds, ...),
-    including that the fault plan parses and that each of its crash and
-    stall events names one of the {!physical_servers}. *)
+(** Check internal consistency: each {!knobs} bound first, then sizes,
+    split bounds, cross-field rules, and that the fault plan parses and
+    each of its crash and stall events names a {!physical_servers}. *)
 
 val nservers : t -> int
 (** Number of {e logical} file servers implied by the placement — the

@@ -8,7 +8,7 @@
 
     Typical use:
     {[
-      let m = Machine.boot (Config.v ~ncores:4 ()) in
+      let m = Machine.boot { Config.default with ncores = 4 } in
       Machine.register_program m "worker" (fun proc args -> ...);
       let init, console = Machine.spawn_init m (fun proc -> ...) in
       Machine.run m;

@@ -299,14 +299,12 @@ let print_fig8 opts =
 (* ---------- Figures 9-14: technique ablations -------------------------- *)
 
 let techniques =
-  [
-    ( "Directory distribution",
-      fun (c : Config.t) -> { c with Config.dir_distribution = false } );
-    ("Directory broadcast", fun c -> { c with Config.dir_broadcast = false });
-    ("Direct cache access", fun c -> { c with Config.direct_access = false });
-    ("Directory cache", fun c -> { c with Config.dir_cache = false });
-    ("Creation affinity", fun c -> { c with Config.creation_affinity = false });
-  ]
+  List.filter_map
+    (fun (k : Config.knob) ->
+      match (k.Config.technique, k.Config.setting) with
+      | Some label, Config.Switch off -> Some (label, off)
+      | _ -> None)
+    Config.knobs
 
 (* technique -> benchmark -> throughput(enabled)/throughput(disabled), all
    at [opts.big] cores (Figures 10-14) *)

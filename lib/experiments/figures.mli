@@ -53,6 +53,10 @@ val print_fig8 : opts -> unit
 
 (** {1 Figures 9-14: technique ablations} *)
 
+val techniques : (string * (Hare_config.Config.t -> Hare_config.Config.t)) list
+(** Figures 10-14's §3.6 techniques, in order: each label with the switch
+    that turns it off, read off [Config.knobs]. *)
+
 val print_techniques : opts -> unit
 (** Prints Figures 10-14 and the Figure 9 min/avg/median/max summary. *)
 

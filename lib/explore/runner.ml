@@ -400,41 +400,23 @@ let explore ~scenario ?mutate ~strategy ~budget () =
       invalid_arg ("Runner.explore: unknown mutation " ^ m)
   | _ -> ());
   let budget = max 1 budget in
-  let single pick =
-    let x = run_one ~scenario ~mutate ~pick ~sleep_at:no_sleep () in
-    stats_of_runs [ x ] ~complete:false
+  let once pick = run_one ~scenario ~mutate ~pick ~sleep_at:no_sleep () in
+  (* Seeded sampling: run [i] draws from its own stream [seed; i], up to
+     the budget or the first violation. *)
+  let sample seed pick_of =
+    let rec go i runs =
+      let x = once (pick_of (Random.State.make [| seed; i |])) in
+      if x.x_violations <> [] || i + 1 >= budget then List.rev (x :: runs)
+      else go (i + 1) (x :: runs)
+    in
+    stats_of_runs (go 0 []) ~complete:false
   in
   match strategy with
-  | Deterministic -> single (pick_replay [])
-  | Replay plan -> single (pick_replay plan)
+  | Deterministic -> stats_of_runs [ once (pick_replay []) ] ~complete:false
+  | Replay plan -> stats_of_runs [ once (pick_replay plan) ] ~complete:false
   | Dpor -> dpor ~scenario ~mutate ~budget
-  | Rand seed ->
-      let runs = ref [] in
-      let i = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !i < budget do
-        let rng = Random.State.make [| seed; !i |] in
-        let x = run_one ~scenario ~mutate ~pick:(pick_rand rng) ~sleep_at:no_sleep () in
-        runs := x :: !runs;
-        incr i;
-        if x.x_violations <> [] then stop := true
-      done;
-      stats_of_runs (List.rev !runs) ~complete:false
-  | Pct seed ->
-      let runs = ref [] in
-      let i = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !i < budget do
-        let rng = Random.State.make [| seed; !i |] in
-        let prio = Hashtbl.create 32 in
-        let x =
-          run_one ~scenario ~mutate ~pick:(pick_pct rng prio) ~sleep_at:no_sleep ()
-        in
-        runs := x :: !runs;
-        incr i;
-        if x.x_violations <> [] then stop := true
-      done;
-      stats_of_runs (List.rev !runs) ~complete:false
+  | Rand seed -> sample seed pick_rand
+  | Pct seed -> sample seed (fun rng -> pick_pct rng (Hashtbl.create 32))
 
 let replay ~scenario ?mutate choices () =
   explore ~scenario ?mutate ~strategy:(Replay choices) ~budget:1 ()

@@ -27,8 +27,11 @@ type t = {
    requests land on the same cycle and become explorable ties. *)
 let config () =
   {
-    (Config.v ~ncores:3 ~placement:(Config.Split 1) ~seed:42L ()) with
-    Config.check_enabled = true;
+    Config.default with
+    Config.ncores = 3;
+    placement = Config.Split 1;
+    seed = 42L;
+    check_enabled = true;
     buffer_cache_blocks = 512;
     cores_per_socket = 4;
   }

@@ -52,7 +52,7 @@ if ! grep -q '"proc-errno"' t.json 2>/dev/null; then
   fail=1
 fi
 # Each config flag no line above passes, once, on a small run.
-for flags in --no-dist --no-broadcast --no-dircache --no-affinity --steal \
+for flags in --no-dist --no-broadcast --no-direct --no-dircache --no-affinity --steal \
   --strict-broadcast "--dircache-capacity 16" \
   "--deadline-max 100000 --deadline 20000" "--capacity 4" "--cooldown 50000" \
   "--watermark 8" "--retry-budget 4 --deadline 20000" \
@@ -81,6 +81,15 @@ expect 1 run creates --cores 4 --capacity=-1
 expect 1 run creates --cores 4 --window 0
 expect 1 run creates --cores 4 --retry-budget 4
 expect 1 run creates --cores 4 --world unfs --robust
+# A configuration that one workload of 'run all' cannot take (overload's
+# preset boots one file server, and the plan crashes fs1) is refused
+# before any workload runs: exit 1 and no bench line.
+out=$("$cli" run all --cores 8 --seed 3 --plan "crash:1@300000+200000" --robust 2>/dev/null)
+rc=$?
+if [ "$rc" -ne 1 ] || printf '%s\n' "$out" | grep -q 'ops/s'; then
+  echo "FAIL: run all with a plan that overload's preset refuses exited $rc; expected 1 before any bench line"
+  fail=1
+fi
 expect 1 fig 99
 expect 2 explore collide --strategy foo
 expect 2 explore collide --replay 0,x

@@ -301,6 +301,119 @@ let test_costs_conversions () =
   Alcotest.(check (float 1e-9)) "seconds" 1e-6
     (Costs.seconds_of_cycles c (Int64.of_int c.Costs.cycles_per_us))
 
+(* ---------- the knob table ---------------------------------------------- *)
+
+let minimum = function Config.Positive -> 1 | Config.Zero_means _ -> 0
+
+(* Each int knob's bound is its own: [validate] takes the minimum on the
+   default configuration and refuses one below it, naming the field. *)
+let test_knob_bounds () =
+  List.iter
+    (fun (k : Config.knob) ->
+      match k.Config.setting with
+      | Config.Switch _ -> ()
+      | Config.Int { bound; set; get; _ } -> (
+          let m = minimum bound in
+          let at = set Config.default m in
+          Alcotest.(check int) (k.Config.field ^ " set/get") m (get at);
+          Alcotest.(check bool)
+            (k.Config.field ^ " minimum accepted")
+            true
+            (Config.validate at = Ok ());
+          match Config.validate (set Config.default (m - 1)) with
+          | Ok () -> Alcotest.failf "%s = %d accepted" k.Config.field (m - 1)
+          | Error msg ->
+              if not (String.starts_with ~prefix:(k.Config.field ^ " ") msg)
+              then
+                Alcotest.failf "%s = %d refused as %S" k.Config.field (m - 1)
+                  msg))
+    Config.knobs
+
+(* Figures 10-14 take their titles and order from the labelled switches. *)
+let test_technique_labels () =
+  Alcotest.(check (list string))
+    "the five techniques, in figure order"
+    [
+      "Directory distribution";
+      "Directory broadcast";
+      "Direct cache access";
+      "Directory cache";
+      "Creation affinity";
+    ]
+    (List.map fst Hare_experiments.Figures.techniques)
+
+let repo_file name =
+  match Hare_stats.Sloc.repo_root () with
+  | None -> Alcotest.fail "repo root not found"
+  | Some root ->
+      In_channel.with_open_bin (Filename.concat root name) In_channel.input_all
+
+(* DESIGN.md §5's table rows: the cells of each line that starts with
+   a backquoted field name. *)
+let design_rows () =
+  let rec skip = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"## 5." l -> rest
+    | _ :: rest -> skip rest
+  in
+  let rec take = function
+    | [] -> []
+    | l :: _ when String.starts_with ~prefix:"## " l -> []
+    | l :: rest -> l :: take rest
+  in
+  List.filter_map
+    (fun l ->
+      match List.map String.trim (String.split_on_char '|' l) with
+      | "" :: field :: cells when String.starts_with ~prefix:"`" field ->
+          Some (String.sub field 1 (String.length field - 2), cells)
+      | _ -> None)
+    (take (skip (String.split_on_char '\n' (repo_file "DESIGN.md"))))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Each table knob has a DESIGN.md §5 row that names its flag and says
+   which test or experiment tells its settings apart. *)
+let test_knobs_documented () =
+  let rows = design_rows () in
+  List.iter
+    (fun (k : Config.knob) ->
+      match List.assoc_opt k.Config.field rows with
+      | None -> Alcotest.failf "DESIGN.md §5 has no row for %s" k.Config.field
+      | Some [ _default; set_by; told_apart; _ ] ->
+          let flag = "`--" ^ k.Config.flag ^ "`" in
+          if not (contains set_by flag) then
+            Alcotest.failf "DESIGN.md §5's %s row does not name %s"
+              k.Config.field flag;
+          if told_apart = "" || told_apart = "—" then
+            Alcotest.failf "DESIGN.md §5's %s row: nothing tells it apart"
+              k.Config.field
+      | Some _ ->
+          Alcotest.failf "DESIGN.md §5's %s row is malformed" k.Config.field)
+    Config.knobs
+
+(* Every table flag is passed by test/cli_smoke.sh, so a new knob
+   cannot skip the command-line smoke. *)
+let test_knobs_smoked () =
+  let words =
+    repo_file "test/cli_smoke.sh"
+    |> String.map (function '"' | '\n' | '\t' -> ' ' | c -> c)
+    |> String.split_on_char ' '
+    |> List.map (fun w ->
+           match String.index_opt w '=' with
+           | Some i -> String.sub w 0 i
+           | None -> w)
+  in
+  List.iter
+    (fun (k : Config.knob) ->
+      if not (List.mem ("--" ^ k.Config.flag) words) then
+        Alcotest.failf "test/cli_smoke.sh never passes --%s" k.Config.flag)
+    Config.knobs
+
 (* ---------- placement policy ------------------------------------------- *)
 
 let test_round_robin_covers_cores () =
@@ -445,6 +558,13 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "validate" `Quick test_config_validate;
         tc "core partition" `Quick test_config_core_partition;
         tc "cost conversions" `Quick test_costs_conversions;
+      ] );
+    ( "misc.knobs",
+      [
+        tc "bounds" `Quick test_knob_bounds;
+        tc "technique labels" `Quick test_technique_labels;
+        tc "documented in DESIGN.md" `Quick test_knobs_documented;
+        tc "in the cli smoke" `Quick test_knobs_smoked;
       ] );
     ("misc.policy", [ tc "round robin coverage" `Quick test_round_robin_covers_cores ]);
     ( "misc.boot",

@@ -51,8 +51,9 @@ let test_fallback_cross_socket () =
      the entry on root's server (1 more). The same ops from socket 0
      coalesce to a single message. *)
   let config =
-    { (Config.v ~ncores:2 ()) with
-      Config.buffer_cache_blocks = 1024;
+    { Config.default with
+      Config.ncores = 2;
+      buffer_cache_blocks = 1024;
       cores_per_socket = 1;
     }
   in

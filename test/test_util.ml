@@ -5,10 +5,17 @@ module Machine = Hare.Machine
 module Posix = Hare.Posix
 module P = Hare_proc.Process
 
-let small_config ?(ncores = 4) ?placement ?exec_policy () =
-  let c = Config.v ~ncores ?placement ?exec_policy () in
+let small_config ?(ncores = 4) ?(placement = Config.default.Config.placement)
+    ?(exec_policy = Config.default.Config.exec_policy) () =
   (* Keep boot cheap for unit tests: a few MB of buffer cache suffice. *)
-  { c with Config.buffer_cache_blocks = 1024; cores_per_socket = 2 }
+  {
+    Config.default with
+    Config.ncores;
+    placement;
+    exec_policy;
+    buffer_cache_blocks = 1024;
+    cores_per_socket = 2;
+  }
 
 (* Run [body] as the init process on a fresh machine; propagate any
    in-fiber exception (e.g. an Alcotest failure) to the test runner and
