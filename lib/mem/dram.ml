@@ -60,14 +60,21 @@ let note_write t =
 
 let nblocks t = t.nblocks
 
-let check_line t ~block ~line =
+let[@inline] check_block t block =
   if block < 0 || block >= t.nblocks then
-    invalid_arg (Printf.sprintf "Dram: block %d out of range" block);
+    invalid_arg (Printf.sprintf "Dram: block %d out of range" block)
+
+let check_line t ~block ~line =
+  check_block t block;
   if line < 0 || line >= Layout.lines_per_block then
     invalid_arg (Printf.sprintf "Dram: line %d out of range" line)
 
 (* [absent] if [block] was never written; the caller has checked it. *)
 let find t block = t.leaves.(block lsr leaf_bits).(block land (leaf_pages - 1))
+
+let read_page t ~block =
+  check_block t block;
+  find t block
 
 (* Leaves and pages materialize on first write. *)
 let page t block =
@@ -81,30 +88,21 @@ let page t block =
     p
   end
 
+let write_page t ~block =
+  check_block t block;
+  page t block
+
 let check_buf buf off =
   if off < 0 || off > Bytes.length buf - Layout.line_size then
     invalid_arg "Dram: buffer too short for a line"
-
-(* The caller has checked the line and the buffer. *)
-let copy_line t ~block ~line ~dst ~dst_off =
-  let p = find t block in
-  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
-  else Layout.blit_line p (line * Layout.line_size) dst dst_off
 
 let read_line t ~block ~line ~dst ~dst_off =
   check_line t ~block ~line;
   check_buf dst dst_off;
   note_read t;
-  copy_line t ~block ~line ~dst ~dst_off
-
-let snoop_line t ~block ~line ~dst ~dst_off =
-  check_line t ~block ~line;
-  check_buf dst dst_off;
-  copy_line t ~block ~line ~dst ~dst_off
-
-let count_line_read t ~block ~line =
-  check_line t ~block ~line;
-  note_read t
+  let p = find t block in
+  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
+  else Layout.blit_line p (line * Layout.line_size) dst dst_off
 
 let write_line t ~block ~line ~src ~src_off =
   check_line t ~block ~line;
@@ -114,7 +112,7 @@ let write_line t ~block ~line ~src ~src_off =
 
 (* A released page reads as zeroes again; its leaf stays. *)
 let release t ~block =
-  check_line t ~block ~line:0;
+  check_block t block;
   let leaf = t.leaves.(block lsr leaf_bits) in
   if leaf != no_leaf then leaf.(block land (leaf_pages - 1)) <- absent
 
@@ -123,13 +121,13 @@ let zero_block = release
 let zero_range t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then
     invalid_arg "Dram.zero_range: range escapes block";
-  check_line t ~block ~line:0;
+  check_block t block;
   let p = find t block in
   if p != absent then Bytes.fill p off len '\000'
 
 let unsafe_read t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then
     invalid_arg "Dram.unsafe_read: range escapes block";
-  check_line t ~block ~line:0;
+  check_block t block;
   let p = find t block in
   if p == absent then String.make len '\000' else Bytes.sub_string p off len

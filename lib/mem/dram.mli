@@ -10,10 +10,10 @@ type t
 val create : nblocks:int -> t
 (** [create ~nblocks] costs a word per 512 blocks: a block's page, and
     the leaf of the page table that holds it, are allocated on the
-    block's first {!write_line}. A block never written reads as zeroes.
-    {!release} gives the page back and a later {!write_line} allocates
-    a new one, so the pages held follow the blocks in use, not every
-    block ever written. *)
+    block's first {!write_line} or {!write_page}. A block never written
+    reads as zeroes. {!release} gives the page back and a later write
+    allocates a new one, so the pages held follow the blocks in use,
+    not every block ever written. *)
 
 val nblocks : t -> int
 
@@ -25,16 +25,6 @@ val observe : t -> Hare_sim.Obs.t -> track:int -> unit
 
 (** [read_line t ~block ~line ~dst ~dst_off] copies one 64-byte line out. *)
 val read_line : t -> block:int -> line:int -> dst:Bytes.t -> dst_off:int -> unit
-
-(** [snoop_line t ~block ~line ~dst ~dst_off] is {!read_line} that moves
-    no counter: a coherent write's hit takes the line's current bytes
-    before it merges a partial write, within the snoop it already pays. *)
-val snoop_line : t -> block:int -> line:int -> dst:Bytes.t -> dst_off:int -> unit
-
-(** [count_line_read t ~block ~line] is {!read_line} for a reader that
-    overwrites the whole line before anyone reads it: the read is checked
-    and counted (and published) the same, and no bytes move. *)
-val count_line_read : t -> block:int -> line:int -> unit
 
 (** [write_line t ~block ~line ~src ~src_off] copies one 64-byte line in. *)
 val write_line : t -> block:int -> line:int -> src:Bytes.t -> src_off:int -> unit
@@ -60,3 +50,30 @@ val zero_range : t -> block:int -> off:int -> len:int -> unit
 (** Raw block access for verification in tests (cost-free, not used by the
     simulated cores). *)
 val unsafe_read : t -> block:int -> off:int -> len:int -> string
+
+(** {2 Page access for the private cache}
+
+    {!Pcache} moves many lines of one block per call. It looks the
+    block's page up once, moves each line's bytes itself, unchecked, and
+    counts each move with {!note_read} or {!note_write} where
+    {!read_line} or {!write_line} would have, so the traffic counters
+    step in the same order. *)
+
+val read_page : t -> block:int -> Bytes.t
+(** [read_page t ~block] is [block]'s page ({!Layout.block_size} bytes)
+    to read lines from, or an empty [Bytes.t], which reads as zeroes, if
+    the block was never written or was released since. The caller must
+    take the page again after anything writes to [block]. Allocates
+    nothing. Raises [Invalid_argument] if [block] is out of range. *)
+
+val write_page : t -> block:int -> Bytes.t
+(** [write_page t ~block] is [block]'s page to write lines into,
+    allocated (zeroed) if the block has none, as on a first
+    {!write_line}. Raises [Invalid_argument] if [block] is out of
+    range. *)
+
+val note_read : t -> unit
+(** Count (and every 64th time publish) one line moved out of DRAM. *)
+
+val note_write : t -> unit
+(** Count (and every 64th time publish) one line moved into DRAM. *)

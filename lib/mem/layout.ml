@@ -11,8 +11,8 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* Eight-byte moves compiled inline: a 64-byte [Bytes.blit] is a call
-   into the C runtime, and the private cache moves a line per access,
-   fill and write-back. *)
+   into the C runtime. [Pcache] restates this as its own [move_line],
+   which its line loop inlines. *)
 let blit_line src src_off dst dst_off =
   for i = 0 to (line_size / 8) - 1 do
     set64u dst (dst_off + (8 * i)) (get64u src (src_off + (8 * i)))

@@ -89,9 +89,6 @@ type t = {
   mutable fresh : int; (* slots handed out so far *)
   mutable free_slot : int; (* slots freed by invalidation, linked by [next]; 0 = none *)
   mutable resident : int;
-  (* Cycles of the access in progress, split for [charge]. *)
-  mutable cache_cy : int;
-  mutable dram_cy : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -132,8 +129,6 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     fresh = 0;
     free_slot = 0;
     resident = 0;
-    cache_cy = 0;
-    dram_cy = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -246,16 +241,6 @@ let[@inline] is_dirty t s = Bytes.unsafe_get t.dirty s <> '\000'
 let[@inline] set_dirty t s d =
   Bytes.unsafe_set t.dirty s (if d then '\001' else '\000')
 
-(* Forget that slot [s] caches its line; an emptied frame is released. *)
-let unmap t s =
-  let k = slot_cell t.key s in
-  let block = block_of_key k in
-  let f = find_frame t block in
-  set_cell f (line_of_key k) 0;
-  let n = cell f count_cell - 1 in
-  set_cell f count_cell n;
-  if n = 0 then release_frame t block f
-
 (* --- line slots ------------------------------------------------------- *)
 
 let[@inline] chunk t s = Array.unsafe_get t.chunks ((s - 1) / lpb)
@@ -312,59 +297,43 @@ let[@inline] touch t s =
     push_front t s
   end
 
-(* [observed]: whether the bus wants [Obs.cache] events, looked up once
-   per call of the API. *)
-let flush_line t ~observed s =
-  if is_dirty t s then begin
-    let k = slot_cell t.key s in
-    Dram.write_line t.dram ~block:(block_of_key k) ~line:(line_of_key k)
-      ~src:(chunk t s) ~src_off:(data_off s);
-    set_dirty t s false;
-    t.writebacks <- t.writebacks + 1;
-    if observed then Obs.emit t.obs (Cache_writeback { core = t.cid; key = k });
-    true
-  end
-  else false
+(* --- line moves ---------------------------------------------------------- *)
 
-(* Miss on [line] of [block]: at capacity, evict the LRU victim (written
-   back if dirty) and reuse its slot; fill the slot from DRAM. Returns
-   the slot and adds the cycles to the access's accumulators; [cost] is
-   [block]'s per-line DRAM cost. With [overwrite] the access is about to
-   replace the whole line, so the fill counts the DRAM read without
-   copying bytes the write discards. Hook order matches the historic
-   evict-then-fill path: write-back, drop, eviction count, evict hook,
-   DRAM read. *)
-let fill t ~observed ~block ~line ~cost ~overwrite =
-  t.misses <- t.misses + 1;
-  let s =
-    if t.resident >= t.capacity then begin
-      let v = link t t.prev 0 in
-      let vk = slot_cell t.key v in
-      if flush_line t ~observed v then
-        t.dram_cy <- t.dram_cy + dram_cost t (block_of_key vk);
-      unmap t v;
-      t.evictions <- t.evictions + 1;
-      if observed then Obs.emit t.obs (Cache_evict { core = t.cid; key = vk });
-      touch t v;
-      v
-    end
-    else begin
-      let s = new_slot t in
-      t.resident <- t.resident + 1;
-      push_front t s;
-      s
-    end
-  in
-  set_slot_cell t.key s (key_of ~block ~line);
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [Layout.blit_line], restated so that it compiles inline here:
+   unchecked, the caller guarantees both ranges. *)
+let[@inline] move_line src src_off dst dst_off =
+  set64u dst dst_off (get64u src src_off);
+  set64u dst (dst_off + 8) (get64u src (src_off + 8));
+  set64u dst (dst_off + 16) (get64u src (src_off + 16));
+  set64u dst (dst_off + 24) (get64u src (src_off + 24));
+  set64u dst (dst_off + 32) (get64u src (src_off + 32));
+  set64u dst (dst_off + 40) (get64u src (src_off + 40));
+  set64u dst (dst_off + 48) (get64u src (src_off + 48));
+  set64u dst (dst_off + 56) (get64u src (src_off + 56))
+
+(* Copy [line] of a page from [Dram.read_page] into [dst] at [dst_off]:
+   an empty page reads as zeroes. *)
+let[@inline] load_line page line dst dst_off =
+  if Bytes.length page = 0 then Bytes.unsafe_fill dst dst_off line_size '\000'
+  else move_line page (line * line_size) dst dst_off
+
+(* Write dirty slot [s], which caches [line] of the block whose DRAM page
+   is [page], back. [observed]: whether the bus wants [Obs.cache]
+   events, looked up once per call of the API. *)
+let write_back t ~observed s page line =
+  Dram.note_write t.dram;
+  move_line (chunk t s) (data_off s) page (line * line_size);
   set_dirty t s false;
-  if overwrite then Dram.count_line_read t.dram ~block ~line
-  else Dram.read_line t.dram ~block ~line ~dst:(chunk t s) ~dst_off:(data_off s);
-  let f = frame_for t block in
-  set_cell f line s;
-  set_cell f count_cell (cell f count_cell + 1);
-  t.cache_cy <- t.cache_cy + t.costs.cache_hit_line;
-  t.dram_cy <- t.dram_cy + cost;
-  s
+  t.writebacks <- t.writebacks + 1;
+  if observed then
+    Obs.emit t.obs (Cache_writeback { core = t.cid; key = slot_cell t.key s })
+
+(* No page looked up yet. [Dram.write_page] never returns it. *)
+let no_page = Bytes.empty
 
 let check_range ~off ~len =
   if len <= 0 then invalid_arg "Pcache: empty range";
@@ -376,25 +345,43 @@ let check_range ~off ~len =
    DRAM authoritative: every write goes through to DRAM, every read
    refetches the line. A resident (hit) line then moves at near-cache
    speed, with a small write-through/snoop overhead instead of a DRAM
-   round trip; only misses pay the full transfer. This is the hottest
-   host path of the direct-access workloads: what is the same for every
-   line is computed once, [buf] is checked once, and each line's bytes
-   move unchecked. *)
+   round trip; only misses pay the full transfer.
+
+   This is the hottest host path of the direct-access workloads, so a
+   miss's eviction, write-back and fill run inline. What every line
+   shares is looked up once per access: the range and [buf] checks (the
+   cache's own chunks need none), [block]'s frame, DRAM page and line
+   cost. What a victim's block gives is looked up once per run of
+   victims from one block. Only what the order contract of pcache.mli
+   fixes stays per line: the counters, the DRAM traffic notes and the
+   bus events. *)
 let access t ~block ~off ~len ~write ~coherent buf buf_off =
   check_range ~off ~len;
   if buf_off < 0 || buf_off > Bytes.length buf - len then
     invalid_arg "Pcache: buffer too short";
+  (* [Dram] checks [block] here, before anything moves. Only a coherent
+     write writes [block]'s page; any other access reads it, and a block
+     never written has an empty one. *)
+  let page =
+    ref
+      (if write && coherent then Dram.write_page t.dram ~block
+       else Dram.read_page t.dram ~block)
+  in
   let miss0 = t.misses and wb0 = t.writebacks in
-  t.cache_cy <- 0;
-  t.dram_cy <- 0;
   let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let hit_cy = t.costs.cache_hit_line in
   let snoop_cy = if coherent then t.costs.dram_line / 8 else 0 in
   let line_cy = dram_cost t block in
-  let stop = off + len in
-  (* The victim of a miss may be the last line of this very block, which
-     releases its frame: refetch the frame after every miss. *)
+  let cache_cy = ref 0 and dram_cy = ref 0 in
+  (* [no_frame] until the first fill of a block with no cached line. A
+     victim from [block] itself leaves the frame in place even when it
+     was the block's last cached line: the fill that follows refills it. *)
   let frame = ref (find_frame t block) in
+  (* The current run of victims' block, with its frame, line cost and
+     page ([no_page] until a dirty victim of the run needs it). *)
+  let vblock = ref (-1) and vframe = ref no_frame in
+  let vcost = ref 0 and vpage = ref no_page in
+  let stop = off + len in
   for line = off / line_size to (stop - 1) / line_size do
     let line_start = line * line_size in
     let from = Int.max off line_start in
@@ -405,14 +392,68 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
       if hit then begin
         touch t s;
         t.hits <- t.hits + 1;
-        t.cache_cy <- t.cache_cy + hit_cy;
-        t.dram_cy <- t.dram_cy + snoop_cy;
+        cache_cy := !cache_cy + hit_cy;
+        dram_cy := !dram_cy + snoop_cy;
         s
       end
       else begin
-        let overwrite = write && (not coherent) && n = line_size in
-        let s = fill t ~observed ~block ~line ~cost:line_cy ~overwrite in
-        frame := find_frame t block;
+        (* The miss: count it; at capacity evict the LRU victim (written
+           back if dirty) and reuse its slot; fill the slot from DRAM. *)
+        t.misses <- t.misses + 1;
+        let s =
+          if t.resident >= t.capacity then begin
+            let v = link t t.prev 0 in
+            let vk = slot_cell t.key v in
+            let vb = block_of_key vk and vline = line_of_key vk in
+            if vb <> !vblock then begin
+              vblock := vb;
+              vframe := find_frame t vb;
+              vcost := dram_cost t vb;
+              vpage := no_page
+            end;
+            if is_dirty t v then begin
+              if !vpage == no_page then begin
+                vpage := Dram.write_page t.dram ~block:vb;
+                (* The write-back may have given [block] its first page:
+                   later fills must read it, not the empty one. *)
+                if vb = block then page := !vpage
+              end;
+              write_back t ~observed v !vpage vline;
+              dram_cy := !dram_cy + !vcost
+            end;
+            let f = !vframe in
+            set_cell f vline 0;
+            let count = cell f count_cell - 1 in
+            set_cell f count_cell count;
+            if count = 0 && vb <> block then begin
+              release_frame t vb f;
+              vblock := -1
+            end;
+            t.evictions <- t.evictions + 1;
+            if observed then Obs.emit t.obs (Cache_evict { core = t.cid; key = vk });
+            touch t v;
+            v
+          end
+          else begin
+            let s = new_slot t in
+            t.resident <- t.resident + 1;
+            push_front t s;
+            s
+          end
+        in
+        set_slot_cell t.key s (key_of ~block ~line);
+        set_dirty t s false;
+        (* A non-coherent write of the whole line replaces all of it
+           before anyone reads it: the read is counted, no byte moves. *)
+        Dram.note_read t.dram;
+        if not (write && (not coherent) && n = line_size) then
+          load_line !page line (chunk t s) (data_off s);
+        if !frame == no_frame then frame := frame_for t block;
+        let f = !frame in
+        set_cell f line s;
+        set_cell f count_cell (cell f count_cell + 1);
+        cache_cy := !cache_cy + hit_cy;
+        dram_cy := !dram_cy + line_cy;
         s
       end
     in
@@ -427,26 +468,30 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
       (* A coherent partial write merges into the line's current bytes.
          A clean resident line is only a copy of DRAM, which another
          core's write or a freed block's zeroing may have changed since:
-         take DRAM's bytes. A dirty one holds this core's newer writes;
-         a miss has just filled the line. *)
+         take DRAM's bytes, within the snoop the hit already pays. A
+         dirty one holds this core's newer writes; a miss has just
+         filled the line. *)
       if coherent && hit && n < line_size && not (is_dirty t s) then
-        Dram.snoop_line t.dram ~block ~line ~dst:data ~dst_off:doff;
-      if n = line_size then Layout.blit_line buf buf_at data data_at
+        move_line !page line_start data doff;
+      if n = line_size then move_line buf buf_at data data_at
       else Bytes.unsafe_blit buf buf_at data data_at n;
-      if coherent then
-        Dram.write_line t.dram ~block ~line ~src:data ~src_off:doff;
+      if coherent then begin
+        Dram.note_write t.dram;
+        move_line data doff !page line_start
+      end;
       set_dirty t s (not coherent)
     end
     else begin
       if coherent then begin
-        Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:doff;
+        Dram.note_read t.dram;
+        load_line !page line data doff;
         set_dirty t s false
       end;
-      if n = line_size then Layout.blit_line data data_at buf buf_at
+      if n = line_size then move_line data data_at buf buf_at
       else Bytes.unsafe_blit data data_at buf buf_at n
     end
   done;
-  charge t ~cache:t.cache_cy ~dram:t.dram_cy ~miss0 ~wb0
+  charge t ~cache:!cache_cy ~dram:!dram_cy ~miss0 ~wb0
 
 let read t ~block ~off ~len ~dst ~dst_off =
   access t ~block ~off ~len ~write:false ~coherent:false dst dst_off
@@ -469,7 +514,8 @@ let write_string t ~block ~off s =
   write t ~block ~off ~len:(String.length s) ~src:(Bytes.unsafe_of_string s)
     ~src_off:0
 
-(* All three walk the block's lines from the highest index down. *)
+(* All three walk the block's lines from the highest index down, and
+   look the block's page up once, at its first dirty line. *)
 
 let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
@@ -478,10 +524,15 @@ let drop_block t block ~writeback ~dropped =
   let n = cell f count_cell in
   let flushed = ref 0 in
   if n > 0 then begin
+    let page = ref no_page in
     for line = lpb - 1 downto 0 do
       let s = checked t (cell f line) in
       if s <> 0 then begin
-        if writeback && flush_line t ~observed s then incr flushed;
+        if writeback && is_dirty t s then begin
+          if !page == no_page then page := Dram.write_page t.dram ~block;
+          write_back t ~observed s !page line;
+          incr flushed
+        end;
         if observed then
           Obs.emit t.obs
             (Cache_invalidate
@@ -510,9 +561,15 @@ let writeback_block t block =
   let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let f = find_frame t block in
   let flushed = ref 0 in
-  if f != no_frame then
+  if f != no_frame then begin
+    let page = ref no_page in
     for line = lpb - 1 downto 0 do
       let s = checked t (cell f line) in
-      if s <> 0 && flush_line t ~observed s then incr flushed
-    done;
+      if s <> 0 && is_dirty t s then begin
+        if !page == no_page then page := Dram.write_page t.dram ~block;
+        write_back t ~observed s !page line;
+        incr flushed
+      end
+    done
+  end;
   charge t ~cache:0 ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0

@@ -21,9 +21,12 @@
       first brings the line in, then emits [Cache_access], then moves
       the bytes;
     - a miss counts the miss, then at capacity evicts the least recently
-      used line (write-back of a dirty victim: [Dram.write_line],
+      used line (write-back of a dirty victim: [Dram.note_write],
       [Cache_writeback]; then the eviction count and [Cache_evict]), then
-      fills the line with [Dram.read_line];
+      fills the line ([Dram.note_read]);
+    - a coherent access moves each line through DRAM after its
+      [Cache_access]: [Dram.note_write] for a write, [Dram.note_read]
+      for a read;
     - {!invalidate_block}, {!evict_block} and {!writeback_block} visit
       the block's resident lines from the highest index down; an
       eviction writes a dirty line back ([Cache_writeback]) before it

@@ -420,72 +420,89 @@ let record_mem_events obs =
     log := [];
     events
 
+(* One run of a case against the reference. [observed]: whether the
+   cache's bus has a subscriber. Without one the cache takes the path
+   [perfbench] and most runs take, and only the bus events go
+   uncompared. *)
+let run_pc_case ~observed (capacity, nblocks, ops) =
+  let failures = ref [] in
+  let run = if observed then "observed" else "unobserved" in
+  let fail fmt =
+    Printf.ksprintf (fun m -> failures := (run ^ ", " ^ m) :: !failures) fmt
+  in
+  with_engine (fun e ->
+      let d = Dram.create ~nblocks and rd = Dram.create ~nblocks in
+      let robs = Obs.create () in
+      Dram.observe d (Engine.obs e) ~track:7;
+      Dram.observe rd robs ~track:7;
+      let got_events =
+        if observed then record_mem_events (Engine.obs e) else fun () -> []
+      in
+      let want_events =
+        if observed then record_mem_events robs else fun () -> []
+      in
+      if (not observed) && (Engine.obs e).Obs.wanted <> 0 then
+        fail "the bus has a subscriber";
+      let p =
+        Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
+          ~block_socket:socket_of
+      in
+      let r = Ref.create rd ~obs:robs ~capacity ~socket_of in
+      List.iteri
+        (fun i op ->
+          let t0 = Engine.now e in
+          let want_cycles, got_bytes, want_bytes =
+            match op with
+            | Access { block; off; len; write; coherent; fill } ->
+                let buf = Bytes.make len fill and rbuf = Bytes.make len fill in
+                (match (write, coherent) with
+                | false, false -> Pcache.read p ~block ~off ~len ~dst:buf ~dst_off:0
+                | true, false -> Pcache.write p ~block ~off ~len ~src:buf ~src_off:0
+                | false, true ->
+                    Pcache.read_coherent p ~block ~off ~len ~dst:buf ~dst_off:0
+                | true, true ->
+                    Pcache.write_coherent p ~block ~off ~len ~src:buf ~src_off:0);
+                let c = Ref.access r ~block ~off ~len ~write ~coherent rbuf in
+                (c, Bytes.to_string buf, Bytes.to_string rbuf)
+            | Invalidate b ->
+                Pcache.invalidate_block p b;
+                (Ref.drop_block r b ~writeback:false, "", "")
+            | Evict b ->
+                Pcache.evict_block p b ~dropped:ignore;
+                (Ref.drop_block r b ~writeback:true, "", "")
+            | Writeback b ->
+                Pcache.writeback_block p b;
+                (Ref.writeback_block r b, "", "")
+          in
+          let got_cycles = Int64.to_int (Int64.sub (Engine.now e) t0) in
+          if got_cycles <> want_cycles then
+            fail "op %d: charged %d cycles, reference %d" i got_cycles
+              want_cycles;
+          if got_bytes <> want_bytes then fail "op %d: bytes differ" i;
+          if Pcache.stats p <> Ref.stats r then fail "op %d: stats differ" i;
+          if Pcache.resident_lines p <> List.length r.Ref.lru then
+            fail "op %d: %d resident lines, reference %d" i
+              (Pcache.resident_lines p) (List.length r.Ref.lru);
+          let got = got_events () and want = want_events () in
+          if got <> want then
+            fail "op %d: bus events\n    %s\n  reference\n    %s" i
+              (String.concat "\n    " got) (String.concat "\n    " want);
+          for b = 0 to nblocks - 1 do
+            let img dram =
+              Dram.unsafe_read dram ~block:b ~off:0 ~len:Layout.block_size
+            in
+            if img d <> img rd then fail "op %d: DRAM block %d differs" i b
+          done)
+        ops);
+  List.rev !failures
+
+(* [QCHECK_LONG=1] runs 20 times as many cases (a CI step). *)
 let prop_pcache_matches_reference =
   QCheck.Test.make ~name:"pcache matches line-keyed reference" ~count:300
-    pc_case (fun (capacity, nblocks, ops) ->
-      let failures = ref [] in
-      let fail fmt =
-        Printf.ksprintf (fun m -> failures := m :: !failures) fmt
-      in
-      with_engine (fun e ->
-          let d = Dram.create ~nblocks and rd = Dram.create ~nblocks in
-          let robs = Obs.create () in
-          Dram.observe d (Engine.obs e) ~track:7;
-          Dram.observe rd robs ~track:7;
-          let got_events = record_mem_events (Engine.obs e) in
-          let want_events = record_mem_events robs in
-          let p =
-            Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
-              ~block_socket:socket_of
-          in
-          let r = Ref.create rd ~obs:robs ~capacity ~socket_of in
-          List.iteri
-            (fun i op ->
-              let t0 = Engine.now e in
-              let want_cycles, got_bytes, want_bytes =
-                match op with
-                | Access { block; off; len; write; coherent; fill } ->
-                    let buf = Bytes.make len fill and rbuf = Bytes.make len fill in
-                    (match (write, coherent) with
-                    | false, false -> Pcache.read p ~block ~off ~len ~dst:buf ~dst_off:0
-                    | true, false -> Pcache.write p ~block ~off ~len ~src:buf ~src_off:0
-                    | false, true ->
-                        Pcache.read_coherent p ~block ~off ~len ~dst:buf ~dst_off:0
-                    | true, true ->
-                        Pcache.write_coherent p ~block ~off ~len ~src:buf ~src_off:0);
-                    let c = Ref.access r ~block ~off ~len ~write ~coherent rbuf in
-                    (c, Bytes.to_string buf, Bytes.to_string rbuf)
-                | Invalidate b ->
-                    Pcache.invalidate_block p b;
-                    (Ref.drop_block r b ~writeback:false, "", "")
-                | Evict b ->
-                    Pcache.evict_block p b ~dropped:ignore;
-                    (Ref.drop_block r b ~writeback:true, "", "")
-                | Writeback b ->
-                    Pcache.writeback_block p b;
-                    (Ref.writeback_block r b, "", "")
-              in
-              let got_cycles = Int64.to_int (Int64.sub (Engine.now e) t0) in
-              if got_cycles <> want_cycles then
-                fail "op %d: charged %d cycles, reference %d" i got_cycles
-                  want_cycles;
-              if got_bytes <> want_bytes then fail "op %d: bytes differ" i;
-              if Pcache.stats p <> Ref.stats r then fail "op %d: stats differ" i;
-              if Pcache.resident_lines p <> List.length r.Ref.lru then
-                fail "op %d: %d resident lines, reference %d" i
-                  (Pcache.resident_lines p) (List.length r.Ref.lru);
-              let got = got_events () and want = want_events () in
-              if got <> want then
-                fail "op %d: bus events\n    %s\n  reference\n    %s" i
-                  (String.concat "\n    " got) (String.concat "\n    " want);
-              for b = 0 to nblocks - 1 do
-                let img dram =
-                  Dram.unsafe_read dram ~block:b ~off:0 ~len:Layout.block_size
-                in
-                if img d <> img rd then fail "op %d: DRAM block %d differs" i b
-              done)
-            ops);
-      match List.rev !failures with
+    ~long_factor:20 pc_case (fun case ->
+      match
+        run_pc_case ~observed:true case @ run_pc_case ~observed:false case
+      with
       | [] -> true
       | m :: _ -> QCheck.Test.fail_report m)
 
@@ -583,13 +600,18 @@ let test_pcache_uncached_block_ops () =
 (* At capacity, a 64-line write whose every line misses and evicts a
    dirty victim allocates no more than a 1-line one: the per-line path
    (eviction, write-back, frame release and reuse, fill) is allocation
-   free and both pay one compute charge. *)
+   free and both pay one compute charge. So do the other line loops: a
+   line-aligned 4 KiB read that spans two blocks ([data_rw]'s read
+   shape: two accesses, each evicting dirty lines of other blocks), a
+   write-back of a fully dirty block and an invalidation of a fully
+   resident one. *)
 let test_pcache_miss_path_allocation () =
   with_engine (fun e ->
       let lpb = Layout.lines_per_block in
       let d = Dram.create ~nblocks:16 in
       let p = mk_pcache ~capacity:(2 * lpb) e 0 d in
       let src = Bytes.make Layout.block_size 'w' in
+      let dst = Bytes.create Layout.block_size in
       let write block len = Pcache.write p ~block ~off:0 ~len ~src ~src_off:0 in
       (* Warm up: grow the slots, the directory leaf and the frame pool. *)
       for block = 0 to 7 do
@@ -607,7 +629,68 @@ let test_pcache_miss_path_allocation () =
       Alcotest.(check int) "every line a dirty miss" (lpb + 1)
         (st.writebacks - st0.writebacks);
       if many > one then
-        Alcotest.failf "64-line miss allocated %.0f words, 1-line %.0f" many one)
+        Alcotest.failf "64-line miss allocated %.0f words, 1-line %.0f" many one;
+      (* Blocks 10 to 15 were never cached: every line of a read misses
+         and evicts a line of another block. The first two reads (dirty
+         victims of blocks 7, 8 and 9) release frames to the pool, as a
+         long run does; the third is measured. *)
+      let split = 24 * Layout.line_size in
+      let read2 block =
+        Pcache.read p ~block ~off:split ~len:(Layout.block_size - split) ~dst
+          ~dst_off:0;
+        Pcache.read p ~block:(block + 1) ~off:0 ~len:split ~dst
+          ~dst_off:(Layout.block_size - split)
+      in
+      read2 10;
+      read2 12;
+      Alcotest.(check int) "the reads wrote dirty victims back" (3 * lpb + 1)
+        ((Pcache.stats p).writebacks - st0.writebacks);
+      let two_blocks = words (fun () -> read2 14) in
+      write 12 Layout.block_size;
+      let wb0 = (Pcache.stats p).writebacks in
+      let writeback = words (fun () -> Pcache.writeback_block p 12) in
+      Alcotest.(check int) "a fully dirty block" lpb
+        ((Pcache.stats p).writebacks - wb0);
+      let invalidate = words (fun () -> Pcache.invalidate_block p 12) in
+      Alcotest.(check int) "a fully resident block" lpb
+        ((Pcache.stats p).invalidated - st0.invalidated);
+      List.iter
+        (fun (name, w) ->
+          if w > one then
+            Alcotest.failf "%s allocated %.0f words, a 1-line miss %.0f" name w one)
+        [ ("two-block read", two_blocks); ("writeback_block", writeback);
+          ("invalidate_block", invalidate) ])
+
+(* Below 64 lines of capacity, a whole-block read of a block with dirty
+   lines and no DRAM page evicts those lines to make room: their
+   write-backs give the block its page in the middle of the access, and
+   the same access refills them from it. It must read the written-back
+   bytes, not the zeroes the page held before. At capacity 1 the victim
+   is also the block's last cached line. *)
+let test_pcache_writeback_then_refill_same_access () =
+  List.iter
+    (fun cap ->
+      with_engine (fun e ->
+          let lpb = Layout.lines_per_block and ls = Layout.line_size in
+          let d = Dram.create ~nblocks:2 in
+          let p = mk_pcache ~capacity:cap e 0 d in
+          let first = lpb - cap in
+          let tail = String.sub (block_image 0) (first * ls) (cap * ls) in
+          Pcache.write_string p ~block:0 ~off:(first * ls) tail;
+          Alcotest.(check string) "DRAM has no page yet" (String.make 4 '\000')
+            (Dram.unsafe_read d ~block:0 ~off:(first * ls) ~len:4);
+          let want = String.make (first * ls) '\000' ^ tail in
+          Alcotest.(check string)
+            (Printf.sprintf "cap %d: read back in one access" cap)
+            want
+            (Pcache.read_string p ~block:0 ~off:0 ~len:Layout.block_size);
+          check_stats (Printf.sprintf "cap %d" cap)
+            { hits = 0; misses = cap + lpb; evictions = lpb;
+              writebacks = cap; invalidated = 0 }
+            p;
+          Alcotest.(check string) "DRAM holds the written-back lines" want
+            (Dram.unsafe_read d ~block:0 ~off:0 ~len:Layout.block_size)))
+    [ 1; 3; 40 ]
 
 (* A user buffer shorter than the range is refused before the access
    starts: no line is filled or evicted, no counter moves, no cycle is
@@ -1016,12 +1099,14 @@ let test_dram_unwritten_reads_zero () =
     (Bytes.to_string dst);
   Alcotest.(check string) "unsafe_read" (String.make 100 '\000')
     (Dram.unsafe_read d ~block:1500 ~off:7 ~len:100);
+  Alcotest.(check int) "read_page gives the empty page" 0
+    (Bytes.length (Dram.read_page d ~block:1500));
   let spent =
     allocated_bytes (fun () ->
         for block = 0 to 2047 do
           Dram.zero_block d ~block;
           Dram.zero_range d ~block ~off:10 ~len:100;
-          Dram.count_line_read d ~block ~line:3
+          ignore (Dram.read_page d ~block : Bytes.t)
         done)
   in
   if spent > 256. then
@@ -1163,6 +1248,8 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_pcache_reuse_after_invalidate;
         tc "uncached block ops are free" `Quick test_pcache_uncached_block_ops;
         tc "miss path allocation-free" `Quick test_pcache_miss_path_allocation;
+        tc "write-back then refill in one access" `Quick
+          test_pcache_writeback_then_refill_same_access;
         tc "short buffer refused up front" `Quick test_pcache_short_buffer;
         QCheck_alcotest.to_alcotest prop_pcache_matches_reference;
       ] );
