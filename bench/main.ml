@@ -19,8 +19,6 @@ module Driver = Hare_experiments.Driver
 module World = Hare_experiments.World
 module Config = Hare_config.Config
 module Metrics = Hare_metrics.Metrics
-module Knee = Hare_metrics.Knee
-module Blame = Hare_metrics.Blame
 module HD = Driver.Make (World.Hare_w)
 module LD = Driver.Make (World.Linux_w)
 
@@ -232,58 +230,15 @@ let json_cases quick =
   @ scale_cases @ sharded_cases @ knee_cases
 
 (* One row of the --json output. Printed precision is part of the
-   schema: cycles and host rates are integers, shares three decimals. *)
+   schema: cycles and host rates are integers, shares three decimals.
+   Each section's encoder sits beside the type it renders. *)
 let workload_json
     (name, wname, ncores, config, (r : Driver.result), counters, cycles, wall)
     =
   let open Hare_stats.Json in
-  let i64 x = Int (Int64.to_int x) in
   let obj kvs = Object (List.map (fun (k, v) -> (k, Int v)) kvs) in
   let unless_empty l kvs = if l = [] then [] else kvs in
   let per_wall n = decimals 0 (if wall > 0.0 then float_of_int n /. wall else 0.0) in
-  let latency (cls, (d : Hare_stats.Latency.dist)) =
-    let open Hare_stats.Latency in
-    (cls, Object [ ("n", Int d.n); ("p50", i64 d.p50); ("p95", i64 d.p95);
-                   ("p99", i64 d.p99); ("max", i64 d.lmax) ])
-  in
-  let overload (c : Hare_workloads.Overload.counters) =
-    let module R = Hare_stats.Robust in
-    let rb = R.get r.Driver.robust in
-    obj
-      [ ("sent", c.sent); ("ok", c.ok); ("shed", c.shed); ("fast_fail", c.fast_fail);
-        ("skipped", c.skipped); ("retries", rb R.retries); ("giveups", rb R.giveups);
-        ("shed_load", rb R.shed_load); ("shed_expired", rb R.shed_expired);
-        ("flow_blocks", rb R.flow_blocks); ("budget_denied", rb R.budget_denied);
-        ("breaker_opens", rb R.breaker_opens);
-        ("breaker_half_opens", rb R.breaker_half_opens);
-        ("breaker_closes", rb R.breaker_closes) ]
-  in
-  let gauge (g : Metrics.summary) =
-    let open Metrics in
-    Object [ ("gauge", String g.s_name); ("n", Int g.s_n); ("min", Int g.s_min);
-             ("max", Int g.s_max); ("mean", decimals 2 g.s_mean);
-             ("last", Int g.s_last) ]
-  in
-  let blame (b : Blame.t) =
-    let open Blame in
-    Object
-      [ ("class", String b.b_class); ("n", Int b.b_n); ("p99", i64 b.b_p99);
-        ("bucket", String b.b_bucket); ("bucket_share", decimals 3 b.b_bucket_share);
-        ("srv", Int b.b_srv); ("srv_share", decimals 3 b.b_srv_share);
-        ("qdepth_mean", decimals 2 b.b_qdepth_mean);
-        ("qdepth_max", Int b.b_qdepth_max);
-        ("worst_op", String b.b_worst_op); ("worst_dur", Int b.b_worst_dur) ]
-  in
-  (* Per-opcode cycle attribution of the timed region: each row's
-     bucket values sum exactly to its total (hare_cli profile shows
-     the same breakdown interactively). *)
-  let profile (row : Hare_trace.Trace.row) =
-    let open Hare_trace.Trace in
-    Object
-      ([ ("op", String row.r_op); ("count", Int row.r_count);
-         ("cycles", i64 row.r_total) ]
-      @ List.mapi (fun k bname -> (bname, i64 row.r_buckets.(k))) bucket_names)
-  in
   (* Worst per-class p99 of the timed region: the graceful-degradation
      gate. Additive key — older baselines simply do not compare it. *)
   let p99 =
@@ -299,10 +254,16 @@ let workload_json
                  ("alloc_extent", config.alloc_extent);
                  ("cycles_per_us", config.costs.Hare_config.Costs.cycles_per_us) ]) );
        ("ops", Int r.Driver.ops); ("simulated_cycles", decimals 0 cycles);
-       ("p99_cycles", i64 p99) ]
+       ("p99_cycles", Int (Int64.to_int p99)) ]
     @ unless_empty r.Driver.latencies
-        [ ("latency", Object (List.map latency r.Driver.latencies)) ]
-    @ (match counters with Some c -> [ ("overload", overload c) ] | None -> [])
+        [ ( "latency",
+            Object
+              (List.map
+                 (fun (cls, d) -> (cls, Hare_stats.Latency.to_json d))
+                 r.Driver.latencies) ) ]
+    @ (match counters with
+      | Some c -> [ ("overload", Hare_workloads.Overload.to_json c r.Driver.robust) ]
+      | None -> [])
     (* Host-side engine throughput: how fast the simulator chewed
        through this row (nothing to do with the simulated clock). *)
     @ [ ("simulated_seconds", decimals 9 r.Driver.elapsed);
@@ -328,22 +289,24 @@ let workload_json
         [ ( "timeseries",
             Object [ ("interval", Int r.Driver.metrics_interval);
                      ("samples", Int r.Driver.metrics_samples);
-                     ("gauges", Array (List.map gauge r.Driver.gauges)) ] ) ]
+                     ( "gauges",
+                       Array (List.map Metrics.summary_to_json r.Driver.gauges) ) ] ) ]
     (* Saturation knee of the overload rows: the first window whose
        p99 left the flat regime. "knee_cycles" is regression-gated
        (Higher = the machine endures longer before saturating). *)
     @ (match r.Driver.knee with
       | Some k when wname = "overload" ->
-          let open Knee in
-          [ ("knee_cycles", Int k.k_at);
-            ( "knee",
-              Object [ ("window", Int k.k_window); ("p99_before", i64 k.k_before);
-                       ("p99_after", i64 k.k_after); ("windows", Int k.k_windows) ] ) ]
+          [ ("knee_cycles", Int k.Hare_metrics.Knee.k_at);
+            ("knee", Hare_metrics.Knee.to_json k) ]
       | _ -> [])
     (* Per-class tail blame: what made the slowest retained ops
        slow. Present only when trace_retain > 0. *)
-    @ unless_empty r.Driver.blame [ ("blame", Array (List.map blame r.Driver.blame)) ]
-    @ [ ("profile", Array (List.map profile r.Driver.profile)) ])
+    @ unless_empty r.Driver.blame
+        [ ("blame", Array (List.map Hare_metrics.Blame.to_json r.Driver.blame)) ]
+    (* Per-opcode cycle attribution of the timed region: each row's
+       bucket values sum exactly to its total (hare_cli --profile shows
+       the same breakdown). *)
+    @ [ ("profile", Array (List.map Hare_trace.Trace.row_to_json r.Driver.profile)) ])
 
 let run_json ~quick ~out () =
   let cases = json_cases quick in

@@ -21,7 +21,6 @@ module Trace = Hare_trace.Trace
 module Metrics = Hare_metrics.Metrics
 module Knee = Hare_metrics.Knee
 module Blame = Hare_metrics.Blame
-module Sanity = Hare_stats.Sanity
 module Check = Hare_check.Check
 module Table = Hare_stats.Table
 module HD = Driver.Make (World.Hare_w)
@@ -161,17 +160,9 @@ let setup_t =
   { cores; nprocs; scale; world; preset = not no_preset; period; plan; tune }
 
 type reports = {
-  robust : bool;
-  perf : bool;
-  trace : string option;
-  strict : bool;
-  profile : bool;
-  metrics : int option;
-  blame : bool;
-  series : string option;
-  check : bool;
-  ring : bool;
-  verbose : bool;
+  robust : bool; perf : bool; trace : string option; strict : bool;
+  profile : bool; metrics : int option; blame : bool; series : string option;
+  check : bool; ring : bool; verbose : bool;
 }
 
 let reports_t =
@@ -188,7 +179,9 @@ let reports_t =
       "Export the span trace as Perfetto-compatible (Chrome trace-event) \
        JSON: one track per core plus a DRAM track, with counter tracks."
   and+ strict =
-    flag "strict" "Exit 1 when any trace events were dropped by ring rotation."
+    flag "strict"
+      "Exit 1 when any trace events were dropped by ring rotation (with \
+       --trace)."
   and+ profile =
     flag "profile"
       "Print where the cycles went, per opcode: compute, send, queue-wait, \
@@ -219,19 +212,8 @@ let reports_t =
       "Also print the system-call mix (and, with --check, the checker's \
        event counters)."
   in
-  {
-    robust;
-    perf;
-    trace;
-    strict;
-    profile;
-    metrics;
-    blame;
-    series;
-    check;
-    ring;
-    verbose;
-  }
+  { robust; perf; trace; strict; profile; metrics; blame; series; check; ring;
+    verbose }
 
 let hare_only r =
   r.robust || r.perf || r.trace <> None || r.profile || r.metrics <> None
@@ -245,22 +227,18 @@ let instance s r (spec : Spec.t) =
   let overload = spec.Spec.name = O.spec.Spec.name in
   let preset = if s.preset && overload then Some (O.preset base) else None in
   let c = s.tune (match preset with Some p -> p.O.config | None -> base) in
-  let c =
-    {
-      c with
-      Config.metrics_interval =
-        Option.value r.metrics ~default:c.Config.metrics_interval;
-      check_enabled = c.Config.check_enabled || r.check;
-      trace_cap = (if r.trace = None then 0 else c.Config.trace_cap);
-    }
+  let metrics_interval =
+    Option.value r.metrics ~default:c.Config.metrics_interval
   in
   let c =
     {
       c with
-      Config.trace_enabled =
+      Config.metrics_interval;
+      check_enabled = c.Config.check_enabled || r.check;
+      trace_cap = (if r.trace = None then 0 else c.Config.trace_cap);
+      trace_enabled =
         c.Config.trace_enabled || r.robust || r.profile || r.trace <> None
-        || c.Config.metrics_interval > 0
-        || c.Config.trace_retain > 0;
+        || metrics_interval > 0 || c.Config.trace_retain > 0;
     }
   in
   let nprocs =
@@ -299,98 +277,17 @@ let problem s r (spec : Spec.t) (c : Config.t) =
   | Ok () when r.ring && not sharded -> Some "--ring needs --shard"
   | Ok () when r.series <> None && c.Config.metrics_interval = 0 ->
       Some "--series needs --metrics N"
+  | Ok () when r.strict && r.trace = None -> Some "--strict needs --trace"
   | Ok () -> None
 
-(* Run [spec] once and print the bench line for its timed region:
-   throughput, plus the simulator engine's host-side cost. *)
-let run_timed (module W : World.WORLD) ~config ?nprocs ~scale ~verbose
-    (spec : Spec.t) =
-  let module D = Driver.Make (W) in
-  let wall0 = Unix.gettimeofday () in
-  let t = D.exec ~config ?nprocs ~scale spec in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let m = W.machine t.Driver.w in
-  (* A fiber failure ended the run before its timed region did: no
-     bench line, but the caller still writes the reports. *)
-  if Option.is_some t.Driver.crash then (m, 1, t.Driver.crash)
-  else
-  let ops = spec.Spec.ops ~nprocs:t.Driver.procs ~scale in
-  let elapsed = t.Driver.t1 -. t.Driver.t0 in
-  Printf.printf
-    "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
-    spec.Spec.name W.name t.Driver.procs ops elapsed
-    (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-  Option.iter
-    (fun m ->
-      let e = Machine.engine m in
-      Printf.printf
-        "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
-         host-side)\n"
-        (Hare_sim.Engine.events_executed e)
-        (Hare_sim.Engine.peak_fibers e)
-        wall
-        (if wall > 0.0 then float_of_int ops /. wall else 0.0))
-    m;
-  if verbose then begin
-    print_endline "system-call mix:";
-    Format.printf "%a@." Hare_stats.Opcount.pp t.Driver.calls
-  end;
-  let failures = t.Driver.failures in
-  if failures > 0 then
-    Printf.eprintf "error: %s: %d worker(s) failed\n%!" spec.Spec.name failures;
-  (m, (if failures > 0 then 1 else 0), None)
-
-(* ---------- reports: each reads the finished machine (whole run) -------- *)
-
-let counter_table headers rows =
-  Table.print ~headers (List.map (fun (k, v) -> [ k; string_of_int v ]) rows)
-
-let report_robust ~plan ~overload name m =
-  Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n" name plan
-    (Machine.seconds m) (Machine.total_rpcs m);
-  Option.iter
-    (fun ((c : O.counters), period) ->
-      let secs = Machine.seconds m in
-      Printf.printf
-        "  mean period %d cycles: sent %d | ok %d | shed %d | fast-fail %d | \
-         skipped %d\n"
-        period c.O.sent c.O.ok c.O.shed c.O.fast_fail c.O.skipped;
-      if secs > 0. && c.O.sent > 0 then
-        Printf.printf
-          "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
-          (float_of_int c.O.ok /. secs)
-          (float_of_int c.O.sent /. secs)
-          (100. *. float_of_int c.O.ok /. float_of_int c.O.sent))
-    overload;
-  counter_table [ "robustness counter"; "count" ]
-    (Hare_stats.Robust.to_list (Machine.robustness m));
-  (match Option.map Driver.latencies_of_trace (Machine.trace m) with
-  | None | Some [] -> ()
-  | Some dists ->
-      Table.print
-        ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
-        (List.map
-           (fun (cls, (d : Hare_stats.Latency.dist)) ->
-             cls :: string_of_int d.Hare_stats.Latency.n
-             :: List.map Int64.to_string
-                  Hare_stats.Latency.[ d.p50; d.p95; d.p99; d.lmax ])
-           dists));
-  0
+(* ---------- reports: the run's record, or the machine it left ----------- *)
 
 let report_perf (c : Config.t) name m =
   Printf.printf
-    "%s: window=%d batch=%d extent=%d: %.0f simulated cycles, %d RPCs\n" name
+    "%s: window=%d batch=%d extent=%d: %Ld simulated cycles, %d RPCs\n" name
     c.Config.rpc_window c.Config.batch_max c.Config.alloc_extent
-    (Machine.seconds m
-    *. float_of_int c.Config.costs.Hare_config.Costs.cycles_per_us
-    *. 1e6)
-    (Machine.total_rpcs m);
-  let perf = Machine.perf m in
-  counter_table [ "perf counter"; "value" ] (Hare_stats.Perf.to_list perf);
-  Format.printf "batch-size histogram: %a@." Hare_stats.Perf.pp_hist perf;
-  Format.printf "mean batch %.2f, lease hit rate %.2f@."
-    (Hare_stats.Perf.mean_batch perf)
-    (Hare_stats.Perf.lease_hit_rate perf);
+    (Machine.now m) (Machine.total_rpcs m);
+  Hare_stats.Perf.report (Machine.perf m);
   Printf.printf "dircache evictions: %d\n"
     (Array.fold_left
        (fun n c ->
@@ -428,146 +325,26 @@ let report_trace ~strict ~out name m tr =
     else 0
   end
 
-let report_profile name m tr =
-  let rows = Trace.profile tr in
-  let per_bucket = Array.make Trace.nbuckets 0L in
-  let grand =
-    List.fold_left
-      (fun acc (r : Trace.row) ->
-        Array.iteri
-          (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c)
-          r.Trace.r_buckets;
-        Int64.add acc r.Trace.r_total)
-      0L rows
-  in
-  let cells total buckets =
-    Int64.to_string total :: Array.to_list (Array.map Int64.to_string buckets)
-  in
-  Printf.printf "%s: %.6f simulated seconds, %Ld attributed cycles\n" name
-    (Machine.seconds m) grand;
-  Table.print
-    ~headers:([ "op"; "count"; "cycles" ] @ Trace.bucket_names)
-    (List.map
-       (fun (r : Trace.row) ->
-         r.Trace.r_op :: string_of_int r.Trace.r_count
-         :: cells r.Trace.r_total r.Trace.r_buckets)
-       rows
-    @ [ "TOTAL" :: "" :: cells grand per_bucket ]);
-  let unattributed =
-    Int64.sub grand (Array.fold_left Int64.add 0L per_bucket)
-  in
-  Printf.printf "unattributed cycles: %Ld (of %Ld)\n" unattributed grand;
-  if unattributed <> 0L then 1 else 0
-
-(* Raw time series as JSON: one [stamp, value] pair array per gauge, on
-   the sampling grid. *)
-let series_json mt =
-  let open Hare_stats.Json in
-  let series (g, points) =
-    (g, Array (List.map (fun (ts, v) -> Array [ Int ts; Int v ]) points))
-  in
-  to_string
-    (Object
-       [
-         ("schema", String "hare-metrics/1");
-         ("interval", Int (Metrics.interval mt));
-         ("samples", Int (Metrics.samples mt));
-         ("dropped", Int (Metrics.dropped mt));
-         ("series", Object (List.map series (Metrics.series mt)));
-       ])
-
-let report_metrics ~series name m mt =
+let report_metrics ~series name m (r : Driver.result) mt =
   Printf.printf
     "%s: %.6f simulated seconds; %d gauges sampled every %d cycles (%d \
      samples, %d overwritten)\n"
-    name (Machine.seconds m) (Metrics.ngauges mt) (Metrics.interval mt)
-    (Metrics.samples mt) (Metrics.dropped mt);
-  Table.print
-    ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
-    (List.map
-       (fun (g : Metrics.summary) ->
-         [
-           g.Metrics.s_name;
-           string_of_int g.Metrics.s_n;
-           string_of_int g.Metrics.s_min;
-           string_of_int g.Metrics.s_max;
-           Printf.sprintf "%.1f" g.Metrics.s_mean;
-           string_of_int g.Metrics.s_last;
-         ])
-       (Metrics.summaries mt));
-  Option.iter
-    (fun tr ->
-      let spans =
-        List.map
-          (fun (_, t0, dur) -> (Int64.to_int t0, Int64.to_int dur))
-          (Trace.root_spans tr)
-      in
-      match Knee.detect ~window:(8 * Metrics.interval mt) spans with
-      | Some k ->
-          Printf.printf
-            "knee: p99 left the flat regime at cycle %d (window %d: %Ld -> %Ld \
-             cycles over %d judged windows)\n"
-            k.Knee.k_at k.Knee.k_window k.Knee.k_before k.Knee.k_after
-            k.Knee.k_windows
-      | None -> print_endline "knee: none (p99 stayed flat)")
-    (Machine.trace m);
+    name (Machine.seconds m) (List.length r.Driver.gauges)
+    r.Driver.metrics_interval r.Driver.metrics_samples (Metrics.dropped mt);
+  Metrics.print_summaries r.Driver.gauges;
+  Knee.print r.Driver.knee;
   Option.iter
     (fun file ->
       Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc (series_json mt));
+          Out_channel.output_string oc
+            (Hare_stats.Json.to_string (Metrics.series_json mt)));
       Printf.printf "wrote %s\n" file)
     series;
   0
 
-let report_blame tr =
-  (match Blame.of_trace tr with
-  | [] ->
-      print_endline
-        "blame: nothing retained (is the run long enough for --retain?)"
-  | reports -> (
-      print_newline ();
-      Table.print
-        ~headers:
-          [ "class"; "n"; "p99"; "bucket"; "srv"; "qdepth mean/max";
-            "worst op"; "worst cycles" ]
-        (List.map
-           (fun (b : Blame.t) ->
-             [
-               b.Blame.b_class;
-               string_of_int b.Blame.b_n;
-               Int64.to_string b.Blame.b_p99;
-               Printf.sprintf "%s (%.0f%%)" b.Blame.b_bucket
-                 (100. *. b.Blame.b_bucket_share);
-               (if b.Blame.b_srv < 0 then "-"
-                else
-                  Printf.sprintf "fs%d (%.0f%%)" b.Blame.b_srv
-                    (100. *. b.Blame.b_srv_share));
-               (if b.Blame.b_qdepth_max < 0 then "-"
-                else
-                  Printf.sprintf "%.1f/%d" b.Blame.b_qdepth_mean
-                    b.Blame.b_qdepth_max);
-               b.Blame.b_worst_op;
-               string_of_int b.Blame.b_worst_dur;
-             ])
-           reports);
-      (* Critical path of the slowest retained op overall: the exact
-         bucket decomposition of its cycles. *)
-      match Trace.retained tr with
-      | [] -> ()
-      | worst :: _ ->
-          Printf.printf "\ncritical path of slowest op (%s, %d cycles):\n"
-            worst.Trace.rt_op worst.Trace.rt_dur;
-          List.iter
-            (fun (bucket, cy) ->
-              Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
-                (100. *. float_of_int cy
-                /. float_of_int (max 1 worst.Trace.rt_dur)))
-            (Blame.critical_path worst)));
-  0
-
 (* Which physical server hosts which logical homes (and how much state),
    plus the migration counters a membership plan produced. *)
-let report_ring m place =
+let report_ring m (r : Driver.result) place =
   let module Place = Hare_place.Place in
   let module Server = Hare_server.Server in
   Printf.printf
@@ -575,7 +352,7 @@ let report_ring m place =
     (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
     (Place.epoch place);
   Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
-    (Machine.seconds m) (Driver.imbalance (Machine.server_loads m));
+    (Machine.seconds m) (Driver.imbalance r.Driver.loads);
   Table.print
     ~headers:
       [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops"; "peak-q"; "in";
@@ -614,19 +391,13 @@ let report_ring m place =
     (Machine.total_moved_retries m);
   0
 
-(* The sanitizer verdict accumulates over every workload of the run and
-   is printed once at the end. *)
-type verdict = {
-  total : Sanity.t;
-  mutable recorded : Check.violation list;
-  mutable perturbed : bool;
-}
-
 (* The check contract: the checked run's clock must match an unchecked
-   twin's cycle for cycle, else the checker perturbed the simulation. *)
+   twin's cycle for cycle, else the checker perturbed the simulation.
+   The verdict accumulates over every workload of the run and is
+   printed once at the end. *)
 let report_check verdict ~twin name m =
   if Machine.now twin <> Machine.now m then begin
-    verdict.perturbed <- true;
+    Check.perturbed verdict;
     Printf.printf "%s: PERTURBED: %Ld cycles unchecked vs %Ld checked\n" name
       (Machine.now twin) (Machine.now m)
   end
@@ -634,76 +405,97 @@ let report_check verdict ~twin name m =
     Printf.printf
       "%s: %.6f simulated seconds, clock identical with checking on\n" name
       (Machine.seconds m);
-  Option.iter
-    (fun chk ->
-      Sanity.merge ~into:verdict.total (Check.stats chk);
-      verdict.recorded <- verdict.recorded @ Check.violations chk)
-    (Machine.check m)
+  Option.iter (Check.record verdict) (Machine.check m)
 
-let print_verdict ~verbose v =
-  counter_table [ "rule"; "violations" ] (Sanity.violations v.total);
-  if verbose then
-    counter_table [ "checker counter"; "value" ] (Sanity.to_list v.total);
-  List.iteri
-    (fun i x -> if i < 20 then Format.printf "%a@." Check.pp_violation x)
-    v.recorded;
-  let n = List.length v.recorded in
-  if n > 20 then Printf.printf "... and %d more\n" (n - 20);
-  if v.perturbed then begin
-    print_endline "FAIL: the sanitizer perturbed the simulation";
-    2
-  end
-  else if Sanity.total_violations v.total > 0 then begin
-    print_endline "FAIL: coherence/protocol violations detected";
-    1
-  end
-  else begin
-    print_endline "OK: no violations, zero perturbation";
-    0
-  end
-
-(* One workload through the pipeline; the exit code is the worst of the
-   worker outcome and every requested report's. *)
+(* One workload through the pipeline: run it, measure the whole run
+   once, print the bench line for its timed region (throughput, plus the
+   simulator engine's host-side cost), then each requested report from
+   that record. The exit code is the worst of the worker outcome and
+   every report's. *)
 let run_one s r verdict (config, nprocs, fresh) =
   let spec, overload = fresh () in
-  let world, run_config =
+  let (module W : World.WORLD), config =
     match s.world with
     | `Linux -> ((module World.Linux_w : World.WORLD), config)
     | `Unfs -> ((module World.Hare_w), World.unfs_config config)
     | `Hare -> ((module World.Hare_w), config)
   in
+  let module D = Driver.Make (W) in
+  let scale = s.scale and name = spec.Spec.name in
+  let wall0 = Unix.gettimeofday () in
+  let t = D.exec ~config ?nprocs ~scale spec in
+  let wall = Unix.gettimeofday () -. wall0 in
+  let res = D.measure ~config ~scale ~since:0.0 spec t in
+  let m = W.machine t.Driver.w in
+  (* A fiber failure ended the run before its timed region did: no
+     bench line, but the reports still print. *)
+  if Option.is_none t.Driver.crash then begin
+    Printf.printf
+      "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
+      name W.name res.Driver.nprocs res.Driver.ops res.Driver.elapsed
+      res.Driver.throughput;
+    if Option.is_some m then
+      Printf.printf
+        "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
+         host-side)\n"
+        res.Driver.engine_events res.Driver.peak_fibers wall
+        (if wall > 0.0 then float_of_int res.Driver.ops /. wall else 0.0);
+    if r.verbose then begin
+      print_endline "system-call mix:";
+      Format.printf "%a@." Hare_stats.Opcount.pp res.Driver.syscalls
+    end;
+    if t.Driver.failures > 0 then
+      Printf.eprintf "error: %s: %d worker(s) failed\n%!" name
+        t.Driver.failures
+  end;
   let reraise =
     Option.iter (fun (name, e) ->
         raise (Hare_sim.Engine.Fiber_failure (name, e)))
   in
-  match
-    run_timed world ~config:run_config ?nprocs ~scale:s.scale
-      ~verbose:r.verbose spec
-  with
-  | Some m, rc, crash when s.world = `Hare ->
-      let name = spec.Spec.name in
+  let rc =
+    if Option.is_some t.Driver.crash || t.Driver.failures > 0 then 1 else 0
+  in
+  match m with
+  | Some m when s.world = `Hare ->
+      let secs = Machine.seconds m in
       let traced f () = match Machine.trace m with Some tr -> f tr | None -> 0 in
       (* Reports print in this order; each is a thunk so it runs only
          when requested. *)
       let reports =
         [
-          (r.robust, fun () -> report_robust ~plan:s.plan ~overload name m);
+          ( r.robust,
+            fun () ->
+              Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n"
+                name s.plan secs (Machine.total_rpcs m);
+              Option.iter
+                (fun (c, period) -> O.print ~period ~seconds:secs c)
+                overload;
+              Table.print_counts ~headers:[ "robustness counter"; "count" ]
+                (Hare_stats.Robust.to_list res.Driver.robust);
+              Hare_stats.Latency.print res.Driver.latencies;
+              0 );
           (r.perf, fun () -> report_perf config name m);
           ( r.trace <> None,
             traced
               (report_trace ~strict:r.strict
                  ~out:(Option.value r.trace ~default:"")
                  name m) );
-          (r.profile, traced (report_profile name m));
+          ( r.profile,
+            fun () ->
+              let head = Printf.sprintf "%s: %.6f simulated seconds" name secs in
+              if Trace.print_profile head res.Driver.profile = 0L then 0 else 1 );
           ( config.Config.metrics_interval > 0,
             fun () ->
               Option.fold ~none:0
-                ~some:(report_metrics ~series:r.series name m)
+                ~some:(report_metrics ~series:r.series name m res)
                 (Machine.metrics m) );
-          (r.blame, traced report_blame);
+          ( r.blame,
+            traced (fun tr ->
+                Blame.print res.Driver.blame (Trace.retained tr);
+                0) );
           ( r.ring,
             fun () ->
-              Option.fold ~none:0 ~some:(report_ring m) (Machine.place m) );
+              Option.fold ~none:0 ~some:(report_ring m res) (Machine.place m) );
         ]
       in
       let rc =
@@ -711,19 +503,19 @@ let run_one s r verdict (config, nprocs, fresh) =
           (fun rc (wanted, report) -> if wanted then max rc (report ()) else rc)
           rc reports
       in
-      reraise crash;
+      reraise t.Driver.crash;
       if r.check then begin
         let twin =
           HD.exec
             ~config:{ config with Config.check_enabled = false }
-            ?nprocs ~scale:s.scale (fst (fresh ()))
+            ?nprocs ~scale (fst (fresh ()))
         in
         reraise twin.Driver.crash;
         report_check verdict ~twin:twin.Driver.w name m
       end;
       rc
-  | _, rc, crash ->
-      reraise crash;
+  | _ ->
+      reraise t.Driver.crash;
       rc
 
 let run_cmd =
@@ -761,15 +553,13 @@ let run_cmd =
         match List.find_map refusal runs with
         | Some msg -> refuse msg
         | None ->
-            let verdict =
-              { total = Sanity.create (); recorded = []; perturbed = false }
-            in
+            let verdict = Check.verdict () in
             let rc =
               List.fold_left
                 (fun rc (_, run) -> max rc (run_one s r verdict run))
                 0 runs
             in
-            if r.check then max rc (print_verdict ~verbose:r.verbose verdict)
+            if r.check then max rc (Check.print_verdict ~verbose:r.verbose verdict)
             else rc)
   in
   Cmd.v

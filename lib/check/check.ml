@@ -482,3 +482,36 @@ let attach t bus =
 
 let pp_violation ppf v =
   Fmt.pf ppf "[%Ld] %s: %s" v.time (rule_name v.rule) v.detail
+
+type verdict = {
+  total : Sanity.t;
+  mutable recorded : violation list;
+  mutable perturbed : bool;
+}
+
+let verdict () = { total = Sanity.create (); recorded = []; perturbed = false }
+
+let record v t =
+  Sanity.merge ~into:v.total t.stats;
+  v.recorded <- v.recorded @ violations t
+
+let perturbed v = v.perturbed <- true
+
+let print_verdict ~verbose v =
+  let print_counts = Hare_stats.Table.print_counts in
+  print_counts ~headers:[ "rule"; "violations" ] (Sanity.violations v.total);
+  if verbose then
+    print_counts ~headers:[ "checker counter"; "value" ] (Sanity.to_list v.total);
+  List.iteri
+    (fun i x -> if i < 20 then Format.printf "%a@." pp_violation x)
+    v.recorded;
+  let n = List.length v.recorded in
+  if n > 20 then Printf.printf "... and %d more\n" (n - 20);
+  let rc, outcome =
+    if v.perturbed then (2, "FAIL: the sanitizer perturbed the simulation")
+    else if Sanity.total_violations v.total > 0 then
+      (1, "FAIL: coherence/protocol violations detected")
+    else (0, "OK: no violations, zero perturbation")
+  in
+  print_endline outcome;
+  rc

@@ -91,3 +91,20 @@ val report : t -> (string * int) list
 (** Per-rule violation counts, stable display order. *)
 
 val pp_violation : Format.formatter -> violation -> unit
+
+(** {1 Verdict over several checked runs} *)
+
+type verdict
+
+val verdict : unit -> verdict
+
+val record : verdict -> t -> unit
+(** Adds a checked run's counters and violations. *)
+
+val perturbed : verdict -> unit
+(** Marks that a checked run's clock differed from its unchecked twin's. *)
+
+val print_verdict : verbose:bool -> verdict -> int
+(** The per-rule violation table (and, [verbose], every checker
+    counter), the first 20 violations, and the outcome line; returns
+    the exit code: 2 perturbed, 1 violations, 0 clean. *)

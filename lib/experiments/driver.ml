@@ -55,32 +55,20 @@ let imbalance loads =
       let mean = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
       List.fold_left max 0.0 l /. mean
 
-(* Per-class latency distributions of the root syscall spans that began
-   at or after [since] (cycles). Shared with hare_cli's robustness report.
-   Reads the trace's root-span log, not the event ring: the log is
-   recorded even in profile-only mode and never loses samples to ring
-   overwrite; only completed requests contribute. *)
-let latencies_of_trace ?(since = 0L) tr =
-  let buckets = Hashtbl.create 4 in
-  List.iter
-    (fun (name, t0, dur) ->
-      if t0 >= since then
-        match Hare_stats.Latency.class_of_op name with
-        | Some cls ->
-            let prev =
-              match Hashtbl.find_opt buckets cls with
-              | Some ds -> ds
-              | None -> []
-            in
-            Hashtbl.replace buckets cls (dur :: prev)
-        | None -> ())
-    (Trace.root_spans tr);
+(* Per-class latency distributions of the given root spans; classes
+   with no samples are omitted. *)
+let latencies spans =
+  let module L = Hare_stats.Latency in
   List.filter_map
     (fun cls ->
-      match Hashtbl.find_opt buckets cls with
-      | Some ds -> Some (cls, Hare_stats.Latency.of_durations ds)
-      | None -> None)
-    Hare_stats.Latency.class_names
+      match
+        List.filter_map
+          (fun (op, _, dur) -> if L.class_of_op op = Some cls then Some dur else None)
+          spans
+      with
+      | [] -> None
+      | ds -> Some (cls, L.of_durations ds))
+    L.class_names
 
 let default_config ~ncores =
   {
@@ -173,6 +161,63 @@ module Make (W : World.WORLD) = struct
       crash;
     }
 
+  let measure ~config ~scale ~since (spec : Spec.t) t =
+    let nprocs = t.procs and elapsed = t.t1 -. t.t0 in
+    let ops = spec.Spec.ops ~nprocs ~scale in
+    (* The window's start on the cycle clock the spans carry. *)
+    let cycles_per_s =
+      float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us *. 1e6
+    in
+    let since = Int64.of_float ((since *. cycles_per_s) +. 0.5) in
+    (* Knee window: a handful of sampling grid points when metrics are
+       on, a fixed quarter-million cycles otherwise. *)
+    let knee_window =
+      if config.Config.metrics_interval > 0 then
+        8 * config.Config.metrics_interval
+      else 250_000
+    in
+    let m = W.machine t.w in
+    let trace = Option.bind m Machine.trace
+    and metrics = Option.bind m Machine.metrics in
+    let engine f =
+      Option.fold ~none:0 ~some:(fun m -> f (Machine.engine m)) m
+    in
+    (* The window's completed root spans, from the trace's root-span
+       log rather than its event ring: the log is kept even in
+       profile-only mode and never loses a span to ring overwrite. *)
+    let spans =
+      Option.fold trace ~none:[] ~some:(fun tr ->
+          List.filter (fun (_, s0, _) -> s0 >= since) (Trace.root_spans tr))
+    in
+    {
+      bench = spec.Spec.name;
+      world = W.name;
+      nprocs;
+      scale;
+      elapsed;
+      ops;
+      throughput = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
+      syscalls = t.calls;
+      profile = Option.fold ~none:[] ~some:Trace.profile trace;
+      latencies = latencies spans;
+      robust =
+        Option.fold m ~none:(Hare_stats.Robust.create ())
+          ~some:Machine.robustness;
+      engine_events = engine Engine.events_executed;
+      peak_fibers = engine Engine.peak_fibers;
+      spawned_fibers = engine Engine.spawned_fibers;
+      loads = Option.fold ~none:[] ~some:Machine.server_loads m;
+      gauges = Option.fold ~none:[] ~some:Metrics.summaries metrics;
+      metrics_interval = config.Config.metrics_interval;
+      metrics_samples = Option.fold ~none:0 ~some:Metrics.samples metrics;
+      knee =
+        Hare_metrics.Knee.detect ~window:knee_window
+          (List.map
+             (fun (_, s0, dur) -> (Int64.to_int s0, Int64.to_int dur))
+             spans);
+      blame = Option.fold ~none:[] ~some:Hare_metrics.Blame.of_trace trace;
+    }
+
   let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
       (spec : Spec.t) =
     let config = Option.value config ~default:(default_config ~ncores:4) in
@@ -193,56 +238,5 @@ module Make (W : World.WORLD) = struct
     if t.failures > 0 then
       Printf.ksprintf failwith "%s on %s: %d worker(s) failed" spec.Spec.name
         W.name t.failures;
-    let nprocs = t.procs and elapsed = t.t1 -. t.t0 in
-    let ops = spec.Spec.ops ~nprocs ~scale in
-    (* Start of the timed region on the cycle clock the spans carry. *)
-    let cycles_per_s =
-      float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us *. 1e6
-    in
-    let since = Int64.of_float ((t.t0 *. cycles_per_s) +. 0.5) in
-    (* Knee window: a handful of sampling grid points when metrics are
-       on, a fixed quarter-million cycles otherwise. *)
-    let knee_window =
-      if config.Config.metrics_interval > 0 then
-        8 * config.Config.metrics_interval
-      else 250_000
-    in
-    let m = W.machine t.w in
-    let trace = Option.bind m Machine.trace
-    and metrics = Option.bind m Machine.metrics in
-    let engine f =
-      Option.fold ~none:0 ~some:(fun m -> f (Machine.engine m)) m
-    in
-    {
-      bench = spec.Spec.name;
-      world = W.name;
-      nprocs;
-      scale;
-      elapsed;
-      ops;
-      throughput = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-      syscalls = t.calls;
-      profile = Option.fold ~none:[] ~some:Trace.profile trace;
-      (* Only spans of the timed region. *)
-      latencies = Option.fold ~none:[] ~some:(latencies_of_trace ~since) trace;
-      robust =
-        Option.fold m ~none:(Hare_stats.Robust.create ())
-          ~some:Machine.robustness;
-      engine_events = engine Engine.events_executed;
-      peak_fibers = engine Engine.peak_fibers;
-      spawned_fibers = engine Engine.spawned_fibers;
-      loads = Option.fold ~none:[] ~some:Machine.server_loads m;
-      gauges = Option.fold ~none:[] ~some:Metrics.summaries metrics;
-      metrics_interval = config.Config.metrics_interval;
-      metrics_samples = Option.fold ~none:0 ~some:Metrics.samples metrics;
-      knee =
-        Option.bind trace (fun tr ->
-            Hare_metrics.Knee.detect ~window:knee_window
-              (List.filter_map
-                 (fun (_, s0, dur) ->
-                   if s0 >= since then Some (Int64.to_int s0, Int64.to_int dur)
-                   else None)
-                 (Trace.root_spans tr)));
-      blame = Option.fold ~none:[] ~some:Hare_metrics.Blame.of_trace trace;
-    }
+    measure ~config ~scale ~since:t.t0 spec t
 end

@@ -7,8 +7,8 @@
     benchmark processes — and times from after setup to the last worker
     exit. *)
 
-(** One pass of the workload loop, its timed region measured once: the
-    stamps both {!Make.run} and [hare_cli run] report. *)
+(** One pass of the workload loop, its timed region stamped: what
+    {!Make.measure} turns into a {!result}. *)
 type 'w timed = {
   w : 'w;  (** the finished world *)
   failures : int;  (** workers that exited nonzero; all if init never did *)
@@ -22,6 +22,11 @@ type 'w timed = {
           world as the failure left it *)
 }
 
+(** What one run measured, in one of two windows. The throughput fields
+    always cover the timed region. The observer fields cover the window
+    {!Make.measure} is given: the timed region under {!Make.run}, which
+    also restarts the perf counters and the profile there; the whole run,
+    setup included, under [hare_cli run]. *)
 type result = {
   bench : string;
   world : string;
@@ -33,17 +38,17 @@ type result = {
   syscalls : Hare_stats.Opcount.t;
       (** The timed region's op mix (setup excluded, as in Figure 5). *)
   profile : Hare_trace.Trace.row list;
-      (** Per-opcode cycle attribution of the timed region (sorted by
-          total cycles, descending). Empty unless the world was booted
-          with [trace_enabled]. *)
+      (** Per-opcode cycle attribution since the last profile reset
+          (sorted by total cycles, descending). Empty unless the world
+          was booted with [trace_enabled]. *)
   latencies : (string * Hare_stats.Latency.dist) list;
       (** Per-priority-class (meta/data/background) latency percentiles
-          of the timed region's completed syscalls, from the trace
-          spans. Empty unless the world was booted with
-          [trace_enabled]. *)
+          of the window's completed syscalls, from the trace's root
+          spans; classes with no samples are left out. Empty unless the
+          world was booted with [trace_enabled]. *)
   robust : Hare_stats.Robust.t;
-      (** Fault/overload counters of the timed region (reset alongside
-          the perf counters; all zero for the Linux baseline). *)
+      (** Fault/overload counters since the last perf reset (all zero
+          for the Linux baseline). *)
   engine_events : int;
       (** Engine events, peak live fibers and fibers spawned over the
           whole run (boot + setup + timed region); 0 on the Linux
@@ -52,9 +57,8 @@ type result = {
   spawned_fibers : int;
   loads : (int * int * int) list;
       (** Per physical file server [(sid, ops served, peak queue
-          depth)]: ops over the whole run, peak depths since the start
-          of the timed region (its {!Hare.Machine.reset_perf}). Empty
-          on the Linux baseline. *)
+          depth)]: ops over the whole run, peak depths since the last
+          perf reset. Empty on the Linux baseline. *)
   gauges : Hare_metrics.Metrics.summary list;
       (** Per-gauge time-series summaries over the whole run, in
           registration order. Empty unless [metrics_interval > 0]. *)
@@ -62,25 +66,20 @@ type result = {
       (** The sampling grid, simulated cycles; 0 = metrics were off. *)
   metrics_samples : int;  (** Samples taken over the whole run. *)
   knee : Hare_metrics.Knee.t option;
-      (** First window of the timed region whose p99 latency exceeded
-          1.5x the previous judged window's — the saturation knee.
-          [None] when the series stays flat or tracing was off. *)
+      (** The window's saturation knee: the first sub-window (8 sampling
+          intervals with metrics on, else 250,000 cycles) whose p99
+          exceeded 1.5x the flat-regime floor. [None] when the series
+          stays flat or tracing was off. *)
   blame : Hare_metrics.Blame.t list;
-      (** Per-class tail-latency blame reports from the retained span
-          trees. Empty unless [trace_retain > 0]. *)
+      (** Per-class tail-latency blame reports from the span trees
+          retained since the last profile reset. Empty unless
+          [trace_retain > 0]. *)
 }
 
 val imbalance : (int * int * int) list -> float
 (** Max/mean served-operation ratio over the [(sid, ops, peak)] loads
     of the servers that served anything; 1.0 is a perfectly even
     ring. *)
-
-val latencies_of_trace :
-  ?since:int64 ->
-  Hare_trace.Trace.t ->
-  (string * Hare_stats.Latency.dist) list
-(** Per-class latency distributions of the root syscall spans beginning
-    at or after [since] (cycles); classes with no samples are omitted. *)
 
 val default_config : ncores:int -> Hare_config.Config.t
 (** The experiments' standard configuration: [ncores] cores, a scaled
@@ -117,6 +116,18 @@ module Make (W : World.WORLD) : sig
       to an unexplored one — the golden-clock test's zero-perturbation
       proof. *)
 
+  val measure :
+    config:Hare_config.Config.t ->
+    scale:int ->
+    since:float ->
+    Hare_workloads.Spec.t ->
+    W.world timed ->
+    result
+  (** [measure ~config ~scale ~since spec t] reads [t]'s world, crashed
+      or not, into a {!result}: the one place a run's observer data is
+      derived. [since] (simulated seconds) starts the window of
+      [latencies] and [knee]; [config] and [scale] are [t]'s. *)
+
   val run :
     ?config:Hare_config.Config.t ->
     ?nprocs:int ->
@@ -126,7 +137,8 @@ module Make (W : World.WORLD) : sig
     result
   (** [run spec] executes the benchmark through {!exec} (default
       [config]: {!default_config} at 4 cores) and measures its timed
-      region: perf counters and the cycle profile restart at its start.
+      region: perf counters and the cycle profile restart at its start,
+      and {!measure} windows from [t0].
       Raises [Failure] if any worker exits nonzero, and
       [Engine.Fiber_failure] if a fiber raised. *)
 end

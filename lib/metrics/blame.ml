@@ -137,3 +137,48 @@ let of_trace tr =
           }
       end)
     Latency.class_names
+
+let print reports retained =
+  match reports with
+  | [] ->
+      print_endline
+        "blame: nothing retained (is the run long enough for --retain?)"
+  | reports -> (
+      print_newline ();
+      Hare_stats.Table.print
+        ~headers:
+          [ "class"; "n"; "p99"; "bucket"; "srv"; "qdepth mean/max";
+            "worst op"; "worst cycles" ]
+        (List.map
+           (fun b ->
+             [ b.b_class; string_of_int b.b_n; Int64.to_string b.b_p99;
+               Printf.sprintf "%s (%.0f%%)" b.b_bucket (100. *. b.b_bucket_share);
+               (if b.b_srv < 0 then "-"
+                else Printf.sprintf "fs%d (%.0f%%)" b.b_srv (100. *. b.b_srv_share));
+               (if b.b_qdepth_max < 0 then "-"
+                else Printf.sprintf "%.1f/%d" b.b_qdepth_mean b.b_qdepth_max);
+               b.b_worst_op; string_of_int b.b_worst_dur ])
+           reports);
+      (* Critical path of the slowest retained op overall: the exact
+         bucket decomposition of its cycles. *)
+      match retained with
+      | [] -> ()
+      | (worst : Trace.retained) :: _ ->
+          Printf.printf "\ncritical path of slowest op (%s, %d cycles):\n"
+            worst.rt_op worst.rt_dur;
+          List.iter
+            (fun (bucket, cy) ->
+              Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
+                (100. *. float_of_int cy /. float_of_int (max 1 worst.rt_dur)))
+            (critical_path worst))
+
+let to_json b =
+  let open Hare_stats.Json in
+  Object
+    [ ("class", String b.b_class); ("n", Int b.b_n);
+      ("p99", Int (Int64.to_int b.b_p99)); ("bucket", String b.b_bucket);
+      ("bucket_share", decimals 3 b.b_bucket_share); ("srv", Int b.b_srv);
+      ("srv_share", decimals 3 b.b_srv_share);
+      ("qdepth_mean", decimals 2 b.b_qdepth_mean);
+      ("qdepth_max", Int b.b_qdepth_max); ("worst_op", String b.b_worst_op);
+      ("worst_dur", Int b.b_worst_dur) ]

@@ -28,3 +28,11 @@ val of_trace : Hare_trace.Trace.t -> t list
 (** One report per latency class that has both completed root spans and
     retained trees, in {!Hare_stats.Latency.class_names} order. Empty
     when retention was off. *)
+
+val print : t list -> Hare_trace.Trace.retained list -> unit
+(** The reports as a table, then the critical path of the slowest of
+    the retained span trees (given slowest first); a one-line notice
+    when there are no reports. *)
+
+val to_json : t -> Hare_stats.Json.t
+(** Every field; shares to three decimals, the mean depth to two. *)

@@ -70,3 +70,17 @@ let detect ?(factor = 1.5) ?(min_samples = 8) ~window spans =
           end)
         buckets;
       !knee
+
+let print = function
+  | Some k ->
+      Printf.printf
+        "knee: p99 left the flat regime at cycle %d (window %d: %Ld -> %Ld \
+         cycles over %d judged windows)\n"
+        k.k_at k.k_window k.k_before k.k_after k.k_windows
+  | None -> print_endline "knee: none (p99 stayed flat)"
+
+let to_json k =
+  let open Hare_stats.Json in
+  Object
+    [ ("window", Int k.k_window); ("p99_before", Int (Int64.to_int k.k_before));
+      ("p99_after", Int (Int64.to_int k.k_after)); ("windows", Int k.k_windows) ]

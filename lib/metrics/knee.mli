@@ -23,3 +23,9 @@ val detect : ?factor:float -> ?min_samples:int -> window:int -> (int * int) list
     reference p99. [factor] (default 1.5) is the slope threshold; it
     must exceed 1, and [window] must be positive. [None] when the
     series never leaves the flat regime. *)
+
+val print : t option -> unit
+(** One line: where the knee is, or that there was none. *)
+
+val to_json : t -> Hare_stats.Json.t
+(** Every field but [k_at], which the caller places. *)

@@ -171,3 +171,30 @@ let summaries t =
              s_last = !last;
            }
          end)
+
+let print_summaries gauges =
+  Hare_stats.Table.print
+    ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
+    (List.map
+       (fun g ->
+         [ g.s_name; string_of_int g.s_n; string_of_int g.s_min;
+           string_of_int g.s_max; Printf.sprintf "%.1f" g.s_mean;
+           string_of_int g.s_last ])
+       gauges)
+
+let summary_to_json g =
+  let open Hare_stats.Json in
+  Object
+    [ ("gauge", String g.s_name); ("n", Int g.s_n); ("min", Int g.s_min);
+      ("max", Int g.s_max); ("mean", decimals 2 g.s_mean);
+      ("last", Int g.s_last) ]
+
+let series_json t =
+  let open Hare_stats.Json in
+  let gauge (g, points) =
+    (g, Array (List.map (fun (ts, v) -> Array [ Int ts; Int v ]) points))
+  in
+  Object
+    [ ("schema", String "hare-metrics/1"); ("interval", Int t.interval);
+      ("samples", Int t.samples); ("dropped", Int t.dropped);
+      ("series", Object (List.map gauge (series t))) ]

@@ -65,3 +65,12 @@ type summary = {
 
 val summaries : t -> summary list
 (** One summary per gauge, in registration order. *)
+
+val print_summaries : summary list -> unit
+(** One table row per gauge. *)
+
+val summary_to_json : summary -> Hare_stats.Json.t
+(** Every field, the mean to two decimals. *)
+
+val series_json : t -> Hare_stats.Json.t
+(** The raw series: per gauge its [[stamp, value]] pairs. *)

@@ -1,8 +1,8 @@
 (* Latency percentile summaries over span durations (PR 6).
 
-   Pure arithmetic: callers (the driver, hare_cli) walk the trace ring
-   themselves and hand in cycle durations; this module only sorts and
-   picks nearest-rank percentiles, so it stays dependency-free. *)
+   Pure arithmetic: the driver walks the trace's root-span log and hands
+   in cycle durations; this module sorts them, picks nearest-rank
+   percentiles and renders the result as a table or as JSON. *)
 
 type dist = {
   n : int;
@@ -62,3 +62,20 @@ let class_of_op = function
   | "unlink" -> Some "background" | _ -> None
 
 let class_names = [ "meta"; "data"; "background" ]
+
+let print = function
+  | [] -> ()
+  | dists ->
+      Table.print
+        ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
+        (List.map
+           (fun (cls, d) ->
+             cls :: string_of_int d.n
+             :: List.map Int64.to_string [ d.p50; d.p95; d.p99; d.lmax ])
+           dists)
+
+let to_json d =
+  let i64 x = Json.Int (Int64.to_int x) in
+  Json.Object
+    [ ("n", Int d.n); ("p50", i64 d.p50); ("p95", i64 d.p95);
+      ("p99", i64 d.p99); ("max", i64 d.lmax) ]

@@ -42,3 +42,9 @@ val class_of_op : string -> string option
 
 val class_names : string list
 (** Display order: meta, data, background. *)
+
+val print : (string * dist) list -> unit
+(** Per-class distributions as a table; nothing for no classes. *)
+
+val to_json : dist -> Json.t
+(** [{"n", "p50", "p95", "p99", "max"}]. *)

@@ -30,40 +30,21 @@ let note_batch t size =
   let last = Array.length batch_hist - 1 in
   incr t batch_hist.(Int.min (Int.max size 0) last)
 
-let mean_batch t =
-  if get t batches = 0 then 0.0
-  else float_of_int (get t batched_msgs) /. float_of_int (get t batches)
-
-let lease_hit_rate t =
-  let hits = get t lease_hits in
-  let total = hits + get t lease_misses in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
-
-let pp_hist ppf t =
+let report t =
+  Table.print_counts ~headers:[ "perf counter"; "value" ] (to_list t);
   let last = Array.length batch_hist - 1 in
-  let rows =
-    List.init last (fun i -> (i + 1, get t batch_hist.(i + 1)))
-    |> List.filter (fun (_, n) -> n > 0)
+  let sizes =
+    List.filter_map
+      (fun size ->
+        match get t batch_hist.(size) with
+        | 0 -> None
+        | n when size = last -> Some (Printf.sprintf ">=%d:%d" size n)
+        | n -> Some (Printf.sprintf "%d:%d" size n))
+      (List.init last (fun i -> i + 1))
   in
-  match rows with
-  | [] -> Format.pp_print_string ppf "empty"
-  | rows ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-        (fun ppf (size, n) ->
-          if size = last then Format.fprintf ppf ">=%d:%d" size n
-          else Format.fprintf ppf "%d:%d" size n)
-        ppf rows
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>window high-water: %d@,\
-     deferred rpcs: %d (errors %d)@,\
-     batches: %d (%d requests, mean %.2f/batch)@,\
-     batch histogram: %a@,\
-     extent leases: %d hits / %d misses (%.0f%% hit), %d blocks ahead@]"
-    (get t window_hwm) (get t deferred) (get t deferred_errors) (get t batches)
-    (get t batched_msgs) (mean_batch t) pp_hist t (get t lease_hits)
-    (get t lease_misses)
-    (100.0 *. lease_hit_rate t)
-    (get t lease_blocks)
+  Printf.printf "batch-size histogram: %s\n"
+    (if sizes = [] then "empty" else String.concat ", " sizes);
+  let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
+  Printf.printf "mean batch %.2f, lease hit rate %.2f\n"
+    (ratio (get t batched_msgs) (get t batches))
+    (ratio (get t lease_hits) (get t lease_hits + get t lease_misses))

@@ -45,14 +45,7 @@ val note_batch : t -> int -> unit
 (** [note_batch t size] records one server wakeup that drained [size]
     requests. *)
 
-val mean_batch : t -> float
-
-val lease_hit_rate : t -> float
-(** Fraction of block needs served without an Alloc RPC; [0.] when no
-    block was ever needed. *)
-
-val pp_hist : Format.formatter -> t -> unit
-(** Batch-size histogram as "size:count" pairs ("empty" when no batch
-    has been recorded). *)
-
-val pp : Format.formatter -> t -> unit
+val report : t -> unit
+(** The labelled counters as a table, then the batch-size histogram
+    ("size:count" pairs), the mean batch size and the fraction of block
+    needs an extent lease served without an Alloc RPC. *)

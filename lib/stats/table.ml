@@ -30,6 +30,9 @@ let render ~headers rows =
 
 let print ~headers rows = print_string (render ~headers rows)
 
+let print_counts ~headers pairs =
+  print ~headers (List.map (fun (k, n) -> [ k; string_of_int n ]) pairs)
+
 let fmt_factor x = Printf.sprintf "%.2fx" x
 
 let fmt_seconds s = Printf.sprintf "%.2fs" s

@@ -6,6 +6,10 @@ val render : headers:string list -> string list list -> string
 
 val print : headers:string list -> string list list -> unit
 
+(** [print_counts ~headers pairs] prints label/count pairs (a counter
+    schema's [to_list]) as a two-column table. *)
+val print_counts : headers:string list -> (string * int) list -> unit
+
 (** [fmt_factor x] renders a normalized throughput like the paper's bar
     labels: ["4.12x"]. *)
 val fmt_factor : float -> string

@@ -705,6 +705,31 @@ let profile t =
          | 0 -> compare a.r_op b.r_op
          | c -> c)
 
+let print_profile head rows =
+  let per_bucket = Array.make nbuckets 0L in
+  List.iter
+    (fun r -> Array.iteri (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c) r.r_buckets)
+    rows;
+  let grand = List.fold_left (fun acc r -> Int64.add acc r.r_total) 0L rows in
+  let cells total buckets =
+    Int64.to_string total :: Array.to_list (Array.map Int64.to_string buckets)
+  in
+  Printf.printf "%s, %Ld attributed cycles\n" head grand;
+  Hare_stats.Table.print
+    ~headers:([ "op"; "count"; "cycles" ] @ bucket_names)
+    (List.map (fun r -> r.r_op :: string_of_int r.r_count :: cells r.r_total r.r_buckets) rows
+    @ [ "TOTAL" :: "" :: cells grand per_bucket ]);
+  let unattributed = Int64.sub grand (Array.fold_left Int64.add 0L per_bucket) in
+  Printf.printf "unattributed cycles: %Ld (of %Ld)\n" unattributed grand;
+  unattributed
+
+let row_to_json r =
+  let open Hare_stats.Json in
+  let i64 x = Int (Int64.to_int x) in
+  Object
+    ([ ("op", String r.r_op); ("count", Int r.r_count); ("cycles", i64 r.r_total) ]
+    @ List.mapi (fun k name -> (name, i64 r.r_buckets.(k))) bucket_names)
+
 let reset_profile t =
   Hashtbl.reset t.profile;
   t.lat_len <- 0;

@@ -136,6 +136,15 @@ type row = {
 val profile : t -> row list
 (** Per-opcode attribution table, sorted by descending total cycles. *)
 
+val print_profile : string -> row list -> int64
+(** [print_profile head rows] prints [head] with the attributed cycles,
+    then the rows as a table with a TOTAL row, and returns the cycles
+    their buckets leave unattributed (0 when each row's buckets sum to
+    its total). *)
+
+val row_to_json : row -> Hare_stats.Json.t
+(** [{"op", "count", "cycles"}] and one key per bucket name. *)
+
 val reset_profile : t -> unit
 (** Forget accumulated profile rows and the root-span log (driver:
     exclude benchmark setup). *)

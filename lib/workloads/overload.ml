@@ -99,6 +99,31 @@ let make ?(period = default_period) () =
 
 let spec = fst (make ())
 
+let print ~period ~seconds c =
+  Printf.printf
+    "  mean period %d cycles: sent %d | ok %d | shed %d | fast-fail %d | \
+     skipped %d\n"
+    period c.sent c.ok c.shed c.fast_fail c.skipped;
+  if seconds > 0. && c.sent > 0 then
+    Printf.printf "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
+      (float_of_int c.ok /. seconds)
+      (float_of_int c.sent /. seconds)
+      (100. *. float_of_int c.ok /. float_of_int c.sent)
+
+let to_json c robust =
+  let module R = Hare_stats.Robust in
+  let rb k = R.get robust k in
+  Hare_stats.Json.Object
+    (List.map
+       (fun (k, v) -> (k, Hare_stats.Json.Int v))
+       [ ("sent", c.sent); ("ok", c.ok); ("shed", c.shed); ("fast_fail", c.fast_fail);
+         ("skipped", c.skipped); ("retries", rb R.retries); ("giveups", rb R.giveups);
+         ("shed_load", rb R.shed_load); ("shed_expired", rb R.shed_expired);
+         ("flow_blocks", rb R.flow_blocks); ("budget_denied", rb R.budget_denied);
+         ("breaker_opens", rb R.breaker_opens);
+         ("breaker_half_opens", rb R.breaker_half_opens);
+         ("breaker_closes", rb R.breaker_closes) ])
+
 type preset = { config : Config.t; workers : int; period : int }
 
 let preset (c : Config.t) =

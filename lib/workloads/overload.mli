@@ -22,6 +22,14 @@ val spec : Spec.t
     not observable — runs that report them build their own with
     {!make}. *)
 
+val print : period:int -> seconds:float -> counters -> unit
+(** The counters of a run of [seconds] simulated seconds at mean
+    period [period], and its goodput (once anything was sent). *)
+
+val to_json : counters -> Hare_stats.Robust.t -> Hare_stats.Json.t
+(** The counters beside the run's retry, shed, flow-control and breaker
+    counters, as one flat object. *)
+
 type preset = {
   config : Hare_config.Config.t;
   workers : int;  (** worker processes: 3x the machine's cores *)

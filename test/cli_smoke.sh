@@ -72,6 +72,7 @@ expect 1 run creates --cores 2 --blame
 expect 1 run creates --cores 2 --ring
 expect 1 run all --cores 2 --trace trace_smoke.json
 expect 1 run creates --cores 2 --series series_smoke.json
+expect 1 run creates --cores 2 --strict
 expect 1 run creates --cores 2 --width 0
 expect 1 run creates --cores 2 --scale 0
 expect 1 run creates --cores 2 --nprocs 0
