@@ -1,7 +1,8 @@
 #!/bin/sh
-# Golden report outputs: runs four `hare_cli run` report compositions
-# and the quick bench JSON, and diffs each output against its committed
-# expected text (one NAME.expected file per case in DIR).
+# Golden report outputs: runs four `hare_cli run` report compositions,
+# the quick bench JSON and twelve `hare_cli explore` runs, and diffs
+# each output against its committed expected text (one NAME.expected
+# file per case in DIR; the explore runs share explore.expected).
 #
 # Usage: run.sh PATH/TO/hare_cli.exe PATH/TO/bench/main.exe DIR [--update]
 #
@@ -54,4 +55,31 @@ case_ shard_ring "$cli" run creates --cores 4 --shard 2 \
 case_ crash_check "$cli" run fsstress --cores 3 \
   --plan crash:1@200000+100000 --robust --check --verbose
 case_ bench_quick "$bench" --json --quick
+
+# explore_all: each exploration's command line, stdout and exit code:
+# the scenario list, exhaustive DPOR of every scenario, the three seeded
+# mutations caught by DPOR and one caught by PCT, a clean PCT run and
+# the replay of a reported violation.
+explore_all() {
+  while read -r args; do
+    echo "\$ hare_cli explore $args"
+    # $args is split on purpose: each line is a list of arguments.
+    "$cli" explore $args 2>/dev/null
+    echo "exit $?"
+  done <<EOF
+--list
+handoff --budget 500
+reopen --budget 500
+dirrace --budget 500
+readers --budget 500
+collide --budget 500
+handoff --mutate skip_writeback
+reopen --mutate skip_open_inval
+dirrace --mutate drop_inval
+handoff --mutate skip_writeback --strategy pct --seed 7 --budget 50
+collide --strategy pct --seed 3 --budget 50
+handoff --mutate skip_writeback --replay 1,0,1,0,0,1
+EOF
+}
+case_ explore explore_all
 exit $fail

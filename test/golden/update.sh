@@ -2,8 +2,9 @@
 # Regenerates test/golden/*.expected from the current source tree.
 # Run it from the repository root: sh test/golden/update.sh
 #
-# The expected files pin every `hare_cli run` report and every
-# deterministic leaf of the quick bench JSON. Regenerate them only for a
+# The expected files pin every `hare_cli run` report, every
+# deterministic leaf of the quick bench JSON and the explore runs'
+# schedules, verdicts and replay recipes. Regenerate them only for a
 # change that is meant to move those outputs, in a commit of its own
 # whose CHANGES.md line says why they moved.
 set -e
