@@ -759,7 +759,9 @@ let run_explore list_only scenario strategy seed budget mutate replay =
           List.filter (( <> ) "") (String.split_on_char ',' csv)
         in
         match List.filter_map int_of_string_opt ordinals with
-        | choices when List.length choices = List.length ordinals ->
+        | choices
+          when List.length choices = List.length ordinals
+               && List.for_all (fun o -> o >= 0) choices ->
             Ok (R.Replay choices)
         | _ -> Error ("bad --replay " ^ csv ^ ": expected choice ordinals"))
     | None, "dpor" -> Ok R.Dpor
@@ -774,40 +776,43 @@ let run_explore list_only scenario strategy seed budget mutate replay =
       (fun sc -> Printf.printf "  %-8s %s\n" sc.S.sc_name sc.S.sc_doc)
       S.all;
     print_endline "mutations (--mutate):";
-    List.iter (fun m -> Printf.printf "  %s\n" m) S.mutations;
+    List.iter (fun (m, _) -> Printf.printf "  %s\n" m) S.mutations;
     0
   end
   else
-    match (S.find scenario, strategy, mutate) with
+    match (S.find scenario, strategy) with
     | exception Not_found ->
         bad_args (Printf.sprintf "unknown scenario %S" scenario)
-    | _, Error msg, _ -> bad_args msg
-    | _, _, Some m when not (List.mem m S.mutations) ->
-        bad_args (Printf.sprintf "unknown mutation %S" m)
-    | sc, Ok strategy, _ ->
-        let st = R.explore ~scenario:sc ?mutate ~strategy ~budget () in
-        Printf.printf
-          "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth %d, %d \
-           sleep-set prune(s)%s\n"
-          sc.S.sc_name (R.strategy_name strategy)
-          (match mutate with Some m -> " mutate=" ^ m | None -> "")
-          st.R.schedules st.R.choice_points st.R.max_depth st.R.sleep_blocked
-          (if st.R.complete then ", exhaustive" else "");
-        List.iter
-          (fun (v : R.violation) ->
-            Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
-            Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
-              sc.S.sc_name
-              (match mutate with Some m -> " --mutate " ^ m | None -> "")
-              (match v.R.v_choices with
-              | [] -> "0"
-              | cs -> String.concat "," (List.map string_of_int cs)))
-          st.R.violations;
-        if st.R.violations = [] then begin
-          print_endline "no violations";
-          0
-        end
-        else 1
+    | _, Error msg -> bad_args msg
+    | sc, Ok strategy -> (
+        (* [R.explore] refuses an unknown mutation, a budget below 1 and
+           a replayed ordinal that its tie does not have. *)
+        match R.explore ~scenario:sc ?mutate ~strategy ~budget () with
+        | exception Invalid_argument msg -> bad_args msg
+        | st ->
+            Printf.printf
+              "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth \
+               %d, %d sleep-set prune(s)%s\n"
+              sc.S.sc_name (R.strategy_name strategy)
+              (match mutate with Some m -> " mutate=" ^ m | None -> "")
+              st.R.schedules st.R.choice_points st.R.max_depth
+              st.R.sleep_blocked
+              (if st.R.complete then ", exhaustive" else "");
+            List.iter
+              (fun (v : R.violation) ->
+                Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
+                Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
+                  sc.S.sc_name
+                  (match mutate with Some m -> " --mutate " ^ m | None -> "")
+                  (match v.R.v_choices with
+                  | [] -> "0"
+                  | cs -> String.concat "," (List.map string_of_int cs)))
+              st.R.violations;
+            if st.R.violations = [] then begin
+              print_endline "no violations";
+              0
+            end
+            else 1)
 
 let explore_cmd =
   let scenario_arg =

@@ -72,6 +72,8 @@ let fp_of_tag tag =
          the delivery itself. *)
       (false, [ mailbox_obj uid ])
 
+(* Two steps conflict when either is opaque or their footprints meet; a
+   conflicting executed step also wakes a sleeping one. *)
 let conflict a b =
   a.s_opaque || b.s_opaque
   || List.exists (fun o -> List.mem o b.s_fp) a.s_fp
@@ -87,25 +89,17 @@ type cpoint = {
 type exec = {
   x_steps : step array;
   x_points : cpoint list; (* in execution order *)
-  x_choices : int list; (* ordinal per choice point, in order *)
   x_blocked : bool;
   x_violations : violation list;
 }
 
-(* Sleep entries carry the sleeping step's footprint so a conflicting
-   executed step can wake (drop) it. *)
-type sleeper = { sl_seq : int; sl_fp : int list; sl_opaque : bool }
-
-let wakes st sl =
-  st.s_opaque || sl.sl_opaque
-  || List.exists (fun o -> List.mem o sl.sl_fp) st.s_fp
-
 (* Run one schedule of [scenario].
 
    [pick ~depth ~time cands] resolves each tie (depth counts choice
-   points hit so far). [sleep_at depth] gives the sleep entries to arm
+   points hit so far). [sleep_at depth] gives the steps to put to sleep
    when passing choice point [depth] — non-empty only under DPOR, where
-   they are the siblings already explored at that tree node. *)
+   they are the siblings already explored at that tree node, each with
+   the footprint a conflicting step must meet to wake it. *)
 let run_one ~scenario ~mutate ~pick ~sleep_at () =
   Scenario.with_mutation mutate @@ fun () ->
   let built = scenario.Scenario.sc_build () in
@@ -120,7 +114,11 @@ let run_one ~scenario ~mutate ~pick ~sleep_at () =
   let cur = ref None in
   let ex_choose ~time cands =
     let ord = pick ~depth:!depth ~time cands in
-    let ord = if ord < 0 || ord >= Array.length cands then 0 else ord in
+    if ord < 0 || ord >= Array.length cands then
+      invalid_arg
+        (Printf.sprintf "ordinal %d at choice point %d: its tie has %d \
+                         candidates"
+           ord !depth (Array.length cands));
     points :=
       { c_time = time; c_cands = cands; c_chosen = ord; c_step = !nsteps }
       :: !points;
@@ -134,9 +132,10 @@ let run_one ~scenario ~mutate ~pick ~sleep_at () =
        it conflicts with, then see whether the step about to run was
        itself asleep. *)
     (match !cur with
-    | Some prev -> live_sleep := List.filter (fun sl -> not (wakes prev sl)) !live_sleep
+    | Some prev ->
+        live_sleep := List.filter (fun sl -> not (conflict prev sl)) !live_sleep
     | None -> ());
-    if List.exists (fun sl -> sl.sl_seq = seq) !live_sleep then
+    if List.exists (fun sl -> sl.s_seq = seq) !live_sleep then
       raise Sleep_blocked;
     let opaque, fp = fp_of_tag tag in
     let st = { s_seq = seq; s_time = time; s_fp = fp; s_opaque = opaque } in
@@ -202,14 +201,11 @@ let run_one ~scenario ~mutate ~pick ~sleep_at () =
   {
     x_steps = Array.of_list (List.rev !steps);
     x_points = List.rev !points;
-    x_choices = choices;
     x_blocked = (match outcome with Error `Blocked -> true | _ -> false);
     x_violations = violations;
   }
 
 (* --- strategies over independent runs ------------------------------- *)
-
-let no_sleep (_ : int) = []
 
 let pick_replay plan ~depth ~time:_ (_ : (int * int) array) =
   match List.nth_opt plan depth with Some o -> o | None -> 0
@@ -269,7 +265,7 @@ type dnode = {
   mutable d_chosen : int;
   d_done : bool array;
   d_backtrack : bool array;
-  mutable d_sleep : sleeper list;
+  mutable d_sleep : step list;
   mutable d_cur_step : step option;
       (* the chosen ordinal's executed step, with its full footprint —
          what goes to sleep when the DFS moves to a sibling. Footprints
@@ -368,11 +364,10 @@ let dpor ~scenario ~mutate ~budget =
         node.d_done.(node.d_chosen) <- true;
         let sl =
           match node.d_cur_step with
-          | Some st ->
-              { sl_seq = st.s_seq; sl_fp = st.s_fp; sl_opaque = st.s_opaque }
+          | Some st -> st
           | None ->
               let seq, _ = node.d_cands.(node.d_chosen) in
-              { sl_seq = seq; sl_fp = []; sl_opaque = true }
+              { s_seq = seq; s_time = node.d_time; s_fp = []; s_opaque = true }
         in
         node.d_sleep <- sl :: node.d_sleep;
         node.d_cur_step <- None;
@@ -395,12 +390,9 @@ let dpor ~scenario ~mutate ~budget =
 (* --- entry points --------------------------------------------------- *)
 
 let explore ~scenario ?mutate ~strategy ~budget () =
-  (match mutate with
-  | Some m when not (List.mem m Scenario.mutations) ->
-      invalid_arg ("Runner.explore: unknown mutation " ^ m)
-  | _ -> ());
-  let budget = max 1 budget in
-  let once pick = run_one ~scenario ~mutate ~pick ~sleep_at:no_sleep () in
+  if budget < 1 then
+    invalid_arg (Printf.sprintf "budget %d: need at least 1" budget);
+  let once pick = run_one ~scenario ~mutate ~pick ~sleep_at:(fun _ -> []) () in
   (* Seeded sampling: run [i] draws from its own stream [seed; i], up to
      the budget or the first violation. *)
   let sample seed pick_of =
@@ -417,6 +409,3 @@ let explore ~scenario ?mutate ~strategy ~budget () =
   | Dpor -> dpor ~scenario ~mutate ~budget
   | Rand seed -> sample seed pick_rand
   | Pct seed -> sample seed (fun rng -> pick_pct rng (Hashtbl.create 32))
-
-let replay ~scenario ?mutate choices () =
-  explore ~scenario ?mutate ~strategy:(Replay choices) ~budget:1 ()

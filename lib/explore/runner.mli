@@ -61,11 +61,9 @@ val explore :
   budget:int ->
   unit ->
   stats
-(** [budget] caps completed executions. Exploration stops early at the
-    first violation (its replay is what matters, not its multiplicity).
-    @raise Invalid_argument on an unknown mutation name. *)
-
-val replay :
-  scenario:Scenario.t -> ?mutate:string -> int list -> unit -> stats
-(** One run under [Replay choices]; equivalent to {!explore} with
-    [~strategy:(Replay choices) ~budget:1]. *)
+(** [budget] (at least 1) caps completed executions. Exploration stops
+    early at the first violation (its replay is what matters, not its
+    multiplicity).
+    @raise Invalid_argument on an unknown mutation name, a [budget]
+    below 1, or a replayed ordinal that is not one of its tie's
+    candidates. *)

@@ -41,76 +41,73 @@ let config () =
 type ctx = {
   m : Machine.t;
   hist : Oracle.event list ref;
-  next_h : (int, int) Hashtbl.t; (* client -> next open handle *)
   fds : (int * int, int) Hashtbl.t; (* (client, handle) -> fd *)
 }
 
 (* The one recorder: issue [op]'s call as [client], then record the op
-   with the observed result (or the errno it raised) and both stamps.
-   Handles are client-local open ordinals, assigned here and mirrored
-   by the oracle's model; [flags] applies to an open without create. *)
-let call ctx client p ?(flags = Types.flags_r) op =
-  let t0 = Machine.now ctx.m in
+   with the observed result (or the errno it raised) and both stamps. An
+   open without create is read-write. *)
+let call ctx client p op =
+  let e_inv = Machine.now ctx.m in
   let fd h = Hashtbl.find ctx.fds (client, h) in
-  let result =
+  let e_result =
     try
-      match op with
-      | Oracle.Open { path; create } ->
-          let fd =
-            if create then Posix.creat p path else Posix.openf p path flags
-          in
-          let h =
-            Option.value (Hashtbl.find_opt ctx.next_h client) ~default:0
-          in
-          Hashtbl.replace ctx.next_h client (h + 1);
-          Hashtbl.replace ctx.fds (client, h) fd;
-          Oracle.Ok_handle h
-      | Close { h } ->
-          Posix.close p (fd h);
-          Ok_unit
-      | Write { h; data } -> Ok_int (Posix.write p (fd h) data)
-      | Read { h } -> Ok_data (Posix.read_all p (fd h))
-      | Stat { path } ->
-          ignore (Posix.stat p path : Types.attr);
-          Ok_unit
-      | Unlink { path } ->
-          Posix.unlink p path;
-          Ok_unit
-      | Mkdir { path } ->
-          Posix.mkdir p path;
-          Ok_unit
-    with Errno.Error (e, _) -> Oracle.Err e
+      Ok
+        (match op with
+        | Model.Open { h; path; create } ->
+            let fd =
+              if create then Posix.creat p path
+              else Posix.openf p path Types.flags_rw
+            in
+            Hashtbl.replace ctx.fds (client, h) fd;
+            Model.Fd h
+        | Close h ->
+            Posix.close p (fd h);
+            Unit
+        | Write { h; data } -> Int (Posix.write p (fd h) data)
+        | Read h -> Data (Posix.read_all p (fd h))
+        | Stat path ->
+            let a = Posix.stat p path in
+            if a.Types.a_ftype = Types.Dir then Is_dir else Int a.Types.a_size
+        | Unlink path ->
+            Posix.unlink p path;
+            Unit
+        | Mkdir path ->
+            Posix.mkdir p path;
+            Unit
+        | Seek _ | Rmdir _ | Rename _ | Readdir _ ->
+            invalid_arg ("Scenario.call: " ^ Model.op_to_string op))
+    with Errno.Error (e, _) -> Error e
   in
   ctx.hist :=
     {
       Oracle.e_client = client;
       e_op = op;
-      e_result = result;
-      e_inv = t0;
+      e_result;
+      e_inv;
       e_res = Machine.now ctx.m;
     }
     :: !(ctx.hist);
-  result
+  e_result
 
 (* One open-use-close session on [path]: [`Create d] creates the file
    and writes [d] (nothing when empty), [`Rewrite d] writes [d] over it
-   in place, [`Read] reads it to the end. *)
+   in place, [`Read] reads it to the end. Its handle is the client's
+   next open ordinal. *)
 let session ctx client p path use =
-  let create, flags =
-    match use with
-    | `Create _ -> (true, Types.flags_r)
-    | `Rewrite _ -> (false, Types.flags_rw)
-    | `Read -> (false, Types.flags_r)
+  let create = match use with `Create _ -> true | `Rewrite _ | `Read -> false in
+  let h =
+    Hashtbl.fold (fun (c, _) _ n -> if c = client then n + 1 else n) ctx.fds 0
   in
-  match call ctx client p ~flags (Oracle.Open { path; create }) with
-  | Oracle.Ok_handle h ->
+  match call ctx client p (Model.Open { h; path; create }) with
+  | Ok _ ->
       (match use with
       | `Create "" -> ()
       | `Create data | `Rewrite data ->
-          ignore (call ctx client p (Oracle.Write { h; data }))
-      | `Read -> ignore (call ctx client p (Oracle.Read { h })));
-      ignore (call ctx client p (Oracle.Close { h }))
-  | _ -> ()
+          ignore (call ctx client p (Model.Write { h; data }))
+      | `Read -> ignore (call ctx client p (Model.Read h)));
+      ignore (call ctx client p (Model.Close h))
+  | Error _ -> ()
 
 (* Init sits on the first app core and its first round-robin spawn
    lands there too; burn that slot so the next spawn gets a different
@@ -128,9 +125,7 @@ let scenario name doc ?(programs = []) main =
   let build () =
     let m = Machine.boot (config ()) in
     Machine.register_program m "nop" (fun _ _ -> 0);
-    let ctx =
-      { m; hist = ref []; next_h = Hashtbl.create 4; fds = Hashtbl.create 4 }
-    in
+    let ctx = { m; hist = ref []; fds = Hashtbl.create 4 } in
     List.iter
       (fun (prog, body) ->
         Machine.register_program m prog (fun p _ ->
@@ -175,18 +170,19 @@ let all =
         end);
     (* Directory-entry invalidation: A caches a dircache entry for /d/f;
        B unlinks it; A (after waiting on B) stats again and must see
-       ENOENT. The drop_inval mutation leaves the stale entry, so the
-       stat succeeds against a dead file. *)
+       ENOENT. The drop_inval mutation leaves the stale entry, which the
+       sanitizer flags, but the stat still sees ENOENT: the entry routes
+       it to the inode's server, which freed the inode at the unlink. *)
     scenario "dirrace" "stat after a remote unlink must see ENOENT"
       ~programs:
         [
           ( "b-unlinker",
             fun ctx p ->
-              ignore (call ctx 1 p (Oracle.Unlink { path = "/d/f" })) );
+              ignore (call ctx 1 p (Model.Unlink "/d/f")) );
         ]
       (fun ctx p ->
-        let stat () = ignore (call ctx 0 p (Oracle.Stat { path = "/d/f" })) in
-        ignore (call ctx 0 p (Oracle.Mkdir { path = "/d" }));
+        let stat () = ignore (call ctx 0 p (Model.Stat "/d/f")) in
+        ignore (call ctx 0 p (Model.Mkdir "/d"));
         session ctx 0 p "/d/f" (`Create "");
         (* Populate this client's dircache (and the server's tracking). *)
         stat ();
@@ -232,18 +228,19 @@ let find name = List.find (fun sc -> sc.sc_name = name) all
 
 (* --- mutations ------------------------------------------------------ *)
 
-let mutations = [ "skip_open_inval"; "skip_writeback"; "drop_inval" ]
-
-let mutation_ref = function
-  | "skip_open_inval" -> Hare_client.Client.mutate_skip_open_inval
-  | "skip_writeback" -> Hare_client.Client.mutate_skip_writeback
-  | "drop_inval" -> Hare_client.Dircache.mutate_drop_inval
-  | m -> invalid_arg ("Scenario.with_mutation: unknown mutation " ^ m)
+let mutations =
+  [
+    ("skip_open_inval", Hare_client.Client.mutate_skip_open_inval);
+    ("skip_writeback", Hare_client.Client.mutate_skip_writeback);
+    ("drop_inval", Hare_client.Dircache.mutate_drop_inval);
+  ]
 
 let with_mutation mut f =
   match mut with
   | None -> f ()
-  | Some name ->
-      let r = mutation_ref name in
-      r := true;
-      Fun.protect ~finally:(fun () -> r := false) f
+  | Some name -> (
+      match List.assoc_opt name mutations with
+      | None -> invalid_arg ("unknown mutation " ^ name)
+      | Some r ->
+          r := true;
+          Fun.protect ~finally:(fun () -> r := false) f)

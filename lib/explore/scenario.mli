@@ -2,11 +2,12 @@
 
     Each scenario boots a small checked machine (a couple of client
     cores against one file server), registers programs whose every
-    POSIX call is recorded as an {!Oracle.event}, and hands the
-    un-run machine to the exploration runner — which attaches a
-    scheduler strategy to the engine {e before} [Machine.run], so every
-    same-cycle tie in the event heap becomes a controllable choice
-    point.
+    POSIX call is recorded as an {!Oracle.event} (a {!Model.op}, its
+    result and its stamps; a client's handles are its open ordinals,
+    from 0), and hands the un-run machine to the exploration runner —
+    which attaches a scheduler strategy to the engine {e before}
+    [Machine.run], so every same-cycle tie in the event heap becomes a
+    controllable choice point.
 
     Scenarios are deliberately tiny: exhaustive DPOR enumeration of one
     must finish within a CI budget. *)
@@ -31,11 +32,13 @@ val find : string -> t
 
 (** {1 Seeded protocol mutations}
 
-    The PR 5 mutation switches, re-exported behind stable names so the
-    CLI and CI can ask for them by string. *)
+    The client's seeded mutation switches (DESIGN.md §1f), declared
+    once here behind stable names so the CLI and the tests can ask for
+    them by string. *)
 
-val mutations : string list
-(** ["skip_open_inval"; "skip_writeback"; "drop_inval"]. *)
+val mutations : (string * bool ref) list
+(** Each mutation's name and switch: ["skip_open_inval"],
+    ["skip_writeback"] and ["drop_inval"]. *)
 
 val with_mutation : string option -> (unit -> 'a) -> 'a
 (** [with_mutation (Some name) f] runs [f] with the named protocol

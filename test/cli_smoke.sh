@@ -96,6 +96,10 @@ expect 2 explore collide --strategy foo
 expect 2 explore collide --replay 0,x
 expect 2 explore nosuch
 expect 2 explore collide --mutate nosuch
+# A replayed ordinal that its tie does not have, and an empty budget.
+expect 2 explore handoff --replay 99
+expect 2 explore handoff --replay 0,-1
+expect 2 explore handoff --budget 0
 # The interactive shell on a scripted stdin: it must exit 0, the first
 # cat must print the file and the cat after the rename must fail with
 # the name of the lookup request.

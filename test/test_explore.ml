@@ -37,14 +37,14 @@ let test_oracle_close_to_open () =
      edge forces it to see the write. *)
   let h =
     [
-      ev 0 (Oracle.Open { path = "/a"; create = true }) (Oracle.Ok_handle 1)
+      ev 0 (Model.Open { h = 1; path = "/a"; create = true }) (Ok (Model.Fd 1))
         0L 10L;
-      ev 0 (Oracle.Write { h = 1; data = "x" }) (Oracle.Ok_int 1) 20L 30L;
-      ev 0 (Oracle.Close { h = 1 }) Oracle.Ok_unit 40L 50L;
-      ev 1 (Oracle.Open { path = "/a"; create = false }) (Oracle.Ok_handle 1)
+      ev 0 (Model.Write { h = 1; data = "x" }) (Ok (Model.Int 1)) 20L 30L;
+      ev 0 (Model.Close 1) (Ok Model.Unit) 40L 50L;
+      ev 1 (Model.Open { h = 1; path = "/a"; create = false }) (Ok (Model.Fd 1))
         60L 70L;
-      ev 1 (Oracle.Read { h = 1 }) (Oracle.Ok_data "x") 80L 90L;
-      ev 1 (Oracle.Close { h = 1 }) Oracle.Ok_unit 92L 99L;
+      ev 1 (Model.Read 1) (Ok (Model.Data "x")) 80L 90L;
+      ev 1 (Model.Close 1) (Ok Model.Unit) 92L 99L;
     ]
   in
   expect_ok "fresh read after close" h;
@@ -53,7 +53,7 @@ let test_oracle_close_to_open () =
     List.map
       (fun e ->
         match e.Oracle.e_op with
-        | Oracle.Read _ -> { e with Oracle.e_result = Oracle.Ok_data "" }
+        | Model.Read _ -> { e with Oracle.e_result = Ok (Model.Data "") }
         | _ -> e)
       h
   in
@@ -64,13 +64,13 @@ let test_oracle_concurrent_freedom () =
      old and the new contents are legal. *)
   let base read_result =
     [
-      ev 0 (Oracle.Open { path = "/a"; create = true }) (Oracle.Ok_handle 1)
+      ev 0 (Model.Open { h = 1; path = "/a"; create = true }) (Ok (Model.Fd 1))
         0L 10L;
-      ev 0 (Oracle.Write { h = 1; data = "x" }) (Oracle.Ok_int 1) 20L 30L;
-      ev 0 (Oracle.Close { h = 1 }) Oracle.Ok_unit 100L 110L;
-      ev 1 (Oracle.Open { path = "/a"; create = false }) (Oracle.Ok_handle 1)
+      ev 0 (Model.Write { h = 1; data = "x" }) (Ok (Model.Int 1)) 20L 30L;
+      ev 0 (Model.Close 1) (Ok Model.Unit) 100L 110L;
+      ev 1 (Model.Open { h = 1; path = "/a"; create = false }) (Ok (Model.Fd 1))
         12L 18L;
-      ev 1 (Oracle.Read { h = 1 }) (Oracle.Ok_data read_result) 22L 40L;
+      ev 1 (Model.Read 1) (Ok (Model.Data read_result)) 22L 40L;
     ]
   in
   expect_ok "concurrent read may see the write" (base "x");
@@ -79,62 +79,144 @@ let test_oracle_concurrent_freedom () =
 let test_oracle_model_errors () =
   (* Error results are checked against the model too. *)
   expect_ok "stat of nothing is ENOENT"
-    [ ev 0 (Oracle.Stat { path = "/nope" }) (Oracle.Err Errno.ENOENT) 0L 10L ];
+    [ ev 0 (Model.Stat "/nope") (Error Errno.ENOENT) 0L 10L ];
   expect_ok "close of nothing is EBADF"
-    [ ev 0 (Oracle.Close { h = 9 }) (Oracle.Err Errno.EBADF) 0L 10L ];
+    [ ev 0 (Model.Close 9) (Error Errno.EBADF) 0L 10L ];
   (* A stat invoked after the creating close completed must see the
      file; a recorded ENOENT is a violation. *)
   expect_violation "stat misses a closed create"
     [
-      ev 0 (Oracle.Open { path = "/a"; create = true }) (Oracle.Ok_handle 1)
+      ev 0 (Model.Open { h = 1; path = "/a"; create = true }) (Ok (Model.Fd 1))
         0L 10L;
-      ev 0 (Oracle.Close { h = 1 }) Oracle.Ok_unit 20L 30L;
-      ev 1 (Oracle.Stat { path = "/a" }) (Oracle.Err Errno.ENOENT) 50L 60L;
+      ev 0 (Model.Close 1) (Ok Model.Unit) 20L 30L;
+      ev 1 (Model.Stat "/a") (Error Errno.ENOENT) 50L 60L;
+    ];
+  (* A stat records the size it saw: after the close, only the written
+     size explains it. *)
+  let stat_after_write size =
+    [
+      ev 0 (Model.Open { h = 0; path = "/a"; create = true }) (Ok (Model.Fd 0))
+        0L 10L;
+      ev 0 (Model.Write { h = 0; data = "xyz" }) (Ok (Model.Int 3)) 20L 30L;
+      ev 0 (Model.Close 0) (Ok Model.Unit) 40L 50L;
+      ev 1 (Model.Stat "/a") (Ok (Model.Int size)) 60L 70L;
     ]
+  in
+  expect_ok "stat sees the closed size" (stat_after_write 3);
+  expect_violation "stat misses the closed size" (stat_after_write 0)
 
 (* The corners where the oracle's and the property tests' models used
-   to disagree, pinned on the one model; the first one through the
-   oracle too. *)
+   to disagree, and the descriptor corners of the inode-level model,
+   pinned on the one model; some through the oracle too. *)
 let test_model_corners () =
-  let outcome st op =
-    match Model.apply st op with Ok _ -> "ok" | Error e -> Errno.to_string e
+  let run st ops =
+    List.fold_left
+      (fun (_, st) op -> Model.apply st ~proc:0 op)
+      (Ok Model.Unit, st) ops
   in
+  let outcome st ops = Model.result_to_string (fst (run st ops)) in
+  let dirs = Model.init [ "/d"; "/d/s"; "/e" ] in
   let st =
-    match
-      Model.apply
-        (Model.init [ "/d"; "/d/s"; "/e" ])
-        (Model.Open { path = "/f"; create = true })
-    with
-    | Ok (_, st) -> st
-    | Error _ -> Alcotest.fail "create /f"
+    snd (run dirs [ Model.Open { h = 0; path = "/f"; create = true } ])
   in
   List.iter
-    (fun (what, op, want) ->
-      Alcotest.(check string) what want (outcome st op))
+    (fun (what, ops, want) ->
+      Alcotest.(check string) what want (outcome st ops))
     [
-      ("O_CREAT open of a directory", Model.Open { path = "/d"; create = true },
-       "EISDIR");
-      ("unlink of a directory", Model.Unlink "/d", "EISDIR");
-      ("stat under a file", Model.Stat "/f/x", "ENOTDIR");
-      ("create under a file", Model.Open { path = "/f/x"; create = true },
-       "ENOTDIR");
-      ("mkdir under a file", Model.Mkdir "/f/x", "ENOTDIR");
+      ("O_CREAT open of a directory",
+       [ Model.Open { h = 1; path = "/d"; create = true } ], "EISDIR");
+      ("unlink of a directory", [ Model.Unlink "/d" ], "EISDIR");
+      ("stat under a file", [ Model.Stat "/f/x" ], "ENOTDIR");
+      ("create under a file",
+       [ Model.Open { h = 1; path = "/f/x"; create = true } ], "ENOTDIR");
+      ("mkdir under a file", [ Model.Mkdir "/f/x" ], "ENOTDIR");
       ("create under a missing directory",
-       Model.Open { path = "/x/y"; create = true }, "ENOENT");
-      ("rmdir of a file", Model.Rmdir "/f", "ENOTDIR");
-      ("rmdir of a non-empty directory", Model.Rmdir "/d", "ENOTEMPTY");
-      ("rmdir of an empty directory", Model.Rmdir "/e", "ok");
+       [ Model.Open { h = 1; path = "/x/y"; create = true } ], "ENOENT");
+      ("rmdir of a file", [ Model.Rmdir "/f" ], "ENOTDIR");
+      ("rmdir of a non-empty directory", [ Model.Rmdir "/d" ], "ENOTEMPTY");
+      ("rmdir of an empty directory", [ Model.Rmdir "/e" ], "ok");
+      (* Descriptors: h0 names /f's inode at offset 0. *)
+      ("open of a handle that is open",
+       [ Model.Open { h = 0; path = "/f"; create = false } ], "EBADF");
+      ("write through an orphan",
+       [ Model.Unlink "/f"; Model.Write { h = 0; data = "abc" } ], "3");
+      ("read back through an orphan",
+       [ Model.Unlink "/f"; Model.Write { h = 0; data = "abc" };
+         Model.Seek { h = 0; off = 1 }; Model.Read 0 ], "2 bytes");
+      ("the orphan has no name",
+       [ Model.Unlink "/f"; Model.Stat "/f" ], "ENOENT");
+      ("rename over an open file keeps its contents",
+       [ Model.Write { h = 0; data = "old" };
+         Model.Open { h = 1; path = "/g"; create = true };
+         Model.Write { h = 1; data = "newer" };
+         Model.Rename { src = "/g"; dst = "/f" };
+         Model.Seek { h = 0; off = 0 }; Model.Read 0 ], "3 bytes");
+      ("the path names the renamed file",
+       [ Model.Write { h = 0; data = "old" };
+         Model.Open { h = 1; path = "/g"; create = true };
+         Model.Write { h = 1; data = "newer" };
+         Model.Rename { src = "/g"; dst = "/f" }; Model.Stat "/f" ], "5");
+      ("write after close",
+       [ Model.Close 0; Model.Write { h = 0; data = "x" } ], "EBADF");
+      ("read after close", [ Model.Close 0; Model.Read 0 ], "EBADF");
+      ("close after close", [ Model.Close 0; Model.Close 0 ], "EBADF");
+      ("a closed handle's name opens again",
+       [ Model.Close 0; Model.Open { h = 0; path = "/f"; create = false };
+         Model.Read 0 ], "0 bytes");
     ];
+  Alcotest.(check string) "another process's handle is EBADF" "EBADF"
+    (Model.result_to_string (fst (Model.apply st ~proc:1 (Model.Read 0))));
+  (* The orphan lives while a handle names it and goes with the last
+     close: the state is then the empty tree again. *)
+  let orphaned = snd (run st [ Model.Unlink "/f" ]) in
+  Alcotest.(check bool) "an open orphan is kept" true
+    (Model.compare orphaned dirs <> 0);
+  Alcotest.(check int) "the last close drops the orphan" 0
+    (Model.compare (snd (run orphaned [ Model.Close 0 ])) dirs);
+  Alcotest.(check bool) "a close leaves a named file" true
+    (Model.compare (snd (run st [ Model.Close 0 ])) dirs <> 0);
   let creat_d result =
     [
-      ev 0 (Oracle.Mkdir { path = "/d" }) Oracle.Ok_unit 0L 10L;
-      ev 0 (Oracle.Open { path = "/d"; create = true }) result 20L 30L;
+      ev 0 (Model.Mkdir "/d") (Ok Model.Unit) 0L 10L;
+      ev 0 (Model.Open { h = 0; path = "/d"; create = true }) result 20L 30L;
     ]
   in
   expect_ok "O_CREAT open of a directory is EISDIR"
-    (creat_d (Oracle.Err Errno.EISDIR));
+    (creat_d (Error Errno.EISDIR));
   expect_violation "O_CREAT open of a directory makes no file"
-    (creat_d (Oracle.Ok_handle 0))
+    (creat_d (Ok (Model.Fd 0)));
+  (* Through the oracle: a descriptor outlives a remote unlink of its
+     path, and reads back what it wrote. The stat that sees the unlink
+     orders it before the write. *)
+  expect_ok "an orphan reads back through its descriptor"
+    [
+      ev 0 (Model.Open { h = 0; path = "/a"; create = true }) (Ok (Model.Fd 0))
+        0L 10L;
+      ev 1 (Model.Unlink "/a") (Ok Model.Unit) 20L 30L;
+      ev 0 (Model.Stat "/a") (Error Errno.ENOENT) 32L 38L;
+      ev 0 (Model.Write { h = 0; data = "xy" }) (Ok (Model.Int 2)) 40L 50L;
+      ev 0 (Model.Seek { h = 0; off = 0 }) (Ok (Model.Int 0)) 60L 70L;
+      ev 0 (Model.Read 0) (Ok (Model.Data "xy")) 80L 90L;
+    ];
+  (* The printer the oracle's violations and the property failures
+     share. *)
+  Alcotest.(check (list string)) "history text"
+    [ "open(/r.dat, create) -> h0"; "write(h0, 64 bytes) -> 64";
+      "read(h1) -> 64 bytes"; "close(h0) -> ok"; "stat(/d) -> dir";
+      "readdir(/d) -> [a,b]"; "unlink(/x) -> ENOENT" ]
+    (List.map
+       (fun (op, r) ->
+         Model.op_to_string op ^ " -> " ^ Model.result_to_string r)
+       [
+         ( Model.Open { h = 0; path = "/r.dat"; create = true },
+           Ok (Model.Fd 0) );
+         (Model.Write { h = 0; data = String.make 64 'a' }, Ok (Model.Int 64));
+         (Model.Read 1, Ok (Model.Data (String.make 64 'a')));
+         (Model.Close 0, Ok Model.Unit);
+         (Model.Stat "/d", Ok Model.Is_dir);
+         (Model.Readdir "/d", Ok (Model.Names [ "a"; "b" ]));
+         (Model.Unlink "/x", Error Errno.ENOENT);
+       ])
 
 (* ---------- strategies on the live scenarios ---------------------------- *)
 
@@ -215,6 +297,11 @@ let test_random_schedules_stay_clean () =
 
 (* ---------- mutation detection + replay --------------------------------- *)
 
+(* One run of [sc] under a recorded choice list. *)
+let replay ?mutate sc choices =
+  Runner.explore ~scenario:sc ?mutate ~strategy:(Runner.Replay choices)
+    ~budget:1
+
 (* Which scenario exposes which PR 5 mutation (the sanitizer catches all
    three; the oracle additionally catches the two whose staleness is
    user-visible). *)
@@ -240,9 +327,8 @@ let test_mutations_detected () =
       | v :: _ ->
           (* The replay recipe must reproduce the violation exactly. *)
           let r =
-            Runner.replay
-              ~scenario:(Scenario.find scenario)
-              ~mutate:mutation v.Runner.v_choices ()
+            replay ~mutate:mutation (Scenario.find scenario) v.Runner.v_choices
+              ()
           in
           (match r.Runner.violations with
           | [] ->
@@ -275,6 +361,24 @@ let test_unknown_mutation_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown mutation accepted"
 
+let test_bad_arguments_refused () =
+  let handoff = Scenario.find "handoff" in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Runner.stats) -> Alcotest.failf "%s accepted" what
+  in
+  (* handoff's first tie has fewer than 99 candidates, and no tie has a
+     candidate -1. *)
+  refused "replay ordinal 99" (replay handoff [ 99 ]);
+  refused "replay ordinal -1" (replay handoff [ 0; -1 ]);
+  refused "budget 0"
+    (Runner.explore ~scenario:handoff ~strategy:Runner.Dpor ~budget:0);
+  (* Ordinals past the end of a recipe still mean 0. *)
+  stats_eq "a recipe's end"
+    (replay handoff [ 0 ] ())
+    (replay handoff (List.init 20 (fun _ -> 0)) ())
+
 (* ---------- suites ------------------------------------------------------ *)
 
 let tc = Alcotest.test_case
@@ -305,5 +409,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "PCT catches writeback within budget" `Quick
           test_pct_detects_within_budget;
         tc "unknown mutation rejected" `Quick test_unknown_mutation_rejected;
+        tc "bad replay ordinals and budgets refused" `Quick
+          test_bad_arguments_refused;
       ] );
   ]

@@ -326,123 +326,167 @@ let names = [| "a"; "b"; "c"; "d"; "e" |]
 
 let dirs = [| "/"; "/d1"; "/d2"; "/d1/s" |]
 
-(* One generated step: a model op, or one of two API variants the model
-   does not tell apart. [Append] writes through an O_APPEND descriptor,
-   which also creates a missing file: the model sees an open with create
-   and a write at the file's size. [Dist_mkdir] spreads the new
-   directory's entries over every server, where [Op (Mkdir _)] keeps
-   them on one. *)
+(* The directories every sequence starts from. *)
+let initial = [ "/d1"; "/d2"; "/d1/s" ]
+
+(* One generated step: a model op (of model process 0), or one of two
+   API variants the model does not tell apart. [Append] is one session
+   through an O_APPEND descriptor, which also creates a missing file:
+   the model sees an open with create, a read to the end, a write and a
+   close, through a handle the generator never names. [Dist_mkdir]
+   spreads the new directory's entries over every server, where
+   [Op (Mkdir _)] keeps them on one. *)
 type step = Op of Model.op | Append of string * string | Dist_mkdir of string
 
-let op_str = function
-  | Model.Open { path; create } ->
-      Printf.sprintf "open(%s%s)" path (if create then ", create" else "")
-  | Write { path; off; data } ->
-      Printf.sprintf "write(%s@%d, %d bytes)" path off (String.length data)
-  | Read { path; off } -> Printf.sprintf "read(%s@%d)" path off
-  | Stat p -> Printf.sprintf "stat(%s)" p
-  | Unlink p -> Printf.sprintf "unlink(%s)" p
-  | Mkdir p -> Printf.sprintf "mkdir(%s)" p
-  | Rmdir p -> Printf.sprintf "rmdir(%s)" p
-  | Rename { src; dst } -> Printf.sprintf "rename(%s, %s)" src dst
-  | Readdir p -> Printf.sprintf "readdir(%s)" p
-
 let step_str = function
-  | Op op -> op_str op
+  | Op op -> Model.op_to_string op
   | Append (p, d) -> Printf.sprintf "append(%s, %d bytes)" p (String.length d)
   | Dist_mkdir p -> Printf.sprintf "mkdir(%s, dist)" p
 
-let outcome_str = function
-  | Ok Model.Unit -> "ok"
-  | Ok (Int n) -> string_of_int n
-  | Ok (Data d) ->
-      Printf.sprintf "%d bytes #%x" (String.length d) (Hashtbl.hash d)
-  | Ok Is_dir -> "dir"
-  | Ok (Names l) -> "[" ^ String.concat "," l ^ "]"
-  | Error e -> Errno.to_string e
-
-let fs_op_gen =
-  let open Q.Gen in
-  let name = map (fun i -> names.(i)) (int_bound (Array.length names - 1)) in
-  let dir = map (fun i -> dirs.(i)) (int_bound (Array.length dirs - 1)) in
-  let path = map2 (fun d n -> Filename.concat d n) dir name in
-  let data = string_size ~gen:(char_range 'a' 'z') (int_range 1 2000) in
-  (* Offsets inside the first block, across its end and past any file
-     the sequence grows: overwrites, extensions and holes. *)
-  let off = oneofl [ 0; 0; 700; 4000; 9000 ] in
-  frequency
-    [
-      (4, map (fun path -> Op (Open { path; create = true })) path);
-      (1, map (fun path -> Op (Open { path; create = false })) path);
-      (4, map3 (fun path off data -> Op (Write { path; off; data })) path off
-            data);
-      (4, map2 (fun p data -> Append (p, data)) path data);
-      (4, map2 (fun path off -> Op (Read { path; off })) path off);
-      (2, map (fun p -> Op (Unlink p)) path);
-      (1, map (fun p -> Op (Mkdir p)) path);
-      (1, map (fun p -> Dist_mkdir p) path);
-      (1, map (fun p -> Op (Rmdir p)) path);
-      (2, map2 (fun src dst -> Op (Rename { src; dst })) path path);
-      (2, map (fun p -> Op (Stat p)) path);
-      (2, map (fun d -> Op (Readdir d)) dir);
-    ]
-
-let fs_ops =
-  Q.make
-    ~print:(fun ops -> String.concat "; " (List.map step_str ops))
-    Q.Gen.(list_size (int_range 1 50) fs_op_gen)
+(* The generator's handles; [Append]'s session uses [slots]. *)
+let slots = 3
 
 (* The model's outcome of a step, and the model state after it. *)
 let expect model step =
-  let apply m op =
-    match Model.apply m op with
-    | Ok (v, next) -> (Ok v, next)
-    | Error e -> (Error e, m)
-  in
+  let apply m op = Model.apply m ~proc:0 op in
   match step with
   | Op op -> apply model op
   | Dist_mkdir path -> apply model (Mkdir path)
   | Append (path, data) -> (
-      match Model.apply model (Open { path; create = true }) with
-      | Error e -> (Error e, model)
-      | Ok (_, opened) -> (
-          match Model.apply opened (Stat path) with
-          | Ok (Int size, _) -> apply opened (Write { path; off = size; data })
-          | _ -> assert false (* an open succeeded on a regular file *)))
+      let h = slots in
+      match apply model (Open { h; path; create = true }) with
+      | (Error _, _) as failed -> failed
+      | Ok _, opened ->
+          let _, at_end = apply opened (Read h) in
+          let wrote, written = apply at_end (Write { h; data }) in
+          (wrote, snd (apply written (Close h))))
 
-(* One step through the syscall API of any world: a file operation is
-   one open-use-close session. *)
-let exec_on_api (api : 'p Hare_api.Api.t) p step =
-  let module Api = Hare_api.Api in
-  let session path flags ?(off = 0) use =
-    let fd = api.Api.openf p path flags in
-    if off > 0 then ignore (api.Api.lseek p fd ~pos:off Types.Seek_set);
-    let v = use fd in
-    api.Api.close p fd;
-    v
+(* What the generator knows of a sequence so far: the model state, the
+   open handles with the paths they were opened at, and whether the one
+   open handle has written. *)
+type gen_state = { model : Model.t; live : (int * string) list; dirty : bool }
+
+let advance st step =
+  let outcome, model = expect st.model step in
+  match (step, outcome) with
+  | Op (Open { h; path; _ }), Ok _ ->
+      { st with model; live = (h, path) :: st.live }
+  | Op (Close h), Ok _ ->
+      { model; live = List.remove_assoc h st.live; dirty = false }
+  | Op (Write _), Ok _ -> { st with model; dirty = true }
+  | _ -> { st with model }
+
+(* One step that keeps the sequence inside close-to-open as one process
+   sees it. Handles stay open across any other steps, unlink and rename
+   of their paths included (a path op names an open handle's path as
+   often as not). A handle writes only while it is the only one open,
+   and once it has written no step opens or stats a path until it
+   closes: the size a descriptor wrote reaches Hare's server only at
+   close, so a second open of the file before then reads the old size.
+   An append, a descriptor of its own, runs only while none is open. *)
+let step_gen st =
+  let open Q.Gen in
+  let name = map (fun i -> names.(i)) (int_bound (Array.length names - 1)) in
+  let dir = map (fun i -> dirs.(i)) (int_bound (Array.length dirs - 1)) in
+  let path =
+    let any = map2 (fun d n -> Filename.concat d n) dir name in
+    if st.live = [] then any
+    else oneof [ any; oneofl (List.map snd st.live) ]
   in
-  let write path flags ?off data =
-    session path flags ?off (fun fd ->
-        Api.write_all api p fd data;
-        Model.Int (String.length data))
+  let data = string_size ~gen:(char_range 'a' 'z') (int_range 1 2000) in
+  (* Offsets inside the first block, across its end and past any file
+     the sequence grows: overwrites, extensions and holes. *)
+  let off = oneofl [ 0; 0; 700; 4000; 9000 ] in
+  let free =
+    List.init slots Fun.id
+    |> List.filter (fun h -> not (List.mem_assoc h st.live))
+  in
+  let handle = oneofl (List.map fst st.live) in
+  let only c choices = if c then choices else [] in
+  frequency
+    (List.concat
+       [
+         [
+           (2, map (fun p -> Op (Unlink p)) path);
+           (1, map (fun p -> Op (Mkdir p)) path);
+           (1, map (fun p -> Dist_mkdir p) path);
+           (1, map (fun p -> Op (Rmdir p)) path);
+           (3, map2 (fun src dst -> Op (Rename { src; dst })) path path);
+           (2, map (fun d -> Op (Readdir d)) dir);
+         ];
+         only ((not st.dirty) && free <> [])
+           [
+             ( 5,
+               map2
+                 (fun path create ->
+                   Op (Open { h = List.hd free; path; create }))
+                 path
+                 (frequencyl [ (4, true); (1, false) ]) );
+           ];
+         only (not st.dirty) [ (2, map (fun p -> Op (Stat p)) path) ];
+         only (st.live = []) [ (3, map2 (fun p d -> Append (p, d)) path data) ];
+         only (st.live <> [])
+           [
+             (4, map (fun h -> Op (Read h)) handle);
+             (3, map2 (fun h off -> Op (Seek { h; off })) handle off);
+             (2, map (fun h -> Op (Close h)) handle);
+           ];
+         (match st.live with
+         | [ (h, _) ] -> [ (5, map (fun data -> Op (Write { h; data })) data) ]
+         | _ -> []);
+       ])
+
+let fs_ops =
+  let open Q.Gen in
+  let rec steps n st =
+    if n = 0 then return []
+    else
+      step_gen st >>= fun step ->
+      map (fun rest -> step :: rest) (steps (n - 1) (advance st step))
+  in
+  let start = { model = Model.init initial; live = []; dirty = false } in
+  Q.make
+    ~print:(fun ops -> String.concat "; " (List.map step_str ops))
+    (int_range 1 50 >>= fun n -> steps n start)
+
+(* One step through the syscall API of any world, with the generator's
+   handles bound to the world's descriptors in [fds] (a handle whose
+   open failed in this world is EBADF here). *)
+let exec_on_api (api : 'p Hare_api.Api.t) p fds step =
+  let module Api = Hare_api.Api in
+  let fd h =
+    match Hashtbl.find_opt fds h with
+    | Some fd -> fd
+    | None -> raise (Errno.Error (Errno.EBADF, "no such handle"))
   in
   try
     Ok
       (match step with
-      | Append (path, data) -> write path Types.flags_a data
+      | Append (path, data) ->
+          let fd = api.Api.openf p path Types.flags_a in
+          Api.write_all api p fd data;
+          api.Api.close p fd;
+          Model.Int (String.length data)
       | Dist_mkdir path ->
           api.Api.mkdir p ~dist:true path;
           Model.Unit
-      | Op (Open { path; create }) ->
+      | Op (Open { h; path; create }) ->
           let flags =
-            if create then { Types.flags_w with trunc = false }
-            else Types.flags_r
+            if create then { Types.flags_rw with creat = true }
+            else Types.flags_rw
           in
-          session path flags (fun _ -> Model.Unit)
-      | Op (Write { path; off; data }) -> write path Types.flags_rw ~off data
-      | Op (Read { path; off }) ->
-          session path Types.flags_r ~off (fun fd ->
-              Model.Data (Api.read_to_eof api p fd))
+          Hashtbl.replace fds h (api.Api.openf p path flags);
+          Model.Fd h
+      | Op (Close h) ->
+          api.Api.close p (fd h);
+          Hashtbl.remove fds h;
+          Model.Unit
+      | Op (Write { h; data }) ->
+          Api.write_all api p (fd h) data;
+          Model.Int (String.length data)
+      | Op (Read h) -> Model.Data (Api.read_to_eof api p (fd h))
+      | Op (Seek { h; off }) ->
+          Model.Int (api.Api.lseek p (fd h) ~pos:off Types.Seek_set)
       | Op (Stat path) ->
           let a = api.Api.stat p path in
           if a.Types.a_ftype = Types.Dir then Model.Is_dir
@@ -479,20 +523,20 @@ let check_against_model ~boot ~api ~spawn_init ~run ops =
   let w = boot () in
   let api = api w in
   let diverged = ref [] in
-  let initial = [ "/d1"; "/d2"; "/d1/s" ] in
   let _init =
     spawn_init w (fun p ->
         List.iter (fun d -> api.Hare_api.Api.mkdir p ~dist:false d) initial;
+        let fds = Hashtbl.create slots in
         ignore
           (List.fold_left
              (fun model step ->
                let want, next = expect model step in
-               let got = exec_on_api api p step in
+               let got = exec_on_api api p fds step in
                if not (same_result want got) then
                  diverged :=
                    Printf.sprintf "%s: want %s, got %s" (step_str step)
-                     (outcome_str want)
-                     (outcome_str got)
+                     (Model.result_to_string want)
+                     (Model.result_to_string got)
                    :: !diverged;
                next)
              (Model.init initial) ops);
