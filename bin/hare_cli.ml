@@ -749,8 +749,12 @@ let run_explore list_only scenario strategy seed budget mutate replay =
   let module R = Hare_explore.Runner in
   let module S = Hare_explore.Scenario in
   let bad_args msg =
-    Printf.eprintf "%s (hare_cli explore --list shows the choices)\n" msg;
+    prerr_endline msg;
     2
+  in
+  (* Only what [--list] lists gets the hint. *)
+  let bad_choice msg =
+    bad_args (msg ^ " (hare_cli explore --list shows the choices)")
   in
   let strategy =
     match (replay, strategy) with
@@ -770,6 +774,13 @@ let run_explore list_only scenario strategy seed budget mutate replay =
     | None, "det" -> Ok R.Deterministic
     | None, s -> Error ("unknown strategy " ^ s ^ " (dpor, pct, rand, det)")
   in
+  let unknown_mutation =
+    match mutate with
+    | Some m when not (List.exists (fun (n, _) -> String.equal n m) S.mutations)
+      ->
+        Some m
+    | _ -> None
+  in
   if list_only then begin
     print_endline "scenarios:";
     List.iter
@@ -780,13 +791,14 @@ let run_explore list_only scenario strategy seed budget mutate replay =
     0
   end
   else
-    match (S.find scenario, strategy) with
+    match (S.find scenario, strategy, unknown_mutation) with
     | exception Not_found ->
-        bad_args (Printf.sprintf "unknown scenario %S" scenario)
-    | _, Error msg -> bad_args msg
-    | sc, Ok strategy -> (
-        (* [R.explore] refuses an unknown mutation, a budget below 1 and
-           a replayed ordinal that its tie does not have. *)
+        bad_choice (Printf.sprintf "unknown scenario %S" scenario)
+    | _, Error msg, _ -> bad_args msg
+    | _, _, Some m -> bad_choice ("unknown mutation " ^ m)
+    | sc, Ok strategy, None -> (
+        (* [R.explore] refuses a budget below 1 and a replayed ordinal
+           that its tie does not have. *)
         match R.explore ~scenario:sc ?mutate ~strategy ~budget () with
         | exception Invalid_argument msg -> bad_args msg
         | st ->

@@ -3,7 +3,12 @@
    them. Until then the slot holds [no_leaf], shared by every table, and
    a page never written, or released since, holds [absent]; both read
    as zeroes. A machine keeps a few leaves and the pages of the blocks
-   it holds live, not a box per block ever written. *)
+   it holds live, not a box per block ever written.
+
+   A page is as long as the lines written so far ask for: its first
+   write allocates lines [0, line], and a later write past its end
+   replaces it with a whole block that keeps its bytes. Lines past a
+   short page's end read as zeroes, as an absent page's do. *)
 let leaf_bits = 9
 
 let leaf_pages = 1 lsl leaf_bits
@@ -76,21 +81,27 @@ let read_page t ~block =
   check_block t block;
   find t block
 
-(* Leaves and pages materialize on first write. *)
-let page t block =
+(* Leaves and pages materialize on first write; a page too short for
+   [lines] grows, once, to a whole block. *)
+let page t block ~lines =
   let p = find t block in
-  if p != absent then p
+  let len = Bytes.length p in
+  if lines * Layout.line_size <= len then p
   else begin
     let i = block lsr leaf_bits in
     if t.leaves.(i) == no_leaf then t.leaves.(i) <- Array.make leaf_pages absent;
-    let p = Bytes.make Layout.block_size '\000' in
-    t.leaves.(i).(block land (leaf_pages - 1)) <- p;
-    p
+    let size = if len = 0 then lines * Layout.line_size else Layout.block_size in
+    let q = Bytes.make size '\000' in
+    if len > 0 then Bytes.blit p 0 q 0 len;
+    t.leaves.(i).(block land (leaf_pages - 1)) <- q;
+    q
   end
 
-let write_page t ~block =
+let write_page t ~block ~lines =
   check_block t block;
-  page t block
+  if lines < 1 || lines > Layout.lines_per_block then
+    invalid_arg (Printf.sprintf "Dram: %d lines out of range" lines);
+  page t block ~lines
 
 let check_buf buf off =
   if off < 0 || off > Bytes.length buf - Layout.line_size then
@@ -100,15 +111,16 @@ let read_line t ~block ~line ~dst ~dst_off =
   check_line t ~block ~line;
   check_buf dst dst_off;
   note_read t;
-  let p = find t block in
-  if p == absent then Bytes.fill dst dst_off Layout.line_size '\000'
-  else Layout.blit_line p (line * Layout.line_size) dst dst_off
+  let p = find t block and at = line * Layout.line_size in
+  if at >= Bytes.length p then Bytes.fill dst dst_off Layout.line_size '\000'
+  else Layout.blit_line p at dst dst_off
 
 let write_line t ~block ~line ~src ~src_off =
   check_line t ~block ~line;
   check_buf src src_off;
   note_write t;
-  Layout.blit_line src src_off (page t block) (line * Layout.line_size)
+  Layout.blit_line src src_off (page t block ~lines:(line + 1))
+    (line * Layout.line_size)
 
 (* A released page reads as zeroes again; its leaf stays. *)
 let release t ~block =
@@ -123,11 +135,18 @@ let zero_range t ~block ~off ~len =
     invalid_arg "Dram.zero_range: range escapes block";
   check_block t block;
   let p = find t block in
-  if p != absent then Bytes.fill p off len '\000'
+  let n = Int.min len (Bytes.length p - off) in
+  if n > 0 then Bytes.fill p off n '\000'
 
 let unsafe_read t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then
     invalid_arg "Dram.unsafe_read: range escapes block";
   check_block t block;
   let p = find t block in
-  if p == absent then String.make len '\000' else Bytes.sub_string p off len
+  let n = Int.min len (Bytes.length p - off) in
+  if n >= len then Bytes.sub_string p off len
+  else begin
+    let s = Bytes.make len '\000' in
+    if n > 0 then Bytes.blit p off s 0 n;
+    Bytes.unsafe_to_string s
+  end

@@ -10,10 +10,13 @@ type t
 val create : nblocks:int -> t
 (** [create ~nblocks] costs a word per 512 blocks: a block's page, and
     the leaf of the page table that holds it, are allocated on the
-    block's first {!write_line} or {!write_page}. A block never written
+    block's first {!write_line} or {!write_page}. A page first covers
+    only the lines up to the highest one that write asks for; a later
+    write past its end replaces it, once, with a whole block that keeps
+    its bytes. A block never written, and any line past its page's end,
     reads as zeroes. {!release} gives the page back and a later write
-    allocates a new one, so the pages held follow the blocks in use,
-    not every block ever written. *)
+    allocates a new one, so the pages held follow the blocks in use and
+    the lines written in them, not every block ever written. *)
 
 val nblocks : t -> int
 
@@ -60,17 +63,22 @@ val unsafe_read : t -> block:int -> off:int -> len:int -> string
     step in the same order. *)
 
 val read_page : t -> block:int -> Bytes.t
-(** [read_page t ~block] is [block]'s page ({!Layout.block_size} bytes)
-    to read lines from, or an empty [Bytes.t], which reads as zeroes, if
-    the block was never written or was released since. The caller must
-    take the page again after anything writes to [block]. Allocates
-    nothing. Raises [Invalid_argument] if [block] is out of range. *)
+(** [read_page t ~block] is [block]'s page to read lines from. It may
+    be shorter than {!Layout.block_size}, always by whole lines, and is
+    empty if the block was never written or was released since: every
+    line past its end reads as zeroes. The caller must take the page
+    again after anything writes to [block]. Allocates nothing. Raises
+    [Invalid_argument] if [block] is out of range. *)
 
-val write_page : t -> block:int -> Bytes.t
-(** [write_page t ~block] is [block]'s page to write lines into,
-    allocated (zeroed) if the block has none, as on a first
-    {!write_line}. Raises [Invalid_argument] if [block] is out of
-    range. *)
+val write_page : t -> block:int -> lines:int -> Bytes.t
+(** [write_page t ~block ~lines] is [block]'s page to write lines into,
+    at least [lines] lines long (lines [0, lines) can be written). A
+    block with no page gets a zeroed one of [lines] lines, as on a first
+    {!write_line}; a page too short is replaced by a whole block that
+    keeps its bytes, so a page grows at most once. Either way a page
+    taken earlier from {!read_page} or {!write_page} may be stale.
+    Raises [Invalid_argument] if [block] is out of range or [lines] is
+    not in [1, Layout.lines_per_block]. *)
 
 val note_read : t -> unit
 (** Count (and every 64th time publish) one line moved out of DRAM. *)

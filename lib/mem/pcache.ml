@@ -46,17 +46,24 @@ let count_cell = lpb
 let frame_bytes = (lpb + 1) * 4
 
 (* The frame of every block with no cached line. It is all zeroes and is
-   never written: only frames from [frame_for] are. *)
+   never written: only frames from [new_frame] are. *)
 let no_frame = Bytes.make frame_bytes '\000'
 
-(* Two-level radix table: the top level covers [Dram.nblocks] in leaves
-   of [leaf_size] frames, allocated on first use so an idle cache costs
-   one small array. *)
-let leaf_bits = 9
+(* The directory proper is an open-addressing table sized by the blocks
+   cached, not by [Dram.nblocks]: [dir_keys.(i)] is a block number or
+   [no_block], [dir_frames.(i)] its frame. A block's probe starts at its
+   multiplicative hash and walks up (linear probing); a deletion shifts
+   the rest of its probe run back, so no tombstone is left. The table is
+   at most half full and doubles past that. It starts as the shared
+   one-slot [no_keys], which no insertion writes: the first one grows
+   it. *)
+let no_block = -1
 
-let leaf_size = 1 lsl leaf_bits
+let no_keys = [| no_block |]
 
-let no_leaf : Bytes.t array = [||]
+let no_frames = [| no_frame |]
+
+let min_dir_slots = 16
 
 type t = {
   dram : Dram.t;
@@ -67,7 +74,10 @@ type t = {
   costs : Hare_config.Costs.t;
   block_socket : int -> int;
   capacity : int;
-  dir : Bytes.t array array;
+  mutable dir_keys : int array;
+  mutable dir_frames : Bytes.t array;
+  mutable dir_shift : int; (* [Sys.int_size] - log2 of the slots *)
+  mutable dir_count : int;
   (* Frames whose count dropped to 0, reused so that a steady-state miss
      allocates nothing. *)
   mutable pool : Bytes.t array;
@@ -117,7 +127,10 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     costs;
     block_socket;
     capacity = capacity_lines;
-    dir = Array.make ((Dram.nblocks dram + leaf_size - 1) / leaf_size) no_leaf;
+    dir_keys = no_keys;
+    dir_frames = no_frames;
+    dir_shift = Sys.int_size;
+    dir_count = 0;
     pool = [||];
     npool = 0;
     key = Bytes.make (slots * 4) '\255';
@@ -181,35 +194,99 @@ let dram_cost t block =
 
 (* --- block directory -------------------------------------------------- *)
 
-let find_frame t block =
-  let i = block lsr leaf_bits in
-  if i >= Array.length t.dir then no_frame
-  else
-    let leaf = Array.unsafe_get t.dir i in
-    if leaf == no_leaf then no_frame
-    else Array.unsafe_get leaf (block land (leaf_size - 1))
+(* Fibonacci hashing: the top bits of the product. Partitions hand out
+   runs of consecutive blocks, which it scatters over the table. *)
+let[@inline] hash shift block = (block * 0x1E3779B97F4A7C15) lsr shift
 
-(* The frame of [block], taken from the pool if it has none. Only called
-   after [Dram] accepted [block], so the block is in range. *)
-let frame_for t block =
-  let f = find_frame t block in
-  if f != no_frame then f
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let home_slot ~slots block =
+  if slots < 1 || slots land (slots - 1) <> 0 then
+    invalid_arg "Pcache.home_slot: slots must be a power of two";
+  hash (Sys.int_size - log2 slots) block
+
+(* The slot holding [block], or the empty slot ending its probe run. *)
+let rec probe keys mask block i =
+  let k = Array.unsafe_get keys i in
+  if k = block || k = no_block then i else probe keys mask block ((i + 1) land mask)
+
+(* The home slot is tested here, so that the common lookup makes no
+   call. *)
+let find_frame t block =
+  let keys = t.dir_keys in
+  let i = hash t.dir_shift block in
+  let k = Array.unsafe_get keys i in
+  if k = block then Array.unsafe_get t.dir_frames i
+  else if k = no_block then no_frame
+  else
+    let i = probe keys (Array.length keys - 1) block i in
+    if Array.unsafe_get keys i = block then Array.unsafe_get t.dir_frames i
+    else no_frame
+
+(* Insert [block], not in the table, with frame [f]; the table has room. *)
+let insert t block f =
+  let keys = t.dir_keys in
+  let i = probe keys (Array.length keys - 1) block (hash t.dir_shift block) in
+  Array.unsafe_set keys i block;
+  Array.unsafe_set t.dir_frames i f;
+  t.dir_count <- t.dir_count + 1
+
+let grow_dir t =
+  let keys = t.dir_keys and frames = t.dir_frames in
+  let slots = Int.max min_dir_slots (2 * Array.length keys) in
+  t.dir_keys <- Array.make slots no_block;
+  t.dir_frames <- Array.make slots no_frame;
+  t.dir_shift <- Sys.int_size - log2 slots;
+  t.dir_count <- 0;
+  Array.iteri (fun i k -> if k <> no_block then insert t k frames.(i)) keys
+
+(* Backward-shift deletion: [hole] was just emptied. Walk the probe run
+   after it from [j] and move into the hole every entry whose home slot
+   lies, going round the table, at or before the hole, so that a probe
+   from its home still reaches it; the slot it left is the new hole. The
+   run ends at the first empty slot, which the last hole becomes. *)
+let rec close_hole t keys frames mask hole j =
+  let k = Array.unsafe_get keys j in
+  if k = no_block then begin
+    Array.unsafe_set keys hole no_block;
+    Array.unsafe_set frames hole no_frame
+  end
   else begin
-    let i = block lsr leaf_bits in
-    if t.dir.(i) == no_leaf then t.dir.(i) <- Array.make leaf_size no_frame;
-    let f =
-      if t.npool > 0 then begin
-        t.npool <- t.npool - 1;
-        t.pool.(t.npool)
-      end
-      else Bytes.make frame_bytes '\000'
-    in
-    t.dir.(i).(block land (leaf_size - 1)) <- f;
-    f
+    let next = (j + 1) land mask in
+    if (j - hash t.dir_shift k) land mask >= (j - hole) land mask then begin
+      Array.unsafe_set keys hole k;
+      Array.unsafe_set frames hole (Array.unsafe_get frames j);
+      close_hole t keys frames mask j next
+    end
+    else close_hole t keys frames mask hole next
   end
 
+let remove t block =
+  let keys = t.dir_keys in
+  let mask = Array.length keys - 1 in
+  let i = probe keys mask block (hash t.dir_shift block) in
+  if Array.unsafe_get keys i = block then begin
+    close_hole t keys t.dir_frames mask i ((i + 1) land mask);
+    t.dir_count <- t.dir_count - 1
+  end
+
+(* A frame for [block], which has none, taken from the pool if it can
+   be. Only called after [Dram] accepted [block], so the block is in
+   range. *)
+let new_frame t block =
+  if 2 * (t.dir_count + 1) > Array.length t.dir_keys then grow_dir t;
+  let f =
+    if t.npool > 0 then begin
+      t.npool <- t.npool - 1;
+      t.pool.(t.npool)
+    end
+    else Bytes.make frame_bytes '\000'
+  in
+  insert t block f;
+  f
+
 let release_frame t block f =
-  t.dir.(block lsr leaf_bits).(block land (leaf_size - 1)) <- no_frame;
+  remove t block;
   if t.npool = Array.length t.pool then begin
     let pool = Array.make (Int.max 16 (2 * t.npool)) no_frame in
     Array.blit t.pool 0 pool 0 t.npool;
@@ -316,10 +393,11 @@ let[@inline] move_line src src_off dst dst_off =
   set64u dst (dst_off + 56) (get64u src (src_off + 56))
 
 (* Copy [line] of a page from [Dram.read_page] into [dst] at [dst_off]:
-   an empty page reads as zeroes. *)
+   a line past the page's end (all of an empty page) reads as zeroes. *)
 let[@inline] load_line page line dst dst_off =
-  if Bytes.length page = 0 then Bytes.unsafe_fill dst dst_off line_size '\000'
-  else move_line page (line * line_size) dst dst_off
+  let at = line * line_size in
+  if at >= Bytes.length page then Bytes.unsafe_fill dst dst_off line_size '\000'
+  else move_line page at dst dst_off
 
 (* Write dirty slot [s], which caches [line] of the block whose DRAM page
    is [page], back. [observed]: whether the bus wants [Obs.cache]
@@ -364,7 +442,7 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
      never written has an empty one. *)
   let page =
     ref
-      (if write && coherent then Dram.write_page t.dram ~block
+      (if write && coherent then Dram.write_page t.dram ~block ~lines:lpb
        else Dram.read_page t.dram ~block)
   in
   let miss0 = t.misses and wb0 = t.writebacks in
@@ -413,9 +491,10 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
             end;
             if is_dirty t v then begin
               if !vpage == no_page then begin
-                vpage := Dram.write_page t.dram ~block:vb;
-                (* The write-back may have given [block] its first page:
-                   later fills must read it, not the empty one. *)
+                vpage := Dram.write_page t.dram ~block:vb ~lines:lpb;
+                (* The write-back may have given [block] its first page,
+                   or grown a short one to a whole block: later fills
+                   must read that page, not the one taken before. *)
                 if vb = block then page := !vpage
               end;
               write_back t ~observed v !vpage vline;
@@ -448,7 +527,7 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
         Dram.note_read t.dram;
         if not (write && (not coherent) && n = line_size) then
           load_line !page line (chunk t s) (data_off s);
-        if !frame == no_frame then frame := frame_for t block;
+        if !frame == no_frame then frame := new_frame t block;
         let f = !frame in
         set_cell f line s;
         set_cell f count_cell (cell f count_cell + 1);
@@ -515,7 +594,8 @@ let write_string t ~block ~off s =
     ~src_off:0
 
 (* All three walk the block's lines from the highest index down, and
-   look the block's page up once, at its first dirty line. *)
+   look the block's page up once, at its first dirty line: a page that
+   covers that line covers every line after it. *)
 
 let drop_block t block ~writeback ~dropped =
   let miss0 = t.misses and wb0 = t.writebacks in
@@ -529,7 +609,8 @@ let drop_block t block ~writeback ~dropped =
       let s = checked t (cell f line) in
       if s <> 0 then begin
         if writeback && is_dirty t s then begin
-          if !page == no_page then page := Dram.write_page t.dram ~block;
+          if !page == no_page then
+            page := Dram.write_page t.dram ~block ~lines:(line + 1);
           write_back t ~observed s !page line;
           incr flushed
         end;
@@ -566,7 +647,8 @@ let writeback_block t block =
     for line = lpb - 1 downto 0 do
       let s = checked t (cell f line) in
       if s <> 0 && is_dirty t s then begin
-        if !page == no_page then page := Dram.write_page t.dram ~block;
+        if !page == no_page then
+          page := Dram.write_page t.dram ~block ~lines:(line + 1);
         write_back t ~observed s !page line;
         incr flushed
       end

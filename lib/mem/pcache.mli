@@ -105,4 +105,10 @@ val write_coherent :
 
 val resident_lines : t -> int
 
+val home_slot : slots:int -> int -> int
+(** [home_slot ~slots block] is the slot where a lookup of [block]
+    starts in a block directory of [slots] slots (a power of two). The
+    directory starts at 16 slots and doubles when more than half full.
+    For tests that need blocks whose probes collide. *)
+
 val stats : t -> stats

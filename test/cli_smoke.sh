@@ -92,14 +92,32 @@ if [ "$rc" -ne 1 ] || printf '%s\n' "$out" | grep -q 'ops/s'; then
   fail=1
 fi
 expect 1 fig 99
-expect 2 explore collide --strategy foo
-expect 2 explore collide --replay 0,x
-expect 2 explore nosuch
-expect 2 explore collide --mutate nosuch
+# explore's refusals exit 2. Only an unknown scenario or mutation points
+# at 'explore --list', which lists exactly those: refused HINT ARGS...
+# checks the exit code and whether stderr carries the hint (yes/no).
+refused() {
+  hint=$1
+  shift
+  err=$("$cli" "$@" 2>&1 >/dev/null)
+  got=$?
+  if printf '%s\n' "$err" | grep -q -e '--list shows the choices'; then
+    has=yes
+  else
+    has=no
+  fi
+  if [ "$got" -ne 2 ] || [ "$has" != "$hint" ]; then
+    echo "FAIL: hare_cli $* exited $got with hint $has, expected 2 with hint $hint: $err"
+    fail=1
+  fi
+}
+refused yes explore nosuch
+refused yes explore collide --mutate nosuch
+refused no explore collide --strategy foo
+refused no explore collide --replay 0,x
 # A replayed ordinal that its tie does not have, and an empty budget.
-expect 2 explore handoff --replay 99
-expect 2 explore handoff --replay 0,-1
-expect 2 explore handoff --budget 0
+refused no explore handoff --replay 99
+refused no explore handoff --replay 0,-1
+refused no explore handoff --budget 0
 # The interactive shell on a scripted stdin: it must exit 0, the first
 # cat must print the file and the cat after the rename must fail with
 # the name of the lookup request.

@@ -344,24 +344,28 @@ let pp_pc_op = function
   | Evict b -> Printf.sprintf "evict_block %d" b
   | Writeback b -> Printf.sprintf "writeback_block %d" b
 
-let pc_op_gen ~nblocks =
+(* Ops on the blocks [block] draws; [small] weighs small ranges against
+   each of the three other shapes. *)
+let pc_op_gen ?(small = 1) block =
   let open QCheck.Gen in
-  let block = int_bound (nblocks - 1) in
   (* Small ranges, whole blocks (64 lines: evictions inside one access),
      whole lines (a write that replaces each line it touches) and
      anything in between. *)
   let range =
-    oneof
+    frequency
       [
-        map2 (fun off len -> (off, min len (Layout.block_size - off)))
-          (int_bound (Layout.block_size - 1)) (int_range 1 200);
-        return (0, Layout.block_size);
-        ( int_bound (Layout.lines_per_block - 1) >>= fun line ->
+        ( small,
+          map2 (fun off len -> (off, min len (Layout.block_size - off)))
+            (int_bound (Layout.block_size - 1)) (int_range 1 200) );
+        (1, return (0, Layout.block_size));
+        ( 1,
+          int_bound (Layout.lines_per_block - 1) >>= fun line ->
           map
             (fun n -> (line * Layout.line_size, n * Layout.line_size))
             (int_range 1 (Layout.lines_per_block - line)) );
-        int_bound (Layout.block_size - 1) >>= fun off ->
-        map (fun len -> (off, len)) (int_range 1 (Layout.block_size - off));
+        ( 1,
+          int_bound (Layout.block_size - 1) >>= fun off ->
+          map (fun len -> (off, len)) (int_range 1 (Layout.block_size - off)) );
       ]
   in
   let access =
@@ -379,17 +383,40 @@ let pc_op_gen ~nblocks =
       (1, map (fun b -> Writeback b) block);
     ]
 
-let pc_case_gen =
-  let open QCheck.Gen in
-  oneofl [ 1; 3; 63; 64; 65; 200 ] >>= fun capacity ->
-  int_range 2 6 >>= fun nblocks ->
-  map (fun ops -> (capacity, nblocks, ops))
-    (list_size (int_range 1 80) (pc_op_gen ~nblocks))
+(* A case: the capacity, the DRAM's [nblocks], the blocks the ops use
+   and the ops. *)
+let print_pc_case (capacity, nblocks, blocks, ops) =
+  Printf.sprintf "capacity %d, %d blocks, ops on [%s]:\n  %s" capacity nblocks
+    (String.concat ";" (List.map string_of_int blocks))
+    (String.concat "\n  " (List.map pp_pc_op ops))
 
 let pc_case =
-  QCheck.make pc_case_gen ~print:(fun (capacity, nblocks, ops) ->
-      Printf.sprintf "capacity %d, %d blocks:\n  %s" capacity nblocks
-        (String.concat "\n  " (List.map pp_pc_op ops)))
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 1; 3; 63; 64; 65; 200 ] >>= fun capacity ->
+    int_range 2 6 >>= fun nblocks ->
+    map
+      (fun ops -> (capacity, nblocks, List.init nblocks Fun.id, ops))
+      (list_size (int_range 1 80) (pc_op_gen (int_bound (nblocks - 1))))
+  in
+  QCheck.make gen ~print:print_pc_case
+
+(* Up to about 100 blocks scattered over a large DRAM, mostly touched a
+   line or two at a time, so that many are cached at once: the block
+   directory grows, its probe runs collide and wrap, and evictions and
+   invalidations delete from the middle of them. *)
+let pc_many_case =
+  let open QCheck.Gen in
+  let nblocks = 1 lsl 16 in
+  let gen =
+    frequencyl [ (1, 1); (1, 3); (1, 24); (1, 65); (3, 200) ] >>= fun capacity ->
+    list_size (int_range 2 100) (int_bound (nblocks - 1)) >>= fun drawn ->
+    let blocks = List.sort_uniq Int.compare drawn in
+    map
+      (fun ops -> (capacity, nblocks, blocks, ops))
+      (list_size (int_range 1 250) (pc_op_gen ~small:30 (oneofl blocks)))
+  in
+  QCheck.make gen ~print:print_pc_case
 
 (* Odd blocks live on the other socket, so the NUMA surcharge is part of
    every comparison. *)
@@ -420,11 +447,23 @@ let record_mem_events obs =
     log := [];
     events
 
+(* Whether [block] reads the same in both DRAMs. Their pages can differ
+   in length (the reference writes line by line, the cache a victim's
+   page as a whole block), so the shorter one's missing tail must be
+   zeroes. Comparing pages, not [Dram.unsafe_read] images of whole
+   blocks, makes the cache tests run about twice as fast. *)
+let same_block d rd block =
+  let a = Dram.read_page d ~block and b = Dram.read_page rd ~block in
+  let a, b = if Bytes.length a <= Bytes.length b then (a, b) else (b, a) in
+  let n = Bytes.length a and m = Bytes.length b in
+  Bytes.equal a (Bytes.sub b 0 n)
+  && Bytes.equal (Bytes.sub b n (m - n)) (Bytes.make (m - n) '\000')
+
 (* One run of a case against the reference. [observed]: whether the
    cache's bus has a subscriber. Without one the cache takes the path
    [perfbench] and most runs take, and only the bus events go
    uncompared. *)
-let run_pc_case ~observed (capacity, nblocks, ops) =
+let run_pc_case ~observed (capacity, nblocks, blocks, ops) =
   let failures = ref [] in
   let run = if observed then "observed" else "unobserved" in
   let fail fmt =
@@ -487,19 +526,34 @@ let run_pc_case ~observed (capacity, nblocks, ops) =
           if got <> want then
             fail "op %d: bus events\n    %s\n  reference\n    %s" i
               (String.concat "\n    " got) (String.concat "\n    " want);
-          for b = 0 to nblocks - 1 do
-            let img dram =
-              Dram.unsafe_read dram ~block:b ~off:0 ~len:Layout.block_size
-            in
-            if img d <> img rd then fail "op %d: DRAM block %d differs" i b
-          done)
-        ops);
+          List.iter
+            (fun b ->
+              if not (same_block d rd b) then
+                fail "op %d: DRAM block %d differs" i b)
+            blocks)
+        ops;
+      (* No op touches another block: none has a page. *)
+      for b = 0 to nblocks - 1 do
+        if
+          Bytes.length (Dram.read_page d ~block:b) > 0
+          && not (List.mem b blocks)
+        then fail "block %d, used by no op, has a page" b
+      done);
   List.rev !failures
 
 (* [QCHECK_LONG=1] runs 20 times as many cases (a CI step). *)
 let prop_pcache_matches_reference =
   QCheck.Test.make ~name:"pcache matches line-keyed reference" ~count:300
     ~long_factor:20 pc_case (fun case ->
+      match
+        run_pc_case ~observed:true case @ run_pc_case ~observed:false case
+      with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_report m)
+
+let prop_pcache_many_blocks =
+  QCheck.Test.make ~name:"pcache matches reference over many blocks" ~count:150
+    ~long_factor:20 pc_many_case (fun case ->
       match
         run_pc_case ~observed:true case @ run_pc_case ~observed:false case
       with
@@ -597,6 +651,66 @@ let test_pcache_uncached_block_ops () =
       check_stats "stats unchanged" before p;
       Alcotest.(check int) "resident" 1 (Pcache.resident_lines p))
 
+(* Blocks whose directory probes collide, in a table of 16 slots (8
+   blocks, all the directory holds before it grows) and of 32 (16 blocks,
+   after one growth): half start at slot [slots - 2], a quarter at
+   [slots - 1] and a quarter at 0, so they form one run that wraps round
+   the table's end. They are invalidated one by one, in several orders;
+   after each, every block left must still be found, with its dirty
+   bytes, which DRAM does not have. *)
+let test_pcache_colliding_blocks () =
+  let nblocks = 1 lsl 16 in
+  let homed ~slots h n =
+    let rec go b acc n =
+      if n = 0 then List.rev acc
+      else if b >= nblocks then Alcotest.failf "no block homed at %d" h
+      else if Pcache.home_slot ~slots b = h then go (b + 1) (b :: acc) (n - 1)
+      else go (b + 1) acc n
+    in
+    go 0 [] n
+  in
+  let tag b = Printf.sprintf "block %d" b in
+  List.iter
+    (fun slots ->
+      let q = slots / 8 in
+      let blocks =
+        homed ~slots (slots - 2) (2 * q) @ homed ~slots (slots - 1) q
+        @ homed ~slots 0 q
+      in
+      let shuffled seed =
+        let st = Random.State.make [| seed |] in
+        List.map snd
+          (List.sort compare (List.map (fun b -> (Random.State.bits st, b)) blocks))
+      in
+      let odd_even =
+        List.filteri (fun i _ -> i land 1 = 1) blocks
+        @ List.filteri (fun i _ -> i land 1 = 0) blocks
+      in
+      List.iter
+        (fun order ->
+          with_engine (fun e ->
+              let p = mk_pcache e 0 (Dram.create ~nblocks) in
+              List.iter (fun b -> Pcache.write_string p ~block:b ~off:0 (tag b)) blocks;
+              ignore
+                (List.fold_left
+                   (fun left b ->
+                     Pcache.invalidate_block p b;
+                     let left = List.filter (fun r -> r <> b) left in
+                     List.iter
+                       (fun r ->
+                         Alcotest.(check string)
+                           (Printf.sprintf "%d slots: block %d after %d left" slots r b)
+                           (tag r)
+                           (Pcache.read_string p ~block:r ~off:0 ~len:(String.length (tag r))))
+                       left;
+                     Alcotest.(check int) "resident lines" (List.length left)
+                       (Pcache.resident_lines p);
+                     left)
+                   blocks order
+                  : int list)))
+        [ blocks; List.rev blocks; odd_even; shuffled 1; shuffled 2; shuffled 3 ])
+    [ 16; 32 ]
+
 (* At capacity, a 64-line write whose every line misses and evicts a
    dirty victim allocates no more than a 1-line one: the per-line path
    (eviction, write-back, frame release and reuse, fill) is allocation
@@ -688,6 +802,35 @@ let test_pcache_writeback_then_refill_same_access () =
             { hits = 0; misses = cap + lpb; evictions = lpb;
               writebacks = cap; invalidated = 0 }
             p;
+          Alcotest.(check string) "DRAM holds the written-back lines" want
+            (Dram.unsafe_read d ~block:0 ~off:0 ~len:Layout.block_size)))
+    [ 1; 3; 40 ]
+
+(* The same with a short page: the block's page holds only its first
+   line when the whole-block read starts. The first dirty victim's
+   write-back replaces it with a whole block, and the lines the read
+   refills after that must come from the new page, not from past the
+   old one's end. *)
+let test_pcache_writeback_grows_page_same_access () =
+  List.iter
+    (fun cap ->
+      with_engine (fun e ->
+          let lpb = Layout.lines_per_block and ls = Layout.line_size in
+          let d = Dram.create ~nblocks:2 in
+          let p = mk_pcache ~capacity:cap e 0 d in
+          Pcache.write_string p ~block:0 ~off:0 "head";
+          Pcache.writeback_block p 0;
+          Pcache.invalidate_block p 0;
+          let first = lpb - cap in
+          let tail = String.sub (block_image 0) (first * ls) (cap * ls) in
+          Pcache.write_string p ~block:0 ~off:(first * ls) tail;
+          Alcotest.(check int) "a one-line page" ls
+            (Bytes.length (Dram.read_page d ~block:0));
+          let want = "head" ^ String.make ((first * ls) - 4) '\000' ^ tail in
+          Alcotest.(check string)
+            (Printf.sprintf "cap %d: read back in one access" cap)
+            want
+            (Pcache.read_string p ~block:0 ~off:0 ~len:Layout.block_size);
           Alcotest.(check string) "DRAM holds the written-back lines" want
             (Dram.unsafe_read d ~block:0 ~off:0 ~len:Layout.block_size)))
     [ 1; 3; 40 ]
@@ -1174,11 +1317,11 @@ let test_dram_release () =
   Dram.write_line d ~block:8 ~line:0 ~src ~src_off:0;
   let held () = Obj.reachable_words (Obj.repr d) in
   let before = held () in
+  let page_words = Obj.reachable_words (Obj.repr (Dram.read_page d ~block:7)) in
   Dram.release d ~block:7;
-  let page_words = Layout.block_size / (Sys.word_size / 8) in
-  if before - held () < page_words then
-    Alcotest.failf "release kept the page: %d words before, %d after" before
-      (held ());
+  if before - held () <> page_words then
+    Alcotest.failf "release gave back %d words, the page holds %d"
+      (before - held ()) page_words;
   Alcotest.(check string) "released page reads zeroes"
     (String.make Layout.block_size '\000')
     (Dram.unsafe_read d ~block:7 ~off:0 ~len:Layout.block_size);
@@ -1211,6 +1354,76 @@ let test_dram_release () =
   Alcotest.(check string) "pages intact" "rrrr"
     (Dram.unsafe_read d ~block:8 ~off:0 ~len:4)
 
+(* A page first holds lines [0, k] of a first write at line k; a write
+   past its end replaces it, once, with a whole block that keeps its
+   bytes. Every reader sees zeroes past a short page's end, and neither
+   reading nor clearing there allocates or grows the page. *)
+let test_dram_short_pages () =
+  let ls = Layout.line_size in
+  let d = Dram.create ~nblocks:8 in
+  let line c = Bytes.make ls c in
+  let page_lines block = Bytes.length (Dram.read_page d ~block) / ls in
+  Dram.write_line d ~block:3 ~line:4 ~src:(line 'a') ~src_off:0;
+  Alcotest.(check int) "first write at line 4" 5 (page_lines 3);
+  let b = line 'b' in
+  let inside =
+    allocated_bytes (fun () -> Dram.write_line d ~block:3 ~line:2 ~src:b ~src_off:0)
+  in
+  if inside > 64. then
+    Alcotest.failf "a write inside the page allocated %.0f bytes" inside;
+  Alcotest.(check int) "a write inside keeps its length" 5 (page_lines 3);
+  let short = Dram.read_page d ~block:3 in
+  let zeroes n = String.make n '\000' in
+  let dst = Bytes.make ls 'x' in
+  let spent =
+    allocated_bytes (fun () ->
+        Dram.read_line d ~block:3 ~line:5 ~dst ~dst_off:0;
+        Dram.zero_range d ~block:3 ~off:(6 * ls) ~len:(10 * ls))
+  in
+  if spent > 64. then
+    Alcotest.failf "reading and clearing past the end allocated %.0f bytes" spent;
+  Alcotest.(check string) "read_line past the end" (zeroes ls) (Bytes.to_string dst);
+  let s = Dram.unsafe_read d ~block:3 ~off:(2 * ls) ~len:(10 * ls) in
+  Alcotest.(check string) "unsafe_read across the end"
+    (String.make ls 'b' ^ zeroes ls ^ String.make ls 'a' ^ zeroes (7 * ls))
+    s;
+  Alcotest.(check string) "unsafe_read past the end" (zeroes 100)
+    (Dram.unsafe_read d ~block:3 ~off:(40 * ls) ~len:100);
+  Dram.zero_range d ~block:3 ~off:((4 * ls) + 10) ~len:ls;
+  Alcotest.(check string) "zero_range across the end"
+    (String.make 10 'a' ^ zeroes (ls - 10))
+    (Dram.unsafe_read d ~block:3 ~off:(4 * ls) ~len:ls);
+  Alcotest.(check bool) "the short page stayed" true
+    (Dram.read_page d ~block:3 == short);
+  Dram.write_line d ~block:3 ~line:9 ~src:(line 'c') ~src_off:0;
+  Alcotest.(check int) "a write past the end makes a whole block"
+    Layout.lines_per_block (page_lines 3);
+  Alcotest.(check string) "the earlier bytes kept"
+    (String.make ls 'b' ^ zeroes ls ^ String.make 10 'a' ^ zeroes (ls - 10))
+    (Dram.unsafe_read d ~block:3 ~off:(2 * ls) ~len:(3 * ls));
+  Alcotest.(check string) "the new line" (String.make ls 'c')
+    (Dram.unsafe_read d ~block:3 ~off:(9 * ls) ~len:ls);
+  Alcotest.(check int) "write_page covers what it asks for" 3
+    (Bytes.length (Dram.write_page d ~block:5 ~lines:3) / ls);
+  Alcotest.(check int) "and grows to a whole block" Layout.block_size
+    (Bytes.length (Dram.write_page d ~block:5 ~lines:4));
+  List.iter
+    (fun lines ->
+      Alcotest.check_raises "lines out of range"
+        (Invalid_argument (Printf.sprintf "Dram: %d lines out of range" lines))
+        (fun () -> ignore (Dram.write_page d ~block:6 ~lines : Bytes.t)))
+    [ 0; Layout.lines_per_block + 1 ];
+  (* A write-back of a block dirty only in its low lines. *)
+  with_engine (fun e ->
+      let p = mk_pcache e 0 d in
+      Pcache.write_string p ~block:6 ~off:0 "low";
+      Pcache.write_string p ~block:6 ~off:((2 * ls) + 5) "third";
+      Pcache.writeback_block p 6;
+      Alcotest.(check int) "write-back page" 3 (page_lines 6);
+      Alcotest.(check string) "write-back bytes"
+        ("low" ^ zeroes ((2 * ls) + 2) ^ "third" ^ zeroes (ls - 10))
+        (Dram.unsafe_read d ~block:6 ~off:0 ~len:(3 * ls)))
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -1223,6 +1436,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "unwritten pages read as zeroes" `Quick test_dram_unwritten_reads_zero;
         tc "page on first write" `Quick test_dram_page_on_first_write;
         tc "release" `Quick test_dram_release;
+        tc "short pages" `Quick test_dram_short_pages;
       ] );
     ( "mem.freelist",
       [
@@ -1247,11 +1461,16 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "slot and frame reuse after invalidate" `Quick
           test_pcache_reuse_after_invalidate;
         tc "uncached block ops are free" `Quick test_pcache_uncached_block_ops;
+        tc "colliding blocks released in any order" `Quick
+          test_pcache_colliding_blocks;
         tc "miss path allocation-free" `Quick test_pcache_miss_path_allocation;
         tc "write-back then refill in one access" `Quick
           test_pcache_writeback_then_refill_same_access;
+        tc "write-back grows the page in one access" `Quick
+          test_pcache_writeback_grows_page_same_access;
         tc "short buffer refused up front" `Quick test_pcache_short_buffer;
         QCheck_alcotest.to_alcotest prop_pcache_matches_reference;
+        QCheck_alcotest.to_alcotest prop_pcache_many_blocks;
       ] );
     ("mem.layout", [ tc "lines touched" `Quick test_layout_lines_touched ]);
   ]
