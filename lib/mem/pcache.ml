@@ -420,8 +420,8 @@ let check_range ~off ~len =
 
 (* One access to bytes [off, off + len) of [block], copying to or from
    [buf] at [buf_off]. Coherent accesses model a MESI machine by keeping
-   DRAM authoritative: every write goes through to DRAM, every read
-   refetches the line. A resident (hit) line then moves at near-cache
+   DRAM authoritative: every write goes through to DRAM, every read of a
+   clean line refetches it. A resident (hit) line then moves at near-cache
    speed, with a small write-through/snoop overhead instead of a DRAM
    round trip; only misses pay the full transfer.
 
@@ -561,10 +561,12 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
       set_dirty t s (not coherent)
     end
     else begin
-      if coherent then begin
+      (* A coherent read refetches a clean line, which DRAM may have
+         changed since, and serves a dirty one as it is: its bytes are
+         this core's newer writes. *)
+      if coherent && not (is_dirty t s) then begin
         Dram.note_read t.dram;
-        load_line !page line data doff;
-        set_dirty t s false
+        load_line !page line data doff
       end;
       if n = line_size then move_line data data_at buf buf_at
       else Bytes.unsafe_blit data data_at buf buf_at n

@@ -26,7 +26,7 @@
       fills the line ([Dram.note_read]);
     - a coherent access moves each line through DRAM after its
       [Cache_access]: [Dram.note_write] for a write, [Dram.note_read]
-      for a read;
+      for a read of a clean line (a dirty one is served as it is);
     - {!invalidate_block}, {!evict_block} and {!writeback_block} visit
       the block's resident lines from the highest index down; an
       eviction writes a dirty line back ([Cache_writeback]) before it
@@ -92,11 +92,14 @@ val evict_block : dropped:(int -> unit) -> t -> int -> unit
 val writeback_block : t -> int -> unit
 
 (** [read_coherent] / [write_coherent] model an access on a machine
-    {e with} hardware coherence (used by the Linux/ramfs baseline): data
+    {e with} hardware coherence (used by the Linux/ramfs baseline and by
+    a file server's reads and writes for shared descriptors): data
     always moves to/from DRAM so no staleness is possible, at private-
     cache hit cost for resident lines. A partial write to a clean
-    resident line merges into DRAM's current bytes ([Dram.snoop_line]),
-    not into the core's older copy. *)
+    resident line merges into DRAM's current bytes, not into the core's
+    older copy. A dirty resident line holds this core's newer writes: a
+    coherent read returns its bytes and leaves it dirty (no DRAM read is
+    counted), and a coherent write merges into it. *)
 val read_coherent :
   t -> block:int -> off:int -> len:int -> dst:Bytes.t -> dst_off:int -> unit
 

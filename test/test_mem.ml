@@ -291,10 +291,8 @@ module Ref = struct
         l.dirty <- not coherent
       end
       else begin
-        if coherent then begin
+        if coherent && not l.dirty then
           Dram.read_line t.dram ~block ~line ~dst:l.data ~dst_off:0;
-          l.dirty <- false
-        end;
         Bytes.blit l.data (from - start) buf (from - off) n
       end
     done;

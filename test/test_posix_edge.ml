@@ -208,6 +208,41 @@ let test_reused_blocks_read_zero () =
   check (module Hare_experiments.World.Hare_w);
   check (module Hare_experiments.World.Linux_w)
 
+(* A read through a descriptor shared across fork runs at the file
+   server, a coherent access on the server's core. When that core's
+   cache holds the line dirty (another descriptor's unflushed write, on
+   the same core), the read must not throw the write away: after the
+   writer's close a fresh open reads it. Parent, child and file server 0
+   share core 0 at both core counts. *)
+let test_server_read_keeps_dirty_lines () =
+  List.iter
+    (fun ncores ->
+      ignore
+        (run ~config:(small_config ~ncores ()) (fun _m p ->
+             let fd = Posix.creat p "/f" in
+             Posix.write_all p fd (String.make 64 'A');
+             Posix.close p fd;
+             let fd1 = Posix.openf p "/f" flags_r in
+             let r, w = Posix.pipe p in
+             let pid =
+               Posix.fork p (fun c ->
+                   ignore (Posix.read c r ~len:1);
+                   ignore (Posix.read c fd1 ~len:64);
+                   0)
+             in
+             let fd2 = Posix.openf p "/f" flags_rw in
+             Posix.write_all p fd2 (String.make 64 'B');
+             Posix.write_all p w "g";
+             ignore (Posix.waitpid p pid);
+             Posix.close p fd2;
+             let fd = Posix.openf p "/f" flags_r in
+             Alcotest.(check string)
+               (Printf.sprintf "%d cores: the writer's close published" ncores)
+               (String.make 64 'B') (Posix.read_all p fd);
+             Posix.close p fd;
+             0)))
+    [ 1; 4 ]
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -222,5 +257,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "env across exec" `Quick test_env_inherited_by_exec;
         tc "utilization" `Quick test_utilization_reporting;
         tc "reused blocks read as zeroes" `Quick test_reused_blocks_read_zero;
+        tc "server read keeps a dirty line" `Quick
+          test_server_read_keeps_dirty_lines;
       ] );
   ]
