@@ -17,9 +17,28 @@ let absent = Bytes.create 0
 
 let no_leaf = Array.make leaf_pages absent
 
+(* The private caches that share a block's bytes, in one word per block:
+   the number of caches holding lines of it plus, [id_shift] bits up,
+   the sum of their ids. When only one cache holds lines of the block
+   the sum is its id; with more, every attached cache is asked. A
+   cache is on a block's word from the first line it caches of the
+   block to the last line it drops. The words live in leaves like the
+   pages', allocated on a block's first sharer; [no_sharers] stands for
+   a leaf of blocks no cache holds. *)
+let id_shift = 20
+
+let[@inline] tag id = (id lsl id_shift) + 1
+
+let no_sharers = Array.make leaf_pages 0
+
 type t = {
   nblocks : int;
   leaves : Bytes.t array array;
+  sharers : int array array;
+  (* [keepers.(id)] copies out the lines the cache [id] shares (see
+     [attach]). *)
+  mutable keepers : (int -> int -> int -> unit) array;
+  mutable ncaches : int;
   (* Observer bus + counter track; DRAM itself has no engine, so the
      machine hands over the engine's bus at boot. *)
   mutable obs : Hare_sim.Obs.t;
@@ -33,6 +52,9 @@ let create ~nblocks =
   {
     nblocks;
     leaves = Array.make (((nblocks - 1) lsr leaf_bits) + 1) no_leaf;
+    sharers = Array.make (((nblocks - 1) lsr leaf_bits) + 1) no_sharers;
+    keepers = [||];
+    ncaches = 0;
     obs = Hare_sim.Obs.create ();
     track = 0;
     line_reads = 0;
@@ -103,6 +125,71 @@ let write_page t ~block ~lines =
     invalid_arg (Printf.sprintf "Dram: %d lines out of range" lines);
   page t block ~lines
 
+(* --- private caches sharing DRAM's bytes --------------------------------- *)
+
+let attach t keep =
+  let id = t.ncaches in
+  (* The count must not carry into the sum, which then fits too. *)
+  if id + 1 >= 1 lsl id_shift then invalid_arg "Dram.attach: too many caches";
+  if id = Array.length t.keepers then begin
+    let k = Array.make (Int.max 4 (2 * id)) keep in
+    Array.blit t.keepers 0 k 0 id;
+    t.keepers <- k
+  end;
+  t.keepers.(id) <- keep;
+  t.ncaches <- id + 1;
+  id
+
+let[@inline] sharers t block =
+  Array.unsafe_get
+    (Array.unsafe_get t.sharers (block lsr leaf_bits))
+    (block land (leaf_pages - 1))
+
+let set_sharers t block w =
+  let i = block lsr leaf_bits in
+  if t.sharers.(i) == no_sharers then t.sharers.(i) <- Array.make leaf_pages 0;
+  t.sharers.(i).(block land (leaf_pages - 1)) <- w
+
+let share t ~block ~id =
+  check_block t block;
+  set_sharers t block (sharers t block + tag id)
+
+let unshare t ~block ~id =
+  check_block t block;
+  set_sharers t block (sharers t block - tag id)
+
+let others_share t ~block ~id =
+  check_block t block;
+  let w = sharers t block in
+  w <> 0 && w <> tag id
+
+(* Lines [first, last] of [block] are about to change: every cache but
+   [id] that holds lines of the block copies out the ones it shares.
+   [id] is -1 when no cache writes. *)
+let keep_lines t block ~first ~last ~id =
+  let w = sharers t block in
+  if w <> 0 && w <> tag id then
+    if w land ((1 lsl id_shift) - 1) = 1 then
+      t.keepers.(w lsr id_shift) block first last
+    else
+      for i = 0 to t.ncaches - 1 do
+        if i <> id then t.keepers.(i) block first last
+      done
+
+let before_write t ~block ~first ~last ~id =
+  check_block t block;
+  if first < 0 || first > last || last >= Layout.lines_per_block then
+    invalid_arg "Dram.before_write: lines out of range";
+  keep_lines t block ~first ~last ~id
+
+(* The lines of [block] that hold bytes, which [release] or a range
+   clear may change: a line past the page's end reads as zeroes before
+   and after. *)
+let keep_page_lines t block ~first ~last =
+  let held = Bytes.length (find t block) / Layout.line_size in
+  let last = Int.min last (held - 1) in
+  if first <= last then keep_lines t block ~first ~last ~id:(-1)
+
 let check_buf buf off =
   if off < 0 || off > Bytes.length buf - Layout.line_size then
     invalid_arg "Dram: buffer too short for a line"
@@ -118,6 +205,7 @@ let read_line t ~block ~line ~dst ~dst_off =
 let write_line t ~block ~line ~src ~src_off =
   check_line t ~block ~line;
   check_buf src src_off;
+  keep_lines t block ~first:line ~last:line ~id:(-1);
   note_write t;
   Layout.blit_line src src_off (page t block ~lines:(line + 1))
     (line * Layout.line_size)
@@ -126,7 +214,10 @@ let write_line t ~block ~line ~src ~src_off =
 let release t ~block =
   check_block t block;
   let leaf = t.leaves.(block lsr leaf_bits) in
-  if leaf != no_leaf then leaf.(block land (leaf_pages - 1)) <- absent
+  if leaf != no_leaf then begin
+    keep_page_lines t block ~first:0 ~last:(Layout.lines_per_block - 1);
+    leaf.(block land (leaf_pages - 1)) <- absent
+  end
 
 let zero_block = release
 
@@ -136,7 +227,11 @@ let zero_range t ~block ~off ~len =
   check_block t block;
   let p = find t block in
   let n = Int.min len (Bytes.length p - off) in
-  if n > 0 then Bytes.fill p off n '\000'
+  if n > 0 then begin
+    keep_page_lines t block ~first:(off / Layout.line_size)
+      ~last:((off + n - 1) / Layout.line_size);
+    Bytes.fill p off n '\000'
+  end
 
 let unsafe_read t ~block ~off ~len =
   if off < 0 || len < 0 || off + len > Layout.block_size then

@@ -8,9 +8,10 @@
 type t
 
 val create : nblocks:int -> t
-(** [create ~nblocks] costs a word per 512 blocks: a block's page, and
-    the leaf of the page table that holds it, are allocated on the
-    block's first {!write_line} or {!write_page}. A page first covers
+(** [create ~nblocks] costs two words per 512 blocks: a block's page,
+    and the leaf of the page table that holds it, are allocated on the
+    block's first {!write_line} or {!write_page}, and the leaf of its
+    sharer words (see {!share}) on its first sharer. A page first covers
     only the lines up to the highest one that write asks for; a later
     write past its end replaces it, once, with a whole block that keeps
     its bytes. A block never written, and any line past its page's end,
@@ -35,14 +36,16 @@ val write_line : t -> block:int -> line:int -> src:Bytes.t -> src_off:int -> uni
 (** [release t ~block] makes [block] read as zeroes by dropping its page
     (a leaf of the page table, once allocated, stays). For a block no
     descriptor can reach any more: a file server releases the blocks it
-    frees. It allocates nothing, and a block never written is left as
-    it is. A line written back later (a stale dirty line of a private
-    cache) brings a zeroed page back with that line in it.
+    frees. It allocates nothing itself (a cache that shares lines of
+    the page copies them out first, into cells of its own), and a block
+    never written is left as it is. A line written back later (a stale
+    dirty line of a private cache) brings a zeroed page back with that
+    line in it.
     Raises [Invalid_argument] if [block] is out of range. *)
 val release : t -> block:int -> unit
 
 (** [zero_block t ~block] clears a block (block allocation hygiene): it
-    is {!release}, so it allocates nothing either. *)
+    is {!release}. *)
 val zero_block : t -> block:int -> unit
 
 (** [zero_range t ~block ~off ~len] clears a byte range of a block
@@ -79,6 +82,48 @@ val write_page : t -> block:int -> lines:int -> Bytes.t
     taken earlier from {!read_page} or {!write_page} may be stale.
     Raises [Invalid_argument] if [block] is out of range or [lines] is
     not in [1, Layout.lines_per_block]. *)
+
+(** {2 Bytes shared with private caches}
+
+    A private cache keeps no copy of a clean line while DRAM holds the
+    same bytes: it reads DRAM's. It must therefore take a copy of the
+    old bytes of every line it shares before DRAM changes them. DRAM
+    keeps, per block, how many caches hold lines of it (and which, when
+    only one does), and calls them back before each change it makes
+    itself: {!write_line}, and {!release}, {!zero_block} and
+    {!zero_range} for the lines of the page they clear. A cache writing
+    through {!write_page} calls {!before_write} first. None of this
+    counts, charges or emits anything. *)
+
+val attach : t -> (int -> int -> int -> unit) -> int
+(** [attach t keep] registers a private cache and returns its id (0, 1,
+    ... in order). [keep block first last] is called while lines
+    [first, last] of [block] still hold their old bytes, when the cache
+    is one of the block's sharers and is not the writer: it must copy
+    out the lines in that range it shares. It must not write DRAM,
+    {!share} or {!unshare}. *)
+
+val share : t -> block:int -> id:int -> unit
+(** [share t ~block ~id]: cache [id] now holds lines of [block]. Once
+    per block until {!unshare}. Allocates (once per 512 blocks) a leaf
+    of sharer words. *)
+
+val unshare : t -> block:int -> id:int -> unit
+(** [unshare t ~block ~id]: cache [id] holds no line of [block] any
+    more. *)
+
+val others_share : t -> block:int -> id:int -> bool
+(** Whether a cache other than [id] holds lines of [block]. A cache
+    writing several lines of a block back asks once, and calls
+    {!before_write} for each line only if so: while no other cache holds
+    lines of the block, a write-back costs a test per line. *)
+
+val before_write : t -> block:int -> first:int -> last:int -> id:int -> unit
+(** [before_write t ~block ~first ~last ~id]: cache [id] is about to
+    write lines [first, last] of [block] through a page from
+    {!write_page}. Every other cache holding lines of the block is
+    called back first. Raises [Invalid_argument] if [block] or the lines
+    are out of range. *)
 
 val note_read : t -> unit
 (** Count (and every 64th time publish) one line moved out of DRAM. *)

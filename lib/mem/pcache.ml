@@ -18,7 +18,7 @@ let lpb = 64
 let () = assert (line_size = Layout.line_size && lpb = Layout.lines_per_block)
 
 (* The per-line bookkeeping is packed in [Bytes.t] cells of 4 bytes (a
-   slot number, a key or an LRU link) or of 1 byte (a dirty flag). The
+   slot number, a key, an LRU link or where a line's bytes are). The
    primitives below compile inline even where [Bytes.get_int32_le]
    would be a call (-opaque). A frame's cells are read and written
    bounds-checked. [create] checks that every value fits in a cell. *)
@@ -37,13 +37,23 @@ let[@inline] set_cell b i v = set32 b (i lsl 2) (Int32.of_int v)
 let max_cell = 0x7fff_ffff
 
 (* Block directory: block number -> frame. A frame is a [Bytes.t] of
-   [lpb + 1] cells: cell [line] holds the slot caching that line of the
-   block (0 = not cached), cell [lpb] the number of resident lines. An
-   access looks its block's frame up once instead of hashing every line;
-   invalidation and write-back walk one frame. *)
+   [2 * lpb + 1] cells: cell [line] holds the slot caching that line of
+   the block (0 = not cached), cell [lpb] the number of resident lines
+   and cell [lpb + 1 + line] where the line's bytes are (see
+   [data_cell]). An access looks its block's frame up once instead of
+   hashing every line; invalidation and write-back walk one frame. *)
 let count_cell = lpb
 
-let frame_bytes = (lpb + 1) * 4
+let frame_bytes = ((2 * lpb) + 1) * 4
+
+(* Where the bytes of a cached [line] are, in its frame: 0 for a shared
+   line, which has none of its own (they are DRAM's: the block's page,
+   zeroes past its end); [c] for a private clean line, whose bytes are in
+   cell [c]; [-c] for a private dirty one. A dirty line is always
+   private. *)
+let[@inline] data_cell f line = cell f (lpb + 1 + line)
+
+let[@inline] set_data_cell f line d = set_cell f (lpb + 1 + line) d
 
 (* The frame of every block with no cached line. It is all zeroes and is
    never written: only frames from [new_frame] are. *)
@@ -83,21 +93,27 @@ type t = {
   mutable pool : Bytes.t array;
   mutable npool : int;
   (* Line slots, indexed 1..capacity: a 4-byte cell each in [key], [prev]
-     and [next], a byte in [dirty], [nslots] slots in each. Slot 0 is the
-     sentinel of the intrusive LRU list: [next] cell 0 is the MRU slot,
-     [prev] cell 0 the victim. The cells grow with use up to
-     [capacity + 1]. *)
+     and [next], [nslots] slots in each. Slot 0 is the sentinel of the
+     intrusive LRU list: [next] cell 0 is the MRU slot, [prev] cell 0 the
+     victim. The cells grow with use up to [capacity + 1]. *)
   mutable key : Bytes.t; (* block * lpb + line of the cached line *)
-  mutable dirty : Bytes.t; (* '\001' = dirty *)
   mutable prev : Bytes.t;
   mutable next : Bytes.t;
   mutable nslots : int;
-  (* Line data: slot [s] lives in chunk [(s - 1) / lpb]. A chunk holds
-     [lpb] lines (the last one fewer, never past [capacity]) and is
-     allocated when its first slot is handed out. *)
-  chunks : Bytes.t array;
   mutable fresh : int; (* slots handed out so far *)
   mutable free_slot : int; (* slots freed by invalidation, linked by [next]; 0 = none *)
+  (* Line bytes of private slots, in 64-byte cells: cell [c] (from 1)
+     lives in chunk [(c - 1) / lpb]. A chunk holds [lpb] cells (the last
+     one fewer, never past [capacity]) and is allocated when its first
+     cell is handed out. Freed cells wait on a stack of 4-byte cells,
+     [free_cells], which grows with them: [nfree] of them, in room for
+     [free_room]. *)
+  chunks : Bytes.t array;
+  mutable fresh_cells : int; (* cells handed out so far *)
+  mutable free_cells : Bytes.t;
+  mutable nfree : int;
+  mutable free_room : int;
+  mutable id : int; (* this cache's id at [dram] *)
   mutable resident : int;
   mutable hits : int;
   mutable misses : int;
@@ -105,49 +121,6 @@ type t = {
   mutable writebacks : int;
   mutable invalidated : int;
 }
-
-let create ?block_socket dram ~core ~costs ~capacity_lines =
-  if capacity_lines <= 0 then invalid_arg "Pcache.create: empty capacity";
-  if capacity_lines > max_cell then
-    invalid_arg "Pcache.create: capacity_lines does not fit in 31 bits";
-  if Dram.nblocks dram > max_cell / lpb then
-    invalid_arg "Pcache.create: DRAM line keys do not fit in 31 bits";
-  let block_socket =
-    match block_socket with
-    | Some f -> f
-    | None -> fun (_ : int) -> Core_res.socket core
-  in
-  let slots = Int.min (capacity_lines + 1) (lpb + 1) in
-  {
-    dram;
-    core;
-    obs = Engine.obs (Core_res.engine core);
-    cid = Core_res.id core;
-    socket = Core_res.socket core;
-    costs;
-    block_socket;
-    capacity = capacity_lines;
-    dir_keys = no_keys;
-    dir_frames = no_frames;
-    dir_shift = Sys.int_size;
-    dir_count = 0;
-    pool = [||];
-    npool = 0;
-    key = Bytes.make (slots * 4) '\255';
-    dirty = Bytes.make slots '\000';
-    prev = Bytes.make (slots * 4) '\000';
-    next = Bytes.make (slots * 4) '\000';
-    nslots = slots;
-    chunks = Array.make ((capacity_lines + lpb - 1) / lpb) Bytes.empty;
-    fresh = 0;
-    free_slot = 0;
-    resident = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    writebacks = 0;
-    invalidated = 0;
-  }
 
 let core t = t.core
 
@@ -272,7 +245,8 @@ let remove t block =
 
 (* A frame for [block], which has none, taken from the pool if it can
    be. Only called after [Dram] accepted [block], so the block is in
-   range. *)
+   range. From its frame's creation to its release the cache is one of
+   the block's sharers at [Dram]. *)
 let new_frame t block =
   if 2 * (t.dir_count + 1) > Array.length t.dir_keys then grow_dir t;
   let f =
@@ -283,10 +257,12 @@ let new_frame t block =
     else Bytes.make frame_bytes '\000'
   in
   insert t block f;
+  Dram.share t.dram ~block ~id:t.id;
   f
 
 let release_frame t block f =
   remove t block;
+  Dram.unshare t.dram ~block ~id:t.id;
   if t.npool = Array.length t.pool then begin
     let pool = Array.make (Int.max 16 (2 * t.npool)) no_frame in
     Array.blit t.pool 0 pool 0 t.npool;
@@ -313,28 +289,18 @@ let[@inline] set_slot_cell b s v = unsafe_set32 b (s lsl 2) (Int32.of_int v)
 
 let[@inline] link t b s = checked t (slot_cell b s)
 
-let[@inline] is_dirty t s = Bytes.unsafe_get t.dirty s <> '\000'
-
-let[@inline] set_dirty t s d =
-  Bytes.unsafe_set t.dirty s (if d then '\001' else '\000')
-
 (* --- line slots ------------------------------------------------------- *)
-
-let[@inline] chunk t s = Array.unsafe_get t.chunks ((s - 1) / lpb)
-
-let[@inline] data_off s = (s - 1) mod lpb * line_size
 
 let grow_slots t =
   let n = Int.min (t.capacity + 1) (2 * t.nslots) in
-  let grow b ~width fill =
-    let c = Bytes.make (n * width) fill in
+  let grow b fill =
+    let c = Bytes.make (n * 4) fill in
     Bytes.blit b 0 c 0 (Bytes.length b);
     c
   in
-  t.key <- grow t.key ~width:4 '\255';
-  t.dirty <- grow t.dirty ~width:1 '\000';
-  t.prev <- grow t.prev ~width:4 '\000';
-  t.next <- grow t.next ~width:4 '\000';
+  t.key <- grow t.key '\255';
+  t.prev <- grow t.prev '\000';
+  t.next <- grow t.next '\000';
   t.nslots <- n
 
 (* A slot for a new resident line while below capacity. *)
@@ -348,11 +314,57 @@ let new_slot t =
     let s = t.fresh + 1 in
     t.fresh <- s;
     if s >= t.nslots then grow_slots t;
-    if (s - 1) mod lpb = 0 then
-      t.chunks.((s - 1) / lpb) <-
-        Bytes.create (Int.min lpb (t.capacity - s + 1) * line_size);
     s
   end
+
+(* --- line cells ------------------------------------------------------- *)
+
+(* A cell number is range-checked where it is used, so that the line
+   moves below can run unchecked. *)
+let[@inline] chunk t c =
+  if c < 1 || c > t.fresh_cells then
+    raise (Invalid_argument "Pcache: cell out of range");
+  Array.unsafe_get t.chunks ((c - 1) / lpb)
+
+let[@inline] cell_off c = (c - 1) mod lpb * line_size
+
+(* A cell never handed out: there are never more than [capacity] private
+   lines, so never more than [capacity] cells. *)
+let fresh_cell t =
+  let c = t.fresh_cells + 1 in
+  t.fresh_cells <- c;
+  if (c - 1) mod lpb = 0 then
+    t.chunks.((c - 1) / lpb) <-
+      Bytes.create (Int.min lpb (t.capacity - c + 1) * line_size);
+  c
+
+(* Make shared [line] of frame [f] private, dirty or not, with a cell:
+   the last one freed if there is one. Returns the cell. *)
+let[@inline] take_cell t f line ~dirty =
+  let c =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      slot_cell t.free_cells t.nfree
+    end
+    else fresh_cell t
+  in
+  set_data_cell f line (if dirty then -c else c);
+  c
+
+let grow_free t =
+  let room = Int.max 16 (2 * t.free_room) in
+  let b = Bytes.create (4 * room) in
+  Bytes.blit t.free_cells 0 b 0 (4 * t.nfree);
+  t.free_cells <- b;
+  t.free_room <- room
+
+(* Make private [line] of frame [f], whose data cell is [d], shared: its
+   cell goes back to the pool. *)
+let[@inline] free_cell t f line d =
+  if t.nfree = t.free_room then grow_free t;
+  set_slot_cell t.free_cells t.nfree (Int.abs d);
+  t.nfree <- t.nfree + 1;
+  set_data_cell f line 0
 
 (* --- intrusive LRU list (sentinel slot 0) ------------------------------ *)
 
@@ -399,16 +411,27 @@ let[@inline] load_line page line dst dst_off =
   if at >= Bytes.length page then Bytes.unsafe_fill dst dst_off line_size '\000'
   else move_line page at dst dst_off
 
-(* Write dirty slot [s], which caches [line] of the block whose DRAM page
-   is [page], back. [observed]: whether the bus wants [Obs.cache]
-   events, looked up once per call of the API. *)
-let write_back t ~observed s page line =
+(* Copy [n] bytes at [at] of [line] of a page into [dst] at [dst_off],
+   zeroes past the page's end. *)
+let[@inline] load_part page line at n dst dst_off =
+  if n = line_size then load_line page line dst dst_off
+  else if line * line_size >= Bytes.length page then
+    Bytes.unsafe_fill dst dst_off n '\000'
+  else Bytes.unsafe_blit page at dst dst_off n
+
+(* Write [line] of [block], dirty in cell [c], back to [block]'s DRAM
+   page [page]. [others]: whether another cache holds lines of [block],
+   which must then copy out this line if they share it before DRAM's
+   bytes change. [observed]: whether the bus wants [Obs.cache] events,
+   looked up once per call of the API. The caller says where the line's
+   bytes are next. *)
+let write_back t ~observed ~others c page block line =
+  if others then Dram.before_write t.dram ~block ~first:line ~last:line ~id:t.id;
   Dram.note_write t.dram;
-  move_line (chunk t s) (data_off s) page (line * line_size);
-  set_dirty t s false;
+  move_line (chunk t c) (cell_off c) page (line * line_size);
   t.writebacks <- t.writebacks + 1;
   if observed then
-    Obs.emit t.obs (Cache_writeback { core = t.cid; key = slot_cell t.key s })
+    Obs.emit t.obs (Cache_writeback { core = t.cid; key = key_of ~block ~line })
 
 (* No page looked up yet. [Dram.write_page] never returns it. *)
 let no_page = Bytes.empty
@@ -425,10 +448,15 @@ let check_range ~off ~len =
    speed, with a small write-through/snoop overhead instead of a DRAM
    round trip; only misses pay the full transfer.
 
+   A fill copies no bytes: the line is shared, and reads DRAM's until
+   DRAM is about to change it (then [keep_lines] gives it a cell) or a
+   non-coherent write makes it private and dirty. A coherent access
+   leaves a line it refetches or writes through shared again.
+
    This is the hottest host path of the direct-access workloads, so a
    miss's eviction, write-back and fill run inline. What every line
    shares is looked up once per access: the range and [buf] checks (the
-   cache's own chunks need none), [block]'s frame, DRAM page and line
+   cache's own cells need none), [block]'s frame, DRAM page and line
    cost. What a victim's block gives is looked up once per run of
    victims from one block. Only what the order contract of pcache.mli
    fixes stays per line: the counters, the DRAM traffic notes and the
@@ -456,9 +484,10 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
      was the block's last cached line: the fill that follows refills it. *)
   let frame = ref (find_frame t block) in
   (* The current run of victims' block, with its frame, line cost and
-     page ([no_page] until a dirty victim of the run needs it). *)
+     page ([no_page] until a dirty victim of the run needs it, which
+     also asks whether another cache holds lines of the block). *)
   let vblock = ref (-1) and vframe = ref no_frame in
-  let vcost = ref 0 and vpage = ref no_page in
+  let vcost = ref 0 and vpage = ref no_page and vothers = ref false in
   let stop = off + len in
   for line = off / line_size to (stop - 1) / line_size do
     let line_start = line * line_size in
@@ -466,110 +495,136 @@ let access t ~block ~off ~len ~write ~coherent buf buf_off =
     let n = Int.min stop (line_start + line_size) - from in
     let s = checked t (cell !frame line) in
     let hit = s <> 0 in
-    let s =
-      if hit then begin
-        touch t s;
-        t.hits <- t.hits + 1;
-        cache_cy := !cache_cy + hit_cy;
-        dram_cy := !dram_cy + snoop_cy;
-        s
-      end
-      else begin
-        (* The miss: count it; at capacity evict the LRU victim (written
-           back if dirty) and reuse its slot; fill the slot from DRAM. *)
-        t.misses <- t.misses + 1;
-        let s =
-          if t.resident >= t.capacity then begin
-            let v = link t t.prev 0 in
-            let vk = slot_cell t.key v in
-            let vb = block_of_key vk and vline = line_of_key vk in
-            if vb <> !vblock then begin
-              vblock := vb;
-              vframe := find_frame t vb;
-              vcost := dram_cost t vb;
-              vpage := no_page
+    if hit then begin
+      touch t s;
+      t.hits <- t.hits + 1;
+      cache_cy := !cache_cy + hit_cy;
+      dram_cy := !dram_cy + snoop_cy
+    end
+    else begin
+      (* The miss: count it; at capacity evict the LRU victim (written
+         back if dirty) and reuse its slot; fill the slot from DRAM. *)
+      t.misses <- t.misses + 1;
+      let s =
+        if t.resident >= t.capacity then begin
+          let v = link t t.prev 0 in
+          let vk = slot_cell t.key v in
+          let vb = block_of_key vk and vline = line_of_key vk in
+          if vb <> !vblock then begin
+            vblock := vb;
+            vframe := find_frame t vb;
+            vcost := dram_cost t vb;
+            vpage := no_page
+          end;
+          let f = !vframe in
+          let d = data_cell f vline in
+          if d < 0 then begin
+            if !vpage == no_page then begin
+              vpage := Dram.write_page t.dram ~block:vb ~lines:lpb;
+              vothers := Dram.others_share t.dram ~block:vb ~id:t.id;
+              (* The write-back may have given [block] its first page,
+                 or grown a short one to a whole block: later fills
+                 must read that page, not the one taken before. *)
+              if vb = block then page := !vpage
             end;
-            if is_dirty t v then begin
-              if !vpage == no_page then begin
-                vpage := Dram.write_page t.dram ~block:vb ~lines:lpb;
-                (* The write-back may have given [block] its first page,
-                   or grown a short one to a whole block: later fills
-                   must read that page, not the one taken before. *)
-                if vb = block then page := !vpage
-              end;
-              write_back t ~observed v !vpage vline;
-              dram_cy := !dram_cy + !vcost
-            end;
-            let f = !vframe in
-            set_cell f vline 0;
-            let count = cell f count_cell - 1 in
-            set_cell f count_cell count;
-            if count = 0 && vb <> block then begin
-              release_frame t vb f;
-              vblock := -1
-            end;
-            t.evictions <- t.evictions + 1;
-            if observed then Obs.emit t.obs (Cache_evict { core = t.cid; key = vk });
-            touch t v;
-            v
-          end
-          else begin
-            let s = new_slot t in
-            t.resident <- t.resident + 1;
-            push_front t s;
-            s
-          end
-        in
-        set_slot_cell t.key s (key_of ~block ~line);
-        set_dirty t s false;
-        (* A non-coherent write of the whole line replaces all of it
-           before anyone reads it: the read is counted, no byte moves. *)
-        Dram.note_read t.dram;
-        if not (write && (not coherent) && n = line_size) then
-          load_line !page line (chunk t s) (data_off s);
-        if !frame == no_frame then frame := new_frame t block;
-        let f = !frame in
-        set_cell f line s;
-        set_cell f count_cell (cell f count_cell + 1);
-        cache_cy := !cache_cy + hit_cy;
-        dram_cy := !dram_cy + line_cy;
-        s
-      end
-    in
+            write_back t ~observed ~others:!vothers (-d) !vpage vb vline;
+            dram_cy := !dram_cy + !vcost
+          end;
+          if d <> 0 then free_cell t f vline d;
+          set_cell f vline 0;
+          let count = cell f count_cell - 1 in
+          set_cell f count_cell count;
+          if count = 0 && vb <> block then begin
+            release_frame t vb f;
+            vblock := -1
+          end;
+          t.evictions <- t.evictions + 1;
+          if observed then Obs.emit t.obs (Cache_evict { core = t.cid; key = vk });
+          touch t v;
+          v
+        end
+        else begin
+          let s = new_slot t in
+          t.resident <- t.resident + 1;
+          push_front t s;
+          s
+        end
+      in
+      set_slot_cell t.key s (key_of ~block ~line);
+      Dram.note_read t.dram;
+      if !frame == no_frame then frame := new_frame t block;
+      let f = !frame in
+      set_cell f line s;
+      set_cell f count_cell (cell f count_cell + 1);
+      cache_cy := !cache_cy + hit_cy;
+      dram_cy := !dram_cy + line_cy
+    end;
     if observed then
       Obs.emit t.obs
         (Cache_access
            { core = t.cid; key = key_of ~block ~line; write; filled = not hit;
              coherent });
-    let data = chunk t s and doff = data_off s in
-    let data_at = doff + from - line_start and buf_at = buf_off + from - off in
+    let f = !frame in
+    let d = data_cell f line in
+    let at = from - line_start and buf_at = buf_off + from - off in
     if write then begin
-      (* A coherent partial write merges into the line's current bytes.
-         A clean resident line is only a copy of DRAM, which another
-         core's write or a freed block's zeroing may have changed since:
-         take DRAM's bytes, within the snoop the hit already pays. A
-         dirty one holds this core's newer writes; a miss has just
-         filled the line. *)
-      if coherent && hit && n < line_size && not (is_dirty t s) then
-        move_line !page line_start data doff;
-      if n = line_size then move_line buf buf_at data data_at
-      else Bytes.unsafe_blit buf buf_at data data_at n;
       if coherent then begin
+        (* A coherent write leaves the line equal to DRAM, and shared. A
+           clean line (shared, or a private copy DRAM has changed since)
+           takes DRAM's current bytes around the range, within the snoop
+           the hit already pays; a dirty one holds this core's newer
+           writes, which go through with the range. *)
+        Dram.before_write t.dram ~block ~first:line ~last:line ~id:t.id;
         Dram.note_write t.dram;
-        move_line data doff !page line_start
-      end;
-      set_dirty t s (not coherent)
+        let pg = !page in
+        if d < 0 then begin
+          let data = chunk t (-d) and doff = cell_off (-d) in
+          Bytes.unsafe_blit buf buf_at data (doff + at) n;
+          move_line data doff pg line_start
+        end
+        else if n = line_size then move_line buf buf_at pg line_start
+        else Bytes.unsafe_blit buf buf_at pg from n;
+        if d <> 0 then free_cell t f line d
+      end
+      else begin
+        (* A non-coherent write makes the line private and dirty, taking
+           DRAM's bytes first unless it replaces all of them. *)
+        let c =
+          if d > 0 then begin
+            set_data_cell f line (-d);
+            d
+          end
+          else if d < 0 then -d
+          else begin
+            let c = take_cell t f line ~dirty:true in
+            if n < line_size then load_line !page line (chunk t c) (cell_off c);
+            c
+          end
+        in
+        let data = chunk t c and doff = cell_off c in
+        if n = line_size then move_line buf buf_at data doff
+        else Bytes.unsafe_blit buf buf_at data (doff + at) n
+      end
     end
     else begin
       (* A coherent read refetches a clean line, which DRAM may have
          changed since, and serves a dirty one as it is: its bytes are
          this core's newer writes. *)
-      if coherent && not (is_dirty t s) then begin
-        Dram.note_read t.dram;
-        load_line !page line data doff
-      end;
-      if n = line_size then move_line data data_at buf buf_at
-      else Bytes.unsafe_blit data data_at buf buf_at n
+      let d =
+        if coherent && d >= 0 then begin
+          Dram.note_read t.dram;
+          if d > 0 then free_cell t f line d;
+          0
+        end
+        else d
+      in
+      if d = 0 then load_part !page line from n buf buf_at
+      else begin
+        let c = Int.abs d in
+        let data = chunk t c and doff = cell_off c in
+        if n = line_size then move_line data doff buf buf_at
+        else Bytes.unsafe_blit data (doff + at) buf buf_at n
+      end
     end
   done;
   charge t ~cache:!cache_cy ~dram:!dram_cy ~miss0 ~wb0
@@ -606,20 +661,25 @@ let drop_block t block ~writeback ~dropped =
   let n = cell f count_cell in
   let flushed = ref 0 in
   if n > 0 then begin
-    let page = ref no_page in
+    let page = ref no_page and others = ref false in
     for line = lpb - 1 downto 0 do
       let s = checked t (cell f line) in
       if s <> 0 then begin
-        if writeback && is_dirty t s then begin
-          if !page == no_page then
+        let d = data_cell f line in
+        if writeback && d < 0 then begin
+          if !page == no_page then begin
             page := Dram.write_page t.dram ~block ~lines:(line + 1);
-          write_back t ~observed s !page line;
+            others := Dram.others_share t.dram ~block ~id:t.id
+          end;
+          write_back t ~observed ~others:!others (-d) !page block line;
           incr flushed
         end;
         if observed then
           Obs.emit t.obs
             (Cache_invalidate
-               { core = t.cid; key = key_of ~block ~line; dirty = is_dirty t s });
+               { core = t.cid; key = key_of ~block ~line;
+                 dirty = d < 0 && not writeback });
+        if d <> 0 then free_cell t f line d;
         unlink t s;
         set_cell f line 0;
         set_slot_cell t.next s t.free_slot;
@@ -639,21 +699,94 @@ let invalidate_block t block = drop_block t block ~writeback:false ~dropped:igno
 
 let evict_block ~dropped t block = drop_block t block ~writeback:true ~dropped
 
+(* A written-back line equals DRAM's again: it is shared, and its cell
+   goes back to the pool. *)
 let writeback_block t block =
   let miss0 = t.misses and wb0 = t.writebacks in
   let observed = t.obs.Obs.wanted land Obs.cache <> 0 in
   let f = find_frame t block in
   let flushed = ref 0 in
   if f != no_frame then begin
-    let page = ref no_page in
+    let page = ref no_page and others = ref false in
     for line = lpb - 1 downto 0 do
-      let s = checked t (cell f line) in
-      if s <> 0 && is_dirty t s then begin
-        if !page == no_page then
+      let d = data_cell f line in
+      if d < 0 then begin
+        if !page == no_page then begin
           page := Dram.write_page t.dram ~block ~lines:(line + 1);
-        write_back t ~observed s !page line;
+          others := Dram.others_share t.dram ~block ~id:t.id
+        end;
+        write_back t ~observed ~others:!others (-d) !page block line;
+        free_cell t f line d;
         incr flushed
       end
     done
   end;
   charge t ~cache:0 ~dram:(!flushed * dram_cost t block) ~miss0 ~wb0
+
+(* DRAM is about to change lines [first, last] of [block]: each of them
+   this cache shares takes a cell with the bytes it reads now, so that
+   the cache keeps them, clean, as a private cache would. Nothing is
+   counted, charged or emitted. *)
+let keep_lines t block first last =
+  let f = find_frame t block in
+  if f != no_frame then begin
+    let page = Dram.read_page t.dram ~block in
+    for line = first to last do
+      let s = checked t (cell f line) in
+      if s <> 0 && data_cell f line = 0 then begin
+        let c = take_cell t f line ~dirty:false in
+        load_line page line (chunk t c) (cell_off c)
+      end
+    done
+  end
+
+let create ?block_socket dram ~core ~costs ~capacity_lines =
+  if capacity_lines <= 0 then invalid_arg "Pcache.create: empty capacity";
+  if capacity_lines > max_cell then
+    invalid_arg "Pcache.create: capacity_lines does not fit in 31 bits";
+  if Dram.nblocks dram > max_cell / lpb then
+    invalid_arg "Pcache.create: DRAM line keys do not fit in 31 bits";
+  let block_socket =
+    match block_socket with
+    | Some f -> f
+    | None -> fun (_ : int) -> Core_res.socket core
+  in
+  let slots = Int.min (capacity_lines + 1) (lpb + 1) in
+  let t =
+  {
+    dram;
+    core;
+    obs = Engine.obs (Core_res.engine core);
+    cid = Core_res.id core;
+    socket = Core_res.socket core;
+    costs;
+    block_socket;
+    capacity = capacity_lines;
+    dir_keys = no_keys;
+    dir_frames = no_frames;
+    dir_shift = Sys.int_size;
+    dir_count = 0;
+    pool = [||];
+    npool = 0;
+    key = Bytes.make (slots * 4) '\255';
+    prev = Bytes.make (slots * 4) '\000';
+    next = Bytes.make (slots * 4) '\000';
+    nslots = slots;
+    fresh = 0;
+    free_slot = 0;
+    chunks = Array.make ((capacity_lines + lpb - 1) / lpb) Bytes.empty;
+    fresh_cells = 0;
+    free_cells = Bytes.empty;
+    nfree = 0;
+    free_room = 0;
+    id = -1;
+    resident = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    writebacks = 0;
+    invalidated = 0;
+  }
+  in
+  t.id <- Dram.attach dram (keep_lines t);
+  t

@@ -10,6 +10,18 @@
     necessary}: tests that omit it observe stale data, exactly as on the
     paper's target machines.
 
+    {b Bytes stored once.} Every call returns what a cache with its own
+    copy of every line would, but a clean line whose bytes DRAM still
+    holds keeps no copy: it is {e shared}, and reads DRAM's page. A line
+    is {e private}, with its bytes in a 64-byte cell of the cache's pool,
+    once a non-coherent write makes it dirty, or once DRAM is about to
+    change bytes it shares: a write-back of another cache, a coherent
+    write of another cache, {!Dram.write_line}, {!Dram.release},
+    {!Dram.zero_block} or {!Dram.zero_range} first has it copy them out
+    ({!Dram.attach}). Fills, coherent accesses and {!writeback_block}
+    leave a line shared. None of this moves a counter, a cycle or a bus
+    event.
+
     All operations charge cycle costs to the owning core: each call sums
     its cache and DRAM cycles and pays them in one [Core_res.compute].
 
@@ -53,7 +65,9 @@ val create :
   t
 (** [block_socket] maps a block number to the NUMA socket holding it;
     accesses to blocks on another socket pay [dram_cross_socket_line]
-    extra per line. Defaults to the core's own socket (no NUMA effect). *)
+    extra per line. Defaults to the core's own socket (no NUMA effect).
+    The cache attaches itself to the DRAM ({!Dram.attach}), which keeps
+    it for the DRAM's lifetime. *)
 
 val core : t -> Hare_sim.Core_res.t
 
@@ -88,7 +102,7 @@ val invalidate_block : t -> int -> unit
 val evict_block : dropped:(int -> unit) -> t -> int -> unit
 
 (** [writeback_block t block] flushes the dirty lines of [block] to DRAM;
-    lines stay resident, clean. *)
+    lines stay resident, clean (and shared). *)
 val writeback_block : t -> int -> unit
 
 (** [read_coherent] / [write_coherent] model an access on a machine

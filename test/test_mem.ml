@@ -205,18 +205,21 @@ let test_pcache_cross_line_ranges () =
 (* ---------- differential test against a line-keyed reference ------------ *)
 
 (* The reference keeps what the private cache used to be: one record per
-   cached line in an MRU-first list, looked up by line key. It computes
-   the cycles each call should charge from the same cost table, and
-   emits on its own bus the cache events the order contract of
-   pcache.mli prescribes; its DRAM publishes its counters there too. *)
+   cached line in an MRU-first list, looked up by line key, each with a
+   copy of the line's bytes. It computes the cycles each call should
+   charge from the same cost table, and emits on its own bus the cache
+   events the order contract of pcache.mli prescribes; its DRAM
+   publishes its counters there too. Its core is [core], on socket
+   [core / 2] as [mk_core] places it. *)
 module Ref = struct
   type line = { key : int; data : Bytes.t; mutable dirty : bool }
 
   type t = {
     dram : Dram.t;
     obs : Obs.t;
+    core : int;
     capacity : int;
-    socket_of : int -> int; (* the core is on socket 0 *)
+    socket_of : int -> int;
     mutable lru : line list; (* MRU first *)
     mutable hits : int;
     mutable misses : int;
@@ -225,14 +228,14 @@ module Ref = struct
     mutable invalidated : int;
   }
 
-  let create dram ~obs ~capacity ~socket_of =
-    { dram; obs; capacity; socket_of; lru = []; hits = 0; misses = 0;
+  let create ?(core = 0) dram ~obs ~capacity ~socket_of =
+    { dram; obs; core; capacity; socket_of; lru = []; hits = 0; misses = 0;
       evictions = 0; writebacks = 0; invalidated = 0 }
 
   let lpb = Layout.lines_per_block
 
   let dram_cost t block =
-    if t.socket_of block <> 0 then
+    if t.socket_of block <> t.core / 2 then
       costs.dram_line + costs.dram_cross_socket_line
     else costs.dram_line
 
@@ -242,7 +245,7 @@ module Ref = struct
         ~src:l.data ~src_off:0;
       l.dirty <- false;
       t.writebacks <- t.writebacks + 1;
-      Obs.emit t.obs (Cache_writeback { core = 0; key = l.key });
+      Obs.emit t.obs (Cache_writeback { core = t.core; key = l.key });
       dram_cost t (l.key / lpb)
     end
     else 0
@@ -263,7 +266,7 @@ module Ref = struct
             let c = flush t victim in
             t.lru <- List.filter (fun m -> m != victim) t.lru;
             t.evictions <- t.evictions + 1;
-            Obs.emit t.obs (Cache_evict { core = 0; key = victim.key });
+            Obs.emit t.obs (Cache_evict { core = t.core; key = victim.key });
             c
           end
           else 0
@@ -281,11 +284,18 @@ module Ref = struct
       cycles := !cycles + c;
       if coherent && hit then cycles := !cycles + (costs.dram_line / 8);
       Obs.emit t.obs
-        (Cache_access { core = 0; key = l.key; write; filled = not hit; coherent });
+        (Cache_access
+           { core = t.core; key = l.key; write; filled = not hit; coherent });
       let start = line * Layout.line_size in
       let from = max off start in
       let n = min (off + len) (start + Layout.line_size) - from in
       if write then begin
+        (* A coherent write to a clean line merges into DRAM's current
+           bytes, within the snoop: no DRAM read is counted. *)
+        if coherent && not l.dirty then
+          Bytes.blit_string
+            (Dram.unsafe_read t.dram ~block ~off:start ~len:Layout.line_size)
+            0 l.data 0 Layout.line_size;
         Bytes.blit buf (from - off) l.data (from - start) n;
         if coherent then Dram.write_line t.dram ~block ~line ~src:l.data ~src_off:0;
         l.dirty <- not coherent
@@ -310,7 +320,7 @@ module Ref = struct
         (fun acc l ->
           let c = if writeback then flush t l else 0 in
           Obs.emit t.obs
-            (Cache_invalidate { core = 0; key = l.key; dirty = l.dirty });
+            (Cache_invalidate { core = t.core; key = l.key; dirty = l.dirty });
           acc + c)
         0 lines
     in
@@ -457,11 +467,39 @@ let same_block d rd block =
   Bytes.equal a (Bytes.sub b 0 n)
   && Bytes.equal (Bytes.sub b n (m - n)) (Bytes.make (m - n) '\000')
 
-(* One run of a case against the reference. [observed]: whether the
-   cache's bus has a subscriber. Without one the cache takes the path
-   [perfbench] and most runs take, and only the bus events go
-   uncompared. *)
-let run_pc_case ~observed (capacity, nblocks, blocks, ops) =
+(* One call of [op] on the cache [p] and on its reference [r]: the
+   cycles the reference charges and the bytes each returned. *)
+let pc_step p r op =
+  match op with
+  | Access { block; off; len; write; coherent; fill } ->
+      let buf = Bytes.make len fill and rbuf = Bytes.make len fill in
+      (match (write, coherent) with
+      | false, false -> Pcache.read p ~block ~off ~len ~dst:buf ~dst_off:0
+      | true, false -> Pcache.write p ~block ~off ~len ~src:buf ~src_off:0
+      | false, true -> Pcache.read_coherent p ~block ~off ~len ~dst:buf ~dst_off:0
+      | true, true -> Pcache.write_coherent p ~block ~off ~len ~src:buf ~src_off:0);
+      let c = Ref.access r ~block ~off ~len ~write ~coherent rbuf in
+      (c, Bytes.to_string buf, Bytes.to_string rbuf)
+  | Invalidate b ->
+      Pcache.invalidate_block p b;
+      (Ref.drop_block r b ~writeback:false, "", "")
+  | Evict b ->
+      Pcache.evict_block p b ~dropped:ignore;
+      (Ref.drop_block r b ~writeback:true, "", "")
+  | Writeback b ->
+      Pcache.writeback_block p b;
+      (Ref.writeback_block r b, "", "")
+
+(* A run of [ops] against the reference: [setup e d rd robs] builds the
+   caches and their references over the DRAM [d] (on the engine's bus)
+   and the reference's [rd] (on [robs]), and [step] runs an op, giving
+   [pc_step]'s triple. After each op: the cycles, the bytes, every
+   cache's stats and resident lines, the bus events and the [blocks] of
+   DRAM must agree. [observed]: whether the cache's bus has a
+   subscriber. Without one the caches take the path [perfbench] and most
+   runs take, and only the bus events go uncompared. The failures, in
+   order. *)
+let run_against_reference ~observed ~nblocks ~blocks ~setup ~step ~after ops =
   let failures = ref [] in
   let run = if observed then "observed" else "unobserved" in
   let fail fmt =
@@ -480,46 +518,24 @@ let run_pc_case ~observed (capacity, nblocks, blocks, ops) =
       in
       if (not observed) && (Engine.obs e).Obs.wanted <> 0 then
         fail "the bus has a subscriber";
-      let p =
-        Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
-          ~block_socket:socket_of
-      in
-      let r = Ref.create rd ~obs:robs ~capacity ~socket_of in
+      let caches = setup e d rd robs in
       List.iteri
         (fun i op ->
           let t0 = Engine.now e in
-          let want_cycles, got_bytes, want_bytes =
-            match op with
-            | Access { block; off; len; write; coherent; fill } ->
-                let buf = Bytes.make len fill and rbuf = Bytes.make len fill in
-                (match (write, coherent) with
-                | false, false -> Pcache.read p ~block ~off ~len ~dst:buf ~dst_off:0
-                | true, false -> Pcache.write p ~block ~off ~len ~src:buf ~src_off:0
-                | false, true ->
-                    Pcache.read_coherent p ~block ~off ~len ~dst:buf ~dst_off:0
-                | true, true ->
-                    Pcache.write_coherent p ~block ~off ~len ~src:buf ~src_off:0);
-                let c = Ref.access r ~block ~off ~len ~write ~coherent rbuf in
-                (c, Bytes.to_string buf, Bytes.to_string rbuf)
-            | Invalidate b ->
-                Pcache.invalidate_block p b;
-                (Ref.drop_block r b ~writeback:false, "", "")
-            | Evict b ->
-                Pcache.evict_block p b ~dropped:ignore;
-                (Ref.drop_block r b ~writeback:true, "", "")
-            | Writeback b ->
-                Pcache.writeback_block p b;
-                (Ref.writeback_block r b, "", "")
-          in
+          let want_cycles, got_bytes, want_bytes = step caches d rd op in
           let got_cycles = Int64.to_int (Int64.sub (Engine.now e) t0) in
           if got_cycles <> want_cycles then
             fail "op %d: charged %d cycles, reference %d" i got_cycles
               want_cycles;
           if got_bytes <> want_bytes then fail "op %d: bytes differ" i;
-          if Pcache.stats p <> Ref.stats r then fail "op %d: stats differ" i;
-          if Pcache.resident_lines p <> List.length r.Ref.lru then
-            fail "op %d: %d resident lines, reference %d" i
-              (Pcache.resident_lines p) (List.length r.Ref.lru);
+          Array.iteri
+            (fun c (p, r) ->
+              if Pcache.stats p <> Ref.stats r then
+                fail "op %d: cache %d: stats differ" i c;
+              if Pcache.resident_lines p <> List.length r.Ref.lru then
+                fail "op %d: cache %d: %d resident lines, reference %d" i c
+                  (Pcache.resident_lines p) (List.length r.Ref.lru))
+            caches;
           let got = got_events () and want = want_events () in
           if got <> want then
             fail "op %d: bus events\n    %s\n  reference\n    %s" i
@@ -530,14 +546,29 @@ let run_pc_case ~observed (capacity, nblocks, blocks, ops) =
                 fail "op %d: DRAM block %d differs" i b)
             blocks)
         ops;
+      after d fail);
+  List.rev !failures
+
+(* One run of a one-cache case against the reference. *)
+let run_pc_case ~observed (capacity, nblocks, blocks, ops) =
+  run_against_reference ~observed ~nblocks ~blocks ops
+    ~setup:(fun e d rd robs ->
+      [|
+        ( Pcache.create d ~core:(mk_core e 0) ~costs ~capacity_lines:capacity
+            ~block_socket:socket_of,
+          Ref.create rd ~obs:robs ~capacity ~socket_of );
+      |])
+    ~step:(fun caches _ _ op ->
+      let p, r = caches.(0) in
+      pc_step p r op)
+    ~after:(fun d fail ->
       (* No op touches another block: none has a page. *)
       for b = 0 to nblocks - 1 do
         if
           Bytes.length (Dram.read_page d ~block:b) > 0
           && not (List.mem b blocks)
         then fail "block %d, used by no op, has a page" b
-      done);
-  List.rev !failures
+      done)
 
 (* [QCHECK_LONG=1] runs 20 times as many cases (a CI step). *)
 let prop_pcache_matches_reference =
@@ -555,6 +586,109 @@ let prop_pcache_many_blocks =
       match
         run_pc_case ~observed:true case @ run_pc_case ~observed:false case
       with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_report m)
+
+(* ---------- several caches over one DRAM ---------------------------------- *)
+
+(* An op of a multi-cache case: a call of one cache, or a change DRAM
+   makes itself (a server freeing or clearing a block, a test writing a
+   line). *)
+type mc_op =
+  | On of int * pc_op
+  | Release of int
+  | Zero_block of int
+  | Zero_range of { block : int; off : int; len : int }
+  | Write_line of { block : int; line : int; fill : char }
+
+let pp_mc_op = function
+  | On (c, op) -> Printf.sprintf "cache %d: %s" c (pp_pc_op op)
+  | Release b -> Printf.sprintf "Dram.release %d" b
+  | Zero_block b -> Printf.sprintf "Dram.zero_block %d" b
+  | Zero_range { block; off; len } ->
+      Printf.sprintf "Dram.zero_range b%d [%d,+%d)" block off len
+  | Write_line { block; line; fill } ->
+      Printf.sprintf "Dram.write_line b%d line %d %C" block line fill
+
+(* Two or three caches, their capacities drawn as in [pc_case], over two
+   to four blocks: they cache the same lines, write them back under each
+   other, and DRAM changes lines they share. *)
+let mc_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 3 >>= fun ncaches ->
+    list_repeat ncaches (oneofl [ 1; 3; 63; 64; 65; 200 ]) >>= fun caps ->
+    int_range 2 4 >>= fun nblocks ->
+    let block = int_bound (nblocks - 1) in
+    let dram_op =
+      frequency
+        [
+          (1, map (fun b -> Release b) block);
+          (1, map (fun b -> Zero_block b) block);
+          ( 2,
+            map3
+              (fun block off len ->
+                Zero_range { block; off; len = min len (Layout.block_size - off) })
+              block (int_bound (Layout.block_size - 1)) (int_range 0 300) );
+          ( 2,
+            map3
+              (fun block line fill -> Write_line { block; line; fill })
+              block (int_bound (Layout.lines_per_block - 1)) (char_range 'A' 'Z') );
+        ]
+    in
+    let op =
+      frequency
+        [
+          (5, map2 (fun c op -> On (c, op)) (int_bound (ncaches - 1)) (pc_op_gen ~small:3 block));
+          (1, dram_op);
+        ]
+    in
+    map (fun ops -> (caps, nblocks, ops)) (list_size (int_range 1 120) op)
+  in
+  QCheck.make gen ~print:(fun (caps, nblocks, ops) ->
+      Printf.sprintf "capacities [%s], %d blocks:\n  %s"
+        (String.concat ";" (List.map string_of_int caps))
+        nblocks
+        (String.concat "\n  " (List.map pp_mc_op ops)))
+
+(* Cache [c] runs on core [c]. DRAM's own changes charge nothing and
+   return no bytes; both DRAMs take them. *)
+let run_mc_case ~observed (caps, nblocks, ops) =
+  run_against_reference ~observed ~nblocks ~blocks:(List.init nblocks Fun.id) ops
+    ~setup:(fun e d rd robs ->
+      Array.of_list
+        (List.mapi
+           (fun c capacity ->
+             ( Pcache.create d ~core:(mk_core e c) ~costs ~capacity_lines:capacity
+                 ~block_socket:socket_of,
+               Ref.create ~core:c rd ~obs:robs ~capacity ~socket_of ))
+           caps))
+    ~step:(fun caches d rd op ->
+      let both f =
+        f d;
+        f rd;
+        (0, "", "")
+      in
+      match op with
+      | On (c, op) ->
+          let p, r = caches.(c) in
+          pc_step p r op
+      | Release block -> both (fun d -> Dram.release d ~block)
+      | Zero_block block -> both (fun d -> Dram.zero_block d ~block)
+      | Zero_range { block; off; len } -> both (fun d -> Dram.zero_range d ~block ~off ~len)
+      | Write_line { block; line; fill } ->
+          let src = Bytes.make Layout.line_size fill in
+          both (fun d -> Dram.write_line d ~block ~line ~src ~src_off:0))
+    ~after:(fun _ _ -> ())
+
+(* Every cache keeps the bytes a cache with its own copy of every line
+   would: a shared line must be copied out before a write-back of
+   another cache, a coherent write or DRAM's own change moves DRAM's
+   bytes under it. [QCHECK_LONG=1] runs 20 times as many cases. *)
+let prop_pcache_several_caches =
+  QCheck.Test.make ~name:"several caches match references over one DRAM"
+    ~count:200 ~long_factor:20 mc_case (fun case ->
+      match run_mc_case ~observed:true case @ run_mc_case ~observed:false case with
       | [] -> true
       | m :: _ -> QCheck.Test.fail_report m)
 
@@ -1469,6 +1603,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "short buffer refused up front" `Quick test_pcache_short_buffer;
         QCheck_alcotest.to_alcotest prop_pcache_matches_reference;
         QCheck_alcotest.to_alcotest prop_pcache_many_blocks;
+        QCheck_alcotest.to_alcotest prop_pcache_several_caches;
       ] );
     ("mem.layout", [ tc "lines touched" `Quick test_layout_lines_touched ]);
   ]

@@ -493,17 +493,17 @@ let test_unlinked_pages_released () =
   if !grown >= 100_000 then
     Alcotest.failf "1,000 unlinked files grew the live heap by %d words" !grown
 
-(* A private cache's bookkeeping beside its line data: 13 bytes per line
-   slot (three 4-byte cells and a dirty byte) and a 260-byte frame per
-   cached block. A full default cache of 8,192 lines over 128 blocks
-   holds about 19k words of it. With an int per slot in each of four
-   arrays and an int array per frame, it held about 42k. *)
-let test_pcache_bookkeeping () =
+(* Fill a default-sized private cache's 8,192 lines, a whole block per
+   access, with [fill] over 128 blocks of a DRAM in which [prepare] ran
+   first. The live words the cache grew by, and the lines resident. *)
+let pcache_growth ~prepare ~fill =
   let lines = Config.default.Config.pcache_lines in
   let e = Hare_sim.Engine.create () in
   let core = Hare_sim.Core_res.create e ~id:0 ~socket:0 ~ctx_switch:0 in
   let dram = Hare_mem.Dram.create ~nblocks:1024 in
-  let src = Bytes.make Hare_mem.Layout.block_size 'p' in
+  let blocks = lines / Hare_mem.Layout.lines_per_block in
+  let buf = Bytes.make Hare_mem.Layout.block_size 'p' in
+  prepare dram ~blocks buf;
   let grown = ref 0 and resident = ref 0 in
   ignore
     (Hare_sim.Engine.spawn e ~name:"fill" (fun () ->
@@ -513,9 +513,8 @@ let test_pcache_bookkeeping () =
            Hare_mem.Pcache.create dram ~core ~costs:Config.default.Config.costs
              ~capacity_lines:lines
          in
-         for block = 0 to (lines / Hare_mem.Layout.lines_per_block) - 1 do
-           Hare_mem.Pcache.write pc ~block ~off:0 ~len:(Bytes.length src) ~src
-             ~src_off:0
+         for block = 0 to blocks - 1 do
+           fill pc ~block buf
          done;
          Gc.compact ();
          grown := (Gc.stat ()).live_words - w0;
@@ -523,11 +522,50 @@ let test_pcache_bookkeeping () =
          ignore (Sys.opaque_identity pc)));
   Hare_sim.Engine.run e;
   Alcotest.(check int) "cache full" lines !resident;
+  !grown
+
+(* A private cache's bookkeeping beside its line data: 12 bytes per line
+   slot (three 4-byte cells) and a 516-byte frame per cached block (a
+   slot and where the bytes are, per line). A full default cache of
+   8,192 lines over 128 blocks holds about 21k words of it. With an int
+   per slot in each of four arrays and an int array per frame, it held
+   about 42k. *)
+let test_pcache_bookkeeping () =
+  let grown =
+    pcache_growth
+      ~prepare:(fun _ ~blocks:_ _ -> ())
+      ~fill:(fun pc ~block src ->
+        Hare_mem.Pcache.write pc ~block ~off:0 ~len:(Bytes.length src) ~src
+          ~src_off:0)
+  in
+  let lines = Config.default.Config.pcache_lines in
   let data = lines * Hare_mem.Layout.line_size / (Sys.word_size / 8) in
-  let bookkeeping = !grown - data in
+  let bookkeeping = grown - data in
   if bookkeeping >= 24_000 then
     Alcotest.failf "a full %d-line cache keeps %d words besides its line data"
       lines bookkeeping
+
+(* Lines filled by reads of blocks DRAM holds unchanged are shared: the
+   cache keeps no bytes of its own for them, only the bookkeeping above
+   (and DRAM a leaf of sharer words). A copy of every line would be
+   65,536 words more. *)
+let test_pcache_read_fill_footprint () =
+  let grown =
+    pcache_growth
+      ~prepare:(fun dram ~blocks src ->
+        for block = 0 to blocks - 1 do
+          for line = 0 to Hare_mem.Layout.lines_per_block - 1 do
+            Hare_mem.Dram.write_line dram ~block ~line ~src
+              ~src_off:(line * Hare_mem.Layout.line_size)
+          done
+        done)
+      ~fill:(fun pc ~block dst ->
+        Hare_mem.Pcache.read pc ~block ~off:0 ~len:(Bytes.length dst) ~dst
+          ~dst_off:0)
+  in
+  if grown >= 24_000 then
+    Alcotest.failf "a cache filled by reads of unchanged blocks grew by %d words"
+      grown
 
 let suites : (string * unit Alcotest.test_case list) list =
   [
@@ -574,5 +612,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "unlinked files give their pages back" `Quick
           test_unlinked_pages_released;
         tc "pcache bookkeeping" `Quick test_pcache_bookkeeping;
+        tc "pcache read fills hold no line bytes" `Quick
+          test_pcache_read_fill_footprint;
       ] );
   ]
