@@ -17,14 +17,12 @@ let absent = Bytes.create 0
 
 let no_leaf = Array.make leaf_pages absent
 
-(* The private caches that share a block's bytes, in one word per block:
-   the number of caches holding lines of it plus, [id_shift] bits up,
-   the sum of their ids. When only one cache holds lines of the block
-   the sum is its id; with more, every attached cache is asked. A
-   cache is on a block's word from the first line it caches of the
-   block to the last line it drops. The words live in leaves like the
-   pages', allocated on a block's first sharer; [no_sharers] stands for
-   a leaf of blocks no cache holds. *)
+(* The private caches that may share a block's bytes, in one word per
+   block: the number of caches on it plus, [id_shift] bits up, the sum
+   of their ids. When one cache is on a block's word the sum is its id;
+   with more, every attached cache is asked. The words live in leaves
+   like the pages', allocated on a block's first sharer; [no_sharers]
+   stands for a leaf of blocks no cache is on. *)
 let id_shift = 20
 
 let[@inline] tag id = (id lsl id_shift) + 1
@@ -164,8 +162,8 @@ let others_share t ~block ~id =
   w <> 0 && w <> tag id
 
 (* Lines [first, last] of [block] are about to change: every cache but
-   [id] that holds lines of the block copies out the ones it shares.
-   [id] is -1 when no cache writes. *)
+   [id] on the block's word copies out the ones it shares. [id] is -1
+   when no cache writes. *)
 let keep_lines t block ~first ~last ~id =
   let w = sharers t block in
   if w <> 0 && w <> tag id then

@@ -88,8 +88,8 @@ val write_page : t -> block:int -> lines:int -> Bytes.t
     A private cache keeps no copy of a clean line while DRAM holds the
     same bytes: it reads DRAM's. It must therefore take a copy of the
     old bytes of every line it shares before DRAM changes them. DRAM
-    keeps, per block, how many caches hold lines of it (and which, when
-    only one does), and calls them back before each change it makes
+    keeps, per block, how many caches are on it (and which, when only
+    one is), and calls them back before each change it makes
     itself: {!write_line}, and {!release}, {!zero_block} and
     {!zero_range} for the lines of the page they clear. A cache writing
     through {!write_page} calls {!before_write} first. None of this
@@ -99,30 +99,31 @@ val attach : t -> (int -> int -> int -> unit) -> int
 (** [attach t keep] registers a private cache and returns its id (0, 1,
     ... in order). [keep block first last] is called while lines
     [first, last] of [block] still hold their old bytes, when the cache
-    is one of the block's sharers and is not the writer: it must copy
-    out the lines in that range it shares. It must not write DRAM,
-    {!share} or {!unshare}. *)
+    may share lines of the block and is not the writer: it must copy out
+    the lines in that range it shares. It must not write DRAM, {!share}
+    or {!unshare}. *)
 
 val share : t -> block:int -> id:int -> unit
-(** [share t ~block ~id]: cache [id] now holds lines of [block]. Once
-    per block until {!unshare}. Allocates (once per 512 blocks) a leaf
-    of sharer words. *)
+(** [share t ~block ~id] puts cache [id] on [block]'s word, at the
+    latest when a line of the block first turns shared in it; it stays
+    on until {!unshare}. Once per block until then. Allocates (once per
+    512 blocks) a leaf of sharer words. *)
 
 val unshare : t -> block:int -> id:int -> unit
-(** [unshare t ~block ~id]: cache [id] holds no line of [block] any
-    more. *)
+(** [unshare t ~block ~id] takes cache [id], which shares no line of
+    [block] any more, off the block's word. *)
 
 val others_share : t -> block:int -> id:int -> bool
-(** Whether a cache other than [id] holds lines of [block]. A cache
+(** Whether a cache other than [id] is on [block]'s word. A cache
     writing several lines of a block back asks once, and calls
-    {!before_write} for each line only if so: while no other cache holds
-    lines of the block, a write-back costs a test per line. *)
+    {!before_write} for each line only if so: while no other cache is on
+    the word, a write-back costs a test per line. *)
 
 val before_write : t -> block:int -> first:int -> last:int -> id:int -> unit
 (** [before_write t ~block ~first ~last ~id]: cache [id] is about to
     write lines [first, last] of [block] through a page from
-    {!write_page}. Every other cache holding lines of the block is
-    called back first. Raises [Invalid_argument] if [block] or the lines
+    {!write_page}. Every other cache on the block's word is called back
+    first. Raises [Invalid_argument] if [block] or the lines
     are out of range. *)
 
 val note_read : t -> unit

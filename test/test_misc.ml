@@ -470,9 +470,10 @@ let test_linux_boot_footprint () =
 (* A server gives a freed block's DRAM page back, so a run's pages
    follow the blocks its files hold. Creating and unlinking 1,000 files
    of one block each on the default machine grows the live heap by about
-   87k words, nearly all of it the writer's private cache, now full of
-   their lines. When every page ever written stayed, it grew by about
-   626k words. *)
+   91k words, nearly all of it the writer's private cache, now full of
+   their lines: each unlink's release has the cache copy out the lines
+   it still shares. When every page ever written stayed, it grew by
+   about 626k words. *)
 let test_unlinked_pages_released () =
   let grown = ref 0 in
   ignore
@@ -525,9 +526,9 @@ let pcache_growth ~prepare ~fill =
   !grown
 
 (* A private cache's bookkeeping beside its line data: 12 bytes per line
-   slot (three 4-byte cells) and a 516-byte frame per cached block (a
+   slot (three 4-byte cells) and a 520-byte frame per cached block (a
    slot and where the bytes are, per line). A full default cache of
-   8,192 lines over 128 blocks holds about 21k words of it. With an int
+   8,192 lines over 128 blocks holds about 22k words of it. With an int
    per slot in each of four arrays and an int array per frame, it held
    about 42k. *)
 let test_pcache_bookkeeping () =
