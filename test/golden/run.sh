@@ -1,5 +1,5 @@
 #!/bin/sh
-# Golden report outputs: runs four `hare_cli run` report compositions,
+# Golden report outputs: runs seven `hare_cli run` report compositions,
 # the quick bench JSON and twelve `hare_cli explore` runs, and diffs
 # each output against its committed expected text (one NAME.expected
 # file per case in DIR; the explore runs share explore.expected).
@@ -54,6 +54,13 @@ case_ shard_ring "$cli" run creates --cores 4 --shard 2 \
   --shard-plan add@100000 --ring --robust
 case_ crash_check "$cli" run fsstress --cores 3 \
   --plan crash:1@200000+100000 --robust --check --verbose
+# 40 clients tracking one name: invalidation fan-out in callback order.
+case_ run_all_40 "$cli" run all --cores 40 --seed 1 --profile
+# The baseline worlds (the report flags need --world hare): the only
+# cases that charge linux_syscall, linux_lock and linux_dirlock_hold
+# (linux), and loopback_rpc (unfs).
+case_ linux_all "$cli" run all --world linux --cores 4 --seed 1
+case_ unfs_all "$cli" run all --world unfs --cores 4 --seed 1
 case_ bench_quick "$bench" --json --quick
 
 # explore_all: each exploration's command line, stdout and exit code:
