@@ -228,8 +228,7 @@ let lookup_entry t (dir : dirref) name : Wire.entry_info =
   | None -> (
       let srv = entry_server t dir name in
       match rpc t srv (Wire.Lookup { dir = dir.d_ino; name }) with
-      | Wire.P_lookup { target; ftype; dist } ->
-          let e = { Wire.t_ino = target; t_ftype = ftype; t_dist = dist } in
+      | Wire.P_lookup e ->
           Dircache.add t.dircache ~dir:dir.d_ino ~name e;
           e
       | _ -> assert false)
@@ -328,16 +327,14 @@ let create_file t (dir : dirref) name (flags : open_flags) =
         (Wire.Create_open
            { dir = dir.d_ino; name; excl = flags.excl; trunc = flags.trunc })
     with
-    | Wire.P_open_ino { oi; ino } ->
-        Dircache.add t.dircache ~dir:dir.d_ino ~name
-          { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
-        (ino, oi)
-    | Wire.P_lookup { target; ftype; dist } ->
+    | Wire.P_open_ino { oi; entry } ->
+        Dircache.add t.dircache ~dir:dir.d_ino ~name entry;
+        (entry.t_ino, oi)
+    | Wire.P_lookup e ->
         (* The name exists but its inode lives on another server. *)
-        Dircache.add t.dircache ~dir:dir.d_ino ~name
-          { Wire.t_ino = target; t_ftype = ftype; t_dist = dist };
-        if ftype = Dir then Errno.raise_errno Errno.EISDIR name
-        else open_existing t flags target
+        Dircache.add t.dircache ~dir:dir.d_ino ~name e;
+        if e.t_ftype = Dir then Errno.raise_errno Errno.EISDIR name
+        else open_existing t flags e.t_ino
     | _ -> assert false
   end
   else begin
@@ -345,14 +342,14 @@ let create_file t (dir : dirref) name (flags : open_flags) =
       rpc t inode_srv
         (Wire.Create_inode { ftype = Reg; dist = false; and_open = true })
     with
-    | Wire.P_open_ino { oi; ino } -> (
+    | Wire.P_open_ino { oi; entry } -> (
+        let ino = entry.t_ino in
         match
           add_map call t entry_srv dir.d_ino name ~target:ino ~ftype:Reg
             ~dist:false ~replace:false
         with
         | Ok _ ->
-            Dircache.add t.dircache ~dir:dir.d_ino ~name
-              { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
+            Dircache.add t.dircache ~dir:dir.d_ino ~name entry;
             (ino, oi)
         | Error err ->
             (* Lost a create race, or the directory vanished: roll the

@@ -14,19 +14,19 @@ end)
    Never set outside tests. *)
 let mutate_drop_inval = ref false
 
-(* The LRU order is kept lazily: every hit or insert pushes a freshly
-   stamped (key, stamp) pair onto [order], and eviction pops pairs until
-   one's stamp matches the entry's current stamp — stale pairs (the entry
-   was touched again later, or removed) are discarded for free. This
-   keeps find/add O(1). Only [add] evicts, so a hit-only working set
-   would grow the queue by one pair per hit; once it holds more than
-   twice [capacity] pairs, [compact] drops the stale ones. *)
-type slot = { info : Wire.entry_info; mutable stamp : int }
-
+(* Entries are the servers' own records. When bounded, the LRU order is
+   kept lazily: every hit or insert stamps the entry in [stamps] and pushes
+   the (key, stamp) pair onto [order], and eviction pops pairs until one's
+   stamp matches the entry's current stamp — stale pairs (the entry was
+   touched again later, or removed) are discarded for free. This keeps
+   find/add O(1). Only [add] evicts, so a hit-only working set would grow
+   the queue by one pair per hit; once it holds more than twice [capacity]
+   pairs, [compact] drops the stale ones. *)
 type t = {
   enabled : bool;
-  capacity : int;  (* 0 = unbounded *)
-  entries : slot Entries.t;
+  capacity : int;  (* 0 = unbounded: [stamps] and [order] stay empty *)
+  entries : Wire.entry_info Entries.t;
+  stamps : int Entries.t;
   order : (key * int) Queue.t;
   port : Wire.inval Hare_msg.Mailbox.t;
   mutable tick : int;
@@ -43,6 +43,7 @@ let create ~enabled ?(capacity = 0) ?(robust = Hare_stats.Robust.create ())
     enabled;
     capacity = Int.max 0 capacity;
     entries = Entries.create 512;
+    stamps = Entries.create 1;
     order = Queue.create ();
     port;
     tick = 0;
@@ -67,35 +68,38 @@ let note t kind (dir : Types.ino) name =
       (Dircache
          { kind; client = client_id t; server = dir.server; ino = dir.ino; name })
 
+(* A pair is live while its stamp is its entry's latest. *)
+let live t (key, stamp) =
+  match Entries.find_opt t.stamps key with Some s -> s = stamp | None -> false
+
 (* Keep only the live pairs, in order: each live entry has exactly one
    (its latest stamp), so eviction victims are unchanged, and at most
    [capacity] + 1 pairs survive, which amortizes the scan over the
    [capacity] touches before the next compaction. *)
 let compact t =
-  let live = Queue.create () in
-  Queue.iter
-    (fun ((key, stamp) as pair) ->
-      match Entries.find_opt t.entries key with
-      | Some slot when slot.stamp = stamp -> Queue.push pair live
-      | _ -> ())
-    t.order;
+  let live_pairs = Queue.create () in
+  Queue.iter (fun pair -> if live t pair then Queue.push pair live_pairs) t.order;
   Queue.clear t.order;
-  Queue.transfer live t.order
+  Queue.transfer live_pairs t.order
 
-let touch t key (slot : slot) =
-  t.tick <- t.tick + 1;
-  slot.stamp <- t.tick;
+let touch t key =
   if t.capacity > 0 then begin
+    t.tick <- t.tick + 1;
+    Entries.replace t.stamps key t.tick;
     Queue.push (key, t.tick) t.order;
     if Queue.length t.order > 2 * t.capacity then compact t
   end
+
+let remove t ~dir ~name =
+  Entries.remove t.entries (dir, name);
+  if t.capacity > 0 then Entries.remove t.stamps (dir, name)
 
 let rec drain t =
   match Hare_msg.Mailbox.poll t.port with
   | None -> ()
   | Some (Wire.Inval_entry { i_dir; i_name }) ->
       if not !mutate_drop_inval then begin
-        Entries.remove t.entries (i_dir, i_name);
+        remove t ~dir:i_dir ~name:i_name;
         note t `Applied i_dir i_name
       end;
       t.invalidations <- t.invalidations + 1;
@@ -103,6 +107,7 @@ let rec drain t =
   | Some Wire.Inval_all ->
       (* A server restarted; conservatively flush everything. *)
       Entries.reset t.entries;
+      Entries.reset t.stamps;
       Queue.clear t.order;
       Hare_stats.Robust.(incr t.robust cache_flushes);
       let o = obs t in
@@ -115,11 +120,11 @@ let find t ~dir ~name =
   if not t.enabled then None
   else
     match Entries.find_opt t.entries (dir, name) with
-    | Some slot ->
+    | Some _ as hit ->
         t.hits <- t.hits + 1;
         note t `Hit dir name;
-        touch t (dir, name) slot;
-        Some slot.info
+        touch t (dir, name);
+        hit
     | None ->
         t.misses <- t.misses + 1;
         None
@@ -127,29 +132,26 @@ let find t ~dir ~name =
 let rec evict_one t =
   match Queue.take_opt t.order with
   | None -> ()
-  | Some (key, stamp) -> (
-      match Entries.find_opt t.entries key with
-      | Some slot when slot.stamp = stamp ->
-          Entries.remove t.entries key;
-          t.evictions <- t.evictions + 1
-      | _ ->
-          (* Stale pair: the entry was re-touched or already removed. *)
-          evict_one t)
+  | Some (((dir, name), _) as pair) ->
+      if live t pair then begin
+        remove t ~dir ~name;
+        t.evictions <- t.evictions + 1
+      end
+      else
+        (* Stale pair: the entry was re-touched or already removed. *)
+        evict_one t
 
 let add t ~dir ~name info =
   if t.enabled then begin
     let key = (dir, name) in
-    let fresh = not (Entries.mem t.entries key) in
-    let slot = { info; stamp = 0 } in
-    Entries.replace t.entries key slot;
-    touch t key slot;
-    if t.capacity > 0 && fresh then
+    let fresh = t.capacity > 0 && not (Entries.mem t.entries key) in
+    Entries.replace t.entries key info;
+    touch t key;
+    if fresh then
       while Entries.length t.entries > t.capacity do
         evict_one t
       done
   end
-
-let remove t ~dir ~name = Entries.remove t.entries (dir, name)
 
 let size t = Entries.length t.entries
 

@@ -56,7 +56,7 @@ type entry = { e_name : string; e_ino : ino; e_ftype : ftype }
 type fs_payload =
   | P_unit
   | P_attr of attr
-  | P_lookup of { target : ino; ftype : ftype; dist : bool }
+  | P_lookup of entry_info
   | P_open of open_info
   | P_created_ino of ino
   | P_read of { data : string; now_local : int option }
@@ -66,7 +66,7 @@ type fs_payload =
   | P_blocks of { blocks : int array; bsize : int }
   | P_removed of { target : ino; ftype : ftype }
   | P_pipe of { pipe_ino : ino; rd : fd_token; wr : fd_token }
-  | P_open_ino of { oi : open_info; ino : ino }
+  | P_open_ino of { oi : open_info; entry : entry_info }
   | P_pack of pack
 
 type fs_resp = (fs_payload, Errno.t) result

@@ -113,7 +113,8 @@ type open_info = { token : fd_token; blocks : int array; isize : int }
 
 (** What a directory entry denotes: the target inode, its type, and (for
     directories) its distribution flag — denormalized so a single lookup
-    RPC suffices to keep walking a path. *)
+    RPC suffices to keep walking a path. Immutable: a reply hands out the
+    shard's own record, and every client that caches the entry holds it. *)
 type entry_info = { t_ino : ino; t_ftype : ftype; t_dist : bool }
 
 type entry = { e_name : string; e_ino : ino; e_ftype : ftype }
@@ -121,7 +122,7 @@ type entry = { e_name : string; e_ino : ino; e_ftype : ftype }
 type fs_payload =
   | P_unit
   | P_attr of attr
-  | P_lookup of { target : ino; ftype : ftype; dist : bool }
+  | P_lookup of entry_info
   | P_open of open_info
   | P_created_ino of ino  (** reply to [Create_inode]. *)
   | P_read of { data : string; now_local : int option }
@@ -133,7 +134,8 @@ type fs_payload =
   | P_blocks of { blocks : int array; bsize : int }
   | P_removed of { target : ino; ftype : ftype }
   | P_pipe of { pipe_ino : ino; rd : fd_token; wr : fd_token }
-  | P_open_ino of { oi : open_info; ino : ino }
+  | P_open_ino of { oi : open_info; entry : entry_info }
+      (** a new or existing regular file, opened, and its entry. *)
   | P_pack of pack  (** reply to [Migrate_out]. *)
 
 type fs_resp = (fs_payload, Errno.t) result

@@ -27,7 +27,7 @@ type dir = {
   mutable fresh : bool;
   mutable lines : int option;
   mutable listing : Wire.fs_resp;
-  mutable clients : unit Itbl.t Tbl.Str.t;
+  mutable clients : Bytes.t Tbl.Str.t;
   mutable mark : request Queue.t option;
   mutable held : bool;
   lock_waiters : reply Queue.t;
@@ -100,7 +100,7 @@ let empty_listing : Wire.fs_resp = Ok (Wire.P_entries [])
    is ever added to either. *)
 let no_entries : Wire.entry_info Tbl.Str.t = Tbl.Str.create 1
 
-let no_clients : unit Itbl.t Tbl.Str.t = Tbl.Str.create 1
+let no_clients : Bytes.t Tbl.Str.t = Tbl.Str.create 1
 
 let bare () =
   {
@@ -172,16 +172,45 @@ let readdir h dir (reply : reply) =
   end;
   reply ?payload_lines:d.lines d.listing
 
+(* A callback set: 16-bit cells, the count and then each client id in the
+   order it first registered. *)
 let track d ~name ~client =
-  let clients =
+  if client < 0 || client >= 0xFFFF then invalid_arg "Home.track: client id";
+  let s =
     match Tbl.Str.find_opt d.clients name with
-    | Some c -> c
+    | Some s -> s
     | None ->
-        let c = Itbl.create 4 in
-        Tbl.Str.add d.clients name c;
-        c
+        let s = Bytes.make 8 '\000' in
+        Tbl.Str.add d.clients name s;
+        s
   in
-  Itbl.replace clients client ()
+  let n = Bytes.get_uint16_le s 0 in
+  let rec known i = i <= n && (Bytes.get_uint16_le s (2 * i) = client || known (i + 1)) in
+  if not (known 1) then begin
+    let s =
+      if 2 * (n + 2) <= Bytes.length s then s
+      else begin
+        let grown = Bytes.extend s 0 (Bytes.length s) in
+        Tbl.Str.replace d.clients name grown;
+        grown
+      end
+    in
+    Bytes.set_uint16_le s (2 * (n + 1)) client;
+    Bytes.set_uint16_le s 0 (n + 1)
+  end
+
+let iter_clients f s =
+  let n = Bytes.get_uint16_le s 0 in
+  let nb = ref 16 in
+  while n > 2 * !nb do
+    nb := 2 * !nb
+  done;
+  (* [r]: registrations newer than the id's own, so a bucket sorts newest
+     first; each id is hashed once. *)
+  let id r = Bytes.get_uint16_le s (2 * (n - r)) in
+  let keys = Array.init n (fun r -> ((Hashtbl.hash (id r) land (!nb - 1)) lsl 16) lor r) in
+  Array.sort Int.compare keys;
+  Array.iter (fun k -> f (id (k land 0xFFFF))) keys
 
 (* [replace] keeps the record's place in the table's order. *)
 let bury h dir =

@@ -31,8 +31,9 @@ type dir = {
   mutable fresh : bool;
   mutable lines : int option;
   mutable listing : Hare_proto.Wire.fs_resp;  (** its readdir reply, while [fresh] *)
-  mutable clients : unit Hare_sim.Tbl.Int.t Hare_sim.Tbl.Str.t;
-      (** invalidation tracking lists (§3.6.1): name -> client set *)
+  mutable clients : Bytes.t Hare_sim.Tbl.Str.t;
+      (** invalidation tracking lists (§3.6.1): name -> callback set,
+          read through {!iter_clients} *)
   mutable mark : request Queue.t option;  (** rmdir mark (§3.3): the creates it delays *)
   mutable held : bool;  (** rmdir lock, at the directory's own home *)
   lock_waiters : reply Queue.t;
@@ -131,8 +132,15 @@ val readdir : t -> Hare_proto.Types.ino -> reply -> unit
     one table lookup and allocates nothing. *)
 
 val track : dir -> name:string -> client:int -> unit
-(** Register [client] for an invalidation callback on the entry [name]
-    of a directory with a shard. *)
+(** Register [client] (below 65535) for an invalidation callback on the
+    entry [name] of a directory with a shard. Registering twice is
+    registering once. *)
+
+val iter_clients : (int -> unit) -> Bytes.t -> unit
+(** A callback set's clients, in the order DESIGN.md's "callback order"
+    fixes: the order a [Tbl.Int.create 4] that took the same registrations
+    as [replace]s iterates in. Invalidations go out in it, each a message
+    on the clock. *)
 
 val bury : t -> Hare_proto.Types.ino -> unit
 (** Commit a directory's removal: the creates its mark delays, then the

@@ -59,7 +59,7 @@ let pack t ~home:hid ~stealing ~inval (reply : Home.reply) =
       Home.Dtbl.iter
         (fun dir (d : Home.dir) ->
           Tbl.Str.iter
-            (fun name -> Itbl.iter (fun client () -> inval ~dir ~name client))
+            (fun name -> Home.iter_clients (inval ~dir ~name))
             d.clients;
           Tbl.Str.reset d.clients;
           if Home.has_shard d then incr shards)

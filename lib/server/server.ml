@@ -293,8 +293,8 @@ let send_invals t d ~dir ~name ~except =
   match Stbl.find_opt d.clients name with
   | None -> ()
   | Some clients ->
-      Itbl.iter
-        (fun client () -> if client <> except then inval t ~dir ~name client)
+      Home.iter_clients
+        (fun client -> if client <> except then inval t ~dir ~name client)
         clients;
       Stbl.remove d.clients name
 
@@ -333,7 +333,7 @@ let handle_lookup h ~dir ~name ~client (reply : reply) =
   | None -> reply (Error Errno.ENOENT)
   | Some e ->
       track d ~name ~client;
-      reply (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
+      reply (Ok (Wire.P_lookup e))
 
 (* The record of [dir] ready to take an entry, or a tombstone when the
    directory no longer exists. For a centralized directory the entries
@@ -401,20 +401,19 @@ let handle_create_open t h ~dir ~name ~excl ~trunc ~client (reply : reply) =
         | Some inode ->
             track s ~name ~client;
             let ofd = do_open t inode ~trunc in
-            reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino = e.t_ino }))
+            reply (Ok (Wire.P_open_ino { oi = open_info ofd; entry = e }))
       end
       else
         (* The existing inode lives elsewhere; tell the client where. *)
-        reply
-          (Ok (Wire.P_lookup { target = e.t_ino; ftype = e.t_ftype; dist = e.t_dist }))
+        reply (Ok (Wire.P_lookup e))
   | None ->
       let inode = Inode.file ~lid:(alloc_lid h) ~home:h.hid in
       Itbl.replace h.inodes inode.lid inode;
-      let ino = global inode in
-      shard_set s name { Wire.t_ino = ino; t_ftype = Reg; t_dist = false };
+      let entry = { Wire.t_ino = global inode; t_ftype = Reg; t_dist = false } in
+      shard_set s name entry;
       track s ~name ~client;
       let ofd = do_open t inode ~trunc:false in
-      reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
+      reply (Ok (Wire.P_open_ino { oi = open_info ofd; entry }))
 
 let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
   let lid = alloc_lid h and home = h.hid in
@@ -428,7 +427,8 @@ let handle_create_inode t h ~ftype ~dist ~and_open (reply : reply) =
   let ino = global inode in
   if and_open && ftype = Reg then
     let ofd = do_open t inode ~trunc:false in
-    reply (Ok (Wire.P_open_ino { oi = open_info ofd; ino }))
+    let entry = { Wire.t_ino = ino; t_ftype = Reg; t_dist = false } in
+    reply (Ok (Wire.P_open_ino { oi = open_info ofd; entry }))
   else reply (Ok (Wire.P_created_ino ino))
 
 (* Coalesced mkdir (§3.6.3): directory inode + parent entry in one

@@ -7,8 +7,8 @@
     policy, so with the same hash every bucket — and every [fold] and
     [iter] order — is the polymorphic table's. Simulated behaviour can
     depend on that order (a server's readdir lists a shard in fold order;
-    invalidations go out in a tracking table's iter order), which is why
-    the hash is fixed here rather than chosen per table. *)
+    invalidations go out in DESIGN.md's "callback order", an [Int] table's
+    iter order), so the hash is fixed here rather than chosen per table. *)
 
 module Make (K : sig
   type t

@@ -52,6 +52,42 @@ let test_dircache_saves_rpcs () =
   Alcotest.(check (option int)) "cache saves RPCs" (Some 0)
     (Machine.exit_status m init)
 
+(* Two clients that look one name up both cache the record the server's
+   shard holds, not a copy each: their entries are the same value. *)
+let test_dircache_shares_server_record () =
+  let config = small_config ~ncores:4 ~exec_policy:Config.Round_robin () in
+  let m = Machine.boot config in
+  let cores = ref [] in
+  Machine.register_program m "stat" (fun p _ ->
+      ignore (Posix.stat p "/dir/file");
+      cores := p.P.core_id :: !cores;
+      0);
+  let init, _ =
+    Machine.spawn_init m ~name:"t" (fun p _ ->
+        Posix.mkdir p "/dir";
+        Posix.close p (Posix.creat p "/dir/file");
+        skip_own_core m p;
+        List.init 2 (fun _ -> Posix.spawn p ~prog:"stat" ~args:[])
+        |> List.iter (fun pid -> ignore (Posix.waitpid p pid));
+        0)
+  in
+  Machine.run m;
+  Alcotest.(check (option int)) "init exits" (Some 0) (Machine.exit_status m init);
+  let cached core ~dir ~name =
+    match Dircache.find (Client.dircache (Machine.clients m).(core)) ~dir ~name with
+    | Some e -> e
+    | None -> Alcotest.failf "core %d has no %s" core name
+  in
+  match !cores with
+  | [ a; b ] when a <> b ->
+      let root = Types.root_ino in
+      let da = cached a ~dir:root ~name:"dir" in
+      Alcotest.(check bool) "one record for /dir" true (da == cached b ~dir:root ~name:"dir");
+      let dir = da.Hare_proto.Wire.t_ino in
+      Alcotest.(check bool) "one record for /dir/file" true
+        (cached a ~dir ~name:"file" == cached b ~dir ~name:"file")
+  | _ -> Alcotest.fail "two children on two cores"
+
 let test_dircache_disabled_no_savings () =
   let config =
     { (small_config ()) with Config.dir_cache = false }
@@ -308,6 +344,7 @@ let suites : (string * unit Alcotest.test_case list) list =
     ( "client.dircache",
       [
         tc "cache saves RPCs" `Quick test_dircache_saves_rpcs;
+        tc "clients share the server's record" `Quick test_dircache_shares_server_record;
         tc "disabled: no savings" `Quick test_dircache_disabled_no_savings;
         tc "remote unlink invalidates" `Quick test_invalidation_on_remote_unlink;
         tc "remote rename invalidates" `Quick test_invalidation_on_remote_rename;

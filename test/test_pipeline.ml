@@ -306,7 +306,14 @@ let test_dircache_hits_bounded () =
   Alcotest.(check bool) "hot entry kept" true (Dircache.find dc ~dir ~name:"a" <> None);
   Alcotest.(check bool) "least recently used evicted" true
     (Dircache.find dc ~dir ~name:"b" = None);
-  Alcotest.(check int) "one eviction" 1 (Dircache.evictions dc)
+  Alcotest.(check int) "one eviction" 1 (Dircache.evictions dc);
+  (* A removed entry's pairs are stale: eviction skips them and takes the
+     least recently used entry still cached. *)
+  Dircache.remove dc ~dir ~name:"c";
+  List.iter (fun name -> Dircache.add dc ~dir ~name info) [ "f"; "g" ];
+  Alcotest.(check int) "size" 4 (Dircache.size dc);
+  Alcotest.(check bool) "next LRU evicted" true (Dircache.find dc ~dir ~name:"d" = None);
+  Alcotest.(check int) "two evictions" 2 (Dircache.evictions dc)
 
 (* ---------- PR 1 fault soak with the pipeline wide open ----------------- *)
 

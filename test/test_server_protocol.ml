@@ -141,8 +141,8 @@ let test_parked_create_keeps_addressing () =
       Core_res.compute rig.client_core 100_000;
       ignore (call ~from:rig.client0 rig (Wire.Rmdir_abort { dir = d }));
       (match Rpc.await ~from:rig.client_core ~costs:config.Hare_config.Config.costs ~span parked with
-      | Ok (Wire.P_open_ino { ino; _ }) ->
-          Alcotest.(check int) "inode in home 0" 0 ino.Types.server
+      | Ok (Wire.P_open_ino { entry; _ }) ->
+          Alcotest.(check int) "inode in home 0" 0 entry.t_ino.Types.server
       | Ok _ | Error _ -> Alcotest.fail "the replayed create should succeed");
       let before = Server.invals_sent rig.server in
       (match call ~from:rig.client0 rig (Wire.Rm_map { dir = d; name = "late"; only_if = None }) with
@@ -215,7 +215,7 @@ let test_fd_refcount_keeps_unlinked_inode () =
             (Wire.Create_open
                { dir = root; name = "f"; excl = true; trunc = false })
         with
-        | Ok (Wire.P_open_ino { oi; ino }) -> (oi.Wire.token, ino)
+        | Ok (Wire.P_open_ino { oi; entry }) -> (oi.Wire.token, entry.t_ino)
         | _ -> Alcotest.fail "create"
       in
       ignore (call rig (Wire.Write_fd { token; off = Some 0; data = "keep"; append = false }));
@@ -619,7 +619,7 @@ let prop_readdir_listing =
               | Rm n -> rm n
               | Rename (a, b) -> (
                   match call rig (Wire.Lookup { dir = root; name = a }) with
-                  | Ok (Wire.P_lookup { target; _ }) ->
+                  | Ok (Wire.P_lookup { t_ino = target; _ }) ->
                       add ~replace:true ~ino:target b;
                       if a <> b then rm ~only_if:target a
                   | _ -> ())
@@ -631,6 +631,42 @@ let prop_readdir_listing =
               if listed () <> Server.shard_entries rig.server root then ok := false)
             ops);
       !ok)
+
+(* ---------- callback sets -------------------------------------------------- *)
+
+(* A fresh shard's record, and the callback set [name] has there after
+   [ids] registered in turn. *)
+let callback_set ids =
+  let d = Hare_server.Home.shard (Hare_server.Home.create 0) root in
+  List.iter (fun client -> Hare_server.Home.track d ~name:"n" ~client) ids;
+  Tbl.Str.find d.clients "n"
+
+(* Invalidations go out in a callback set's order, each one a message on
+   the clock, so the compact set must visit its clients exactly as the
+   [Tbl.Int] it replaced did, through the 16 -> 32 -> ... -> 256-bucket
+   resizes that 40- to 512-core machines reach. [QCHECK_LONG=1] runs 20
+   times as many cases (a CI step). *)
+let prop_callback_order =
+  QCheck.Test.make ~name:"callback set visits clients in Tbl.Int order"
+    ~count:300 ~long_factor:20
+    QCheck.(list_of_size Gen.(1 -- 600) (int_range 0 511))
+    (fun ids ->
+      let tbl = Tbl.Int.create 4 in
+      List.iter (fun id -> Tbl.Int.replace tbl id ()) ids;
+      let want = List.rev (Tbl.Int.fold (fun id () acc -> id :: acc) tbl []) in
+      let got = ref [] in
+      Hare_server.Home.iter_clients (fun id -> got := id :: !got) (callback_set ids);
+      List.rev !got = want)
+
+(* A name tracked by every client of a 40-core machine costs a few
+   words, not a hash table of its own (about 200 words). *)
+let test_callback_set_size () =
+  let s = callback_set (List.init 40 Fun.id @ List.init 40 Fun.id) in
+  let n = ref 0 in
+  Hare_server.Home.iter_clients (fun _ -> incr n) s;
+  Alcotest.(check int) "each client once" 40 !n;
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words > 20 then Alcotest.failf "a 40-client callback set takes %d words" words
 
 let tc = Alcotest.test_case
 
@@ -653,6 +689,11 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "tracking + invalidation" `Quick test_lookup_tracks_and_invalidates;
       ] );
     ("server.shards", [ QCheck_alcotest.to_alcotest prop_readdir_listing ]);
+    ( "server.callbacks",
+      [
+        QCheck_alcotest.to_alcotest prop_callback_order;
+        tc "40 clients, a few words" `Quick test_callback_set_size;
+      ] );
     ("server.steal", [ tc "crash keeps the in-flight steal" `Quick test_crash_keeps_inflight_steal ]);
     ( "server.migration",
       [
